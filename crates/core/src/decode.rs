@@ -21,7 +21,7 @@ use crate::accept::TypicalAcceptance;
 use crate::policy::{SpecPolicy, SpecShape};
 use serde::{Deserialize, Serialize};
 use verispec_grammar::{dead_tail_prune, GrammarOracle, PruneRecord, ViabilityState};
-use verispec_lm::{argmax, DecodeClock, GpuCostModel, LanguageModel, Sampling, TokenId};
+use verispec_lm::{argmax, ArenaRows, DecodeClock, GpuCostModel, LanguageModel, Sampling, TokenId};
 use verispec_tokenizer::special;
 
 /// Configuration for a decode run.
@@ -208,9 +208,10 @@ pub fn decode_grammar_speculative(
 /// Maximum number of candidate paths explored per step in tree mode.
 pub(crate) const MAX_CANDIDATE_PATHS: usize = 32;
 
-/// Builds the speculated candidate paths from per-head logits for one
-/// step's [`SpecShape`] (the per-step decision of a
-/// [`crate::policy::SpecPolicy`]; the static policy maps
+/// Builds the speculated candidate paths from per-head logits (row `i`
+/// of `heads` is head `i`'s; only rows `0..=depth` are read, so only
+/// those need exist) for one step's [`SpecShape`] (the per-step
+/// decision of a [`crate::policy::SpecPolicy`]; the static policy maps
 /// `DecodeConfig.tree` onto shapes exactly, so this is the same
 /// construction the engines always ran). `shape.depth == n_heads`
 /// with the configured widths reproduces the pre-policy builder
@@ -221,20 +222,20 @@ pub(crate) const MAX_CANDIDATE_PATHS: usize = 32;
 /// Panics on [`SpecShape::Draft`]: draft blocks are proposed by the
 /// draft model, not built from head logits.
 pub(crate) fn build_candidate_paths(
-    all_logits: &[Vec<f32>],
+    heads: ArenaRows<'_>,
     n_heads: usize,
     shape: &SpecShape,
 ) -> Vec<Vec<TokenId>> {
     match shape {
         SpecShape::Chain { depth } => vec![(1..=(*depth).min(n_heads))
-            .map(|i| argmax(&all_logits[i]))
+            .map(|i| argmax(heads.row(i)))
             .collect()],
         SpecShape::Tree { widths, depth } => {
             let depth = (*depth).min(n_heads);
             let mut paths: Vec<Vec<TokenId>> = vec![Vec::new()];
-            for (head_idx, head_logits) in all_logits.iter().enumerate().take(depth + 1).skip(1) {
+            for head_idx in 1..=depth {
                 let k = widths.get(head_idx - 1).copied().unwrap_or(1).max(1);
-                let options = verispec_lm::top_k_indices(head_logits, k);
+                let options = verispec_lm::top_k_indices(heads.row(head_idx), k);
                 let mut next = Vec::with_capacity(paths.len() * options.len());
                 'grow: for p in &paths {
                     for &opt in &options {
@@ -282,21 +283,23 @@ fn effective_widths(shape: &SpecShape, n_heads: usize) -> Vec<usize> {
 }
 
 /// Grows one candidate tree, filtering each level's ranked options to
-/// tokens lexically viable after the candidate path built so far. Each
-/// path carries its own [`ViabilityState`]; when no token in the
-/// scanned window is viable (in particular whenever the state is dead),
-/// the path falls back to the unconstrained top-k — reproducing
-/// [`build_candidate_paths`]' ordering and 32-path cap exactly.
+/// tokens lexically viable after the candidate path built so far.
+/// `ranked[level]` is that level's head ranking, at least
+/// `widths[level] + GRAMMAR_SCAN_SLACK` deep (vocabulary permitting);
+/// only that prefix is scanned. Each path carries its own
+/// [`ViabilityState`]; when no token in the scanned window is viable
+/// (in particular whenever the state is dead), the path falls back to
+/// the unconstrained top-k — reproducing [`build_candidate_paths`]'
+/// ordering and 32-path cap exactly.
 fn grammar_tree(
-    all_logits: &[Vec<f32>],
+    ranked: &[Vec<TokenId>],
     widths: &[usize],
     oracle: &GrammarOracle,
     state: ViabilityState,
 ) -> Vec<Vec<TokenId>> {
     let mut paths: Vec<(Vec<TokenId>, ViabilityState)> = vec![(Vec::new(), state)];
-    for (level, &k) in widths.iter().enumerate() {
-        let head_logits = &all_logits[level + 1];
-        let ranked = verispec_lm::top_k_indices(head_logits, k + GRAMMAR_SCAN_SLACK);
+    for (ranked, &k) in ranked.iter().zip(widths) {
+        let ranked = &ranked[..(k + GRAMMAR_SCAN_SLACK).min(ranked.len())];
         let mut next = Vec::with_capacity(paths.len() * k);
         'grow: for (p, st) in &paths {
             let viable: Vec<TokenId> = ranked
@@ -332,8 +335,13 @@ fn grammar_tree(
 /// [`SpecShape::candidate_tokens`] budget wins, so a policy's budget
 /// accounting (`shrink_to`, per-tick budgets) stays an upper bound on
 /// what is actually verified.
+///
+/// Each head is ranked once, as deep as the widest retry scans: under
+/// [`verispec_lm::top_k_indices`]' total order a shallower ranking is a
+/// prefix of a deeper one, so every round reads a slice of the same
+/// list.
 pub(crate) fn build_grammar_candidate_paths(
-    all_logits: &[Vec<f32>],
+    heads: ArenaRows<'_>,
     n_heads: usize,
     shape: &SpecShape,
     oracle: &GrammarOracle,
@@ -342,14 +350,22 @@ pub(crate) fn build_grammar_candidate_paths(
 ) -> (Vec<Vec<TokenId>>, PruneRecord) {
     let widths = effective_widths(shape, n_heads);
     let budget = shape.candidate_tokens();
-    let mut paths = grammar_tree(all_logits, &widths, oracle, state);
+    let ranked: Vec<Vec<TokenId>> = widths
+        .iter()
+        .enumerate()
+        .map(|(level, &k)| {
+            let deepest = k + GRAMMAR_WIDEN_ROUNDS + GRAMMAR_SCAN_SLACK;
+            verispec_lm::top_k_indices(heads.row(level + 1), deepest)
+        })
+        .collect();
+    let mut paths = grammar_tree(&ranked, &widths, oracle, state);
     let mut record = dead_tail_prune(&mut paths, special::FRAG, eos);
     for extra in 1..=GRAMMAR_WIDEN_ROUNDS {
         if record.surviving >= budget {
             break;
         }
         let wider: Vec<usize> = widths.iter().map(|w| w + extra).collect();
-        let mut wide_paths = grammar_tree(all_logits, &wider, oracle, state);
+        let mut wide_paths = grammar_tree(&ranked, &wider, oracle, state);
         let wide_record = dead_tail_prune(&mut wide_paths, special::FRAG, eos);
         if wide_record.surviving > record.surviving && wide_record.surviving <= budget {
             paths = wide_paths;
@@ -654,21 +670,21 @@ mod tests {
 
     #[test]
     fn candidate_path_construction() {
-        let logits = vec![
-            vec![0.0, 1.0, 5.0, 0.0], // base (unused by builder)
-            vec![9.0, 1.0, 0.0, 0.0], // head 1: top-2 = [0, 1]
-            vec![0.0, 0.0, 3.0, 2.0], // head 2: top-1 = [2]
-        ];
+        let mut arena = verispec_lm::LogitsArena::new();
+        arena.push_row(&[0.0, 1.0, 5.0, 0.0]); // base (unused by builder)
+        arena.push_row(&[9.0, 1.0, 0.0, 0.0]); // head 1: top-2 = [0, 1]
+        arena.push_row(&[0.0, 0.0, 3.0, 2.0]); // head 2: top-1 = [2]
+        let logits = arena.rows_from(0);
         let tree = SpecShape::Tree {
             widths: vec![2, 1],
             depth: 2,
         };
-        let paths = super::build_candidate_paths(&logits, 2, &tree);
+        let paths = super::build_candidate_paths(logits, 2, &tree);
         assert_eq!(paths, vec![vec![0, 2], vec![1, 2]]);
-        let chain = super::build_candidate_paths(&logits, 2, &SpecShape::Chain { depth: 2 });
+        let chain = super::build_candidate_paths(logits, 2, &SpecShape::Chain { depth: 2 });
         assert_eq!(chain, vec![vec![0, 2]]);
         // A shallower shape explores fewer head levels.
-        let short = super::build_candidate_paths(&logits, 2, &SpecShape::Chain { depth: 1 });
+        let short = super::build_candidate_paths(logits, 2, &SpecShape::Chain { depth: 1 });
         assert_eq!(short, vec![vec![0]]);
     }
 

@@ -96,6 +96,16 @@ pub enum SpecShape {
 }
 
 impl SpecShape {
+    /// Head levels this shape explores: a step reads the logits of
+    /// heads `0..=depth` and no others. 0 for a draft block, which is
+    /// proposed by the draft model.
+    pub fn depth(&self) -> usize {
+        match self {
+            SpecShape::Chain { depth } | SpecShape::Tree { depth, .. } => *depth,
+            SpecShape::Draft { .. } => 0,
+        }
+    }
+
     /// Candidate tokens this shape proposes per step, mirroring
     /// [`crate::decode`]'s path construction (including the
     /// `MAX_CANDIDATE_PATHS` cap of 32), so a serving engine can budget a
@@ -412,9 +422,11 @@ mod tests {
         // For every shape, the pre-logits cost must equal the number of
         // candidate tokens the real builder produces.
         let n_heads = 6;
-        let logits: Vec<Vec<f32>> = (0..=n_heads)
-            .map(|i| (0..8).map(|j| ((i * 13 + j * 7) % 11) as f32).collect())
-            .collect();
+        let mut logits = verispec_lm::LogitsArena::new();
+        for i in 0..=n_heads {
+            let row: Vec<f32> = (0..8).map(|j| ((i * 13 + j * 7) % 11) as f32).collect();
+            logits.push_row(&row);
+        }
         let shapes = [
             SpecShape::Chain { depth: 6 },
             SpecShape::Chain { depth: 2 },
@@ -437,7 +449,7 @@ mod tests {
             },
         ];
         for shape in &shapes {
-            let paths = build_candidate_paths(&logits, n_heads, shape);
+            let paths = build_candidate_paths(logits.rows_from(0), n_heads, shape);
             let built: usize = paths.iter().map(Vec::len).sum();
             assert_eq!(
                 shape.candidate_tokens(),

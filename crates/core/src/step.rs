@@ -11,19 +11,28 @@
 //! 2. **verify** — score the pending candidate paths against the
 //!    target model, either per-session ([`Stepper::verify_local`],
 //!    what the serial engines do) or fused across many requests: a
-//!    server extracts [`Stepper::verify_plan`]s from a batch of
-//!    steppers and executes them in one [`verispec_lm::verify_many`]
-//!    pass.
+//!    server has a batch of steppers plan into one shared
+//!    [`verispec_lm::VerifyPlan`] ([`Stepper::verify_plan`]) and
+//!    executes it in one [`verispec_lm::verify_many`] pass.
 //! 3. **commit** ([`Stepper::commit`]) — run acceptance over the
 //!    scores, apply the syntax-integrity truncation, advance the
 //!    simulated clock, and extend the session with the committed span.
+//!
+//! Logits never change hands as owned vectors: every phase reads
+//! borrowed rows of a [`verispec_lm::LogitsArena`]
+//! ([`verispec_lm::ArenaRows`]) — the stepper's own scratch arena on
+//! the serial path, the server's per-tick arena on the fused one — and
+//! the stepper's [`verispec_lm::NodeMap`] says which row each
+//! `(path, position)` of the pending verification reads. Acceptance is
+//! computed once per *unique* candidate-tree node, however many paths
+//! run through it.
 //!
 //! The serial convenience [`Stepper::step`] chains the three phases,
 //! and the public engines (`decode_ntp`, `decode_speculative`,
 //! `decode_draft_speculative`) are thin loops over it — so the serial
 //! path and a scheduler-driven path execute **the same code** and
-//! produce bit-identical token streams (the sessions' batched kernels
-//! guarantee bit-identical logits regardless of batch composition).
+//! produce bit-identical token streams (the inference kernel
+//! guarantees bit-identical logits regardless of batch composition).
 //!
 //! Between steps a stepper is always at its *committed* context —
 //! speculative appends have been rolled back — which is what makes
@@ -43,6 +52,7 @@
 //! it budgeted for ([`Stepper::pin_shape`]) so per-tick capacity
 //! accounting and the built candidate paths agree exactly.
 
+use crate::accept::TypicalAcceptance;
 use crate::decode::{
     build_candidate_paths, build_grammar_candidate_paths, constrain_base_token, DecodeConfig,
     DecodeOutput, StepTrace,
@@ -50,10 +60,10 @@ use crate::decode::{
 use crate::draft::{tempered, DraftConfig, DraftStats};
 use crate::policy::{AcceptHistory, ShapeQuery, SpecPolicy, SpecShape, STATIC_POLICY};
 use verispec_grammar::{syntax_keep_len, GrammarOracle, PruneRecord, ViabilityState};
-use verispec_lm::matrix::softmax;
+use verispec_lm::matrix::{softmax, softmax_in_place, tempered_softmax_into};
 use verispec_lm::{
-    argmax, DecodeClock, DecodeSession, GpuCostModel, LanguageModel, Sampler, Sampling, TokenId,
-    VerifyPlan,
+    argmax, ArenaRows, DecodeClock, DecodeSession, GpuCostModel, LanguageModel, LogitsArena,
+    NodeMap, Sampler, Sampling, TokenId, VerifyPlan,
 };
 use verispec_tokenizer::special;
 
@@ -68,7 +78,7 @@ pub enum Phase {
         /// after a fully accepted path).
         include_bonus: bool,
     },
-    /// Nothing to verify this step; call [`Stepper::commit`] with empty
+    /// Nothing to verify this step; call [`Stepper::commit`] with no
     /// scores.
     Commit,
     /// The generation has finished; the stepper will make no further
@@ -105,6 +115,114 @@ enum Pending {
         step_start: usize,
         proposals: Vec<(TokenId, Vec<f32>)>,
     },
+}
+
+/// What acceptance needs from one verified node, computed on the first
+/// visit and shared by every candidate path running through it.
+#[derive(Debug, Clone, Copy)]
+enum NodeAccept {
+    /// Greedy decoding: the arg-max token of the node's distribution.
+    Greedy(TokenId),
+    /// Sampling: how the temperature-scaled logits normalize
+    /// ([`softmax_in_place`]'s `(max, sum)`), and the Eq.-1 threshold of
+    /// the resulting distribution once a token has needed it.
+    Typical {
+        temperature: f32,
+        max: f32,
+        sum: f32,
+        threshold: Option<f32>,
+    },
+}
+
+/// The lead (in logits) past which [`NodeAccept::of`] need not run a
+/// softmax to know the greedy choice.
+const GREEDY_MARGIN: f32 = 1e-3;
+
+impl NodeAccept {
+    /// Evaluates a node. Typical acceptance is evaluated on the
+    /// *temperature-scaled* base distribution so that speculative
+    /// sampling matches the baseline's sampling entropy; that
+    /// distribution is left in `probs`.
+    fn of(logits: &[f32], sampling: Sampling, probs: &mut Vec<f32>) -> Self {
+        match sampling {
+            Sampling::Greedy => {
+                // Exact-match acceptance compares against the arg-max of
+                // the *distribution*. When the best logit leads every
+                // other by a clear margin that is the arg-max of the
+                // logits: `exp` of a gap below `-GREEDY_MARGIN` is under
+                // 0.999 against the leader's `exp(0) = 1`, an order no
+                // rounding of the shared normalization can undo. Only a
+                // near-tie needs the softmax to say which index its
+                // rounding favours.
+                let best = argmax(logits);
+                let lead = logits[best as usize] - GREEDY_MARGIN;
+                let clear = lead.is_finite()
+                    && logits
+                        .iter()
+                        .enumerate()
+                        .all(|(i, &l)| l <= lead || i == best as usize);
+                if clear {
+                    return NodeAccept::Greedy(best);
+                }
+                probs.clear();
+                probs.extend_from_slice(logits);
+                softmax_in_place(probs);
+                NodeAccept::Greedy(argmax(probs))
+            }
+            Sampling::Temperature { temperature, .. } => {
+                let (max, sum) = tempered_softmax_into(logits, temperature, probs);
+                NodeAccept::Typical {
+                    temperature,
+                    max,
+                    sum,
+                    threshold: None,
+                }
+            }
+        }
+    }
+
+    /// Whether `tok` passes at this node; `fresh` says `probs` still
+    /// holds this node's distribution (it was just evaluated).
+    ///
+    /// Under sampling the token's probability is recomputed from the
+    /// memoized normalizers with the softmax's own operations, so it is
+    /// the bit the full row held. Eq. 1's threshold `min(ε, δ·e^(-H))`
+    /// never exceeds `ε` and, for non-negative parameters, is never
+    /// negative, so a probability above `ε` or at zero — nearly all of
+    /// them once sampling is cold — is decided without the entropy.
+    fn accepts(
+        &mut self,
+        logits: &[f32],
+        tok: TokenId,
+        acceptance: &TypicalAcceptance,
+        probs: &mut Vec<f32>,
+        fresh: bool,
+    ) -> bool {
+        match self {
+            NodeAccept::Greedy(best) => tok == *best,
+            NodeAccept::Typical {
+                temperature,
+                max,
+                sum,
+                threshold,
+            } => {
+                let e = (logits[tok as usize] / *temperature - *max).exp();
+                let p = if *sum > 0.0 { e / *sum } else { e };
+                if p > acceptance.epsilon {
+                    return true;
+                }
+                if p <= 0.0 && acceptance.epsilon >= 0.0 && acceptance.delta >= 0.0 {
+                    return false;
+                }
+                p > *threshold.get_or_insert_with(|| {
+                    if !fresh {
+                        tempered_softmax_into(logits, *temperature, probs);
+                    }
+                    acceptance.threshold(probs)
+                })
+            }
+        }
+    }
 }
 
 /// The grammar-constrained engine's per-generation oracle context: the
@@ -155,6 +273,16 @@ pub struct Stepper<'m> {
     /// The prune accounting of the most recent grammar propose —
     /// `None` before the first propose and for non-grammar steppers.
     last_prune: Option<PruneRecord>,
+    /// Which row each `(path, position)` of the pending verification
+    /// reads; refilled by every verify.
+    nodes: NodeMap,
+    /// The serial path's arena ([`Stepper::step`], local propose);
+    /// stays empty under a server that supplies its own rows.
+    scratch: LogitsArena,
+    /// One softmax row, reused by every acceptance evaluation.
+    probs: Vec<f32>,
+    /// Per-node acceptance of the step being committed.
+    memo: Vec<Option<NodeAccept>>,
 }
 
 impl<'m> Stepper<'m> {
@@ -215,6 +343,10 @@ impl<'m> Stepper<'m> {
             last_shape: None,
             grammar: None,
             last_prune: None,
+            nodes: NodeMap::new(),
+            scratch: LogitsArena::new(),
+            probs: Vec::new(),
+            memo: Vec::new(),
         }
     }
 
@@ -455,25 +587,34 @@ impl<'m> Stepper<'m> {
         self.out
     }
 
-    /// Whether the next [`Stepper::propose`] consumes the current
-    /// position's multi-head logits — true for MEDUSA-style steppers,
-    /// whose propose phase a server can fuse across requests by
-    /// collecting [`Stepper::embed_plan`]s and running one
-    /// [`verispec_lm::multi_logits_many`] pass.
-    pub fn wants_multi_logits(&self) -> bool {
-        match &self.engine {
-            // Budget-exhausted steppers are excluded up front, so a
-            // fused propose pass never computes logits that the next
-            // `propose` would immediately discard as `Phase::Done`.
-            EngineBody::Spec { cfg, .. } => !self.done && self.out.tokens.len() < cfg.max_tokens,
-            _ => false,
+    /// Plans the next [`Stepper::propose`] into a fused pass: appends
+    /// the target session's current-position model input to `xs` (see
+    /// [`verispec_lm::DecodeSession::embed_plan`]) and returns how many
+    /// head rows — base plus explored levels — the propose reads there,
+    /// for one [`verispec_lm::multi_logits_many`] pass across requests.
+    /// Decides the step's shape to know (and pins it, so the propose
+    /// that follows builds exactly the shape that was paid for).
+    ///
+    /// `None`, appending nothing, for engines that read no multi-head
+    /// logits and for sessions that are not fusable.
+    pub fn embed_plan(&mut self, xs: &mut Vec<f32>) -> Option<usize> {
+        let EngineBody::Spec { cfg, n_heads } = &self.engine else {
+            return None;
+        };
+        // Budget-exhausted steppers are excluded up front, so a fused
+        // propose pass never computes logits that the next `propose`
+        // would immediately discard as `Phase::Done`.
+        if self.done || self.out.tokens.len() >= cfg.max_tokens {
+            return None;
         }
-    }
-
-    /// The target session's current-position model input for fused
-    /// propose (see [`verispec_lm::DecodeSession::embed_plan`]).
-    pub fn embed_plan(&mut self) -> Option<Vec<f32>> {
-        self.target.as_mut().and_then(|s| s.embed_plan())
+        let n_heads = *n_heads;
+        if !self.target.as_mut()?.embed_plan(xs) {
+            return None;
+        }
+        let shape = self.next_shape();
+        let heads = shape.depth().min(n_heads) + 1;
+        self.pinned = Some(shape);
+        Some(heads)
     }
 
     fn target_mut(&mut self) -> &mut dyn DecodeSession {
@@ -485,16 +626,17 @@ impl<'m> Stepper<'m> {
 
     /// Phase 1: advance to the next step's verification point.
     ///
-    /// `all_logits`, when given, must equal the target session's
-    /// `multi_logits()` at the current position (a server computes it
-    /// in a fused cross-request pass); `None` computes it locally.
+    /// `heads`, when given, must hold the target session's
+    /// `multi_logits()` rows at the current position, as many as
+    /// [`Stepper::embed_plan`] said (a server computes them in a
+    /// fused cross-request pass); `None` computes them locally.
     /// Engines that do not consume multi-head logits ignore it.
     ///
     /// # Panics
     ///
     /// Panics if a step is already pending (propose/commit must
     /// alternate) or the stepper is parked.
-    pub fn propose(&mut self, all_logits: Option<Vec<Vec<f32>>>) -> Phase {
+    pub fn propose(&mut self, heads: Option<ArenaRows<'_>>) -> Phase {
         assert!(self.pending.is_none(), "propose called with a step pending");
         if self.done {
             return Phase::Done;
@@ -531,23 +673,34 @@ impl<'m> Stepper<'m> {
                     .as_mut()
                     .expect("stepper is parked; unpark before stepping");
                 let step_start = session.len();
-                let all = all_logits.unwrap_or_else(|| session.multi_logits());
+                // Only the heads this step's shape explores are read,
+                // so only those are computed.
+                let heads = match heads {
+                    Some(rows) => rows,
+                    None => {
+                        self.scratch.clear();
+                        let levels = shape.depth().min(n_heads);
+                        let base = session.multi_logits_into(levels + 1, &mut self.scratch);
+                        self.scratch.rows_from(base)
+                    }
+                };
                 // One RNG draw either way: the grammar engine
                 // substitutes a non-viable draw deterministically from
                 // the ranked base logits, so its sampled stream stays
                 // seed-aligned with the unconstrained engine's.
-                let mut base_tok = self.sampler.sample(&all[0], sampling);
+                let mut base_tok = self.sampler.sample(heads.row(0), sampling);
                 let paths = match &self.grammar {
                     Some(g) => {
-                        base_tok = constrain_base_token(base_tok, &all[0], g.oracle, g.state, eos);
+                        base_tok =
+                            constrain_base_token(base_tok, heads.row(0), g.oracle, g.state, eos);
                         let after_base = g.oracle.advance(g.state, base_tok);
                         let (paths, record) = build_grammar_candidate_paths(
-                            &all, n_heads, &shape, g.oracle, after_base, eos,
+                            heads, n_heads, &shape, g.oracle, after_base, eos,
                         );
                         self.last_prune = Some(record);
                         paths
                     }
-                    None => build_candidate_paths(&all, n_heads, &shape),
+                    None => build_candidate_paths(heads, n_heads, &shape),
                 };
                 let candidate_tokens: usize = paths.iter().map(Vec::len).sum();
                 let verify_issued = base_tok != eos && candidate_tokens > 0;
@@ -615,71 +768,76 @@ impl<'m> Stepper<'m> {
         }
     }
 
-    /// Phase 2 (fused): extracts the pending verification as a
-    /// [`VerifyPlan`] for cross-request execution, or `None` when the
+    /// Hands the pending verification — its paths, whether the bonus
+    /// row is wanted, and the node map to fill — to `score`.
+    fn score_pending<R>(
+        &mut self,
+        score: impl FnOnce(&mut dyn DecodeSession, &[&[TokenId]], bool, &mut NodeMap) -> R,
+    ) -> R {
+        let session = self
+            .target
+            .as_mut()
+            .expect("stepper is parked; unpark before stepping")
+            .as_mut();
+        let nodes = &mut self.nodes;
+        match self.pending.as_ref().expect("a step is pending") {
+            // The single row is the current position's base logits: a
+            // one-node tree, scored by the same call as any other.
+            Pending::Ntp => score(session, &[&[]], true, nodes),
+            Pending::Spec { paths, .. } => {
+                let refs: Vec<&[TokenId]> = paths.iter().map(Vec::as_slice).collect();
+                score(session, &refs, false, nodes)
+            }
+            Pending::Draft { proposals, .. } => {
+                let path: Vec<TokenId> = proposals.iter().map(|(t, _)| *t).collect();
+                score(session, &[&path], true, nodes)
+            }
+        }
+    }
+
+    /// Phase 2 (fused): plans the pending verification into a shared
+    /// [`VerifyPlan`] for cross-request execution
+    /// ([`verispec_lm::verify_many`]; commit with the rows from the
+    /// base it returns). `false`, leaving the plan untouched, when the
     /// target session is not fusable (fall back to
     /// [`Stepper::verify_local`]).
     ///
     /// # Panics
     ///
     /// Panics if no step is pending verification.
-    pub fn verify_plan(&mut self) -> Option<VerifyPlan> {
-        let session = self
-            .target
-            .as_mut()
-            .expect("stepper is parked; unpark before stepping");
-        match self.pending.as_ref().expect("a step is pending") {
-            Pending::Ntp => session.verify_plan(&[&[]], true),
-            Pending::Spec { paths, .. } => {
-                let refs: Vec<&[TokenId]> = paths.iter().map(Vec::as_slice).collect();
-                session.verify_plan(&refs, false)
-            }
-            Pending::Draft { proposals, .. } => {
-                let path: Vec<TokenId> = proposals.iter().map(|(t, _)| *t).collect();
-                session.verify_plan(&[&path], true)
-            }
-        }
+    pub fn verify_plan(&mut self, plan: &mut VerifyPlan) -> bool {
+        self.score_pending(|session, paths, bonus, nodes| {
+            session.verify_plan(paths, bonus, nodes, plan)
+        })
     }
 
     /// Phase 2 (serial): scores the pending verification against this
     /// stepper's own target session — exactly what the serial engines
-    /// do.
+    /// do — appending the rows to `out`. Returns the arena index to
+    /// commit from (`out.rows_from(..)`).
     ///
     /// # Panics
     ///
     /// Panics if no step is pending verification.
-    pub fn verify_local(&mut self) -> Vec<Vec<Vec<f32>>> {
-        let session = self
-            .target
-            .as_mut()
-            .expect("stepper is parked; unpark before stepping");
-        match self.pending.as_ref().expect("a step is pending") {
-            // Fast path preserved from `decode_ntp`: the single row is
-            // the session's (cached) current-position logits.
-            Pending::Ntp => vec![vec![session.logits()]],
-            Pending::Spec { paths, .. } => {
-                let refs: Vec<&[TokenId]> = paths.iter().map(Vec::as_slice).collect();
-                session.verify_batch(&refs, false)
-            }
-            Pending::Draft { proposals, .. } => {
-                let path: Vec<TokenId> = proposals.iter().map(|(t, _)| *t).collect();
-                session.verify_batch(&[&path], true)
-            }
-        }
+    pub fn verify_local(&mut self, out: &mut LogitsArena) -> usize {
+        self.score_pending(|session, paths, bonus, nodes| {
+            session.verify_into(paths, bonus, nodes, out)
+        })
     }
 
     /// Phase 3: accepts/commits the pending step from its verification
-    /// scores (`scored` must come from [`Stepper::verify_local`] or a
-    /// fused execution of [`Stepper::verify_plan`]; pass an empty vec
-    /// when [`Stepper::propose`] returned [`Phase::Commit`]).
+    /// scores: the rows from the base [`Stepper::verify_local`] or a
+    /// fused execution of [`Stepper::verify_plan`] returned, or `None`
+    /// when [`Stepper::propose`] returned [`Phase::Commit`].
     ///
     /// # Panics
     ///
-    /// Panics if no step is pending.
-    pub fn commit(&mut self, scored: Vec<Vec<Vec<f32>>>, cost: &GpuCostModel) {
+    /// Panics if no step is pending, or a pending verification is
+    /// committed without scores.
+    pub fn commit(&mut self, scored: Option<ArenaRows<'_>>, cost: &GpuCostModel) {
         let pending = self.pending.take().expect("a step is pending");
         match pending {
-            Pending::Ntp => self.commit_ntp(&scored, cost),
+            Pending::Ntp => self.commit_ntp(scored.expect("NTP steps verify"), cost),
             Pending::Spec {
                 step_start,
                 base_tok,
@@ -692,24 +850,30 @@ impl<'m> Stepper<'m> {
                     base_tok,
                     &paths,
                     candidate_tokens,
-                    verify_issued,
-                    &scored,
+                    verify_issued.then(|| scored.expect("the step issued a verification")),
                     cost,
                 );
             }
             Pending::Draft {
                 step_start,
                 proposals,
-            } => self.commit_draft(step_start, &proposals, &scored, cost),
+            } => self.commit_draft(
+                step_start,
+                &proposals,
+                scored.expect("draft steps verify"),
+                cost,
+            ),
         }
     }
 
-    fn commit_ntp(&mut self, scored: &[Vec<Vec<f32>>], cost: &GpuCostModel) {
+    fn commit_ntp(&mut self, scored: ArenaRows<'_>, cost: &GpuCostModel) {
         let EngineBody::Ntp { cfg } = &self.engine else {
             unreachable!("pending/engine mismatch");
         };
         let (sampling, eos) = (cfg.sampling, cfg.eos);
-        let tok = self.sampler.sample(&scored[0][0], sampling);
+        let tok = self
+            .sampler
+            .sample(scored.row(self.nodes.node(0, 0)), sampling);
         self.out.clock.record_step(cost, 0, 1);
         self.out.steps += 1;
         self.target_mut().append(&[tok]);
@@ -726,15 +890,14 @@ impl<'m> Stepper<'m> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // private phase glue, not API
+    /// `scored` is `Some` exactly when the step issued a verification.
     fn commit_spec(
         &mut self,
         step_start: usize,
         base_tok: TokenId,
         paths: &[Vec<TokenId>],
         candidate_tokens: usize,
-        verify_issued: bool,
-        scored: &[Vec<Vec<f32>>],
+        scored: Option<ArenaRows<'_>>,
         cost: &GpuCostModel,
     ) {
         let EngineBody::Spec { cfg, .. } = &self.engine else {
@@ -749,32 +912,26 @@ impl<'m> Stepper<'m> {
             cfg.syntax_aligned,
             cfg.max_tokens,
         );
-        // Typical acceptance is evaluated on the *temperature-scaled*
-        // base distribution so that speculative sampling matches the
-        // baseline's sampling entropy.
-        let to_probs = |logits: &[f32]| -> Vec<f32> {
-            match sampling {
-                Sampling::Temperature { temperature, .. } => {
-                    let scaled: Vec<f32> = logits.iter().map(|&l| l / temperature).collect();
-                    softmax(&scaled)
-                }
-                Sampling::Greedy => softmax(logits),
-            }
-        };
 
         let mut committed = vec![base_tok];
-        if verify_issued {
+        if let Some(scored) = scored {
             self.target_mut().truncate(step_start);
-            let mut best: Vec<TokenId> = Vec::new();
-            for (path, rows) in paths.iter().zip(scored) {
+            // Paths share their prefixes' nodes (all of them the root):
+            // each node is evaluated once, on first visit.
+            let (nodes, memo, probs) = (&self.nodes, &mut self.memo, &mut self.probs);
+            memo.clear();
+            memo.resize(nodes.n_nodes(), None);
+            let mut best: &[TokenId] = &[];
+            for (i, path) in paths.iter().enumerate() {
                 let mut accepted = 0usize;
                 for (pos, &tok) in path.iter().enumerate() {
-                    let probs = to_probs(&rows[pos]);
-                    let ok = match sampling {
-                        Sampling::Greedy => tok == argmax(&probs),
-                        Sampling::Temperature { .. } => acceptance.accepts(&probs, tok),
-                    };
-                    if !ok {
+                    let logits = scored.row(nodes.node(i, pos));
+                    let mut fresh = false;
+                    let node = memo[nodes.local(i, pos)].get_or_insert_with(|| {
+                        fresh = true;
+                        NodeAccept::of(logits, sampling, probs)
+                    });
+                    if !node.accepts(logits, tok, &acceptance, probs, fresh) {
                         break;
                     }
                     accepted += 1;
@@ -783,13 +940,13 @@ impl<'m> Stepper<'m> {
                     }
                 }
                 if accepted > best.len() {
-                    best = path[..accepted].to_vec();
+                    best = &path[..accepted];
                 }
                 if best.last() == Some(&eos) {
                     break;
                 }
             }
-            committed.extend_from_slice(&best);
+            committed.extend_from_slice(best);
         }
         let accepted = committed.len();
         // Acceptance history: candidates offered vs. cashed (the base
@@ -845,17 +1002,18 @@ impl<'m> Stepper<'m> {
         &mut self,
         step_start: usize,
         proposals: &[(TokenId, Vec<f32>)],
-        scored: &[Vec<Vec<f32>>],
+        scored: ArenaRows<'_>,
         cost: &GpuCostModel,
     ) {
         let EngineBody::Draft { cfg, .. } = &self.engine else {
             unreachable!("pending/engine mismatch");
         };
         let cfg = *cfg;
-        let target_probs: Vec<Vec<f32>> = scored[0]
-            .iter()
-            .map(|logits| {
-                let mut p = softmax(logits);
+        // The rejection rule resamples from whole distributions, so the
+        // draft engine keeps one owned row per scored position.
+        let target_probs: Vec<Vec<f32>> = (0..self.nodes.path_rows(0))
+            .map(|j| {
+                let mut p = softmax(scored.row(self.nodes.node(0, j)));
                 tempered(&mut p, cfg.temperature);
                 p
             })
@@ -941,12 +1099,15 @@ impl<'m> Stepper<'m> {
         match self.propose(None) {
             Phase::Done => false,
             Phase::Commit => {
-                self.commit(Vec::new(), cost);
+                self.commit(None, cost);
                 !self.done
             }
             Phase::Verify { .. } => {
-                let scored = self.verify_local();
-                self.commit(scored, cost);
+                let mut arena = std::mem::take(&mut self.scratch);
+                arena.clear();
+                let base = self.verify_local(&mut arena);
+                self.commit(Some(arena.rows_from(base)), cost);
+                self.scratch = arena;
                 !self.done
             }
         }
@@ -1020,6 +1181,100 @@ mod tests {
     }
 
     #[test]
+    fn node_acceptance_matches_the_full_row_definition() {
+        // The definition the memo and its shortcuts must reproduce:
+        // one full distribution per (path, position), then exact match
+        // or Eq. 1 on it.
+        fn reference(
+            logits: &[f32],
+            tok: TokenId,
+            sampling: Sampling,
+            acceptance: &TypicalAcceptance,
+        ) -> bool {
+            match sampling {
+                Sampling::Greedy => tok == argmax(&softmax(logits)),
+                Sampling::Temperature { temperature, .. } => {
+                    let scaled: Vec<f32> = logits.iter().map(|&l| l / temperature).collect();
+                    acceptance.accepts(&softmax(&scaled), tok)
+                }
+            }
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        // Rows with exact ties, near-ties one ulp apart (inside the
+        // greedy margin), flat rows (high entropy) and peaked ones.
+        let mut rows: Vec<Vec<f32>> = Vec::new();
+        for case in 0..60 {
+            let mut row: Vec<f32> = (0..24)
+                .map(|_| match case % 4 {
+                    0 => (next() % 5) as f32 * 0.5,
+                    1 => (next() % 3) as f32 * 1e-4,
+                    2 => (next() % 1000) as f32 * 0.01 - 5.0,
+                    _ => (next() % 7) as f32 * 3.0,
+                })
+                .collect();
+            if case % 2 == 1 {
+                let top = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let at = (next() % 24) as usize;
+                row[at] = f32::from_bits(top.to_bits() + 1);
+            }
+            rows.push(row);
+        }
+        let samplings = [
+            Sampling::Greedy,
+            Sampling::temperature(0.01),
+            Sampling::temperature(0.05),
+            Sampling::temperature(0.8),
+            Sampling::temperature(2.5),
+        ];
+        let acceptances = [
+            TypicalAcceptance::default(),
+            TypicalAcceptance {
+                epsilon: 0.5,
+                delta: 3.0,
+            },
+            TypicalAcceptance {
+                epsilon: 0.0,
+                delta: 0.3,
+            },
+            TypicalAcceptance {
+                epsilon: 0.3,
+                delta: -1.0,
+            },
+        ];
+        let mut probs = Vec::new();
+        for sampling in samplings {
+            for acceptance in &acceptances {
+                for pair in rows.chunks(2) {
+                    // Two nodes evaluated alternately, so every visit
+                    // after the first finds the other node's row in the
+                    // scratch.
+                    let mut memo: [Option<NodeAccept>; 2] = [None, None];
+                    for tok in 0..24 {
+                        for (n, logits) in pair.iter().enumerate() {
+                            let mut fresh = false;
+                            let node = memo[n].get_or_insert_with(|| {
+                                fresh = true;
+                                NodeAccept::of(logits, sampling, &mut probs)
+                            });
+                            assert_eq!(
+                                node.accepts(logits, tok, acceptance, &mut probs, fresh),
+                                reference(logits, tok, sampling, acceptance),
+                                "{sampling:?} {acceptance:?} tok {tok} of {logits:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn phase_driven_stepper_matches_serial_engines() {
         // Driving the stepper through explicit propose/verify/commit
         // phases must reproduce the public engines exactly.
@@ -1036,13 +1291,15 @@ mod tests {
             };
             let serial = decode_speculative(&model, &[1, 2, 3], &cfg, &cost);
             let mut st = Stepper::speculative(&model, &[1, 2, 3], cfg.clone());
+            let mut arena = LogitsArena::new();
             loop {
                 match st.propose(None) {
                     Phase::Done => break,
-                    Phase::Commit => st.commit(Vec::new(), &cost),
+                    Phase::Commit => st.commit(None, &cost),
                     Phase::Verify { .. } => {
-                        let scored = st.verify_local();
-                        st.commit(scored, &cost);
+                        arena.clear();
+                        let base = st.verify_local(&mut arena);
+                        st.commit(Some(arena.rows_from(base)), &cost);
                     }
                 }
             }
@@ -1064,16 +1321,17 @@ mod tests {
         };
         let serial = decode_speculative(&model, &[2, 4], &cfg, &cost);
         let mut st = Stepper::speculative(&model, &[2, 4], cfg);
+        let (mut plan, mut arena) = (VerifyPlan::new(), LogitsArena::new());
         loop {
             match st.propose(None) {
                 Phase::Done => break,
-                Phase::Commit => st.commit(Vec::new(), &cost),
+                Phase::Commit => st.commit(None, &cost),
                 Phase::Verify { .. } => {
-                    let plan = st.verify_plan().expect("mlp session is fusable");
-                    let scored = verispec_lm::verify_many(&model, &[plan])
-                        .pop()
-                        .expect("one plan");
-                    st.commit(scored, &cost);
+                    plan.clear();
+                    arena.clear();
+                    assert!(st.verify_plan(&mut plan), "mlp session is fusable");
+                    let base = verispec_lm::verify_many(&model, &plan, &mut arena);
+                    st.commit(Some(arena.rows_from(base)), &cost);
                 }
             }
         }

@@ -125,7 +125,7 @@ fn check_decode(g: &mut Guard, doc: &Value) {
         methods.push(string(g, row, &ctx, "method").to_string());
         let tokens = number(g, row, &ctx, "tokens");
         g.check(tokens > 0.0, || format!("{ctx}: zero tokens measured"));
-        for col in ["session_tps", "stateless_tps", "speedup"] {
+        for col in ["session_tps", "stateless_tps", "speedup", "real_vs_ntp"] {
             let v = number(g, row, &ctx, col);
             g.check(v > 0.0, || format!("{ctx}: `{col}` must be positive ({v})"));
         }

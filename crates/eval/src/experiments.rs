@@ -322,6 +322,10 @@ pub struct SessionBenchRow {
     pub stateless_tps: f64,
     /// `session_tps / stateless_tps`.
     pub speedup: f64,
+    /// `session_tps` ÷ the NTP row's `session_tps`: the method's *real*
+    /// speedup over next-token prediction on these kernels — the honest
+    /// counterpart of the simulated Table-II ratio (1.0 on the NTP row).
+    pub real_vs_ntp: f64,
 }
 
 /// Measures wall-clock decode throughput of the session-based model
@@ -340,7 +344,7 @@ pub fn run_session_bench(
 ) -> Vec<SessionBenchRow> {
     let prompts = speed_prompts(scale.speed_prompt_count, 0x5E55);
     let cost = model_scale.cost_model();
-    METHODS
+    let mut rows: Vec<SessionBenchRow> = METHODS
         .iter()
         .map(|&method| {
             let model = pipe.model_for(model_scale, method, (1, 1));
@@ -377,9 +381,18 @@ pub fn run_session_bench(
                 session_tps: tokens as f64 / session_secs.max(1e-12),
                 stateless_tps: tokens as f64 / stateless_secs.max(1e-12),
                 speedup: stateless_secs / session_secs.max(1e-12),
+                real_vs_ntp: 0.0,
             }
         })
-        .collect()
+        .collect();
+    let ntp_tps = rows
+        .iter()
+        .find(|r| r.method == TrainMethod::Ntp.name())
+        .map_or(f64::NAN, |r| r.session_tps);
+    for r in &mut rows {
+        r.real_vs_ntp = r.session_tps / ntp_tps;
+    }
+    rows
 }
 
 // ---------------------------------------------------------------------
@@ -681,11 +694,11 @@ pub fn render_serve_bench(rows: &[ServeBenchRow]) -> String {
 pub fn render_session_bench(rows: &[SessionBenchRow]) -> String {
     let mut out = String::new();
     out.push_str("Decode wall-clock: cached session vs stateless shim\n");
-    out.push_str("method   tokens   session tok/s   stateless tok/s   speedup\n");
+    out.push_str("method   tokens   session tok/s   stateless tok/s   speedup   vs NTP\n");
     for r in rows {
         out.push_str(&format!(
-            "{:<8} {:>6}  {:>13.0}  {:>16.0}  {:>7.2}x\n",
-            r.method, r.tokens, r.session_tps, r.stateless_tps, r.speedup
+            "{:<8} {:>6}  {:>13.0}  {:>16.0}  {:>7.2}x  {:>6.2}x\n",
+            r.method, r.tokens, r.session_tps, r.stateless_tps, r.speedup, r.real_vs_ntp
         ));
     }
     out

@@ -11,12 +11,15 @@
 //! * [`ngram`] — an interpolated n-gram model used as the classical
 //!   speculative-decoding draft model and in tests.
 //! * [`session`] — stateful [`DecodeSession`]s (the KV-cache analogue):
-//!   incremental append/rollback contexts with cached activations and
-//!   batched candidate-tree verification.
+//!   incremental append/rollback contexts with cached window
+//!   embeddings and one-pass candidate-tree verification.
+//! * [`arena`] — the flat `rows × vocab` [`LogitsArena`] every
+//!   inference call writes into.
 //! * [`sampler`] — greedy / temperature / top-k sampling.
 //! * [`cost`] — the deterministic GPU latency model that converts decode
 //!   steps into simulated tokens/second (Table II's measurement).
-//! * [`matrix`] — the minimal dense linear algebra underneath.
+//! * [`matrix`] — the minimal dense linear algebra underneath: the
+//!   row-major training layout and the packed inference layout.
 //!
 //! # Sessions vs. stateless calls
 //!
@@ -29,9 +32,9 @@
 //! let model = MlpLm::new(MlpLmConfig::tiny(16));
 //! let mut session = model.session();
 //! session.append(&[1, 2, 3]);
-//! let next = session.logits();               // cached trunk activation
+//! let next = session.logits();               // cached window embedding
 //! let paths: Vec<&[u32]> = vec![&[4, 5], &[4, 6]];
-//! let scored = session.verify_batch(&paths, true); // one batched forward
+//! let scored = session.verify_batch(&paths, true); // one kernel call
 //! assert_eq!(scored[0].len(), 3);            // K positions + bonus row
 //! session.truncate(3);                       // rollback after rejection
 //! assert_eq!(next, model.logits(&[1, 2, 3])); // sessions never drift
@@ -66,6 +69,7 @@
 
 #![deny(missing_docs)]
 
+pub mod arena;
 pub mod cost;
 pub mod matrix;
 pub mod mlp;
@@ -73,13 +77,14 @@ pub mod ngram;
 pub mod sampler;
 pub mod session;
 
+pub use arena::{ArenaRows, LogitsArena};
 pub use cost::{DecodeClock, GpuCostModel};
 pub use mlp::{HeadTarget, MlpLm, MlpLmConfig, PositionLoss, TokenId, PAD_ID};
 pub use ngram::NgramLm;
 pub use sampler::{argmax, top_k_indices, Sampler, Sampling};
 pub use session::{
-    multi_logits_many, verify_many, DecodeSession, MlpSession, NgramSession, SnapshotSession,
-    Stateless, StatelessSession, VerifyPlan,
+    multi_logits_many, verify_many, DecodeSession, MlpSession, NgramSession, NodeMap,
+    SnapshotSession, Stateless, StatelessSession, VerifyPlan,
 };
 
 /// A language model that exposes base-head logits over a prefix, and

@@ -1,58 +1,44 @@
 //! Minimal dense `f32` linear algebra for the tiny language models.
 //!
-//! Row-major matrices with exactly the operations the MLP LM's forward
-//! and hand-written backward passes need. No BLAS, no SIMD intrinsics —
-//! the models are small enough that scalar loops in release mode suffice
-//! for the single-vector paths. The batched kernel additionally shards
-//! its rows across threads once the work size crosses a
-//! [`MATVEC_PAR_THRESHOLD`] grain (large fused candidate trees,
-//! cross-request serving batches), sizing the fan-out from the work
+//! Two layouts, one arithmetic:
+//!
+//! * [`Matrix`] — row-major, with exactly the operations the MLP LM's
+//!   forward and hand-written backward passes need. [`Matrix::matvec`]
+//!   is a chain of dependent scalar adds per output (FP reassociation is
+//!   not allowed, so it cannot vectorize); training and the stateless
+//!   reference path use it.
+//! * [`PackedMatrix`] — the same weights repacked once per model into
+//!   [`PACK_ROWS`]-row column-major blocks, so that *output rows* are
+//!   the SIMD lanes. [`PackedMatrix::matvec_into`] keeps one `f32`
+//!   accumulator per output and adds its columns in ascending order —
+//!   bit-identical to [`Matrix::matvec`] — but the accumulators of one
+//!   block are independent, so the inner loop auto-vectorizes with no
+//!   input transpose and no batch padding: one input is as efficient as
+//!   hundreds. Every inference call (`MlpLm::infer`) runs on it.
+//!
+//! No BLAS, no intrinsics, no `unsafe`. Large fused passes additionally
+//! shard their *input* range across threads once the work crosses a
+//! [`MATVEC_PAR_THRESHOLD`] grain, sizing the fan-out from the work
 //! itself up to the machine's [`pool_parallelism`] ceiling
 //! (`available_parallelism`, overridable with `VERISPEC_THREADS`) —
-//! with bit-identical results: rows are independent, so splitting them
-//! never changes any accumulation order.
+//! with bit-identical results: inputs are independent, so splitting
+//! them never changes any accumulation order.
 
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
-/// The lane width [`Matrix::matvec_batch`] selects for a given batch
-/// size: the inner loop runs over a `[f32; LANES]` accumulator, which
-/// the compiler unrolls and vectorizes, and the batch is zero-padded up
-/// to a lane multiple — so the width is a padding/ILP trade-off. Small
-/// batches take the 4-lane kernel (padding a 2-batch to 4 lanes wastes
-/// 2 slots instead of 6, which is what lets cross-request propose
-/// fusion pay in the 2–8 batch range), mid-size batches the 8-lane
-/// kernel, and larger ones the 16-lane kernel, whose wider accumulator
-/// block amortizes each streamed weight row better once the batch can
-/// fill it.
-///
-/// Bit-identity holds for **any** lane width: lanes only regroup
-/// *independent* accumulators, so every output element still sums its
-/// columns in exactly [`Matrix::matvec`]'s order (the tests pin this
-/// across 4/8/16).
-pub fn lanes_for(batch: usize) -> usize {
-    if batch <= 4 {
-        4
-    } else if batch <= 8 {
-        8
-    } else {
-        16
-    }
-}
-
-/// The per-thread work grain (`rows × cols × padded batch`) of the
-/// batched kernel: below one grain of total work,
-/// [`Matrix::matvec_batch`] stays single-threaded (thread spawn/join
-/// overhead outweighs the parallel compute — the typical
-/// single-request candidate tree lands here), and above it the kernel
-/// asks for roughly one thread per grain, capped by
-/// [`pool_parallelism`] and the row count. The grain is a *sizing*
-/// unit, not a dormancy switch: how many threads actually pay off is
-/// always derived from the work, while the pool ceiling tracks the
-/// machine (or the `VERISPEC_THREADS` override).
+/// The per-thread work grain (`output rows × vocab × hidden` of one
+/// fused inference pass): below one grain of total work the kernel
+/// stays single-threaded (thread spawn/join overhead outweighs the
+/// parallel compute — a single request's candidate tree lands here),
+/// and above it the kernel asks for roughly one thread per grain,
+/// capped by [`pool_parallelism`] and the input count. The grain is a
+/// *sizing* unit, not a dormancy switch: how many threads actually pay
+/// off is always derived from the work, while the pool ceiling tracks
+/// the machine (or the `VERISPEC_THREADS` override).
 pub const MATVEC_PAR_THRESHOLD: usize = 1 << 22;
 
-/// The thread-pool ceiling for the batched kernel: the
+/// The thread-pool ceiling for the inference kernel: the
 /// `VERISPEC_THREADS` environment variable when set to a positive
 /// integer, otherwise `std::thread::available_parallelism()`. Read
 /// once and cached for the process (thread sizing must not flap
@@ -79,37 +65,61 @@ fn parse_thread_override(v: &str) -> Option<usize> {
     v.trim().parse::<usize>().ok().filter(|&n| n > 0)
 }
 
-/// Threads the batched kernel should use for a given work size: one
-/// below a [`MATVEC_PAR_THRESHOLD`] grain of work, then roughly one
-/// per grain, capped by [`pool_parallelism`] and the row count (each
-/// thread needs at least one row).
-pub fn matvec_batch_threads(rows: usize, cols: usize, batch: usize) -> usize {
-    threads_for(rows, cols, batch, lanes_for(batch))
+/// Threads one fused inference pass should use: one below a
+/// [`MATVEC_PAR_THRESHOLD`] grain of `work`, then roughly one per
+/// grain, capped by [`pool_parallelism`] and the number of `inputs`
+/// (each thread needs at least one).
+pub fn kernel_threads(work: usize, inputs: usize) -> usize {
+    threads_for_pool(work, inputs, pool_parallelism())
 }
 
-/// [`matvec_batch_threads`] for an explicit lane width, so the padded
-/// work estimate matches the kernel that actually runs.
-fn threads_for(rows: usize, cols: usize, batch: usize, lanes: usize) -> usize {
-    threads_for_pool(rows, cols, batch, lanes, pool_parallelism())
-}
-
-/// The sizing core behind [`matvec_batch_threads`], with the pool
-/// ceiling passed explicitly (deterministically testable regardless of
-/// the process environment): single-threaded below one work grain or
-/// with fewer than 2 rows, else `min(pool, work / grain + 1, rows)`.
-pub fn threads_for_pool(
-    rows: usize,
-    cols: usize,
-    batch: usize,
-    lanes: usize,
-    pool: usize,
-) -> usize {
-    let work = rows * cols * batch.div_ceil(lanes) * lanes;
-    if work < MATVEC_PAR_THRESHOLD || rows < 2 {
+/// The sizing core behind [`kernel_threads`], with the pool ceiling
+/// passed explicitly (deterministically testable regardless of the
+/// process environment): single-threaded below one work grain or with
+/// fewer than 2 inputs, else `min(pool, work / grain + 1, inputs)`.
+pub fn threads_for_pool(work: usize, inputs: usize, pool: usize) -> usize {
+    if work < MATVEC_PAR_THRESHOLD || inputs < 2 {
         return 1;
     }
-    pool.max(1).min(work / MATVEC_PAR_THRESHOLD + 1).min(rows)
+    pool.max(1).min(work / MATVEC_PAR_THRESHOLD + 1).min(inputs)
 }
+
+/// Runs `shard(inputs, out)` over `0..n` split into `threads`
+/// contiguous input ranges, one `std::thread::scope` worker each (on
+/// the calling thread when `threads <= 1`). `out` is the flat result of
+/// all `n` inputs and `offset(k)` where input `k`'s part of it starts
+/// (`offset(n) == out.len()`), so every worker gets exactly its own
+/// inputs' slice. Inputs are independent, so how they are split can
+/// never change a result bit.
+pub fn shard_inputs(
+    n: usize,
+    threads: usize,
+    mut out: &mut [f32],
+    offset: impl Fn(usize) -> usize,
+    shard: impl Fn(Range<usize>, &mut [f32]) + Sync,
+) {
+    let threads = threads.clamp(1, n.max(1));
+    if threads == 1 {
+        return shard(0..n, out);
+    }
+    let per = n.div_ceil(threads);
+    std::thread::scope(|s| {
+        for lo in (0..n).step_by(per) {
+            let hi = (lo + per).min(n);
+            let (mine, rest) = std::mem::take(&mut out).split_at_mut(offset(hi) - offset(lo));
+            out = rest;
+            let shard = &shard;
+            s.spawn(move || shard(lo..hi, mine));
+        }
+    });
+}
+
+/// Output rows per [`PackedMatrix`] block — the accumulator lanes of
+/// the inference kernel's inner loop. Thirty-two `f32` lanes are eight
+/// independent 128-bit add chains at the x86-64 baseline, enough to
+/// cover the add latency; the width only regroups *independent*
+/// accumulators, so it cannot change any output bit.
+pub const PACK_ROWS: usize = 32;
 
 /// A row-major dense matrix of `f32`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -197,133 +207,21 @@ impl Matrix {
         y
     }
 
-    /// `y_k = A x_k` for every input in `xs`, in one fused pass.
-    ///
-    /// This is where batched session verification beats per-candidate
-    /// forwards on real hardware: a single [`Matrix::matvec`] is a chain
-    /// of dependent scalar adds (FP reassociation is not allowed, so it
-    /// cannot vectorize), but across a batch the accumulators are
-    /// independent. The inputs are transposed into column-major form and
-    /// the inner loop runs over the batch lane `k`, which auto-vectorizes
-    /// while every individual output still accumulates its columns in
-    /// exactly [`Matrix::matvec`]'s order — results are bit-identical,
-    /// only the instruction-level parallelism changes.
-    ///
-    /// Above [`MATVEC_PAR_THRESHOLD`] of work the rows are additionally
-    /// sharded across threads (see [`Matrix::matvec_batch_threaded`]);
-    /// rows are independent, so the results stay bit-identical. The
-    /// accumulator lane width is chosen per batch size ([`lanes_for`]),
-    /// also without affecting any output bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `x.len() != cols`.
-    pub fn matvec_batch(&self, xs: &[&[f32]]) -> Vec<Vec<f32>> {
-        self.matvec_batch_threaded(xs, matvec_batch_threads(self.rows, self.cols, xs.len()))
-    }
-
-    /// [`Matrix::matvec_batch`] with an explicit thread count: rows are
-    /// split into contiguous shards, one `std::thread::scope` worker per
-    /// shard. Every output element is accumulated by exactly the same
-    /// lane kernel regardless of `threads`, so results are bit-identical
-    /// for any thread count (the tests pin this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `x.len() != cols`.
-    pub fn matvec_batch_threaded(&self, xs: &[&[f32]], threads: usize) -> Vec<Vec<f32>> {
-        self.matvec_batch_impl(xs, lanes_for(xs.len()), threads)
-    }
-
-    /// [`Matrix::matvec_batch`] with an explicit accumulator lane width
-    /// (4, 8, or 16), overriding the per-batch [`lanes_for`] selection.
-    /// Results are bit-identical for every supported width — lanes only
-    /// regroup independent accumulators (the tests pin this); the width
-    /// is purely a throughput knob.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is not 4, 8, or 16, or any `x.len() != cols`.
-    pub fn matvec_batch_with_lanes(&self, xs: &[&[f32]], lanes: usize) -> Vec<Vec<f32>> {
-        self.matvec_batch_impl(
-            xs,
-            lanes,
-            threads_for(self.rows, self.cols, xs.len(), lanes),
-        )
-    }
-
-    fn matvec_batch_impl(&self, xs: &[&[f32]], lanes: usize, threads: usize) -> Vec<Vec<f32>> {
-        let kernel: fn(&Matrix, &[f32], usize, Range<usize>, &mut [f32]) = match lanes {
-            4 => Matrix::batch_rows_into::<4>,
-            8 => Matrix::batch_rows_into::<8>,
-            16 => Matrix::batch_rows_into::<16>,
-            other => panic!("unsupported matvec_batch lane width {other} (use 4, 8, or 16)"),
-        };
-        let n = xs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        for x in xs {
-            assert_eq!(x.len(), self.cols, "matvec_batch dimension mismatch");
-        }
-        let stride = n.div_ceil(lanes) * lanes;
-        // Transpose to padded column-major: xt[c * stride + k] = xs[k][c].
-        let mut xt = vec![0.0f32; self.cols * stride];
-        for (k, x) in xs.iter().enumerate() {
-            for (c, &v) in x.iter().enumerate() {
-                xt[c * stride + k] = v;
-            }
-        }
-        // Row-major padded result buffer: flat[r * stride + k] = y_k[r].
-        let mut flat = vec![0.0f32; self.rows * stride];
-        let threads = threads.clamp(1, self.rows.max(1));
-        if threads <= 1 {
-            kernel(self, &xt, stride, 0..self.rows, &mut flat);
-        } else {
-            let per = self.rows.div_ceil(threads);
-            let xt = &xt;
-            std::thread::scope(|s| {
-                for (t, shard) in flat.chunks_mut(per * stride).enumerate() {
-                    let r0 = t * per;
-                    let rows = r0..r0 + shard.len() / stride;
-                    s.spawn(move || kernel(self, xt, stride, rows, shard));
-                }
-            });
-        }
-        let mut ys = vec![vec![0.0f32; self.rows]; n];
+    /// Repacks the weights for inference (see [`PackedMatrix`]). The
+    /// pack is derived state: rebuild it whenever the weights change.
+    pub fn pack(&self) -> PackedMatrix {
+        let blocks = self.rows.div_ceil(PACK_ROWS);
+        let mut data = vec![0.0f32; blocks * self.cols * PACK_ROWS];
         for r in 0..self.rows {
-            let row = &flat[r * stride..r * stride + n];
-            for (y, &v) in ys.iter_mut().zip(row) {
-                y[r] = v;
+            let (block, lane) = (r / PACK_ROWS, r % PACK_ROWS);
+            for (c, &v) in self.row(r).iter().enumerate() {
+                data[(block * self.cols + c) * PACK_ROWS + lane] = v;
             }
         }
-        ys
-    }
-
-    /// The batched-kernel inner loop over a contiguous row range,
-    /// writing into `out` (layout `out[(r - rows.start) * stride + k]`).
-    fn batch_rows_into<const L: usize>(
-        &self,
-        xt: &[f32],
-        stride: usize,
-        rows: Range<usize>,
-        out: &mut [f32],
-    ) {
-        let chunks = stride / L;
-        for (ri, r) in rows.enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for chunk in 0..chunks {
-                let mut acc = [0.0f32; L];
-                let offset = chunk * L;
-                for (c, &rv) in row.iter().enumerate() {
-                    let base = c * stride + offset;
-                    let lane: &[f32; L] = xt[base..base + L].try_into().expect("fixed lane width");
-                    for l in 0..L {
-                        acc[l] += rv * lane[l];
-                    }
-                }
-                out[ri * stride + offset..ri * stride + offset + L].copy_from_slice(&acc);
-            }
+        PackedMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
         }
     }
 
@@ -372,15 +270,75 @@ impl Matrix {
     }
 }
 
+/// A [`Matrix`] repacked for inference ([`Matrix::pack`]): blocks of
+/// [`PACK_ROWS`] consecutive rows, each stored column-major
+/// (`data[(block · cols + c) · PACK_ROWS + lane]` is row
+/// `block · PACK_ROWS + lane`, column `c`; the last block is
+/// zero-padded).
+#[derive(Debug, Clone)]
+pub struct PackedMatrix {
+    rows: usize,
+    cols: usize,
+    data: Vec<f32>,
+}
+
+impl PackedMatrix {
+    /// `y = A x`, bit-identical to [`Matrix::matvec`]: every output
+    /// starts from `0.0` and adds `a · x` column by column in one `f32`
+    /// accumulator; the lanes of a block only run side by side.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != cols` or `y.len() != rows`.
+    pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
+        assert_eq!(x.len(), self.cols, "matvec_into input mismatch");
+        assert_eq!(y.len(), self.rows, "matvec_into output mismatch");
+        if self.cols == 0 {
+            y.fill(0.0);
+            return;
+        }
+        let blocks = self.data.chunks_exact(self.cols * PACK_ROWS);
+        for (block, out) in blocks.zip(y.chunks_mut(PACK_ROWS)) {
+            let mut acc = [0.0f32; PACK_ROWS];
+            for (col, &xv) in block.chunks_exact(PACK_ROWS).zip(x) {
+                let col: &[f32; PACK_ROWS] = col.try_into().expect("fixed block width");
+                for (a, w) in acc.iter_mut().zip(col) {
+                    *a += w * xv;
+                }
+            }
+            out.copy_from_slice(&acc[..out.len()]);
+        }
+    }
+}
+
 /// Numerically stable softmax.
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
-    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut out: Vec<f32> = logits.iter().map(|&l| (l - max).exp()).collect();
-    let sum: f32 = out.iter().sum();
-    if sum > 0.0 {
-        out.iter_mut().for_each(|v| *v /= sum);
-    }
+    let mut out = logits.to_vec();
+    softmax_in_place(&mut out);
     out
+}
+
+/// [`softmax`] over a caller-owned buffer (the same operations in the
+/// same order, so the same bits). Returns the `(max, sum)` it
+/// normalized with: entry `i` is `(v_i - max).exp() / sum` (undivided
+/// when `sum` is not positive).
+pub fn softmax_in_place(v: &mut [f32]) -> (f32, f32) {
+    let max = v.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    v.iter_mut().for_each(|l| *l = (*l - max).exp());
+    let sum: f32 = v.iter().sum();
+    if sum > 0.0 {
+        v.iter_mut().for_each(|p| *p /= sum);
+    }
+    (max, sum)
+}
+
+/// The softmax of `logits / temperature` into a reused buffer — the
+/// distribution sampling draws from and typical acceptance is judged
+/// on. Returns [`softmax_in_place`]'s `(max, sum)`.
+pub fn tempered_softmax_into(logits: &[f32], temperature: f32, out: &mut Vec<f32>) -> (f32, f32) {
+    out.clear();
+    out.extend(logits.iter().map(|&l| l / temperature));
+    softmax_in_place(out)
 }
 
 /// Numerically stable log-softmax.
@@ -421,130 +379,107 @@ mod tests {
         assert_eq!(y, vec![8.0, 26.0]);
     }
 
+    fn assert_packed_matches_scalar(a: &Matrix, x: &[f32]) {
+        let mut y = vec![f32::NAN; a.rows()];
+        a.pack().matvec_into(x, &mut y);
+        let single = a.matvec(x);
+        assert!(
+            single
+                .iter()
+                .zip(&y)
+                .all(|(p, q)| p.to_bits() == q.to_bits()),
+            "{}x{} diverged from matvec",
+            a.rows(),
+            a.cols()
+        );
+    }
+
     #[test]
     fn matvec_batch_matches_matvec_bitwise() {
-        let a = Matrix::from_fn(5, 7, |r, c| ((r * 31 + c * 17) as f32).sin());
-        let xs: Vec<Vec<f32>> = (0..4)
-            .map(|k| (0..7).map(|c| ((k * 13 + c) as f32).cos()).collect())
-            .collect();
-        let refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
-        let batched = a.matvec_batch(&refs);
-        for (x, y) in xs.iter().zip(&batched) {
-            let single = a.matvec(x);
-            assert!(single
-                .iter()
-                .zip(y)
-                .all(|(p, q)| p.to_bits() == q.to_bits()));
+        // Row counts below, at, and astride the block width; the last
+        // block of 13 and 487 rows is partially padded.
+        for (rows, cols) in [(5, 7), (13, 11), (32, 160), (64, 3), (487, 32)] {
+            let a = Matrix::from_fn(rows, cols, |r, c| ((r * 31 + c * 17) as f32).sin());
+            for k in 0..4 {
+                let x: Vec<f32> = (0..cols).map(|c| ((k * 13 + c) as f32).cos()).collect();
+                assert_packed_matches_scalar(&a, &x);
+            }
         }
-        assert!(a.matvec_batch(&[]).is_empty());
+        let packed = Matrix::zeros(3, 0).pack();
+        let mut y = [1.0f32; 3];
+        packed.matvec_into(&[], &mut y);
+        assert_eq!(y, [0.0; 3]);
     }
 
     #[test]
     fn matvec_batch_threaded_is_bit_identical_for_any_thread_count() {
-        // 13 rows so shards are uneven; 19 inputs so the last lane chunk
-        // is partially padded.
+        // 13 rows so the one block is partially padded; 19 inputs so
+        // the shards are uneven.
         let a = Matrix::from_fn(13, 11, |r, c| ((r * 7 + c * 3) as f32).sin());
-        let xs: Vec<Vec<f32>> = (0..19)
-            .map(|k| (0..11).map(|c| ((k * 5 + c) as f32).cos()).collect())
-            .collect();
-        let refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
-        let serial = a.matvec_batch_threaded(&refs, 1);
+        let packed = a.pack();
+        let xs: Vec<f32> = (0..19 * 11).map(|i| (i as f32 * 0.37).cos()).collect();
+        let run = |threads: usize| {
+            let mut ys = vec![f32::NAN; 19 * 13];
+            let offset = |k: usize| k * 13;
+            shard_inputs(19, threads, &mut ys, offset, |inputs, out| {
+                for (k, y) in inputs.zip(out.chunks_exact_mut(13)) {
+                    packed.matvec_into(&xs[k * 11..(k + 1) * 11], y);
+                }
+            });
+            ys
+        };
+        let serial = run(1);
         for threads in [2, 3, 8, 64] {
-            let sharded = a.matvec_batch_threaded(&refs, threads);
-            assert_eq!(serial.len(), sharded.len());
-            for (p, q) in serial.iter().zip(&sharded) {
-                assert!(
-                    p.iter().zip(q).all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "threads={threads} diverged"
-                );
-            }
+            let sharded = run(threads);
+            assert!(
+                serial
+                    .iter()
+                    .zip(&sharded)
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "threads={threads} diverged"
+            );
         }
         // And both agree bitwise with the scalar matvec.
-        for (x, y) in xs.iter().zip(&serial) {
+        for (x, y) in xs.chunks_exact(11).zip(serial.chunks_exact(13)) {
             let single = a.matvec(x);
             assert!(single
                 .iter()
                 .zip(y)
                 .all(|(p, q)| p.to_bits() == q.to_bits()));
         }
-    }
-
-    #[test]
-    fn matvec_batch_lane_widths_are_bit_identical() {
-        // 13 rows, 11 cols; batch sizes straddling every lane-selection
-        // boundary (and padding every width partially).
-        let a = Matrix::from_fn(13, 11, |r, c| ((r * 19 + c * 5) as f32).sin());
-        for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 17, 33] {
-            let xs: Vec<Vec<f32>> = (0..n)
-                .map(|k| (0..11).map(|c| ((k * 3 + c) as f32).cos()).collect())
-                .collect();
-            let refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
-            let auto = a.matvec_batch(&refs);
-            for lanes in [4usize, 8, 16] {
-                let forced = a.matvec_batch_with_lanes(&refs, lanes);
-                for (p, q) in auto.iter().zip(&forced) {
-                    assert!(
-                        p.iter().zip(q).all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "lanes={lanes} n={n} diverged from auto selection"
-                    );
-                }
-            }
-            // And all agree bitwise with the scalar matvec.
-            for (x, y) in xs.iter().zip(&auto) {
-                let single = a.matvec(x);
-                assert!(
-                    single
-                        .iter()
-                        .zip(y)
-                        .all(|(p, q)| p.to_bits() == q.to_bits()),
-                    "n={n} diverged from matvec"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lane_selection_covers_the_batch_spectrum() {
-        assert_eq!(lanes_for(1), 4);
-        assert_eq!(lanes_for(4), 4);
-        assert_eq!(lanes_for(5), 8);
-        assert_eq!(lanes_for(8), 8);
-        assert_eq!(lanes_for(9), 16);
-        assert_eq!(lanes_for(4096), 16);
     }
 
     #[test]
     fn matvec_batch_thread_policy_respects_threshold() {
         // Tiny work: always single-threaded.
-        assert_eq!(matvec_batch_threads(16, 32, 4), 1);
-        // One row can never shard.
-        assert_eq!(matvec_batch_threads(1, 1 << 24, 8), 1);
+        assert_eq!(kernel_threads(16 * 32 * 4, 4), 1);
+        // One input can never shard.
+        assert_eq!(kernel_threads(1 << 27, 1), 1);
         // Huge work: more than one thread (machine permitting) but never
-        // more than the row count.
-        let big = matvec_batch_threads(64, 1024, 4096);
+        // more than the input count.
+        let big = kernel_threads(64 * 1024 * 4096, 64);
         assert!((1..=64).contains(&big));
         // The derived count never exceeds the process pool ceiling.
         assert!(big <= pool_parallelism().max(1));
     }
 
     #[test]
-    fn pool_sizing_is_grain_pool_and_row_capped() {
+    fn pool_sizing_is_grain_pool_and_input_capped() {
         // Below one work grain: single-threaded at any pool width.
-        assert_eq!(threads_for_pool(16, 32, 4, 4, 64), 1);
-        // Fewer than 2 rows can never shard, whatever the work.
-        assert_eq!(threads_for_pool(1, 1 << 24, 8, 8, 64), 1);
-        // 64 × 1024 × 4096 (16 lanes) = 2^38 = 2^16 grains of work:
-        // the pool ceiling is the binding cap...
-        assert_eq!(threads_for_pool(64, 1024, 4096, 16, 8), 8);
-        assert_eq!(threads_for_pool(64, 1024, 4096, 16, 1), 1);
-        // ...until the row count binds first (each thread needs a row).
-        assert_eq!(threads_for_pool(2, 1 << 15, 4096, 16, 8), 2);
+        assert_eq!(threads_for_pool(16 * 32 * 4, 4, 64), 1);
+        // Fewer than 2 inputs can never shard, whatever the work.
+        assert_eq!(threads_for_pool(1 << 27, 1, 64), 1);
+        // 2^38 = 2^16 grains of work: the pool ceiling is the binding
+        // cap...
+        assert_eq!(threads_for_pool(1 << 38, 4096, 8), 8);
+        assert_eq!(threads_for_pool(1 << 38, 4096, 1), 1);
+        // ...until the input count binds first (each thread needs one).
+        assert_eq!(threads_for_pool(1 << 38, 2, 8), 2);
         // Work-derived sizing binds when the pool is wide: 3 grains of
-        // padded work asks for work/grain + 1 = 4 threads of 64.
-        let grain_rows = MATVEC_PAR_THRESHOLD / (1024 * 16);
-        assert_eq!(threads_for_pool(3 * grain_rows, 1024, 16, 16, 64), 4);
+        // work ask for work/grain + 1 = 4 threads of 64.
+        assert_eq!(threads_for_pool(3 * MATVEC_PAR_THRESHOLD, 4096, 64), 4);
         // A zero pool (defensive) degrades to single-threaded.
-        assert_eq!(threads_for_pool(64, 1024, 4096, 16, 0), 1);
+        assert_eq!(threads_for_pool(1 << 38, 4096, 0), 1);
     }
 
     #[test]

@@ -15,11 +15,23 @@
 //! differences in the tests) and the Adam optimizer with a separate
 //! learning-rate multiplier for the heads (the paper trains heads at 4×
 //! the base learning rate).
+//!
+//! Inference — every session query and every fused serving pass — runs
+//! through **one** kernel, [`MlpLm::infer`], over weights repacked once
+//! per model ([`crate::matrix::PackedMatrix`]) into a caller-owned
+//! [`LogitsArena`]. The row-major scalar forward
+//! ([`MlpLm::logits`] / [`MlpLm::multi_logits`]) stays as the training
+//! forward and the reference the kernel is pinned bit-identical to.
 
-use crate::matrix::{log_softmax, silu, silu_prime, softmax, Matrix};
+use crate::arena::LogitsArena;
+use crate::matrix::{
+    kernel_threads, log_softmax, shard_inputs, silu, silu_prime, softmax, Matrix, PackedMatrix,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Token id type shared with the tokenizer crate.
 pub type TokenId = u32;
@@ -82,6 +94,19 @@ pub struct MlpLm {
     b1: Vec<f32>,
     /// Base head followed by the Medusa heads.
     heads: Vec<Head>,
+    /// The weights repacked for [`MlpLm::infer`]: derived state, built
+    /// at first inference, never serialized, dropped by every optimizer
+    /// step.
+    #[serde(skip)]
+    packed: OnceLock<PackedWeights>,
+}
+
+/// Every weight matrix of an [`MlpLm`] in the inference layout.
+#[derive(Debug, Clone)]
+struct PackedWeights {
+    w1: PackedMatrix,
+    /// `(residual block, output projection)` per head, base first.
+    heads: Vec<(Option<PackedMatrix>, PackedMatrix)>,
 }
 
 /// Forward-pass intermediates for one position, reused by the backward
@@ -147,6 +172,7 @@ impl MlpLm {
             w1,
             b1: vec![0.0; cfg.d_hidden],
             heads,
+            packed: OnceLock::new(),
         }
     }
 
@@ -222,34 +248,6 @@ impl MlpLm {
         x
     }
 
-    /// Trunk hidden state from a prebuilt embedding concat.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != context * d_emb`.
-    pub fn trunk_hidden(&self, x: &[f32]) -> Vec<f32> {
-        let mut a = self.w1.matvec(x);
-        for (av, bv) in a.iter_mut().zip(&self.b1) {
-            *av += bv;
-        }
-        a.iter().map(|&v| silu(v)).collect()
-    }
-
-    /// Batched trunk hidden states for many embedding concats in one
-    /// fused pass (see [`crate::matrix::Matrix::matvec_batch`]); each
-    /// result is bit-identical to the corresponding
-    /// [`MlpLm::trunk_hidden`] call.
-    pub fn trunk_hidden_batch(&self, xs: &[&[f32]]) -> Vec<Vec<f32>> {
-        let mut pre = self.w1.matvec_batch(xs);
-        for a in &mut pre {
-            for (av, bv) in a.iter_mut().zip(&self.b1) {
-                *av += bv;
-            }
-            a.iter_mut().for_each(|v| *v = silu(*v));
-        }
-        pre
-    }
-
     /// Logits of one head from a trunk hidden state.
     ///
     /// # Panics
@@ -261,32 +259,6 @@ impl MlpLm {
         let mut logits = head.u.matvec(&z);
         for (l, c) in logits.iter_mut().zip(&head.c) {
             *l += c;
-        }
-        logits
-    }
-
-    /// Batched logits of one head over many hidden states, with the
-    /// output projection running one fused vectorized pass. Bit-identical
-    /// to per-state [`MlpLm::head_logits_from_hidden`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `head_idx > n_heads`.
-    pub fn head_logits_from_hidden_batch(&self, hs: &[&[f32]], head_idx: usize) -> Vec<Vec<f32>> {
-        let head = &self.heads[head_idx];
-        let mut logits = match &head.p {
-            // Base head: z == h, project the hidden states directly.
-            None => head.u.matvec_batch(hs),
-            Some(_) => {
-                let zs: Vec<Vec<f32>> = hs.iter().map(|h| self.head_z(head, h)).collect();
-                let z_refs: Vec<&[f32]> = zs.iter().map(Vec::as_slice).collect();
-                head.u.matvec_batch(&z_refs)
-            }
-        };
-        for l in &mut logits {
-            for (lv, c) in l.iter_mut().zip(&head.c) {
-                *lv += c;
-            }
         }
         logits
     }
@@ -322,6 +294,128 @@ impl MlpLm {
         (0..=self.cfg.n_heads)
             .map(|i| self.head_logits(&acts, i))
             .collect()
+    }
+
+    fn packed(&self) -> &PackedWeights {
+        self.packed.get_or_init(|| PackedWeights {
+            w1: self.w1.pack(),
+            heads: self
+                .heads
+                .iter()
+                .map(|h| (h.p.as_ref().map(Matrix::pack), h.u.pack()))
+                .collect(),
+        })
+    }
+
+    /// The inference kernel: one trunk forward per input, then that
+    /// input's leading heads, each written as one logits row of `out`.
+    ///
+    /// `xs` holds the inputs back to back, each an embedding concat of
+    /// `context · d_emb` floats ([`MlpLm::embed_window`]). Input `k`
+    /// gets the rows of heads `0..row_start[k + 1] - row_start[k]`
+    /// (`row_start` is a prefix sum starting at 0), or just the base
+    /// head's row when `row_start` is `None`. Returns the arena index
+    /// of the first row written; the rest follow in input order.
+    ///
+    /// Every row is bit-identical to the scalar forward
+    /// ([`MlpLm::multi_logits`]) at that input, whatever else shares
+    /// the call — which is what lets a serving engine fuse many
+    /// sessions' work into one pass. Above
+    /// [`crate::matrix::MATVEC_PAR_THRESHOLD`] of work the input range
+    /// is sharded across threads ([`MlpLm::infer_with_threads`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is not a whole number of inputs, `row_start` does
+    /// not describe them, or an input asks for more heads than exist.
+    pub fn infer(&self, xs: &[f32], row_start: Option<&[usize]>, out: &mut LogitsArena) -> usize {
+        let x_dim = self.cfg.context * self.cfg.d_emb;
+        let inputs = xs.len() / x_dim;
+        let rows = row_start.map_or(inputs, |rs| rs.last().copied().unwrap_or(0));
+        let threads = kernel_threads(rows * self.cfg.vocab * self.cfg.d_hidden, inputs);
+        self.infer_with_threads(xs, row_start, out, threads)
+    }
+
+    /// [`MlpLm::infer`] with an explicit thread count
+    /// ([`shard_inputs`]): the rows are bit-identical for any thread
+    /// count (the tests pin this).
+    ///
+    /// # Panics
+    ///
+    /// As [`MlpLm::infer`].
+    pub fn infer_with_threads(
+        &self,
+        xs: &[f32],
+        row_start: Option<&[usize]>,
+        out: &mut LogitsArena,
+        threads: usize,
+    ) -> usize {
+        let x_dim = self.cfg.context * self.cfg.d_emb;
+        assert_eq!(
+            xs.len() % x_dim,
+            0,
+            "inputs must be whole embedding concats"
+        );
+        let inputs = xs.len() / x_dim;
+        if let Some(rs) = row_start {
+            assert_eq!(rs.len(), inputs + 1, "row_start must bracket every input");
+            assert_eq!(rs[0], 0, "row_start is a prefix sum from 0");
+            assert!(
+                rs.windows(2)
+                    .all(|w| w[0] <= w[1] && w[1] - w[0] <= self.heads.len()),
+                "an input asked for more heads than the model has"
+            );
+        }
+        let vocab = self.cfg.vocab;
+        let offset = |k: usize| row_start.map_or(k, |rs| rs[k]) * vocab;
+        let base = out.rows();
+        let rows = out.grow(vocab, offset(inputs) / vocab);
+        shard_inputs(inputs, threads, rows, offset, |range, shard| {
+            self.infer_shard(xs, range, row_start, shard)
+        });
+        base
+    }
+
+    /// The kernel body over one contiguous input range; `out` is
+    /// exactly that range's rows.
+    fn infer_shard(
+        &self,
+        xs: &[f32],
+        inputs: Range<usize>,
+        row_start: Option<&[usize]>,
+        out: &mut [f32],
+    ) {
+        let packed = self.packed();
+        let x_dim = self.cfg.context * self.cfg.d_emb;
+        let mut hidden = vec![0.0f32; self.cfg.d_hidden];
+        let mut z = vec![0.0f32; self.cfg.d_hidden];
+        let mut rows = out.chunks_exact_mut(self.cfg.vocab);
+        for k in inputs {
+            packed
+                .w1
+                .matvec_into(&xs[k * x_dim..(k + 1) * x_dim], &mut hidden);
+            for (h, b) in hidden.iter_mut().zip(&self.b1) {
+                *h = silu(*h + b);
+            }
+            let n_heads = row_start.map_or(1, |rs| rs[k + 1] - rs[k]);
+            for (head, (p, u)) in self.heads.iter().zip(&packed.heads).take(n_heads) {
+                let row = rows.next().expect("arena rows sized from row_start");
+                match p {
+                    // Base head: z == h, project the hidden state directly.
+                    None => u.matvec_into(&hidden, row),
+                    Some(p) => {
+                        p.matvec_into(&hidden, &mut z);
+                        for (zv, &hv) in z.iter_mut().zip(&hidden) {
+                            *zv = hv + silu(*zv);
+                        }
+                        u.matvec_into(&z, row);
+                    }
+                }
+                for (l, c) in row.iter_mut().zip(&head.c) {
+                    *l += c;
+                }
+            }
+        }
     }
 
     /// Average base-head negative log-likelihood (nats/token) of `tokens`.
@@ -450,6 +544,9 @@ impl MlpLm {
         base_lr: f32,
         head_lr: f32,
     ) {
+        // One invalidation per optimizer step: the next inference
+        // repacks from the updated weights.
+        self.packed = OnceLock::new();
         let scale = 1.0 / grads.positions.max(1) as f32;
         opt.t += 1;
         let t = opt.t;
@@ -804,6 +901,115 @@ mod tests {
         let p2 = softmax(&all[2]);
         assert!(p1[4] > 0.5, "head1 p(4)={}", p1[4]);
         assert!(p2[1] > 0.5, "head2 p(1)={}", p2[1]);
+    }
+
+    /// `n` embedding concats over distinct windows, flat, plus the
+    /// scalar-reference rows of every head at each.
+    fn probe_inputs(model: &MlpLm, n: usize) -> (Vec<f32>, Vec<Vec<Vec<f32>>>) {
+        let vocab = model.cfg.vocab as TokenId;
+        let mut xs = Vec::new();
+        let mut want = Vec::new();
+        for k in 0..n as TokenId {
+            let prefix: Vec<TokenId> = (0..=k % 7).map(|j| (k * 5 + j * 3 + 1) % vocab).collect();
+            xs.extend(model.embed_window(&model.window(&prefix)));
+            want.push(model.multi_logits(&prefix));
+        }
+        (xs, want)
+    }
+
+    fn assert_rows_bit_equal(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        assert!(
+            got.iter()
+                .zip(want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{what} diverged from the scalar forward"
+        );
+    }
+
+    #[test]
+    fn kernel_matches_scalar_forward_bitwise_for_any_shape_batch_and_thread_count() {
+        // Row counts that are not a multiple of the pack block, on both
+        // the hidden (11) and the vocabulary (13, 487) side.
+        for (vocab, d_hidden) in [(13, 11), (487, 32)] {
+            let model = MlpLm::new(MlpLmConfig {
+                vocab,
+                d_emb: 5,
+                d_hidden,
+                context: 3,
+                n_heads: 2,
+                seed: 11,
+            });
+            for n in [1usize, 2, 3, 19, 33] {
+                let (xs, want) = probe_inputs(&model, n);
+                // Input k asks for 1 + k % 3 leading heads.
+                let mut row_start = vec![0usize];
+                for k in 0..n {
+                    row_start.push(row_start[k] + 1 + k % 3);
+                }
+                for threads in [1usize, 2, 3, 8] {
+                    let mut arena = LogitsArena::new();
+                    arena.push_row(&vec![0.0; vocab]);
+                    let base = model.infer_with_threads(&xs, None, &mut arena, threads);
+                    assert_eq!((base, arena.rows()), (1, 1 + n));
+                    for (k, w) in want.iter().enumerate() {
+                        let what = format!("{vocab}x{d_hidden} n={n} threads={threads} base {k}");
+                        assert_rows_bit_equal(arena.row(base + k), &w[0], &what);
+                    }
+                    let base = model.infer_with_threads(&xs, Some(&row_start), &mut arena, threads);
+                    assert_eq!(arena.rows(), 1 + n + row_start[n]);
+                    for (k, w) in want.iter().enumerate() {
+                        let heads = row_start[k + 1] - row_start[k];
+                        for (h, want) in w.iter().take(heads).enumerate() {
+                            let what =
+                                format!("{vocab}x{d_hidden} n={n} threads={threads} {k}/{h}");
+                            assert_rows_bit_equal(arena.row(base + row_start[k] + h), want, &what);
+                        }
+                    }
+                }
+            }
+            let mut arena = LogitsArena::new();
+            assert_eq!(model.infer(&[], None, &mut arena), 0);
+            assert_eq!(arena.rows(), 0);
+        }
+    }
+
+    #[test]
+    fn optimizer_step_invalidates_the_pack() {
+        let mut model = tiny();
+        let session_logits = |m: &MlpLm| {
+            let mut arena = LogitsArena::new();
+            m.infer(&m.embed_window(&m.window(&[1, 2, 3])), None, &mut arena);
+            arena.into_vec()
+        };
+        // Build the pack, then move the weights under it.
+        let before = session_logits(&model);
+        assert!(model.packed.get().is_some());
+        let mut opt = model.optimizer();
+        let mut grads = model.zero_grads();
+        let w = model.window(&[1, 2, 3]);
+        model.accumulate_position(&mut grads, &w, &[(0, 5, 1.0), (2, 7, 0.5)]);
+        model.adam_step(&mut opt, &grads, 1e-2, 4.0);
+        assert!(model.packed.get().is_none(), "one adam_step drops the pack");
+        let after = session_logits(&model);
+        assert_ne!(before, after, "the step moved the weights");
+        assert_rows_bit_equal(&after, &model.logits(&[1, 2, 3]), "stale pack");
+    }
+
+    #[test]
+    fn serde_round_trip_carries_no_pack_and_infers_identically() {
+        let model = tiny();
+        let (xs, _) = probe_inputs(&model, 3);
+        let mut a = LogitsArena::new();
+        model.infer(&xs, Some(&[0, 4, 5, 7]), &mut a);
+        assert!(model.packed.get().is_some());
+        let json = serde_json::to_string(&model).expect("serialize");
+        assert!(!json.contains("packed"), "the pack is derived state");
+        let back: MlpLm = serde_json::from_str(&json).expect("deserialize");
+        assert!(back.packed.get().is_none(), "built at first inference");
+        let mut b = LogitsArena::new();
+        back.infer(&xs, Some(&[0, 4, 5, 7]), &mut b);
+        assert_rows_bit_equal(&a.into_vec(), &b.into_vec(), "round-tripped model");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! optional top-k truncation (the paper evaluates greedy decoding and
 //! sampling at temperatures 0.2–0.8, §IV-A3).
 
-use crate::matrix::softmax;
+use crate::matrix::tempered_softmax_into;
 use crate::mlp::TokenId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -37,6 +37,8 @@ impl Sampling {
 #[derive(Debug, Clone)]
 pub struct Sampler {
     rng: SmallRng,
+    /// The tempered distribution of the draw in progress, reused.
+    probs: Vec<f32>,
 }
 
 impl Sampler {
@@ -44,6 +46,7 @@ impl Sampler {
     pub fn new(seed: u64) -> Self {
         Self {
             rng: SmallRng::seed_from_u64(seed),
+            probs: Vec::new(),
         }
     }
 
@@ -58,40 +61,28 @@ impl Sampler {
             Sampling::Greedy => argmax(logits),
             Sampling::Temperature { temperature, top_k } => {
                 assert!(temperature > 0.0, "temperature must be positive");
-                let scaled: Vec<f32> = logits.iter().map(|&l| l / temperature).collect();
-                let mut probs = softmax(&scaled);
+                let probs = &mut self.probs;
+                tempered_softmax_into(logits, temperature, probs);
                 if top_k > 0 && top_k < probs.len() {
-                    let mut idx: Vec<usize> = (0..probs.len()).collect();
-                    idx.sort_unstable_by(|&a, &b| {
-                        probs[b].partial_cmp(&probs[a]).expect("finite probs")
-                    });
-                    for &i in &idx[top_k..] {
-                        probs[i] = 0.0;
+                    let kept: Vec<(TokenId, f32)> = top_k_indices(probs, top_k)
+                        .into_iter()
+                        .map(|i| (i, probs[i as usize]))
+                        .collect();
+                    probs.fill(0.0);
+                    for (i, p) in kept {
+                        probs[i as usize] = p;
                     }
                     let sum: f32 = probs.iter().sum();
                     probs.iter_mut().for_each(|p| *p /= sum);
                 }
-                self.sample_from_probs(&probs)
+                draw(&mut self.rng, probs)
             }
         }
     }
 
     /// Samples an index from an explicit probability vector.
     pub fn sample_from_probs(&mut self, probs: &[f32]) -> TokenId {
-        let r: f32 = self.rng.gen();
-        let mut acc = 0.0f32;
-        for (i, &p) in probs.iter().enumerate() {
-            acc += p;
-            if r < acc {
-                return i as TokenId;
-            }
-        }
-        // Floating-point slack: fall back to the last nonzero entry.
-        probs
-            .iter()
-            .rposition(|&p| p > 0.0)
-            .map(|i| i as TokenId)
-            .unwrap_or(0)
+        draw(&mut self.rng, probs)
     }
 
     /// Uniformly random integer in `[0, n)` (corpus shuffling helper).
@@ -111,12 +102,77 @@ pub fn argmax(logits: &[f32]) -> TokenId {
     best as TokenId
 }
 
-/// The indices of the `k` largest logits, in descending logit order.
+/// One uniform draw mapped through the cumulative distribution.
+fn draw(rng: &mut SmallRng, probs: &[f32]) -> TokenId {
+    let r: f32 = rng.gen();
+    let mut acc = 0.0f32;
+    for (i, &p) in probs.iter().enumerate() {
+        acc += p;
+        if r < acc {
+            return i as TokenId;
+        }
+    }
+    // Floating-point slack: fall back to the last nonzero entry.
+    probs
+        .iter()
+        .rposition(|&p| p > 0.0)
+        .map(|i| i as TokenId)
+        .unwrap_or(0)
+}
+
+/// The indices of the `k` largest logits (all of them when `k` exceeds
+/// the count), best first under the total order *logit descending,
+/// index ascending* — equal logits rank by position, so the result is
+/// a function of the values alone.
+///
+/// One pass over the logits, a chunk at a time: a chunk whose maximum
+/// does not beat the current `k`-th best is skipped whole (a
+/// branch-free scan the compiler vectorizes), and only a chunk that
+/// does is walked, inserting into the sorted best-`k` — `O(n)`
+/// comparisons plus `O(k)` per insertion, against the full
+/// `O(n log n)` sort the engines used to pay per head per step to read
+/// two entries.
+///
+/// # Panics
+///
+/// Panics on a NaN logit (no order exists).
 pub fn top_k_indices(logits: &[f32], k: usize) -> Vec<TokenId> {
-    let mut idx: Vec<usize> = (0..logits.len()).collect();
-    idx.sort_unstable_by(|&a, &b| logits[b].partial_cmp(&logits[a]).expect("finite logits"));
-    idx.truncate(k);
-    idx.into_iter().map(|i| i as TokenId).collect()
+    const CHUNK: usize = 16;
+    let k = k.min(logits.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut best: Vec<(f32, TokenId)> = Vec::with_capacity(k);
+    // The logit a candidate must beat once `k` are held.
+    let mut bar = f32::NEG_INFINITY;
+    for (c, chunk) in logits.chunks(CHUNK).enumerate() {
+        let (mut beats, mut nan) = (false, false);
+        for &l in chunk {
+            nan |= l.is_nan();
+            beats |= l > bar;
+        }
+        assert!(!nan, "finite logits");
+        if best.len() == k && !beats {
+            continue;
+        }
+        for (j, &l) in chunk.iter().enumerate() {
+            // Indices arrive ascending, so a tie with a held entry
+            // always ranks after it: only a strictly larger logit
+            // displaces.
+            if best.len() == k {
+                if l <= bar {
+                    continue;
+                }
+                best.pop();
+            }
+            let at = best.partition_point(|&(held, _)| held >= l);
+            best.insert(at, (l, (c * CHUNK + j) as TokenId));
+            if best.len() == k {
+                bar = best[k - 1].0;
+            }
+        }
+    }
+    best.into_iter().map(|(_, i)| i).collect()
 }
 
 #[cfg(test)]

@@ -17,14 +17,27 @@
 //!   formulation where K speculated positions are verified together
 //!   instead of one forward per candidate path.
 //!
+//! Every query has two shapes. The **flat** one is what the engines
+//! run on: [`DecodeSession::multi_logits_into`] and
+//! [`DecodeSession::verify_into`] append logits rows to a caller-owned
+//! [`LogitsArena`], and a [`NodeMap`] says which row each requested
+//! `(path, position)` reads — one row per *unique* candidate-tree node,
+//! however many paths share it. The **nested** one
+//! ([`DecodeSession::multi_logits`], [`DecodeSession::verify_batch`])
+//! materializes owned `Vec`s at the edge, for callers that want values
+//! rather than views and for sessions with nothing better to offer; the
+//! flat methods default to copying its results into the arena.
+//!
 //! Three implementations live here:
 //!
-//! * [`MlpSession`] — caches the trunk activation of the current window
-//!   and answers `verify_batch` with *batched* trunk/head matmuls
-//!   ([`crate::matrix::Matrix::matvec_batch`]): each weight row is
-//!   streamed once across all candidate windows, which is where the
-//!   real-hardware "one forward verifies the whole tree" speedup comes
-//!   from. All outputs are bit-identical to the stateless path.
+//! * [`MlpSession`] — caches the embedding concat of the current window
+//!   and answers every query — one position, a whole candidate tree —
+//!   with one call of the packed kernel ([`MlpLm::infer`]). A serving
+//!   engine instead collects many sessions' inputs
+//!   ([`DecodeSession::embed_plan`], [`DecodeSession::verify_plan`])
+//!   and runs them through the same kernel in one fused pass
+//!   ([`multi_logits_many`], [`verify_many`]). All outputs are
+//!   bit-identical to the stateless path.
 //! * [`NgramSession`] — keeps the context and caches the count-lookup
 //!   distribution of the current position.
 //! * [`StatelessSession`] — the migration shim: a fresh-compute session
@@ -33,104 +46,256 @@
 //!   working unchanged (and as the baseline in the `session_reuse`
 //!   bench).
 
+use crate::arena::{ArenaRows, LogitsArena};
 use crate::mlp::{MlpLm, TokenId};
 use crate::ngram::NgramLm;
 use crate::LanguageModel;
 
-/// A fusable verification plan extracted from a model-aware session
-/// (see [`DecodeSession::verify_plan`]): the deduplicated candidate-tree
-/// nodes' window embeddings plus the mapping from requested result rows
-/// back to nodes. Executing the plan against the owning model
-/// ([`verify_many`]) reproduces [`DecodeSession::verify_batch`]
-/// bit-identically — which is what lets a serving engine concatenate
-/// many sessions' plans into **one** fused trunk/head pass.
+/// The flat input buffer of one fused verification pass: the window
+/// embedding of every unique candidate-tree node of every session that
+/// planned into it ([`DecodeSession::verify_plan`]), back to back.
+/// Executing it against the owning model ([`verify_many`]) reproduces
+/// each session's [`DecodeSession::verify_batch`] bit-identically —
+/// which is what lets a serving engine run many sessions' verification
+/// as **one** kernel call. Cleared and refilled every tick.
+#[derive(Debug, Clone, Default)]
 pub struct VerifyPlan {
-    /// Embedding concat per unique trie node (root first, parent-first
-    /// order).
-    xs: Vec<Vec<f32>>,
-    /// `result[i][j]` reads the logits of node `node_of[i][j]`.
-    node_of: Vec<Vec<usize>>,
+    /// Floats per node (`context · d_emb` of the planning model).
+    x_dim: usize,
+    xs: Vec<f32>,
 }
 
 impl VerifyPlan {
-    /// Number of unique nodes (= forwards) this plan needs.
+    /// An empty plan.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Drops every node, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.xs.clear();
+    }
+
+    /// Number of nodes (= forwards) planned so far.
     pub fn n_nodes(&self) -> usize {
-        self.xs.len()
+        if self.xs.is_empty() {
+            0
+        } else {
+            self.xs.len() / self.x_dim
+        }
     }
 
-    /// Number of scored result rows the plan will deliver (`Σ` rows per
-    /// path) — the verify-cost a speculation policy budgets per step,
-    /// before deduplication; `n_nodes() <= n_rows()` always.
-    pub fn n_rows(&self) -> usize {
-        self.node_of.iter().map(Vec::len).sum()
+    /// Appends a node whose input is `x`, returning its index.
+    fn push_root(&mut self, x: &[f32]) -> usize {
+        let id = self.n_nodes();
+        self.x_dim = x.len();
+        self.xs.extend_from_slice(x);
+        id
     }
 
-    /// Assembles this plan's `verify_batch`-shaped result from the fused
-    /// logits buffer, whose rows `offset..offset + n_nodes` belong to
-    /// this plan.
-    fn scatter(&self, logits: &[Vec<f32>], offset: usize) -> Vec<Vec<Vec<f32>>> {
-        self.node_of
-            .iter()
-            .map(|ids| ids.iter().map(|&id| logits[offset + id].clone()).collect())
+    /// Appends the child of node `parent` along a token embedded as
+    /// `emb`: the parent's window shifted left by one block, `emb` in
+    /// the freed tail.
+    fn push_child(&mut self, parent: usize, emb: &[f32]) {
+        let from = parent * self.x_dim;
+        self.xs
+            .extend_from_within(from + emb.len()..from + self.x_dim);
+        self.xs.extend_from_slice(emb);
+    }
+}
+
+/// Which node's logits each requested result row reads: the index a
+/// verification fills ([`DecodeSession::verify_into`] /
+/// [`DecodeSession::verify_plan`]) and acceptance reads back. Nodes are
+/// the deduplicated prefixes of the scored paths, numbered root first,
+/// parent before child; `node(i, j)` is the row offset — from the base
+/// the execution returned — of the logits after `paths[i][..j]`.
+///
+/// Owned by the caller and reused across steps (it also carries the
+/// trie the deduplication builds), so planning allocates nothing once
+/// warm.
+#[derive(Debug, Clone)]
+pub struct NodeMap {
+    /// Node of every result row, paths back to back, numbered from 0.
+    ids: Vec<usize>,
+    /// `ids[start[i]..start[i + 1]]` are path `i`'s rows.
+    start: Vec<usize>,
+    /// Where node 0 sits in the buffer the plan went into.
+    offset: usize,
+    n_nodes: usize,
+    trie: Vec<TrieNode>,
+}
+
+/// One deduplicated path prefix; children hang off `first_child` as a
+/// sibling list, so building the trie allocates per plan, not per node.
+#[derive(Debug, Clone, Copy)]
+struct TrieNode {
+    token: TokenId,
+    first_child: usize,
+    next_sibling: usize,
+}
+
+const NO_NODE: usize = usize::MAX;
+
+impl Default for NodeMap {
+    fn default() -> Self {
+        NodeMap {
+            ids: Vec::new(),
+            start: vec![0],
+            offset: 0,
+            n_nodes: 0,
+            trie: Vec::new(),
+        }
+    }
+}
+
+impl NodeMap {
+    /// An empty map.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn reset(&mut self, offset: usize) {
+        self.ids.clear();
+        self.start.truncate(1);
+        self.offset = offset;
+        self.n_nodes = 0;
+    }
+
+    fn end_path(&mut self) {
+        self.start.push(self.ids.len());
+    }
+
+    /// Number of paths mapped.
+    pub fn n_paths(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Number of result rows path `i` asked for.
+    pub fn path_rows(&self, i: usize) -> usize {
+        self.start[i + 1] - self.start[i]
+    }
+
+    /// Number of unique nodes behind those rows.
+    pub fn n_nodes(&self) -> usize {
+        self.n_nodes
+    }
+
+    /// The node of row `j` of path `i`, numbered from 0 within this
+    /// map — the key for anything computed once per node.
+    pub fn local(&self, i: usize, j: usize) -> usize {
+        debug_assert!(j < self.path_rows(i));
+        self.ids[self.start[i] + j]
+    }
+
+    /// The row, relative to the base its execution returned, holding
+    /// the logits of row `j` of path `i`.
+    pub fn node(&self, i: usize, j: usize) -> usize {
+        self.offset + self.local(i, j)
+    }
+
+    /// Maps every path one row per position, with no sharing: `rows[i]`
+    /// rows for path `i`, numbered in order. What a session without a
+    /// trie reports after appending its nested results row by row.
+    fn fill_sequential(&mut self, rows: impl Iterator<Item = usize>) {
+        self.reset(0);
+        for n in rows {
+            self.ids.extend(self.n_nodes..self.n_nodes + n);
+            self.n_nodes += n;
+            self.end_path();
+        }
+    }
+
+    /// Deduplicates the *scored* prefixes of `paths` into a trie and
+    /// maps each row to its node; `child(parent, token)` is called once
+    /// per new node, parent first. Node 0 is the root (the current
+    /// context). Without the bonus row the full-path leaves are never
+    /// read, so they get no node and no forward.
+    fn fill_trie(
+        &mut self,
+        paths: &[&[TokenId]],
+        include_bonus: bool,
+        offset: usize,
+        mut child: impl FnMut(usize, TokenId),
+    ) {
+        self.reset(offset);
+        self.trie.clear();
+        self.trie.push(TrieNode {
+            token: 0,
+            first_child: NO_NODE,
+            next_sibling: NO_NODE,
+        });
+        for &path in paths {
+            let rows_wanted = path.len() + usize::from(include_bonus);
+            let mut node = 0usize;
+            if rows_wanted > 0 {
+                self.ids.push(node);
+            }
+            for &tok in &path[..rows_wanted.saturating_sub(1)] {
+                let mut found = self.trie[node].first_child;
+                while found != NO_NODE && self.trie[found].token != tok {
+                    found = self.trie[found].next_sibling;
+                }
+                if found == NO_NODE {
+                    found = self.trie.len();
+                    self.trie.push(TrieNode {
+                        token: tok,
+                        first_child: NO_NODE,
+                        next_sibling: self.trie[node].first_child,
+                    });
+                    self.trie[node].first_child = found;
+                    child(node, tok);
+                }
+                node = found;
+                self.ids.push(node);
+            }
+            self.end_path();
+        }
+        self.n_nodes = self.trie.len();
+    }
+
+    /// The nested `verify_batch` shape of an executed map: an owned
+    /// copy of every requested row.
+    fn materialize(&self, rows: ArenaRows<'_>) -> Vec<Vec<Vec<f32>>> {
+        (0..self.n_paths())
+            .map(|i| {
+                (0..self.path_rows(i))
+                    .map(|j| rows.row(self.node(i, j)).to_vec())
+                    .collect()
+            })
             .collect()
     }
 }
 
-/// Executes many sessions' [`VerifyPlan`]s against one shared model in a
-/// single fused pass: every node of every plan goes through **one**
-/// batched trunk projection and **one** batched base-head projection
-/// ([`crate::matrix::Matrix::matvec_batch`], which also shards across
-/// threads above its work threshold). `result[p]` is bit-identical to
-/// what the `p`-th session's own `verify_batch` call would have
-/// returned — the batched kernel guarantees per-input bit-identity
-/// regardless of batch composition.
+/// Executes a [`VerifyPlan`] — every node of every session that planned
+/// into it — as **one** kernel call ([`MlpLm::infer`], which also
+/// shards across threads above its work threshold), appending one
+/// base-head row per node to `out`. Returns the arena index of the
+/// plan's first node; each session's [`NodeMap`] is relative to it.
+/// The rows a session reads are bit-identical to what its own
+/// `verify_batch` would have returned — the kernel guarantees
+/// per-input bit-identity regardless of batch composition.
 ///
 /// This is the continuous-batching primitive: concurrent generations
-/// share trunk/head matmuls instead of issuing one small batch each.
-pub fn verify_many(model: &MlpLm, plans: &[VerifyPlan]) -> Vec<Vec<Vec<Vec<f32>>>> {
-    let x_refs: Vec<&[f32]> = plans
-        .iter()
-        .flat_map(|p| p.xs.iter().map(Vec::as_slice))
-        .collect();
-    let logits = if x_refs.is_empty() {
-        Vec::new()
-    } else {
-        let hs = model.trunk_hidden_batch(&x_refs);
-        let h_refs: Vec<&[f32]> = hs.iter().map(Vec::as_slice).collect();
-        model.head_logits_from_hidden_batch(&h_refs, 0)
-    };
-    let mut out = Vec::with_capacity(plans.len());
-    let mut offset = 0usize;
-    for plan in plans {
-        out.push(plan.scatter(&logits, offset));
-        offset += plan.n_nodes();
-    }
-    out
+/// share one pass instead of issuing one small batch each.
+pub fn verify_many(model: &MlpLm, plan: &VerifyPlan, out: &mut LogitsArena) -> usize {
+    model.infer(&plan.xs, None, out)
 }
 
-/// Fused multi-head logits for many positions (one embedding concat
-/// each, typically from [`DecodeSession::embed_plan`] across many
-/// sessions): one batched trunk pass plus one batched projection per
-/// head. `result[k][h]` is bit-identical to what session `k`'s
-/// `multi_logits()[h]` would return at that position.
-pub fn multi_logits_many(model: &MlpLm, xs: &[Vec<f32>]) -> Vec<Vec<Vec<f32>>> {
-    if xs.is_empty() {
-        return Vec::new();
-    }
-    let x_refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
-    let hs = model.trunk_hidden_batch(&x_refs);
-    let h_refs: Vec<&[f32]> = hs.iter().map(Vec::as_slice).collect();
-    let mut per_head: Vec<Vec<Vec<f32>>> = (0..=model.n_heads())
-        .map(|i| model.head_logits_from_hidden_batch(&h_refs, i))
-        .collect();
-    (0..xs.len())
-        .map(|k| {
-            per_head
-                .iter_mut()
-                .map(|h| std::mem::take(&mut h[k]))
-                .collect()
-        })
-        .collect()
+/// Fused multi-head logits for many positions: `xs` holds one
+/// embedding concat per position ([`DecodeSession::embed_plan`] across
+/// many sessions) and position `k` gets the rows of heads
+/// `0..row_start[k + 1] - row_start[k]` — one kernel call for all of
+/// them. Returns the arena index of the first row; position `k`'s rows
+/// start `row_start[k]` after it and are bit-identical to what that
+/// session's `multi_logits()` would return.
+pub fn multi_logits_many(
+    model: &MlpLm,
+    xs: &[f32],
+    row_start: &[usize],
+    out: &mut LogitsArena,
+) -> usize {
+    model.infer(xs, Some(row_start), out)
 }
 
 /// Guards the mutually-recursive `LanguageModel` defaults
@@ -275,25 +440,78 @@ pub trait DecodeSession {
         results
     }
 
-    /// Extracts a fusable [`VerifyPlan`] for the same scoring that
-    /// [`DecodeSession::verify_batch`] would perform, so a serving
-    /// engine can execute many sessions' verification in one fused pass
-    /// ([`verify_many`]). Returns `None` when the session has no
-    /// fusable representation (the default); callers must then fall
-    /// back to per-session `verify_batch`. Like `verify_batch`, the
-    /// session context is unchanged when the call returns.
-    fn verify_plan(&mut self, paths: &[&[TokenId]], include_bonus: bool) -> Option<VerifyPlan> {
-        let _ = (paths, include_bonus);
-        None
+    /// The flat form of [`DecodeSession::multi_logits`]: appends the
+    /// logits of the first `heads` heads (base first) at the current
+    /// position to `out` and returns the arena index of the base row.
+    /// A step whose shape explores `d` head levels asks for `d + 1`
+    /// rows and pays for no more.
+    ///
+    /// The default copies the nested result in; [`MlpSession`] runs
+    /// the packed kernel straight into the arena.
+    fn multi_logits_into(&mut self, heads: usize, out: &mut LogitsArena) -> usize {
+        let base = out.rows();
+        if heads == 1 {
+            out.push_row(&self.logits());
+        } else {
+            for row in self.multi_logits().iter().take(heads) {
+                out.push_row(row);
+            }
+        }
+        base
     }
 
-    /// The model input representing the session's **current position**
-    /// (for [`MlpSession`]: the cached window-embedding concat), so a
-    /// serving engine can fuse many sessions' next-position forwards
-    /// into one batched pass ([`multi_logits_many`]). `None` when the
-    /// session has no fusable representation (the default).
-    fn embed_plan(&mut self) -> Option<Vec<f32>> {
-        None
+    /// The flat form of [`DecodeSession::verify_batch`]: appends one
+    /// logits row per scored node to `out`, fills `nodes` with the row
+    /// each `(path, position)` reads, and returns the arena index the
+    /// map is relative to. The session context is unchanged when the
+    /// call returns.
+    ///
+    /// The default copies the nested result in, one row per requested
+    /// row; [`MlpSession`] writes one row per *unique* node.
+    fn verify_into(
+        &mut self,
+        paths: &[&[TokenId]],
+        include_bonus: bool,
+        nodes: &mut NodeMap,
+        out: &mut LogitsArena,
+    ) -> usize {
+        let base = out.rows();
+        let scored = self.verify_batch(paths, include_bonus);
+        nodes.fill_sequential(scored.iter().map(Vec::len));
+        for row in scored.iter().flatten() {
+            out.push_row(row);
+        }
+        base
+    }
+
+    /// Plans the scoring [`DecodeSession::verify_into`] would perform
+    /// into a shared [`VerifyPlan`] instead of executing it, so a
+    /// serving engine can run many sessions' verification as one
+    /// fused pass ([`verify_many`]); `nodes` is filled relative to that
+    /// pass's base row. Returns `false`, touching nothing, when the
+    /// session has no fusable representation (the default); callers
+    /// must then fall back to `verify_into`. The session context is
+    /// unchanged either way.
+    fn verify_plan(
+        &mut self,
+        paths: &[&[TokenId]],
+        include_bonus: bool,
+        nodes: &mut NodeMap,
+        plan: &mut VerifyPlan,
+    ) -> bool {
+        let _ = (paths, include_bonus, nodes, plan);
+        false
+    }
+
+    /// Appends the model input of the session's **current position**
+    /// (for [`MlpSession`]: the cached window-embedding concat) to
+    /// `xs`, so a serving engine can fuse many sessions' next-position
+    /// forwards into one pass ([`multi_logits_many`]). Returns `false`,
+    /// appending nothing, when the session has no fusable
+    /// representation (the default).
+    fn embed_plan(&mut self, xs: &mut Vec<f32>) -> bool {
+        let _ = xs;
+        false
     }
 
     /// Forks the session: an independent session over the same model
@@ -430,21 +648,20 @@ impl<M: LanguageModel> LanguageModel for Stateless<M> {
 /// The cached state is exactly what the architecture allows reusing:
 /// the **context-window embedding** `x` (appending a token shifts the
 /// window by one embedding block and writes only the new tail — the
-/// rest is reused) and the **trunk hidden state** of the current
-/// position (so `logits` and `multi_logits` at one position share one
-/// trunk forward). [`DecodeSession::verify_batch`] is overridden with
-/// fused batched matmuls over the unique candidate-tree nodes: node
-/// embeddings are derived from their parent's cached embedding, and the
-/// trunk + base-head projections run one vectorized pass across the
-/// whole tree instead of one scalar forward per candidate.
+/// rest is reused). Every query is one call of the packed kernel
+/// ([`MlpLm::infer`]) on flat inputs: the current position is the
+/// one-input case, and a candidate tree is one input per unique node,
+/// each node's embedding derived from its parent's by a one-block
+/// shift written straight into the plan buffer.
 #[derive(Clone)]
 pub struct MlpSession<'a> {
     model: &'a MlpLm,
     tokens: Vec<TokenId>,
     /// Embedding concat of the current window, shifted incrementally.
     x: Option<Vec<f32>>,
-    /// Trunk hidden state at the current position.
-    hidden: Option<Vec<f32>>,
+    /// Scratch for [`DecodeSession::verify_into`]; empty between calls,
+    /// so forks copy nothing.
+    plan: VerifyPlan,
 }
 
 impl<'a> MlpSession<'a> {
@@ -454,27 +671,32 @@ impl<'a> MlpSession<'a> {
             model,
             tokens: Vec::new(),
             x: None,
-            hidden: None,
+            plan: VerifyPlan::new(),
         }
     }
 
-    fn d_emb(&self) -> usize {
-        self.model.config().d_emb
+    fn ensure_x(&mut self) -> &[f32] {
+        let model = self.model;
+        self.x
+            .get_or_insert_with(|| model.embed_window(&model.window(&self.tokens)))
     }
 
-    fn ensure_x(&mut self) -> &Vec<f32> {
-        if self.x.is_none() {
-            self.x = Some(self.model.embed_window(&self.model.window(&self.tokens)));
-        }
-        self.x.as_ref().expect("ensured above")
-    }
-
-    fn ensure_hidden(&mut self) {
-        if self.hidden.is_none() {
-            self.ensure_x();
-            let x = self.x.as_ref().expect("ensured above");
-            self.hidden = Some(self.model.trunk_hidden(x));
-        }
+    /// Plans the verification trie into `plan`: one input per unique
+    /// scored prefix, root first, each child's embedding derived from
+    /// its parent's (already in the buffer, since nodes are created
+    /// parent-first).
+    fn plan_tree(
+        &mut self,
+        paths: &[&[TokenId]],
+        include_bonus: bool,
+        nodes: &mut NodeMap,
+        plan: &mut VerifyPlan,
+    ) {
+        let model = self.model;
+        let root = plan.push_root(self.ensure_x());
+        nodes.fill_trie(paths, include_bonus, root, |parent, tok| {
+            plan.push_child(root + parent, model.embed_token(tok));
+        });
     }
 }
 
@@ -492,7 +714,6 @@ impl DecodeSession for MlpSession<'_> {
             return;
         }
         self.tokens.extend_from_slice(tokens);
-        self.hidden = None;
         // Recompute only the window tail that changed: each appended
         // token shifts the embedding concat one block left and fills the
         // last block; the prior blocks carry over.
@@ -513,36 +734,62 @@ impl DecodeSession for MlpSession<'_> {
         self.tokens.truncate(len);
         // Rollback re-exposes tokens left of the window; rebuild lazily.
         self.x = None;
-        self.hidden = None;
     }
 
     fn logits(&mut self) -> Vec<f32> {
-        self.ensure_hidden();
-        self.model
-            .head_logits_from_hidden(self.hidden.as_ref().expect("ensured above"), 0)
+        let mut out = LogitsArena::new();
+        self.multi_logits_into(1, &mut out);
+        out.into_vec()
     }
 
     fn multi_logits(&mut self) -> Vec<Vec<f32>> {
-        self.ensure_hidden();
-        let h = self.hidden.as_ref().expect("ensured above");
-        (0..=self.model.n_heads())
-            .map(|i| self.model.head_logits_from_hidden(h, i))
-            .collect()
+        let heads = self.model.n_heads() + 1;
+        let mut out = LogitsArena::new();
+        self.multi_logits_into(heads, &mut out);
+        (0..heads).map(|i| out.row(i).to_vec()).collect()
     }
 
     fn verify_batch(&mut self, paths: &[&[TokenId]], include_bonus: bool) -> Vec<Vec<Vec<f32>>> {
-        let plan = self.build_verify_plan(paths, include_bonus);
-        verify_many(self.model, std::slice::from_ref(&plan))
-            .pop()
-            .expect("one plan executed")
+        let mut nodes = NodeMap::new();
+        let mut out = LogitsArena::new();
+        let base = self.verify_into(paths, include_bonus, &mut nodes, &mut out);
+        nodes.materialize(out.rows_from(base))
     }
 
-    fn verify_plan(&mut self, paths: &[&[TokenId]], include_bonus: bool) -> Option<VerifyPlan> {
-        Some(self.build_verify_plan(paths, include_bonus))
+    fn multi_logits_into(&mut self, heads: usize, out: &mut LogitsArena) -> usize {
+        let model = self.model;
+        model.infer(self.ensure_x(), Some(&[0, heads]), out)
     }
 
-    fn embed_plan(&mut self) -> Option<Vec<f32>> {
-        Some(self.ensure_x().clone())
+    fn verify_into(
+        &mut self,
+        paths: &[&[TokenId]],
+        include_bonus: bool,
+        nodes: &mut NodeMap,
+        out: &mut LogitsArena,
+    ) -> usize {
+        let mut plan = std::mem::take(&mut self.plan);
+        self.plan_tree(paths, include_bonus, nodes, &mut plan);
+        let base = verify_many(self.model, &plan, out);
+        plan.clear();
+        self.plan = plan;
+        base
+    }
+
+    fn verify_plan(
+        &mut self,
+        paths: &[&[TokenId]],
+        include_bonus: bool,
+        nodes: &mut NodeMap,
+        plan: &mut VerifyPlan,
+    ) -> bool {
+        self.plan_tree(paths, include_bonus, nodes, plan);
+        true
+    }
+
+    fn embed_plan(&mut self, xs: &mut Vec<f32>) -> bool {
+        xs.extend_from_slice(self.ensure_x());
+        true
     }
 
     fn fork(&self) -> Option<Box<dyn DecodeSession + '_>> {
@@ -553,90 +800,6 @@ impl DecodeSession for MlpSession<'_> {
 impl<'m> SnapshotSession<'m> for MlpSession<'m> {
     fn fork_snapshot(&self) -> Box<dyn SnapshotSession<'m> + 'm> {
         Box::new(self.clone())
-    }
-}
-
-impl MlpSession<'_> {
-    /// Builds the verification trie and per-node window embeddings that
-    /// both [`DecodeSession::verify_batch`] (single session) and
-    /// [`verify_many`] (fused across sessions) execute.
-    fn build_verify_plan(&mut self, paths: &[&[TokenId]], include_bonus: bool) -> VerifyPlan {
-        // 1. Deduplicate the *scored* path prefixes into a trie. Node 0
-        //    is the root (the current context); children extend by one
-        //    token. Without the bonus row the full-path leaves are never
-        //    read, so they get no node and no forward.
-        struct Node {
-            token: TokenId,
-            parent: usize,
-            children: Vec<usize>,
-        }
-        // Size the trie up front from the plan's row count: every
-        // non-root scored row creates at most one node (dedup only
-        // shrinks that), so per-step shape changes from the speculation
-        // policy never reallocate mid-build.
-        let max_nodes: usize = 1 + paths
-            .iter()
-            .map(|p| (p.len() + usize::from(include_bonus)).saturating_sub(1))
-            .sum::<usize>();
-        let mut nodes = Vec::with_capacity(max_nodes);
-        nodes.push(Node {
-            token: 0,
-            parent: usize::MAX,
-            children: Vec::new(),
-        });
-        // result[i][j] reads from node_of[i][j].
-        let mut node_of: Vec<Vec<usize>> = Vec::with_capacity(paths.len());
-        for &path in paths {
-            let rows_wanted = path.len() + usize::from(include_bonus);
-            let mut ids = Vec::with_capacity(rows_wanted);
-            let mut node = 0usize;
-            if rows_wanted > 0 {
-                ids.push(node);
-            }
-            for &tok in &path[..rows_wanted.saturating_sub(1)] {
-                let found = nodes[node]
-                    .children
-                    .iter()
-                    .copied()
-                    .find(|&c| nodes[c].token == tok);
-                node = match found {
-                    Some(c) => c,
-                    None => {
-                        nodes.push(Node {
-                            token: tok,
-                            parent: node,
-                            children: Vec::new(),
-                        });
-                        let id = nodes.len() - 1;
-                        nodes[node].children.push(id);
-                        id
-                    }
-                };
-                ids.push(node);
-            }
-            node_of.push(ids);
-        }
-
-        // 2. One embedding concat per unique node, derived from the
-        //    parent's by a one-block shift (nodes are created
-        //    parent-first, so xs[parent] always exists). The batched
-        //    forward itself (trunk + base head, one fused vectorized
-        //    pass across the whole tree) runs at plan execution time —
-        //    [`verify_many`] — so it can span many sessions.
-        debug_assert!(nodes.len() <= max_nodes, "trie exceeded its row bound");
-        let d = self.d_emb();
-        let root_x = self.ensure_x().clone();
-        let mut xs: Vec<Vec<f32>> = Vec::with_capacity(nodes.len());
-        xs.push(root_x);
-        for node in &nodes[1..] {
-            let parent = &xs[node.parent];
-            let mut x = Vec::with_capacity(parent.len());
-            x.extend_from_slice(&parent[d..]);
-            x.extend_from_slice(self.model.embed_token(node.token));
-            xs.push(x);
-        }
-
-        VerifyPlan { xs, node_of }
     }
 }
 
@@ -829,46 +992,114 @@ mod tests {
             vec![vec![2, 2, 2], vec![3], vec![2, 4]],
         ];
         let bonus = [true, false, true];
-        let mut plans = Vec::new();
+        let mut plan = VerifyPlan::new();
+        let mut maps = Vec::new();
         for ((ctx, tree), &b) in contexts.iter().zip(&trees).zip(&bonus) {
             let mut s = model.session();
             s.append(ctx);
             let refs: Vec<&[TokenId]> = tree.iter().map(Vec::as_slice).collect();
-            plans.push(s.verify_plan(&refs, b).expect("mlp sessions fuse"));
-        }
-        for (plan, (tree, &b)) in plans.iter().zip(trees.iter().zip(&bonus)) {
+            let mut nodes = NodeMap::new();
+            assert!(
+                s.verify_plan(&refs, b, &mut nodes, &mut plan),
+                "mlp sessions fuse"
+            );
             let rows: usize = tree.iter().map(|p| p.len() + usize::from(b)).sum();
-            assert_eq!(plan.n_rows(), rows, "plan row count");
-            assert!(plan.n_nodes() <= plan.n_rows().max(1), "dedup only shrinks");
+            let planned: usize = (0..nodes.n_paths()).map(|i| nodes.path_rows(i)).sum();
+            assert_eq!(planned, rows, "plan row count");
+            assert!(nodes.n_nodes() <= rows.max(1), "dedup only shrinks");
+            maps.push(nodes);
         }
-        let fused = verify_many(&model, &plans);
+        assert_eq!(
+            plan.n_nodes(),
+            maps.iter().map(NodeMap::n_nodes).sum::<usize>()
+        );
+        // A few rows already in the arena: results are relative to the
+        // base the execution returns, not to row 0.
+        let mut arena = LogitsArena::new();
+        arena.push_row(&[0.0; 12]);
+        let base = verify_many(&model, &plan, &mut arena);
+        assert_eq!(base, 1);
         for (i, ((ctx, tree), &b)) in contexts.iter().zip(&trees).zip(&bonus).enumerate() {
             let mut s = model.session();
             s.append(ctx);
             let refs: Vec<&[TokenId]> = tree.iter().map(Vec::as_slice).collect();
             let own = s.verify_batch(&refs, b);
-            assert_eq!(fused[i], own, "session {i} diverged under fusion");
+            let fused = maps[i].materialize(arena.rows_from(base));
+            assert_eq!(fused, own, "session {i} diverged under fusion");
         }
-        assert!(verify_many(&model, &[]).is_empty());
+        let mut empty = LogitsArena::new();
+        assert_eq!(verify_many(&model, &VerifyPlan::new(), &mut empty), 0);
+        assert_eq!(empty.rows(), 0);
     }
 
     #[test]
     fn multi_logits_many_matches_per_session_calls() {
         let model = tiny_mlp();
         let contexts: [&[TokenId]; 3] = [&[1, 2, 3, 4, 5], &[2], &[7, 7]];
+        // Each position asks for a different number of leading heads.
+        let heads = [4usize, 1, 2];
         let mut xs = Vec::new();
-        for ctx in &contexts {
+        let mut row_start = vec![0usize];
+        for (ctx, &h) in contexts.iter().zip(&heads) {
             let mut s = model.session();
             s.append(ctx);
-            xs.push(s.embed_plan().expect("mlp sessions expose x"));
+            assert!(s.embed_plan(&mut xs), "mlp sessions expose x");
+            row_start.push(row_start.last().expect("seeded") + h);
         }
-        let fused = multi_logits_many(&model, &xs);
-        for (i, ctx) in contexts.iter().enumerate() {
+        let mut arena = LogitsArena::new();
+        let base = multi_logits_many(&model, &xs, &row_start, &mut arena);
+        assert_eq!(arena.rows(), 7);
+        for (i, (ctx, &h)) in contexts.iter().zip(&heads).enumerate() {
             let mut s = model.session();
             s.append(ctx);
-            assert_eq!(fused[i], s.multi_logits(), "position {i} diverged");
+            let own = s.multi_logits();
+            for (j, want) in own.iter().take(h).enumerate() {
+                assert_eq!(
+                    arena.row(base + row_start[i] + j),
+                    &want[..],
+                    "position {i} head {j} diverged"
+                );
+            }
         }
-        assert!(multi_logits_many(&model, &[]).is_empty());
+        let mut empty = LogitsArena::new();
+        multi_logits_many(&model, &[], &[0], &mut empty);
+        assert_eq!(empty.rows(), 0);
+    }
+
+    #[test]
+    fn flat_queries_match_their_nested_adaptors_on_every_session_kind() {
+        // The engines read the flat forms; the nested forms are the
+        // edge. Both must describe the same rows — for the kernel-backed
+        // session and for the copying trait defaults alike.
+        let model = tiny_mlp();
+        let shim = Stateless(&model);
+        let ng = trained_ngram();
+        let paths: Vec<Vec<TokenId>> = vec![vec![5, 6], vec![5, 7], vec![8]];
+        let refs: Vec<&[TokenId]> = paths.iter().map(Vec::as_slice).collect();
+        let sessions: Vec<Box<dyn DecodeSession + '_>> =
+            vec![model.session(), shim.session(), ng.session()];
+        for mut s in sessions {
+            s.append(&[5, 6, 7]);
+            let mut arena = LogitsArena::new();
+            let all = s.multi_logits();
+            for heads in 1..=all.len() {
+                arena.clear();
+                let base = s.multi_logits_into(heads, &mut arena);
+                assert_eq!(arena.rows(), heads);
+                for (h, want) in all.iter().take(heads).enumerate() {
+                    assert_eq!(arena.row(base + h), &want[..]);
+                }
+            }
+            for bonus in [true, false] {
+                let mut nodes = NodeMap::new();
+                let base = s.verify_into(&refs, bonus, &mut nodes, &mut arena);
+                assert_eq!(
+                    nodes.materialize(arena.rows_from(base)),
+                    s.verify_batch(&refs, bonus)
+                );
+            }
+            assert_eq!(s.tokens(), &[5, 6, 7], "context unchanged");
+        }
     }
 
     #[test]

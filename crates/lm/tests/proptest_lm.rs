@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use verispec_lm::matrix::{entropy, log_softmax, softmax};
-use verispec_lm::{MlpLm, MlpLmConfig, NgramLm, Sampler, Sampling};
+use verispec_lm::{top_k_indices, MlpLm, MlpLmConfig, NgramLm, Sampler, Sampling};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -77,6 +77,42 @@ proptest! {
         let mut s = Sampler::new(seed);
         let t = s.sample(&logits, Sampling::Temperature { temperature: 0.01, top_k: 0 });
         prop_assert_eq!(t as usize, w);
+    }
+
+    #[test]
+    fn top_k_is_the_head_of_a_full_sort_under_the_total_order(
+        // Few distinct values over many slots: ties everywhere,
+        // including across the k-th boundary.
+        logits in prop::collection::vec((-3i32..4).prop_map(|v| v as f32 * 0.5), 1..48),
+    ) {
+        let n = logits.len();
+        let mut oracle: Vec<u32> = (0..n as u32).collect();
+        oracle.sort_by(|&a, &b| {
+            logits[b as usize]
+                .partial_cmp(&logits[a as usize])
+                .expect("finite")
+                .then(a.cmp(&b))
+        });
+        for k in [0, 1, 2, 10, 32, n, n + 3] {
+            prop_assert_eq!(&top_k_indices(&logits, k)[..], &oracle[..k.min(n)], "k = {}", k);
+        }
+    }
+
+    #[test]
+    fn sampler_top_k_keeps_exactly_the_selected_support(
+        seed in any::<u64>(),
+        logits in prop::collection::vec((-3i32..4).prop_map(|v| v as f32 * 0.5), 2..24),
+        k in 1usize..6,
+    ) {
+        // Tied logits straddling the cut: the sampler truncates to the
+        // same k indices `top_k_indices` names, never to a different
+        // member of the tie.
+        let kept = top_k_indices(&logits, k);
+        let mut s = Sampler::new(seed);
+        for _ in 0..16 {
+            let t = s.sample(&logits, Sampling::Temperature { temperature: 1.5, top_k: k });
+            prop_assert!(kept.contains(&t), "{} outside {:?}", t, kept);
+        }
     }
 
     #[test]

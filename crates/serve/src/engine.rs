@@ -15,31 +15,37 @@
 //!    requests (round-robin / shortest-first / seeded order, with an
 //!    aging guard bounding every request's service gap — see
 //!    [`Scheduler::starvation_bound`]).
-//! 3. **fused propose** — the MEDUSA-style members of the batch expose
-//!    their current-position embeddings and get their multi-head
-//!    logits from **one** [`verispec_lm::multi_logits_many`] pass.
-//! 4. **fused verify** — every member's candidate paths become a
-//!    [`verispec_lm::VerifyPlan`]; all plans execute in **one**
-//!    [`verispec_lm::verify_many`] pass (per-request `verify_batch`
-//!    is the fallback for non-fusable sessions).
-//! 5. **commit** — each stepper applies acceptance/rollback locally.
+//! 3. **fused propose** — the MEDUSA-style members of the batch append
+//!    their current-position embeddings to one flat buffer and get the
+//!    head rows their step's shape reads from **one**
+//!    [`verispec_lm::multi_logits_many`] pass.
+//! 4. **fused verify** — every member plans its candidate tree into one
+//!    shared [`verispec_lm::VerifyPlan`], executed in **one**
+//!    [`verispec_lm::verify_many`] pass (per-request `verify_into` is
+//!    the fallback for non-fusable sessions).
+//! 5. **commit** — each stepper applies acceptance/rollback locally,
+//!    reading its rows out of the tick's arena.
 //!
-//! Because the batched kernels are bit-identical to the single-vector
-//! paths for every input regardless of batch composition, each
-//! request's token stream equals the serial single-session engine's —
-//! the property `tests/proptest_serve.rs` pins.
+//! Both passes are the same inference kernel a lone session calls
+//! (`MlpLm::infer`), writing into one engine-owned
+//! [`verispec_lm::LogitsArena`] that every tick clears and refills; a
+//! batch of one runs the same code at the same per-node cost as a batch
+//! of hundreds. Because the kernel's rows are bit-identical for every
+//! input regardless of what shares the pass, each request's token
+//! stream equals the serial single-session engine's — the property
+//! `tests/proptest_serve.rs` pins.
 
 use crate::prefix::PrefixCache;
 use crate::request::{Completion, EngineChoice, Request};
 use crate::scheduler::{ActiveView, Scheduler, TickOrder};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use verispec_core::{
     AcceptHistory, Phase, ShapeQuery, SpecPolicy, SpecShape, Stepper, STATIC_POLICY,
 };
 use verispec_grammar::GrammarOracle;
 use verispec_lm::{
-    multi_logits_many, verify_many, DecodeSession, GpuCostModel, LanguageModel, MlpLm, VerifyPlan,
+    multi_logits_many, verify_many, DecodeSession, GpuCostModel, LanguageModel, LogitsArena, MlpLm,
+    VerifyPlan,
 };
 use verispec_trace::{EventKind, TraceEvent, TraceSink, NOOP};
 
@@ -490,6 +496,19 @@ pub struct ServeEngine<'m> {
     /// This engine's fleet index, stamped on every emitted event (0
     /// for a standalone engine; the dispatcher labels its workers).
     worker: u32,
+    /// The tick's flat buffers, cleared and refilled every tick.
+    buffers: TickBuffers,
+}
+
+/// What one tick's fused passes read and write: the logits arena, the
+/// fused-propose inputs (one embedding concat per position and the
+/// prefix sum of head rows each wants), and the fused-verify plan.
+#[derive(Default)]
+struct TickBuffers {
+    arena: LogitsArena,
+    propose_xs: Vec<f32>,
+    propose_rows: Vec<usize>,
+    plan: VerifyPlan,
 }
 
 impl<'m> ServeEngine<'m> {
@@ -531,6 +550,7 @@ impl<'m> ServeEngine<'m> {
             started: std::time::Instant::now(),
             sink: &NOOP,
             worker: 0,
+            buffers: TickBuffers::default(),
         }
     }
 
@@ -1402,90 +1422,88 @@ impl<'m> ServeEngine<'m> {
             a.last_step = self.tick;
         }
 
-        // Fused propose: one batched trunk + per-head pass serves every
-        // MEDUSA-style member of the batch. The batched kernel now
-        // selects its accumulator lane width per batch size
-        // (`verispec_lm::matrix::lanes_for`: 4 lanes up to batch 4, 8
-        // up to 8, 16 beyond), so a 2-candidate fusion pads to 4 lanes
-        // instead of 8 and cross-request propose fusion pays from the
-        // 2–8 batch range this engine actually serves; only a lone
-        // candidate still takes the cached per-session path.
-        const MIN_FUSED_PROPOSE: usize = 2;
-        let mut pre: HashMap<usize, Vec<Vec<f32>>> = HashMap::new();
-        if let Some(model) = self.fused {
-            // Count candidates before gathering, so small batches never
-            // pay the embedding clones just to throw them away.
-            let candidates = stepped
-                .iter()
-                .filter(|&&i| self.active[i].stepper.wants_multi_logits())
-                .count();
-            if candidates >= MIN_FUSED_PROPOSE {
-                let mut idxs = Vec::with_capacity(candidates);
-                let mut xs: Vec<Vec<f32>> = Vec::with_capacity(candidates);
-                for &i in &stepped {
-                    let st = &mut self.active[i].stepper;
-                    if st.wants_multi_logits() {
-                        if let Some(x) = st.embed_plan() {
-                            idxs.push(i);
-                            xs.push(x);
-                        }
-                    }
-                }
-                self.stats.fused_propose_positions += xs.len();
-                for (i, logits) in idxs.into_iter().zip(multi_logits_many(model, &xs)) {
-                    pre.insert(i, logits);
-                }
-            }
-        }
-        let mut phases: Vec<(usize, Phase)> = Vec::with_capacity(stepped.len());
-        for &i in &stepped {
-            let logits = pre.remove(&i);
-            let phase = self.active[i].stepper.propose(logits);
-            phases.push((i, phase));
-        }
+        // The fused passes below index their per-member results by
+        // position in `stepped`. The buffers leave `self` for the tick
+        // so steppers can read arena rows while the engine mutates.
+        let TickBuffers {
+            mut arena,
+            mut propose_xs,
+            mut propose_rows,
+            mut plan,
+        } = std::mem::take(&mut self.buffers);
 
-        // Fused verify: every member's candidate tree in one pass.
-        let mut scored: HashMap<usize, Vec<Vec<Vec<f32>>>> = HashMap::new();
-        let mut plan_idx: Vec<usize> = Vec::new();
-        let mut plans: Vec<VerifyPlan> = Vec::new();
-        for &(i, phase) in &phases {
-            if matches!(phase, Phase::Verify { .. }) {
-                let st = &mut self.active[i].stepper;
-                match self.fused.and_then(|_| st.verify_plan()) {
-                    Some(plan) => {
-                        plan_idx.push(i);
-                        plans.push(plan);
-                    }
-                    None => {
-                        self.stats.local_verify_calls += 1;
-                        scored.insert(i, st.verify_local());
-                    }
+        // Fused propose: one kernel pass serves every MEDUSA-style
+        // member of the batch, each with as many head rows as its
+        // step's shape reads.
+        arena.clear();
+        propose_xs.clear();
+        propose_rows.clear();
+        propose_rows.push(0);
+        let mut heads_at: Vec<Option<usize>> = vec![None; stepped.len()];
+        if self.fused.is_some() {
+            for (pos, &i) in stepped.iter().enumerate() {
+                if let Some(heads) = self.active[i].stepper.embed_plan(&mut propose_xs) {
+                    let first = *propose_rows.last().expect("seeded with 0");
+                    heads_at[pos] = Some(first);
+                    propose_rows.push(first + heads);
                 }
             }
         }
-        if !plans.is_empty() {
+        if let (Some(model), true) = (self.fused, propose_rows.len() > 1) {
+            self.stats.fused_propose_positions += propose_rows.len() - 1;
+            let base = multi_logits_many(model, &propose_xs, &propose_rows, &mut arena);
+            heads_at
+                .iter_mut()
+                .flatten()
+                .for_each(|first| *first += base);
+        }
+        let phases: Vec<Phase> = stepped
+            .iter()
+            .zip(&heads_at)
+            .map(|(&i, first)| {
+                let heads = first.map(|row| arena.rows_from(row));
+                self.active[i].stepper.propose(heads)
+            })
+            .collect();
+
+        // Fused verify: every member's candidate tree in one pass. The
+        // proposals are built, so the head rows can go.
+        arena.clear();
+        plan.clear();
+        let planned: Vec<bool> = stepped
+            .iter()
+            .zip(&phases)
+            .map(|(&i, phase)| {
+                matches!(phase, Phase::Verify { .. })
+                    && self.fused.is_some()
+                    && self.active[i].stepper.verify_plan(&mut plan)
+            })
+            .collect();
+        // Every fused member's node map is relative to this base.
+        let fused_base = self.fused.filter(|_| plan.n_nodes() > 0).map(|model| {
             self.stats.fused_verify_calls += 1;
-            self.stats.fused_verify_nodes += plans.iter().map(VerifyPlan::n_nodes).sum::<usize>();
-            let model = self.fused.expect("plans only exist with a fused model");
-            for (i, result) in plan_idx.into_iter().zip(verify_many(model, &plans)) {
-                scored.insert(i, result);
-            }
-        }
+            self.stats.fused_verify_nodes += plan.n_nodes();
+            verify_many(model, &plan, &mut arena)
+        });
 
-        // Commit: acceptance, rollback, clock — all request-local.
-        // Every non-Done phase commits at least one token (NTP/draft
-        // always commit; speculative commits at least its base token),
-        // so the commit tick doubles as the inter-token telemetry
-        // timestamp.
-        for (i, phase) in phases {
-            match phase {
+        // Commit: acceptance, rollback, clock — all request-local
+        // (members whose session could not plan verify themselves
+        // first). Every non-Done phase commits at least one token
+        // (NTP/draft always commit; speculative commits at least its
+        // base token), so the commit tick doubles as the inter-token
+        // telemetry timestamp.
+        for ((&i, phase), &planned) in stepped.iter().zip(&phases).zip(&planned) {
+            let base = match phase {
                 Phase::Done => continue,
-                Phase::Commit => self.active[i].stepper.commit(Vec::new(), cost),
+                Phase::Commit => None,
+                Phase::Verify { .. } if planned => fused_base,
                 Phase::Verify { .. } => {
-                    let s = scored.remove(&i).expect("scored in verify phase");
-                    self.active[i].stepper.commit(s, cost);
+                    self.stats.local_verify_calls += 1;
+                    Some(self.active[i].stepper.verify_local(&mut arena))
                 }
-            }
+            };
+            let scored = base.map(|base| arena.rows_from(base));
+            self.active[i].stepper.commit(scored, cost);
             let now = self.started.elapsed().as_secs_f64();
             let a = &mut self.active[i];
             a.step_ticks.push(self.tick);
@@ -1528,6 +1546,13 @@ impl<'m> ServeEngine<'m> {
                 );
             }
         }
+
+        self.buffers = TickBuffers {
+            arena,
+            propose_xs,
+            propose_rows,
+            plan,
+        };
 
         let mut i = 0;
         while i < self.active.len() {

@@ -68,11 +68,12 @@
 //!                              │  └ GrammarOracle filters + │   (grammar layer:
 //!                              │    dead-tail prunes trees  │    verispec-grammar)
 //!                              │ fused verify   ────────────┼─► verify_many
-//!                              │ per-request commit         │   (one matvec_batch
-//!                              │  └ step_ticks + acceptance │    pass each, lane-
-//!                              └────────────────────────────┘    tuned 4/8/16 and
-//!                                     │ done                     row-sharded when
-//!                                     ▼                          big)
+//!                              │ per-request commit         │   (each one call of
+//!                              │  └ step_ticks + acceptance │    the packed kernel
+//!                              │    read as arena row views │    into the tick's
+//!                              └────────────────────────────┘    LogitsArena, input-
+//!                                     │ done                     sharded when big)
+//!                                     ▼
 //!                   Completion{output, step_ticks, deadline,
 //!                              proposed/accepted tokens, stats}
 //!
@@ -128,8 +129,11 @@
 //!   (multi-head logits) and verify phase (candidate-tree scoring) are
 //!   fused across requests into single
 //!   [`verispec_lm::multi_logits_many`] / [`verispec_lm::verify_many`]
-//!   passes over the shared model, so concurrent generations share
-//!   trunk/head matmuls instead of issuing one small batch each.
+//!   passes over the shared model — the same packed kernel a lone
+//!   session calls, writing one engine-owned
+//!   [`verispec_lm::LogitsArena`] that steppers read back as borrowed
+//!   row views — so concurrent generations share one pass instead of
+//!   issuing one small batch each.
 //!   Streaming admission ([`ServeEngine::drain_arrivals`] /
 //!   [`ServeEngine::run_streaming`]) feeds the queue from an `mpsc`
 //!   channel each tick so open-loop arrivals join mid-flight; a

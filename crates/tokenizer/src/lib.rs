@@ -339,7 +339,13 @@ impl BpeTrainer {
             .collect();
         // Deterministic order regardless of hash seed.
         words.sort_unstable();
+        self.learn_merges(words)
+    }
 
+    /// The merge loop over the counted words. Not generic, so it is
+    /// compiled here, once, and runs the same code whichever crate
+    /// calls [`BpeTrainer::train`] with whichever iterator.
+    fn learn_merges(&self, mut words: Vec<(Vec<TokenId>, u64)>) -> BpeTokenizer {
         let mut merges: Vec<(TokenId, TokenId)> = Vec::new();
         let n_merges = self.target_vocab - MERGE_BASE as usize;
 
