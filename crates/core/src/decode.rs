@@ -6,16 +6,18 @@
 //! All engines drive a [`verispec_lm::DecodeSession`] (the KV-cache
 //! analogue): one session per generation, extended with committed
 //! tokens, rolled back after rejected speculation, and asked to verify
-//! the whole MEDUSA candidate tree in a **single**
-//! [`verispec_lm::DecodeSession::verify_batch`] call per decoding step —
-//! the draft-then-verify formulation where all K speculated positions
-//! are scored by one batched forward instead of one forward per
-//! candidate path.
+//! the MEDUSA candidate tree **level by level**
+//! ([`verispec_lm::DecodeSession::score_frontier`]): the root first,
+//! then only the children of edges acceptance took — shared prefixes
+//! scored once, a level per kernel call, and nothing forwarded that no
+//! accepted token could read.
 //!
 //! All engines also run against the simulated GPU clock
 //! ([`verispec_lm::GpuCostModel`]) so that tokens/second reflects the
 //! paper's measurement model: one base-model forward per decoding step
-//! plus a marginal cost per speculated candidate token.
+//! plus a marginal cost per speculated candidate token *proposed* — a
+//! GPU verifies the whole tree in one bandwidth-bound pass, so the
+//! simulated clock does not care how few nodes this CPU forwards.
 
 use crate::accept::TypicalAcceptance;
 use crate::policy::{SpecPolicy, SpecShape};
@@ -131,11 +133,11 @@ pub fn decode_ntp(
 ///    from the session's cached trunk activation);
 /// 2. the base token is drawn (greedy or sampled) and always committed;
 /// 3. each head proposes its next token(s), forming the candidate tree;
-/// 4. the whole tree is scored by **one**
-///    [`verispec_lm::DecodeSession::verify_batch`] call (shared-prefix
-///    reuse, batched forwards) and verified left-to-right — exact-match
+/// 4. the tree is verified level by level, left to right — exact-match
 ///    under greedy decoding (lossless), Eq.-1 typical acceptance under
-///    sampling — cutting each path at its first rejection;
+///    sampling — each path cut at its first rejection and only the
+///    nodes behind accepted edges ever forwarded
+///    ([`crate::step::Stepper::verify_level`]);
 /// 5. with syntax alignment, the accepted span is additionally truncated
 ///    at the last `[FRAG]` boundary (the integrity check of §III-B).
 pub fn decode_speculative(

@@ -11,12 +11,12 @@
 //!
 //! Both models are driven through persistent
 //! [`verispec_lm::DecodeSession`]s: the draft session extends
-//! incrementally while proposing, the target scores all `γ + 1`
-//! verification positions with a single
-//! [`verispec_lm::DecodeSession::verify_batch`] call (the original
-//! draft-verify formulation: K speculated positions plus the bonus
-//! position verified in one forward), and both sessions roll back to
-//! the committed prefix on rejection.
+//! incrementally while proposing, the target scores the verification
+//! positions one at a time, in order, each only once the proposal
+//! before it was accepted (the block is a one-path candidate tree; a
+//! GPU would score all `γ + 1` positions in one forward, which is what
+//! the simulated clock charges), and both sessions roll back to the
+//! committed prefix on rejection.
 //!
 //! VeriSpec uses the n-gram model as the draft and the MLP as the target.
 //! This engine exists as the paper's point of comparison for why MEDUSA

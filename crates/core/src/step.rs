@@ -8,27 +8,38 @@
 //! 1. **propose** ([`Stepper::propose`]) — draw the base token and
 //!    build the candidate paths (MEDUSA heads) or the draft block
 //!    (draft-verify). Returns which [`Phase`] the step needs next.
-//! 2. **verify** — score the pending candidate paths against the
-//!    target model, either per-session ([`Stepper::verify_local`],
-//!    what the serial engines do) or fused across many requests: a
-//!    server has a batch of steppers plan into one shared
-//!    [`verispec_lm::VerifyPlan`] ([`Stepper::verify_plan`]) and
-//!    executes it in one [`verispec_lm::verify_many`] pass.
-//! 3. **commit** ([`Stepper::commit`]) — run acceptance over the
-//!    scores, apply the syntax-integrity truncation, advance the
-//!    simulated clock, and extend the session with the committed span.
+//! 2. **verify** ([`Stepper::verify_level`]) — one call per **level**
+//!    of the candidate tree: consume the level just scored (run
+//!    acceptance on those nodes' child edges), then plan the children
+//!    whose edge was accepted. A node is embedded and forwarded only
+//!    once acceptance has reached it, so a step costs what its accepted
+//!    prefix costs, not what its proposed tree would. The stepper
+//!    either scores each level on its own session (what the serial
+//!    engines do) or plans it into a shared [`verispec_lm::VerifyPlan`]
+//!    that a server executes for its whole batch in one
+//!    [`verispec_lm::verify_many`] pass per level. NTP is the root-only
+//!    tree (the "edge test" draws the token); draft-verify is the
+//!    one-path tree whose edge test is the rejection rule, its RNG
+//!    draws in position order because levels are positions.
+//! 3. **commit** ([`Stepper::commit`]) — pick the committed span from
+//!    the accepted edges, apply the syntax-integrity truncation,
+//!    advance the simulated clock, and extend the session with it. The
+//!    clock is charged for the tree that was *proposed*
+//!    (`candidate_tokens`): it prices the paper's one-pass GPU step,
+//!    whatever this CPU chose to forward.
 //!
 //! Logits never change hands as owned vectors: every phase reads
 //! borrowed rows of a [`verispec_lm::LogitsArena`]
 //! ([`verispec_lm::ArenaRows`]) — the stepper's own scratch arena on
 //! the serial path, the server's per-tick arena on the fused one — and
-//! the stepper's [`verispec_lm::NodeMap`] says which row each
-//! `(path, position)` of the pending verification reads. Acceptance is
-//! computed once per *unique* candidate-tree node, however many paths
-//! run through it.
+//! the stepper's [`verispec_lm::NodeMap`] holds the step's candidate
+//! trie, which row each scored node reads and which nodes are asked for
+//! next. A node's child edges are tested back to back the moment its
+//! row exists, so acceptance evaluates each node's distribution once,
+//! however many paths run through it.
 //!
-//! The serial convenience [`Stepper::step`] chains the three phases,
-//! and the public engines (`decode_ntp`, `decode_speculative`,
+//! The serial convenience [`Stepper::step`] chains the three phases
+//! (looping the middle one to the last level), and the public engines (`decode_ntp`, `decode_speculative`,
 //! `decode_draft_speculative`) are thin loops over it — so the serial
 //! path and a scheduler-driven path execute **the same code** and
 //! produce bit-identical token streams (the inference kernel
@@ -70,16 +81,11 @@ use verispec_tokenizer::special;
 /// What a pending step needs next, as reported by [`Stepper::propose`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// The step has candidate paths that must be scored (with
-    /// [`Stepper::verify_local`] or a fused [`Stepper::verify_plan`]
-    /// execution) before [`Stepper::commit`].
-    Verify {
-        /// Whether the scoring must include the bonus row (the position
-        /// after a fully accepted path).
-        include_bonus: bool,
-    },
-    /// Nothing to verify this step; call [`Stepper::commit`] with no
-    /// scores.
+    /// The step has a candidate tree to verify: call
+    /// [`Stepper::verify_level`] until it returns `false`, then
+    /// [`Stepper::commit`].
+    Verify,
+    /// Nothing to verify this step; call [`Stepper::commit`].
     Commit,
     /// The generation has finished; the stepper will make no further
     /// progress.
@@ -99,8 +105,8 @@ enum EngineBody {
 
 /// The in-flight state of one step between propose and commit.
 enum Pending {
-    /// NTP: the single base-logits row is pending.
-    Ntp,
+    /// NTP: the token, once the root's row has been consumed.
+    Ntp { tok: Option<TokenId> },
     /// Speculative: base token drawn, candidate paths built.
     Spec {
         step_start: usize,
@@ -110,15 +116,21 @@ enum Pending {
         verify_issued: bool,
     },
     /// Draft-verify: the draft block proposed, with per-position draft
-    /// probabilities.
+    /// probabilities, and what the rejection rule has made of it so
+    /// far.
     Draft {
         step_start: usize,
-        proposals: Vec<(TokenId, Vec<f32>)>,
+        /// The draft's distribution at each proposed position (the
+        /// proposals themselves are the candidate trie's one path).
+        qs: Vec<Vec<f32>>,
+        /// Accepted proposals, then the resampled or bonus token.
+        committed: Vec<TokenId>,
+        accepted: usize,
     },
 }
 
-/// What acceptance needs from one verified node, computed on the first
-/// visit and shared by every candidate path running through it.
+/// What acceptance needs from one scored node, computed when its row
+/// arrives and used for each of its child edges in turn.
 #[derive(Debug, Clone, Copy)]
 enum NodeAccept {
     /// Greedy decoding: the arg-max token of the node's distribution.
@@ -142,7 +154,7 @@ impl NodeAccept {
     /// Evaluates a node. Typical acceptance is evaluated on the
     /// *temperature-scaled* base distribution so that speculative
     /// sampling matches the baseline's sampling entropy; that
-    /// distribution is left in `probs`.
+    /// distribution is left in `probs` for [`NodeAccept::accepts`].
     fn of(logits: &[f32], sampling: Sampling, probs: &mut Vec<f32>) -> Self {
         match sampling {
             Sampling::Greedy => {
@@ -181,12 +193,13 @@ impl NodeAccept {
         }
     }
 
-    /// Whether `tok` passes at this node; `fresh` says `probs` still
-    /// holds this node's distribution (it was just evaluated).
+    /// Whether `tok` passes at this node; `probs` is what
+    /// [`NodeAccept::of`] left there (a node's edges are tested before
+    /// the next node is evaluated, so it still is).
     ///
     /// Under sampling the token's probability is recomputed from the
     /// memoized normalizers with the softmax's own operations, so it is
-    /// the bit the full row held. Eq. 1's threshold `min(ε, δ·e^(-H))`
+    /// the bit the full row holds. Eq. 1's threshold `min(ε, δ·e^(-H))`
     /// never exceeds `ε` and, for non-negative parameters, is never
     /// negative, so a probability above `ε` or at zero — nearly all of
     /// them once sampling is cold — is decided without the entropy.
@@ -195,8 +208,7 @@ impl NodeAccept {
         logits: &[f32],
         tok: TokenId,
         acceptance: &TypicalAcceptance,
-        probs: &mut Vec<f32>,
-        fresh: bool,
+        probs: &[f32],
     ) -> bool {
         match self {
             NodeAccept::Greedy(best) => tok == *best,
@@ -214,12 +226,7 @@ impl NodeAccept {
                 if p <= 0.0 && acceptance.epsilon >= 0.0 && acceptance.delta >= 0.0 {
                     return false;
                 }
-                p > *threshold.get_or_insert_with(|| {
-                    if !fresh {
-                        tempered_softmax_into(logits, *temperature, probs);
-                    }
-                    acceptance.threshold(probs)
-                })
+                p > *threshold.get_or_insert_with(|| acceptance.threshold(probs))
             }
         }
     }
@@ -273,16 +280,18 @@ pub struct Stepper<'m> {
     /// The prune accounting of the most recent grammar propose —
     /// `None` before the first propose and for non-grammar steppers.
     last_prune: Option<PruneRecord>,
-    /// Which row each `(path, position)` of the pending verification
-    /// reads; refilled by every verify.
+    /// The pending step's candidate trie: which row each scored node
+    /// reads and which nodes are asked for next; rebuilt by every
+    /// propose.
     nodes: NodeMap,
     /// The serial path's arena ([`Stepper::step`], local propose);
     /// stays empty under a server that supplies its own rows.
     scratch: LogitsArena,
     /// One softmax row, reused by every acceptance evaluation.
     probs: Vec<f32>,
-    /// Per-node acceptance of the step being committed.
-    memo: Vec<Option<NodeAccept>>,
+    /// Per trie node of the pending speculative step: whether the edge
+    /// into it was accepted.
+    accepted: Vec<bool>,
 }
 
 impl<'m> Stepper<'m> {
@@ -346,7 +355,7 @@ impl<'m> Stepper<'m> {
             nodes: NodeMap::new(),
             scratch: LogitsArena::new(),
             probs: Vec::new(),
-            memo: Vec::new(),
+            accepted: Vec::new(),
         }
     }
 
@@ -647,10 +656,13 @@ impl<'m> Stepper<'m> {
                     self.done = true;
                     return Phase::Done;
                 }
-                self.pending = Some(Pending::Ntp);
-                Phase::Verify {
-                    include_bonus: true,
-                }
+                // The single row is the current position's base logits:
+                // a root-only tree, scored by the same call as any other.
+                let root_only: &[TokenId] = &[];
+                self.nodes.build(std::iter::once(root_only), true);
+                self.nodes.request(0);
+                self.pending = Some(Pending::Ntp { tok: None });
+                Phase::Verify
             }
             EngineBody::Spec { cfg, n_heads } => {
                 if self.out.tokens.len() >= cfg.max_tokens {
@@ -706,6 +718,13 @@ impl<'m> Stepper<'m> {
                 let verify_issued = base_tok != eos && candidate_tokens > 0;
                 if verify_issued {
                     session.append(&[base_tok]);
+                    // Token compares only: nothing is embedded until
+                    // acceptance reaches it. No bonus row — a full
+                    // path's own node is never read.
+                    self.nodes.build(paths.iter().map(Vec::as_slice), false);
+                    self.nodes.request(0);
+                    self.accepted.clear();
+                    self.accepted.resize(self.nodes.n_nodes(), false);
                 }
                 self.pending = Some(Pending::Spec {
                     step_start,
@@ -715,9 +734,7 @@ impl<'m> Stepper<'m> {
                     verify_issued,
                 });
                 if verify_issued {
-                    Phase::Verify {
-                        include_bonus: false,
-                    }
+                    Phase::Verify
                 } else {
                     Phase::Commit
                 }
@@ -743,101 +760,193 @@ impl<'m> Stepper<'m> {
                 let step_start = draft.len();
                 // The draft proposes a block of gamma tokens with its
                 // own probs, extending its session as it goes.
-                let mut proposals: Vec<(TokenId, Vec<f32>)> = Vec::with_capacity(gamma);
+                let mut toks: Vec<TokenId> = Vec::with_capacity(gamma);
+                let mut qs: Vec<Vec<f32>> = Vec::with_capacity(gamma);
                 for _ in 0..gamma {
                     let mut q = softmax(&draft.logits());
                     tempered(&mut q, cfg.temperature);
                     let tok = self.sampler.sample_from_probs(&q);
-                    proposals.push((tok, q));
+                    toks.push(tok);
+                    qs.push(q);
                     draft.append(&[tok]);
                     if tok == cfg.eos {
                         break;
                     }
                 }
                 if let EngineBody::Draft { stats, .. } = &mut self.engine {
-                    stats.proposed += proposals.len();
+                    stats.proposed += toks.len();
                 }
+                // One path, bonus position included: node `k` is the
+                // position after `k` proposals.
+                self.nodes.build(std::iter::once(toks.as_slice()), true);
+                self.nodes.request(0);
                 self.pending = Some(Pending::Draft {
                     step_start,
-                    proposals,
+                    committed: Vec::with_capacity(qs.len() + 1),
+                    qs,
+                    accepted: 0,
                 });
-                Phase::Verify {
-                    include_bonus: true,
-                }
+                Phase::Verify
             }
         }
     }
 
-    /// Hands the pending verification — its paths, whether the bonus
-    /// row is wanted, and the node map to fill — to `score`.
-    fn score_pending<R>(
+    /// Phase 2, once per level of the pending step's candidate tree:
+    /// consumes the level just scored — `scored` holds its rows, from
+    /// the base the fused execution returned; `None` on a step's first
+    /// call, when nothing has been scored yet — by running acceptance
+    /// on those nodes' child edges, then plans the children whose edge
+    /// was accepted.
+    ///
+    /// With a `plan` and a fusable session the new level's inputs are
+    /// appended to it and the call returns `true`: run it
+    /// ([`verispec_lm::verify_many`], one pass for every stepper that
+    /// planned) and call again with the rows. `false` means the
+    /// verification is over — nothing acceptance has not rejected is
+    /// left unscored — and the step is ready to [`Stepper::commit`].
+    ///
+    /// Without a `plan`, or when the session cannot plan into one, the
+    /// stepper scores every remaining level itself, on its own session
+    /// and arena — exactly what the serial engines do — and returns
+    /// `false`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no step is pending verification.
+    pub fn verify_level(
         &mut self,
-        score: impl FnOnce(&mut dyn DecodeSession, &[&[TokenId]], bool, &mut NodeMap) -> R,
-    ) -> R {
-        let session = self
-            .target
-            .as_mut()
-            .expect("stepper is parked; unpark before stepping")
-            .as_mut();
-        let nodes = &mut self.nodes;
-        match self.pending.as_ref().expect("a step is pending") {
-            // The single row is the current position's base logits: a
-            // one-node tree, scored by the same call as any other.
-            Pending::Ntp => score(session, &[&[]], true, nodes),
-            Pending::Spec { paths, .. } => {
-                let refs: Vec<&[TokenId]> = paths.iter().map(Vec::as_slice).collect();
-                score(session, &refs, false, nodes)
-            }
-            Pending::Draft { proposals, .. } => {
-                let path: Vec<TokenId> = proposals.iter().map(|(t, _)| *t).collect();
-                score(session, &[&path], true, nodes)
+        scored: Option<ArenaRows<'_>>,
+        plan: Option<&mut VerifyPlan>,
+    ) -> bool {
+        if let Some(rows) = scored {
+            self.consume_level(rows);
+        }
+        if !self.nodes.has_frontier() {
+            return false;
+        }
+        if let Some(plan) = plan {
+            let session = self
+                .target
+                .as_mut()
+                .expect("stepper is parked; unpark before stepping");
+            if session.plan_frontier(&mut self.nodes, plan) {
+                return true;
             }
         }
+        debug_assert!(scored.is_none(), "a fused verification cannot turn local");
+        let mut arena = std::mem::take(&mut self.scratch);
+        arena.clear();
+        while self.nodes.has_frontier() {
+            let session = self
+                .target
+                .as_mut()
+                .expect("stepper is parked; unpark before stepping");
+            let base = session.score_frontier(&mut self.nodes, &mut arena);
+            self.consume_level(arena.rows_from(base));
+        }
+        self.scratch = arena;
+        false
     }
 
-    /// Phase 2 (fused): plans the pending verification into a shared
-    /// [`VerifyPlan`] for cross-request execution
-    /// ([`verispec_lm::verify_many`]; commit with the rows from the
-    /// base it returns). `false`, leaving the plan untouched, when the
-    /// target session is not fusable (fall back to
-    /// [`Stepper::verify_local`]).
+    /// Runs the pending engine's edge test over the level just scored:
+    /// every node of it reads its row once, decides its child edges
+    /// back to back, and requests the children acceptance goes on to.
+    fn consume_level(&mut self, scored: ArenaRows<'_>) {
+        let (nodes, probs, sampler) = (&mut self.nodes, &mut self.probs, &mut self.sampler);
+        let pending = self.pending.as_mut().expect("a step is pending");
+        for k in 0..nodes.level().len() {
+            let node = nodes.level()[k];
+            let logits = scored.row(nodes.row(node));
+            match (&mut *pending, &self.engine) {
+                (Pending::Ntp { tok }, EngineBody::Ntp { cfg }) => {
+                    *tok = Some(sampler.sample(logits, cfg.sampling));
+                }
+                (Pending::Spec { .. }, EngineBody::Spec { cfg, .. }) => {
+                    let mut verdict = NodeAccept::of(logits, cfg.sampling, probs);
+                    let mut child = nodes.first_child(node);
+                    while let Some(c) = child {
+                        let tok = nodes.token(c);
+                        if verdict.accepts(logits, tok, &cfg.acceptance, probs) {
+                            self.accepted[c] = true;
+                            // Nothing is read past an accepted `eos`,
+                            // nor at a full path's own node.
+                            if tok != cfg.eos && nodes.wants_row(c) {
+                                nodes.request(c);
+                            }
+                        }
+                        child = nodes.next_sibling(c);
+                    }
+                }
+                (
+                    Pending::Draft {
+                        qs,
+                        committed,
+                        accepted,
+                        ..
+                    },
+                    EngineBody::Draft { cfg, .. },
+                ) => {
+                    // The target distribution at this position.
+                    probs.clear();
+                    probs.extend_from_slice(logits);
+                    softmax_in_place(probs);
+                    tempered(probs, cfg.temperature);
+                    let Some(child) = nodes.first_child(node) else {
+                        // Past the whole block: everything was
+                        // accepted, this is the bonus position.
+                        committed.push(sampler.sample_from_probs(probs));
+                        continue;
+                    };
+                    // One path: node `k` is position `k`.
+                    let (tok, q) = (nodes.token(child), &qs[node]);
+                    // Exact rejection rule.
+                    let (pt, qt) = (probs[tok as usize], q[tok as usize].max(f32::MIN_POSITIVE));
+                    // Uniform draw on a fine grid (the Sampler API is index-based).
+                    let u: f32 = {
+                        let grid = 1_000_000usize;
+                        sampler.gen_range(grid) as f32 / grid as f32
+                    };
+                    if u < (pt / qt).min(1.0) {
+                        committed.push(tok);
+                        *accepted += 1;
+                        if tok != cfg.eos {
+                            nodes.request(child);
+                        }
+                    } else {
+                        // Resample from max(0, p - q), renormalized
+                        // (from p itself when nothing is left).
+                        let residual = |(&a, &b): (&f32, &f32)| (a - b).max(0.0);
+                        let sum: f32 = probs.iter().zip(q).map(residual).sum();
+                        if sum > 0.0 {
+                            for (p, qv) in probs.iter_mut().zip(q) {
+                                *p = (*p - qv).max(0.0) / sum;
+                            }
+                        }
+                        committed.push(sampler.sample_from_probs(probs));
+                    }
+                }
+                _ => unreachable!("pending/engine mismatch"),
+            }
+        }
+        nodes.clear_level();
+    }
+
+    /// Phase 3: commits the pending step from what its verification
+    /// accepted (or straight away, when [`Stepper::propose`] returned
+    /// [`Phase::Commit`]).
     ///
     /// # Panics
     ///
-    /// Panics if no step is pending verification.
-    pub fn verify_plan(&mut self, plan: &mut VerifyPlan) -> bool {
-        self.score_pending(|session, paths, bonus, nodes| {
-            session.verify_plan(paths, bonus, nodes, plan)
-        })
-    }
-
-    /// Phase 2 (serial): scores the pending verification against this
-    /// stepper's own target session — exactly what the serial engines
-    /// do — appending the rows to `out`. Returns the arena index to
-    /// commit from (`out.rows_from(..)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no step is pending verification.
-    pub fn verify_local(&mut self, out: &mut LogitsArena) -> usize {
-        self.score_pending(|session, paths, bonus, nodes| {
-            session.verify_into(paths, bonus, nodes, out)
-        })
-    }
-
-    /// Phase 3: accepts/commits the pending step from its verification
-    /// scores: the rows from the base [`Stepper::verify_local`] or a
-    /// fused execution of [`Stepper::verify_plan`] returned, or `None`
-    /// when [`Stepper::propose`] returned [`Phase::Commit`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no step is pending, or a pending verification is
-    /// committed without scores.
-    pub fn commit(&mut self, scored: Option<ArenaRows<'_>>, cost: &GpuCostModel) {
+    /// Panics if no step is pending, or its verification has not run
+    /// to the end ([`Stepper::verify_level`] returned `false`).
+    pub fn commit(&mut self, cost: &GpuCostModel) {
         let pending = self.pending.take().expect("a step is pending");
+        assert!(
+            !self.nodes.has_frontier() && self.nodes.level().is_empty(),
+            "commit called with the verification unfinished"
+        );
         match pending {
-            Pending::Ntp => self.commit_ntp(scored.expect("NTP steps verify"), cost),
+            Pending::Ntp { tok } => self.commit_ntp(tok.expect("NTP steps verify"), cost),
             Pending::Spec {
                 step_start,
                 base_tok,
@@ -850,30 +959,24 @@ impl<'m> Stepper<'m> {
                     base_tok,
                     &paths,
                     candidate_tokens,
-                    verify_issued.then(|| scored.expect("the step issued a verification")),
+                    verify_issued,
                     cost,
                 );
             }
             Pending::Draft {
                 step_start,
-                proposals,
-            } => self.commit_draft(
-                step_start,
-                &proposals,
-                scored.expect("draft steps verify"),
-                cost,
-            ),
+                qs,
+                committed,
+                accepted,
+            } => self.commit_draft(step_start, qs.len(), committed, accepted, cost),
         }
     }
 
-    fn commit_ntp(&mut self, scored: ArenaRows<'_>, cost: &GpuCostModel) {
+    fn commit_ntp(&mut self, tok: TokenId, cost: &GpuCostModel) {
         let EngineBody::Ntp { cfg } = &self.engine else {
             unreachable!("pending/engine mismatch");
         };
-        let (sampling, eos) = (cfg.sampling, cfg.eos);
-        let tok = self
-            .sampler
-            .sample(scored.row(self.nodes.node(0, 0)), sampling);
+        let eos = cfg.eos;
         self.out.clock.record_step(cost, 0, 1);
         self.out.steps += 1;
         self.target_mut().append(&[tok]);
@@ -890,52 +993,34 @@ impl<'m> Stepper<'m> {
         }
     }
 
-    /// `scored` is `Some` exactly when the step issued a verification.
     fn commit_spec(
         &mut self,
         step_start: usize,
         base_tok: TokenId,
         paths: &[Vec<TokenId>],
         candidate_tokens: usize,
-        scored: Option<ArenaRows<'_>>,
+        verify_issued: bool,
         cost: &GpuCostModel,
     ) {
         let EngineBody::Spec { cfg, .. } = &self.engine else {
             unreachable!("pending/engine mismatch");
         };
-        // Everything acceptance needs from the config is Copy; snapshot
-        // it so the hot loop never clones the config (or its tree Vec).
-        let (sampling, acceptance, eos, syntax_aligned, max_tokens) = (
-            cfg.sampling,
-            cfg.acceptance,
-            cfg.eos,
-            cfg.syntax_aligned,
-            cfg.max_tokens,
-        );
+        let (eos, syntax_aligned, max_tokens) = (cfg.eos, cfg.syntax_aligned, cfg.max_tokens);
 
         let mut committed = vec![base_tok];
-        if let Some(scored) = scored {
+        if verify_issued {
             self.target_mut().truncate(step_start);
-            // Paths share their prefixes' nodes (all of them the root):
-            // each node is evaluated once, on first visit.
-            let (nodes, memo, probs) = (&self.nodes, &mut self.memo, &mut self.probs);
-            memo.clear();
-            memo.resize(nodes.n_nodes(), None);
+            // The first path with the strictly longest accepted prefix
+            // wins, and once the winner ends in `eos` no later path is
+            // looked at. A path's prefix ends at its first edge that
+            // was rejected — or never tested, its parent unreached —
+            // and right after an accepted `eos`.
             let mut best: &[TokenId] = &[];
             for (i, path) in paths.iter().enumerate() {
                 let mut accepted = 0usize;
-                for (pos, &tok) in path.iter().enumerate() {
-                    let logits = scored.row(nodes.node(i, pos));
-                    let mut fresh = false;
-                    let node = memo[nodes.local(i, pos)].get_or_insert_with(|| {
-                        fresh = true;
-                        NodeAccept::of(logits, sampling, probs)
-                    });
-                    if !node.accepts(logits, tok, &acceptance, probs, fresh) {
-                        break;
-                    }
+                while accepted < path.len() && self.accepted[self.nodes.node(i, accepted + 1)] {
                     accepted += 1;
-                    if tok == eos {
+                    if path[accepted - 1] == eos {
                         break;
                     }
                 }
@@ -971,6 +1056,9 @@ impl<'m> Stepper<'m> {
             committed.truncate(remaining);
         }
 
+        // The simulated step is priced by the tree it proposed — one
+        // bandwidth-bound pass over all of it — not by the nodes this
+        // machine went on to forward.
         self.out
             .clock
             .record_step(cost, candidate_tokens, committed.len());
@@ -998,78 +1086,29 @@ impl<'m> Stepper<'m> {
         }
     }
 
+    /// `committed` is what the rejection rule produced: the `accepted`
+    /// leading proposals, then the resampled token of the first
+    /// rejection or — everything accepted and no `eos` — the bonus
+    /// token.
     fn commit_draft(
         &mut self,
         step_start: usize,
-        proposals: &[(TokenId, Vec<f32>)],
-        scored: ArenaRows<'_>,
+        proposed: usize,
+        mut committed: Vec<TokenId>,
+        accepted: usize,
         cost: &GpuCostModel,
     ) {
-        let EngineBody::Draft { cfg, .. } = &self.engine else {
+        let EngineBody::Draft { cfg, stats } = &mut self.engine else {
             unreachable!("pending/engine mismatch");
         };
+        stats.accepted += accepted;
         let cfg = *cfg;
-        // The rejection rule resamples from whole distributions, so the
-        // draft engine keeps one owned row per scored position.
-        let target_probs: Vec<Vec<f32>> = (0..self.nodes.path_rows(0))
-            .map(|j| {
-                let mut p = softmax(scored.row(self.nodes.node(0, j)));
-                tempered(&mut p, cfg.temperature);
-                p
-            })
-            .collect();
-
-        // Exact rejection rule over the pre-scored distributions.
-        let mut committed: Vec<TokenId> = Vec::new();
-        let mut rejected = false;
-        let mut accepted_now = 0usize;
-        for (pos, (tok, q)) in proposals.iter().enumerate() {
-            let p = &target_probs[pos];
-            let (pt, qt) = (p[*tok as usize], q[*tok as usize].max(f32::MIN_POSITIVE));
-            // Uniform draw on a fine grid (the Sampler API is index-based).
-            let u: f32 = {
-                let grid = 1_000_000usize;
-                self.sampler.gen_range(grid) as f32 / grid as f32
-            };
-            if u < (pt / qt).min(1.0) {
-                committed.push(*tok);
-                accepted_now += 1;
-                if *tok == cfg.eos {
-                    break;
-                }
-            } else {
-                // Resample from max(0, p - q), renormalized.
-                let mut residual: Vec<f32> =
-                    p.iter().zip(q).map(|(&a, &b)| (a - b).max(0.0)).collect();
-                let sum: f32 = residual.iter().sum();
-                if sum > 0.0 {
-                    residual.iter_mut().for_each(|v| *v /= sum);
-                } else {
-                    residual = p.clone();
-                }
-                let tok = self.sampler.sample_from_probs(&residual);
-                committed.push(tok);
-                rejected = true;
-                break;
-            }
-        }
-        if let EngineBody::Draft { stats, .. } = &mut self.engine {
-            stats.accepted += accepted_now;
-        }
-        self.history.record(proposals.len(), accepted_now);
-        // Bonus token when everything was accepted: drawn from the
-        // already-scored position after the full proposal block.
-        if !rejected && committed.last() != Some(&cfg.eos) {
-            let p = &target_probs[committed.len()];
-            committed.push(self.sampler.sample_from_probs(p));
-        }
+        self.history.record(proposed, accepted);
 
         let remaining = cfg.max_tokens - self.out.tokens.len();
         committed.truncate(remaining);
 
-        self.out
-            .clock
-            .record_step(cost, proposals.len(), committed.len());
+        self.out.clock.record_step(cost, proposed, committed.len());
         self.out.steps += 1;
         let hit_eos = committed.contains(&cfg.eos);
         // Roll both sessions back to the committed prefix and extend.
@@ -1082,7 +1121,7 @@ impl<'m> Stepper<'m> {
         self.target_mut().append(&committed);
         self.out.tokens.extend_from_slice(&committed);
         self.out.trace.push(StepTrace {
-            speculated: proposals.len(),
+            speculated: proposed,
             accepted: committed.len(),
             truncated: 0,
             committed,
@@ -1093,24 +1132,19 @@ impl<'m> Stepper<'m> {
         }
     }
 
-    /// Runs one full step serially (propose → verify → commit).
-    /// Returns `false` once the generation is done.
+    /// Runs one full step serially (propose → verify level by level →
+    /// commit). Returns `false` once the generation is done.
     pub fn step(&mut self, cost: &GpuCostModel) -> bool {
         match self.propose(None) {
-            Phase::Done => false,
-            Phase::Commit => {
-                self.commit(None, cost);
-                !self.done
-            }
-            Phase::Verify { .. } => {
-                let mut arena = std::mem::take(&mut self.scratch);
-                arena.clear();
-                let base = self.verify_local(&mut arena);
-                self.commit(Some(arena.rows_from(base)), cost);
-                self.scratch = arena;
-                !self.done
+            Phase::Done => return false,
+            Phase::Commit => {}
+            Phase::Verify => {
+                let fused = self.verify_level(None, None);
+                debug_assert!(!fused, "no plan was offered");
             }
         }
+        self.commit(cost);
+        !self.done
     }
 
     /// Whether the stepper's sessions are currently released.
@@ -1156,13 +1190,16 @@ impl<'m> Stepper<'m> {
 }
 
 #[cfg(test)]
+mod frontier_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::{decode_speculative, DecodeMethod};
+    use crate::decode::{decode_grammar_speculative, decode_ntp, decode_speculative, DecodeMethod};
     use crate::draft::decode_draft_speculative;
     use verispec_lm::{MlpLm, MlpLmConfig, NgramLm};
 
-    fn tiny_model() -> MlpLm {
+    pub(super) fn tiny_model() -> MlpLm {
         MlpLm::new(MlpLmConfig {
             vocab: 14,
             d_emb: 6,
@@ -1173,7 +1210,7 @@ mod tests {
         })
     }
 
-    fn cyclic_ngram() -> NgramLm {
+    pub(super) fn cyclic_ngram() -> NgramLm {
         let mut lm = NgramLm::new(3, 14);
         let seq: Vec<TokenId> = (0..200).map(|i| 6 + (i % 3) as TokenId).collect();
         lm.train_sequence(&seq);
@@ -1182,23 +1219,10 @@ mod tests {
 
     #[test]
     fn node_acceptance_matches_the_full_row_definition() {
-        // The definition the memo and its shortcuts must reproduce:
-        // one full distribution per (path, position), then exact match
-        // or Eq. 1 on it.
-        fn reference(
-            logits: &[f32],
-            tok: TokenId,
-            sampling: Sampling,
-            acceptance: &TypicalAcceptance,
-        ) -> bool {
-            match sampling {
-                Sampling::Greedy => tok == argmax(&softmax(logits)),
-                Sampling::Temperature { temperature, .. } => {
-                    let scaled: Vec<f32> = logits.iter().map(|&l| l / temperature).collect();
-                    acceptance.accepts(&softmax(&scaled), tok)
-                }
-            }
-        }
+        // The definition the per-node evaluation and its shortcuts
+        // must reproduce: one full distribution per edge, then exact
+        // match or Eq. 1 on it.
+        use super::frontier_tests::reference_accepts as reference;
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state = state
@@ -1250,34 +1274,71 @@ mod tests {
         let mut probs = Vec::new();
         for sampling in samplings {
             for acceptance in &acceptances {
-                for pair in rows.chunks(2) {
-                    // Two nodes evaluated alternately, so every visit
-                    // after the first finds the other node's row in the
-                    // scratch.
-                    let mut memo: [Option<NodeAccept>; 2] = [None, None];
+                for logits in &rows {
+                    // One evaluation per node, then every edge out of
+                    // it back to back — how a scored level is consumed.
+                    let mut node = NodeAccept::of(logits, sampling, &mut probs);
                     for tok in 0..24 {
-                        for (n, logits) in pair.iter().enumerate() {
-                            let mut fresh = false;
-                            let node = memo[n].get_or_insert_with(|| {
-                                fresh = true;
-                                NodeAccept::of(logits, sampling, &mut probs)
-                            });
-                            assert_eq!(
-                                node.accepts(logits, tok, acceptance, &mut probs, fresh),
-                                reference(logits, tok, sampling, acceptance),
-                                "{sampling:?} {acceptance:?} tok {tok} of {logits:?}"
-                            );
-                        }
+                        assert_eq!(
+                            node.accepts(logits, tok, acceptance, &probs),
+                            reference(logits, tok, sampling, acceptance),
+                            "{sampling:?} {acceptance:?} tok {tok} of {logits:?}"
+                        );
                     }
                 }
             }
         }
     }
 
+    /// Drives `steppers` the way a serving tick does — propose all,
+    /// then one fused kernel pass per level for every member still
+    /// verifying, then commit all — until every one is done. Returns,
+    /// per round, how many levels each verifying member took.
+    fn drive_fused(
+        model: &MlpLm,
+        steppers: &mut [Stepper<'_>],
+        cost: &GpuCostModel,
+    ) -> Vec<Vec<usize>> {
+        let (mut plan, mut arena) = (VerifyPlan::new(), LogitsArena::new());
+        let mut rounds = Vec::new();
+        loop {
+            let phases: Vec<Phase> = steppers.iter_mut().map(|st| st.propose(None)).collect();
+            if phases.iter().all(|&p| p == Phase::Done) {
+                return rounds;
+            }
+            plan.clear();
+            arena.clear();
+            let mut levels = vec![0usize; steppers.len()];
+            let mut verifying: Vec<usize> = Vec::new();
+            for (i, st) in steppers.iter_mut().enumerate() {
+                if phases[i] == Phase::Verify {
+                    assert!(st.verify_level(None, Some(&mut plan)), "mlp sessions fuse");
+                    verifying.push(i);
+                }
+            }
+            while plan.pending() > 0 {
+                let base = verispec_lm::verify_many(model, &mut plan, &mut arena);
+                let rows = arena.rows_from(base);
+                verifying.retain(|&i| {
+                    levels[i] += 1;
+                    steppers[i].verify_level(Some(rows), Some(&mut plan))
+                });
+            }
+            assert!(verifying.is_empty());
+            for (st, phase) in steppers.iter_mut().zip(&phases) {
+                if *phase != Phase::Done {
+                    st.commit(cost);
+                }
+            }
+            rounds.push(levels);
+        }
+    }
+
     #[test]
     fn phase_driven_stepper_matches_serial_engines() {
-        // Driving the stepper through explicit propose/verify/commit
-        // phases must reproduce the public engines exactly.
+        // Driving the stepper through explicit propose / verify-level /
+        // commit phases — its levels executed from outside, through a
+        // shared plan — must reproduce the public engines exactly.
         let model = tiny_model();
         let cost = GpuCostModel::codellama_like();
         for (syntax, tree) in [(false, None), (true, Some(vec![2, 2]))] {
@@ -1290,19 +1351,9 @@ mod tests {
                 ..Default::default()
             };
             let serial = decode_speculative(&model, &[1, 2, 3], &cfg, &cost);
-            let mut st = Stepper::speculative(&model, &[1, 2, 3], cfg.clone());
-            let mut arena = LogitsArena::new();
-            loop {
-                match st.propose(None) {
-                    Phase::Done => break,
-                    Phase::Commit => st.commit(None, &cost),
-                    Phase::Verify { .. } => {
-                        arena.clear();
-                        let base = st.verify_local(&mut arena);
-                        st.commit(Some(arena.rows_from(base)), &cost);
-                    }
-                }
-            }
+            let mut st = [Stepper::speculative(&model, &[1, 2, 3], cfg.clone())];
+            drive_fused(&model, &mut st, &cost);
+            let [st] = st;
             let out = st.into_output();
             assert_eq!(out.tokens, serial.tokens);
             assert_eq!(out.steps, serial.steps);
@@ -1312,30 +1363,70 @@ mod tests {
 
     #[test]
     fn fused_verify_plan_path_matches_verify_local() {
+        // One shared plan, one kernel pass per level, four engines in
+        // the batch — NTP (root only), a sampled tree, a grammar tree
+        // and a draft block over the same target — each reading its
+        // own rows and leaving the loop at its own depth. Every member
+        // must equal its serial engine, which verifies locally.
         let model = tiny_model();
+        let ng = cyclic_ngram();
         let cost = GpuCostModel::codellama_like();
-        let cfg = DecodeConfig {
+        let bytes = (0..14)
+            .map(|id| if id < 5 { Vec::new() } else { b"a".to_vec() })
+            .collect();
+        let oracle = GrammarOracle::new(bytes);
+        let ntp_cfg = DecodeConfig {
             max_tokens: 16,
-            tree: Some(vec![2, 2, 1]),
             ..Default::default()
         };
-        let serial = decode_speculative(&model, &[2, 4], &cfg, &cost);
-        let mut st = Stepper::speculative(&model, &[2, 4], cfg);
-        let (mut plan, mut arena) = (VerifyPlan::new(), LogitsArena::new());
-        loop {
-            match st.propose(None) {
-                Phase::Done => break,
-                Phase::Commit => st.commit(None, &cost),
-                Phase::Verify { .. } => {
-                    plan.clear();
-                    arena.clear();
-                    assert!(st.verify_plan(&mut plan), "mlp session is fusable");
-                    let base = verispec_lm::verify_many(&model, &plan, &mut arena);
-                    st.commit(Some(arena.rows_from(base)), &cost);
-                }
-            }
+        let tree_cfg = DecodeConfig {
+            max_tokens: 16,
+            tree: Some(vec![2, 2, 1]),
+            sampling: Sampling::temperature(2.5),
+            seed: 3,
+            ..Default::default()
+        };
+        let grammar_cfg = DecodeConfig {
+            max_tokens: 16,
+            tree: Some(vec![3, 2]),
+            sampling: Sampling::temperature(0.8),
+            seed: 8,
+            ..Default::default()
+        };
+        let draft_cfg = DraftConfig {
+            gamma: 3,
+            max_tokens: 16,
+            seed: 4,
+            ..Default::default()
+        };
+        let serial = [
+            decode_ntp(&model, &[2, 4], &ntp_cfg, &cost),
+            decode_speculative(&model, &[2, 4], &tree_cfg, &cost),
+            decode_grammar_speculative(&model, &oracle, &[6, 7], &grammar_cfg, &cost),
+            decode_draft_speculative(&model, &ng, &[6, 7], &draft_cfg, &cost).0,
+        ];
+        let mut steppers = [
+            Stepper::ntp(&model, &[2, 4], ntp_cfg),
+            Stepper::speculative(&model, &[2, 4], tree_cfg),
+            Stepper::grammar_speculative(&model, &oracle, &[6, 7], grammar_cfg),
+            Stepper::draft_verify(&model, &ng, &[6, 7], draft_cfg),
+        ];
+        let rounds = drive_fused(&model, &mut steppers, &cost);
+        for (st, want) in steppers.iter().zip(&serial) {
+            assert_eq!(st.output().tokens, want.tokens);
+            assert_eq!(st.output().steps, want.steps);
+            assert_eq!(st.output().trace, want.trace);
         }
-        assert_eq!(st.output().tokens, serial.tokens);
+        // NTP always leaves after the root; the others went deeper, and
+        // in some round to different depths from one another.
+        assert!(rounds.iter().all(|levels| levels[0] <= 1));
+        assert!(rounds
+            .iter()
+            .any(|levels| levels[1..].iter().any(|&l| l > 1)));
+        assert!(rounds.iter().any(|levels| {
+            let deep: Vec<usize> = levels[1..].iter().copied().filter(|&l| l > 0).collect();
+            deep.iter().any(|&l| l != deep[0])
+        }));
     }
 
     #[test]

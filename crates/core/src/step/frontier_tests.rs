@@ -1,0 +1,503 @@
+//! Frontier verification against the definition it replaced.
+//!
+//! The engines forward a candidate-tree node only once acceptance has
+//! reached it. What they commit must not be able to tell: this file
+//! keeps the *whole-tree* verification — score every node with
+//! [`DecodeSession::verify_batch`], then walk each path to its first
+//! rejection on one full distribution per edge — as a test oracle, and
+//! pins the level loop to it on every session kind; it also pins what
+//! the level loop buys (forwards per step track the accepted depth) and
+//! the edge cases the rewrite had to carry over.
+
+use super::tests::{cyclic_ngram, tiny_model};
+use super::*;
+use crate::draft::DraftConfig;
+use proptest::prelude::*;
+use std::cell::Cell;
+use verispec_lm::Stateless;
+
+/// Acceptance by definition: one full distribution per edge, then exact
+/// match (greedy) or Eq. 1 (sampling) on it.
+pub(super) fn reference_accepts(
+    logits: &[f32],
+    tok: TokenId,
+    sampling: Sampling,
+    acceptance: &TypicalAcceptance,
+) -> bool {
+    match sampling {
+        Sampling::Greedy => tok == argmax(&softmax(logits)),
+        Sampling::Temperature { temperature, .. } => {
+            let scaled: Vec<f32> = logits.iter().map(|&l| l / temperature).collect();
+            acceptance.accepts(&softmax(&scaled), tok)
+        }
+    }
+}
+
+/// A small deterministic stream for building candidate trees.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) as usize) % n
+    }
+}
+
+impl Stepper<'_> {
+    /// The oracle: verifies the pending step the way every engine did
+    /// before the level loop — the whole tree scored in one
+    /// `verify_batch`, each path walked to its first rejection, the
+    /// first strictly longest accepted prefix kept, the walk over paths
+    /// stopped once that prefix ends in `eos`; the draft block judged
+    /// from all `γ + 1` pre-scored distributions. Leaves the step ready
+    /// to commit.
+    fn verify_whole_tree(&mut self) {
+        let session = self.target.as_mut().expect("not parked").as_mut();
+        match (self.pending.as_mut().expect("pending"), &self.engine) {
+            (Pending::Ntp { tok }, EngineBody::Ntp { cfg }) => {
+                let rows = session.verify_batch(&[&[]], true);
+                *tok = Some(self.sampler.sample(&rows[0][0], cfg.sampling));
+                let root_only: &[TokenId] = &[];
+                self.nodes.build(std::iter::once(root_only), true);
+            }
+            (Pending::Spec { paths, .. }, EngineBody::Spec { cfg, .. }) => {
+                let refs: Vec<&[TokenId]> = paths.iter().map(Vec::as_slice).collect();
+                let scored = session.verify_batch(&refs, false);
+                let mut best: (usize, usize) = (0, 0);
+                for (i, path) in paths.iter().enumerate() {
+                    let mut accepted = 0usize;
+                    for (pos, &tok) in path.iter().enumerate() {
+                        if !reference_accepts(&scored[i][pos], tok, cfg.sampling, &cfg.acceptance) {
+                            break;
+                        }
+                        accepted += 1;
+                        if tok == cfg.eos {
+                            break;
+                        }
+                    }
+                    if accepted > best.1 {
+                        best = (i, accepted);
+                    }
+                    if best.1 > 0 && paths[best.0][best.1 - 1] == cfg.eos {
+                        break;
+                    }
+                }
+                // Hand the span over as commit expects it: its edges
+                // accepted, no other, nothing left to ask for.
+                self.nodes.build(refs.iter().copied(), false);
+                self.accepted.fill(false);
+                for j in 1..=best.1 {
+                    self.accepted[self.nodes.node(best.0, j)] = true;
+                }
+            }
+            (
+                Pending::Draft {
+                    qs,
+                    committed,
+                    accepted,
+                    ..
+                },
+                EngineBody::Draft { cfg, .. },
+            ) => {
+                let toks: Vec<TokenId> = (1..=self.nodes.path_len(0))
+                    .map(|j| self.nodes.token(self.nodes.node(0, j)))
+                    .collect();
+                let scored = session.verify_batch(&[toks.as_slice()], true);
+                let target_probs: Vec<Vec<f32>> = scored[0]
+                    .iter()
+                    .map(|row| {
+                        let mut p = softmax(row);
+                        tempered(&mut p, cfg.temperature);
+                        p
+                    })
+                    .collect();
+                let mut rejected = false;
+                for (pos, (tok, q)) in toks.iter().zip(qs.iter()).enumerate() {
+                    let p = &target_probs[pos];
+                    let (pt, qt) = (p[*tok as usize], q[*tok as usize].max(f32::MIN_POSITIVE));
+                    let u = self.sampler.gen_range(1_000_000) as f32 / 1_000_000f32;
+                    if u < (pt / qt).min(1.0) {
+                        committed.push(*tok);
+                        *accepted += 1;
+                        if *tok == cfg.eos {
+                            break;
+                        }
+                    } else {
+                        let mut residual: Vec<f32> =
+                            p.iter().zip(q).map(|(&a, &b)| (a - b).max(0.0)).collect();
+                        let sum: f32 = residual.iter().sum();
+                        if sum > 0.0 {
+                            residual.iter_mut().for_each(|v| *v /= sum);
+                        } else {
+                            residual = p.clone();
+                        }
+                        committed.push(self.sampler.sample_from_probs(&residual));
+                        rejected = true;
+                        break;
+                    }
+                }
+                if !rejected && committed.last() != Some(&cfg.eos) {
+                    let p = &target_probs[committed.len()];
+                    committed.push(self.sampler.sample_from_probs(p));
+                }
+                self.nodes.build(std::iter::once(toks.as_slice()), true);
+            }
+            _ => unreachable!("pending/engine mismatch"),
+        }
+    }
+
+    /// Replaces the pending speculative step's candidate paths with a
+    /// random tree drawn from `rng`: one to five paths of ragged length
+    /// (empty ones included), some grown from a prefix of an earlier
+    /// path (down to an exact duplicate), each new token either a
+    /// literal — `eos` among them — or the target's own top choice at
+    /// that prefix, so that acceptance gets past the first level.
+    /// Returns whether the step verifies (always, unless the base token
+    /// was `eos`).
+    fn inject_paths(&mut self, rng: &mut Lcg) -> bool {
+        let Some(Pending::Spec {
+            base_tok,
+            paths,
+            candidate_tokens,
+            verify_issued,
+            ..
+        }) = self.pending.as_mut()
+        else {
+            panic!("only speculative steps take injected paths");
+        };
+        let EngineBody::Spec { cfg, .. } = &self.engine else {
+            unreachable!("pending/engine mismatch");
+        };
+        if *base_tok == cfg.eos {
+            return false;
+        }
+        let session = self.target.as_mut().expect("not parked");
+        if !*verify_issued {
+            session.append(&[*base_tok]);
+            *verify_issued = true;
+        }
+        let (model, vocab) = (self.target_model, self.target_model.vocab_size());
+        let token_after = |prefix: &[TokenId], rng: &mut Lcg| match rng.below(2 * vocab + 6) {
+            r if r < vocab => r as TokenId,
+            r if r < vocab + 6 => cfg.eos,
+            _ => {
+                let mut ctx = session.tokens().to_vec();
+                ctx.extend_from_slice(prefix);
+                argmax(&model.logits(&ctx))
+            }
+        };
+        let mut tree: Vec<Vec<TokenId>> = Vec::new();
+        for i in 0..1 + rng.below(5) {
+            let (mut path, grow) = if i > 0 && rng.below(3) == 0 {
+                let from = &tree[rng.below(i)];
+                (from[..rng.below(from.len() + 1)].to_vec(), rng.below(3))
+            } else {
+                (Vec::new(), rng.below(4))
+            };
+            for _ in 0..grow {
+                let tok = token_after(&path, rng);
+                path.push(tok);
+            }
+            tree.push(path);
+        }
+        if tree.iter().all(Vec::is_empty) {
+            let tok = token_after(&[], rng);
+            tree[0].push(tok);
+        }
+        *candidate_tokens = tree.iter().map(Vec::len).sum();
+        *paths = tree;
+        self.nodes.build(paths.iter().map(Vec::as_slice), false);
+        self.nodes.request(0);
+        self.accepted.clear();
+        self.accepted.resize(self.nodes.n_nodes(), false);
+        true
+    }
+}
+
+/// One speculative generation over injected random trees, verified by
+/// the level loop or by the oracle.
+fn run_injected(
+    model: &dyn LanguageModel,
+    cfg: &DecodeConfig,
+    tree_seed: u64,
+    oracle: bool,
+) -> DecodeOutput {
+    let cost = GpuCostModel::codellama_like();
+    let mut st = Stepper::speculative(model, &[6, 7, 8], cfg.clone());
+    let mut rng = Lcg(tree_seed);
+    while st.propose(None) != Phase::Done {
+        if st.inject_paths(&mut rng) {
+            if oracle {
+                st.verify_whole_tree();
+            } else {
+                assert!(!st.verify_level(None, None), "no plan was offered");
+            }
+        }
+        st.commit(&cost);
+    }
+    st.into_output()
+}
+
+/// One draft-verify generation (bonus position included), likewise.
+fn run_draft(
+    target: &dyn LanguageModel,
+    draft: &dyn LanguageModel,
+    cfg: DraftConfig,
+    oracle: bool,
+) -> (DecodeOutput, Option<DraftStats>) {
+    let cost = GpuCostModel::codellama_like();
+    let mut st = Stepper::draft_verify(target, draft, &[6, 7], cfg);
+    while st.propose(None) != Phase::Done {
+        if oracle {
+            st.verify_whole_tree();
+        } else {
+            assert!(!st.verify_level(None, None), "no plan was offered");
+        }
+        st.commit(&cost);
+    }
+    let stats = st.draft_stats();
+    (st.into_output(), stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Tokens, steps and trace of the level loop equal the whole-tree
+    /// oracle's: random trees (shared prefixes, ragged lengths,
+    /// duplicates, forced `eos`), greedy and three temperatures (at the
+    /// warm ones several siblings survive a level), without the bonus
+    /// row (speculative) and with it (draft), on the kernel-backed
+    /// session and both trait-default ones.
+    #[test]
+    fn frontier_equals_full_tree(
+        tree_seed in any::<u64>(),
+        seed in any::<u64>(),
+        sampling_ix in 0usize..4,
+        eos in 2u32..10,
+        max_tokens in 3usize..20,
+        gamma in 1usize..5,
+    ) {
+        let mlp = tiny_model();
+        let shim = Stateless(&mlp);
+        let ng = cyclic_ngram();
+        let targets: [(&str, &dyn LanguageModel); 3] =
+            [("mlp", &mlp), ("stateless", &shim), ("ngram", &ng)];
+        let temperature = [None, Some(0.01f32), Some(0.8), Some(2.5)][sampling_ix];
+        for (name, target) in targets {
+            let cfg = DecodeConfig {
+                max_tokens,
+                sampling: temperature.map_or(Sampling::Greedy, Sampling::temperature),
+                eos,
+                seed,
+                syntax_aligned: seed % 2 == 0,
+                tree: Some(vec![2, 2]),
+                ..Default::default()
+            };
+            let level = run_injected(target, &cfg, tree_seed, false);
+            let whole = run_injected(target, &cfg, tree_seed, true);
+            prop_assert_eq!(&level.tokens, &whole.tokens, "{} tokens", name);
+            prop_assert_eq!(level.steps, whole.steps, "{} steps", name);
+            prop_assert_eq!(&level.trace, &whole.trace, "{} trace", name);
+
+            let dcfg = DraftConfig {
+                gamma,
+                max_tokens,
+                temperature: temperature.unwrap_or(1.0),
+                eos,
+                seed,
+            };
+            let (level, level_stats) = run_draft(target, &ng, dcfg, false);
+            let (whole, whole_stats) = run_draft(target, &ng, dcfg, true);
+            prop_assert_eq!(&level.tokens, &whole.tokens, "{} draft tokens", name);
+            prop_assert_eq!(level.steps, whole.steps, "{} draft steps", name);
+            prop_assert_eq!(&level.trace, &whole.trace, "{} draft trace", name);
+            prop_assert_eq!(level_stats, whole_stats, "{} draft stats", name);
+        }
+    }
+}
+
+/// A model whose logits are scripted per context — the tokens after
+/// the prompt select a row favouring one token by a wide margin — and
+/// which counts the base-head forwards it is asked for.
+struct Scripted {
+    prompt_len: usize,
+    /// `(context after the prompt, favoured next token)`; anything else
+    /// favours token 13.
+    script: Vec<(Vec<TokenId>, TokenId)>,
+    /// Head `i`'s top-2 at the prompt, best first.
+    heads: Vec<[TokenId; 2]>,
+    forwards: Cell<usize>,
+}
+
+impl Scripted {
+    const VOCAB: usize = 14;
+
+    fn peaked(tokens: &[TokenId]) -> Vec<f32> {
+        let mut row = vec![0.0f32; Self::VOCAB];
+        for (rank, &t) in tokens.iter().enumerate() {
+            row[t as usize] = 9.0 - rank as f32;
+        }
+        row
+    }
+
+    fn base_row(&self, prefix: &[TokenId]) -> Vec<f32> {
+        let after = &prefix[self.prompt_len.min(prefix.len())..];
+        let favoured = self
+            .script
+            .iter()
+            .find(|(ctx, _)| ctx == after)
+            .map_or(13, |&(_, tok)| tok);
+        Self::peaked(&[favoured])
+    }
+}
+
+impl LanguageModel for Scripted {
+    fn vocab_size(&self) -> usize {
+        Self::VOCAB
+    }
+
+    fn n_extra_heads(&self) -> usize {
+        self.heads.len()
+    }
+
+    fn logits(&self, prefix: &[TokenId]) -> Vec<f32> {
+        self.forwards.set(self.forwards.get() + 1);
+        self.base_row(prefix)
+    }
+
+    fn multi_logits(&self, prefix: &[TokenId]) -> Vec<Vec<f32>> {
+        std::iter::once(self.base_row(prefix))
+            .chain(self.heads.iter().map(|top| Self::peaked(top)))
+            .collect()
+    }
+}
+
+/// One greedy tree step over a scripted model: the base token is 5,
+/// the tree is heads × heads. Returns the step's trace and how many
+/// base-head forwards its verification cost.
+fn scripted_step(
+    script: &[(&[TokenId], TokenId)],
+    heads: &[[TokenId; 2]],
+    eos: TokenId,
+) -> (StepTrace, usize) {
+    let mut script: Vec<(Vec<TokenId>, TokenId)> =
+        script.iter().map(|&(c, t)| (c.to_vec(), t)).collect();
+    script.push((Vec::new(), 5));
+    let model = Scripted {
+        prompt_len: 2,
+        script,
+        heads: heads.to_vec(),
+        forwards: Cell::new(0),
+    };
+    let cfg = DecodeConfig {
+        max_tokens: 8,
+        eos,
+        tree: Some(vec![2; heads.len()]),
+        ..Default::default()
+    };
+    let mut st = Stepper::speculative(&model, &[6, 7], cfg);
+    assert_eq!(st.propose(None), Phase::Verify);
+    model.forwards.set(0);
+    assert!(!st.verify_level(None, None));
+    let forwards = model.forwards.get();
+    st.commit(&GpuCostModel::codellama_like());
+    (st.output().trace[0].clone(), forwards)
+}
+
+#[test]
+fn forwards_per_step_track_the_accepted_depth() {
+    // Tree [2, 2] over heads {8, 9} × {10, 11}: paths 8-10, 8-11, 9-10,
+    // 9-11; three nodes read a row (root, 8, 9), four leaves never do.
+    // A verifying step costs the root plus one forward per accepted
+    // edge into a node something reads — whatever was proposed.
+    let heads = [[8, 9], [10, 11]];
+    // Nothing accepted: the root alone.
+    let (trace, forwards) = scripted_step(&[(&[5], 12)], &heads, 2);
+    assert_eq!((trace.committed, forwards), (vec![5], 1));
+    // 8 accepted, then neither of its children: two forwards; the
+    // rejected sibling 9 costs nothing.
+    let (trace, forwards) = scripted_step(&[(&[5], 8), (&[5, 8], 12)], &heads, 2);
+    assert_eq!((trace.committed, forwards), (vec![5, 8], 2));
+    // 8 and then 11 accepted: still two — 11 is a leaf, its own row is
+    // never read without the bonus position.
+    let (trace, forwards) = scripted_step(&[(&[5], 8), (&[5, 8], 11)], &heads, 2);
+    assert_eq!((trace.committed, forwards), (vec![5, 8, 11], 2));
+    assert_eq!(
+        trace.speculated, 8,
+        "the clock is charged the proposed tree"
+    );
+    // Three levels deep, one accepted edge per level: three forwards
+    // for a 15-node tree.
+    let deep = [[8, 9], [10, 11], [12, 4]];
+    let (trace, forwards) = scripted_step(&[(&[5], 9), (&[5, 9], 10), (&[5, 9, 10], 4)], &deep, 2);
+    assert_eq!((trace.committed, forwards), (vec![5, 9, 10, 4], 3));
+}
+
+#[test]
+fn nothing_is_forwarded_past_an_accepted_eos_edge() {
+    // 8 is `eos` and accepted: its node is read by two longer paths,
+    // yet acceptance stops there, so it is never forwarded — and the
+    // winner ending in `eos` ends the walk over paths.
+    let heads = [[8, 9], [10, 11]];
+    let (trace, forwards) = scripted_step(&[(&[5], 8), (&[5, 8], 10)], &heads, 8);
+    assert_eq!((trace.committed, forwards), (vec![5, 8], 1));
+}
+
+#[test]
+fn best_path_is_the_first_strictly_longest() {
+    let cost = GpuCostModel::codellama_like();
+    let model = tiny_model();
+    // The span a step commits once these edges have been accepted.
+    let span = |paths: &[&[TokenId]], accepted: &[(usize, usize)], eos: TokenId| {
+        let cfg = DecodeConfig {
+            max_tokens: 8,
+            eos,
+            ..Default::default()
+        };
+        let mut st = Stepper::speculative(&model, &[6, 7], cfg);
+        st.nodes.build(paths.iter().copied(), false);
+        st.accepted = vec![false; st.nodes.n_nodes()];
+        for &(i, j) in accepted {
+            let node = st.nodes.node(i, j);
+            st.accepted[node] = true;
+        }
+        st.pending = Some(Pending::Spec {
+            step_start: 2,
+            base_tok: 5,
+            paths: paths.iter().map(|p| p.to_vec()).collect(),
+            candidate_tokens: paths.iter().map(|p| p.len()).sum(),
+            verify_issued: true,
+        });
+        st.commit(&cost);
+        st.output().trace[0].committed.clone()
+    };
+    // Equal lengths: the first in path order wins, not the last.
+    let paths: [&[TokenId]; 3] = [&[8, 10], &[9, 11], &[9, 12]];
+    assert_eq!(
+        span(&paths, &[(0, 1), (1, 1), (1, 2), (2, 2)], 2),
+        [5, 9, 11]
+    );
+    // A later path wins only by being strictly longer.
+    assert_eq!(span(&paths, &[(0, 1), (1, 1)], 2), [5, 8]);
+    // An edge accepted below a rejected one is unreachable: the walk
+    // stops at the first rejection.
+    assert_eq!(span(&paths, &[(0, 2), (1, 1)], 2), [5, 9]);
+    // A path whose accepted prefix ends in `eos` (9 here) stops there
+    // even when a deeper edge was somehow accepted; once it is the
+    // best, later paths are not looked at…
+    let with_eos: [&[TokenId]; 3] = [&[9, 11], &[8, 10, 12], &[8, 10, 13]];
+    assert_eq!(
+        span(&with_eos, &[(0, 1), (0, 2), (1, 1), (1, 2), (1, 3)], 9),
+        [5, 9]
+    );
+    // …but a path ending in `eos` that is *not* the best does not end
+    // the walk: the longer one after it still wins.
+    let eos_later: [&[TokenId]; 3] = [&[8, 10], &[9], &[8, 10, 12]];
+    assert_eq!(
+        span(&eos_later, &[(0, 1), (0, 2), (1, 1), (2, 3)], 9),
+        [5, 8, 10, 12]
+    );
+}

@@ -154,6 +154,17 @@ fn check_serve(g: &mut Guard, doc: &Value) {
             let v = number(g, row, &ctx, col);
             g.check(v > 0.0, || format!("{ctx}: `{col}` must be positive ({v})"));
         }
+        // Frontier verification forwards a step's root plus one node
+        // per accepted edge that something reads, and every step
+        // commits at least one token; verifying whole candidate trees
+        // forwarded 3.6 nodes per token on this sweep.
+        let nodes = number(g, row, &ctx, "fused_verify_nodes");
+        g.check(nodes <= 2.0 * tokens, || {
+            format!(
+                "{ctx}: `fused_verify_nodes` {nodes} exceeds 2 x `tokens` {tokens} — \
+                 verification is forwarding nodes acceptance never reaches"
+            )
+        });
     }
 }
 
@@ -604,5 +615,33 @@ fn main() {
             eprintln!("  - {v}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn serve_violations(fused_verify_nodes: u64) -> Vec<String> {
+        let doc = format!(
+            r#"[{{"concurrency": 4, "tokens": 1000, "serial_tps": 1.0, "serve_tps": 1.0,
+                 "threaded_tps": 1.0, "speedup": 1.0, "threaded_speedup": 1.0,
+                 "fused_verify_nodes": {fused_verify_nodes}}}]"#
+        );
+        let mut g = Guard::new();
+        check_serve(
+            &mut g,
+            &serde_json::from_str::<Value>(&doc).expect("valid json"),
+        );
+        g.violations
+    }
+
+    #[test]
+    fn whole_tree_verification_fails_the_serve_guard_by_name() {
+        assert!(serve_violations(2000).is_empty());
+        // The sweep's ratio before frontier verification.
+        let back = serve_violations(3600);
+        assert_eq!(back.len(), 1);
+        assert!(back[0].contains("fused_verify_nodes"), "{back:?}");
     }
 }

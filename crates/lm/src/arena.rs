@@ -5,7 +5,8 @@
 //! [`LogitsArena`] and reports the index of the first one; readers
 //! borrow rows back by index ([`ArenaRows`]). A decode step or a serving
 //! tick clears the arena and refills it, so after the first few steps no
-//! inference call allocates.
+//! inference call allocates — the kernel's per-input activations live
+//! beside the rows for the same reason.
 
 /// A growable `rows × width` buffer of logits rows.
 #[derive(Debug, Clone, Default)]
@@ -15,6 +16,9 @@ pub struct LogitsArena {
     /// [`LogitsArena::clear`], so a refill initializes nothing twice.
     used: usize,
     data: Vec<f32>,
+    /// The kernel's per-input working memory (hidden state and residual
+    /// block), kept with the rows so a call that fits allocates nothing.
+    scratch: Vec<f32>,
 }
 
 impl LogitsArena {
@@ -24,6 +28,7 @@ impl LogitsArena {
             width: 0,
             used: 0,
             data: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -67,6 +72,17 @@ impl LogitsArena {
     /// overwrite (their contents are unspecified: zeros the first time
     /// the buffer reaches this far, stale rows after a clear).
     pub(crate) fn grow(&mut self, width: usize, n: usize) -> &mut [f32] {
+        self.grow_with_scratch(width, n, 0).0
+    }
+
+    /// [`LogitsArena::grow`], plus `scratch` floats of working memory
+    /// (contents unspecified) for the kernel that fills the rows.
+    pub(crate) fn grow_with_scratch(
+        &mut self,
+        width: usize,
+        n: usize,
+        scratch: usize,
+    ) -> (&mut [f32], &mut [f32]) {
         if self.used == 0 {
             self.width = width;
         }
@@ -76,7 +92,13 @@ impl LogitsArena {
         if self.data.len() < self.used {
             self.data.resize(self.used, 0.0);
         }
-        &mut self.data[start..self.used]
+        if self.scratch.len() < scratch {
+            self.scratch.resize(scratch, 0.0);
+        }
+        (
+            &mut self.data[start..self.used],
+            &mut self.scratch[..scratch],
+        )
     }
 
     /// The rows as one flat vector (a one-row arena is that row).

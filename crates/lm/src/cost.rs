@@ -11,6 +11,28 @@
 //! Calibration: `t_forward` is set so the conventional NTP baseline lands
 //! near the paper's Table-II NTP speeds (83.13 tok/s for the
 //! CodeLlama-scale model, 91.65 tok/s for the CodeT5p-scale model).
+//!
+//! # Two machines, two ledgers
+//!
+//! This model and the Rust kernels price the *same* decode step for two
+//! different machines, and both prices are right:
+//!
+//! * **Simulated** (this module): the paper's GPU forward is
+//!   bandwidth-bound — the weights stream once per step whether one
+//!   position or twenty-five ride along — so a step costs one forward
+//!   plus a small `alpha` per candidate token **proposed**. Every engine
+//!   charges `record_step(cost, candidate_tokens, committed)` with the
+//!   size of the tree it proposed, however little of it the CPU went on
+//!   to forward; per-tick capacity (`SpecShape::step_cost` in
+//!   `verispec-core`) and acceptance history count proposals likewise.
+//! * **Real** (`MlpLm::infer` on this CPU): compute-bound — every node
+//!   forwarded is arithmetic, so time is what is *forwarded*. The
+//!   engines therefore verify level by level and forward only the
+//!   nodes acceptance reaches: a step's real work is its accepted
+//!   depth, not its proposed tree.
+//!
+//! `sim_speedup` is a function of the first ledger alone and does not
+//! move when the second gets cheaper.
 
 use serde::{Deserialize, Serialize};
 

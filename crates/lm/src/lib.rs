@@ -12,7 +12,7 @@
 //!   speculative-decoding draft model and in tests.
 //! * [`session`] — stateful [`DecodeSession`]s (the KV-cache analogue):
 //!   incremental append/rollback contexts with cached window
-//!   embeddings and one-pass candidate-tree verification.
+//!   embeddings and level-by-level candidate-tree verification.
 //! * [`arena`] — the flat `rows × vocab` [`LogitsArena`] every
 //!   inference call writes into.
 //! * [`sampler`] — greedy / temperature / top-k sampling.

@@ -369,31 +369,39 @@ impl MlpLm {
         let vocab = self.cfg.vocab;
         let offset = |k: usize| row_start.map_or(k, |rs| rs[k]) * vocab;
         let base = out.rows();
-        let rows = out.grow(vocab, offset(inputs) / vocab);
-        shard_inputs(inputs, threads, rows, offset, |range, shard| {
-            self.infer_shard(xs, range, row_start, shard)
-        });
+        let work = 2 * self.cfg.d_hidden;
+        let (rows, scratch) = out.grow_with_scratch(vocab, offset(inputs) / vocab, work);
+        if threads <= 1 {
+            // The common case — one step's level, one tick's batch —
+            // runs on the caller's scratch and allocates nothing.
+            self.infer_shard(xs, 0..inputs, row_start, rows, scratch);
+        } else {
+            shard_inputs(inputs, threads, rows, offset, |range, shard| {
+                self.infer_shard(xs, range, row_start, shard, &mut vec![0.0f32; work])
+            });
+        }
         base
     }
 
     /// The kernel body over one contiguous input range; `out` is
-    /// exactly that range's rows.
+    /// exactly that range's rows and `scratch` two hidden-width vectors
+    /// of working memory.
     fn infer_shard(
         &self,
         xs: &[f32],
         inputs: Range<usize>,
         row_start: Option<&[usize]>,
         out: &mut [f32],
+        scratch: &mut [f32],
     ) {
         let packed = self.packed();
         let x_dim = self.cfg.context * self.cfg.d_emb;
-        let mut hidden = vec![0.0f32; self.cfg.d_hidden];
-        let mut z = vec![0.0f32; self.cfg.d_hidden];
+        let (hidden, z) = scratch.split_at_mut(self.cfg.d_hidden);
         let mut rows = out.chunks_exact_mut(self.cfg.vocab);
         for k in inputs {
             packed
                 .w1
-                .matvec_into(&xs[k * x_dim..(k + 1) * x_dim], &mut hidden);
+                .matvec_into(&xs[k * x_dim..(k + 1) * x_dim], hidden);
             for (h, b) in hidden.iter_mut().zip(&self.b1) {
                 *h = silu(*h + b);
             }
@@ -402,13 +410,13 @@ impl MlpLm {
                 let row = rows.next().expect("arena rows sized from row_start");
                 match p {
                     // Base head: z == h, project the hidden state directly.
-                    None => u.matvec_into(&hidden, row),
+                    None => u.matvec_into(hidden, row),
                     Some(p) => {
-                        p.matvec_into(&hidden, &mut z);
-                        for (zv, &hv) in z.iter_mut().zip(&hidden) {
+                        p.matvec_into(hidden, z);
+                        for (zv, &hv) in z.iter_mut().zip(hidden.iter()) {
                             *zv = hv + silu(*zv);
                         }
-                        u.matvec_into(&z, row);
+                        u.matvec_into(z, row);
                     }
                 }
                 for (l, c) in row.iter_mut().zip(&head.c) {

@@ -12,34 +12,54 @@
 //!   (the KV-cache trim);
 //! * [`DecodeSession::logits`] / [`DecodeSession::multi_logits`] —
 //!   next-token logits served from cached state where the model allows;
-//! * [`DecodeSession::verify_batch`] — score *every* candidate-tree path
-//!   in one call with shared-prefix reuse, the draft-then-verify
-//!   formulation where K speculated positions are verified together
-//!   instead of one forward per candidate path.
+//! * [`DecodeSession::score_frontier`] — score one **level** of the
+//!   step's candidate tree: the nodes acceptance has reached so far.
+//!
+//! # Verification runs level by level
+//!
+//! A step's candidate paths are deduplicated into a trie once
+//! ([`NodeMap::build`], token compares only), but a node is embedded
+//! and forwarded only after the edge into it has been accepted: the
+//! engine requests the root, the session scores it, acceptance tests
+//! the root's child edges and requests the survivors, the session
+//! scores *that* level with the same kernel, and so on until nothing
+//! is left to ask for. The work a step costs therefore tracks the depth
+//! acceptance reaches (a few nodes), not the size of the proposed tree
+//! (a few dozen). Next-token prediction is the root-only case and
+//! draft-verify the one-path case. The accepted span is a pure function
+//! of the same logits bits either way, so nothing an engine commits
+//! can tell the difference.
+//!
+//! [`DecodeSession::verify_batch`] / [`DecodeSession::verify_into`]
+//! score the *whole* tree in one call ([`NodeMap::request_all`]) through
+//! the same per-level code; they are the definition the level loop is
+//! tested against and the benchmark's kernel probe, not something a
+//! decode step calls.
 //!
 //! Every query has two shapes. The **flat** one is what the engines
 //! run on: [`DecodeSession::multi_logits_into`] and
-//! [`DecodeSession::verify_into`] append logits rows to a caller-owned
-//! [`LogitsArena`], and a [`NodeMap`] says which row each requested
-//! `(path, position)` reads — one row per *unique* candidate-tree node,
+//! [`DecodeSession::score_frontier`] append logits rows to a
+//! caller-owned [`LogitsArena`], and the [`NodeMap`] says which row each
+//! scored node reads — one row per *unique* candidate-tree node,
 //! however many paths share it. The **nested** one
 //! ([`DecodeSession::multi_logits`], [`DecodeSession::verify_batch`])
 //! materializes owned `Vec`s at the edge, for callers that want values
-//! rather than views and for sessions with nothing better to offer; the
-//! flat methods default to copying its results into the arena.
+//! rather than views.
 //!
 //! Three implementations live here:
 //!
 //! * [`MlpSession`] — caches the embedding concat of the current window
-//!   and answers every query — one position, a whole candidate tree —
-//!   with one call of the packed kernel ([`MlpLm::infer`]). A serving
-//!   engine instead collects many sessions' inputs
-//!   ([`DecodeSession::embed_plan`], [`DecodeSession::verify_plan`])
-//!   and runs them through the same kernel in one fused pass
+//!   and answers every query — one position, one level of a candidate
+//!   tree — with one call of the packed kernel ([`MlpLm::infer`]). A
+//!   serving engine instead collects many sessions' inputs
+//!   ([`DecodeSession::embed_plan`], [`DecodeSession::plan_frontier`])
+//!   and runs them through the same kernel in one fused pass per level
 //!   ([`multi_logits_many`], [`verify_many`]). All outputs are
 //!   bit-identical to the stateless path.
 //! * [`NgramSession`] — keeps the context and caches the count-lookup
-//!   distribution of the current position.
+//!   distribution of the current position; its frontier is scored by
+//!   the trait default (`truncate`/`append`/`logits` per node), so it
+//!   too pays only for what acceptance reaches.
 //! * [`StatelessSession`] — the migration shim: a fresh-compute session
 //!   over any [`LanguageModel`], used as the default
 //!   `LanguageModel::session()` so external model implementations keep
@@ -51,18 +71,22 @@ use crate::mlp::{MlpLm, TokenId};
 use crate::ngram::NgramLm;
 use crate::LanguageModel;
 
-/// The flat input buffer of one fused verification pass: the window
-/// embedding of every unique candidate-tree node of every session that
-/// planned into it ([`DecodeSession::verify_plan`]), back to back.
-/// Executing it against the owning model ([`verify_many`]) reproduces
-/// each session's [`DecodeSession::verify_batch`] bit-identically —
-/// which is what lets a serving engine run many sessions' verification
-/// as **one** kernel call. Cleared and refilled every tick.
+/// The flat input buffer of one decoding step's — or one serving
+/// tick's — verification: the window embedding of every candidate-tree
+/// node planned so far ([`DecodeSession::plan_frontier`]), back to back.
+/// It grows level by level: each [`verify_many`] call runs the nodes
+/// planned since the last one, and a child's input is derived from its
+/// parent's, which is why the whole buffer stays resident until the
+/// step ends. Cleared and refilled every step / tick.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyPlan {
     /// Floats per node (`context · d_emb` of the planning model).
     x_dim: usize,
     xs: Vec<f32>,
+    /// Nodes [`verify_many`] has already run.
+    run: usize,
+    /// The arena row node 0 landed on.
+    base: usize,
 }
 
 impl VerifyPlan {
@@ -74,6 +98,7 @@ impl VerifyPlan {
     /// Drops every node, keeping the allocation.
     pub fn clear(&mut self) {
         self.xs.clear();
+        self.run = 0;
     }
 
     /// Number of nodes (= forwards) planned so far.
@@ -85,6 +110,12 @@ impl VerifyPlan {
         }
     }
 
+    /// Nodes planned and not yet run: what the next [`verify_many`]
+    /// forwards.
+    pub fn pending(&self) -> usize {
+        self.n_nodes() - self.run
+    }
+
     /// Appends a node whose input is `x`, returning its index.
     fn push_root(&mut self, x: &[f32]) -> usize {
         let id = self.n_nodes();
@@ -94,76 +125,144 @@ impl VerifyPlan {
     }
 
     /// Appends the child of node `parent` along a token embedded as
-    /// `emb`: the parent's window shifted left by one block, `emb` in
-    /// the freed tail.
-    fn push_child(&mut self, parent: usize, emb: &[f32]) {
+    /// `emb`, returning its index: the parent's window shifted left by
+    /// one block, `emb` in the freed tail.
+    fn push_child(&mut self, parent: usize, emb: &[f32]) -> usize {
+        let id = self.n_nodes();
         let from = parent * self.x_dim;
         self.xs
             .extend_from_within(from + emb.len()..from + self.x_dim);
         self.xs.extend_from_slice(emb);
+        id
     }
 }
 
-/// Which node's logits each requested result row reads: the index a
-/// verification fills ([`DecodeSession::verify_into`] /
-/// [`DecodeSession::verify_plan`]) and acceptance reads back. Nodes are
-/// the deduplicated prefixes of the scored paths, numbered root first,
-/// parent before child; `node(i, j)` is the row offset — from the base
-/// the execution returned — of the logits after `paths[i][..j]`.
+/// The candidate tree of one decoding step: the deduplicated prefixes
+/// of the step's candidate paths as a trie (node 0 is the root — the
+/// current context — and parents precede children), which row of the
+/// step's logits each *scored* node reads, and the **frontier** — the
+/// nodes asked for and not yet scored.
 ///
-/// Owned by the caller and reused across steps (it also carries the
-/// trie the deduplication builds), so planning allocates nothing once
-/// warm.
+/// Building the trie compares tokens only. A node costs a forward only
+/// once it is [requested](NodeMap::request), which acceptance does one
+/// level at a time: score the root, test its child edges, request the
+/// children whose edge was accepted, score those, and so on — so a
+/// step's work tracks the depth acceptance reaches, not the size of the
+/// tree that was proposed. [`NodeMap::request_all`] asks for every node
+/// at once: the full-tree form behind [`DecodeSession::verify_batch`].
+///
+/// Owned by the caller and reused across steps, so planning allocates
+/// nothing once warm.
 #[derive(Debug, Clone)]
 pub struct NodeMap {
-    /// Node of every result row, paths back to back, numbered from 0.
-    ids: Vec<usize>,
-    /// `ids[start[i]..start[i + 1]]` are path `i`'s rows.
-    start: Vec<usize>,
-    /// Where node 0 sits in the buffer the plan went into.
-    offset: usize,
-    n_nodes: usize,
     trie: Vec<TrieNode>,
+    /// The node after every prefix of every path, paths back to back:
+    /// `len + 1` entries per path, the root first.
+    ids: Vec<usize>,
+    /// `ids[start[i]..start[i + 1]]` are path `i`'s nodes.
+    start: Vec<usize>,
+    /// Whether a path's last node is read (the bonus position).
+    include_bonus: bool,
+    /// Nodes requested and not yet planned.
+    frontier: Vec<usize>,
+    /// Nodes of the level planned last.
+    level: Vec<usize>,
+    /// Nodes given a row so far: the step's forwards.
+    n_rows: usize,
 }
 
 /// One deduplicated path prefix; children hang off `first_child` as a
-/// sibling list, so building the trie allocates per plan, not per node.
+/// sibling list in first-seen order, so building the trie allocates per
+/// step, not per node.
 #[derive(Debug, Clone, Copy)]
 struct TrieNode {
     token: TokenId,
+    parent: usize,
     first_child: usize,
     next_sibling: usize,
+    /// Relative to the base the scoring call returned; `NO_NODE` until
+    /// the node is planned.
+    row: usize,
 }
 
 const NO_NODE: usize = usize::MAX;
 
 impl Default for NodeMap {
     fn default() -> Self {
-        NodeMap {
-            ids: Vec::new(),
-            start: vec![0],
-            offset: 0,
-            n_nodes: 0,
+        let mut map = NodeMap {
             trie: Vec::new(),
-        }
+            ids: Vec::new(),
+            start: Vec::new(),
+            include_bonus: false,
+            frontier: Vec::new(),
+            level: Vec::new(),
+            n_rows: 0,
+        };
+        map.build(std::iter::empty(), false);
+        map
     }
 }
 
 impl NodeMap {
-    /// An empty map.
+    /// An empty map: a root, no paths.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn reset(&mut self, offset: usize) {
+    /// Rebuilds the map over a new step's candidate `paths`. Nothing is
+    /// requested yet. With `include_bonus` every prefix of every path —
+    /// the full path too — is a position acceptance may read; without
+    /// it a full path's own node never is, so it can never cost a
+    /// forward ([`NodeMap::wants_row`]).
+    pub fn build<'p>(
+        &mut self,
+        paths: impl IntoIterator<Item = &'p [TokenId]>,
+        include_bonus: bool,
+    ) {
+        self.include_bonus = include_bonus;
         self.ids.clear();
-        self.start.truncate(1);
-        self.offset = offset;
-        self.n_nodes = 0;
-    }
-
-    fn end_path(&mut self) {
-        self.start.push(self.ids.len());
+        self.start.clear();
+        self.start.push(0);
+        self.frontier.clear();
+        self.level.clear();
+        self.n_rows = 0;
+        self.trie.clear();
+        self.trie.push(TrieNode {
+            token: 0,
+            parent: NO_NODE,
+            first_child: NO_NODE,
+            next_sibling: NO_NODE,
+            row: NO_NODE,
+        });
+        for path in paths {
+            let mut node = 0usize;
+            self.ids.push(node);
+            for &tok in path {
+                let (mut found, mut last) = (self.trie[node].first_child, NO_NODE);
+                while found != NO_NODE && self.trie[found].token != tok {
+                    last = found;
+                    found = self.trie[found].next_sibling;
+                }
+                if found == NO_NODE {
+                    found = self.trie.len();
+                    self.trie.push(TrieNode {
+                        token: tok,
+                        parent: node,
+                        first_child: NO_NODE,
+                        next_sibling: NO_NODE,
+                        row: NO_NODE,
+                    });
+                    if last == NO_NODE {
+                        self.trie[node].first_child = found;
+                    } else {
+                        self.trie[last].next_sibling = found;
+                    }
+                }
+                node = found;
+                self.ids.push(node);
+            }
+            self.start.push(self.ids.len());
+        }
     }
 
     /// Number of paths mapped.
@@ -171,115 +270,161 @@ impl NodeMap {
         self.start.len() - 1
     }
 
-    /// Number of result rows path `i` asked for.
-    pub fn path_rows(&self, i: usize) -> usize {
-        self.start[i + 1] - self.start[i]
+    /// Number of tokens of path `i`.
+    pub fn path_len(&self, i: usize) -> usize {
+        self.start[i + 1] - self.start[i] - 1
     }
 
-    /// Number of unique nodes behind those rows.
+    /// Number of trie nodes, the root included: one per unique path
+    /// prefix, scored or not.
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
+        self.trie.len()
     }
 
-    /// The node of row `j` of path `i`, numbered from 0 within this
-    /// map — the key for anything computed once per node.
-    pub fn local(&self, i: usize, j: usize) -> usize {
-        debug_assert!(j < self.path_rows(i));
+    /// The node after `paths[i][..j]`, for `j` in `0..=path_len(i)`.
+    pub fn node(&self, i: usize, j: usize) -> usize {
+        debug_assert!(j <= self.path_len(i));
         self.ids[self.start[i] + j]
     }
 
-    /// The row, relative to the base its execution returned, holding
-    /// the logits of row `j` of path `i`.
-    pub fn node(&self, i: usize, j: usize) -> usize {
-        self.offset + self.local(i, j)
+    /// The token on the edge into `node` (meaningless for the root).
+    pub fn token(&self, node: usize) -> TokenId {
+        self.trie[node].token
     }
 
-    /// Maps every path one row per position, with no sharing: `rows[i]`
-    /// rows for path `i`, numbered in order. What a session without a
-    /// trie reports after appending its nested results row by row.
-    fn fill_sequential(&mut self, rows: impl Iterator<Item = usize>) {
-        self.reset(0);
-        for n in rows {
-            self.ids.extend(self.n_nodes..self.n_nodes + n);
-            self.n_nodes += n;
-            self.end_path();
+    /// The first child of `node`, in first-seen order.
+    pub fn first_child(&self, node: usize) -> Option<usize> {
+        Some(self.trie[node].first_child).filter(|&c| c != NO_NODE)
+    }
+
+    /// The next child of `node`'s parent after `node`.
+    pub fn next_sibling(&self, node: usize) -> Option<usize> {
+        Some(self.trie[node].next_sibling).filter(|&c| c != NO_NODE)
+    }
+
+    /// Whether anything reads `node`'s logits: some path continues past
+    /// it (its child edges are tested against them), or the bonus
+    /// position is wanted. A node nothing reads is never forwarded.
+    pub fn wants_row(&self, node: usize) -> bool {
+        self.include_bonus || self.trie[node].first_child != NO_NODE
+    }
+
+    /// Asks for `node` to be scored by the next
+    /// [`DecodeSession::plan_frontier`] / [`DecodeSession::score_frontier`].
+    /// Its parent must have been scored already (the root has none).
+    pub fn request(&mut self, node: usize) {
+        debug_assert!(self.wants_row(node), "nothing reads node {node}");
+        debug_assert_eq!(self.trie[node].row, NO_NODE, "node {node} asked for twice");
+        self.frontier.push(node);
+    }
+
+    /// Asks for every node anything reads, parents first: the whole
+    /// tree in one level.
+    pub fn request_all(&mut self) {
+        for node in 0..self.trie.len() {
+            if self.wants_row(node) {
+                self.request(node);
+            }
         }
     }
 
-    /// Deduplicates the *scored* prefixes of `paths` into a trie and
-    /// maps each row to its node; `child(parent, token)` is called once
-    /// per new node, parent first. Node 0 is the root (the current
-    /// context). Without the bonus row the full-path leaves are never
-    /// read, so they get no node and no forward.
-    fn fill_trie(
-        &mut self,
-        paths: &[&[TokenId]],
-        include_bonus: bool,
-        offset: usize,
-        mut child: impl FnMut(usize, TokenId),
-    ) {
-        self.reset(offset);
-        self.trie.clear();
-        self.trie.push(TrieNode {
-            token: 0,
-            first_child: NO_NODE,
-            next_sibling: NO_NODE,
-        });
-        for &path in paths {
-            let rows_wanted = path.len() + usize::from(include_bonus);
-            let mut node = 0usize;
-            if rows_wanted > 0 {
-                self.ids.push(node);
-            }
-            for &tok in &path[..rows_wanted.saturating_sub(1)] {
-                let mut found = self.trie[node].first_child;
-                while found != NO_NODE && self.trie[found].token != tok {
-                    found = self.trie[found].next_sibling;
-                }
-                if found == NO_NODE {
-                    found = self.trie.len();
-                    self.trie.push(TrieNode {
-                        token: tok,
-                        first_child: NO_NODE,
-                        next_sibling: self.trie[node].first_child,
-                    });
-                    self.trie[node].first_child = found;
-                    child(node, tok);
-                }
-                node = found;
-                self.ids.push(node);
-            }
-            self.end_path();
-        }
-        self.n_nodes = self.trie.len();
+    /// Whether any requested node is still unscored.
+    pub fn has_frontier(&self) -> bool {
+        !self.frontier.is_empty()
     }
 
-    /// The nested `verify_batch` shape of an executed map: an owned
-    /// copy of every requested row.
+    /// The nodes of the level planned last, in request order — what
+    /// acceptance consumes once their rows exist.
+    pub fn level(&self) -> &[usize] {
+        &self.level
+    }
+
+    /// Forgets the last level once it has been consumed.
+    pub fn clear_level(&mut self) {
+        self.level.clear();
+    }
+
+    /// The row — relative to the base its scoring call returned —
+    /// holding `node`'s logits.
+    ///
+    /// # Panics
+    ///
+    /// Debug-panics if the node has not been planned.
+    pub fn row(&self, node: usize) -> usize {
+        debug_assert_ne!(self.trie[node].row, NO_NODE, "node {node} was never scored");
+        self.trie[node].row
+    }
+
+    /// Nodes given a row since the map was built: the forwards this
+    /// step has cost so far.
+    pub fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+
+    /// Turns the frontier into the current level, for a session to give
+    /// each of its nodes a row ([`NodeMap::assign`]).
+    fn begin_level(&mut self) {
+        self.level.clear();
+        std::mem::swap(&mut self.level, &mut self.frontier);
+    }
+
+    fn assign(&mut self, node: usize, row: usize) {
+        self.trie[node].row = row;
+        self.n_rows += 1;
+    }
+
+    /// The tokens from the root to `node`, into `out`.
+    fn path_to(&self, mut node: usize, out: &mut Vec<TokenId>) {
+        out.clear();
+        while node != 0 {
+            out.push(self.trie[node].token);
+            node = self.trie[node].parent;
+        }
+        out.reverse();
+    }
+
+    /// The nested `verify_batch` shape of a fully scored map: an owned
+    /// copy of every row a path reads.
     fn materialize(&self, rows: ArenaRows<'_>) -> Vec<Vec<Vec<f32>>> {
         (0..self.n_paths())
             .map(|i| {
-                (0..self.path_rows(i))
-                    .map(|j| rows.row(self.node(i, j)).to_vec())
+                (0..self.path_len(i) + usize::from(self.include_bonus))
+                    .map(|j| rows.row(self.row(self.node(i, j))).to_vec())
                     .collect()
             })
             .collect()
     }
 }
 
-/// Executes a [`VerifyPlan`] — every node of every session that planned
-/// into it — as **one** kernel call ([`MlpLm::infer`], which also
-/// shards across threads above its work threshold), appending one
-/// base-head row per node to `out`. Returns the arena index of the
-/// plan's first node; each session's [`NodeMap`] is relative to it.
-/// The rows a session reads are bit-identical to what its own
-/// `verify_batch` would have returned — the kernel guarantees
-/// per-input bit-identity regardless of batch composition.
+/// Runs the nodes planned into `plan` since the last call — one level
+/// of every session that planned into it — as **one** kernel call
+/// ([`MlpLm::infer`], which also shards across threads above its work
+/// threshold), appending one base-head row per node to `out`. Returns
+/// the arena index of the plan's node 0, which every planning session's
+/// [`NodeMap`] rows are relative to; a step's levels must therefore
+/// land back to back in one arena. Each row is bit-identical to what
+/// the session's own `verify_batch` would have returned for that node —
+/// the kernel guarantees per-input bit-identity regardless of batch
+/// composition.
 ///
 /// This is the continuous-batching primitive: concurrent generations
-/// share one pass instead of issuing one small batch each.
-pub fn verify_many(model: &MlpLm, plan: &VerifyPlan, out: &mut LogitsArena) -> usize {
-    model.infer(&plan.xs, None, out)
+/// share one pass per level instead of issuing one small batch each.
+///
+/// # Panics
+///
+/// Panics if rows were appended to `out` between two levels of one plan.
+pub fn verify_many(model: &MlpLm, plan: &mut VerifyPlan, out: &mut LogitsArena) -> usize {
+    if plan.run == 0 {
+        plan.base = out.rows();
+    }
+    assert_eq!(
+        out.rows(),
+        plan.base + plan.run,
+        "a plan's levels must land back to back"
+    );
+    model.infer(&plan.xs[plan.run * plan.x_dim..], None, out);
+    plan.run = plan.n_nodes();
+    plan.base
 }
 
 /// Fused multi-head logits for many positions: `xs` holds one
@@ -357,7 +502,10 @@ pub trait DecodeSession {
     /// Logits for the base head and every extra (Medusa) head.
     fn multi_logits(&mut self) -> Vec<Vec<f32>>;
 
-    /// Scores every candidate path in one call.
+    /// Scores every candidate path in one call — the **full-tree**
+    /// definition the level-by-level engines are pinned against (and
+    /// the benchmark's kernel probe); the engines themselves forward
+    /// only what acceptance reaches ([`DecodeSession::score_frontier`]).
     ///
     /// `result[i][j]` is the base-head logits after appending
     /// `paths[i][..j]` to the current context. With `include_bonus`
@@ -368,76 +516,11 @@ pub trait DecodeSession {
     /// which is all MEDUSA acceptance reads — pure-leaf forwards are
     /// skipped entirely. Shared path prefixes are evaluated once. The
     /// session context is unchanged when the call returns.
-    ///
-    /// The default implementation walks a prefix trie with
-    /// `append`/`truncate` rollback and one `logits` call per unique
-    /// node; model-aware sessions override it with batched forwards.
     fn verify_batch(&mut self, paths: &[&[TokenId]], include_bonus: bool) -> Vec<Vec<Vec<f32>>> {
-        let base_len = self.len();
-        struct Node {
-            token: TokenId,
-            children: Vec<usize>,
-            logits: Option<Vec<f32>>,
-        }
-        let mut nodes = vec![Node {
-            token: 0,
-            children: Vec::new(),
-            logits: None,
-        }];
-        // Session tokens appended beyond `base_len` right now.
-        let mut cur: Vec<TokenId> = Vec::new();
-        let mut results = Vec::with_capacity(paths.len());
-        for &path in paths {
-            let rows_wanted = path.len() + usize::from(include_bonus);
-            let mut rows = Vec::with_capacity(rows_wanted);
-            let mut node = 0usize;
-            for j in 0..rows_wanted {
-                if nodes[node].logits.is_none() {
-                    // Re-sync the session to this prefix, reusing the
-                    // longest common prefix with its current state.
-                    let prefix = &path[..j];
-                    let common = cur
-                        .iter()
-                        .zip(prefix.iter())
-                        .take_while(|(a, b)| a == b)
-                        .count();
-                    if common < cur.len() {
-                        self.truncate(base_len + common);
-                        cur.truncate(common);
-                    }
-                    if common < prefix.len() {
-                        self.append(&prefix[common..]);
-                        cur.extend_from_slice(&prefix[common..]);
-                    }
-                    nodes[node].logits = Some(self.logits());
-                }
-                rows.push(nodes[node].logits.clone().expect("computed above"));
-                if j < path.len() {
-                    let tok = path[j];
-                    let found = nodes[node]
-                        .children
-                        .iter()
-                        .copied()
-                        .find(|&c| nodes[c].token == tok);
-                    node = match found {
-                        Some(c) => c,
-                        None => {
-                            nodes.push(Node {
-                                token: tok,
-                                children: Vec::new(),
-                                logits: None,
-                            });
-                            let id = nodes.len() - 1;
-                            nodes[node].children.push(id);
-                            id
-                        }
-                    };
-                }
-            }
-            results.push(rows);
-        }
-        self.truncate(base_len);
-        results
+        let mut nodes = NodeMap::new();
+        let mut out = LogitsArena::new();
+        let base = self.verify_into(paths, include_bonus, &mut nodes, &mut out);
+        nodes.materialize(out.rows_from(base))
     }
 
     /// The flat form of [`DecodeSession::multi_logits`]: appends the
@@ -460,14 +543,11 @@ pub trait DecodeSession {
         base
     }
 
-    /// The flat form of [`DecodeSession::verify_batch`]: appends one
-    /// logits row per scored node to `out`, fills `nodes` with the row
-    /// each `(path, position)` reads, and returns the arena index the
-    /// map is relative to. The session context is unchanged when the
-    /// call returns.
-    ///
-    /// The default copies the nested result in, one row per requested
-    /// row; [`MlpSession`] writes one row per *unique* node.
+    /// The flat form of [`DecodeSession::verify_batch`]: builds `nodes`
+    /// over `paths`, asks for every node at once and scores them,
+    /// appending one logits row per unique node to `out`. Returns the
+    /// arena index `nodes`' rows are relative to. The session context
+    /// is unchanged when the call returns.
     fn verify_into(
         &mut self,
         paths: &[&[TokenId]],
@@ -475,31 +555,58 @@ pub trait DecodeSession {
         nodes: &mut NodeMap,
         out: &mut LogitsArena,
     ) -> usize {
-        let base = out.rows();
-        let scored = self.verify_batch(paths, include_bonus);
-        nodes.fill_sequential(scored.iter().map(Vec::len));
-        for row in scored.iter().flatten() {
-            out.push_row(row);
+        nodes.build(paths.iter().copied(), include_bonus);
+        nodes.request_all();
+        self.score_frontier(nodes, out)
+    }
+
+    /// Scores the frontier of `nodes` — the nodes requested since the
+    /// last call, whose parents are all scored — appending one logits
+    /// row per node to `out` and recording which. Returns the arena
+    /// index the map's rows are relative to, the same for every level
+    /// of a step: the levels must land back to back in one arena. The
+    /// session context is unchanged when the call returns.
+    ///
+    /// The default re-syncs the context to each node with
+    /// `append`/`truncate` and asks for its `logits`, one forward per
+    /// node; [`MlpSession`] embeds the level and runs the packed kernel
+    /// once.
+    fn score_frontier(&mut self, nodes: &mut NodeMap, out: &mut LogitsArena) -> usize {
+        let base = out.rows() - nodes.n_rows();
+        let base_len = self.len();
+        // Tokens appended beyond `base_len` right now, and the next
+        // node's; the common prefix of the two is reused.
+        let (mut cur, mut path): (Vec<TokenId>, Vec<TokenId>) = (Vec::new(), Vec::new());
+        nodes.begin_level();
+        for k in 0..nodes.level.len() {
+            let node = nodes.level[k];
+            nodes.path_to(node, &mut path);
+            let common = cur.iter().zip(&path).take_while(|(a, b)| a == b).count();
+            if common < cur.len() {
+                self.truncate(base_len + common);
+                cur.truncate(common);
+            }
+            if common < path.len() {
+                self.append(&path[common..]);
+                cur.extend_from_slice(&path[common..]);
+            }
+            out.push_row(&self.logits());
+            nodes.assign(node, nodes.n_rows());
         }
+        self.truncate(base_len);
         base
     }
 
-    /// Plans the scoring [`DecodeSession::verify_into`] would perform
-    /// into a shared [`VerifyPlan`] instead of executing it, so a
-    /// serving engine can run many sessions' verification as one
-    /// fused pass ([`verify_many`]); `nodes` is filled relative to that
-    /// pass's base row. Returns `false`, touching nothing, when the
-    /// session has no fusable representation (the default); callers
-    /// must then fall back to `verify_into`. The session context is
+    /// Plans the frontier of `nodes` into a shared [`VerifyPlan`]
+    /// instead of scoring it, so a serving engine can run one level of
+    /// many sessions as one fused pass ([`verify_many`]); the map's
+    /// rows are then relative to that pass's return value. Returns
+    /// `false`, touching nothing, when the session has no fusable
+    /// representation (the default); callers must then fall back to
+    /// [`DecodeSession::score_frontier`]. The session context is
     /// unchanged either way.
-    fn verify_plan(
-        &mut self,
-        paths: &[&[TokenId]],
-        include_bonus: bool,
-        nodes: &mut NodeMap,
-        plan: &mut VerifyPlan,
-    ) -> bool {
-        let _ = (paths, include_bonus, nodes, plan);
+    fn plan_frontier(&mut self, nodes: &mut NodeMap, plan: &mut VerifyPlan) -> bool {
+        let _ = (nodes, plan);
         false
     }
 
@@ -650,18 +757,30 @@ impl<M: LanguageModel> LanguageModel for Stateless<M> {
 /// window by one embedding block and writes only the new tail — the
 /// rest is reused). Every query is one call of the packed kernel
 /// ([`MlpLm::infer`]) on flat inputs: the current position is the
-/// one-input case, and a candidate tree is one input per unique node,
-/// each node's embedding derived from its parent's by a one-block
+/// one-input case, and a level of a candidate tree is one input per
+/// node, each node's embedding derived from its parent's by a one-block
 /// shift written straight into the plan buffer.
-#[derive(Clone)]
 pub struct MlpSession<'a> {
     model: &'a MlpLm,
     tokens: Vec<TokenId>,
     /// Embedding concat of the current window, shifted incrementally.
     x: Option<Vec<f32>>,
-    /// Scratch for [`DecodeSession::verify_into`]; empty between calls,
-    /// so forks copy nothing.
+    /// The step's inputs when the session scores its own frontier
+    /// ([`DecodeSession::score_frontier`]): resident from the root's
+    /// level to the last, since children derive from parents.
     plan: VerifyPlan,
+}
+
+impl Clone for MlpSession<'_> {
+    /// The plan is scratch, not state: forks copy none of it.
+    fn clone(&self) -> Self {
+        MlpSession {
+            model: self.model,
+            tokens: self.tokens.clone(),
+            x: self.x.clone(),
+            plan: VerifyPlan::new(),
+        }
+    }
 }
 
 impl<'a> MlpSession<'a> {
@@ -679,24 +798,6 @@ impl<'a> MlpSession<'a> {
         let model = self.model;
         self.x
             .get_or_insert_with(|| model.embed_window(&model.window(&self.tokens)))
-    }
-
-    /// Plans the verification trie into `plan`: one input per unique
-    /// scored prefix, root first, each child's embedding derived from
-    /// its parent's (already in the buffer, since nodes are created
-    /// parent-first).
-    fn plan_tree(
-        &mut self,
-        paths: &[&[TokenId]],
-        include_bonus: bool,
-        nodes: &mut NodeMap,
-        plan: &mut VerifyPlan,
-    ) {
-        let model = self.model;
-        let root = plan.push_root(self.ensure_x());
-        nodes.fill_trie(paths, include_bonus, root, |parent, tok| {
-            plan.push_child(root + parent, model.embed_token(tok));
-        });
     }
 }
 
@@ -749,41 +850,39 @@ impl DecodeSession for MlpSession<'_> {
         (0..heads).map(|i| out.row(i).to_vec()).collect()
     }
 
-    fn verify_batch(&mut self, paths: &[&[TokenId]], include_bonus: bool) -> Vec<Vec<Vec<f32>>> {
-        let mut nodes = NodeMap::new();
-        let mut out = LogitsArena::new();
-        let base = self.verify_into(paths, include_bonus, &mut nodes, &mut out);
-        nodes.materialize(out.rows_from(base))
-    }
-
     fn multi_logits_into(&mut self, heads: usize, out: &mut LogitsArena) -> usize {
         let model = self.model;
         model.infer(self.ensure_x(), Some(&[0, heads]), out)
     }
 
-    fn verify_into(
-        &mut self,
-        paths: &[&[TokenId]],
-        include_bonus: bool,
-        nodes: &mut NodeMap,
-        out: &mut LogitsArena,
-    ) -> usize {
+    fn score_frontier(&mut self, nodes: &mut NodeMap, out: &mut LogitsArena) -> usize {
         let mut plan = std::mem::take(&mut self.plan);
-        self.plan_tree(paths, include_bonus, nodes, &mut plan);
-        let base = verify_many(self.model, &plan, out);
-        plan.clear();
+        if nodes.n_rows() == 0 {
+            // A new step: the previous one's inputs can go.
+            plan.clear();
+        }
+        self.plan_frontier(nodes, &mut plan);
+        let base = verify_many(self.model, &mut plan, out);
         self.plan = plan;
         base
     }
 
-    fn verify_plan(
-        &mut self,
-        paths: &[&[TokenId]],
-        include_bonus: bool,
-        nodes: &mut NodeMap,
-        plan: &mut VerifyPlan,
-    ) -> bool {
-        self.plan_tree(paths, include_bonus, nodes, plan);
+    /// One input per frontier node: the root's is the cached window,
+    /// a child's its parent's (already in the buffer) shifted by one
+    /// block.
+    fn plan_frontier(&mut self, nodes: &mut NodeMap, plan: &mut VerifyPlan) -> bool {
+        let model = self.model;
+        nodes.begin_level();
+        for k in 0..nodes.level.len() {
+            let node = nodes.level[k];
+            let slot = if node == 0 {
+                plan.push_root(self.ensure_x())
+            } else {
+                let parent = nodes.row(nodes.trie[node].parent);
+                plan.push_child(parent, model.embed_token(nodes.trie[node].token))
+            };
+            nodes.assign(node, slot);
+        }
         true
     }
 
@@ -997,28 +1096,25 @@ mod tests {
         for ((ctx, tree), &b) in contexts.iter().zip(&trees).zip(&bonus) {
             let mut s = model.session();
             s.append(ctx);
-            let refs: Vec<&[TokenId]> = tree.iter().map(Vec::as_slice).collect();
             let mut nodes = NodeMap::new();
-            assert!(
-                s.verify_plan(&refs, b, &mut nodes, &mut plan),
-                "mlp sessions fuse"
-            );
+            nodes.build(tree.iter().map(Vec::as_slice), b);
+            nodes.request_all();
+            assert!(s.plan_frontier(&mut nodes, &mut plan), "mlp sessions fuse");
             let rows: usize = tree.iter().map(|p| p.len() + usize::from(b)).sum();
-            let planned: usize = (0..nodes.n_paths()).map(|i| nodes.path_rows(i)).sum();
-            assert_eq!(planned, rows, "plan row count");
-            assert!(nodes.n_nodes() <= rows.max(1), "dedup only shrinks");
+            assert!(nodes.n_rows() <= rows.max(1), "dedup only shrinks");
             maps.push(nodes);
         }
         assert_eq!(
             plan.n_nodes(),
-            maps.iter().map(NodeMap::n_nodes).sum::<usize>()
+            maps.iter().map(NodeMap::n_rows).sum::<usize>()
         );
         // A few rows already in the arena: results are relative to the
         // base the execution returns, not to row 0.
         let mut arena = LogitsArena::new();
         arena.push_row(&[0.0; 12]);
-        let base = verify_many(&model, &plan, &mut arena);
+        let base = verify_many(&model, &mut plan, &mut arena);
         assert_eq!(base, 1);
+        assert_eq!(plan.pending(), 0);
         for (i, ((ctx, tree), &b)) in contexts.iter().zip(&trees).zip(&bonus).enumerate() {
             let mut s = model.session();
             s.append(ctx);
@@ -1028,7 +1124,7 @@ mod tests {
             assert_eq!(fused, own, "session {i} diverged under fusion");
         }
         let mut empty = LogitsArena::new();
-        assert_eq!(verify_many(&model, &VerifyPlan::new(), &mut empty), 0);
+        assert_eq!(verify_many(&model, &mut VerifyPlan::new(), &mut empty), 0);
         assert_eq!(empty.rows(), 0);
     }
 
@@ -1090,15 +1186,38 @@ mod tests {
                     assert_eq!(arena.row(base + h), &want[..]);
                 }
             }
+            // Scoring the tree one level at a time — every child of
+            // every scored node requested, as an acceptance that
+            // rejects nothing would — fills the same rows as the
+            // full-tree call, in as many forwards.
             for bonus in [true, false] {
+                let full = s.verify_batch(&refs, bonus);
                 let mut nodes = NodeMap::new();
-                let base = s.verify_into(&refs, bonus, &mut nodes, &mut arena);
-                assert_eq!(
-                    nodes.materialize(arena.rows_from(base)),
-                    s.verify_batch(&refs, bonus)
-                );
+                nodes.build(refs.iter().copied(), bonus);
+                nodes.request(0);
+                arena.clear();
+                arena.push_row(&vec![0.0; model.vocab_size()]);
+                let (mut base, mut levels) = (0, 0);
+                while nodes.has_frontier() {
+                    base = s.score_frontier(&mut nodes, &mut arena);
+                    for k in 0..nodes.level().len() {
+                        let mut child = nodes.first_child(nodes.level()[k]);
+                        while let Some(c) = child {
+                            if nodes.wants_row(c) {
+                                nodes.request(c);
+                            }
+                            child = nodes.next_sibling(c);
+                        }
+                    }
+                    levels += 1;
+                    assert_eq!(s.tokens(), &[5, 6, 7], "context unchanged");
+                }
+                assert_eq!(base, 1, "rows are relative to the first level's base");
+                assert_eq!(levels, if bonus { 3 } else { 2 });
+                assert_eq!(nodes.n_rows(), if bonus { 5 } else { 2 });
+                assert_eq!(arena.rows(), 1 + nodes.n_rows());
+                assert_eq!(nodes.materialize(arena.rows_from(base)), full);
             }
-            assert_eq!(s.tokens(), &[5, 6, 7], "context unchanged");
         }
     }
 

@@ -19,14 +19,21 @@
 //!    their current-position embeddings to one flat buffer and get the
 //!    head rows their step's shape reads from **one**
 //!    [`verispec_lm::multi_logits_many`] pass.
-//! 4. **fused verify** — every member plans its candidate tree into one
-//!    shared [`verispec_lm::VerifyPlan`], executed in **one**
-//!    [`verispec_lm::verify_many`] pass (per-request `verify_into` is
-//!    the fallback for non-fusable sessions).
-//! 5. **commit** — each stepper applies acceptance/rollback locally,
-//!    reading its rows out of the tick's arena.
+//! 4. **fused verify, level by level** — every member requests its
+//!    candidate tree's root and plans it into one shared
+//!    [`verispec_lm::VerifyPlan`]; **one** [`verispec_lm::verify_many`]
+//!    pass scores that level for the whole batch; each member runs
+//!    acceptance on the rows it got and plans only the children whose
+//!    edge survived; the next pass scores those — until no member has
+//!    anything left to ask for ([`Stepper::verify_level`]). A tick
+//!    therefore forwards what its members' *accepted* prefixes cost
+//!    (a few nodes each, in two or three dependent passes), not their
+//!    proposed trees. Members whose session cannot plan score their
+//!    own levels instead.
+//! 5. **commit** — each stepper picks its committed span from the
+//!    edges it accepted and rolls back the rest, locally.
 //!
-//! Both passes are the same inference kernel a lone session calls
+//! Every pass is the same inference kernel a lone session calls
 //! (`MlpLm::infer`), writing into one engine-owned
 //! [`verispec_lm::LogitsArena`] that every tick clears and refills; a
 //! batch of one runs the same code at the same per-node cost as a batch
@@ -165,11 +172,15 @@ pub struct ServeStats {
     /// Positions whose multi-head logits came from fused cross-request
     /// passes.
     pub fused_propose_positions: usize,
-    /// Candidate-tree nodes scored through fused [`verify_many`] calls.
+    /// Inputs forwarded by fused [`verify_many`] calls: the
+    /// candidate-tree nodes acceptance reached (each member's root and
+    /// the children of its accepted edges), not the nodes proposed.
     pub fused_verify_nodes: usize,
-    /// Fused [`verify_many`] calls (one per tick with fusable work).
+    /// Fused [`verify_many`] calls: one per *level* per tick — a tick
+    /// whose deepest member accepts two edges in a row makes three.
     pub fused_verify_calls: usize,
-    /// Per-session `verify_batch`/`logits` fallback verifications.
+    /// Steps verified by a member on its own session, level by level,
+    /// because it could not plan into the fused pass.
     pub local_verify_calls: usize,
     /// Preemptions performed.
     pub preemptions: usize,
@@ -500,15 +511,26 @@ pub struct ServeEngine<'m> {
     buffers: TickBuffers,
 }
 
-/// What one tick's fused passes read and write: the logits arena, the
-/// fused-propose inputs (one embedding concat per position and the
-/// prefix sum of head rows each wants), and the fused-verify plan.
+/// What one tick reads and writes, kept across ticks so that a tick —
+/// and each verify level within it — allocates nothing: the logits
+/// arena, the fused-propose inputs (one embedding concat per position
+/// and the prefix sum of head rows each wants), the fused-verify plan,
+/// and the per-member bookkeeping, indexed by position in the tick's
+/// batch.
 #[derive(Default)]
 struct TickBuffers {
     arena: LogitsArena,
     propose_xs: Vec<f32>,
     propose_rows: Vec<usize>,
     plan: VerifyPlan,
+    /// The scheduler's view of the active set.
+    views: Vec<ActiveView>,
+    /// First head row of each member's fused propose, if it had one.
+    heads_at: Vec<Option<usize>>,
+    /// What each member's propose asked for.
+    phases: Vec<Phase>,
+    /// Members with a fused verification still in flight.
+    verifying: Vec<usize>,
 }
 
 impl<'m> ServeEngine<'m> {
@@ -1394,18 +1416,29 @@ impl<'m> ServeEngine<'m> {
             }
         }
 
-        let views: Vec<ActiveView> = self
-            .active
-            .iter()
-            .map(|a| ActiveView {
-                id: a.id,
-                last_step: a.last_step,
-                admitted: a.admitted,
-                generated: a.stepper.generated(),
-                deadline: a.deadline,
-                class: a.req.class,
-            })
-            .collect();
+        // The buffers leave `self` for the tick so steppers can read
+        // arena rows while the engine mutates; the per-member ones are
+        // indexed by position in `stepped`.
+        let TickBuffers {
+            mut arena,
+            mut propose_xs,
+            mut propose_rows,
+            mut plan,
+            mut views,
+            mut heads_at,
+            mut phases,
+            mut verifying,
+        } = std::mem::take(&mut self.buffers);
+
+        views.clear();
+        views.extend(self.active.iter().map(|a| ActiveView {
+            id: a.id,
+            last_step: a.last_step,
+            admitted: a.admitted,
+            generated: a.stepper.generated(),
+            deadline: a.deadline,
+            class: a.req.class,
+        }));
         let mut selected = self.scheduler.select(&views, self.tick, self.cfg.max_batch);
         // Filter *after* selection (indices align with `self.active`;
         // filtering `views` would misalign them): warming requests give
@@ -1422,16 +1455,6 @@ impl<'m> ServeEngine<'m> {
             a.last_step = self.tick;
         }
 
-        // The fused passes below index their per-member results by
-        // position in `stepped`. The buffers leave `self` for the tick
-        // so steppers can read arena rows while the engine mutates.
-        let TickBuffers {
-            mut arena,
-            mut propose_xs,
-            mut propose_rows,
-            mut plan,
-        } = std::mem::take(&mut self.buffers);
-
         // Fused propose: one kernel pass serves every MEDUSA-style
         // member of the batch, each with as many head rows as its
         // step's shape reads.
@@ -1439,7 +1462,8 @@ impl<'m> ServeEngine<'m> {
         propose_xs.clear();
         propose_rows.clear();
         propose_rows.push(0);
-        let mut heads_at: Vec<Option<usize>> = vec![None; stepped.len()];
+        heads_at.clear();
+        heads_at.resize(stepped.len(), None);
         if self.fused.is_some() {
             for (pos, &i) in stepped.iter().enumerate() {
                 if let Some(heads) = self.active[i].stepper.embed_plan(&mut propose_xs) {
@@ -1457,53 +1481,57 @@ impl<'m> ServeEngine<'m> {
                 .flatten()
                 .for_each(|first| *first += base);
         }
-        let phases: Vec<Phase> = stepped
-            .iter()
-            .zip(&heads_at)
-            .map(|(&i, first)| {
-                let heads = first.map(|row| arena.rows_from(row));
-                self.active[i].stepper.propose(heads)
-            })
-            .collect();
+        phases.clear();
+        phases.extend(stepped.iter().zip(&heads_at).map(|(&i, first)| {
+            let heads = first.map(|row| arena.rows_from(row));
+            self.active[i].stepper.propose(heads)
+        }));
 
-        // Fused verify: every member's candidate tree in one pass. The
-        // proposals are built, so the head rows can go.
+        // Fused verify, level by level. The proposals are built, so
+        // the head rows can go. Level 0 is every member's root; each
+        // pass scores the nodes all members planned since the last one,
+        // and each member then plans only the children its acceptance
+        // went on to. Members that cannot plan verify themselves here.
         arena.clear();
         plan.clear();
-        let planned: Vec<bool> = stepped
-            .iter()
-            .zip(&phases)
-            .map(|(&i, phase)| {
-                matches!(phase, Phase::Verify { .. })
-                    && self.fused.is_some()
-                    && self.active[i].stepper.verify_plan(&mut plan)
-            })
-            .collect();
-        // Every fused member's node map is relative to this base.
-        let fused_base = self.fused.filter(|_| plan.n_nodes() > 0).map(|model| {
+        verifying.clear();
+        for (pos, (&i, phase)) in stepped.iter().zip(&phases).enumerate() {
+            if *phase != Phase::Verify {
+                continue;
+            }
+            let shared = self.fused.is_some().then_some(&mut plan);
+            if self.active[i].stepper.verify_level(None, shared) {
+                verifying.push(pos);
+            } else {
+                self.stats.local_verify_calls += 1;
+            }
+        }
+        while let Some(model) = self.fused.filter(|_| plan.pending() > 0) {
             self.stats.fused_verify_calls += 1;
-            self.stats.fused_verify_nodes += plan.n_nodes();
-            verify_many(model, &plan, &mut arena)
-        });
+            self.stats.fused_verify_nodes += plan.pending();
+            let base = verify_many(model, &mut plan, &mut arena);
+            let rows = arena.rows_from(base);
+            verifying.retain(|&pos| {
+                self.active[stepped[pos]]
+                    .stepper
+                    .verify_level(Some(rows), Some(&mut plan))
+            });
+        }
+        debug_assert!(
+            verifying.is_empty(),
+            "a member planned nothing yet is unfinished"
+        );
 
-        // Commit: acceptance, rollback, clock — all request-local
-        // (members whose session could not plan verify themselves
-        // first). Every non-Done phase commits at least one token
-        // (NTP/draft always commit; speculative commits at least its
-        // base token), so the commit tick doubles as the inter-token
-        // telemetry timestamp.
-        for ((&i, phase), &planned) in stepped.iter().zip(&phases).zip(&planned) {
-            let base = match phase {
-                Phase::Done => continue,
-                Phase::Commit => None,
-                Phase::Verify { .. } if planned => fused_base,
-                Phase::Verify { .. } => {
-                    self.stats.local_verify_calls += 1;
-                    Some(self.active[i].stepper.verify_local(&mut arena))
-                }
-            };
-            let scored = base.map(|base| arena.rows_from(base));
-            self.active[i].stepper.commit(scored, cost);
+        // Commit: span selection, rollback, clock — all request-local.
+        // Every non-Done phase commits at least one token (NTP/draft
+        // always commit; speculative commits at least its base token),
+        // so the commit tick doubles as the inter-token telemetry
+        // timestamp.
+        for (&i, phase) in stepped.iter().zip(&phases) {
+            if *phase == Phase::Done {
+                continue;
+            }
+            self.active[i].stepper.commit(cost);
             let now = self.started.elapsed().as_secs_f64();
             let a = &mut self.active[i];
             a.step_ticks.push(self.tick);
@@ -1552,6 +1580,10 @@ impl<'m> ServeEngine<'m> {
             propose_xs,
             propose_rows,
             plan,
+            views,
+            heads_at,
+            phases,
+            verifying,
         };
 
         let mut i = 0;

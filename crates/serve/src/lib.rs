@@ -67,12 +67,18 @@
 //!                              │ fused propose  ────────────┼─► multi_logits_many
 //!                              │  └ GrammarOracle filters + │   (grammar layer:
 //!                              │    dead-tail prunes trees  │    verispec-grammar)
-//!                              │ fused verify   ────────────┼─► verify_many
-//!                              │ per-request commit         │   (each one call of
-//!                              │  └ step_ticks + acceptance │    the packed kernel
-//!                              │    read as arena row views │    into the tick's
-//!                              └────────────────────────────┘    LogitsArena, input-
-//!                                     │ done                     sharded when big)
+//!                              │ fused verify, per level:   │
+//!                              │ ┌► plan frontier (roots,   │   (each one call of
+//!                              │ │   then accepted edges'   │    the packed kernel
+//!                              │ │   children) ─────────────┼─► verify_many
+//!                              │ │  accept on the new rows, │    into the tick's
+//!                              │ └─ read as arena row views │    LogitsArena, input-
+//!                              │    until no member asks    │    sharded when big:
+//!                              │ per-request commit         │    2–3 passes a tick,
+//!                              │  └ step_ticks, span from   │    a few nodes per
+//!                              │    the accepted edges      │    member, not its tree)
+//!                              └────────────────────────────┘
+//!                                     │ done
 //!                                     ▼
 //!                   Completion{output, step_ticks, deadline,
 //!                              proposed/accepted tokens, stats}
@@ -126,14 +132,18 @@
 //!   overflow newest-first, deterministically on both the batch and
 //!   streaming paths.
 //! * **[`ServeEngine`]** — the tick loop. The batch's propose phase
-//!   (multi-head logits) and verify phase (candidate-tree scoring) are
-//!   fused across requests into single
-//!   [`verispec_lm::multi_logits_many`] / [`verispec_lm::verify_many`]
-//!   passes over the shared model — the same packed kernel a lone
-//!   session calls, writing one engine-owned
+//!   (multi-head logits) is fused across requests into one
+//!   [`verispec_lm::multi_logits_many`] pass, and its verify phase
+//!   into one [`verispec_lm::verify_many`] pass **per level** of the
+//!   candidate trees: every member plans its root, one pass scores
+//!   them all, each member runs acceptance on its rows and plans only
+//!   the children of the edges it accepted, the next pass scores
+//!   those, until no member asks for more. All passes are the same
+//!   packed kernel a lone session calls, writing one engine-owned
 //!   [`verispec_lm::LogitsArena`] that steppers read back as borrowed
-//!   row views — so concurrent generations share one pass instead of
-//!   issuing one small batch each.
+//!   row views — so concurrent generations share each pass instead of
+//!   issuing one small batch each, and a tick forwards what its
+//!   members' accepted prefixes cost, not what their trees would.
 //!   Streaming admission ([`ServeEngine::drain_arrivals`] /
 //!   [`ServeEngine::run_streaming`]) feeds the queue from an `mpsc`
 //!   channel each tick so open-loop arrivals join mid-flight; a
