@@ -23,7 +23,7 @@ use crate::accept::TypicalAcceptance;
 use crate::policy::{SpecPolicy, SpecShape};
 use serde::{Deserialize, Serialize};
 use verispec_grammar::{dead_tail_prune, GrammarOracle, PruneRecord, ViabilityState};
-use verispec_lm::{argmax, ArenaRows, DecodeClock, GpuCostModel, LanguageModel, Sampling, TokenId};
+use verispec_lm::{ArenaRows, DecodeClock, GpuCostModel, LanguageModel, Sampling, TokenId};
 use verispec_tokenizer::special;
 
 /// Configuration for a decode run.
@@ -129,10 +129,13 @@ pub fn decode_ntp(
 /// the paper's method ("Ours"), otherwise the Medusa baseline.
 ///
 /// Each step:
-/// 1. one forward produces base logits and every head's logits (served
-///    from the session's cached trunk activation);
+/// 1. one forward produces the base logits and keeps the trunk
+///    activation every head is attached to;
 /// 2. the base token is drawn (greedy or sampled) and always committed;
-/// 3. each head proposes its next token(s), forming the candidate tree;
+/// 3. each head proposes its next token(s), forming the candidate tree —
+///    whose shape is known from the step's [`SpecShape`] alone, so head
+///    `d + 1` is evaluated (from the kept activation) only once
+///    acceptance has reached depth `d`;
 /// 4. the tree is verified level by level, left to right — exact-match
 ///    under greedy decoding (lossless), Eq.-1 typical acceptance under
 ///    sampling — each path cut at its first rejection and only the
@@ -210,34 +213,35 @@ pub fn decode_grammar_speculative(
 /// Maximum number of candidate paths explored per step in tree mode.
 pub(crate) const MAX_CANDIDATE_PATHS: usize = 32;
 
-/// Builds the speculated candidate paths from per-head logits (row `i`
-/// of `heads` is head `i`'s; only rows `0..=depth` are read, so only
-/// those need exist) for one step's [`SpecShape`] (the per-step
-/// decision of a [`crate::policy::SpecPolicy`]; the static policy maps
-/// `DecodeConfig.tree` onto shapes exactly, so this is the same
-/// construction the engines always ran). `shape.depth == n_heads`
-/// with the configured widths reproduces the pre-policy builder
-/// bit-identically.
+/// The whole candidate tree of one step, built eagerly from per-head
+/// logits (row `i` of `heads` is head `i + 1`'s; only the explored
+/// levels' rows need exist) — the **definition** the engines' lazily
+/// grown tree is tested against: a non-grammar step builds its trie
+/// from the shape alone ([`verispec_lm::NodeMap::build_shape`]) and
+/// names a level's tokens only when acceptance reaches it, which must
+/// commit what verifying these paths would.
 ///
 /// # Panics
 ///
 /// Panics on [`SpecShape::Draft`]: draft blocks are proposed by the
 /// draft model, not built from head logits.
+#[cfg(test)]
 pub(crate) fn build_candidate_paths(
     heads: ArenaRows<'_>,
     n_heads: usize,
     shape: &SpecShape,
 ) -> Vec<Vec<TokenId>> {
     match shape {
-        SpecShape::Chain { depth } => vec![(1..=(*depth).min(n_heads))
-            .map(|i| argmax(heads.row(i)))
+        SpecShape::Chain { depth } => vec![(0..(*depth).min(n_heads))
+            .map(|level| verispec_lm::argmax(heads.row(level)))
             .collect()],
         SpecShape::Tree { widths, depth } => {
             let depth = (*depth).min(n_heads);
             let mut paths: Vec<Vec<TokenId>> = vec![Vec::new()];
-            for head_idx in 1..=depth {
-                let k = widths.get(head_idx - 1).copied().unwrap_or(1).max(1);
-                let options = verispec_lm::top_k_indices(heads.row(head_idx), k);
+            let mut options = Vec::new();
+            for level in 0..depth {
+                let k = widths.get(level).copied().unwrap_or(1).max(1);
+                verispec_lm::top_k_into(heads.row(level), k, &mut options);
                 let mut next = Vec::with_capacity(paths.len() * options.len());
                 'grow: for p in &paths {
                     for &opt in &options {
@@ -270,18 +274,18 @@ pub(crate) const GRAMMAR_BASE_SCAN: usize = 32;
 /// Maximum widening retries after pruning frees candidate slots.
 pub(crate) const GRAMMAR_WIDEN_ROUNDS: usize = 3;
 
-/// The per-level candidate widths a [`SpecShape`] asks of `n_heads`
-/// heads (chains are width-1 trees for the grammar builder).
-fn effective_widths(shape: &SpecShape, n_heads: usize) -> Vec<usize> {
-    match shape {
-        SpecShape::Chain { depth } => vec![1; (*depth).min(n_heads)],
-        SpecShape::Tree { widths, depth } => (0..(*depth).min(n_heads))
-            .map(|i| widths.get(i).copied().unwrap_or(1).max(1))
-            .collect(),
+/// The per-level candidate widths of a [`SpecShape`] that fits its
+/// model ([`SpecShape::clamped`]): one entry per explored level, a
+/// chain being the width-1 tree.
+pub(crate) fn level_widths(shape: &SpecShape) -> impl Iterator<Item = usize> + Clone + '_ {
+    let (widths, depth): (&[usize], usize) = match shape {
+        SpecShape::Chain { depth } => (&[], *depth),
+        SpecShape::Tree { widths, depth } => (widths, *depth),
         SpecShape::Draft { .. } => {
             unreachable!("draft blocks are proposed by the draft model, not built from head logits")
         }
-    }
+    };
+    (0..depth).map(|level| widths.get(level).copied().unwrap_or(1).max(1))
 }
 
 /// Grows one candidate tree, filtering each level's ranked options to
@@ -291,7 +295,7 @@ fn effective_widths(shape: &SpecShape, n_heads: usize) -> Vec<usize> {
 /// only that prefix is scanned. Each path carries its own
 /// [`ViabilityState`]; when no token in the scanned window is viable
 /// (in particular whenever the state is dead), the path falls back to
-/// the unconstrained top-k — reproducing [`build_candidate_paths`]'
+/// the unconstrained top-k — reproducing the unconstrained tree's
 /// ordering and 32-path cap exactly.
 fn grammar_tree(
     ranked: &[Vec<TokenId>],
@@ -338,26 +342,29 @@ fn grammar_tree(
 /// accounting (`shrink_to`, per-tick budgets) stays an upper bound on
 /// what is actually verified.
 ///
-/// Each head is ranked once, as deep as the widest retry scans: under
-/// [`verispec_lm::top_k_indices`]' total order a shallower ranking is a
-/// prefix of a deeper one, so every round reads a slice of the same
-/// list.
+/// Row `i` of `heads` is head `i + 1`'s, one per level of `shape` —
+/// which must fit the model ([`SpecShape::clamped`]). Every level is
+/// ranked before anything is pruned or widened, which is why this
+/// engine cannot grow its tree a level at a time the way the
+/// unconstrained ones do. Each head is ranked once, as deep as the
+/// widest retry scans: under [`verispec_lm::top_k_indices`]' total
+/// order a shallower ranking is a prefix of a deeper one, so every
+/// round reads a slice of the same list.
 pub(crate) fn build_grammar_candidate_paths(
     heads: ArenaRows<'_>,
-    n_heads: usize,
     shape: &SpecShape,
     oracle: &GrammarOracle,
     state: ViabilityState,
     eos: TokenId,
 ) -> (Vec<Vec<TokenId>>, PruneRecord) {
-    let widths = effective_widths(shape, n_heads);
+    let widths: Vec<usize> = level_widths(shape).collect();
     let budget = shape.candidate_tokens();
     let ranked: Vec<Vec<TokenId>> = widths
         .iter()
         .enumerate()
         .map(|(level, &k)| {
             let deepest = k + GRAMMAR_WIDEN_ROUNDS + GRAMMAR_SCAN_SLACK;
-            verispec_lm::top_k_indices(heads.row(level + 1), deepest)
+            verispec_lm::top_k_indices(heads.row(level), deepest)
         })
         .collect();
     let mut paths = grammar_tree(&ranked, &widths, oracle, state);
@@ -673,7 +680,6 @@ mod tests {
     #[test]
     fn candidate_path_construction() {
         let mut arena = verispec_lm::LogitsArena::new();
-        arena.push_row(&[0.0, 1.0, 5.0, 0.0]); // base (unused by builder)
         arena.push_row(&[9.0, 1.0, 0.0, 0.0]); // head 1: top-2 = [0, 1]
         arena.push_row(&[0.0, 0.0, 3.0, 2.0]); // head 2: top-1 = [2]
         let logits = arena.rows_from(0);

@@ -111,12 +111,14 @@ impl SpecShape {
     /// `MAX_CANDIDATE_PATHS` cap of 32), so a serving engine can budget a
     /// tick *before* any logits exist.
     ///
-    /// The mirror is exact for shapes whose `depth`/`gamma` does not
-    /// exceed the model's head count — true of every shape derived
-    /// from a stepper's base shape (the base is built at `n_heads`,
-    /// and the bundled policies only ever shrink it). A
-    /// hand-constructed deeper shape is clamped to `n_heads` by the
-    /// path builder, so its cost here over-estimates.
+    /// The mirror is exact for a shape that fits its model
+    /// ([`SpecShape::clamped`]): no deeper than the head count, no
+    /// level wider than the vocabulary — true of every shape derived
+    /// from a stepper's base shape on any real vocabulary (the base is
+    /// built at `n_heads`, and the bundled policies only ever shrink
+    /// it). The stepper clamps every shape it takes before it reads
+    /// this count, because the simulated clock, the step trace and the
+    /// acceptance history are charged from it.
     pub fn candidate_tokens(&self) -> usize {
         match self {
             SpecShape::Chain { depth } => *depth,
@@ -136,6 +138,23 @@ impl SpecShape {
             }
             SpecShape::Draft { gamma } => *gamma,
         }
+    }
+
+    /// The shape as a model with `n_heads` Medusa heads over `vocab`
+    /// tokens can run it: depth cut to the heads that exist, widths to
+    /// the tokens a head can rank. Nothing else is touched (absent and
+    /// zero widths keep meaning 1), and a draft block is returned as
+    /// is.
+    pub fn clamped(mut self, n_heads: usize, vocab: usize) -> SpecShape {
+        match &mut self {
+            SpecShape::Chain { depth } => *depth = (*depth).min(n_heads),
+            SpecShape::Tree { widths, depth } => {
+                *depth = (*depth).min(n_heads);
+                widths.iter_mut().for_each(|w| *w = (*w).min(vocab));
+            }
+            SpecShape::Draft { .. } => {}
+        }
+        self
     }
 
     /// Verify positions one step of this shape costs the engine: the
@@ -419,45 +438,62 @@ mod tests {
 
     #[test]
     fn candidate_tokens_mirror_path_construction_exactly() {
-        // For every shape, the pre-logits cost must equal the number of
-        // candidate tokens the real builder produces.
-        let n_heads = 6;
+        // For every shape, the pre-logits cost of the shape as the
+        // stepper takes it (clamped to the model) must equal the number
+        // of candidate tokens the real builder produces from the shape
+        // as given — the builder clamps on its own, to the heads it is
+        // handed and the logits it ranks.
+        let (n_heads, vocab) = (6, 8);
         let mut logits = verispec_lm::LogitsArena::new();
-        for i in 0..=n_heads {
-            let row: Vec<f32> = (0..8).map(|j| ((i * 13 + j * 7) % 11) as f32).collect();
+        for i in 1..=n_heads {
+            let row: Vec<f32> = (0..vocab).map(|j| ((i * 13 + j * 7) % 11) as f32).collect();
             logits.push_row(&row);
         }
+        let tree = |widths: &[usize], depth| SpecShape::Tree {
+            widths: widths.to_vec(),
+            depth,
+        };
         let shapes = [
             SpecShape::Chain { depth: 6 },
             SpecShape::Chain { depth: 2 },
             SpecShape::Chain { depth: 0 },
-            SpecShape::Tree {
-                widths: vec![2, 2, 1],
-                depth: 6,
-            },
-            SpecShape::Tree {
-                widths: vec![3, 2],
-                depth: 3,
-            },
-            SpecShape::Tree {
-                widths: vec![4, 4, 4],
-                depth: 3,
-            }, // hits MAX_CANDIDATE_PATHS
-            SpecShape::Tree {
-                widths: vec![],
-                depth: 0,
-            },
+            tree(&[2, 2, 1], 6),
+            tree(&[3, 2], 3),
+            tree(&[4, 4, 4], 3), // hits MAX_CANDIDATE_PATHS
+            tree(&[], 0),
+            // Deeper than the model has heads.
+            SpecShape::Chain { depth: 9 },
+            tree(&[2, 2], 11),
+            // The 32-path cut lands inside a parent's options (5 · 7),
+            // with levels below it and as the last level.
+            tree(&[5, 7, 2], 4),
+            tree(&[7, 5], 2),
+            tree(&[3, 0, 5, 4], 5),
+            // Wider than the vocabulary: a head ranks 8 tokens.
+            tree(&[9, 3], 2),
+            tree(&[40], 1),
+            tree(&[2, 100, 1], 7),
         ];
         for shape in &shapes {
             let paths = build_candidate_paths(logits.rows_from(0), n_heads, shape);
             let built: usize = paths.iter().map(Vec::len).sum();
+            let taken = shape.clone().clamped(n_heads, vocab);
             assert_eq!(
-                shape.candidate_tokens(),
+                taken.candidate_tokens(),
                 built,
                 "cost mirror diverged for {shape:?}"
             );
+            assert!(taken.depth() <= n_heads);
+            assert_eq!(taken.clone().clamped(n_heads, vocab), taken);
+        }
+        // Clamping leaves a shape that fits untouched — serialized
+        // shapes in traces do not move.
+        for shape in &shapes[..7] {
+            assert_eq!(&shape.clone().clamped(n_heads, vocab), shape);
         }
         assert_eq!(SpecShape::Draft { gamma: 4 }.candidate_tokens(), 4);
+        let draft = SpecShape::Draft { gamma: 40 };
+        assert_eq!(draft.clone().clamped(2, 3), draft);
     }
 
     #[test]

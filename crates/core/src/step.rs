@@ -5,19 +5,33 @@
 //! and advances it **one decoding step at a time** through three
 //! phases:
 //!
-//! 1. **propose** ([`Stepper::propose`]) — draw the base token and
-//!    build the candidate paths (MEDUSA heads) or the draft block
-//!    (draft-verify). Returns which [`Phase`] the step needs next.
+//! 1. **propose** ([`Stepper::propose`]) — forward the current
+//!    position (the base row; the session keeps the trunk activation
+//!    every Medusa head is attached to), draw the base token, and lay
+//!    out the step's candidate trie or draft block. For the MEDUSA
+//!    engines the trie is a function of the step's *shape* alone —
+//!    level `d + 1` offers head `d + 1`'s top-k at this position under
+//!    every depth-`d` node — so it is built without tokens
+//!    ([`verispec_lm::NodeMap::build_shape`], reused while the shape
+//!    repeats) and **no head is evaluated yet**. The grammar engine
+//!    ranks every level before it prunes and widens, so it asks for all
+//!    its heads here, from the same kept activation — unless the step
+//!    ends at its base token. Returns which [`Phase`] the step needs
+//!    next.
 //! 2. **verify** ([`Stepper::verify_level`]) — one call per **level**
 //!    of the candidate tree: consume the level just scored (run
 //!    acceptance on those nodes' child edges), then plan the children
 //!    whose edge was accepted. A node is embedded and forwarded only
-//!    once acceptance has reached it, so a step costs what its accepted
-//!    prefix costs, not what its proposed tree would. The stepper
+//!    once acceptance has reached it, and head `d + 1` is evaluated —
+//!    its top-k naming the tokens on level `d + 1`'s edges — only once
+//!    a depth-`d` node is, so a step costs what its accepted prefix
+//!    costs, not what its proposed tree would: `1 + levels reached`
+//!    head rows instead of `1 + depth`. The stepper
 //!    either scores each level on its own session (what the serial
 //!    engines do) or plans it into a shared [`verispec_lm::VerifyPlan`]
 //!    that a server executes for its whole batch in one
-//!    [`verispec_lm::verify_many`] pass per level. NTP is the root-only
+//!    [`verispec_lm::verify_many`] pass per level, the level's head row
+//!    riding the same pass. NTP is the root-only
 //!    tree (the "edge test" draws the token); draft-verify is the
 //!    one-path tree whose edge test is the rejection rule, its RNG
 //!    draws in position order because levels are positions.
@@ -25,8 +39,14 @@
 //!    the accepted edges, apply the syntax-integrity truncation,
 //!    advance the simulated clock, and extend the session with it. The
 //!    clock is charged for the tree that was *proposed*
-//!    (`candidate_tokens`): it prices the paper's one-pass GPU step,
-//!    whatever this CPU chose to forward.
+//!    ([`crate::policy::SpecShape::candidate_tokens`] of the step's
+//!    shape; the grammar engine's pruned tree): it prices the paper's
+//!    one-pass GPU step, whatever this CPU chose to forward or
+//!    evaluate. The two differ on a step whose base token is `eos`:
+//!    an unconstrained engine is still charged its shape (known before
+//!    the token is drawn), the grammar engine builds no tree there and
+//!    is charged 0 candidates (pinned by
+//!    `a_grammar_step_ending_at_eos_is_charged_what_it_built_nothing`).
 //!
 //! Logits never change hands as owned vectors: every phase reads
 //! borrowed rows of a [`verispec_lm::LogitsArena`]
@@ -65,16 +85,16 @@
 
 use crate::accept::TypicalAcceptance;
 use crate::decode::{
-    build_candidate_paths, build_grammar_candidate_paths, constrain_base_token, DecodeConfig,
-    DecodeOutput, StepTrace,
+    build_grammar_candidate_paths, constrain_base_token, level_widths, DecodeConfig, DecodeOutput,
+    StepTrace, MAX_CANDIDATE_PATHS,
 };
 use crate::draft::{tempered, DraftConfig, DraftStats};
 use crate::policy::{AcceptHistory, ShapeQuery, SpecPolicy, SpecShape, STATIC_POLICY};
 use verispec_grammar::{syntax_keep_len, GrammarOracle, PruneRecord, ViabilityState};
 use verispec_lm::matrix::{softmax, softmax_in_place, tempered_softmax_into};
 use verispec_lm::{
-    argmax, ArenaRows, DecodeClock, DecodeSession, GpuCostModel, LanguageModel, LogitsArena,
-    NodeMap, Sampler, Sampling, TokenId, VerifyPlan,
+    argmax, top_k_into, ArenaRows, DecodeClock, DecodeSession, GpuCostModel, LanguageModel,
+    LogitsArena, NodeMap, Sampler, Sampling, TokenId, VerifyPlan,
 };
 use verispec_tokenizer::special;
 
@@ -107,13 +127,18 @@ enum EngineBody {
 enum Pending {
     /// NTP: the token, once the root's row has been consumed.
     Ntp { tok: Option<TokenId> },
-    /// Speculative: base token drawn, candidate paths built.
+    /// Speculative: base token drawn, candidate trie built.
     Spec {
         step_start: usize,
         base_tok: TokenId,
-        paths: Vec<Vec<TokenId>>,
+        /// Candidate tokens the step *proposed*: what the simulated
+        /// clock, the step trace and the acceptance history are charged.
         candidate_tokens: usize,
         verify_issued: bool,
+        /// The levels still to be named, for a trie built from the
+        /// step's shape; `None` when it was built from known paths
+        /// (the grammar engine).
+        lazy: Option<LazyLevels>,
     },
     /// Draft-verify: the draft block proposed, with per-position draft
     /// probabilities, and what the rejection rule has made of it so
@@ -127,6 +152,33 @@ enum Pending {
         committed: Vec<TokenId>,
         accepted: usize,
     },
+}
+
+/// A candidate tree growing a level at a time: level `d + 1` offers head
+/// `d + 1`'s top-k at the step's base position under every depth-`d`
+/// node, so the head is evaluated — from what the base forward kept —
+/// only once a depth-`d` node is forwarded, and the level's tokens are
+/// named just before their edges are tested.
+struct LazyLevels {
+    kept: Kept,
+    /// Depth of the level in flight — planned, its rows not yet
+    /// consumed (0: the root).
+    depth: usize,
+    /// Under [`Kept::Fused`]: which of the plan's head rows was asked
+    /// for with the level in flight.
+    ticket: usize,
+}
+
+/// Where a step's base position was forwarded, which is where its head
+/// rows come from.
+#[derive(Clone, Copy)]
+enum Kept {
+    /// By this stepper, at this row of its own arena: it evaluates its
+    /// own head rows.
+    Local(usize),
+    /// By a server's fused pass, at this row of the server's arena:
+    /// head rows ride the shared [`VerifyPlan`].
+    Fused(usize),
 }
 
 /// What acceptance needs from one scored node, computed when its row
@@ -284,9 +336,16 @@ pub struct Stepper<'m> {
     /// reads and which nodes are asked for next; rebuilt by every
     /// propose.
     nodes: NodeMap,
-    /// The serial path's arena ([`Stepper::step`], local propose);
-    /// stays empty under a server that supplies its own rows.
+    /// The serial path's arena ([`Stepper::step`], local propose): the
+    /// step's base row (with the activation kept beside it), then the
+    /// rows of the levels it scores itself. Stays empty under a server
+    /// that supplies its own rows.
     scratch: LogitsArena,
+    /// The head rows this stepper evaluated itself: one level's at a
+    /// time, or all of a grammar step's.
+    head_rows: LogitsArena,
+    /// The level in flight's candidate tokens: its head's top-k.
+    options: Vec<TokenId>,
     /// One softmax row, reused by every acceptance evaluation.
     probs: Vec<f32>,
     /// Per trie node of the pending speculative step: whether the edge
@@ -354,6 +413,8 @@ impl<'m> Stepper<'m> {
             last_prune: None,
             nodes: NodeMap::new(),
             scratch: LogitsArena::new(),
+            head_rows: LogitsArena::new(),
+            options: Vec::new(),
             probs: Vec::new(),
             accepted: Vec::new(),
         }
@@ -576,9 +637,11 @@ impl<'m> Stepper<'m> {
 
     /// The shape the next step will run: the pinned one if a serving
     /// engine set it, otherwise this stepper's policy decision over the
-    /// current history.
+    /// current history — clamped to what the model can run
+    /// ([`SpecShape::clamped`]), since everything the step is charged
+    /// is read off the shape.
     fn next_shape(&mut self) -> SpecShape {
-        match self.pinned.take() {
+        let shape = match self.pinned.take() {
             Some(shape) => shape,
             None => self.policy.shape(&ShapeQuery {
                 base: self
@@ -588,6 +651,12 @@ impl<'m> Stepper<'m> {
                 history: &self.history,
                 cap: None,
             }),
+        };
+        match &self.engine {
+            EngineBody::Spec { n_heads, .. } => {
+                shape.clamped(*n_heads, self.target_model.vocab_size())
+            }
+            _ => shape,
         }
     }
 
@@ -598,32 +667,24 @@ impl<'m> Stepper<'m> {
 
     /// Plans the next [`Stepper::propose`] into a fused pass: appends
     /// the target session's current-position model input to `xs` (see
-    /// [`verispec_lm::DecodeSession::embed_plan`]) and returns how many
-    /// head rows — base plus explored levels — the propose reads there,
-    /// for one [`verispec_lm::multi_logits_many`] pass across requests.
-    /// Decides the step's shape to know (and pins it, so the propose
-    /// that follows builds exactly the shape that was paid for).
+    /// [`verispec_lm::DecodeSession::embed_plan`]) and returns `true`;
+    /// the propose then reads the position's base row — one row, with
+    /// the trunk activation kept beside it — from one
+    /// [`verispec_lm::MlpLm::infer`] pass across requests.
     ///
-    /// `None`, appending nothing, for engines that read no multi-head
+    /// `false`, appending nothing, for engines that read no head
     /// logits and for sessions that are not fusable.
-    pub fn embed_plan(&mut self, xs: &mut Vec<f32>) -> Option<usize> {
-        let EngineBody::Spec { cfg, n_heads } = &self.engine else {
-            return None;
+    pub fn embed_plan(&mut self, xs: &mut Vec<f32>) -> bool {
+        let EngineBody::Spec { cfg, .. } = &self.engine else {
+            return false;
         };
         // Budget-exhausted steppers are excluded up front, so a fused
         // propose pass never computes logits that the next `propose`
         // would immediately discard as `Phase::Done`.
         if self.done || self.out.tokens.len() >= cfg.max_tokens {
-            return None;
+            return false;
         }
-        let n_heads = *n_heads;
-        if !self.target.as_mut()?.embed_plan(xs) {
-            return None;
-        }
-        let shape = self.next_shape();
-        let heads = shape.depth().min(n_heads) + 1;
-        self.pinned = Some(shape);
-        Some(heads)
+        self.target.as_mut().is_some_and(|s| s.embed_plan(xs))
     }
 
     fn target_mut(&mut self) -> &mut dyn DecodeSession {
@@ -635,21 +696,23 @@ impl<'m> Stepper<'m> {
 
     /// Phase 1: advance to the next step's verification point.
     ///
-    /// `heads`, when given, must hold the target session's
-    /// `multi_logits()` rows at the current position, as many as
-    /// [`Stepper::embed_plan`] said (a server computes them in a
-    /// fused cross-request pass); `None` computes them locally.
-    /// Engines that do not consume multi-head logits ignore it.
+    /// `base`, when given, must be the target session's base row at the
+    /// current position as a fused cross-request pass wrote it after
+    /// [`Stepper::embed_plan`] — row 0 of the view, the trunk
+    /// activation kept beside it — in the arena the step's
+    /// verification will go on to use; `None` forwards the position
+    /// locally. Engines that do not consume head logits ignore it.
     ///
     /// # Panics
     ///
     /// Panics if a step is already pending (propose/commit must
     /// alternate) or the stepper is parked.
-    pub fn propose(&mut self, heads: Option<ArenaRows<'_>>) -> Phase {
+    pub fn propose(&mut self, base: Option<ArenaRows<'_>>) -> Phase {
         assert!(self.pending.is_none(), "propose called with a step pending");
         if self.done {
             return Phase::Done;
         }
+        self.scratch.clear();
         match &self.engine {
             EngineBody::Ntp { cfg } => {
                 if self.out.tokens.len() >= cfg.max_tokens {
@@ -664,7 +727,7 @@ impl<'m> Stepper<'m> {
                 self.pending = Some(Pending::Ntp { tok: None });
                 Phase::Verify
             }
-            EngineBody::Spec { cfg, n_heads } => {
+            EngineBody::Spec { cfg, .. } => {
                 if self.out.tokens.len() >= cfg.max_tokens {
                     self.done = true;
                     return Phase::Done;
@@ -672,66 +735,92 @@ impl<'m> Stepper<'m> {
                 // Snapshot the Copy fields so the `self.engine`
                 // borrow ends before the policy and session fields are
                 // touched mutably.
-                let n_heads = *n_heads;
                 let (sampling, eos) = (cfg.sampling, cfg.eos);
                 // This step's speculation shape: pinned by the serving
                 // engine's budget pass, or this stepper's own policy
                 // (the static default reproduces the configured shape
                 // exactly).
                 let shape = self.next_shape();
-                self.last_shape = Some(shape.clone());
+                let levels = shape.depth();
                 let session = self
                     .target
                     .as_mut()
                     .expect("stepper is parked; unpark before stepping");
                 let step_start = session.len();
-                // Only the heads this step's shape explores are read,
-                // so only those are computed.
-                let heads = match heads {
-                    Some(rows) => rows,
+                // The base row only: a head is evaluated when
+                // acceptance reaches its level, from what this forward
+                // kept.
+                let (rows, kept) = match base {
+                    Some(rows) => (rows, Kept::Fused(rows.base())),
                     None => {
-                        self.scratch.clear();
-                        let levels = shape.depth().min(n_heads);
-                        let base = session.multi_logits_into(levels + 1, &mut self.scratch);
-                        self.scratch.rows_from(base)
+                        let row = session.base_row_into(levels, &mut self.scratch);
+                        (self.scratch.rows_from(row), Kept::Local(row))
                     }
                 };
                 // One RNG draw either way: the grammar engine
                 // substitutes a non-viable draw deterministically from
                 // the ranked base logits, so its sampled stream stays
                 // seed-aligned with the unconstrained engine's.
-                let mut base_tok = self.sampler.sample(heads.row(0), sampling);
-                let paths = match &self.grammar {
+                let mut base_tok = self.sampler.sample(rows.row(0), sampling);
+                let (candidate_tokens, lazy) = match &self.grammar {
                     Some(g) => {
                         base_tok =
-                            constrain_base_token(base_tok, heads.row(0), g.oracle, g.state, eos);
-                        let after_base = g.oracle.advance(g.state, base_tok);
-                        let (paths, record) = build_grammar_candidate_paths(
-                            heads, n_heads, &shape, g.oracle, after_base, eos,
-                        );
+                            constrain_base_token(base_tok, rows.row(0), g.oracle, g.state, eos);
+                        // The grammar builder ranks every level before
+                        // it prunes and widens, so this engine asks for
+                        // all its heads at once — and for none when the
+                        // step ends at its base token.
+                        let (paths, record) = if base_tok != eos && levels > 0 {
+                            self.head_rows.clear();
+                            let first =
+                                session.head_rows_into(rows, 1..levels + 1, &mut self.head_rows);
+                            build_grammar_candidate_paths(
+                                self.head_rows.rows_from(first),
+                                &shape,
+                                g.oracle,
+                                g.oracle.advance(g.state, base_tok),
+                                eos,
+                            )
+                        } else {
+                            Default::default()
+                        };
                         self.last_prune = Some(record);
-                        paths
+                        // Token compares only: nothing is embedded until
+                        // acceptance reaches it. No bonus row — a full
+                        // path's own node is never read.
+                        self.nodes.build(paths.iter().map(Vec::as_slice), false);
+                        (paths.iter().map(Vec::len).sum(), None)
                     }
-                    None => build_candidate_paths(heads, n_heads, &shape),
+                    None => {
+                        let root = LazyLevels {
+                            kept,
+                            depth: 0,
+                            ticket: 0,
+                        };
+                        (shape.candidate_tokens(), Some(root))
+                    }
                 };
-                let candidate_tokens: usize = paths.iter().map(Vec::len).sum();
                 let verify_issued = base_tok != eos && candidate_tokens > 0;
                 if verify_issued {
                     session.append(&[base_tok]);
-                    // Token compares only: nothing is embedded until
-                    // acceptance reaches it. No bonus row — a full
-                    // path's own node is never read.
-                    self.nodes.build(paths.iter().map(Vec::as_slice), false);
+                    if lazy.is_some() {
+                        // The trie of the shape, no token named yet —
+                        // and the same trie as long as the shape
+                        // repeats.
+                        self.nodes
+                            .build_shape(level_widths(&shape), MAX_CANDIDATE_PATHS);
+                    }
                     self.nodes.request(0);
                     self.accepted.clear();
                     self.accepted.resize(self.nodes.n_nodes(), false);
                 }
+                self.last_shape = Some(shape);
                 self.pending = Some(Pending::Spec {
                     step_start,
                     base_tok,
-                    paths,
                     candidate_tokens,
                     verify_issued,
+                    lazy,
                 });
                 if verify_issued {
                     Phase::Verify
@@ -818,8 +907,22 @@ impl<'m> Stepper<'m> {
         scored: Option<ArenaRows<'_>>,
         plan: Option<&mut VerifyPlan>,
     ) -> bool {
+        // The stepper's own arena leaves `self` for the call, so that
+        // its rows can be read while the step's state changes.
+        let mut local = std::mem::take(&mut self.scratch);
+        let fused = self.verify_level_on(&mut local, scored, plan);
+        self.scratch = local;
+        fused
+    }
+
+    fn verify_level_on(
+        &mut self,
+        local: &mut LogitsArena,
+        scored: Option<ArenaRows<'_>>,
+        plan: Option<&mut VerifyPlan>,
+    ) -> bool {
         if let Some(rows) = scored {
-            self.consume_level(rows);
+            self.consume_level(rows, local, plan.as_deref());
         }
         if !self.nodes.has_frontier() {
             return false;
@@ -830,28 +933,82 @@ impl<'m> Stepper<'m> {
                 .as_mut()
                 .expect("stepper is parked; unpark before stepping");
             if session.plan_frontier(&mut self.nodes, plan) {
+                // The level's head row rides the pass that forwards
+                // the level.
+                if let Some(Pending::Spec {
+                    lazy: Some(lazy), ..
+                }) = &mut self.pending
+                {
+                    if let Kept::Fused(row) = lazy.kept {
+                        lazy.ticket = plan.request_head(row, lazy.depth + 1);
+                    }
+                }
                 return true;
             }
         }
         debug_assert!(scored.is_none(), "a fused verification cannot turn local");
-        let mut arena = std::mem::take(&mut self.scratch);
-        arena.clear();
         while self.nodes.has_frontier() {
             let session = self
                 .target
                 .as_mut()
                 .expect("stepper is parked; unpark before stepping");
-            let base = session.score_frontier(&mut self.nodes, &mut arena);
-            self.consume_level(arena.rows_from(base));
+            let base = session.score_frontier(&mut self.nodes, local);
+            self.consume_level(local.rows_from(base), local, None);
         }
-        self.scratch = arena;
         false
+    }
+
+    /// Names the candidate tokens of the level below the one in flight
+    /// — depth `d` in flight, head `d + 1`'s top-k at the step's base
+    /// position — into `self.options`: the one moment a step evaluates
+    /// a Medusa head, from the activation its base forward kept in
+    /// `local` or — forwarded by a server — through `plan`.
+    fn name_next_level(&mut self, local: &LogitsArena, plan: Option<&VerifyPlan>) {
+        let Some(Pending::Spec {
+            lazy: Some(lazy), ..
+        }) = &self.pending
+        else {
+            return;
+        };
+        let head = lazy.depth + 1;
+        let row = match lazy.kept {
+            Kept::Local(kept) => {
+                let session = self
+                    .target
+                    .as_mut()
+                    .expect("stepper is parked; unpark before stepping");
+                self.head_rows.clear();
+                let at = session.head_rows_into(
+                    local.rows_from(kept),
+                    head..head + 1,
+                    &mut self.head_rows,
+                );
+                self.head_rows.row(at)
+            }
+            Kept::Fused(_) => plan
+                .expect("a fused propose is verified through the server's plan")
+                .head_rows()
+                .row(lazy.ticket),
+        };
+        match self.last_shape {
+            Some(SpecShape::Chain { .. }) => {
+                self.options.clear();
+                self.options.push(argmax(row));
+            }
+            _ => top_k_into(row, self.nodes.width(head - 1), &mut self.options),
+        }
     }
 
     /// Runs the pending engine's edge test over the level just scored:
     /// every node of it reads its row once, decides its child edges
     /// back to back, and requests the children acceptance goes on to.
-    fn consume_level(&mut self, scored: ArenaRows<'_>) {
+    fn consume_level(
+        &mut self,
+        scored: ArenaRows<'_>,
+        local: &LogitsArena,
+        plan: Option<&VerifyPlan>,
+    ) {
+        self.name_next_level(local, plan);
         let (nodes, probs, sampler) = (&mut self.nodes, &mut self.probs, &mut self.sampler);
         let pending = self.pending.as_mut().expect("a step is pending");
         for k in 0..nodes.level().len() {
@@ -861,10 +1018,17 @@ impl<'m> Stepper<'m> {
                 (Pending::Ntp { tok }, EngineBody::Ntp { cfg }) => {
                     *tok = Some(sampler.sample(logits, cfg.sampling));
                 }
-                (Pending::Spec { .. }, EngineBody::Spec { cfg, .. }) => {
+                (Pending::Spec { lazy, .. }, EngineBody::Spec { cfg, .. }) => {
                     let mut verdict = NodeAccept::of(logits, cfg.sampling, probs);
                     let mut child = nodes.first_child(node);
+                    // A lazily grown level: the child's ordinal among
+                    // its siblings is the option it stands for.
+                    let mut options = lazy.is_some().then_some(self.options.iter());
                     while let Some(c) = child {
+                        if let Some(options) = &mut options {
+                            let tok = *options.next().expect("no more children than options");
+                            nodes.set_token(c, tok);
+                        }
                         let tok = nodes.token(c);
                         if verdict.accepts(logits, tok, &cfg.acceptance, probs) {
                             self.accepted[c] = true;
@@ -929,6 +1093,12 @@ impl<'m> Stepper<'m> {
             }
         }
         nodes.clear_level();
+        if let Pending::Spec {
+            lazy: Some(lazy), ..
+        } = pending
+        {
+            lazy.depth += 1;
+        }
     }
 
     /// Phase 3: commits the pending step from what its verification
@@ -950,19 +1120,10 @@ impl<'m> Stepper<'m> {
             Pending::Spec {
                 step_start,
                 base_tok,
-                paths,
                 candidate_tokens,
                 verify_issued,
-            } => {
-                self.commit_spec(
-                    step_start,
-                    base_tok,
-                    &paths,
-                    candidate_tokens,
-                    verify_issued,
-                    cost,
-                );
-            }
+                ..
+            } => self.commit_spec(step_start, base_tok, candidate_tokens, verify_issued, cost),
             Pending::Draft {
                 step_start,
                 qs,
@@ -997,7 +1158,6 @@ impl<'m> Stepper<'m> {
         &mut self,
         step_start: usize,
         base_tok: TokenId,
-        paths: &[Vec<TokenId>],
         candidate_tokens: usize,
         verify_issued: bool,
         cost: &GpuCostModel,
@@ -1014,24 +1174,27 @@ impl<'m> Stepper<'m> {
             // wins, and once the winner ends in `eos` no later path is
             // looked at. A path's prefix ends at its first edge that
             // was rejected — or never tested, its parent unreached —
-            // and right after an accepted `eos`.
-            let mut best: &[TokenId] = &[];
-            for (i, path) in paths.iter().enumerate() {
+            // and right after an accepted `eos`. Every accepted edge
+            // was tested, so its token has been named.
+            let nodes = &self.nodes;
+            let token = |i: usize, j: usize| nodes.token(nodes.node(i, j));
+            let (mut best, mut best_len) = (0usize, 0usize);
+            for i in 0..nodes.n_paths() {
                 let mut accepted = 0usize;
-                while accepted < path.len() && self.accepted[self.nodes.node(i, accepted + 1)] {
+                while accepted < nodes.path_len(i) && self.accepted[nodes.node(i, accepted + 1)] {
                     accepted += 1;
-                    if path[accepted - 1] == eos {
+                    if token(i, accepted) == eos {
                         break;
                     }
                 }
-                if accepted > best.len() {
-                    best = &path[..accepted];
+                if accepted > best_len {
+                    (best, best_len) = (i, accepted);
                 }
-                if best.last() == Some(&eos) {
+                if best_len > 0 && token(best, best_len) == eos {
                     break;
                 }
             }
-            committed.extend_from_slice(best);
+            committed.extend((1..=best_len).map(|j| token(best, j)));
         }
         let accepted = committed.len();
         // Acceptance history: candidates offered vs. cashed (the base

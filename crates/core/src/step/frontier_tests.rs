@@ -1,17 +1,23 @@
-//! Frontier verification against the definition it replaced.
+//! Frontier verification and lazily grown trees against the
+//! definitions they replaced.
 //!
 //! The engines forward a candidate-tree node only once acceptance has
-//! reached it. What they commit must not be able to tell: this file
-//! keeps the *whole-tree* verification — score every node with
-//! [`DecodeSession::verify_batch`], then walk each path to its first
+//! reached it, and evaluate a Medusa head — name a level's tokens —
+//! only once acceptance has reached that level. What they commit must
+//! not be able to tell: this file keeps the *eager* step — every
+//! explored head's row up front, the whole tree built from them
+//! ([`build_candidate_paths`]), every node scored with
+//! [`DecodeSession::verify_batch`], each path walked to its first
 //! rejection on one full distribution per edge — as a test oracle, and
 //! pins the level loop to it on every session kind; it also pins what
-//! the level loop buys (forwards per step track the accepted depth) and
-//! the edge cases the rewrite had to carry over.
+//! the level loop buys (forwards and head rows per step track the
+//! accepted depth) and the edge cases the rewrites had to carry over.
 
 use super::tests::{cyclic_ngram, tiny_model};
 use super::*;
+use crate::decode::build_candidate_paths;
 use crate::draft::DraftConfig;
+use crate::policy::AdaptivePolicy;
 use proptest::prelude::*;
 use std::cell::Cell;
 use verispec_lm::Stateless;
@@ -46,7 +52,70 @@ impl Lcg {
     }
 }
 
+/// A step's candidate paths, read back off a trie whose tokens are all
+/// known (one built from paths).
+fn built_paths(nodes: &NodeMap) -> Vec<Vec<TokenId>> {
+    (0..nodes.n_paths())
+        .map(|i| {
+            (1..=nodes.path_len(i))
+                .map(|j| nodes.token(nodes.node(i, j)))
+                .collect()
+        })
+        .collect()
+}
+
 impl Stepper<'_> {
+    /// The oracle's propose: what every non-grammar step did before
+    /// trees grew lazily — the shape as the policy or the pin gave it,
+    /// every explored head's row computed with the base row, the whole
+    /// tree built from them by a builder that clamps on its own, the
+    /// candidate tokens counted off the built paths.
+    fn propose_eager(&mut self) -> Phase {
+        assert!(self.pending.is_none(), "propose called with a step pending");
+        let EngineBody::Spec { cfg, n_heads } = &self.engine else {
+            panic!("the eager oracle proposes speculative steps");
+        };
+        if self.done || self.out.tokens.len() >= cfg.max_tokens {
+            self.done = true;
+            return Phase::Done;
+        }
+        let (sampling, eos, n_heads) = (cfg.sampling, cfg.eos, *n_heads);
+        let shape = self.pinned.take().unwrap_or_else(|| {
+            self.policy.shape(&ShapeQuery {
+                base: self.base.as_ref().expect("speculative"),
+                history: &self.history,
+                cap: None,
+            })
+        });
+        let session = self.target.as_mut().expect("not parked");
+        let step_start = session.len();
+        self.scratch.clear();
+        let levels = shape.depth().min(n_heads);
+        let base = session.multi_logits_into(levels + 1, &mut self.scratch);
+        let base_tok = self.sampler.sample(self.scratch.row(base), sampling);
+        let paths = build_candidate_paths(self.scratch.rows_from(base + 1), n_heads, &shape);
+        let candidate_tokens: usize = paths.iter().map(Vec::len).sum();
+        let verify_issued = base_tok != eos && candidate_tokens > 0;
+        if verify_issued {
+            session.append(&[base_tok]);
+            self.nodes.build(paths.iter().map(Vec::as_slice), false);
+            self.accepted.clear();
+            self.accepted.resize(self.nodes.n_nodes(), false);
+        }
+        self.pending = Some(Pending::Spec {
+            step_start,
+            base_tok,
+            candidate_tokens,
+            verify_issued,
+            lazy: None,
+        });
+        if verify_issued {
+            Phase::Verify
+        } else {
+            Phase::Commit
+        }
+    }
+
     /// The oracle: verifies the pending step the way every engine did
     /// before the level loop — the whole tree scored in one
     /// `verify_batch`, each path walked to its first rejection, the
@@ -63,7 +132,9 @@ impl Stepper<'_> {
                 let root_only: &[TokenId] = &[];
                 self.nodes.build(std::iter::once(root_only), true);
             }
-            (Pending::Spec { paths, .. }, EngineBody::Spec { cfg, .. }) => {
+            (Pending::Spec { lazy, .. }, EngineBody::Spec { cfg, .. }) => {
+                assert!(lazy.is_none(), "the oracle verifies a tree it knows whole");
+                let paths = built_paths(&self.nodes);
                 let refs: Vec<&[TokenId]> = paths.iter().map(Vec::as_slice).collect();
                 let scored = session.verify_batch(&refs, false);
                 let mut best: (usize, usize) = (0, 0);
@@ -160,9 +231,9 @@ impl Stepper<'_> {
     fn inject_paths(&mut self, rng: &mut Lcg) -> bool {
         let Some(Pending::Spec {
             base_tok,
-            paths,
             candidate_tokens,
             verify_issued,
+            lazy,
             ..
         }) = self.pending.as_mut()
         else {
@@ -208,8 +279,8 @@ impl Stepper<'_> {
             tree[0].push(tok);
         }
         *candidate_tokens = tree.iter().map(Vec::len).sum();
-        *paths = tree;
-        self.nodes.build(paths.iter().map(Vec::as_slice), false);
+        *lazy = None;
+        self.nodes.build(tree.iter().map(Vec::as_slice), false);
         self.nodes.request(0);
         self.accepted.clear();
         self.accepted.resize(self.nodes.n_nodes(), false);
@@ -319,6 +390,123 @@ proptest! {
     }
 }
 
+/// Which shape each step of a lazy-vs-eager pair runs.
+#[derive(Debug, Clone, Copy)]
+enum ShapeSource {
+    /// The configured shape, every step.
+    Static,
+    /// [`AdaptivePolicy`] over the generation's own history.
+    Adaptive,
+    /// Pinned each step: the configured shape shrunk to a drawn budget.
+    Shrunk,
+    /// Pinned each step: a hand-built shape, possibly deeper than the
+    /// model has heads and wider than its vocabulary.
+    Wild,
+}
+
+/// One speculative generation, its trees grown lazily by the engine
+/// (`eager == false`) or built whole and verified whole by the oracle.
+fn run_shaped(
+    model: &dyn LanguageModel,
+    cfg: &DecodeConfig,
+    source: ShapeSource,
+    shape_seed: u64,
+    eager: bool,
+) -> DecodeOutput {
+    let cost = GpuCostModel::codellama_like();
+    let adaptive = AdaptivePolicy { window: 3 };
+    let mut st = Stepper::speculative(model, &[6, 7, 8], cfg.clone());
+    if matches!(source, ShapeSource::Adaptive) {
+        st = st.with_policy(&adaptive);
+    }
+    let mut rng = Lcg(shape_seed);
+    loop {
+        match source {
+            ShapeSource::Static | ShapeSource::Adaptive => {}
+            ShapeSource::Shrunk => {
+                let base = st.base_shape().expect("speculative");
+                st.pin_shape(base.shrink_to(1 + rng.below(base.step_cost() + 2)));
+            }
+            ShapeSource::Wild => st.pin_shape(match rng.below(3) {
+                0 => SpecShape::Chain {
+                    depth: rng.below(6),
+                },
+                _ => SpecShape::Tree {
+                    widths: (0..rng.below(5)).map(|_| rng.below(20)).collect(),
+                    depth: rng.below(6),
+                },
+            }),
+        }
+        let phase = if eager {
+            st.propose_eager()
+        } else {
+            st.propose(None)
+        };
+        match phase {
+            Phase::Done => return st.into_output(),
+            Phase::Commit => {}
+            Phase::Verify if eager => st.verify_whole_tree(),
+            Phase::Verify => assert!(!st.verify_level(None, None), "no plan was offered"),
+        }
+        st.commit(&cost);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Tokens, steps, trace and simulated clock of a generation whose
+    /// trees grow a level at a time — trie from the shape, a head
+    /// evaluated and its level named only when acceptance gets there,
+    /// candidate tokens read off the shape — equal the eager oracle's:
+    /// chains and random trees (the 32-path cut included), shapes the
+    /// policy shrinks or a server pins (some deeper than the heads,
+    /// wider than the vocabulary), forced `eos`, greedy and three
+    /// temperatures, on the kernel-backed session and both
+    /// trait-default ones.
+    #[test]
+    fn lazy_levels_equal_eager_tree(
+        shape_seed in any::<u64>(),
+        seed in any::<u64>(),
+        sampling_ix in 0usize..4,
+        source_ix in 0usize..4,
+        widths in proptest::collection::vec(1usize..6, 0..5),
+        chain in any::<bool>(),
+        eos in 2u32..10,
+        max_tokens in 3usize..24,
+    ) {
+        let mlp = tiny_model();
+        let shim = Stateless(&mlp);
+        let ng = cyclic_ngram();
+        let targets: [(&str, &dyn LanguageModel); 3] =
+            [("mlp", &mlp), ("stateless", &shim), ("ngram", &ng)];
+        let temperature = [None, Some(0.01f32), Some(0.8), Some(2.5)][sampling_ix];
+        let source = [
+            ShapeSource::Static,
+            ShapeSource::Adaptive,
+            ShapeSource::Shrunk,
+            ShapeSource::Wild,
+        ][source_ix];
+        for (name, target) in targets {
+            let cfg = DecodeConfig {
+                max_tokens,
+                sampling: temperature.map_or(Sampling::Greedy, Sampling::temperature),
+                eos,
+                seed,
+                syntax_aligned: seed % 2 == 0,
+                tree: (!chain).then(|| widths.clone()),
+                ..Default::default()
+            };
+            let lazy = run_shaped(target, &cfg, source, shape_seed, false);
+            let eager = run_shaped(target, &cfg, source, shape_seed, true);
+            prop_assert_eq!(&lazy.tokens, &eager.tokens, "{} tokens", name);
+            prop_assert_eq!(lazy.steps, eager.steps, "{} steps", name);
+            prop_assert_eq!(&lazy.trace, &eager.trace, "{} trace", name);
+            prop_assert_eq!(&lazy.clock, &eager.clock, "{} clock", name);
+        }
+    }
+}
+
 /// A model whose logits are scripted per context — the tokens after
 /// the prompt select a row favouring one token by a wide margin — and
 /// which counts the base-head forwards it is asked for.
@@ -330,6 +518,9 @@ struct Scripted {
     /// Head `i`'s top-2 at the prompt, best first.
     heads: Vec<[TokenId; 2]>,
     forwards: Cell<usize>,
+    /// Logits rows a step asked its session for at the base position:
+    /// the base row and every head row.
+    base_rows: Cell<usize>,
 }
 
 impl Scripted {
@@ -373,16 +564,98 @@ impl LanguageModel for Scripted {
             .chain(self.heads.iter().map(|top| Self::peaked(top)))
             .collect()
     }
+
+    fn session(&self) -> Box<dyn DecodeSession + '_> {
+        Box::new(ScriptedSession {
+            model: self,
+            tokens: Vec::new(),
+        })
+    }
 }
 
-/// One greedy tree step over a scripted model: the base token is 5,
-/// the tree is heads × heads. Returns the step's trace and how many
-/// base-head forwards its verification cost.
-fn scripted_step(
+/// The scripted model's session: stateless, but able — like the kernel
+/// session — to evaluate one head at a time, and counting each row it
+/// is asked for.
+struct ScriptedSession<'a> {
+    model: &'a Scripted,
+    tokens: Vec<TokenId>,
+}
+
+impl DecodeSession for ScriptedSession<'_> {
+    fn len(&self) -> usize {
+        self.tokens.len()
+    }
+
+    fn tokens(&self) -> &[TokenId] {
+        &self.tokens
+    }
+
+    fn append(&mut self, tokens: &[TokenId]) {
+        self.tokens.extend_from_slice(tokens);
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.tokens.truncate(len);
+    }
+
+    fn logits(&mut self) -> Vec<f32> {
+        self.model.logits(&self.tokens)
+    }
+
+    fn multi_logits(&mut self) -> Vec<Vec<f32>> {
+        self.model.multi_logits(&self.tokens)
+    }
+
+    fn base_row_into(&mut self, _levels: usize, out: &mut LogitsArena) -> usize {
+        self.model.base_rows.set(self.model.base_rows.get() + 1);
+        out.push_row(&self.model.base_row(&self.tokens))
+    }
+
+    fn head_rows_into(
+        &mut self,
+        _kept: ArenaRows<'_>,
+        heads: std::ops::Range<usize>,
+        out: &mut LogitsArena,
+    ) -> usize {
+        let first = out.rows();
+        for head in heads {
+            self.model.base_rows.set(self.model.base_rows.get() + 1);
+            out.push_row(&Scripted::peaked(&self.model.heads[head - 1]));
+        }
+        first
+    }
+}
+
+/// One greedy tree step over a scripted model: the base token is 5
+/// (unless the script says otherwise), the tree is heads × heads.
+/// Returns the step's trace, how many base-head forwards its
+/// verification cost, and how many rows — base and heads — it asked for
+/// at its base position.
+fn scripted_step_rows(
     script: &[(&[TokenId], TokenId)],
     heads: &[[TokenId; 2]],
     eos: TokenId,
-) -> (StepTrace, usize) {
+    grammar: Option<&GrammarOracle>,
+) -> (StepTrace, usize, usize) {
+    let (out, _, _, forwards, rows) = scripted_step_ledger(script, heads, eos, grammar);
+    (out.trace[0].clone(), forwards, rows)
+}
+
+/// [`scripted_step_rows`] with everything the step wrote down: its
+/// output (trace, clock), the acceptance history and the grammar
+/// builder's prune record, then the forwards and rows.
+fn scripted_step_ledger(
+    script: &[(&[TokenId], TokenId)],
+    heads: &[[TokenId; 2]],
+    eos: TokenId,
+    grammar: Option<&GrammarOracle>,
+) -> (
+    DecodeOutput,
+    AcceptHistory,
+    Option<PruneRecord>,
+    usize,
+    usize,
+) {
     let mut script: Vec<(Vec<TokenId>, TokenId)> =
         script.iter().map(|&(c, t)| (c.to_vec(), t)).collect();
     script.push((Vec::new(), 5));
@@ -391,6 +664,7 @@ fn scripted_step(
         script,
         heads: heads.to_vec(),
         forwards: Cell::new(0),
+        base_rows: Cell::new(0),
     };
     let cfg = DecodeConfig {
         max_tokens: 8,
@@ -398,13 +672,128 @@ fn scripted_step(
         tree: Some(vec![2; heads.len()]),
         ..Default::default()
     };
-    let mut st = Stepper::speculative(&model, &[6, 7], cfg);
-    assert_eq!(st.propose(None), Phase::Verify);
-    model.forwards.set(0);
-    assert!(!st.verify_level(None, None));
+    let mut st = match grammar {
+        Some(oracle) => Stepper::grammar_speculative(&model, oracle, &[6, 7], cfg),
+        None => Stepper::speculative(&model, &[6, 7], cfg),
+    };
+    if st.propose(None) == Phase::Verify {
+        model.forwards.set(0);
+        assert!(!st.verify_level(None, None));
+    }
     let forwards = model.forwards.get();
     st.commit(&GpuCostModel::codellama_like());
-    (st.output().trace[0].clone(), forwards)
+    (
+        st.output().clone(),
+        st.history().clone(),
+        st.last_prune(),
+        forwards,
+        model.base_rows.get(),
+    )
+}
+
+fn scripted_step(
+    script: &[(&[TokenId], TokenId)],
+    heads: &[[TokenId; 2]],
+    eos: TokenId,
+) -> (StepTrace, usize) {
+    let (trace, forwards, _) = scripted_step_rows(script, heads, eos, None);
+    (trace, forwards)
+}
+
+#[test]
+fn head_rows_per_step_track_the_levels_reached() {
+    // Greedy acceptance takes at most one edge out of a node, so every
+    // level forwards one node: a step asks for its base row plus one
+    // head row per level forwarded — the head whose top-k that level's
+    // child edges are — where it used to ask for every explored head.
+    let deep = [[8, 9], [10, 11], [12, 4]];
+    let rows = |script: &[(&[TokenId], TokenId)]| {
+        let (trace, forwards, rows) = scripted_step_rows(script, &deep, 2, None);
+        assert_eq!(
+            trace.speculated, 24,
+            "the clock is charged the proposed tree"
+        );
+        (trace.committed, forwards, rows)
+    };
+    // Nothing accepted: the root is forwarded, head 1 names its edges.
+    assert_eq!(rows(&[(&[5], 13)]), (vec![5], 1, 2));
+    // One edge accepted: two levels forwarded, heads 1 and 2.
+    assert_eq!(rows(&[(&[5], 9), (&[5, 9], 13)]), (vec![5, 9], 2, 3));
+    // Two, then all three: the leaves are never forwarded, so no step
+    // asks for more than its explored heads.
+    let two: [(&[TokenId], TokenId); 3] = [(&[5], 9), (&[5, 9], 10), (&[5, 9, 10], 13)];
+    assert_eq!(rows(&two), (vec![5, 9, 10], 3, 4));
+    let all: [(&[TokenId], TokenId); 3] = [(&[5], 9), (&[5, 9], 10), (&[5, 9, 10], 4)];
+    assert_eq!(rows(&all), (vec![5, 9, 10, 4], 3, 4));
+}
+
+#[test]
+fn a_step_that_ends_at_its_base_token_asks_for_one_row() {
+    // The base token is `eos`: the step commits it alone, and nothing
+    // but the row it was drawn from is evaluated — no head, no tree.
+    let heads = [[8, 9], [10, 11]];
+    let (trace, forwards, rows) = scripted_step_rows(&[(&[], 5)], &heads, 5, None);
+    assert_eq!((trace.committed, forwards, rows), (vec![5], 0, 1));
+    assert_eq!(trace.speculated, 8, "charged as proposed all the same");
+    // A shape with no levels proposes nothing and reads nothing more.
+    let (trace, forwards, rows) = scripted_step_rows(&[(&[5], 8)], &[], 2, None);
+    assert_eq!((trace.committed, forwards, rows), (vec![5], 0, 1));
+    assert_eq!(trace.speculated, 0);
+    // The grammar engine ranks all its levels before it builds — every
+    // explored head with the base row, whatever acceptance reaches —
+    // but only for a step that goes on: ending at its base token it
+    // builds no tree, so it proposes (and is charged) nothing.
+    let bytes = (0..Scripted::VOCAB)
+        .map(|id| if id < 6 { Vec::new() } else { b"a".to_vec() })
+        .collect();
+    let oracle = GrammarOracle::new(bytes);
+    let frag = special::FRAG;
+    let framed = [[frag, 9], [frag, 11]];
+    let (trace, forwards, rows) = scripted_step_rows(&[(&[5], 13)], &framed, 2, Some(&oracle));
+    assert_eq!((trace.committed, forwards, rows), (vec![5], 1, 3));
+    assert!(trace.speculated > 0);
+    let (trace, forwards, rows) = scripted_step_rows(&[(&[], 5)], &framed, 5, Some(&oracle));
+    assert_eq!((trace.committed, forwards, rows), (vec![5], 0, 1));
+    assert_eq!(trace.speculated, 0);
+}
+
+#[test]
+fn a_grammar_step_ending_at_eos_is_charged_what_it_built_nothing() {
+    // The two ledgers differ on a step whose base token is `eos`, and
+    // this pins both. The unconstrained engines charge the step's
+    // *shape* — known before the base token is drawn — so the step
+    // counts `shape.candidate_tokens()` proposed, none accepted. The
+    // grammar engine charges the tree it *built* (pruned, widened), and
+    // ending at its base token it builds none: 0 candidates on the
+    // clock, in the trace and in the acceptance history, and an empty
+    // prune record.
+    let cost = GpuCostModel::codellama_like();
+    let bytes = (0..Scripted::VOCAB)
+        .map(|id| if id < 6 { Vec::new() } else { b"a".to_vec() })
+        .collect();
+    let oracle = GrammarOracle::new(bytes);
+    let framed = [[special::FRAG, 9], [special::FRAG, 11]];
+    for (grammar, charged) in [(None, 8), (Some(&oracle), 0)] {
+        let (out, history, prune, forwards, rows) =
+            scripted_step_ledger(&[(&[], 5)], &framed, 5, grammar);
+        assert_eq!((forwards, rows), (0, 1));
+        let trace = StepTrace {
+            speculated: charged,
+            accepted: 1,
+            truncated: 0,
+            committed: vec![5],
+            fragment_complete: true,
+        };
+        assert_eq!(
+            (out.tokens, out.trace, out.steps),
+            (vec![5], vec![trace], 1)
+        );
+        let mut clock = DecodeClock::new();
+        clock.record_step(&cost, charged, 1);
+        assert_eq!(out.clock, clock);
+        assert_eq!((history.steps(), history.speculated()), (1, charged));
+        assert_eq!(prune, grammar.map(|_| PruneRecord::default()));
+    }
 }
 
 #[test]
@@ -467,9 +856,9 @@ fn best_path_is_the_first_strictly_longest() {
         st.pending = Some(Pending::Spec {
             step_start: 2,
             base_tok: 5,
-            paths: paths.iter().map(|p| p.to_vec()).collect(),
             candidate_tokens: paths.iter().map(|p| p.len()).sum(),
             verify_issued: true,
+            lazy: None,
         });
         st.commit(&cost);
         st.output().trace[0].committed.clone()

@@ -5,8 +5,16 @@
 //! [`LogitsArena`] and reports the index of the first one; readers
 //! borrow rows back by index ([`ArenaRows`]). A decode step or a serving
 //! tick clears the arena and refills it, so after the first few steps no
-//! inference call allocates — the kernel's per-input activations live
-//! beside the rows for the same reason.
+//! inference call allocates.
+//!
+//! Beside its rows the kernel **keeps each input's trunk activation**
+//! (the last hidden state every head reads): one block per row, the
+//! block of an input's *first* row holding that input's activation.
+//! A head that was not evaluated with the trunk can therefore be
+//! evaluated later from the kept block
+//! ([`crate::DecodeSession::head_rows_into`], or
+//! [`crate::VerifyPlan::request_head`] in a fused pass) — bit for bit
+//! the row the one-pass forward would have written.
 
 /// A growable `rows × width` buffer of logits rows.
 #[derive(Debug, Clone, Default)]
@@ -16,8 +24,17 @@ pub struct LogitsArena {
     /// [`LogitsArena::clear`], so a refill initializes nothing twice.
     used: usize,
     data: Vec<f32>,
-    /// The kernel's per-input working memory (hidden state and residual
-    /// block), kept with the rows so a call that fits allocates nothing.
+    /// Floats per kept activation (the hidden width of the model whose
+    /// kernel fills this arena); fixed by the first kernel call after
+    /// a clear, 0 until then.
+    act_width: usize,
+    /// One `act_width` block per row up to the last row the kernel's
+    /// trunk wrote: the block of an input's first row is that input's
+    /// trunk activation, every other block (further heads' rows,
+    /// copied-in and head-only rows before it) is unspecified.
+    acts: Vec<f32>,
+    /// The kernel's working memory (one residual block), kept with the
+    /// rows so a call that fits allocates nothing.
     scratch: Vec<f32>,
 }
 
@@ -28,6 +45,8 @@ impl LogitsArena {
             width: 0,
             used: 0,
             data: Vec::new(),
+            act_width: 0,
+            acts: Vec::new(),
             scratch: Vec::new(),
         }
     }
@@ -35,6 +54,7 @@ impl LogitsArena {
     /// Drops every row, keeping the buffer for the next fill.
     pub fn clear(&mut self) {
         self.used = 0;
+        self.act_width = 0;
     }
 
     /// Number of rows currently held.
@@ -56,6 +76,20 @@ impl LogitsArena {
         ArenaRows { arena: self, base }
     }
 
+    /// The trunk activation the kernel kept for the input whose first
+    /// row is `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena holds no `row`, and may if the row was not
+    /// written by the kernel's trunk; a row that is not an input's
+    /// first (a further head's, one copied in, one evaluated from an
+    /// activation kept elsewhere) reads unspecified floats otherwise.
+    pub(crate) fn activation(&self, row: usize) -> &[f32] {
+        assert!(row < self.rows(), "no row {row} to keep an activation for");
+        &self.acts[row * self.act_width..(row + 1) * self.act_width]
+    }
+
     /// Appends a copy of `row`, returning its index — how sessions
     /// without a flat kernel hand their nested results over.
     ///
@@ -72,17 +106,6 @@ impl LogitsArena {
     /// overwrite (their contents are unspecified: zeros the first time
     /// the buffer reaches this far, stale rows after a clear).
     pub(crate) fn grow(&mut self, width: usize, n: usize) -> &mut [f32] {
-        self.grow_with_scratch(width, n, 0).0
-    }
-
-    /// [`LogitsArena::grow`], plus `scratch` floats of working memory
-    /// (contents unspecified) for the kernel that fills the rows.
-    pub(crate) fn grow_with_scratch(
-        &mut self,
-        width: usize,
-        n: usize,
-        scratch: usize,
-    ) -> (&mut [f32], &mut [f32]) {
         if self.used == 0 {
             self.width = width;
         }
@@ -92,11 +115,59 @@ impl LogitsArena {
         if self.data.len() < self.used {
             self.data.resize(self.used, 0.0);
         }
+        &mut self.data[start..self.used]
+    }
+
+    /// [`LogitsArena::grow`] with `scratch` floats of working memory
+    /// (contents unspecified), for rows evaluated from activations kept
+    /// elsewhere: they keep none of their own, so an arena that only
+    /// ever holds such rows holds no activation blocks.
+    pub(crate) fn grow_with_scratch(
+        &mut self,
+        width: usize,
+        n: usize,
+        scratch: usize,
+    ) -> (&mut [f32], &mut [f32]) {
+        let start = self.used;
+        self.grow(width, n);
         if self.scratch.len() < scratch {
             self.scratch.resize(scratch, 0.0);
         }
         (
             &mut self.data[start..self.used],
+            &mut self.scratch[..scratch],
+        )
+    }
+
+    /// [`LogitsArena::grow`] for the kernel's trunk: the `n` new rows, their
+    /// `n` activation blocks of `act_width` floats, and `scratch`
+    /// floats of working memory (all contents unspecified).
+    pub(crate) fn grow_for_kernel(
+        &mut self,
+        width: usize,
+        n: usize,
+        act_width: usize,
+        scratch: usize,
+    ) -> (&mut [f32], &mut [f32], &mut [f32]) {
+        if self.act_width == 0 {
+            self.act_width = act_width;
+        }
+        assert_eq!(
+            act_width, self.act_width,
+            "arena activations must share one width"
+        );
+        let first = self.rows();
+        self.grow(width, n);
+        let acts = first * act_width..(first + n) * act_width;
+        if self.acts.len() < acts.end {
+            self.acts.resize(acts.end, 0.0);
+        }
+        if self.scratch.len() < scratch {
+            self.scratch.resize(scratch, 0.0);
+        }
+        (
+            &mut self.data[first * width..self.used],
+            &mut self.acts[acts],
             &mut self.scratch[..scratch],
         )
     }
@@ -124,6 +195,17 @@ impl<'a> ArenaRows<'a> {
     /// Panics if the arena holds no such row.
     pub fn row(&self, i: usize) -> &'a [f32] {
         self.arena.row(self.base + i)
+    }
+
+    /// The arena index of the view's row `0`.
+    pub fn base(&self) -> usize {
+        self.base
+    }
+
+    /// The trunk activation kept with the view's row `0` (see
+    /// [`LogitsArena::activation`]).
+    pub(crate) fn activation(&self) -> &'a [f32] {
+        self.arena.activation(self.base)
     }
 }
 

@@ -26,10 +26,24 @@
 //!   to forward; per-tick capacity (`SpecShape::step_cost` in
 //!   `verispec-core`) and acceptance history count proposals likewise.
 //! * **Real** (`MlpLm::infer` on this CPU): compute-bound — every node
-//!   forwarded is arithmetic, so time is what is *forwarded*. The
-//!   engines therefore verify level by level and forward only the
-//!   nodes acceptance reaches: a step's real work is its accepted
-//!   depth, not its proposed tree.
+//!   forwarded and every head evaluated is arithmetic, so time is what
+//!   is *computed*. The engines therefore verify level by level,
+//!   forward only the nodes acceptance reaches, and evaluate a Medusa
+//!   head — from the trunk activation the step's base forward kept —
+//!   only when acceptance reaches the level it names: a step's real
+//!   work is its accepted depth, not its proposed tree.
+//!
+//! The real ledger's budget, in multiply-accumulates, for the
+//! benchmark's model (vocabulary 480, 16 × 10 inputs, hidden 32, six
+//! heads; an NTP token is one trunk and the base head, 5.1k + 15.4k =
+//! 20.5k) and one MEDUSA step at tree `[2, 2]`, ≈ 2.3 tokens:
+//!
+//! | | whole tree, every head | frontier verify, every head | frontier verify, heads on demand |
+//! |---|---|---|---|
+//! | base forward (trunk + base head) | 20.5k | 20.5k | 20.5k |
+//! | Medusa heads (16.4k each) | 6 → 98k | 6 → 98k | one per level forwarded, ≈ 2.4 → 39k |
+//! | verify forwards (20.5k each) | 19 → 389k | ≈ 2.4 → 49k | ≈ 2.4 → 49k |
+//! | step | ≈ 508k | ≈ 168k | ≈ 109k |
 //!
 //! `sim_speedup` is a function of the first ledger alone and does not
 //! move when the second gets cheaper.

@@ -12,7 +12,8 @@
 //!   speculative-decoding draft model and in tests.
 //! * [`session`] — stateful [`DecodeSession`]s (the KV-cache analogue):
 //!   incremental append/rollback contexts with cached window
-//!   embeddings and level-by-level candidate-tree verification.
+//!   embeddings, level-by-level candidate-tree verification and
+//!   Medusa heads evaluated on demand from a kept trunk activation.
 //! * [`arena`] — the flat `rows × vocab` [`LogitsArena`] every
 //!   inference call writes into.
 //! * [`sampler`] — greedy / temperature / top-k sampling.
@@ -81,7 +82,7 @@ pub use arena::{ArenaRows, LogitsArena};
 pub use cost::{DecodeClock, GpuCostModel};
 pub use mlp::{HeadTarget, MlpLm, MlpLmConfig, PositionLoss, TokenId, PAD_ID};
 pub use ngram::NgramLm;
-pub use sampler::{argmax, top_k_indices, Sampler, Sampling};
+pub use sampler::{argmax, top_k_indices, top_k_into, Sampler, Sampling};
 pub use session::{
     multi_logits_many, verify_many, DecodeSession, MlpSession, NgramSession, NodeMap,
     SnapshotSession, Stateless, StatelessSession, VerifyPlan,

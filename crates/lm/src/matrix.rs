@@ -84,32 +84,37 @@ pub fn threads_for_pool(work: usize, inputs: usize, pool: usize) -> usize {
     pool.max(1).min(work / MATVEC_PAR_THRESHOLD + 1).min(inputs)
 }
 
-/// Runs `shard(inputs, out)` over `0..n` split into `threads`
+/// Runs `shard(inputs, out, acts)` over `0..n` split into `threads`
 /// contiguous input ranges, one `std::thread::scope` worker each (on
-/// the calling thread when `threads <= 1`). `out` is the flat result of
-/// all `n` inputs and `offset(k)` where input `k`'s part of it starts
-/// (`offset(n) == out.len()`), so every worker gets exactly its own
-/// inputs' slice. Inputs are independent, so how they are split can
+/// the calling thread when `threads <= 1`). `out` and `acts` are the
+/// flat results of all `n` inputs, as `(buffer, floats per row)`:
+/// input `k`'s part of each starts at row `row_of(k)`
+/// (`row_of(n)` rows in all), so every worker gets exactly its own
+/// inputs' slices. Inputs are independent, so how they are split can
 /// never change a result bit.
 pub fn shard_inputs(
     n: usize,
     threads: usize,
-    mut out: &mut [f32],
-    offset: impl Fn(usize) -> usize,
-    shard: impl Fn(Range<usize>, &mut [f32]) + Sync,
+    (mut out, width): (&mut [f32], usize),
+    (mut acts, act_width): (&mut [f32], usize),
+    row_of: impl Fn(usize) -> usize,
+    shard: impl Fn(Range<usize>, &mut [f32], &mut [f32]) + Sync,
 ) {
     let threads = threads.clamp(1, n.max(1));
     if threads == 1 {
-        return shard(0..n, out);
+        return shard(0..n, out, acts);
     }
     let per = n.div_ceil(threads);
     std::thread::scope(|s| {
         for lo in (0..n).step_by(per) {
             let hi = (lo + per).min(n);
-            let (mine, rest) = std::mem::take(&mut out).split_at_mut(offset(hi) - offset(lo));
+            let rows = row_of(hi) - row_of(lo);
+            let (mine, rest) = std::mem::take(&mut out).split_at_mut(rows * width);
             out = rest;
+            let (my_acts, rest) = std::mem::take(&mut acts).split_at_mut(rows * act_width);
+            acts = rest;
             let shard = &shard;
-            s.spawn(move || shard(lo..hi, mine));
+            s.spawn(move || shard(lo..hi, mine, my_acts));
         }
     });
 }
@@ -420,12 +425,19 @@ mod tests {
         let xs: Vec<f32> = (0..19 * 11).map(|i| (i as f32 * 0.37).cos()).collect();
         let run = |threads: usize| {
             let mut ys = vec![f32::NAN; 19 * 13];
-            let offset = |k: usize| k * 13;
-            shard_inputs(19, threads, &mut ys, offset, |inputs, out| {
-                for (k, y) in inputs.zip(out.chunks_exact_mut(13)) {
-                    packed.matvec_into(&xs[k * 11..(k + 1) * 11], y);
-                }
-            });
+            let out = (&mut ys[..], 13);
+            shard_inputs(
+                19,
+                threads,
+                out,
+                (&mut [], 0),
+                |k| k,
+                |inputs, out, _| {
+                    for (k, y) in inputs.zip(out.chunks_exact_mut(13)) {
+                        packed.matvec_into(&xs[k * 11..(k + 1) * 11], y);
+                    }
+                },
+            );
             ys
         };
         let serial = run(1);

@@ -324,6 +324,12 @@ impl MlpLm {
     /// [`crate::matrix::MATVEC_PAR_THRESHOLD`] of work the input range
     /// is sharded across threads ([`MlpLm::infer_with_threads`]).
     ///
+    /// Each input's trunk activation — the last hidden state every head
+    /// is attached to — stays in `out` beside the input's first row, so
+    /// any head the call did not evaluate can be evaluated later
+    /// without the trunk ([`crate::DecodeSession::head_rows_into`],
+    /// [`crate::verify_many`]'s head requests).
+    ///
     /// # Panics
     ///
     /// Panics if `xs` is not a whole number of inputs, `row_start` does
@@ -337,8 +343,8 @@ impl MlpLm {
     }
 
     /// [`MlpLm::infer`] with an explicit thread count
-    /// ([`shard_inputs`]): the rows are bit-identical for any thread
-    /// count (the tests pin this).
+    /// ([`shard_inputs`]): the rows and the kept activations are
+    /// bit-identical for any thread count (the tests pin this).
     ///
     /// # Panics
     ///
@@ -366,64 +372,127 @@ impl MlpLm {
                 "an input asked for more heads than the model has"
             );
         }
-        let vocab = self.cfg.vocab;
-        let offset = |k: usize| row_start.map_or(k, |rs| rs[k]) * vocab;
+        let (vocab, d_hidden) = (self.cfg.vocab, self.cfg.d_hidden);
+        let row_of = |k: usize| row_start.map_or(k, |rs| rs[k]);
         let base = out.rows();
-        let work = 2 * self.cfg.d_hidden;
-        let (rows, scratch) = out.grow_with_scratch(vocab, offset(inputs) / vocab, work);
+        let work = 2 * d_hidden;
+        let (rows, acts, scratch) = out.grow_for_kernel(vocab, row_of(inputs), d_hidden, work);
         if threads <= 1 {
             // The common case — one step's level, one tick's batch —
             // runs on the caller's scratch and allocates nothing.
-            self.infer_shard(xs, 0..inputs, row_start, rows, scratch);
+            self.infer_shard(xs, 0..inputs, row_start, rows, acts, scratch);
         } else {
-            shard_inputs(inputs, threads, rows, offset, |range, shard| {
-                self.infer_shard(xs, range, row_start, shard, &mut vec![0.0f32; work])
+            let (rows, acts) = ((rows, vocab), (acts, d_hidden));
+            shard_inputs(inputs, threads, rows, acts, row_of, |range, rows, acts| {
+                self.infer_shard(xs, range, row_start, rows, acts, &mut vec![0.0f32; work])
             });
         }
         base
     }
 
     /// The kernel body over one contiguous input range; `out` is
-    /// exactly that range's rows and `scratch` two hidden-width vectors
-    /// of working memory.
+    /// exactly that range's rows, `acts` their activation blocks and
+    /// `scratch` two hidden-width vectors of working memory.
     fn infer_shard(
         &self,
         xs: &[f32],
         inputs: Range<usize>,
         row_start: Option<&[usize]>,
         out: &mut [f32],
+        acts: &mut [f32],
         scratch: &mut [f32],
     ) {
         let packed = self.packed();
         let x_dim = self.cfg.context * self.cfg.d_emb;
-        let (hidden, z) = scratch.split_at_mut(self.cfg.d_hidden);
+        let (unkept, z) = scratch.split_at_mut(self.cfg.d_hidden);
         let mut rows = out.chunks_exact_mut(self.cfg.vocab);
+        let mut acts = acts.chunks_exact_mut(self.cfg.d_hidden);
         for k in inputs {
+            let n_heads = row_start.map_or(1, |rs| rs[k + 1] - rs[k]);
+            // The activation is kept in the block of the input's first
+            // row; an input that asked for no row has nowhere to keep
+            // one and nothing that could read it.
+            let hidden = match n_heads {
+                0 => &mut *unkept,
+                _ => acts.next().expect("one activation block per row"),
+            };
+            if n_heads > 1 {
+                acts.nth(n_heads - 2);
+            }
             packed
                 .w1
                 .matvec_into(&xs[k * x_dim..(k + 1) * x_dim], hidden);
             for (h, b) in hidden.iter_mut().zip(&self.b1) {
                 *h = silu(*h + b);
             }
-            let n_heads = row_start.map_or(1, |rs| rs[k + 1] - rs[k]);
-            for (head, (p, u)) in self.heads.iter().zip(&packed.heads).take(n_heads) {
+            for head in 0..n_heads {
                 let row = rows.next().expect("arena rows sized from row_start");
-                match p {
-                    // Base head: z == h, project the hidden state directly.
-                    None => u.matvec_into(hidden, row),
-                    Some(p) => {
-                        p.matvec_into(hidden, z);
-                        for (zv, &hv) in z.iter_mut().zip(hidden.iter()) {
-                            *zv = hv + silu(*zv);
-                        }
-                        u.matvec_into(z, row);
-                    }
-                }
-                for (l, c) in row.iter_mut().zip(&head.c) {
-                    *l += c;
-                }
+                self.head_row(packed, head, hidden, z, row);
             }
         }
+    }
+
+    /// Head `head`'s logits row from the trunk activation `hidden`
+    /// (`z` is one hidden-width vector of working memory): the one
+    /// place the inference kernel evaluates a head, so a head computed
+    /// with its trunk and one computed later from the kept activation
+    /// run the identical operations on the identical bits.
+    fn head_row(
+        &self,
+        packed: &PackedWeights,
+        head: usize,
+        hidden: &[f32],
+        z: &mut [f32],
+        row: &mut [f32],
+    ) {
+        let (p, u) = &packed.heads[head];
+        match p {
+            // Base head: z == h, project the hidden state directly.
+            None => u.matvec_into(hidden, row),
+            Some(p) => {
+                p.matvec_into(hidden, z);
+                for (zv, &hv) in z.iter_mut().zip(hidden) {
+                    *zv = hv + silu(*zv);
+                }
+                u.matvec_into(z, row);
+            }
+        }
+        for (l, c) in row.iter_mut().zip(&self.heads[head].c) {
+            *l += c;
+        }
+    }
+
+    /// The kernel's second entry: evaluates chosen heads **from kept
+    /// activations**, skipping the trunk. Each request is the
+    /// activation an earlier [`MlpLm::infer`] call of this model kept
+    /// for some input and the head wanted at that input; one logits row
+    /// per request is appended to `out`, in order. Returns the arena
+    /// index of the first.
+    ///
+    /// Every row is bit-identical to the row [`MlpLm::infer`] would
+    /// have written had the head been asked for with the trunk (and so
+    /// to [`MlpLm::multi_logits`]): same activation bits, same
+    /// operations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an activation is not `d_hidden` floats or a head does
+    /// not exist.
+    pub(crate) fn infer_heads<'a>(
+        &self,
+        requests: impl IntoIterator<Item = (&'a [f32], usize)>,
+        out: &mut LogitsArena,
+    ) -> usize {
+        let packed = self.packed();
+        let (vocab, d_hidden) = (self.cfg.vocab, self.cfg.d_hidden);
+        let base = out.rows();
+        for (hidden, head) in requests {
+            assert_eq!(hidden.len(), d_hidden, "not a kept activation");
+            assert!(head < self.heads.len(), "the model has no head {head}");
+            let (row, z) = out.grow_with_scratch(vocab, 1, d_hidden);
+            self.head_row(packed, head, hidden, z, row);
+        }
+        base
     }
 
     /// Average base-head negative log-likelihood (nats/token) of `tokens`.
@@ -979,6 +1048,63 @@ mod tests {
             let mut arena = LogitsArena::new();
             assert_eq!(model.infer(&[], None, &mut arena), 0);
             assert_eq!(arena.rows(), 0);
+        }
+    }
+
+    #[test]
+    fn heads_from_kept_activations_match_scalar_forward_bitwise() {
+        // Any subset of heads, asked for after the fact from the
+        // activation the kernel kept — however many inputs shared the
+        // call, however many heads each evaluated with its trunk, and
+        // however the call was threaded — is the row the one-pass
+        // forward writes.
+        for (vocab, d_hidden) in [(13, 11), (487, 32)] {
+            let model = MlpLm::new(MlpLmConfig {
+                vocab,
+                d_emb: 5,
+                d_hidden,
+                context: 3,
+                n_heads: 3,
+                seed: 11,
+            });
+            for n in [1usize, 2, 19, 33] {
+                let (xs, want) = probe_inputs(&model, n);
+                // Input k evaluated 0..=3 heads with its trunk (an input
+                // with no row keeps nothing, so at least one).
+                let mut row_start = vec![0usize];
+                for k in 0..n {
+                    row_start.push(row_start[k] + 1 + k % 4);
+                }
+                for threads in [1usize, 2, 3, 8] {
+                    let mut kept = LogitsArena::new();
+                    kept.push_row(&vec![0.0; vocab]);
+                    let base = model.infer_with_threads(&xs, Some(&row_start), &mut kept, threads);
+                    // Every subset of the four heads, in a scrambled
+                    // order, at every input — all in one call.
+                    let mut requests = Vec::new();
+                    for k in 0..n {
+                        let subset = (k * 7 + threads) % 16;
+                        for head in [2usize, 0, 3, 1] {
+                            if subset & (1 << head) != 0 {
+                                requests.push((k, head));
+                            }
+                        }
+                    }
+                    let mut out = LogitsArena::new();
+                    out.push_row(&vec![0.0; vocab]);
+                    let first = model.infer_heads(
+                        requests
+                            .iter()
+                            .map(|&(k, head)| (kept.activation(base + row_start[k]), head)),
+                        &mut out,
+                    );
+                    assert_eq!((first, out.rows()), (1, 1 + requests.len()));
+                    for (i, &(k, head)) in requests.iter().enumerate() {
+                        let what = format!("{vocab}x{d_hidden} n={n} threads={threads} {k}/{head}");
+                        assert_rows_bit_equal(out.row(first + i), &want[k][head], &what);
+                    }
+                }
+            }
         }
     }
 

@@ -137,12 +137,26 @@ fn draw(rng: &mut SmallRng, probs: &[f32]) -> TokenId {
 ///
 /// Panics on a NaN logit (no order exists).
 pub fn top_k_indices(logits: &[f32], k: usize) -> Vec<TokenId> {
+    let mut best = Vec::with_capacity(k.min(logits.len()));
+    top_k_into(logits, k, &mut best);
+    best
+}
+
+/// [`top_k_indices`] into a caller-owned buffer (cleared first): the
+/// allocation-free form, for a decode step that ranks one head per
+/// level it reaches and reads two entries of each. The held entries'
+/// logits are read back through `logits`.
+///
+/// # Panics
+///
+/// Panics on a NaN logit (no order exists).
+pub fn top_k_into(logits: &[f32], k: usize, best: &mut Vec<TokenId>) {
     const CHUNK: usize = 16;
+    best.clear();
     let k = k.min(logits.len());
     if k == 0 {
-        return Vec::new();
+        return;
     }
-    let mut best: Vec<(f32, TokenId)> = Vec::with_capacity(k);
     // The logit a candidate must beat once `k` are held.
     let mut bar = f32::NEG_INFINITY;
     for (c, chunk) in logits.chunks(CHUNK).enumerate() {
@@ -165,14 +179,13 @@ pub fn top_k_indices(logits: &[f32], k: usize) -> Vec<TokenId> {
                 }
                 best.pop();
             }
-            let at = best.partition_point(|&(held, _)| held >= l);
-            best.insert(at, (l, (c * CHUNK + j) as TokenId));
+            let at = best.partition_point(|&held| logits[held as usize] >= l);
+            best.insert(at, (c * CHUNK + j) as TokenId);
             if best.len() == k {
-                bar = best[k - 1].0;
+                bar = logits[best[k - 1] as usize];
             }
         }
     }
-    best.into_iter().map(|(_, i)| i).collect()
 }
 
 #[cfg(test)]
@@ -252,6 +265,48 @@ mod tests {
     fn top_k_indices_ordered() {
         assert_eq!(top_k_indices(&[0.1, 5.0, 3.0, 4.0], 3), vec![1, 3, 2]);
         assert_eq!(top_k_indices(&[1.0], 5), vec![0]);
+    }
+
+    #[test]
+    fn top_k_into_equals_top_k_indices_nan_panic_included() {
+        // Ties, duplicates across chunk boundaries, `k` from 0 past the
+        // length; the reused buffer starts each call dirty.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut buf: Vec<TokenId> = vec![7; 5];
+        for n in [1usize, 3, 16, 17, 40, 100] {
+            let logits: Vec<f32> = (0..n)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state % 9) as f32 * 0.5 - 2.0
+                })
+                .collect();
+            // The definition: a full sort under the total order.
+            let mut sorted: Vec<TokenId> = (0..n as TokenId).collect();
+            sorted.sort_by(|&a, &b| {
+                let (la, lb) = (logits[a as usize], logits[b as usize]);
+                lb.partial_cmp(&la).expect("finite").then(a.cmp(&b))
+            });
+            for k in [0usize, 1, 2, 5, n, n + 3] {
+                top_k_into(&logits, k, &mut buf);
+                assert_eq!(buf, sorted[..k.min(n)], "n={n} k={k}");
+                assert_eq!(buf, top_k_indices(&logits, k), "n={n} k={k}");
+            }
+        }
+        for form in 0..2 {
+            let err = std::panic::catch_unwind(|| {
+                let logits = [0.0, f32::NAN, 1.0];
+                if form == 0 {
+                    top_k_indices(&logits, 2);
+                } else {
+                    top_k_into(&logits, 2, &mut Vec::new());
+                }
+            })
+            .expect_err("NaN has no rank");
+            let msg = err.downcast_ref::<&'static str>().copied().unwrap_or("");
+            assert!(msg.contains("finite logits"), "form {form}: {msg}");
+        }
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //!   (the KV-cache trim);
 //! * [`DecodeSession::logits`] / [`DecodeSession::multi_logits`] —
 //!   next-token logits served from cached state where the model allows;
+//! * [`DecodeSession::base_row_into`] /
+//!   [`DecodeSession::head_rows_into`] — a decoding step's two calls at
+//!   its base position: the base row first, a Medusa head's row only
+//!   when (and if) the step gets to read it, served from what the
+//!   first call kept;
 //! * [`DecodeSession::score_frontier`] — score one **level** of the
 //!   step's candidate tree: the nodes acceptance has reached so far.
 //!
@@ -29,6 +34,25 @@
 //! draft-verify the one-path case. The accepted span is a pure function
 //! of the same logits bits either way, so nothing an engine commits
 //! can tell the difference.
+//!
+//! # Heads are evaluated on demand
+//!
+//! The Medusa heads are attached to the *last hidden state* (paper
+//! §III-B), so the forward of a position is the trunk, and a head is a
+//! small block on top of it. A MEDUSA tree offers head `d + 1`'s top-k
+//! at the step's base position under every depth-`d` node, and that
+//! head's row is read only if acceptance reaches depth `d`: so the
+//! step forwards its base position once
+//! ([`DecodeSession::base_row_into`]: trunk and base head, the kernel
+//! keeping the trunk activation beside the row), builds its trie from
+//! the tree's *shape* ([`NodeMap::build_shape`] — no tokens yet), and
+//! asks for head `d + 1` ([`DecodeSession::head_rows_into`], or
+//! [`VerifyPlan::request_head`] under a server) when a depth-`d` node
+//! is forwarded, naming that level's tokens ([`NodeMap::set_token`])
+//! just before their edges are tested. A head's row from the kept
+//! activation is the row [`DecodeSession::multi_logits`] holds, bit for
+//! bit. Sessions without a kernel compute `multi_logits()` once at the
+//! base call and serve the rows from it, as before.
 //!
 //! [`DecodeSession::verify_batch`] / [`DecodeSession::verify_into`]
 //! score the *whole* tree in one call ([`NodeMap::request_all`]) through
@@ -53,7 +77,8 @@
 //!   tree — with one call of the packed kernel ([`MlpLm::infer`]). A
 //!   serving engine instead collects many sessions' inputs
 //!   ([`DecodeSession::embed_plan`], [`DecodeSession::plan_frontier`])
-//!   and runs them through the same kernel in one fused pass per level
+//!   and head requests ([`VerifyPlan::request_head`]) and runs them
+//!   through the same kernel in one fused pass per level
 //!   ([`multi_logits_many`], [`verify_many`]). All outputs are
 //!   bit-identical to the stateless path.
 //! * [`NgramSession`] — keeps the context and caches the count-lookup
@@ -78,6 +103,13 @@ use crate::LanguageModel;
 /// planned since the last one, and a child's input is derived from its
 /// parent's, which is why the whole buffer stays resident until the
 /// step ends. Cleared and refilled every step / tick.
+///
+/// A level may also carry **head requests**
+/// ([`VerifyPlan::request_head`]): Medusa-head rows wanted at a position
+/// forwarded earlier, evaluated from the activation the kernel kept
+/// there by the same [`verify_many`] call that forwards the level — no
+/// trunk, so not a forward — into the plan's own rows
+/// ([`VerifyPlan::head_rows`]), which last until the next call.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyPlan {
     /// Floats per node (`context · d_emb` of the planning model).
@@ -87,6 +119,12 @@ pub struct VerifyPlan {
     run: usize,
     /// The arena row node 0 landed on.
     base: usize,
+    /// `(arena row of the kept position, head)` per head row asked for
+    /// since the last [`verify_many`].
+    head_requests: Vec<(usize, usize)>,
+    /// The head rows the last [`verify_many`] evaluated, in request
+    /// order.
+    head_rows: LogitsArena,
 }
 
 impl VerifyPlan {
@@ -99,6 +137,8 @@ impl VerifyPlan {
     pub fn clear(&mut self) {
         self.xs.clear();
         self.run = 0;
+        self.head_requests.clear();
+        self.head_rows.clear();
     }
 
     /// Number of nodes (= forwards) planned so far.
@@ -114,6 +154,22 @@ impl VerifyPlan {
     /// forwards.
     pub fn pending(&self) -> usize {
         self.n_nodes() - self.run
+    }
+
+    /// Asks the next [`verify_many`] for head `head`'s row at a position
+    /// forwarded earlier into the arena that call writes to: `kept` is
+    /// the arena index of that position's base row (the kernel kept its
+    /// trunk activation there). Returns the row's index in
+    /// [`VerifyPlan::head_rows`] once the call has run.
+    pub fn request_head(&mut self, kept: usize, head: usize) -> usize {
+        self.head_requests.push((kept, head));
+        self.head_requests.len() - 1
+    }
+
+    /// The head rows the last [`verify_many`] evaluated, in request
+    /// order.
+    pub fn head_rows(&self) -> ArenaRows<'_> {
+        self.head_rows.rows_from(0)
     }
 
     /// Appends a node whose input is `x`, returning its index.
@@ -151,11 +207,22 @@ impl VerifyPlan {
 /// tree that was proposed. [`NodeMap::request_all`] asks for every node
 /// at once: the full-tree form behind [`DecodeSession::verify_batch`].
 ///
+/// A Medusa tree whose level `d + 1` offers one head's top-k under
+/// every depth-`d` node has a trie whose *shape* is fixed by the
+/// per-level widths alone; [`NodeMap::build_shape`] builds it without
+/// tokens — and keeps it while the widths repeat — so that each level's
+/// tokens can be filled in ([`NodeMap::set_token`]) only once
+/// acceptance reaches it.
+///
 /// Owned by the caller and reused across steps, so planning allocates
 /// nothing once warm.
 #[derive(Debug, Clone)]
 pub struct NodeMap {
     trie: Vec<TrieNode>,
+    /// The per-level widths and path cut a [`NodeMap::build_shape`]
+    /// trie was built from; no widths when it was built from paths.
+    shape: Vec<usize>,
+    max_paths: usize,
     /// The node after every prefix of every path, paths back to back:
     /// `len + 1` entries per path, the root first.
     ids: Vec<usize>,
@@ -191,6 +258,8 @@ impl Default for NodeMap {
     fn default() -> Self {
         let mut map = NodeMap {
             trie: Vec::new(),
+            shape: Vec::new(),
+            max_paths: 0,
             ids: Vec::new(),
             start: Vec::new(),
             include_bonus: false,
@@ -219,7 +288,76 @@ impl NodeMap {
         paths: impl IntoIterator<Item = &'p [TokenId]>,
         include_bonus: bool,
     ) {
+        self.begin(include_bonus);
+        for path in paths {
+            self.push_path(path.iter().copied());
+        }
+    }
+
+    /// Rebuilds the map as the trie of a full candidate tree, tokens
+    /// still to come: every depth-`d` node has `widths[d]` children,
+    /// and the paths are the first `max_paths` root-to-leaf walks in
+    /// path order (first child first) — exactly the paths a builder
+    /// that extends every path by every option, level by level, and
+    /// cuts each level at `max_paths` ends up with. No bonus position.
+    /// Nothing is requested yet, and a node's token is unspecified
+    /// until [`NodeMap::set_token`] names it: what the node stands for
+    /// is its ordinal among its siblings ([`NodeMap::first_child`] /
+    /// [`NodeMap::next_sibling`] walk them in option order).
+    ///
+    /// The trie is kept while the shape repeats: a step over the same
+    /// widths and cut only forgets the last step's rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero width.
+    pub fn build_shape(&mut self, widths: impl Iterator<Item = usize> + Clone, max_paths: usize) {
+        if !self.shape.is_empty()
+            && self.max_paths == max_paths
+            && self.shape.iter().copied().eq(widths.clone())
+        {
+            self.frontier.clear();
+            self.level.clear();
+            self.n_rows = 0;
+            self.trie.iter_mut().for_each(|n| n.row = NO_NODE);
+            return;
+        }
+        self.begin(false);
+        let mut shape = std::mem::take(&mut self.shape);
+        shape.extend(widths);
+        assert!(shape.iter().all(|&w| w > 0), "a level offers something");
+        let n_paths = shape
+            .iter()
+            .fold(1usize, |n, &w| n.saturating_mul(w).min(max_paths));
+        for i in 0..n_paths {
+            // Path `i`'s option at each level: the digits of `i`, most
+            // significant first, in the mixed radix of the widths.
+            let digit = |level: usize| {
+                let below = shape[level + 1..]
+                    .iter()
+                    .fold(1usize, |n, &w| n.saturating_mul(w));
+                ((i / below) % shape[level]) as TokenId
+            };
+            self.push_path((0..shape.len()).map(digit));
+        }
+        self.shape = shape;
+        self.max_paths = max_paths;
+    }
+
+    /// How many children every depth-`level` node of a
+    /// [`NodeMap::build_shape`] trie was given (before the path cut).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trie was not built from a shape that deep.
+    pub fn width(&self, level: usize) -> usize {
+        self.shape[level]
+    }
+
+    /// An empty map — the root, no paths — ready for [`NodeMap::push_path`].
+    fn begin(&mut self, include_bonus: bool) {
         self.include_bonus = include_bonus;
+        self.shape.clear();
         self.ids.clear();
         self.start.clear();
         self.start.push(0);
@@ -234,35 +372,38 @@ impl NodeMap {
             next_sibling: NO_NODE,
             row: NO_NODE,
         });
-        for path in paths {
-            let mut node = 0usize;
-            self.ids.push(node);
-            for &tok in path {
-                let (mut found, mut last) = (self.trie[node].first_child, NO_NODE);
-                while found != NO_NODE && self.trie[found].token != tok {
-                    last = found;
-                    found = self.trie[found].next_sibling;
-                }
-                if found == NO_NODE {
-                    found = self.trie.len();
-                    self.trie.push(TrieNode {
-                        token: tok,
-                        parent: node,
-                        first_child: NO_NODE,
-                        next_sibling: NO_NODE,
-                        row: NO_NODE,
-                    });
-                    if last == NO_NODE {
-                        self.trie[node].first_child = found;
-                    } else {
-                        self.trie[last].next_sibling = found;
-                    }
-                }
-                node = found;
-                self.ids.push(node);
+    }
+
+    /// Adds one path, sharing the nodes of the prefix it has in common
+    /// with an earlier one.
+    fn push_path(&mut self, path: impl Iterator<Item = TokenId>) {
+        let mut node = 0usize;
+        self.ids.push(node);
+        for tok in path {
+            let (mut found, mut last) = (self.trie[node].first_child, NO_NODE);
+            while found != NO_NODE && self.trie[found].token != tok {
+                last = found;
+                found = self.trie[found].next_sibling;
             }
-            self.start.push(self.ids.len());
+            if found == NO_NODE {
+                found = self.trie.len();
+                self.trie.push(TrieNode {
+                    token: tok,
+                    parent: node,
+                    first_child: NO_NODE,
+                    next_sibling: NO_NODE,
+                    row: NO_NODE,
+                });
+                if last == NO_NODE {
+                    self.trie[node].first_child = found;
+                } else {
+                    self.trie[last].next_sibling = found;
+                }
+            }
+            node = found;
+            self.ids.push(node);
         }
+        self.start.push(self.ids.len());
     }
 
     /// Number of paths mapped.
@@ -290,6 +431,13 @@ impl NodeMap {
     /// The token on the edge into `node` (meaningless for the root).
     pub fn token(&self, node: usize) -> TokenId {
         self.trie[node].token
+    }
+
+    /// Names the token on the edge into `node` of a
+    /// [`NodeMap::build_shape`] trie. Siblings must be given distinct
+    /// tokens (one head's top-k are).
+    pub fn set_token(&mut self, node: usize, token: TokenId) {
+        self.trie[node].token = token;
     }
 
     /// The first child of `node`, in first-seen order.
@@ -407,12 +555,20 @@ impl NodeMap {
 /// the kernel guarantees per-input bit-identity regardless of batch
 /// composition.
 ///
+/// The head rows asked for since the last call
+/// ([`VerifyPlan::request_head`]) are evaluated in the same pass, from
+/// the activations `out` holds at their kept positions, into
+/// [`VerifyPlan::head_rows`] — each bit-identical to that position's
+/// `multi_logits()` row.
+///
 /// This is the continuous-batching primitive: concurrent generations
 /// share one pass per level instead of issuing one small batch each.
 ///
 /// # Panics
 ///
-/// Panics if rows were appended to `out` between two levels of one plan.
+/// Panics if rows were appended to `out` between two levels of one
+/// plan, or a head was requested at a row of `out` the kernel kept no
+/// activation for.
 pub fn verify_many(model: &MlpLm, plan: &mut VerifyPlan, out: &mut LogitsArena) -> usize {
     if plan.run == 0 {
         plan.base = out.rows();
@@ -424,6 +580,12 @@ pub fn verify_many(model: &MlpLm, plan: &mut VerifyPlan, out: &mut LogitsArena) 
     );
     model.infer(&plan.xs[plan.run * plan.x_dim..], None, out);
     plan.run = plan.n_nodes();
+    plan.head_rows.clear();
+    let requests = plan.head_requests.drain(..);
+    model.infer_heads(
+        requests.map(|(kept, head)| (out.activation(kept), head)),
+        &mut plan.head_rows,
+    );
     plan.base
 }
 
@@ -541,6 +703,51 @@ pub trait DecodeSession {
             }
         }
         base
+    }
+
+    /// Opens a decoding step at the current position: appends the base
+    /// head's row to `out` and returns its arena index — the **kept
+    /// position** [`DecodeSession::head_rows_into`] serves Medusa-head
+    /// rows from later in the step, however the context has moved by
+    /// then. `levels` is the deepest head the step may go on to ask
+    /// for.
+    ///
+    /// A step reads head `d + 1` only if acceptance reaches depth `d`
+    /// of its candidate tree, so a session that can evaluate a head on
+    /// its own computes none here. The default cannot — its model
+    /// answers `multi_logits()` whole — and computes that once, now
+    /// ([`DecodeSession::multi_logits_into`] of `levels + 1` rows), to
+    /// serve the rows from; [`MlpSession`] forwards the trunk and the
+    /// base head only, the kernel keeping the trunk activation beside
+    /// the row.
+    fn base_row_into(&mut self, levels: usize, out: &mut LogitsArena) -> usize {
+        self.multi_logits_into(levels + 1, out)
+    }
+
+    /// Appends the rows of heads `heads` (each in `1..=levels`) **at the
+    /// kept position** to `out`, in order, and returns the arena index
+    /// of the first. `kept` is the view at the index
+    /// [`DecodeSession::base_row_into`] returned, of the arena it wrote
+    /// to — a different arena than `out` — and nothing may have cleared
+    /// that arena since. Every row equals the position's
+    /// `multi_logits()` row bit for bit. The session's context is
+    /// neither read nor changed.
+    ///
+    /// The default copies the rows [`DecodeSession::base_row_into`]
+    /// left behind the base row; [`MlpSession`] evaluates each head
+    /// from the kept trunk activation
+    /// (`logits_i = U_i (h + silu(P_i h)) + c_i`, no trunk forward).
+    fn head_rows_into(
+        &mut self,
+        kept: ArenaRows<'_>,
+        heads: std::ops::Range<usize>,
+        out: &mut LogitsArena,
+    ) -> usize {
+        let first = out.rows();
+        for head in heads {
+            out.push_row(kept.row(head));
+        }
+        first
     }
 
     /// The flat form of [`DecodeSession::verify_batch`]: builds `nodes`
@@ -855,6 +1062,21 @@ impl DecodeSession for MlpSession<'_> {
         model.infer(self.ensure_x(), Some(&[0, heads]), out)
     }
 
+    fn base_row_into(&mut self, _levels: usize, out: &mut LogitsArena) -> usize {
+        self.multi_logits_into(1, out)
+    }
+
+    fn head_rows_into(
+        &mut self,
+        kept: ArenaRows<'_>,
+        heads: std::ops::Range<usize>,
+        out: &mut LogitsArena,
+    ) -> usize {
+        let hidden = kept.activation();
+        self.model
+            .infer_heads(heads.map(|head| (hidden, head)), out)
+    }
+
     fn score_frontier(&mut self, nodes: &mut NodeMap, out: &mut LogitsArena) -> usize {
         let mut plan = std::mem::take(&mut self.plan);
         if nodes.n_rows() == 0 {
@@ -1129,6 +1351,127 @@ mod tests {
     }
 
     #[test]
+    fn verify_many_serves_head_requests_from_kept_activations() {
+        // Two positions forwarded by one pass (base rows only); then a
+        // level of candidate nodes with head rows riding along, twice.
+        let model = tiny_mlp();
+        let contexts: [&[TokenId]; 2] = [&[1, 2, 3], &[7]];
+        let mut xs = Vec::new();
+        let mut want = Vec::new();
+        let mut sessions = Vec::new();
+        for ctx in contexts {
+            let mut s = MlpSession::new(&model);
+            s.append(ctx);
+            assert!(s.embed_plan(&mut xs));
+            want.push(s.multi_logits());
+            sessions.push(s);
+        }
+        let mut arena = LogitsArena::new();
+        let kept = multi_logits_many(&model, &xs, &[0, 1, 2], &mut arena);
+        let mut plan = VerifyPlan::new();
+        let mut maps = [NodeMap::new(), NodeMap::new()];
+        for (s, nodes) in sessions.iter_mut().zip(&mut maps) {
+            s.append(&[4]);
+            nodes.build_shape([2, 1].into_iter(), 32);
+            nodes.request(0);
+            assert!(s.plan_frontier(nodes, &mut plan));
+        }
+        assert_eq!(plan.request_head(kept + 1, 3), 0);
+        assert_eq!(plan.request_head(kept, 1), 1);
+        let base = verify_many(&model, &mut plan, &mut arena);
+        assert_eq!((base, arena.rows()), (2, 4), "head rows are not forwards");
+        assert_eq!(plan.head_rows().row(0), &want[1][3][..]);
+        assert_eq!(plan.head_rows().row(1), &want[0][1][..]);
+        // The next level: the first session's first child, one request.
+        let child = maps[0].first_child(0).expect("two children");
+        maps[0].set_token(child, 9);
+        maps[0].request(child);
+        maps[0].clear_level();
+        assert!(sessions[0].plan_frontier(&mut maps[0], &mut plan));
+        assert_eq!(plan.request_head(kept, 2), 0, "tickets restart per pass");
+        assert_eq!(verify_many(&model, &mut plan, &mut arena), base);
+        assert_eq!(arena.rows(), 5);
+        assert_eq!(plan.head_rows().row(0), &want[0][2][..]);
+        assert_eq!(
+            arena.row(base + maps[0].row(child)),
+            &model.logits(&[1, 2, 3, 4, 9])[..]
+        );
+    }
+
+    #[test]
+    fn shape_tries_equal_the_tries_of_the_paths_they_stand_for() {
+        // The level-by-level builder the shape trie replaces: extend
+        // every path by every option, cut each level at `max`.
+        let eager = |widths: &[usize], max: usize| {
+            let mut paths: Vec<Vec<TokenId>> = vec![Vec::new()];
+            for &k in widths {
+                let mut next = Vec::new();
+                'grow: for p in &paths {
+                    for opt in 0..k as TokenId {
+                        let mut q = p.clone();
+                        q.push(opt);
+                        next.push(q);
+                        if next.len() >= max {
+                            break 'grow;
+                        }
+                    }
+                }
+                paths = next;
+            }
+            paths
+        };
+        let cases: [(&[usize], usize); 8] = [
+            (&[1], 32),
+            (&[2, 2], 32),
+            (&[3, 1, 2], 32),
+            (&[4, 4, 4], 32),    // cut on a parent boundary
+            (&[5, 7, 2], 32),    // cut mid-parent, then a level below it
+            (&[7, 5], 32),       // cut mid-parent at the last level
+            (&[40, 3], 32),      // cut inside the first level
+            (&[2, 3, 2, 2], 10), // another cut
+        ];
+        let model = tiny_mlp();
+        let (mut shaped, mut built) = (NodeMap::new(), NodeMap::new());
+        for (widths, max) in cases {
+            let paths = eager(widths, max);
+            built.build(paths.iter().map(Vec::as_slice), false);
+            for round in 0..2 {
+                shaped.build_shape(widths.iter().copied(), max);
+                assert_eq!(shaped.n_paths(), built.n_paths(), "{widths:?}");
+                assert_eq!(shaped.n_nodes(), built.n_nodes(), "{widths:?}");
+                assert!(!shaped.has_frontier() && shaped.n_rows() == 0);
+                for i in 0..built.n_paths() {
+                    assert_eq!(shaped.path_len(i), widths.len());
+                    for j in 0..=widths.len() {
+                        assert_eq!(shaped.node(i, j), built.node(i, j), "{widths:?} {i}/{j}");
+                    }
+                }
+                // A node's ordinal among its siblings is the option it
+                // stands for.
+                for node in 0..built.n_nodes() {
+                    let (mut a, mut b) = (shaped.first_child(node), built.first_child(node));
+                    let mut ordinal = 0;
+                    while let (Some(x), Some(y)) = (a, b) {
+                        assert_eq!((x, built.token(y)), (y, ordinal), "{widths:?}");
+                        (a, b) = (shaped.next_sibling(x), built.next_sibling(y));
+                        ordinal += 1;
+                    }
+                    assert_eq!((a, b), (None, None), "{widths:?} node {node}");
+                }
+                // The second round reuses the trie: last step's rows
+                // and names are no part of it.
+                if round == 0 {
+                    let mut s = MlpSession::new(&model);
+                    shaped.request(0);
+                    s.score_frontier(&mut shaped, &mut LogitsArena::new());
+                    assert_eq!(shaped.n_rows(), 1);
+                    shaped.set_token(shaped.first_child(0).expect("a level"), 11);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn multi_logits_many_matches_per_session_calls() {
         let model = tiny_mlp();
         let contexts: [&[TokenId]; 3] = [&[1, 2, 3, 4, 5], &[2], &[7, 7]];
@@ -1185,6 +1528,28 @@ mod tests {
                 for (h, want) in all.iter().take(heads).enumerate() {
                     assert_eq!(arena.row(base + h), &want[..]);
                 }
+            }
+            // A step's two calls — the base row first, heads from the
+            // kept position later, the context moved on in between —
+            // read the same rows.
+            for levels in 0..all.len() {
+                arena.clear();
+                arena.push_row(&vec![0.0; model.vocab_size()]);
+                let kept = s.base_row_into(levels, &mut arena);
+                assert_eq!(kept, 1);
+                assert_eq!(arena.row(kept), &all[0][..]);
+                s.append(&[8, 9]);
+                let mut later = LogitsArena::new();
+                for head in (1..=levels).rev() {
+                    let at = s.head_rows_into(arena.rows_from(kept), head..head + 1, &mut later);
+                    assert_eq!(later.row(at), &all[head][..], "head {head} of {levels}");
+                }
+                let at = s.head_rows_into(arena.rows_from(kept), 1..levels + 1, &mut later);
+                assert_eq!(later.rows(), at + levels);
+                for (i, want) in all[1..=levels].iter().enumerate() {
+                    assert_eq!(later.row(at + i), &want[..]);
+                }
+                s.truncate(3);
             }
             // Scoring the tree one level at a time — every child of
             // every scored node requested, as an acceptance that

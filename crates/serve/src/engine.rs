@@ -16,20 +16,26 @@
 //!    aging guard bounding every request's service gap — see
 //!    [`Scheduler::starvation_bound`]).
 //! 3. **fused propose** — the MEDUSA-style members of the batch append
-//!    their current-position embeddings to one flat buffer and get the
-//!    head rows their step's shape reads from **one**
-//!    [`verispec_lm::multi_logits_many`] pass.
+//!    their current-position embeddings to one flat buffer and get
+//!    their base row — one row each, the trunk activation kept beside
+//!    it for the rest of the tick — from **one**
+//!    [`verispec_lm::MlpLm::infer`] pass. No Medusa head is
+//!    evaluated yet.
 //! 4. **fused verify, level by level** — every member requests its
 //!    candidate tree's root and plans it into one shared
 //!    [`verispec_lm::VerifyPlan`]; **one** [`verispec_lm::verify_many`]
 //!    pass scores that level for the whole batch; each member runs
 //!    acceptance on the rows it got and plans only the children whose
 //!    edge survived; the next pass scores those — until no member has
-//!    anything left to ask for ([`Stepper::verify_level`]). A tick
-//!    therefore forwards what its members' *accepted* prefixes cost
-//!    (a few nodes each, in two or three dependent passes), not their
-//!    proposed trees. Members whose session cannot plan score their
-//!    own levels instead.
+//!    anything left to ask for ([`Stepper::verify_level`]). With each
+//!    level a member plans goes the one head row that names the level
+//!    below it, evaluated by the same pass from the member's kept
+//!    activation. A tick therefore forwards what its members'
+//!    *accepted* prefixes cost (a few nodes each, in two or three
+//!    dependent passes), not their proposed trees, and evaluates the
+//!    heads of the levels acceptance reached, not of the levels
+//!    proposed. Members whose session cannot plan score their own
+//!    levels instead.
 //! 5. **commit** — each stepper picks its committed span from the
 //!    edges it accepted and rolls back the rest, locally.
 //!
@@ -51,8 +57,7 @@ use verispec_core::{
 };
 use verispec_grammar::GrammarOracle;
 use verispec_lm::{
-    multi_logits_many, verify_many, DecodeSession, GpuCostModel, LanguageModel, LogitsArena, MlpLm,
-    VerifyPlan,
+    verify_many, DecodeSession, GpuCostModel, LanguageModel, LogitsArena, MlpLm, VerifyPlan,
 };
 use verispec_trace::{EventKind, TraceEvent, TraceSink, NOOP};
 
@@ -175,6 +180,8 @@ pub struct ServeStats {
     /// Inputs forwarded by fused [`verify_many`] calls: the
     /// candidate-tree nodes acceptance reached (each member's root and
     /// the children of its accepted edges), not the nodes proposed.
+    /// Head rows evaluated from kept activations ride the same calls
+    /// but forward nothing, and are not counted.
     pub fused_verify_nodes: usize,
     /// Fused [`verify_many`] calls: one per *level* per tick — a tick
     /// whose deepest member accepts two edges in a row makes three.
@@ -513,20 +520,19 @@ pub struct ServeEngine<'m> {
 
 /// What one tick reads and writes, kept across ticks so that a tick —
 /// and each verify level within it — allocates nothing: the logits
-/// arena, the fused-propose inputs (one embedding concat per position
-/// and the prefix sum of head rows each wants), the fused-verify plan,
-/// and the per-member bookkeeping, indexed by position in the tick's
-/// batch.
+/// arena (the proposing members' base rows and kept activations, then
+/// the verify levels' rows), the fused-propose inputs (one embedding
+/// concat per position, one row each), the fused-verify plan, and the
+/// per-member bookkeeping, indexed by position in the tick's batch.
 #[derive(Default)]
 struct TickBuffers {
     arena: LogitsArena,
     propose_xs: Vec<f32>,
-    propose_rows: Vec<usize>,
     plan: VerifyPlan,
     /// The scheduler's view of the active set.
     views: Vec<ActiveView>,
-    /// First head row of each member's fused propose, if it had one.
-    heads_at: Vec<Option<usize>>,
+    /// Each member's base row from the fused propose, if it had one.
+    base_at: Vec<Option<usize>>,
     /// What each member's propose asked for.
     phases: Vec<Phase>,
     /// Members with a fused verification still in flight.
@@ -1422,10 +1428,9 @@ impl<'m> ServeEngine<'m> {
         let TickBuffers {
             mut arena,
             mut propose_xs,
-            mut propose_rows,
             mut plan,
             mut views,
-            mut heads_at,
+            mut base_at,
             mut phases,
             mut verifying,
         } = std::mem::take(&mut self.buffers);
@@ -1455,45 +1460,42 @@ impl<'m> ServeEngine<'m> {
             a.last_step = self.tick;
         }
 
-        // Fused propose: one kernel pass serves every MEDUSA-style
-        // member of the batch, each with as many head rows as its
-        // step's shape reads.
+        // Fused propose: one kernel pass forwards the current position
+        // of every MEDUSA-style member of the batch — its base row, the
+        // trunk activation kept beside it. A head is evaluated from
+        // that activation when acceptance reaches its level.
         arena.clear();
+        plan.clear();
         propose_xs.clear();
-        propose_rows.clear();
-        propose_rows.push(0);
-        heads_at.clear();
-        heads_at.resize(stepped.len(), None);
+        base_at.clear();
+        base_at.resize(stepped.len(), None);
+        // Inputs embedded so far: each gets one row, in this order.
+        let mut proposing = 0usize;
         if self.fused.is_some() {
             for (pos, &i) in stepped.iter().enumerate() {
-                if let Some(heads) = self.active[i].stepper.embed_plan(&mut propose_xs) {
-                    let first = *propose_rows.last().expect("seeded with 0");
-                    heads_at[pos] = Some(first);
-                    propose_rows.push(first + heads);
+                if self.active[i].stepper.embed_plan(&mut propose_xs) {
+                    base_at[pos] = Some(proposing);
+                    proposing += 1;
                 }
             }
         }
-        if let (Some(model), true) = (self.fused, propose_rows.len() > 1) {
-            self.stats.fused_propose_positions += propose_rows.len() - 1;
-            let base = multi_logits_many(model, &propose_xs, &propose_rows, &mut arena);
-            heads_at
-                .iter_mut()
-                .flatten()
-                .for_each(|first| *first += base);
+        if let (Some(model), true) = (self.fused, proposing > 0) {
+            self.stats.fused_propose_positions += proposing;
+            let base = model.infer(&propose_xs, None, &mut arena);
+            debug_assert_eq!(base, 0, "the tick's arena starts empty");
         }
         phases.clear();
-        phases.extend(stepped.iter().zip(&heads_at).map(|(&i, first)| {
-            let heads = first.map(|row| arena.rows_from(row));
-            self.active[i].stepper.propose(heads)
+        phases.extend(stepped.iter().zip(&base_at).map(|(&i, first)| {
+            let base = first.map(|row| arena.rows_from(row));
+            self.active[i].stepper.propose(base)
         }));
 
-        // Fused verify, level by level. The proposals are built, so
-        // the head rows can go. Level 0 is every member's root; each
-        // pass scores the nodes all members planned since the last one,
-        // and each member then plans only the children its acceptance
-        // went on to. Members that cannot plan verify themselves here.
-        arena.clear();
-        plan.clear();
+        // Fused verify, level by level, behind the base rows (their
+        // activations stay for the tick). Level 0 is every member's
+        // root; each pass scores the nodes all members planned since
+        // the last one — and the head rows asked for with them — and
+        // each member then plans only the children its acceptance went
+        // on to. Members that cannot plan verify themselves here.
         verifying.clear();
         for (pos, (&i, phase)) in stepped.iter().zip(&phases).enumerate() {
             if *phase != Phase::Verify {
@@ -1578,10 +1580,9 @@ impl<'m> ServeEngine<'m> {
         self.buffers = TickBuffers {
             arena,
             propose_xs,
-            propose_rows,
             plan,
             views,
-            heads_at,
+            base_at,
             phases,
             verifying,
         };

@@ -64,19 +64,22 @@
 //!                              │ SpecPolicy divides the     │ ShapeQuery{base,
 //!                              │  per-tick verify capacity ─┼─ history, cap} →
 //!                              │  (pin shape / defer)       │ SpecShape per req
-//!                              │ fused propose  ────────────┼─► multi_logits_many
+//!                              │ fused propose (base rows,  │
+//!                              │  activations kept) ────────┼─► MlpLm::infer
 //!                              │  └ GrammarOracle filters + │   (grammar layer:
 //!                              │    dead-tail prunes trees  │    verispec-grammar)
 //!                              │ fused verify, per level:   │
 //!                              │ ┌► plan frontier (roots,   │   (each one call of
 //!                              │ │   then accepted edges'   │    the packed kernel
-//!                              │ │   children) ─────────────┼─► verify_many
-//!                              │ │  accept on the new rows, │    into the tick's
-//!                              │ └─ read as arena row views │    LogitsArena, input-
-//!                              │    until no member asks    │    sharded when big:
-//!                              │ per-request commit         │    2–3 passes a tick,
-//!                              │  └ step_ticks, span from   │    a few nodes per
-//!                              │    the accepted edges      │    member, not its tree)
+//!                              │ │   children) + the head   │    into the tick's
+//!                              │ │   row naming the level   │    LogitsArena, input-
+//!                              │ │   below ─────────────────┼─► verify_many
+//!                              │ │  accept on the new rows, │    sharded when big:
+//!                              │ └─ read as arena row views │    2–3 passes a tick,
+//!                              │    until no member asks    │    a few nodes and one
+//!                              │ per-request commit         │    head row per member,
+//!                              │  └ step_ticks, span from   │    not its tree nor
+//!                              │    the accepted edges      │    all its heads)
 //!                              └────────────────────────────┘
 //!                                     │ done
 //!                                     ▼
@@ -132,13 +135,16 @@
 //!   overflow newest-first, deterministically on both the batch and
 //!   streaming paths.
 //! * **[`ServeEngine`]** — the tick loop. The batch's propose phase
-//!   (multi-head logits) is fused across requests into one
-//!   [`verispec_lm::multi_logits_many`] pass, and its verify phase
+//!   (each member's base row, its trunk activation kept for the tick)
+//!   is fused across requests into one
+//!   [`verispec_lm::MlpLm::infer`] pass, and its verify phase
 //!   into one [`verispec_lm::verify_many`] pass **per level** of the
 //!   candidate trees: every member plans its root, one pass scores
 //!   them all, each member runs acceptance on its rows and plans only
 //!   the children of the edges it accepted, the next pass scores
-//!   those, until no member asks for more. All passes are the same
+//!   those, until no member asks for more. A Medusa head is evaluated
+//!   — from the kept activation, by the pass that forwards the level
+//!   above — only when acceptance reaches the level it names. All passes are the same
 //!   packed kernel a lone session calls, writing one engine-owned
 //!   [`verispec_lm::LogitsArena`] that steppers read back as borrowed
 //!   row views — so concurrent generations share each pass instead of
@@ -935,6 +941,89 @@ mod tests {
             edf > rr,
             "EDF must meet more deadlines than round-robin ({edf} vs {rr})"
         );
+    }
+
+    #[test]
+    fn one_fused_batch_of_every_engine_equals_each_serial_engine() {
+        // NTP, a lazily grown tree, a chain, a grammar tree (eager: all
+        // its heads at once, from the activation the fused propose
+        // kept) and a draft block share every tick: one propose pass of
+        // base rows, then one pass per level carrying the nodes and the
+        // head rows that level's survivors asked for. Each member must
+        // equal its own serial engine — tokens, steps and trace.
+        use verispec_core::{decode_grammar_speculative, DecodeOutput};
+        use verispec_grammar::GrammarOracle;
+        let (m, d) = (model(), draft());
+        let cost = GpuCostModel::codellama_like();
+        let bytes = (0..14usize)
+            .map(|id| if id < 5 { Vec::new() } else { b"a".to_vec() })
+            .collect();
+        let oracle = GrammarOracle::new(bytes);
+        let engines = [
+            EngineChoice::Ntp,
+            EngineChoice::MedusaTree(vec![3, 2, 2]),
+            EngineChoice::SyntaxAligned { tree: None },
+            EngineChoice::GrammarTree {
+                tree: Some(vec![2, 2]),
+            },
+            EngineChoice::DraftVerify { gamma: 3 },
+        ];
+        for temperature in [None, Some(0.8f32), Some(2.5)] {
+            let requests: Vec<Request> = engines
+                .iter()
+                .enumerate()
+                .map(|(i, engine)| {
+                    let cfg = DecodeConfig {
+                        max_tokens: 16,
+                        sampling: temperature.map_or(Sampling::Greedy, Sampling::temperature),
+                        seed: i as u64 * 17 + 3,
+                        ..Default::default()
+                    };
+                    Request::new(i as u64, vec![6 + i as TokenId, 7], engine.clone(), cfg)
+                })
+                .collect();
+            let serial: Vec<DecodeOutput> = requests
+                .iter()
+                .map(|r| {
+                    let cfg = r.engine.decode_config(&r.cfg);
+                    match &r.engine {
+                        EngineChoice::Ntp => decode_ntp(&m, &r.prompt, &cfg, &cost),
+                        EngineChoice::DraftVerify { .. } => {
+                            let dcfg = r.engine.draft_config(&r.cfg).expect("draft cfg");
+                            decode_draft_speculative(&m, &d, &r.prompt, &dcfg, &cost).0
+                        }
+                        EngineChoice::GrammarTree { .. } => {
+                            decode_grammar_speculative(&m, &oracle, &r.prompt, &cfg, &cost)
+                        }
+                        _ => decode_speculative(&m, &r.prompt, &cfg, &cost),
+                    }
+                })
+                .collect();
+            let mut engine = ServeEngine::new(&m, ServeConfig::concurrency(engines.len()))
+                .with_draft(&d)
+                .with_grammar(&oracle);
+            for r in requests {
+                engine.submit(r);
+            }
+            let report = engine.run(&cost);
+            for (c, want) in report.completions.iter().zip(&serial) {
+                assert_eq!(c.output.tokens, want.tokens, "request {} tokens", c.id);
+                assert_eq!(c.output.steps, want.steps, "request {} steps", c.id);
+                assert_eq!(c.output.trace, want.trace, "request {} trace", c.id);
+                assert_eq!(c.output.clock, want.clock, "request {} clock", c.id);
+            }
+            let stats = report.stats;
+            assert_eq!(stats.local_verify_calls, 0, "every member fused");
+            assert!(stats.fused_propose_positions > 0 && stats.fused_verify_calls > 0);
+            // Head rows ride the verify passes without being forwards.
+            // Greedy acceptance takes one edge out of a node, so a step
+            // forwards its root and at most one node per token it
+            // commits — never a row per head.
+            if temperature.is_none() {
+                let forwards: usize = serial.iter().map(|o| o.steps + o.tokens.len()).sum();
+                assert!(stats.fused_verify_nodes <= forwards, "{stats:?}");
+            }
+        }
     }
 
     #[test]
