@@ -496,7 +496,7 @@ pub fn run_serve_bench(
     concurrencies: &[usize],
 ) -> Vec<ServeBenchRow> {
     use verispec_lm::LanguageModel;
-    use verispec_serve::{serve_all_threaded, ServeConfig, ServeEngine};
+    use verispec_serve::{Backend, Drive, FleetRuntime, RoutePolicy, ServeConfig, ServeEngine};
 
     let model = pipe.model_for(model_scale, TrainMethod::Ours, (1, 1));
     let cost = model_scale.cost_model();
@@ -619,14 +619,16 @@ pub fn run_serve_bench(
                 // model (request clones again prepared untimed).
                 let cloned: Vec<verispec_serve::Request> = requests.clone();
                 let t2 = std::time::Instant::now();
-                let pooled = serve_all_threaded(
+                let pooled = FleetRuntime::new(
                     &model,
-                    Some(&draft),
-                    cloned,
-                    &ServeConfig::concurrency(c.div_ceil(workers)),
-                    &cost,
+                    ServeConfig::concurrency(c.div_ceil(workers)),
                     workers,
-                );
+                    RoutePolicy::RoundRobin,
+                    Backend::Threaded,
+                )
+                .with_draft(&draft)
+                .run(Drive::Batch(cloned), &cost)
+                .report;
                 threaded_secs = threaded_secs.min(t2.elapsed().as_secs_f64());
                 assert_eq!(
                     pooled.completions.len(),

@@ -17,14 +17,14 @@ use crate::benchmarks::speed_prompts;
 use crate::pipeline::{token_budget, ModelScale, Pipeline, SharedPrefixEncoder};
 use crate::Scale;
 use verispec_core::{AdaptivePolicy, BudgetedPolicy, SpecPolicy, StaticPolicy, TrainMethod};
+use verispec_lm::MlpLm;
 use verispec_load::{
-    run_dispatch_open_loop, run_dispatch_open_loop_threaded, run_fleet_open_loop, run_open_loop,
-    run_open_loop_with_policy, ArrivalProcess, ArrivalTrace, DispatchRunReport, LoadBenchRow,
-    LoadRunReport, PromptFamily, RequestMix, Workload,
+    run_fleet_open_loop, ArrivalProcess, ArrivalTrace, LoadBenchRow, LoadRunReport, PromptFamily,
+    RequestMix, Workload,
 };
 use verispec_serve::{
-    Backend, DispatchConfig, EngineChoice, FaultPlan, Request, RoutePolicy, ServeConfig,
-    ServeEngine, TickOrder,
+    Backend, EngineChoice, FaultPlan, FleetRuntime, Request, RoutePolicy, ServeConfig, ServeEngine,
+    TickOrder,
 };
 
 /// The three methods of the serve-aware Table II (all drive the same
@@ -161,6 +161,45 @@ pub fn rates_for_utilizations(utils: &[f64], max_batch: usize, mean_budget: f64)
         .collect()
 }
 
+/// The fleet a sweep cell is served on. With a `stem`, every worker's
+/// radix-tree prefix cache is enabled and pre-warmed with it, so every
+/// matching request is admitted from a copy-on-write fork of the
+/// cached node.
+fn fleet<'m>(
+    model: &'m MlpLm,
+    cfg: &ServeConfig,
+    workers: usize,
+    route: RoutePolicy,
+    backend: Backend,
+    stem: Option<&[u32]>,
+) -> FleetRuntime<'m> {
+    let cfg = ServeConfig {
+        prefix_cache: cfg.prefix_cache || stem.is_some(),
+        ..cfg.clone()
+    };
+    let fleet = FleetRuntime::new(model, cfg, workers, route, backend);
+    match stem {
+        Some(stem) => fleet.warm_prefix(stem),
+        None => fleet,
+    }
+}
+
+/// The single fused engine, as the one-worker fleet it is (rows
+/// labelled route [`SINGLE`]).
+fn single<'m>(model: &'m MlpLm, cfg: &ServeConfig, stem: Option<&[u32]>) -> FleetRuntime<'m> {
+    fleet(
+        model,
+        cfg,
+        1,
+        RoutePolicy::RoundRobin,
+        Backend::Lockstep,
+        stem,
+    )
+}
+
+/// The `route` label of single-engine rows.
+const SINGLE: &str = "single";
+
 /// Runs the latency-under-load sweep: `utilizations` offered-load
 /// levels × the three methods (the legacy Table II, uncapacitated),
 /// plus the **policy A/B** — Ours-tree served under static vs.
@@ -223,12 +262,9 @@ pub fn run_load_bench(
             // Equal offered load: identical arrivals/prompts/budgets/
             // seeds across methods, engine forced.
             let requests = workload.requests_with_engine(Some(&engine));
-            let run = run_open_loop(
-                &model,
-                None,
-                Some(&enc.preamble_ids),
+            let run = run_fleet_open_loop(
+                single(&model, &cfg, Some(&enc.preamble_ids)),
                 requests.clone(),
-                &cfg,
                 &cost,
             );
             assert_streaming_matches_batch(
@@ -241,7 +277,13 @@ pub fn run_load_bench(
                 name,
                 None,
             );
-            rows.push(LoadBenchRow::new(workload.process.name(), rate, name, &run));
+            rows.push(LoadBenchRow::new(
+                workload.process.name(),
+                rate,
+                name,
+                SINGLE,
+                &run,
+            ));
         }
 
         // Policy A/B: the same arrivals/prompts/budgets/seeds, now with
@@ -266,14 +308,10 @@ pub fn run_load_bench(
                 shed_depth: Some(4 * concurrency),
                 ..cfg.clone()
             };
-            let run = run_open_loop_with_policy(
-                &model,
-                None,
-                Some(&enc.preamble_ids),
+            let run = run_fleet_open_loop(
+                single(&model, &pcfg, Some(&enc.preamble_ids)).with_policy(policy.as_ref()),
                 requests.clone(),
-                &pcfg,
                 &cost,
-                Some(policy.as_ref()),
             );
             assert_streaming_matches_batch(
                 &model,
@@ -285,14 +323,11 @@ pub fn run_load_bench(
                 policy_name,
                 Some(policy.as_ref()),
             );
-            rows.push(LoadBenchRow::with_policy(
-                slo_workload.process.name(),
-                rate,
-                ours_name,
-                policy_name,
-                Some(capacity),
-                &run,
-            ));
+            let mut row =
+                LoadBenchRow::new(slo_workload.process.name(), rate, ours_name, SINGLE, &run);
+            row.policy = policy_name.to_string();
+            row.tick_capacity = Some(capacity);
+            rows.push(row);
         }
     }
 
@@ -328,12 +363,9 @@ pub fn run_load_bench(
     };
     let process = workload.process.name().to_string();
     let requests = workload.requests_with_engine(Some(&ours_engine));
-    let reference = run_open_loop(
-        &model,
-        None,
-        Some(&enc.preamble_ids),
+    let reference = run_fleet_open_loop(
+        single(&model, &cfg, Some(&enc.preamble_ids)),
         requests.clone(),
-        &cfg,
         &cost,
     );
     assert_streaming_matches_batch(
@@ -346,41 +378,32 @@ pub fn run_load_bench(
         "dispatch-reference",
         None,
     );
-    rows.push(LoadBenchRow::new(&process, rate, ours_name, &reference));
+    rows.push(LoadBenchRow::new(
+        &process, rate, ours_name, SINGLE, &reference,
+    ));
     for &workers in &DISPATCH_WORKER_COUNTS {
         // With one worker every routing policy routes identically, so
         // the three one-worker cells share a single run (lockstep and
         // threaded alike).
-        let mut shared: Option<(DispatchRunReport, f64)> = None;
+        let mut shared: Option<(LoadRunReport, f64)> = None;
         for (route_name, route) in dispatch_routes() {
             let (run, threaded_wall) = match &shared {
                 Some((run, wall)) => (run.clone(), *wall),
                 None => {
-                    let dcfg = DispatchConfig::new(workers, route);
-                    let run = run_dispatch_open_loop(
-                        &model,
-                        None,
-                        Some(&enc.preamble_ids),
-                        requests.clone(),
-                        &cfg,
-                        &dcfg,
-                        &cost,
-                        None,
-                    );
+                    let serve = |backend| {
+                        let stem = Some(&enc.preamble_ids[..]);
+                        run_fleet_open_loop(
+                            fleet(&model, &cfg, workers, route.clone(), backend, stem),
+                            requests.clone(),
+                            &cost,
+                        )
+                    };
+                    let run = serve(Backend::Lockstep);
                     assert_dispatch_matches_reference(&run, &reference, workers, route_name);
-                    // The threaded runtime on the identical cell: the
+                    // The threaded backend on the identical cell: the
                     // tick schedule must reproduce exactly; the wall
                     // clock is the column's whole point.
-                    let threaded = run_dispatch_open_loop_threaded(
-                        &model,
-                        None,
-                        Some(&enc.preamble_ids),
-                        requests.clone(),
-                        &cfg,
-                        &dcfg,
-                        &cost,
-                        None,
-                    );
+                    let threaded = serve(Backend::Threaded);
                     assert_threaded_matches_lockstep(&threaded, &run, workers, route_name);
                     if workers == 1 {
                         shared = Some((run.clone(), threaded.wall_secs));
@@ -389,15 +412,14 @@ pub fn run_load_bench(
                 }
             };
             rows.push(
-                LoadBenchRow::for_dispatch(&process, rate, ours_name, route_name, &run)
+                LoadBenchRow::new(&process, rate, ours_name, route_name, &run)
                     .with_threaded(threaded_wall, true),
             );
         }
     }
 
     // Fault-injected recovery cells: the identical dispatch workload
-    // served under deterministic failure scenarios through the
-    // [`verispec_load::run_fleet_open_loop`] facade — a single-worker
+    // served under deterministic failure scenarios — a single-worker
     // crash with migration to the survivors ("worker-crash", 4
     // workers), and a whole-fleet outage riding backpressure until the
     // restarts flush the deferred queue ("crash-storm", 2 workers).
@@ -427,7 +449,22 @@ pub fn run_load_bench(
         ("worker-crash", crash_workers),
         ("crash-storm", storm_workers),
     ] {
-        let dcfg = DispatchConfig::new(workers, RoutePolicy::JoinShortestQueue);
+        let serve = |plan: &FaultPlan, backend| {
+            let stem = Some(&enc.preamble_ids[..]);
+            run_fleet_open_loop(
+                fleet(
+                    &model,
+                    &cfg,
+                    workers,
+                    RoutePolicy::JoinShortestQueue,
+                    backend,
+                    stem,
+                )
+                .with_fault_plan(plan.clone()),
+                requests.clone(),
+                &cost,
+            )
+        };
         let make_plan = |crash: u64| -> FaultPlan {
             if scenario == "worker-crash" {
                 FaultPlan::none().crash(crash, 0).restart(restart_tick, 0)
@@ -441,19 +478,8 @@ pub fn run_load_bench(
         let (plan, run) = ((first_arrival + 1)..=scan_end)
             .find_map(|crash| {
                 let plan = make_plan(crash);
-                let run = run_fleet_open_loop(
-                    &model,
-                    None,
-                    Some(&enc.preamble_ids),
-                    requests.clone(),
-                    &cfg,
-                    &dcfg,
-                    &cost,
-                    None,
-                    &plan,
-                    Backend::Lockstep,
-                );
-                let s = &run.dispatch.stats;
+                let run = serve(&plan, Backend::Lockstep);
+                let s = &run.report.stats;
                 let strands = if scenario == "worker-crash" {
                     s.migrations > 0
                 } else {
@@ -465,20 +491,9 @@ pub fn run_load_bench(
                 panic!("{scenario}: no crash tick in the arrival window strands work")
             });
         assert_faulted_matches_reference(&run, &reference, &plan, workers, scenario);
-        let threaded = run_fleet_open_loop(
-            &model,
-            None,
-            Some(&enc.preamble_ids),
-            requests.clone(),
-            &cfg,
-            &dcfg,
-            &cost,
-            None,
-            &plan,
-            Backend::Threaded,
-        );
+        let threaded = serve(&plan, Backend::Threaded);
         assert_threaded_matches_lockstep(&threaded, &run, workers, scenario);
-        let mut row = LoadBenchRow::for_dispatch(&process, rate, ours_name, "jsq", &run)
+        let mut row = LoadBenchRow::new(&process, rate, ours_name, "jsq", &run)
             .with_threaded(threaded.wall_secs, true);
         row.policy = scenario.to_string();
         rows.push(row);
@@ -533,47 +548,34 @@ pub fn run_load_bench(
         prefix_cache: true,
         ..off_cfg.clone()
     };
-    let zipf_reference = run_open_loop(&model, None, None, zipf_requests.clone(), &off_cfg, &cost);
+    let zipf_reference =
+        run_fleet_open_loop(single(&model, &off_cfg, None), zipf_requests.clone(), &cost);
     for (cache_name, zcfg) in [("cache-off", &off_cfg), ("cache-on", &on_cfg)] {
         for &workers in &DISPATCH_WORKER_COUNTS {
             // One worker routes identically under every policy: share
             // the run across the three route rows.
-            let mut shared: Option<(DispatchRunReport, f64)> = None;
+            let mut shared: Option<(LoadRunReport, f64)> = None;
             for (route_name, route) in zipf_routes() {
                 let (run, threaded_wall) = match &shared {
                     Some((run, wall)) => (run.clone(), *wall),
                     None => {
-                        let dcfg = DispatchConfig::new(workers, route);
-                        let run = run_dispatch_open_loop(
-                            &model,
-                            None,
-                            None,
-                            zipf_requests.clone(),
-                            zcfg,
-                            &dcfg,
-                            &cost,
-                            None,
-                        );
-                        assert_zipf_matches_uncached_reference(
+                        let serve = |backend| {
+                            run_fleet_open_loop(
+                                fleet(&model, zcfg, workers, route.clone(), backend, None),
+                                zipf_requests.clone(),
+                                &cost,
+                            )
+                        };
+                        let run = serve(Backend::Lockstep);
+                        assert_tokens_match_reference(
                             &run,
                             &zipf_reference,
-                            cache_name,
-                            workers,
-                            route_name,
+                            &format!("{cache_name}/{route_name}@{workers}"),
                         );
-                        // The threaded runtime must reproduce the cell
+                        // The threaded backend must reproduce the cell
                         // even under paced ingestion, prefix caching,
                         // and cache-probing routes.
-                        let threaded = run_dispatch_open_loop_threaded(
-                            &model,
-                            None,
-                            None,
-                            zipf_requests.clone(),
-                            zcfg,
-                            &dcfg,
-                            &cost,
-                            None,
-                        );
+                        let threaded = serve(Backend::Threaded);
                         assert_threaded_matches_lockstep(&threaded, &run, workers, route_name);
                         if workers == 1 {
                             shared = Some((run.clone(), threaded.wall_secs));
@@ -581,7 +583,7 @@ pub fn run_load_bench(
                         (run, threaded.wall_secs)
                     }
                 };
-                let mut row = LoadBenchRow::for_dispatch("zipf", rate, ours_name, route_name, &run)
+                let mut row = LoadBenchRow::new("zipf", rate, ours_name, route_name, &run)
                     .with_threaded(threaded_wall, true);
                 row.policy = cache_name.to_string();
                 rows.push(row);
@@ -602,31 +604,26 @@ pub fn zipf_routes() -> Vec<(&'static str, RoutePolicy)> {
     ]
 }
 
-/// Asserts a Zipf-sweep cell's completions token-identical to the
-/// uncached single-engine reference: prefix caching, paced ingestion,
-/// and routing are performance mechanisms — ticks move, tokens never.
-fn assert_zipf_matches_uncached_reference(
-    run: &DispatchRunReport,
-    reference: &LoadRunReport,
-    cache: &str,
-    workers: usize,
-    route: &str,
-) {
+/// Asserts every completion of `run` token-identical to the
+/// single-engine `reference` run of the identical workload: routing,
+/// prefix caching, paced ingestion and crash recovery are performance
+/// mechanisms — ticks move, tokens never.
+fn assert_tokens_match_reference(run: &LoadRunReport, reference: &LoadRunReport, cell: &str) {
     assert_eq!(
-        run.dispatch.completions.len(),
-        reference.serve.completions.len(),
-        "{cache}/{route}@{workers}: zipf cell lost requests"
+        run.report.completions.len(),
+        reference.report.completions.len(),
+        "{cell}: requests were lost"
     );
     for (a, b) in run
-        .dispatch
+        .report
         .completions
         .iter()
-        .zip(&reference.serve.completions)
+        .zip(&reference.report.completions)
     {
         assert_eq!(a.id, b.id);
         assert_eq!(
             a.output.tokens, b.output.tokens,
-            "{cache}/{route}@{workers}: request {} diverged from the uncached reference",
+            "{cell}: request {} diverged from the single-engine reference",
             a.id
         );
     }
@@ -640,7 +637,7 @@ fn assert_zipf_matches_uncached_reference(
 /// by exact replay is a scheduling event, never a semantic one; rows
 /// are only recorded after this passes.
 fn assert_faulted_matches_reference(
-    run: &DispatchRunReport,
+    run: &LoadRunReport,
     reference: &LoadRunReport,
     plan: &FaultPlan,
     workers: usize,
@@ -652,31 +649,14 @@ fn assert_faulted_matches_reference(
         .filter(|e| matches!(e, verispec_serve::FaultEvent::CrashWorker { .. }))
         .count();
     assert_eq!(
-        run.dispatch.stats.crashes, crashes,
+        run.report.stats.crashes, crashes,
         "{scenario}@{workers}: the fault plan's crashes did not all fire"
     );
     assert!(
-        run.dispatch.stats.migrations > 0 || run.dispatch.stats.backpressure_deferrals > 0,
+        run.report.stats.migrations > 0 || run.report.stats.backpressure_deferrals > 0,
         "{scenario}@{workers}: the crash stranded no work — the cell measures nothing"
     );
-    assert_eq!(
-        run.dispatch.completions.len(),
-        reference.serve.completions.len(),
-        "{scenario}@{workers}: requests were lost across the recovery"
-    );
-    for (a, b) in run
-        .dispatch
-        .completions
-        .iter()
-        .zip(&reference.serve.completions)
-    {
-        assert_eq!(a.id, b.id);
-        assert_eq!(
-            a.output.tokens, b.output.tokens,
-            "{scenario}@{workers}: request {} diverged under fault injection",
-            a.id
-        );
-    }
+    assert_tokens_match_reference(run, reference, &format!("{scenario}@{workers}"));
 }
 
 /// Asserts the threaded runtime's run bit-identical to the lockstep
@@ -686,19 +666,17 @@ fn assert_faulted_matches_reference(
 /// fleet event stream. Rows record `threaded_parity: true` only after
 /// this passes, so the bench artifact carries a proven claim.
 fn assert_threaded_matches_lockstep(
-    threaded: &DispatchRunReport,
-    lockstep: &DispatchRunReport,
+    threaded: &LoadRunReport,
+    lockstep: &LoadRunReport,
     workers: usize,
     route: &str,
 ) {
-    use verispec_trace::canonicalize_fleet_events;
     assert!(
-        threaded.dispatch.same_schedule(&lockstep.dispatch),
+        threaded.report.same_schedule(&lockstep.report),
         "{route}@{workers}: threaded runtime diverged from the lockstep schedule"
     );
     assert_eq!(
-        canonicalize_fleet_events(&threaded.events),
-        canonicalize_fleet_events(&lockstep.events),
+        threaded.events, lockstep.events,
         "{route}@{workers}: threaded event stream diverged from lockstep"
     );
 }
@@ -706,42 +684,30 @@ fn assert_threaded_matches_lockstep(
 /// Asserts a dispatched run against the single-engine reference of the
 /// identical workload: every completion's token stream must match
 /// (routing never changes semantics), and a one-worker fleet must
-/// reproduce the reference tick schedule exactly (the dispatcher adds
-/// zero scheduling noise).
+/// reproduce the reference tick schedule exactly (routing adds zero
+/// scheduling noise).
 fn assert_dispatch_matches_reference(
-    run: &DispatchRunReport,
+    run: &LoadRunReport,
     reference: &LoadRunReport,
     workers: usize,
     route: &str,
 ) {
-    assert_eq!(
-        run.dispatch.completions.len(),
-        reference.serve.completions.len(),
-        "{route}@{workers}: dispatched run lost requests"
-    );
-    for (a, b) in run
-        .dispatch
-        .completions
-        .iter()
-        .zip(&reference.serve.completions)
-    {
-        assert_eq!(a.id, b.id);
-        assert_eq!(
-            a.output.tokens, b.output.tokens,
-            "{route}@{workers}: request {} diverged from the single-engine run",
-            a.id
-        );
-        if workers == 1 {
+    assert_tokens_match_reference(run, reference, &format!("{route}@{workers}"));
+    if workers == 1 {
+        for (a, b) in run
+            .report
+            .completions
+            .iter()
+            .zip(&reference.report.completions)
+        {
             assert_eq!(
                 a.step_ticks, b.step_ticks,
                 "{route}@1: request {} schedule diverged from the single engine",
                 a.id
             );
         }
-    }
-    if workers == 1 {
         assert_eq!(
-            run.dispatch.stats.ticks, reference.serve.stats.ticks,
+            run.report.stats.ticks, reference.report.stats.ticks,
             "{route}@1: tick count diverged from the single engine"
         );
     }
@@ -773,14 +739,13 @@ fn assert_streaming_matches_batch(
     requests: &[Request],
     cfg: &ServeConfig,
     cost: &verispec_lm::GpuCostModel,
-    run: &verispec_load::LoadRunReport,
+    run: &LoadRunReport,
     method: &str,
     policy: Option<&dyn SpecPolicy>,
 ) {
-    // Mirror run_open_loop's prefix handling exactly (radix-tree cache
-    // pre-warmed with the shared stem — the successor of the retired
-    // engine-held `with_prefix` plumbing) so the batch reference runs
-    // the identical admission path.
+    // Mirror the served fleet's prefix handling exactly (radix-tree
+    // cache pre-warmed with the shared stem) so the batch reference
+    // runs the identical admission path.
     let cfg = ServeConfig {
         prefix_cache: true,
         ..cfg.clone()
@@ -796,14 +761,14 @@ fn assert_streaming_matches_batch(
     let batch = engine.run(cost);
     assert_eq!(
         batch.completions.len(),
-        run.serve.completions.len(),
+        run.report.completions.len(),
         "{method}: streamed run lost requests"
     );
     assert_eq!(
-        batch.shed, run.serve.shed,
+        batch.shed, run.report.shed,
         "{method}: streamed shedding diverged from batch"
     );
-    for (a, b) in batch.completions.iter().zip(&run.serve.completions) {
+    for (a, b) in batch.completions.iter().zip(&run.report.completions) {
         assert_eq!(
             a.output.tokens, b.output.tokens,
             "{method}: streamed output diverged from batch (request {})",

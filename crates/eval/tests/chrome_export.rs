@@ -9,8 +9,8 @@
 use serde::Value;
 use verispec_core::DecodeConfig;
 use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, NgramLm, TokenId};
-use verispec_load::{run_dispatch_open_loop, ArrivalProcess, PromptFamily, RequestMix, Workload};
-use verispec_serve::{DispatchConfig, EngineChoice, RoutePolicy, ServeConfig};
+use verispec_load::{run_fleet_open_loop, ArrivalProcess, PromptFamily, RequestMix, Workload};
+use verispec_serve::{Backend, EngineChoice, FleetRuntime, RoutePolicy, ServeConfig};
 use verispec_trace::chrome_trace;
 
 fn as_u64(v: &Value) -> Option<u64> {
@@ -75,16 +75,20 @@ fn four_worker_paced_run_exports_schema_valid_chrome_trace() {
         seed: 0xC480_3E17,
     };
 
-    let run = run_dispatch_open_loop(
+    let cfg = ServeConfig {
+        prefix_cache: true,
+        ..ServeConfig::concurrency(2)
+    };
+    let fleet = FleetRuntime::new(
         &model,
-        Some(&draft),
-        Some(&shared),
-        workload.requests(),
-        &ServeConfig::concurrency(2),
-        &DispatchConfig::new(4, RoutePolicy::JoinShortestQueue),
-        &cost,
-        None,
-    );
+        cfg,
+        4,
+        RoutePolicy::JoinShortestQueue,
+        Backend::Lockstep,
+    )
+    .with_draft(&draft)
+    .warm_prefix(&shared);
+    let run = run_fleet_open_loop(fleet, workload.requests(), &cost);
     assert!(!run.events.is_empty(), "paced run produced no events");
 
     let json = chrome_trace(&run.events);
@@ -182,7 +186,7 @@ fn four_worker_paced_run_exports_schema_valid_chrome_trace() {
     }
     assert_eq!(
         request_tracks,
-        run.dispatch.completions.len(),
+        run.report.completions.len(),
         "every served request must have a span track"
     );
 }

@@ -25,47 +25,47 @@
 //!   ─────────────                 ──────────────              ───────────
 //!   ArrivalProcess ─┐
 //!   (poisson/on-off/│ Workload::requests()
-//!    ramp, seeded)  ├──────────► [Request; n] ── mpsc ─► Dispatcher
-//!   RequestMix ─────┘  arrival ticks + mixes            (RoutePolicy:
-//!   (engine/family —     │ + deadlines                   rr / jsq /
-//!    incl. Zipf shared   ▼ (deadline_slack)              least-loaded /
-//!    stems — budget/  ArrivalTrace                       pinned replay /
-//!    sampling/slack)  (JSON record/replay,               prefix-affine)
-//!                      bit-identical; CI           │ route per arrival
-//!                      replays tests/traces/)      ▼ (probes caches)
-//!                                              drain_arrivals ×N workers
-//!                                              (per tick, joins
-//!                                               mid-flight; shed
-//!                                               overflow per worker)
+//!    ramp, seeded)  ├──────────► [Request; n] ─► run_fleet_open_loop
+//!   RequestMix ─────┘  arrival ticks + mixes         (a configured
+//!   (engine/family —     │ + deadlines                FleetRuntime +
+//!    incl. Zipf shared   ▼ (deadline_slack)           the requests)
+//!    stems — budget/  ArrivalTrace                        │
+//!    sampling/slack)  (JSON record/replay,                ▼
+//!                      bit-identical; CI       FleetRuntime::run(Drive::Paced)
+//!                      replays tests/traces/)  — the one drive: each
+//!                                              request routed when its
+//!                                              arrival tick falls due
+//!                                              (RoutePolicy: rr / jsq /
+//!                                              least-loaded / pinned /
+//!                                              prefix-affine, probing
+//!                                              live queues and caches);
+//!                                              one engine = the
+//!                                              one-worker fleet
 //!                                                  │
 //!                                    ServeEngine tick loop (per worker)
 //!                                    admission → PrefixCache (radix
 //!                                      trie: fork deepest stem, ingest
 //!                                      suffix only, insert-on-miss,
 //!                                      cap-charged LRU eviction)
-//!                                    → scheduler (EDF…)
+//!                                    → scheduler (EDF…) → shed overflow
 //!                                    → SpecPolicy divides the
 //!                                      per-tick verify capacity
 //!                                    → fused propose/verify →
 //!                                    commit (step_ticks)
 //!                                                  │
-//!                      run_fleet_open_loop ── one FleetRuntime facade
-//!                      (Drive::Paced + optional FaultPlan: trace-
-//!                       specified CrashWorker/RestartWorker ticks and
-//!                       per-tenant ClassShare weighted-fair shares;
-//!                       on crash, stranded requests re-route through
-//!                       the live Router and rebuild by exact replay —
-//!                       token-identical to the fault-free run; with
-//!                       the whole fleet dark, arrivals defer under
-//!                       Backpressure and flush at restart) over two
-//!                      backends with the same semantics:
-//!                      ├─ Backend::Lockstep ── oracle (one
-//!                      │   coordinator thread ticks every engine in
-//!                      │   rounds) — run_dispatch_open_loop is the
-//!                      │   fault-free convenience
+//!                      the fleet spec carries the rest: an optional
+//!                      FaultPlan (trace-specified CrashWorker/
+//!                      RestartWorker ticks and per-tenant ClassShare
+//!                      weighted-fair shares; on crash, stranded
+//!                      requests re-route through the live Router and
+//!                      rebuild by exact replay — token-identical to
+//!                      the fault-free run; with the whole fleet dark,
+//!                      arrivals defer under Backpressure and flush at
+//!                      restart) and the backend:
+//!                      ├─ Backend::Lockstep ── oracle (the calling
+//!                      │   thread ticks every engine in rounds)
 //!                      └─ Backend::Threaded ── true parallel runtime
-//!                          (thread per worker, mpsc Submit/Tick/
-//!                          Probe/Drain protocol, barrier-free drain)
+//!                          (thread per worker, barrier-free drain)
 //!                          — tick-for-tick identical reports (faults
 //!                          included), so the bench records both wall
 //!                          clocks side by side (threaded_wall_secs
@@ -83,9 +83,9 @@
 //!                                   the Zipf-stem cache sweep +
 //!                                   event-derived acceptance columns)
 //!
-//!   verispec-trace ◄── every run: the drivers attach an EventLog, so
-//!   tick-stamped TraceEvents       LoadRunReport/DispatchRunReport
-//!   (submit/route/admit/step/      carry `events` next to the latency
+//!   verispec-trace ◄── every run: the driver turns tracing on, so
+//!   tick-stamped TraceEvents       every LoadRunReport carries
+//!   (submit/route/admit/step/      `events` next to the latency
 //!    defer/evict/shed/finish/      telemetry → MetricsRegistry, Chrome
 //!    batch/budget)                 trace export (`trace_view` bin),
 //!                                  flame report, and the golden
@@ -102,31 +102,29 @@
 //!   [`Workload::requests_with_engine`] forces one engine while keeping
 //!   arrivals/prompts/budgets/seeds identical — the equal-offered-load
 //!   A/B.
-//! * [`run_open_loop`] — feeds the workload through the streaming
-//!   admission channel and collects [`LatencyReport`]: per-request
-//!   queueing delay, TTFT, per-token inter-commit gaps, and end-to-end
-//!   latency in ticks and wall-clock, aggregated into exact-quantile
-//!   p50/p90/p99 summaries ([`QuantileSummary`], grouped as
-//!   [`LatencyQuantiles`]) plus per-engine breakdowns.
-//! * [`run_fleet_open_loop`] — the multi-worker sibling, over the
-//!   [`verispec_serve::FleetRuntime`] facade: the same workload served
-//!   through a worker fleet under a selectable backend
+//! * [`run_fleet_open_loop`] — the one driver: serves the workload
+//!   through a configured [`verispec_serve::FleetRuntime`]'s paced
+//!   drive and collects [`LatencyReport`]: per-request queueing delay,
+//!   TTFT, per-token inter-commit gaps, and end-to-end latency in
+//!   ticks and wall-clock, aggregated into exact-quantile p50/p90/p99
+//!   summaries ([`QuantileSummary`], grouped as [`LatencyQuantiles`])
+//!   plus per-engine breakdowns. The fleet spec decides everything
+//!   else: one worker or many, the backend
 //!   ([`verispec_serve::Backend::Lockstep`] oracle or
 //!   [`verispec_serve::Backend::Threaded`] thread-per-worker runtime —
 //!   proptest-pinned bit-identical in tick space, so the backend only
-//!   changes the wall clock) and an optional
-//!   [`verispec_serve::FaultPlan`] (deterministic worker
-//!   crash/restart schedules plus per-tenant weighted-fair shares).
-//!   The realized routing joins back into a per-worker telemetry
-//!   breakdown (each worker's [`SloSummary`] counts the deadlines *it*
-//!   dropped, so bad routing shows up where it happened), and
-//!   fault-injected cells grow recovery columns in `BENCH_load.json`:
-//!   `worker_crashes` / `migrations` / `replay_tokens` /
-//!   `recovery_ttft_p99` (exact p99 TTFT over the migrated or
-//!   backpressure-deferred completions). [`run_dispatch_open_loop`] /
-//!   [`run_dispatch_open_loop_threaded`] remain as fault-free
-//!   conveniences pinned to one backend each; `threaded_wall_secs` /
-//!   `threaded_parity` record the two wall clocks side by side.
+//!   changes the wall clock), prefix cache and warm stems, speculation
+//!   policy, and an optional [`verispec_serve::FaultPlan`]
+//!   (deterministic worker crash/restart schedules plus per-tenant
+//!   weighted-fair shares). The realized routing joins back into a
+//!   per-worker telemetry breakdown (each worker's [`SloSummary`]
+//!   counts the deadlines *it* dropped, so bad routing shows up where
+//!   it happened), and fault-injected cells grow recovery columns in
+//!   `BENCH_load.json`: `worker_crashes` / `migrations` /
+//!   `replay_tokens` / `recovery_ttft_p99` (exact p99 TTFT over the
+//!   migrated or backpressure-deferred completions);
+//!   `threaded_wall_secs` / `threaded_parity` record the two backends'
+//!   wall clocks side by side.
 //! * [`LoadBenchRow`] — one cell of the serve-aware Table II
 //!   (single-engine, policy-A/B, and dispatch-sweep rows alike),
 //!   including event-derived acceptance columns
@@ -134,10 +132,9 @@
 //!   `event_accept_violations`) folded from the run's `Finished`
 //!   events — the bench guard cross-checks them against the
 //!   per-request `accepted <= proposed` invariant.
-//! * **Event capture** — both drivers run their engine (or fleet)
-//!   with a collecting [`verispec_trace::EventLog`] attached, so
-//!   every [`LoadRunReport`] / [`DispatchRunReport`] carries the
-//!   run's full deterministic event stream: render it with the
+//! * **Event capture** — the driver runs its fleet with tracing on, so
+//!   every [`LoadRunReport`] carries the run's full deterministic
+//!   event stream: render it with the
 //!   `trace_view` bin, export it with
 //!   [`verispec_trace::chrome_trace`], or diff it against a committed
 //!   golden log (`tests/event_log.rs` pins the `eviction_churn`
@@ -148,7 +145,7 @@
 //! # The invariant, extended
 //!
 //! Streaming admission inherits the serving invariant: per-request
-//! outputs are bit-identical to batch `serve_all` *and* to the serial
+//! outputs are bit-identical to batch submission *and* to the serial
 //! single-session engines, under any arrival process, session cap, or
 //! eviction pressure — and when every arrival is sent before its tick
 //! falls due, the entire tick schedule (admissions, commit ticks,
@@ -161,9 +158,9 @@
 //! use verispec_core::DecodeConfig;
 //! use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig};
 //! use verispec_load::{
-//!     run_open_loop, ArrivalProcess, PromptFamily, RequestMix, Workload,
+//!     run_fleet_open_loop, ArrivalProcess, PromptFamily, RequestMix, Workload,
 //! };
-//! use verispec_serve::{EngineChoice, ServeConfig};
+//! use verispec_serve::{Backend, EngineChoice, FleetRuntime, RoutePolicy, ServeConfig};
 //!
 //! let model = MlpLm::new(MlpLmConfig::tiny(16));
 //! let workload = Workload {
@@ -182,15 +179,15 @@
 //!     count: 8,
 //!     seed: 7,
 //! };
-//! let run = run_open_loop(
+//! let fleet = FleetRuntime::new(
 //!     &model,
-//!     None,
-//!     None,
-//!     workload.requests(),
-//!     &ServeConfig::concurrency(4),
-//!     &GpuCostModel::codellama_like(),
+//!     ServeConfig::concurrency(4),
+//!     1,
+//!     RoutePolicy::RoundRobin,
+//!     Backend::Lockstep,
 //! );
-//! assert_eq!(run.serve.completions.len(), 8);
+//! let run = run_fleet_open_loop(fleet, workload.requests(), &GpuCostModel::codellama_like());
+//! assert_eq!(run.report.completions.len(), 8);
 //! assert_eq!(run.latency.overall.requests, 8);
 //! ```
 
@@ -204,10 +201,7 @@ pub mod trace;
 
 pub use clock::{LoadRng, VirtualClock};
 pub use generator::{ArrivalProcess, PromptFamily, RequestMix, Workload};
-pub use report::{
-    run_dispatch_open_loop, run_dispatch_open_loop_threaded, run_fleet_open_loop, run_open_loop,
-    run_open_loop_with_policy, DispatchRunReport, LoadBenchRow, LoadRunReport,
-};
+pub use report::{run_fleet_open_loop, LoadBenchRow, LoadRunReport};
 pub use telemetry::{
     per_token_gaps, AcceptanceSummary, LatencyQuantiles, LatencyReport, LatencySummary,
     PrefixCacheSummary, QuantileSummary, RequestLatency, SloSummary,

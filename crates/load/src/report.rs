@@ -1,241 +1,72 @@
 //! Driving an open-loop workload through the serving stack and
 //! packaging the result for `BENCH_load.json`.
 //!
-//! [`run_open_loop`] is the canonical driver: it feeds a generated
-//! request sequence through the streaming-admission path
-//! ([`verispec_serve::ServeEngine::run_streaming`]) — arrivals enter
-//! via the channel and join mid-flight at their arrival ticks — and
-//! returns the serve report together with the aggregated latency
-//! telemetry and the measured wall clock. [`run_fleet_open_loop`] is
-//! its multi-worker sibling over a [`verispec_serve::FleetRuntime`]
-//! fleet — backend-selectable (lockstep oracle or threaded runtime)
-//! and optionally fault-injected ([`verispec_serve::FaultPlan`]) —
-//! with [`run_dispatch_open_loop`] / [`run_dispatch_open_loop_threaded`]
-//! as fault-free conveniences. [`LoadBenchRow`] is one line
-//! of the serve-aware Table II: one (arrival process, offered load,
-//! decoding method — and, for dispatched runs, worker count × routing
-//! policy) cell with exact p50/p90/p99 TTFT and end-to-end latency,
-//! plus recovery columns (crashes, migrations, replay tokens,
-//! recovery-window TTFT p99) for fault-injected cells.
+//! [`run_fleet_open_loop`] is the one driver: it serves a generated
+//! request sequence through a configured
+//! [`verispec_serve::FleetRuntime`]'s paced drive — each request is
+//! routed exactly when its arrival tick falls due — and returns the
+//! fleet report together with the aggregated latency telemetry, the
+//! measured wall clock and the event stream. Everything about the run
+//! is the caller's fleet spec: worker count and routing (a single
+//! engine is the one-worker fleet), backend (lockstep oracle or
+//! threaded runtime), prefix cache and warm stems, speculation policy,
+//! and an optional [`verispec_serve::FaultPlan`]. [`LoadBenchRow`] is
+//! one line of the serve-aware Table II: one (arrival process, offered
+//! load, decoding method, worker count × routing policy) cell with
+//! exact p50/p90/p99 TTFT and end-to-end latency, plus recovery columns
+//! (crashes, migrations, replay tokens, recovery-window TTFT p99) for
+//! fault-injected cells.
 
 use crate::telemetry::{LatencyQuantiles, LatencyReport, QuantileSummary};
 use serde::{Deserialize, Serialize};
-use verispec_core::SpecPolicy;
-use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, TokenId};
-use verispec_serve::{
-    Backend, DispatchConfig, DispatchReport, Drive, FaultPlan, FleetRuntime, Request, ServeConfig,
-    ServeEngine, ServeReport,
-};
-use verispec_trace::{EventKind, EventLog, TraceEvent};
+use verispec_lm::GpuCostModel;
+use verispec_serve::{DispatchReport, Drive, FleetRuntime, Request};
+use verispec_trace::{EventKind, TraceEvent};
 
 /// Everything one open-loop run produces.
 #[derive(Debug, Clone)]
 pub struct LoadRunReport {
-    /// The serving engine's completions and counters.
-    pub serve: ServeReport,
-    /// Aggregated latency telemetry.
-    pub latency: LatencyReport,
-    /// Measured wall-clock seconds of the whole run.
-    pub wall_secs: f64,
-    /// The full structured event stream of the run, in emission order
-    /// (deterministic in tick space — see [`verispec_trace`]).
-    pub events: Vec<TraceEvent>,
-}
-
-/// Serves `requests` through the streaming-admission path: every
-/// request is sent into the engine's arrival channel (in arrival
-/// order, ahead of its arrival tick, so the tick schedule is
-/// deterministic and identical to batch [`verispec_serve::serve_all`])
-/// and admission happens tick by tick as arrivals fall due. With
-/// `prefix_tokens`, the engine's radix-tree prefix cache is enabled
-/// and pre-warmed with the stem, so every matching request is admitted
-/// from a copy-on-write fork of the cached node (this used to be
-/// bespoke shared-prefix-session plumbing; the trie subsumes it and
-/// additionally caches every *other* stem the workload repeats).
-pub fn run_open_loop(
-    model: &MlpLm,
-    draft: Option<&dyn LanguageModel>,
-    prefix_tokens: Option<&[TokenId]>,
-    requests: Vec<Request>,
-    cfg: &ServeConfig,
-    cost: &GpuCostModel,
-) -> LoadRunReport {
-    run_open_loop_with_policy(model, draft, prefix_tokens, requests, cfg, cost, None)
-}
-
-/// [`run_open_loop`] under an explicit speculation policy (the policy
-/// A/B axis of the serve-aware Table II); `None` runs the static
-/// default.
-pub fn run_open_loop_with_policy(
-    model: &MlpLm,
-    draft: Option<&dyn LanguageModel>,
-    prefix_tokens: Option<&[TokenId]>,
-    requests: Vec<Request>,
-    cfg: &ServeConfig,
-    cost: &GpuCostModel,
-    policy: Option<&dyn SpecPolicy>,
-) -> LoadRunReport {
-    let originals = requests.clone();
-    let mut cfg = cfg.clone();
-    cfg.prefix_cache |= prefix_tokens.is_some();
-    let log = EventLog::new();
-    let t0 = std::time::Instant::now();
-    let mut engine = ServeEngine::new(model, cfg).with_sink(&log);
-    if let Some(d) = draft {
-        engine = engine.with_draft(d);
-    }
-    if let Some(toks) = prefix_tokens {
-        engine.warm_prefix(toks);
-    }
-    if let Some(p) = policy {
-        engine = engine.with_policy(p);
-    }
-    let (tx, rx) = std::sync::mpsc::channel();
-    for req in requests {
-        tx.send(req).expect("arrival receiver alive");
-    }
-    drop(tx);
-    let serve = engine.run_streaming(rx, cost);
-    let wall_secs = t0.elapsed().as_secs_f64();
-    let latency =
-        LatencyReport::new(&originals, &serve.completions).attach_prefix_stats(&serve.stats);
-    LoadRunReport {
-        serve,
-        latency,
-        wall_secs,
-        events: log.into_events(),
-    }
-}
-
-/// Everything one dispatched open-loop run produces.
-#[derive(Debug, Clone)]
-pub struct DispatchRunReport {
     /// The fleet's completions, merged + per-worker counters, and the
     /// realized routing.
-    pub dispatch: DispatchReport,
+    pub report: DispatchReport,
     /// Aggregated latency telemetry, per-worker breakdown included.
     pub latency: LatencyReport,
     /// Measured wall-clock seconds of the whole run.
     pub wall_secs: f64,
-    /// The fleet's full structured event stream, in emission order
-    /// (routing decisions interleaved with per-worker lifecycles).
+    /// The fleet's full structured event stream in canonical fleet
+    /// order (routing and fault lifecycle first, then per-worker
+    /// lifecycles by worker id) — deterministic in tick space, and the
+    /// same for either backend.
     pub events: Vec<TraceEvent>,
 }
 
-/// The multi-worker sibling of [`run_open_loop`], built on the
-/// [`FleetRuntime`] facade: serves `requests` through a fleet's
-/// *paced* drive ([`Drive::Paced`] — each request is routed exactly
-/// when its arrival tick falls due, so load-aware routing sees live
-/// queue depths and the whole run stays deterministic), optionally
-/// under a failure scenario (`plan`: deterministic worker
-/// crash/restart events and tenant shares), then joins the merged
-/// completions with the realized routing into a dispatcher-aware
-/// [`LatencyReport`]. `backend` selects the lockstep oracle or the
-/// thread-per-worker runtime; both produce bit-identical tick-space
-/// results (the proptest-pinned parity invariant), so the backend
-/// choice only changes the wall-clock measurement. `events` carries
-/// the canonical fleet stream for either backend (routing and fault
-/// lifecycle first, then per-worker lifecycles by worker id).
-#[allow(clippy::too_many_arguments)] // driver glue mirroring run_open_loop_with_policy
+/// Serves `requests` through `fleet`'s *paced* drive ([`Drive::Paced`]
+/// — each request is routed exactly when its arrival tick falls due, so
+/// load-aware routing sees live queue depths and the whole run stays
+/// deterministic) with tracing on, then joins the merged completions
+/// with the realized routing into a dispatcher-aware [`LatencyReport`].
+/// The backend the fleet was built with only changes the wall-clock
+/// measurement: both produce bit-identical tick-space results (the
+/// proptest-pinned parity invariant).
 pub fn run_fleet_open_loop(
-    model: &MlpLm,
-    draft: Option<&(dyn LanguageModel + Sync)>,
-    prefix_tokens: Option<&[TokenId]>,
+    fleet: FleetRuntime<'_>,
     requests: Vec<Request>,
-    cfg: &ServeConfig,
-    dcfg: &DispatchConfig,
     cost: &GpuCostModel,
-    policy: Option<&dyn SpecPolicy>,
-    plan: &FaultPlan,
-    backend: Backend,
-) -> DispatchRunReport {
+) -> LoadRunReport {
     let originals = requests.clone();
-    let mut cfg = cfg.clone();
-    cfg.prefix_cache |= prefix_tokens.is_some();
     let t0 = std::time::Instant::now();
-    let mut rt = FleetRuntime::new(model, cfg, dcfg.workers, dcfg.route.clone(), backend)
-        .with_tracing()
-        .with_fault_plan(plan.clone());
-    if let Some(d) = draft {
-        rt = rt.with_draft(d);
-    }
-    if let Some(toks) = prefix_tokens {
-        rt = rt.warm_prefix(toks);
-    }
-    if let Some(p) = policy {
-        rt = rt.with_policy(p);
-    }
-    let run = rt.run(Drive::Paced(requests), cost);
+    let run = fleet.with_tracing().run(Drive::Paced(requests), cost);
     let wall_secs = t0.elapsed().as_secs_f64();
-    let dispatch = run.report;
+    let report = run.report;
     let latency =
-        LatencyReport::with_assignments(&originals, &dispatch.completions, &dispatch.assignments)
-            .attach_prefix_stats(&dispatch.stats);
-    DispatchRunReport {
-        dispatch,
+        LatencyReport::with_assignments(&originals, &report.completions, &report.assignments)
+            .attach_prefix_stats(&report.stats);
+    LoadRunReport {
+        report,
         latency,
         wall_secs,
         events: run.events,
     }
-}
-
-/// Fault-free lockstep convenience over [`run_fleet_open_loop`];
-/// prefer the facade directly for new call sites (it exposes the
-/// fault plan and the backend choice).
-#[allow(clippy::too_many_arguments)] // driver glue mirroring run_open_loop_with_policy
-pub fn run_dispatch_open_loop(
-    model: &MlpLm,
-    draft: Option<&(dyn LanguageModel + Sync)>,
-    prefix_tokens: Option<&[TokenId]>,
-    requests: Vec<Request>,
-    cfg: &ServeConfig,
-    dcfg: &DispatchConfig,
-    cost: &GpuCostModel,
-    policy: Option<&dyn SpecPolicy>,
-) -> DispatchRunReport {
-    run_fleet_open_loop(
-        model,
-        draft,
-        prefix_tokens,
-        requests,
-        cfg,
-        dcfg,
-        cost,
-        policy,
-        &FaultPlan::none(),
-        Backend::Lockstep,
-    )
-}
-
-/// Fault-free threaded convenience over [`run_fleet_open_loop`]; the
-/// identical workload as [`run_dispatch_open_loop`] served through
-/// the thread-per-worker runtime, adding a *wall-clock* measurement
-/// of the concurrent runtime which the bench harness records next to
-/// the lockstep wall time. Prefer the facade directly for new call
-/// sites.
-#[allow(clippy::too_many_arguments)] // driver glue mirroring run_dispatch_open_loop
-pub fn run_dispatch_open_loop_threaded(
-    model: &MlpLm,
-    draft: Option<&(dyn LanguageModel + Sync)>,
-    prefix_tokens: Option<&[TokenId]>,
-    requests: Vec<Request>,
-    cfg: &ServeConfig,
-    dcfg: &DispatchConfig,
-    cost: &GpuCostModel,
-    policy: Option<&dyn SpecPolicy>,
-) -> DispatchRunReport {
-    run_fleet_open_loop(
-        model,
-        draft,
-        prefix_tokens,
-        requests,
-        cfg,
-        dcfg,
-        cost,
-        policy,
-        &FaultPlan::none(),
-        Backend::Threaded,
-    )
 }
 
 /// One row of the serve-aware Table II in `BENCH_load.json`: a
@@ -256,12 +87,11 @@ pub struct LoadBenchRow {
     /// Per-tick verify capacity the policy divided, if the run was
     /// capacity-gated (`None` = unlimited, the legacy rows).
     pub tick_capacity: Option<usize>,
-    /// Dispatch workers the run was served on (1 = the single fused
-    /// engine, no dispatcher).
+    /// Workers the run was served on (1 = the single fused engine).
     pub workers: usize,
-    /// Routing policy of dispatched runs
-    /// ([`verispec_serve::RoutePolicy::name`]; "single" = no
-    /// dispatcher).
+    /// Routing policy of the run
+    /// ([`verispec_serve::RoutePolicy::name`]; "single" labels the
+    /// one-engine reference rows, where routing is forced).
     pub route: String,
     /// Requests routed to each worker, by worker index (served and
     /// shed alike — routing happens before admission control), so the
@@ -349,8 +179,8 @@ pub struct LoadBenchRow {
     /// produced artifact; the bench guard trips otherwise.
     #[serde(default)]
     pub event_accept_violations: usize,
-    /// Measured wall-clock seconds of the same cell served through the
-    /// threaded runtime ([`run_dispatch_open_loop_threaded`]), recorded
+    /// Measured wall-clock seconds of the same cell served on
+    /// [`verispec_serve::Backend::Threaded`], recorded
     /// next to the lockstep `wall_secs` so tick-space and wall-time
     /// columns sit side by side. `None` for cells the threaded sweep
     /// does not cover (single-engine and trace-replay rows).
@@ -364,8 +194,8 @@ pub struct LoadBenchRow {
     /// is `None`.
     #[serde(default)]
     pub threaded_parity: Option<bool>,
-    /// Worker crashes the run's [`FaultPlan`] fired (0 for fault-free
-    /// cells).
+    /// Worker crashes the run's [`verispec_serve::FaultPlan`] fired (0
+    /// for fault-free cells).
     #[serde(default)]
     pub worker_crashes: usize,
     /// Requests migrated off crashed workers (re-routed through the
@@ -386,99 +216,29 @@ pub struct LoadBenchRow {
 }
 
 impl LoadBenchRow {
-    /// Assembles one Table-II row from a run.
-    pub fn new(process: &str, offered_rate: f64, method: &str, run: &LoadRunReport) -> Self {
-        Self::with_policy(process, offered_rate, method, "static", None, run)
-    }
-
-    /// Assembles one policy-A/B row: like [`LoadBenchRow::new`] with
-    /// the policy name and per-tick capacity recorded.
-    pub fn with_policy(
-        process: &str,
-        offered_rate: f64,
-        method: &str,
-        policy: &str,
-        tick_capacity: Option<usize>,
-        run: &LoadRunReport,
-    ) -> Self {
-        let stats = &run.serve.stats;
-        let steps: usize = run.serve.completions.iter().map(|c| c.output.steps).sum();
-        let tokens = run.serve.total_tokens();
-        let slo = &run.latency.overall.slo;
-        let (event_proposed_tokens, event_accepted_tokens, event_accept_violations) =
-            fold_finished(&run.events);
-        LoadBenchRow {
-            process: process.to_string(),
-            offered_rate,
-            method: method.to_string(),
-            policy: policy.to_string(),
-            tick_capacity,
-            workers: 1,
-            route: "single".to_string(),
-            worker_requests: vec![run.serve.completions.len() + stats.shed_requests],
-            parity: true,
-            requests: run.serve.completions.len(),
-            tokens,
-            ticks: stats.ticks,
-            idle_ticks_skipped: stats.idle_ticks_skipped,
-            wall_secs: run.wall_secs,
-            tokens_per_tick: tokens as f64 / (stats.ticks.max(1)) as f64,
-            tokens_per_step: tokens as f64 / steps.max(1) as f64,
-            quantiles: run.latency.overall.quantiles,
-            session_evictions: stats.session_evictions,
-            peak_resident_sessions: stats.peak_resident_sessions,
-            preemptions: stats.preemptions,
-            slo_attainment: slo.attainment(),
-            deadlines: slo.deadlines,
-            deadlines_met: slo.met,
-            acceptance_rate: run.latency.overall.acceptance.rate(),
-            shed_requests: stats.shed_requests,
-            deferred_steps: stats.deferred_steps,
-            prefix_hits: stats.prefix_hits,
-            prefix_misses: stats.prefix_misses,
-            prefix_hit_rate: prefix_hit_rate(stats),
-            prefix_tokens_saved: stats.prefix_tokens_saved,
-            prefix_evictions: stats.prefix_evictions,
-            peak_resident_nodes: stats.peak_resident_nodes,
-            event_proposed_tokens,
-            event_accepted_tokens,
-            event_accept_violations,
-            threaded_wall_secs: None,
-            threaded_parity: None,
-            worker_crashes: 0,
-            migrations: 0,
-            replay_tokens: 0,
-            recovery_ttft_p99: None,
-        }
-    }
-
-    /// Assembles one row of the worker-count × route-policy sweep from
-    /// a dispatched run. `ticks` is the fleet's longest worker
-    /// schedule ([`verispec_serve::ServeStats::merge`]), so
-    /// `tokens_per_tick` reads as fleet throughput against wall-clock
-    /// ticks, and `worker_requests` shows how the policy spread the
-    /// load.
-    pub fn for_dispatch(
+    /// Assembles one Table-II row from a run, labelled `route`, under
+    /// the static policy with no tick capacity (policy-A/B and scenario
+    /// cells overwrite `policy` / `tick_capacity` on the returned row).
+    /// `ticks` is the fleet's longest worker schedule
+    /// ([`verispec_serve::ServeStats::merge`]), so `tokens_per_tick`
+    /// reads as fleet throughput against wall-clock ticks, and
+    /// `worker_requests` shows how the policy spread the load.
+    pub fn new(
         process: &str,
         offered_rate: f64,
         method: &str,
         route: &str,
-        run: &DispatchRunReport,
+        run: &LoadRunReport,
     ) -> Self {
-        let stats = &run.dispatch.stats;
-        let steps: usize = run
-            .dispatch
-            .completions
-            .iter()
-            .map(|c| c.output.steps)
-            .sum();
-        let tokens = run.dispatch.total_tokens();
+        let stats = &run.report.stats;
+        let steps: usize = run.report.completions.iter().map(|c| c.output.steps).sum();
+        let tokens = run.report.total_tokens();
         let slo = &run.latency.overall.slo;
         let (event_proposed_tokens, event_accepted_tokens, event_accept_violations) =
             fold_finished(&run.events);
-        let workers = run.dispatch.per_worker.len();
+        let workers = run.report.per_worker.len();
         let mut worker_requests = vec![0usize; workers];
-        for &(_, w) in &run.dispatch.assignments {
+        for &(_, w) in &run.report.assignments {
             worker_requests[w] += 1;
         }
         LoadBenchRow {
@@ -491,7 +251,7 @@ impl LoadBenchRow {
             route: route.to_string(),
             worker_requests,
             parity: true,
-            requests: run.dispatch.completions.len(),
+            requests: run.report.completions.len(),
             tokens,
             ticks: stats.ticks,
             idle_ticks_skipped: stats.idle_ticks_skipped,
@@ -537,11 +297,11 @@ impl LoadBenchRow {
     }
 }
 
-/// Exact p99 TTFT over the fault-affected completions of a dispatched
-/// run: requests the event stream saw migrated off a crashed worker or
+/// Exact p99 TTFT over the fault-affected completions of a run:
+/// requests the event stream saw migrated off a crashed worker or
 /// deferred under whole-fleet backpressure. `None` when no completion
 /// was fault-affected.
-fn recovery_ttft_p99(run: &DispatchRunReport) -> Option<f64> {
+fn recovery_ttft_p99(run: &LoadRunReport) -> Option<f64> {
     let affected: std::collections::BTreeSet<u64> = run
         .events
         .iter()
@@ -554,7 +314,7 @@ fn recovery_ttft_p99(run: &DispatchRunReport) -> Option<f64> {
         .filter_map(|ev| ev.request)
         .collect();
     let ttfts: Vec<f64> = run
-        .dispatch
+        .report
         .completions
         .iter()
         .filter(|c| affected.contains(&c.id))

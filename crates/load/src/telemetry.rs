@@ -533,7 +533,9 @@ mod tests {
     fn zero_budget_requests_do_not_break_the_report() {
         use verispec_core::DecodeConfig;
         use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig};
-        use verispec_serve::{EngineChoice, Request, ServeConfig};
+        use verispec_serve::{
+            Backend, EngineChoice, FleetRuntime, Request, RoutePolicy, ServeConfig,
+        };
 
         let model = MlpLm::new(MlpLmConfig::tiny(14));
         let requests = vec![
@@ -557,14 +559,15 @@ mod tests {
                 },
             ),
         ];
-        let run = crate::report::run_open_loop(
+        let fleet = FleetRuntime::new(
             &model,
-            None,
-            None,
-            requests,
-            &ServeConfig::concurrency(2),
-            &GpuCostModel::codellama_like(),
+            ServeConfig::concurrency(2),
+            1,
+            RoutePolicy::RoundRobin,
+            Backend::Lockstep,
         );
+        let run =
+            crate::report::run_fleet_open_loop(fleet, requests, &GpuCostModel::codellama_like());
         assert_eq!(run.latency.per_request.len(), 2);
         let zero = &run.latency.per_request[0];
         assert_eq!(zero.tokens, 0);

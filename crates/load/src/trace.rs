@@ -89,10 +89,12 @@ pub struct ArrivalTrace {
     pub faults: FaultPlan,
 }
 
-// Hand-written so traces recorded before `faults` existed still parse.
+// Hand-written so traces recorded before `faults` existed still parse,
+// and so an entry pointing outside the prompt table is a parse error
+// rather than a panic at replay.
 impl serde::Deserialize for ArrivalTrace {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(ArrivalTrace {
+        let trace = ArrivalTrace {
             workload_seed: serde::Deserialize::from_value(v.field("workload_seed")?)?,
             base: serde::Deserialize::from_value(v.field("base")?)?,
             prompts: serde::Deserialize::from_value(v.field("prompts")?)?,
@@ -101,7 +103,20 @@ impl serde::Deserialize for ArrivalTrace {
                 Ok(f) => serde::Deserialize::from_value(f)?,
                 Err(_) => FaultPlan::none(),
             },
-        })
+        };
+        match trace
+            .entries
+            .iter()
+            .find(|e| e.prompt_id >= trace.prompts.len())
+        {
+            Some(e) => Err(serde::Error::new(format!(
+                "trace entry {} names prompt {} of a table of {}",
+                e.id,
+                e.prompt_id,
+                trace.prompts.len()
+            ))),
+            None => Ok(trace),
+        }
     }
 }
 
@@ -168,11 +183,6 @@ impl ArrivalTrace {
 
     /// Rebuilds the recorded request sequence, field-for-field equal to
     /// what was recorded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an entry's `prompt_id` is out of range (a corrupt
-    /// trace).
     pub fn replay(&self) -> Vec<Request> {
         self.entries
             .iter()
@@ -198,7 +208,9 @@ impl ArrivalTrace {
         serde_json::to_string_pretty(self)
     }
 
-    /// Parses a trace back from JSON.
+    /// Parses a trace back from JSON. Malformed input — truncated
+    /// JSON, a missing field, an entry whose `prompt_id` is outside the
+    /// prompt table — is an `Err`, never a panic.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
     }
@@ -209,7 +221,7 @@ mod tests {
     use super::*;
     use crate::generator::{ArrivalProcess, PromptFamily, RequestMix, Workload};
     use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig};
-    use verispec_serve::{serve_all, ServeConfig};
+    use verispec_serve::{ServeConfig, ServeEngine, ServeReport};
 
     fn workload(deadline_slack: Option<f64>) -> Workload {
         Workload {
@@ -311,6 +323,21 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_traces_are_errors_not_panics() {
+        let committed = include_str!("../tests/traces/eviction_churn.json");
+        let trace = ArrivalTrace::from_json(committed).expect("the committed trace parses");
+        // One entry bumped past the prompt table.
+        let mut bumped = trace.clone();
+        bumped.entries[0].prompt_id = bumped.prompts.len();
+        let json = bumped.to_json().expect("serializes");
+        let err = ArrivalTrace::from_json(&json).expect_err("out-of-range prompt_id");
+        assert!(err.to_string().contains("names prompt"), "{err}");
+        // A truncated file.
+        assert!(ArrivalTrace::from_json(&committed[..committed.len() / 2]).is_err());
+        assert!(ArrivalTrace::from_json("").is_err());
+    }
+
+    #[test]
     fn replayed_trace_serves_bit_identically() {
         let model = MlpLm::new(MlpLmConfig::tiny(16));
         let cost = GpuCostModel::codellama_like();
@@ -320,8 +347,15 @@ mod tests {
         let trace = ArrivalTrace::record(&requests, w.seed, &w.mix.base);
         let json = trace.to_json().expect("serializes");
         let replayed = ArrivalTrace::from_json(&json).expect("parses").replay();
-        let original = serve_all(&model, None, requests, &cfg, &cost);
-        let again = serve_all(&model, None, replayed, &cfg, &cost);
+        let serve = |requests: Vec<Request>| -> ServeReport {
+            let mut engine = ServeEngine::new(&model, cfg.clone());
+            for req in requests {
+                engine.submit(req);
+            }
+            engine.run(&cost)
+        };
+        let original = serve(requests);
+        let again = serve(replayed);
         assert_eq!(
             original.completions.len(),
             again.completions.len(),

@@ -2,8 +2,9 @@
 //!
 //! 1. **Determinism** — for random open-loop workloads and scheduler
 //!    configurations, the serialized event stream is byte-identical
-//!    across repeated replays of the same [`ArrivalTrace`], and across
-//!    the batch and (up-front-fed) streaming drives.
+//!    across repeated replays of the same workload, and a one-worker
+//!    fleet's (up-front-fed) streaming drive emits, beside its routing
+//!    events, the very stream the hand-driven batch engine does.
 //! 2. **Zero observer effect** — attaching a collecting sink changes
 //!    nothing: every completion's tokens, tick schedule, and the
 //!    aggregate [`ServeStats`] equal the default no-op-sink run's,
@@ -16,7 +17,10 @@ use verispec_core::DecodeConfig;
 use verispec_grammar::GrammarOracle;
 use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, TokenId};
 use verispec_load::{ArrivalProcess, PromptFamily, RequestMix, Workload};
-use verispec_serve::{EngineChoice, Request, ServeConfig, ServeEngine, ServeReport, TickOrder};
+use verispec_serve::{
+    Backend, Drive, EngineChoice, FleetRuntime, Request, RoutePolicy, ServeConfig, ServeEngine,
+    ServeReport, TickOrder,
+};
 use verispec_tokenizer::BpeTokenizer;
 use verispec_trace::{log_to_json, EventLog, MetricsRegistry, TraceEvent};
 
@@ -130,9 +134,10 @@ fn batch_run(
     engine.run(cost)
 }
 
-/// Streaming-drives the requests with every arrival sent up front
-/// (the deterministic drive `run_open_loop` uses), warmed identically
-/// to [`batch_run`].
+/// Streaming-drives the requests through a one-worker fleet with every
+/// arrival sent up front (so the schedule is deterministic), warmed
+/// identically to [`batch_run`]; returns the worker's event stream —
+/// the run's events minus the coordinator's routing decisions.
 fn streaming_run(
     model: &MlpLm,
     draft: &NgramLm,
@@ -140,23 +145,27 @@ fn streaming_run(
     cfg: &ServeConfig,
     requests: &[Request],
     cost: &GpuCostModel,
-    log: &EventLog,
-) -> ServeReport {
+) -> Vec<TraceEvent> {
     let cfg = ServeConfig {
         prefix_cache: true,
         ..cfg.clone()
     };
-    let mut engine = ServeEngine::new(model, cfg)
-        .with_draft(draft)
-        .with_grammar(byte_oracle())
-        .with_sink(log);
-    engine.warm_prefix(stem);
     let (tx, rx) = std::sync::mpsc::channel();
     for req in requests {
         tx.send(req.clone()).expect("receiver alive");
     }
     drop(tx);
-    engine.run_streaming(rx, cost)
+    let run = FleetRuntime::new(model, cfg, 1, RoutePolicy::RoundRobin, Backend::Lockstep)
+        .with_draft(draft)
+        .with_grammar(byte_oracle())
+        .warm_prefix(stem)
+        .with_tracing()
+        .run(Drive::Streaming(rx), cost);
+    let routed = requests.len();
+    assert!(run.events[..routed]
+        .iter()
+        .all(|ev| ev.kind.is_fleet_event()));
+    run.events[routed..].to_vec()
 }
 
 proptest! {
@@ -209,11 +218,10 @@ proptest! {
             "event stream not deterministic across identical batch replays"
         );
 
-        let log_s = EventLog::new();
-        streaming_run(&model, &draft, &shared, &cfg, &requests, &cost, &log_s);
+        let streamed = streaming_run(&model, &draft, &shared, &cfg, &requests, &cost);
         prop_assert_eq!(
             &json_a,
-            &log_to_json(&log_s.into_events()),
+            &log_to_json(&streamed),
             "event stream diverged between batch and streaming drives"
         );
     }

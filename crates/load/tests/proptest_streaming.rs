@@ -2,17 +2,18 @@
 //! random open-loop workloads (arrival process, rates, request mixes
 //! over every engine), random scheduler configurations, random session
 //! caps (eviction pressure), and prefix-forked admissions, serving the
-//! workload through the arrival channel produces **token-for-token**
-//! the same per-request outputs as batch `serve_all`-style submission —
-//! and, when every arrival is sent before its tick falls due, the same
-//! tick schedule (admissions, commit ticks, completion ticks) as well.
+//! workload through the arrival channel ([`Drive::Streaming`])
+//! produces **token-for-token** the same per-request outputs as batch
+//! submission to a hand-driven engine — and, when every arrival is sent
+//! before its tick falls due, the same tick schedule (admissions,
+//! commit ticks, completion ticks) as well.
 
 use proptest::prelude::*;
 use verispec_core::DecodeConfig;
 use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, TokenId};
 use verispec_load::{ArrivalProcess, PromptFamily, RequestMix, Workload};
 use verispec_serve::{
-    DispatchConfig, Dispatcher, EngineChoice, Request, RoutePolicy, ServeConfig, ServeEngine,
+    Backend, Drive, EngineChoice, FleetRuntime, Request, RoutePolicy, ServeConfig, ServeEngine,
     ServeReport, TickOrder,
 };
 
@@ -117,6 +118,44 @@ fn engine_for<'m>(
     engine
 }
 
+/// A fleet riding the prefix cache warmed with the same stem as
+/// [`engine_for`]'s engine.
+fn fleet_for<'m>(
+    model: &'m MlpLm,
+    draft: &'m NgramLm,
+    stem: &[TokenId],
+    cfg: &ServeConfig,
+    workers: usize,
+    route: RoutePolicy,
+    backend: Backend,
+) -> FleetRuntime<'m> {
+    let cfg = ServeConfig {
+        prefix_cache: true,
+        ..cfg.clone()
+    };
+    FleetRuntime::new(model, cfg, workers, route, backend)
+        .with_draft(draft)
+        .warm_prefix(stem)
+}
+
+/// The one-worker lockstep fleet — the single engine, as a fleet.
+fn single_for<'m>(
+    model: &'m MlpLm,
+    draft: &'m NgramLm,
+    stem: &[TokenId],
+    cfg: &ServeConfig,
+) -> FleetRuntime<'m> {
+    fleet_for(
+        model,
+        draft,
+        stem,
+        cfg,
+        1,
+        RoutePolicy::RoundRobin,
+        Backend::Lockstep,
+    )
+}
+
 fn batch_run(
     model: &MlpLm,
     draft: &NgramLm,
@@ -178,7 +217,9 @@ proptest! {
             tx.send(req.clone()).expect("receiver alive");
         }
         drop(tx);
-        let streamed = engine_for(&model, &draft, &shared, &cfg).run_streaming(rx, &cost);
+        let streamed = single_for(&model, &draft, &shared, &cfg)
+            .run(Drive::Streaming(rx), &cost)
+            .report;
 
         prop_assert_eq!(batch.completions.len(), requests.len());
         prop_assert_eq!(streamed.completions.len(), requests.len());
@@ -238,7 +279,9 @@ proptest! {
                     }
                 }
             });
-            engine_for(&model, &draft, &shared, &cfg).run_streaming(rx, &cost)
+            single_for(&model, &draft, &shared, &cfg)
+                .run(Drive::Streaming(rx), &cost)
+                .report
         });
 
         prop_assert_eq!(streamed.completions.len(), requests.len());
@@ -253,10 +296,11 @@ proptest! {
     }
 
     /// Several live senders racing each other into a multi-worker
-    /// dispatcher: send interleaving — and therefore routing — is
-    /// nondeterministic, but every request's output still equals the
-    /// batch single-engine run's (itself pinned token-identical to the
-    /// serial engines), under any worker count and routing policy.
+    /// fleet, on both backends: send interleaving — and therefore
+    /// routing — is nondeterministic, but every request's output still
+    /// equals the batch single-engine run's (itself pinned
+    /// token-identical to the serial engines), under any worker count
+    /// and routing policy.
     #[test]
     fn racing_multi_sender_multi_worker_preserves_outputs(
         model in any_mlp(),
@@ -285,59 +329,55 @@ proptest! {
         let cfg = ServeConfig::concurrency(max_active);
         let batch = batch_run(&model, &draft, &shared, &cfg, &requests, &cost);
 
-        let (tx, rx) = std::sync::mpsc::channel();
-        // Stripe the requests across racing sender threads; the mpsc
-        // channel interleaves them nondeterministically.
-        let stripes: Vec<Vec<Request>> = (0..n_senders)
-            .map(|s| {
-                requests
-                    .iter()
-                    .skip(s)
-                    .step_by(n_senders)
-                    .cloned()
-                    .collect()
-            })
-            .collect();
-        let dispatched = std::thread::scope(|scope| {
-            for stripe in stripes {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    for req in stripe {
-                        if tx.send(req).is_err() {
-                            break;
+        for backend in [Backend::Lockstep, Backend::Threaded] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            // Stripe the requests across racing sender threads; the mpsc
+            // channel interleaves them nondeterministically.
+            let stripes: Vec<Vec<Request>> = (0..n_senders)
+                .map(|s| {
+                    requests
+                        .iter()
+                        .skip(s)
+                        .step_by(n_senders)
+                        .cloned()
+                        .collect()
+                })
+                .collect();
+            let dispatched = std::thread::scope(|scope| {
+                for stripe in stripes {
+                    let tx = tx.clone();
+                    scope.spawn(move || {
+                        for req in stripe {
+                            if tx.send(req).is_err() {
+                                break;
+                            }
                         }
-                    }
-                });
-            }
-            drop(tx);
-            // The fleet rides the radix-tree prefix cache warmed with
-            // the same shared stem as the batch engine — outputs must
-            // agree regardless of routing.
-            let fleet_cfg = ServeConfig { prefix_cache: true, ..cfg.clone() };
-            let mut d = Dispatcher::new(
-                &model,
-                fleet_cfg,
-                DispatchConfig::new(workers, route.clone()),
-            )
-            .with_draft(&draft);
-            d.warm_prefix(&shared);
-            d.run_streaming(rx, &cost)
-        });
+                    });
+                }
+                drop(tx);
+                // The fleet rides the radix-tree prefix cache warmed with
+                // the same shared stem as the batch engine — outputs must
+                // agree regardless of routing.
+                fleet_for(&model, &draft, &shared, &cfg, workers, route.clone(), backend)
+                    .run(Drive::Streaming(rx), &cost)
+                    .report
+            });
 
-        prop_assert_eq!(dispatched.completions.len(), requests.len());
-        prop_assert_eq!(dispatched.assignments.len(), requests.len());
-        prop_assert!(dispatched
-            .assignments
-            .iter()
-            .all(|&(_, w)| w < workers));
-        for (a, b) in batch.completions.iter().zip(&dispatched.completions) {
-            prop_assert_eq!(a.id, b.id);
-            prop_assert_eq!(
-                &a.output.tokens, &b.output.tokens,
-                "request {} tokens diverged under racing senders x {} workers ({})",
-                a.id, workers, route.name()
-            );
-            prop_assert_eq!(&a.output.trace, &b.output.trace);
+            prop_assert_eq!(dispatched.completions.len(), requests.len());
+            prop_assert_eq!(dispatched.assignments.len(), requests.len());
+            prop_assert!(dispatched
+                .assignments
+                .iter()
+                .all(|&(_, w)| w < workers));
+            for (a, b) in batch.completions.iter().zip(&dispatched.completions) {
+                prop_assert_eq!(a.id, b.id);
+                prop_assert_eq!(
+                    &a.output.tokens, &b.output.tokens,
+                    "request {} tokens diverged under racing senders x {} workers ({}, {:?})",
+                    a.id, workers, route.name(), backend
+                );
+                prop_assert_eq!(&a.output.trace, &b.output.trace);
+            }
         }
     }
 }

@@ -1,5 +1,6 @@
-//! Multi-worker streaming dispatch: routing channel-fed arrivals
-//! across N independent [`ServeEngine`] workers.
+//! Multi-worker routing: which of a fleet's N independent
+//! [`ServeEngine`] workers gets the next arrival, and the lockstep
+//! backend that advances those workers on one thread.
 //!
 //! One fused engine is one "GPU". Past its saturation point the only
 //! way to keep tail latency down is more workers — and then the
@@ -7,15 +8,15 @@
 //! This module adds that layer without touching serving semantics:
 //!
 //! ```text
-//!   mpsc arrivals ──► Dispatcher ──route──► worker 0: ServeEngine
-//!   (open-loop,         │   ▲               worker 1: ServeEngine
-//!    deadlines)         │   │ probes        …        (own session
-//!                       │   │                         pool, queue,
-//!     RoutePolicy ──────┘   ├ ready_depth()           prefix cache,
-//!     rr / jsq /            ├ outstanding_cost()      clock, tick
-//!     least-loaded /        └ prefix_match_depth()    loop)
+//!   FleetRuntime::run ──► drive ──route──► worker 0: ServeEngine
+//!   (Drive::Batch /        │   ▲           worker 1: ServeEngine
+//!    Paced / Streaming)    │   │ probes    …        (own session
+//!                          │   │                     pool, queue,
+//!     RoutePolicy ─────────┘   ├ ready_depth()       prefix cache,
+//!     rr / jsq /               ├ outstanding_cost()  clock, tick
+//!     least-loaded /           └ prefix_match_depth() loop)
 //!     pinned /
-//!     prefix-affine         lockstep drive: each round, every worker
+//!     prefix-affine         lockstep backend: each round, every worker
 //!                           with work runs one tick (idle workers
 //!                           fast-forward their own clocks)
 //!                                    │
@@ -27,7 +28,7 @@
 //! # Cache-aware routing
 //!
 //! With per-worker prefix caches enabled
-//! ([`ServeConfig::prefix_cache`]), worker choice affects *where* each
+//! ([`crate::ServeConfig::prefix_cache`]), worker choice affects *where* each
 //! prompt's stem ends up resident. [`RoutePolicy::PrefixAffine`]
 //! exploits that: it probes each worker's trie for the deepest cached
 //! prefix of the incoming prompt and routes to the warmest worker, so
@@ -39,18 +40,18 @@
 //!
 //! # Determinism
 //!
-//! Routing happens at *receipt*: each drained request is assigned once,
-//! by the policy, from the workers' probe values at that instant — and
-//! the realized assignment is recorded in
-//! [`DispatchReport::assignments`]. Given an assignment, everything
-//! downstream is the deterministic single-engine machinery: each worker
-//! serves its shard exactly as a standalone [`ServeEngine`] would serve
-//! it alone (same admission ticks, same shedding, same deadlines, same
-//! tokens), because workers share nothing but the read-only model.
-//! [`RoutePolicy::Pinned`] replays a recorded assignment, so a run can
-//! be reproduced bit-for-bit even when the original routing reacted to
-//! live load. With every arrival sent before it falls due (the batch
-//! pattern), probe values themselves are deterministic, so rr / jsq /
+//! Routing happens at *receipt*: each request is assigned once, by the
+//! policy, from the workers' probe values at that instant — and the
+//! realized assignment is recorded in [`DispatchReport::assignments`].
+//! Given an assignment, everything downstream is the deterministic
+//! single-engine machinery: each worker serves its shard exactly as a
+//! standalone [`ServeEngine`] would serve it alone (same admission
+//! ticks, same shedding, same deadlines, same tokens), because workers
+//! share nothing but the read-only model. [`RoutePolicy::Pinned`]
+//! replays a recorded assignment, so a run can be reproduced
+//! bit-for-bit even when the original routing reacted to live load.
+//! With every arrival sent before it falls due (the batch pattern),
+//! probe values themselves are deterministic, so rr / jsq /
 //! least-loaded runs are reproducible end to end.
 //!
 //! # The invariant, again
@@ -58,29 +59,30 @@
 //! Dispatch is a performance mechanism, never a semantic one: every
 //! request's token stream is bit-identical to the serial single-session
 //! engine's under **any** worker count, routing policy, and send
-//! timing, and a one-worker dispatcher is tick-identical to
-//! [`ServeEngine::run_streaming`] (the dispatcher adds zero scheduling
+//! timing, and a one-worker fleet is tick-identical to a hand-driven
+//! [`ServeEngine`] fed in arrival order (the fleet adds zero scheduling
 //! noise). `tests/proptest_dispatch.rs` pins both, plus
 //! shedding/deadline determinism under pinned assignments.
 //!
-//! # The threaded sibling
+//! # The two backends
 //!
-//! This module's drives advance the fleet *lockstep* on one thread —
-//! deliberately: they are the deterministic oracle. The
-//! [`crate::threaded`] module runs the same fleet with one OS thread
-//! per worker over an mpsc command/reply protocol, reusing this
-//! module's `Router` core so routing decisions cannot diverge, and
-//! is proptest-pinned to produce tick-for-token identical reports
+//! `Dispatcher`, this module's backend, advances the fleet *lockstep*
+//! on one thread — deliberately: it is the deterministic oracle. The
+//! `threaded` module runs the same fleet with one OS thread per worker
+//! over an mpsc command/reply protocol. Both sit under the one drive
+//! and the one routing core in [`crate::runtime`], so routing decisions
+//! cannot diverge, and the two are proptest-pinned to produce
+//! tick-for-token identical reports
 //! (`tests/proptest_dispatch_threaded.rs`).
 
-use crate::engine::{ServeConfig, ServeEngine, ServeReport, ServeStats, ShedRequest};
+use crate::engine::{ServeEngine, ServeReport, ServeStats, ShedRequest};
 use crate::request::{Completion, Request};
+use crate::runtime::{FleetBackend, FleetRuntime};
 use serde::{Deserialize, Serialize};
-use verispec_core::SpecPolicy;
-use verispec_lm::{GpuCostModel, LanguageModel, MlpLm};
-use verispec_trace::{EventKind, TraceEvent, TraceSink, NOOP};
+use verispec_lm::{GpuCostModel, TokenId};
+use verispec_trace::{EventLog, TraceEvent, TraceSink, NOOP};
 
-/// How the dispatcher picks a worker for each arrival.
+/// How a fleet picks a worker for each arrival.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RoutePolicy {
     /// Cyclic assignment in receipt order — load-blind, the baseline.
@@ -129,25 +131,35 @@ impl RoutePolicy {
 }
 
 /// One worker's route-time load probes, snapshotted together so the
-/// lockstep and threaded drives feed the routing policy the same
+/// lockstep and threaded backends feed the routing policy the same
 /// values through the same code path. `prefix_depth` is probed against
 /// the specific request's prompt being routed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouteProbes {
+pub(crate) struct RouteProbes {
     /// [`ServeEngine::ready_depth`] — queued plus active requests.
-    pub ready_depth: u64,
+    pub(crate) ready_depth: u64,
     /// [`ServeEngine::outstanding_cost`] — priced in-flight work.
-    pub outstanding_cost: u64,
+    pub(crate) outstanding_cost: u64,
     /// [`ServeEngine::prefix_match_depth`] for the request's prompt.
-    pub prefix_depth: u64,
+    pub(crate) prefix_depth: u64,
 }
 
-/// The routing decision core, shared verbatim by the lockstep
-/// [`Dispatcher`] and the threaded
-/// [`crate::threaded::ThreadedDispatcher`] so their picks (and
-/// [`EventKind::Routed`] probe payloads) cannot diverge: the drives
-/// differ only in *how* the probe snapshot is gathered (direct engine
-/// reads vs a channel round-trip).
+impl RouteProbes {
+    /// Reads one engine's probes against `prompt`.
+    pub(crate) fn of(engine: &ServeEngine<'_>, prompt: &[TokenId]) -> Self {
+        RouteProbes {
+            ready_depth: engine.ready_depth() as u64,
+            outstanding_cost: engine.outstanding_cost() as u64,
+            prefix_depth: engine.prefix_match_depth(prompt) as u64,
+        }
+    }
+}
+
+/// The routing decision core. One `Router` lives in the fleet state
+/// both backends run under, so their picks (and
+/// [`verispec_trace::EventKind::Routed`] probe payloads) cannot
+/// diverge: the backends differ only in *how* the probe snapshot is
+/// gathered (direct engine reads vs a channel round-trip).
 #[derive(Debug, Clone)]
 pub(crate) struct Router {
     route: RoutePolicy,
@@ -166,7 +178,7 @@ impl Router {
     }
 
     /// Whether the policy reads load probes at route time. Probe-less
-    /// policies skip the snapshot — and, in the threaded drive, the
+    /// policies skip the snapshot — and, on the threaded backend, the
     /// fleet-wide probe round-trip that gathers it.
     pub(crate) fn needs_probes(&self) -> bool {
         matches!(
@@ -272,25 +284,6 @@ impl Router {
     }
 }
 
-/// Dispatcher knobs: fleet size and routing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DispatchConfig {
-    /// Number of independent workers (engines); clamped to ≥ 1.
-    pub workers: usize,
-    /// The routing policy.
-    pub route: RoutePolicy,
-}
-
-impl DispatchConfig {
-    /// `workers` workers under `route`.
-    pub fn new(workers: usize, route: RoutePolicy) -> Self {
-        DispatchConfig {
-            workers: workers.max(1),
-            route,
-        }
-    }
-}
-
 /// The result of a dispatched serving run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DispatchReport {
@@ -327,8 +320,8 @@ impl DispatchReport {
     /// every field except the wall-clock seconds (which depend on real
     /// elapsed time, not the schedule), plus shed, merged and
     /// per-worker stats, and assignments. This is the parity predicate
-    /// the threaded drive ([`crate::threaded::ThreadedDispatcher`]) is
-    /// held to against the lockstep oracle.
+    /// [`crate::Backend::Threaded`] is held to against the lockstep
+    /// oracle.
     pub fn same_schedule(&self, other: &DispatchReport) -> bool {
         self.completions.len() == other.completions.len()
             && self
@@ -343,354 +336,48 @@ impl DispatchReport {
     }
 }
 
-/// The streaming dispatcher: N independent [`ServeEngine`] workers plus
-/// a routing policy. See the module docs for the drive loop and the
-/// determinism story.
-///
-/// Drive it through [`crate::FleetRuntime`] (with
-/// [`crate::Backend::Lockstep`]) for the unified batch/paced/streaming
-/// API plus deterministic fault injection; the `run*` methods here
-/// remain as thin compatibility wrappers over the same generic drive
-/// loops.
-pub struct Dispatcher<'m> {
-    /// Construction inputs, retained so a crashed worker's replacement
-    /// engine can be rebuilt identically (minus warm stems — crash
-    /// recovery is cold-cache).
-    model: &'m MlpLm,
-    cfg: ServeConfig,
-    draft: Option<&'m dyn LanguageModel>,
-    grammar: Option<&'m verispec_grammar::GrammarOracle>,
-    policy: Option<&'m dyn SpecPolicy>,
-    workers: Vec<ServeEngine<'m>>,
-    router: Router,
-    /// Per-worker liveness under fault injection (all `true` without
-    /// faults); dead workers are masked out of routing.
-    alive: Vec<bool>,
-    /// Report segments banked by crashed predecessor engines, merged
-    /// with the final engine's report per worker at the end of the run.
+/// The lockstep backend: N independent [`ServeEngine`] workers ticked
+/// round by round on the calling thread — the deterministic oracle the
+/// threaded backend is pinned to. Routing, liveness and the report
+/// merge live in the [`crate::runtime`] fleet state above it.
+pub(crate) struct Dispatcher<'s> {
+    /// The fleet spec, retained so a crashed worker's replacement
+    /// engine is rebuilt identically (minus warm stems — crash recovery
+    /// is cold-cache).
+    spec: &'s FleetRuntime<'s>,
+    /// The log every worker traces into (one shared stream, in
+    /// tick-round order); `None` untraced.
+    log: Option<&'s EventLog>,
+    workers: Vec<ServeEngine<'s>>,
+    /// Report segments banked by crashed predecessor engines, by
+    /// worker slot.
     dead_reports: Vec<Vec<ServeReport>>,
-    /// Fleet-level (coordinator) counters: crashes, restarts,
-    /// migrations, backpressure, fleet-level sheds.
-    fleet_stats: ServeStats,
-    /// Requests shed at the fleet level (deferred under fleet-wide
-    /// backpressure with no restart coming).
-    fleet_shed: Vec<ShedRequest>,
-    /// Realized `(request id, worker)` routing, in receipt order.
-    assignments: Vec<(u64, usize)>,
-    /// Structured-event sink shared by the dispatcher (routing events)
-    /// and every worker (lifecycle events); no-op by default.
-    sink: &'m dyn TraceSink,
 }
 
-impl<'m> Dispatcher<'m> {
-    /// A fleet of `dcfg.workers` fused engines over the shared model,
-    /// each configured with its own copy of `cfg` (own session pool,
-    /// queue, and clock).
-    pub fn new(model: &'m MlpLm, cfg: ServeConfig, dcfg: DispatchConfig) -> Self {
-        let n = dcfg.workers.max(1);
-        let mut workers: Vec<ServeEngine<'m>> = (0..n)
-            .map(|_| ServeEngine::new(model, cfg.clone()))
-            .collect();
-        for (i, w) in workers.iter_mut().enumerate() {
-            w.set_worker(i as u32);
-        }
+impl<'s> Dispatcher<'s> {
+    /// The spec's workers, each with its own session pool, queue and
+    /// clock, tracing into `log` when there is one.
+    pub(crate) fn new(spec: &'s FleetRuntime<'s>, log: Option<&'s EventLog>) -> Self {
         Dispatcher {
-            model,
-            cfg,
-            draft: None,
-            grammar: None,
-            policy: None,
-            workers,
-            router: Router::new(dcfg.route),
-            alive: vec![true; n],
-            dead_reports: vec![Vec::new(); n],
-            fleet_stats: ServeStats::default(),
-            fleet_shed: Vec::new(),
-            assignments: Vec::new(),
-            sink: &NOOP,
+            spec,
+            log,
+            workers: (0..spec.workers())
+                .map(|w| spec.engine(w, sink_of(log), true))
+                .collect(),
+            dead_reports: vec![Vec::new(); spec.workers()],
         }
-    }
-
-    /// Attaches a structured-event sink to the dispatcher and every
-    /// worker: routing decisions ([`verispec_trace::EventKind::Routed`],
-    /// stamped at the fleet clock with the probe values that justified
-    /// the choice) interleave with each worker's lifecycle events in
-    /// one stream. Write-only — never perturbs routing or serving.
-    pub fn with_sink(mut self, sink: &'m dyn TraceSink) -> Self {
-        self.sink = sink;
-        for w in &mut self.workers {
-            w.set_sink(sink);
-        }
-        self
-    }
-
-    /// Attaches the draft model to every worker (see
-    /// [`ServeEngine::with_draft`]).
-    pub fn with_draft(mut self, draft: &'m dyn LanguageModel) -> Self {
-        self.draft = Some(draft);
-        self.workers = self
-            .workers
-            .into_iter()
-            .map(|w| w.with_draft(draft))
-            .collect();
-        self
-    }
-
-    /// Seeds every worker's prefix cache with a warm stem (see
-    /// [`ServeEngine::warm_prefix`]) — the fleet-wide replacement for
-    /// the old per-worker shared-prefix session plumbing: the trie
-    /// subsumes it, and unlike the bespoke path the warmed stem is
-    /// cap-charged and LRU-evictable like any organically cached
-    /// prefix. Returns how many workers accepted the stem (0 when
-    /// [`ServeConfig::prefix_cache`] is off).
-    pub fn warm_prefix(&mut self, tokens: &[verispec_lm::TokenId]) -> usize {
-        self.workers
-            .iter_mut()
-            .map(|w| usize::from(w.warm_prefix(tokens)))
-            .sum()
-    }
-
-    /// Attaches the grammar oracle to every worker (see
-    /// [`ServeEngine::with_grammar`]): grammar-tree requests prune
-    /// their candidate trees to lexically-viable continuations.
-    pub fn with_grammar(mut self, oracle: &'m verispec_grammar::GrammarOracle) -> Self {
-        self.grammar = Some(oracle);
-        self.workers = self
-            .workers
-            .into_iter()
-            .map(|w| w.with_grammar(oracle))
-            .collect();
-        self
-    }
-
-    /// Replaces every worker's speculation policy (see
-    /// [`ServeEngine::with_policy`]).
-    pub fn with_policy(mut self, policy: &'m dyn SpecPolicy) -> Self {
-        self.policy = Some(policy);
-        self.workers = self
-            .workers
-            .into_iter()
-            .map(|w| w.with_policy(policy))
-            .collect();
-        self
-    }
-
-    /// Number of workers in the fleet.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Picks the worker for `req` under the routing policy; also
-    /// returns the per-worker probe values the decision was based on
-    /// (empty for probe-less policies), for the routing trace event.
-    /// The decision itself lives in the shared `Router`; this method
-    /// only gathers the probe snapshot by reading the live engines
-    /// directly (the threaded drive gathers the same snapshot over its
-    /// worker channels).
-    fn route(&mut self, req: &Request) -> (usize, Vec<u64>) {
-        let probes: Vec<RouteProbes> = if self.router.needs_probes() {
-            self.workers
-                .iter()
-                .map(|w| RouteProbes {
-                    ready_depth: w.ready_depth() as u64,
-                    outstanding_cost: w.outstanding_cost() as u64,
-                    prefix_depth: w.prefix_match_depth(&req.prompt) as u64,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        self.router.pick(req, &self.alive, &probes)
-    }
-
-    /// Routes and enqueues one request, returning the chosen worker
-    /// (the fault drive stamps migration events with it).
-    fn submit_routed(&mut self, req: Request) -> usize {
-        let (w, probes) = self.route(&req);
-        if self.sink.enabled() {
-            // Routing events are stamped at the fleet clock — the
-            // most-advanced worker's tick, the same notion of "now"
-            // the paced driver routes by.
-            let now = self
-                .workers
-                .iter()
-                .map(ServeEngine::clock)
-                .max()
-                .unwrap_or(0);
-            self.sink.record(TraceEvent {
-                tick: now,
-                worker: w as u32,
-                request: Some(req.id),
-                kind: EventKind::Routed {
-                    policy: self.router.policy_name().to_string(),
-                    probes,
-                },
-            });
-        }
-        self.assignments.push((req.id, w));
-        self.workers[w].submit(req);
-        w
-    }
-
-    /// Routes and enqueues one request.
-    pub fn submit(&mut self, req: Request) {
-        self.submit_routed(req);
-    }
-
-    /// A cold replacement engine for worker slot `w`, configured
-    /// identically to the original (model, config, draft, grammar,
-    /// policy, sink, worker id) except for warm prefix stems — crash
-    /// recovery is deliberately cold-cache, matching what a restarted
-    /// process would see.
-    fn rebuild_worker(&self, w: usize) -> ServeEngine<'m> {
-        let mut fresh = ServeEngine::new(self.model, self.cfg.clone());
-        if let Some(draft) = self.draft {
-            fresh = fresh.with_draft(draft);
-        }
-        if let Some(oracle) = self.grammar {
-            fresh = fresh.with_grammar(oracle);
-        }
-        if let Some(policy) = self.policy {
-            fresh = fresh.with_policy(policy);
-        }
-        fresh.set_worker(w as u32);
-        fresh.set_sink(self.sink);
-        fresh
-    }
-
-    /// Pulls every request currently waiting in `rx`, routing each as
-    /// it is received. Returns `(received, disconnected)` like
-    /// [`ServeEngine::drain_arrivals`].
-    pub fn drain_arrivals(&mut self, rx: &std::sync::mpsc::Receiver<Request>) -> (usize, bool) {
-        use std::sync::mpsc::TryRecvError;
-        let mut received = 0usize;
-        let disconnected = loop {
-            match rx.try_recv() {
-                Ok(req) => {
-                    self.submit(req);
-                    received += 1;
-                }
-                Err(TryRecvError::Empty) => break false,
-                Err(TryRecvError::Disconnected) => break true,
-            }
-        };
-        (received, disconnected)
-    }
-
-    /// Whether any worker still has queued or active work.
-    pub fn has_work(&self) -> bool {
-        self.workers.iter().any(ServeEngine::has_work)
-    }
-
-    /// Runs one lockstep round: every worker with work executes one
-    /// tick of its own loop (idle workers skip; workers whose queue is
-    /// all future arrivals fast-forward their own clocks, exactly as a
-    /// standalone engine would). Returns `false` once the whole fleet
-    /// is drained.
-    pub fn tick(&mut self, cost: &GpuCostModel) -> bool {
-        for w in &mut self.workers {
-            w.tick(cost);
-        }
-        self.has_work()
-    }
-
-    fn into_report(self) -> DispatchReport {
-        let mut completions = Vec::new();
-        let mut shed = Vec::new();
-        let mut stats = ServeStats::default();
-        let mut per_worker = Vec::with_capacity(self.workers.len());
-        // Each worker slot's report is the merge of every engine that
-        // lived in it: crashed predecessors' banked segments plus the
-        // final engine (the identity merge without faults). Fleet-level
-        // counters (crashes, migrations, backpressure, fleet sheds) sit
-        // in `fleet_stats` — part of the merged stats, deliberately not
-        // of any per-worker entry.
-        for (mut segments, worker) in self.dead_reports.into_iter().zip(self.workers) {
-            segments.push(worker.into_report_parts());
-            let merged = crate::runtime::merge_segments(segments);
-            completions.extend(merged.completions);
-            shed.extend(merged.shed);
-            stats.merge(&merged.stats);
-            per_worker.push(merged.stats);
-        }
-        stats.merge(&self.fleet_stats);
-        shed.extend(self.fleet_shed);
-        completions.sort_by_key(|c| c.id);
-        shed.sort_by_key(|s| s.id);
-        let mut assignments = self.assignments;
-        assignments.sort_unstable();
-        DispatchReport {
-            completions,
-            shed,
-            stats,
-            per_worker,
-            assignments,
-        }
-    }
-
-    /// Drives the fleet until every submitted request completes.
-    pub fn run(mut self, cost: &GpuCostModel) -> DispatchReport {
-        while self.tick(cost) {}
-        self.into_report()
-    }
-
-    /// Drives the fleet through a *paced* open-loop run: each request
-    /// is routed exactly when its arrival tick falls due on the fleet
-    /// round clock, so load-aware policies see the queue state the
-    /// arrival would actually see — earlier arrivals have already been
-    /// admitted, stepped, and partially drained. (Feeding every
-    /// request up front instead, as a channel sender may, makes all
-    /// routing happen before any tick: join-shortest-queue then ties
-    /// its way into plain round-robin. This driver is what the
-    /// dispatch bench measures.)
-    ///
-    /// Requests are sorted by arrival (stable, so equal-arrival order
-    /// is preserved); the whole run is deterministic, and with one
-    /// worker the schedule is tick-identical to the single streaming
-    /// engine fed the same requests *in arrival order* (queue order
-    /// breaks ties among simultaneously-ready requests, so an
-    /// unsorted upfront feed is a different schedule).
-    pub fn run_paced(self, requests: Vec<Request>, cost: &GpuCostModel) -> DispatchReport {
-        self.run_paced_with_faults(requests, &[], cost)
-    }
-
-    /// [`Dispatcher::run_paced`] under a deterministic fault schedule
-    /// (see [`crate::runtime`] for semantics): each round fires due
-    /// crash/restart events before routing due arrivals, migrating
-    /// stranded requests to surviving workers by exact replay. With an
-    /// empty schedule this is exactly `run_paced`. Prefer driving
-    /// through [`crate::FleetRuntime`] with a [`crate::FaultPlan`].
-    pub fn run_paced_with_faults(
-        mut self,
-        requests: Vec<Request>,
-        faults: &[crate::runtime::FaultEvent],
-        cost: &GpuCostModel,
-    ) -> DispatchReport {
-        crate::runtime::drive_paced(&mut self, requests, faults, cost);
-        // The drive returns once nothing external remains; the rest is
-        // a pure lockstep drain.
-        while self.tick(cost) {}
-        self.into_report()
-    }
-
-    /// Drives the fleet against a live arrival channel, mirroring
-    /// [`ServeEngine::run_streaming`]: each round drains (and routes)
-    /// newly arrived requests, then runs one lockstep tick; when idle
-    /// with the stream open it blocks for the next arrival. With one
-    /// worker this is tick-identical to the single-engine streaming
-    /// loop. (A thin wrapper over the generic streaming drive shared
-    /// with the threaded backend — see [`crate::FleetRuntime`].)
-    pub fn run_streaming(
-        mut self,
-        arrivals: std::sync::mpsc::Receiver<Request>,
-        cost: &GpuCostModel,
-    ) -> DispatchReport {
-        crate::runtime::drive_streaming(&mut self, arrivals, cost);
-        self.into_report()
     }
 }
 
-impl crate::runtime::FleetBackend for Dispatcher<'_> {
+/// The sink the workers of a fleet logging into `log` write to.
+fn sink_of(log: Option<&EventLog>) -> &dyn TraceSink {
+    match log {
+        Some(log) => log,
+        None => &NOOP,
+    }
+}
+
+impl FleetBackend for Dispatcher<'_> {
     fn now(&self) -> u64 {
         self.workers
             .iter()
@@ -699,51 +386,55 @@ impl crate::runtime::FleetBackend for Dispatcher<'_> {
             .unwrap_or(0)
     }
 
-    fn fleet_has_work(&self) -> bool {
-        self.has_work()
+    fn has_work(&self) -> bool {
+        self.workers.iter().any(ServeEngine::has_work)
     }
 
-    fn alive(&self) -> &[bool] {
-        &self.alive
+    fn probes(&self, prompt: &[TokenId]) -> Vec<RouteProbes> {
+        self.workers
+            .iter()
+            .map(|w| RouteProbes::of(w, prompt))
+            .collect()
     }
 
-    fn route_submit(&mut self, req: Request) -> usize {
-        self.submit_routed(req)
+    fn submit(&mut self, w: usize, req: Request) {
+        self.workers[w].submit(req);
     }
 
+    /// One lockstep round: every worker with work executes one tick of
+    /// its own loop (idle workers skip; workers whose queue is all
+    /// future arrivals fast-forward their own clocks, exactly as a
+    /// standalone engine would).
     fn tick_round(&mut self, cost: &GpuCostModel) {
-        self.tick(cost);
+        for w in &mut self.workers {
+            w.tick(cost);
+        }
     }
 
     fn crash_worker(&mut self, w: usize, at: u64) -> Vec<(Request, usize)> {
-        let mut fresh = self.rebuild_worker(w);
+        let mut fresh = self.spec.engine(w, sink_of(self.log), false);
         fresh.advance_clock(at);
         let old = std::mem::replace(&mut self.workers[w], fresh);
-        self.alive[w] = false;
         let (report, stranded) = old.crash();
         self.dead_reports[w].push(report);
         stranded
     }
 
     fn restart_worker(&mut self, w: usize, at: u64) {
-        self.alive[w] = true;
         self.workers[w].advance_clock(at);
     }
 
-    fn record_fleet_event(&mut self, ev: TraceEvent) {
-        self.fleet_stats.apply_event(&ev);
-        if self.sink.enabled() {
-            self.sink.record(ev);
+    fn finish(mut self, cost: &GpuCostModel) -> (Vec<Vec<ServeReport>>, Vec<TraceEvent>) {
+        // Nothing external remains: the rest is a pure lockstep drain.
+        while self.has_work() {
+            self.tick_round(cost);
         }
-    }
-
-    fn shed_fleet(&mut self, req: Request, tick: u64) {
-        self.fleet_shed.push(ShedRequest {
-            id: req.id,
-            arrival: req.arrival,
-            deadline: req.deadline,
-            tick,
-        });
+        let events = self.log.map(EventLog::events).unwrap_or_default();
+        let mut segments = self.dead_reports;
+        for (slot, worker) in segments.iter_mut().zip(self.workers) {
+            slot.push(worker.into_report());
+        }
+        (segments, events)
     }
 }
 
@@ -767,53 +458,14 @@ fn argmin_alive(values: impl Iterator<Item = u64>, alive: &[bool]) -> usize {
     best.expect("no live workers to route among").1
 }
 
-/// Serves `requests` through a dispatcher fleet (closed-loop batch
-/// submission: everything is routed up front, in request order).
-pub fn dispatch_all(
-    model: &MlpLm,
-    draft: Option<&dyn LanguageModel>,
-    requests: Vec<Request>,
-    cfg: &ServeConfig,
-    dcfg: &DispatchConfig,
-    cost: &GpuCostModel,
-) -> DispatchReport {
-    let mut d = Dispatcher::new(model, cfg.clone(), dcfg.clone());
-    if let Some(dr) = draft {
-        d = d.with_draft(dr);
-    }
-    for req in requests {
-        d.submit(req);
-    }
-    d.run(cost)
-}
-
-/// The open-loop sibling of [`dispatch_all`]: routes and serves
-/// requests as they arrive on `arrivals` (see
-/// [`Dispatcher::run_streaming`]). Shared prompt stems no longer need
-/// a dedicated parameter here — enable
-/// [`ServeConfig::prefix_cache`] and (optionally) pre-warm stems via
-/// [`Dispatcher::warm_prefix`]; the trie subsumes the old
-/// shared-prefix-session plumbing.
-pub fn dispatch_streaming(
-    model: &MlpLm,
-    draft: Option<&dyn LanguageModel>,
-    arrivals: std::sync::mpsc::Receiver<Request>,
-    cfg: &ServeConfig,
-    dcfg: &DispatchConfig,
-    cost: &GpuCostModel,
-) -> DispatchReport {
-    let mut d = Dispatcher::new(model, cfg.clone(), dcfg.clone());
-    if let Some(dr) = draft {
-        d = d.with_draft(dr);
-    }
-    d.run_streaming(arrivals, cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::EngineChoice;
+    use crate::runtime::{Backend, Drive, Fleet};
+    use crate::ServeConfig;
     use verispec_core::DecodeConfig;
-    use verispec_lm::{MlpLmConfig, TokenId};
+    use verispec_lm::{MlpLm, MlpLmConfig};
 
     fn model() -> MlpLm {
         MlpLm::new(MlpLmConfig {
@@ -824,6 +476,21 @@ mod tests {
             n_heads: 3,
             seed: 33,
         })
+    }
+
+    fn spec(
+        model: &MlpLm,
+        cfg: ServeConfig,
+        workers: usize,
+        route: RoutePolicy,
+    ) -> FleetRuntime<'_> {
+        FleetRuntime::new(model, cfg, workers, route, Backend::Lockstep)
+    }
+
+    /// The spec's fleet on the lockstep backend, untraced, for driving
+    /// routing by hand.
+    fn fleet<'s>(spec: &'s FleetRuntime<'s>) -> Fleet<Dispatcher<'s>> {
+        Fleet::new(spec, Dispatcher::new(spec, None))
     }
 
     fn ntp_request(id: u64, budget: usize) -> Request {
@@ -854,18 +521,13 @@ mod tests {
         )
     }
 
-    use crate::request::EngineChoice;
-
     #[test]
     fn round_robin_cycles_through_workers() {
         let m = model();
-        let mut d = Dispatcher::new(
-            &m,
-            ServeConfig::concurrency(2),
-            DispatchConfig::new(3, RoutePolicy::RoundRobin),
-        );
+        let spec = spec(&m, ServeConfig::concurrency(2), 3, RoutePolicy::RoundRobin);
+        let mut d = fleet(&spec);
         for id in 0..6 {
-            d.submit(ntp_request(id, 4));
+            d.route_submit(ntp_request(id, 4));
         }
         assert_eq!(
             d.assignments,
@@ -876,15 +538,17 @@ mod tests {
     #[test]
     fn jsq_joins_the_shallowest_worker() {
         let m = model();
-        let mut d = Dispatcher::new(
+        let spec = spec(
             &m,
             ServeConfig::concurrency(2),
-            DispatchConfig::new(2, RoutePolicy::JoinShortestQueue),
+            2,
+            RoutePolicy::JoinShortestQueue,
         );
+        let mut d = fleet(&spec);
         // Empty fleet: ties break to the lowest index.
-        d.submit(ntp_request(0, 4)); // depths (0,0) -> worker 0
-        d.submit(ntp_request(1, 4)); // depths (1,0) -> worker 1
-        d.submit(ntp_request(2, 4)); // depths (1,1) -> worker 0
+        d.route_submit(ntp_request(0, 4)); // depths (0,0) -> worker 0
+        d.route_submit(ntp_request(1, 4)); // depths (1,0) -> worker 1
+        d.route_submit(ntp_request(2, 4)); // depths (1,1) -> worker 0
         assert_eq!(d.assignments, vec![(0, 0), (1, 1), (2, 0)]);
     }
 
@@ -920,13 +584,10 @@ mod tests {
             ]
         };
         let route_with = |route: RoutePolicy| -> Vec<(u64, usize)> {
-            let mut d = Dispatcher::new(
-                &m,
-                ServeConfig::concurrency(2),
-                DispatchConfig::new(2, route),
-            );
+            let spec = spec(&m, ServeConfig::concurrency(2), 2, route);
+            let mut d = fleet(&spec);
             for r in arrivals() {
-                d.submit(r);
+                d.route_submit(r);
             }
             d.assignments
         };
@@ -947,14 +608,12 @@ mod tests {
     fn report_lookup_and_merge_are_consistent() {
         let m = model();
         let cost = GpuCostModel::codellama_like();
-        let report = dispatch_all(
-            &m,
-            None,
-            (0..5).map(|id| ntp_request(id, 4)).collect(),
-            &ServeConfig::concurrency(2),
-            &DispatchConfig::new(2, RoutePolicy::RoundRobin),
-            &cost,
-        );
+        let report = spec(&m, ServeConfig::concurrency(2), 2, RoutePolicy::RoundRobin)
+            .run(
+                Drive::Batch((0..5).map(|id| ntp_request(id, 4)).collect()),
+                &cost,
+            )
+            .report;
         assert_eq!(report.completions.len(), 5);
         assert_eq!(report.per_worker.len(), 2);
         assert_eq!(report.worker_of(1), Some(1));
@@ -974,11 +633,18 @@ mod tests {
             prefix_cache: true,
             ..ServeConfig::concurrency(2)
         };
-        let mut d = Dispatcher::new(&m, cfg, DispatchConfig::new(3, RoutePolicy::PrefixAffine));
         // Warm one stem on every worker, then serve a request through
-        // worker-targeted submission so only that worker's trie grows.
+        // routed submission so only that worker's trie grows.
         let stem: Vec<TokenId> = vec![1, 2, 3];
-        assert_eq!(d.warm_prefix(&stem), 3);
+        let spec = spec(&m, cfg, 3, RoutePolicy::PrefixAffine).warm_prefix(&stem);
+        let mut d = fleet(&spec);
+        let depths: Vec<u64> = d
+            .backend
+            .probes(&stem)
+            .iter()
+            .map(|p| p.prefix_depth)
+            .collect();
+        assert_eq!(depths, vec![3, 3, 3], "every worker accepted the stem");
         let stem_req = |id: u64, prompt: Vec<TokenId>| {
             Request::new(
                 id,
@@ -997,13 +663,13 @@ mod tests {
         // of the same stem follows it to worker 0 even though worker 0
         // is now the busiest.
         let cost = GpuCostModel::codellama_like();
-        d.submit(stem_req(0, vec![1, 2, 3, 4, 5]));
-        d.tick(&cost);
-        d.submit(stem_req(1, vec![1, 2, 3, 4, 5, 6]));
+        d.route_submit(stem_req(0, vec![1, 2, 3, 4, 5]));
+        d.backend.tick_round(&cost);
+        d.route_submit(stem_req(1, vec![1, 2, 3, 4, 5, 6]));
         assert_eq!(d.assignments, vec![(0, 0), (1, 0)]);
         // An unrelated prompt sees depth 0 everywhere and falls back to
         // the least-loaded worker instead of piling on worker 0.
-        d.submit(stem_req(2, vec![9, 9, 9]));
+        d.route_submit(stem_req(2, vec![9, 9, 9]));
         assert_eq!(d.assignments[2], (2, 1));
     }
 
@@ -1011,11 +677,12 @@ mod tests {
     #[should_panic(expected = "pinned route has no worker")]
     fn pinned_route_rejects_unknown_requests() {
         let m = model();
-        let mut d = Dispatcher::new(
+        let spec = spec(
             &m,
             ServeConfig::concurrency(1),
-            DispatchConfig::new(2, RoutePolicy::Pinned(vec![(7, 1)])),
+            2,
+            RoutePolicy::Pinned(vec![(7, 1)]),
         );
-        d.submit(ntp_request(0, 2));
+        fleet(&spec).route_submit(ntp_request(0, 2));
     }
 }

@@ -73,8 +73,7 @@ pub struct ServeConfig {
     /// Queue-wait ticks after which an arrived request may preempt the
     /// most-advanced active request; `None` disables preemption.
     pub preempt_wait: Option<u64>,
-    /// Fuse propose/verify model work across the batch (needs a fused
-    /// model handle, see [`ServeEngine::new`]); `false` forces
+    /// Fuse propose/verify model work across the batch; `false` forces
     /// per-session execution — same outputs, used for A/B testing.
     pub fuse: bool,
     /// Memory budget: maximum resident sessions (active steppers plus
@@ -345,8 +344,8 @@ impl ServeStats {
     }
 
     /// Folds another engine's counters into these — the multi-worker
-    /// merge used by [`serve_all_threaded`] and the streaming
-    /// dispatcher ([`crate::dispatch`]). Additive counters sum;
+    /// merge behind [`crate::DispatchReport::stats`]. Additive counters
+    /// sum;
     /// schedule-length and high-water counters (`ticks`, `peak_active`,
     /// `peak_resident_sessions`, `peak_resident_nodes`,
     /// `idle_ticks_skipped`) take the per-worker maximum, because
@@ -512,8 +511,9 @@ pub struct ServeEngine<'m> {
     /// bit-for-bit.
     sink: &'m dyn TraceSink,
     /// This engine's fleet index, stamped on every emitted event (0
-    /// for a standalone engine; the dispatcher labels its workers).
-    worker: u32,
+    /// for a standalone engine; [`crate::FleetRuntime`] labels the
+    /// workers it builds).
+    pub(crate) worker: u32,
     /// The tick's flat buffers, cleared and refilled every tick.
     buffers: TickBuffers,
 }
@@ -540,28 +540,16 @@ struct TickBuffers {
 }
 
 impl<'m> ServeEngine<'m> {
-    /// An engine over a fusable model: cross-request propose/verify
-    /// fusion is enabled (unless `cfg.fuse` is off).
+    /// An engine over the model. Cross-request propose/verify fusion
+    /// is on unless `cfg.fuse` is off, which makes every session verify
+    /// its own work — same outputs, the A/B baseline.
     pub fn new(model: &'m MlpLm, cfg: ServeConfig) -> Self {
-        let fused = cfg.fuse.then_some(model);
-        Self::build(model, fused, cfg)
-    }
-
-    /// An engine over any [`LanguageModel`]: correct but unfused (every
-    /// session verifies its own work) — the A/B baseline and the path
-    /// for models without a fusable session representation.
-    pub fn new_unfused(model: &'m dyn LanguageModel, cfg: ServeConfig) -> Self {
-        Self::build(model, None, cfg)
-    }
-
-    fn build(target: &'m dyn LanguageModel, fused: Option<&'m MlpLm>, cfg: ServeConfig) -> Self {
         let scheduler = Scheduler::new(cfg.order, cfg.max_active, cfg.max_batch)
             .with_class_weights(&cfg.class_weights);
-        let cache =
-            (cfg.prefix_cache && target.snapshot_session().is_some()).then(PrefixCache::new);
+        let cache = (cfg.prefix_cache && model.snapshot_session().is_some()).then(PrefixCache::new);
         ServeEngine {
-            target,
-            fused,
+            target: model,
+            fused: cfg.fuse.then_some(model),
             draft: None,
             grammar: None,
             cache,
@@ -591,17 +579,6 @@ impl<'m> ServeEngine<'m> {
     pub fn with_sink(mut self, sink: &'m dyn TraceSink) -> Self {
         self.sink = sink;
         self
-    }
-
-    /// Replaces the sink in place (the dispatcher wires workers after
-    /// construction).
-    pub(crate) fn set_sink(&mut self, sink: &'m dyn TraceSink) {
-        self.sink = sink;
-    }
-
-    /// Sets the fleet index stamped on this engine's events.
-    pub(crate) fn set_worker(&mut self, worker: u32) {
-        self.worker = worker;
     }
 
     /// Whether trace-only events (those without a stats equivalent)
@@ -704,7 +681,26 @@ impl<'m> ServeEngine<'m> {
     /// [`ServeEngine::submit_with_session`]; `submit` itself carries no
     /// session.
     pub fn submit(&mut self, req: Request) {
-        let session = None;
+        self.enqueue(req, None);
+    }
+
+    /// Enqueues a request whose prompt prefix is already ingested in
+    /// `session` (typically a [`DecodeSession::fork`] of one shared
+    /// prefix session); only the prompt remainder is appended at
+    /// admission.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session's context is not a prefix of `req.prompt`.
+    pub fn submit_with_session(&mut self, req: Request, session: Box<dyn DecodeSession + 'm>) {
+        assert!(
+            req.prompt.starts_with(session.tokens()),
+            "prefix session context must be a prefix of the request prompt"
+        );
+        self.enqueue(req, Some(session));
+    }
+
+    fn enqueue(&mut self, req: Request, session: Option<Box<dyn DecodeSession + 'm>>) {
         let seen_secs = self.now_secs();
         if self.traced() {
             self.emit(
@@ -726,62 +722,6 @@ impl<'m> ServeEngine<'m> {
         self.enforce_session_cap();
     }
 
-    /// Enqueues a request whose prompt prefix is already ingested in
-    /// `session` (typically a [`DecodeSession::fork`] of one shared
-    /// prefix session); only the prompt remainder is appended at
-    /// admission.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session's context is not a prefix of `req.prompt`.
-    pub fn submit_with_session(&mut self, req: Request, session: Box<dyn DecodeSession + 'm>) {
-        assert!(
-            req.prompt.starts_with(session.tokens()),
-            "prefix session context must be a prefix of the request prompt"
-        );
-        let seen_secs = self.now_secs();
-        if self.traced() {
-            self.emit(
-                Some(req.id),
-                EventKind::Submitted {
-                    arrival: req.arrival,
-                    prompt_tokens: req.prompt.len(),
-                    deadline: req.deadline,
-                },
-            );
-        }
-        self.queued_forks += 1;
-        self.queue.push(QueueEntry::Fresh {
-            req,
-            session: Some(session),
-            seen_secs,
-        });
-        self.note_resident();
-        self.enforce_session_cap();
-    }
-
-    /// Pulls every request currently waiting in `rx` into the admission
-    /// queue — the streaming-admission entry point the serve loop
-    /// consults each tick, so open-loop arrivals join mid-flight
-    /// instead of all-at-front. Returns `(received, disconnected)`;
-    /// once the channel reports disconnected the stream is drained for
-    /// good.
-    pub fn drain_arrivals(&mut self, rx: &std::sync::mpsc::Receiver<Request>) -> (usize, bool) {
-        use std::sync::mpsc::TryRecvError;
-        let mut received = 0usize;
-        let disconnected = loop {
-            match rx.try_recv() {
-                Ok(req) => {
-                    self.submit(req);
-                    received += 1;
-                }
-                Err(TryRecvError::Empty) => break false,
-                Err(TryRecvError::Disconnected) => break true,
-            }
-        };
-        (received, disconnected)
-    }
-
     /// Requests not yet completed (queued + active).
     pub fn in_flight(&self) -> usize {
         self.queue.len() + self.active.len()
@@ -798,7 +738,7 @@ impl<'m> ServeEngine<'m> {
     }
 
     /// The engine's scheduler clock: ticks executed, including any
-    /// idle fast-forward jumps. The dispatcher paces arrival routing
+    /// idle fast-forward jumps. The paced fleet drive routes arrivals
     /// by the fleet's most-advanced clock.
     pub fn clock(&self) -> u64 {
         self.tick
@@ -1598,13 +1538,6 @@ impl<'m> ServeEngine<'m> {
         }
     }
 
-    /// Finalizes this worker's report without driving it further — the
-    /// dispatcher's merge hook ([`crate::dispatch::Dispatcher`] drives
-    /// ticks itself and collects each worker's completions at the end).
-    pub(crate) fn into_report_parts(self) -> ServeReport {
-        self.into_report()
-    }
-
     /// Jumps the scheduler clock forward to `to` (no-op when already
     /// past it). Fault injection uses this to keep virtual-time
     /// causality: a replacement engine built after a crash — and a
@@ -1649,7 +1582,9 @@ impl<'m> ServeEngine<'m> {
         (self.into_report(), stranded)
     }
 
-    fn into_report(mut self) -> ServeReport {
+    /// Finalizes the report without driving the engine further (a fleet
+    /// backend ticks its workers itself and collects them at the end).
+    pub(crate) fn into_report(mut self) -> ServeReport {
         self.completions.sort_by_key(|c| c.id);
         self.shed.sort_by_key(|s| s.id);
         ServeReport {
@@ -1663,125 +1598,5 @@ impl<'m> ServeEngine<'m> {
     pub fn run(mut self, cost: &GpuCostModel) -> ServeReport {
         while self.tick(cost) {}
         self.into_report()
-    }
-
-    /// Drives the engine against a live arrival channel: each loop
-    /// iteration drains newly arrived requests into the admission queue
-    /// ([`ServeEngine::drain_arrivals`]) and runs one tick; when idle
-    /// with the stream still open it blocks for the next arrival
-    /// instead of spinning. Returns once the channel disconnects and
-    /// every drained request has completed.
-    ///
-    /// Per-request outputs are bit-identical to batch
-    /// [`ServeEngine::run`] regardless of send timing (serving never
-    /// changes semantics), and when every request is sent before its
-    /// arrival tick is processed the whole tick schedule — admission,
-    /// queueing delays, commit ticks — matches the batch run too (the
-    /// property `verispec-load`'s streaming proptest pins).
-    pub fn run_streaming(
-        mut self,
-        arrivals: std::sync::mpsc::Receiver<Request>,
-        cost: &GpuCostModel,
-    ) -> ServeReport {
-        let mut open = true;
-        loop {
-            if open {
-                let (_, disconnected) = self.drain_arrivals(&arrivals);
-                open = !disconnected;
-            }
-            if self.has_work() {
-                self.run_tick(cost);
-            } else if open {
-                // Idle with the stream open: block for the next arrival.
-                match arrivals.recv() {
-                    Ok(req) => self.submit(req),
-                    Err(_) => open = false,
-                }
-            } else {
-                break;
-            }
-        }
-        self.into_report()
-    }
-}
-
-/// Serves `requests` to completion on one engine (single worker).
-pub fn serve_all(
-    model: &MlpLm,
-    draft: Option<&dyn LanguageModel>,
-    requests: Vec<Request>,
-    cfg: &ServeConfig,
-    cost: &GpuCostModel,
-) -> ServeReport {
-    let mut engine = ServeEngine::new(model, cfg.clone());
-    if let Some(d) = draft {
-        engine = engine.with_draft(d);
-    }
-    for req in requests {
-        engine.submit(req);
-    }
-    engine.run(cost)
-}
-
-/// The open-loop sibling of [`serve_all`]: serves requests as they
-/// arrive on `arrivals` (see [`ServeEngine::run_streaming`]). Shared
-/// prompt prefixes are reused through the engine's radix-tree prefix
-/// cache ([`ServeConfig::prefix_cache`] +
-/// [`ServeEngine::warm_prefix`]), which subsumed the retired
-/// shared-prefix-session parameter this function used to take.
-pub fn serve_streaming<'m>(
-    model: &'m MlpLm,
-    draft: Option<&'m dyn LanguageModel>,
-    arrivals: std::sync::mpsc::Receiver<Request>,
-    cfg: &ServeConfig,
-    cost: &GpuCostModel,
-) -> ServeReport {
-    let mut engine = ServeEngine::new(model, cfg.clone());
-    if let Some(d) = draft {
-        engine = engine.with_draft(d);
-    }
-    engine.run_streaming(arrivals, cost)
-}
-
-/// The multi-core variant: requests are sharded round-robin across
-/// `workers` engines, each running on its own OS thread. Per-request
-/// outputs are identical to [`serve_all`] — each request is processed
-/// by exactly one deterministic engine. Merged stats sum the counters;
-/// `ticks` and `peak_active` take the per-worker maximum.
-///
-/// This is a thin wrapper over the fleet's one threaded execution
-/// path, [`crate::threaded::ThreadedDispatcher`]'s batch drive under
-/// [`crate::RoutePolicy::RoundRobin`]: cyclic routing over the
-/// in-order submission stream reproduces the old bespoke `i % workers`
-/// sharding exactly, so each worker's engine receives the same shard
-/// in the same relative order.
-pub fn serve_all_threaded(
-    model: &MlpLm,
-    draft: Option<&(dyn LanguageModel + Sync)>,
-    requests: Vec<Request>,
-    cfg: &ServeConfig,
-    cost: &GpuCostModel,
-    workers: usize,
-) -> ServeReport {
-    use crate::dispatch::{DispatchConfig, DispatchReport, RoutePolicy};
-    use crate::threaded::ThreadedDispatcher;
-    let mut td = ThreadedDispatcher::new(
-        model,
-        cfg.clone(),
-        DispatchConfig::new(workers, RoutePolicy::RoundRobin),
-    );
-    if let Some(d) = draft {
-        td = td.with_draft(d);
-    }
-    let DispatchReport {
-        completions,
-        shed,
-        stats,
-        ..
-    } = td.run_threaded(requests, cost).report;
-    ServeReport {
-        completions,
-        shed,
-        stats,
     }
 }

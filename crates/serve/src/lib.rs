@@ -12,41 +12,41 @@
 //! level:
 //!
 //! ```text
-//!   FleetRuntime (runtime) ── the unified drive API: one facade over
-//!   Drive::{Batch,Paced,Streaming} × Backend::{Lockstep,Threaded},
-//!   plus FaultPlan — deterministic worker crash/restart events,
-//!   migration by exact replay, fleet-level backpressure, and
-//!   per-tenant weighted-fairness shares — threaded through ONE
-//!   generic drive loop (FleetBackend) shared by both backends
+//!   FleetRuntime (runtime) ── the one fleet spec and the one drive:
+//!   model + ServeConfig + workers + RoutePolicy + Backend, optional
+//!   draft / grammar / policy / warm stems / tracing / FaultPlan;
+//!   run(Drive::{Batch,Paced,Streaming}, cost) builds the backend,
+//!   drives it, drains it and merges per-worker reports — the only way
+//!   to serve requests through a fleet
 //!                        │
-//!   mpsc arrivals ─► Dispatcher ── RoutePolicy (rr / jsq by
-//!   (open-loop,      (optional     ready_depth / least-loaded by
-//!    deadlines)       fleet)       outstanding_cost / prefix-affine
-//!                        │         by prefix_match_depth probes /
-//!                        │         pinned replay; dead workers are
-//!                        │         masked out while crashed)
-//!                        │ one shard per worker — two drives over the
-//!                        │ same Router core:
-//!                        │  · lockstep (the deterministic oracle):
-//!                        │    one thread advances all workers round
-//!                        │    by round
-//!                        │  · threaded (ThreadedDispatcher): one OS
-//!                        │    thread per worker in thread::scope,
-//!                        │    WorkerCmd/WorkerReply mpsc protocol
-//!                        │    (Submit/Tick/Probe/Crash/Restart/Drain
-//!                        │    down; Ticked/Probed/Crashed/Finished
-//!                        │    up); barriers only at route-time probe
-//!                        │    reads, fault round-trips, and the
-//!                        │    paced round boundary, barrier-free
-//!                        │    free-run after the last arrival —
-//!                        │    proptest-pinned tick-identical to
-//!                        │    lockstep, fault-injected runs included
+//!   Drive::Batch   ─► Fleet<B>: Router ── RoutePolicy (rr / jsq by
+//!   Drive::Paced      (one generic        ready_depth / least-loaded by
+//!   Drive::Streaming   drive + merge)     outstanding_cost / prefix-
+//!   (mpsc arrivals)      │                affine by prefix_match_depth
+//!                        │                probes / pinned replay; dead
+//!                        │                workers masked while crashed)
+//!                        │ one shard per worker — two backends behind
+//!                        │ the FleetBackend trait, static dispatch:
+//!                        │  · Backend::Lockstep (the deterministic
+//!                        │    oracle): the calling thread advances all
+//!                        │    workers round by round
+//!                        │  · Backend::Threaded: one OS thread per
+//!                        │    worker in thread::scope, a private
+//!                        │    command/reply mpsc protocol (Submit/
+//!                        │    Tick/Probe/Crash/Restart/Drain down;
+//!                        │    Ticked/Probed/Crashed/Finished up);
+//!                        │    barriers only at route-time probe
+//!                        │    reads, fault round-trips, and the round
+//!                        │    boundary, barrier-free free-run after
+//!                        │    the last arrival — proptest-pinned
+//!                        │    tick-identical to lockstep, fault-
+//!                        │    injected runs included
 //!                        ▼
-//!   submit(Request) ──────────┐      ServeEngine (× N workers)   model
-//!   mpsc arrivals ─► drain_ ──┴► queue ─► admission ─► active pool
-//!   (open-loop,      arrivals   (prefix    (arrival,    one Stepper
-//!    per tick,                   forks ≤    preempt,    per request
-//!    deadlines)                  session_   LRU evict   (policy +
+//!   submit(Request) ───────────► ServeEngine (× N workers)       model
+//!   (by the fleet's drive, or   queue ─► admission ─► active pool
+//!    by hand: the bare engine  (prefix    (arrival,    one Stepper
+//!    is the reference the       forks ≤    preempt,    per request
+//!    fleet is compared to)      session_   LRU evict   (policy +
 //!                                cap, shed  = replay)    history)
 //!                                overflow)      │
 //!                                PrefixCache ◄──┘ lookup/insert per
@@ -150,9 +150,9 @@
 //!   row views — so concurrent generations share each pass instead of
 //!   issuing one small batch each, and a tick forwards what its
 //!   members' accepted prefixes cost, not what their trees would.
-//!   Streaming admission ([`ServeEngine::drain_arrivals`] /
-//!   [`ServeEngine::run_streaming`]) feeds the queue from an `mpsc`
-//!   channel each tick so open-loop arrivals join mid-flight; a
+//!   Requests may be submitted between any two ticks
+//!   ([`Drive::Paced`] / [`Drive::Streaming`] do, so open-loop
+//!   arrivals join mid-flight); a
 //!   memory budget ([`ServeConfig::session_cap`]) LRU-evicts queued
 //!   prefix forks through the same exact-replay path so thousands of
 //!   queued arrivals cannot grow the session pool unboundedly; and
@@ -171,56 +171,54 @@
 //!   the same exact-replay path as queued forks, so a later miss
 //!   rebuilds bit-identically. [`ServeEngine::warm_prefix`] seeds a
 //!   stem; [`ServeEngine::prefix_match_depth`] is the read-only probe
-//!   the dispatcher routes by.
-//! * **[`serve_all`] / [`serve_streaming`] / [`serve_all_threaded`]** —
-//!   drivers: closed-loop batch, open-loop channel-fed, and the
-//!   `std::thread::scope` worker pool sharding requests across engines
-//!   over the same model.
-//! * **[`Dispatcher`]** (`dispatch`) — the multi-worker streaming
-//!   layer: channel-fed arrivals are *routed* across N independent
-//!   engines ([`RoutePolicy`]: round-robin, join-shortest-queue by
-//!   [`ServeEngine::ready_depth`], join-least-loaded by
-//!   [`ServeEngine::outstanding_cost`] — the speculation policy's
-//!   price of each worker's in-flight work — cache-aware
-//!   prefix-affine, which probes every worker's prefix cache with
-//!   [`ServeEngine::prefix_match_depth`] and routes to the deepest
-//!   match so repeat stems land where their snapshots live, or a
-//!   pinned replay of a recorded assignment). Each worker owns its
-//!   session pool and tick
-//!   loop and serves its shard exactly as a standalone engine, so
-//!   dispatch adds routing without touching serving semantics;
-//!   [`DispatchReport`] carries merged plus per-worker
-//!   [`ServeStats`] and the realized assignment.
-//! * **[`ThreadedDispatcher`]** (`threaded`) — the same fleet with
-//!   true parallelism: one OS thread per worker inside
-//!   `std::thread::scope`, each running its private engine (built
-//!   in-thread — engines hold live sessions and are not `Send`) with
-//!   its own [`verispec_trace::EventLog`], coordinated over an mpsc
-//!   [`WorkerCmd`]/[`WorkerReply`] protocol. Synchronization exists
-//!   only where the lockstep semantics require it: route-time probe
-//!   round-trips for load-aware policies and one tick barrier per
-//!   paced round while arrivals pend; after the last arrival (and for
-//!   the whole batch drive) workers free-run barrier-free. Reports
-//!   are bit-identical to the lockstep oracle and merged event
-//!   streams are identical under
-//!   [`verispec_trace::canonicalize_fleet_events`]
-//!   (`tests/proptest_dispatch_threaded.rs`); [`serve_all_threaded`]
-//!   is a thin wrapper over the round-robin batch drive.
-//! * **[`FleetRuntime`]** (`runtime`) — the unified drive facade and
-//!   the fault-injection layer: pick the backend
+//!   prefix-affine routing reads.
+//! * **[`FleetRuntime`]** (`runtime`) — the fleet spec and the one way
+//!   to serve requests to completion: pick the backend
 //!   ([`Backend::Lockstep`] / [`Backend::Threaded`]) at construction,
-//!   the drive mode as a value ([`Drive::Batch`] / [`Drive::Paced`] /
-//!   [`Drive::Streaming`]), and optionally install a [`FaultPlan`] —
+//!   the drive as a value ([`Drive::Batch`] — everything routed up
+//!   front; [`Drive::Paced`] — each request routed when its arrival
+//!   tick falls due; [`Drive::Streaming`] — routed as received from an
+//!   `mpsc` channel), and optionally install a [`FaultPlan`] —
 //!   deterministic, trace-specified [`FaultEvent::CrashWorker`] /
 //!   [`FaultEvent::RestartWorker`] events plus per-tenant
 //!   [`ClassShare`] weighted-fairness shares. On a crash every
 //!   in-flight and queued request migrates to surviving workers by
 //!   exact replay (outputs stay token-identical to the fault-free
 //!   run); with the whole fleet dead, arrivals defer under
-//!   backpressure until a restart (or shed deterministically). Both
-//!   backends execute the same generic drive loops, so the legacy
-//!   `run*` entry points are now thin wrappers and fault-injected
-//!   runs inherit the threaded==lockstep parity guarantee.
+//!   backpressure until a restart (or shed deterministically). One
+//!   engine is the one-worker fleet. The spec is applied to an engine
+//!   in one function, both backends run under one generic drive and
+//!   one report merge, so a parity claim proved for one route holds
+//!   for all of them, and fault-injected runs inherit the
+//!   threaded == lockstep guarantee.
+//! * **Routing** (`dispatch`) — arrivals are *routed* across the N
+//!   independent engines ([`RoutePolicy`]: round-robin,
+//!   join-shortest-queue by [`ServeEngine::ready_depth`],
+//!   join-least-loaded by [`ServeEngine::outstanding_cost`] — the
+//!   speculation policy's price of each worker's in-flight work —
+//!   cache-aware prefix-affine, which probes every worker's prefix
+//!   cache with [`ServeEngine::prefix_match_depth`] and routes to the
+//!   deepest match so repeat stems land where their snapshots live, or
+//!   a pinned replay of a recorded assignment). Each worker owns its
+//!   session pool and tick loop and serves its shard exactly as a
+//!   standalone engine, so dispatch adds routing without touching
+//!   serving semantics; [`DispatchReport`] carries merged plus
+//!   per-worker [`ServeStats`] and the realized assignment.
+//! * **The two backends** (`dispatch`, `threaded`; crate-private) —
+//!   lockstep ticks the engines in place, round by round, and is the
+//!   oracle; threaded gives each worker an OS thread inside
+//!   `std::thread::scope`, its engine built in-thread (engines hold
+//!   live sessions and are not `Send`) with its own
+//!   [`verispec_trace::EventLog`]. Synchronization exists only where
+//!   the lockstep semantics require it: route-time probe round-trips
+//!   for load-aware policies and one tick barrier per round while
+//!   arrivals can still come; after the last arrival (and for the
+//!   whole batch drive) workers free-run barrier-free. Reports are
+//!   bit-identical across backends and [`FleetRun::events`] arrives in
+//!   the same canonical order
+//!   ([`verispec_trace::canonicalize_fleet_events`]) from both
+//!   (`tests/proptest_dispatch_threaded.rs`, and the drive matrix in
+//!   `tests/proptest_dispatch.rs`).
 //! * **Structured tracing** (`verispec-trace`) — every lifecycle
 //!   transition (submission, routing decision with its probe values,
 //!   cache walk, admission, per-step propose/verify/commit with the
@@ -229,8 +227,8 @@
 //!   consumption) is emitted as a tick-stamped
 //!   [`verispec_trace::TraceEvent`] into the engine's
 //!   [`verispec_trace::TraceSink`] ([`ServeEngine::with_sink`] /
-//!   [`Dispatcher::with_sink`]; the no-op default keeps the untraced
-//!   hot path bit-identical). [`ServeStats`] counters with
+//!   [`FleetRuntime::with_tracing`]; the no-op default keeps the
+//!   untraced hot path bit-identical). [`ServeStats`] counters with
 //!   event-stream equivalents are folded from those same events in
 //!   one place (`ServeStats::apply_event`), so the counters, the
 //!   metrics registry, and the exported Chrome trace can never
@@ -254,8 +252,8 @@
 //! (decisions are pure functions of each request's own history, so
 //! served == the serial policy-driven engine under preemption and
 //! eviction too); `verispec-load`'s streaming proptest additionally
-//! pins streaming admission == batch [`serve_all`] under random
-//! arrival processes, capacities, deadlines, and eviction pressure.
+//! pins [`Drive::Streaming`] == batch submission under random arrival
+//! processes, capacities, deadlines, and eviction pressure.
 //! The one deliberate exception is
 //! [`verispec_core::BudgetedPolicy`]: its shrink-to-fit shapes depend
 //! on batch composition, so *sampled* outputs may differ from the
@@ -267,7 +265,9 @@
 //! ```
 //! use verispec_core::DecodeConfig;
 //! use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig};
-//! use verispec_serve::{serve_all, EngineChoice, Request, ServeConfig};
+//! use verispec_serve::{
+//!     Backend, Drive, EngineChoice, FleetRuntime, Request, RoutePolicy, ServeConfig,
+//! };
 //!
 //! let model = MlpLm::new(MlpLmConfig::tiny(16));
 //! let cfg = DecodeConfig { max_tokens: 8, ..Default::default() };
@@ -275,14 +275,20 @@
 //!     Request::new(0, vec![1, 2], EngineChoice::MedusaChain, cfg.clone()),
 //!     Request::new(1, vec![3], EngineChoice::Ntp, cfg),
 //! ];
-//! let report = serve_all(
-//!     &model,
-//!     None,
-//!     requests,
-//!     &ServeConfig::concurrency(2),
-//!     &GpuCostModel::codellama_like(),
-//! );
-//! assert_eq!(report.completions.len(), 2);
+//! let serve = |backend| {
+//!     FleetRuntime::new(
+//!         &model,
+//!         ServeConfig::concurrency(2),
+//!         2,
+//!         RoutePolicy::RoundRobin,
+//!         backend,
+//!     )
+//!     .run(Drive::Batch(requests.clone()), &GpuCostModel::codellama_like())
+//!     .report
+//! };
+//! let lockstep = serve(Backend::Lockstep);
+//! assert_eq!(lockstep.completions.len(), 2);
+//! assert!(serve(Backend::Threaded).same_schedule(&lockstep));
 //! ```
 
 #![deny(missing_docs)]
@@ -293,21 +299,14 @@ pub mod prefix;
 pub mod request;
 pub mod runtime;
 pub mod scheduler;
-pub mod threaded;
+mod threaded;
 
-pub use dispatch::{
-    dispatch_all, dispatch_streaming, DispatchConfig, DispatchReport, Dispatcher, RoutePolicy,
-    RouteProbes,
-};
-pub use engine::{
-    serve_all, serve_all_threaded, serve_streaming, ServeConfig, ServeEngine, ServeReport,
-    ServeStats, ShedRequest,
-};
+pub use dispatch::{DispatchReport, RoutePolicy};
+pub use engine::{ServeConfig, ServeEngine, ServeReport, ServeStats, ShedRequest};
 pub use prefix::PrefixCache;
 pub use request::{Completion, EngineChoice, Request};
 pub use runtime::{Backend, ClassShare, Drive, FaultEvent, FaultPlan, FleetRun, FleetRuntime};
 pub use scheduler::{ActiveView, Scheduler, TickOrder};
-pub use threaded::{ThreadedDispatcher, ThreadedRun, WorkerCmd, WorkerHandle, WorkerReply};
 
 #[cfg(test)]
 mod tests {
@@ -333,6 +332,50 @@ mod tests {
         let seq: Vec<TokenId> = (0..200).map(|i| 6 + (i % 3) as TokenId).collect();
         lm.train_sequence(&seq);
         lm
+    }
+
+    /// Serves `requests` to completion on one hand-driven engine.
+    fn run_engine(
+        model: &MlpLm,
+        draft: Option<&dyn LanguageModel>,
+        requests: Vec<Request>,
+        cfg: &ServeConfig,
+        cost: &GpuCostModel,
+    ) -> ServeReport {
+        let mut engine = ServeEngine::new(model, cfg.clone());
+        if let Some(d) = draft {
+            engine = engine.with_draft(d);
+        }
+        for req in requests {
+            engine.submit(req);
+        }
+        engine.run(cost)
+    }
+
+    /// Serves a pre-filled, closed channel through a one-worker fleet.
+    fn stream_through_fleet(
+        model: &MlpLm,
+        draft: Option<&(dyn LanguageModel + Sync)>,
+        requests: Vec<Request>,
+        cfg: &ServeConfig,
+        cost: &GpuCostModel,
+    ) -> DispatchReport {
+        let (tx, rx) = std::sync::mpsc::channel();
+        for r in requests {
+            tx.send(r).expect("receiver alive");
+        }
+        drop(tx);
+        let mut fleet = FleetRuntime::new(
+            model,
+            cfg.clone(),
+            1,
+            RoutePolicy::RoundRobin,
+            Backend::Lockstep,
+        );
+        if let Some(d) = draft {
+            fleet = fleet.with_draft(d);
+        }
+        fleet.run(Drive::Streaming(rx), cost).report
     }
 
     fn mixed_requests(max_tokens: usize) -> Vec<Request> {
@@ -398,7 +441,7 @@ mod tests {
             .map(|r| serial_output(&m, &d, r, &cost))
             .collect();
         for concurrency in [1usize, 3, 6] {
-            let report = serve_all(
+            let report = run_engine(
                 &m,
                 Some(&d),
                 requests.clone(),
@@ -422,18 +465,18 @@ mod tests {
         let cost = GpuCostModel::codellama_like();
         let mut requests = mixed_requests(10);
         requests.retain(|r| !matches!(r.engine, EngineChoice::DraftVerify { .. }));
-        let fused = serve_all(
+        let fused = run_engine(
             &m,
             None,
             requests.clone(),
             &ServeConfig::concurrency(4),
             &cost,
         );
-        let mut engine = ServeEngine::new_unfused(&m, ServeConfig::concurrency(4));
-        for r in requests {
-            engine.submit(r);
-        }
-        let unfused = engine.run(&cost);
+        let unfused_cfg = ServeConfig {
+            fuse: false,
+            ..ServeConfig::concurrency(4)
+        };
+        let unfused = run_engine(&m, None, requests, &unfused_cfg, &cost);
         for (a, b) in fused.completions.iter().zip(&unfused.completions) {
             assert_eq!(a.output.tokens, b.output.tokens);
         }
@@ -486,7 +529,7 @@ mod tests {
             preempt_wait: Some(2),
             ..Default::default()
         };
-        let report = serve_all(&m, None, requests, &cfg, &cost);
+        let report = run_engine(&m, None, requests, &cfg, &cost);
         assert!(report.stats.preemptions > 0, "preemption must trigger");
         for (c, want) in report.completions.iter().zip(&expected) {
             assert_eq!(&c.output.tokens, want, "request {} diverged", c.id);
@@ -536,21 +579,23 @@ mod tests {
         let d = draft();
         let cost = GpuCostModel::codellama_like();
         let requests = mixed_requests(12);
-        let single = serve_all(
+        let single = run_engine(
             &m,
             Some(&d),
             requests.clone(),
             &ServeConfig::concurrency(6),
             &cost,
         );
-        let pooled = serve_all_threaded(
+        let pooled = FleetRuntime::new(
             &m,
-            Some(&d as &(dyn LanguageModel + Sync)),
-            requests,
-            &ServeConfig::concurrency(3),
-            &cost,
+            ServeConfig::concurrency(3),
             3,
-        );
+            RoutePolicy::RoundRobin,
+            Backend::Threaded,
+        )
+        .with_draft(&d)
+        .run(Drive::Batch(requests), &cost)
+        .report;
         assert_eq!(single.completions.len(), pooled.completions.len());
         for (a, b) in single.completions.iter().zip(&pooled.completions) {
             assert_eq!(a.id, b.id);
@@ -575,13 +620,8 @@ mod tests {
             preempt_wait: Some(2),
             ..Default::default()
         };
-        let batch = serve_all(&m, Some(&d), requests.clone(), &cfg, &cost);
-        let (tx, rx) = std::sync::mpsc::channel();
-        for r in requests {
-            tx.send(r).expect("receiver alive");
-        }
-        drop(tx);
-        let streamed = serve_streaming(&m, Some(&d), rx, &cfg, &cost);
+        let batch = run_engine(&m, Some(&d), requests.clone(), &cfg, &cost);
+        let streamed = stream_through_fleet(&m, Some(&d), requests, &cfg, &cost);
         assert_eq!(batch.completions.len(), streamed.completions.len());
         for (a, b) in batch.completions.iter().zip(&streamed.completions) {
             assert_eq!(a.id, b.id);
@@ -699,7 +739,7 @@ mod tests {
                 decode_speculative(&m, &r.prompt, &r.engine.decode_config(&r.cfg), &cost).tokens
             })
             .collect();
-        let free = serve_all(
+        let free = run_engine(
             &m,
             None,
             requests.clone(),
@@ -713,7 +753,7 @@ mod tests {
             tick_capacity: Some(16),
             ..ServeConfig::concurrency(6)
         };
-        let capped = serve_all(&m, None, requests, &capped_cfg, &cost);
+        let capped = run_engine(&m, None, requests, &capped_cfg, &cost);
         assert!(
             capped.stats.deferred_steps > 0,
             "the budget must actually bind"
@@ -764,7 +804,7 @@ mod tests {
                 tick_capacity: Some(capacity),
                 ..ServeConfig::concurrency(6)
             };
-            serve_all(&m, None, requests.clone(), &cfg, &cost)
+            run_engine(&m, None, requests.clone(), &cfg, &cost)
         };
         let policy = BudgetedPolicy { per_tick: capacity };
         let run_budgeted = {
@@ -870,7 +910,7 @@ mod tests {
             shed_depth: Some(2),
             ..Default::default()
         };
-        let batch = serve_all(&m, None, requests.clone(), &cfg, &cost);
+        let batch = run_engine(&m, None, requests.clone(), &cfg, &cost);
         assert!(batch.stats.shed_requests > 0, "overflow must shed");
         assert_eq!(
             batch.completions.len() + batch.shed.len(),
@@ -882,12 +922,7 @@ mod tests {
         let min_shed = batch.shed.iter().map(|s| s.id).min().expect("nonempty");
         assert!(batch.completions.iter().all(|c| c.id < min_shed));
         // Streaming sheds the same requests at the same ticks.
-        let (tx, rx) = std::sync::mpsc::channel();
-        for r in requests {
-            tx.send(r).expect("receiver alive");
-        }
-        drop(tx);
-        let streamed = serve_streaming(&m, None, rx, &cfg, &cost);
+        let streamed = stream_through_fleet(&m, None, requests, &cfg, &cost);
         assert_eq!(batch.shed, streamed.shed);
         for (a, b) in batch.completions.iter().zip(&streamed.completions) {
             assert_eq!(a.output.tokens, b.output.tokens);
@@ -928,7 +963,7 @@ mod tests {
                 order,
                 ..Default::default()
             };
-            let report = serve_all(&m, None, mk_requests(), &cfg, &cost);
+            let report = run_engine(&m, None, mk_requests(), &cfg, &cost);
             report
                 .completions
                 .iter()
@@ -1144,7 +1179,7 @@ mod tests {
             ..Default::default()
         };
         let bound = Scheduler::new(cfg.order, cfg.max_active, cfg.max_batch).starvation_bound();
-        let report = serve_all(&m, None, requests, &cfg, &cost);
+        let report = run_engine(&m, None, requests, &cfg, &cost);
         for c in &report.completions {
             assert!(
                 c.max_service_gap <= bound + cfg.max_active as u64,

@@ -1,34 +1,47 @@
-//! The unified fleet runtime: one facade over the lockstep and
-//! threaded dispatchers, one drive loop, and deterministic fault
-//! injection with crash/recovery session migration.
+//! The fleet runtime: one spec, one drive, two backends, and
+//! deterministic fault injection with crash/recovery session migration.
 //!
-//! # Why a facade
+//! # One way to serve a fleet to completion
 //!
-//! Before this module, driving a fleet meant choosing among six entry
-//! points (`Dispatcher::{run, run_paced, run_streaming}` and their
-//! threaded/free-function siblings), each duplicating the same
-//! route-then-tick loop. [`FleetRuntime`] collapses them: the backend
-//! ([`Backend::Lockstep`] vs [`Backend::Threaded`]) is a constructor
-//! parameter, the drive mode is a value ([`Drive::Batch`] /
-//! [`Drive::Paced`] / [`Drive::Streaming`]), and **both backends run
-//! the exact same generic drive loops** over the crate-private
-//! `FleetBackend` trait — so the fault-injection layer threads through exactly
-//! one code path, and threaded==lockstep parity pins fault-injected
-//! runs for free. The legacy entry points survive as thin wrappers.
+//! A [`FleetRuntime`] value *is* the fleet spec — model, per-worker
+//! [`ServeConfig`], worker count, [`RoutePolicy`], [`Backend`], and the
+//! optional draft / grammar / policy / warm stems / tracing /
+//! [`FaultPlan`] — and [`FleetRuntime::run`] is the only function in
+//! this crate that serves requests through a fleet. It applies the
+//! spec to engines in exactly one place (`FleetRuntime::engine`, which
+//! also builds crash replacements), picks the backend, and hands it to
+//! one generic drive over the crate-private `FleetBackend` trait. The
+//! routing core, liveness, fleet-level counters and the report merge
+//! live in the fleet state *above* the backends, so a backend is only
+//! what differs: how a worker is reached (a direct call, or a channel
+//! round-trip to its thread).
 //!
 //! ```text
-//!                FleetRuntime::new(model, cfg, dcfg, backend)
+//!                FleetRuntime::new(model, cfg, workers, route, backend)
 //!                    .with_fault_plan(plan)
 //!                    .run(Drive::Paced(requests), cost)
-//!                         │
+//!                         │ builds
 //!            ┌────────────┴─────────────┐
 //!            ▼                          ▼
-//!   Dispatcher (lockstep)     ThreadedDispatcher (1 thread/worker)
+//!   Dispatcher (lockstep:       threaded::Coordinator (one thread
+//!   ticks engines in place)     per worker, inside thread::scope)
 //!            └────────────┬─────────────┘
 //!                         ▼
-//!        drive_paced::<B: FleetBackend>   ← the ONE fault loop
-//!          each round: fire due faults → route due arrivals → tick
+//!        Fleet<B: FleetBackend>  — Router, liveness, fleet counters
+//!          drive:  Batch      route everything up front
+//!                  Paced      each round: fire due faults → route
+//!                             due arrivals → tick
+//!                  Streaming  drain the channel → tick; block when idle
+//!          finish: drain every worker, fold per-worker reports and
+//!                  event streams through one merge → FleetRun
 //! ```
+//!
+//! The bare [`crate::ServeEngine`] (`new` / `submit` / `tick` / `run`)
+//! stays public as the reference a fleet is compared against: a
+//! one-worker fleet is tick-identical to a hand-driven engine fed in
+//! arrival order under every drive and backend — whole [`ServeStats`]
+//! included — with one designed exception, preemption under
+//! [`Drive::Paced`] (`tests/proptest_dispatch.rs`, the drive matrix).
 //!
 //! # Deterministic fault injection
 //!
@@ -94,19 +107,18 @@
 //! ```
 //!
 //! Both fields default to empty, and an empty plan is exactly the
-//! fault-free runtime: the paced drive degenerates bit-for-bit to the
-//! historical `run_paced` loop.
+//! fault-free runtime.
 
-use crate::dispatch::{DispatchConfig, Dispatcher, RoutePolicy};
-use crate::engine::{ServeConfig, ServeStats};
+use crate::dispatch::{DispatchReport, Dispatcher, RoutePolicy, RouteProbes, Router};
+use crate::engine::{ServeConfig, ServeEngine, ServeReport, ServeStats, ShedRequest};
 use crate::request::Request;
 use crate::scheduler::TickOrder;
-use crate::threaded::ThreadedDispatcher;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use verispec_core::SpecPolicy;
 use verispec_grammar::GrammarOracle;
 use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, TokenId};
-use verispec_trace::{canonicalize_fleet_events, EventKind, EventLog, TraceEvent};
+use verispec_trace::{EventKind, EventLog, TraceEvent, TraceSink};
 
 /// One deterministic, trace-specified fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -261,12 +273,11 @@ impl FaultPlan {
 /// Which execution backend drives the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Backend {
-    /// The single-threaded deterministic oracle: one thread ticks every
-    /// worker in lockstep ([`Dispatcher`]).
+    /// The single-threaded deterministic oracle: the calling thread
+    /// ticks every worker in lockstep.
     Lockstep,
-    /// One OS thread per worker over the command/reply protocol
-    /// ([`ThreadedDispatcher`]); proptest-pinned tick-identical to the
-    /// oracle, faults included.
+    /// One OS thread per worker over a command/reply protocol;
+    /// proptest-pinned tick-identical to the oracle, faults included.
     Threaded,
 }
 
@@ -278,7 +289,11 @@ pub enum Drive {
     Batch(Vec<Request>),
     /// Open-loop: requests are routed exactly when their arrival ticks
     /// fall due on the fleet clock (load-aware policies see real queue
-    /// state). The only mode that accepts fault events.
+    /// state). The only mode that accepts fault events. A worker only
+    /// ever holds the arrivals already due, so a request preempted
+    /// ([`ServeConfig::preempt_wait`]) re-queues ahead of later
+    /// arrivals, where an up-front feed would queue it behind them: a
+    /// different, equally deterministic schedule.
     Paced(Vec<Request>),
     /// Live-channel: requests are routed as they are received;
     /// blocking-waits when idle with the stream open.
@@ -287,23 +302,25 @@ pub enum Drive {
 
 /// The result of a [`FleetRuntime`] run: the fleet-merged report plus
 /// (when tracing was requested) the event stream in canonical fleet
-/// order ([`canonicalize_fleet_events`]) — identical across backends
-/// for the same run.
+/// order ([`verispec_trace::canonicalize_fleet_events`]) — identical
+/// across backends for the same run.
 #[derive(Debug)]
 pub struct FleetRun {
     /// Fleet-merged report (completions/shed sorted by id, merged and
     /// per-worker stats, realized assignments).
-    pub report: crate::dispatch::DispatchReport,
+    pub report: DispatchReport,
     /// Canonical fleet event stream; empty unless
     /// [`FleetRuntime::with_tracing`] was requested.
     pub events: Vec<TraceEvent>,
 }
 
-/// The unified fleet facade; see the [module docs](crate::runtime).
+/// The fleet spec and its one drive; see the
+/// [module docs](crate::runtime).
 pub struct FleetRuntime<'m> {
     model: &'m MlpLm,
     cfg: ServeConfig,
-    dcfg: DispatchConfig,
+    workers: usize,
+    route: RoutePolicy,
     backend: Backend,
     draft: Option<&'m (dyn LanguageModel + Sync)>,
     grammar: Option<&'m GrammarOracle>,
@@ -314,7 +331,8 @@ pub struct FleetRuntime<'m> {
 }
 
 impl<'m> FleetRuntime<'m> {
-    /// A fleet of `workers` engines over the shared model under
+    /// A fleet of `workers` engines (at least one) over the shared
+    /// model, each configured with its own copy of `cfg`, under
     /// `route`, executed by `backend`.
     pub fn new(
         model: &'m MlpLm,
@@ -326,7 +344,8 @@ impl<'m> FleetRuntime<'m> {
         FleetRuntime {
             model,
             cfg,
-            dcfg: DispatchConfig::new(workers, route),
+            workers: workers.max(1),
+            route,
             backend,
             draft: None,
             grammar: None,
@@ -357,7 +376,8 @@ impl<'m> FleetRuntime<'m> {
     }
 
     /// Seeds every worker's prefix cache with a warm stem at startup
-    /// (replacement engines built after a crash start cold).
+    /// (replacement engines built after a crash start cold). May be
+    /// called repeatedly; stems are applied in order.
     pub fn warm_prefix(mut self, tokens: &[TokenId]) -> Self {
         self.warm.push(tokens.to_vec());
         self
@@ -379,120 +399,106 @@ impl<'m> FleetRuntime<'m> {
         self
     }
 
-    /// Executes the drive and returns the merged run.
+    /// Number of workers in the fleet.
+    pub(crate) fn workers(&self) -> usize {
+        self.workers
+    }
+
+    /// Whether workers collect structured events.
+    pub(crate) fn traced(&self) -> bool {
+        self.traced
+    }
+
+    /// Builds worker `worker`'s engine — the one place the spec is
+    /// applied to an engine, for both backends, at startup and for the
+    /// replacement a crash leaves behind. `warm` is startup-only: crash
+    /// recovery is deliberately cold-cache, matching what a restarted
+    /// process would see.
+    pub(crate) fn engine<'e>(
+        &'e self,
+        worker: usize,
+        sink: &'e dyn TraceSink,
+        warm: bool,
+    ) -> ServeEngine<'e> {
+        let mut engine = ServeEngine::new(self.model, self.cfg.clone()).with_sink(sink);
+        engine.worker = worker as u32;
+        if let Some(draft) = self.draft {
+            engine = engine.with_draft(draft as &dyn LanguageModel);
+        }
+        if let Some(oracle) = self.grammar {
+            engine = engine.with_grammar(oracle);
+        }
+        if let Some(policy) = self.policy {
+            engine = engine.with_policy(policy);
+        }
+        if warm {
+            for stem in &self.warm {
+                engine.warm_prefix(stem);
+            }
+        }
+        engine
+    }
+
+    /// Serves `drive` to completion and returns the merged run.
     ///
     /// # Panics
     ///
     /// Panics if the fault plan carries events and `drive` is not
     /// [`Drive::Paced`].
-    pub fn run(self, drive: Drive, cost: &GpuCostModel) -> FleetRun {
+    pub fn run(mut self, drive: Drive, cost: &GpuCostModel) -> FleetRun {
         assert!(
             self.plan.events.is_empty() || matches!(drive, Drive::Paced(_)),
             "fault events require Drive::Paced (trace-specified fault ticks \
              are only meaningful on the paced fleet clock)"
         );
-        let mut cfg = self.cfg;
         if !self.plan.classes.is_empty() {
-            cfg.class_weights = self.plan.class_weights();
-            cfg.order = TickOrder::WeightedFair;
+            self.cfg.class_weights = self.plan.class_weights();
+            self.cfg.order = TickOrder::WeightedFair;
         }
-        let faults = self.plan.sorted_events();
-        match self.backend {
+        let spec = &self;
+        match spec.backend {
             Backend::Lockstep => {
-                let log = self.traced.then(EventLog::new);
-                let mut d = Dispatcher::new(self.model, cfg, self.dcfg);
-                if let Some(draft) = self.draft {
-                    d = d.with_draft(draft as &dyn LanguageModel);
-                }
-                if let Some(oracle) = self.grammar {
-                    d = d.with_grammar(oracle);
-                }
-                if let Some(policy) = self.policy {
-                    d = d.with_policy(policy);
-                }
-                if let Some(log) = &log {
-                    d = d.with_sink(log);
-                }
-                for stem in &self.warm {
-                    d.warm_prefix(stem);
-                }
-                let report = match drive {
-                    Drive::Batch(requests) => {
-                        for req in requests {
-                            d.submit(req);
-                        }
-                        d.run(cost)
-                    }
-                    Drive::Paced(requests) => d.run_paced_with_faults(requests, &faults, cost),
-                    Drive::Streaming(rx) => d.run_streaming(rx, cost),
-                };
-                let events = log
-                    .map(|l| canonicalize_fleet_events(&l.into_events()))
-                    .unwrap_or_default();
-                FleetRun { report, events }
+                let log = spec.traced.then(EventLog::new);
+                Fleet::new(spec, Dispatcher::new(spec, log.as_ref())).serve(drive, cost)
             }
-            Backend::Threaded => {
-                let mut td = ThreadedDispatcher::new(self.model, cfg, self.dcfg);
-                if let Some(draft) = self.draft {
-                    td = td.with_draft(draft);
-                }
-                if let Some(oracle) = self.grammar {
-                    td = td.with_grammar(oracle);
-                }
-                if let Some(policy) = self.policy {
-                    td = td.with_policy(policy);
-                }
-                for stem in &self.warm {
-                    td = td.warm_prefix(stem);
-                }
-                if self.traced {
-                    td = td.with_tracing();
-                }
-                let run = match drive {
-                    Drive::Batch(requests) => td.run_threaded(requests, cost),
-                    Drive::Paced(requests) => td.run_paced_faulted(requests, &faults, cost),
-                    Drive::Streaming(rx) => td.run_streaming_threaded(rx, cost),
-                };
-                FleetRun {
-                    report: run.report,
-                    events: run.events,
-                }
-            }
+            Backend::Threaded => std::thread::scope(|scope| {
+                let backend = crate::threaded::Coordinator::spawn(spec, scope, cost);
+                Fleet::new(spec, backend).serve(drive, cost)
+            }),
         }
     }
 }
 
-/// The backend abstraction the generic drive loops run over: the
-/// minimal fleet surface — clock, liveness, routed submission, one
-/// tick round, crash/restart, and fleet-level event/shed bookkeeping —
-/// implemented by both the lockstep [`Dispatcher`] and the threaded
-/// coordinator, so every drive (and the whole fault layer) is one code
-/// path.
+/// What differs between the backends — how a worker is reached: clock
+/// and work reads, route-time probes, submission, one tick round,
+/// crash/restart, and the final drain. Implemented by the lockstep
+/// [`Dispatcher`] and the threaded coordinator; everything else about
+/// a fleet ([`Fleet`]) is written once above them.
 pub(crate) trait FleetBackend {
     /// The fleet clock: the most-advanced worker's scheduler clock.
     fn now(&self) -> u64;
     /// Whether any worker still has queued or active work.
-    fn fleet_has_work(&self) -> bool;
-    /// Per-worker liveness (dead workers are masked at routing).
-    fn alive(&self) -> &[bool];
-    /// Routes and enqueues one request among live workers; returns the
-    /// chosen worker.
-    fn route_submit(&mut self, req: Request) -> usize;
+    fn has_work(&self) -> bool;
+    /// Every worker's route-time probes against `prompt`, by worker
+    /// index, reflecting every earlier submission.
+    fn probes(&self, prompt: &[TokenId]) -> Vec<RouteProbes>;
+    /// Enqueues `req` on worker `w`.
+    fn submit(&mut self, w: usize, req: Request);
     /// Runs one fleet tick round (every busy worker ticks once).
     fn tick_round(&mut self, cost: &GpuCostModel);
     /// Kills worker `w` at tick `at`: banks its finished work, replaces
-    /// it with a cold dead engine whose clock starts at `at`, and
-    /// returns the stranded `(request, tokens already generated)`
-    /// pairs sorted by id.
+    /// it with a cold engine whose clock starts at `at`, and returns
+    /// the stranded `(request, tokens already generated)` pairs sorted
+    /// by id.
     fn crash_worker(&mut self, w: usize, at: u64) -> Vec<(Request, usize)>;
     /// Revives worker `w` at tick `at` (clock advanced to `at`).
     fn restart_worker(&mut self, w: usize, at: u64);
-    /// Folds a fleet-level (coordinator) event into the fleet stats
-    /// and, when tracing, the event stream.
-    fn record_fleet_event(&mut self, ev: TraceEvent);
-    /// Records a fleet-level shed (a deferred request dropped because
-    /// the whole fleet stayed dead).
-    fn shed_fleet(&mut self, req: Request, tick: u64);
+    /// Runs every worker to completion — nothing external can reach
+    /// them any more — and returns, by worker index, the report
+    /// segments of every engine that lived in the slot (crashed
+    /// predecessors first), plus the workers' events with each worker's
+    /// own emission order intact.
+    fn finish(self, cost: &GpuCostModel) -> (Vec<Vec<ServeReport>>, Vec<TraceEvent>);
 }
 
 /// A backpressure-deferred request: the original submission, the
@@ -501,249 +507,372 @@ pub(crate) trait FleetBackend {
 /// that were never routed).
 type Deferred = (Request, usize, Option<u32>);
 
-fn any_alive<B: FleetBackend>(fleet: &B) -> bool {
-    fleet.alive().iter().any(|&a| a)
+/// A running fleet: a backend plus everything the backends share — the
+/// routing core, liveness, the realized assignment, and the
+/// coordinator's own counters, sheds and events.
+pub(crate) struct Fleet<B> {
+    pub(crate) backend: B,
+    router: Router,
+    /// Per-worker liveness under fault injection (all `true` without
+    /// faults); dead workers are masked out of routing.
+    alive: Vec<bool>,
+    traced: bool,
+    /// Coordinator events ([`EventKind::is_fleet_event`]: routing
+    /// decisions and fault transitions), in emission order.
+    fleet_events: Vec<TraceEvent>,
+    /// Coordinator-recorded events of *worker-stream* kind (fleet-level
+    /// sheds): they trail the owning worker's own events.
+    late_events: Vec<TraceEvent>,
+    /// Realized `(request id, worker)` routing, in receipt order.
+    pub(crate) assignments: Vec<(u64, usize)>,
+    /// Fleet-level counters: crashes, restarts, migrations,
+    /// backpressure, fleet-level sheds. Part of the merged stats,
+    /// deliberately not of any per-worker entry.
+    fleet_stats: ServeStats,
+    /// Requests shed at the fleet level (deferred under fleet-wide
+    /// backpressure with no restart coming).
+    fleet_shed: Vec<ShedRequest>,
+    /// The plan's fault events still to fire, in tick order.
+    faults: VecDeque<FaultEvent>,
+    deferred: Vec<Deferred>,
 }
 
-/// Routes one migrant or defers it under backpressure.
-fn migrate<B: FleetBackend>(
-    fleet: &mut B,
-    req: Request,
-    replay_tokens: usize,
-    from: u32,
-    tick: u64,
-    deferred: &mut Vec<Deferred>,
-) {
-    if !any_alive(fleet) {
-        fleet.record_fleet_event(TraceEvent {
-            tick,
-            worker: from,
-            request: Some(req.id),
-            kind: EventKind::Backpressure,
-        });
-        deferred.push((req, replay_tokens, Some(from)));
-        return;
+impl<B: FleetBackend> Fleet<B> {
+    pub(crate) fn new(spec: &FleetRuntime<'_>, backend: B) -> Self {
+        Fleet {
+            backend,
+            router: Router::new(spec.route.clone()),
+            alive: vec![true; spec.workers],
+            traced: spec.traced,
+            fleet_events: Vec::new(),
+            late_events: Vec::new(),
+            assignments: Vec::new(),
+            fleet_stats: ServeStats::default(),
+            fleet_shed: Vec::new(),
+            faults: spec.plan.sorted_events().into(),
+            deferred: Vec::new(),
+        }
     }
-    let id = req.id;
-    let to = fleet.route_submit(req) as u32;
-    fleet.record_fleet_event(TraceEvent {
-        tick,
-        worker: to,
-        request: Some(id),
-        kind: EventKind::Migrated {
-            from,
-            to,
-            replay_tokens,
-        },
-    });
-}
 
-/// Routes one due arrival or defers it under backpressure.
-fn admit_or_defer<B: FleetBackend>(
-    fleet: &mut B,
-    req: Request,
-    now: u64,
-    deferred: &mut Vec<Deferred>,
-) {
-    if any_alive(fleet) {
-        fleet.route_submit(req);
-    } else {
-        fleet.record_fleet_event(TraceEvent {
-            tick: now,
-            worker: 0,
-            request: Some(req.id),
-            kind: EventKind::Backpressure,
-        });
-        deferred.push((req, 0, None));
-    }
-}
-
-/// Applies one fault event. Crashes migrate (or defer) every stranded
-/// request; restarts flush the deferred queue through the router.
-fn apply_fault<B: FleetBackend>(fleet: &mut B, ev: FaultEvent, deferred: &mut Vec<Deferred>) {
-    let n = fleet.alive().len();
-    match ev {
-        FaultEvent::CrashWorker { tick, worker } => {
-            if worker >= n || !fleet.alive()[worker] {
-                return;
+    /// The one drive: feeds `drive` through the fleet, then drains and
+    /// merges it.
+    fn serve(mut self, drive: Drive, cost: &GpuCostModel) -> FleetRun {
+        match drive {
+            Drive::Batch(requests) => {
+                for req in requests {
+                    self.route_submit(req);
+                }
             }
-            let stranded = fleet.crash_worker(worker, tick);
-            fleet.record_fleet_event(TraceEvent {
-                tick,
-                worker: worker as u32,
-                request: None,
-                kind: EventKind::WorkerCrashed {
-                    in_flight: stranded.len(),
+            Drive::Paced(requests) => self.drive_paced(requests, cost),
+            Drive::Streaming(arrivals) => self.drive_streaming(arrivals, cost),
+        }
+        self.finish(cost)
+    }
+
+    fn any_alive(&self) -> bool {
+        self.alive.iter().any(|&a| a)
+    }
+
+    /// Routes and enqueues one request among live workers; returns the
+    /// chosen worker. The probe snapshot is gathered by the backend
+    /// (direct engine reads, or a channel round-trip) only when the
+    /// policy reads it.
+    pub(crate) fn route_submit(&mut self, req: Request) -> usize {
+        let probes = if self.router.needs_probes() {
+            self.backend.probes(&req.prompt)
+        } else {
+            Vec::new()
+        };
+        let (w, probes) = self.router.pick(&req, &self.alive, &probes);
+        if self.traced {
+            // Routing events are stamped at the fleet clock — the
+            // most-advanced worker's tick, the same notion of "now"
+            // the paced drive routes by.
+            self.fleet_events.push(TraceEvent {
+                tick: self.backend.now(),
+                worker: w as u32,
+                request: Some(req.id),
+                kind: EventKind::Routed {
+                    policy: self.router.policy_name().to_string(),
+                    probes,
                 },
             });
-            for (req, replay) in stranded {
-                migrate(fleet, req, replay, worker as u32, tick, deferred);
+        }
+        self.assignments.push((req.id, w));
+        self.backend.submit(w, req);
+        w
+    }
+
+    /// Folds a coordinator event into the fleet stats and, when
+    /// tracing, the event stream.
+    fn record_fleet_event(&mut self, ev: TraceEvent) {
+        self.fleet_stats.apply_event(&ev);
+        if self.traced {
+            if ev.kind.is_fleet_event() {
+                self.fleet_events.push(ev);
+            } else {
+                self.late_events.push(ev);
             }
         }
-        FaultEvent::RestartWorker { tick, worker } => {
-            if worker >= n || fleet.alive()[worker] {
-                return;
-            }
-            fleet.restart_worker(worker, tick);
-            fleet.record_fleet_event(TraceEvent {
+    }
+
+    /// Routes one migrant or defers it under backpressure.
+    fn migrate(&mut self, req: Request, replay_tokens: usize, from: u32, tick: u64) {
+        if !self.any_alive() {
+            self.record_fleet_event(TraceEvent {
                 tick,
-                worker: worker as u32,
-                request: None,
-                kind: EventKind::WorkerRestarted,
+                worker: from,
+                request: Some(req.id),
+                kind: EventKind::Backpressure,
             });
-            for (req, replay, from) in std::mem::take(deferred) {
-                match from {
-                    Some(from) => migrate(fleet, req, replay, from, tick, deferred),
-                    None => admit_or_defer(fleet, req, tick, deferred),
+            self.deferred.push((req, replay_tokens, Some(from)));
+            return;
+        }
+        let id = req.id;
+        let to = self.route_submit(req) as u32;
+        self.record_fleet_event(TraceEvent {
+            tick,
+            worker: to,
+            request: Some(id),
+            kind: EventKind::Migrated {
+                from,
+                to,
+                replay_tokens,
+            },
+        });
+    }
+
+    /// Routes one due arrival or defers it under backpressure.
+    fn admit_or_defer(&mut self, req: Request, now: u64) {
+        if self.any_alive() {
+            self.route_submit(req);
+        } else {
+            self.record_fleet_event(TraceEvent {
+                tick: now,
+                worker: 0,
+                request: Some(req.id),
+                kind: EventKind::Backpressure,
+            });
+            self.deferred.push((req, 0, None));
+        }
+    }
+
+    /// Applies one fault event. Crashes migrate (or defer) every
+    /// stranded request; restarts flush the deferred queue through the
+    /// router.
+    fn apply_fault(&mut self, ev: FaultEvent) {
+        let n = self.alive.len();
+        match ev {
+            FaultEvent::CrashWorker { tick, worker } => {
+                if worker >= n || !self.alive[worker] {
+                    return;
+                }
+                let stranded = self.backend.crash_worker(worker, tick);
+                self.alive[worker] = false;
+                self.record_fleet_event(TraceEvent {
+                    tick,
+                    worker: worker as u32,
+                    request: None,
+                    kind: EventKind::WorkerCrashed {
+                        in_flight: stranded.len(),
+                    },
+                });
+                for (req, replay) in stranded {
+                    self.migrate(req, replay, worker as u32, tick);
+                }
+            }
+            FaultEvent::RestartWorker { tick, worker } => {
+                if worker >= n || self.alive[worker] {
+                    return;
+                }
+                self.backend.restart_worker(worker, tick);
+                self.alive[worker] = true;
+                self.record_fleet_event(TraceEvent {
+                    tick,
+                    worker: worker as u32,
+                    request: None,
+                    kind: EventKind::WorkerRestarted,
+                });
+                for (req, replay, from) in std::mem::take(&mut self.deferred) {
+                    match from {
+                        Some(from) => self.migrate(req, replay, from, tick),
+                        None => self.admit_or_defer(req, tick),
+                    }
                 }
             }
         }
     }
-}
 
-/// The one paced drive: fire due faults, route due arrivals, tick —
-/// every round, until no arrival and no fault remains (the caller then
-/// drains the fleet backend-optimally). With an empty fault schedule
-/// this is bit-for-bit the historical `run_paced` loop.
-pub(crate) fn drive_paced<B: FleetBackend>(
-    fleet: &mut B,
-    mut requests: Vec<Request>,
-    faults: &[FaultEvent],
-    cost: &GpuCostModel,
-) {
-    requests.sort_by_key(|r| r.arrival);
-    let mut pending = requests.into_iter().peekable();
-    let mut faults = {
-        let mut sorted = faults.to_vec();
-        sorted.sort_by_key(FaultEvent::tick);
-        std::collections::VecDeque::from(sorted)
-    };
-    let mut deferred: Vec<Deferred> = Vec::new();
-    loop {
-        // The fleet's time is its most-advanced worker clock. The
-        // upcoming tick moves busy workers to `now + 1`, so faults and
-        // arrivals due by then take effect *before* that tick — a
-        // tick-T event applied after the fleet passes T would act
-        // late and break schedule identity with the single-engine
-        // oracle.
-        let now = fleet.now();
-        while faults.front().is_some_and(|f| f.tick() <= now + 1) {
-            let ev = faults.pop_front().expect("peeked");
-            apply_fault(fleet, ev, &mut deferred);
-        }
-        while pending.peek().is_some_and(|r| r.arrival <= now + 1) {
-            let req = pending.next().expect("peeked");
-            admit_or_defer(fleet, req, now, &mut deferred);
-        }
-        if fleet.fleet_has_work() {
-            if pending.peek().is_none() && faults.is_empty() {
-                // Nothing left that could perturb the fleet: the
-                // remaining ticks are pure per-worker drains, which
-                // the caller runs without round barriers.
-                break;
+    /// The paced drive: fire due faults, route due arrivals, tick —
+    /// every round, until no arrival and no fault remains (the rest is
+    /// [`FleetBackend::finish`]'s drain, which the backend runs its own
+    /// best way). Requests are served in arrival order (stable, so
+    /// equal-arrival order is preserved): each is routed exactly when
+    /// its arrival tick falls due on the fleet clock, so load-aware
+    /// policies see the queue state the arrival would actually see.
+    fn drive_paced(&mut self, mut requests: Vec<Request>, cost: &GpuCostModel) {
+        requests.sort_by_key(|r| r.arrival);
+        let mut pending = requests.into_iter().peekable();
+        loop {
+            // The fleet's time is its most-advanced worker clock. The
+            // upcoming tick moves busy workers to `now + 1`, so faults and
+            // arrivals due by then take effect *before* that tick — a
+            // tick-T event applied after the fleet passes T would act
+            // late and break schedule identity with the single-engine
+            // oracle.
+            let now = self.backend.now();
+            while self.faults.front().is_some_and(|f| f.tick() <= now + 1) {
+                let ev = self.faults.pop_front().expect("peeked");
+                self.apply_fault(ev);
             }
-            fleet.tick_round(cost);
-        } else {
-            // Idle fleet: jump to whichever comes first — the next
-            // arrival group (receiving workers fast-forward their own
-            // clocks) or the next fault (crash/restart advances the
-            // target worker's clock itself).
-            let next_arrival = pending.peek().map(|r| r.arrival);
-            let next_fault = faults.front().map(FaultEvent::tick);
-            match (next_arrival, next_fault) {
-                (Some(a), Some(f)) if f <= a => {
-                    let ev = faults.pop_front().expect("peeked");
-                    apply_fault(fleet, ev, &mut deferred);
-                }
-                (Some(a), _) => {
-                    while pending.peek().is_some_and(|r| r.arrival <= a) {
-                        let req = pending.next().expect("peeked");
-                        admit_or_defer(fleet, req, now, &mut deferred);
-                    }
-                }
-                (None, Some(_)) => {
-                    let ev = faults.pop_front().expect("peeked");
-                    apply_fault(fleet, ev, &mut deferred);
-                }
-                (None, None) => {
-                    // No arrivals, no faults, no work — but possibly a
-                    // deferred queue with every worker dead and no
-                    // restart coming: shed it deterministically at the
-                    // fleet level rather than hanging.
-                    for (req, _, _) in std::mem::take(&mut deferred) {
-                        fleet.record_fleet_event(TraceEvent {
-                            tick: now,
-                            worker: 0,
-                            request: Some(req.id),
-                            kind: EventKind::Shed {
-                                arrival: req.arrival,
-                                deadline: req.deadline,
-                            },
-                        });
-                        fleet.shed_fleet(req, now);
-                    }
+            while pending.peek().is_some_and(|r| r.arrival <= now + 1) {
+                let req = pending.next().expect("peeked");
+                self.admit_or_defer(req, now);
+            }
+            if self.backend.has_work() {
+                if pending.peek().is_none() && self.faults.is_empty() {
+                    // Nothing left that could perturb the fleet: the
+                    // remaining ticks are pure per-worker drains.
                     break;
                 }
-            }
-        }
-    }
-}
-
-/// The one streaming drive: drain newly arrived requests, tick, block
-/// for the next arrival when idle with the stream open. Shared by
-/// both backends (streaming accepts no fault events).
-pub(crate) fn drive_streaming<B: FleetBackend>(
-    fleet: &mut B,
-    arrivals: std::sync::mpsc::Receiver<Request>,
-    cost: &GpuCostModel,
-) {
-    use std::sync::mpsc::TryRecvError;
-    let mut open = true;
-    loop {
-        while open {
-            match arrivals.try_recv() {
-                Ok(req) => {
-                    fleet.route_submit(req);
+                self.backend.tick_round(cost);
+            } else {
+                // Idle fleet: jump to whichever comes first — the next
+                // arrival group (receiving workers fast-forward their own
+                // clocks) or the next fault (crash/restart advances the
+                // target worker's clock itself).
+                let next_arrival = pending.peek().map(|r| r.arrival);
+                let next_fault = self.faults.front().map(FaultEvent::tick);
+                match (next_arrival, next_fault) {
+                    (Some(a), Some(f)) if f <= a => {
+                        let ev = self.faults.pop_front().expect("peeked");
+                        self.apply_fault(ev);
+                    }
+                    (Some(a), _) => {
+                        while pending.peek().is_some_and(|r| r.arrival <= a) {
+                            let req = pending.next().expect("peeked");
+                            self.admit_or_defer(req, now);
+                        }
+                    }
+                    (None, Some(_)) => {
+                        let ev = self.faults.pop_front().expect("peeked");
+                        self.apply_fault(ev);
+                    }
+                    (None, None) => {
+                        // No arrivals, no faults, no work — but possibly a
+                        // deferred queue with every worker dead and no
+                        // restart coming: shed it deterministically at the
+                        // fleet level rather than hanging.
+                        for (req, _, _) in std::mem::take(&mut self.deferred) {
+                            self.record_fleet_event(TraceEvent {
+                                tick: now,
+                                worker: 0,
+                                request: Some(req.id),
+                                kind: EventKind::Shed {
+                                    arrival: req.arrival,
+                                    deadline: req.deadline,
+                                },
+                            });
+                            self.fleet_shed.push(ShedRequest {
+                                id: req.id,
+                                arrival: req.arrival,
+                                deadline: req.deadline,
+                                tick: now,
+                            });
+                        }
+                        break;
+                    }
                 }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => open = false,
             }
-        }
-        if fleet.fleet_has_work() {
-            fleet.tick_round(cost);
-        } else if open {
-            match arrivals.recv() {
-                Ok(req) => {
-                    fleet.route_submit(req);
-                }
-                Err(_) => open = false,
-            }
-        } else {
-            break;
         }
     }
-}
 
-/// Merges the report segments a crashing-and-replaced worker produced
-/// over its lifetimes into the worker's single [`crate::ServeReport`]
-/// (identity for the single fault-free segment). Both backends fold
-/// per-worker segments through this, so their per-worker stats cannot
-/// diverge.
-pub(crate) fn merge_segments(segments: Vec<crate::ServeReport>) -> crate::ServeReport {
-    let mut completions = Vec::new();
-    let mut shed = Vec::new();
-    let mut stats = ServeStats::default();
-    for seg in segments {
-        completions.extend(seg.completions);
-        shed.extend(seg.shed);
-        stats.merge(&seg.stats);
+    /// The streaming drive: route newly arrived requests, tick, block
+    /// for the next arrival when idle with the stream open. Per-request
+    /// outputs are independent of send timing, and when every request
+    /// is sent before its arrival tick is processed the whole tick
+    /// schedule matches [`Drive::Batch`] over the same order.
+    fn drive_streaming(
+        &mut self,
+        arrivals: std::sync::mpsc::Receiver<Request>,
+        cost: &GpuCostModel,
+    ) {
+        use std::sync::mpsc::TryRecvError;
+        let mut open = true;
+        loop {
+            while open {
+                match arrivals.try_recv() {
+                    Ok(req) => {
+                        self.route_submit(req);
+                    }
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => open = false,
+                }
+            }
+            if self.backend.has_work() {
+                self.backend.tick_round(cost);
+            } else if open {
+                match arrivals.recv() {
+                    Ok(req) => {
+                        self.route_submit(req);
+                    }
+                    Err(_) => open = false,
+                }
+            } else {
+                break;
+            }
+        }
     }
-    completions.sort_by_key(|c| c.id);
-    shed.sort_by_key(|s| s.id);
-    crate::ServeReport {
-        completions,
-        shed,
-        stats,
+
+    /// Drains the backend and folds what it hands back into the run —
+    /// the one merge both backends' reports and event streams go
+    /// through, so neither their per-worker stats nor their canonical
+    /// event order can diverge.
+    fn finish(self, cost: &GpuCostModel) -> FleetRun {
+        let (workers, worker_events) = self.backend.finish(cost);
+        let mut completions = Vec::new();
+        let mut shed = Vec::new();
+        let mut stats = ServeStats::default();
+        let mut per_worker = Vec::with_capacity(workers.len());
+        // A worker slot's report is the merge of every engine that
+        // lived in it: crashed predecessors' banked segments plus the
+        // final engine (the identity merge without faults).
+        for segments in workers {
+            let mut worker_stats = ServeStats::default();
+            for seg in segments {
+                completions.extend(seg.completions);
+                shed.extend(seg.shed);
+                worker_stats.merge(&seg.stats);
+            }
+            stats.merge(&worker_stats);
+            per_worker.push(worker_stats);
+        }
+        stats.merge(&self.fleet_stats);
+        shed.extend(self.fleet_shed);
+        completions.sort_by_key(|c| c.id);
+        shed.sort_by_key(|s| s.id);
+        let mut assignments = self.assignments;
+        assignments.sort_unstable();
+        // Canonical fleet order: the coordinator's events first, in
+        // emission order, then every other event grouped by worker with
+        // each worker's own order kept (a stable sort; a no-op on the
+        // threaded backend's already-grouped streams). Fleet-level
+        // sheds trail their worker's stream.
+        let mut events = self.fleet_events;
+        let fleet_len = events.len();
+        events.extend(worker_events);
+        events.extend(self.late_events);
+        events[fleet_len..].sort_by_key(|ev| ev.worker);
+        FleetRun {
+            report: DispatchReport {
+                completions,
+                shed,
+                stats,
+                per_worker,
+                assignments,
+            },
+            events,
+        }
     }
 }
 

@@ -1,24 +1,27 @@
-//! The threaded dispatch runtime: one OS thread per worker, driven
-//! over an mpsc command/reply protocol, bit-identical to the lockstep
-//! [`crate::dispatch::Dispatcher`] oracle.
+//! The threaded backend: one OS thread per worker, driven over an mpsc
+//! command/reply protocol, bit-identical to the lockstep
+//! `Dispatcher` oracle.
 //!
 //! # Architecture
 //!
 //! ```text
 //!   coordinator (caller thread)            worker thread i (×N)
 //!   ───────────────────────────            ────────────────────
-//!   ThreadedDispatcher::run_*              worker_loop:
-//!     Router (shared with lockstep)          ServeEngine built *in*
-//!     clock/has_work mirrors                 the thread (own session
-//!         │                                  pool, queue, clock, and
-//!         │  WorkerCmd ─────────────────►    a private EventLog sink)
-//!         │   Submit(Request)                  submit / tick / probe
-//!         │   Tick | Probe(prompt) | Drain     against the local
-//!         │                                    engine only
+//!   FleetRuntime::run                      worker_loop:
+//!     Fleet<Coordinator>: the drive,         ServeEngine built *in*
+//!     Router and merge shared with           the thread by
+//!     lockstep; Coordinator holds the        FleetRuntime::engine (own
+//!     clock/has_work mirrors                 session pool, queue,
+//!         │                                  clock, and a private
+//!         │  WorkerCmd ─────────────────►    EventLog sink)
+//!         │   Submit(Request) | Tick |         submit / tick / probe
+//!         │   Probe(prompt) | Crash |          against the local
+//!         │   Restart | Drain                  engine only
 //!         ◄───────────────── WorkerReply │
 //!             Ticked{clock, has_work}    │
 //!             Probed(RouteProbes)        │
-//!             Finished{report, events}   ┘
+//!             Crashed{stranded}          │
+//!             Finished{segments, events} ┘
 //! ```
 //!
 //! Each worker owns a private [`ServeEngine`] constructed inside its
@@ -40,12 +43,14 @@
 //!    `Submit`, and workers are quiescent between tick rounds, so the
 //!    snapshot equals the lockstep drive's direct engine reads.
 //!    Probe-less policies (rr / pinned) skip the round-trip entirely.
-//! 2. **The paced round boundary.** The paced drive routes arrivals
-//!    by the fleet's most-advanced clock, so while arrivals are still
+//! 2. **The round boundary.** The paced drive routes arrivals by the
+//!    fleet's most-advanced clock, so while arrivals are still
 //!    pending, each round sends `Tick` to every busy worker and waits
 //!    for all `Ticked` replies — one barrier per round, with the ticks
 //!    themselves running concurrently. Idle workers are skipped: an
-//!    empty engine's tick is a proven no-op.
+//!    empty engine's tick is a proven no-op. The streaming drive pays
+//!    the same barrier every round: a live channel never reaches the
+//!    "nothing can change" state until it closes.
 //!
 //! Once the last arrival is routed (and for the whole batch drive,
 //! where everything is routed up front), nothing the coordinator could
@@ -58,33 +63,36 @@
 //! oracle, policy — all `Sync`), so a worker's tick sequence is a pure
 //! function of the command sequence it receives. The coordinator sends
 //! each worker exactly the per-worker subsequence of submit/tick calls
-//! the lockstep drive would make: routing uses the same `Router`
-//! core over the same probe values, the clock/`has_work` mirrors are
+//! the lockstep backend would make: it runs under the same drive and
+//! the same `Router` over the same probe values, the clock/`has_work`
+//! mirrors are
 //! exact (a worker's state changes only via its own commands, and
 //! every state-changing command is acknowledged before the mirror is
 //! read), and the drain free-run equals the lockstep tail rounds
 //! because those contain no further submissions. Hence reports are
 //! tick-for-tick and token-for-token identical, and per-worker event
 //! streams are event-for-event identical; only the *interleaving* of
-//! the merged stream differs, which
-//! [`verispec_trace::canonicalize_fleet_events`] normalizes away.
-//! `tests/proptest_dispatch_threaded.rs` pins all of this across
-//! worker counts, route policies, both drives, and eviction churn.
+//! the workers' streams differs, which the shared merge's canonical
+//! order ([`verispec_trace::canonicalize_fleet_events`]) normalizes
+//! away. `tests/proptest_dispatch_threaded.rs` pins all of this across
+//! worker counts, route policies, the batch and paced drives, and
+//! eviction churn; `tests/proptest_dispatch.rs` adds the streaming
+//! drive.
 
-use crate::dispatch::{DispatchConfig, DispatchReport, RouteProbes, Router};
-use crate::engine::{ServeConfig, ServeEngine, ServeReport, ServeStats};
+use crate::dispatch::RouteProbes;
+use crate::engine::ServeReport;
 use crate::request::Request;
+use crate::runtime::{FleetBackend, FleetRuntime};
 use std::sync::mpsc;
-use verispec_core::SpecPolicy;
-use verispec_grammar::GrammarOracle;
-use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, TokenId};
-use verispec_trace::{EventKind, EventLog, TraceEvent};
+use std::thread::Scope;
+use verispec_lm::{GpuCostModel, TokenId};
+use verispec_trace::{EventLog, TraceEvent, TraceSink, NOOP};
 
 /// A command the coordinator sends down a worker's channel. Per-worker
 /// delivery is FIFO (mpsc), which is what makes probe snapshots and
 /// submit ordering deterministic.
 #[derive(Debug)]
-pub enum WorkerCmd {
+enum WorkerCmd {
     /// Enqueue a routed request on the worker's engine.
     Submit(Box<Request>),
     /// Run one scheduler tick; the worker answers with
@@ -117,7 +125,7 @@ pub enum WorkerCmd {
 
 /// A worker's reply on its result channel.
 #[derive(Debug)]
-pub enum WorkerReply {
+enum WorkerReply {
     /// One tick ran; the engine's clock (including idle fast-forward
     /// jumps) and whether work remains.
     Ticked {
@@ -136,13 +144,13 @@ pub enum WorkerReply {
         /// The stranded requests.
         stranded: Vec<(Request, usize)>,
     },
-    /// The worker drained: its final report (all crash segments
-    /// merged) and its private event stream, in emission order.
+    /// The worker drained: the report of every engine that lived in
+    /// it (crashed incarnations first) and its private event stream,
+    /// in emission order.
     Finished {
-        /// The worker's own completions, shed, and stats (boxed to
-        /// keep the reply enum small next to `Ticked`/`Probed`).
-        report: Box<ServeReport>,
-        /// Every event the worker's engine emitted (empty untraced).
+        /// One report per engine incarnation.
+        segments: Vec<ServeReport>,
+        /// Every event the worker's engines emitted (empty untraced).
         events: Vec<TraceEvent>,
     },
 }
@@ -152,7 +160,7 @@ pub enum WorkerReply {
 /// and work state (exact because a worker's state only changes through
 /// its own command channel, and every state-changing command is
 /// acknowledged or inferable — a `Submit` always creates work).
-pub struct WorkerHandle {
+struct WorkerHandle {
     cmd: mpsc::Sender<WorkerCmd>,
     reply: mpsc::Receiver<WorkerReply>,
     /// Mirror of the worker engine's scheduler clock.
@@ -171,251 +179,53 @@ impl WorkerHandle {
     }
 }
 
-/// The result of a threaded fleet run: the merged report plus the
-/// merged event stream in canonical fleet order (routing events in
-/// emission order, then each worker's events grouped by worker id —
-/// the fixed point of [`verispec_trace::canonicalize_fleet_events`]).
-/// `events` is empty unless [`ThreadedDispatcher::with_tracing`] was
-/// requested.
-#[derive(Debug)]
-pub struct ThreadedRun {
-    /// Fleet-merged report, field-for-field the shape the lockstep
-    /// drives produce (completions/shed sorted by id, stats merged in
-    /// worker order, assignments sorted).
-    pub report: DispatchReport,
-    /// Canonically merged fleet event stream.
-    pub events: Vec<TraceEvent>,
+/// The threaded backend: the coordinator's endpoints to the worker
+/// threads. Engine construction is deferred to the threads themselves
+/// (a [`crate::ServeEngine`] is not `Send`; each one is born, driven,
+/// and consumed entirely inside its own thread).
+pub(crate) struct Coordinator {
+    handles: Vec<WorkerHandle>,
 }
 
-/// Builder for a threaded fleet run. Mirrors the lockstep
-/// [`crate::Dispatcher`]'s configuration surface, but defers engine
-/// construction to the worker threads themselves (a [`ServeEngine`]
-/// is not `Send`; each one is born, driven, and consumed entirely
-/// inside its own thread).
-pub struct ThreadedDispatcher<'m> {
-    model: &'m MlpLm,
-    cfg: ServeConfig,
-    dcfg: DispatchConfig,
-    draft: Option<&'m (dyn LanguageModel + Sync)>,
-    grammar: Option<&'m GrammarOracle>,
-    policy: Option<&'m dyn SpecPolicy>,
-    warm: Vec<Vec<TokenId>>,
-    traced: bool,
-}
-
-impl<'m> ThreadedDispatcher<'m> {
-    /// A fleet spec of `dcfg.workers` engines over the shared model,
-    /// each to be configured with its own copy of `cfg`.
-    pub fn new(model: &'m MlpLm, cfg: ServeConfig, dcfg: DispatchConfig) -> Self {
-        ThreadedDispatcher {
-            model,
-            cfg,
-            dcfg,
-            draft: None,
-            grammar: None,
-            policy: None,
-            warm: Vec::new(),
-            traced: false,
-        }
-    }
-
-    /// Attaches the draft model to every worker (see
-    /// [`ServeEngine::with_draft`]). `Sync` is required because the
-    /// workers share it across threads.
-    pub fn with_draft(mut self, draft: &'m (dyn LanguageModel + Sync)) -> Self {
-        self.draft = Some(draft);
-        self
-    }
-
-    /// Attaches the grammar oracle to every worker (see
-    /// [`ServeEngine::with_grammar`]).
-    pub fn with_grammar(mut self, oracle: &'m GrammarOracle) -> Self {
-        self.grammar = Some(oracle);
-        self
-    }
-
-    /// Replaces every worker's speculation policy (see
-    /// [`ServeEngine::with_policy`]; [`SpecPolicy`] is `Sync` by
-    /// definition).
-    pub fn with_policy(mut self, policy: &'m dyn SpecPolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Seeds every worker's prefix cache with a warm stem at startup
-    /// (see [`ServeEngine::warm_prefix`]), matching the lockstep
-    /// drive's pre-run [`crate::Dispatcher::warm_prefix`] call. May be
-    /// called repeatedly; stems are applied in order.
-    pub fn warm_prefix(mut self, tokens: &[TokenId]) -> Self {
-        self.warm.push(tokens.to_vec());
-        self
-    }
-
-    /// Collects structured events: each worker traces into its own
-    /// private [`EventLog`], the coordinator records routing events,
-    /// and [`ThreadedRun::events`] carries the canonical merge.
-    pub fn with_tracing(mut self) -> Self {
-        self.traced = true;
-        self
-    }
-
-    /// The threaded analogue of the lockstep batch drive
-    /// ([`crate::dispatch::dispatch_all`] /
-    /// [`crate::Dispatcher::run`]): every request is routed up front
-    /// in the given order, then the whole fleet free-runs to
-    /// completion with zero barriers.
-    pub fn run_threaded(self, requests: Vec<Request>, cost: &GpuCostModel) -> ThreadedRun {
-        self.drive(ThreadedInput::Batch(requests), cost)
-    }
-
-    /// The threaded analogue of [`crate::Dispatcher::run_paced`]:
-    /// requests are routed exactly when their arrival ticks fall due
-    /// on the fleet round clock (one tick barrier per round while
-    /// arrivals pend), then the fleet free-runs barrier-free once the
-    /// last arrival is routed. (Both backends share the generic paced
-    /// drive in [`crate::runtime`].)
-    pub fn run_paced_threaded(self, requests: Vec<Request>, cost: &GpuCostModel) -> ThreadedRun {
-        self.drive(ThreadedInput::Paced(requests, Vec::new()), cost)
-    }
-
-    /// [`Self::run_paced_threaded`] under a deterministic fault
-    /// schedule — the threaded twin of
-    /// [`crate::Dispatcher::run_paced_with_faults`], running the exact
-    /// same generic fault drive, so fault-injected runs are
-    /// tick-identical across backends. Prefer driving through
-    /// [`crate::FleetRuntime`] with a [`crate::FaultPlan`].
-    pub fn run_paced_faulted(
-        self,
-        requests: Vec<Request>,
-        faults: &[crate::runtime::FaultEvent],
-        cost: &GpuCostModel,
-    ) -> ThreadedRun {
-        self.drive(ThreadedInput::Paced(requests, faults.to_vec()), cost)
-    }
-
-    /// The threaded analogue of [`crate::Dispatcher::run_streaming`]:
-    /// routes requests as they are received on a live channel,
-    /// blocking for the next arrival when the fleet is idle with the
-    /// stream open (one tick barrier per round — a live channel never
-    /// reaches the "nothing can change" free-run state until it
-    /// closes).
-    pub fn run_streaming_threaded(
-        self,
-        arrivals: mpsc::Receiver<Request>,
-        cost: &GpuCostModel,
-    ) -> ThreadedRun {
-        self.drive(ThreadedInput::Streaming(arrivals), cost)
-    }
-
-    fn drive(self, input: ThreadedInput, cost: &GpuCostModel) -> ThreadedRun {
-        let n = self.dcfg.workers.max(1);
-        let traced = self.traced;
-        let (model, cfg, warm) = (self.model, &self.cfg, &self.warm);
-        let (draft, grammar, policy) = (self.draft, self.grammar, self.policy);
-        std::thread::scope(|s| {
-            let mut fleet = Fleet {
-                handles: Vec::with_capacity(n),
-                router: Router::new(self.dcfg.route.clone()),
-                alive: vec![true; n],
-                traced,
-                routing_events: Vec::new(),
-                late_events: Vec::new(),
-                assignments: Vec::new(),
-                fleet_stats: ServeStats::default(),
-                fleet_shed: Vec::new(),
-            };
-            for worker in 0..n {
+impl Coordinator {
+    /// Spawns one worker thread per fleet slot inside `scope`.
+    pub(crate) fn spawn<'scope, 'env>(
+        spec: &'env FleetRuntime<'env>,
+        scope: &'scope Scope<'scope, 'env>,
+        cost: &'env GpuCostModel,
+    ) -> Self {
+        let handles = (0..spec.workers())
+            .map(|worker| {
                 let (cmd_tx, cmd_rx) = mpsc::channel::<WorkerCmd>();
                 let (reply_tx, reply_rx) = mpsc::channel::<WorkerReply>();
-                let (cfg, warm) = (cfg.clone(), warm.clone());
-                s.spawn(move || {
-                    worker_loop(
-                        model,
-                        cfg,
-                        draft,
-                        grammar,
-                        policy,
-                        warm,
-                        traced,
-                        worker as u32,
-                        cost,
-                        cmd_rx,
-                        reply_tx,
-                    )
-                });
-                fleet.handles.push(WorkerHandle {
+                scope.spawn(move || worker_loop(spec, worker, cost, cmd_rx, reply_tx));
+                WorkerHandle {
                     cmd: cmd_tx,
                     reply: reply_rx,
                     clock: 0,
                     has_work: false,
-                });
-            }
-            match input {
-                ThreadedInput::Batch(requests) => {
-                    for req in requests {
-                        fleet.submit(req);
-                    }
                 }
-                ThreadedInput::Paced(requests, faults) => {
-                    crate::runtime::drive_paced(&mut fleet, requests, &faults, cost);
-                }
-                ThreadedInput::Streaming(arrivals) => {
-                    crate::runtime::drive_streaming(&mut fleet, arrivals, cost);
-                }
-            }
-            fleet.finish()
-        })
+            })
+            .collect();
+        Coordinator { handles }
     }
 }
 
-/// How requests reach a threaded drive (the backend-internal twin of
-/// [`crate::Drive`]).
-enum ThreadedInput {
-    Batch(Vec<Request>),
-    Paced(Vec<Request>, Vec<crate::runtime::FaultEvent>),
-    Streaming(mpsc::Receiver<Request>),
-}
-
-/// Coordinator-side fleet state: worker handles plus the routing core
-/// and the routing event/assignment records the lockstep drive keeps
-/// on the `Dispatcher` itself, and the fault-layer bookkeeping
-/// (liveness, fleet-level stats and sheds).
-struct Fleet {
-    handles: Vec<WorkerHandle>,
-    router: Router,
-    /// Per-worker liveness under fault injection (all `true` without
-    /// faults); dead workers are masked out of routing.
-    alive: Vec<bool>,
-    traced: bool,
-    routing_events: Vec<TraceEvent>,
-    /// Coordinator-recorded events of *worker-stream* kind (fleet-level
-    /// sheds): in the lockstep oracle's shared log these are emitted
-    /// after the owning worker's engine events, so the merge must slot
-    /// them after the worker streams, not with the routing events.
-    late_events: Vec<TraceEvent>,
-    assignments: Vec<(u64, usize)>,
-    /// Fleet-level (coordinator) counters: crashes, restarts,
-    /// migrations, backpressure, fleet-level sheds.
-    fleet_stats: ServeStats,
-    /// Requests shed at the fleet level under unrecovered backpressure.
-    fleet_shed: Vec<crate::engine::ShedRequest>,
-}
-
-impl Fleet {
+impl FleetBackend for Coordinator {
     /// The fleet clock: its most-advanced worker's mirror.
     fn now(&self) -> u64 {
         self.handles.iter().map(|h| h.clock).max().unwrap_or(0)
     }
 
-    fn any_busy(&self) -> bool {
+    fn has_work(&self) -> bool {
         self.handles.iter().any(|h| h.has_work)
     }
 
     /// The route-time probe barrier: a synchronous round-trip to every
     /// worker. Workers are quiescent between rounds and mpsc delivery
     /// is FIFO, so each reply reflects exactly the submits that the
-    /// lockstep drive's direct reads would see.
-    fn probe_round(&self, prompt: &[TokenId]) -> Vec<RouteProbes> {
+    /// lockstep backend's direct reads would see.
+    fn probes(&self, prompt: &[TokenId]) -> Vec<RouteProbes> {
         for h in &self.handles {
             h.send(WorkerCmd::Probe(prompt.to_vec()));
         }
@@ -428,38 +238,17 @@ impl Fleet {
             .collect()
     }
 
-    fn submit(&mut self, req: Request) -> usize {
-        let probes = if self.router.needs_probes() {
-            self.probe_round(&req.prompt)
-        } else {
-            Vec::new()
-        };
-        let (w, probe_vals) = self.router.pick(&req, &self.alive, &probes);
-        if self.traced {
-            // Same stamp as the lockstep drive: the fleet clock (the
-            // mirrors are exact, and submits never move clocks).
-            self.routing_events.push(TraceEvent {
-                tick: self.now(),
-                worker: w as u32,
-                request: Some(req.id),
-                kind: EventKind::Routed {
-                    policy: self.router.policy_name().to_string(),
-                    probes: probe_vals,
-                },
-            });
-        }
-        self.assignments.push((req.id, w));
+    fn submit(&mut self, w: usize, req: Request) {
         self.handles[w].send(WorkerCmd::Submit(Box::new(req)));
         // submit() always enqueues, so the mirror flips without a
         // round-trip.
         self.handles[w].has_work = true;
-        w
     }
 
-    /// One paced round: every busy worker ticks concurrently behind a
-    /// single barrier; idle workers are skipped (their tick is a
-    /// no-op in the lockstep oracle too).
-    fn barrier_tick_round(&mut self) {
+    /// One round: every busy worker ticks concurrently behind a single
+    /// barrier; idle workers are skipped (their tick is a no-op in the
+    /// lockstep oracle too). Workers hold the cost model themselves.
+    fn tick_round(&mut self, _cost: &GpuCostModel) {
         for h in &self.handles {
             if h.has_work {
                 h.send(WorkerCmd::Tick);
@@ -478,91 +267,6 @@ impl Fleet {
         }
     }
 
-    /// Releases every worker to free-run, then merges reports and
-    /// event streams in worker-id order — the same fold as the
-    /// lockstep `Dispatcher::into_report`, producing the canonical
-    /// event order by construction.
-    fn finish(self) -> ThreadedRun {
-        for h in &self.handles {
-            h.send(WorkerCmd::Drain);
-        }
-        let mut completions = Vec::new();
-        let mut shed = Vec::new();
-        let mut stats = ServeStats::default();
-        let mut per_worker = Vec::with_capacity(self.handles.len());
-        let mut events = self.routing_events;
-        let late_events = self.late_events;
-        for h in &self.handles {
-            match h.recv() {
-                WorkerReply::Finished {
-                    report,
-                    events: worker_events,
-                } => {
-                    let ServeReport {
-                        completions: c,
-                        shed: s,
-                        stats: st,
-                    } = *report;
-                    completions.extend(c);
-                    shed.extend(s);
-                    stats.merge(&st);
-                    per_worker.push(st);
-                    events.extend(worker_events);
-                }
-                other => panic!("expected Finished reply, got {other:?}"),
-            }
-        }
-        // Fleet-level sheds trail the owning worker's stream (the
-        // position the lockstep shared log gives them); re-grouping
-        // restores the canonical fixed point.
-        if !late_events.is_empty() {
-            events.extend(late_events);
-            events = verispec_trace::canonicalize_fleet_events(&events);
-        }
-        // Fleet-level fault counters and sheds, exactly as the
-        // lockstep `Dispatcher::into_report` folds them.
-        stats.merge(&self.fleet_stats);
-        shed.extend(self.fleet_shed);
-        completions.sort_by_key(|c| c.id);
-        shed.sort_by_key(|s| s.id);
-        let mut assignments = self.assignments;
-        assignments.sort_unstable();
-        ThreadedRun {
-            report: DispatchReport {
-                completions,
-                shed,
-                stats,
-                per_worker,
-                assignments,
-            },
-            events,
-        }
-    }
-}
-
-impl crate::runtime::FleetBackend for Fleet {
-    fn now(&self) -> u64 {
-        Fleet::now(self)
-    }
-
-    fn fleet_has_work(&self) -> bool {
-        self.any_busy()
-    }
-
-    fn alive(&self) -> &[bool] {
-        &self.alive
-    }
-
-    fn route_submit(&mut self, req: Request) -> usize {
-        self.submit(req)
-    }
-
-    fn tick_round(&mut self, _cost: &GpuCostModel) {
-        // Workers hold the cost model themselves; a round is purely
-        // the tick barrier.
-        self.barrier_tick_round();
-    }
-
     fn crash_worker(&mut self, w: usize, at: u64) -> Vec<(Request, usize)> {
         self.handles[w].send(WorkerCmd::Crash { at });
         let stranded = match self.handles[w].recv() {
@@ -573,7 +277,6 @@ impl crate::runtime::FleetBackend for Fleet {
         // started at the crash tick.
         self.handles[w].clock = at;
         self.handles[w].has_work = false;
-        self.alive[w] = false;
         stranded
     }
 
@@ -582,74 +285,48 @@ impl crate::runtime::FleetBackend for Fleet {
         // advance_clock is max(clock, at); mirror it without a
         // round-trip.
         self.handles[w].clock = self.handles[w].clock.max(at);
-        self.alive[w] = true;
     }
 
-    fn record_fleet_event(&mut self, ev: TraceEvent) {
-        self.fleet_stats.apply_event(&ev);
-        if self.traced {
-            if ev.kind.is_fleet_event() {
-                self.routing_events.push(ev);
-            } else {
-                self.late_events.push(ev);
-            }
+    /// Releases every worker to free-run, then collects reports and
+    /// event streams in worker-id order.
+    fn finish(self, _cost: &GpuCostModel) -> (Vec<Vec<ServeReport>>, Vec<TraceEvent>) {
+        for h in &self.handles {
+            h.send(WorkerCmd::Drain);
         }
-    }
-
-    fn shed_fleet(&mut self, req: Request, tick: u64) {
-        self.fleet_shed.push(crate::engine::ShedRequest {
-            id: req.id,
-            arrival: req.arrival,
-            deadline: req.deadline,
-            tick,
-        });
+        let mut events = Vec::new();
+        let workers = self
+            .handles
+            .iter()
+            .map(|h| match h.recv() {
+                WorkerReply::Finished {
+                    segments,
+                    events: worker_events,
+                } => {
+                    events.extend(worker_events);
+                    segments
+                }
+                other => panic!("expected Finished reply, got {other:?}"),
+            })
+            .collect();
+        (workers, events)
     }
 }
 
 /// One worker thread's whole life: build the engine locally, serve
 /// commands FIFO, then free-run to completion and report.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
-    model: &MlpLm,
-    cfg: ServeConfig,
-    draft: Option<&(dyn LanguageModel + Sync)>,
-    grammar: Option<&GrammarOracle>,
-    policy: Option<&dyn SpecPolicy>,
-    warm: Vec<Vec<TokenId>>,
-    traced: bool,
-    worker: u32,
+    spec: &FleetRuntime<'_>,
+    worker: usize,
     cost: &GpuCostModel,
     cmds: mpsc::Receiver<WorkerCmd>,
     replies: mpsc::Sender<WorkerReply>,
 ) {
     let log = EventLog::new();
-    // Engine construction, shared by startup and crash rebuilds. Warm
-    // stems are startup-only: a crash replacement starts cold-cache,
-    // matching the lockstep backend's `rebuild_worker`.
-    let build = |warm: &[Vec<TokenId>]| {
-        let mut engine = ServeEngine::new(model, cfg.clone());
-        if let Some(d) = draft {
-            engine = engine.with_draft(d as &dyn LanguageModel);
-        }
-        if let Some(g) = grammar {
-            engine = engine.with_grammar(g);
-        }
-        if let Some(p) = policy {
-            engine = engine.with_policy(p);
-        }
-        engine.set_worker(worker);
-        if traced {
-            engine.set_sink(&log);
-        }
-        for stem in warm {
-            engine.warm_prefix(stem);
-        }
-        engine
-    };
-    // Report segments banked by crashed engine incarnations, merged
-    // with the final engine's report before the Finished reply.
+    let sink: &dyn TraceSink = if spec.traced() { &log } else { &NOOP };
+    // Report segments banked by crashed engine incarnations; the final
+    // engine's report joins them in the Finished reply.
     let mut segments: Vec<ServeReport> = Vec::new();
-    let mut engine = build(&warm);
+    let mut engine = spec.engine(worker, sink, true);
     for cmd in cmds {
         match cmd {
             WorkerCmd::Submit(req) => engine.submit(*req),
@@ -664,17 +341,13 @@ fn worker_loop(
                 }
             }
             WorkerCmd::Probe(prompt) => {
-                let reply = WorkerReply::Probed(RouteProbes {
-                    ready_depth: engine.ready_depth() as u64,
-                    outstanding_cost: engine.outstanding_cost() as u64,
-                    prefix_depth: engine.prefix_match_depth(&prompt) as u64,
-                });
+                let reply = WorkerReply::Probed(RouteProbes::of(&engine, &prompt));
                 if replies.send(reply).is_err() {
                     return;
                 }
             }
             WorkerCmd::Crash { at } => {
-                let mut fresh = build(&[]);
+                let mut fresh = spec.engine(worker, sink, false);
                 fresh.advance_clock(at);
                 let old = std::mem::replace(&mut engine, fresh);
                 let (report, stranded) = old.crash();
@@ -689,24 +362,22 @@ fn worker_loop(
     }
     // Barrier-free drain: no command can affect this worker anymore,
     // so its remaining tick sequence is a pure local computation —
-    // identical to the lockstep drive's tail rounds (in which extra
+    // identical to the lockstep backend's tail rounds (in which extra
     // ticks on an already-empty engine are no-ops).
     while engine.tick(cost) {}
-    segments.push(engine.into_report_parts());
-    let report = Box::new(crate::runtime::merge_segments(segments));
+    segments.push(engine.into_report());
     let _ = replies.send(WorkerReply::Finished {
-        report,
+        segments,
         events: log.into_events(),
     });
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::dispatch::{dispatch_all, Dispatcher, RoutePolicy};
     use crate::request::EngineChoice;
+    use crate::{Backend, Drive, FleetRun, FleetRuntime, Request, RoutePolicy, ServeConfig};
     use verispec_core::DecodeConfig;
-    use verispec_lm::MlpLmConfig;
+    use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, TokenId};
     use verispec_trace::canonicalize_fleet_events;
 
     fn model() -> MlpLm {
@@ -738,62 +409,63 @@ mod tests {
         }
     }
 
+    /// The same spec served on both backends: `(lockstep, threaded)`.
+    fn both<'m>(
+        spec: impl Fn(Backend) -> FleetRuntime<'m>,
+        drive: impl Fn() -> Drive,
+    ) -> (FleetRun, FleetRun) {
+        let cost = GpuCostModel::codellama_like();
+        let run = |backend| spec(backend).run(drive(), &cost);
+        (run(Backend::Lockstep), run(Backend::Threaded))
+    }
+
     #[test]
     fn threaded_batch_matches_lockstep_batch() {
         let m = model();
-        let cost = GpuCostModel::codellama_like();
         let requests: Vec<Request> = (0..6).map(|id| request(id, 0, 4)).collect();
-        let lockstep = dispatch_all(
-            &m,
-            None,
-            requests.clone(),
-            &ServeConfig::concurrency(2),
-            &DispatchConfig::new(3, RoutePolicy::RoundRobin),
-            &cost,
+        let (lockstep, threaded) = both(
+            |backend| {
+                FleetRuntime::new(
+                    &m,
+                    ServeConfig::concurrency(2),
+                    3,
+                    RoutePolicy::RoundRobin,
+                    backend,
+                )
+            },
+            || Drive::Batch(requests.clone()),
         );
-        let threaded = ThreadedDispatcher::new(
-            &m,
-            ServeConfig::concurrency(2),
-            DispatchConfig::new(3, RoutePolicy::RoundRobin),
-        )
-        .run_threaded(requests, &cost);
-        assert!(threaded.report.same_schedule(&lockstep));
+        assert!(threaded.report.same_schedule(&lockstep.report));
         assert!(threaded.events.is_empty(), "untraced runs carry no events");
     }
 
     #[test]
     fn threaded_paced_matches_lockstep_under_probing_route() {
         let m = model();
-        let cost = GpuCostModel::codellama_like();
         let requests: Vec<Request> = (0..8).map(|id| request(id, id / 2, 3)).collect();
-        let log = EventLog::new();
-        let lockstep = Dispatcher::new(
-            &m,
-            ServeConfig::concurrency(2),
-            DispatchConfig::new(2, RoutePolicy::JoinShortestQueue),
-        )
-        .with_sink(&log)
-        .run_paced(requests.clone(), &cost);
-        let threaded = ThreadedDispatcher::new(
-            &m,
-            ServeConfig::concurrency(2),
-            DispatchConfig::new(2, RoutePolicy::JoinShortestQueue),
-        )
-        .with_tracing()
-        .run_paced_threaded(requests, &cost);
-        assert!(threaded.report.same_schedule(&lockstep));
-        assert_eq!(
-            canonicalize_fleet_events(&threaded.events),
-            canonicalize_fleet_events(&log.into_events()),
+        let (lockstep, threaded) = both(
+            |backend| {
+                FleetRuntime::new(
+                    &m,
+                    ServeConfig::concurrency(2),
+                    2,
+                    RoutePolicy::JoinShortestQueue,
+                    backend,
+                )
+                .with_tracing()
+            },
+            || Drive::Paced(requests.clone()),
         );
-        // The threaded merge is already canonical.
+        assert!(threaded.report.same_schedule(&lockstep.report));
+        assert!(!threaded.events.is_empty());
+        assert_eq!(threaded.events, lockstep.events);
+        // The merge is already canonical.
         assert_eq!(canonicalize_fleet_events(&threaded.events), threaded.events);
     }
 
     #[test]
     fn threaded_prefix_affine_follows_the_warm_stem() {
         let m = model();
-        let cost = GpuCostModel::codellama_like();
         let cfg = ServeConfig {
             prefix_cache: true,
             ..ServeConfig::concurrency(2)
@@ -809,21 +481,17 @@ mod tests {
                 ..request(1, 2, 4)
             },
         ];
-        let mut lockstep_d = Dispatcher::new(
-            &m,
-            cfg.clone(),
-            DispatchConfig::new(3, RoutePolicy::PrefixAffine),
+        let (lockstep, threaded) = both(
+            |backend| {
+                FleetRuntime::new(&m, cfg.clone(), 3, RoutePolicy::PrefixAffine, backend)
+                    .warm_prefix(&stem)
+            },
+            || Drive::Paced(requests.clone()),
         );
-        assert_eq!(lockstep_d.warm_prefix(&stem), 3);
-        let lockstep = lockstep_d.run_paced(requests.clone(), &cost);
-        let threaded =
-            ThreadedDispatcher::new(&m, cfg, DispatchConfig::new(3, RoutePolicy::PrefixAffine))
-                .warm_prefix(&stem)
-                .run_paced_threaded(requests, &cost);
-        assert!(threaded.report.same_schedule(&lockstep));
+        assert!(threaded.report.same_schedule(&lockstep.report));
         // Both runs route the deeper stem extension to the worker the
         // first request warmed.
-        assert_eq!(threaded.report.assignments, lockstep.assignments);
+        assert_eq!(threaded.report.assignments, lockstep.report.assignments);
         assert_eq!(threaded.report.worker_of(0), threaded.report.worker_of(1));
     }
 }

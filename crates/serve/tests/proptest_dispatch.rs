@@ -1,10 +1,12 @@
 //! Property tests pinning the multi-worker dispatch invariant: for
 //! random request mixes, worker counts, and routing policies, every
 //! dispatched request's output is **token-for-token identical** to the
-//! serial single-session engine run on it alone; a one-worker
-//! dispatcher is **tick-identical** to the single-engine streaming
-//! loop; and given a fixed (pinned) route assignment the whole report —
-//! shedding, deadlines, every tick stamp — reproduces exactly.
+//! serial single-session engine run on it alone; a one-worker fleet is
+//! **tick-identical** to a hand-driven [`ServeEngine`] under every
+//! drive on both backends (the drive matrix — the equivalence that
+//! lets one engine be served as the one-worker fleet); and given a
+//! fixed (pinned) route assignment the whole report — shedding,
+//! deadlines, every tick stamp — reproduces exactly.
 
 use proptest::prelude::*;
 use verispec_core::{
@@ -12,8 +14,8 @@ use verispec_core::{
 };
 use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, TokenId};
 use verispec_serve::{
-    dispatch_all, DispatchConfig, EngineChoice, Request, RoutePolicy, ServeConfig, ServeEngine,
-    TickOrder,
+    Backend, DispatchReport, Drive, EngineChoice, FleetRuntime, Request, RoutePolicy, ServeConfig,
+    ServeEngine, TickOrder,
 };
 
 fn any_mlp() -> impl Strategy<Value = MlpLm> {
@@ -141,6 +143,28 @@ fn serial_reference(
     }
 }
 
+/// Serves `drive` through a lockstep fleet with the draft attached.
+fn dispatch(
+    model: &MlpLm,
+    draft: &NgramLm,
+    cfg: &ServeConfig,
+    workers: usize,
+    route: &RoutePolicy,
+    drive: Drive,
+    cost: &GpuCostModel,
+) -> DispatchReport {
+    FleetRuntime::new(
+        model,
+        cfg.clone(),
+        workers,
+        route.clone(),
+        Backend::Lockstep,
+    )
+    .with_draft(draft)
+    .run(drive, cost)
+    .report
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(30))]
 
@@ -172,8 +196,8 @@ proptest! {
             shed_depth,
             ..Default::default()
         };
-        let dcfg = DispatchConfig::new(workers, route);
-        let report = dispatch_all(&model, Some(&draft), requests.clone(), &cfg, &dcfg, &cost);
+        let batch = Drive::Batch(requests.clone());
+        let report = dispatch(&model, &draft, &cfg, workers, &route, batch, &cost);
 
         // Nothing lost: every id is either completed or shed, exactly once.
         let mut ids: Vec<u64> = report.completions.iter().map(|c| c.id).collect();
@@ -197,15 +221,14 @@ proptest! {
             prop_assert_eq!(
                 &c.output.tokens, &want.tokens,
                 "request {} diverged from serial decode under {} routing on {} workers",
-                c.id, dcfg.route.name(), workers
+                c.id, route.name(), workers
             );
         }
 
         // The paced drive (routing at arrival time against live queue
         // state — what the bench measures) obeys the same invariant.
-        let paced = verispec_serve::Dispatcher::new(&model, cfg.clone(), dcfg.clone())
-            .with_draft(&draft)
-            .run_paced(requests.clone(), &cost);
+        let paced = Drive::Paced(requests.clone());
+        let paced = dispatch(&model, &draft, &cfg, workers, &route, paced, &cost);
         let mut paced_ids: Vec<u64> = paced.completions.iter().map(|c| c.id).collect();
         paced_ids.extend(paced.shed.iter().map(|s| s.id));
         paced_ids.sort_unstable();
@@ -216,7 +239,7 @@ proptest! {
             prop_assert_eq!(
                 &c.output.tokens, &want.tokens,
                 "request {} diverged from serial decode under paced {} routing on {} workers",
-                c.id, dcfg.route.name(), workers
+                c.id, route.name(), workers
             );
         }
 
@@ -224,13 +247,13 @@ proptest! {
         // the schedule either: paced == upfront-fed, tick for tick
         // (arrival-time submission lands each request before the tick
         // that admits it — the sends-before-due streaming property).
-        // run_paced serves the arrival-sorted sequence, so the upfront
-        // reference must be fed in the same order (queue order breaks
-        // ties among simultaneously-ready requests).
+        // The paced drive serves the arrival-sorted sequence, so the
+        // upfront reference must be fed in the same order (queue order
+        // breaks ties among simultaneously-ready requests).
         if workers == 1 {
             let mut sorted = requests.clone();
             sorted.sort_by_key(|r| r.arrival);
-            let report = dispatch_all(&model, Some(&draft), sorted, &cfg, &dcfg, &cost);
+            let report = dispatch(&model, &draft, &cfg, 1, &route, Drive::Batch(sorted), &cost);
             prop_assert_eq!(&paced.shed, &report.shed);
             prop_assert_eq!(paced.stats.ticks, report.stats.ticks);
             prop_assert_eq!(paced.completions.len(), report.completions.len());
@@ -249,11 +272,20 @@ proptest! {
         }
     }
 
-    /// A one-worker dispatcher is the single streaming engine,
-    /// tick for tick: routing degenerates and the lockstep drive adds
-    /// zero scheduling noise.
+    /// The drive matrix: a one-worker fleet is the hand-driven engine,
+    /// tick for tick and counter for counter, under every drive on both
+    /// backends — routing degenerates and neither the drive loops nor
+    /// the worker-thread protocol add any scheduling noise. This is the
+    /// equivalence that lets a single engine be served as the
+    /// one-worker fleet.
+    ///
+    /// One cell is a different (still deterministic) schedule by
+    /// design: under preemption the paced drive re-queues a parked
+    /// request *ahead of* arrivals it has not routed yet, where an
+    /// up-front feed queues it behind them. That cell is held to the
+    /// dispatch invariant only (nothing lost, tokens == serial).
     #[test]
-    fn single_worker_dispatch_is_tick_identical_to_run_streaming(
+    fn one_worker_fleet_equals_hand_driven_engine_on_every_drive_and_backend(
         model in any_mlp(),
         draft_seq in prop::collection::vec(4u32..10, 12..60),
         raw in any_requests(),
@@ -261,49 +293,87 @@ proptest! {
         order in any_order(),
         max_active in 1usize..4,
         shed_depth in prop_oneof![Just(None), (1usize..4).prop_map(Some)],
+        preempt_wait in prop_oneof![Just(None), (1u64..6).prop_map(Some)],
+        tick_capacity in prop_oneof![Just(None), (2usize..20).prop_map(Some)],
+        prefix_cache in any::<bool>(),
     ) {
         let mut draft = NgramLm::new(2, model.vocab_size());
         draft.train_sequence(&draft_seq);
         let cost = GpuCostModel::codellama_like();
-        let requests = build_requests(&raw);
+        // Arrival order (stable): the order the paced drive serves in,
+        // so every drive and the reference see one queue order.
+        let mut requests = build_requests(&raw);
+        requests.sort_by_key(|r| r.arrival);
         let cfg = ServeConfig {
             max_active,
             max_batch: max_active,
             order,
             shed_depth,
+            preempt_wait,
+            tick_capacity,
+            prefix_cache,
             ..Default::default()
         };
 
-        let (tx, rx) = std::sync::mpsc::channel();
+        let mut engine = ServeEngine::new(&model, cfg.clone()).with_draft(&draft);
         for req in &requests {
-            tx.send(req.clone()).expect("receiver alive");
+            engine.submit(req.clone());
         }
-        drop(tx);
-        let mut single = ServeEngine::new(&model, cfg.clone()).with_draft(&draft);
-        // Feed the single engine the same upfront pattern.
-        let single = {
-            for req in &requests {
-                single.submit(req.clone());
+        let single = engine.run(&cost);
+
+        for backend in [Backend::Lockstep, Backend::Threaded] {
+            for drive_name in ["batch", "paced", "streaming"] {
+                let drive = match drive_name {
+                    "batch" => Drive::Batch(requests.clone()),
+                    "paced" => Drive::Paced(requests.clone()),
+                    _ => {
+                        // Pre-filled and closed, so the schedule is
+                        // deterministic.
+                        let (tx, rx) = std::sync::mpsc::channel();
+                        for req in &requests {
+                            tx.send(req.clone()).expect("receiver alive");
+                        }
+                        Drive::Streaming(rx)
+                    }
+                };
+                let fleet = FleetRuntime::new(&model, cfg.clone(), 1, route.clone(), backend)
+                    .with_draft(&draft)
+                    .run(drive, &cost)
+                    .report;
+                let cell = format!("{drive_name} on {backend:?}");
+                prop_assert!(fleet.assignments.iter().all(|&(_, w)| w == 0), "{}", &cell);
+                prop_assert_eq!(&fleet.per_worker, &vec![fleet.stats], "{}", &cell);
+                if drive_name == "paced" && preempt_wait.is_some() {
+                    prop_assert_eq!(
+                        fleet.completions.len() + fleet.shed.len(), requests.len(), "{}", &cell
+                    );
+                    for c in &fleet.completions {
+                        let req = requests.iter().find(|r| r.id == c.id).expect("known id");
+                        let want = serial_reference(&model, &draft, req, &cost);
+                        prop_assert_eq!(&c.output.tokens, &want.tokens, "{}", &cell);
+                    }
+                    continue;
+                }
+
+                prop_assert_eq!(single.completions.len(), fleet.completions.len(), "{}", &cell);
+                for (a, b) in single.completions.iter().zip(&fleet.completions) {
+                    prop_assert_eq!(a.id, b.id, "{}", &cell);
+                    prop_assert_eq!(&a.output.tokens, &b.output.tokens, "{}", &cell);
+                    prop_assert_eq!(a.submitted, b.submitted, "{}", &cell);
+                    prop_assert_eq!(
+                        a.admitted, b.admitted,
+                        "{}: request {} admission tick", &cell, a.id
+                    );
+                    prop_assert_eq!(a.finished, b.finished, "{}", &cell);
+                    prop_assert_eq!(
+                        &a.step_ticks, &b.step_ticks,
+                        "{}: request {} commit ticks", &cell, a.id
+                    );
+                }
+                prop_assert_eq!(&single.shed, &fleet.shed, "{}", &cell);
+                prop_assert_eq!(&single.stats, &fleet.stats, "{}", &cell);
             }
-            single.run(&cost)
-        };
-
-        let dcfg = DispatchConfig::new(1, route);
-        let dispatched =
-            verispec_serve::dispatch_streaming(&model, Some(&draft), rx, &cfg, &dcfg, &cost);
-
-        prop_assert_eq!(single.completions.len(), dispatched.completions.len());
-        for (a, b) in single.completions.iter().zip(&dispatched.completions) {
-            prop_assert_eq!(a.id, b.id);
-            prop_assert_eq!(&a.output.tokens, &b.output.tokens);
-            prop_assert_eq!(a.submitted, b.submitted);
-            prop_assert_eq!(a.admitted, b.admitted, "request {} admission tick", a.id);
-            prop_assert_eq!(a.finished, b.finished);
-            prop_assert_eq!(&a.step_ticks, &b.step_ticks, "request {} commit ticks", a.id);
         }
-        prop_assert_eq!(&single.shed, &dispatched.shed);
-        prop_assert_eq!(single.stats.ticks, dispatched.stats.ticks);
-        prop_assert!(dispatched.assignments.iter().all(|&(_, w)| w == 0));
     }
 
     /// Pinning a realized route assignment replays the run exactly:
@@ -328,19 +398,10 @@ proptest! {
             shed_depth,
             ..Default::default()
         };
-        let first = dispatch_all(
-            &model,
-            Some(&draft),
-            requests.clone(),
-            &cfg,
-            &DispatchConfig::new(workers, route),
-            &cost,
-        );
-        let pinned = DispatchConfig::new(
-            workers,
-            RoutePolicy::Pinned(first.assignments.clone()),
-        );
-        let replay = dispatch_all(&model, Some(&draft), requests, &cfg, &pinned, &cost);
+        let batch = Drive::Batch(requests.clone());
+        let first = dispatch(&model, &draft, &cfg, workers, &route, batch, &cost);
+        let pinned = RoutePolicy::Pinned(first.assignments.clone());
+        let replay = dispatch(&model, &draft, &cfg, workers, &pinned, Drive::Batch(requests), &cost);
 
         prop_assert_eq!(&first.assignments, &replay.assignments);
         prop_assert_eq!(&first.shed, &replay.shed, "shedding must replay exactly");

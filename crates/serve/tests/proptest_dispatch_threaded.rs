@@ -1,11 +1,12 @@
-//! Property tests pinning the threaded dispatch runtime to its
-//! lockstep oracle: for random request mixes (including
-//! grammar-constrained engines), worker counts (1/2/4), routing
-//! policies (probe-less and probing), both drives (batch and paced),
-//! and preemption/eviction churn, the threaded fleet's report is
-//! **tick-for-tick, token-for-token identical** to the lockstep
-//! [`Dispatcher`]'s, and the merged event streams are event-for-event
-//! identical under [`canonicalize_fleet_events`].
+//! Property tests pinning the threaded backend to its lockstep oracle:
+//! for random request mixes (including grammar-constrained engines),
+//! worker counts (1/2/4), routing policies (probe-less and probing),
+//! the batch and paced drives, and preemption/eviction churn,
+//! [`Backend::Threaded`]'s report is **tick-for-tick, token-for-token
+//! identical** to [`Backend::Lockstep`]'s, and the merged event streams
+//! are event-for-event identical, in canonical fleet order
+//! ([`canonicalize_fleet_events`]). The streaming drive is held to the
+//! same bar by the drive matrix in `proptest_dispatch.rs`.
 //!
 //! CI replays this suite under `VERISPEC_THREADS=2` and `=4` so the
 //! matvec pool override cannot perturb schedules either.
@@ -15,10 +16,10 @@ use verispec_core::DecodeConfig;
 use verispec_grammar::GrammarOracle;
 use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, TokenId};
 use verispec_serve::{
-    DispatchConfig, Dispatcher, EngineChoice, Request, RoutePolicy, ServeConfig,
-    ThreadedDispatcher, TickOrder,
+    Backend, Drive, EngineChoice, FleetRun, FleetRuntime, Request, RoutePolicy, ServeConfig,
+    TickOrder,
 };
-use verispec_trace::{canonicalize_fleet_events, EventLog};
+use verispec_trace::canonicalize_fleet_events;
 
 fn any_mlp() -> impl Strategy<Value = MlpLm> {
     (12usize..28, 2usize..7, 2usize..6, 0usize..5, any::<u64>()).prop_map(
@@ -210,9 +211,41 @@ fn serve_config(churn: &Churn, order: TickOrder) -> ServeConfig {
     }
 }
 
-/// The warm stem shared by both drives when the prefix cache is on; a
-/// prefix of the request prompt alphabet so affine routing can hit.
+/// The warm stem shared by both backends when the prefix cache is on;
+/// a prefix of the request prompt alphabet so affine routing can hit.
 const WARM_STEM: &[TokenId] = &[4, 5, 6];
+
+/// The traced fleet spec under test, on `backend`.
+fn fleet<'m>(
+    model: &'m MlpLm,
+    draft: &'m NgramLm,
+    oracle: &'m GrammarOracle,
+    cfg: &ServeConfig,
+    workers: usize,
+    route: &RoutePolicy,
+    backend: Backend,
+) -> FleetRuntime<'m> {
+    let fleet = FleetRuntime::new(model, cfg.clone(), workers, route.clone(), backend)
+        .with_tracing()
+        .with_draft(draft)
+        .with_grammar(oracle);
+    if cfg.prefix_cache {
+        fleet.warm_prefix(WARM_STEM)
+    } else {
+        fleet
+    }
+}
+
+/// One spec and one drive served on both backends:
+/// `(lockstep, threaded)`.
+fn run_both<'m>(
+    spec: impl Fn(Backend) -> FleetRuntime<'m>,
+    drive: impl Fn() -> Drive,
+    cost: &GpuCostModel,
+) -> (FleetRun, FleetRun) {
+    let run = |backend| spec(backend).run(drive(), cost);
+    (run(Backend::Lockstep), run(Backend::Threaded))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(30))]
@@ -237,41 +270,21 @@ proptest! {
         let cost = GpuCostModel::codellama_like();
         let requests = build_requests(&raw);
         let cfg = serve_config(&churn, order);
-        let dcfg = DispatchConfig::new(workers, route);
-
-        let log = EventLog::new();
-        let mut lockstep_d = Dispatcher::new(&model, cfg.clone(), dcfg.clone())
-            .with_sink(&log)
-            .with_draft(&draft)
-            .with_grammar(&oracle);
-        if churn.prefix_cache {
-            lockstep_d.warm_prefix(WARM_STEM);
-        }
-        let lockstep = lockstep_d.run_paced(requests.clone(), &cost);
-
-        let mut threaded_d = ThreadedDispatcher::new(&model, cfg, dcfg)
-            .with_tracing()
-            .with_draft(&draft)
-            .with_grammar(&oracle);
-        if churn.prefix_cache {
-            threaded_d = threaded_d.warm_prefix(WARM_STEM);
-        }
-        let threaded = threaded_d.run_paced_threaded(requests.clone(), &cost);
+        let (lockstep, threaded) = run_both(
+            |backend| fleet(&model, &draft, &oracle, &cfg, workers, &route, backend),
+            || Drive::Paced(requests.clone()),
+            &cost,
+        );
 
         prop_assert_eq!(threaded.report.assignments.len(), requests.len());
         prop_assert!(
-            threaded.report.same_schedule(&lockstep),
+            threaded.report.same_schedule(&lockstep.report),
             "threaded paced drive diverged from lockstep on {} workers under {} routing",
             workers,
-            lockstep.assignments.len()
+            route.name()
         );
-        let lockstep_events = canonicalize_fleet_events(&log.into_events());
-        prop_assert_eq!(
-            canonicalize_fleet_events(&threaded.events),
-            lockstep_events,
-            "merged event streams diverged"
-        );
-        // The threaded merge is canonical by construction.
+        prop_assert_eq!(&threaded.events, &lockstep.events, "merged event streams diverged");
+        // The merge is canonical by construction.
         prop_assert_eq!(&canonicalize_fleet_events(&threaded.events), &threaded.events);
     }
 
@@ -294,40 +307,18 @@ proptest! {
         let cost = GpuCostModel::codellama_like();
         let requests = build_requests(&raw);
         let cfg = serve_config(&churn, order);
-        let dcfg = DispatchConfig::new(workers, route);
-
-        let log = EventLog::new();
-        let mut lockstep_d = Dispatcher::new(&model, cfg.clone(), dcfg.clone())
-            .with_sink(&log)
-            .with_draft(&draft)
-            .with_grammar(&oracle);
-        if churn.prefix_cache {
-            lockstep_d.warm_prefix(WARM_STEM);
-        }
-        for req in requests.clone() {
-            lockstep_d.submit(req);
-        }
-        let lockstep = lockstep_d.run(&cost);
-
-        let mut threaded_d = ThreadedDispatcher::new(&model, cfg, dcfg)
-            .with_tracing()
-            .with_draft(&draft)
-            .with_grammar(&oracle);
-        if churn.prefix_cache {
-            threaded_d = threaded_d.warm_prefix(WARM_STEM);
-        }
-        let threaded = threaded_d.run_threaded(requests.clone(), &cost);
+        let (lockstep, threaded) = run_both(
+            |backend| fleet(&model, &draft, &oracle, &cfg, workers, &route, backend),
+            || Drive::Batch(requests.clone()),
+            &cost,
+        );
 
         prop_assert_eq!(threaded.report.assignments.len(), requests.len());
         prop_assert!(
-            threaded.report.same_schedule(&lockstep),
+            threaded.report.same_schedule(&lockstep.report),
             "threaded batch drive diverged from lockstep on {} workers",
             workers
         );
-        prop_assert_eq!(
-            canonicalize_fleet_events(&threaded.events),
-            canonicalize_fleet_events(&log.into_events()),
-            "merged event streams diverged"
-        );
+        prop_assert_eq!(&threaded.events, &lockstep.events, "merged event streams diverged");
     }
 }

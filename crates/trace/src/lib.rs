@@ -1,7 +1,7 @@
 //! # verispec-trace — deterministic structured tracing & metrics
 //!
-//! The observability layer of the serving stack. Engines, the
-//! dispatcher, and the load harness emit typed [`TraceEvent`]s at
+//! The observability layer of the serving stack. Engines, the fleet
+//! runtime, and the load harness emit typed [`TraceEvent`]s at
 //! every lifecycle transition into a [`TraceSink`]; everything else —
 //! aggregate stats, the [`MetricsRegistry`], Chrome-trace exports,
 //! flamegraph attribution, golden CI logs — is a **pure fold over
@@ -9,7 +9,7 @@
 //!
 //! ```text
 //!              ┌──────────────────────────────────────────────┐
-//!              │  ServeEngine / Dispatcher / load harness     │
+//!              │  ServeEngine / FleetRuntime / load harness   │
 //!              │   emit(TraceEvent { tick, worker, req, … })  │
 //!              └────────────────┬─────────────────────────────┘
 //!                               │  &dyn TraceSink (NoopSink default)
@@ -75,12 +75,12 @@
 //! Capture a fleet run and export it:
 //!
 //! ```rust,ignore
-//! use verispec_trace::{chrome_trace, EventLog};
+//! use verispec_trace::chrome_trace;
 //!
-//! let log = EventLog::new();
-//! let dispatcher = Dispatcher::new(cfg, &model).with_sink(&log);
-//! let report = dispatcher_run_paced(dispatcher, requests);
-//! std::fs::write("run.trace.json", chrome_trace(&log.events()))?;
+//! let run = FleetRuntime::new(&model, cfg, 4, route, Backend::Lockstep)
+//!     .with_tracing()
+//!     .run(Drive::Paced(requests), &cost);
+//! std::fs::write("run.trace.json", chrome_trace(&run.events))?;
 //! ```
 //!
 //! (or run `cargo run -p verispec-eval --bin trace_view -- events.json
