@@ -5,10 +5,23 @@
 //! and advances it **one decoding step at a time** through three
 //! phases:
 //!
-//! 1. **propose** ([`Stepper::propose`]) — forward the current
-//!    position (the base row; the session keeps the trunk activation
-//!    every Medusa head is attached to), draw the base token, and lay
-//!    out the step's candidate trie or draft block. For the MEDUSA
+//! 1. **propose** ([`Stepper::propose`]) — open the step at the
+//!    current position's base row (the trunk activation every Medusa
+//!    head is attached to kept beside it), draw the base token, and lay
+//!    out the step's candidate trie or draft block. A MEDUSA step
+//!    rarely *forwards* that position: the node its predecessor's
+//!    committed span ended at is this position, the predecessor's
+//!    verification forwarded it, and commit **carried** its row,
+//!    activation and — under sampling — tempered distribution over
+//!    (see phase 3), so the base token is drawn from what acceptance
+//!    already normalised, with the same one RNG call. The step forwards
+//!    ([`verispec_lm::DecodeSession::base_row_into`], or a server's
+//!    fused pass after [`Stepper::embed_plan`]) only when nothing was
+//!    carried: a generation's first step, after a span that ended at a
+//!    full path's leaf (never forwarded), after
+//!    [`Stepper::park`]/[`Stepper::unpark`], and always on a session
+//!    whose scored rows cannot serve head rows
+//!    ([`verispec_lm::DecodeSession::keeps_frontier_rows`]). For the MEDUSA
 //!    engines the trie is a function of the step's *shape* alone —
 //!    level `d + 1` offers head `d + 1`'s top-k at this position under
 //!    every depth-`d` node — so it is built without tokens
@@ -37,7 +50,18 @@
 //!    draws in position order because levels are positions.
 //! 3. **commit** ([`Stepper::commit`]) — pick the committed span from
 //!    the accepted edges, apply the syntax-integrity truncation,
-//!    advance the simulated clock, and extend the session with it. The
+//!    advance the simulated clock, and extend the session with it (no
+//!    rollback: a verified step's session holds the base token and
+//!    verification leaves the context alone). A MEDUSA step then finds
+//!    the node the span ends at *as committed* — after syntax and
+//!    budget truncation; the root for a base-token-only span — and, if
+//!    verification scored it, copies its row (and activation, and
+//!    distribution) into the stepper's one-row carry: the next step's
+//!    base, already computed. A span that ends in `eos`, at a full
+//!    path's leaf or at the token budget carries nothing, nor does a
+//!    step that verified nothing. The carry is a cache of what a
+//!    forward would compute, bit for bit — outputs, traces and the
+//!    clock cannot tell (`carried_base_equals_forwarded_base`). The
 //!    clock is charged for the tree that was *proposed*
 //!    ([`crate::policy::SpecShape::candidate_tokens`] of the step's
 //!    shape; the grammar engine's pruned tree): it prices the paper's
@@ -66,9 +90,10 @@
 //! guarantees bit-identical logits regardless of batch composition).
 //!
 //! Between steps a stepper is always at its *committed* context —
-//! speculative appends have been rolled back — which is what makes
-//! [`Stepper::park`]/[`Stepper::unpark`] (rollback-aware preemption)
-//! safe: parking drops the sessions, and unparking rebuilds them by
+//! verification never leaves a speculative append behind — which is
+//! what makes [`Stepper::park`]/[`Stepper::unpark`] (rollback-aware
+//! preemption) safe: parking drops the sessions (and the carried base,
+//! a cache that belongs to them), and unparking rebuilds them by
 //! replaying `prompt + generated tokens` into fresh sessions, an exact
 //! reconstruction because sessions are pure functions of their token
 //! context.
@@ -139,6 +164,11 @@ enum Pending {
         /// step's shape; `None` when it was built from known paths
         /// (the grammar engine).
         lazy: Option<LazyLevels>,
+        /// Where the trie's rows start in the stepper's own arena, once
+        /// it has scored a level itself; `None` while nothing is scored
+        /// and when a server's passes score the step (the rows are then
+        /// handed to [`Stepper::commit`]).
+        local_rows: Option<usize>,
     },
     /// Draft-verify: the draft block proposed, with per-position draft
     /// probabilities, and what the rejection rule has made of it so
@@ -198,6 +228,16 @@ enum NodeAccept {
     },
 }
 
+/// What a pending speculative step notes per trie node.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeMark {
+    /// Whether the edge into the node was accepted.
+    accepted: bool,
+    /// Under sampling, once the node is scored: which row of the step's
+    /// distributions is its own.
+    dist: usize,
+}
+
 /// The lead (in logits) past which [`NodeAccept::of`] need not run a
 /// softmax to know the greedy choice.
 const GREEDY_MARGIN: f32 = 1e-3;
@@ -206,8 +246,11 @@ impl NodeAccept {
     /// Evaluates a node. Typical acceptance is evaluated on the
     /// *temperature-scaled* base distribution so that speculative
     /// sampling matches the baseline's sampling entropy; that
-    /// distribution is left in `probs` for [`NodeAccept::accepts`].
-    fn of(logits: &[f32], sampling: Sampling, probs: &mut Vec<f32>) -> Self {
+    /// distribution is appended to `dists` as the node's row — for
+    /// [`NodeAccept::accepts`], and for the next step should this node
+    /// turn out to be its base position. Greedy evaluation leaves
+    /// `dists` as it found it.
+    fn of(logits: &[f32], sampling: Sampling, dists: &mut Vec<f32>) -> Self {
         match sampling {
             Sampling::Greedy => {
                 // Exact-match acceptance compares against the arg-max of
@@ -228,13 +271,15 @@ impl NodeAccept {
                 if clear {
                     return NodeAccept::Greedy(best);
                 }
-                probs.clear();
-                probs.extend_from_slice(logits);
-                softmax_in_place(probs);
-                NodeAccept::Greedy(argmax(probs))
+                let start = dists.len();
+                dists.extend_from_slice(logits);
+                softmax_in_place(&mut dists[start..]);
+                let best = argmax(&dists[start..]);
+                dists.truncate(start);
+                NodeAccept::Greedy(best)
             }
             Sampling::Temperature { temperature, .. } => {
-                let (max, sum) = tempered_softmax_into(logits, temperature, probs);
+                let (max, sum) = tempered_softmax_into(logits, temperature, dists);
                 NodeAccept::Typical {
                     temperature,
                     max,
@@ -245,9 +290,9 @@ impl NodeAccept {
         }
     }
 
-    /// Whether `tok` passes at this node; `probs` is what
-    /// [`NodeAccept::of`] left there (a node's edges are tested before
-    /// the next node is evaluated, so it still is).
+    /// Whether `tok` passes at this node; `dists` is what
+    /// [`NodeAccept::of`] appended to (a node's edges are tested before
+    /// the next node is evaluated, so the node's row is the last).
     ///
     /// Under sampling the token's probability is recomputed from the
     /// memoized normalizers with the softmax's own operations, so it is
@@ -260,7 +305,7 @@ impl NodeAccept {
         logits: &[f32],
         tok: TokenId,
         acceptance: &TypicalAcceptance,
-        probs: &[f32],
+        dists: &[f32],
     ) -> bool {
         match self {
             NodeAccept::Greedy(best) => tok == *best,
@@ -278,7 +323,9 @@ impl NodeAccept {
                 if p <= 0.0 && acceptance.epsilon >= 0.0 && acceptance.delta >= 0.0 {
                     return false;
                 }
-                p > *threshold.get_or_insert_with(|| acceptance.threshold(probs))
+                p > *threshold.get_or_insert_with(|| {
+                    acceptance.threshold(&dists[dists.len() - logits.len()..])
+                })
             }
         }
     }
@@ -336,21 +383,34 @@ pub struct Stepper<'m> {
     /// reads and which nodes are asked for next; rebuilt by every
     /// propose.
     nodes: NodeMap,
-    /// The serial path's arena ([`Stepper::step`], local propose): the
-    /// step's base row (with the activation kept beside it), then the
-    /// rows of the levels it scores itself. Stays empty under a server
-    /// that supplies its own rows.
+    /// The stepper's own arena: the step's base row (with the
+    /// activation kept beside it) when it forwarded the position itself
+    /// or carried it over from the last step, then the rows of the
+    /// levels it scores itself. Empty in a step whose base row and
+    /// levels all come from a server.
     scratch: LogitsArena,
+    /// The **carried base**: the logits row, and the trunk activation
+    /// beside it, of the candidate-tree node the last committed span
+    /// ended at — the position the next step opens at, which that
+    /// step's verification had already forwarded. One row, or none when
+    /// nothing could be carried (see [`Stepper::commit`]); a cache of
+    /// what [`DecodeSession::base_row_into`] would compute, never state.
+    carry: LogitsArena,
+    /// Under sampling, the tempered distribution acceptance computed at
+    /// the carried node: what the next base token is drawn from.
+    carry_dist: Vec<f32>,
     /// The head rows this stepper evaluated itself: one level's at a
     /// time, or all of a grammar step's.
     head_rows: LogitsArena,
     /// The level in flight's candidate tokens: its head's top-k.
     options: Vec<TokenId>,
-    /// One softmax row, reused by every acceptance evaluation.
-    probs: Vec<f32>,
-    /// Per trie node of the pending speculative step: whether the edge
-    /// into it was accepted.
-    accepted: Vec<bool>,
+    /// The pending step's distributions. A MEDUSA step under sampling
+    /// keeps the tempered distribution of every node it scored, one
+    /// `vocab`-wide row per node ([`NodeMark::dist`]); a draft-verify
+    /// step holds the position in flight.
+    dists: Vec<f32>,
+    /// Per trie node of the pending speculative step.
+    marks: Vec<NodeMark>,
 }
 
 impl<'m> Stepper<'m> {
@@ -413,10 +473,12 @@ impl<'m> Stepper<'m> {
             last_prune: None,
             nodes: NodeMap::new(),
             scratch: LogitsArena::new(),
+            carry: LogitsArena::new(),
+            carry_dist: Vec::new(),
             head_rows: LogitsArena::new(),
             options: Vec::new(),
-            probs: Vec::new(),
-            accepted: Vec::new(),
+            dists: Vec::new(),
+            marks: Vec::new(),
         }
     }
 
@@ -673,7 +735,10 @@ impl<'m> Stepper<'m> {
     /// [`verispec_lm::MlpLm::infer`] pass across requests.
     ///
     /// `false`, appending nothing, for engines that read no head
-    /// logits and for sessions that are not fusable.
+    /// logits, for sessions that are not fusable — and while the
+    /// stepper holds a carried base, which is that row already: a
+    /// tick's fused propose pass forwards only the members that need
+    /// it.
     pub fn embed_plan(&mut self, xs: &mut Vec<f32>) -> bool {
         let EngineBody::Spec { cfg, .. } = &self.engine else {
             return false;
@@ -681,7 +746,7 @@ impl<'m> Stepper<'m> {
         // Budget-exhausted steppers are excluded up front, so a fused
         // propose pass never computes logits that the next `propose`
         // would immediately discard as `Phase::Done`.
-        if self.done || self.out.tokens.len() >= cfg.max_tokens {
+        if self.done || self.out.tokens.len() >= cfg.max_tokens || self.carry.rows() > 0 {
             return false;
         }
         self.target.as_mut().is_some_and(|s| s.embed_plan(xs))
@@ -700,8 +765,10 @@ impl<'m> Stepper<'m> {
     /// current position as a fused cross-request pass wrote it after
     /// [`Stepper::embed_plan`] — row 0 of the view, the trunk
     /// activation kept beside it — in the arena the step's
-    /// verification will go on to use; `None` forwards the position
-    /// locally. Engines that do not consume head logits ignore it.
+    /// verification will go on to use; `None` opens the step at the
+    /// carried base when the last commit left one, and forwards the
+    /// position locally otherwise. Engines that do not consume head
+    /// logits ignore it.
     ///
     /// # Panics
     ///
@@ -713,6 +780,7 @@ impl<'m> Stepper<'m> {
             return Phase::Done;
         }
         self.scratch.clear();
+        self.dists.clear();
         match &self.engine {
             EngineBody::Ntp { cfg } => {
                 if self.out.tokens.len() >= cfg.max_tokens {
@@ -748,20 +816,40 @@ impl<'m> Stepper<'m> {
                     .expect("stepper is parked; unpark before stepping");
                 let step_start = session.len();
                 // The base row only: a head is evaluated when
-                // acceptance reaches its level, from what this forward
-                // kept.
+                // acceptance reaches its level, from the activation
+                // kept beside the row. The last step's verification has
+                // usually forwarded this position already — the node
+                // its committed span ended at — and the row it left
+                // becomes this arena's row 0; only a step with nothing
+                // carried forwards.
+                let carried = base.is_none() && self.carry.rows() > 0;
                 let (rows, kept) = match base {
                     Some(rows) => (rows, Kept::Fused(rows.base())),
                     None => {
-                        let row = session.base_row_into(levels, &mut self.scratch);
+                        let row = if carried {
+                            std::mem::swap(&mut self.scratch, &mut self.carry);
+                            0
+                        } else {
+                            session.base_row_into(levels, &mut self.scratch)
+                        };
                         (self.scratch.rows_from(row), Kept::Local(row))
                     }
                 };
-                // One RNG draw either way: the grammar engine
-                // substitutes a non-viable draw deterministically from
-                // the ranked base logits, so its sampled stream stays
-                // seed-aligned with the unconstrained engine's.
-                let mut base_tok = self.sampler.sample(rows.row(0), sampling);
+                self.carry.clear();
+                // One RNG draw either way: from the carried row's
+                // tempered distribution when acceptance has normalised
+                // it already (greedy reads the carried *logits*, whose
+                // arg-max may differ from the distribution's inside
+                // `GREEDY_MARGIN`). The grammar engine substitutes a
+                // non-viable draw deterministically from the ranked
+                // base logits, so its sampled stream stays seed-aligned
+                // with the unconstrained engine's.
+                let mut base_tok = match sampling {
+                    Sampling::Temperature { top_k, .. } if carried => {
+                        self.sampler.draw_tempered(&self.carry_dist, top_k)
+                    }
+                    _ => self.sampler.sample(rows.row(0), sampling),
+                };
                 let (candidate_tokens, lazy) = match &self.grammar {
                     Some(g) => {
                         base_tok =
@@ -811,8 +899,8 @@ impl<'m> Stepper<'m> {
                             .build_shape(level_widths(&shape), MAX_CANDIDATE_PATHS);
                     }
                     self.nodes.request(0);
-                    self.accepted.clear();
-                    self.accepted.resize(self.nodes.n_nodes(), false);
+                    self.marks.clear();
+                    self.marks.resize(self.nodes.n_nodes(), NodeMark::default());
                 }
                 self.last_shape = Some(shape);
                 self.pending = Some(Pending::Spec {
@@ -821,6 +909,7 @@ impl<'m> Stepper<'m> {
                     candidate_tokens,
                     verify_issued,
                     lazy,
+                    local_rows: None,
                 });
                 if verify_issued {
                     Phase::Verify
@@ -953,6 +1042,9 @@ impl<'m> Stepper<'m> {
                 .as_mut()
                 .expect("stepper is parked; unpark before stepping");
             let base = session.score_frontier(&mut self.nodes, local);
+            if let Some(Pending::Spec { local_rows, .. }) = &mut self.pending {
+                *local_rows = Some(base);
+            }
             self.consume_level(local.rows_from(base), local, None);
         }
         false
@@ -1009,7 +1101,7 @@ impl<'m> Stepper<'m> {
         plan: Option<&VerifyPlan>,
     ) {
         self.name_next_level(local, plan);
-        let (nodes, probs, sampler) = (&mut self.nodes, &mut self.probs, &mut self.sampler);
+        let (nodes, dists, sampler) = (&mut self.nodes, &mut self.dists, &mut self.sampler);
         let pending = self.pending.as_mut().expect("a step is pending");
         for k in 0..nodes.level().len() {
             let node = nodes.level()[k];
@@ -1019,7 +1111,8 @@ impl<'m> Stepper<'m> {
                     *tok = Some(sampler.sample(logits, cfg.sampling));
                 }
                 (Pending::Spec { lazy, .. }, EngineBody::Spec { cfg, .. }) => {
-                    let mut verdict = NodeAccept::of(logits, cfg.sampling, probs);
+                    self.marks[node].dist = dists.len() / logits.len();
+                    let mut verdict = NodeAccept::of(logits, cfg.sampling, dists);
                     let mut child = nodes.first_child(node);
                     // A lazily grown level: the child's ordinal among
                     // its siblings is the option it stands for.
@@ -1030,8 +1123,8 @@ impl<'m> Stepper<'m> {
                             nodes.set_token(c, tok);
                         }
                         let tok = nodes.token(c);
-                        if verdict.accepts(logits, tok, &cfg.acceptance, probs) {
-                            self.accepted[c] = true;
+                        if verdict.accepts(logits, tok, &cfg.acceptance, dists) {
+                            self.marks[c].accepted = true;
                             // Nothing is read past an accepted `eos`,
                             // nor at a full path's own node.
                             if tok != cfg.eos && nodes.wants_row(c) {
@@ -1051,6 +1144,7 @@ impl<'m> Stepper<'m> {
                     EngineBody::Draft { cfg, .. },
                 ) => {
                     // The target distribution at this position.
+                    let probs = &mut *dists;
                     probs.clear();
                     probs.extend_from_slice(logits);
                     softmax_in_place(probs);
@@ -1105,11 +1199,20 @@ impl<'m> Stepper<'m> {
     /// accepted (or straight away, when [`Stepper::propose`] returned
     /// [`Phase::Commit`]).
     ///
+    /// `scored` is the view a server's [`verispec_lm::verify_many`]
+    /// passes scored the step's levels into (the view handed to
+    /// [`Stepper::verify_level`]), `None` when the stepper scored them
+    /// itself. A MEDUSA step copies one row out of it — the node its
+    /// committed span ends at, which is the next step's base position —
+    /// so that the next [`Stepper::propose`] need not forward what this
+    /// verification already has; without the view a server-scored step
+    /// simply carries nothing.
+    ///
     /// # Panics
     ///
     /// Panics if no step is pending, or its verification has not run
     /// to the end ([`Stepper::verify_level`] returned `false`).
-    pub fn commit(&mut self, cost: &GpuCostModel) {
+    pub fn commit(&mut self, cost: &GpuCostModel, scored: Option<ArenaRows<'_>>) {
         let pending = self.pending.take().expect("a step is pending");
         assert!(
             !self.nodes.has_frontier() && self.nodes.level().is_empty(),
@@ -1122,8 +1225,23 @@ impl<'m> Stepper<'m> {
                 base_tok,
                 candidate_tokens,
                 verify_issued,
+                local_rows,
                 ..
-            } => self.commit_spec(step_start, base_tok, candidate_tokens, verify_issued, cost),
+            } => {
+                // The stepper's own arena leaves `self` for the call,
+                // so that a row can be copied out of it.
+                let local = std::mem::take(&mut self.scratch);
+                let rows = local_rows.map(|base| local.rows_from(base)).or(scored);
+                self.commit_spec(
+                    step_start,
+                    base_tok,
+                    candidate_tokens,
+                    verify_issued,
+                    rows,
+                    cost,
+                );
+                self.scratch = local;
+            }
             Pending::Draft {
                 step_start,
                 qs,
@@ -1154,22 +1272,26 @@ impl<'m> Stepper<'m> {
         }
     }
 
+    /// `rows` is the view the step's trie was scored into — its own
+    /// arena's or a server's — when there is one to copy from.
     fn commit_spec(
         &mut self,
         step_start: usize,
         base_tok: TokenId,
         candidate_tokens: usize,
         verify_issued: bool,
+        rows: Option<ArenaRows<'_>>,
         cost: &GpuCostModel,
     ) {
         let EngineBody::Spec { cfg, .. } = &self.engine else {
             unreachable!("pending/engine mismatch");
         };
         let (eos, syntax_aligned, max_tokens) = (cfg.eos, cfg.syntax_aligned, cfg.max_tokens);
+        let sampled = matches!(cfg.sampling, Sampling::Temperature { .. });
 
         let mut committed = vec![base_tok];
+        let mut best = 0usize;
         if verify_issued {
-            self.target_mut().truncate(step_start);
             // The first path with the strictly longest accepted prefix
             // wins, and once the winner ends in `eos` no later path is
             // looked at. A path's prefix ends at its first edge that
@@ -1178,10 +1300,12 @@ impl<'m> Stepper<'m> {
             // was tested, so its token has been named.
             let nodes = &self.nodes;
             let token = |i: usize, j: usize| nodes.token(nodes.node(i, j));
-            let (mut best, mut best_len) = (0usize, 0usize);
+            let mut best_len = 0usize;
             for i in 0..nodes.n_paths() {
                 let mut accepted = 0usize;
-                while accepted < nodes.path_len(i) && self.accepted[nodes.node(i, accepted + 1)] {
+                while accepted < nodes.path_len(i)
+                    && self.marks[nodes.node(i, accepted + 1)].accepted
+                {
                     accepted += 1;
                     if token(i, accepted) == eos {
                         break;
@@ -1235,8 +1359,43 @@ impl<'m> Stepper<'m> {
         if let Some(g) = &mut self.grammar {
             g.state = g.oracle.advance_recovering(g.state, &committed);
         }
-        self.target_mut().append(&committed);
+        // A verified step's session already holds the base token, and
+        // verification left its context alone: extending it — no
+        // rollback — keeps the cached window.
+        let session = self
+            .target
+            .as_mut()
+            .expect("stepper is parked; unpark before stepping");
+        debug_assert_eq!(session.len(), step_start + usize::from(verify_issued));
+        session.append(&committed[usize::from(verify_issued)..]);
         self.out.tokens.extend_from_slice(&committed);
+
+        // The carry: the node the span ends at *as committed* (the root
+        // after a base-token-only span) is the next step's base
+        // position, and if verification forwarded it — every accepted
+        // interior node; not a full path's leaf — its row is the row
+        // the next propose would compute. Kept only where a scored row
+        // serves head rows, and only while there is a next step.
+        let carries = verify_issued
+            && !hit_eos
+            && self.out.tokens.len() < max_tokens
+            && session.keeps_frontier_rows();
+        if let Some(rows) = rows.filter(|_| carries) {
+            let node = match committed.len() {
+                1 => 0,
+                n => self.nodes.node(best, n - 1),
+            };
+            if let Some(row) = self.nodes.scored_row(node) {
+                self.carry.push_kept(rows.rows_from(row));
+                if sampled {
+                    let vocab = rows.row(row).len();
+                    let at = self.marks[node].dist * vocab;
+                    self.carry_dist.clear();
+                    self.carry_dist
+                        .extend_from_slice(&self.dists[at..at + vocab]);
+                }
+            }
+        }
         self.out.trace.push(StepTrace {
             speculated: candidate_tokens,
             accepted,
@@ -1306,7 +1465,7 @@ impl<'m> Stepper<'m> {
                 debug_assert!(!fused, "no plan was offered");
             }
         }
-        self.commit(cost);
+        self.commit(cost, None);
         !self.done
     }
 
@@ -1317,7 +1476,9 @@ impl<'m> Stepper<'m> {
 
     /// Releases the sessions (rollback-aware preemption): legal only
     /// between steps, when the sessions hold exactly the committed
-    /// context. The sampler, output, and engine state are retained.
+    /// context. The sampler, output, and engine state are retained; the
+    /// carried base goes with the session it was scored on (the next
+    /// step forwards its position again, to the same bits).
     ///
     /// # Panics
     ///
@@ -1329,6 +1490,7 @@ impl<'m> Stepper<'m> {
         );
         self.target = None;
         self.draft = None;
+        self.carry.clear();
     }
 
     /// Rebuilds the sessions of a parked stepper by replaying the
@@ -1453,24 +1615,43 @@ mod tests {
         }
     }
 
-    /// Drives `steppers` the way a serving tick does — propose all,
+    /// Drives `steppers` the way a serving tick does — one fused pass
+    /// for the base rows of the members that ask for one, propose all,
     /// then one fused kernel pass per level for every member still
-    /// verifying, then commit all — until every one is done. Returns,
-    /// per round, how many levels each verifying member took.
-    fn drive_fused(
+    /// verifying, then commit all from the tick's rows — until every
+    /// one is done. Returns, per round, how many levels each verifying
+    /// member took.
+    pub(super) fn drive_fused(
         model: &MlpLm,
         steppers: &mut [Stepper<'_>],
         cost: &GpuCostModel,
     ) -> Vec<Vec<usize>> {
         let (mut plan, mut arena) = (VerifyPlan::new(), LogitsArena::new());
+        let mut xs = Vec::new();
         let mut rounds = Vec::new();
         loop {
-            let phases: Vec<Phase> = steppers.iter_mut().map(|st| st.propose(None)).collect();
+            plan.clear();
+            arena.clear();
+            xs.clear();
+            let mut proposing = 0usize;
+            let base_at: Vec<Option<usize>> = steppers
+                .iter_mut()
+                .map(|st| {
+                    st.embed_plan(&mut xs).then(|| {
+                        proposing += 1;
+                        proposing - 1
+                    })
+                })
+                .collect();
+            model.infer(&xs, None, &mut arena);
+            let phases: Vec<Phase> = steppers
+                .iter_mut()
+                .zip(&base_at)
+                .map(|(st, at)| st.propose(at.map(|row| arena.rows_from(row))))
+                .collect();
             if phases.iter().all(|&p| p == Phase::Done) {
                 return rounds;
             }
-            plan.clear();
-            arena.clear();
             let mut levels = vec![0usize; steppers.len()];
             let mut verifying: Vec<usize> = Vec::new();
             for (i, st) in steppers.iter_mut().enumerate() {
@@ -1479,9 +1660,11 @@ mod tests {
                     verifying.push(i);
                 }
             }
+            let mut scored = None;
             while plan.pending() > 0 {
                 let base = verispec_lm::verify_many(model, &mut plan, &mut arena);
                 let rows = arena.rows_from(base);
+                scored = Some(rows);
                 verifying.retain(|&i| {
                     levels[i] += 1;
                     steppers[i].verify_level(Some(rows), Some(&mut plan))
@@ -1490,7 +1673,7 @@ mod tests {
             assert!(verifying.is_empty());
             for (st, phase) in steppers.iter_mut().zip(&phases) {
                 if *phase != Phase::Done {
-                    st.commit(cost);
+                    st.commit(cost, scored);
                 }
             }
             rounds.push(levels);

@@ -12,15 +12,23 @@
 //! pins the level loop to it on every session kind; it also pins what
 //! the level loop buys (forwards and head rows per step track the
 //! accepted depth) and the edge cases the rewrites had to carry over.
+//!
+//! A step also opens at the row its predecessor's verification left at
+//! the node the committed span ended at, instead of forwarding that
+//! position again. The oracles here never do — they rebuild the trie
+//! without rows, so nothing is carried out of a step they verified —
+//! which makes every lazy-vs-eager and level-vs-whole comparison a
+//! carried-vs-forwarded one as well; `carried_base_equals_forwarded_base`
+//! pins the carry on its own, row bits included.
 
-use super::tests::{cyclic_ngram, tiny_model};
+use super::tests::{cyclic_ngram, drive_fused, tiny_model};
 use super::*;
 use crate::decode::build_candidate_paths;
 use crate::draft::DraftConfig;
 use crate::policy::AdaptivePolicy;
 use proptest::prelude::*;
 use std::cell::Cell;
-use verispec_lm::Stateless;
+use verispec_lm::{MlpLm, MlpLmConfig, Stateless};
 
 /// Acceptance by definition: one full distribution per edge, then exact
 /// match (greedy) or Eq. 1 (sampling) on it.
@@ -39,6 +47,29 @@ pub(super) fn reference_accepts(
     }
 }
 
+/// The samplings every parity test runs: greedy, a cold, a warm and a
+/// hot temperature (at the warm ones several siblings survive a level),
+/// and a `top_k` cut.
+const SAMPLINGS: [Sampling; 5] = [
+    Sampling::Greedy,
+    Sampling::Temperature {
+        temperature: 0.01,
+        top_k: 0,
+    },
+    Sampling::Temperature {
+        temperature: 0.8,
+        top_k: 0,
+    },
+    Sampling::Temperature {
+        temperature: 2.5,
+        top_k: 0,
+    },
+    Sampling::Temperature {
+        temperature: 0.8,
+        top_k: 3,
+    },
+];
+
 /// A small deterministic stream for building candidate trees.
 struct Lcg(u64);
 
@@ -49,6 +80,15 @@ impl Lcg {
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         ((self.0 >> 33) as usize) % n
+    }
+
+    /// Preempts `st` between two steps, one time in three: the sessions
+    /// are rebuilt by replay and whatever the last step carried is gone.
+    fn maybe_park(&mut self, st: &mut Stepper<'_>) {
+        if self.below(3) == 0 {
+            st.park();
+            st.unpark();
+        }
     }
 }
 
@@ -99,8 +139,8 @@ impl Stepper<'_> {
         if verify_issued {
             session.append(&[base_tok]);
             self.nodes.build(paths.iter().map(Vec::as_slice), false);
-            self.accepted.clear();
-            self.accepted.resize(self.nodes.n_nodes(), false);
+            self.marks.clear();
+            self.marks.resize(self.nodes.n_nodes(), NodeMark::default());
         }
         self.pending = Some(Pending::Spec {
             step_start,
@@ -108,6 +148,7 @@ impl Stepper<'_> {
             candidate_tokens,
             verify_issued,
             lazy: None,
+            local_rows: None,
         });
         if verify_issued {
             Phase::Verify
@@ -159,9 +200,9 @@ impl Stepper<'_> {
                 // Hand the span over as commit expects it: its edges
                 // accepted, no other, nothing left to ask for.
                 self.nodes.build(refs.iter().copied(), false);
-                self.accepted.fill(false);
+                self.marks.fill(NodeMark::default());
                 for j in 1..=best.1 {
-                    self.accepted[self.nodes.node(best.0, j)] = true;
+                    self.marks[self.nodes.node(best.0, j)].accepted = true;
                 }
             }
             (
@@ -282,34 +323,60 @@ impl Stepper<'_> {
         *lazy = None;
         self.nodes.build(tree.iter().map(Vec::as_slice), false);
         self.nodes.request(0);
-        self.accepted.clear();
-        self.accepted.resize(self.nodes.n_nodes(), false);
+        self.marks.clear();
+        self.marks.resize(self.nodes.n_nodes(), NodeMark::default());
         true
     }
 }
 
-/// One speculative generation over injected random trees, verified by
-/// the level loop or by the oracle.
+/// Which side of a parity pair a generation is.
+enum Side {
+    /// The definition: the eager propose where there is one, the whole
+    /// tree verified at once, every base position forwarded.
+    Oracle,
+    /// The engine: trees grown and verified a level at a time, base
+    /// rows carried from step to step — and the stepper parked at the
+    /// steps this stream draws, if there is one.
+    Engine(Option<Lcg>),
+}
+
+impl Side {
+    /// The engine, parked at the steps a stream seeded `seed` draws.
+    fn parked(seed: u64) -> Self {
+        Side::Engine(Some(Lcg(seed)))
+    }
+
+    /// What an engine-side generation does between two steps.
+    fn between_steps(&mut self, st: &mut Stepper<'_>) {
+        if let Side::Engine(Some(parks)) = self {
+            parks.maybe_park(st);
+        }
+    }
+}
+
+/// One speculative generation over injected random trees.
 fn run_injected(
     model: &dyn LanguageModel,
     cfg: &DecodeConfig,
     tree_seed: u64,
-    oracle: bool,
+    mut side: Side,
 ) -> DecodeOutput {
     let cost = GpuCostModel::codellama_like();
     let mut st = Stepper::speculative(model, &[6, 7, 8], cfg.clone());
     let mut rng = Lcg(tree_seed);
-    while st.propose(None) != Phase::Done {
+    loop {
+        side.between_steps(&mut st);
+        if st.propose(None) == Phase::Done {
+            return st.into_output();
+        }
         if st.inject_paths(&mut rng) {
-            if oracle {
-                st.verify_whole_tree();
-            } else {
-                assert!(!st.verify_level(None, None), "no plan was offered");
+            match side {
+                Side::Oracle => st.verify_whole_tree(),
+                Side::Engine(_) => assert!(!st.verify_level(None, None), "no plan was offered"),
             }
         }
-        st.commit(&cost);
+        st.commit(&cost, None);
     }
-    st.into_output()
 }
 
 /// One draft-verify generation (bonus position included), likewise.
@@ -327,7 +394,7 @@ fn run_draft(
         } else {
             assert!(!st.verify_level(None, None), "no plan was offered");
         }
-        st.commit(&cost);
+        st.commit(&cost, None);
     }
     let stats = st.draft_stats();
     (st.into_output(), stats)
@@ -336,17 +403,20 @@ fn run_draft(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Tokens, steps and trace of the level loop equal the whole-tree
-    /// oracle's: random trees (shared prefixes, ragged lengths,
-    /// duplicates, forced `eos`), greedy and three temperatures (at the
-    /// warm ones several siblings survive a level), without the bonus
-    /// row (speculative) and with it (draft), on the kernel-backed
-    /// session and both trait-default ones.
+    /// Tokens, steps, trace and clock of the level loop equal the
+    /// whole-tree oracle's: random trees (shared prefixes, ragged
+    /// lengths, duplicates, forced `eos`), every sampling of
+    /// [`SAMPLINGS`], without the bonus row (speculative) and with it
+    /// (draft), on the kernel-backed session and both trait-default
+    /// ones. The level loop opens its steps at carried rows (spans cut
+    /// by the syntax check, by `eos` and by the budget included) and is
+    /// parked at random steps; the oracle forwards every base.
     #[test]
     fn frontier_equals_full_tree(
         tree_seed in any::<u64>(),
         seed in any::<u64>(),
-        sampling_ix in 0usize..4,
+        park_seed in any::<u64>(),
+        sampling_ix in 0usize..SAMPLINGS.len(),
         eos in 2u32..10,
         max_tokens in 3usize..20,
         gamma in 1usize..5,
@@ -356,27 +426,31 @@ proptest! {
         let ng = cyclic_ngram();
         let targets: [(&str, &dyn LanguageModel); 3] =
             [("mlp", &mlp), ("stateless", &shim), ("ngram", &ng)];
-        let temperature = [None, Some(0.01f32), Some(0.8), Some(2.5)][sampling_ix];
+        let sampling = SAMPLINGS[sampling_ix];
         for (name, target) in targets {
             let cfg = DecodeConfig {
                 max_tokens,
-                sampling: temperature.map_or(Sampling::Greedy, Sampling::temperature),
+                sampling,
                 eos,
                 seed,
                 syntax_aligned: seed % 2 == 0,
                 tree: Some(vec![2, 2]),
                 ..Default::default()
             };
-            let level = run_injected(target, &cfg, tree_seed, false);
-            let whole = run_injected(target, &cfg, tree_seed, true);
+            let level = run_injected(target, &cfg, tree_seed, Side::parked(park_seed));
+            let whole = run_injected(target, &cfg, tree_seed, Side::Oracle);
             prop_assert_eq!(&level.tokens, &whole.tokens, "{} tokens", name);
             prop_assert_eq!(level.steps, whole.steps, "{} steps", name);
             prop_assert_eq!(&level.trace, &whole.trace, "{} trace", name);
+            prop_assert_eq!(&level.clock, &whole.clock, "{} clock", name);
 
             let dcfg = DraftConfig {
                 gamma,
                 max_tokens,
-                temperature: temperature.unwrap_or(1.0),
+                temperature: match sampling {
+                    Sampling::Greedy => 1.0,
+                    Sampling::Temperature { temperature, .. } => temperature,
+                },
                 eos,
                 seed,
             };
@@ -404,14 +478,14 @@ enum ShapeSource {
     Wild,
 }
 
-/// One speculative generation, its trees grown lazily by the engine
-/// (`eager == false`) or built whole and verified whole by the oracle.
+/// One speculative generation, its trees grown lazily by the engine or
+/// built whole and verified whole by the oracle.
 fn run_shaped(
     model: &dyn LanguageModel,
     cfg: &DecodeConfig,
     source: ShapeSource,
     shape_seed: u64,
-    eager: bool,
+    mut side: Side,
 ) -> DecodeOutput {
     let cost = GpuCostModel::codellama_like();
     let adaptive = AdaptivePolicy { window: 3 };
@@ -421,6 +495,7 @@ fn run_shaped(
     }
     let mut rng = Lcg(shape_seed);
     loop {
+        side.between_steps(&mut st);
         match source {
             ShapeSource::Static | ShapeSource::Adaptive => {}
             ShapeSource::Shrunk => {
@@ -437,18 +512,19 @@ fn run_shaped(
                 },
             }),
         }
-        let phase = if eager {
-            st.propose_eager()
-        } else {
-            st.propose(None)
+        let phase = match side {
+            Side::Oracle => st.propose_eager(),
+            Side::Engine(_) => st.propose(None),
         };
-        match phase {
-            Phase::Done => return st.into_output(),
-            Phase::Commit => {}
-            Phase::Verify if eager => st.verify_whole_tree(),
-            Phase::Verify => assert!(!st.verify_level(None, None), "no plan was offered"),
+        match (phase, &side) {
+            (Phase::Done, _) => return st.into_output(),
+            (Phase::Commit, _) => {}
+            (Phase::Verify, Side::Oracle) => st.verify_whole_tree(),
+            (Phase::Verify, Side::Engine(_)) => {
+                assert!(!st.verify_level(None, None), "no plan was offered")
+            }
         }
-        st.commit(&cost);
+        st.commit(&cost, None);
     }
 }
 
@@ -461,14 +537,17 @@ proptest! {
     /// candidate tokens read off the shape — equal the eager oracle's:
     /// chains and random trees (the 32-path cut included), shapes the
     /// policy shrinks or a server pins (some deeper than the heads,
-    /// wider than the vocabulary), forced `eos`, greedy and three
-    /// temperatures, on the kernel-backed session and both
-    /// trait-default ones.
+    /// wider than the vocabulary), forced `eos`, every sampling of
+    /// [`SAMPLINGS`], on the kernel-backed session and both
+    /// trait-default ones. The lazy side also opens its steps at
+    /// carried rows and is parked at random steps; the eager side
+    /// forwards every base.
     #[test]
     fn lazy_levels_equal_eager_tree(
         shape_seed in any::<u64>(),
         seed in any::<u64>(),
-        sampling_ix in 0usize..4,
+        park_seed in any::<u64>(),
+        sampling_ix in 0usize..SAMPLINGS.len(),
         source_ix in 0usize..4,
         widths in proptest::collection::vec(1usize..6, 0..5),
         chain in any::<bool>(),
@@ -480,7 +559,6 @@ proptest! {
         let ng = cyclic_ngram();
         let targets: [(&str, &dyn LanguageModel); 3] =
             [("mlp", &mlp), ("stateless", &shim), ("ngram", &ng)];
-        let temperature = [None, Some(0.01f32), Some(0.8), Some(2.5)][sampling_ix];
         let source = [
             ShapeSource::Static,
             ShapeSource::Adaptive,
@@ -490,20 +568,220 @@ proptest! {
         for (name, target) in targets {
             let cfg = DecodeConfig {
                 max_tokens,
-                sampling: temperature.map_or(Sampling::Greedy, Sampling::temperature),
+                sampling: SAMPLINGS[sampling_ix],
                 eos,
                 seed,
                 syntax_aligned: seed % 2 == 0,
                 tree: (!chain).then(|| widths.clone()),
                 ..Default::default()
             };
-            let lazy = run_shaped(target, &cfg, source, shape_seed, false);
-            let eager = run_shaped(target, &cfg, source, shape_seed, true);
+            let lazy = run_shaped(target, &cfg, source, shape_seed, Side::parked(park_seed));
+            let eager = run_shaped(target, &cfg, source, shape_seed, Side::Oracle);
             prop_assert_eq!(&lazy.tokens, &eager.tokens, "{} tokens", name);
             prop_assert_eq!(lazy.steps, eager.steps, "{} steps", name);
             prop_assert_eq!(&lazy.trace, &eager.trace, "{} trace", name);
             prop_assert_eq!(&lazy.clock, &eager.clock, "{} clock", name);
         }
+    }
+}
+
+/// The MEDUSA-style engines: everything that runs [`EngineBody::Spec`].
+#[derive(Debug, Clone, Copy)]
+enum Medusa {
+    Chain,
+    Tree,
+    Ours,
+    Grammar,
+}
+
+impl Medusa {
+    const ALL: [Medusa; 4] = [Medusa::Chain, Medusa::Tree, Medusa::Ours, Medusa::Grammar];
+
+    fn stepper<'m>(
+        self,
+        model: &'m dyn LanguageModel,
+        oracle: &'m GrammarOracle,
+        cfg: &DecodeConfig,
+    ) -> Stepper<'m> {
+        let cfg = DecodeConfig {
+            tree: cfg.tree.clone().filter(|_| !matches!(self, Medusa::Chain)),
+            syntax_aligned: matches!(self, Medusa::Ours),
+            ..cfg.clone()
+        };
+        match self {
+            Medusa::Grammar => Stepper::grammar_speculative(model, oracle, &[6, 7, 8], cfg),
+            _ => Stepper::speculative(model, &[6, 7, 8], cfg),
+        }
+    }
+}
+
+impl Stepper<'_> {
+    /// The carried base against the forward it stands for: the logits
+    /// row, every head row served from the activation beside it and —
+    /// under sampling — the tempered distribution, bit for bit.
+    fn assert_carry_is_the_forward(&mut self) {
+        let EngineBody::Spec { cfg, n_heads } = &self.engine else {
+            panic!("only MEDUSA-style steps carry");
+        };
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let session = self.target.as_mut().expect("not parked");
+        let mut fresh = LogitsArena::new();
+        let at = session.base_row_into(*n_heads, &mut fresh);
+        assert_eq!(bits(self.carry.row(0)), bits(fresh.row(at)), "logits");
+        let (mut carried, mut forwarded) = (LogitsArena::new(), LogitsArena::new());
+        let heads = 1..*n_heads + 1;
+        let a = session.head_rows_into(self.carry.rows_from(0), heads.clone(), &mut carried);
+        let b = session.head_rows_into(fresh.rows_from(at), heads, &mut forwarded);
+        for head in 0..*n_heads {
+            assert_eq!(
+                bits(carried.row(a + head)),
+                bits(forwarded.row(b + head)),
+                "head {}",
+                head + 1
+            );
+        }
+        if let Sampling::Temperature { temperature, .. } = cfg.sampling {
+            let mut dist = Vec::new();
+            tempered_softmax_into(fresh.row(at), temperature, &mut dist);
+            assert_eq!(bits(&self.carry_dist), bits(&dist), "distribution");
+        }
+    }
+}
+
+/// One serial generation — the oracle side drops whatever was carried
+/// before every step, so every base position is forwarded; returns its
+/// output and how many of its steps opened at a carried row (each
+/// checked against the forward).
+fn run_carry(mut st: Stepper<'_>, mut side: Side) -> (DecodeOutput, usize) {
+    let cost = GpuCostModel::codellama_like();
+    let mut carried = 0usize;
+    loop {
+        side.between_steps(&mut st);
+        if let Side::Oracle = side {
+            st.carry.clear();
+        }
+        if !st.done() && st.carry.rows() > 0 {
+            st.assert_carry_is_the_forward();
+            carried += 1;
+        }
+        match st.propose(None) {
+            Phase::Done => return (st.into_output(), carried),
+            Phase::Commit => {}
+            Phase::Verify => assert!(!st.verify_level(None, None), "no plan was offered"),
+        }
+        st.commit(&cost, None);
+    }
+}
+
+/// A byte map over a 14-token vocabulary: specials transparent, mostly
+/// benign Verilog bytes, one lethal control byte so that the viability
+/// filter fires.
+fn small_grammar_oracle() -> GrammarOracle {
+    let bytes = (0..14usize)
+        .map(|id| match id {
+            0..=4 => Vec::new(),
+            5 => b"(".to_vec(),
+            6 => b")".to_vec(),
+            8 => b" ".to_vec(),
+            9 => b";".to_vec(),
+            10 => vec![0x07],
+            _ => b"a".to_vec(),
+        })
+        .collect();
+    GrammarOracle::new(bytes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// A generation that opens its steps at carried rows — the node the
+    /// last committed span ended at, after syntax truncation, an `eos`
+    /// inside the span or the token budget cut it — equals the one that
+    /// forwards every base position: tokens, steps, trace and clock,
+    /// for chain, tree, Ours and the grammar engine under every
+    /// sampling of [`SAMPLINGS`], serially (parked at random steps too)
+    /// and driven the way a serving tick drives a batch. Every carried
+    /// row is compared with the forward it replaces on the spot. A
+    /// session that cannot serve heads from a scored row never carries.
+    #[test]
+    fn carried_base_equals_forwarded_base(
+        model_seed in 0u64..16,
+        seed in any::<u64>(),
+        park_seed in any::<u64>(),
+        sampling_ix in 0usize..SAMPLINGS.len(),
+        widths in proptest::collection::vec(1usize..5, 1..4),
+        eos in 2u32..10,
+        max_tokens in 3usize..28,
+    ) {
+        let mlp = MlpLm::new(MlpLmConfig { seed: model_seed, ..*tiny_model().config() });
+        let shim = Stateless(&mlp);
+        let oracle = small_grammar_oracle();
+        let cfg = DecodeConfig {
+            max_tokens,
+            sampling: SAMPLINGS[sampling_ix],
+            eos,
+            seed,
+            tree: Some(widths),
+            ..Default::default()
+        };
+        let same = |a: &DecodeOutput, b: &DecodeOutput| {
+            a.tokens == b.tokens && a.steps == b.steps && a.trace == b.trace && a.clock == b.clock
+        };
+        let mut forwarded = Vec::new();
+        for engine in Medusa::ALL {
+            let stepper = |model| engine.stepper(model, &oracle, &cfg);
+            let (want, none) = run_carry(stepper(&mlp), Side::Oracle);
+            prop_assert_eq!(none, 0);
+            let (carried, _) = run_carry(stepper(&mlp), Side::Engine(None));
+            prop_assert!(same(&carried, &want), "{:?} carried", engine);
+            let (parked, _) = run_carry(stepper(&mlp), Side::parked(park_seed));
+            prop_assert!(same(&parked, &want), "{:?} parked", engine);
+            let (stateless, none) = run_carry(stepper(&shim), Side::Engine(None));
+            prop_assert_eq!(none, 0, "the shim's scored rows keep no heads");
+            prop_assert!(same(&stateless, &want), "{:?} stateless", engine);
+            forwarded.push(want);
+        }
+        // One batch of all four, every level and every carry through
+        // the shared plan and the tick's arena.
+        let mut batch = Medusa::ALL.map(|engine| engine.stepper(&mlp, &oracle, &cfg));
+        drive_fused(&mlp, &mut batch, &GpuCostModel::codellama_like());
+        for ((st, want), engine) in batch.iter().zip(&forwarded).zip(Medusa::ALL) {
+            prop_assert!(same(st.output(), want), "{:?} fused", engine);
+        }
+    }
+}
+
+#[test]
+fn every_medusa_engine_carries_most_of_its_base_rows() {
+    // What the parity proptest cannot say case by case: that carrying
+    // happens. Over a few seeds, every engine opens most of the steps
+    // after its first at a carried row — all of them but the ones that
+    // follow a span ending at a full path's leaf.
+    let mlp = tiny_model();
+    let oracle = small_grammar_oracle();
+    for engine in Medusa::ALL {
+        let (mut steps, mut carried) = (0usize, 0usize);
+        for seed in 0..8 {
+            let cfg = DecodeConfig {
+                max_tokens: 24,
+                sampling: SAMPLINGS[seed as usize % SAMPLINGS.len()],
+                eos: 2,
+                seed,
+                tree: Some(vec![3, 2]),
+                ..Default::default()
+            };
+            let (out, n) = run_carry(engine.stepper(&mlp, &oracle, &cfg), Side::Engine(None));
+            steps += out.steps;
+            carried += n;
+        }
+        assert!(
+            carried < steps,
+            "{engine:?}: a first step has nothing to open at"
+        );
+        assert!(
+            2 * carried > steps,
+            "{engine:?}: {carried} of {steps} steps carried"
+        );
     }
 }
 
@@ -521,6 +799,8 @@ struct Scripted {
     /// Logits rows a step asked its session for at the base position:
     /// the base row and every head row.
     base_rows: Cell<usize>,
+    /// Base positions forwarded: `base_row_into` calls.
+    base_forwards: Cell<usize>,
 }
 
 impl Scripted {
@@ -574,7 +854,8 @@ impl LanguageModel for Scripted {
 }
 
 /// The scripted model's session: stateless, but able — like the kernel
-/// session — to evaluate one head at a time, and counting each row it
+/// session — to evaluate one head at a time, from any position it has
+/// scored (the heads are the same everywhere), and counting each row it
 /// is asked for.
 struct ScriptedSession<'a> {
     model: &'a Scripted,
@@ -608,7 +889,14 @@ impl DecodeSession for ScriptedSession<'_> {
 
     fn base_row_into(&mut self, _levels: usize, out: &mut LogitsArena) -> usize {
         self.model.base_rows.set(self.model.base_rows.get() + 1);
+        self.model
+            .base_forwards
+            .set(self.model.base_forwards.get() + 1);
         out.push_row(&self.model.base_row(&self.tokens))
+    }
+
+    fn keeps_frontier_rows(&self) -> bool {
+        true
     }
 
     fn head_rows_into(
@@ -665,6 +953,7 @@ fn scripted_step_ledger(
         heads: heads.to_vec(),
         forwards: Cell::new(0),
         base_rows: Cell::new(0),
+        base_forwards: Cell::new(0),
     };
     let cfg = DecodeConfig {
         max_tokens: 8,
@@ -681,7 +970,7 @@ fn scripted_step_ledger(
         assert!(!st.verify_level(None, None));
     }
     let forwards = model.forwards.get();
-    st.commit(&GpuCostModel::codellama_like());
+    st.commit(&GpuCostModel::codellama_like(), None);
     (
         st.output().clone(),
         st.history().clone(),
@@ -797,6 +1086,171 @@ fn a_grammar_step_ending_at_eos_is_charged_what_it_built_nothing() {
 }
 
 #[test]
+fn a_generation_forwards_a_base_position_only_when_nothing_was_carried() {
+    // Tree [2, 2] over heads {8, 9} × {10, 11}, greedy, `eos` 11. The
+    // script walks every way a span can end: at the root, at an
+    // interior node, at a full path's leaf, and in `eos`.
+    let script: [(&[TokenId], TokenId); 9] = [
+        (&[], 5),
+        // Step 1: nothing accepted — the span is the base token and
+        // ends at the root, which verification forwarded.
+        (&[5], 12),
+        // Step 2 opens there (12 is the root's own choice): 8 accepted,
+        // its children not — the span ends at node 8, forwarded too.
+        (&[5, 12], 8),
+        (&[5, 12, 8], 4),
+        // Step 3 opens there: 9 and then 10 accepted — a full path,
+        // whose leaf nothing reads and nothing forwarded.
+        (&[5, 12, 8, 4], 9),
+        (&[5, 12, 8, 4, 9], 10),
+        // Step 4 has to forward. Its span ends at the root again …
+        (&[5, 12, 8, 4, 9, 10], 6),
+        (&[5, 12, 8, 4, 9, 10, 6], 7),
+        // … and step 5, after a preemption, forwards once more; its
+        // span ends in `eos`.
+        (&[5, 12, 8, 4, 9, 10, 6, 7], 8),
+    ];
+    let mut script: Vec<(Vec<TokenId>, TokenId)> =
+        script.iter().map(|&(c, t)| (c.to_vec(), t)).collect();
+    script.push((vec![5, 12, 8, 4, 9, 10, 6, 7, 8], 11));
+    let model = Scripted {
+        prompt_len: 2,
+        script,
+        heads: vec![[8, 9], [10, 11]],
+        forwards: Cell::new(0),
+        base_rows: Cell::new(0),
+        base_forwards: Cell::new(0),
+    };
+    let cfg = DecodeConfig {
+        max_tokens: 32,
+        eos: 11,
+        tree: Some(vec![2, 2]),
+        ..Default::default()
+    };
+    let cost = GpuCostModel::codellama_like();
+    let mut st = Stepper::speculative(&model, &[6, 7], cfg);
+    // (span, base positions forwarded so far, a carry left behind)
+    let step = |st: &mut Stepper<'_>| {
+        let more = st.step(&cost);
+        let span = st.output().trace.last().expect("stepped").committed.clone();
+        (span, model.base_forwards.get(), st.carry.rows() > 0, more)
+    };
+    assert_eq!(step(&mut st), (vec![5], 1, true, true));
+    assert_eq!(step(&mut st), (vec![12, 8], 1, true, true));
+    assert_eq!(step(&mut st), (vec![4, 9, 10], 1, false, true));
+    assert_eq!(step(&mut st), (vec![6], 2, true, true));
+    st.park();
+    assert_eq!(st.carry.rows(), 0, "a parked stepper holds no rows");
+    st.unpark();
+    // The span ends in an accepted `eos`: nothing is read past it, the
+    // generation is over, and no row is kept for a step that never is.
+    assert_eq!(step(&mut st), (vec![7, 8, 11], 3, false, false));
+    assert_eq!(st.propose(None), Phase::Done);
+    assert_eq!(model.base_forwards.get(), 3);
+    assert_eq!(
+        st.output().tokens,
+        [5, 12, 8, 4, 9, 10, 6, 7, 8, 11],
+        "five steps, three forwarded base positions"
+    );
+}
+
+/// A session that counts the rollbacks asked of the one it wraps.
+struct CountingSession<'a> {
+    inner: Box<dyn DecodeSession + 'a>,
+    shortened: &'a Cell<usize>,
+}
+
+impl DecodeSession for CountingSession<'_> {
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn tokens(&self) -> &[TokenId] {
+        self.inner.tokens()
+    }
+
+    fn append(&mut self, tokens: &[TokenId]) {
+        self.inner.append(tokens);
+    }
+
+    fn truncate(&mut self, len: usize) {
+        if len < self.inner.len() {
+            self.shortened.set(self.shortened.get() + 1);
+        }
+        self.inner.truncate(len);
+    }
+
+    fn logits(&mut self) -> Vec<f32> {
+        self.inner.logits()
+    }
+
+    fn multi_logits(&mut self) -> Vec<Vec<f32>> {
+        self.inner.multi_logits()
+    }
+
+    fn base_row_into(&mut self, levels: usize, out: &mut LogitsArena) -> usize {
+        self.inner.base_row_into(levels, out)
+    }
+
+    fn head_rows_into(
+        &mut self,
+        kept: ArenaRows<'_>,
+        heads: std::ops::Range<usize>,
+        out: &mut LogitsArena,
+    ) -> usize {
+        self.inner.head_rows_into(kept, heads, out)
+    }
+
+    fn keeps_frontier_rows(&self) -> bool {
+        self.inner.keeps_frontier_rows()
+    }
+
+    fn score_frontier(&mut self, nodes: &mut NodeMap, out: &mut LogitsArena) -> usize {
+        self.inner.score_frontier(nodes, out)
+    }
+}
+
+#[test]
+fn a_verified_step_never_rolls_its_session_back() {
+    // Verification leaves the context where propose put it — the
+    // committed prefix plus the base token — so commit extends it. A
+    // rollback there would cost the kernel session its cached window,
+    // re-embedded whole at the step's next forward.
+    let model = tiny_model();
+    let cost = GpuCostModel::codellama_like();
+    let (mut verified, mut cut, mut extended) = (0, 0, 0);
+    for sampling in [Sampling::Greedy, Sampling::temperature(0.8)] {
+        let cfg = DecodeConfig {
+            max_tokens: 24,
+            sampling,
+            seed: 5,
+            syntax_aligned: true,
+            tree: Some(vec![2, 2]),
+            ..Default::default()
+        };
+        let want = crate::decode::decode_speculative(&model, &[1, 2, 3], &cfg, &cost);
+        let shortened = Cell::new(0);
+        let session = Box::new(CountingSession {
+            inner: model.session(),
+            shortened: &shortened,
+        });
+        let mut st = Stepper::speculative_from_session(&model, session, &[1, 2, 3], cfg);
+        while st.step(&cost) {}
+        assert_eq!(st.output().tokens, want.tokens);
+        assert_eq!(shortened.get(), 0, "{sampling:?}");
+        verified += want.trace.iter().filter(|t| t.speculated > 0).count();
+        cut += want.trace.iter().filter(|t| t.truncated > 0).count();
+        extended += want.trace.iter().filter(|t| t.committed.len() > 1).count();
+    }
+    // Steps of every kind were among them: verified, their span cut by
+    // the syntax check, and committed past the base token.
+    assert!(
+        verified > 0 && cut > 0 && extended > 0,
+        "{verified} {cut} {extended}"
+    );
+}
+
+#[test]
 fn forwards_per_step_track_the_accepted_depth() {
     // Tree [2, 2] over heads {8, 9} × {10, 11}: paths 8-10, 8-11, 9-10,
     // 9-11; three nodes read a row (root, 8, 9), four leaves never do.
@@ -848,19 +1302,21 @@ fn best_path_is_the_first_strictly_longest() {
         };
         let mut st = Stepper::speculative(&model, &[6, 7], cfg);
         st.nodes.build(paths.iter().copied(), false);
-        st.accepted = vec![false; st.nodes.n_nodes()];
+        st.marks = vec![NodeMark::default(); st.nodes.n_nodes()];
         for &(i, j) in accepted {
             let node = st.nodes.node(i, j);
-            st.accepted[node] = true;
+            st.marks[node].accepted = true;
         }
+        st.target_mut().append(&[5]);
         st.pending = Some(Pending::Spec {
             step_start: 2,
             base_tok: 5,
             candidate_tokens: paths.iter().map(|p| p.len()).sum(),
             verify_issued: true,
             lazy: None,
+            local_rows: None,
         });
-        st.commit(&cost);
+        st.commit(&cost, None);
         st.output().trace[0].committed.clone()
     };
     // Equal lengths: the first in path order wins, not the last.

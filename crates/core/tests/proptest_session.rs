@@ -8,14 +8,25 @@
 //! This is the invariant the whole session layer rests on: sessions are
 //! a performance mechanism, never a semantic one. The engines covered
 //! are NTP, the MEDUSA top-1 chain, MEDUSA tree verification, the
-//! syntax-aligned variant ("Ours"), and classical draft-model
-//! speculation — under both greedy decoding and temperature sampling.
+//! syntax-aligned variant ("Ours"), the grammar-constrained engine and
+//! classical draft-model speculation — under greedy decoding,
+//! temperature sampling and a `top_k` cut.
+//!
+//! It is also where a **carried** base row meets a **forwarded** one:
+//! a MEDUSA step on the cached session opens at the row its
+//! predecessor's verification left at the node the committed span
+//! ended at, while the shim — whose scored rows keep no heads — forwards
+//! every base position, as every engine used to.
 
 use proptest::prelude::*;
 use verispec_core::{
-    decode_draft_speculative, decode_ntp, decode_speculative, DecodeConfig, DraftConfig,
+    decode_draft_speculative, decode_grammar_speculative, decode_ntp, decode_speculative,
+    DecodeConfig, DraftConfig,
 };
-use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, NgramLm, Sampling, Stateless, TokenId};
+use verispec_grammar::GrammarOracle;
+use verispec_lm::{
+    GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, Stateless, TokenId,
+};
 
 /// A random untrained MLP LM: logits are a deterministic function of
 /// the init seed, so every case explores a different "model" without
@@ -39,14 +50,20 @@ fn any_sampling() -> impl Strategy<Value = Sampling> {
     prop_oneof![
         Just(Sampling::Greedy),
         (0.2f32..1.5).prop_map(Sampling::temperature),
+        (0.2f32..1.5).prop_map(|temperature| Sampling::Temperature {
+            temperature,
+            top_k: 3
+        }),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Session-based decode must equal the stateless shim for all four
-    /// single-model engines (NTP, chain, tree, syntax-aligned).
+    /// Session-based decode must equal the stateless shim for all the
+    /// single-model engines (NTP, chain, tree, syntax-aligned, grammar)
+    /// over whole generations: `eos` is a token the model does produce,
+    /// so spans end in it, at the syntax check's cut and at the budget.
     #[test]
     fn session_decode_matches_stateless_shim(
         model in any_mlp(),
@@ -55,23 +72,24 @@ proptest! {
         sampling in any_sampling(),
         seed in any::<u64>(),
         tree_k in 1usize..4,
+        eos in 2u32..10,
     ) {
         let cost = GpuCostModel::codellama_like();
         let shim = Stateless(&model);
         let configs = [
             // NTP-adjacent chain (no tree), Medusa baseline.
-            DecodeConfig { max_tokens, sampling, seed, ..Default::default() },
+            DecodeConfig { max_tokens, sampling, seed, eos, ..Default::default() },
             // Syntax-aligned ("Ours").
             DecodeConfig {
-                max_tokens, sampling, seed, syntax_aligned: true, ..Default::default()
+                max_tokens, sampling, seed, eos, syntax_aligned: true, ..Default::default()
             },
             // Tree verification.
             DecodeConfig {
-                max_tokens, sampling, seed, tree: Some(vec![tree_k; 3]), ..Default::default()
+                max_tokens, sampling, seed, eos, tree: Some(vec![tree_k; 3]), ..Default::default()
             },
             // Tree + syntax alignment combined.
             DecodeConfig {
-                max_tokens, sampling, seed, syntax_aligned: true,
+                max_tokens, sampling, seed, eos, syntax_aligned: true,
                 tree: Some(vec![tree_k; 2]), ..Default::default()
             },
         ];
@@ -88,6 +106,24 @@ proptest! {
             );
             prop_assert_eq!(a.steps, b.steps, "step counts diverged (cfg {})", ci);
             prop_assert_eq!(&a.trace, &b.trace, "traces diverged (cfg {})", ci);
+            prop_assert_eq!(&a.clock, &b.clock, "clocks diverged (cfg {})", ci);
+        }
+        // The grammar engine over the two tree configurations: specials
+        // transparent, one lethal byte so the viability filter fires.
+        let bytes = (0..model.vocab_size())
+            .map(|id| match id {
+                0..=4 => Vec::new(),
+                7 => vec![0x07],
+                _ => b"a".to_vec(),
+            })
+            .collect();
+        let oracle = GrammarOracle::new(bytes);
+        for cfg in &configs[2..] {
+            let a = decode_grammar_speculative(&model, &oracle, &prompt, cfg, &cost);
+            let b = decode_grammar_speculative(&shim, &oracle, &prompt, cfg, &cost);
+            prop_assert_eq!(&a.tokens, &b.tokens, "grammar engine diverged (cfg {:?})", cfg);
+            prop_assert_eq!(&a.trace, &b.trace, "grammar traces diverged");
+            prop_assert_eq!(&a.clock, &b.clock, "grammar clocks diverged");
         }
     }
 
@@ -132,7 +168,6 @@ proptest! {
         path_a in prop::collection::vec(3u32..9, 1..4),
         path_b in prop::collection::vec(3u32..9, 1..4),
     ) {
-        use verispec_lm::LanguageModel;
         let mut session = model.session();
         let mut reference: Vec<TokenId> = Vec::new();
         for (rollback, tokens) in &ops {

@@ -4,6 +4,7 @@
 
 use verispec_eval::benchmarks::{rtllm_sim, vgen_sim};
 use verispec_eval::judge::{judge, Verdict};
+use verispec_eval::{stage_judge, StageOutcome};
 
 #[test]
 fn every_reference_judges_pass_with_multiple_seeds() {
@@ -21,6 +22,27 @@ fn every_reference_judges_pass_with_multiple_seeds() {
                     p.id
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn every_reference_solution_passes_every_stage_of_the_quality_gate() {
+    // The quality gate's positive control: a gate that reads 0.0 for
+    // every engine is believed only if it reads 1.0 for the answers.
+    // Every problem's reference source, with what the prompt already
+    // supplies stripped, must parse, elaborate and simulate correctly.
+    let all = StageOutcome {
+        parsed: true,
+        elaborated: true,
+        passed: true,
+    };
+    for bench in [rtllm_sim(), vgen_sim()] {
+        assert!(!bench.problems.is_empty());
+        for p in &bench.problems {
+            let source = &p.module.source;
+            let code = source.strip_prefix(p.completion_prefix()).unwrap_or(source);
+            assert_eq!(stage_judge(code, p, 0xBEEF), all, "{}", p.id);
         }
     }
 }

@@ -102,6 +102,29 @@ impl LogitsArena {
         index
     }
 
+    /// Appends a copy of `kept`'s row `0` **and of the trunk activation
+    /// kept beside it**, returning its index: the copy is as good a
+    /// kept position here ([`crate::DecodeSession::head_rows_into`]) as
+    /// the row was in its own arena. A row with no activation block —
+    /// one no kernel trunk wrote — is copied without one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row's width, or its activation's, differs from
+    /// what this arena already holds.
+    pub fn push_kept(&mut self, kept: ArenaRows<'_>) -> usize {
+        let (from, act) = (kept.arena, kept.arena.act_width);
+        let block = from.acts.get(kept.base * act..(kept.base + 1) * act);
+        let Some(block) = block.filter(|b| !b.is_empty()) else {
+            return self.push_row(kept.row(0));
+        };
+        let index = self.rows();
+        let (row, acts, _) = self.grow_for_kernel(from.width, 1, act, 0);
+        row.copy_from_slice(kept.row(0));
+        acts.copy_from_slice(block);
+        index
+    }
+
     /// Appends `n` rows of `width` and returns them for the kernel to
     /// overwrite (their contents are unspecified: zeros the first time
     /// the buffer reaches this far, stale rows after a clear).
@@ -202,6 +225,14 @@ impl<'a> ArenaRows<'a> {
         self.base
     }
 
+    /// The view whose row `0` is this view's row `i`.
+    pub fn rows_from(&self, i: usize) -> ArenaRows<'a> {
+        ArenaRows {
+            arena: self.arena,
+            base: self.base + i,
+        }
+    }
+
     /// The trunk activation kept with the view's row `0` (see
     /// [`LogitsArena::activation`]).
     pub(crate) fn activation(&self) -> &'a [f32] {
@@ -228,6 +259,28 @@ mod tests {
         // A cleared arena takes a new width.
         assert_eq!(a.push_row(&[9.0, 9.0, 9.0]), 0);
         assert_eq!(a.into_vec(), vec![9.0, 9.0, 9.0]);
+    }
+
+    #[test]
+    fn kept_rows_are_copied_with_their_activation() {
+        let mut from = LogitsArena::new();
+        from.push_row(&[0.0, 0.0]);
+        let (rows, acts, _) = from.grow_for_kernel(2, 2, 3, 0);
+        rows.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        acts.copy_from_slice(&[5.0, 6.0, 7.0, 8.0, 9.0, 10.0]);
+        let mut to = LogitsArena::new();
+        to.push_row(&[0.5, 0.5]);
+        let at = to.push_kept(from.rows_from(1).rows_from(1));
+        assert_eq!((at, to.rows()), (1, 2));
+        assert_eq!(to.row(at), &[3.0, 4.0]);
+        assert_eq!(to.rows_from(at).activation(), &[8.0, 9.0, 10.0]);
+        // A row no trunk wrote is copied bare, into an arena that then
+        // holds no activation blocks at all.
+        let mut bare = LogitsArena::new();
+        bare.push_row(&[1.0]);
+        to.clear();
+        assert_eq!(to.push_kept(bare.rows_from(0)), 0);
+        assert_eq!((to.row(0), to.act_width), (&[1.0][..], 0));
     }
 
     #[test]

@@ -38,12 +38,21 @@
 //! heads; an NTP token is one trunk and the base head, 5.1k + 15.4k =
 //! 20.5k) and one MEDUSA step at tree `[2, 2]`, ≈ 2.3 tokens:
 //!
-//! | | whole tree, every head | frontier verify, every head | frontier verify, heads on demand |
-//! |---|---|---|---|
-//! | base forward (trunk + base head) | 20.5k | 20.5k | 20.5k |
-//! | Medusa heads (16.4k each) | 6 → 98k | 6 → 98k | one per level forwarded, ≈ 2.4 → 39k |
-//! | verify forwards (20.5k each) | 19 → 389k | ≈ 2.4 → 49k | ≈ 2.4 → 49k |
-//! | step | ≈ 508k | ≈ 168k | ≈ 109k |
+//! | | whole tree, every head | frontier verify, every head | frontier verify, heads on demand | … + carried base |
+//! |---|---|---|---|---|
+//! | base forward (trunk + base head) | 20.5k | 20.5k | 20.5k | ≈ 0: the last step's verify pass forwarded it |
+//! | Medusa heads (16.4k each) | 6 → 98k | 6 → 98k | one per level forwarded, ≈ 2.4 → 39k | ≈ 2.4 → 39k |
+//! | verify forwards (20.5k each) | 19 → 389k | ≈ 2.4 → 49k | ≈ 2.4 → 49k | ≈ 2.4 → 49k |
+//! | step | ≈ 508k | ≈ 168k | ≈ 109k | ≈ 89k |
+//!
+//! The last column is MEDUSA's actual loop — one verify pass per step
+//! and nothing else through the trunk: the node a step's committed span
+//! ends at is the next step's base position, verification has its row
+//! and activation (and, under sampling, its tempered softmax), and the
+//! engines carry them across commit. A base position is still forwarded
+//! on a generation's first step, after a span that ends at a full
+//! path's leaf (the one accepted node nothing forwards) and after a
+//! preemption.
 //!
 //! `sim_speedup` is a function of the first ledger alone and does not
 //! move when the second gets cheaper.

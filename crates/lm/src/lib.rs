@@ -84,8 +84,8 @@ pub use mlp::{HeadTarget, MlpLm, MlpLmConfig, PositionLoss, TokenId, PAD_ID};
 pub use ngram::NgramLm;
 pub use sampler::{argmax, top_k_indices, top_k_into, Sampler, Sampling};
 pub use session::{
-    multi_logits_many, verify_many, DecodeSession, MlpSession, NgramSession, NodeMap,
-    SnapshotSession, Stateless, StatelessSession, VerifyPlan,
+    verify_many, DecodeSession, MlpSession, NgramSession, NodeMap, SnapshotSession, Stateless,
+    StatelessSession, VerifyPlan,
 };
 
 /// A language model that exposes base-head logits over a prefix, and

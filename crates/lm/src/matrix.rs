@@ -337,13 +337,15 @@ pub fn softmax_in_place(v: &mut [f32]) -> (f32, f32) {
     (max, sum)
 }
 
-/// The softmax of `logits / temperature` into a reused buffer — the
-/// distribution sampling draws from and typical acceptance is judged
-/// on. Returns [`softmax_in_place`]'s `(max, sum)`.
+/// The softmax of `logits / temperature` — the distribution sampling
+/// draws from and typical acceptance is judged on — **appended** to
+/// `out`, so a caller keeps one distribution per row back to back (or
+/// clears first to reuse one). Returns [`softmax_in_place`]'s
+/// `(max, sum)`.
 pub fn tempered_softmax_into(logits: &[f32], temperature: f32, out: &mut Vec<f32>) -> (f32, f32) {
-    out.clear();
+    let start = out.len();
     out.extend(logits.iter().map(|&l| l / temperature));
-    softmax_in_place(out)
+    softmax_in_place(&mut out[start..])
 }
 
 /// Numerically stable log-softmax.

@@ -34,11 +34,21 @@ impl Sampling {
 }
 
 /// A seeded sampler. Deterministic given seed and call sequence.
+///
+/// A temperature draw is two halves: **normalise** the logits row into
+/// its tempered distribution ([`tempered_softmax_into`]) and **draw**
+/// from that distribution ([`Sampler::draw_tempered`]: `top_k`
+/// truncation, then one RNG call). [`Sampler::sample`] does both; a
+/// caller that already holds the row's tempered distribution — a decode
+/// step whose acceptance computed it — calls the second half alone and
+/// gets the same token from the same RNG state.
 #[derive(Debug, Clone)]
 pub struct Sampler {
     rng: SmallRng,
     /// The tempered distribution of the draw in progress, reused.
     probs: Vec<f32>,
+    /// The `top_k` survivors of the draw in progress, reused.
+    kept: Vec<TokenId>,
 }
 
 impl Sampler {
@@ -47,6 +57,7 @@ impl Sampler {
         Self {
             rng: SmallRng::seed_from_u64(seed),
             probs: Vec::new(),
+            kept: Vec::new(),
         }
     }
 
@@ -61,23 +72,29 @@ impl Sampler {
             Sampling::Greedy => argmax(logits),
             Sampling::Temperature { temperature, top_k } => {
                 assert!(temperature > 0.0, "temperature must be positive");
-                let probs = &mut self.probs;
-                tempered_softmax_into(logits, temperature, probs);
-                if top_k > 0 && top_k < probs.len() {
-                    let kept: Vec<(TokenId, f32)> = top_k_indices(probs, top_k)
-                        .into_iter()
-                        .map(|i| (i, probs[i as usize]))
-                        .collect();
-                    probs.fill(0.0);
-                    for (i, p) in kept {
-                        probs[i as usize] = p;
-                    }
-                    let sum: f32 = probs.iter().sum();
-                    probs.iter_mut().for_each(|p| *p /= sum);
+                self.probs.clear();
+                tempered_softmax_into(logits, temperature, &mut self.probs);
+                if top_k > 0 && top_k < self.probs.len() {
+                    keep_top_k(&mut self.probs, top_k, &mut self.kept);
                 }
-                draw(&mut self.rng, probs)
+                draw(&mut self.rng, &self.probs)
             }
         }
+    }
+
+    /// The draw half of a temperature [`Sampler::sample`]: `dist` is the
+    /// row's tempered distribution ([`tempered_softmax_into`] of its
+    /// logits), `top_k` the strategy's truncation (applied to a copy).
+    /// One RNG call, and the token `sample` would have returned for the
+    /// row those are the distribution of.
+    pub fn draw_tempered(&mut self, dist: &[f32], top_k: usize) -> TokenId {
+        if top_k == 0 || top_k >= dist.len() {
+            return draw(&mut self.rng, dist);
+        }
+        self.probs.clear();
+        self.probs.extend_from_slice(dist);
+        keep_top_k(&mut self.probs, top_k, &mut self.kept);
+        draw(&mut self.rng, &self.probs)
     }
 
     /// Samples an index from an explicit probability vector.
@@ -100,6 +117,22 @@ pub fn argmax(logits: &[f32]) -> TokenId {
         }
     }
     best as TokenId
+}
+
+/// Zeroes all but the `k` largest entries of `probs` (ties: the lower
+/// index ranks first, [`top_k_into`]'s order) and renormalises what is
+/// left; `kept` is working memory.
+fn keep_top_k(probs: &mut [f32], k: usize, kept: &mut Vec<TokenId>) {
+    top_k_into(probs, k, kept);
+    kept.sort_unstable();
+    let mut keep = kept.iter().peekable();
+    for (i, p) in probs.iter_mut().enumerate() {
+        if keep.next_if(|&&held| held as usize == i).is_none() {
+            *p = 0.0;
+        }
+    }
+    let sum: f32 = probs.iter().sum();
+    probs.iter_mut().for_each(|p| *p /= sum);
 }
 
 /// One uniform draw mapped through the cumulative distribution.
@@ -258,6 +291,75 @@ mod tests {
                 },
             );
             assert!(t == 1 || t == 2, "got {t}");
+        }
+    }
+
+    #[test]
+    fn split_draws_equal_the_one_call_sampler_token_for_token() {
+        // The definition both halves must reproduce: the tempered
+        // softmax, the `top_k` survivors copied out, everything else
+        // zeroed, one renormalisation, one uniform through the
+        // cumulative sum — with owned vectors at every stage.
+        fn reference(rng: &mut SmallRng, logits: &[f32], t: f32, top_k: usize) -> TokenId {
+            let mut probs = Vec::new();
+            tempered_softmax_into(logits, t, &mut probs);
+            if top_k > 0 && top_k < probs.len() {
+                let kept: Vec<(TokenId, f32)> = top_k_indices(&probs, top_k)
+                    .into_iter()
+                    .map(|i| (i, probs[i as usize]))
+                    .collect();
+                probs.fill(0.0);
+                for (i, p) in kept {
+                    probs[i as usize] = p;
+                }
+                let sum: f32 = probs.iter().sum();
+                probs.iter_mut().for_each(|p| *p /= sum);
+            }
+            draw(rng, &probs)
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        // Peaked rows, flat rows and rows of exact ties (the `top_k`
+        // cut then falls between equal probabilities).
+        let rows: Vec<Vec<f32>> = (0..40)
+            .map(|case| {
+                (0..23)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        match case % 3 {
+                            0 => (state % 1000) as f32 * 0.01 - 5.0,
+                            1 => (state % 3) as f32 * 0.25,
+                            _ => (state % 7) as f32 * 2.0,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        for temperature in [0.05f32, 0.8] {
+            for top_k in [0usize, 2, 5] {
+                let strategy = Sampling::Temperature { temperature, top_k };
+                let mut want = SmallRng::seed_from_u64(11);
+                let (mut whole, mut halves) = (Sampler::new(11), Sampler::new(11));
+                let mut dist = Vec::new();
+                for (i, row) in rows.iter().cycle().take(400).enumerate() {
+                    let tok = reference(&mut want, row, temperature, top_k);
+                    assert_eq!(
+                        whole.sample(row, strategy),
+                        tok,
+                        "T {temperature} k {top_k}"
+                    );
+                    // The two forms interleave on one RNG stream.
+                    let got = if i % 2 == 0 {
+                        dist.clear();
+                        tempered_softmax_into(row, temperature, &mut dist);
+                        halves.draw_tempered(&dist, top_k)
+                    } else {
+                        halves.sample(row, strategy)
+                    };
+                    assert_eq!(got, tok, "draw {i}: T {temperature} k {top_k}");
+                }
+            }
         }
     }
 

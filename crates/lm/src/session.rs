@@ -79,7 +79,7 @@
 //!   ([`DecodeSession::embed_plan`], [`DecodeSession::plan_frontier`])
 //!   and head requests ([`VerifyPlan::request_head`]) and runs them
 //!   through the same kernel in one fused pass per level
-//!   ([`multi_logits_many`], [`verify_many`]). All outputs are
+//!   ([`MlpLm::infer`], [`verify_many`]). All outputs are
 //!   bit-identical to the stateless path.
 //! * [`NgramSession`] — keeps the context and caches the count-lookup
 //!   distribution of the current position; its frontier is scored by
@@ -503,6 +503,12 @@ impl NodeMap {
         self.trie[node].row
     }
 
+    /// [`NodeMap::row`] if `node` has been planned, `None` if nothing
+    /// ever asked for it.
+    pub fn scored_row(&self, node: usize) -> Option<usize> {
+        Some(self.trie[node].row).filter(|&row| row != NO_NODE)
+    }
+
     /// Nodes given a row since the map was built: the forwards this
     /// step has cost so far.
     pub fn n_rows(&self) -> usize {
@@ -587,22 +593,6 @@ pub fn verify_many(model: &MlpLm, plan: &mut VerifyPlan, out: &mut LogitsArena) 
         &mut plan.head_rows,
     );
     plan.base
-}
-
-/// Fused multi-head logits for many positions: `xs` holds one
-/// embedding concat per position ([`DecodeSession::embed_plan`] across
-/// many sessions) and position `k` gets the rows of heads
-/// `0..row_start[k + 1] - row_start[k]` — one kernel call for all of
-/// them. Returns the arena index of the first row; position `k`'s rows
-/// start `row_start[k]` after it and are bit-identical to what that
-/// session's `multi_logits()` would return.
-pub fn multi_logits_many(
-    model: &MlpLm,
-    xs: &[f32],
-    row_start: &[usize],
-    out: &mut LogitsArena,
-) -> usize {
-    model.infer(xs, Some(row_start), out)
 }
 
 /// Guards the mutually-recursive `LanguageModel` defaults
@@ -750,6 +740,23 @@ pub trait DecodeSession {
         first
     }
 
+    /// Whether a row this session's frontier was scored into — by
+    /// [`DecodeSession::score_frontier`], or by [`verify_many`] for a
+    /// level it planned — is a valid **kept position**:
+    /// [`DecodeSession::head_rows_into`] then serves that node's
+    /// Medusa-head rows from it exactly as from a
+    /// [`DecodeSession::base_row_into`] row, so an engine can open its
+    /// next step at a node it has already scored instead of forwarding
+    /// the position again.
+    ///
+    /// `false` by default: the default `base_row_into` leaves the head
+    /// rows behind the base row, and a frontier row has none behind it.
+    /// [`MlpSession`]'s frontier rows come out of the kernel its base
+    /// rows do, each with its trunk activation beside it.
+    fn keeps_frontier_rows(&self) -> bool {
+        false
+    }
+
     /// The flat form of [`DecodeSession::verify_batch`]: builds `nodes`
     /// over `paths`, asks for every node at once and scores them,
     /// appending one logits row per unique node to `out`. Returns the
@@ -820,7 +827,7 @@ pub trait DecodeSession {
     /// Appends the model input of the session's **current position**
     /// (for [`MlpSession`]: the cached window-embedding concat) to
     /// `xs`, so a serving engine can fuse many sessions' next-position
-    /// forwards into one pass ([`multi_logits_many`]). Returns `false`,
+    /// forwards into one pass ([`MlpLm::infer`]). Returns `false`,
     /// appending nothing, when the session has no fusable
     /// representation (the default).
     fn embed_plan(&mut self, xs: &mut Vec<f32>) -> bool {
@@ -1075,6 +1082,10 @@ impl DecodeSession for MlpSession<'_> {
         let hidden = kept.activation();
         self.model
             .infer_heads(heads.map(|head| (hidden, head)), out)
+    }
+
+    fn keeps_frontier_rows(&self) -> bool {
+        true
     }
 
     fn score_frontier(&mut self, nodes: &mut NodeMap, out: &mut LogitsArena) -> usize {
@@ -1367,7 +1378,7 @@ mod tests {
             sessions.push(s);
         }
         let mut arena = LogitsArena::new();
-        let kept = multi_logits_many(&model, &xs, &[0, 1, 2], &mut arena);
+        let kept = model.infer(&xs, Some(&[0, 1, 2]), &mut arena);
         let mut plan = VerifyPlan::new();
         let mut maps = [NodeMap::new(), NodeMap::new()];
         for (s, nodes) in sessions.iter_mut().zip(&mut maps) {
@@ -1396,6 +1407,62 @@ mod tests {
             arena.row(base + maps[0].row(child)),
             &model.logits(&[1, 2, 3, 4, 9])[..]
         );
+    }
+
+    #[test]
+    fn a_scored_frontier_row_is_a_kept_position_where_the_session_says_so() {
+        // Every node a kernel session scores — on its own or through a
+        // shared plan — has its trunk activation beside its row, so
+        // the node's Medusa heads can be served from it, and from a
+        // copy of it in another arena, as from a base row.
+        let model = tiny_mlp();
+        let n_heads = model.n_extra_heads();
+        let context: [TokenId; 3] = [2, 4, 6];
+        let paths: [&[TokenId]; 3] = [&[1, 2, 3], &[1, 7], &[5]];
+        for fused in [false, true] {
+            let mut s = MlpSession::new(&model);
+            s.append(&context);
+            assert!(s.keeps_frontier_rows());
+            let mut nodes = NodeMap::new();
+            nodes.build(paths.iter().copied(), true);
+            nodes.request_all();
+            let mut arena = LogitsArena::new();
+            arena.push_row(&vec![0.0; model.vocab_size()]);
+            let base = if fused {
+                let mut plan = VerifyPlan::new();
+                assert!(s.plan_frontier(&mut nodes, &mut plan));
+                verify_many(&model, &mut plan, &mut arena)
+            } else {
+                s.score_frontier(&mut nodes, &mut arena)
+            };
+            for (i, path) in paths.iter().enumerate() {
+                for j in 0..=path.len() {
+                    let mut ctx = context.to_vec();
+                    ctx.extend_from_slice(&path[..j]);
+                    let want = model.multi_logits(&ctx);
+                    let row = nodes.scored_row(nodes.node(i, j)).expect("all requested");
+                    let kept = arena.rows_from(base + row);
+                    assert_eq!(kept.row(0), &want[0][..]);
+                    let mut carried = LogitsArena::new();
+                    carried.push_kept(kept);
+                    for from in [kept, carried.rows_from(0)] {
+                        let mut heads = LogitsArena::new();
+                        let at = s.head_rows_into(from, 1..n_heads + 1, &mut heads);
+                        for (i, want) in want[1..].iter().enumerate() {
+                            assert_eq!(heads.row(at + i), &want[..], "{ctx:?}");
+                        }
+                    }
+                }
+            }
+        }
+        // The copying defaults keep their head rows behind a base row,
+        // which a frontier row does not have.
+        let (shim, ng) = (Stateless(&model), trained_ngram());
+        assert!(!shim.session().keeps_frontier_rows());
+        assert!(!ng.session().keeps_frontier_rows());
+        let mut nodes = NodeMap::new();
+        nodes.build(paths.iter().copied(), false);
+        assert_eq!(nodes.scored_row(0), None, "nothing asked for yet");
     }
 
     #[test]
@@ -1486,7 +1553,7 @@ mod tests {
             row_start.push(row_start.last().expect("seeded") + h);
         }
         let mut arena = LogitsArena::new();
-        let base = multi_logits_many(&model, &xs, &row_start, &mut arena);
+        let base = model.infer(&xs, Some(&row_start), &mut arena);
         assert_eq!(arena.rows(), 7);
         for (i, (ctx, &h)) in contexts.iter().zip(&heads).enumerate() {
             let mut s = model.session();
@@ -1501,7 +1568,7 @@ mod tests {
             }
         }
         let mut empty = LogitsArena::new();
-        multi_logits_many(&model, &[], &[0], &mut empty);
+        model.infer(&[], Some(&[0]), &mut empty);
         assert_eq!(empty.rows(), 0);
     }
 

@@ -173,8 +173,11 @@ impl ServeConfig {
 pub struct ServeStats {
     /// Scheduler ticks executed.
     pub ticks: u64,
-    /// Positions whose multi-head logits came from fused cross-request
-    /// passes.
+    /// Base positions forwarded by fused cross-request propose passes:
+    /// one per MEDUSA-style step that opened without a carried base —
+    /// a request's first step, a step after a span that ended at a
+    /// full path's leaf, a step after a preemption. Every other step
+    /// opens at the row its predecessor's verification left.
     pub fused_propose_positions: usize,
     /// Inputs forwarded by fused [`verify_many`] calls: the
     /// candidate-tree nodes acceptance reached (each member's root and
@@ -1401,9 +1404,12 @@ impl<'m> ServeEngine<'m> {
         }
 
         // Fused propose: one kernel pass forwards the current position
-        // of every MEDUSA-style member of the batch — its base row, the
-        // trunk activation kept beside it. A head is evaluated from
-        // that activation when acceptance reaches its level.
+        // of every MEDUSA-style member of the batch that asks for it —
+        // its base row, the trunk activation kept beside it. A member
+        // whose last step's verification already forwarded the
+        // position (the node its committed span ended at) carried that
+        // row over and asks for nothing. A head is evaluated from the
+        // kept activation when acceptance reaches its level.
         arena.clear();
         plan.clear();
         propose_xs.clear();
@@ -1448,11 +1454,15 @@ impl<'m> ServeEngine<'m> {
                 self.stats.local_verify_calls += 1;
             }
         }
+        // The view every fused level of this tick was scored into: what
+        // a member copies its next base row out of at commit.
+        let mut scored = None;
         while let Some(model) = self.fused.filter(|_| plan.pending() > 0) {
             self.stats.fused_verify_calls += 1;
             self.stats.fused_verify_nodes += plan.pending();
             let base = verify_many(model, &mut plan, &mut arena);
             let rows = arena.rows_from(base);
+            scored = Some(rows);
             verifying.retain(|&pos| {
                 self.active[stepped[pos]]
                     .stepper
@@ -1473,7 +1483,7 @@ impl<'m> ServeEngine<'m> {
             if *phase == Phase::Done {
                 continue;
             }
-            self.active[i].stepper.commit(cost);
+            self.active[i].stepper.commit(cost, scored);
             let now = self.started.elapsed().as_secs_f64();
             let a = &mut self.active[i];
             a.step_ticks.push(self.tick);

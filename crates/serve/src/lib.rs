@@ -1062,6 +1062,112 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_forwards_fewer_base_positions_than_it_takes_steps() {
+        // Sixteen MEDUSA-style requests share every tick. A member
+        // whose last span ended at a node its verification forwarded
+        // opens its next step at that row and stays out of the tick's
+        // fused propose pass — while what is verified, and everything
+        // that is committed, is what a hand-driven batch that forwards
+        // every base position (each stepper parked between its steps,
+        // so nothing is ever carried) verifies and commits.
+        use verispec_core::{DecodeOutput, Phase, Stepper};
+        use verispec_lm::{verify_many, LogitsArena, VerifyPlan};
+        let m = model();
+        let cost = GpuCostModel::codellama_like();
+        let requests: Vec<Request> = (0..16u64)
+            .map(|i| {
+                let engine = match i % 3 {
+                    0 => EngineChoice::MedusaChain,
+                    1 => EngineChoice::MedusaTree(vec![3, 2]),
+                    _ => EngineChoice::SyntaxAligned {
+                        tree: Some(vec![2, 2, 1]),
+                    },
+                };
+                let cfg = DecodeConfig {
+                    max_tokens: 20,
+                    sampling: match i % 4 {
+                        0 => Sampling::Greedy,
+                        1 => Sampling::temperature(0.05),
+                        2 => Sampling::temperature(0.8),
+                        _ => Sampling::Temperature {
+                            temperature: 0.8,
+                            top_k: 3,
+                        },
+                    },
+                    seed: 7 * i + 1,
+                    ..Default::default()
+                };
+                Request::new(i, vec![5 + (i % 6) as TokenId, 7], engine, cfg)
+            })
+            .collect();
+
+        // The reference batch: one fused propose pass over every live
+        // member, one fused verify pass per level, commit.
+        let mut steppers: Vec<Stepper<'_>> = requests
+            .iter()
+            .map(|r| Stepper::speculative(&m, &r.prompt, r.engine.decode_config(&r.cfg)))
+            .collect();
+        let (mut plan, mut arena, mut xs) = (VerifyPlan::new(), LogitsArena::new(), Vec::new());
+        let (mut forwarded_bases, mut verified_nodes) = (0usize, 0usize);
+        loop {
+            plan.clear();
+            arena.clear();
+            xs.clear();
+            let live: Vec<usize> = (0..steppers.len())
+                .filter(|&i| {
+                    steppers[i].park();
+                    steppers[i].unpark();
+                    steppers[i].embed_plan(&mut xs)
+                })
+                .collect();
+            if live.is_empty() {
+                break;
+            }
+            forwarded_bases += live.len();
+            m.infer(&xs, None, &mut arena);
+            let mut verifying: Vec<usize> = Vec::new();
+            for (row, &i) in live.iter().enumerate() {
+                let phase = steppers[i].propose(Some(arena.rows_from(row)));
+                if phase == Phase::Verify {
+                    assert!(steppers[i].verify_level(None, Some(&mut plan)));
+                    verifying.push(i);
+                }
+            }
+            let mut scored = None;
+            while plan.pending() > 0 {
+                verified_nodes += plan.pending();
+                let base = verify_many(&m, &mut plan, &mut arena);
+                let rows = arena.rows_from(base);
+                scored = Some(rows);
+                verifying.retain(|&i| steppers[i].verify_level(Some(rows), Some(&mut plan)));
+            }
+            for &i in &live {
+                steppers[i].commit(&cost, scored);
+            }
+        }
+        let want: Vec<DecodeOutput> = steppers.into_iter().map(Stepper::into_output).collect();
+        let steps: usize = want.iter().map(|o| o.steps).sum();
+        assert_eq!(forwarded_bases, steps, "the reference forwards every base");
+
+        let report = run_engine(&m, None, requests, &ServeConfig::concurrency(16), &cost);
+        for (c, want) in report.completions.iter().zip(&want) {
+            assert_eq!(c.output.tokens, want.tokens, "request {} tokens", c.id);
+            assert_eq!(c.output.steps, want.steps, "request {} steps", c.id);
+            assert_eq!(c.output.trace, want.trace, "request {} trace", c.id);
+            assert_eq!(c.output.clock, want.clock, "request {} clock", c.id);
+        }
+        let stats = report.stats;
+        assert_eq!(stats.fused_verify_nodes, verified_nodes);
+        assert_eq!(stats.local_verify_calls, 0);
+        // Every request's first step forwards; most later ones do not.
+        assert!(stats.fused_propose_positions >= 16, "{stats:?}");
+        assert!(
+            2 * stats.fused_propose_positions < steps,
+            "{stats:?} of {steps} steps"
+        );
+    }
+
+    #[test]
     fn grammar_tree_served_equals_serial_grammar_engine() {
         use verispec_core::decode_grammar_speculative;
         use verispec_grammar::GrammarOracle;
