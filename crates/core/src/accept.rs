@@ -14,7 +14,7 @@
 //! decode loop's first-rejection cutoff).
 
 use serde::{Deserialize, Serialize};
-use verispec_lm::matrix::entropy;
+use verispec_lm::matrix::{entropy, support_entropy};
 use verispec_lm::TokenId;
 
 /// Parameters of the typical-acceptance criterion.
@@ -39,7 +39,19 @@ impl Default for TypicalAcceptance {
 impl TypicalAcceptance {
     /// The acceptance threshold for a base-model distribution.
     pub fn threshold(&self, probs: &[f32]) -> f32 {
-        self.epsilon.min(self.delta * (-entropy(probs)).exp())
+        self.threshold_at(entropy(probs))
+    }
+
+    /// [`TypicalAcceptance::threshold`] for a tempered distribution held
+    /// as its support ([`verispec_lm::matrix::tempered_support_into`]'s
+    /// entries and `sum`): the bit the dense row gives.
+    pub fn threshold_on_support(&self, support: &[(TokenId, f32)], sum: f32) -> f32 {
+        self.threshold_at(support_entropy(support, sum))
+    }
+
+    /// Eq. 1's right-hand side at entropy `h`.
+    fn threshold_at(&self, h: f32) -> f32 {
+        self.epsilon.min(self.delta * (-h).exp())
     }
 
     /// Whether `token` passes Eq. 1 under the base distribution `probs`.

@@ -12,9 +12,11 @@
 //!    rarely *forwards* that position: the node its predecessor's
 //!    committed span ended at is this position, the predecessor's
 //!    verification forwarded it, and commit **carried** its row,
-//!    activation and — under sampling — tempered distribution over
-//!    (see phase 3), so the base token is drawn from what acceptance
-//!    already normalised, with the same one RNG call. The step forwards
+//!    activation and — under sampling — the support of its tempered
+//!    softmax over (see phase 3), so the base token is drawn from what
+//!    acceptance already normalised
+//!    ([`verispec_lm::Sampler::draw_support`]), with the same one RNG
+//!    call. The step forwards
 //!    ([`verispec_lm::DecodeSession::base_row_into`], or a server's
 //!    fused pass after [`Stepper::embed_plan`]) only when nothing was
 //!    carried: a generation's first step, after a span that ended at a
@@ -34,7 +36,13 @@
 //! 2. **verify** ([`Stepper::verify_level`]) — one call per **level**
 //!    of the candidate tree: consume the level just scored (run
 //!    acceptance on those nodes' child edges), then plan the children
-//!    whose edge was accepted. A node is embedded and forwarded only
+//!    whose edge was accepted. Under sampling a scored node's tempered
+//!    softmax is held as its **support**
+//!    ([`verispec_lm::matrix::tempered_support_into`]: the entries whose
+//!    `exp` is non-zero, tens of a cold row's hundreds, and the dense
+//!    row's normalisers bit for bit); an edge's probability, Eq. 1's
+//!    entropy threshold and the next base draw are all read off it, and
+//!    no dense row is normalised. A node is embedded and forwarded only
 //!    once acceptance has reached it, and head `d + 1` is evaluated —
 //!    its top-k naming the tokens on level `d + 1`'s edges — only once
 //!    a depth-`d` node is, so a step costs what its accepted prefix
@@ -56,7 +64,7 @@
 //!    the node the span ends at *as committed* — after syntax and
 //!    budget truncation; the root for a base-token-only span — and, if
 //!    verification scored it, copies its row (and activation, and
-//!    distribution) into the stepper's one-row carry: the next step's
+//!    support) into the stepper's one-row carry: the next step's
 //!    base, already computed. A span that ends in `eos`, at a full
 //!    path's leaf or at the token budget carries nothing, nor does a
 //!    step that verified nothing. The carry is a cache of what a
@@ -79,8 +87,8 @@
 //! the stepper's [`verispec_lm::NodeMap`] holds the step's candidate
 //! trie, which row each scored node reads and which nodes are asked for
 //! next. A node's child edges are tested back to back the moment its
-//! row exists, so acceptance evaluates each node's distribution once,
-//! however many paths run through it.
+//! row exists, so acceptance normalises each node once, however many
+//! paths run through it.
 //!
 //! The serial convenience [`Stepper::step`] chains the three phases
 //! (looping the middle one to the last level), and the public engines (`decode_ntp`, `decode_speculative`,
@@ -116,7 +124,7 @@ use crate::decode::{
 use crate::draft::{tempered, DraftConfig, DraftStats};
 use crate::policy::{AcceptHistory, ShapeQuery, SpecPolicy, SpecShape, STATIC_POLICY};
 use verispec_grammar::{syntax_keep_len, GrammarOracle, PruneRecord, ViabilityState};
-use verispec_lm::matrix::{softmax, softmax_in_place, tempered_softmax_into};
+use verispec_lm::matrix::{softmax, softmax_in_place, tempered_support_into};
 use verispec_lm::{
     argmax, top_k_into, ArenaRows, DecodeClock, DecodeSession, GpuCostModel, LanguageModel,
     LogitsArena, NodeMap, Sampler, Sampling, TokenId, VerifyPlan,
@@ -218,8 +226,9 @@ enum NodeAccept {
     /// Greedy decoding: the arg-max token of the node's distribution.
     Greedy(TokenId),
     /// Sampling: how the temperature-scaled logits normalize
-    /// ([`softmax_in_place`]'s `(max, sum)`), and the Eq.-1 threshold of
-    /// the resulting distribution once a token has needed it.
+    /// ([`softmax_in_place`]'s `(max, sum)`, as
+    /// [`tempered_support_into`] returns them), and the Eq.-1 threshold
+    /// of the resulting distribution once a token has needed it.
     Typical {
         temperature: f32,
         max: f32,
@@ -233,9 +242,11 @@ enum NodeAccept {
 struct NodeMark {
     /// Whether the edge into the node was accepted.
     accepted: bool,
-    /// Under sampling, once the node is scored: which row of the step's
-    /// distributions is its own.
-    dist: usize,
+    /// Under sampling, once the node is scored: where the support of
+    /// its tempered softmax lies in the step's `supports` (`from..to`),
+    /// and the sum it is normalised by.
+    support: (usize, usize),
+    sum: f32,
 }
 
 /// The lead (in logits) past which [`NodeAccept::of`] need not run a
@@ -246,11 +257,17 @@ impl NodeAccept {
     /// Evaluates a node. Typical acceptance is evaluated on the
     /// *temperature-scaled* base distribution so that speculative
     /// sampling matches the baseline's sampling entropy; that
-    /// distribution is appended to `dists` as the node's row — for
+    /// distribution's support is appended to `supports` — for
     /// [`NodeAccept::accepts`], and for the next step should this node
-    /// turn out to be its base position. Greedy evaluation leaves
-    /// `dists` as it found it.
-    fn of(logits: &[f32], sampling: Sampling, dists: &mut Vec<f32>) -> Self {
+    /// turn out to be its base position. Greedy evaluation appends
+    /// nothing; `dists` is its working memory for a near-tie, left as it
+    /// was found.
+    fn of(
+        logits: &[f32],
+        sampling: Sampling,
+        dists: &mut Vec<f32>,
+        supports: &mut Vec<(TokenId, f32)>,
+    ) -> Self {
         match sampling {
             Sampling::Greedy => {
                 // Exact-match acceptance compares against the arg-max of
@@ -279,7 +296,7 @@ impl NodeAccept {
                 NodeAccept::Greedy(best)
             }
             Sampling::Temperature { temperature, .. } => {
-                let (max, sum) = tempered_softmax_into(logits, temperature, dists);
+                let (max, sum) = tempered_support_into(logits, temperature, supports);
                 NodeAccept::Typical {
                     temperature,
                     max,
@@ -290,22 +307,23 @@ impl NodeAccept {
         }
     }
 
-    /// Whether `tok` passes at this node; `dists` is what
-    /// [`NodeAccept::of`] appended to (a node's edges are tested before
-    /// the next node is evaluated, so the node's row is the last).
+    /// Whether `tok` passes at this node; `support` is what
+    /// [`NodeAccept::of`] appended for it.
     ///
     /// Under sampling the token's probability is recomputed from the
     /// memoized normalizers with the softmax's own operations, so it is
     /// the bit the full row holds. Eq. 1's threshold `min(ε, δ·e^(-H))`
     /// never exceeds `ε` and, for non-negative parameters, is never
     /// negative, so a probability above `ε` or at zero — nearly all of
-    /// them once sampling is cold — is decided without the entropy.
+    /// them once sampling is cold — is decided without the entropy; the
+    /// rest take it from the support, where the dense row's zeros add
+    /// nothing.
     fn accepts(
         &mut self,
         logits: &[f32],
         tok: TokenId,
         acceptance: &TypicalAcceptance,
-        dists: &[f32],
+        support: &[(TokenId, f32)],
     ) -> bool {
         match self {
             NodeAccept::Greedy(best) => tok == *best,
@@ -323,9 +341,7 @@ impl NodeAccept {
                 if p <= 0.0 && acceptance.epsilon >= 0.0 && acceptance.delta >= 0.0 {
                     return false;
                 }
-                p > *threshold.get_or_insert_with(|| {
-                    acceptance.threshold(&dists[dists.len() - logits.len()..])
-                })
+                p > *threshold.get_or_insert_with(|| acceptance.threshold_on_support(support, *sum))
             }
         }
     }
@@ -396,18 +412,24 @@ pub struct Stepper<'m> {
     /// nothing could be carried (see [`Stepper::commit`]); a cache of
     /// what [`DecodeSession::base_row_into`] would compute, never state.
     carry: LogitsArena,
-    /// Under sampling, the tempered distribution acceptance computed at
-    /// the carried node: what the next base token is drawn from.
-    carry_dist: Vec<f32>,
+    /// Under sampling, the support of the tempered softmax acceptance
+    /// computed at the carried node, and its sum: what the next base
+    /// token is drawn from.
+    carry_support: Vec<(TokenId, f32)>,
+    carry_sum: f32,
     /// The head rows this stepper evaluated itself: one level's at a
     /// time, or all of a grammar step's.
     head_rows: LogitsArena,
     /// The level in flight's candidate tokens: its head's top-k.
     options: Vec<TokenId>,
-    /// The pending step's distributions. A MEDUSA step under sampling
-    /// keeps the tempered distribution of every node it scored, one
-    /// `vocab`-wide row per node ([`NodeMark::dist`]); a draft-verify
-    /// step holds the position in flight.
+    /// A MEDUSA step under sampling: the support of the tempered
+    /// softmax of every node it scored, back to back
+    /// ([`NodeMark::support`]) — tens of entries a node when sampling
+    /// is cold, the whole row when it is hot.
+    supports: Vec<(TokenId, f32)>,
+    /// One dense distribution at a time: the position in flight of a
+    /// draft-verify step, whose residual rule reads whole rows, and a
+    /// greedy near-tie's softmax.
     dists: Vec<f32>,
     /// Per trie node of the pending speculative step.
     marks: Vec<NodeMark>,
@@ -474,9 +496,11 @@ impl<'m> Stepper<'m> {
             nodes: NodeMap::new(),
             scratch: LogitsArena::new(),
             carry: LogitsArena::new(),
-            carry_dist: Vec::new(),
+            carry_support: Vec::new(),
+            carry_sum: 0.0,
             head_rows: LogitsArena::new(),
             options: Vec::new(),
+            supports: Vec::new(),
             dists: Vec::new(),
             marks: Vec::new(),
         }
@@ -780,7 +804,7 @@ impl<'m> Stepper<'m> {
             return Phase::Done;
         }
         self.scratch.clear();
-        self.dists.clear();
+        self.supports.clear();
         match &self.engine {
             EngineBody::Ntp { cfg } => {
                 if self.out.tokens.len() >= cfg.max_tokens {
@@ -837,17 +861,20 @@ impl<'m> Stepper<'m> {
                 };
                 self.carry.clear();
                 // One RNG draw either way: from the carried row's
-                // tempered distribution when acceptance has normalised
-                // it already (greedy reads the carried *logits*, whose
-                // arg-max may differ from the distribution's inside
+                // support when acceptance has normalised it already
+                // (greedy reads the carried *logits*, whose arg-max may
+                // differ from the distribution's inside
                 // `GREEDY_MARGIN`). The grammar engine substitutes a
                 // non-viable draw deterministically from the ranked
                 // base logits, so its sampled stream stays seed-aligned
                 // with the unconstrained engine's.
                 let mut base_tok = match sampling {
-                    Sampling::Temperature { top_k, .. } if carried => {
-                        self.sampler.draw_tempered(&self.carry_dist, top_k)
-                    }
+                    Sampling::Temperature { top_k, .. } if carried => self.sampler.draw_support(
+                        &self.carry_support,
+                        self.carry_sum,
+                        rows.row(0).len(),
+                        top_k,
+                    ),
                     _ => self.sampler.sample(rows.row(0), sampling),
                 };
                 let (candidate_tokens, lazy) = match &self.grammar {
@@ -1102,6 +1129,7 @@ impl<'m> Stepper<'m> {
     ) {
         self.name_next_level(local, plan);
         let (nodes, dists, sampler) = (&mut self.nodes, &mut self.dists, &mut self.sampler);
+        let supports = &mut self.supports;
         let pending = self.pending.as_mut().expect("a step is pending");
         for k in 0..nodes.level().len() {
             let node = nodes.level()[k];
@@ -1111,8 +1139,12 @@ impl<'m> Stepper<'m> {
                     *tok = Some(sampler.sample(logits, cfg.sampling));
                 }
                 (Pending::Spec { lazy, .. }, EngineBody::Spec { cfg, .. }) => {
-                    self.marks[node].dist = dists.len() / logits.len();
-                    let mut verdict = NodeAccept::of(logits, cfg.sampling, dists);
+                    let from = supports.len();
+                    let mut verdict = NodeAccept::of(logits, cfg.sampling, dists, supports);
+                    if let NodeAccept::Typical { sum, .. } = verdict {
+                        let mark = &mut self.marks[node];
+                        (mark.support, mark.sum) = ((from, supports.len()), sum);
+                    }
                     let mut child = nodes.first_child(node);
                     // A lazily grown level: the child's ordinal among
                     // its siblings is the option it stands for.
@@ -1123,7 +1155,7 @@ impl<'m> Stepper<'m> {
                             nodes.set_token(c, tok);
                         }
                         let tok = nodes.token(c);
-                        if verdict.accepts(logits, tok, &cfg.acceptance, dists) {
+                        if verdict.accepts(logits, tok, &cfg.acceptance, &supports[from..]) {
                             self.marks[c].accepted = true;
                             // Nothing is read past an accepted `eos`,
                             // nor at a full path's own node.
@@ -1205,7 +1237,8 @@ impl<'m> Stepper<'m> {
     /// itself. A MEDUSA step copies one row out of it — the node its
     /// committed span ends at, which is the next step's base position —
     /// so that the next [`Stepper::propose`] need not forward what this
-    /// verification already has; without the view a server-scored step
+    /// verification already has (nor normalise it: the node's support
+    /// goes with the row); without the view a server-scored step
     /// simply carries nothing.
     ///
     /// # Panics
@@ -1388,11 +1421,15 @@ impl<'m> Stepper<'m> {
             if let Some(row) = self.nodes.scored_row(node) {
                 self.carry.push_kept(rows.rows_from(row));
                 if sampled {
-                    let vocab = rows.row(row).len();
-                    let at = self.marks[node].dist * vocab;
-                    self.carry_dist.clear();
-                    self.carry_dist
-                        .extend_from_slice(&self.dists[at..at + vocab]);
+                    let NodeMark {
+                        support: (from, to),
+                        sum,
+                        ..
+                    } = self.marks[node];
+                    self.carry_support.clear();
+                    self.carry_support
+                        .extend_from_slice(&self.supports[from..to]);
+                    self.carry_sum = sum;
                 }
             }
         }
@@ -1548,6 +1585,7 @@ mod tests {
         // must reproduce: one full distribution per edge, then exact
         // match or Eq. 1 on it.
         use super::frontier_tests::reference_accepts as reference;
+        use verispec_lm::matrix::tempered_softmax_into;
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state = state
@@ -1557,7 +1595,7 @@ mod tests {
         };
         // Rows with exact ties, near-ties one ulp apart (inside the
         // greedy margin), flat rows (high entropy) and peaked ones.
-        let mut rows: Vec<Vec<f32>> = Vec::new();
+        let mut narrow: Vec<Vec<f32>> = Vec::new();
         for case in 0..60 {
             let mut row: Vec<f32> = (0..24)
                 .map(|_| match case % 4 {
@@ -1572,11 +1610,34 @@ mod tests {
                 let at = (next() % 24) as usize;
                 row[at] = f32::from_bits(top.to_bits() + 1);
             }
-            rows.push(row);
+            narrow.push(row);
         }
+        // Per temperature: vocabulary-wide rows as peaked as a trained
+        // model's — a support of tens of entries at the benchmark's
+        // temperatures, of all 480 when hot — and rows whose scaled
+        // gaps to the best entry lie in `exp`'s denormal band and just
+        // past its flush-to-zero point, where a support entry is
+        // non-zero yet its probability may round to zero.
+        let mut rows_at = |t: f32| {
+            let mut rows = narrow.clone();
+            for width in [480usize, 480, 24] {
+                rows.push(
+                    (0..width)
+                        .map(|_| (next() % 1600) as f32 * 0.01 - 8.0)
+                        .collect(),
+                );
+                let mut band: Vec<f32> = (0..width)
+                    .map(|_| 3.0 + (-104.5 + (next() % 1800) as f32 * 0.01) * t)
+                    .collect();
+                band[next() as usize % width] = 3.0;
+                rows.push(band);
+            }
+            rows
+        };
         let samplings = [
             Sampling::Greedy,
             Sampling::temperature(0.01),
+            Sampling::temperature(0.03),
             Sampling::temperature(0.05),
             Sampling::temperature(0.8),
             Sampling::temperature(2.5),
@@ -1596,18 +1657,38 @@ mod tests {
                 delta: -1.0,
             },
         ];
-        let mut probs = Vec::new();
+        let (mut dists, mut support, mut dense) = (Vec::new(), Vec::new(), Vec::new());
         for sampling in samplings {
+            let rows = match sampling {
+                Sampling::Greedy => rows_at(1.0),
+                Sampling::Temperature { temperature, .. } => rows_at(temperature),
+            };
             for acceptance in &acceptances {
                 for logits in &rows {
                     // One evaluation per node, then every edge out of
                     // it back to back — how a scored level is consumed.
-                    let mut node = NodeAccept::of(logits, sampling, &mut probs);
-                    for tok in 0..24 {
+                    support.clear();
+                    let mut node = NodeAccept::of(logits, sampling, &mut dists, &mut support);
+                    assert!(dists.is_empty(), "working memory only");
+                    for tok in 0..logits.len() as TokenId {
                         assert_eq!(
-                            node.accepts(logits, tok, acceptance, &probs),
+                            node.accepts(logits, tok, acceptance, &support),
                             reference(logits, tok, sampling, acceptance),
                             "{sampling:?} {acceptance:?} tok {tok} of {logits:?}"
+                        );
+                    }
+                    // The threshold itself, whether or not an edge
+                    // needed it: the dense row's, bit for bit.
+                    if let NodeAccept::Typical {
+                        temperature, sum, ..
+                    } = node
+                    {
+                        dense.clear();
+                        tempered_softmax_into(logits, temperature, &mut dense);
+                        assert_eq!(
+                            acceptance.threshold_on_support(&support, sum).to_bits(),
+                            acceptance.threshold(&dense).to_bits(),
+                            "{sampling:?} {acceptance:?} threshold of {logits:?}"
                         );
                     }
                 }

@@ -28,6 +28,7 @@ use crate::draft::DraftConfig;
 use crate::policy::AdaptivePolicy;
 use proptest::prelude::*;
 use std::cell::Cell;
+use verispec_lm::matrix::tempered_softmax_into;
 use verispec_lm::{MlpLm, MlpLmConfig, Stateless};
 
 /// Acceptance by definition: one full distribution per edge, then exact
@@ -618,7 +619,8 @@ impl Medusa {
 impl Stepper<'_> {
     /// The carried base against the forward it stands for: the logits
     /// row, every head row served from the activation beside it and —
-    /// under sampling — the tempered distribution, bit for bit.
+    /// under sampling — the tempered distribution its support stands
+    /// for, bit for bit.
     fn assert_carry_is_the_forward(&mut self) {
         let EngineBody::Spec { cfg, n_heads } = &self.engine else {
             panic!("only MEDUSA-style steps carry");
@@ -641,9 +643,16 @@ impl Stepper<'_> {
             );
         }
         if let Sampling::Temperature { temperature, .. } = cfg.sampling {
+            // The carried support, densified, is the dense row of the
+            // fresh forward.
             let mut dist = Vec::new();
             tempered_softmax_into(fresh.row(at), temperature, &mut dist);
-            assert_eq!(bits(&self.carry_dist), bits(&dist), "distribution");
+            let mut carried = vec![0.0f32; dist.len()];
+            for &(tok, e) in &self.carry_support {
+                assert!(e != 0.0, "a support holds no zero");
+                carried[tok as usize] = e / self.carry_sum;
+            }
+            assert_eq!(bits(&carried), bits(&dist), "distribution");
         }
     }
 }

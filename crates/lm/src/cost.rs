@@ -48,11 +48,33 @@
 //! The last column is MEDUSA's actual loop — one verify pass per step
 //! and nothing else through the trunk: the node a step's committed span
 //! ends at is the next step's base position, verification has its row
-//! and activation (and, under sampling, its tempered softmax), and the
-//! engines carry them across commit. A base position is still forwarded
-//! on a generation's first step, after a span that ends at a full
-//! path's leaf (the one accepted node nothing forwards) and after a
-//! preemption.
+//! and activation (and, under sampling, the support of its tempered
+//! softmax), and the engines carry them across commit. A base position
+//! is still forwarded on a generation's first step, after a span that
+//! ends at a full path's leaf (the one accepted node nothing forwards)
+//! and after a preemption.
+//!
+//! What the table cannot show is the work around the matrices. Under
+//! sampling every token read off a row needs the row's tempered softmax
+//! normalised, and a dense normalise — 480 divides, 480 `exp`, a sum,
+//! 480 more divides — costs about what the 15.4k-MAC base head does:
+//!
+//! | dense normalises per committed token | NTP | Ours |
+//! |---|---|---|
+//! | every scored node normalised densely | 1 | ≈ 1 (≈ 2.4 nodes a step, ≈ 2.3 tokens) |
+//! | scored nodes held as supports | 1 | ≈ 0: only a step that carried nothing draws with `Sampler::sample` |
+//!
+//! A scored node's softmax is held as its support
+//! ([`crate::matrix::tempered_support_into`]): at the temperatures the
+//! benchmark samples at, ≈ 21 of a row's 480 entries are non-zero, the
+//! rest fall below `f32::exp`'s flush-to-zero point and are skipped on
+//! a compare. The NTP column is deliberately untouched: about half of
+//! the NTP reference step *is* its own dense normalise, so
+//! `real_speedup` now compares a speculative step that normalises
+//! sparsely with a reference that does not. Giving `Sampler::sample`
+//! the same support would raise `tok_s` on every workload and lower
+//! that ratio; it is a change to the reference leg and is kept for an
+//! issue of its own (ROADMAP item 1).
 //!
 //! `sim_speedup` is a function of the first ledger alone and does not
 //! move when the second gets cheaper.

@@ -24,6 +24,7 @@
 //! with bit-identical results: inputs are independent, so splitting
 //! them never changes any accumulation order.
 
+use crate::mlp::TokenId;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -348,6 +349,93 @@ pub fn tempered_softmax_into(logits: &[f32], temperature: f32, out: &mut Vec<f32
     softmax_in_place(&mut out[start..])
 }
 
+/// `f32::exp` of anything at or below this is exactly `+0.0`: it is
+/// past `ln 2⁻¹⁵⁰ ≈ −103.972`, where the result rounds below the
+/// smallest denormal (`exp_flushes_to_zero_at_the_cut_off` pins that on
+/// this platform's libm).
+const EXP_FLUSH: f32 = -103.98;
+
+/// How far below the row's maximum [`tempered_support_into`] puts its
+/// cut, in scaled logits: [`EXP_FLUSH`] and a little room for the cut's
+/// own rounding.
+const SUPPORT_MARGIN: f32 = 104.0;
+const _: () = assert!(-SUPPORT_MARGIN < EXP_FLUSH);
+
+/// [`tempered_softmax_into`] held as its **support**: `(index, exp)` of
+/// every entry whose `(l / temperature − max).exp()` is non-zero, in
+/// index order, appended to `out`. Returns the dense row's
+/// `(max, sum)`, bit for bit; entry `i` of the dense row is `exp / sum`
+/// where the support holds `i` and `+0.0` everywhere else.
+///
+/// A cold row is nearly all zeros — at `temperature` 0.01 a logit one
+/// unit under the best is a hundred scaled units under it — and a zero
+/// costs the dense row a divide, an `exp`, an add and another divide to
+/// stay zero. Here it costs one compare: an entry below the cut has an
+/// exponent at or below `EXP_FLUSH` (the cut is checked, not trusted;
+/// dividing by a positive temperature and subtracting `max` are both
+/// monotone), so its `exp` is `+0.0`, and `x + 0.0 == x` for every
+/// partial sum. Whole chunks below the cut are skipped in one
+/// branch-free scan. Everything at or above it pays the dense row's own
+/// operations in the dense row's order — denormal terms included — so a
+/// warm row is simply a support as long as the row.
+///
+/// # Panics
+///
+/// Panics if `temperature` is not positive, and on a row with no finite
+/// normaliser: a NaN, a `+∞`, a scaled logit that overflows, or nothing
+/// above `−∞`.
+pub fn tempered_support_into(
+    logits: &[f32],
+    temperature: f32,
+    out: &mut Vec<(TokenId, f32)>,
+) -> (f32, f32) {
+    const CHUNK: usize = 16;
+    assert!(temperature > 0.0, "temperature must be positive");
+    // The largest scaled logit is the largest logit, scaled: one divide.
+    let top = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut max = top / temperature;
+    if max == 0.0 {
+        // Which zero a fold over scaled entries of both signs ends on is
+        // `f32::max`'s choice: ask it.
+        max = logits
+            .iter()
+            .map(|&l| l / temperature)
+            .fold(f32::NEG_INFINITY, f32::max);
+    }
+    let cut = (max - SUPPORT_MARGIN) * temperature;
+    // Every `l < cut` has `(l / temperature - max) <= (cut / temperature
+    // - max)`, rounding included. Where rounding ate the margin (scaled
+    // logits in the millions), every entry is looked at instead.
+    let cut = if cut / temperature - max <= EXP_FLUSH {
+        cut
+    } else {
+        f32::NEG_INFINITY
+    };
+    let mut sum = 0.0f32;
+    for (c, chunk) in logits.chunks(CHUNK).enumerate() {
+        // A NaN counts as live: it must reach the sum.
+        let mut live = false;
+        for &l in chunk {
+            live |= (l >= cut) | l.is_nan();
+        }
+        if !live {
+            continue;
+        }
+        for (j, &l) in chunk.iter().enumerate() {
+            if l < cut {
+                continue;
+            }
+            let e = (l / temperature - max).exp();
+            if e != 0.0 {
+                sum += e;
+                out.push(((c * CHUNK + j) as TokenId, e));
+            }
+        }
+    }
+    assert!(sum.is_finite(), "finite logits");
+    (max, sum)
+}
+
 /// Numerically stable log-softmax.
 pub fn log_softmax(logits: &[f32]) -> Vec<f32> {
     let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -357,11 +445,20 @@ pub fn log_softmax(logits: &[f32]) -> Vec<f32> {
 
 /// Shannon entropy (nats) of a probability distribution.
 pub fn entropy(probs: &[f32]) -> f32 {
-    probs
-        .iter()
-        .filter(|&&p| p > 0.0)
-        .map(|&p| -p * p.ln())
-        .sum()
+    entropy_of(probs.iter().copied())
+}
+
+/// [`entropy`] of the probabilities `probs` yields. Zeros add nothing,
+/// so a distribution may be given by its non-zero entries alone, in
+/// index order, for the same bits.
+fn entropy_of(probs: impl Iterator<Item = f32>) -> f32 {
+    probs.filter(|&p| p > 0.0).map(|p| -p * p.ln()).sum()
+}
+
+/// [`entropy`] of the dense row a [`tempered_support_into`] support and
+/// its `sum` stand for, bit for bit.
+pub fn support_entropy(support: &[(TokenId, f32)], sum: f32) -> f32 {
+    entropy_of(support.iter().map(|&(_, e)| e / sum))
 }
 
 /// SiLU activation `x * sigmoid(x)`.
@@ -554,6 +651,55 @@ mod tests {
         let p = vec![0.25f32; 4];
         assert!((entropy(&p) - (4.0f32).ln()).abs() < 1e-6);
         assert_eq!(entropy(&[1.0, 0.0]), 0.0);
+    }
+
+    #[test]
+    fn exp_flushes_to_zero_at_the_cut_off() {
+        // The premise `tempered_support_into` skips entries on: at the
+        // cut-off and everywhere below it, this platform's `exp` is
+        // `+0.0` bitwise — ulp by ulp for a stretch, then in strides
+        // down to `-inf`.
+        use std::hint::black_box;
+        let zero_at = |x: f32| black_box(x).exp().to_bits() == 0;
+        assert!(zero_at(EXP_FLUSH));
+        let mut x = EXP_FLUSH;
+        for _ in 0..200_000 {
+            x = x.next_down();
+            assert!(zero_at(x), "exp({x})");
+        }
+        while x.is_finite() {
+            x *= 1.01;
+            assert!(zero_at(x), "exp({x})");
+        }
+        // And the cut-off is not idly far out: the band just above it
+        // still holds denormals.
+        assert!(black_box(-103.0f32).exp() > 0.0);
+    }
+
+    #[test]
+    fn a_row_without_a_finite_normaliser_has_no_support() {
+        // `-inf` is a logit like any other: an exact zero.
+        let (mut dense, mut support) = (Vec::new(), Vec::new());
+        let row = [0.5, f32::NEG_INFINITY, 0.25];
+        let want = tempered_softmax_into(&row, 0.8, &mut dense);
+        assert_eq!(tempered_support_into(&row, 0.8, &mut support), want);
+        let tokens: Vec<TokenId> = support.iter().map(|&(i, _)| i).collect();
+        assert_eq!(tokens, [0, 2]);
+        // What the dense row would turn into NaNs is refused, in
+        // `top_k_into`'s words.
+        let bad: [(&[f32], f32); 5] = [
+            (&[0.0, f32::NAN, 1.0], 0.8),
+            (&[f32::NAN, 0.0, 1.0], 0.01),
+            (&[0.0, f32::INFINITY], 0.8),
+            (&[1e37, 0.0], 0.005),
+            (&[f32::NEG_INFINITY; 3], 0.8),
+        ];
+        for (row, t) in bad {
+            let err = std::panic::catch_unwind(|| tempered_support_into(row, t, &mut Vec::new()))
+                .expect_err("no finite normaliser");
+            let msg = err.downcast_ref::<&'static str>().copied().unwrap_or("");
+            assert!(msg.contains("finite logits"), "{row:?}: {msg}");
+        }
     }
 
     #[test]

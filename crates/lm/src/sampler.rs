@@ -36,12 +36,15 @@ impl Sampling {
 /// A seeded sampler. Deterministic given seed and call sequence.
 ///
 /// A temperature draw is two halves: **normalise** the logits row into
-/// its tempered distribution ([`tempered_softmax_into`]) and **draw**
-/// from that distribution ([`Sampler::draw_tempered`]: `top_k`
-/// truncation, then one RNG call). [`Sampler::sample`] does both; a
-/// caller that already holds the row's tempered distribution — a decode
-/// step whose acceptance computed it — calls the second half alone and
-/// gets the same token from the same RNG state.
+/// its tempered distribution and **draw** from that distribution
+/// (`top_k` truncation, then one RNG call). The distribution comes in
+/// two forms. [`Sampler::sample`] does both halves on the dense row
+/// ([`tempered_softmax_into`]): NTP's every token, every engine's
+/// uncarried draw, and the reference the rest is pinned to.
+/// [`Sampler::draw_support`] is the second half alone, on a row held as
+/// its support ([`crate::matrix::tempered_support_into`]) by a caller
+/// that already normalised it — a decode step whose acceptance did —
+/// and returns the same token from the same RNG state.
 #[derive(Debug, Clone)]
 pub struct Sampler {
     rng: SmallRng,
@@ -82,19 +85,31 @@ impl Sampler {
         }
     }
 
-    /// The draw half of a temperature [`Sampler::sample`]: `dist` is the
-    /// row's tempered distribution ([`tempered_softmax_into`] of its
-    /// logits), `top_k` the strategy's truncation (applied to a copy).
-    /// One RNG call, and the token `sample` would have returned for the
-    /// row those are the distribution of.
-    pub fn draw_tempered(&mut self, dist: &[f32], top_k: usize) -> TokenId {
-        if top_k == 0 || top_k >= dist.len() {
-            return draw(&mut self.rng, dist);
-        }
+    /// The draw half of a temperature [`Sampler::sample`], for a row held
+    /// as its support: `support` and `sum` are what
+    /// [`crate::matrix::tempered_support_into`] made of the row's
+    /// logits, `width` the row's length and `top_k` the strategy's
+    /// truncation. One RNG call, and the token `sample` would have
+    /// returned for that row: the entries the support leaves out are
+    /// `+0.0` in the dense row, where they rank below every non-zero
+    /// entry for `top_k`, add nothing to the renormalising sum and
+    /// never move the cumulative scan.
+    pub fn draw_support(
+        &mut self,
+        support: &[(TokenId, f32)],
+        sum: f32,
+        width: usize,
+        top_k: usize,
+    ) -> TokenId {
         self.probs.clear();
-        self.probs.extend_from_slice(dist);
-        keep_top_k(&mut self.probs, top_k, &mut self.kept);
-        draw(&mut self.rng, &self.probs)
+        self.probs.extend(support.iter().map(|&(_, e)| e / sum));
+        if top_k > 0 && top_k < width {
+            keep_top_k(&mut self.probs, top_k, &mut self.kept);
+        }
+        // The support is in index order, so a position in it stands for
+        // the same token the dense scan would have stopped at.
+        let at = draw(&mut self.rng, &self.probs);
+        support[at as usize].0
     }
 
     /// Samples an index from an explicit probability vector.
@@ -224,6 +239,7 @@ pub fn top_k_into(logits: &[f32], k: usize, best: &mut Vec<TokenId>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::tempered_support_into;
 
     #[test]
     fn greedy_is_argmax() {
@@ -341,7 +357,7 @@ mod tests {
                 let strategy = Sampling::Temperature { temperature, top_k };
                 let mut want = SmallRng::seed_from_u64(11);
                 let (mut whole, mut halves) = (Sampler::new(11), Sampler::new(11));
-                let mut dist = Vec::new();
+                let mut support = Vec::new();
                 for (i, row) in rows.iter().cycle().take(400).enumerate() {
                     let tok = reference(&mut want, row, temperature, top_k);
                     assert_eq!(
@@ -351,9 +367,9 @@ mod tests {
                     );
                     // The two forms interleave on one RNG stream.
                     let got = if i % 2 == 0 {
-                        dist.clear();
-                        tempered_softmax_into(row, temperature, &mut dist);
-                        halves.draw_tempered(&dist, top_k)
+                        support.clear();
+                        let (_, sum) = tempered_support_into(row, temperature, &mut support);
+                        halves.draw_support(&support, sum, row.len(), top_k)
                     } else {
                         halves.sample(row, strategy)
                     };

@@ -167,13 +167,35 @@ impl FaultEvent {
 
 /// One tenant class's weighted-fairness share (see
 /// [`FaultPlan::classes`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ClassShare {
     /// The request class ([`Request::class`]) the share applies to.
     pub class: u32,
     /// Its scheduling weight (a class with weight `w` gets `w` batch
     /// slots for every 1 a weight-1 class gets, when both have work).
     pub weight: u32,
+}
+
+impl ClassShare {
+    /// The largest class a share read from a plan file may name.
+    /// [`FaultPlan::class_weights`] is dense up to the largest class
+    /// listed, so the number is a length read from input.
+    pub const MAX_CLASS: u32 = 1023;
+}
+
+// `Deserialize` is written by hand to bound `class` where it enters.
+impl serde::Deserialize for ClassShare {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let class: u32 = serde::Deserialize::from_value(v.field("class")?)?;
+        if class > Self::MAX_CLASS {
+            return Err(serde::Error::new(format!(
+                "class {class} is past the largest shareable class {}",
+                Self::MAX_CLASS
+            )));
+        }
+        let weight = serde::Deserialize::from_value(v.field("weight")?)?;
+        Ok(ClassShare { class, weight })
+    }
 }
 
 /// A deterministic fault schedule plus optional multi-tenant shares —
@@ -914,5 +936,24 @@ mod tests {
     fn empty_json_object_is_the_empty_plan() {
         let plan: FaultPlan = serde_json::from_str("{}").expect("defaults");
         assert!(plan.is_empty());
+        let plan: FaultPlan = serde_json::from_str(r#"{"events":[]}"#).expect("absent classes");
+        assert!(plan.is_empty());
+    }
+
+    #[test]
+    fn a_class_past_the_cap_is_refused_at_parse() {
+        // `class_weights` is dense up to the largest class: this
+        // document would size a 16 GiB vector while a fleet is built.
+        let hostile = r#"{"classes":[{"class":4294967295,"weight":1}]}"#;
+        let err = serde_json::from_str::<FaultPlan>(hostile).expect_err("out of range");
+        assert!(err.to_string().contains("4294967295"), "{err}");
+        let edge = |class: u32| format!(r#"{{"classes":[{{"class":{class},"weight":2}}]}}"#);
+        assert!(serde_json::from_str::<FaultPlan>(&edge(ClassShare::MAX_CLASS + 1)).is_err());
+        let plan: FaultPlan = serde_json::from_str(&edge(ClassShare::MAX_CLASS)).expect("in range");
+        assert_eq!(
+            plan.class_weights().len(),
+            ClassShare::MAX_CLASS as usize + 1
+        );
+        assert_eq!(plan.class_weights().last(), Some(&2));
     }
 }
