@@ -23,7 +23,9 @@ use crate::accept::TypicalAcceptance;
 use crate::policy::{SpecPolicy, SpecShape};
 use serde::{Deserialize, Serialize};
 use verispec_grammar::{dead_tail_prune, GrammarOracle, PruneRecord, ViabilityState};
-use verispec_lm::{ArenaRows, DecodeClock, GpuCostModel, LanguageModel, Sampling, TokenId};
+use verispec_lm::{
+    ArenaRows, DecodeClock, GpuCostModel, LanguageModel, Ranking, Sampling, TokenId,
+};
 use verispec_tokenizer::special;
 
 /// Configuration for a decode run.
@@ -290,45 +292,66 @@ pub(crate) fn level_widths(shape: &SpecShape) -> impl Iterator<Item = usize> + C
 
 /// Grows one candidate tree, filtering each level's ranked options to
 /// tokens lexically viable after the candidate path built so far.
-/// `ranked[level]` is that level's head ranking, at least
-/// `widths[level] + GRAMMAR_SCAN_SLACK` deep (vocabulary permitting);
-/// only that prefix is scanned. Each path carries its own
-/// [`ViabilityState`]; when no token in the scanned window is viable
-/// (in particular whenever the state is dead), the path falls back to
-/// the unconstrained top-k — reproducing the unconstrained tree's
-/// ordering and 32-path cap exactly.
+/// `ranked[level]` is that level's head ranking and `widths[level] +
+/// extra` its width `k`: each path takes the first `k` viable entries
+/// of the ranking's first `k + GRAMMAR_SCAN_SLACK` (vocabulary
+/// permitting), reading the ranking — and so ranking the head — only as
+/// far as that takes it. Each path carries its own [`ViabilityState`];
+/// when no token in the scanned window is viable, the path falls back
+/// to the unconstrained top-`k` — reproducing the unconstrained tree's
+/// ordering and 32-path cap exactly. Nothing is viable from a dead
+/// state ([`GrammarOracle::viable`]), so a dead path scans nothing and
+/// its head is ranked exactly `k` deep.
+///
+/// A path is one allocation, made when it branches off: the last
+/// option of a path takes the path itself.
 fn grammar_tree(
-    ranked: &[Vec<TokenId>],
+    ranked: &mut [Ranking<'_>],
     widths: &[usize],
+    extra: usize,
     oracle: &GrammarOracle,
     state: ViabilityState,
 ) -> Vec<Vec<TokenId>> {
-    let mut paths: Vec<(Vec<TokenId>, ViabilityState)> = vec![(Vec::new(), state)];
-    for (ranked, &k) in ranked.iter().zip(widths) {
-        let ranked = &ranked[..(k + GRAMMAR_SCAN_SLACK).min(ranked.len())];
-        let mut next = Vec::with_capacity(paths.len() * k);
-        'grow: for (p, st) in &paths {
-            let viable: Vec<TokenId> = ranked
-                .iter()
-                .copied()
-                .filter(|&t| oracle.viable(*st, t))
-                .take(k)
-                .collect();
+    let depth = widths.len();
+    let mut paths: Vec<(Vec<TokenId>, ViabilityState)> = vec![(Vec::with_capacity(depth), state)];
+    let mut next = Vec::new();
+    let mut viable: Vec<TokenId> = Vec::new();
+    for (ranked, &width) in ranked.iter_mut().zip(widths) {
+        let k = width + extra;
+        'grow: for (mut p, st) in paths.drain(..) {
+            viable.clear();
+            if !st.is_dead() {
+                for i in 0..k + GRAMMAR_SCAN_SLACK {
+                    let Some(t) = ranked.get(i) else { break };
+                    if oracle.viable(st, t) {
+                        viable.push(t);
+                        if viable.len() == k {
+                            break;
+                        }
+                    }
+                }
+            }
             let chosen: &[TokenId] = if viable.is_empty() {
-                &ranked[..k.min(ranked.len())]
+                ranked.head(k)
             } else {
                 &viable
             };
-            for &opt in chosen {
-                let mut q = p.clone();
+            for (i, &opt) in chosen.iter().enumerate() {
+                let mut q = if i + 1 == chosen.len() {
+                    std::mem::take(&mut p)
+                } else {
+                    let mut q = Vec::with_capacity(depth);
+                    q.extend_from_slice(&p);
+                    q
+                };
                 q.push(opt);
-                next.push((q, oracle.advance(*st, opt)));
+                next.push((q, oracle.advance(st, opt)));
                 if next.len() >= MAX_CANDIDATE_PATHS {
                     break 'grow;
                 }
             }
         }
-        paths = next;
+        std::mem::swap(&mut paths, &mut next);
     }
     paths.into_iter().map(|(p, _)| p).collect()
 }
@@ -343,13 +366,14 @@ fn grammar_tree(
 /// what is actually verified.
 ///
 /// Row `i` of `heads` is head `i + 1`'s, one per level of `shape` —
-/// which must fit the model ([`SpecShape::clamped`]). Every level is
-/// ranked before anything is pruned or widened, which is why this
-/// engine cannot grow its tree a level at a time the way the
-/// unconstrained ones do. Each head is ranked once, as deep as the
-/// widest retry scans: under [`verispec_lm::top_k_indices`]' total
-/// order a shallower ranking is a prefix of a deeper one, so every
-/// round reads a slice of the same list.
+/// which must fit the model ([`SpecShape::clamped`]). Every level's
+/// tokens are named before anything is pruned or widened, which is why
+/// this engine cannot grow its tree a level at a time the way the
+/// unconstrained ones do: it needs every head's *row*. A head's
+/// *ranking* it only reads ([`Ranking`]): each level's is ranked as
+/// deep as the tree's scans walk it — one past the level's width when
+/// the head's top tokens are viable, which is nearly always — and every
+/// widening round reads on in the same ranking.
 pub(crate) fn build_grammar_candidate_paths(
     heads: ArenaRows<'_>,
     shape: &SpecShape,
@@ -358,23 +382,38 @@ pub(crate) fn build_grammar_candidate_paths(
     eos: TokenId,
 ) -> (Vec<Vec<TokenId>>, PruneRecord) {
     let widths: Vec<usize> = level_widths(shape).collect();
-    let budget = shape.candidate_tokens();
-    let ranked: Vec<Vec<TokenId>> = widths
+    let mut ranked: Vec<Ranking<'_>> = widths
         .iter()
         .enumerate()
-        .map(|(level, &k)| {
-            let deepest = k + GRAMMAR_WIDEN_ROUNDS + GRAMMAR_SCAN_SLACK;
-            verispec_lm::top_k_indices(heads.row(level), deepest)
-        })
+        .map(|(level, &k)| Ranking::new(heads.row(level), k))
         .collect();
-    let mut paths = grammar_tree(&ranked, &widths, oracle, state);
+    widest_tree_within(
+        shape.candidate_tokens(),
+        &mut ranked,
+        &widths,
+        oracle,
+        state,
+        eos,
+    )
+}
+
+/// [`build_grammar_candidate_paths`] on rankings the caller holds: the
+/// pruned tree, and its widest widening that still fits `budget`.
+fn widest_tree_within(
+    budget: usize,
+    ranked: &mut [Ranking<'_>],
+    widths: &[usize],
+    oracle: &GrammarOracle,
+    state: ViabilityState,
+    eos: TokenId,
+) -> (Vec<Vec<TokenId>>, PruneRecord) {
+    let mut paths = grammar_tree(ranked, widths, 0, oracle, state);
     let mut record = dead_tail_prune(&mut paths, special::FRAG, eos);
     for extra in 1..=GRAMMAR_WIDEN_ROUNDS {
         if record.surviving >= budget {
             break;
         }
-        let wider: Vec<usize> = widths.iter().map(|w| w + extra).collect();
-        let mut wide_paths = grammar_tree(&ranked, &wider, oracle, state);
+        let mut wide_paths = grammar_tree(ranked, widths, extra, oracle, state);
         let wide_record = dead_tail_prune(&mut wide_paths, special::FRAG, eos);
         if wide_record.surviving > record.surviving && wide_record.surviving <= budget {
             paths = wide_paths;
@@ -385,13 +424,14 @@ pub(crate) fn build_grammar_candidate_paths(
 }
 
 /// Substitutes a non-viable drawn base token with the highest-ranked
-/// viable token from the base logits (scanning [`GRAMMAR_BASE_SCAN`]
-/// ranked candidates). `[EOS]` is always kept, a dead oracle state
-/// keeps the original draw (nothing is viable from a dead state), and
-/// only lexically-informative tokens are substituted in: byte-free
-/// specials are trivially "viable" but carry no lexical evidence, so
-/// steering into them would replace the model's draw with noise. When
-/// no informative viable token is ranked, the original draw stands.
+/// viable token from the base logits (reading [`GRAMMAR_BASE_SCAN`]
+/// entries of their ranking at most). `[EOS]` is always kept, a dead
+/// oracle state keeps the original draw (nothing is viable from a dead
+/// state), and only lexically-informative tokens are substituted in:
+/// byte-free specials are trivially "viable" but carry no lexical
+/// evidence, so steering into them would replace the model's draw with
+/// noise. When no informative viable token is ranked, the original draw
+/// stands.
 pub(crate) fn constrain_base_token(
     tok: TokenId,
     base_logits: &[f32],
@@ -402,8 +442,9 @@ pub(crate) fn constrain_base_token(
     if tok == eos || state.is_dead() || oracle.viable(state, tok) {
         return tok;
     }
-    verispec_lm::top_k_indices(base_logits, GRAMMAR_BASE_SCAN)
-        .into_iter()
+    let mut ranked = Ranking::new(base_logits, 1);
+    (0..GRAMMAR_BASE_SCAN)
+        .map_while(|i| ranked.get(i))
         .find(|&cand| !oracle.token_bytes(cand).is_empty() && oracle.viable(state, cand))
         .unwrap_or(tok)
 }
@@ -456,6 +497,9 @@ impl DecodeMethod {
         }
     }
 }
+
+#[cfg(test)]
+mod grammar_parity_tests;
 
 #[cfg(test)]
 mod tests {

@@ -29,10 +29,12 @@
 //!    every depth-`d` node — so it is built without tokens
 //!    ([`verispec_lm::NodeMap::build_shape`], reused while the shape
 //!    repeats) and **no head is evaluated yet**. The grammar engine
-//!    ranks every level before it prunes and widens, so it asks for all
-//!    its heads here, from the same kept activation — unless the step
-//!    ends at its base token. Returns which [`Phase`] the step needs
-//!    next.
+//!    names every level's tokens before it prunes and widens, so it
+//!    asks for all its heads' *rows* here, from the same kept
+//!    activation — unless the step ends at its base token — and ranks
+//!    each row only as deep as its tree's scans read it
+//!    ([`verispec_lm::Ranking`]). Returns which [`Phase`] the step
+//!    needs next.
 //! 2. **verify** ([`Stepper::verify_level`]) — one call per **level**
 //!    of the candidate tree: consume the level just scored (run
 //!    acceptance on those nodes' child edges), then plan the children
@@ -881,10 +883,11 @@ impl<'m> Stepper<'m> {
                     Some(g) => {
                         base_tok =
                             constrain_base_token(base_tok, rows.row(0), g.oracle, g.state, eos);
-                        // The grammar builder ranks every level before
-                        // it prunes and widens, so this engine asks for
-                        // all its heads at once — and for none when the
-                        // step ends at its base token.
+                        // The grammar builder names every level's
+                        // tokens before it prunes and widens, so this
+                        // engine asks for all its heads' rows at once —
+                        // and for none when the step ends at its base
+                        // token.
                         let (paths, record) = if base_tok != eos && levels > 0 {
                             self.head_rows.clear();
                             let first =

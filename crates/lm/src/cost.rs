@@ -76,6 +76,22 @@
 //! that ratio; it is a change to the reference leg and is kept for an
 //! issue of its own (ROADMAP item 1).
 //!
+//! The grammar engine's step is the one place where the work around
+//! the matrices was *ranking*. It needs all six head rows at propose —
+//! the tree it is charged for names every level's tokens before it is
+//! pruned and widened — and it used to rank each of them
+//! `k + 3 + 8` = 12–13 deep up front, to read two entries of nearly
+//! every one: six `top_k_into` calls at ≈ 0.2 µs per unit of `k` on a
+//! 480-wide row, about 10 µs of a 29.6 µs step and more than its six
+//! head rows or its whole verification. A head's ranking is now read
+//! through [`crate::Ranking`], which ranks one past the level's width
+//! on first read and deeper only when a scan walks off the end (192 of
+//! the 31 734 rankings of an `offline_eval` pass): 75k ranked entries
+//! a pass instead of 391k, and a step of ≈ 19.5 µs. About half of what
+//! is left is the six head rows themselves (≈ 9.5 µs, 98k MACs), which
+//! stay for as long as the simulated clock charges the tree the step
+//! *built*.
+//!
 //! `sim_speedup` is a function of the first ledger alone and does not
 //! move when the second gets cheaper.
 

@@ -82,7 +82,7 @@ pub use arena::{ArenaRows, LogitsArena};
 pub use cost::{DecodeClock, GpuCostModel};
 pub use mlp::{HeadTarget, MlpLm, MlpLmConfig, PositionLoss, TokenId, PAD_ID};
 pub use ngram::NgramLm;
-pub use sampler::{argmax, top_k_indices, top_k_into, Sampler, Sampling};
+pub use sampler::{argmax, top_k_indices, top_k_into, Ranking, Sampler, Sampling};
 pub use session::{
     verify_many, DecodeSession, MlpSession, NgramSession, NodeMap, SnapshotSession, Stateless,
     StatelessSession, VerifyPlan,

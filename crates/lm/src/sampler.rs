@@ -236,6 +236,71 @@ pub fn top_k_into(logits: &[f32], k: usize, best: &mut Vec<TokenId>) {
     }
 }
 
+/// A logits row's ranking under [`top_k_into`]'s total order, ranked
+/// only as deep as it is read: for a reader that takes its first `k`
+/// acceptable entries in rank order and nearly always finds them at
+/// the top, when how far it will scan is not known beforehand.
+///
+/// Under a total order a shallower ranking is a prefix of a deeper
+/// one, so deepening only ever extends what was already read. The
+/// first read ranks `k + 1` deep — one spare entry, since a reader
+/// that rejects anything usually rejects one — and a read past the
+/// ranked depth re-ranks at least twice as deep, so the re-ranking
+/// stays within a constant factor of one ranking to the depth
+/// reached. `best` is never more than a prefix of the ranking: read it
+/// through [`Ranking::get`] and [`Ranking::head`] only.
+#[derive(Debug)]
+pub struct Ranking<'a> {
+    row: &'a [f32],
+    /// How many entries the reader means to take: the first depth.
+    k: usize,
+    /// The row's top `best.len()`, best first.
+    best: Vec<TokenId>,
+}
+
+impl<'a> Ranking<'a> {
+    /// The ranking of `row` for a reader that takes `k` entries;
+    /// nothing is ranked until something is read.
+    pub fn new(row: &'a [f32], k: usize) -> Self {
+        Self {
+            row,
+            k,
+            best: Vec::new(),
+        }
+    }
+
+    /// The entry at rank `i`, `None` past the row's length.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a NaN logit, as [`top_k_into`] does.
+    pub fn get(&mut self, i: usize) -> Option<TokenId> {
+        if i >= self.best.len() && self.best.len() < self.row.len() {
+            let deeper = i.saturating_add(1).max(self.k + 1).max(2 * self.best.len());
+            top_k_into(self.row, deeper, &mut self.best);
+        }
+        self.best.get(i).copied()
+    }
+
+    /// The first `n` entries (all of them when the row is shorter),
+    /// ranking exactly `n` deep when it was not ranked that deep yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a NaN logit, as [`top_k_into`] does.
+    pub fn head(&mut self, n: usize) -> &[TokenId] {
+        if self.best.len() < n.min(self.row.len()) {
+            top_k_into(self.row, n, &mut self.best);
+        }
+        &self.best[..n.min(self.best.len())]
+    }
+
+    /// How deep the row has been ranked so far.
+    pub fn depth(&self) -> usize {
+        self.best.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,6 +490,33 @@ mod tests {
             let msg = err.downcast_ref::<&'static str>().copied().unwrap_or("");
             assert!(msg.contains("finite logits"), "form {form}: {msg}");
         }
+    }
+
+    #[test]
+    fn ranking_past_the_row_is_none_and_deepens_only_when_read() {
+        let row = [0.5f32, 2.0, 2.0, -1.0, 0.0];
+        let mut r = Ranking::new(&row, 2);
+        assert_eq!(r.depth(), 0, "nothing is ranked until something is read");
+        assert_eq!(r.get(0), Some(1));
+        assert_eq!(r.depth(), 3, "first read: one past the width");
+        assert_eq!(r.get(2), Some(0));
+        assert_eq!(r.depth(), 3);
+        assert_eq!(r.get(3), Some(4));
+        assert_eq!(r.depth(), 5, "twice as deep, cut to the row");
+        for i in [5usize, 6, 1000, usize::MAX] {
+            assert_eq!(r.get(i), None, "rank {i} of a 5-wide row");
+        }
+        assert_eq!(r.head(9), [1, 2, 0, 4, 3]);
+        // `head` ranks exactly as deep as it is asked, `get` past it
+        // doubles, and an empty row ranks nothing.
+        let mut r = Ranking::new(&row, 2);
+        assert_eq!(r.head(2), [1, 2]);
+        assert_eq!(r.depth(), 2);
+        assert_eq!(r.get(2), Some(0));
+        assert_eq!(r.depth(), 4);
+        assert_eq!(Ranking::new(&row, 2).get(usize::MAX), None);
+        let mut r = Ranking::new(&[], 3);
+        assert_eq!((r.get(0), r.head(3).len(), r.depth()), (None, 0, 0));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 use verispec_lm::matrix::{entropy, log_softmax, softmax};
-use verispec_lm::{top_k_indices, MlpLm, MlpLmConfig, NgramLm, Sampler, Sampling};
+use verispec_lm::{
+    top_k_indices, top_k_into, MlpLm, MlpLmConfig, NgramLm, Ranking, Sampler, Sampling,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -82,8 +84,13 @@ proptest! {
     #[test]
     fn top_k_is_the_head_of_a_full_sort_under_the_total_order(
         // Few distinct values over many slots: ties everywhere,
-        // including across the k-th boundary.
-        logits in prop::collection::vec((-3i32..4).prop_map(|v| v as f32 * 0.5), 1..48),
+        // including across the k-th boundary — on short rows and on
+        // rows as wide as the benchmark model's vocabulary.
+        logits in prop_oneof![
+            prop::collection::vec((-3i32..4).prop_map(|v| v as f32 * 0.5), 1..48),
+            prop::collection::vec((-3i32..4).prop_map(|v| v as f32 * 0.5), 480),
+            prop::collection::vec((-40i32..41).prop_map(|v| v as f32 * 0.25), 480),
+        ],
     ) {
         let n = logits.len();
         let mut oracle: Vec<u32> = (0..n as u32).collect();
@@ -93,8 +100,24 @@ proptest! {
                 .expect("finite")
                 .then(a.cmp(&b))
         });
-        for k in [0, 1, 2, 10, 32, n, n + 3] {
+        for k in [0, 1, 2, 10, 13, 32, 40, n, n + 3] {
             prop_assert_eq!(&top_k_indices(&logits, k)[..], &oracle[..k.min(n)], "k = {}", k);
+        }
+        // What a `Ranking` rests on, stated directly: a shallower
+        // ranking is the head of every deeper one, ties included.
+        // (Every `a` against the deepest `b` is every `a <= b`: both
+        // are then heads of the same list.)
+        let (mut shallow, mut deep) = (Vec::new(), Vec::new());
+        top_k_into(&logits, 41, &mut deep);
+        for a in 0..=41usize {
+            top_k_into(&logits, a, &mut shallow);
+            prop_assert_eq!(&shallow[..], &deep[..a.min(n)], "a = {}", a);
+        }
+        // And a ranking read in any order is that one list.
+        let mut ranking = Ranking::new(&logits, 2);
+        for i in [0usize, 1, 2, 3, 9, 4, 40, 17, n - 1, n, n + 7] {
+            prop_assert_eq!(ranking.get(i), oracle.get(i).copied(), "rank {}", i);
+            prop_assert_eq!(ranking.head(i), &oracle[..i.min(n)], "head {}", i);
         }
     }
 

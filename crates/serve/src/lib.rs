@@ -979,6 +979,57 @@ mod tests {
     }
 
     #[test]
+    fn weighted_fair_serves_the_largest_class_id_beside_class_zero() {
+        // A class is a bare `u32` off the wire. Classes 0 (weight 3)
+        // and `u32::MAX` (past the weights: weight 1), one request
+        // each, one slot a tick: while both are active the heavy class
+        // takes three slots of every four, and both run to completion.
+        let m = model();
+        let cost = GpuCostModel::codellama_like();
+        let requests: Vec<Request> = [0, u32::MAX]
+            .into_iter()
+            .enumerate()
+            .map(|(i, class)| {
+                let cfg = DecodeConfig {
+                    max_tokens: 30,
+                    seed: i as u64,
+                    eos: 999,
+                    ..Default::default()
+                };
+                Request::new(i as u64, vec![1, 2], EngineChoice::Ntp, cfg).with_class(class)
+            })
+            .collect();
+        let cfg = ServeConfig {
+            max_active: 2,
+            max_batch: 1,
+            order: TickOrder::WeightedFair,
+            class_weights: vec![3, 1],
+            ..Default::default()
+        };
+        let report = run_engine(&m, None, requests, &cfg, &cost);
+        assert_eq!(report.completions.len(), 2);
+        let of = |id: u64| {
+            report
+                .completions
+                .iter()
+                .find(|c| c.id == id)
+                .expect("served")
+        };
+        let (heavy, light) = (of(0), of(1));
+        assert_eq!(heavy.output.tokens.len(), 30);
+        assert_eq!(light.output.tokens.len(), 30);
+        let light_meanwhile = light
+            .step_ticks
+            .iter()
+            .filter(|&&t| t <= heavy.finished)
+            .count();
+        assert!(
+            (9..=11).contains(&light_meanwhile),
+            "the weight-1 class stepped {light_meanwhile} times beside the weight-3 class's 30"
+        );
+    }
+
+    #[test]
     fn one_fused_batch_of_every_engine_equals_each_serial_engine() {
         // NTP, a lazily grown tree, a chain, a grammar tree (eager: all
         // its heads at once, from the activation the fused propose

@@ -15,6 +15,7 @@
 //! so scheduling is purely a throughput/fairness lever.
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// The order in which active requests are considered for a tick's
 /// batch (after forced aging picks).
@@ -81,9 +82,10 @@ pub struct Scheduler {
     /// class id; classes beyond the vector (or with weight 0) default
     /// to weight 1.
     class_weights: Vec<u32>,
-    /// Per-class deficit counters (lazily grown): positive means the
-    /// class is owed service relative to its weight share.
-    credits: Vec<i64>,
+    /// Per-class deficit counters, one per class ever present (a class
+    /// is a bare `u32` off the wire, so never an index): positive means
+    /// the class is owed service relative to its weight share.
+    credits: BTreeMap<u32, i64>,
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -105,7 +107,7 @@ impl Scheduler {
             order,
             starvation_bound: 2 * rotation + 2,
             class_weights: Vec::new(),
-            credits: Vec::new(),
+            credits: BTreeMap::new(),
         }
     }
 
@@ -134,15 +136,13 @@ impl Scheduler {
     /// picked class pays the total present weight. Zero-sum per pick,
     /// so realized per-class service converges to the weight shares.
     fn charge(&mut self, class: u32, present: &[u32]) {
-        let max_class = present.iter().copied().max().unwrap_or(0).max(class);
-        if self.credits.len() <= max_class as usize {
-            self.credits.resize(max_class as usize + 1, 0);
-        }
-        let total: i64 = present.iter().map(|&c| self.weight(c)).sum();
+        let mut total = 0;
         for &c in present {
-            self.credits[c as usize] += self.weight(c);
+            let w = self.weight(c);
+            *self.credits.entry(c).or_default() += w;
+            total += w;
         }
-        self.credits[class as usize] -= total;
+        *self.credits.entry(class).or_default() -= total;
     }
 
     /// The forcing threshold of the aging guard: a request is promoted
@@ -226,7 +226,7 @@ impl Scheduler {
                 .map(|&i| views[i].class)
                 .max_by_key(|&c| {
                     (
-                        self.credits.get(c as usize).copied().unwrap_or(0),
+                        self.credits.get(&c).copied().unwrap_or(0),
                         std::cmp::Reverse(c),
                     )
                 })
@@ -363,32 +363,36 @@ mod tests {
     #[test]
     fn weighted_fair_divides_slots_by_class_share() {
         // Two classes, weight 3 : 1, one request each, one slot per
-        // tick: class 0 should get ~3/4 of the service.
-        let mut s = Scheduler::new(TickOrder::WeightedFair, 2, 1).with_class_weights(&[3, 1]);
-        let mut served = [0usize; 2];
-        let mut last = [0u64; 2];
-        for tick in 1..=400u64 {
-            let vs: Vec<ActiveView> = (0..2)
-                .map(|i| ActiveView {
-                    id: i as u64,
-                    last_step: last[i],
-                    admitted: 0,
-                    generated: 0,
-                    deadline: None,
-                    class: i as u32,
-                })
-                .collect();
-            for i in s.select(&vs, tick, 1) {
-                served[i] += 1;
-                last[i] = tick;
+        // tick: class 0 should get ~3/4 of the service — whatever the
+        // light class is called (a class id is a key, never an index,
+        // and one past the weights defaults to weight 1).
+        for light in [1, u32::MAX] {
+            let mut s = Scheduler::new(TickOrder::WeightedFair, 2, 1).with_class_weights(&[3, 1]);
+            let mut served = [0usize; 2];
+            let mut last = [0u64; 2];
+            for tick in 1..=400u64 {
+                let vs: Vec<ActiveView> = (0..2)
+                    .map(|i| ActiveView {
+                        id: i as u64,
+                        last_step: last[i],
+                        admitted: 0,
+                        generated: 0,
+                        deadline: None,
+                        class: [0, light][i],
+                    })
+                    .collect();
+                for i in s.select(&vs, tick, 1) {
+                    served[i] += 1;
+                    last[i] = tick;
+                }
             }
+            assert_eq!(served[0] + served[1], 400);
+            assert!(
+                (295..=305).contains(&served[0]),
+                "weight-3 class got {} of 400 slots next to class {light}, expected ~300",
+                served[0]
+            );
         }
-        assert_eq!(served[0] + served[1], 400);
-        assert!(
-            (295..=305).contains(&served[0]),
-            "weight-3 class got {} of 400 slots, expected ~300",
-            served[0]
-        );
     }
 
     #[test]
