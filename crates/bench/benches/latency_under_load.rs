@@ -39,31 +39,35 @@
 //! equal offered load. The rows carry the prefix-cache telemetry
 //! (hit/miss, tokens saved, depth histogram, eviction and residency
 //! peaks); every cell's completions are asserted token-identical to an
-//! uncached single-engine reference before recording, and the bench
-//! guard gates that cache-on beats cache-off on TTFT p99 and that
-//! prefix-affine out-hits round-robin on fleets.
+//! uncached single-engine reference before recording, and
+//! `load_gate_violations` gates that cache-on beats cache-off on TTFT
+//! p99 and that prefix-affine out-hits round-robin on fleets.
 //!
 //! Emits `BENCH_load.json` at the workspace root with exact
 //! p50/p90/p99 queueing delay, TTFT, per-token inter-commit gaps, and
-//! end-to-end latency in scheduler ticks plus measured wall-clock,
-//! alongside session-eviction high-water stats. Every streamed run is
-//! asserted token-for-token and tick-for-tick identical to batch
-//! submission before its numbers are recorded, and every workload's
-//! realized arrivals are asserted to round-trip bit-identically
-//! through the JSON `ArrivalTrace`.
+//! end-to-end latency in scheduler ticks, alongside session-eviction
+//! high-water stats — every cell an exact function of the code, so a
+//! rerun writes the same bytes. Every streamed run is asserted
+//! token-for-token and tick-for-tick identical to batch submission
+//! before its numbers are recorded, and every workload's realized
+//! arrivals are asserted to round-trip bit-identically through the
+//! JSON `ArrivalTrace`. The file is written only once
+//! `load_gate_violations` holds of the rows; a violated gate or a
+//! failed write exits non-zero and leaves the committed file untouched.
 //!
 //! `--test` runs a shrunk workload (CI smoke) but still sweeps all
 //! three load levels and emits the artifact.
 
-use std::path::PathBuf;
+use verispec_bench::write_gated_artifact;
 use verispec_eval::{
-    render_load_bench, run_load_bench, ModelScale, Pipeline, PipelineConfig, Scale,
+    load_gate_violations, render_load_bench, run_load_bench, ModelScale, Pipeline, PipelineConfig,
+    Scale,
 };
 
 fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
-    // Same pipeline as `decode_speed`/`serve_throughput`, so the
-    // trained-model cache is shared across the bench suite.
+    // A small one-epoch pipeline: the sweep measures scheduling, not
+    // model quality.
     let pipeline = PipelineConfig {
         corpus_size: 96,
         vocab: 420,
@@ -87,13 +91,5 @@ fn main() {
     let pipe = Pipeline::build(scale.pipeline);
     let rows = run_load_bench(&scale, &pipe, ModelScale::Small, &utilizations);
     print!("{}", render_load_bench(&rows));
-
-    let path: PathBuf = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_load.json");
-    match serde_json::to_string_pretty(&rows) {
-        Ok(body) => match std::fs::write(&path, body) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        },
-        Err(e) => eprintln!("could not serialize BENCH_load.json: {e}"),
-    }
+    write_gated_artifact("BENCH_load.json", &rows, &load_gate_violations(&rows));
 }

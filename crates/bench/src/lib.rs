@@ -1,6 +1,8 @@
-//! Shared helpers for the VeriSpec benchmark harness binaries.
+//! Shared helpers for the VeriSpec benchmark harness binaries and the
+//! artifact benches.
 //!
-//! Each binary regenerates one paper artifact (see DESIGN.md §4):
+//! Each binary regenerates one paper artifact or answers one question
+//! about it:
 //!
 //! | binary | artifact |
 //! |--------|----------|
@@ -9,14 +11,53 @@
 //! | `fig1_tradeoff`  | Fig. 1 — speed vs quality scatter |
 //! | `fig5_steps`     | Fig. 5 — decode traces |
 //! | `fig6_datasize`  | Fig. 6 — pass@5 vs data size |
+//! | `capacity_ablation` | held-out NLL and VGen-sim syntax quality vs trunk width, Ours vs NTP |
+//! | `probe_gen`      | developer probe: raw generations and verdicts per method (`--full` only) |
 //!
-//! All binaries accept `--scale quick|full` (default `full`) and write a
-//! JSON artifact next to their stdout table when `--json <path>` is
-//! given.
+//! All but `probe_gen` parse [`HarnessArgs`]: `--scale quick|full`
+//! (default `full`), `--samples N` and `--problems N` (overriding the
+//! scale's samples per prompt and per-benchmark problem cap), and
+//! `--json <path>` to write a JSON artifact next to the stdout table.
 
+use std::path::Path;
 use verispec_eval::Scale;
 
-/// Parses the common `--scale` / `--json` CLI arguments.
+/// Serialises `value` as pretty JSON to `path`.
+///
+/// # Panics
+///
+/// Panics when `value` does not serialise or `path` cannot be written:
+/// a run that did not produce its artifact must not exit 0.
+fn write_json_file<T: serde::Serialize>(path: &Path, value: &T) {
+    let body = serde_json::to_string_pretty(value).expect("serialize artifact");
+    std::fs::write(path, body).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    eprintln!("wrote {}", path.display());
+}
+
+/// Records a sweep as the committed artifact `name` (`BENCH_*.json`) at
+/// the workspace root — unless `violations` (the sweep's gate function
+/// over the same rows) is non-empty, in which case every violated gate
+/// is listed and the process exits non-zero with the file untouched.
+/// The committed file stays on disk either way, so "exit 0" is the only
+/// evidence CI has that it was regenerated.
+///
+/// # Panics
+///
+/// Panics when the artifact cannot be serialised or written.
+pub fn write_gated_artifact<T: serde::Serialize>(name: &str, rows: &T, violations: &[String]) {
+    if !violations.is_empty() {
+        eprintln!("{name} not written: {} gate(s) violated", violations.len());
+        for v in violations {
+            eprintln!("  - {v}");
+        }
+        std::process::exit(1);
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    write_json_file(&root.join(name), rows);
+}
+
+/// Parses the common `--scale` / `--json` / `--samples` / `--problems`
+/// CLI arguments.
 pub struct HarnessArgs {
     /// Experiment scale.
     pub scale: Scale,
@@ -59,7 +100,10 @@ impl HarnessArgs {
                     );
                 }
                 "--help" | "-h" => {
-                    println!("usage: <bin> [--scale quick|full] [--json PATH]");
+                    println!(
+                        "usage: <bin> [--scale quick|full] [--samples N] [--problems N] \
+                         [--json PATH]"
+                    );
                     std::process::exit(0);
                 }
                 other => panic!("unknown argument `{other}`"),
@@ -71,9 +115,7 @@ impl HarnessArgs {
     /// Writes a serializable artifact to the `--json` path, if given.
     pub fn write_json<T: serde::Serialize>(&self, value: &T) {
         if let Some(path) = &self.json {
-            let body = serde_json::to_string_pretty(value).expect("serialize artifact");
-            std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            eprintln!("wrote {path}");
+            write_json_file(Path::new(path), value);
         }
     }
 }

@@ -6,9 +6,7 @@
 use crate::benchmarks::{rtllm_sim, speed_prompts, vgen_sim, Benchmark, Problem};
 use crate::judge::judge;
 use crate::metrics::{mean_speed, speedup, PromptCounts, QualityRow};
-use crate::pipeline::{
-    generate, generate_stateless, token_budget, ModelScale, Pipeline, PipelineConfig,
-};
+use crate::pipeline::{generate, token_budget, ModelScale, Pipeline, PipelineConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -296,414 +294,6 @@ pub fn run_table2(scale: &Scale, pipe: &Pipeline) -> Vec<SpeedRow> {
         }
     }
     rows
-}
-
-// ---------------------------------------------------------------------
-// Session-reuse wall-clock comparison (BENCH_decode.json)
-// ---------------------------------------------------------------------
-
-/// One row of the cached-session vs. stateless-shim wall-clock
-/// comparison: the same engine, same outputs, different model-layer
-/// backend. Unlike the simulated Table-II speeds, these are *real*
-/// seconds of the Rust implementation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SessionBenchRow {
-    /// Method name (NTP / Medusa / Ours).
-    pub method: &'static str,
-    /// Tokens generated (identical on both paths by construction).
-    pub tokens: usize,
-    /// Wall-clock seconds decoding through cached sessions.
-    pub session_secs: f64,
-    /// Wall-clock seconds decoding through the stateless shim.
-    pub stateless_secs: f64,
-    /// Tokens/second through cached sessions.
-    pub session_tps: f64,
-    /// Tokens/second through the stateless shim.
-    pub stateless_tps: f64,
-    /// `session_tps / stateless_tps`.
-    pub speedup: f64,
-    /// `session_tps` ÷ the NTP row's `session_tps`: the method's *real*
-    /// speedup over next-token prediction on these kernels — the honest
-    /// counterpart of the simulated Table-II ratio (1.0 on the NTP row).
-    pub real_vs_ntp: f64,
-}
-
-/// Measures wall-clock decode throughput of the session-based model
-/// layer against the stateless shim on the speed-prompt set, verifying
-/// token-for-token identical outputs along the way.
-///
-/// # Panics
-///
-/// Panics if the two paths ever produce different tokens — that would
-/// mean the session cache changed semantics, which the engines rely on
-/// never happening.
-pub fn run_session_bench(
-    scale: &Scale,
-    pipe: &Pipeline,
-    model_scale: ModelScale,
-) -> Vec<SessionBenchRow> {
-    let prompts = speed_prompts(scale.speed_prompt_count, 0x5E55);
-    let cost = model_scale.cost_model();
-    let mut rows: Vec<SessionBenchRow> = METHODS
-        .iter()
-        .map(|&method| {
-            let model = pipe.model_for(model_scale, method, (1, 1));
-            let mut tokens = 0usize;
-            let mut session_secs = 0.0f64;
-            let mut stateless_secs = 0.0f64;
-            for (i, problem) in prompts.iter().enumerate() {
-                let cfg = DecodeConfig {
-                    max_tokens: token_budget(&pipe.tokenizer, problem, method),
-                    seed: sample_seed(&problem.id, i, 31),
-                    ..Default::default()
-                };
-                let t0 = std::time::Instant::now();
-                let with_session = generate(&model, &pipe.tokenizer, problem, method, &cfg, &cost);
-                session_secs += t0.elapsed().as_secs_f64();
-                let t1 = std::time::Instant::now();
-                let with_shim =
-                    generate_stateless(&model, &pipe.tokenizer, problem, method, &cfg, &cost);
-                stateless_secs += t1.elapsed().as_secs_f64();
-                assert_eq!(
-                    with_session.output.tokens,
-                    with_shim.output.tokens,
-                    "session vs stateless divergence ({} on {})",
-                    method.name(),
-                    problem.id
-                );
-                tokens += with_session.output.tokens.len();
-            }
-            SessionBenchRow {
-                method: method.name(),
-                tokens,
-                session_secs,
-                stateless_secs,
-                session_tps: tokens as f64 / session_secs.max(1e-12),
-                stateless_tps: tokens as f64 / stateless_secs.max(1e-12),
-                speedup: stateless_secs / session_secs.max(1e-12),
-                real_vs_ntp: 0.0,
-            }
-        })
-        .collect();
-    let ntp_tps = rows
-        .iter()
-        .find(|r| r.method == TrainMethod::Ntp.name())
-        .map_or(f64::NAN, |r| r.session_tps);
-    for r in &mut rows {
-        r.real_vs_ntp = r.session_tps / ntp_tps;
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------
-// Served mode — continuous-batching throughput (BENCH_serve.json)
-// ---------------------------------------------------------------------
-
-/// One row of the serving-throughput sweep: the same mixed request set
-/// served at one concurrency level vs. the serial one-request-at-a-time
-/// baseline. Real wall-clock seconds, equal outputs asserted.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServeBenchRow {
-    /// Session-pool size and per-tick batch limit of the served run.
-    pub concurrency: usize,
-    /// Requests in the workload.
-    pub requests: usize,
-    /// Total generated tokens (identical on every path by construction).
-    pub tokens: usize,
-    /// Wall-clock seconds running each request alone, back to back.
-    pub serial_secs: f64,
-    /// Wall-clock seconds of the continuous-batching engine.
-    pub serve_secs: f64,
-    /// Wall-clock seconds of the `std::thread::scope` worker pool.
-    pub threaded_secs: f64,
-    /// Serial tokens/second.
-    pub serial_tps: f64,
-    /// Served tokens/second (single engine, fused batches).
-    pub serve_tps: f64,
-    /// Worker-pool tokens/second.
-    pub threaded_tps: f64,
-    /// `serve_tps / serial_tps`.
-    pub speedup: f64,
-    /// `threaded_tps / serial_tps`.
-    pub threaded_speedup: f64,
-    /// Worker threads in the pooled run.
-    pub workers: usize,
-    /// Candidate-tree nodes scored through fused cross-request passes.
-    pub fused_verify_nodes: usize,
-}
-
-/// Builds the serving workload: a mixed request set over the speed
-/// prompts — short comb modules and long seq modules, engines cycling
-/// over the full per-request menu (syntax-aligned tree/chain, MEDUSA
-/// tree/chain, NTP, draft-verify), greedy and sampled.
-fn serve_workload(
-    pipe: &Pipeline,
-    enc: &crate::pipeline::SharedPrefixEncoder<'_>,
-    count: usize,
-) -> Vec<verispec_serve::Request> {
-    use verispec_serve::{EngineChoice, Request};
-    let engines = [
-        EngineChoice::SyntaxAligned {
-            tree: Some(vec![2, 2, 1]),
-        },
-        EngineChoice::MedusaChain,
-        EngineChoice::SyntaxAligned { tree: None },
-        EngineChoice::MedusaTree(vec![3, 2]),
-        EngineChoice::Ntp,
-        EngineChoice::DraftVerify { gamma: 4 },
-    ];
-    let prompts = speed_prompts(count, 0x5EB7E);
-    prompts
-        .iter()
-        .enumerate()
-        .map(|(i, problem)| {
-            let prompt = enc.encode(&problem.prompt_tagged());
-            let cfg = DecodeConfig {
-                max_tokens: token_budget(&pipe.tokenizer, problem, TrainMethod::Ours),
-                sampling: if i % 2 == 0 {
-                    Sampling::Greedy
-                } else {
-                    Sampling::Temperature {
-                        temperature: 0.8,
-                        top_k: 0,
-                    }
-                },
-                seed: sample_seed(&problem.id, i, 47),
-                ..Default::default()
-            };
-            Request::new(i as u64, prompt, engines[i % engines.len()].clone(), cfg)
-        })
-        .collect()
-}
-
-/// Measures continuous-batching serving throughput against the serial
-/// single-session baseline at each concurrency level, asserting every
-/// request's served output token-for-token equal to the serial path.
-///
-/// The served runs admit each request by forking one ingested shared
-/// Alpaca-preamble session ([`crate::pipeline::SharedPrefixEncoder`] +
-/// [`verispec_lm::DecodeSession::fork`]) instead of re-ingesting the
-/// preamble per request.
-///
-/// # Panics
-///
-/// Panics if any served output diverges from the serial engine's — the
-/// serving layer is a performance mechanism, never a semantic one.
-pub fn run_serve_bench(
-    scale: &Scale,
-    pipe: &Pipeline,
-    model_scale: ModelScale,
-    concurrencies: &[usize],
-) -> Vec<ServeBenchRow> {
-    use verispec_lm::LanguageModel;
-    use verispec_serve::{Backend, Drive, FleetRuntime, RoutePolicy, ServeConfig, ServeEngine};
-
-    let model = pipe.model_for(model_scale, TrainMethod::Ours, (1, 1));
-    let cost = model_scale.cost_model();
-    // N-gram draft for the draft-verify requests, trained on the tagged
-    // training sequences.
-    let mut draft = verispec_lm::NgramLm::new(3, pipe.tokenizer.vocab_size());
-    for seq in pipe.tagged_sequences.iter().take(48) {
-        draft.train_sequence(seq);
-    }
-    let enc = crate::pipeline::SharedPrefixEncoder::new(&pipe.tokenizer);
-    let requests = serve_workload(pipe, &enc, scale.speed_prompt_count.max(1));
-
-    // Machine speed drifts over a run (shared cores, frequency
-    // scaling), so measuring the serial baseline once up front would
-    // bias whichever path runs later. Instead every concurrency row
-    // measures its three paths **interleaved**, `REPEATS` rounds of
-    // serial → served → pooled, keeping each path's fastest wall clock
-    // (the min is the least noise-contaminated sample). Outputs are
-    // asserted equal on every repetition.
-    const REPEATS: usize = 3;
-
-    // Serial baseline: each request alone through the public engines.
-    let run_serial = || -> Vec<Vec<verispec_lm::TokenId>> {
-        requests
-            .iter()
-            .map(|req| {
-                use verispec_serve::EngineChoice;
-                match &req.engine {
-                    EngineChoice::Ntp => {
-                        verispec_core::decode_ntp(
-                            &model,
-                            &req.prompt,
-                            &req.engine.decode_config(&req.cfg),
-                            &cost,
-                        )
-                        .tokens
-                    }
-                    EngineChoice::DraftVerify { .. } => {
-                        let dcfg = req.engine.draft_config(&req.cfg).expect("draft engine");
-                        verispec_core::decode_draft_speculative(
-                            &model,
-                            &draft,
-                            &req.prompt,
-                            &dcfg,
-                            &cost,
-                        )
-                        .0
-                        .tokens
-                    }
-                    _ => {
-                        verispec_core::decode_speculative(
-                            &model,
-                            &req.prompt,
-                            &req.engine.decode_config(&req.cfg),
-                            &cost,
-                        )
-                        .tokens
-                    }
-                }
-            })
-            .collect()
-    };
-    let serial = run_serial();
-    let tokens: usize = serial.iter().map(Vec::len).sum();
-
-    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-    concurrencies
-        .iter()
-        .map(|&c| {
-            let serve_cfg = ServeConfig::concurrency(c);
-            let workers = c.min(avail).max(1);
-            let mut serial_secs = f64::INFINITY;
-            let mut serve_secs = f64::INFINITY;
-            let mut threaded_secs = f64::INFINITY;
-            let mut fused_verify_nodes = 0usize;
-            for _ in 0..REPEATS {
-                // Serial baseline round.
-                let t0 = std::time::Instant::now();
-                let again = run_serial();
-                serial_secs = serial_secs.min(t0.elapsed().as_secs_f64());
-                assert_eq!(again, serial, "serial decode must be deterministic");
-
-                // Single-engine continuous batching, prefix-forked
-                // admission. The request clones are harness overhead
-                // (prepared untimed), but engine construction, prefix
-                // ingestion, forking, and submission are real serving
-                // work and stay inside the timer — the serial timer
-                // likewise pays per-request session setup inside the
-                // decode calls.
-                let cloned: Vec<verispec_serve::Request> = requests.clone();
-                let t1 = std::time::Instant::now();
-                let mut prefix_session = model.session();
-                prefix_session.append(&enc.preamble_ids);
-                let mut engine = ServeEngine::new(&model, serve_cfg.clone()).with_draft(&draft);
-                for req in cloned {
-                    match prefix_session.fork() {
-                        Some(fork) if req.prompt.starts_with(prefix_session.tokens()) => {
-                            engine.submit_with_session(req, fork)
-                        }
-                        _ => engine.submit(req),
-                    }
-                }
-                let report = engine.run(&cost);
-                serve_secs = serve_secs.min(t1.elapsed().as_secs_f64());
-                fused_verify_nodes = report.stats.fused_verify_nodes;
-                assert_eq!(
-                    report.completions.len(),
-                    requests.len(),
-                    "served run lost requests (concurrency {c})"
-                );
-                for (completion, want) in report.completions.iter().zip(&serial) {
-                    assert_eq!(
-                        &completion.output.tokens, want,
-                        "served output diverged from serial (request {}, concurrency {c})",
-                        completion.id
-                    );
-                }
-
-                // Worker-pool round: one engine per worker, shared
-                // model (request clones again prepared untimed).
-                let cloned: Vec<verispec_serve::Request> = requests.clone();
-                let t2 = std::time::Instant::now();
-                let pooled = FleetRuntime::new(
-                    &model,
-                    ServeConfig::concurrency(c.div_ceil(workers)),
-                    workers,
-                    RoutePolicy::RoundRobin,
-                    Backend::Threaded,
-                )
-                .with_draft(&draft)
-                .run(Drive::Batch(cloned), &cost)
-                .report;
-                threaded_secs = threaded_secs.min(t2.elapsed().as_secs_f64());
-                assert_eq!(
-                    pooled.completions.len(),
-                    requests.len(),
-                    "pooled run lost requests (concurrency {c})"
-                );
-                for (completion, want) in pooled.completions.iter().zip(&serial) {
-                    assert_eq!(
-                        &completion.output.tokens, want,
-                        "pooled output diverged from serial (request {}, concurrency {c})",
-                        completion.id
-                    );
-                }
-            }
-
-            let serial_tps = tokens as f64 / serial_secs.max(1e-12);
-            let serve_tps = tokens as f64 / serve_secs.max(1e-12);
-            let threaded_tps = tokens as f64 / threaded_secs.max(1e-12);
-            ServeBenchRow {
-                concurrency: c,
-                requests: requests.len(),
-                tokens,
-                serial_secs,
-                serve_secs,
-                threaded_secs,
-                serial_tps,
-                serve_tps,
-                threaded_tps,
-                speedup: serve_tps / serial_tps.max(1e-12),
-                threaded_speedup: threaded_tps / serial_tps.max(1e-12),
-                workers,
-                fused_verify_nodes,
-            }
-        })
-        .collect()
-}
-
-/// Renders the serving-throughput sweep as a table.
-pub fn render_serve_bench(rows: &[ServeBenchRow]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "Serve throughput: continuous batching vs serial single-session (equal outputs)\n",
-    );
-    out.push_str(
-        "conc  reqs  tokens  serial tok/s  served tok/s  speedup  pooled tok/s  speedup  workers\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>4} {:>5} {:>7}  {:>12.0}  {:>12.0}  {:>6.2}x  {:>12.0}  {:>6.2}x  {:>7}\n",
-            r.concurrency,
-            r.requests,
-            r.tokens,
-            r.serial_tps,
-            r.serve_tps,
-            r.speedup,
-            r.threaded_tps,
-            r.threaded_speedup,
-            r.workers
-        ));
-    }
-    out
-}
-
-/// Renders the session-reuse comparison as a table.
-pub fn render_session_bench(rows: &[SessionBenchRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Decode wall-clock: cached session vs stateless shim\n");
-    out.push_str("method   tokens   session tok/s   stateless tok/s   speedup   vs NTP\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{:<8} {:>6}  {:>13.0}  {:>16.0}  {:>7.2}x  {:>6.2}x\n",
-            r.method, r.tokens, r.session_tps, r.stateless_tps, r.speedup, r.real_vs_ntp
-        ));
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -999,27 +589,6 @@ mod tests {
             (ours.fragment_complete_ratio - 1.0).abs() < 1e-9,
             "Ours multi-token steps must end on fragment boundaries"
         );
-    }
-
-    #[test]
-    fn serve_bench_verifies_parity_and_reports_throughput() {
-        let scale = micro_scale();
-        let pipe = Pipeline::build(scale.pipeline);
-        // run_serve_bench panics on any served/serial divergence, so a
-        // clean return is itself the parity assertion.
-        let rows = run_serve_bench(&scale, &pipe, ModelScale::Small, &[1, 2]);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert_eq!(r.requests, 2);
-            assert!(r.tokens > 0);
-            assert!(r.serial_tps > 0.0 && r.serve_tps > 0.0 && r.threaded_tps > 0.0);
-        }
-        assert!(
-            rows[1].fused_verify_nodes > 0,
-            "fusion ran at concurrency 2"
-        );
-        let rendered = render_serve_bench(&rows);
-        assert!(rendered.contains("speedup"));
     }
 
     #[test]

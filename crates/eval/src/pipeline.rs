@@ -278,7 +278,7 @@ fn store_cached(key: &str, model: &MlpLm) {
 ///
 /// Served runs pair this with [`verispec_lm::DecodeSession::fork`]:
 /// one session ingests `preamble_ids` once and each request forks it,
-/// appending only its remainder (see `run_serve_bench`).
+/// appending only its remainder.
 pub struct SharedPrefixEncoder<'t> {
     tokenizer: &'t BpeTokenizer,
     preamble: &'static str,
@@ -345,30 +345,13 @@ pub fn generate(
     decode_cfg: &DecodeConfig,
     cost: &GpuCostModel,
 ) -> Generation {
-    generate_on(model, tokenizer, problem, method, decode_cfg, cost)
-}
-
-/// Like [`generate`], but forces the stateless migration shim
-/// ([`verispec_lm::Stateless`]): every query recomputes from the full
-/// prefix, as the pre-session engines did. Equal outputs to
-/// [`generate`] by construction — this is the baseline side of the
-/// `session_reuse` bench and of `BENCH_decode.json`.
-pub fn generate_stateless(
-    model: &MlpLm,
-    tokenizer: &BpeTokenizer,
-    problem: &Problem,
-    method: TrainMethod,
-    decode_cfg: &DecodeConfig,
-    cost: &GpuCostModel,
-) -> Generation {
-    generate_on(
-        &verispec_lm::Stateless(model),
-        tokenizer,
-        problem,
-        method,
-        decode_cfg,
-        cost,
-    )
+    let prompt_text = match method {
+        TrainMethod::Ours => problem.prompt_tagged(),
+        _ => problem.prompt_plain(),
+    };
+    let prompt = tokenizer.encode(&prompt_text);
+    let output = decode_method_of(method).decode(model, &prompt, decode_cfg, cost);
+    clean(tokenizer, output)
 }
 
 /// Like [`generate`], but decoding through the grammar-constrained
@@ -389,24 +372,6 @@ pub fn generate_grammar(
 ) -> Generation {
     let prompt = tokenizer.encode(&problem.prompt_tagged());
     let output = decode_grammar_speculative(model, oracle, &prompt, decode_cfg, cost);
-    clean(tokenizer, output)
-}
-
-/// Shared generation body over any [`LanguageModel`].
-fn generate_on(
-    model: &dyn verispec_lm::LanguageModel,
-    tokenizer: &BpeTokenizer,
-    problem: &Problem,
-    method: TrainMethod,
-    decode_cfg: &DecodeConfig,
-    cost: &GpuCostModel,
-) -> Generation {
-    let prompt_text = match method {
-        TrainMethod::Ours => problem.prompt_tagged(),
-        _ => problem.prompt_plain(),
-    };
-    let prompt = tokenizer.encode(&prompt_text);
-    let output = decode_method_of(method).decode(model, &prompt, decode_cfg, cost);
     clean(tokenizer, output)
 }
 
@@ -504,42 +469,6 @@ mod tests {
         );
         assert!(g.output.tokens.len() <= 48);
         assert!(!g.code.contains("[FRAG]"));
-    }
-
-    #[test]
-    fn stateless_shim_generation_is_identical() {
-        let p = tiny_pipeline();
-        let model = p.model_for(ModelScale::Small, TrainMethod::Medusa, (1, 2));
-        let bench = rtllm_sim();
-        let cost = ModelScale::Small.cost_model();
-        for (seed, problem) in bench.problems.iter().take(2).enumerate() {
-            let cfg = DecodeConfig {
-                max_tokens: 40,
-                seed: seed as u64,
-                ..Default::default()
-            };
-            let a = generate(
-                &model,
-                &p.tokenizer,
-                problem,
-                TrainMethod::Medusa,
-                &cfg,
-                &cost,
-            );
-            let b = generate_stateless(
-                &model,
-                &p.tokenizer,
-                problem,
-                TrainMethod::Medusa,
-                &cfg,
-                &cost,
-            );
-            assert_eq!(
-                a.output.tokens, b.output.tokens,
-                "session vs shim divergence"
-            );
-            assert_eq!(a.code, b.code);
-        }
     }
 
     #[test]

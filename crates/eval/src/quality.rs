@@ -18,9 +18,9 @@
 //!
 //! All three speculative engines run the same [`QUALITY_TREE`] widths,
 //! so the grammar row differs from the unconstrained `Ours-tree` row
-//! only by the propose-time grammar layer — the comparison the
-//! `bench_guard` gate pins (`Grammar-tree` acceptance strictly above
-//! `Ours-tree`, parse/elaborate rates no worse).
+//! only by the propose-time grammar layer — the comparison
+//! [`quality_gate_violations`] pins (`Grammar-tree` acceptance strictly
+//! above `Ours-tree`, parse/elaborate rates no worse).
 
 use crate::benchmarks::{rtllm_sim, vgen_sim, Problem};
 use crate::experiments::{parallel_map, sample_seed, Scale};
@@ -242,6 +242,87 @@ pub fn run_quality_gate(
         .collect()
 }
 
+/// What the gate's rows must show before they are recorded: every
+/// violated gate as `name: detail`, empty when `BENCH_quality.json`
+/// may be written.
+///
+/// * `engine-missing` — all four engines are present, named here
+///   independently of the list the runner maps over;
+/// * `rate-range` / `stage-monotone` — every rate lies in [0, 1] over
+///   a non-empty sample set, and parse >= elaborate >= sim-pass (a
+///   later stage cannot pass what an earlier one rejected);
+/// * `ntp-speculates` — the NTP row never speculates;
+/// * `grammar-acceptance` / `grammar-quality` — the headline
+///   comparison: `Grammar-tree` is `Ours-tree` plus the propose-time
+///   grammar layer (same trained model, same prompts, same candidate
+///   budget), so its realized acceptance must be strictly above the
+///   unconstrained tree's, at parse and elaborate rates no worse.
+pub fn quality_gate_violations(rows: &[QualityGateRow]) -> Vec<String> {
+    let mut violations = Vec::new();
+    let mut gate = |ok: bool, name: &str, detail: String| {
+        if !ok {
+            violations.push(format!("{name}: {detail}"));
+        }
+    };
+    for r in rows {
+        let rates = [
+            r.parse_rate,
+            r.elaborate_rate,
+            r.sim_pass_rate,
+            r.realized_acceptance,
+        ];
+        gate(
+            r.samples > 0 && rates.iter().all(|v| (0.0..=1.0).contains(v)),
+            "rate-range",
+            format!(
+                "{}: {} sample(s), rates {rates:?} not all in [0, 1]",
+                r.engine, r.samples
+            ),
+        );
+        gate(
+            r.parse_rate >= r.elaborate_rate && r.elaborate_rate >= r.sim_pass_rate,
+            "stage-monotone",
+            format!(
+                "{}: parse {} / elaborate {} / sim {}",
+                r.engine, r.parse_rate, r.elaborate_rate, r.sim_pass_rate
+            ),
+        );
+    }
+    let engine = |name: &str| rows.iter().find(|r| r.engine == name);
+    for name in ["NTP", "Medusa-tree", "Ours-tree", "Grammar-tree"] {
+        gate(engine(name).is_some(), "engine-missing", name.to_string());
+    }
+    if let Some(ntp) = engine("NTP") {
+        gate(
+            ntp.speculated_tokens == 0 && ntp.realized_acceptance == 0.0,
+            "ntp-speculates",
+            format!(
+                "{} tokens, acceptance {}",
+                ntp.speculated_tokens, ntp.realized_acceptance
+            ),
+        );
+    }
+    if let Some((grammar, ours)) = engine("Grammar-tree").zip(engine("Ours-tree")) {
+        gate(
+            grammar.realized_acceptance > ours.realized_acceptance,
+            "grammar-acceptance",
+            format!(
+                "Grammar-tree {} not strictly above Ours-tree {}",
+                grammar.realized_acceptance, ours.realized_acceptance
+            ),
+        );
+        gate(
+            grammar.parse_rate >= ours.parse_rate && grammar.elaborate_rate >= ours.elaborate_rate,
+            "grammar-quality",
+            format!(
+                "Grammar-tree parse {} / elaborate {} below Ours-tree {} / {}",
+                grammar.parse_rate, grammar.elaborate_rate, ours.parse_rate, ours.elaborate_rate
+            ),
+        );
+    }
+    violations
+}
+
 /// Renders the gate as a plain-text table.
 pub fn render_quality_gate(rows: &[QualityGateRow]) -> String {
     let mut out = String::new();
@@ -307,5 +388,67 @@ mod tests {
         let p = &bench.problems[0];
         let out = stage_judge("assign y = (a &", p, 7);
         assert!(!out.elaborated && !out.passed);
+    }
+
+    /// A hand-built gate that passes: NTP speculates nothing, and the
+    /// grammar row sits above the unconstrained tree on acceptance.
+    fn clean_gate() -> Vec<QualityGateRow> {
+        [
+            ("NTP", 0, 0.0),
+            ("Medusa-tree", 600, 0.25),
+            ("Ours-tree", 600, 0.25),
+            ("Grammar-tree", 400, 0.5),
+        ]
+        .into_iter()
+        .map(|(engine, speculated, acceptance)| QualityGateRow {
+            engine: engine.to_string(),
+            samples: 8,
+            parse_rate: 0.5,
+            elaborate_rate: 0.25,
+            sim_pass_rate: 0.125,
+            speculated_tokens: speculated,
+            accepted_spec_tokens: (speculated as f64 * acceptance) as usize,
+            realized_acceptance: acceptance,
+        })
+        .collect()
+    }
+
+    /// The instrument's controls: a clean gate reports nothing, and
+    /// breaking one row at a time reports exactly that gate.
+    #[test]
+    fn quality_gates_name_exactly_the_broken_row() {
+        assert_eq!(quality_gate_violations(&clean_gate()), Vec::<String>::new());
+
+        type Break = fn(&mut Vec<QualityGateRow>);
+        let cases: [(&str, &str, Break); 6] = [
+            ("grammar-acceptance", "not strictly above", |rows| {
+                rows[3].realized_acceptance = rows[2].realized_acceptance
+            }),
+            ("grammar-quality", "below Ours-tree", |rows| {
+                rows[2].parse_rate = 0.75
+            }),
+            ("stage-monotone", "Medusa-tree", |rows| {
+                rows[1].sim_pass_rate = 0.375
+            }),
+            ("rate-range", "Medusa-tree", |rows| {
+                rows[1].realized_acceptance = 1.5
+            }),
+            ("ntp-speculates", "3 tokens", |rows| {
+                rows[0].speculated_tokens = 3
+            }),
+            ("engine-missing", "Medusa-tree", |rows| {
+                rows.remove(1);
+            }),
+        ];
+        for (gate, detail, break_it) in cases {
+            let mut rows = clean_gate();
+            break_it(&mut rows);
+            let got = quality_gate_violations(&rows);
+            assert_eq!(got.len(), 1, "{gate} / {detail}: {got:?}");
+            assert!(
+                got[0].starts_with(&format!("{gate}: ")) && got[0].contains(detail),
+                "{gate} / {detail}: {got:?}"
+            );
+        }
     }
 }

@@ -88,8 +88,8 @@
 //! * [`StatelessSession`] — the migration shim: a fresh-compute session
 //!   over any [`LanguageModel`], used as the default
 //!   `LanguageModel::session()` so external model implementations keep
-//!   working unchanged (and as the baseline in the `session_reuse`
-//!   bench).
+//!   working unchanged (and, via [`Stateless`], as the reference the
+//!   parity property tests compare cached sessions against).
 
 use crate::arena::{ArenaRows, LogitsArena};
 use crate::mlp::{MlpLm, TokenId};
@@ -876,8 +876,8 @@ pub trait SnapshotSession<'m>: DecodeSession {
 /// This is the default [`LanguageModel::session`] implementation, so
 /// model types that only provide the stateless `logits` keep working
 /// with the session-driven engines. It is deliberately cache-free: the
-/// `session_reuse` bench uses it (via [`Stateless`]) as the
-/// "fresh forward per query" baseline.
+/// parity property tests use it (via [`Stateless`]) as the
+/// "fresh forward per query" reference.
 pub struct StatelessSession<'a, M: LanguageModel + ?Sized> {
     model: &'a M,
     tokens: Vec<TokenId>,
@@ -936,8 +936,9 @@ impl<'m, M: LanguageModel + ?Sized> SnapshotSession<'m> for StatelessSession<'m,
 }
 
 /// Wrapper that forces the stateless default session on a model that
-/// has a native one — the baseline side of cached-vs-stateless
-/// comparisons (`session_reuse` bench, parity property tests).
+/// has a native one — the reference side of cached-vs-stateless
+/// comparisons (`tests/proptest_session.rs`, the frontier oracles in
+/// `verispec-core`).
 pub struct Stateless<M>(pub M);
 
 impl<M: LanguageModel> LanguageModel for Stateless<M> {

@@ -4,19 +4,18 @@
 //!
 //! # Why open-loop
 //!
-//! `verispec-serve`'s throughput sweep (`BENCH_serve.json`) answers
-//! "how fast does the engine chew through a fixed batch?" — a
-//! *closed-loop* question: new work only appears when old work
-//! finishes. Production traffic is *open-loop*: arrivals come from
-//! independent users on their own clock, keep coming while the server
-//! is busy, and the number that matters is **per-request latency at a
-//! given offered load** — especially the tail (p99), where queueing
-//! turns small throughput differences into large waiting times. The
-//! "Speculative Decoding: Performance or Illusion?" question from
-//! PAPERS.md is exactly this: single-stream speedups can evaporate (or
-//! compound) once requests compete, so the paper's Table II speed
-//! claims should be re-measured as TTFT/p99 at equal offered load —
-//! which is what `BENCH_load.json` reports.
+//! A throughput sweep answers "how fast does the engine chew through
+//! a fixed batch?" — a *closed-loop* question: new work only appears
+//! when old work finishes. Production traffic is *open-loop*: arrivals
+//! come from independent users on their own clock, keep coming while
+//! the server is busy, and the number that matters is **per-request
+//! latency at a given offered load** — especially the tail (p99),
+//! where queueing turns small throughput differences into large
+//! waiting times. The "Speculative Decoding: Performance or Illusion?"
+//! question from PAPERS.md is exactly this: single-stream speedups can
+//! evaporate (or compound) once requests compete, so the paper's
+//! Table II speed claims should be re-measured as TTFT/p99 at equal
+//! offered load — which is what `BENCH_load.json` reports.
 //!
 //! # The serving stack
 //!
@@ -67,9 +66,8 @@
 //!                      └─ Backend::Threaded ── true parallel runtime
 //!                          (thread per worker, barrier-free drain)
 //!                          — tick-for-tick identical reports (faults
-//!                          included), so the bench records both wall
-//!                          clocks side by side (threaded_wall_secs
-//!                          column) with a per-cell parity assertion
+//!                          included), asserted per cell and recorded
+//!                          as the threaded_parity column
 //!                                                  │
 //!   LatencyReport ◄──────────── Completion{output, step_ticks, secs,
 //!   queueing/TTFT/gaps/e2e,                deadline, proposed/accepted}
@@ -106,15 +104,15 @@
 //!   through a configured [`verispec_serve::FleetRuntime`]'s paced
 //!   drive and collects [`LatencyReport`]: per-request queueing delay,
 //!   TTFT, per-token inter-commit gaps, and end-to-end latency in
-//!   ticks and wall-clock, aggregated into exact-quantile p50/p90/p99
-//!   summaries ([`QuantileSummary`], grouped as [`LatencyQuantiles`])
+//!   ticks, aggregated into exact-quantile p50/p90/p99 summaries
+//!   ([`QuantileSummary`], grouped as [`LatencyQuantiles`])
 //!   plus per-engine breakdowns. The fleet spec decides everything
 //!   else: one worker or many, the backend
 //!   ([`verispec_serve::Backend::Lockstep`] oracle or
 //!   [`verispec_serve::Backend::Threaded`] thread-per-worker runtime —
-//!   proptest-pinned bit-identical in tick space, so the backend only
-//!   changes the wall clock), prefix cache and warm stems, speculation
-//!   policy, and an optional [`verispec_serve::FaultPlan`]
+//!   proptest-pinned bit-identical in tick space, so the backend
+//!   changes nothing a report holds), prefix cache and warm stems,
+//!   speculation policy, and an optional [`verispec_serve::FaultPlan`]
 //!   (deterministic worker crash/restart schedules plus per-tenant
 //!   weighted-fair shares). The realized routing joins back into a
 //!   per-worker telemetry breakdown (each worker's [`SloSummary`]
@@ -122,15 +120,14 @@
 //!   it happened), and fault-injected cells grow recovery columns in
 //!   `BENCH_load.json`: `worker_crashes` / `migrations` /
 //!   `replay_tokens` / `recovery_ttft_p99` (exact p99 TTFT over the
-//!   migrated or backpressure-deferred completions);
-//!   `threaded_wall_secs` / `threaded_parity` record the two backends'
-//!   wall clocks side by side.
+//!   migrated or backpressure-deferred completions); `threaded_parity`
+//!   records that the threaded backend reproduced the cell exactly.
 //! * [`LoadBenchRow`] — one cell of the serve-aware Table II
 //!   (single-engine, policy-A/B, and dispatch-sweep rows alike),
 //!   including event-derived acceptance columns
 //!   (`event_proposed_tokens` / `event_accepted_tokens` /
 //!   `event_accept_violations`) folded from the run's `Finished`
-//!   events — the bench guard cross-checks them against the
+//!   events — the sweep's gates cross-check them against the
 //!   per-request `accepted <= proposed` invariant.
 //! * **Event capture** — the driver runs its fleet with tracing on, so
 //!   every [`LoadRunReport`] carries the run's full deterministic

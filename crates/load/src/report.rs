@@ -5,8 +5,8 @@
 //! request sequence through a configured
 //! [`verispec_serve::FleetRuntime`]'s paced drive — each request is
 //! routed exactly when its arrival tick falls due — and returns the
-//! fleet report together with the aggregated latency telemetry, the
-//! measured wall clock and the event stream. Everything about the run
+//! fleet report together with the aggregated latency telemetry and the
+//! event stream. Everything about the run
 //! is the caller's fleet spec: worker count and routing (a single
 //! engine is the one-worker fleet), backend (lockstep oracle or
 //! threaded runtime), prefix cache and warm stems, speculation policy,
@@ -31,8 +31,6 @@ pub struct LoadRunReport {
     pub report: DispatchReport,
     /// Aggregated latency telemetry, per-worker breakdown included.
     pub latency: LatencyReport,
-    /// Measured wall-clock seconds of the whole run.
-    pub wall_secs: f64,
     /// The fleet's full structured event stream in canonical fleet
     /// order (routing and fault lifecycle first, then per-worker
     /// lifecycles by worker id) — deterministic in tick space, and the
@@ -45,18 +43,16 @@ pub struct LoadRunReport {
 /// load-aware routing sees live queue depths and the whole run stays
 /// deterministic) with tracing on, then joins the merged completions
 /// with the realized routing into a dispatcher-aware [`LatencyReport`].
-/// The backend the fleet was built with only changes the wall-clock
-/// measurement: both produce bit-identical tick-space results (the
-/// proptest-pinned parity invariant).
+/// The backend the fleet was built with changes nothing here: both
+/// produce bit-identical tick-space results (the proptest-pinned parity
+/// invariant).
 pub fn run_fleet_open_loop(
     fleet: FleetRuntime<'_>,
     requests: Vec<Request>,
     cost: &GpuCostModel,
 ) -> LoadRunReport {
     let originals = requests.clone();
-    let t0 = std::time::Instant::now();
     let run = fleet.with_tracing().run(Drive::Paced(requests), cost);
-    let wall_secs = t0.elapsed().as_secs_f64();
     let report = run.report;
     let latency =
         LatencyReport::with_assignments(&originals, &report.completions, &report.assignments)
@@ -64,7 +60,6 @@ pub fn run_fleet_open_loop(
     LoadRunReport {
         report,
         latency,
-        wall_secs,
         events: run.events,
     }
 }
@@ -102,8 +97,7 @@ pub struct LoadBenchRow {
     /// single-engine rows; every completion == serial decode for
     /// dispatched rows) passed before the row was recorded. Rows are
     /// only constructed after the assertion, so this is always `true`
-    /// in an honestly produced artifact — the bench guard trips if it
-    /// is ever not.
+    /// in an honestly produced artifact.
     pub parity: bool,
     /// Requests served.
     pub requests: usize,
@@ -113,14 +107,12 @@ pub struct LoadBenchRow {
     pub ticks: u64,
     /// Idle ticks the engine fast-forwarded over.
     pub idle_ticks_skipped: u64,
-    /// Measured wall-clock seconds of the run.
-    pub wall_secs: f64,
     /// Tokens committed per worked tick (service rate).
     pub tokens_per_tick: f64,
     /// Mean tokens per decoding step (speculation effectiveness under
     /// load).
     pub tokens_per_step: f64,
-    /// The six latency distributions ([`LatencyQuantiles`] — shared
+    /// The four latency distributions ([`LatencyQuantiles`] — shared
     /// with the telemetry summaries instead of copied field by field).
     pub quantiles: LatencyQuantiles,
     /// Idle prefix forks evicted by the session cap.
@@ -167,7 +159,7 @@ pub struct LoadBenchRow {
     pub peak_resident_nodes: usize,
     /// Candidate tokens proposed, summed from the event stream's
     /// per-request `Finished` events (must agree with the counter-based
-    /// acceptance telemetry — the bench guard cross-checks).
+    /// acceptance telemetry).
     #[serde(default)]
     pub event_proposed_tokens: usize,
     /// Candidate tokens accepted, summed from the same `Finished`
@@ -176,22 +168,17 @@ pub struct LoadBenchRow {
     pub event_accepted_tokens: usize,
     /// Requests whose `Finished` event violated the per-request
     /// `accepted <= proposed` invariant. Always 0 in an honestly
-    /// produced artifact; the bench guard trips otherwise.
+    /// produced artifact; the sweep's gates refuse to write one
+    /// otherwise.
     #[serde(default)]
     pub event_accept_violations: usize,
-    /// Measured wall-clock seconds of the same cell served on
-    /// [`verispec_serve::Backend::Threaded`], recorded
-    /// next to the lockstep `wall_secs` so tick-space and wall-time
-    /// columns sit side by side. `None` for cells the threaded sweep
-    /// does not cover (single-engine and trace-replay rows).
-    #[serde(default)]
-    pub threaded_wall_secs: Option<f64>,
-    /// Whether the threaded run reproduced the lockstep run exactly —
-    /// schedule ([`DispatchReport::same_schedule`]) and canonical event
-    /// stream both. Like `parity`, rows are only recorded after the
-    /// assertion, so an honest artifact always says `Some(true)`; the
-    /// bench guard trips otherwise. `None` where `threaded_wall_secs`
-    /// is `None`.
+    /// Whether the same cell served on
+    /// [`verispec_serve::Backend::Threaded`] reproduced the lockstep
+    /// run exactly — schedule ([`DispatchReport::same_schedule`]) and
+    /// canonical event stream both. Like `parity`, rows are only
+    /// recorded after the assertion, so an honest artifact always says
+    /// `Some(true)`. `None` for cells the threaded sweep does not cover
+    /// (single-engine and trace-replay rows).
     #[serde(default)]
     pub threaded_parity: Option<bool>,
     /// Worker crashes the run's [`verispec_serve::FaultPlan`] fired (0
@@ -255,7 +242,6 @@ impl LoadBenchRow {
             tokens,
             ticks: stats.ticks,
             idle_ticks_skipped: stats.idle_ticks_skipped,
-            wall_secs: run.wall_secs,
             tokens_per_tick: tokens as f64 / (stats.ticks.max(1)) as f64,
             tokens_per_step: tokens as f64 / steps.max(1) as f64,
             quantiles: run.latency.overall.quantiles,
@@ -277,7 +263,6 @@ impl LoadBenchRow {
             event_proposed_tokens,
             event_accepted_tokens,
             event_accept_violations,
-            threaded_wall_secs: None,
             threaded_parity: None,
             worker_crashes: stats.crashes,
             migrations: stats.migrations,
@@ -286,12 +271,10 @@ impl LoadBenchRow {
         }
     }
 
-    /// Attaches the threaded-runtime measurement to a dispatched row:
-    /// the threaded run's wall clock and whether it reproduced the
-    /// lockstep run exactly (callers assert parity *before* recording,
-    /// so an honest artifact always passes `true`).
-    pub fn with_threaded(mut self, wall_secs: f64, parity: bool) -> Self {
-        self.threaded_wall_secs = Some(wall_secs);
+    /// Records on a dispatched row whether the threaded runtime
+    /// reproduced the lockstep run exactly (callers assert parity
+    /// *before* recording, so an honest artifact always passes `true`).
+    pub fn with_threaded(mut self, parity: bool) -> Self {
         self.threaded_parity = Some(parity);
         self
     }

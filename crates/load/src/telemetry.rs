@@ -1,17 +1,18 @@
 //! Latency-percentile telemetry over a serving run.
 //!
 //! The serving engine stamps every [`Completion`] with its submission,
-//! admission, per-step commit ticks, and engine-relative wall-clock
-//! timestamps. This module turns those stamps into the latencies that
-//! matter at production load — per-request **queueing delay**,
-//! **TTFT** (time to first token), **per-token inter-commit gaps**,
-//! and **end-to-end latency**, in scheduler ticks and wall-clock
-//! seconds — and aggregates them into *exact* (nearest-rank, not
+//! admission and per-step commit ticks. This module turns those stamps
+//! into the latencies that matter at production load — per-request
+//! **queueing delay**, **TTFT** (time to first token), **per-token
+//! inter-commit gaps**, and **end-to-end latency**, in scheduler
+//! ticks — and aggregates them into *exact* (nearest-rank, not
 //! sketched) p50/p90/p99 summaries, overall and per engine.
 //!
 //! Tick latencies are deterministic (pure functions of the schedule),
-//! so they are the A/B axis of the serve-aware Table II; wall-clock
-//! latencies are measured from the real run and carry machine noise.
+//! so they are the A/B axis of the serve-aware Table II. Wall-clock
+//! latency is not this module's business: the completion's `*_secs`
+//! stamps are read by the benchmark (`benchmark/`), which repeats and
+//! corrects them.
 //!
 //! Beyond latency, the report carries the two signals the
 //! speculation-policy layer closes its loop on: **SLO attainment**
@@ -86,10 +87,6 @@ pub struct RequestLatency {
     pub max_gap_ticks: u64,
     /// Mean per-token inter-commit gap in ticks.
     pub mean_gap_ticks: f64,
-    /// Wall-clock seconds from first visibility to the first token.
-    pub ttft_secs: f64,
-    /// Wall-clock seconds from first visibility to completion.
-    pub e2e_secs: f64,
     /// The request's SLO deadline tick, if it carried one.
     pub deadline: Option<u64>,
     /// Whether it finished by its deadline (`None` without one).
@@ -124,8 +121,6 @@ impl RequestLatency {
             } else {
                 sum_gap as f64 / gaps.len() as f64
             },
-            ttft_secs: (c.first_token_secs.unwrap_or(c.finished_secs) - c.seen_secs).max(0.0),
-            e2e_secs: (c.finished_secs - c.seen_secs).max(0.0),
             deadline: c.deadline,
             met_deadline: c.met_deadline(),
             proposed_tokens: c.proposed_tokens,
@@ -196,11 +191,11 @@ pub fn per_token_gaps(c: &Completion) -> Vec<u64> {
     gaps
 }
 
-/// The six latency distributions every aggregation level reports —
+/// The four latency distributions every aggregation level reports —
 /// **the one place** quantile aggregation lives. [`LatencySummary`]
 /// (overall / per-engine / per-worker breakdowns) and
 /// `crate::report::LoadBenchRow` (the bench artifact) both embed this
-/// struct instead of re-listing and re-copying the six summaries.
+/// struct instead of re-listing and re-copying the four summaries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencyQuantiles {
     /// Queueing delay in ticks.
@@ -211,14 +206,10 @@ pub struct LatencyQuantiles {
     pub e2e_ticks: QuantileSummary,
     /// Per-token inter-commit gaps in ticks, pooled across requests.
     pub gap_ticks: QuantileSummary,
-    /// Time to first token in wall-clock seconds.
-    pub ttft_secs: QuantileSummary,
-    /// End-to-end latency in wall-clock seconds.
-    pub e2e_secs: QuantileSummary,
 }
 
 impl LatencyQuantiles {
-    /// Aggregates the six distributions over one request population
+    /// Aggregates the four distributions over one request population
     /// (`gaps` are the population's pooled per-token inter-commit
     /// gaps, see [`per_token_gaps`]).
     pub fn aggregate(lats: &[&RequestLatency], gaps: &[f64]) -> Self {
@@ -230,8 +221,6 @@ impl LatencyQuantiles {
             ttft_ticks: QuantileSummary::exact(&col(&|l| l.ttft_ticks as f64)),
             e2e_ticks: QuantileSummary::exact(&col(&|l| l.e2e_ticks as f64)),
             gap_ticks: QuantileSummary::exact(gaps),
-            ttft_secs: QuantileSummary::exact(&col(&|l| l.ttft_secs)),
-            e2e_secs: QuantileSummary::exact(&col(&|l| l.e2e_secs)),
         }
     }
 }
@@ -243,7 +232,7 @@ pub struct LatencySummary {
     pub requests: usize,
     /// Tokens generated across them.
     pub tokens: usize,
-    /// The six latency distributions ([`LatencyQuantiles`]).
+    /// The four latency distributions ([`LatencyQuantiles`]).
     pub quantiles: LatencyQuantiles,
     /// SLO attainment (completed requests only; the report-level
     /// summaries add shed/unserved requests to the denominator).

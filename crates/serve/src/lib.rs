@@ -1109,6 +1109,11 @@ mod tests {
                 let forwards: usize = serial.iter().map(|o| o.steps + o.tokens.len()).sum();
                 assert!(stats.fused_verify_nodes <= forwards, "{stats:?}");
             }
+            // Sampled or not, every step commits at least one token, so
+            // root plus accepted edges stays under two nodes a token;
+            // verifying whole candidate trees forwards 3.6.
+            let tokens: usize = serial.iter().map(|o| o.tokens.len()).sum();
+            assert!(stats.fused_verify_nodes <= 2 * tokens, "{stats:?}");
         }
     }
 
