@@ -1,54 +1,25 @@
 //! Ablation A1: the typical-acceptance criterion (Eq. 1). Sweeps ε and δ
-//! and benchmarks the acceptance computation itself, plus reports (via
-//! stderr once) the mean accepted-prefix length each setting yields on a
-//! trained model.
+//! and reports the mean accepted-prefix length each setting yields on a
+//! trained model. Tick space only: nothing is timed.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::sync::OnceLock;
 use verispec_core::accept::TypicalAcceptance;
 use verispec_core::{decode_speculative, DecodeConfig, TrainMethod};
 use verispec_eval::{rtllm_sim, ModelScale, Pipeline, PipelineConfig};
-use verispec_lm::matrix::softmax;
 use verispec_lm::Sampling;
 
-fn pipeline() -> &'static Pipeline {
-    static PIPE: OnceLock<Pipeline> = OnceLock::new();
-    PIPE.get_or_init(|| {
-        Pipeline::build(PipelineConfig {
-            corpus_size: 96,
-            vocab: 420,
-            n_heads: 6,
-            epochs: 1,
-            ..Default::default()
-        })
-    })
-}
-
-fn bench_accept(c: &mut Criterion) {
-    // Microbenchmark: criterion evaluation on a realistic distribution.
-    let logits: Vec<f32> = (0..420).map(|i| ((i * 37) % 100) as f32 / 25.0).collect();
-    let probs = softmax(&logits);
-    let mut group = c.benchmark_group("typical_acceptance");
-    for (eps, delta) in [(0.01f32, 0.1f32), (0.09, 0.3), (0.3, 0.6)] {
-        let acc = TypicalAcceptance {
-            epsilon: eps,
-            delta,
-        };
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("eps{eps}_delta{delta}")),
-            &acc,
-            |b, acc| b.iter(|| (0..32u32).filter(|&t| acc.accepts(&probs, t)).count()),
-        );
-    }
-    group.finish();
-
-    // One-shot report: accepted tokens/step under each setting.
-    let pipe = pipeline();
+fn main() {
+    let pipe = Pipeline::build(PipelineConfig {
+        corpus_size: 96,
+        vocab: 420,
+        n_heads: 6,
+        epochs: 1,
+        ..Default::default()
+    });
     let model = pipe.model_for(ModelScale::Small, TrainMethod::Ours, (1, 1));
     let bench = rtllm_sim();
     let prompt = pipe.tokenizer.encode(&bench.problems[0].prompt_tagged());
     let cost = ModelScale::Small.cost_model();
-    eprintln!("\nacceptance ablation (accepted tokens/step, sampled decode):");
+    println!("acceptance ablation (accepted tokens/step, sampled decode):");
     for (eps, delta) in [(0.01f32, 0.1f32), (0.09, 0.3), (0.3, 0.6)] {
         let cfg = DecodeConfig {
             max_tokens: 96,
@@ -62,12 +33,9 @@ fn bench_accept(c: &mut Criterion) {
             ..Default::default()
         };
         let out = decode_speculative(&model, &prompt, &cfg, &cost);
-        eprintln!(
+        println!(
             "  eps={eps:<5} delta={delta:<4}  tokens/step={:.2}",
             out.clock.tokens_per_step()
         );
     }
 }
-
-criterion_group!(benches, bench_accept);
-criterion_main!(benches);

@@ -1,33 +1,24 @@
 //! Ablation A2: speedup vs number of Medusa heads. The paper argues its
 //! dynamic labels "increase the number of effective heads"; this bench
-//! trains syntax-aligned models with 2–10 heads and measures simulated
-//! tokens/step on greedy decoding.
+//! trains syntax-aligned models with 2–10 heads and reports simulated
+//! tokens/step on greedy decoding. Tick space only: nothing is timed.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::sync::OnceLock;
 use verispec_core::{DecodeConfig, TrainMethod};
 use verispec_eval::{generate, rtllm_sim, ModelScale, Pipeline, PipelineConfig};
 
-fn pipeline(n_heads: usize) -> Pipeline {
-    Pipeline::build(PipelineConfig {
-        corpus_size: 96,
-        vocab: 420,
-        n_heads,
-        epochs: 1,
-        ..Default::default()
-    })
-}
-
-fn bench_heads(c: &mut Criterion) {
-    static REPORTED: OnceLock<()> = OnceLock::new();
-    let mut group = c.benchmark_group("heads_ablation");
-    group.sample_size(10);
+fn main() {
     let bench = rtllm_sim();
     let problem = &bench.problems[0];
     let cost = ModelScale::Small.cost_model();
-    let mut report = String::new();
+    println!("heads ablation (greedy decode):");
     for n_heads in [2usize, 4, 6, 8, 10] {
-        let pipe = pipeline(n_heads);
+        let pipe = Pipeline::build(PipelineConfig {
+            corpus_size: 96,
+            vocab: 420,
+            n_heads,
+            epochs: 1,
+            ..Default::default()
+        });
         let model = pipe.model_for(ModelScale::Small, TrainMethod::Ours, (1, 1));
         let cfg = DecodeConfig {
             max_tokens: 64,
@@ -41,37 +32,10 @@ fn bench_heads(c: &mut Criterion) {
             &cfg,
             &cost,
         );
-        report.push_str(&format!(
-            "  heads={n_heads:<2}  tokens/step={:.2}  sim tok/s={:.1}\n",
+        println!(
+            "  heads={n_heads:<2}  tokens/step={:.2}  sim tok/s={:.1}",
             g.output.clock.tokens_per_step(),
             g.output.clock.tokens_per_second()
-        ));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(n_heads),
-            &(pipe, model),
-            |b, (pipe, model)| {
-                b.iter(|| {
-                    let cfg = DecodeConfig {
-                        max_tokens: 48,
-                        ..Default::default()
-                    };
-                    generate(
-                        model,
-                        &pipe.tokenizer,
-                        problem,
-                        TrainMethod::Ours,
-                        &cfg,
-                        &cost,
-                    )
-                })
-            },
         );
     }
-    group.finish();
-    REPORTED.get_or_init(|| {
-        eprintln!("\nheads ablation (greedy decode):\n{report}");
-    });
 }
-
-criterion_group!(benches, bench_heads);
-criterion_main!(benches);

@@ -1,41 +1,30 @@
 //! Ablation A4: classical draft-model speculative decoding (Leviathan
 //! style) with an n-gram draft proposing for the MLP target — the
 //! "separate draft model" baseline the paper contrasts MEDUSA heads
-//! against (§II-C). Sweeps the draft block length γ.
+//! against (§II-C). Sweeps the draft block length γ and reports
+//! acceptance and simulated speed. Tick space only: nothing is timed.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::sync::OnceLock;
 use verispec_core::{decode_draft_speculative, DraftConfig, TrainMethod};
 use verispec_eval::{rtllm_sim, ModelScale, Pipeline, PipelineConfig};
-use verispec_lm::{MlpLm, NgramLm};
+use verispec_lm::NgramLm;
 
-fn setup() -> &'static (Pipeline, MlpLm, NgramLm) {
-    static SETUP: OnceLock<(Pipeline, MlpLm, NgramLm)> = OnceLock::new();
-    SETUP.get_or_init(|| {
-        let pipe = Pipeline::build(PipelineConfig {
-            corpus_size: 96,
-            vocab: 420,
-            n_heads: 4,
-            epochs: 1,
-            ..Default::default()
-        });
-        let target = pipe.model_for(ModelScale::Small, TrainMethod::Ntp, (1, 1));
-        let mut draft = NgramLm::new(3, pipe.tokenizer.vocab_size());
-        for seq in &pipe.plain_sequences {
-            draft.train_sequence(seq);
-        }
-        (pipe, target, draft)
-    })
-}
-
-fn bench_draft(c: &mut Criterion) {
-    let (pipe, target, draft) = setup();
+fn main() {
+    let pipe = Pipeline::build(PipelineConfig {
+        corpus_size: 96,
+        vocab: 420,
+        n_heads: 4,
+        epochs: 1,
+        ..Default::default()
+    });
+    let target = pipe.model_for(ModelScale::Small, TrainMethod::Ntp, (1, 1));
+    let mut draft = NgramLm::new(3, pipe.tokenizer.vocab_size());
+    for seq in &pipe.plain_sequences {
+        draft.train_sequence(seq);
+    }
     let bench = rtllm_sim();
     let prompt = pipe.tokenizer.encode(&bench.problems[0].prompt_plain());
     let cost = ModelScale::Small.cost_model();
-    let mut group = c.benchmark_group("draft_speculative");
-    group.sample_size(10);
-    let mut report = String::new();
+    println!("draft-model speculation:");
     for gamma in [2usize, 4, 8] {
         let cfg = DraftConfig {
             gamma,
@@ -43,28 +32,12 @@ fn bench_draft(c: &mut Criterion) {
             seed: 5,
             ..Default::default()
         };
-        let (out, stats) = decode_draft_speculative(target, draft, &prompt, &cfg, &cost);
-        report.push_str(&format!(
-            "  gamma={gamma}: acceptance={:.2}, tokens/step={:.2}, sim tok/s={:.1}\n",
+        let (out, stats) = decode_draft_speculative(&target, &draft, &prompt, &cfg, &cost);
+        println!(
+            "  gamma={gamma}: acceptance={:.2}, tokens/step={:.2}, sim tok/s={:.1}",
             stats.acceptance_rate(),
             out.clock.tokens_per_step(),
             out.clock.tokens_per_second()
-        ));
-        group.bench_with_input(BenchmarkId::from_parameter(gamma), &gamma, |b, &gamma| {
-            b.iter(|| {
-                let cfg = DraftConfig {
-                    gamma,
-                    max_tokens: 64,
-                    seed: 5,
-                    ..Default::default()
-                };
-                decode_draft_speculative(target, draft, &prompt, &cfg, &cost)
-            })
-        });
+        );
     }
-    group.finish();
-    eprintln!("\ndraft-model speculation:\n{report}");
 }
-
-criterion_group!(benches, bench_draft);
-criterion_main!(benches);

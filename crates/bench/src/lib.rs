@@ -18,6 +18,12 @@
 //! (default `full`), `--samples N` and `--problems N` (overriding the
 //! scale's samples per prompt and per-benchmark problem cap), and
 //! `--json <path>` to write a JSON artifact next to the stdout table.
+//!
+//! Under `benches/`, `latency_under_load` and `quality_gate` regenerate
+//! the committed `BENCH_*.json` artifacts; `ablation_accept`,
+//! `ablation_heads` and `draft_spec` are plain `main`s that print a
+//! tick-space report (tokens/step, acceptance, simulated tok/s). None of
+//! them reads a wall clock — that is `benchmark/`'s job.
 
 use std::path::Path;
 use verispec_eval::Scale;

@@ -16,109 +16,13 @@
 //!   input transpose and no batch padding: one input is as efficient as
 //!   hundreds. Every inference call (`MlpLm::infer`) runs on it.
 //!
-//! No BLAS, no intrinsics, no `unsafe`. Large fused passes additionally
-//! shard their *input* range across threads once the work crosses a
-//! [`MATVEC_PAR_THRESHOLD`] grain, sizing the fan-out from the work
-//! itself up to the machine's [`pool_parallelism`] ceiling
-//! (`available_parallelism`, overridable with `VERISPEC_THREADS`) —
-//! with bit-identical results: inputs are independent, so splitting
-//! them never changes any accumulation order.
+//! No BLAS, no intrinsics, no `unsafe` — and no threads and no
+//! environment: a kernel call runs on its caller's thread, whatever its
+//! size. Parallelism lives one level up, in the serving fleet's
+//! one-thread-per-worker backend.
 
 use crate::mlp::TokenId;
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
-
-/// The per-thread work grain (`output rows × vocab × hidden` of one
-/// fused inference pass): below one grain of total work the kernel
-/// stays single-threaded (thread spawn/join overhead outweighs the
-/// parallel compute — a single request's candidate tree lands here),
-/// and above it the kernel asks for roughly one thread per grain,
-/// capped by [`pool_parallelism`] and the input count. The grain is a
-/// *sizing* unit, not a dormancy switch: how many threads actually pay
-/// off is always derived from the work, while the pool ceiling tracks
-/// the machine (or the `VERISPEC_THREADS` override).
-pub const MATVEC_PAR_THRESHOLD: usize = 1 << 22;
-
-/// The thread-pool ceiling for the inference kernel: the
-/// `VERISPEC_THREADS` environment variable when set to a positive
-/// integer, otherwise `std::thread::available_parallelism()`. Read
-/// once and cached for the process (thread sizing must not flap
-/// mid-run if the environment mutates). The override serves two
-/// masters: pinning CI to a reproducible width on arbitrary runners,
-/// and deliberately oversubscribing a small machine (e.g.
-/// `VERISPEC_THREADS=4` on one core) to flush out schedule-dependent
-/// bugs — bit-identity across thread counts makes both safe.
-pub fn pool_parallelism() -> usize {
-    use std::sync::OnceLock;
-    static POOL: OnceLock<usize> = OnceLock::new();
-    *POOL.get_or_init(|| {
-        std::env::var("VERISPEC_THREADS")
-            .ok()
-            .and_then(|v| parse_thread_override(&v))
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-    })
-}
-
-/// Parses a `VERISPEC_THREADS` value: a positive integer pool ceiling.
-/// Anything else (empty, zero, garbage) is ignored in favor of the
-/// detected parallelism.
-fn parse_thread_override(v: &str) -> Option<usize> {
-    v.trim().parse::<usize>().ok().filter(|&n| n > 0)
-}
-
-/// Threads one fused inference pass should use: one below a
-/// [`MATVEC_PAR_THRESHOLD`] grain of `work`, then roughly one per
-/// grain, capped by [`pool_parallelism`] and the number of `inputs`
-/// (each thread needs at least one).
-pub fn kernel_threads(work: usize, inputs: usize) -> usize {
-    threads_for_pool(work, inputs, pool_parallelism())
-}
-
-/// The sizing core behind [`kernel_threads`], with the pool ceiling
-/// passed explicitly (deterministically testable regardless of the
-/// process environment): single-threaded below one work grain or with
-/// fewer than 2 inputs, else `min(pool, work / grain + 1, inputs)`.
-pub fn threads_for_pool(work: usize, inputs: usize, pool: usize) -> usize {
-    if work < MATVEC_PAR_THRESHOLD || inputs < 2 {
-        return 1;
-    }
-    pool.max(1).min(work / MATVEC_PAR_THRESHOLD + 1).min(inputs)
-}
-
-/// Runs `shard(inputs, out, acts)` over `0..n` split into `threads`
-/// contiguous input ranges, one `std::thread::scope` worker each (on
-/// the calling thread when `threads <= 1`). `out` and `acts` are the
-/// flat results of all `n` inputs, as `(buffer, floats per row)`:
-/// input `k`'s part of each starts at row `row_of(k)`
-/// (`row_of(n)` rows in all), so every worker gets exactly its own
-/// inputs' slices. Inputs are independent, so how they are split can
-/// never change a result bit.
-pub fn shard_inputs(
-    n: usize,
-    threads: usize,
-    (mut out, width): (&mut [f32], usize),
-    (mut acts, act_width): (&mut [f32], usize),
-    row_of: impl Fn(usize) -> usize,
-    shard: impl Fn(Range<usize>, &mut [f32], &mut [f32]) + Sync,
-) {
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        return shard(0..n, out, acts);
-    }
-    let per = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        for lo in (0..n).step_by(per) {
-            let hi = (lo + per).min(n);
-            let rows = row_of(hi) - row_of(lo);
-            let (mine, rest) = std::mem::take(&mut out).split_at_mut(rows * width);
-            out = rest;
-            let (my_acts, rest) = std::mem::take(&mut acts).split_at_mut(rows * act_width);
-            acts = rest;
-            let shard = &shard;
-            s.spawn(move || shard(lo..hi, mine, my_acts));
-        }
-    });
-}
 
 /// Output rows per [`PackedMatrix`] block — the accumulator lanes of
 /// the inference kernel's inner loop. Thirty-two `f32` lanes are eight
@@ -513,96 +417,6 @@ mod tests {
         let mut y = [1.0f32; 3];
         packed.matvec_into(&[], &mut y);
         assert_eq!(y, [0.0; 3]);
-    }
-
-    #[test]
-    fn matvec_batch_threaded_is_bit_identical_for_any_thread_count() {
-        // 13 rows so the one block is partially padded; 19 inputs so
-        // the shards are uneven.
-        let a = Matrix::from_fn(13, 11, |r, c| ((r * 7 + c * 3) as f32).sin());
-        let packed = a.pack();
-        let xs: Vec<f32> = (0..19 * 11).map(|i| (i as f32 * 0.37).cos()).collect();
-        let run = |threads: usize| {
-            let mut ys = vec![f32::NAN; 19 * 13];
-            let out = (&mut ys[..], 13);
-            shard_inputs(
-                19,
-                threads,
-                out,
-                (&mut [], 0),
-                |k| k,
-                |inputs, out, _| {
-                    for (k, y) in inputs.zip(out.chunks_exact_mut(13)) {
-                        packed.matvec_into(&xs[k * 11..(k + 1) * 11], y);
-                    }
-                },
-            );
-            ys
-        };
-        let serial = run(1);
-        for threads in [2, 3, 8, 64] {
-            let sharded = run(threads);
-            assert!(
-                serial
-                    .iter()
-                    .zip(&sharded)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "threads={threads} diverged"
-            );
-        }
-        // And both agree bitwise with the scalar matvec.
-        for (x, y) in xs.chunks_exact(11).zip(serial.chunks_exact(13)) {
-            let single = a.matvec(x);
-            assert!(single
-                .iter()
-                .zip(y)
-                .all(|(p, q)| p.to_bits() == q.to_bits()));
-        }
-    }
-
-    #[test]
-    fn matvec_batch_thread_policy_respects_threshold() {
-        // Tiny work: always single-threaded.
-        assert_eq!(kernel_threads(16 * 32 * 4, 4), 1);
-        // One input can never shard.
-        assert_eq!(kernel_threads(1 << 27, 1), 1);
-        // Huge work: more than one thread (machine permitting) but never
-        // more than the input count.
-        let big = kernel_threads(64 * 1024 * 4096, 64);
-        assert!((1..=64).contains(&big));
-        // The derived count never exceeds the process pool ceiling.
-        assert!(big <= pool_parallelism().max(1));
-    }
-
-    #[test]
-    fn pool_sizing_is_grain_pool_and_input_capped() {
-        // Below one work grain: single-threaded at any pool width.
-        assert_eq!(threads_for_pool(16 * 32 * 4, 4, 64), 1);
-        // Fewer than 2 inputs can never shard, whatever the work.
-        assert_eq!(threads_for_pool(1 << 27, 1, 64), 1);
-        // 2^38 = 2^16 grains of work: the pool ceiling is the binding
-        // cap...
-        assert_eq!(threads_for_pool(1 << 38, 4096, 8), 8);
-        assert_eq!(threads_for_pool(1 << 38, 4096, 1), 1);
-        // ...until the input count binds first (each thread needs one).
-        assert_eq!(threads_for_pool(1 << 38, 2, 8), 2);
-        // Work-derived sizing binds when the pool is wide: 3 grains of
-        // work ask for work/grain + 1 = 4 threads of 64.
-        assert_eq!(threads_for_pool(3 * MATVEC_PAR_THRESHOLD, 4096, 64), 4);
-        // A zero pool (defensive) degrades to single-threaded.
-        assert_eq!(threads_for_pool(1 << 38, 4096, 0), 1);
-    }
-
-    #[test]
-    fn thread_override_parses_only_positive_integers() {
-        assert_eq!(parse_thread_override("4"), Some(4));
-        assert_eq!(parse_thread_override(" 2 "), Some(2));
-        assert_eq!(parse_thread_override("0"), None);
-        assert_eq!(parse_thread_override(""), None);
-        assert_eq!(parse_thread_override("-1"), None);
-        assert_eq!(parse_thread_override("two"), None);
-        // The cached process-wide ceiling is always usable.
-        assert!(pool_parallelism() >= 1);
     }
 
     #[test]

@@ -24,13 +24,10 @@
 //! forward and the reference the kernel is pinned bit-identical to.
 
 use crate::arena::LogitsArena;
-use crate::matrix::{
-    kernel_threads, log_softmax, shard_inputs, silu, silu_prime, softmax, Matrix, PackedMatrix,
-};
+use crate::matrix::{log_softmax, silu, silu_prime, softmax, Matrix, PackedMatrix};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Token id type shared with the tokenizer crate.
@@ -320,9 +317,9 @@ impl MlpLm {
     /// Every row is bit-identical to the scalar forward
     /// ([`MlpLm::multi_logits`]) at that input, whatever else shares
     /// the call — which is what lets a serving engine fuse many
-    /// sessions' work into one pass. Above
-    /// [`crate::matrix::MATVEC_PAR_THRESHOLD`] of work the input range
-    /// is sharded across threads ([`MlpLm::infer_with_threads`]).
+    /// sessions' work into one pass. The call runs on the caller's
+    /// thread and the arena's scratch, whatever its size, and allocates
+    /// nothing once the arena has grown.
     ///
     /// Each input's trunk activation — the last hidden state every head
     /// is attached to — stays in `out` beside the input's first row, so
@@ -335,27 +332,6 @@ impl MlpLm {
     /// Panics if `xs` is not a whole number of inputs, `row_start` does
     /// not describe them, or an input asks for more heads than exist.
     pub fn infer(&self, xs: &[f32], row_start: Option<&[usize]>, out: &mut LogitsArena) -> usize {
-        let x_dim = self.cfg.context * self.cfg.d_emb;
-        let inputs = xs.len() / x_dim;
-        let rows = row_start.map_or(inputs, |rs| rs.last().copied().unwrap_or(0));
-        let threads = kernel_threads(rows * self.cfg.vocab * self.cfg.d_hidden, inputs);
-        self.infer_with_threads(xs, row_start, out, threads)
-    }
-
-    /// [`MlpLm::infer`] with an explicit thread count
-    /// ([`shard_inputs`]): the rows and the kept activations are
-    /// bit-identical for any thread count (the tests pin this).
-    ///
-    /// # Panics
-    ///
-    /// As [`MlpLm::infer`].
-    pub fn infer_with_threads(
-        &self,
-        xs: &[f32],
-        row_start: Option<&[usize]>,
-        out: &mut LogitsArena,
-        threads: usize,
-    ) -> usize {
         let x_dim = self.cfg.context * self.cfg.d_emb;
         assert_eq!(
             xs.len() % x_dim,
@@ -373,41 +349,15 @@ impl MlpLm {
             );
         }
         let (vocab, d_hidden) = (self.cfg.vocab, self.cfg.d_hidden);
-        let row_of = |k: usize| row_start.map_or(k, |rs| rs[k]);
+        let n_rows = row_start.map_or(inputs, |rs| rs[inputs]);
         let base = out.rows();
-        let work = 2 * d_hidden;
-        let (rows, acts, scratch) = out.grow_for_kernel(vocab, row_of(inputs), d_hidden, work);
-        if threads <= 1 {
-            // The common case — one step's level, one tick's batch —
-            // runs on the caller's scratch and allocates nothing.
-            self.infer_shard(xs, 0..inputs, row_start, rows, acts, scratch);
-        } else {
-            let (rows, acts) = ((rows, vocab), (acts, d_hidden));
-            shard_inputs(inputs, threads, rows, acts, row_of, |range, rows, acts| {
-                self.infer_shard(xs, range, row_start, rows, acts, &mut vec![0.0f32; work])
-            });
-        }
-        base
-    }
-
-    /// The kernel body over one contiguous input range; `out` is
-    /// exactly that range's rows, `acts` their activation blocks and
-    /// `scratch` two hidden-width vectors of working memory.
-    fn infer_shard(
-        &self,
-        xs: &[f32],
-        inputs: Range<usize>,
-        row_start: Option<&[usize]>,
-        out: &mut [f32],
-        acts: &mut [f32],
-        scratch: &mut [f32],
-    ) {
+        // Two hidden-width vectors of working memory.
+        let (rows, acts, scratch) = out.grow_for_kernel(vocab, n_rows, d_hidden, 2 * d_hidden);
         let packed = self.packed();
-        let x_dim = self.cfg.context * self.cfg.d_emb;
-        let (unkept, z) = scratch.split_at_mut(self.cfg.d_hidden);
-        let mut rows = out.chunks_exact_mut(self.cfg.vocab);
-        let mut acts = acts.chunks_exact_mut(self.cfg.d_hidden);
-        for k in inputs {
+        let (unkept, z) = scratch.split_at_mut(d_hidden);
+        let mut rows = rows.chunks_exact_mut(vocab);
+        let mut acts = acts.chunks_exact_mut(d_hidden);
+        for k in 0..inputs {
             let n_heads = row_start.map_or(1, |rs| rs[k + 1] - rs[k]);
             // The activation is kept in the block of the input's first
             // row; an input that asked for no row has nowhere to keep
@@ -430,6 +380,7 @@ impl MlpLm {
                 self.head_row(packed, head, hidden, z, row);
             }
         }
+        base
     }
 
     /// Head `head`'s logits row from the trunk activation `hidden`
@@ -1005,7 +956,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_matches_scalar_forward_bitwise_for_any_shape_batch_and_thread_count() {
+    fn kernel_matches_scalar_forward_bitwise_for_any_shape_and_batch() {
         // Row counts that are not a multiple of the pack block, on both
         // the hidden (11) and the vocabulary (13, 487) side.
         for (vocab, d_hidden) in [(13, 11), (487, 32)] {
@@ -1024,24 +975,21 @@ mod tests {
                 for k in 0..n {
                     row_start.push(row_start[k] + 1 + k % 3);
                 }
-                for threads in [1usize, 2, 3, 8] {
-                    let mut arena = LogitsArena::new();
-                    arena.push_row(&vec![0.0; vocab]);
-                    let base = model.infer_with_threads(&xs, None, &mut arena, threads);
-                    assert_eq!((base, arena.rows()), (1, 1 + n));
-                    for (k, w) in want.iter().enumerate() {
-                        let what = format!("{vocab}x{d_hidden} n={n} threads={threads} base {k}");
-                        assert_rows_bit_equal(arena.row(base + k), &w[0], &what);
-                    }
-                    let base = model.infer_with_threads(&xs, Some(&row_start), &mut arena, threads);
-                    assert_eq!(arena.rows(), 1 + n + row_start[n]);
-                    for (k, w) in want.iter().enumerate() {
-                        let heads = row_start[k + 1] - row_start[k];
-                        for (h, want) in w.iter().take(heads).enumerate() {
-                            let what =
-                                format!("{vocab}x{d_hidden} n={n} threads={threads} {k}/{h}");
-                            assert_rows_bit_equal(arena.row(base + row_start[k] + h), want, &what);
-                        }
+                let mut arena = LogitsArena::new();
+                arena.push_row(&vec![0.0; vocab]);
+                let base = model.infer(&xs, None, &mut arena);
+                assert_eq!((base, arena.rows()), (1, 1 + n));
+                for (k, w) in want.iter().enumerate() {
+                    let what = format!("{vocab}x{d_hidden} n={n} base {k}");
+                    assert_rows_bit_equal(arena.row(base + k), &w[0], &what);
+                }
+                let base = model.infer(&xs, Some(&row_start), &mut arena);
+                assert_eq!(arena.rows(), 1 + n + row_start[n]);
+                for (k, w) in want.iter().enumerate() {
+                    let heads = row_start[k + 1] - row_start[k];
+                    for (h, want) in w.iter().take(heads).enumerate() {
+                        let what = format!("{vocab}x{d_hidden} n={n} {k}/{h}");
+                        assert_rows_bit_equal(arena.row(base + row_start[k] + h), want, &what);
                     }
                 }
             }
@@ -1055,9 +1003,8 @@ mod tests {
     fn heads_from_kept_activations_match_scalar_forward_bitwise() {
         // Any subset of heads, asked for after the fact from the
         // activation the kernel kept — however many inputs shared the
-        // call, however many heads each evaluated with its trunk, and
-        // however the call was threaded — is the row the one-pass
-        // forward writes.
+        // call and however many heads each evaluated with its trunk —
+        // is the row the one-pass forward writes.
         for (vocab, d_hidden) in [(13, 11), (487, 32)] {
             let model = MlpLm::new(MlpLmConfig {
                 vocab,
@@ -1075,15 +1022,15 @@ mod tests {
                 for k in 0..n {
                     row_start.push(row_start[k] + 1 + k % 4);
                 }
-                for threads in [1usize, 2, 3, 8] {
-                    let mut kept = LogitsArena::new();
-                    kept.push_row(&vec![0.0; vocab]);
-                    let base = model.infer_with_threads(&xs, Some(&row_start), &mut kept, threads);
+                let mut kept = LogitsArena::new();
+                kept.push_row(&vec![0.0; vocab]);
+                let base = model.infer(&xs, Some(&row_start), &mut kept);
+                for salt in [1usize, 2, 3, 8] {
                     // Every subset of the four heads, in a scrambled
                     // order, at every input — all in one call.
                     let mut requests = Vec::new();
                     for k in 0..n {
-                        let subset = (k * 7 + threads) % 16;
+                        let subset = (k * 7 + salt) % 16;
                         for head in [2usize, 0, 3, 1] {
                             if subset & (1 << head) != 0 {
                                 requests.push((k, head));
@@ -1100,7 +1047,7 @@ mod tests {
                     );
                     assert_eq!((first, out.rows()), (1, 1 + requests.len()));
                     for (i, &(k, head)) in requests.iter().enumerate() {
-                        let what = format!("{vocab}x{d_hidden} n={n} threads={threads} {k}/{head}");
+                        let what = format!("{vocab}x{d_hidden} n={n} salt={salt} {k}/{head}");
                         assert_rows_bit_equal(out.row(first + i), &want[k][head], &what);
                     }
                 }

@@ -552,14 +552,13 @@ impl NodeMap {
 
 /// Runs the nodes planned into `plan` since the last call — one level
 /// of every session that planned into it — as **one** kernel call
-/// ([`MlpLm::infer`], which also shards across threads above its work
-/// threshold), appending one base-head row per node to `out`. Returns
-/// the arena index of the plan's node 0, which every planning session's
-/// [`NodeMap`] rows are relative to; a step's levels must therefore
-/// land back to back in one arena. Each row is bit-identical to what
-/// the session's own `verify_batch` would have returned for that node —
-/// the kernel guarantees per-input bit-identity regardless of batch
-/// composition.
+/// ([`MlpLm::infer`], on the caller's thread), appending one base-head
+/// row per node to `out`. Returns the arena index of the plan's node 0,
+/// which every planning session's [`NodeMap`] rows are relative to; a
+/// step's levels must therefore land back to back in one arena. Each
+/// row is bit-identical to what the session's own `verify_batch` would
+/// have returned for that node — the kernel guarantees per-input
+/// bit-identity regardless of batch composition.
 ///
 /// The head rows asked for since the last call
 /// ([`VerifyPlan::request_head`]) are evaluated in the same pass, from

@@ -201,7 +201,6 @@ proptest! {
             max_batch,
             order: TickOrder::RoundRobin,
             preempt_wait: preempt,
-            fuse: true,
             session_cap,
             tick_capacity,
             ..Default::default()

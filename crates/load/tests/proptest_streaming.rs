@@ -205,7 +205,6 @@ proptest! {
             max_batch,
             order,
             preempt_wait: preempt,
-            fuse: true,
             session_cap,
             tick_capacity,
             ..Default::default()

@@ -73,9 +73,6 @@ pub struct ServeConfig {
     /// Queue-wait ticks after which an arrived request may preempt the
     /// most-advanced active request; `None` disables preemption.
     pub preempt_wait: Option<u64>,
-    /// Fuse propose/verify model work across the batch; `false` forces
-    /// per-session execution — same outputs, used for A/B testing.
-    pub fuse: bool,
     /// Memory budget: maximum resident sessions (active steppers plus
     /// queued pre-ingested prefix forks). When streaming admission
     /// queues thousands of forked arrivals, the engine evicts idle
@@ -145,7 +142,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             order: TickOrder::RoundRobin,
             preempt_wait: None,
-            fuse: true,
             session_cap: None,
             tick_capacity: None,
             shed_depth: None,
@@ -480,10 +476,9 @@ enum QueueEntry<'m> {
 
 /// The serving engine; see the module docs for the tick anatomy.
 pub struct ServeEngine<'m> {
-    target: &'m dyn LanguageModel,
-    /// Concrete model handle for fused cross-request execution; `None`
-    /// serves correctly but without fusion.
-    fused: Option<&'m MlpLm>,
+    /// The target model: sessions open on it, and each tick's fused
+    /// propose and verify passes run its kernel.
+    model: &'m MlpLm,
     draft: Option<&'m dyn LanguageModel>,
     /// Token-byte oracle [`EngineChoice::GrammarTree`] requests
     /// constrain speculation with; `None` degrades them to plain
@@ -543,16 +538,23 @@ struct TickBuffers {
 }
 
 impl<'m> ServeEngine<'m> {
-    /// An engine over the model. Cross-request propose/verify fusion
-    /// is on unless `cfg.fuse` is off, which makes every session verify
-    /// its own work — same outputs, the A/B baseline.
-    pub fn new(model: &'m MlpLm, cfg: ServeConfig) -> Self {
+    /// An engine over the model. Every tick fuses its batch's propose
+    /// and verify work into shared kernel passes; a member whose
+    /// *session* cannot plan into them (one handed in through
+    /// `submit_with_session`) verifies its own work — same outputs,
+    /// counted in [`ServeStats::local_verify_calls`].
+    ///
+    /// A zero `max_active` or `max_batch` (reachable by struct literal
+    /// or `Deserialize`) would never admit or never step, and `run`
+    /// would tick forever: both are raised to 1 here.
+    pub fn new(model: &'m MlpLm, mut cfg: ServeConfig) -> Self {
+        cfg.max_active = cfg.max_active.max(1);
+        cfg.max_batch = cfg.max_batch.max(1);
         let scheduler = Scheduler::new(cfg.order, cfg.max_active, cfg.max_batch)
             .with_class_weights(&cfg.class_weights);
         let cache = (cfg.prefix_cache && model.snapshot_session().is_some()).then(PrefixCache::new);
         ServeEngine {
-            target: model,
-            fused: cfg.fuse.then_some(model),
+            model,
             draft: None,
             grammar: None,
             cache,
@@ -649,7 +651,7 @@ impl<'m> ServeEngine<'m> {
         if tokens.is_empty() || self.cache.is_none() {
             return false;
         }
-        let target = self.target;
+        let target = self.model;
         let Some(mut work) = target.snapshot_session() else {
             return false;
         };
@@ -812,7 +814,7 @@ impl<'m> ServeEngine<'m> {
     /// half of [`ServeEngine::outstanding_cost`]): `None` for NTP,
     /// mirroring [`Stepper::base_shape`].
     fn request_base_shape(&self, req: &Request) -> Option<SpecShape> {
-        let n_heads = self.target.n_extra_heads();
+        let n_heads = self.model.n_extra_heads();
         match &req.engine {
             EngineChoice::Ntp => None,
             EngineChoice::DraftVerify { gamma } => Some(SpecShape::Draft { gamma: *gamma }),
@@ -928,13 +930,13 @@ impl<'m> ServeEngine<'m> {
         req: &Request,
         session: Option<Box<dyn DecodeSession + 'm>>,
     ) -> Stepper<'m> {
-        let session = session.unwrap_or_else(|| self.target.session());
+        let session = session.unwrap_or_else(|| self.model.session());
         let ingested = session.tokens().len();
         debug_assert!(req.prompt.starts_with(session.tokens()));
         let rest = &req.prompt[ingested..];
         match &req.engine {
             EngineChoice::Ntp => Stepper::ntp_from_session(
-                self.target,
+                self.model,
                 session,
                 rest,
                 req.engine.decode_config(&req.cfg),
@@ -947,11 +949,11 @@ impl<'m> ServeEngine<'m> {
                     .engine
                     .draft_config(&req.cfg)
                     .expect("draft engine resolves a draft config");
-                Stepper::draft_verify_from_session(self.target, draft, session, rest, dcfg)
+                Stepper::draft_verify_from_session(self.model, draft, session, rest, dcfg)
             }
             EngineChoice::GrammarTree { .. } => match self.grammar {
                 Some(oracle) => Stepper::grammar_speculative_from_session(
-                    self.target,
+                    self.model,
                     oracle,
                     session,
                     rest,
@@ -960,14 +962,14 @@ impl<'m> ServeEngine<'m> {
                 // Documented degradation: without an oracle the request
                 // runs as plain syntax-aligned speculation.
                 None => Stepper::speculative_from_session(
-                    self.target,
+                    self.model,
                     session,
                     rest,
                     req.engine.decode_config(&req.cfg),
                 ),
             },
             _ => Stepper::speculative_from_session(
-                self.target,
+                self.model,
                 session,
                 rest,
                 req.engine.decode_config(&req.cfg),
@@ -987,7 +989,7 @@ impl<'m> ServeEngine<'m> {
         if self.cache.is_none() {
             return (None, 0);
         }
-        let target = self.target;
+        let target = self.model;
         let looked_up = self
             .cache
             .as_mut()
@@ -1417,17 +1419,15 @@ impl<'m> ServeEngine<'m> {
         base_at.resize(stepped.len(), None);
         // Inputs embedded so far: each gets one row, in this order.
         let mut proposing = 0usize;
-        if self.fused.is_some() {
-            for (pos, &i) in stepped.iter().enumerate() {
-                if self.active[i].stepper.embed_plan(&mut propose_xs) {
-                    base_at[pos] = Some(proposing);
-                    proposing += 1;
-                }
+        for (pos, &i) in stepped.iter().enumerate() {
+            if self.active[i].stepper.embed_plan(&mut propose_xs) {
+                base_at[pos] = Some(proposing);
+                proposing += 1;
             }
         }
-        if let (Some(model), true) = (self.fused, proposing > 0) {
+        if proposing > 0 {
             self.stats.fused_propose_positions += proposing;
-            let base = model.infer(&propose_xs, None, &mut arena);
+            let base = self.model.infer(&propose_xs, None, &mut arena);
             debug_assert_eq!(base, 0, "the tick's arena starts empty");
         }
         phases.clear();
@@ -1447,8 +1447,7 @@ impl<'m> ServeEngine<'m> {
             if *phase != Phase::Verify {
                 continue;
             }
-            let shared = self.fused.is_some().then_some(&mut plan);
-            if self.active[i].stepper.verify_level(None, shared) {
+            if self.active[i].stepper.verify_level(None, Some(&mut plan)) {
                 verifying.push(pos);
             } else {
                 self.stats.local_verify_calls += 1;
@@ -1457,10 +1456,10 @@ impl<'m> ServeEngine<'m> {
         // The view every fused level of this tick was scored into: what
         // a member copies its next base row out of at commit.
         let mut scored = None;
-        while let Some(model) = self.fused.filter(|_| plan.pending() > 0) {
+        while plan.pending() > 0 {
             self.stats.fused_verify_calls += 1;
             self.stats.fused_verify_nodes += plan.pending();
-            let base = verify_many(model, &mut plan, &mut arena);
+            let base = verify_many(self.model, &mut plan, &mut arena);
             let rows = arena.rows_from(base);
             scored = Some(rows);
             verifying.retain(|&pos| {

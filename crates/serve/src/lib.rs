@@ -240,8 +240,9 @@
 //! request's token stream is bit-identical to running the serial
 //! single-session engine (`decode_ntp` / `decode_speculative` /
 //! `decode_draft_speculative`) on it alone — for greedy decoding and
-//! seeded sampling alike, under any scheduler order, batch size,
-//! preemption pattern, or fusion setting. Three layers guarantee it:
+//! seeded sampling alike, under any scheduler order, batch size or
+//! preemption pattern, and whether a member's session plans into the
+//! fused passes or verifies itself. Three layers guarantee it:
 //! the steppers are the *same code* the serial engines run; the fused
 //! kernels are bit-identical per input regardless of batch
 //! composition; and each request owns its sampler and sessions, so
@@ -313,7 +314,8 @@ mod tests {
     use super::*;
     use verispec_core::{decode_draft_speculative, decode_ntp, decode_speculative, DecodeConfig};
     use verispec_lm::{
-        GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, TokenId,
+        GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, StatelessSession,
+        TokenId,
     };
 
     fn model() -> MlpLm {
@@ -460,29 +462,83 @@ mod tests {
     }
 
     #[test]
-    fn unfused_engine_produces_identical_outputs() {
+    fn a_session_that_cannot_plan_verifies_itself_beside_the_fused_batch() {
+        // `submit_with_session` takes any `DecodeSession`. The stateless
+        // shim can neither embed its position nor plan a frontier and
+        // keeps no frontier rows, so its member forwards and verifies
+        // on its own while the rest of the batch shares the kernel
+        // passes — in the same ticks, with the same outputs.
+        let m = model();
+        let d = draft();
+        let cost = GpuCostModel::codellama_like();
+        let engines = [
+            EngineChoice::Ntp,
+            EngineChoice::MedusaTree(vec![2, 2]),
+            EngineChoice::SyntaxAligned {
+                tree: Some(vec![2, 2]),
+            },
+        ];
+        let mut engine = ServeEngine::new(&m, ServeConfig::concurrency(6));
+        let mut requests = Vec::new();
+        for (i, choice) in engines.iter().cycle().take(6).enumerate() {
+            let cfg = DecodeConfig {
+                max_tokens: 10,
+                sampling: if i % 2 == 0 {
+                    Sampling::Greedy
+                } else {
+                    Sampling::temperature(0.7)
+                },
+                seed: i as u64 * 17 + 3,
+                ..Default::default()
+            };
+            let req = Request::new(i as u64, vec![1 + i as TokenId, 2, 3], choice.clone(), cfg);
+            requests.push(req.clone());
+            if i < engines.len() {
+                engine.submit_with_session(req, Box::new(StatelessSession::new(&m)));
+            } else {
+                engine.submit(req);
+            }
+        }
+        let report = engine.run(&cost);
+        assert_eq!(report.completions.len(), requests.len());
+        for (c, req) in report.completions.iter().zip(&requests) {
+            let want = serial_output(&m, &d, req, &cost);
+            assert_eq!(c.output.tokens, want, "request {} diverged", c.id);
+        }
+        assert!(report.stats.local_verify_calls > 0, "the shims verified");
+        assert!(report.stats.fused_verify_calls > 0, "beside a fused batch");
+    }
+
+    #[test]
+    fn a_zero_pool_or_batch_is_served_as_one() {
+        // A pool of zero never admits and a batch of zero never steps;
+        // `ServeEngine::new` raises both to one.
         let m = model();
         let cost = GpuCostModel::codellama_like();
-        let mut requests = mixed_requests(10);
-        requests.retain(|r| !matches!(r.engine, EngineChoice::DraftVerify { .. }));
-        let fused = run_engine(
-            &m,
-            None,
-            requests.clone(),
-            &ServeConfig::concurrency(4),
-            &cost,
-        );
-        let unfused_cfg = ServeConfig {
-            fuse: false,
-            ..ServeConfig::concurrency(4)
+        let serve = |max_active: usize, max_batch: usize| {
+            let cfg = ServeConfig {
+                max_active,
+                max_batch,
+                ..Default::default()
+            };
+            let mut engine = ServeEngine::new(&m, cfg);
+            let cfg = DecodeConfig {
+                max_tokens: 4,
+                eos: 999,
+                ..Default::default()
+            };
+            engine.submit(Request::new(0, vec![1, 2, 3], EngineChoice::Ntp, cfg));
+            let mut ticks = 0;
+            while engine.tick(&cost) {
+                ticks += 1;
+                assert!(ticks < 100, "{max_active}/{max_batch} never finishes");
+            }
+            engine.run(&cost).completions[0].output.tokens.clone()
         };
-        let unfused = run_engine(&m, None, requests, &unfused_cfg, &cost);
-        for (a, b) in fused.completions.iter().zip(&unfused.completions) {
-            assert_eq!(a.output.tokens, b.output.tokens);
-        }
-        assert!(fused.stats.fused_verify_calls > 0, "fusion actually ran");
-        assert_eq!(unfused.stats.fused_verify_calls, 0);
-        assert!(unfused.stats.local_verify_calls > 0);
+        let want = serve(1, 1);
+        assert_eq!(want.len(), 4);
+        assert_eq!(serve(0, 1), want);
+        assert_eq!(serve(1, 0), want);
     }
 
     #[test]

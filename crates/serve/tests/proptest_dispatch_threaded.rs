@@ -8,8 +8,8 @@
 //! ([`canonicalize_fleet_events`]). The streaming drive is held to the
 //! same bar by the drive matrix in `proptest_dispatch.rs`.
 //!
-//! CI replays this suite under `VERISPEC_THREADS=2` and `=4` so the
-//! matvec pool override cannot perturb schedules either.
+//! The backend's one thread per worker is all the parallelism a run
+//! has: the inference kernel stays on its caller's thread.
 
 use proptest::prelude::*;
 use verispec_core::DecodeConfig;

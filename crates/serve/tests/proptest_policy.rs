@@ -152,7 +152,6 @@ proptest! {
         ],
         preempt in prop_oneof![Just(None), (1u64..4).prop_map(Some)],
         session_cap in prop_oneof![Just(None), (1usize..5).prop_map(Some)],
-        fuse in any::<bool>(),
     ) {
         let mut draft = NgramLm::new(2, model.vocab_size());
         draft.train_sequence(&draft_seq);
@@ -185,7 +184,6 @@ proptest! {
             max_batch,
             order,
             preempt_wait: preempt,
-            fuse,
             session_cap,
             ..Default::default()
         };

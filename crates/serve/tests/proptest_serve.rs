@@ -119,7 +119,6 @@ proptest! {
         max_batch in 1usize..4,
         order in any_order(),
         preempt in prop_oneof![Just(None), (1u64..4).prop_map(Some)],
-        fuse in any::<bool>(),
         session_cap in prop_oneof![Just(None), (1usize..6).prop_map(Some)],
     ) {
         let mut draft = NgramLm::new(2, model.vocab_size());
@@ -145,7 +144,6 @@ proptest! {
             max_batch,
             order,
             preempt_wait: preempt,
-            fuse,
             session_cap,
             ..Default::default()
         };
@@ -198,7 +196,6 @@ proptest! {
         order in any_order(),
         session_cap in prop_oneof![Just(None), (1usize..6).prop_map(Some)],
         ingest_rate in prop_oneof![Just(None), (1usize..4).prop_map(Some)],
-        fuse in any::<bool>(),
     ) {
         let mut draft = NgramLm::new(2, model.vocab_size());
         draft.train_sequence(&draft_seq);
@@ -223,7 +220,6 @@ proptest! {
             max_active,
             max_batch,
             order,
-            fuse,
             session_cap,
             prefix_cache: true,
             ingest_rate,
