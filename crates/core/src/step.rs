@@ -317,9 +317,11 @@ impl NodeAccept {
     /// the bit the full row holds. Eq. 1's threshold `min(ε, δ·e^(-H))`
     /// never exceeds `ε` and, for non-negative parameters, is never
     /// negative, so a probability above `ε` or at zero — nearly all of
-    /// them once sampling is cold — is decided without the entropy; the
-    /// rest take it from the support, where the dense row's zeros add
-    /// nothing.
+    /// them once sampling is cold — is decided without the entropy, and
+    /// so is one under `δ/(2n)` on a support of `n` entries, which no
+    /// entropy `≤ ln n` can admit
+    /// ([`TypicalAcceptance::rejects_on_bound`]); the rest take it from
+    /// the support, where the dense row's zeros add nothing.
     fn accepts(
         &mut self,
         logits: &[f32],
@@ -341,6 +343,9 @@ impl NodeAccept {
                     return true;
                 }
                 if p <= 0.0 && acceptance.epsilon >= 0.0 && acceptance.delta >= 0.0 {
+                    return false;
+                }
+                if threshold.is_none() && acceptance.rejects_on_bound(p, support.len()) {
                     return false;
                 }
                 p > *threshold.get_or_insert_with(|| acceptance.threshold_on_support(support, *sum))
@@ -1562,6 +1567,7 @@ mod tests {
     use super::*;
     use crate::decode::{decode_grammar_speculative, decode_ntp, decode_speculative, DecodeMethod};
     use crate::draft::decode_draft_speculative;
+    use proptest::prelude::*;
     use verispec_lm::{MlpLm, MlpLmConfig, NgramLm};
 
     pub(super) fn tiny_model() -> MlpLm {
@@ -1582,12 +1588,37 @@ mod tests {
         lm
     }
 
+    /// Every edge out of a node scored from `logits`, judged back to
+    /// back — how a scored level is consumed — against the definition:
+    /// one full distribution per edge, then exact match or Eq. 1 on it.
+    /// Under sampling, returns the node's support and its `sum`.
+    fn assert_node_matches_the_definition(
+        logits: &[f32],
+        sampling: Sampling,
+        acceptance: &TypicalAcceptance,
+    ) -> Option<(Vec<(TokenId, f32)>, f32)> {
+        use super::frontier_tests::reference_accepts as reference;
+        let (mut dists, mut support) = (Vec::new(), Vec::new());
+        let mut node = NodeAccept::of(logits, sampling, &mut dists, &mut support);
+        assert!(dists.is_empty(), "working memory only");
+        for tok in 0..logits.len() as TokenId {
+            assert_eq!(
+                node.accepts(logits, tok, acceptance, &support),
+                reference(logits, tok, sampling, acceptance),
+                "{sampling:?} {acceptance:?} tok {tok} of {logits:?}"
+            );
+        }
+        match node {
+            NodeAccept::Greedy(_) => None,
+            NodeAccept::Typical { sum, .. } => Some((support, sum)),
+        }
+    }
+
     #[test]
     fn node_acceptance_matches_the_full_row_definition() {
         // The definition the per-node evaluation and its shortcuts
         // must reproduce: one full distribution per edge, then exact
         // match or Eq. 1 on it.
-        use super::frontier_tests::reference_accepts as reference;
         use verispec_lm::matrix::tempered_softmax_into;
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
@@ -1615,6 +1646,10 @@ mod tests {
             }
             narrow.push(row);
         }
+        // A one-token vocabulary (`n = 1` whatever the temperature) and a
+        // row so peaked that one entry is its whole support once cold.
+        narrow.push(vec![0.7]);
+        narrow.push((0..24).map(|i| if i == 5 { 4.0 } else { -9.0 }).collect());
         // Per temperature: vocabulary-wide rows as peaked as a trained
         // model's — a support of tens of entries at the benchmark's
         // temperatures, of all 480 when hot — and rows whose scaled
@@ -1635,6 +1670,15 @@ mod tests {
                 band[next() as usize % width] = 3.0;
                 rows.push(band);
             }
+            // Flat across the vocabulary, and flat but for rounding-sized
+            // jitter: `H ≈ ln n` once hot, where the entropy bound
+            // `δ·e^(−H) ≥ δ/n` is at its tightest.
+            rows.push(vec![1.25; 480]);
+            rows.push(
+                (0..480)
+                    .map(|_| 1.25 + (next() % 4) as f32 * 1e-6)
+                    .collect(),
+            );
             rows
         };
         let samplings = [
@@ -1645,57 +1689,102 @@ mod tests {
             Sampling::temperature(0.8),
             Sampling::temperature(2.5),
         ];
+        // The last four are where the bound in front of Eq. 1 must not
+        // be taken — a zero `ε`, a negative, zero or subnormal `δ` (no
+        // normal `δ/(2n)`) — and the answers are the entropy's.
         let acceptances = [
-            TypicalAcceptance::default(),
-            TypicalAcceptance {
-                epsilon: 0.5,
-                delta: 3.0,
-            },
-            TypicalAcceptance {
-                epsilon: 0.0,
-                delta: 0.3,
-            },
-            TypicalAcceptance {
-                epsilon: 0.3,
-                delta: -1.0,
-            },
-        ];
-        let (mut dists, mut support, mut dense) = (Vec::new(), Vec::new(), Vec::new());
+            (0.09, 0.3),
+            (0.5, 3.0),
+            (0.0, 0.3),
+            (0.3, -1.0),
+            (0.09, 0.0),
+            (0.09, 1e-40),
+        ]
+        .map(|(epsilon, delta)| TypicalAcceptance { epsilon, delta });
+        let mut dense = Vec::new();
+        let ulp = |x: f32, by: i32| f32::from_bits((x.to_bits() as i32 + by) as u32);
         for sampling in samplings {
             let rows = match sampling {
                 Sampling::Greedy => rows_at(1.0),
                 Sampling::Temperature { temperature, .. } => rows_at(temperature),
             };
-            for acceptance in &acceptances {
-                for logits in &rows {
-                    // One evaluation per node, then every edge out of
-                    // it back to back — how a scored level is consumed.
-                    support.clear();
-                    let mut node = NodeAccept::of(logits, sampling, &mut dists, &mut support);
-                    assert!(dists.is_empty(), "working memory only");
-                    for tok in 0..logits.len() as TokenId {
-                        assert_eq!(
-                            node.accepts(logits, tok, acceptance, &support),
-                            reference(logits, tok, sampling, acceptance),
-                            "{sampling:?} {acceptance:?} tok {tok} of {logits:?}"
-                        );
-                    }
+            for logits in &rows {
+                let mut scored = None;
+                for acceptance in &acceptances {
+                    scored = assert_node_matches_the_definition(logits, sampling, acceptance);
                     // The threshold itself, whether or not an edge
                     // needed it: the dense row's, bit for bit.
-                    if let NodeAccept::Typical {
-                        temperature, sum, ..
-                    } = node
+                    if let (Some((support, sum)), Sampling::Temperature { temperature, .. }) =
+                        (&scored, sampling)
                     {
                         dense.clear();
                         tempered_softmax_into(logits, temperature, &mut dense);
                         assert_eq!(
-                            acceptance.threshold_on_support(&support, sum).to_bits(),
+                            acceptance.threshold_on_support(support, *sum).to_bits(),
                             acceptance.threshold(&dense).to_bits(),
                             "{sampling:?} {acceptance:?} threshold of {logits:?}"
                         );
                     }
                 }
+                // The bound's own edge: `δ` one ulp either side of
+                // `2·n·p`, and on it, for the row's runner-up (its best
+                // when that is all there is) and its support's median
+                // — so each `p` sits one ulp either side of `δ/(2n)` —
+                // under an `ε` no probability clears, so that nothing
+                // is decided before the bound is asked.
+                let Some((support, sum)) = scored else {
+                    continue;
+                };
+                let mut by_weight = support.clone();
+                by_weight.sort_by(|a, b| b.1.total_cmp(&a.1));
+                let picks = [
+                    by_weight[1.min(by_weight.len() - 1)],
+                    by_weight[by_weight.len() / 2],
+                ];
+                for (_, e) in picks {
+                    let edge = 2.0 * support.len() as f32 * (e / sum);
+                    if edge < f32::MIN_POSITIVE {
+                        continue;
+                    }
+                    for delta in [ulp(edge, -1), edge, ulp(edge, 1)] {
+                        let acceptance = TypicalAcceptance {
+                            epsilon: 1.0,
+                            delta,
+                        };
+                        assert_node_matches_the_definition(logits, sampling, &acceptance);
+                    }
+                }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// [`node_acceptance_matches_the_full_row_definition`] over
+        /// random rows — narrow and vocabulary-wide, flat to peaked —
+        /// at any temperature the repo samples at and any `(ε, δ)` of
+        /// the ablation's grid and beyond: every token of every row is
+        /// judged as the dense definition judges it, whether the
+        /// `p > ε` exit, the entropy bound or the entropy decided.
+        #[test]
+        fn node_acceptance_matches_the_definition_on_random_rows(
+            unit in prop_oneof![
+                proptest::collection::vec(-0.5f32..0.5, 1..40),
+                proptest::collection::vec(-0.5f32..0.5, 480..481),
+            ],
+            spread in 0.0f32..12.0,
+            temperature in 0.01f32..2.5,
+            epsilon in 0.0f32..1.0,
+            delta in 0.0f32..4.0,
+        ) {
+            let logits: Vec<f32> = unit.iter().map(|u| u * spread).collect();
+            let acceptance = TypicalAcceptance { epsilon, delta };
+            assert_node_matches_the_definition(
+                &logits,
+                Sampling::temperature(temperature),
+                &acceptance,
+            );
         }
     }
 

@@ -794,6 +794,60 @@ fn every_medusa_engine_carries_most_of_its_base_rows() {
     }
 }
 
+#[test]
+fn a_cold_generation_takes_almost_no_entropy() {
+    // What the bound in front of Eq. 1 buys, as a count: once sampling
+    // is cold a scored node's candidates are its favourite (`p > ε`)
+    // and runners-up under `δ/(2n)`, so the entropy is evaluated for
+    // hardly any node; when it is warm they fall between the two and
+    // the entropy still decides. Outputs are pinned elsewhere
+    // (`lazy_levels_equal_eager_tree`, `carried_base_equals_forwarded_base`).
+    use crate::accept::ENTROPY_EVALUATIONS;
+    use crate::train::{train_in_place, TrainConfig, TrainMethod};
+    // A model as sure of itself as a trained one — a runner-up far
+    // under `δ/(2n)` when cold yet above it when warm: three epochs of
+    // the paper's regime on `[FRAG]`-tagged statements of one shape.
+    let mut model = tiny_model();
+    let statement = [5, 6, 7, 3, 8, 9, 10, 3, 11, 12, 3];
+    let seqs: Vec<Vec<TokenId>> = (0..6)
+        .map(|i| statement.iter().cycle().skip(i).take(66).copied().collect())
+        .collect();
+    let tc = TrainConfig {
+        epochs: 3,
+        lr: 2e-2,
+        ..TrainConfig::paper_defaults(TrainMethod::Ours)
+    };
+    train_in_place(&mut model, &seqs, &tc);
+    let cost = GpuCostModel::codellama_like();
+    let counts = |temperature: f32| {
+        let cfg = DecodeConfig {
+            max_tokens: 96,
+            sampling: Sampling::temperature(temperature),
+            seed: 11,
+            syntax_aligned: true,
+            tree: Some(vec![2, 2, 1]),
+            ..Default::default()
+        };
+        let mut st = Stepper::speculative(&model, &[5, 6, 7], cfg);
+        let before = ENTROPY_EVALUATIONS.with(Cell::get);
+        let (mut scored, mut more) = (0usize, true);
+        while more {
+            more = st.step(&cost);
+            // A scored sampled node is marked with its support's sum.
+            scored += st.marks.iter().filter(|m| m.sum > 0.0).count();
+        }
+        (ENTROPY_EVALUATIONS.with(Cell::get) - before, scored)
+    };
+    let (cold, scored) = counts(0.03);
+    assert!(scored >= 30, "{scored} nodes scored");
+    assert!(10 * cold <= scored, "{cold} entropies for {scored} nodes");
+    let (warm, scored) = counts(0.8);
+    assert!(
+        warm > 0 && warm <= scored,
+        "{warm} entropies for {scored} nodes"
+    );
+}
+
 /// A model whose logits are scripted per context — the tokens after
 /// the prompt select a row favouring one token by a wide margin — and
 /// which counts the base-head forwards it is asked for.

@@ -65,16 +65,39 @@
 //! | scored nodes held as supports | 1 | ≈ 0: only a step that carried nothing draws with `Sampler::sample` |
 //!
 //! A scored node's softmax is held as its support
-//! ([`crate::matrix::tempered_support_into`]): at the temperatures the
-//! benchmark samples at, ≈ 21 of a row's 480 entries are non-zero, the
-//! rest fall below `f32::exp`'s flush-to-zero point and are skipped on
-//! a compare. The NTP column is deliberately untouched: about half of
+//! ([`crate::matrix::tempered_support_into`]): the entries that are
+//! non-zero, the rest fall below `f32::exp`'s flush-to-zero point and
+//! are skipped on a compare. How many of a row's 480 entries that is
+//! depends on the workload's temperatures — measured per support,
+//! ≈ 21 on `offline_eval` (40 218 supports a pass, 825k entries), ≈ 15
+//! on `serve_batch` (1 677, 25.5k) and ≈ 64 on the fleets
+//! (`fleet_shared`: 4 288, 274k; `fleet_unique`: 4 336, 279k). The NTP
+//! column is deliberately untouched: about half of
 //! the NTP reference step *is* its own dense normalise, so
 //! `real_speedup` now compares a speculative step that normalises
 //! sparsely with a reference that does not. Giving `Sampler::sample`
 //! the same support would raise `tok_s` on every workload and lower
 //! that ratio; it is a change to the reference leg and is kept for an
-//! issue of its own (ROADMAP item 1).
+//! issue of its own (ROADMAP item 2).
+//!
+//! Nor can it show Eq. 1's entropy, one `ln` per support entry of a
+//! node whose candidate fell between the `p > ε` and `p ≤ 0` exits —
+//! and the supports such nodes have are the wide ones, ≈ 99 entries on
+//! the fleets. Per `fleet_shared` pass that was 2 552 entropies over
+//! 251 918 entries, as many `ln` as the leg takes support `exp`
+//! (274k) and ≈ 17 % of its tick time, nearly all of them to reject a
+//! runner-up twelve orders of magnitude under any threshold. An
+//! `n`-point entropy is at most `ln n`, so a candidate with
+//! `2·n·p ≤ δ` is rejected on two numbers (`verispec-core`'s
+//! `accept.rs` argues the factor two); what is left is the candidates
+//! that bound cannot decide:
+//!
+//! | entropies a pass (entries) | every undecided candidate | … past the `H ≤ ln n` bound |
+//! |---|---|---|
+//! | `fleet_shared` | 2 552 (251 918) | 161 (25 794) |
+//! | `fleet_unique` | 2 611 (257 686) | 186 (27 767) |
+//! | `serve_batch` | 620 (20 652) | 56 (2 091) |
+//! | `offline_eval`, all four engines | 13 609 (653 535) | 1 202 (49 874) |
 //!
 //! The grammar engine's step is the one place where the work around
 //! the matrices was *ranking*. It needs all six head rows at propose —

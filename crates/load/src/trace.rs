@@ -89,9 +89,18 @@ pub struct ArrivalTrace {
     pub faults: FaultPlan,
 }
 
+/// The coldest temperature a trace entry may sample at. The samplers
+/// divide every logit by it, so zero, a negative or a NaN is refused by
+/// their assertions and a subnormal one (`1e-40`) overflows the scaled
+/// row; at this floor — a hundredth of the coldest draw any workload
+/// makes — a logit would have to pass `10³⁴` to do that.
+const MIN_TEMPERATURE: f32 = 1e-4;
+
 // Hand-written so traces recorded before `faults` existed still parse,
-// and so an entry pointing outside the prompt table is a parse error
-// rather than a panic at replay.
+// and so an entry no engine can run — one pointing outside the prompt
+// table, sampling at a temperature the samplers refuse, drafting blocks
+// of no tokens — is a parse error rather than a panic at replay, inside
+// a worker's tick.
 impl serde::Deserialize for ArrivalTrace {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let trace = ArrivalTrace {
@@ -104,17 +113,34 @@ impl serde::Deserialize for ArrivalTrace {
                 Err(_) => FaultPlan::none(),
             },
         };
-        match trace
-            .entries
-            .iter()
-            .find(|e| e.prompt_id >= trace.prompts.len())
-        {
-            Some(e) => Err(serde::Error::new(format!(
-                "trace entry {} names prompt {} of a table of {}",
-                e.id,
-                e.prompt_id,
-                trace.prompts.len()
-            ))),
+        let refused = trace.entries.iter().find_map(|e| {
+            if e.prompt_id >= trace.prompts.len() {
+                return Some(format!(
+                    "trace entry {} names prompt {} of a table of {}",
+                    e.id,
+                    e.prompt_id,
+                    trace.prompts.len()
+                ));
+            }
+            match (e.sampling, &e.engine) {
+                (Sampling::Temperature { temperature, .. }, _)
+                    if !(temperature.is_finite() && temperature >= MIN_TEMPERATURE) =>
+                {
+                    Some(format!(
+                        "trace entry {}: sampling.temperature {temperature} is not a finite \
+                         temperature of at least {MIN_TEMPERATURE}",
+                        e.id
+                    ))
+                }
+                (_, EngineChoice::DraftVerify { gamma: 0 }) => Some(format!(
+                    "trace entry {}: engine.gamma 0 drafts no token (at least 1)",
+                    e.id
+                )),
+                _ => None,
+            }
+        });
+        match refused {
+            Some(why) => Err(serde::Error::new(why)),
             None => Ok(trace),
         }
     }
@@ -209,8 +235,11 @@ impl ArrivalTrace {
     }
 
     /// Parses a trace back from JSON. Malformed input — truncated
-    /// JSON, a missing field, an entry whose `prompt_id` is outside the
-    /// prompt table — is an `Err`, never a panic.
+    /// JSON, a missing field — and an entry no engine can run — a
+    /// `prompt_id` outside the prompt table, a sampling temperature that
+    /// is not finite or is below `1e-4` (zero, negative, NaN, subnormal),
+    /// a `DraftVerify` `gamma` of 0 — is an `Err` naming the entry,
+    /// never a panic here or in the tick that would have served it.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
     }
@@ -335,6 +364,48 @@ mod tests {
         // A truncated file.
         assert!(ArrivalTrace::from_json(&committed[..committed.len() / 2]).is_err());
         assert!(ArrivalTrace::from_json("").is_err());
+    }
+
+    #[test]
+    fn entries_no_engine_can_run_are_parse_errors_naming_them() {
+        let committed = include_str!("../tests/traces/eviction_churn.json");
+        let trace = ArrivalTrace::from_json(committed).expect("the committed trace parses");
+        let id = trace.entries[1].id;
+        let edited = |edit: &dyn Fn(&mut TraceEntry)| {
+            let mut trace = trace.clone();
+            edit(&mut trace.entries[1]);
+            trace.to_json().expect("serializes")
+        };
+        let parse = |json: &str| {
+            ArrivalTrace::from_json(json)
+                .map(|_| ())
+                .map_err(|e| e.to_string())
+        };
+        // Temperatures the samplers assert against or overflow on, as a
+        // file can spell them: each would have parsed and then died
+        // inside a worker's tick.
+        let sentinel = edited(&|e| e.sampling = Sampling::temperature(0.15625));
+        for t in ["0.0", "-0.5", "1e-40", "9e-5", "1e999"] {
+            let err = parse(&sentinel.replace("0.15625", t)).expect_err("refused");
+            assert!(
+                err.contains(&format!("entry {id}:")) && err.contains("sampling.temperature"),
+                "{t}: {err}"
+            );
+        }
+        // A draft block of no tokens dies at admission.
+        let err = parse(&edited(&|e| {
+            e.engine = EngineChoice::DraftVerify { gamma: 0 }
+        }))
+        .expect_err("refused");
+        assert!(
+            err.contains(&format!("entry {id}:")) && err.contains("engine.gamma"),
+            "{err}"
+        );
+        // The floor itself, greedy and a one-token block are servable.
+        assert_eq!(parse(&sentinel.replace("0.15625", "1e-4")), Ok(()));
+        assert_eq!(parse(&edited(&|e| e.sampling = Sampling::Greedy)), Ok(()));
+        let block = |e: &mut TraceEntry| e.engine = EngineChoice::DraftVerify { gamma: 1 };
+        assert_eq!(parse(&edited(&block)), Ok(()));
     }
 
     #[test]

@@ -685,6 +685,18 @@ impl<'m> ServeEngine<'m> {
     /// [`ServeEngine::warm_prefix`]) or explicitly via
     /// [`ServeEngine::submit_with_session`]; `submit` itself carries no
     /// session.
+    ///
+    /// # Panics
+    ///
+    /// Never here — but a request no engine can run is accepted, and
+    /// the [`ServeEngine::tick`] that admits or first steps it panics:
+    /// a [`verispec_lm::Sampling::Temperature`] that is not positive (or
+    /// so small that the scaled logits overflow), an
+    /// [`EngineChoice::DraftVerify`] with `gamma` 0 or on an engine
+    /// without [`ServeEngine::with_draft`]. A request read from a file
+    /// is checked where it enters (`verispec_load::ArrivalTrace::from_json`
+    /// refuses such entries); one built as a struct literal is the
+    /// caller's to get right.
     pub fn submit(&mut self, req: Request) {
         self.enqueue(req, None);
     }
