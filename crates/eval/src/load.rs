@@ -209,7 +209,8 @@ const SINGLE: &str = "single";
 /// adaptive vs. budgeted speculation at the same per-tick verify
 /// capacity, with SLO deadlines, earliest-deadline-first scheduling,
 /// and load-shedding admission control — all under streaming admission
-/// with prefix-forked sessions and a session cap of twice the pool —
+/// through the prefix cache warmed with the shared preamble, and a
+/// session cap of twice the pool —
 /// plus the **dispatch sweep**: one Ours-tree workload at
 /// [`DISPATCH_LOAD_FACTOR`] × the highest offered load (hot enough to
 /// saturate the largest fleet), served once on a single engine (the
@@ -1153,7 +1154,6 @@ mod tests {
                 ttft_ticks: ttft,
                 ..Default::default()
             },
-            session_evictions: 0,
             peak_resident_sessions: 4,
             preemptions: 0,
             slo_attainment: None,

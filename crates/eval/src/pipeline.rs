@@ -276,9 +276,10 @@ fn store_cached(key: &str, model: &MlpLm) {
 /// bit-for-bit (`debug_assert`ed, and pinned over every benchmark
 /// prompt by the tests). Anything else falls back to a full encode.
 ///
-/// Served runs pair this with [`verispec_lm::DecodeSession::fork`]:
-/// one session ingests `preamble_ids` once and each request forks it,
-/// appending only its remainder.
+/// Served runs warm `preamble_ids` into each engine's prefix cache
+/// (`verispec_serve::ServeEngine::warm_prefix`): it is ingested once
+/// and each request forks the cached stem at admission, ingesting only
+/// its remainder.
 pub struct SharedPrefixEncoder<'t> {
     tokenizer: &'t BpeTokenizer,
     preamble: &'static str,

@@ -85,7 +85,7 @@ pub use ngram::NgramLm;
 pub use sampler::{argmax, top_k_indices, top_k_into, Ranking, Sampler, Sampling};
 pub use session::{
     verify_many, DecodeSession, MlpSession, NgramSession, NodeMap, SnapshotSession, Stateless,
-    StatelessSession, VerifyPlan,
+    VerifyPlan,
 };
 
 /// A language model that exposes base-head logits over a prefix, and
@@ -114,11 +114,12 @@ pub trait LanguageModel {
 
     /// Opens an empty [`DecodeSession`] over this model.
     ///
-    /// The default is the [`StatelessSession`] shim (full recompute per
-    /// query); models with cacheable state override this with an
-    /// incremental session ([`MlpSession`], [`NgramSession`]).
+    /// The default is a stateless shim (full recompute per query —
+    /// the session [`Stateless`] forces); models with cacheable state
+    /// override this with an incremental session ([`MlpSession`],
+    /// [`NgramSession`]).
     fn session(&self) -> Box<dyn DecodeSession + '_> {
-        Box::new(StatelessSession::new(self))
+        Box::new(session::StatelessSession::new(self))
     }
 
     /// Opens an empty **storable-fork** session over this model

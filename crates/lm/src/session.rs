@@ -85,11 +85,12 @@
 //!   distribution of the current position; its frontier is scored by
 //!   the trait default (`truncate`/`append`/`logits` per node), so it
 //!   too pays only for what acceptance reaches.
-//! * [`StatelessSession`] — the migration shim: a fresh-compute session
-//!   over any [`LanguageModel`], used as the default
-//!   `LanguageModel::session()` so external model implementations keep
-//!   working unchanged (and, via [`Stateless`], as the reference the
-//!   parity property tests compare cached sessions against).
+//! * `StatelessSession` (crate-private) — the migration shim: a
+//!   fresh-compute session over any [`LanguageModel`], used as the
+//!   default `LanguageModel::session()` so external model
+//!   implementations keep working unchanged (and, via [`Stateless`], as
+//!   the reference the parity property tests compare cached sessions
+//!   against).
 
 use crate::arena::{ArenaRows, LogitsArena};
 use crate::mlp::{MlpLm, TokenId};
@@ -877,14 +878,14 @@ pub trait SnapshotSession<'m>: DecodeSession {
 /// with the session-driven engines. It is deliberately cache-free: the
 /// parity property tests use it (via [`Stateless`]) as the
 /// "fresh forward per query" reference.
-pub struct StatelessSession<'a, M: LanguageModel + ?Sized> {
+pub(crate) struct StatelessSession<'a, M: LanguageModel + ?Sized> {
     model: &'a M,
     tokens: Vec<TokenId>,
 }
 
 impl<'a, M: LanguageModel + ?Sized> StatelessSession<'a, M> {
     /// Opens an empty stateless session over `model`.
-    pub fn new(model: &'a M) -> Self {
+    pub(crate) fn new(model: &'a M) -> Self {
         StatelessSession {
             model,
             tokens: Vec::new(),
@@ -922,15 +923,6 @@ impl<M: LanguageModel + ?Sized> DecodeSession for StatelessSession<'_, M> {
             model: self.model,
             tokens: self.tokens.clone(),
         }))
-    }
-}
-
-impl<'m, M: LanguageModel + ?Sized> SnapshotSession<'m> for StatelessSession<'m, M> {
-    fn fork_snapshot(&self) -> Box<dyn SnapshotSession<'m> + 'm> {
-        Box::new(StatelessSession {
-            model: self.model,
-            tokens: self.tokens.clone(),
-        })
     }
 }
 

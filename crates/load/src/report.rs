@@ -115,8 +115,6 @@ pub struct LoadBenchRow {
     /// The four latency distributions ([`LatencyQuantiles`] — shared
     /// with the telemetry summaries instead of copied field by field).
     pub quantiles: LatencyQuantiles,
-    /// Idle prefix forks evicted by the session cap.
-    pub session_evictions: usize,
     /// High-water resident sessions.
     pub peak_resident_sessions: usize,
     /// Preemptions performed.
@@ -245,7 +243,6 @@ impl LoadBenchRow {
             tokens_per_tick: tokens as f64 / (stats.ticks.max(1)) as f64,
             tokens_per_step: tokens as f64 / steps.max(1) as f64,
             quantiles: run.latency.overall.quantiles,
-            session_evictions: stats.session_evictions,
             peak_resident_sessions: stats.peak_resident_sessions,
             preemptions: stats.preemptions,
             slo_attainment: slo.attainment(),

@@ -100,7 +100,9 @@ const MIN_TEMPERATURE: f32 = 1e-4;
 // and so an entry no engine can run — one pointing outside the prompt
 // table, sampling at a temperature the samplers refuse, drafting blocks
 // of no tokens — is a parse error rather than a panic at replay, inside
-// a worker's tick.
+// a worker's tick. So is a request id two entries share: the latency
+// report joins completions to requests by id, so the second would be
+// reported under the first's engine and deadline.
 impl serde::Deserialize for ArrivalTrace {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let trace = ArrivalTrace {
@@ -113,7 +115,14 @@ impl serde::Deserialize for ArrivalTrace {
                 Err(_) => FaultPlan::none(),
             },
         };
-        let refused = trace.entries.iter().find_map(|e| {
+        let mut first_at = std::collections::HashMap::with_capacity(trace.entries.len());
+        let refused = trace.entries.iter().enumerate().find_map(|(pos, e)| {
+            if let Some(first) = first_at.insert(e.id, pos) {
+                return Some(format!(
+                    "trace entries {first} and {pos} share request id {}",
+                    e.id
+                ));
+            }
             if e.prompt_id >= trace.prompts.len() {
                 return Some(format!(
                     "trace entry {} names prompt {} of a table of {}",
@@ -239,7 +248,9 @@ impl ArrivalTrace {
     /// `prompt_id` outside the prompt table, a sampling temperature that
     /// is not finite or is below `1e-4` (zero, negative, NaN, subnormal),
     /// a `DraftVerify` `gamma` of 0 — is an `Err` naming the entry,
-    /// never a panic here or in the tick that would have served it.
+    /// never a panic here or in the tick that would have served it. Two
+    /// entries with one request id are an `Err` naming the id and both
+    /// entry positions.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
     }
@@ -364,6 +375,21 @@ mod tests {
         // A truncated file.
         assert!(ArrivalTrace::from_json(&committed[..committed.len() / 2]).is_err());
         assert!(ArrivalTrace::from_json("").is_err());
+    }
+
+    #[test]
+    fn a_request_id_two_entries_share_is_a_parse_error_naming_both() {
+        let committed = include_str!("../tests/traces/eviction_churn.json");
+        let mut trace = ArrivalTrace::from_json(committed).expect("the committed trace parses");
+        let (id, last) = (trace.entries[2].id, trace.entries.len() - 1);
+        trace.entries[last].id = id;
+        let json = trace.to_json().expect("serializes");
+        let err = ArrivalTrace::from_json(&json).expect_err("duplicate id");
+        assert!(
+            err.to_string()
+                .contains(&format!("entries 2 and {last} share request id {id}")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Golden event-log CI: the `eviction_churn` corpus trace (the same
 //! committed `ArrivalTrace` the trace-replay regression suite pins)
-//! replayed with a collecting [`EventLog`] attached, and its serialized
-//! event stream asserted **byte-identical** to the committed golden log
+//! replayed through the prefix cache — the shared stem warmed, a tight
+//! session cap churning its LRU leaves — with a collecting [`EventLog`]
+//! attached, and its serialized event stream asserted
+//! **byte-identical** to the committed golden log
 //! `tests/traces/eviction_churn.events.json`.
 //!
 //! Events are stamped in tick space only, so the log is a pure
@@ -14,7 +16,7 @@
 //! cargo test -p verispec-load --test event_log -- --ignored regenerate
 //! ```
 
-use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, TokenId};
+use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, NgramLm, TokenId};
 use verispec_load::ArrivalTrace;
 use verispec_serve::ServeConfig;
 use verispec_trace::{log_from_json, log_to_json, EventKind, EventLog, TraceEvent};
@@ -43,11 +45,12 @@ fn draft() -> NgramLm {
 fn churn_cfg() -> ServeConfig {
     ServeConfig {
         session_cap: Some(3),
+        prefix_cache: true,
         ..ServeConfig::concurrency(2)
     }
 }
 
-/// The corpus mixes' shared prompt stem, pre-ingested for forking.
+/// The corpus mixes' shared prompt stem, warmed into the prefix cache.
 const SHARED_PREFIX: [TokenId; 2] = [5, 6];
 
 fn traces_dir() -> std::path::PathBuf {
@@ -63,22 +66,12 @@ fn replay_churn_events() -> Vec<TraceEvent> {
     let m = model();
     let d = draft();
     let cost = GpuCostModel::codellama_like();
-    let mut prefix = m.session();
-    prefix.append(&SHARED_PREFIX);
     let log = EventLog::new();
     let mut engine = verispec_serve::ServeEngine::new(&m, churn_cfg())
         .with_draft(&d)
         .with_sink(&log);
-    // Fork the shared-prefix session per matching request at submit
-    // time (the explicit successor of the retired engine-held
-    // `with_prefix` plumbing) — byte-identical to the committed golden.
+    assert!(engine.warm_prefix(&SHARED_PREFIX));
     for req in trace.replay() {
-        if req.prompt.starts_with(prefix.tokens()) {
-            if let Some(fork) = prefix.fork() {
-                engine.submit_with_session(req, fork);
-                continue;
-            }
-        }
         engine.submit(req);
     }
     engine.run(&cost);
@@ -117,10 +110,10 @@ fn eviction_churn_event_log_replays_byte_identically() {
     );
 
     // The log stays interesting: the churn case must keep exercising
-    // prefix-fork eviction, and every lifecycle class must appear.
+    // prefix-cache eviction, and every lifecycle class must appear.
     let evictions = a
         .iter()
-        .filter(|e| matches!(e.kind, EventKind::ForkEvicted))
+        .filter(|e| matches!(e.kind, EventKind::PrefixEvicted))
         .count();
     assert!(evictions >= 3, "churn log stopped evicting ({evictions})");
     for (what, present) in [

@@ -104,8 +104,7 @@ fn full_mix(deadline_slack: Option<f64>) -> RequestMix {
 }
 
 /// Batch-drives the requests through an engine riding the prefix
-/// cache warmed with `stem` (the successor of the retired engine-held
-/// `with_prefix` plumbing), capturing the event stream when `log` is
+/// cache warmed with `stem`, capturing the event stream when `log` is
 /// given (the no-op default otherwise).
 fn batch_run(
     model: &MlpLm,
@@ -286,7 +285,6 @@ proptest! {
         prop_assert_eq!(reg.counter("prefix.hits") as usize, s.prefix_hits);
         prop_assert_eq!(reg.counter("prefix.misses") as usize, s.prefix_misses);
         prop_assert_eq!(reg.counter("prefix.tokens_saved") as usize, s.prefix_tokens_saved);
-        prop_assert_eq!(reg.counter("evictions.forks") as usize, s.session_evictions);
         prop_assert_eq!(reg.counter("evictions.prefix") as usize, s.prefix_evictions);
         prop_assert_eq!(reg.counter("steps.deferred"), s.deferred_steps);
         prop_assert_eq!(reg.counter("ticks.idle_skipped"), s.idle_ticks_skipped);

@@ -53,7 +53,6 @@ fn any_process() -> impl Strategy<Value = ArrivalProcess> {
 fn any_order() -> impl Strategy<Value = TickOrder> {
     prop_oneof![
         Just(TickOrder::RoundRobin),
-        Just(TickOrder::ShortestFirst),
         any::<u64>().prop_map(TickOrder::Seeded),
         Just(TickOrder::Edf),
     ]
@@ -100,8 +99,7 @@ fn full_mix() -> RequestMix {
 }
 
 /// Builds an engine riding the radix-tree prefix cache, pre-warmed
-/// with the shared stem (the successor of the retired engine-held
-/// `with_prefix` plumbing) — applied identically to the batch and
+/// with the shared stem — applied identically to the batch and
 /// streaming sides so the parity assertions compare like with like.
 fn engine_for<'m>(
     model: &'m MlpLm,
@@ -238,7 +236,7 @@ proptest! {
             prop_assert_eq!(a.preemptions, b.preemptions);
         }
         prop_assert_eq!(batch.stats.ticks, streamed.stats.ticks);
-        prop_assert_eq!(batch.stats.session_evictions, streamed.stats.session_evictions);
+        prop_assert_eq!(batch.stats.prefix_evictions, streamed.stats.prefix_evictions);
         prop_assert_eq!(batch.stats.preemptions, streamed.stats.preemptions);
     }
 

@@ -8,10 +8,10 @@
 //! against a pinned engine configuration and asserted
 //! **bit-identical** to its committed golden summary
 //! (`tests/traces/goldens.json`: completions, shed count, total
-//! committed tokens, tick schedule length, evictions, deadlines met,
-//! and — for the failure scenarios — the golden recovery counters:
-//! crashes, restarts, migrations, replayed tokens, backpressure
-//! deferrals).
+//! committed tokens, tick schedule length, deadlines met, prefix-cache
+//! hits / misses / evictions, grammar prunes, and — for the failure
+//! scenarios — the golden recovery counters: crashes, restarts,
+//! migrations, replayed tokens, backpressure deferrals).
 //!
 //! The serving engine is a deterministic function of its requests, so
 //! any diff here is a real behavior change: either an intended one
@@ -30,7 +30,7 @@
 use serde::{Deserialize, Serialize};
 use verispec_core::DecodeConfig;
 use verispec_grammar::GrammarOracle;
-use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, TokenId};
+use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, NgramLm, TokenId};
 use verispec_load::{ArrivalProcess, ArrivalTrace, PromptFamily, RequestMix, Workload};
 use verispec_serve::{
     Backend, Drive, EngineChoice, FaultPlan, FleetRuntime, RoutePolicy, ServeConfig, ServeEngine,
@@ -73,8 +73,8 @@ fn draft() -> NgramLm {
     lm
 }
 
-/// The shared prompt prefix of the corpus mixes (forked at admission
-/// in the eviction trace).
+/// The shared prompt prefix of the corpus mixes (warmed into the prefix
+/// cache in the eviction trace).
 const SHARED_PREFIX: [TokenId; 2] = [5, 6];
 
 /// One corpus case: the committed trace, the engine configuration it
@@ -83,9 +83,9 @@ const SHARED_PREFIX: [TokenId; 2] = [5, 6];
 struct TraceCase {
     name: &'static str,
     cfg: ServeConfig,
-    /// Replay with the shared-prefix session forked per matching
-    /// request at submit time.
-    with_prefix: bool,
+    /// Replay with [`SHARED_PREFIX`] warmed into the prefix cache
+    /// ([`ServeEngine::warm_prefix`]; the case's config enables it).
+    warm_shared: bool,
     /// Replay against [`byte_model`] with the byte-level
     /// [`GrammarOracle`] attached (the grammar-stress case).
     grammar: bool,
@@ -146,7 +146,7 @@ fn corpus() -> Vec<TraceCase> {
         TraceCase {
             name: "tail_blowup",
             cfg: ServeConfig::concurrency(2),
-            with_prefix: false,
+            warm_shared: false,
             grammar: false,
             fleet: None,
             faults: FaultPlan::none(),
@@ -168,7 +168,7 @@ fn corpus() -> Vec<TraceCase> {
                 shed_depth: Some(2),
                 ..Default::default()
             },
-            with_prefix: false,
+            warm_shared: false,
             grammar: false,
             fleet: None,
             faults: FaultPlan::none(),
@@ -183,16 +183,18 @@ fn corpus() -> Vec<TraceCase> {
                 seed: 0x5EED_5707,
             },
         },
-        // Steady arrivals whose prefix forks overflow a tight session
-        // cap: the LRU eviction / exact-replay path churns constantly
-        // and must never change an output.
+        // Steady arrivals forking a warmed shared stem, whose cached
+        // prompts overflow a tight session cap: the prefix cache's LRU
+        // eviction / exact-replay path churns constantly and must never
+        // change an output.
         TraceCase {
             name: "eviction_churn",
             cfg: ServeConfig {
                 session_cap: Some(3),
+                prefix_cache: true,
                 ..ServeConfig::concurrency(2)
             },
-            with_prefix: true,
+            warm_shared: true,
             grammar: false,
             fleet: None,
             faults: FaultPlan::none(),
@@ -215,7 +217,7 @@ fn corpus() -> Vec<TraceCase> {
                 session_cap: Some(5),
                 ..ServeConfig::concurrency(2)
             },
-            with_prefix: false,
+            warm_shared: false,
             grammar: false,
             fleet: None,
             faults: FaultPlan::none(),
@@ -242,7 +244,7 @@ fn corpus() -> Vec<TraceCase> {
                 tick_capacity: Some(10),
                 ..ServeConfig::concurrency(2)
             },
-            with_prefix: false,
+            warm_shared: false,
             grammar: false,
             fleet: None,
             faults: FaultPlan::none(),
@@ -265,7 +267,7 @@ fn corpus() -> Vec<TraceCase> {
         TraceCase {
             name: "grammar_stress",
             cfg: ServeConfig::concurrency(2),
-            with_prefix: false,
+            warm_shared: false,
             grammar: true,
             fleet: None,
             faults: FaultPlan::none(),
@@ -302,7 +304,7 @@ fn corpus() -> Vec<TraceCase> {
         TraceCase {
             name: "worker_crash",
             cfg: ServeConfig::concurrency(2),
-            with_prefix: false,
+            warm_shared: false,
             grammar: false,
             fleet: Some((2, RoutePolicy::RoundRobin)),
             faults: FaultPlan::none().crash(6, 0).restart(18, 0),
@@ -320,7 +322,7 @@ fn corpus() -> Vec<TraceCase> {
         TraceCase {
             name: "crash_storm",
             cfg: ServeConfig::concurrency(2),
-            with_prefix: false,
+            warm_shared: false,
             grammar: false,
             fleet: Some((2, RoutePolicy::JoinShortestQueue)),
             faults: FaultPlan::none()
@@ -343,7 +345,7 @@ fn corpus() -> Vec<TraceCase> {
         TraceCase {
             name: "noisy_neighbor",
             cfg: ServeConfig::concurrency(2),
-            with_prefix: false,
+            warm_shared: false,
             grammar: false,
             fleet: Some((2, RoutePolicy::LeastLoaded)),
             faults: FaultPlan::none().share(0, 4).share(1, 1),
@@ -367,7 +369,6 @@ struct GoldenSummary {
     tokens: usize,
     /// Scheduler ticks of the replayed run.
     ticks: u64,
-    session_evictions: usize,
     deadlines_met: usize,
     /// Prefix-cache counters (all zero for cache-off cases).
     #[serde(default)]
@@ -406,7 +407,6 @@ impl GoldenSummary {
             shed: report.shed.len(),
             tokens: report.stats.served_tokens,
             ticks: report.stats.ticks,
-            session_evictions: report.stats.session_evictions,
             deadlines_met: report
                 .completions
                 .iter()
@@ -457,22 +457,14 @@ fn replay(case: &TraceCase, trace: &ArrivalTrace) -> ServeReport {
             stats: run.report.stats,
         };
     }
-    let mut prefix = m.session();
-    prefix.append(&SHARED_PREFIX);
     let mut engine = ServeEngine::new(&m, case.cfg.clone()).with_draft(&d);
     if case.grammar {
         engine = engine.with_grammar(&oracle);
     }
+    if case.warm_shared {
+        assert!(engine.warm_prefix(&SHARED_PREFIX), "{}", case.name);
+    }
     for req in trace.replay() {
-        // Fork the shared-prefix session per matching request at
-        // submit time (the explicit successor of the retired
-        // engine-held `with_prefix` plumbing).
-        if case.with_prefix && req.prompt.starts_with(prefix.tokens()) {
-            if let Some(fork) = prefix.fork() {
-                engine.submit_with_session(req, fork);
-                continue;
-            }
-        }
         engine.submit(req);
     }
     engine.run(&cost)
@@ -602,9 +594,9 @@ fn corpus_traces_exercise_their_failure_modes() {
             }
             "eviction_churn" => {
                 assert!(
-                    report.stats.session_evictions >= 3,
+                    report.stats.prefix_evictions >= 3,
                     "churn trace stopped evicting ({})",
-                    report.stats.session_evictions
+                    report.stats.prefix_evictions
                 );
             }
             "zipf_stems" => {

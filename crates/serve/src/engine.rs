@@ -12,7 +12,7 @@
 //!    rolled back, so the stepper holds exactly its committed context)
 //!    and re-queued, and the starved request takes its slot.
 //! 2. **selection** — the [`Scheduler`] picks up to `max_batch` active
-//!    requests (round-robin / shortest-first / seeded order, with an
+//!    requests (round-robin / seeded / EDF / weighted-fair order, with an
 //!    aging guard bounding every request's service gap — see
 //!    [`Scheduler::starvation_bound`]).
 //! 3. **fused propose** — the MEDUSA-style members of the batch append
@@ -34,8 +34,8 @@
 //!    *accepted* prefixes cost (a few nodes each, in two or three
 //!    dependent passes), not their proposed trees, and evaluates the
 //!    heads of the levels acceptance reached, not of the levels
-//!    proposed. Members whose session cannot plan score their own
-//!    levels instead.
+//!    proposed. Every member plans: the engine opens each session
+//!    itself (`model.session()` or a [`PrefixCache`] snapshot fork).
 //! 5. **commit** — each stepper picks its committed span from the
 //!    edges it accepted and rolls back the rest, locally.
 //!
@@ -74,13 +74,11 @@ pub struct ServeConfig {
     /// most-advanced active request; `None` disables preemption.
     pub preempt_wait: Option<u64>,
     /// Memory budget: maximum resident sessions (active steppers plus
-    /// queued pre-ingested prefix forks). When streaming admission
-    /// queues thousands of forked arrivals, the engine evicts idle
-    /// forks least-recently-submitted first by *dropping* them — the
-    /// same exact-replay path preemption uses, so admission rebuilds
-    /// the session from the full prompt and outputs are unchanged.
-    /// Active sessions are never evicted below `max_active` (the
-    /// working set); `None` disables the cap.
+    /// prefix-cache snapshots). While over it, the engine evicts the
+    /// cache's least-recently-used leaves — exact-replay eviction, so a
+    /// later miss rebuilds the session from the full prompt and outputs
+    /// are unchanged. Active sessions are never evicted (the working
+    /// set); `None` disables the cap.
     pub session_cap: Option<usize>,
     /// Per-tick verify capacity in [`verispec_core::SpecShape::step_cost`]
     /// units (base/bonus row + candidate tokens; an NTP step costs 1).
@@ -118,9 +116,9 @@ pub struct ServeConfig {
     /// Prompt-ingestion cost model: tokens ingested per tick at
     /// admission. A freshly admitted request *warms up* for
     /// `ceil(suffix / rate) - 1` ticks — where `suffix` is the part of
-    /// its prompt **not** covered by a pre-ingested session (prefix
-    /// fork or cache hit) — before it becomes schedulable, so prefix
-    /// reuse shows up as tick-space TTFT savings. `None` (the default)
+    /// its prompt **not** covered by a prefix-cache hit — before it
+    /// becomes schedulable, so prefix reuse shows up as tick-space TTFT
+    /// savings. `None` (the default)
     /// keeps ingestion free, the pre-cache behavior. Token streams are
     /// unaffected either way — warmup only shifts scheduling.
     #[serde(default)]
@@ -184,21 +182,19 @@ pub struct ServeStats {
     /// Fused [`verify_many`] calls: one per *level* per tick — a tick
     /// whose deepest member accepts two edges in a row makes three.
     pub fused_verify_calls: usize,
-    /// Steps verified by a member on its own session, level by level,
-    /// because it could not plan into the fused pass.
-    pub local_verify_calls: usize,
     /// Preemptions performed.
     pub preemptions: usize,
     /// Largest active-set size observed.
     pub peak_active: usize,
     /// Total tokens committed across all completed requests.
     pub served_tokens: usize,
-    /// Idle prefix-fork sessions dropped by the memory-budget cap
-    /// ([`ServeConfig::session_cap`]); each evicted request is rebuilt
-    /// exactly at admission by replaying its full prompt.
-    pub session_evictions: usize,
-    /// High-water mark of resident sessions (active steppers + queued
-    /// prefix forks) — the memory the cap bounds.
+    /// High-water mark of resident sessions (active steppers +
+    /// prefix-cache snapshots) — the memory the cap bounds. Under
+    /// [`ServeConfig::session_cap`] `c ≥ 1` it stays at most
+    /// `max(c, max_active − 1) + 3`: enforcing the cap leaves at most
+    /// `c` resident or only active steppers, and an admission is read
+    /// before the cap is enforced again — its stepper plus the split
+    /// node and leaf one [`PrefixCache::insert`] may add.
     pub peak_resident_sessions: usize,
     /// Empty ticks skipped by the idle fast-forward (nothing active,
     /// every queued request still in the future): the clock jumps to
@@ -308,7 +304,6 @@ impl ServeStats {
             }
             EventKind::Preempted => self.preemptions += 1,
             EventKind::Deferred => self.deferred_steps += 1,
-            EventKind::ForkEvicted => self.session_evictions += 1,
             EventKind::PrefixEvicted => self.prefix_evictions += 1,
             EventKind::Shed { .. } => self.shed_requests += 1,
             EventKind::IdleSkip { skipped } => self.idle_ticks_skipped += skipped,
@@ -359,10 +354,8 @@ impl ServeStats {
         self.fused_propose_positions += other.fused_propose_positions;
         self.fused_verify_nodes += other.fused_verify_nodes;
         self.fused_verify_calls += other.fused_verify_calls;
-        self.local_verify_calls += other.local_verify_calls;
         self.preemptions += other.preemptions;
         self.served_tokens += other.served_tokens;
-        self.session_evictions += other.session_evictions;
         self.proposed_tokens += other.proposed_tokens;
         self.accepted_tokens += other.accepted_tokens;
         self.shed_requests += other.shed_requests;
@@ -455,17 +448,15 @@ struct Active<'m> {
     /// First tick at which the request may be scheduled: admission tick
     /// plus prompt-ingestion warmup ([`ServeConfig::ingest_rate`]; equal
     /// to the admission tick when ingestion is free or fully covered by
-    /// a prefix fork / cache hit).
+    /// a cache hit).
     warm_until: u64,
 }
 
 /// One queued (not yet active) request.
 enum QueueEntry<'m> {
-    /// Awaiting first admission, optionally with a forked, pre-ingested
-    /// prompt-prefix session.
+    /// Awaiting first admission.
     Fresh {
         req: Request,
-        session: Option<Box<dyn DecodeSession + 'm>>,
         /// Engine-relative wall seconds at submission/receipt.
         seen_secs: f64,
     },
@@ -493,10 +484,6 @@ pub struct ServeEngine<'m> {
     policy: &'m dyn SpecPolicy,
     scheduler: Scheduler,
     queue: Vec<QueueEntry<'m>>,
-    /// Queued [`QueueEntry::Fresh`] entries currently holding a prefix
-    /// fork — kept as a running count so residency checks on the
-    /// per-submission hot path are O(1), not an O(queue) scan.
-    queued_forks: usize,
     active: Vec<Active<'m>>,
     completions: Vec<Completion>,
     shed: Vec<ShedRequest>,
@@ -539,10 +526,9 @@ struct TickBuffers {
 
 impl<'m> ServeEngine<'m> {
     /// An engine over the model. Every tick fuses its batch's propose
-    /// and verify work into shared kernel passes; a member whose
-    /// *session* cannot plan into them (one handed in through
-    /// `submit_with_session`) verifies its own work — same outputs,
-    /// counted in [`ServeStats::local_verify_calls`].
+    /// and verify work into shared kernel passes; every session it
+    /// steps is one it opened on `model`, so every member plans into
+    /// them.
     ///
     /// A zero `max_active` or `max_batch` (reachable by struct literal
     /// or `Deserialize`) would never admit or never step, and `run`
@@ -562,7 +548,6 @@ impl<'m> ServeEngine<'m> {
             policy: &STATIC_POLICY,
             scheduler,
             queue: Vec::new(),
-            queued_forks: 0,
             active: Vec::new(),
             completions: Vec::new(),
             shed: Vec::new(),
@@ -680,11 +665,9 @@ impl<'m> ServeEngine<'m> {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// Enqueues a request. Shared-prefix reuse happens at admission via
+    /// Enqueues a request. Shared-prefix reuse happens at admission, via
     /// the prefix cache ([`ServeConfig::prefix_cache`] /
-    /// [`ServeEngine::warm_prefix`]) or explicitly via
-    /// [`ServeEngine::submit_with_session`]; `submit` itself carries no
-    /// session.
+    /// [`ServeEngine::warm_prefix`]).
     ///
     /// # Panics
     ///
@@ -698,26 +681,6 @@ impl<'m> ServeEngine<'m> {
     /// refuses such entries); one built as a struct literal is the
     /// caller's to get right.
     pub fn submit(&mut self, req: Request) {
-        self.enqueue(req, None);
-    }
-
-    /// Enqueues a request whose prompt prefix is already ingested in
-    /// `session` (typically a [`DecodeSession::fork`] of one shared
-    /// prefix session); only the prompt remainder is appended at
-    /// admission.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session's context is not a prefix of `req.prompt`.
-    pub fn submit_with_session(&mut self, req: Request, session: Box<dyn DecodeSession + 'm>) {
-        assert!(
-            req.prompt.starts_with(session.tokens()),
-            "prefix session context must be a prefix of the request prompt"
-        );
-        self.enqueue(req, Some(session));
-    }
-
-    fn enqueue(&mut self, req: Request, session: Option<Box<dyn DecodeSession + 'm>>) {
         let seen_secs = self.now_secs();
         if self.traced() {
             self.emit(
@@ -729,14 +692,7 @@ impl<'m> ServeEngine<'m> {
                 },
             );
         }
-        self.queued_forks += usize::from(session.is_some());
-        self.queue.push(QueueEntry::Fresh {
-            req,
-            session,
-            seen_secs,
-        });
-        self.note_resident();
-        self.enforce_session_cap();
+        self.queue.push(QueueEntry::Fresh { req, seen_secs });
     }
 
     /// Requests not yet completed (queued + active).
@@ -840,28 +796,11 @@ impl<'m> ServeEngine<'m> {
         }
     }
 
-    /// Resident sessions right now: active steppers, queued
-    /// pre-ingested prefix forks, and prefix-cache snapshots (parked
-    /// steppers hold none — parking drops their sessions). O(1) via the
-    /// running fork count and the cache's resident counter.
+    /// Resident sessions right now: active steppers and prefix-cache
+    /// snapshots (queued requests hold none, and parked steppers drop
+    /// theirs).
     fn resident_sessions(&self) -> usize {
-        debug_assert_eq!(
-            self.queued_forks,
-            self.queue
-                .iter()
-                .filter(|e| {
-                    matches!(
-                        e,
-                        QueueEntry::Fresh {
-                            session: Some(_),
-                            ..
-                        }
-                    )
-                })
-                .count(),
-            "queued-fork counter out of sync with the queue"
-        );
-        self.active.len() + self.queued_forks + self.cache.as_ref().map_or(0, PrefixCache::resident)
+        self.active.len() + self.cache.as_ref().map_or(0, PrefixCache::resident)
     }
 
     fn note_resident(&mut self) {
@@ -875,66 +814,21 @@ impl<'m> ServeEngine<'m> {
     }
 
     /// Enforces [`ServeConfig::session_cap`]: while over budget,
-    /// prefix-cache snapshots are evicted first (LRU leaves — they are
-    /// speculative future value, rebuilt on a later miss), then idle
-    /// prefix forks are dropped least-recently-submitted first (queue
-    /// order). Both paths are exact-replay eviction — the request
-    /// is admitted later from a fresh session replaying its full
-    /// prompt, which reconstructs the dropped state exactly (sessions
-    /// are pure functions of their token context), so outputs are
-    /// untouched. Active sessions are never evicted here; the cap
-    /// squeezes the idle pool that unbounded streaming arrivals grow.
+    /// prefix-cache snapshots are evicted LRU leaf first — speculative
+    /// future value, rebuilt on a later miss. Eviction is exact-replay:
+    /// a later miss ingests the full prompt, which reconstructs the
+    /// dropped state exactly (sessions are pure functions of their
+    /// token context), so outputs are untouched. Active sessions are
+    /// never evicted here.
     fn enforce_session_cap(&mut self) {
         let Some(cap) = self.cfg.session_cap else {
             return;
         };
         let mut over = self.resident_sessions().saturating_sub(cap.max(1));
-        while over > 0 {
-            let evicted = match self.cache.as_mut() {
-                Some(cache) => cache.evict_lru(),
-                None => false,
-            };
-            if !evicted {
-                break;
-            }
+        while over > 0 && self.cache.as_mut().is_some_and(PrefixCache::evict_lru) {
             self.emit(None, EventKind::PrefixEvicted);
             over -= 1;
         }
-        if over == 0 {
-            return;
-        }
-        let mut dropped: Vec<u64> = Vec::new();
-        for entry in self.queue.iter_mut() {
-            if over == 0 {
-                break;
-            }
-            if let QueueEntry::Fresh { req, session, .. } = entry {
-                if session.is_some() {
-                    *session = None;
-                    self.queued_forks -= 1;
-                    dropped.push(req.id);
-                    over -= 1;
-                }
-            }
-        }
-        for id in dropped {
-            self.emit(Some(id), EventKind::ForkEvicted);
-        }
-    }
-
-    /// Removes queue entry `pos`, keeping the fork counter in sync.
-    fn take_queued(&mut self, pos: usize) -> QueueEntry<'m> {
-        let entry = self.queue.remove(pos);
-        if matches!(
-            entry,
-            QueueEntry::Fresh {
-                session: Some(_),
-                ..
-            }
-        ) {
-            self.queued_forks -= 1;
-        }
-        entry
     }
 
     fn make_stepper(
@@ -1049,18 +943,8 @@ impl<'m> ServeEngine<'m> {
 
     fn admit(&mut self, entry: QueueEntry<'m>) {
         match entry {
-            QueueEntry::Fresh {
-                req,
-                session,
-                seen_secs,
-            } => {
-                let (session, ingested) = match session {
-                    Some(s) => {
-                        let n = s.tokens().len();
-                        (Some(s), n)
-                    }
-                    None => self.cache_admit(&req),
-                };
+            QueueEntry::Fresh { req, seen_secs } => {
+                let (session, ingested) = self.cache_admit(&req);
                 let warm_until = self.tick + self.warmup_ticks(req.prompt.len() - ingested);
                 if self.traced() {
                     self.emit(
@@ -1115,7 +999,7 @@ impl<'m> ServeEngine<'m> {
             else {
                 break;
             };
-            let entry = self.take_queued(pos);
+            let entry = self.queue.remove(pos);
             self.admit(entry);
         }
     }
@@ -1155,7 +1039,7 @@ impl<'m> ServeEngine<'m> {
         parked.preemptions += 1;
         self.emit(Some(parked.id), EventKind::Preempted);
         self.queue.push(QueueEntry::Parked(Box::new(parked)));
-        let entry = self.take_queued(pos);
+        let entry = self.queue.remove(pos);
         self.admit(entry);
     }
 
@@ -1243,7 +1127,7 @@ impl<'m> ServeEngine<'m> {
         let mut overflow: Vec<usize> = ready[depth..].iter().map(|&(_, _, idx)| idx).collect();
         overflow.sort_unstable_by(|a, b| b.cmp(a));
         for idx in overflow {
-            let QueueEntry::Fresh { req, .. } = self.take_queued(idx) else {
+            let QueueEntry::Fresh { req, .. } = self.queue.remove(idx) else {
                 unreachable!("only fresh entries are shed");
             };
             self.emit(
@@ -1397,7 +1281,6 @@ impl<'m> ServeEngine<'m> {
             id: a.id,
             last_step: a.last_step,
             admitted: a.admitted,
-            generated: a.stepper.generated(),
             deadline: a.deadline,
             class: a.req.class,
         }));
@@ -1453,17 +1336,15 @@ impl<'m> ServeEngine<'m> {
         // root; each pass scores the nodes all members planned since
         // the last one — and the head rows asked for with them — and
         // each member then plans only the children its acceptance went
-        // on to. Members that cannot plan verify themselves here.
+        // on to.
         verifying.clear();
         for (pos, (&i, phase)) in stepped.iter().zip(&phases).enumerate() {
             if *phase != Phase::Verify {
                 continue;
             }
-            if self.active[i].stepper.verify_level(None, Some(&mut plan)) {
-                verifying.push(pos);
-            } else {
-                self.stats.local_verify_calls += 1;
-            }
+            let planned = self.active[i].stepper.verify_level(None, Some(&mut plan));
+            assert!(planned, "every session the engine opens plans its root");
+            verifying.push(pos);
         }
         // The view every fused level of this tick was scored into: what
         // a member copies its next base row out of at commit.
@@ -1598,7 +1479,6 @@ impl<'m> ServeEngine<'m> {
                 }
             }
         }
-        self.queued_forks = 0;
         stranded.sort_by_key(|(req, _)| req.id);
         (self.into_report(), stranded)
     }

@@ -44,11 +44,11 @@
 //!                        ▼
 //!   submit(Request) ───────────► ServeEngine (× N workers)       model
 //!   (by the fleet's drive, or   queue ─► admission ─► active pool
-//!    by hand: the bare engine  (prefix    (arrival,    one Stepper
-//!    is the reference the       forks ≤    preempt,    per request
-//!    fleet is compared to)      session_   LRU evict   (policy +
-//!                                cap, shed  = replay)    history)
-//!                                overflow)      │
+//!    by hand: the bare engine  (requests, (arrival,    one Stepper
+//!    is the reference the       shed       preempt,    per request
+//!    fleet is compared to)      overflow)  LRU evict   (policy +
+//!                                           = replay)    history)
+//!                                               │
 //!                                PrefixCache ◄──┘ lookup/insert per
 //!                                (radix trie of   admission: fork the
 //!                                 frozen session  deepest cached stem,
@@ -59,7 +59,7 @@
 //!                                 session_cap)    under ingest_rate)
 //!                              ┌────────────────────────────┐
 //!                       tick:  │ Scheduler.select ≤ batch   │
-//!                              │  (RR/shortest/seeded/EDF   │
+//!                              │  (RR/seeded/EDF/weighted   │
 //!                              │   + aging guard)           │
 //!                              │ SpecPolicy divides the     │ ShapeQuery{base,
 //!                              │  per-tick verify capacity ─┼─ history, cap} →
@@ -153,9 +153,9 @@
 //!   Requests may be submitted between any two ticks
 //!   ([`Drive::Paced`] / [`Drive::Streaming`] do, so open-loop
 //!   arrivals join mid-flight); a
-//!   memory budget ([`ServeConfig::session_cap`]) LRU-evicts queued
-//!   prefix forks through the same exact-replay path so thousands of
-//!   queued arrivals cannot grow the session pool unboundedly; and
+//!   memory budget ([`ServeConfig::session_cap`]) LRU-evicts cached
+//!   prefix snapshots through the exact-replay path so thousands of
+//!   distinct prompts cannot grow the session pool unboundedly; and
 //!   per-request commit ticks plus wall timestamps land in
 //!   [`Completion`] for the latency telemetry in `verispec-load`.
 //! * **[`PrefixCache`]** (`prefix`) — the fleet-wide prefix cache:
@@ -167,9 +167,10 @@
 //!   hit, which [`ServeConfig::ingest_rate`] makes visible in tick
 //!   space (hits skip warmup ticks). Misses insert new snapshots
 //!   (split-on-divergence); residency is charged against
-//!   [`ServeConfig::session_cap`] and evicted LRU-leaf-first through
-//!   the same exact-replay path as queued forks, so a later miss
-//!   rebuilds bit-identically. [`ServeEngine::warm_prefix`] seeds a
+//!   [`ServeConfig::session_cap`] and evicted LRU-leaf-first by exact
+//!   replay, so a later miss rebuilds bit-identically. It is the one
+//!   way a session is reused across requests: every session the
+//!   engine steps is one it opened itself. [`ServeEngine::warm_prefix`] seeds a
 //!   stem; [`ServeEngine::prefix_match_depth`] is the read-only probe
 //!   prefix-affine routing reads.
 //! * **[`FleetRuntime`]** (`runtime`) — the fleet spec and the one way
@@ -240,9 +241,8 @@
 //! request's token stream is bit-identical to running the serial
 //! single-session engine (`decode_ntp` / `decode_speculative` /
 //! `decode_draft_speculative`) on it alone — for greedy decoding and
-//! seeded sampling alike, under any scheduler order, batch size or
-//! preemption pattern, and whether a member's session plans into the
-//! fused passes or verifies itself. Three layers guarantee it:
+//! seeded sampling alike, under any scheduler order, batch size,
+//! preemption pattern or prefix-cache state. Three layers guarantee it:
 //! the steppers are the *same code* the serial engines run; the fused
 //! kernels are bit-identical per input regardless of batch
 //! composition; and each request owns its sampler and sessions, so
@@ -314,8 +314,7 @@ mod tests {
     use super::*;
     use verispec_core::{decode_draft_speculative, decode_ntp, decode_speculative, DecodeConfig};
     use verispec_lm::{
-        GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, StatelessSession,
-        TokenId,
+        GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, TokenId,
     };
 
     fn model() -> MlpLm {
@@ -462,54 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn a_session_that_cannot_plan_verifies_itself_beside_the_fused_batch() {
-        // `submit_with_session` takes any `DecodeSession`. The stateless
-        // shim can neither embed its position nor plan a frontier and
-        // keeps no frontier rows, so its member forwards and verifies
-        // on its own while the rest of the batch shares the kernel
-        // passes — in the same ticks, with the same outputs.
-        let m = model();
-        let d = draft();
-        let cost = GpuCostModel::codellama_like();
-        let engines = [
-            EngineChoice::Ntp,
-            EngineChoice::MedusaTree(vec![2, 2]),
-            EngineChoice::SyntaxAligned {
-                tree: Some(vec![2, 2]),
-            },
-        ];
-        let mut engine = ServeEngine::new(&m, ServeConfig::concurrency(6));
-        let mut requests = Vec::new();
-        for (i, choice) in engines.iter().cycle().take(6).enumerate() {
-            let cfg = DecodeConfig {
-                max_tokens: 10,
-                sampling: if i % 2 == 0 {
-                    Sampling::Greedy
-                } else {
-                    Sampling::temperature(0.7)
-                },
-                seed: i as u64 * 17 + 3,
-                ..Default::default()
-            };
-            let req = Request::new(i as u64, vec![1 + i as TokenId, 2, 3], choice.clone(), cfg);
-            requests.push(req.clone());
-            if i < engines.len() {
-                engine.submit_with_session(req, Box::new(StatelessSession::new(&m)));
-            } else {
-                engine.submit(req);
-            }
-        }
-        let report = engine.run(&cost);
-        assert_eq!(report.completions.len(), requests.len());
-        for (c, req) in report.completions.iter().zip(&requests) {
-            let want = serial_output(&m, &d, req, &cost);
-            assert_eq!(c.output.tokens, want, "request {} diverged", c.id);
-        }
-        assert!(report.stats.local_verify_calls > 0, "the shims verified");
-        assert!(report.stats.fused_verify_calls > 0, "beside a fused batch");
-    }
-
-    #[test]
     fn a_zero_pool_or_batch_is_served_as_one() {
         // A pool of zero never admits and a batch of zero never steps;
         // `ServeEngine::new` raises both to one.
@@ -595,41 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_forked_sessions_serve_identically() {
-        let m = model();
-        let cost = GpuCostModel::codellama_like();
-        let shared: Vec<TokenId> = vec![1, 2, 3];
-        let mut prefix_session = m.session();
-        prefix_session.append(&shared);
-        let mut engine = ServeEngine::new(&m, ServeConfig::concurrency(3));
-        let mut expected = Vec::new();
-        for i in 0..3u64 {
-            let mut prompt = shared.clone();
-            prompt.push(4 + i as TokenId);
-            let req = Request::new(
-                i,
-                prompt,
-                EngineChoice::SyntaxAligned { tree: None },
-                DecodeConfig {
-                    max_tokens: 10,
-                    seed: i,
-                    ..Default::default()
-                },
-            );
-            expected.push(
-                decode_speculative(&m, &req.prompt, &req.engine.decode_config(&req.cfg), &cost)
-                    .tokens,
-            );
-            let fork = prefix_session.fork().expect("mlp sessions fork");
-            engine.submit_with_session(req, fork);
-        }
-        let report = engine.run(&cost);
-        for (c, want) in report.completions.iter().zip(&expected) {
-            assert_eq!(&c.output.tokens, want, "prefix-forked request diverged");
-        }
-    }
-
-    #[test]
     fn threaded_worker_pool_matches_single_engine() {
         let m = model();
         let d = draft();
@@ -700,8 +616,6 @@ mod tests {
         let m = model();
         let cost = GpuCostModel::codellama_like();
         let shared: Vec<TokenId> = vec![1, 2, 3];
-        let mut prefix = m.session();
-        prefix.append(&shared);
         let mk_requests = || -> Vec<Request> {
             (0..6u64)
                 .map(|i| {
@@ -720,39 +634,38 @@ mod tests {
                 })
                 .collect()
         };
-        let run = |cap: Option<usize>| -> ServeReport {
+        let (max_active, cap) = (2usize, 3usize);
+        let run = |session_cap: Option<usize>| -> ServeReport {
             let cfg = ServeConfig {
-                max_active: 2,
+                max_active,
                 max_batch: 2,
-                session_cap: cap,
+                session_cap,
+                prefix_cache: true,
                 ..Default::default()
             };
             let mut engine = ServeEngine::new(&m, cfg);
-            // Fork the shared-prefix session per matching request at
-            // submit time (the explicit successor of the retired
-            // engine-held `with_prefix` plumbing); forks queue through
-            // the same cap-charged, LRU-evictable path.
+            // The shared stem is warmed once; every request forks its
+            // cached snapshot at admission and inserts its own leaf.
+            assert!(engine.warm_prefix(&shared));
             for r in mk_requests() {
-                if r.prompt.starts_with(prefix.tokens()) {
-                    if let Some(fork) = prefix.fork() {
-                        engine.submit_with_session(r, fork);
-                        continue;
-                    }
-                }
                 engine.submit(r);
             }
             engine.run(&cost)
         };
         let unbounded = run(None);
-        let capped = run(Some(3));
-        // Six queued forks against a budget of 3 (2 of which the active
-        // pool occupies) must evict.
-        assert!(unbounded.stats.session_evictions == 0);
-        assert!(unbounded.stats.peak_resident_sessions >= 6);
-        assert!(capped.stats.session_evictions > 0, "cap must evict forks");
-        // The cap binds: apart from the submit-time transient (+1
-        // before enforcement runs), residency never exceeds the budget.
-        assert!(capped.stats.peak_resident_sessions <= 3 + 1);
+        let capped = run(Some(cap));
+        // The stem and three distinct leaves, two active steppers,
+        // against a budget of 3: the cap must evict cached snapshots.
+        assert_eq!(unbounded.stats.prefix_evictions, 0);
+        assert!(
+            capped.stats.prefix_evictions > 0,
+            "cap must evict snapshots"
+        );
+        // The cap binds up to the admission transient: enforcing it
+        // leaves at most `cap` resident (or only active steppers), and
+        // an admission is read before the next enforcement — its
+        // stepper plus the split node and leaf one insert may add.
+        assert!(capped.stats.peak_resident_sessions <= cap.max(max_active - 1) + 3);
         assert!(capped.stats.peak_resident_sessions < unbounded.stats.peak_resident_sessions);
         for (a, b) in unbounded.completions.iter().zip(&capped.completions) {
             assert_eq!(a.output.tokens, b.output.tokens, "eviction changed output");
@@ -1155,7 +1068,6 @@ mod tests {
                 assert_eq!(c.output.clock, want.clock, "request {} clock", c.id);
             }
             let stats = report.stats;
-            assert_eq!(stats.local_verify_calls, 0, "every member fused");
             assert!(stats.fused_propose_positions > 0 && stats.fused_verify_calls > 0);
             // Head rows ride the verify passes without being forwards.
             // Greedy acceptance takes one edge out of a node, so a step
@@ -1270,7 +1182,6 @@ mod tests {
         }
         let stats = report.stats;
         assert_eq!(stats.fused_verify_nodes, verified_nodes);
-        assert_eq!(stats.local_verify_calls, 0);
         // Every request's first step forwards; most later ones do not.
         assert!(stats.fused_propose_positions >= 16, "{stats:?}");
         assert!(

@@ -104,8 +104,8 @@ impl EngineChoice {
 pub struct Request {
     /// Client-chosen identifier; completions are reported under it.
     pub id: u64,
-    /// Full prompt token ids (when submitted with a forked prefix
-    /// session, the session's context must be a prefix of this).
+    /// Full prompt token ids (a prefix-cache hit at admission ingests
+    /// only the part past the cached stem).
     pub prompt: Vec<TokenId>,
     /// Decoding engine for this request.
     pub engine: EngineChoice,

@@ -23,10 +23,6 @@ use std::collections::BTreeMap;
 pub enum TickOrder {
     /// Least-recently-stepped first: strict round-robin service.
     RoundRobin,
-    /// Shortest-first: requests with the fewest generated tokens step
-    /// first, so short generations drain quickly while aging keeps
-    /// long ones progressing (the long/short fairness policy).
-    ShortestFirst,
     /// Deterministic pseudo-random order keyed by `(seed, tick, id)` —
     /// used by the property tests to prove output invariance and
     /// no-starvation under arbitrary tick orders.
@@ -62,8 +58,6 @@ pub struct ActiveView {
     pub last_step: u64,
     /// Admission tick.
     pub admitted: u64,
-    /// Tokens generated so far.
-    pub generated: usize,
     /// SLO deadline tick, if the request carries one (EDF sort key).
     pub deadline: Option<u64>,
     /// Multi-tenant request class (weighted-fairness share key; 0 is
@@ -175,9 +169,6 @@ impl Scheduler {
             TickOrder::RoundRobin => {
                 rest.sort_by_key(|&i| (views[i].last_step, views[i].admitted, views[i].id));
             }
-            TickOrder::ShortestFirst => {
-                rest.sort_by_key(|&i| (views[i].generated, views[i].id));
-            }
             TickOrder::Seeded(seed) => {
                 rest.sort_by_key(|&i| splitmix64(seed ^ tick.wrapping_mul(0xA5A5) ^ views[i].id));
             }
@@ -253,7 +244,6 @@ mod tests {
                 id: i as u64,
                 last_step: tick.saturating_sub(i as u64 % 3),
                 admitted: 0,
-                generated: i,
                 deadline: None,
                 class: 0,
             })
@@ -270,7 +260,6 @@ mod tests {
                     id: i as u64,
                     last_step: last[i],
                     admitted: 0,
-                    generated: 0,
                     deadline: None,
                     class: 0,
                 })
@@ -298,7 +287,6 @@ mod tests {
                     id: i as u64,
                     last_step: last[i],
                     admitted: 0,
-                    generated: 0,
                     deadline: None,
                     class: 0,
                 })
@@ -317,20 +305,12 @@ mod tests {
     }
 
     #[test]
-    fn shortest_first_prefers_fresh_generations() {
-        let mut s = Scheduler::new(TickOrder::ShortestFirst, 4, 2);
-        let sel = s.select(&views(4, 5), 5, 2);
-        assert_eq!(sel, vec![0, 1], "fewest generated tokens go first");
-    }
-
-    #[test]
     fn edf_orders_by_deadline_with_best_effort_last() {
         let mut s = Scheduler::new(TickOrder::Edf, 4, 2);
         let mk = |id: u64, deadline: Option<u64>| ActiveView {
             id,
             last_step: 4,
             admitted: 0,
-            generated: 0,
             deadline,
             class: 0,
         };
@@ -376,7 +356,6 @@ mod tests {
                         id: i as u64,
                         last_step: last[i],
                         admitted: 0,
-                        generated: 0,
                         deadline: None,
                         class: [0, light][i],
                     })
@@ -409,7 +388,6 @@ mod tests {
                     id: i as u64,
                     last_step: last[i],
                     admitted: 0,
-                    generated: 0,
                     deadline: None,
                     class: u32::from(i == 7),
                 })

@@ -78,7 +78,6 @@ fn any_route() -> impl Strategy<Value = RoutePolicy> {
 fn any_order() -> impl Strategy<Value = TickOrder> {
     prop_oneof![
         Just(TickOrder::RoundRobin),
-        Just(TickOrder::ShortestFirst),
         any::<u64>().prop_map(TickOrder::Seeded),
         Just(TickOrder::Edf),
     ]

@@ -10,7 +10,7 @@
 //!    a mix of requests under an adaptive policy produces
 //!    token-for-token the outputs of the serial policy-driven engine,
 //!    across random engines, seeds, sampling, tick orders, preemption,
-//!    prefix-fork eviction pressure, and batch sizes. Adaptation never
+//!    prefix-cache eviction pressure, and batch sizes. Adaptation never
 //!    leaks batch composition into a request's stream.
 
 use proptest::prelude::*;
@@ -121,7 +121,7 @@ proptest! {
     }
 
     /// Serving under adaptation == the serial policy-driven engine,
-    /// token for token, under preemption, eviction, prefix forks, and
+    /// token for token, under preemption, prefix-cache eviction, and
     /// arbitrary tick orders.
     #[test]
     fn served_equals_serial_under_adaptation(
@@ -146,7 +146,6 @@ proptest! {
         max_batch in 1usize..4,
         order in prop_oneof![
             Just(TickOrder::RoundRobin),
-            Just(TickOrder::ShortestFirst),
             Just(TickOrder::Edf),
             any::<u64>().prop_map(TickOrder::Seeded),
         ],
@@ -185,23 +184,14 @@ proptest! {
             order,
             preempt_wait: preempt,
             session_cap,
+            prefix_cache: true,
             ..Default::default()
         };
-        let mut prefix = model.session();
-        prefix.append(&shared);
         let mut engine = ServeEngine::new(&model, cfg)
             .with_draft(&draft)
             .with_policy(&policy);
-        // Fork the shared-prefix session per matching request at
-        // submit time (the explicit successor of the retired
-        // engine-held `with_prefix` plumbing).
+        prop_assert!(engine.warm_prefix(&shared));
         for req in &requests {
-            if req.prompt.starts_with(prefix.tokens()) {
-                if let Some(fork) = prefix.fork() {
-                    engine.submit_with_session(req.clone(), fork);
-                    continue;
-                }
-            }
             engine.submit(req.clone());
         }
         let report = engine.run(&cost);

@@ -1,7 +1,7 @@
 //! Property tests pinning the serving invariant: for random request
 //! mixes (engines, prompts, budgets, seeds, sampling), random scheduler
 //! configurations (tick order, batch size, pool size, preemption,
-//! session-eviction caps), and prefix-forked admissions, every served
+//! session-eviction caps), and prefix-cached admissions, every served
 //! request's output is
 //! **token-for-token identical** to running the serial single-session
 //! engine (`decode_ntp` / `decode_speculative` /
@@ -54,7 +54,6 @@ fn any_sampling() -> impl Strategy<Value = Sampling> {
 fn any_order() -> impl Strategy<Value = TickOrder> {
     prop_oneof![
         Just(TickOrder::RoundRobin),
-        Just(TickOrder::ShortestFirst),
         any::<u64>().prop_map(TickOrder::Seeded),
     ]
 }
@@ -120,22 +119,23 @@ proptest! {
         order in any_order(),
         preempt in prop_oneof![Just(None), (1u64..4).prop_map(Some)],
         session_cap in prop_oneof![Just(None), (1usize..6).prop_map(Some)],
+        prefix_cache in any::<bool>(),
     ) {
         let mut draft = NgramLm::new(2, model.vocab_size());
         draft.train_sequence(&draft_seq);
         let cost = GpuCostModel::codellama_like();
 
-        // Requests share a common two-token prompt prefix; some are
-        // submitted with a session forked from one ingested prefix.
+        // Requests share a common two-token prompt prefix, warmed into
+        // the prefix cache when it is on.
         let shared: Vec<TokenId> = vec![5, 6];
-        let requests: Vec<(Request, bool)> = raw
+        let requests: Vec<Request> = raw
             .into_iter()
             .enumerate()
-            .map(|(i, ((engine, suffix, max_tokens), (sampling, seed, arrival, share)))| {
+            .map(|(i, ((engine, suffix, max_tokens), (sampling, seed, arrival, _)))| {
                 let mut prompt = shared.clone();
                 prompt.extend_from_slice(&suffix);
                 let cfg = DecodeConfig { max_tokens, sampling, seed, ..Default::default() };
-                (Request { arrival, ..Request::new(i as u64, prompt, engine, cfg) }, share)
+                Request { arrival, ..Request::new(i as u64, prompt, engine, cfg) }
             })
             .collect();
 
@@ -145,25 +145,20 @@ proptest! {
             order,
             preempt_wait: preempt,
             session_cap,
+            prefix_cache,
             ..Default::default()
         };
-        let mut prefix_session = model.session();
-        prefix_session.append(&shared);
-        let mut engine = ServeEngine::new(&model, serve_cfg.clone()).with_draft(&draft);
-        for (req, share) in &requests {
-            if *share {
-                let fork = prefix_session.fork().expect("mlp sessions fork");
-                engine.submit_with_session(req.clone(), fork);
-            } else {
-                engine.submit(req.clone());
-            }
+        let mut engine = ServeEngine::new(&model, serve_cfg).with_draft(&draft);
+        prop_assert_eq!(engine.warm_prefix(&shared), prefix_cache);
+        for req in &requests {
+            engine.submit(req.clone());
         }
         let report = engine.run(&cost);
 
         // Everyone completes (no starvation, no lost requests).
         prop_assert_eq!(report.completions.len(), requests.len());
         let bound = Scheduler::new(order, max_active, max_batch).starvation_bound();
-        for (c, (req, _)) in report.completions.iter().zip(&requests) {
+        for (c, req) in report.completions.iter().zip(&requests) {
             let want = serial_reference(&model, &draft, req, &cost);
             prop_assert_eq!(c.id, req.id);
             prop_assert_eq!(

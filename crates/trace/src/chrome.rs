@@ -150,16 +150,11 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                     ),
                 );
             }
-            EventKind::ForkEvicted | EventKind::PrefixEvicted => {
-                let name = if matches!(ev.kind, EventKind::ForkEvicted) {
-                    "fork_evicted"
-                } else {
-                    "prefix_evicted"
-                };
+            EventKind::PrefixEvicted => {
                 push_entry(
                     &mut out,
                     &mut first,
-                    &instant(name, pid, tid, ev.tick, "{}"),
+                    &instant("prefix_evicted", pid, tid, ev.tick, "{}"),
                 );
             }
             EventKind::Routed { policy, probes } => {

@@ -99,8 +99,6 @@ pub enum EventKind {
         /// Candidate tokens actually sent to verification.
         surviving: usize,
     },
-    /// A queued fork was dropped by the session-cap enforcer.
-    ForkEvicted,
     /// The LRU prefix-cache leaf was evicted under the session cap.
     PrefixEvicted,
     /// Admission control dropped the request (queue overflow past

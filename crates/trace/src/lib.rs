@@ -56,7 +56,7 @@
 //! | `Resumed` / `Preempted` | park/unpark transitions | — |
 //! | `Deferred` | verify budget pushes a step | — |
 //! | `Step` | one committed decode step | policy [`SpecShape`](verispec_core::SpecShape), proposed/accepted/committed |
-//! | `ForkEvicted` / `PrefixEvicted` | session-cap eviction | — |
+//! | `PrefixEvicted` | session-cap eviction of an LRU prefix-cache leaf | — |
 //! | `Shed` | admission control drops the request | arrival, deadline |
 //! | `Finished` | request completes | tokens, steps, lifetime proposed/accepted |
 //! | `Deadline` | finish of an SLO request | deadline, met |

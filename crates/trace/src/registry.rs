@@ -178,7 +178,6 @@ impl MetricsRegistry {
                 self.count("grammar.pruned", *pruned as u64);
                 self.count("grammar.surviving", *surviving as u64);
             }
-            EventKind::ForkEvicted => self.count("evictions.forks", 1),
             EventKind::PrefixEvicted => self.count("evictions.prefix", 1),
             EventKind::Shed { .. } => {
                 self.count("requests.shed", 1);
