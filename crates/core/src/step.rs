@@ -255,6 +255,21 @@ struct NodeMark {
 /// softmax to know the greedy choice.
 const GREEDY_MARGIN: f32 = 1e-3;
 
+/// Whether every entry of `logits` but the one at `best` is `<= lead`.
+///
+/// One branch-free pass: count the entries that are *not* `<= lead` (a
+/// NaN counts) and ask that the count be `best`'s own share of it —
+/// one when `best` itself is above `lead`, none when rounding left
+/// `logits[best] - GREEDY_MARGIN` at `logits[best]`. Any other entry
+/// that fails the compare adds one more, so this answers as
+/// `.all(|l| l <= lead)` over the other entries would, on NaN, `±0`,
+/// `±∞` and one-entry rows alike.
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // the NaN-counting compare is the point
+fn leads_all_but(logits: &[f32], best: usize, lead: f32) -> bool {
+    let above = |l: f32| u32::from(!(l <= lead));
+    logits.iter().map(|&l| above(l)).sum::<u32>() == above(logits[best])
+}
+
 impl NodeAccept {
     /// Evaluates a node. Typical acceptance is evaluated on the
     /// *temperature-scaled* base distribution so that speculative
@@ -282,12 +297,7 @@ impl NodeAccept {
                 // rounding favours.
                 let best = argmax(logits);
                 let lead = logits[best as usize] - GREEDY_MARGIN;
-                let clear = lead.is_finite()
-                    && logits
-                        .iter()
-                        .enumerate()
-                        .all(|(i, &l)| l <= lead || i == best as usize);
-                if clear {
+                if lead.is_finite() && leads_all_but(logits, best as usize, lead) {
                     return NodeAccept::Greedy(best);
                 }
                 let start = dists.len();
@@ -1650,6 +1660,23 @@ mod tests {
         // row so peaked that one entry is its whole support once cold.
         narrow.push(vec![0.7]);
         narrow.push((0..24).map(|i| if i == 5 { 4.0 } else { -9.0 }).collect());
+        // The greedy lead test's edge: a runner-up exactly at
+        // `best - GREEDY_MARGIN`, one ulp above and one below it, before
+        // and after the best index — and an exact two-way tie for the
+        // maximum.
+        let lead = 2.5f32 - GREEDY_MARGIN;
+        for runner_up in [lead, lead.next_up(), lead.next_down()] {
+            for (best_at, runner_at) in [(3, 17), (17, 3)] {
+                let mut row: Vec<f32> = (0..24).map(|i| (i % 5) as f32 * 0.25).collect();
+                row[best_at] = 2.5;
+                row[runner_at] = runner_up;
+                narrow.push(row);
+            }
+        }
+        let mut tie: Vec<f32> = (0..24).map(|i| (i % 7) as f32 * 0.125).collect();
+        tie[6] = 2.5;
+        tie[19] = 2.5;
+        narrow.push(tie);
         // Per temperature: vocabulary-wide rows as peaked as a trained
         // model's — a support of tens of entries at the benchmark's
         // temperatures, of all 480 when hot — and rows whose scaled
@@ -1753,6 +1780,54 @@ mod tests {
                         };
                         assert_node_matches_the_definition(logits, sampling, &acceptance);
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_lead_count_is_the_all_loop() {
+        // The definition `leads_all_but` replaced: a short-circuiting
+        // walk that skips `best`.
+        fn all_loop(logits: &[f32], best: usize, lead: f32) -> bool {
+            logits
+                .iter()
+                .enumerate()
+                .all(|(i, &l)| l <= lead || i == best)
+        }
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        let rows: [&[f32]; 12] = [
+            &[0.7],
+            &[nan],
+            &[1.0, nan, 0.0],
+            &[nan, 1.0, 0.0],
+            &[0.0, -0.0, -1.0],
+            &[-0.0, 0.0],
+            &[inf, 1.0],
+            &[1.0, -inf, -inf],
+            &[-inf, -inf],
+            &[1e9, 1e9 - 64.0, 0.0],
+            &[2.0, 2.0 - GREEDY_MARGIN, 1.0],
+            &[nan, nan, nan],
+        ];
+        for row in rows {
+            for best in 0..row.len() {
+                // Leads the test is asked at, and ones it never is: a
+                // NaN, infinite, rounded-away and exactly-tied lead.
+                for lead in [
+                    row[best] - GREEDY_MARGIN,
+                    row[best],
+                    nan,
+                    inf,
+                    -inf,
+                    0.0,
+                    -0.0,
+                ] {
+                    assert_eq!(
+                        leads_all_but(row, best, lead),
+                        all_loop(row, best, lead),
+                        "{row:?} best {best} lead {lead}"
+                    );
                 }
             }
         }

@@ -20,6 +20,19 @@
 //! environment: a kernel call runs on its caller's thread, whatever its
 //! size. Parallelism lives one level up, in the serving fleet's
 //! one-thread-per-worker backend.
+//!
+//! The same rule decides which **row scans** may run in lanes. A sum is
+//! a chain: `f32` addition does not reassociate, so every sum over a
+//! logits row (the softmax normaliser, the entropy) adds in index order
+//! and stays serial. A maximum is not a chain: under `>` the greatest
+//! of a set of non-NaN values is one value whatever order it is looked
+//! for in, so `lane_max` keeps sixteen independent maxima and joins
+//! them at the end. Grouping can change one thing only — which zero a
+//! row whose maximum is `±0` reports — and every caller is built so that
+//! it cannot tell: [`crate::sampler::argmax`] looks the maximum up with
+//! `first_index_of`, whose `==` finds either zero, and
+//! [`tempered_support_into`] asks the dense row's own fold whenever its
+//! maximum is a zero.
 
 use crate::mlp::TokenId;
 use serde::{Deserialize, Serialize};
@@ -221,6 +234,50 @@ impl PackedMatrix {
     }
 }
 
+/// Entries a row scan takes side by side — `lane_max`'s independent
+/// maxima, and the chunk `first_index_of` and [`tempered_support_into`]
+/// test in one branch-free pass: four 128-bit registers at the x86-64
+/// baseline.
+const LANES: usize = 16;
+
+/// The greatest entry of `row` under `>`, `-∞` for an empty row or one
+/// of NaNs only: NaNs never win, as neither `f32::max` nor a `>` scan
+/// lets them. Exact, because the greatest element of a set does not
+/// depend on the order it is sought in; only the sign of a zero maximum
+/// may differ from a serial scan's (see the module doc).
+pub(crate) fn lane_max(row: &[f32]) -> f32 {
+    let greater = |m: f32, l: f32| if l > m { l } else { m };
+    let mut lanes = [f32::NEG_INFINITY; LANES];
+    let chunks = row.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (m, &l) in lanes.iter_mut().zip(chunk) {
+            *m = greater(*m, l);
+        }
+    }
+    for (m, &l) in lanes.iter_mut().zip(tail) {
+        *m = greater(*m, l);
+    }
+    lanes.into_iter().fold(f32::NEG_INFINITY, greater)
+}
+
+/// The first index of `row` whose entry `== value` (so `+0.0` and
+/// `-0.0` find each other, and a NaN finds nothing), a chunk at a time:
+/// a chunk without a hit costs one branch-free compare pass, and only
+/// the chunk that holds one is walked.
+pub(crate) fn first_index_of(row: &[f32], value: f32) -> Option<usize> {
+    row.chunks(LANES).enumerate().find_map(|(c, chunk)| {
+        let hit = chunk.iter().fold(false, |hit, &l| hit | (l == value));
+        if !hit {
+            return None;
+        }
+        chunk
+            .iter()
+            .position(|&l| l == value)
+            .map(|j| c * LANES + j)
+    })
+}
+
 /// Numerically stable softmax.
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
     let mut out = logits.to_vec();
@@ -283,6 +340,13 @@ const _: () = assert!(-SUPPORT_MARGIN < EXP_FLUSH);
 /// operations in the dense row's order — denormal terms included — so a
 /// warm row is simply a support as long as the row.
 ///
+/// The maximum is found in lanes and the sum is not. Lane order cannot
+/// change which value is greatest, only which zero a zero maximum
+/// carries, and a zero maximum is re-read with the dense row's own
+/// `f32::max` fold — so `max` is the dense row's bit either way. The
+/// sum keeps the dense row's index order, because reassociating `f32`
+/// additions would move its bits.
+///
 /// # Panics
 ///
 /// Panics if `temperature` is not positive, and on a row with no finite
@@ -293,14 +357,13 @@ pub fn tempered_support_into(
     temperature: f32,
     out: &mut Vec<(TokenId, f32)>,
 ) -> (f32, f32) {
-    const CHUNK: usize = 16;
     assert!(temperature > 0.0, "temperature must be positive");
     // The largest scaled logit is the largest logit, scaled: one divide.
-    let top = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let top = lane_max(logits);
     let mut max = top / temperature;
     if max == 0.0 {
         // Which zero a fold over scaled entries of both signs ends on is
-        // `f32::max`'s choice: ask it.
+        // `f32::max`'s choice, not the lanes': ask it.
         max = logits
             .iter()
             .map(|&l| l / temperature)
@@ -316,7 +379,7 @@ pub fn tempered_support_into(
         f32::NEG_INFINITY
     };
     let mut sum = 0.0f32;
-    for (c, chunk) in logits.chunks(CHUNK).enumerate() {
+    for (c, chunk) in logits.chunks(LANES).enumerate() {
         // A NaN counts as live: it must reach the sum.
         let mut live = false;
         for &l in chunk {
@@ -332,7 +395,7 @@ pub fn tempered_support_into(
             let e = (l / temperature - max).exp();
             if e != 0.0 {
                 sum += e;
-                out.push(((c * CHUNK + j) as TokenId, e));
+                out.push(((c * LANES + j) as TokenId, e));
             }
         }
     }

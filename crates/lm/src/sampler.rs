@@ -2,7 +2,7 @@
 //! optional top-k truncation (the paper evaluates greedy decoding and
 //! sampling at temperatures 0.2–0.8, §IV-A3).
 
-use crate::matrix::tempered_softmax_into;
+use crate::matrix::{first_index_of, lane_max, tempered_softmax_into};
 use crate::mlp::TokenId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -123,15 +123,23 @@ impl Sampler {
     }
 }
 
-/// Index of the maximum logit (first one on ties).
+/// Index of the maximum logit under `>`: the first index on ties, where
+/// `+0.0` and `-0.0` count as equal. NaNs never win; a row that is
+/// empty or opens with a NaN answers `0`.
+///
+/// That is the serial scan "keep the first entry, move to any later one
+/// that is `>` the kept one", found in two lane-parallel passes instead
+/// (see the [`crate::matrix`] module doc): the row's maximum, then the
+/// first index that `==` it.
 pub fn argmax(logits: &[f32]) -> TokenId {
-    let mut best = 0usize;
-    for (i, &l) in logits.iter().enumerate() {
-        if l > logits[best] {
-            best = i;
+    match logits.first() {
+        Some(first) if !first.is_nan() => {
+            // With a non-NaN entry to start from, the maximum is the
+            // value of some entry (`-∞` included).
+            first_index_of(logits, lane_max(logits)).expect("the maximum is an entry") as TokenId
         }
+        _ => 0,
     }
-    best as TokenId
 }
 
 /// Zeroes all but the `k` largest entries of `probs` (ties: the lower
