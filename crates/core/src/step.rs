@@ -1891,7 +1891,7 @@ mod tests {
                     })
                 })
                 .collect();
-            model.infer(&xs, None, &mut arena);
+            model.infer(&xs, &mut arena);
             let phases: Vec<Phase> = steppers
                 .iter_mut()
                 .zip(&base_at)

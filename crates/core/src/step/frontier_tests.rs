@@ -132,9 +132,11 @@ impl Stepper<'_> {
         let step_start = session.len();
         self.scratch.clear();
         let levels = shape.depth().min(n_heads);
-        let base = session.multi_logits_into(levels + 1, &mut self.scratch);
+        let base = session.base_row_into(levels, &mut self.scratch);
         let base_tok = self.sampler.sample(self.scratch.row(base), sampling);
-        let paths = build_candidate_paths(self.scratch.rows_from(base + 1), n_heads, &shape);
+        let mut heads = LogitsArena::new();
+        let first = session.head_rows_into(self.scratch.rows_from(base), 1..levels + 1, &mut heads);
+        let paths = build_candidate_paths(heads.rows_from(first), n_heads, &shape);
         let candidate_tokens: usize = paths.iter().map(Vec::len).sum();
         let verify_issued = base_tok != eos && candidate_tokens > 0;
         if verify_issued {

@@ -8,11 +8,10 @@
 //! inference call allocates.
 //!
 //! Beside its rows the kernel **keeps each input's trunk activation**
-//! (the last hidden state every head reads): one block per row, the
-//! block of an input's *first* row holding that input's activation.
-//! A head that was not evaluated with the trunk can therefore be
-//! evaluated later from the kept block
-//! ([`crate::DecodeSession::head_rows_into`], or
+//! (the last hidden state every head reads): the kernel writes one row
+//! per input, and each kernel row's block holds the activation of the
+//! input the row was written for. Every Medusa head is evaluated from
+//! such a kept block ([`crate::DecodeSession::head_rows_into`], or
 //! [`crate::VerifyPlan::request_head`] in a fused pass) — bit for bit
 //! the row the one-pass forward would have written.
 
@@ -29,12 +28,12 @@ pub struct LogitsArena {
     /// a clear, 0 until then.
     act_width: usize,
     /// One `act_width` block per row up to the last row the kernel's
-    /// trunk wrote: the block of an input's first row is that input's
-    /// trunk activation, every other block (further heads' rows,
-    /// copied-in and head-only rows before it) is unspecified.
+    /// trunk wrote: each kernel row's block is the trunk activation of
+    /// its input, every other block (copied-in and head-only rows
+    /// before it) is unspecified.
     acts: Vec<f32>,
-    /// The kernel's working memory (one residual block), kept with the
-    /// rows so a call that fits allocates nothing.
+    /// Working memory for a head's residual block, kept with the rows
+    /// so a call that fits allocates nothing.
     scratch: Vec<f32>,
 }
 
@@ -76,15 +75,14 @@ impl LogitsArena {
         ArenaRows { arena: self, base }
     }
 
-    /// The trunk activation the kernel kept for the input whose first
-    /// row is `row`.
+    /// The trunk activation kept in kernel row `row`'s block.
     ///
     /// # Panics
     ///
     /// Panics if the arena holds no `row`, and may if the row was not
-    /// written by the kernel's trunk; a row that is not an input's
-    /// first (a further head's, one copied in, one evaluated from an
-    /// activation kept elsewhere) reads unspecified floats otherwise.
+    /// written by the kernel's trunk; a row that was not (one copied in
+    /// bare, one evaluated from an activation kept elsewhere) reads
+    /// unspecified floats otherwise.
     pub(crate) fn activation(&self, row: usize) -> &[f32] {
         assert!(row < self.rows(), "no row {row} to keep an activation for");
         &self.acts[row * self.act_width..(row + 1) * self.act_width]
@@ -102,11 +100,12 @@ impl LogitsArena {
         index
     }
 
-    /// Appends a copy of `kept`'s row `0` **and of the trunk activation
-    /// kept beside it**, returning its index: the copy is as good a
-    /// kept position here ([`crate::DecodeSession::head_rows_into`]) as
-    /// the row was in its own arena. A row with no activation block —
-    /// one no kernel trunk wrote — is copied without one.
+    /// Appends a copy of `kept`'s row `0` **and of its block** — for a
+    /// kernel row, its input's trunk activation — returning its index:
+    /// the copy of a kernel row is as good a kept position here
+    /// ([`crate::DecodeSession::head_rows_into`]) as the row was in its
+    /// own arena. A row with no activation block — one no kernel trunk
+    /// wrote — is copied without one.
     ///
     /// # Panics
     ///
@@ -119,7 +118,7 @@ impl LogitsArena {
             return self.push_row(kept.row(0));
         };
         let index = self.rows();
-        let (row, acts, _) = self.grow_for_kernel(from.width, 1, act, 0);
+        let (row, acts) = self.grow_for_kernel(from.width, 1, act);
         row.copy_from_slice(kept.row(0));
         acts.copy_from_slice(block);
         index
@@ -162,16 +161,15 @@ impl LogitsArena {
         )
     }
 
-    /// [`LogitsArena::grow`] for the kernel's trunk: the `n` new rows, their
-    /// `n` activation blocks of `act_width` floats, and `scratch`
-    /// floats of working memory (all contents unspecified).
+    /// [`LogitsArena::grow`] for the kernel's trunk: the `n` new rows and
+    /// their `n` activation blocks of `act_width` floats (all contents
+    /// unspecified).
     pub(crate) fn grow_for_kernel(
         &mut self,
         width: usize,
         n: usize,
         act_width: usize,
-        scratch: usize,
-    ) -> (&mut [f32], &mut [f32], &mut [f32]) {
+    ) -> (&mut [f32], &mut [f32]) {
         if self.act_width == 0 {
             self.act_width = act_width;
         }
@@ -185,13 +183,9 @@ impl LogitsArena {
         if self.acts.len() < acts.end {
             self.acts.resize(acts.end, 0.0);
         }
-        if self.scratch.len() < scratch {
-            self.scratch.resize(scratch, 0.0);
-        }
         (
             &mut self.data[first * width..self.used],
             &mut self.acts[acts],
-            &mut self.scratch[..scratch],
         )
     }
 
@@ -265,7 +259,7 @@ mod tests {
     fn kept_rows_are_copied_with_their_activation() {
         let mut from = LogitsArena::new();
         from.push_row(&[0.0, 0.0]);
-        let (rows, acts, _) = from.grow_for_kernel(2, 2, 3, 0);
+        let (rows, acts) = from.grow_for_kernel(2, 2, 3);
         rows.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
         acts.copy_from_slice(&[5.0, 6.0, 7.0, 8.0, 9.0, 10.0]);
         let mut to = LogitsArena::new();

@@ -42,8 +42,11 @@
 //! ```
 //!
 //! The stateless `logits(&prefix)` / `multi_logits(&prefix)` methods
-//! remain available as a shim over a fresh session, so existing
-//! [`LanguageModel`] implementations and callers migrate gradually.
+//! are the reference every session is pinned to: for [`MlpLm`] they are
+//! the scalar training forward, which the packed kernel
+//! ([`MlpLm::infer`], one base-head row and kept trunk activation per
+//! input, every Medusa head from a kept activation) matches bit for
+//! bit.
 //!
 //! # Examples
 //!
@@ -96,13 +99,9 @@ pub use session::{
 /// `verispec-core` are generic over this trait and drive it through
 /// [`LanguageModel::session`].
 ///
-/// Implementations must provide **at least one** of
-/// [`LanguageModel::session`] or [`LanguageModel::logits`] — each has a
-/// default written in terms of the other (stateless calls open a fresh
-/// session; the default session recomputes statelessly). A type
-/// overriding neither panics with a descriptive message on first use
-/// (a depth guard in the defaults turns the would-be infinite
-/// recursion into a diagnosable error).
+/// An implementation provides the stateless [`LanguageModel::logits`];
+/// the default session recomputes from it per query, and a model with
+/// cacheable state overrides [`LanguageModel::session`].
 pub trait LanguageModel {
     /// Vocabulary size (length of each logit vector).
     fn vocab_size(&self) -> usize;
@@ -135,26 +134,13 @@ pub trait LanguageModel {
     }
 
     /// Base-head logits for the next token after `prefix`.
-    ///
-    /// Default: a shim over a fresh [`LanguageModel::session`], kept so
-    /// external callers of the stateless API migrate gradually.
-    fn logits(&self, prefix: &[TokenId]) -> Vec<f32> {
-        session::shim_recursion_guard(|| {
-            let mut session = self.session();
-            session.append(prefix);
-            session.logits()
-        })
-    }
+    fn logits(&self, prefix: &[TokenId]) -> Vec<f32>;
 
     /// Logits for the base head and every extra head.
     ///
-    /// Default: a shim over a fresh [`LanguageModel::session`].
+    /// Default: the base head only, for a model with no extra heads.
     fn multi_logits(&self, prefix: &[TokenId]) -> Vec<Vec<f32>> {
-        session::shim_recursion_guard(|| {
-            let mut session = self.session();
-            session.append(prefix);
-            session.multi_logits()
-        })
+        vec![self.logits(prefix)]
     }
 }
 

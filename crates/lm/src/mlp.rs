@@ -17,9 +17,12 @@
 //! the base learning rate).
 //!
 //! Inference — every session query and every fused serving pass — runs
-//! through **one** kernel, [`MlpLm::infer`], over weights repacked once
-//! per model ([`crate::matrix::PackedMatrix`]) into a caller-owned
-//! [`LogitsArena`]. The row-major scalar forward
+//! through **one** kernel over weights repacked once per model
+//! ([`crate::matrix::PackedMatrix`]) into a caller-owned
+//! [`LogitsArena`], with one row layout: [`MlpLm::infer`] writes one
+//! base-head row per input and keeps the input's trunk activation
+//! beside it, and every Medusa-head row is evaluated later from such a
+//! kept activation (`infer_heads`). The row-major scalar forward
 //! ([`MlpLm::logits`] / [`MlpLm::multi_logits`]) stays as the training
 //! forward and the reference the kernel is pinned bit-identical to.
 
@@ -109,7 +112,7 @@ struct PackedWeights {
 /// Forward-pass intermediates for one position, reused by the backward
 /// pass.
 #[derive(Debug, Clone)]
-pub struct Activations {
+struct Activations {
     /// Concatenated input embeddings.
     x: Vec<f32>,
     /// Trunk pre-activation.
@@ -208,7 +211,7 @@ impl MlpLm {
     /// # Panics
     ///
     /// Panics if `window.len() != context` or a token id is out of range.
-    pub fn forward_trunk(&self, window: &[TokenId]) -> Activations {
+    fn forward_trunk(&self, window: &[TokenId]) -> Activations {
         let x = self.embed_window(window);
         let mut a = self.w1.matvec(&x);
         for (av, bv) in a.iter_mut().zip(&self.b1) {
@@ -245,28 +248,19 @@ impl MlpLm {
         x
     }
 
-    /// Logits of one head from a trunk hidden state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `head_idx > n_heads`.
-    pub fn head_logits_from_hidden(&self, h: &[f32], head_idx: usize) -> Vec<f32> {
-        let head = &self.heads[head_idx];
-        let z = self.head_z(head, h);
-        let mut logits = head.u.matvec(&z);
-        for (l, c) in logits.iter_mut().zip(&head.c) {
-            *l += c;
-        }
-        logits
-    }
-
     /// Logits of one head given trunk activations.
     ///
     /// # Panics
     ///
     /// Panics if `head_idx > n_heads`.
-    pub fn head_logits(&self, acts: &Activations, head_idx: usize) -> Vec<f32> {
-        self.head_logits_from_hidden(&acts.h, head_idx)
+    fn head_logits(&self, acts: &Activations, head_idx: usize) -> Vec<f32> {
+        let head = &self.heads[head_idx];
+        let z = self.head_z(head, &acts.h);
+        let mut logits = head.u.matvec(&z);
+        for (l, c) in logits.iter_mut().zip(&head.c) {
+            *l += c;
+        }
+        logits
     }
 
     fn head_z(&self, head: &Head, h: &[f32]) -> Vec<f32> {
@@ -304,90 +298,63 @@ impl MlpLm {
         })
     }
 
-    /// The inference kernel: one trunk forward per input, then that
-    /// input's leading heads, each written as one logits row of `out`.
+    /// The inference kernel: one trunk forward per input and the base
+    /// head's logits row, written as one row of `out` per input.
     ///
     /// `xs` holds the inputs back to back, each an embedding concat of
-    /// `context · d_emb` floats ([`MlpLm::embed_window`]). Input `k`
-    /// gets the rows of heads `0..row_start[k + 1] - row_start[k]`
-    /// (`row_start` is a prefix sum starting at 0), or just the base
-    /// head's row when `row_start` is `None`. Returns the arena index
-    /// of the first row written; the rest follow in input order.
+    /// `context · d_emb` floats ([`MlpLm::embed_window`]). Returns the
+    /// arena index of the first row written; the rest follow in input
+    /// order.
     ///
     /// Every row is bit-identical to the scalar forward
-    /// ([`MlpLm::multi_logits`]) at that input, whatever else shares
-    /// the call — which is what lets a serving engine fuse many
-    /// sessions' work into one pass. The call runs on the caller's
-    /// thread and the arena's scratch, whatever its size, and allocates
-    /// nothing once the arena has grown.
+    /// ([`MlpLm::logits`]) at that input, whatever else shares the
+    /// call — which is what lets a serving engine fuse many sessions'
+    /// work into one pass. The call runs on the caller's thread,
+    /// whatever its size, and allocates nothing once the arena has
+    /// grown.
     ///
     /// Each input's trunk activation — the last hidden state every head
-    /// is attached to — stays in `out` beside the input's first row, so
-    /// any head the call did not evaluate can be evaluated later
-    /// without the trunk ([`crate::DecodeSession::head_rows_into`],
+    /// is attached to — stays in `out` beside the input's row, so every
+    /// row this call writes is a kept position: a Medusa head at that
+    /// input is evaluated later from it without the trunk
+    /// ([`crate::DecodeSession::head_rows_into`],
     /// [`crate::verify_many`]'s head requests).
     ///
     /// # Panics
     ///
-    /// Panics if `xs` is not a whole number of inputs, `row_start` does
-    /// not describe them, or an input asks for more heads than exist.
-    pub fn infer(&self, xs: &[f32], row_start: Option<&[usize]>, out: &mut LogitsArena) -> usize {
+    /// Panics if `xs` is not a whole number of inputs.
+    pub fn infer(&self, xs: &[f32], out: &mut LogitsArena) -> usize {
         let x_dim = self.cfg.context * self.cfg.d_emb;
         assert_eq!(
             xs.len() % x_dim,
             0,
             "inputs must be whole embedding concats"
         );
-        let inputs = xs.len() / x_dim;
-        if let Some(rs) = row_start {
-            assert_eq!(rs.len(), inputs + 1, "row_start must bracket every input");
-            assert_eq!(rs[0], 0, "row_start is a prefix sum from 0");
-            assert!(
-                rs.windows(2)
-                    .all(|w| w[0] <= w[1] && w[1] - w[0] <= self.heads.len()),
-                "an input asked for more heads than the model has"
-            );
-        }
         let (vocab, d_hidden) = (self.cfg.vocab, self.cfg.d_hidden);
-        let n_rows = row_start.map_or(inputs, |rs| rs[inputs]);
         let base = out.rows();
-        // Two hidden-width vectors of working memory.
-        let (rows, acts, scratch) = out.grow_for_kernel(vocab, n_rows, d_hidden, 2 * d_hidden);
+        let (rows, acts) = out.grow_for_kernel(vocab, xs.len() / x_dim, d_hidden);
         let packed = self.packed();
-        let (unkept, z) = scratch.split_at_mut(d_hidden);
-        let mut rows = rows.chunks_exact_mut(vocab);
-        let mut acts = acts.chunks_exact_mut(d_hidden);
-        for k in 0..inputs {
-            let n_heads = row_start.map_or(1, |rs| rs[k + 1] - rs[k]);
-            // The activation is kept in the block of the input's first
-            // row; an input that asked for no row has nowhere to keep
-            // one and nothing that could read it.
-            let hidden = match n_heads {
-                0 => &mut *unkept,
-                _ => acts.next().expect("one activation block per row"),
-            };
-            if n_heads > 1 {
-                acts.nth(n_heads - 2);
-            }
-            packed
-                .w1
-                .matvec_into(&xs[k * x_dim..(k + 1) * x_dim], hidden);
+        let inputs = xs
+            .chunks_exact(x_dim)
+            .zip(acts.chunks_exact_mut(d_hidden))
+            .zip(rows.chunks_exact_mut(vocab));
+        for ((x, hidden), row) in inputs {
+            packed.w1.matvec_into(x, hidden);
             for (h, b) in hidden.iter_mut().zip(&self.b1) {
                 *h = silu(*h + b);
             }
-            for head in 0..n_heads {
-                let row = rows.next().expect("arena rows sized from row_start");
-                self.head_row(packed, head, hidden, z, row);
-            }
+            // The base head has no residual block: no working memory.
+            self.head_row(packed, 0, hidden, &mut [], row);
         }
         base
     }
 
     /// Head `head`'s logits row from the trunk activation `hidden`
-    /// (`z` is one hidden-width vector of working memory): the one
-    /// place the inference kernel evaluates a head, so a head computed
-    /// with its trunk and one computed later from the kept activation
-    /// run the identical operations on the identical bits.
+    /// (`z` is one hidden-width vector of working memory, unread by the
+    /// base head): the one place the inference kernel evaluates a head,
+    /// so the base head computed with its trunk and any head computed
+    /// later from the kept activation run the identical operations on
+    /// the identical bits.
     fn head_row(
         &self,
         packed: &PackedWeights,
@@ -413,17 +380,17 @@ impl MlpLm {
         }
     }
 
-    /// The kernel's second entry: evaluates chosen heads **from kept
+    /// The kernel's second entry, and the only one that writes a
+    /// Medusa head's row: evaluates chosen heads **from kept
     /// activations**, skipping the trunk. Each request is the
     /// activation an earlier [`MlpLm::infer`] call of this model kept
     /// for some input and the head wanted at that input; one logits row
     /// per request is appended to `out`, in order. Returns the arena
     /// index of the first.
     ///
-    /// Every row is bit-identical to the row [`MlpLm::infer`] would
-    /// have written had the head been asked for with the trunk (and so
-    /// to [`MlpLm::multi_logits`]): same activation bits, same
-    /// operations.
+    /// Every row is bit-identical to the scalar forward
+    /// ([`MlpLm::multi_logits`]) at that input: the same activation
+    /// bits go through the same operations.
     ///
     /// # Panics
     ///
@@ -970,41 +937,27 @@ mod tests {
             });
             for n in [1usize, 2, 3, 19, 33] {
                 let (xs, want) = probe_inputs(&model, n);
-                // Input k asks for 1 + k % 3 leading heads.
-                let mut row_start = vec![0usize];
-                for k in 0..n {
-                    row_start.push(row_start[k] + 1 + k % 3);
-                }
                 let mut arena = LogitsArena::new();
                 arena.push_row(&vec![0.0; vocab]);
-                let base = model.infer(&xs, None, &mut arena);
+                let base = model.infer(&xs, &mut arena);
                 assert_eq!((base, arena.rows()), (1, 1 + n));
                 for (k, w) in want.iter().enumerate() {
                     let what = format!("{vocab}x{d_hidden} n={n} base {k}");
                     assert_rows_bit_equal(arena.row(base + k), &w[0], &what);
                 }
-                let base = model.infer(&xs, Some(&row_start), &mut arena);
-                assert_eq!(arena.rows(), 1 + n + row_start[n]);
-                for (k, w) in want.iter().enumerate() {
-                    let heads = row_start[k + 1] - row_start[k];
-                    for (h, want) in w.iter().take(heads).enumerate() {
-                        let what = format!("{vocab}x{d_hidden} n={n} {k}/{h}");
-                        assert_rows_bit_equal(arena.row(base + row_start[k] + h), want, &what);
-                    }
-                }
             }
             let mut arena = LogitsArena::new();
-            assert_eq!(model.infer(&[], None, &mut arena), 0);
+            assert_eq!(model.infer(&[], &mut arena), 0);
             assert_eq!(arena.rows(), 0);
         }
     }
 
     #[test]
     fn heads_from_kept_activations_match_scalar_forward_bitwise() {
-        // Any subset of heads, asked for after the fact from the
-        // activation the kernel kept — however many inputs shared the
-        // call and however many heads each evaluated with its trunk —
-        // is the row the one-pass forward writes.
+        // Every row of a kernel call is a kept position: any subset of
+        // heads, asked for after the fact at any input's row — however
+        // many inputs shared the call — or at a copy of that row carried
+        // into another arena, is the row the one-pass forward writes.
         for (vocab, d_hidden) in [(13, 11), (487, 32)] {
             let model = MlpLm::new(MlpLmConfig {
                 vocab,
@@ -1016,15 +969,14 @@ mod tests {
             });
             for n in [1usize, 2, 19, 33] {
                 let (xs, want) = probe_inputs(&model, n);
-                // Input k evaluated 0..=3 heads with its trunk (an input
-                // with no row keeps nothing, so at least one).
-                let mut row_start = vec![0usize];
-                for k in 0..n {
-                    row_start.push(row_start[k] + 1 + k % 4);
-                }
                 let mut kept = LogitsArena::new();
                 kept.push_row(&vec![0.0; vocab]);
-                let base = model.infer(&xs, Some(&row_start), &mut kept);
+                let base = model.infer(&xs, &mut kept);
+                let mut copies = LogitsArena::new();
+                copies.push_row(&vec![0.0; vocab]);
+                for k in 0..n {
+                    assert_eq!(copies.push_kept(kept.rows_from(base + k)), 1 + k);
+                }
                 for salt in [1usize, 2, 3, 8] {
                     // Every subset of the four heads, in a scrambled
                     // order, at every input — all in one call.
@@ -1037,18 +989,20 @@ mod tests {
                             }
                         }
                     }
-                    let mut out = LogitsArena::new();
-                    out.push_row(&vec![0.0; vocab]);
-                    let first = model.infer_heads(
-                        requests
-                            .iter()
-                            .map(|&(k, head)| (kept.activation(base + row_start[k]), head)),
-                        &mut out,
-                    );
-                    assert_eq!((first, out.rows()), (1, 1 + requests.len()));
-                    for (i, &(k, head)) in requests.iter().enumerate() {
-                        let what = format!("{vocab}x{d_hidden} n={n} salt={salt} {k}/{head}");
-                        assert_rows_bit_equal(out.row(first + i), &want[k][head], &what);
+                    for (from, at) in [(&kept, base), (&copies, 1)] {
+                        let mut out = LogitsArena::new();
+                        out.push_row(&vec![0.0; vocab]);
+                        let first = model.infer_heads(
+                            requests
+                                .iter()
+                                .map(|&(k, head)| (from.activation(at + k), head)),
+                            &mut out,
+                        );
+                        assert_eq!((first, out.rows()), (1, 1 + requests.len()));
+                        for (i, &(k, head)) in requests.iter().enumerate() {
+                            let what = format!("{vocab}x{d_hidden} n={n} salt={salt} {k}/{head}");
+                            assert_rows_bit_equal(out.row(first + i), &want[k][head], &what);
+                        }
                     }
                 }
             }
@@ -1060,7 +1014,7 @@ mod tests {
         let mut model = tiny();
         let session_logits = |m: &MlpLm| {
             let mut arena = LogitsArena::new();
-            m.infer(&m.embed_window(&m.window(&[1, 2, 3])), None, &mut arena);
+            m.infer(&m.embed_window(&m.window(&[1, 2, 3])), &mut arena);
             arena.into_vec()
         };
         // Build the pack, then move the weights under it.
@@ -1081,16 +1035,26 @@ mod tests {
     fn serde_round_trip_carries_no_pack_and_infers_identically() {
         let model = tiny();
         let (xs, _) = probe_inputs(&model, 3);
-        let mut a = LogitsArena::new();
-        model.infer(&xs, Some(&[0, 4, 5, 7]), &mut a);
+        // Every head at every input: the base rows, then the heads from
+        // the kept activations.
+        let every_head = |m: &MlpLm| {
+            let mut kept = LogitsArena::new();
+            m.infer(&xs, &mut kept);
+            let kept = &kept;
+            let mut out = kept.clone();
+            m.infer_heads(
+                (0..3).flat_map(|k| (0..=m.n_heads()).map(move |h| (kept.activation(k), h))),
+                &mut out,
+            );
+            out.into_vec()
+        };
+        let a = every_head(&model);
         assert!(model.packed.get().is_some());
         let json = serde_json::to_string(&model).expect("serialize");
         assert!(!json.contains("packed"), "the pack is derived state");
         let back: MlpLm = serde_json::from_str(&json).expect("deserialize");
         assert!(back.packed.get().is_none(), "built at first inference");
-        let mut b = LogitsArena::new();
-        back.infer(&xs, Some(&[0, 4, 5, 7]), &mut b);
-        assert_rows_bit_equal(&a.into_vec(), &b.into_vec(), "round-tripped model");
+        assert_rows_bit_equal(&a, &every_head(&back), "round-tripped model");
     }
 
     #[test]

@@ -52,29 +52,33 @@
 //! just before their edges are tested. A head's row from the kept
 //! activation is the row [`DecodeSession::multi_logits`] holds, bit for
 //! bit. Sessions without a kernel compute `multi_logits()` once at the
-//! base call and serve the rows from it, as before.
+//! base call and serve the rows from it.
 //!
-//! [`DecodeSession::verify_batch`] / [`DecodeSession::verify_into`]
-//! score the *whole* tree in one call ([`NodeMap::request_all`]) through
-//! the same per-level code; they are the definition the level loop is
-//! tested against and the benchmark's kernel probe, not something a
-//! decode step calls.
+//! [`DecodeSession::verify_batch`] scores the *whole* tree in one call
+//! ([`NodeMap::request_all`]) through the same per-level code; it is
+//! the definition the level loop is tested against and the benchmark's
+//! kernel probe, not something a decode step calls.
 //!
 //! Every query has two shapes. The **flat** one is what the engines
-//! run on: [`DecodeSession::multi_logits_into`] and
+//! run on: [`DecodeSession::base_row_into`],
+//! [`DecodeSession::head_rows_into`] and
 //! [`DecodeSession::score_frontier`] append logits rows to a
 //! caller-owned [`LogitsArena`], and the [`NodeMap`] says which row each
 //! scored node reads — one row per *unique* candidate-tree node,
 //! however many paths share it. The **nested** one
-//! ([`DecodeSession::multi_logits`], [`DecodeSession::verify_batch`])
-//! materializes owned `Vec`s at the edge, for callers that want values
-//! rather than views.
+//! ([`DecodeSession::logits`], [`DecodeSession::multi_logits`],
+//! [`DecodeSession::verify_batch`]) materializes owned `Vec`s at the
+//! edge, for callers that want values rather than views. On
+//! [`MlpSession`] both shapes run the same two kernel entries: a base
+//! row per input, each a kept position, and Medusa-head rows from kept
+//! positions.
 //!
 //! Three implementations live here:
 //!
 //! * [`MlpSession`] — caches the embedding concat of the current window
-//!   and answers every query — one position, one level of a candidate
-//!   tree — with one call of the packed kernel ([`MlpLm::infer`]). A
+//!   and forwards every query — one position, one level of a candidate
+//!   tree — with one call of the packed kernel ([`MlpLm::infer`]),
+//!   evaluating a Medusa head from the activation that call kept. A
 //!   serving engine instead collects many sessions' inputs
 //!   ([`DecodeSession::embed_plan`], [`DecodeSession::plan_frontier`])
 //!   and head requests ([`VerifyPlan::request_head`]) and runs them
@@ -85,11 +89,10 @@
 //!   distribution of the current position; its frontier is scored by
 //!   the trait default (`truncate`/`append`/`logits` per node), so it
 //!   too pays only for what acceptance reaches.
-//! * `StatelessSession` (crate-private) — the migration shim: a
-//!   fresh-compute session over any [`LanguageModel`], used as the
-//!   default `LanguageModel::session()` so external model
-//!   implementations keep working unchanged (and, via [`Stateless`], as
-//!   the reference the parity property tests compare cached sessions
+//! * `StatelessSession` (crate-private) — a fresh-compute session over
+//!   any [`LanguageModel`]'s `logits` / `multi_logits`, used as the
+//!   default `LanguageModel::session()` (and, via [`Stateless`], as the
+//!   reference the parity property tests compare cached sessions
 //!   against).
 
 use crate::arena::{ArenaRows, LogitsArena};
@@ -584,7 +587,7 @@ pub fn verify_many(model: &MlpLm, plan: &mut VerifyPlan, out: &mut LogitsArena) 
         plan.base + plan.run,
         "a plan's levels must land back to back"
     );
-    model.infer(&plan.xs[plan.run * plan.x_dim..], None, out);
+    model.infer(&plan.xs[plan.run * plan.x_dim..], out);
     plan.run = plan.n_nodes();
     plan.head_rows.clear();
     let requests = plan.head_requests.drain(..);
@@ -593,34 +596,6 @@ pub fn verify_many(model: &MlpLm, plan: &mut VerifyPlan, out: &mut LogitsArena) 
         &mut plan.head_rows,
     );
     plan.base
-}
-
-/// Guards the mutually-recursive `LanguageModel` defaults
-/// (`logits`/`multi_logits` ⇄ `session`): a type overriding neither
-/// would otherwise recurse until the stack overflows. The threshold is
-/// generous so legitimate nesting (a model whose `logits` internally
-/// queries another model's shim) never trips it.
-pub(crate) fn shim_recursion_guard<T>(f: impl FnOnce() -> T) -> T {
-    use std::cell::Cell;
-    thread_local! {
-        static DEPTH: Cell<u32> = const { Cell::new(0) };
-    }
-    DEPTH.with(|depth| {
-        assert!(
-            depth.get() < 64,
-            "LanguageModel default-impl cycle: implement at least one of \
-             `session()` or `logits()` (see the LanguageModel trait docs)"
-        );
-        depth.set(depth.get() + 1);
-        struct Restore<'a>(&'a Cell<u32>);
-        impl Drop for Restore<'_> {
-            fn drop(&mut self) {
-                self.0.set(self.0.get() - 1);
-            }
-        }
-        let _restore = Restore(depth);
-        f()
-    })
 }
 
 /// A stateful, rollback-capable decoding context over one model.
@@ -670,29 +645,11 @@ pub trait DecodeSession {
     /// session context is unchanged when the call returns.
     fn verify_batch(&mut self, paths: &[&[TokenId]], include_bonus: bool) -> Vec<Vec<Vec<f32>>> {
         let mut nodes = NodeMap::new();
+        nodes.build(paths.iter().copied(), include_bonus);
+        nodes.request_all();
         let mut out = LogitsArena::new();
-        let base = self.verify_into(paths, include_bonus, &mut nodes, &mut out);
+        let base = self.score_frontier(&mut nodes, &mut out);
         nodes.materialize(out.rows_from(base))
-    }
-
-    /// The flat form of [`DecodeSession::multi_logits`]: appends the
-    /// logits of the first `heads` heads (base first) at the current
-    /// position to `out` and returns the arena index of the base row.
-    /// A step whose shape explores `d` head levels asks for `d + 1`
-    /// rows and pays for no more.
-    ///
-    /// The default copies the nested result in; [`MlpSession`] runs
-    /// the packed kernel straight into the arena.
-    fn multi_logits_into(&mut self, heads: usize, out: &mut LogitsArena) -> usize {
-        let base = out.rows();
-        if heads == 1 {
-            out.push_row(&self.logits());
-        } else {
-            for row in self.multi_logits().iter().take(heads) {
-                out.push_row(row);
-            }
-        }
-        base
     }
 
     /// Opens a decoding step at the current position: appends the base
@@ -705,13 +662,21 @@ pub trait DecodeSession {
     /// A step reads head `d + 1` only if acceptance reaches depth `d`
     /// of its candidate tree, so a session that can evaluate a head on
     /// its own computes none here. The default cannot — its model
-    /// answers `multi_logits()` whole — and computes that once, now
-    /// ([`DecodeSession::multi_logits_into`] of `levels + 1` rows), to
-    /// serve the rows from; [`MlpSession`] forwards the trunk and the
-    /// base head only, the kernel keeping the trunk activation beside
-    /// the row.
+    /// answers `multi_logits()` whole — and copies in `logits()` when
+    /// `levels` is 0, else the first `levels + 1` rows of
+    /// `multi_logits()`, to serve the heads from; [`MlpSession`]
+    /// forwards the trunk and the base head only, the kernel keeping
+    /// the trunk activation beside the row.
     fn base_row_into(&mut self, levels: usize, out: &mut LogitsArena) -> usize {
-        self.multi_logits_into(levels + 1, out)
+        let base = out.rows();
+        if levels == 0 {
+            out.push_row(&self.logits());
+        } else {
+            for row in self.multi_logits().iter().take(levels + 1) {
+                out.push_row(row);
+            }
+        }
+        base
     }
 
     /// Appends the rows of heads `heads` (each in `1..=levels`) **at the
@@ -755,23 +720,6 @@ pub trait DecodeSession {
     /// rows do, each with its trunk activation beside it.
     fn keeps_frontier_rows(&self) -> bool {
         false
-    }
-
-    /// The flat form of [`DecodeSession::verify_batch`]: builds `nodes`
-    /// over `paths`, asks for every node at once and scores them,
-    /// appending one logits row per unique node to `out`. Returns the
-    /// arena index `nodes`' rows are relative to. The session context
-    /// is unchanged when the call returns.
-    fn verify_into(
-        &mut self,
-        paths: &[&[TokenId]],
-        include_bonus: bool,
-        nodes: &mut NodeMap,
-        out: &mut LogitsArena,
-    ) -> usize {
-        nodes.build(paths.iter().copied(), include_bonus);
-        nodes.request_all();
-        self.score_frontier(nodes, out)
     }
 
     /// Scores the frontier of `nodes` — the nodes requested since the
@@ -870,14 +818,14 @@ pub trait SnapshotSession<'m>: DecodeSession {
 // Stateless shim
 // ---------------------------------------------------------------------
 
-/// The migration shim: a session over any [`LanguageModel`] that
-/// recomputes from the full context on every query.
+/// A session over any [`LanguageModel`] that recomputes from the full
+/// context on every query.
 ///
-/// This is the default [`LanguageModel::session`] implementation, so
-/// model types that only provide the stateless `logits` keep working
-/// with the session-driven engines. It is deliberately cache-free: the
-/// parity property tests use it (via [`Stateless`]) as the
-/// "fresh forward per query" reference.
+/// This is the default [`LanguageModel::session`] implementation, so a
+/// model type that provides only the stateless `logits` drives the
+/// session-driven engines. It is deliberately cache-free: the parity
+/// property tests use it (via [`Stateless`]) as the "fresh forward per
+/// query" reference.
 pub(crate) struct StatelessSession<'a, M: LanguageModel + ?Sized> {
     model: &'a M,
     tokens: Vec<TokenId>,
@@ -961,11 +909,12 @@ impl<M: LanguageModel> LanguageModel for Stateless<M> {
 /// The cached state is exactly what the architecture allows reusing:
 /// the **context-window embedding** `x` (appending a token shifts the
 /// window by one embedding block and writes only the new tail — the
-/// rest is reused). Every query is one call of the packed kernel
+/// rest is reused). Every forward is one call of the packed kernel
 /// ([`MlpLm::infer`]) on flat inputs: the current position is the
 /// one-input case, and a level of a candidate tree is one input per
 /// node, each node's embedding derived from its parent's by a one-block
-/// shift written straight into the plan buffer.
+/// shift written straight into the plan buffer. Every Medusa-head row
+/// is evaluated from a trunk activation such a call kept.
 pub struct MlpSession<'a> {
     model: &'a MlpLm,
     tokens: Vec<TokenId>,
@@ -1044,25 +993,28 @@ impl DecodeSession for MlpSession<'_> {
     }
 
     fn logits(&mut self) -> Vec<f32> {
+        let model = self.model;
         let mut out = LogitsArena::new();
-        self.multi_logits_into(1, &mut out);
+        model.infer(self.ensure_x(), &mut out);
         out.into_vec()
     }
 
+    /// The base row, then every Medusa head from its kept activation.
     fn multi_logits(&mut self) -> Vec<Vec<f32>> {
-        let heads = self.model.n_heads() + 1;
-        let mut out = LogitsArena::new();
-        self.multi_logits_into(heads, &mut out);
-        (0..heads).map(|i| out.row(i).to_vec()).collect()
-    }
-
-    fn multi_logits_into(&mut self, heads: usize, out: &mut LogitsArena) -> usize {
         let model = self.model;
-        model.infer(self.ensure_x(), Some(&[0, heads]), out)
+        let (mut base, mut heads) = (LogitsArena::new(), LogitsArena::new());
+        model.infer(self.ensure_x(), &mut base);
+        let hidden = base.activation(0);
+        model.infer_heads((1..=model.n_heads()).map(|head| (hidden, head)), &mut heads);
+        std::iter::once(base.row(0))
+            .chain((0..model.n_heads()).map(|i| heads.row(i)))
+            .map(<[f32]>::to_vec)
+            .collect()
     }
 
     fn base_row_into(&mut self, _levels: usize, out: &mut LogitsArena) -> usize {
-        self.multi_logits_into(1, out)
+        let model = self.model;
+        model.infer(self.ensure_x(), out)
     }
 
     fn head_rows_into(
@@ -1221,15 +1173,27 @@ mod tests {
 
     #[test]
     fn mlp_session_matches_stateless_logits() {
+        // On contexts shorter than, as long as and longer than the
+        // window (4): the base row, and every head from its kept
+        // activation, are the scalar forward's bits.
         let model = tiny_mlp();
+        let bits = |rows: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            rows.iter()
+                .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
         let mut s = model.session();
-        let prefix = [1u32, 2, 3, 4, 5];
-        for i in 0..prefix.len() {
-            s.append(&prefix[i..=i]);
-            assert_eq!(s.logits(), model.logits(&prefix[..=i]), "position {i}");
-            assert_eq!(s.multi_logits(), model.multi_logits(&prefix[..=i]));
+        let prefix = [1u32, 2, 3, 4, 5, 6];
+        for i in 0..=prefix.len() {
+            let ctx = &prefix[..i];
+            assert_eq!(bits(&[s.logits()]), bits(&[model.logits(ctx)]), "{ctx:?}");
+            assert_eq!(
+                bits(&s.multi_logits()),
+                bits(&model.multi_logits(ctx)),
+                "{ctx:?}"
+            );
+            s.append(&prefix[i..(i + 1).min(prefix.len())]);
         }
-        assert_eq!(s.len(), 5);
         assert_eq!(s.tokens(), &prefix);
     }
 
@@ -1370,7 +1334,7 @@ mod tests {
             sessions.push(s);
         }
         let mut arena = LogitsArena::new();
-        let kept = model.infer(&xs, Some(&[0, 1, 2]), &mut arena);
+        let kept = model.infer(&xs, &mut arena);
         let mut plan = VerifyPlan::new();
         let mut maps = [NodeMap::new(), NodeMap::new()];
         for (s, nodes) in sessions.iter_mut().zip(&mut maps) {
@@ -1531,40 +1495,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_logits_many_matches_per_session_calls() {
-        let model = tiny_mlp();
-        let contexts: [&[TokenId]; 3] = [&[1, 2, 3, 4, 5], &[2], &[7, 7]];
-        // Each position asks for a different number of leading heads.
-        let heads = [4usize, 1, 2];
-        let mut xs = Vec::new();
-        let mut row_start = vec![0usize];
-        for (ctx, &h) in contexts.iter().zip(&heads) {
-            let mut s = model.session();
-            s.append(ctx);
-            assert!(s.embed_plan(&mut xs), "mlp sessions expose x");
-            row_start.push(row_start.last().expect("seeded") + h);
-        }
-        let mut arena = LogitsArena::new();
-        let base = model.infer(&xs, Some(&row_start), &mut arena);
-        assert_eq!(arena.rows(), 7);
-        for (i, (ctx, &h)) in contexts.iter().zip(&heads).enumerate() {
-            let mut s = model.session();
-            s.append(ctx);
-            let own = s.multi_logits();
-            for (j, want) in own.iter().take(h).enumerate() {
-                assert_eq!(
-                    arena.row(base + row_start[i] + j),
-                    &want[..],
-                    "position {i} head {j} diverged"
-                );
-            }
-        }
-        let mut empty = LogitsArena::new();
-        model.infer(&[], Some(&[0]), &mut empty);
-        assert_eq!(empty.rows(), 0);
-    }
-
-    #[test]
     fn flat_queries_match_their_nested_adaptors_on_every_session_kind() {
         // The engines read the flat forms; the nested forms are the
         // edge. Both must describe the same rows — for the kernel-backed
@@ -1580,14 +1510,7 @@ mod tests {
             s.append(&[5, 6, 7]);
             let mut arena = LogitsArena::new();
             let all = s.multi_logits();
-            for heads in 1..=all.len() {
-                arena.clear();
-                let base = s.multi_logits_into(heads, &mut arena);
-                assert_eq!(arena.rows(), heads);
-                for (h, want) in all.iter().take(heads).enumerate() {
-                    assert_eq!(arena.row(base + h), &want[..]);
-                }
-            }
+            assert_eq!(s.logits(), all[0]);
             // A step's two calls — the base row first, heads from the
             // kept position later, the context moved on in between —
             // read the same rows.
@@ -1704,27 +1627,6 @@ mod tests {
         assert!((&ng as &dyn LanguageModel).snapshot_session().is_some());
         // Plain-logits models fall back to `None`.
         assert!(Stateless(&model).snapshot_session().is_none());
-    }
-
-    #[test]
-    fn default_impl_cycle_panics_instead_of_overflowing() {
-        // A broken implementor that overrides neither `session` nor
-        // `logits`: the depth guard must turn the infinite recursion
-        // into a catchable panic with a pointer to the fix.
-        struct Neither;
-        impl LanguageModel for Neither {
-            fn vocab_size(&self) -> usize {
-                4
-            }
-        }
-        let err = std::panic::catch_unwind(|| Neither.logits(&[1]))
-            .expect_err("must panic, not overflow");
-        let msg = err
-            .downcast_ref::<&'static str>()
-            .map(|s| s.to_string())
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("implement at least one"), "got: {msg}");
     }
 
     #[test]

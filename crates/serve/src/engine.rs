@@ -1322,7 +1322,7 @@ impl<'m> ServeEngine<'m> {
         }
         if proposing > 0 {
             self.stats.fused_propose_positions += proposing;
-            let base = self.model.infer(&propose_xs, None, &mut arena);
+            let base = self.model.infer(&propose_xs, &mut arena);
             debug_assert_eq!(base, 0, "the tick's arena starts empty");
         }
         phases.clear();

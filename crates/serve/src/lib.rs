@@ -1148,7 +1148,7 @@ mod tests {
                 break;
             }
             forwarded_bases += live.len();
-            m.infer(&xs, None, &mut arena);
+            m.infer(&xs, &mut arena);
             let mut verifying: Vec<usize> = Vec::new();
             for (row, &i) in live.iter().enumerate() {
                 let phase = steppers[i].propose(Some(arena.rows_from(row)));
