@@ -277,7 +277,7 @@ pub(crate) const GRAMMAR_BASE_SCAN: usize = 32;
 pub(crate) const GRAMMAR_WIDEN_ROUNDS: usize = 3;
 
 /// The per-level candidate widths of a [`SpecShape`] that fits its
-/// model ([`SpecShape::clamped`]): one entry per explored level, a
+/// model ([`SpecShape::clamp`]): one entry per explored level, a
 /// chain being the width-1 tree.
 pub(crate) fn level_widths(shape: &SpecShape) -> impl Iterator<Item = usize> + Clone + '_ {
     let (widths, depth): (&[usize], usize) = match shape {
@@ -366,7 +366,7 @@ fn grammar_tree(
 /// what is actually verified.
 ///
 /// Row `i` of `heads` is head `i + 1`'s, one per level of `shape` —
-/// which must fit the model ([`SpecShape::clamped`]). Every level's
+/// which must fit the model ([`SpecShape::clamp`]). Every level's
 /// tokens are named before anything is pruned or widened, which is why
 /// this engine cannot grow its tree a level at a time the way the
 /// unconstrained ones do: it needs every head's *row*. A head's

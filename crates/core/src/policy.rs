@@ -63,6 +63,7 @@
 
 use crate::decode::MAX_CANDIDATE_PATHS;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// The speculation bought for one step of one request.
 ///
@@ -112,7 +113,7 @@ impl SpecShape {
     /// tick *before* any logits exist.
     ///
     /// The mirror is exact for a shape that fits its model
-    /// ([`SpecShape::clamped`]): no deeper than the head count, no
+    /// ([`SpecShape::clamp`]): no deeper than the head count, no
     /// level wider than the vocabulary — true of every shape derived
     /// from a stepper's base shape on any real vocabulary (the base is
     /// built at `n_heads`, and the bundled policies only ever shrink
@@ -140,13 +141,33 @@ impl SpecShape {
         }
     }
 
-    /// The shape as a model with `n_heads` Medusa heads over `vocab`
-    /// tokens can run it: depth cut to the heads that exist, widths to
-    /// the tokens a head can rank. Nothing else is touched (absent and
-    /// zero widths keep meaning 1), and a draft block is returned as
-    /// is.
-    pub fn clamped(mut self, n_heads: usize, vocab: usize) -> SpecShape {
-        match &mut self {
+    /// Copies the shape into `slot`: a tree refilled from a tree keeps
+    /// its widths allocation, so a slot refilled every step allocates
+    /// nothing once warm (the derived `clone_from` of an enum would
+    /// drop the old `widths` and allocate anew).
+    pub fn copy_into(&self, slot: &mut Option<SpecShape>) {
+        match (slot, self) {
+            (
+                Some(SpecShape::Tree { widths, depth }),
+                SpecShape::Tree {
+                    widths: from,
+                    depth: d,
+                },
+            ) => {
+                widths.clone_from(from);
+                *depth = *d;
+            }
+            (slot, shape) => *slot = Some(shape.clone()),
+        }
+    }
+
+    /// Cuts the shape, in place, to what a model with `n_heads` Medusa
+    /// heads over `vocab` tokens can run: depth to the heads that exist,
+    /// widths to the tokens a head can rank. Nothing else is touched
+    /// (absent and zero widths keep meaning 1), and a draft block is
+    /// left as is.
+    pub fn clamp(&mut self, n_heads: usize, vocab: usize) {
+        match self {
             SpecShape::Chain { depth } => *depth = (*depth).min(n_heads),
             SpecShape::Tree { widths, depth } => {
                 *depth = (*depth).min(n_heads);
@@ -154,7 +175,6 @@ impl SpecShape {
             }
             SpecShape::Draft { .. } => {}
         }
-        self
     }
 
     /// Verify positions one step of this shape costs the engine: the
@@ -300,8 +320,10 @@ pub trait SpecPolicy: Sync {
     /// Policy name for telemetry and bench tables.
     fn name(&self) -> &'static str;
 
-    /// The shape the request's next step should run.
-    fn shape(&self, query: &ShapeQuery<'_>) -> SpecShape;
+    /// The shape the request's next step should run: borrowed from
+    /// `query.base` when the policy keeps the configured shape, so that
+    /// the common decision costs no allocation.
+    fn shape<'a>(&self, query: &ShapeQuery<'a>) -> Cow<'a, SpecShape>;
 
     /// A per-tick global candidate budget (in [`SpecShape::step_cost`]
     /// units) the serving engine should divide across each tick's
@@ -324,8 +346,8 @@ impl SpecPolicy for StaticPolicy {
         "static"
     }
 
-    fn shape(&self, query: &ShapeQuery<'_>) -> SpecShape {
-        query.base.clone()
+    fn shape<'a>(&self, query: &ShapeQuery<'a>) -> Cow<'a, SpecShape> {
+        Cow::Borrowed(query.base)
     }
 }
 
@@ -371,8 +393,8 @@ impl SpecPolicy for AdaptivePolicy {
         "adaptive"
     }
 
-    fn shape(&self, query: &ShapeQuery<'_>) -> SpecShape {
-        match query.base {
+    fn shape<'a>(&self, query: &ShapeQuery<'a>) -> Cow<'a, SpecShape> {
+        Cow::Owned(match query.base {
             SpecShape::Chain { depth } => SpecShape::Chain {
                 depth: self.adapted_depth(*depth, query.history),
             },
@@ -383,7 +405,7 @@ impl SpecPolicy for AdaptivePolicy {
             SpecShape::Draft { gamma } => SpecShape::Draft {
                 gamma: self.adapted_depth(*gamma, query.history),
             },
-        }
+        })
     }
 }
 
@@ -411,10 +433,12 @@ impl SpecPolicy for BudgetedPolicy {
         "budgeted"
     }
 
-    fn shape(&self, query: &ShapeQuery<'_>) -> SpecShape {
+    fn shape<'a>(&self, query: &ShapeQuery<'a>) -> Cow<'a, SpecShape> {
         match query.cap {
-            Some(cap) => query.base.shrink_to(cap),
-            None => query.base.clone(),
+            Some(cap) if query.base.step_cost() > cap.max(1) => {
+                Cow::Owned(query.base.shrink_to(cap))
+            }
+            _ => Cow::Borrowed(query.base),
         }
     }
 
@@ -477,23 +501,29 @@ mod tests {
         for shape in &shapes {
             let paths = build_candidate_paths(logits.rows_from(0), n_heads, shape);
             let built: usize = paths.iter().map(Vec::len).sum();
-            let taken = shape.clone().clamped(n_heads, vocab);
+            let mut taken = shape.clone();
+            taken.clamp(n_heads, vocab);
             assert_eq!(
                 taken.candidate_tokens(),
                 built,
                 "cost mirror diverged for {shape:?}"
             );
             assert!(taken.depth() <= n_heads);
-            assert_eq!(taken.clone().clamped(n_heads, vocab), taken);
+            let mut again = taken.clone();
+            again.clamp(n_heads, vocab);
+            assert_eq!(again, taken);
         }
         // Clamping leaves a shape that fits untouched — serialized
         // shapes in traces do not move.
         for shape in &shapes[..7] {
-            assert_eq!(&shape.clone().clamped(n_heads, vocab), shape);
+            let mut taken = shape.clone();
+            taken.clamp(n_heads, vocab);
+            assert_eq!(&taken, shape);
         }
         assert_eq!(SpecShape::Draft { gamma: 4 }.candidate_tokens(), 4);
-        let draft = SpecShape::Draft { gamma: 40 };
-        assert_eq!(draft.clone().clamped(2, 3), draft);
+        let mut draft = SpecShape::Draft { gamma: 40 };
+        draft.clamp(2, 3);
+        assert_eq!(draft, SpecShape::Draft { gamma: 40 });
     }
 
     #[test]
@@ -508,7 +538,8 @@ mod tests {
             history: &h,
             cap: Some(1),
         });
-        assert_eq!(shape, base, "static must ignore history and cap");
+        assert!(matches!(shape, Cow::Borrowed(_)), "static lends the base");
+        assert_eq!(*shape, base, "static must ignore history and cap");
     }
 
     #[test]
@@ -521,7 +552,7 @@ mod tests {
         // Warm-up: no speculation yet → configured shape.
         let h = AcceptHistory::default();
         assert_eq!(
-            p.shape(&ShapeQuery {
+            *p.shape(&ShapeQuery {
                 base: &base,
                 history: &h,
                 cap: None
@@ -536,7 +567,7 @@ mod tests {
             cap: None,
         });
         assert_eq!(
-            shape,
+            *shape,
             SpecShape::Tree {
                 widths: vec![2, 2],
                 depth: 1
@@ -550,7 +581,7 @@ mod tests {
             cap: None,
         });
         assert_eq!(
-            shape,
+            *shape,
             SpecShape::Tree {
                 widths: vec![2, 2],
                 depth: 4
@@ -563,7 +594,7 @@ mod tests {
             history: &h,
             cap: None,
         });
-        assert_eq!(shape, SpecShape::Draft { gamma: 2 });
+        assert_eq!(*shape, SpecShape::Draft { gamma: 2 });
     }
 
     #[test]
@@ -580,7 +611,7 @@ mod tests {
             history: &h,
             cap: None,
         });
-        assert_eq!(shape, SpecShape::Chain { depth: 1 });
+        assert_eq!(*shape, SpecShape::Chain { depth: 1 });
     }
 
     #[test]
@@ -627,14 +658,49 @@ mod tests {
             history: &h,
             cap: None,
         });
-        assert_eq!(full, base, "no cap → full shape");
+        assert!(matches!(full, Cow::Borrowed(_)), "no cap → the base, lent");
+        assert_eq!(*full, base);
+        let fits = p.shape(&ShapeQuery {
+            base: &base,
+            history: &h,
+            cap: Some(base.step_cost()),
+        });
+        assert!(matches!(fits, Cow::Borrowed(_)), "a base that fits is lent");
         let fitted = p.shape(&ShapeQuery {
             base: &base,
             history: &h,
             cap: Some(7),
         });
         assert!(fitted.step_cost() <= 7);
-        assert_ne!(fitted, base);
+        assert_ne!(*fitted, base);
+    }
+
+    #[test]
+    fn refilling_a_tree_keeps_its_allocation() {
+        let widths_at = |slot: &Option<SpecShape>| match slot {
+            Some(SpecShape::Tree { widths, .. }) => widths.as_ptr(),
+            _ => std::ptr::null(),
+        };
+        let tree = |widths: &[usize], depth| SpecShape::Tree {
+            widths: widths.to_vec(),
+            depth,
+        };
+        let mut slot = None;
+        tree(&[3, 2, 2], 6).copy_into(&mut slot);
+        let at = widths_at(&slot);
+        for source in [tree(&[2, 1], 2), tree(&[4, 4, 1], 3)] {
+            source.copy_into(&mut slot);
+            assert_eq!(slot.as_ref(), Some(&source));
+            assert_eq!(widths_at(&slot), at, "refilled in place");
+        }
+        for source in [
+            SpecShape::Chain { depth: 3 },
+            SpecShape::Draft { gamma: 2 },
+            tree(&[1], 1),
+        ] {
+            source.copy_into(&mut slot);
+            assert_eq!(slot.as_ref(), Some(&source));
+        }
     }
 
     #[test]

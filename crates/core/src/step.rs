@@ -391,9 +391,10 @@ pub struct Stepper<'m> {
     /// [`crate::policy::StaticPolicy`] reproduces the configured shape
     /// bit-identically.
     policy: &'m dyn SpecPolicy,
-    /// Shape pinned by a serving engine for the next propose (so the
-    /// engine's per-tick budget accounting and the built paths agree).
-    pinned: Option<SpecShape>,
+    /// Whether a serving engine pinned the next propose's shape into
+    /// `last_shape` (so the engine's per-tick budget accounting and the
+    /// built paths agree).
+    pinned: bool,
     /// The configured shape, computed once at construction (`None` for
     /// NTP) — propose never rebuilds it on the hot path.
     base: Option<SpecShape>,
@@ -402,8 +403,10 @@ pub struct Stepper<'m> {
     history: AcceptHistory,
     /// The shape the most recent propose actually ran (policy-decided
     /// or pinned) — the per-step observability hook serving engines
-    /// read when emitting trace events. `None` before the first
-    /// propose, and always `None` for NTP steppers.
+    /// read when emitting trace events — or, once pinned, the one the
+    /// next propose will run. A slot refilled in place, so a tree's
+    /// widths are not reallocated every step. `None` before the first
+    /// pin or propose, and always `None` for NTP steppers.
     last_shape: Option<SpecShape>,
     /// Grammar-constrained proposal context (`None` for every
     /// non-grammar engine): viability-filtered tree construction plus
@@ -504,7 +507,7 @@ impl<'m> Stepper<'m> {
             pending: None,
             done: false,
             policy: &STATIC_POLICY,
-            pinned: None,
+            pinned: false,
             base,
             history: AcceptHistory::default(),
             last_shape: None,
@@ -709,14 +712,15 @@ impl<'m> Stepper<'m> {
 
     /// The request's *configured* speculation shape — what the policy
     /// adapts from. `None` for NTP steppers (nothing to speculate).
-    pub fn base_shape(&self) -> Option<SpecShape> {
-        self.base.clone()
+    pub fn base_shape(&self) -> Option<&SpecShape> {
+        self.base.as_ref()
     }
 
     /// The shape the most recent [`Stepper::propose`] actually ran
     /// (pinned or policy-decided), for observability: serving engines
-    /// attach it to per-step trace events. `None` before the first
-    /// propose and for NTP steppers.
+    /// attach it to per-step trace events. Between
+    /// [`Stepper::pin_shape`] and the propose it is the pinned shape.
+    /// `None` before the first pin or propose and for NTP steppers.
     pub fn last_shape(&self) -> Option<&SpecShape> {
         self.last_shape.as_ref()
     }
@@ -733,33 +737,34 @@ impl<'m> Stepper<'m> {
     /// Pins the shape of the **next** [`Stepper::propose`] (a serving
     /// engine pins the shape it budgeted for, so cost accounting and
     /// the built candidate paths agree). Without a pinned shape,
-    /// propose asks this stepper's own policy — the serial path.
-    pub fn pin_shape(&mut self, shape: SpecShape) {
-        self.pinned = Some(shape);
+    /// propose asks this stepper's own policy — the serial path. The
+    /// shape is copied into the stepper's slot, which keeps its
+    /// allocation from step to step.
+    pub fn pin_shape(&mut self, shape: &SpecShape) {
+        shape.copy_into(&mut self.last_shape);
+        self.pinned = true;
     }
 
-    /// The shape the next step will run: the pinned one if a serving
-    /// engine set it, otherwise this stepper's policy decision over the
-    /// current history — clamped to what the model can run
-    /// ([`SpecShape::clamped`]), since everything the step is charged
-    /// is read off the shape.
-    fn next_shape(&mut self) -> SpecShape {
-        let shape = match self.pinned.take() {
-            Some(shape) => shape,
-            None => self.policy.shape(&ShapeQuery {
+    /// Fills `last_shape` with the shape the next step will run: the
+    /// pinned one if a serving engine set it, otherwise this stepper's
+    /// policy decision over the current history — clamped to what the
+    /// model can run ([`SpecShape::clamp`]), since everything the step
+    /// is charged is read off the shape.
+    fn next_shape(&mut self) {
+        if !std::mem::take(&mut self.pinned) {
+            let shape = self.policy.shape(&ShapeQuery {
                 base: self
                     .base
                     .as_ref()
                     .expect("only speculative engines take shapes"),
                 history: &self.history,
                 cap: None,
-            }),
-        };
-        match &self.engine {
-            EngineBody::Spec { n_heads, .. } => {
-                shape.clamped(*n_heads, self.target_model.vocab_size())
-            }
-            _ => shape,
+            });
+            shape.copy_into(&mut self.last_shape);
+        }
+        let shape = self.last_shape.as_mut().expect("filled above");
+        if let EngineBody::Spec { n_heads, .. } = &self.engine {
+            shape.clamp(*n_heads, self.target_model.vocab_size());
         }
     }
 
@@ -849,7 +854,8 @@ impl<'m> Stepper<'m> {
                 // engine's budget pass, or this stepper's own policy
                 // (the static default reproduces the configured shape
                 // exactly).
-                let shape = self.next_shape();
+                self.next_shape();
+                let shape = self.last_shape.as_ref().expect("next_shape fills the slot");
                 let levels = shape.depth();
                 let session = self
                     .target
@@ -909,7 +915,7 @@ impl<'m> Stepper<'m> {
                                 session.head_rows_into(rows, 1..levels + 1, &mut self.head_rows);
                             build_grammar_candidate_paths(
                                 self.head_rows.rows_from(first),
-                                &shape,
+                                shape,
                                 g.oracle,
                                 g.oracle.advance(g.state, base_tok),
                                 eos,
@@ -941,13 +947,12 @@ impl<'m> Stepper<'m> {
                         // and the same trie as long as the shape
                         // repeats.
                         self.nodes
-                            .build_shape(level_widths(&shape), MAX_CANDIDATE_PATHS);
+                            .build_shape(level_widths(shape), MAX_CANDIDATE_PATHS);
                     }
                     self.nodes.request(0);
                     self.marks.clear();
                     self.marks.resize(self.nodes.n_nodes(), NodeMark::default());
                 }
-                self.last_shape = Some(shape);
                 self.pending = Some(Pending::Spec {
                     step_start,
                     base_tok,
@@ -970,8 +975,9 @@ impl<'m> Stepper<'m> {
                 let cfg = *cfg;
                 // This step's draft block length: the policy's decision
                 // (static default = the configured γ).
-                let gamma = match self.next_shape() {
-                    SpecShape::Draft { gamma } => gamma.max(1),
+                self.next_shape();
+                let gamma = match self.last_shape {
+                    Some(SpecShape::Draft { gamma }) => gamma.max(1),
                     _ => cfg.gamma,
                 };
                 self.last_shape = Some(SpecShape::Draft { gamma });
@@ -1340,8 +1346,9 @@ impl<'m> Stepper<'m> {
         let (eos, syntax_aligned, max_tokens) = (cfg.eos, cfg.syntax_aligned, cfg.max_tokens);
         let sampled = matches!(cfg.sampling, Sampling::Temperature { .. });
 
-        let mut committed = vec![base_tok];
-        let mut best = 0usize;
+        let nodes = &self.nodes;
+        let token = |i: usize, j: usize| nodes.token(nodes.node(i, j));
+        let (mut best, mut best_len) = (0usize, 0usize);
         if verify_issued {
             // The first path with the strictly longest accepted prefix
             // wins, and once the winner ends in `eos` no later path is
@@ -1349,9 +1356,6 @@ impl<'m> Stepper<'m> {
             // was rejected — or never tested, its parent unreached —
             // and right after an accepted `eos`. Every accepted edge
             // was tested, so its token has been named.
-            let nodes = &self.nodes;
-            let token = |i: usize, j: usize| nodes.token(nodes.node(i, j));
-            let mut best_len = 0usize;
             for i in 0..nodes.n_paths() {
                 let mut accepted = 0usize;
                 while accepted < nodes.path_len(i)
@@ -1369,8 +1373,12 @@ impl<'m> Stepper<'m> {
                     break;
                 }
             }
-            committed.extend((1..=best_len).map(|j| token(best, j)));
         }
+        // Allocated once, at its final length, then moved into the step
+        // trace that owns it.
+        let mut committed = Vec::with_capacity(1 + best_len);
+        committed.push(base_tok);
+        committed.extend((1..=best_len).map(|j| token(best, j)));
         let accepted = committed.len();
         // Acceptance history: candidates offered vs. cashed (the base
         // token is always committed, so it is excluded from both).

@@ -121,13 +121,17 @@ impl Stepper<'_> {
             return Phase::Done;
         }
         let (sampling, eos, n_heads) = (cfg.sampling, cfg.eos, *n_heads);
-        let shape = self.pinned.take().unwrap_or_else(|| {
-            self.policy.shape(&ShapeQuery {
-                base: self.base.as_ref().expect("speculative"),
-                history: &self.history,
-                cap: None,
-            })
-        });
+        let shape = if std::mem::take(&mut self.pinned) {
+            self.last_shape.clone().expect("a pin fills the slot")
+        } else {
+            self.policy
+                .shape(&ShapeQuery {
+                    base: self.base.as_ref().expect("speculative"),
+                    history: &self.history,
+                    cap: None,
+                })
+                .into_owned()
+        };
         let session = self.target.as_mut().expect("not parked");
         let step_start = session.len();
         self.scratch.clear();
@@ -503,9 +507,10 @@ fn run_shaped(
             ShapeSource::Static | ShapeSource::Adaptive => {}
             ShapeSource::Shrunk => {
                 let base = st.base_shape().expect("speculative");
-                st.pin_shape(base.shrink_to(1 + rng.below(base.step_cost() + 2)));
+                let shrunk = base.shrink_to(1 + rng.below(base.step_cost() + 2));
+                st.pin_shape(&shrunk);
             }
-            ShapeSource::Wild => st.pin_shape(match rng.below(3) {
+            ShapeSource::Wild => st.pin_shape(&match rng.below(3) {
                 0 => SpecShape::Chain {
                     depth: rng.below(6),
                 },

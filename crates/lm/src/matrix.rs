@@ -14,7 +14,11 @@
 //!   bit-identical to [`Matrix::matvec`] — but the accumulators of one
 //!   block are independent, so the inner loop auto-vectorizes with no
 //!   input transpose and no batch padding: one input is as efficient as
-//!   hundreds. Every inference call (`MlpLm::infer`) runs on it.
+//!   hundreds. Every inference call (`MlpLm::infer`) runs on it. A
+//!   full block leaves the kernel as one fixed-size store from its
+//!   accumulator registers; a variable-length copy out of them would be
+//!   a libc `memcpy` per block, so only a trailing partial block takes
+//!   one.
 //!
 //! No BLAS, no intrinsics, no `unsafe` — and no threads and no
 //! environment: a kernel call runs on its caller's thread, whatever its
@@ -210,6 +214,14 @@ impl PackedMatrix {
     /// starts from `0.0` and adds `a · x` column by column in one `f32`
     /// accumulator; the lanes of a block only run side by side.
     ///
+    /// The epilogue stores a full block of `y` as one fixed-size array,
+    /// straight from the accumulator registers; only a trailing partial
+    /// block copies a variable-length prefix out of them (which is a
+    /// libc `memcpy`, once per call). The outputs lead the zip: `Zip`
+    /// takes from its first iterator before it learns the second is
+    /// empty, so with the blocks first a matrix whose only block is
+    /// partial would lose that block to the zip and never write it.
+    ///
     /// # Panics
     ///
     /// Panics if `x.len() != cols` or `y.len() != rows`.
@@ -220,8 +232,10 @@ impl PackedMatrix {
             y.fill(0.0);
             return;
         }
-        let blocks = self.data.chunks_exact(self.cols * PACK_ROWS);
-        for (block, out) in blocks.zip(y.chunks_mut(PACK_ROWS)) {
+        // Inlined at both stores, so that a full block's accumulators
+        // go from registers to `y` without a round trip through memory.
+        #[inline(always)]
+        fn block_dot(block: &[f32], x: &[f32]) -> [f32; PACK_ROWS] {
             let mut acc = [0.0f32; PACK_ROWS];
             for (col, &xv) in block.chunks_exact(PACK_ROWS).zip(x) {
                 let col: &[f32; PACK_ROWS] = col.try_into().expect("fixed block width");
@@ -229,7 +243,17 @@ impl PackedMatrix {
                     *a += w * xv;
                 }
             }
-            out.copy_from_slice(&acc[..out.len()]);
+            acc
+        }
+        let mut blocks = self.data.chunks_exact(self.cols * PACK_ROWS);
+        let mut outs = y.chunks_exact_mut(PACK_ROWS);
+        for (out, block) in outs.by_ref().zip(blocks.by_ref()) {
+            let out: &mut [f32; PACK_ROWS] = out.try_into().expect("full block");
+            *out = block_dot(block, x);
+        }
+        if let Some(block) = blocks.next() {
+            let tail = outs.into_remainder();
+            tail.copy_from_slice(&block_dot(block, x)[..tail.len()]);
         }
     }
 }
@@ -467,9 +491,14 @@ mod tests {
 
     #[test]
     fn matvec_batch_matches_matvec_bitwise() {
-        // Row counts below, at, and astride the block width; the last
-        // block of 13 and 487 rows is partially padded.
-        for (rows, cols) in [(5, 7), (13, 11), (32, 160), (64, 3), (487, 32)] {
+        // The epilogue's three cases, `y` pre-filled with NaN so that an
+        // unwritten output fails: whole blocks only (the trunk's 32×160
+        // and the benchmark's 480-row head), a partial block only, and
+        // whole blocks followed by a partial one — then no rows at all.
+        let whole = [(32, 160), (64, 3), (480, 32)];
+        let partial = [(5, 7), (13, 11), (31, 3)];
+        let both = [(33, 5), (487, 32)];
+        for (rows, cols) in whole.into_iter().chain(partial).chain(both).chain([(0, 4)]) {
             let a = Matrix::from_fn(rows, cols, |r, c| ((r * 31 + c * 17) as f32).sin());
             for k in 0..4 {
                 let x: Vec<f32> = (0..cols).map(|c| ((k * 13 + c) as f32).cos()).collect();

@@ -503,12 +503,28 @@ pub struct ServeEngine<'m> {
     buffers: TickBuffers,
 }
 
-/// What one tick reads and writes, kept across ticks so that a tick —
-/// and each verify level within it — allocates nothing: the logits
-/// arena (the proposing members' base rows and kept activations, then
-/// the verify levels' rows), the fused-propose inputs (one embedding
-/// concat per position, one row each), the fused-verify plan, and the
-/// per-member bookkeeping, indexed by position in the tick's batch.
+/// What one tick reads and writes, kept across ticks so that a warm
+/// tick — and each verify level within it — allocates nothing for its
+/// own bookkeeping: the logits arena (the proposing members' base rows
+/// and kept activations, then the verify levels' rows), the
+/// fused-propose inputs (one embedding concat per position, one row
+/// each), the fused-verify plan, the batch and the shape it is priced
+/// at, and the per-member bookkeeping, indexed by position in the
+/// tick's batch. With the stepper's shape slots and the scheduler's own
+/// working lists, that leaves a warm tick these allocations:
+///
+/// * one per committed step: the committed span, allocated at its final
+///   length and moved into the request's `StepTrace`;
+/// * the doublings of each request's growing vectors (its tokens, step
+///   traces, step ticks and acceptance history, its session's tokens)
+///   — amortised, and per request rather than per tick;
+/// * a grammar step's candidate-tree builder, which keeps its own
+///   allocations: it ranks and widens per path, and making it
+///   allocation-free would buy little against what a grammar step
+///   costs;
+/// * the events a traced tick builds for its sink.
+///
+/// `crates/serve/tests/tick_allocations.rs` counts them.
 #[derive(Default)]
 struct TickBuffers {
     arena: LogitsArena,
@@ -516,6 +532,13 @@ struct TickBuffers {
     plan: VerifyPlan,
     /// The scheduler's view of the active set.
     views: Vec<ActiveView>,
+    /// The scheduler's picks, then those of them that can decode.
+    selected: Vec<usize>,
+    /// The members that step this tick, after the capacity pass.
+    stepped: Vec<usize>,
+    /// The shape the capacity pass prices a member at, copied on into
+    /// its stepper's slot when it steps.
+    priced: Option<SpecShape>,
     /// Each member's base row from the fused propose, if it had one.
     base_at: Vec<Option<usize>>,
     /// What each member's propose asked for.
@@ -740,11 +763,11 @@ impl<'m> ServeEngine<'m> {
     /// this, so a worker hoarding wide-tree long-budget requests looks
     /// heavier than one holding the same *count* of NTP shorties.
     pub fn outstanding_cost(&self) -> usize {
-        let priced = |base: Option<SpecShape>, history: &AcceptHistory, remaining: usize| {
-            let per_step = base.map_or(1, |b| {
+        let priced = |base: Option<&SpecShape>, history: &AcceptHistory, remaining: usize| {
+            let per_step = base.map_or(1, |base| {
                 self.policy
                     .shape(&ShapeQuery {
-                        base: &b,
+                        base,
                         history,
                         cap: None,
                     })
@@ -767,7 +790,7 @@ impl<'m> ServeEngine<'m> {
         for entry in &self.queue {
             cost += match entry {
                 QueueEntry::Fresh { req, .. } => priced(
-                    self.request_base_shape(req),
+                    self.request_base_shape(req).as_ref(),
                     &fresh_history,
                     req.cfg.max_tokens,
                 ),
@@ -1161,33 +1184,47 @@ impl<'m> ServeEngine<'m> {
     /// requests whose shape does not fit. The head of the order always
     /// steps even on overrun — forced aging picks sort first, so the
     /// scheduler's no-starvation bound survives budget pressure.
-    fn divide_tick_capacity(&mut self, selected: Vec<usize>) -> Vec<usize> {
+    ///
+    /// Fills `stepped` from `selected`; a shape is priced in `priced`,
+    /// since the policy's answer may borrow the stepper it is pinned on.
+    fn divide_tick_capacity(
+        &mut self,
+        selected: &[usize],
+        stepped: &mut Vec<usize>,
+        priced: &mut Option<SpecShape>,
+    ) {
+        stepped.clear();
         let Some(capacity) = self.cfg.tick_capacity.or(self.policy.tick_budget()) else {
-            return selected;
+            stepped.extend_from_slice(selected);
+            return;
         };
         let policy = self.policy;
         let capacity = capacity.max(1);
         let mut remaining = capacity;
-        let mut stepped = Vec::with_capacity(selected.len());
         for (pos, &i) in selected.iter().enumerate() {
             // NTP steppers have no shape to decide and cost one verify
             // position; speculative ones get the policy's decision for
             // the remaining budget.
             let stepper = &self.active[i].stepper;
-            let shape = stepper.base_shape().map(|base| {
-                policy.shape(&ShapeQuery {
-                    base: &base,
-                    history: stepper.history(),
-                    cap: Some(remaining),
-                })
-            });
-            let cost = shape.as_ref().map_or(1, SpecShape::step_cost);
+            let (cost, speculative) = match stepper.base_shape() {
+                None => (1, false),
+                Some(base) => {
+                    let shape = policy.shape(&ShapeQuery {
+                        base,
+                        history: stepper.history(),
+                        cap: Some(remaining),
+                    });
+                    shape.copy_into(priced);
+                    (shape.step_cost(), true)
+                }
+            };
             if pos > 0 && cost > remaining {
                 let id = self.active[i].id;
                 self.emit(Some(id), EventKind::Deferred);
                 continue;
             }
-            if let Some(shape) = shape {
+            if speculative {
+                let shape = priced.as_ref().expect("priced above");
                 self.active[i].stepper.pin_shape(shape);
             }
             remaining = remaining.saturating_sub(cost);
@@ -1203,7 +1240,6 @@ impl<'m> ServeEngine<'m> {
                 },
             );
         }
-        stepped
     }
 
     /// Idle fast-forward: with nothing active and nothing admissible
@@ -1271,6 +1307,9 @@ impl<'m> ServeEngine<'m> {
             mut propose_xs,
             mut plan,
             mut views,
+            mut selected,
+            mut stepped,
+            mut priced,
             mut base_at,
             mut phases,
             mut verifying,
@@ -1284,12 +1323,13 @@ impl<'m> ServeEngine<'m> {
             deadline: a.deadline,
             class: a.req.class,
         }));
-        let mut selected = self.scheduler.select(&views, self.tick, self.cfg.max_batch);
+        self.scheduler
+            .select(&views, self.tick, self.cfg.max_batch, &mut selected);
         // Filter *after* selection (indices align with `self.active`;
         // filtering `views` would misalign them): warming requests give
         // their batch slot to decodable neighbors.
         selected.retain(|&i| self.active[i].warm_until <= self.tick);
-        let stepped = self.divide_tick_capacity(selected);
+        self.divide_tick_capacity(&selected, &mut stepped, &mut priced);
         if self.traced() && !stepped.is_empty() {
             let ids: Vec<u64> = stepped.iter().map(|&i| self.active[i].id).collect();
             self.emit(None, EventKind::Batch { requests: ids });
@@ -1376,10 +1416,12 @@ impl<'m> ServeEngine<'m> {
                 continue;
             }
             self.active[i].stepper.commit(cost, scored);
-            let now = self.started.elapsed().as_secs_f64();
             let a = &mut self.active[i];
             a.step_ticks.push(self.tick);
-            a.first_commit_secs.get_or_insert(now);
+            // The wall clock is read once per request, at its first
+            // commit.
+            a.first_commit_secs
+                .get_or_insert_with(|| self.started.elapsed().as_secs_f64());
             // Grammar prune accounting is cheap (three counters) and
             // has a stats equivalent, so it is emitted unconditionally
             // — like every stats-backed event — not gated on tracing.
@@ -1424,6 +1466,9 @@ impl<'m> ServeEngine<'m> {
             propose_xs,
             plan,
             views,
+            selected,
+            stepped,
+            priced,
             base_at,
             phases,
             verifying,

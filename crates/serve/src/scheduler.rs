@@ -80,6 +80,12 @@ pub struct Scheduler {
     /// is a bare `u32` off the wire, so never an index): positive means
     /// the class is owed service relative to its weight share.
     credits: BTreeMap<u32, i64>,
+    /// A selection's working lists — forced aging picks, the rest in
+    /// policy order, the classes present — kept across ticks so that
+    /// selecting allocates nothing once warm.
+    forced: Vec<usize>,
+    rest: Vec<usize>,
+    present: Vec<u32>,
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -102,6 +108,9 @@ impl Scheduler {
             starvation_bound: 2 * rotation + 2,
             class_weights: Vec::new(),
             credits: BTreeMap::new(),
+            forced: Vec::new(),
+            rest: Vec::new(),
+            present: Vec::new(),
         }
     }
 
@@ -153,66 +162,84 @@ impl Scheduler {
         self.starvation_bound
     }
 
-    /// Indices (into `views`) of the requests to step this tick:
-    /// starved requests first (oldest service first), then the policy
-    /// order, up to `max_batch`. `&mut` because
-    /// [`TickOrder::WeightedFair`] advances per-class deficit
-    /// counters; every other order leaves the scheduler untouched.
-    pub fn select(&mut self, views: &[ActiveView], tick: u64, max_batch: usize) -> Vec<usize> {
-        let mut forced: Vec<usize> = (0..views.len())
-            .filter(|&i| tick.saturating_sub(views[i].last_step) >= self.starvation_bound)
-            .collect();
-        forced.sort_by_key(|&i| (views[i].last_step, views[i].id));
+    /// Fills `batch` with the indices (into `views`) of the requests to
+    /// step this tick: starved requests first (oldest service first),
+    /// then the policy order, up to `max_batch`. `&mut` because
+    /// [`TickOrder::WeightedFair`] advances per-class deficit counters
+    /// (every other order leaves the scheduling state untouched), and
+    /// because the working lists are the scheduler's own, reused.
+    ///
+    /// Every sort key ends in the index, so the unstable sorts (which
+    /// allocate nothing) order exactly as a stable sort would.
+    pub fn select(
+        &mut self,
+        views: &[ActiveView],
+        tick: u64,
+        max_batch: usize,
+        batch: &mut Vec<usize>,
+    ) {
+        let (forced, rest) = (&mut self.forced, &mut self.rest);
+        forced.clear();
+        forced.extend(
+            (0..views.len())
+                .filter(|&i| tick.saturating_sub(views[i].last_step) >= self.starvation_bound),
+        );
+        forced.sort_unstable_by_key(|&i| (views[i].last_step, views[i].id, i));
 
-        let mut rest: Vec<usize> = (0..views.len()).filter(|i| !forced.contains(i)).collect();
+        rest.clear();
+        rest.extend((0..views.len()).filter(|i| !forced.contains(i)));
         match self.order {
-            TickOrder::RoundRobin => {
-                rest.sort_by_key(|&i| (views[i].last_step, views[i].admitted, views[i].id));
+            TickOrder::RoundRobin | TickOrder::WeightedFair => {
+                rest.sort_unstable_by_key(|&i| {
+                    (views[i].last_step, views[i].admitted, views[i].id, i)
+                });
             }
             TickOrder::Seeded(seed) => {
-                rest.sort_by_key(|&i| splitmix64(seed ^ tick.wrapping_mul(0xA5A5) ^ views[i].id));
+                rest.sort_unstable_by_key(|&i| {
+                    (
+                        splitmix64(seed ^ tick.wrapping_mul(0xA5A5) ^ views[i].id),
+                        i,
+                    )
+                });
             }
             TickOrder::Edf => {
-                rest.sort_by_key(|&i| {
+                rest.sort_unstable_by_key(|&i| {
                     (
                         views[i].deadline.unwrap_or(u64::MAX),
                         views[i].last_step,
                         views[i].id,
+                        i,
                     )
                 });
             }
-            TickOrder::WeightedFair => {
-                return self.select_weighted(views, forced, rest, max_batch);
-            }
         }
-        forced.extend(rest);
-        forced.truncate(max_batch);
-        forced
+        batch.clear();
+        batch.extend(self.forced.iter().take(max_batch));
+        if self.order == TickOrder::WeightedFair {
+            self.select_weighted(views, max_batch, batch);
+        } else {
+            let room = max_batch - batch.len();
+            batch.extend(self.rest.iter().take(room));
+        }
     }
 
-    /// The [`TickOrder::WeightedFair`] slot-by-slot selection: forced
-    /// aging picks go first (charged to their class so the accounting
-    /// stays honest), then each remaining slot goes to the
+    /// The [`TickOrder::WeightedFair`] slot-by-slot selection after the
+    /// forced aging picks already in `batch` (charged to their class so
+    /// the accounting stays honest): each remaining slot goes to the
     /// highest-credit class (tie: lowest class id) and, within it, the
-    /// least-recently-stepped request.
-    fn select_weighted(
-        &mut self,
-        views: &[ActiveView],
-        forced: Vec<usize>,
-        mut rest: Vec<usize>,
-        max_batch: usize,
-    ) -> Vec<usize> {
-        let mut present: Vec<u32> = views.iter().map(|v| v.class).collect();
+    /// least-recently-stepped request of the round-robin-sorted rest.
+    fn select_weighted(&mut self, views: &[ActiveView], max_batch: usize, batch: &mut Vec<usize>) {
+        let mut present = std::mem::take(&mut self.present);
+        present.clear();
+        present.extend(views.iter().map(|v| v.class));
         present.sort_unstable();
         present.dedup();
-        let mut picked = forced;
-        picked.truncate(max_batch);
-        for &i in &picked {
+        for &i in batch.iter() {
             self.charge(views[i].class, &present);
         }
-        rest.sort_by_key(|&i| (views[i].last_step, views[i].admitted, views[i].id));
-        while picked.len() < max_batch && !rest.is_empty() {
-            let best_class = rest
+        while batch.len() < max_batch && !self.rest.is_empty() {
+            let best_class = self
+                .rest
                 .iter()
                 .map(|&i| views[i].class)
                 .max_by_key(|&c| {
@@ -222,21 +249,29 @@ impl Scheduler {
                     )
                 })
                 .expect("rest is non-empty");
-            let pos = rest
+            let pos = self
+                .rest
                 .iter()
                 .position(|&i| views[i].class == best_class)
                 .expect("class came from rest");
-            let i = rest.remove(pos);
+            let i = self.rest.remove(pos);
             self.charge(best_class, &present);
-            picked.push(i);
+            batch.push(i);
         }
-        picked
+        self.present = present;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One selection into a fresh batch.
+    fn select(s: &mut Scheduler, views: &[ActiveView], tick: u64, max_batch: usize) -> Vec<usize> {
+        let mut batch = Vec::new();
+        s.select(views, tick, max_batch, &mut batch);
+        batch
+    }
 
     fn views(n: usize, tick: u64) -> Vec<ActiveView> {
         (0..n)
@@ -264,7 +299,7 @@ mod tests {
                     class: 0,
                 })
                 .collect();
-            let sel = s.select(&vs, tick, 2);
+            let sel = select(&mut s, &vs, tick, 2);
             assert_eq!(sel.len(), 2);
             for i in sel {
                 last[i] = tick;
@@ -291,7 +326,7 @@ mod tests {
                     class: 0,
                 })
                 .collect();
-            for i in s.select(&vs, tick, 1) {
+            for i in select(&mut s, &vs, tick, 1) {
                 assert!(
                     tick - last[i] <= bound + 8,
                     "gap exceeded aging bound at tick {tick}"
@@ -321,7 +356,7 @@ mod tests {
             mk(3, Some(50)),
         ];
         assert_eq!(
-            s.select(&vs, 5, 4),
+            select(&mut s, &vs, 5, 4),
             vec![2, 3, 1, 0],
             "nearest deadline first, best-effort last"
         );
@@ -330,14 +365,23 @@ mod tests {
         let mut vs = vs;
         vs[0].last_step = 0;
         let tick = s.starvation_bound();
-        assert_eq!(s.select(&vs, tick, 2)[0], 0, "aging guard wins over EDF");
+        assert_eq!(
+            select(&mut s, &vs, tick, 2)[0],
+            0,
+            "aging guard wins over EDF"
+        );
     }
 
     #[test]
     fn batch_never_exceeds_limit() {
         let mut s = Scheduler::new(TickOrder::RoundRobin, 16, 4);
-        assert_eq!(s.select(&views(16, 9), 9, 4).len(), 4);
-        assert!(s.select(&[], 3, 4).is_empty());
+        assert_eq!(select(&mut s, &views(16, 9), 9, 4).len(), 4);
+        assert!(select(&mut s, &[], 3, 4).is_empty());
+        // The batch is the caller's buffer: last tick's picks go.
+        let mut batch = vec![7, 7, 7, 7, 7];
+        s.select(&views(3, 9), 9, 4, &mut batch);
+        assert_eq!(batch, select(&mut s, &views(3, 9), 9, 4));
+        assert_eq!(batch.len(), 3);
     }
 
     #[test]
@@ -360,7 +404,7 @@ mod tests {
                         class: [0, light][i],
                     })
                     .collect();
-                for i in s.select(&vs, tick, 1) {
+                for i in select(&mut s, &vs, tick, 1) {
                     served[i] += 1;
                     last[i] = tick;
                 }
@@ -392,7 +436,7 @@ mod tests {
                     class: u32::from(i == 7),
                 })
                 .collect();
-            for i in s.select(&vs, tick, 1) {
+            for i in select(&mut s, &vs, tick, 1) {
                 assert!(
                     tick - last[i] <= bound + 8,
                     "gap exceeded aging bound at tick {tick} for request {i}"
