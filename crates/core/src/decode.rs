@@ -20,7 +20,8 @@
 //! simulated clock does not care how few nodes this CPU forwards.
 
 use crate::accept::TypicalAcceptance;
-use crate::policy::{SpecPolicy, SpecShape};
+use crate::policy::SpecShape;
+use crate::step::{Engine, Stepper};
 use serde::{Deserialize, Serialize};
 use verispec_grammar::{dead_tail_prune, GrammarOracle, PruneRecord, ViabilityState};
 use verispec_lm::{
@@ -112,23 +113,35 @@ impl DecodeOutput {
     }
 }
 
-/// Conventional next-token-prediction decoding (the NTP baseline).
-///
-/// A thin loop over [`crate::step::Stepper`], so the serial path and a
-/// scheduler-driven served path execute the same per-step code.
+/// Runs one generation of `engine` on `model` serially, from a fresh
+/// session to its end: [`Stepper::new`], then [`Stepper::step`] until
+/// it is done — the loop every serial engine is, so the serial path and
+/// a scheduler-driven served path execute the same per-step code.
+pub(crate) fn run_serial<'m>(
+    model: &'m dyn LanguageModel,
+    engine: Engine<'m>,
+    prompt: &[TokenId],
+    cost: &GpuCostModel,
+) -> Stepper<'m> {
+    let mut stepper = Stepper::new(model, engine, model.session(), prompt);
+    while stepper.step(cost) {}
+    stepper
+}
+
+/// Conventional next-token-prediction decoding (the NTP baseline):
+/// [`Engine::Ntp`] run serially.
 pub fn decode_ntp(
     model: &dyn LanguageModel,
     prompt: &[TokenId],
     cfg: &DecodeConfig,
     cost: &GpuCostModel,
 ) -> DecodeOutput {
-    let mut stepper = crate::step::Stepper::ntp(model, prompt, cfg.clone());
-    while stepper.step(cost) {}
-    stepper.into_output()
+    run_serial(model, Engine::Ntp(cfg.clone()), prompt, cost).into_output()
 }
 
-/// MEDUSA-style speculative decoding; with `cfg.syntax_aligned` this is
-/// the paper's method ("Ours"), otherwise the Medusa baseline.
+/// MEDUSA-style speculative decoding ([`Engine::Medusa`] run serially);
+/// with `cfg.syntax_aligned` this is the paper's method ("Ours"),
+/// otherwise the Medusa baseline.
 ///
 /// Each step:
 /// 1. one forward produces the base logits and keeps the trunk
@@ -151,35 +164,14 @@ pub fn decode_speculative(
     cfg: &DecodeConfig,
     cost: &GpuCostModel,
 ) -> DecodeOutput {
-    let mut stepper = crate::step::Stepper::speculative(model, prompt, cfg.clone());
-    while stepper.step(cost) {}
-    stepper.into_output()
+    run_serial(model, Engine::Medusa(cfg.clone()), prompt, cost).into_output()
 }
 
-/// [`decode_speculative`] under an explicit speculation policy: each
-/// step's candidate-tree shape is the policy's decision over the
-/// generation's own acceptance history instead of the frozen
-/// `cfg.tree`. With [`crate::policy::StaticPolicy`] this is exactly
-/// [`decode_speculative`]; with [`crate::policy::AdaptivePolicy`] it is
-/// the serial reference a policy-driven serving engine is
-/// token-identical to.
-pub fn decode_speculative_with_policy(
-    model: &dyn LanguageModel,
-    prompt: &[TokenId],
-    cfg: &DecodeConfig,
-    cost: &GpuCostModel,
-    policy: &dyn SpecPolicy,
-) -> DecodeOutput {
-    let mut stepper =
-        crate::step::Stepper::speculative(model, prompt, cfg.clone()).with_policy(policy);
-    while stepper.step(cost) {}
-    stepper.into_output()
-}
-
-/// Grammar-constrained speculative decoding: the paper's syntax-aligned
-/// engine ("Ours") with an incremental [`GrammarOracle`] pruning the
-/// candidate tree to lexically-viable continuations at **propose** time
-/// instead of discarding dead speculation only after verification.
+/// Grammar-constrained speculative decoding ([`Engine::Grammar`] run
+/// serially): the paper's syntax-aligned engine ("Ours") with an
+/// incremental [`GrammarOracle`] pruning the candidate tree to
+/// lexically-viable continuations at **propose** time instead of
+/// discarding dead speculation only after verification.
 ///
 /// Each step, relative to [`decode_speculative`]:
 /// 1. the base token, once drawn, is substituted with the highest-ranked
@@ -207,9 +199,7 @@ pub fn decode_grammar_speculative(
     cfg: &DecodeConfig,
     cost: &GpuCostModel,
 ) -> DecodeOutput {
-    let mut stepper = crate::step::Stepper::grammar_speculative(model, oracle, prompt, cfg.clone());
-    while stepper.step(cost) {}
-    stepper.into_output()
+    run_serial(model, Engine::Grammar(cfg.clone(), oracle), prompt, cost).into_output()
 }
 
 /// Maximum number of candidate paths explored per step in tree mode.

@@ -23,7 +23,8 @@
 //! heads (no separate draft model to maintain) are preferable; its
 //! acceptance rate and speedup are measured in `bench/draft_spec`.
 
-use crate::decode::DecodeOutput;
+use crate::decode::{run_serial, DecodeOutput};
+use crate::step::Engine;
 use serde::{Deserialize, Serialize};
 use verispec_lm::{GpuCostModel, LanguageModel, TokenId};
 use verispec_tokenizer::special;
@@ -86,11 +87,8 @@ pub(crate) fn tempered(probs: &mut [f32], temperature: f32) {
     probs.iter_mut().for_each(|p| *p /= sum);
 }
 
-/// Runs draft-model speculative decoding; returns the decode output and
-/// acceptance statistics.
-///
-/// A thin loop over [`crate::step::Stepper`], so the serial path and a
-/// scheduler-driven served path execute the same per-step code.
+/// Runs draft-model speculative decoding ([`Engine::Draft`] run
+/// serially); returns the decode output and acceptance statistics.
 ///
 /// # Panics
 ///
@@ -102,8 +100,7 @@ pub fn decode_draft_speculative(
     cfg: &DraftConfig,
     cost: &GpuCostModel,
 ) -> (DecodeOutput, DraftStats) {
-    let mut stepper = crate::step::Stepper::draft_verify(target, draft, prompt, *cfg);
-    while stepper.step(cost) {}
+    let stepper = run_serial(target, Engine::Draft(*cfg, draft), prompt, cost);
     let stats = stepper.draft_stats().expect("draft stepper tracks stats");
     (stepper.into_output(), stats)
 }

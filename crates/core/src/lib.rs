@@ -18,9 +18,11 @@
 //!   λ sine ramp, γ decay, and 4× head learning rate, parameterized over
 //!   the three regimes compared in the paper;
 //! * **Step-granular decoding** ([`step`]) — every engine decomposed
-//!   into propose → verify → commit phases over a [`Stepper`], the hook
-//!   a multi-request scheduler (`verispec-serve`) drives to fuse
-//!   verification across concurrent generations;
+//!   into propose → verify → commit phases over a [`Stepper`], started
+//!   one way for every engine ([`Stepper::new`] with the [`Engine`] as
+//!   a value); the serial engines loop it, and a multi-request scheduler
+//!   (`verispec-serve`) drives it to fuse verification across
+//!   concurrent generations;
 //! * **Speculation policies** ([`policy`]) — the per-request, per-step
 //!   decision of *how much speculation to buy*: the static configured
 //!   shape, history-adaptive speculation length, or a per-tick
@@ -76,8 +78,8 @@ pub mod train;
 
 pub use accept::TypicalAcceptance;
 pub use decode::{
-    decode_grammar_speculative, decode_ntp, decode_speculative, decode_speculative_with_policy,
-    DecodeConfig, DecodeMethod, DecodeOutput, StepTrace,
+    decode_grammar_speculative, decode_ntp, decode_speculative, DecodeConfig, DecodeMethod,
+    DecodeOutput, StepTrace,
 };
 pub use draft::{decode_draft_speculative, DraftConfig, DraftStats};
 pub use labels::LabelGrid;
@@ -85,5 +87,5 @@ pub use policy::{
     AcceptHistory, AdaptivePolicy, BudgetedPolicy, ShapeQuery, SpecPolicy, SpecShape, StaticPolicy,
     STATIC_POLICY,
 };
-pub use step::{Phase, Stepper};
+pub use step::{Engine, Phase, Stepper};
 pub use train::{train, train_in_place, TrainConfig, TrainMethod, TrainReport};

@@ -2,7 +2,15 @@
 //! engines in [`crate::decode`] and [`crate::draft`].
 //!
 //! A [`Stepper`] owns one generation's sessions, sampler, and output,
-//! and advances it **one decoding step at a time** through three
+//! and advances it **one decoding step at a time**. It is started one
+//! way, whatever the engine: [`Stepper::new`] takes the model, the
+//! [`Engine`] to run as a value — NTP, MEDUSA (chain, tree or "Ours"),
+//! grammar-constrained with its oracle, or draft-verify with its draft
+//! model — and the session the generation continues, fresh or an
+//! already-ingested prompt prefix. The engine's own state (the draft
+//! model and its session, the oracle and its viability state) lives in
+//! the stepper's engine body, and the configured speculation shape is
+//! derived once, by [`Engine::base_shape`]. Each step runs three
 //! phases:
 //!
 //! 1. **propose** ([`Stepper::propose`]) — open the step at the
@@ -93,11 +101,14 @@
 //! paths run through it.
 //!
 //! The serial convenience [`Stepper::step`] chains the three phases
-//! (looping the middle one to the last level), and the public engines (`decode_ntp`, `decode_speculative`,
-//! `decode_draft_speculative`) are thin loops over it — so the serial
-//! path and a scheduler-driven path execute **the same code** and
-//! produce bit-identical token streams (the inference kernel
-//! guarantees bit-identical logits regardless of batch composition).
+//! (looping the middle one to the last level), and the public engines
+//! (`decode_ntp`, `decode_speculative`, `decode_grammar_speculative`,
+//! `decode_draft_speculative`) are each [`Stepper::new`] on a fresh
+//! session plus one shared loop over it — so the serial path and a
+//! scheduler-driven path, which admits a request through the same
+//! constructor, execute **the same code** and produce bit-identical
+//! token streams (the inference kernel guarantees bit-identical logits
+//! regardless of batch composition).
 //!
 //! Between steps a stepper is always at its *committed* context —
 //! verification never leaves a speculative append behind — which is
@@ -147,15 +158,81 @@ pub enum Phase {
     Done,
 }
 
+/// Which engine a generation runs, with what it needs besides the
+/// target model: the one argument of [`Stepper::new`] that tells the
+/// engines apart.
+pub enum Engine<'m> {
+    /// Conventional next-token prediction.
+    Ntp(DecodeConfig),
+    /// MEDUSA-style self-speculation: top-1 chain or candidate tree, and
+    /// syntax-aligned ("Ours") or not, per the config.
+    Medusa(DecodeConfig),
+    /// Grammar-constrained speculation: the syntax-aligned engine —
+    /// `syntax_aligned` is forced on — whose candidate trees the oracle
+    /// filters to lexically-viable continuations and dead-tail prunes
+    /// before verification (see
+    /// [`crate::decode::decode_grammar_speculative`]).
+    Grammar(DecodeConfig, &'m GrammarOracle),
+    /// Classical draft-then-verify: the draft model proposes a γ-token
+    /// block, the target verifies all γ + 1 positions with the
+    /// rejection rule.
+    Draft(DraftConfig, &'m dyn LanguageModel),
+}
+
+impl Engine<'_> {
+    /// The configured speculation shape of a generation of this engine
+    /// on a model with `n_heads` Medusa heads — what a
+    /// [`SpecPolicy`] adapts from: the config's candidate tree (or the
+    /// top-1 chain) over every head, or the draft block of `gamma`;
+    /// `None` for NTP, which speculates nothing. The one derivation:
+    /// [`Stepper::base_shape`] reports it, and a server prices a
+    /// request it has not admitted yet with it.
+    pub fn base_shape(&self, n_heads: usize) -> Option<SpecShape> {
+        match self {
+            Engine::Ntp(_) => None,
+            Engine::Medusa(cfg) | Engine::Grammar(cfg, _) => Some(match &cfg.tree {
+                None => SpecShape::Chain { depth: n_heads },
+                Some(widths) => SpecShape::Tree {
+                    widths: widths.clone(),
+                    depth: n_heads,
+                },
+            }),
+            Engine::Draft(cfg, _) => Some(SpecShape::Draft { gamma: cfg.gamma }),
+        }
+    }
+}
+
 /// Engine-specific configuration and state.
-enum EngineBody {
+enum EngineBody<'m> {
     /// Conventional next-token prediction.
     Ntp { cfg: DecodeConfig },
     /// MEDUSA-style self-speculation (chain, tree, or syntax-aligned,
-    /// per the [`DecodeConfig`]).
-    Spec { cfg: DecodeConfig, n_heads: usize },
-    /// Classical draft-model speculation.
-    Draft { cfg: DraftConfig, stats: DraftStats },
+    /// per the [`DecodeConfig`]); with a grammar context, the
+    /// grammar-constrained engine.
+    Spec {
+        cfg: DecodeConfig,
+        n_heads: usize,
+        grammar: Option<GrammarCtx<'m>>,
+    },
+    /// Classical draft-model speculation: the draft model, and its
+    /// session at the committed context (reopened empty while the
+    /// stepper is parked).
+    Draft {
+        cfg: DraftConfig,
+        stats: DraftStats,
+        model: &'m dyn LanguageModel,
+        session: Box<dyn DecodeSession + 'm>,
+    },
+}
+
+impl EngineBody<'_> {
+    /// The generation's token budget.
+    fn max_tokens(&self) -> usize {
+        match self {
+            EngineBody::Ntp { cfg } | EngineBody::Spec { cfg, .. } => cfg.max_tokens,
+            EngineBody::Draft { cfg, .. } => cfg.max_tokens,
+        }
+    }
 }
 
 /// The in-flight state of one step between propose and commit.
@@ -374,16 +451,15 @@ struct GrammarCtx<'m> {
     state: ViabilityState,
 }
 
-/// One generation advanced step-by-step; see the module docs.
+/// One generation advanced step-by-step, started by [`Stepper::new`]
+/// with the [`Engine`] it runs; see the module docs.
 pub struct Stepper<'m> {
     target_model: &'m dyn LanguageModel,
-    draft_model: Option<&'m dyn LanguageModel>,
     /// `None` only while parked.
     target: Option<Box<dyn DecodeSession + 'm>>,
-    draft: Option<Box<dyn DecodeSession + 'm>>,
     prompt: Vec<TokenId>,
     sampler: Sampler,
-    engine: EngineBody,
+    engine: EngineBody<'m>,
     out: DecodeOutput,
     pending: Option<Pending>,
     done: bool,
@@ -408,10 +484,6 @@ pub struct Stepper<'m> {
     /// widths are not reallocated every step. `None` before the first
     /// pin or propose, and always `None` for NTP steppers.
     last_shape: Option<SpecShape>,
-    /// Grammar-constrained proposal context (`None` for every
-    /// non-grammar engine): viability-filtered tree construction plus
-    /// propose-time dead-tail pruning.
-    grammar: Option<GrammarCtx<'m>>,
     /// The prune accounting of the most recent grammar propose —
     /// `None` before the first propose and for non-grammar steppers.
     last_prune: Option<PruneRecord>,
@@ -456,54 +528,79 @@ pub struct Stepper<'m> {
 }
 
 impl<'m> Stepper<'m> {
-    fn new_output() -> DecodeOutput {
-        DecodeOutput {
-            tokens: Vec::new(),
-            steps: 0,
-            clock: DecodeClock::new(),
-            trace: Vec::new(),
-        }
-    }
-
-    fn build(
-        target_model: &'m dyn LanguageModel,
-        draft_model: Option<&'m dyn LanguageModel>,
-        session: Option<Box<dyn DecodeSession + 'm>>,
+    /// Starts a generation of `engine` on `model` — the one way in, for
+    /// every engine, serial or served. `session` holds the context the
+    /// generation continues: an already-ingested prompt prefix (a
+    /// prefix-cache fork), or nothing for a fresh `model.session()`;
+    /// `rest` is appended to it, and the two together are the prompt. A
+    /// draft engine opens its draft model's session on the whole
+    /// prompt, and a grammar engine seeds its viability state from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`Engine::Draft`] config's `gamma` is 0.
+    pub fn new(
+        model: &'m dyn LanguageModel,
+        engine: Engine<'m>,
+        mut session: Box<dyn DecodeSession + 'm>,
         rest: &[TokenId],
-        seed: u64,
-        engine: EngineBody,
     ) -> Self {
-        // The session's current context (a shared, already-ingested
-        // prompt prefix when forked) plus `rest` forms the full prompt.
-        let mut target = session.unwrap_or_else(|| target_model.session());
-        let mut prompt = target.tokens().to_vec();
+        let mut prompt = session.tokens().to_vec();
         prompt.extend_from_slice(rest);
-        target.append(rest);
-        let draft = draft_model.map(|d| {
-            let mut s = d.session();
-            s.append(&prompt);
-            s
-        });
-        let base = match &engine {
-            EngineBody::Ntp { .. } => None,
-            EngineBody::Spec { cfg, n_heads } => Some(match &cfg.tree {
-                None => SpecShape::Chain { depth: *n_heads },
-                Some(widths) => SpecShape::Tree {
-                    widths: widths.clone(),
-                    depth: *n_heads,
-                },
-            }),
-            EngineBody::Draft { cfg, .. } => Some(SpecShape::Draft { gamma: cfg.gamma }),
+        session.append(rest);
+        let n_heads = model.n_extra_heads();
+        let base = engine.base_shape(n_heads);
+        let seed = match &engine {
+            Engine::Ntp(cfg) | Engine::Medusa(cfg) | Engine::Grammar(cfg, _) => cfg.seed,
+            Engine::Draft(cfg, _) => cfg.seed,
+        };
+        let engine = match engine {
+            Engine::Ntp(cfg) => EngineBody::Ntp { cfg },
+            Engine::Medusa(cfg) => EngineBody::Spec {
+                cfg,
+                n_heads,
+                grammar: None,
+            },
+            Engine::Grammar(cfg, oracle) => {
+                // Death-recovering fold: prompts routinely wrap the
+                // Verilog tail in instruction prose that no lexer
+                // survives; recovery re-arms the machine at each
+                // non-Verilog boundary instead of disabling the grammar
+                // layer for the whole request.
+                let state = oracle.advance_recovering(ViabilityState::new(), &prompt);
+                EngineBody::Spec {
+                    cfg: DecodeConfig {
+                        syntax_aligned: true,
+                        ..cfg
+                    },
+                    n_heads,
+                    grammar: Some(GrammarCtx { oracle, state }),
+                }
+            }
+            Engine::Draft(cfg, draft) => {
+                assert!(cfg.gamma >= 1, "gamma must be at least 1");
+                let mut session = draft.session();
+                session.append(&prompt);
+                EngineBody::Draft {
+                    cfg,
+                    stats: DraftStats::default(),
+                    model: draft,
+                    session,
+                }
+            }
         };
         Stepper {
-            target_model,
-            draft_model,
-            target: Some(target),
-            draft,
+            target_model: model,
+            target: Some(session),
             prompt,
             sampler: Sampler::new(seed),
             engine,
-            out: Self::new_output(),
+            out: DecodeOutput {
+                tokens: Vec::new(),
+                steps: 0,
+                clock: DecodeClock::new(),
+                trace: Vec::new(),
+            },
             pending: None,
             done: false,
             policy: &STATIC_POLICY,
@@ -511,7 +608,6 @@ impl<'m> Stepper<'m> {
             base,
             history: AcceptHistory::default(),
             last_shape: None,
-            grammar: None,
             last_prune: None,
             nodes: NodeMap::new(),
             scratch: LogitsArena::new(),
@@ -534,152 +630,6 @@ impl<'m> Stepper<'m> {
         self.policy = policy;
         self
     }
-
-    /// A conventional next-token-prediction generation.
-    pub fn ntp(model: &'m dyn LanguageModel, prompt: &[TokenId], cfg: DecodeConfig) -> Self {
-        let seed = cfg.seed;
-        Self::build(model, None, None, prompt, seed, EngineBody::Ntp { cfg })
-    }
-
-    /// Like [`Stepper::ntp`], continuing from an already-ingested
-    /// session (prefix sharing): the session's current context is the
-    /// shared prompt prefix and `rest` is appended to it.
-    pub fn ntp_from_session(
-        model: &'m dyn LanguageModel,
-        session: Box<dyn DecodeSession + 'm>,
-        rest: &[TokenId],
-        cfg: DecodeConfig,
-    ) -> Self {
-        let seed = cfg.seed;
-        Self::build(
-            model,
-            None,
-            Some(session),
-            rest,
-            seed,
-            EngineBody::Ntp { cfg },
-        )
-    }
-
-    /// A MEDUSA-style speculative generation (chain, tree, or
-    /// syntax-aligned, per the config).
-    pub fn speculative(
-        model: &'m dyn LanguageModel,
-        prompt: &[TokenId],
-        cfg: DecodeConfig,
-    ) -> Self {
-        let seed = cfg.seed;
-        let body = EngineBody::Spec {
-            cfg,
-            n_heads: model.n_extra_heads(),
-        };
-        Self::build(model, None, None, prompt, seed, body)
-    }
-
-    /// Like [`Stepper::speculative`], continuing from an
-    /// already-ingested session (prefix sharing).
-    pub fn speculative_from_session(
-        model: &'m dyn LanguageModel,
-        session: Box<dyn DecodeSession + 'm>,
-        rest: &[TokenId],
-        cfg: DecodeConfig,
-    ) -> Self {
-        let seed = cfg.seed;
-        let body = EngineBody::Spec {
-            cfg,
-            n_heads: model.n_extra_heads(),
-        };
-        Self::build(model, None, Some(session), rest, seed, body)
-    }
-
-    /// A grammar-constrained speculative generation: the syntax-aligned
-    /// engine ([`Stepper::speculative`] with `cfg.syntax_aligned`,
-    /// which this constructor forces on) plus an incremental
-    /// [`GrammarOracle`] that filters candidate-tree construction to
-    /// lexically-viable continuations and dead-tail prunes the built
-    /// paths before verification (see
-    /// [`crate::decode::decode_grammar_speculative`]).
-    pub fn grammar_speculative(
-        model: &'m dyn LanguageModel,
-        oracle: &'m GrammarOracle,
-        prompt: &[TokenId],
-        cfg: DecodeConfig,
-    ) -> Self {
-        let cfg = DecodeConfig {
-            syntax_aligned: true,
-            ..cfg
-        };
-        let mut stepper = Self::speculative(model, prompt, cfg);
-        stepper.attach_grammar(oracle);
-        stepper
-    }
-
-    /// Like [`Stepper::grammar_speculative`], continuing from an
-    /// already-ingested session (prefix sharing). The viability state
-    /// is seeded from the **full** prompt — shared prefix plus `rest` —
-    /// so forked sessions constrain against their complete context.
-    pub fn grammar_speculative_from_session(
-        model: &'m dyn LanguageModel,
-        oracle: &'m GrammarOracle,
-        session: Box<dyn DecodeSession + 'm>,
-        rest: &[TokenId],
-        cfg: DecodeConfig,
-    ) -> Self {
-        let cfg = DecodeConfig {
-            syntax_aligned: true,
-            ..cfg
-        };
-        let mut stepper = Self::speculative_from_session(model, session, rest, cfg);
-        stepper.attach_grammar(oracle);
-        stepper
-    }
-
-    fn attach_grammar(&mut self, oracle: &'m GrammarOracle) {
-        // Death-recovering fold: prompts routinely wrap the Verilog
-        // tail in instruction prose that no lexer survives; recovery
-        // re-arms the machine at each non-Verilog boundary instead of
-        // disabling the grammar layer for the whole request.
-        let state = oracle.advance_recovering(ViabilityState::new(), &self.prompt);
-        self.grammar = Some(GrammarCtx { oracle, state });
-    }
-
-    /// A classical draft-then-verify generation (draft model proposes a
-    /// γ-token block, the target verifies all γ + 1 positions at once).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.gamma == 0`.
-    pub fn draft_verify(
-        target: &'m dyn LanguageModel,
-        draft: &'m dyn LanguageModel,
-        prompt: &[TokenId],
-        cfg: DraftConfig,
-    ) -> Self {
-        Self::draft_verify_from_session(target, draft, target.session(), prompt, cfg)
-    }
-
-    /// Like [`Stepper::draft_verify`], continuing the **target** from an
-    /// already-ingested session (the draft session is rebuilt fresh).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.gamma == 0`.
-    pub fn draft_verify_from_session(
-        target: &'m dyn LanguageModel,
-        draft: &'m dyn LanguageModel,
-        session: Box<dyn DecodeSession + 'm>,
-        rest: &[TokenId],
-        cfg: DraftConfig,
-    ) -> Self {
-        assert!(cfg.gamma >= 1, "gamma must be at least 1");
-        let seed = cfg.seed;
-        let body = EngineBody::Draft {
-            cfg,
-            stats: DraftStats::default(),
-        };
-        Self::build(target, Some(draft), Some(session), rest, seed, body)
-    }
-
     /// Whether the generation has finished.
     pub fn done(&self) -> bool {
         self.done
@@ -827,12 +777,18 @@ impl<'m> Stepper<'m> {
         }
         self.scratch.clear();
         self.supports.clear();
-        match &self.engine {
-            EngineBody::Ntp { cfg } => {
-                if self.out.tokens.len() >= cfg.max_tokens {
-                    self.done = true;
-                    return Phase::Done;
-                }
+        if self.out.tokens.len() >= self.engine.max_tokens() {
+            self.done = true;
+            return Phase::Done;
+        }
+        // This step's speculation shape: pinned by the serving engine's
+        // budget pass, or this stepper's own policy (the static default
+        // reproduces the configured shape exactly). NTP has none.
+        if self.base.is_some() {
+            self.next_shape();
+        }
+        match &mut self.engine {
+            EngineBody::Ntp { .. } => {
                 // The single row is the current position's base logits:
                 // a root-only tree, scored by the same call as any other.
                 let root_only: &[TokenId] = &[];
@@ -841,20 +797,8 @@ impl<'m> Stepper<'m> {
                 self.pending = Some(Pending::Ntp { tok: None });
                 Phase::Verify
             }
-            EngineBody::Spec { cfg, .. } => {
-                if self.out.tokens.len() >= cfg.max_tokens {
-                    self.done = true;
-                    return Phase::Done;
-                }
-                // Snapshot the Copy fields so the `self.engine`
-                // borrow ends before the policy and session fields are
-                // touched mutably.
+            EngineBody::Spec { cfg, grammar, .. } => {
                 let (sampling, eos) = (cfg.sampling, cfg.eos);
-                // This step's speculation shape: pinned by the serving
-                // engine's budget pass, or this stepper's own policy
-                // (the static default reproduces the configured shape
-                // exactly).
-                self.next_shape();
                 let shape = self.last_shape.as_ref().expect("next_shape fills the slot");
                 let levels = shape.depth();
                 let session = self
@@ -900,7 +844,7 @@ impl<'m> Stepper<'m> {
                     ),
                     _ => self.sampler.sample(rows.row(0), sampling),
                 };
-                let (candidate_tokens, lazy) = match &self.grammar {
+                let (candidate_tokens, lazy) = match grammar {
                     Some(g) => {
                         base_tok =
                             constrain_base_token(base_tok, rows.row(0), g.oracle, g.state, eos);
@@ -967,25 +911,19 @@ impl<'m> Stepper<'m> {
                     Phase::Commit
                 }
             }
-            EngineBody::Draft { cfg, .. } => {
-                if self.out.tokens.len() >= cfg.max_tokens {
-                    self.done = true;
-                    return Phase::Done;
-                }
-                let cfg = *cfg;
+            EngineBody::Draft {
+                cfg,
+                stats,
+                session: draft,
+                ..
+            } => {
                 // This step's draft block length: the policy's decision
                 // (static default = the configured γ).
-                self.next_shape();
                 let gamma = match self.last_shape {
                     Some(SpecShape::Draft { gamma }) => gamma.max(1),
                     _ => cfg.gamma,
                 };
                 self.last_shape = Some(SpecShape::Draft { gamma });
-                let draft = self
-                    .draft
-                    .as_mut()
-                    .expect("draft stepper has a draft session")
-                    .as_mut();
                 let step_start = draft.len();
                 // The draft proposes a block of gamma tokens with its
                 // own probs, extending its session as it goes.
@@ -1002,9 +940,7 @@ impl<'m> Stepper<'m> {
                         break;
                     }
                 }
-                if let EngineBody::Draft { stats, .. } = &mut self.engine {
-                    stats.proposed += toks.len();
-                }
+                stats.proposed += toks.len();
                 // One path, bonus position included: node `k` is the
                 // position after `k` proposals.
                 self.nodes.build(std::iter::once(toks.as_slice()), true);
@@ -1415,7 +1351,10 @@ impl<'m> Stepper<'m> {
         // (death-recovering, matching the prompt seeding) — the state
         // stays a pure function of `prompt + out.tokens`, the invariant
         // park/unpark relies on.
-        if let Some(g) = &mut self.grammar {
+        if let EngineBody::Spec {
+            grammar: Some(g), ..
+        } = &mut self.engine
+        {
             g.state = g.oracle.advance_recovering(g.state, &committed);
         }
         // A verified step's session already holds the base token, and
@@ -1483,11 +1422,16 @@ impl<'m> Stepper<'m> {
         accepted: usize,
         cost: &GpuCostModel,
     ) {
-        let EngineBody::Draft { cfg, stats } = &mut self.engine else {
+        let EngineBody::Draft {
+            cfg,
+            stats,
+            session: draft,
+            ..
+        } = &mut self.engine
+        else {
             unreachable!("pending/engine mismatch");
         };
         stats.accepted += accepted;
-        let cfg = *cfg;
         self.history.record(proposed, accepted);
 
         let remaining = cfg.max_tokens - self.out.tokens.len();
@@ -1496,11 +1440,8 @@ impl<'m> Stepper<'m> {
         self.out.clock.record_step(cost, proposed, committed.len());
         self.out.steps += 1;
         let hit_eos = committed.contains(&cfg.eos);
-        // Roll both sessions back to the committed prefix and extend.
-        let draft = self
-            .draft
-            .as_mut()
-            .expect("draft stepper has a draft session");
+        // Roll the draft session back to the committed prefix, and
+        // extend both.
         draft.truncate(step_start);
         draft.append(&committed);
         self.target_mut().append(&committed);
@@ -1539,9 +1480,10 @@ impl<'m> Stepper<'m> {
 
     /// Releases the sessions (rollback-aware preemption): legal only
     /// between steps, when the sessions hold exactly the committed
-    /// context. The sampler, output, and engine state are retained; the
-    /// carried base goes with the session it was scored on (the next
-    /// step forwards its position again, to the same bits).
+    /// context. The sampler, output, and engine state are retained (a
+    /// draft engine's session is reopened empty); the carried base goes
+    /// with the session it was scored on (the next step forwards its
+    /// position again, to the same bits).
     ///
     /// # Panics
     ///
@@ -1552,7 +1494,9 @@ impl<'m> Stepper<'m> {
             "cannot park mid-step: commit or abandon the pending step first"
         );
         self.target = None;
-        self.draft = None;
+        if let EngineBody::Draft { model, session, .. } = &mut self.engine {
+            *session = model.session();
+        }
         self.carry.clear();
     }
 
@@ -1568,12 +1512,10 @@ impl<'m> Stepper<'m> {
         target.append(&self.prompt);
         target.append(&self.out.tokens);
         self.target = Some(target);
-        self.draft = self.draft_model.map(|d| {
-            let mut s = d.session();
-            s.append(&self.prompt);
-            s.append(&self.out.tokens);
-            s
-        });
+        if let EngineBody::Draft { session, .. } = &mut self.engine {
+            session.append(&self.prompt);
+            session.append(&self.out.tokens);
+        }
     }
 }
 
@@ -1583,7 +1525,7 @@ mod frontier_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::{decode_grammar_speculative, decode_ntp, decode_speculative, DecodeMethod};
+    use crate::decode::{decode_grammar_speculative, decode_ntp, decode_speculative};
     use crate::draft::decode_draft_speculative;
     use proptest::prelude::*;
     use verispec_lm::{MlpLm, MlpLmConfig, NgramLm};
@@ -1953,7 +1895,8 @@ mod tests {
                 ..Default::default()
             };
             let serial = decode_speculative(&model, &[1, 2, 3], &cfg, &cost);
-            let mut st = [Stepper::speculative(&model, &[1, 2, 3], cfg.clone())];
+            let engine = Engine::Medusa(cfg.clone());
+            let mut st = [Stepper::new(&model, engine, model.session(), &[1, 2, 3])];
             drive_fused(&model, &mut st, &cost);
             let [st] = st;
             let out = st.into_output();
@@ -2008,11 +1951,12 @@ mod tests {
             decode_draft_speculative(&model, &ng, &[6, 7], &draft_cfg, &cost).0,
         ];
         let mut steppers = [
-            Stepper::ntp(&model, &[2, 4], ntp_cfg),
-            Stepper::speculative(&model, &[2, 4], tree_cfg),
-            Stepper::grammar_speculative(&model, &oracle, &[6, 7], grammar_cfg),
-            Stepper::draft_verify(&model, &ng, &[6, 7], draft_cfg),
-        ];
+            (Engine::Ntp(ntp_cfg), [2, 4]),
+            (Engine::Medusa(tree_cfg), [2, 4]),
+            (Engine::Grammar(grammar_cfg, &oracle), [6, 7]),
+            (Engine::Draft(draft_cfg, &ng), [6, 7]),
+        ]
+        .map(|(engine, prompt)| Stepper::new(&model, engine, model.session(), &prompt));
         let rounds = drive_fused(&model, &mut steppers, &cost);
         for (st, want) in steppers.iter().zip(&serial) {
             assert_eq!(st.output().tokens, want.tokens);
@@ -2044,7 +1988,7 @@ mod tests {
             ..Default::default()
         };
         let serial = decode_speculative(&model, &[3, 1], &cfg, &cost);
-        let mut st = Stepper::speculative(&model, &[3, 1], cfg);
+        let mut st = Stepper::new(&model, Engine::Medusa(cfg), model.session(), &[3, 1]);
         let mut steps = 0;
         while st.step(&cost) {
             steps += 1;
@@ -2064,7 +2008,7 @@ mod tests {
             ..Default::default()
         };
         let (dserial, dstats) = decode_draft_speculative(&ng, &ng, &[6, 7], &dcfg, &cost);
-        let mut st = Stepper::draft_verify(&ng, &ng, &[6, 7], dcfg);
+        let mut st = Stepper::new(&ng, Engine::Draft(dcfg, &ng), ng.session(), &[6, 7]);
         let mut i = 0;
         while st.step(&cost) {
             i += 1;
@@ -2079,31 +2023,56 @@ mod tests {
 
     #[test]
     fn from_session_continues_a_shared_prefix_exactly() {
+        // Every engine started on a forked, already-ingested prefix with
+        // the rest of the prompt appended continues exactly as its
+        // serial engine on the whole prompt — the grammar engine's
+        // viability state seeded from the full prompt, the draft
+        // model's session opened on it.
         let model = tiny_model();
+        let ng = cyclic_ngram();
         let cost = GpuCostModel::codellama_like();
-        let prompt: Vec<TokenId> = vec![1, 2, 3, 4, 5];
-        for method in [DecodeMethod::Ntp, DecodeMethod::Ours] {
-            let cfg = DecodeConfig {
-                max_tokens: 12,
-                ..Default::default()
-            };
-            let serial = method.decode(&model, &prompt, &cfg, &cost);
+        let bytes = (0..14)
+            .map(|id| if id < 5 { Vec::new() } else { b"a".to_vec() })
+            .collect();
+        let oracle = GrammarOracle::new(bytes);
+        let prompt: Vec<TokenId> = vec![6, 7, 8, 6, 7];
+        let cfg = DecodeConfig {
+            max_tokens: 12,
+            sampling: Sampling::temperature(0.8),
+            seed: 2,
+            tree: Some(vec![2, 2]),
+            ..Default::default()
+        };
+        let ours = DecodeConfig {
+            syntax_aligned: true,
+            ..cfg.clone()
+        };
+        let dcfg = DraftConfig {
+            gamma: 3,
+            max_tokens: 12,
+            seed: 2,
+            ..Default::default()
+        };
+        let serial = [
+            decode_ntp(&model, &prompt, &cfg, &cost),
+            decode_speculative(&model, &prompt, &ours, &cost),
+            decode_grammar_speculative(&model, &oracle, &prompt, &cfg, &cost),
+            decode_draft_speculative(&model, &ng, &prompt, &dcfg, &cost).0,
+        ];
+        let engines = [
+            Engine::Ntp(cfg.clone()),
+            Engine::Medusa(ours),
+            Engine::Grammar(cfg, &oracle),
+            Engine::Draft(dcfg, &ng),
+        ];
+        for (engine, want) in engines.into_iter().zip(&serial) {
             // Ingest the first three tokens once, fork, append the rest.
             let mut prefix = model.session();
             prefix.append(&prompt[..3]);
             let forked = prefix.fork().expect("mlp fork");
-            let cfg_run = DecodeConfig {
-                syntax_aligned: method == DecodeMethod::Ours,
-                ..cfg
-            };
-            let mut st = match method {
-                DecodeMethod::Ntp => {
-                    Stepper::ntp_from_session(&model, forked, &prompt[3..], cfg_run)
-                }
-                _ => Stepper::speculative_from_session(&model, forked, &prompt[3..], cfg_run),
-            };
+            let mut st = Stepper::new(&model, engine, forked, &prompt[3..]);
             while st.step(&cost) {}
-            assert_eq!(st.output().tokens, serial.tokens, "{:?}", method);
+            assert_eq!(st.output(), want);
         }
     }
 }

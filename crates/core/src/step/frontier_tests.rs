@@ -113,7 +113,7 @@ impl Stepper<'_> {
     /// candidate tokens counted off the built paths.
     fn propose_eager(&mut self) -> Phase {
         assert!(self.pending.is_none(), "propose called with a step pending");
-        let EngineBody::Spec { cfg, n_heads } = &self.engine else {
+        let EngineBody::Spec { cfg, n_heads, .. } = &self.engine else {
             panic!("the eager oracle proposes speculative steps");
         };
         if self.done || self.out.tokens.len() >= cfg.max_tokens {
@@ -369,7 +369,8 @@ fn run_injected(
     mut side: Side,
 ) -> DecodeOutput {
     let cost = GpuCostModel::codellama_like();
-    let mut st = Stepper::speculative(model, &[6, 7, 8], cfg.clone());
+    let engine = Engine::Medusa(cfg.clone());
+    let mut st = Stepper::new(model, engine, model.session(), &[6, 7, 8]);
     let mut rng = Lcg(tree_seed);
     loop {
         side.between_steps(&mut st);
@@ -394,7 +395,7 @@ fn run_draft(
     oracle: bool,
 ) -> (DecodeOutput, Option<DraftStats>) {
     let cost = GpuCostModel::codellama_like();
-    let mut st = Stepper::draft_verify(target, draft, &[6, 7], cfg);
+    let mut st = Stepper::new(target, Engine::Draft(cfg, draft), target.session(), &[6, 7]);
     while st.propose(None) != Phase::Done {
         if oracle {
             st.verify_whole_tree();
@@ -496,7 +497,8 @@ fn run_shaped(
 ) -> DecodeOutput {
     let cost = GpuCostModel::codellama_like();
     let adaptive = AdaptivePolicy { window: 3 };
-    let mut st = Stepper::speculative(model, &[6, 7, 8], cfg.clone());
+    let engine = Engine::Medusa(cfg.clone());
+    let mut st = Stepper::new(model, engine, model.session(), &[6, 7, 8]);
     if matches!(source, ShapeSource::Adaptive) {
         st = st.with_policy(&adaptive);
     }
@@ -616,10 +618,11 @@ impl Medusa {
             syntax_aligned: matches!(self, Medusa::Ours),
             ..cfg.clone()
         };
-        match self {
-            Medusa::Grammar => Stepper::grammar_speculative(model, oracle, &[6, 7, 8], cfg),
-            _ => Stepper::speculative(model, &[6, 7, 8], cfg),
-        }
+        let engine = match self {
+            Medusa::Grammar => Engine::Grammar(cfg, oracle),
+            _ => Engine::Medusa(cfg),
+        };
+        Stepper::new(model, engine, model.session(), &[6, 7, 8])
     }
 }
 
@@ -629,7 +632,7 @@ impl Stepper<'_> {
     /// under sampling — the tempered distribution its support stands
     /// for, bit for bit.
     fn assert_carry_is_the_forward(&mut self) {
-        let EngineBody::Spec { cfg, n_heads } = &self.engine else {
+        let EngineBody::Spec { cfg, n_heads, .. } = &self.engine else {
             panic!("only MEDUSA-style steps carry");
         };
         let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
@@ -835,7 +838,7 @@ fn a_cold_generation_takes_almost_no_entropy() {
             tree: Some(vec![2, 2, 1]),
             ..Default::default()
         };
-        let mut st = Stepper::speculative(&model, &[5, 6, 7], cfg);
+        let mut st = Stepper::new(&model, Engine::Medusa(cfg), model.session(), &[5, 6, 7]);
         let before = ENTROPY_EVALUATIONS.with(Cell::get);
         let (mut scored, mut more) = (0usize, true);
         while more {
@@ -1031,10 +1034,11 @@ fn scripted_step_ledger(
         tree: Some(vec![2; heads.len()]),
         ..Default::default()
     };
-    let mut st = match grammar {
-        Some(oracle) => Stepper::grammar_speculative(&model, oracle, &[6, 7], cfg),
-        None => Stepper::speculative(&model, &[6, 7], cfg),
+    let engine = match grammar {
+        Some(oracle) => Engine::Grammar(cfg, oracle),
+        None => Engine::Medusa(cfg),
     };
+    let mut st = Stepper::new(&model, engine, model.session(), &[6, 7]);
     if st.propose(None) == Phase::Verify {
         model.forwards.set(0);
         assert!(!st.verify_level(None, None));
@@ -1198,7 +1202,7 @@ fn a_generation_forwards_a_base_position_only_when_nothing_was_carried() {
         ..Default::default()
     };
     let cost = GpuCostModel::codellama_like();
-    let mut st = Stepper::speculative(&model, &[6, 7], cfg);
+    let mut st = Stepper::new(&model, Engine::Medusa(cfg), model.session(), &[6, 7]);
     // (span, base positions forwarded so far, a carry left behind)
     let step = |st: &mut Stepper<'_>| {
         let more = st.step(&cost);
@@ -1304,7 +1308,7 @@ fn a_verified_step_never_rolls_its_session_back() {
             inner: model.session(),
             shortened: &shortened,
         });
-        let mut st = Stepper::speculative_from_session(&model, session, &[1, 2, 3], cfg);
+        let mut st = Stepper::new(&model, Engine::Medusa(cfg), session, &[1, 2, 3]);
         while st.step(&cost) {}
         assert_eq!(st.output().tokens, want.tokens);
         assert_eq!(shortened.get(), 0, "{sampling:?}");
@@ -1370,7 +1374,7 @@ fn best_path_is_the_first_strictly_longest() {
             eos,
             ..Default::default()
         };
-        let mut st = Stepper::speculative(&model, &[6, 7], cfg);
+        let mut st = Stepper::new(&model, Engine::Medusa(cfg), model.session(), &[6, 7]);
         st.nodes.build(paths.iter().copied(), false);
         st.marks = vec![NodeMark::default(); st.nodes.n_nodes()];
         for &(i, j) in accepted {

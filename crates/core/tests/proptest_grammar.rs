@@ -15,7 +15,9 @@
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use verispec_core::{decode_grammar_speculative, decode_ntp, DecodeConfig, SpecShape, Stepper};
+use verispec_core::{
+    decode_grammar_speculative, decode_ntp, DecodeConfig, Engine, SpecShape, Stepper,
+};
 use verispec_grammar::GrammarOracle;
 use verispec_lm::{GpuCostModel, LanguageModel, Sampling, TokenId};
 use verispec_tokenizer::special;
@@ -177,7 +179,8 @@ proptest! {
             ..Default::default()
         };
         let oracle = permissive_oracle(model.vocab.max(20));
-        let mut stepper = Stepper::grammar_speculative(&model, &oracle, &prompt, cfg);
+        let engine = Engine::Grammar(cfg, &oracle);
+        let mut stepper = Stepper::new(&model, engine, model.session(), &prompt);
         let budget = stepper
             .base_shape()
             .expect("speculative steppers have a base shape")

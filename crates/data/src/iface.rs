@@ -87,11 +87,6 @@ impl Interface {
         }
     }
 
-    /// Whether the module is sequential.
-    pub fn is_sequential(&self) -> bool {
-        self.clock.is_some()
-    }
-
     /// Generates `n` random stimulus vectors (uniform per input width,
     /// with all-zeros and all-ones corners injected first).
     pub fn random_stimuli(&self, rng: &mut SmallRng, n: usize) -> Vec<InputVector> {

@@ -44,37 +44,63 @@ impl Verdict {
 pub const JUDGE_VECTORS: usize = 24;
 
 /// Scores one generated completion (code text, `[FRAG]` markers already
-/// stripped) against a problem.
+/// stripped) against a problem. A parse or elaborate failure is a
+/// [`Verdict::SyntaxFail`], a simulate failure a
+/// [`Verdict::FunctionalFail`] — the same walk
+/// [`crate::quality::stage_judge`] reports stage by stage.
 pub fn judge(code: &str, problem: &Problem, seed: u64) -> Verdict {
+    match walk(code, problem, seed) {
+        Ok(()) => Verdict::Pass,
+        Err((Stage::Parse | Stage::Elaborate, why)) => Verdict::SyntaxFail(why),
+        Err((Stage::Simulate, why)) => Verdict::FunctionalFail(why),
+    }
+}
+
+/// The stage of the protocol a sample failed at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    /// The completed source does not parse.
+    Parse,
+    /// The expected module is missing, does not elaborate, or does not
+    /// expose the interface the testbench instantiates.
+    Elaborate,
+    /// The design faults in simulation or mismatches the golden model.
+    Simulate,
+}
+
+/// The judging protocol, walked once for [`judge`] and
+/// [`crate::quality::stage_judge`] alike: parse, find the module the
+/// testbench instantiates, elaborate it, check its interface, then
+/// simulate it against the golden model on seeded stimuli. `Ok` for a
+/// sample that passes every stage, otherwise the stage it failed at
+/// and why.
+pub(crate) fn walk(code: &str, problem: &Problem, seed: u64) -> Result<(), (Stage, String)> {
     // For VGen-style problems the header came from the prompt; the model
     // generated only the continuation.
     let full_source = format!("{}{}", problem.completion_prefix(), code);
 
-    let file = match verispec_verilog::parse(&full_source) {
-        Ok(f) => f,
-        Err(e) => return Verdict::SyntaxFail(format!("parse: {e}")),
-    };
+    let file =
+        verispec_verilog::parse(&full_source).map_err(|e| (Stage::Parse, format!("parse: {e}")))?;
     // The testbench instantiates the module by name; take the module with
     // the expected name, or fail syntax like a testbench compile would.
     let want = &problem.module.name;
     let Some(module) = file.modules.iter().find(|m| &m.name == want) else {
-        return Verdict::SyntaxFail(format!(
-            "testbench needs module `{want}`, generated `{}`",
-            file.modules
-                .first()
-                .map(|m| m.name.as_str())
-                .unwrap_or("<none>")
+        return Err((
+            Stage::Elaborate,
+            format!(
+                "testbench needs module `{want}`, generated `{}`",
+                file.modules
+                    .first()
+                    .map(|m| m.name.as_str())
+                    .unwrap_or("<none>")
+            ),
         ));
     };
-    let design = match elaborate(module) {
-        Ok(d) => d,
-        Err(e) => return Verdict::SyntaxFail(format!("elaborate: {e}")),
-    };
-    if let Err(e) = check_interface(&design, problem) {
-        return Verdict::SyntaxFail(e);
-    }
+    let design = elaborate(module).map_err(|e| (Stage::Elaborate, format!("elaborate: {e}")))?;
+    check_interface(&design, problem).map_err(|e| (Stage::Elaborate, e))?;
 
     // Functional comparison against the golden model.
+    let fail = |why: String| Err((Stage::Simulate, why));
     let iface = &problem.module.interface;
     let mut rng = SmallRng::seed_from_u64(seed);
     let vectors = iface.random_stimuli(&mut rng, JUDGE_VECTORS);
@@ -92,27 +118,24 @@ pub fn judge(code: &str, problem: &Problem, seed: u64) -> Verdict {
             let mut golden = factory();
             run_sequential(&design, &spec, &vectors, |ins| golden(ins))
         }
-        _ => return Verdict::FunctionalFail("inconsistent golden/clock".into()),
+        _ => return fail("inconsistent golden/clock".into()),
     };
     match result {
-        Err(e) => Verdict::FunctionalFail(format!("simulation: {e}")),
-        Ok(tb) if tb.passed => Verdict::Pass,
-        Ok(tb) => {
-            let m = tb.mismatches.first();
-            Verdict::FunctionalFail(match m {
-                Some(m) => format!(
-                    "cycle {}: {} expected {:#x}, got {:#x}",
-                    m.cycle, m.signal, m.expected, m.got
-                ),
-                None => "mismatch".into(),
-            })
-        }
+        Err(e) => fail(format!("simulation: {e}")),
+        Ok(tb) if tb.passed => Ok(()),
+        Ok(tb) => fail(match tb.mismatches.first() {
+            Some(m) => format!(
+                "cycle {}: {} expected {:#x}, got {:#x}",
+                m.cycle, m.signal, m.expected, m.got
+            ),
+            None => "mismatch".into(),
+        }),
     }
 }
 
 /// Checks that the design exposes every port the testbench drives and
 /// observes, with the right directions and widths.
-pub(crate) fn check_interface(design: &Design, problem: &Problem) -> Result<(), String> {
+fn check_interface(design: &Design, problem: &Problem) -> Result<(), String> {
     use verispec_verilog::ast::Direction;
     let iface = &problem.module.interface;
     let mut required: Vec<(&str, u32, Direction)> = Vec::new();

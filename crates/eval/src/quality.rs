@@ -24,16 +24,12 @@
 
 use crate::benchmarks::{rtllm_sim, vgen_sim, Problem};
 use crate::experiments::{parallel_map, sample_seed, Scale};
-use crate::judge::{check_interface, JUDGE_VECTORS};
+use crate::judge::{walk, Stage};
 use crate::pipeline::{generate, generate_grammar, token_budget, ModelScale, Pipeline};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use verispec_core::{DecodeConfig, TrainMethod};
-use verispec_data::Golden;
 use verispec_grammar::GrammarOracle;
 use verispec_lm::Sampling;
-use verispec_sim::{elaborate, run_combinational, run_sequential, ResetSpec, SeqSpec};
 
 /// Candidate-tree widths every speculative engine in the gate runs
 /// (equal candidate budget: 2 + 2·2 = 6 candidate tokens per step).
@@ -55,51 +51,16 @@ pub struct StageOutcome {
 
 /// Stages one generated completion (code text, `[FRAG]` markers already
 /// stripped) through parse → elaborate → simulate. Same protocol as
-/// [`crate::judge::judge`], but reporting *where* the sample died
-/// instead of folding parse and elaborate failures into one verdict.
+/// [`crate::judge::judge`] — the same walk — but reporting *where* the
+/// sample died instead of folding parse and elaborate failures into one
+/// verdict.
 pub fn stage_judge(code: &str, problem: &Problem, seed: u64) -> StageOutcome {
-    let mut out = StageOutcome::default();
-    // For VGen-style problems the header came from the prompt; the
-    // model generated only the continuation.
-    let full_source = format!("{}{}", problem.completion_prefix(), code);
-    let Ok(file) = verispec_verilog::parse(&full_source) else {
-        return out;
-    };
-    out.parsed = true;
-
-    let want = &problem.module.name;
-    let Some(module) = file.modules.iter().find(|m| &m.name == want) else {
-        return out;
-    };
-    let Ok(design) = elaborate(module) else {
-        return out;
-    };
-    if check_interface(&design, problem).is_err() {
-        return out;
+    let failed_at = walk(code, problem, seed).err().map(|(stage, _)| stage);
+    StageOutcome {
+        parsed: failed_at != Some(Stage::Parse),
+        elaborated: matches!(failed_at, None | Some(Stage::Simulate)),
+        passed: failed_at.is_none(),
     }
-    out.elaborated = true;
-
-    let iface = &problem.module.interface;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let vectors = iface.random_stimuli(&mut rng, JUDGE_VECTORS);
-    let result = match (&problem.module.golden, iface.clock.as_ref()) {
-        (Golden::Comb(f), None) => run_combinational(&design, &vectors, |ins| f(ins)),
-        (Golden::Seq(factory), Some(clock)) => {
-            let spec = SeqSpec {
-                clock: clock.clone(),
-                reset: iface.reset.as_ref().map(|r| ResetSpec {
-                    signal: r.signal.clone(),
-                    active_low: r.active_low,
-                    cycles: 2,
-                }),
-            };
-            let mut golden = factory();
-            run_sequential(&design, &spec, &vectors, |ins| golden(ins))
-        }
-        _ => return out,
-    };
-    out.passed = matches!(result, Ok(tb) if tb.passed);
-    out
 }
 
 /// One engine's row of `BENCH_quality.json`.

@@ -128,7 +128,7 @@ pub trait LanguageModel {
     ///
     /// `None` (the default) means callers must fall back to
     /// [`LanguageModel::session`] and re-ingest prompts from scratch;
-    /// [`MlpLm`] and [`NgramLm`] override it.
+    /// [`MlpLm`] overrides it.
     fn snapshot_session(&self) -> Option<Box<dyn SnapshotSession<'_> + '_>> {
         None
     }
@@ -203,10 +203,6 @@ impl LanguageModel for NgramLm {
 
     fn session(&self) -> Box<dyn DecodeSession + '_> {
         Box::new(NgramSession::new(self))
-    }
-
-    fn snapshot_session(&self) -> Option<Box<dyn SnapshotSession<'_> + '_>> {
-        Some(Box::new(NgramSession::new(self)))
     }
 
     fn logits(&self, prefix: &[TokenId]) -> Vec<f32> {

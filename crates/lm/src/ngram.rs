@@ -50,14 +50,6 @@ impl NgramLm {
         }
     }
 
-    /// Sets the interpolation weight given to the longest matching order
-    /// at each back-off level (default 0.7).
-    pub fn with_lambda(mut self, lambda: f32) -> Self {
-        assert!((0.0..1.0).contains(&lambda), "lambda must be in [0,1)");
-        self.lambda = lambda;
-        self
-    }
-
     /// Maximum context length used.
     pub fn order(&self) -> usize {
         self.order

@@ -1149,12 +1149,6 @@ impl DecodeSession for NgramSession<'_> {
     }
 }
 
-impl<'m> SnapshotSession<'m> for NgramSession<'m> {
-    fn fork_snapshot(&self) -> Box<dyn SnapshotSession<'m> + 'm> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1621,11 +1615,9 @@ mod tests {
         plain.append(&[5]);
         assert_eq!(plain.logits(), model.logits(&[1, 2, 3, 4, 5]));
 
-        // Ngram models snapshot too; the `&M` forwarder passes through.
-        let ng = trained_ngram();
-        assert!(ng.snapshot_session().is_some());
-        assert!((&ng as &dyn LanguageModel).snapshot_session().is_some());
-        // Plain-logits models fall back to `None`.
+        // The `&M` forwarder passes through; plain-logits models fall
+        // back to `None`.
+        assert!((&model as &dyn LanguageModel).snapshot_session().is_some());
         assert!(Stateless(&model).snapshot_session().is_none());
     }
 

@@ -10,7 +10,13 @@
 //!    active request is *preempted*: its stepper is parked (sessions
 //!    released — legal between steps because speculation has been
 //!    rolled back, so the stepper holds exactly its committed context)
-//!    and re-queued, and the starved request takes its slot.
+//!    and re-queued, and the starved request takes its slot. An
+//!    admitted request gets its [`Stepper`] the one way every
+//!    generation starts, [`Stepper::new`]: the
+//!    [`verispec_core::Engine`] its [`EngineChoice`] resolves to here,
+//!    on the session its prompt was ingested into (a prefix-cache fork,
+//!    or a fresh one). A queued request is priced by the same engine
+//!    value ([`ServeEngine::outstanding_cost`]).
 //! 2. **selection** — the [`Scheduler`] picks up to `max_batch` active
 //!    requests (round-robin / seeded / EDF / weighted-fair order, with an
 //!    aging guard bounding every request's service gap — see
@@ -53,11 +59,12 @@ use crate::request::{Completion, EngineChoice, Request};
 use crate::scheduler::{ActiveView, Scheduler, TickOrder};
 use serde::{Deserialize, Serialize};
 use verispec_core::{
-    AcceptHistory, Phase, ShapeQuery, SpecPolicy, SpecShape, Stepper, STATIC_POLICY,
+    AcceptHistory, Engine, Phase, ShapeQuery, SpecPolicy, SpecShape, Stepper, STATIC_POLICY,
 };
 use verispec_grammar::GrammarOracle;
 use verispec_lm::{
-    verify_many, DecodeSession, GpuCostModel, LanguageModel, LogitsArena, MlpLm, VerifyPlan,
+    verify_many, DecodeSession, GpuCostModel, LanguageModel, LogitsArena, MlpLm, MlpSession,
+    SnapshotSession, VerifyPlan,
 };
 use verispec_trace::{EventKind, TraceEvent, TraceSink, NOOP};
 
@@ -109,8 +116,7 @@ pub struct ServeConfig {
     /// residency is charged against [`ServeConfig::session_cap`]
     /// alongside live sessions, and eviction is exact-replay (LRU
     /// leaves are dropped; a later miss rebuilds from the full prompt,
-    /// outputs bit-identical). Requires a model with
-    /// [`LanguageModel::snapshot_session`]; inert otherwise.
+    /// outputs bit-identical).
     #[serde(default)]
     pub prefix_cache: bool,
     /// Prompt-ingestion cost model: tokens ingested per tick at
@@ -430,9 +436,6 @@ struct Active<'m> {
     /// tokens on the new worker).
     req: Request,
     stepper: Stepper<'m>,
-    /// Decode budget (`max_tokens`), kept for the outstanding-cost
-    /// load probe (the stepper consumes the config).
-    budget: usize,
     submitted: u64,
     deadline: Option<u64>,
     admitted: u64,
@@ -475,8 +478,8 @@ pub struct ServeEngine<'m> {
     /// constrain speculation with; `None` degrades them to plain
     /// syntax-aligned speculation.
     grammar: Option<&'m GrammarOracle>,
-    /// The radix-tree prefix cache ([`ServeConfig::prefix_cache`]);
-    /// `None` when disabled or the model cannot snapshot sessions.
+    /// The radix-tree prefix cache; `None` when disabled
+    /// ([`ServeConfig::prefix_cache`]).
     cache: Option<PrefixCache<'m>>,
     cfg: ServeConfig,
     /// The speculation policy every stepper (and the per-tick budget
@@ -561,7 +564,7 @@ impl<'m> ServeEngine<'m> {
         cfg.max_batch = cfg.max_batch.max(1);
         let scheduler = Scheduler::new(cfg.order, cfg.max_active, cfg.max_batch)
             .with_class_weights(&cfg.class_weights);
-        let cache = (cfg.prefix_cache && model.snapshot_session().is_some()).then(PrefixCache::new);
+        let cache = cfg.prefix_cache.then(PrefixCache::new);
         ServeEngine {
             model,
             draft: None,
@@ -653,16 +656,12 @@ impl<'m> ServeEngine<'m> {
     /// This generalizes the hardcoded shared-preamble path — any stem,
     /// not just one — and is subject to the same cap-charged LRU
     /// eviction as organically cached prefixes. Returns `false` when
-    /// the cache is disabled ([`ServeConfig::prefix_cache`]) or the
-    /// model cannot snapshot sessions.
+    /// the cache is disabled ([`ServeConfig::prefix_cache`]).
     pub fn warm_prefix(&mut self, tokens: &[verispec_lm::TokenId]) -> bool {
         if tokens.is_empty() || self.cache.is_none() {
             return false;
         }
-        let target = self.model;
-        let Some(mut work) = target.snapshot_session() else {
-            return false;
-        };
+        let mut work = MlpSession::new(self.model);
         work.append(tokens);
         let cache = self.cache.as_mut().expect("checked above");
         cache.insert(tokens, &mut |depth| {
@@ -699,7 +698,9 @@ impl<'m> ServeEngine<'m> {
     /// a [`verispec_lm::Sampling::Temperature`] that is not positive (or
     /// so small that the scaled logits overflow), an
     /// [`EngineChoice::DraftVerify`] with `gamma` 0 or on an engine
-    /// without [`ServeEngine::with_draft`]. A request read from a file
+    /// without [`ServeEngine::with_draft`] (while queued, the latter
+    /// also panics [`ServeEngine::outstanding_cost`], which prices a
+    /// request as the engine it will run). A request read from a file
     /// is checked where it enters (`verispec_load::ArrivalTrace::from_json`
     /// refuses such entries); one built as a struct literal is the
     /// caller's to get right.
@@ -756,7 +757,8 @@ impl<'m> ServeEngine<'m> {
     /// remaining token budget times the per-step cost of the shape the
     /// speculation policy would buy it right now (active and parked
     /// requests are priced with their own acceptance history, queued
-    /// fresh ones with an empty one; an NTP step costs 1). "Upper
+    /// fresh ones with an empty one and the base shape their stepper
+    /// will report, [`Engine::base_shape`]; an NTP step costs 1). "Upper
     /// bound" because accepted speculation commits several tokens per
     /// step. The join-least-loaded routing policy
     /// ([`crate::dispatch::RoutePolicy::LeastLoaded`]) balances on
@@ -779,10 +781,10 @@ impl<'m> ServeEngine<'m> {
             priced(
                 a.stepper.base_shape(),
                 a.stepper.history(),
-                a.budget.saturating_sub(a.stepper.generated()),
+                a.req.cfg.max_tokens.saturating_sub(a.stepper.generated()),
             )
         };
-        let fresh_history = AcceptHistory::default();
+        let (fresh_history, n_heads) = (AcceptHistory::default(), self.model.n_extra_heads());
         let mut cost = 0usize;
         for a in &self.active {
             cost += active_cost(a);
@@ -790,7 +792,7 @@ impl<'m> ServeEngine<'m> {
         for entry in &self.queue {
             cost += match entry {
                 QueueEntry::Fresh { req, .. } => priced(
-                    self.request_base_shape(req).as_ref(),
+                    self.engine_for(req).base_shape(n_heads).as_ref(),
                     &fresh_history,
                     req.cfg.max_tokens,
                 ),
@@ -798,25 +800,6 @@ impl<'m> ServeEngine<'m> {
             };
         }
         cost
-    }
-
-    /// The configured [`SpecShape`] a request will run under once
-    /// admitted, derived without building a stepper (the queued-request
-    /// half of [`ServeEngine::outstanding_cost`]): `None` for NTP,
-    /// mirroring [`Stepper::base_shape`].
-    fn request_base_shape(&self, req: &Request) -> Option<SpecShape> {
-        let n_heads = self.model.n_extra_heads();
-        match &req.engine {
-            EngineChoice::Ntp => None,
-            EngineChoice::DraftVerify { gamma } => Some(SpecShape::Draft { gamma: *gamma }),
-            _ => Some(match req.engine.decode_config(&req.cfg).tree {
-                None => SpecShape::Chain { depth: n_heads },
-                Some(widths) => SpecShape::Tree {
-                    widths,
-                    depth: n_heads,
-                },
-            }),
-        }
     }
 
     /// Resident sessions right now: active steppers and prefix-cache
@@ -854,23 +837,20 @@ impl<'m> ServeEngine<'m> {
         }
     }
 
-    fn make_stepper(
-        &self,
-        req: &Request,
-        session: Option<Box<dyn DecodeSession + 'm>>,
-    ) -> Stepper<'m> {
-        let session = session.unwrap_or_else(|| self.model.session());
-        let ingested = session.tokens().len();
-        debug_assert!(req.prompt.starts_with(session.tokens()));
-        let rest = &req.prompt[ingested..];
-        match &req.engine {
-            EngineChoice::Ntp => Stepper::ntp_from_session(
-                self.model,
-                session,
-                rest,
-                req.engine.decode_config(&req.cfg),
-            ),
-            EngineChoice::DraftVerify { .. } => {
+    /// The engine `req` runs under here, resolved from its
+    /// [`EngineChoice`] and what this engine was configured with: a
+    /// [`EngineChoice::GrammarTree`] request on an engine without an
+    /// oracle runs as plain syntax-aligned speculation.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an [`EngineChoice::DraftVerify`] request when the
+    /// engine has no draft model ([`ServeEngine::with_draft`]).
+    fn engine_for(&self, req: &Request) -> Engine<'m> {
+        let cfg = || req.engine.decode_config(&req.cfg);
+        match (&req.engine, self.grammar) {
+            (EngineChoice::Ntp, _) => Engine::Ntp(cfg()),
+            (EngineChoice::DraftVerify { .. }, _) => {
                 let draft = self
                     .draft
                     .expect("DraftVerify requests need ServeEngine::with_draft");
@@ -878,33 +858,25 @@ impl<'m> ServeEngine<'m> {
                     .engine
                     .draft_config(&req.cfg)
                     .expect("draft engine resolves a draft config");
-                Stepper::draft_verify_from_session(self.model, draft, session, rest, dcfg)
+                Engine::Draft(dcfg, draft)
             }
-            EngineChoice::GrammarTree { .. } => match self.grammar {
-                Some(oracle) => Stepper::grammar_speculative_from_session(
-                    self.model,
-                    oracle,
-                    session,
-                    rest,
-                    req.engine.decode_config(&req.cfg),
-                ),
-                // Documented degradation: without an oracle the request
-                // runs as plain syntax-aligned speculation.
-                None => Stepper::speculative_from_session(
-                    self.model,
-                    session,
-                    rest,
-                    req.engine.decode_config(&req.cfg),
-                ),
-            },
-            _ => Stepper::speculative_from_session(
-                self.model,
-                session,
-                rest,
-                req.engine.decode_config(&req.cfg),
-            ),
+            (EngineChoice::GrammarTree { .. }, Some(oracle)) => Engine::Grammar(cfg(), oracle),
+            _ => Engine::Medusa(cfg()),
         }
-        .with_policy(self.policy)
+    }
+
+    /// Starts `req`'s generation on `session` — its prompt's cached
+    /// prefix, or a fresh session when the cache held none — under this
+    /// engine's speculation policy.
+    fn make_stepper(
+        &self,
+        req: &Request,
+        session: Option<Box<dyn DecodeSession + 'm>>,
+    ) -> Stepper<'m> {
+        let session = session.unwrap_or_else(|| self.model.session());
+        debug_assert!(req.prompt.starts_with(session.tokens()));
+        let rest = &req.prompt[session.tokens().len()..];
+        Stepper::new(self.model, self.engine_for(req), session, rest).with_policy(self.policy)
     }
 
     /// Admission through the prefix cache: walk to the deepest cached
@@ -918,7 +890,6 @@ impl<'m> ServeEngine<'m> {
         if self.cache.is_none() {
             return (None, 0);
         }
-        let target = self.model;
         let looked_up = self
             .cache
             .as_mut()
@@ -935,12 +906,7 @@ impl<'m> ServeEngine<'m> {
         );
         let mut work = match looked_up {
             Some((fork, _)) => fork,
-            None => {
-                let Some(fresh) = target.snapshot_session() else {
-                    return (None, 0);
-                };
-                fresh
-            }
+            None => Box::new(MlpSession::new(self.model)),
         };
         work.append(&req.prompt[matched..]);
         let cache = self.cache.as_mut().expect("checked above");
@@ -981,7 +947,6 @@ impl<'m> ServeEngine<'m> {
                 let stepper = self.make_stepper(&req, session);
                 self.active.push(Active {
                     id: req.id,
-                    budget: req.cfg.max_tokens,
                     submitted: req.arrival,
                     deadline: req.deadline,
                     req,

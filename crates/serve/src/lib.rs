@@ -312,7 +312,9 @@ pub use scheduler::{ActiveView, Scheduler, TickOrder};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verispec_core::{decode_draft_speculative, decode_ntp, decode_speculative, DecodeConfig};
+    use verispec_core::{
+        decode_draft_speculative, decode_ntp, decode_speculative, DecodeConfig, Engine, Stepper,
+    };
     use verispec_lm::{
         GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, TokenId,
     };
@@ -800,7 +802,7 @@ mod tests {
 
     #[test]
     fn adaptive_policy_served_equals_serial() {
-        use verispec_core::{decode_speculative_with_policy, AdaptivePolicy};
+        use verispec_core::AdaptivePolicy;
         // Adaptation is a pure function of the request's own history,
         // so the served run and the serial policy-driven engine make
         // identical per-step decisions — sampled requests included.
@@ -827,14 +829,10 @@ mod tests {
         let expected: Vec<Vec<TokenId>> = requests
             .iter()
             .map(|r| {
-                decode_speculative_with_policy(
-                    &m,
-                    &r.prompt,
-                    &r.engine.decode_config(&r.cfg),
-                    &cost,
-                    &policy,
-                )
-                .tokens
+                let engine = Engine::Medusa(r.engine.decode_config(&r.cfg));
+                let mut st = Stepper::new(&m, engine, m.session(), &r.prompt).with_policy(&policy);
+                while st.step(&cost) {}
+                st.into_output().tokens
             })
             .collect();
         let mut engine = ServeEngine::new(&m, ServeConfig::concurrency(3)).with_policy(&policy);
@@ -1086,6 +1084,62 @@ mod tests {
     }
 
     #[test]
+    fn a_queued_request_is_priced_as_it_will_run() {
+        // `outstanding_cost` prices a queued request from the engine it
+        // resolves to and an admitted one from its stepper; both read
+        // the one configured-shape derivation, so admission cannot move
+        // the price. A three-token prompt ingested a token a tick keeps
+        // the request warming — admitted, not yet stepped — through the
+        // tick that admits it.
+        use verispec_grammar::GrammarOracle;
+        let (m, d) = (model(), draft());
+        let cost = GpuCostModel::codellama_like();
+        let bytes = (0..14usize)
+            .map(|id| if id < 5 { Vec::new() } else { b"a".to_vec() })
+            .collect();
+        let oracle = GrammarOracle::new(bytes);
+        let tree = Some(vec![2, 2]);
+        let engines = [
+            EngineChoice::Ntp,
+            EngineChoice::MedusaChain,
+            EngineChoice::MedusaTree(vec![2, 2]),
+            EngineChoice::SyntaxAligned { tree: None },
+            EngineChoice::SyntaxAligned { tree: tree.clone() },
+            EngineChoice::DraftVerify { gamma: 3 },
+            EngineChoice::GrammarTree { tree },
+        ];
+        let cfg = ServeConfig {
+            ingest_rate: Some(1),
+            ..ServeConfig::concurrency(1)
+        };
+        let budget = DecodeConfig {
+            max_tokens: 9,
+            ..Default::default()
+        };
+        for with_oracle in [true, false] {
+            for choice in &engines {
+                let mut engine = ServeEngine::new(&m, cfg.clone()).with_draft(&d);
+                if with_oracle {
+                    engine = engine.with_grammar(&oracle);
+                }
+                engine.submit(Request::new(
+                    0,
+                    vec![6, 7, 8],
+                    choice.clone(),
+                    budget.clone(),
+                ));
+                let queued = engine.outstanding_cost();
+                assert!(engine.tick(&cost));
+                let stats = engine.stats();
+                assert_eq!(stats.peak_active, 1, "{choice:?}: admitted");
+                assert_eq!(stats.fused_verify_calls, 0, "{choice:?}: not stepped");
+                let admitted = engine.outstanding_cost();
+                assert_eq!(admitted, queued, "{choice:?} {with_oracle}");
+            }
+        }
+    }
+
+    #[test]
     fn a_batch_forwards_fewer_base_positions_than_it_takes_steps() {
         // Sixteen MEDUSA-style requests share every tick. A member
         // whose last span ended at a node its verification forwarded
@@ -1094,7 +1148,7 @@ mod tests {
         // that is committed, is what a hand-driven batch that forwards
         // every base position (each stepper parked between its steps,
         // so nothing is ever carried) verifies and commits.
-        use verispec_core::{DecodeOutput, Phase, Stepper};
+        use verispec_core::{DecodeOutput, Phase};
         use verispec_lm::{verify_many, LogitsArena, VerifyPlan};
         let m = model();
         let cost = GpuCostModel::codellama_like();
@@ -1129,7 +1183,10 @@ mod tests {
         // member, one fused verify pass per level, commit.
         let mut steppers: Vec<Stepper<'_>> = requests
             .iter()
-            .map(|r| Stepper::speculative(&m, &r.prompt, r.engine.decode_config(&r.cfg)))
+            .map(|r| {
+                let engine = Engine::Medusa(r.engine.decode_config(&r.cfg));
+                Stepper::new(&m, engine, m.session(), &r.prompt)
+            })
             .collect();
         let (mut plan, mut arena, mut xs) = (VerifyPlan::new(), LogitsArena::new(), Vec::new());
         let (mut forwarded_bases, mut verified_nodes) = (0usize, 0usize);

@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use verispec_core::{
-    AcceptHistory, AdaptivePolicy, DecodeConfig, ShapeQuery, SpecPolicy, SpecShape, Stepper,
+    AcceptHistory, AdaptivePolicy, DecodeConfig, Engine, ShapeQuery, SpecPolicy, SpecShape, Stepper,
 };
 use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, TokenId};
 use verispec_serve::{EngineChoice, Request, ServeConfig, ServeEngine, TickOrder};
@@ -62,14 +62,11 @@ fn serial_with_policy(
     cost: &GpuCostModel,
     policy: &dyn SpecPolicy,
 ) -> Vec<TokenId> {
-    let mut stepper = match &req.engine {
-        EngineChoice::DraftVerify { .. } => {
-            let dcfg = req.engine.draft_config(&req.cfg).expect("draft cfg");
-            Stepper::draft_verify(model, draft, &req.prompt, dcfg)
-        }
-        _ => Stepper::speculative(model, &req.prompt, req.engine.decode_config(&req.cfg)),
-    }
-    .with_policy(policy);
+    let engine = match req.engine.draft_config(&req.cfg) {
+        Some(dcfg) => Engine::Draft(dcfg, draft),
+        None => Engine::Medusa(req.engine.decode_config(&req.cfg)),
+    };
+    let mut stepper = Stepper::new(model, engine, model.session(), &req.prompt).with_policy(policy);
     while stepper.step(cost) {}
     stepper.into_output().tokens
 }

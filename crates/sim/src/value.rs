@@ -72,11 +72,6 @@ impl BitVec {
         self.value
     }
 
-    /// Whether the value carries the signed flag.
-    pub fn is_signed(&self) -> bool {
-        self.signed
-    }
-
     /// The value interpreted according to the signed flag.
     pub fn as_i64(&self) -> i64 {
         if self.signed && self.msb() {

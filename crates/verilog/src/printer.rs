@@ -32,13 +32,6 @@ pub fn print_source_file(file: &SourceFile) -> String {
     out
 }
 
-/// Pretty-prints a single module.
-pub fn print_module(module: &Module) -> String {
-    let mut out = String::new();
-    print_module_into(module, &mut out);
-    out
-}
-
 fn print_module_into(m: &Module, out: &mut String) {
     out.push_str("module ");
     out.push_str(&m.name);

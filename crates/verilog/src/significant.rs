@@ -49,13 +49,6 @@ impl SignificantTokens {
         s
     }
 
-    /// Builds the set from a single module.
-    pub fn from_module(module: &Module) -> Self {
-        let mut s = Self::default();
-        s.add_module(module);
-        s
-    }
-
     /// Adds every identifier the module declares or references.
     pub fn add_module(&mut self, m: &Module) {
         self.idents.insert(m.name.clone());

@@ -334,11 +334,6 @@ impl Token {
     pub fn new(kind: TokenKind, span: Span) -> Self {
         Self { kind, span }
     }
-
-    /// Whether this token is the given keyword.
-    pub fn is_keyword(&self, kw: Keyword) -> bool {
-        matches!(&self.kind, TokenKind::Keyword(k) if *k == kw)
-    }
 }
 
 #[cfg(test)]
