@@ -17,8 +17,8 @@ fn main() {
             p.method, p.speed, p.pass_rate, p.syntax_pass_rate
         );
     }
-    // ASCII scatter on the syntax axis (functional rates are depressed at
-    // this substrate scale; see EXPERIMENTS.md).
+    // ASCII scatter on the syntax axis: the laptop-scale models pass
+    // almost no functional check, so that axis cannot separate methods.
     let max_speed = points.iter().map(|p| p.speed).fold(1.0, f64::max);
     println!("\n  syntax pass-rate ^");
     for row in (0..=10).rev() {

@@ -6,24 +6,21 @@
 //!
 //! | binary | artifact |
 //! |--------|----------|
-//! | `table1_quality` | Table I — quality grid |
+//! | `table1_quality` | Table I — quality grid, and the Fig. 6 series (pass@5 vs data size) from the same cells |
 //! | `table2_speed`   | Table II — tokens/s and speedup |
 //! | `fig1_tradeoff`  | Fig. 1 — speed vs quality scatter |
 //! | `fig5_steps`     | Fig. 5 — decode traces |
-//! | `fig6_datasize`  | Fig. 6 — pass@5 vs data size |
-//! | `capacity_ablation` | held-out NLL and VGen-sim syntax quality vs trunk width, Ours vs NTP |
 //! | `probe_gen`      | developer probe: raw generations and verdicts per method (`--full` only) |
 //!
 //! All but `probe_gen` parse [`HarnessArgs`]: `--scale quick|full`
 //! (default `full`), `--samples N` and `--problems N` (overriding the
-//! scale's samples per prompt and per-benchmark problem cap), and
-//! `--json <path>` to write a JSON artifact next to the stdout table.
+//! scale's samples per prompt and per-benchmark problem cap, whichever
+//! side of `--scale` they stand), and `--json <path>` to write a JSON
+//! artifact next to the stdout table.
 //!
 //! Under `benches/`, `latency_under_load` and `quality_gate` regenerate
-//! the committed `BENCH_*.json` artifacts; `ablation_accept`,
-//! `ablation_heads` and `draft_spec` are plain `main`s that print a
-//! tick-space report (tokens/step, acceptance, simulated tok/s). None of
-//! them reads a wall clock — that is `benchmark/`'s job.
+//! the committed `BENCH_*.json` artifacts. Neither reads a wall clock —
+//! that is `benchmark/`'s job.
 
 use std::path::Path;
 use verispec_eval::Scale;
@@ -78,9 +75,16 @@ impl HarnessArgs {
     ///
     /// Panics with a usage message on unknown arguments.
     pub fn parse() -> HarnessArgs {
+        Self::parse_from(std::env::args().skip(1))
+    }
+
+    /// Parses `args` (the program name already skipped). `--samples`
+    /// and `--problems` override the scale on either side of `--scale`.
+    fn parse_from(args: impl IntoIterator<Item = String>) -> HarnessArgs {
         let mut scale = Scale::full();
+        let (mut samples, mut problems) = (None, None);
         let mut json = None;
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--scale" => {
@@ -93,13 +97,14 @@ impl HarnessArgs {
                 }
                 "--json" => json = args.next(),
                 "--samples" => {
-                    scale.n_samples = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--samples N");
+                    samples = Some(
+                        args.next()
+                            .and_then(|v| v.parse().ok())
+                            .expect("--samples N"),
+                    );
                 }
                 "--problems" => {
-                    scale.problem_limit = Some(
+                    problems = Some(
                         args.next()
                             .and_then(|v| v.parse().ok())
                             .expect("--problems N"),
@@ -115,6 +120,8 @@ impl HarnessArgs {
                 other => panic!("unknown argument `{other}`"),
             }
         }
+        scale.n_samples = samples.unwrap_or(scale.n_samples);
+        scale.problem_limit = problems.or(scale.problem_limit);
         HarnessArgs { scale, json }
     }
 
@@ -123,5 +130,26 @@ impl HarnessArgs {
         if let Some(path) = &self.json {
             write_json_file(Path::new(path), value);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scale_of(args: &[&str]) -> Scale {
+        HarnessArgs::parse_from(args.iter().map(|a| a.to_string())).scale
+    }
+
+    /// `--samples 2 --scale quick` once ran the quick scale's 4 samples:
+    /// the `--scale` arm replaced the overrides parsed before it.
+    #[test]
+    fn overrides_hold_on_either_side_of_the_scale() {
+        let overrides = ["--samples", "2", "--problems", "3"];
+        let after = scale_of(&[&["--scale", "quick"][..], &overrides].concat());
+        let before = scale_of(&[&overrides[..], &["--scale", "quick"]].concat());
+        assert_eq!(before, after);
+        assert_eq!((after.n_samples, after.problem_limit), (2, Some(3)));
+        assert_eq!(after.pipeline, Scale::quick().pipeline);
     }
 }

@@ -20,8 +20,10 @@
 //!
 //! VeriSpec uses the n-gram model as the draft and the MLP as the target.
 //! This engine exists as the paper's point of comparison for why MEDUSA
-//! heads (no separate draft model to maintain) are preferable; its
-//! acceptance rate and speedup are measured in `bench/draft_spec`.
+//! heads (no separate draft model to maintain) are preferable. Its
+//! budgets, statistics and determinism are pinned by
+//! `tests/proptest_draft.rs`, and its served requests equal this serial
+//! engine (`verispec-serve`'s served == serial tests).
 
 use crate::decode::{run_serial, DecodeOutput};
 use crate::step::Engine;

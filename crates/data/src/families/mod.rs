@@ -8,7 +8,7 @@
 //! The emitted Verilog deliberately uses width-explicit idioms (e.g.
 //! `{1'b0, a} + {1'b0, b}` for carry capture) so that the behavioral
 //! simulator's self-determined width evaluation matches real Verilog
-//! semantics; see DESIGN.md §5.
+//! semantics.
 
 pub mod comb;
 pub mod seq;

@@ -2,9 +2,9 @@
 //!
 //! The paper trains on 136K Verilog modules scraped from GitHub plus the
 //! MG-Verilog and RTLCoder datasets, with GPT-4-written descriptions
-//! (§III-A). None of that is available offline, so this crate implements
-//! the substitution documented in DESIGN.md §2: **parameterized RTL
-//! module families** — muxes, adders, ALUs, counters, FSMs, FIFOs, RAMs,
+//! (§III-A). None of that is available offline, so this crate substitutes
+//! **parameterized RTL module families** — muxes, adders, ALUs,
+//! counters, FSMs, FIFOs, RAMs,
 //! and more — each paired with
 //!
 //! * randomized but always-well-formed Verilog source,

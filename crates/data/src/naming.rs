@@ -1,7 +1,8 @@
 //! Description finalization: every instruction ends with a short naming
 //! sentence so the module's name sits at the *tail* of the prompt.
 //!
-//! Rationale (DESIGN.md §2): the laptop-scale LMs condition on a bounded
+//! Rationale: the laptop-scale LMs that stand in for the paper's models
+//! (none is available offline) condition on a bounded
 //! context window, so the token span immediately preceding
 //! `### Response:` carries the most signal. Real instruction datasets
 //! commonly restate the required module name at the end; we standardize

@@ -1,12 +1,16 @@
 //! Experiment runners that regenerate every table and figure of the
 //! paper's evaluation (§IV): Table I (quality), Table II (speed),
 //! Fig. 1 (speed/quality trade-off), Fig. 5 (decode traces), and
-//! Fig. 6 (quality vs. training-data size).
+//! Fig. 6 (quality vs. training-data size, read off Table I's cells).
+//!
+//! Table I's pass@k is a fold over the quality walk the gate folds too
+//! (`quality::judged_samples`): syntax counts the samples that
+//! elaborate, function the samples that pass simulation.
 
-use crate::benchmarks::{rtllm_sim, speed_prompts, vgen_sim, Benchmark, Problem};
-use crate::judge::judge;
+use crate::benchmarks::{rtllm_sim, speed_prompts, vgen_sim, Benchmark};
 use crate::metrics::{mean_speed, speedup, PromptCounts, QualityRow};
 use crate::pipeline::{generate, token_budget, ModelScale, Pipeline, PipelineConfig};
+use crate::quality::{judged_samples, SampleGrid};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -32,8 +36,6 @@ pub struct Scale {
     pub speed_prompt_count: usize,
     /// Optional cap on problems per benchmark (quick runs).
     pub problem_limit: Option<usize>,
-    /// Worker threads.
-    pub threads: usize,
 }
 
 impl Scale {
@@ -46,7 +48,6 @@ impl Scale {
             data_fractions: vec![(1, 4), (1, 2), (3, 4), (1, 1)],
             speed_prompt_count: 64,
             problem_limit: None,
-            threads: 2,
         }
     }
 
@@ -65,7 +66,6 @@ impl Scale {
             data_fractions: vec![(1, 2), (1, 1)],
             speed_prompt_count: 8,
             problem_limit: Some(6),
-            threads: 2,
         }
     }
 }
@@ -79,8 +79,12 @@ pub(crate) fn sample_seed(problem_id: &str, sample: usize, salt: u64) -> u64 {
     h.finish()
 }
 
-/// Simple work-stealing parallel map over `items`.
-pub(crate) fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
+/// Worker threads of every experiment's parallel map.
+const WORKERS: usize = 2;
+
+/// Simple work-stealing parallel map over `items` on [`WORKERS`]
+/// threads.
+pub(crate) fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -90,7 +94,7 @@ where
     let queue: Mutex<Vec<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|s| {
-        for _ in 0..threads.max(1) {
+        for _ in 0..WORKERS {
             s.spawn(|| loop {
                 let job = queue.lock().expect("queue lock").pop();
                 let Some((idx, item)) = job else { break };
@@ -128,8 +132,9 @@ pub struct QualityCell {
     pub syntax: QualityRow,
 }
 
-/// Scores one trained model on one benchmark.
-pub fn score_benchmark(
+/// Scores one trained model on one benchmark: (function, syntax) rows
+/// over Table I's sample grid.
+pub(crate) fn score_benchmark(
     pipe: &Pipeline,
     model: &MlpLm,
     model_scale: ModelScale,
@@ -139,36 +144,24 @@ pub fn score_benchmark(
 ) -> (QualityRow, QualityRow) {
     let limit = scale.problem_limit.unwrap_or(usize::MAX);
     let cost = model_scale.cost_model();
-    let problems: Vec<&Problem> = bench.problems.iter().take(limit).collect();
-    let counts: Vec<PromptCounts> = problems
+    let grid = SampleGrid::table1(pipe, scale);
+    let counts: Vec<PromptCounts> = bench
+        .problems
         .iter()
+        .take(limit)
         .map(|problem| {
-            let mut pc = PromptCounts {
+            let empty = PromptCounts {
                 n: scale.n_samples,
                 ..Default::default()
             };
-            let budget = token_budget(&pipe.tokenizer, problem, method);
-            for sample in 0..scale.n_samples {
-                let temp = scale.temperatures[sample % scale.temperatures.len()];
-                let cfg = DecodeConfig {
-                    max_tokens: budget,
-                    sampling: Sampling::Temperature {
-                        temperature: temp,
-                        top_k: 0,
-                    },
-                    seed: sample_seed(&problem.id, sample, 11),
-                    ..Default::default()
-                };
-                let generation = generate(model, &pipe.tokenizer, problem, method, &cfg, &cost);
-                let verdict = judge(&generation.code, problem, 0xBEEF);
-                if verdict.syntax_ok() {
-                    pc.syntax_passes += 1;
-                }
-                if verdict.functional_ok() {
-                    pc.functional_passes += 1;
-                }
-            }
-            pc
+            judged_samples(grid, model, method, None, &cost, problem).fold(
+                empty,
+                |mut pc, (_, _, stages)| {
+                    pc.syntax_passes += usize::from(stages.elaborated);
+                    pc.functional_passes += usize::from(stages.passed);
+                    pc
+                },
+            )
         })
         .collect();
     (
@@ -187,7 +180,7 @@ pub fn run_table1(scale: &Scale, pipe: &Pipeline) -> Vec<QualityCell> {
             }
         }
     }
-    let cells = parallel_map(jobs, scale.threads, |(model_scale, method, fraction)| {
+    let cells = parallel_map(jobs, |(model_scale, method, fraction)| {
         let model = pipe.model_for(model_scale, method, fraction);
         let mut out = Vec::with_capacity(2);
         for bench in [rtllm_sim(), vgen_sim()] {
@@ -236,10 +229,8 @@ pub fn run_table2(scale: &Scale, pipe: &Pipeline) -> Vec<SpeedRow> {
         let mut speeds: Vec<(TrainMethod, f64, f64)> = Vec::new();
         for method in METHODS {
             let model = pipe.model_for(model_scale, method, (1, 1));
-            let runs: Vec<(usize, f64, f64)> = parallel_map(
-                prompts.iter().collect::<Vec<_>>(),
-                scale.threads,
-                |problem| {
+            let runs: Vec<(usize, f64, f64)> =
+                parallel_map(prompts.iter().collect::<Vec<_>>(), |problem| {
                     let budget = token_budget(&pipe.tokenizer, problem, method);
                     let mut tokens = 0usize;
                     let mut secs = 0.0f64;
@@ -266,8 +257,7 @@ pub fn run_table2(scale: &Scale, pipe: &Pipeline) -> Vec<SpeedRow> {
                         steps += g.output.steps;
                     }
                     (tokens, secs, steps as f64)
-                },
-            );
+                });
             let speed_runs: Vec<(usize, f64)> = runs.iter().map(|&(t, s, _)| (t, s)).collect();
             let total_tokens: usize = runs.iter().map(|r| r.0).sum();
             let total_steps: f64 = runs.iter().map(|r| r.2).sum();
@@ -309,8 +299,8 @@ pub struct TradeoffPoint {
     pub speed: f64,
     /// Functional Pass Rate (%) on RTLLM-sim.
     pub pass_rate: f64,
-    /// Syntactic Pass Rate (%) on RTLLM-sim (the informative axis at
-    /// this substrate scale; see EXPERIMENTS.md).
+    /// Syntactic Pass Rate (%) on RTLLM-sim: the informative axis here,
+    /// since the laptop-scale models pass almost no functional check.
     pub syntax_pass_rate: f64,
 }
 
@@ -544,7 +534,6 @@ mod tests {
             data_fractions: vec![(1, 1)],
             speed_prompt_count: 2,
             problem_limit: Some(2),
-            threads: 2,
         }
     }
 
@@ -593,7 +582,7 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_order() {
-        let out = parallel_map((0..50).collect::<Vec<_>>(), 3, |x| x * 2);
+        let out = parallel_map((0..50).collect::<Vec<_>>(), |x| x * 2);
         assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
     }
 }

@@ -15,9 +15,11 @@
 //!   parse/elaborate/sim-pass rates plus realized acceptance at equal
 //!   candidate budget, with the grammar-constrained engine compared
 //!   head-to-head against the unconstrained tree (`BENCH_quality.json`,
-//!   gated by [`quality_gate_violations`] before it is written);
-//! * [`experiments`] — Table I, Table II, Fig. 1, Fig. 5, Fig. 6
-//!   runners with quick/full scales;
+//!   gated by [`quality_gate_violations`] before it is written). Its
+//!   walk problems × samples → decode → [`stage_judge`] is the only one:
+//!   Table I's pass@k folds it too;
+//! * [`experiments`] — Table I (with Fig. 6 read off its cells),
+//!   Table II, Fig. 1 and Fig. 5 runners with quick/full scales;
 //! * [`load`] — the serve-aware Table II: latency percentiles under an
 //!   open-loop arrival process at equal offered load (streaming
 //!   admission, `BENCH_load.json`, gated by [`load_gate_violations`]

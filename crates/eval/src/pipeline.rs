@@ -2,7 +2,9 @@
 //! datasets → trained models → generation.
 //!
 //! The two model scales stand in for the paper's CodeLlama-7b ("Large")
-//! and CodeT5p-220m ("Small"); see DESIGN.md §2. Trained models are
+//! and CodeT5p-220m ("Small"): neither model, nor the GPUs to fine-tune
+//! them, is available offline, so both are laptop-scale MLPs differing in
+//! width and context window. Trained models are
 //! cached on disk keyed by a configuration hash so that benches and
 //! repeated harness runs do not retrain.
 

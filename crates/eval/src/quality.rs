@@ -21,15 +21,21 @@
 //! only by the propose-time grammar layer — the comparison
 //! [`quality_gate_violations`] pins (`Grammar-tree` acceptance strictly
 //! above `Ours-tree`, parse/elaborate rates no worse).
+//!
+//! The walk problem × samples → decode → [`stage_judge`] is written once,
+//! as the crate-private `judged_samples` over a `SampleGrid`. The gate's
+//! rows and Table I's pass@k ([`crate::experiments::run_table1`]) are
+//! both folds over it, each on its own grid: salt 31 at [`QUALITY_TREE`]
+//! here, salt 11 on the top-1 chain there.
 
 use crate::benchmarks::{rtllm_sim, vgen_sim, Problem};
 use crate::experiments::{parallel_map, sample_seed, Scale};
 use crate::judge::{walk, Stage};
-use crate::pipeline::{generate, generate_grammar, token_budget, ModelScale, Pipeline};
+use crate::pipeline::{generate, generate_grammar, token_budget, Generation, ModelScale, Pipeline};
 use serde::{Deserialize, Serialize};
 use verispec_core::{DecodeConfig, TrainMethod};
 use verispec_grammar::GrammarOracle;
-use verispec_lm::Sampling;
+use verispec_lm::{GpuCostModel, MlpLm, Sampling};
 
 /// Candidate-tree widths every speculative engine in the gate runs
 /// (equal candidate budget: 2 + 2·2 = 6 candidate tokens per step).
@@ -63,6 +69,75 @@ pub fn stage_judge(code: &str, problem: &Problem, seed: u64) -> StageOutcome {
     }
 }
 
+/// How a quality walk draws one problem's samples: the scale's
+/// `n_samples`, temperatures pooled round-robin, each seeded from the
+/// problem, the sample index and the grid's salt, decoded on the grid's
+/// candidate tree (`None`: the top-1 chain).
+#[derive(Clone, Copy)]
+pub(crate) struct SampleGrid<'a> {
+    pipe: &'a Pipeline,
+    scale: &'a Scale,
+    salt: u64,
+    tree: Option<&'a [usize]>,
+}
+
+impl<'a> SampleGrid<'a> {
+    /// Table I's grid, which Fig. 1 reads too: the chain, salt 11.
+    pub(crate) fn table1(pipe: &'a Pipeline, scale: &'a Scale) -> Self {
+        SampleGrid {
+            pipe,
+            scale,
+            salt: 11,
+            tree: None,
+        }
+    }
+
+    /// The gate's grid: every engine at [`QUALITY_TREE`], salt 31.
+    pub(crate) fn gate(pipe: &'a Pipeline, scale: &'a Scale) -> Self {
+        SampleGrid {
+            pipe,
+            scale,
+            salt: 31,
+            tree: Some(&QUALITY_TREE),
+        }
+    }
+}
+
+/// One problem's samples on `grid` as `(sample, generation, stages)`, in
+/// sample order: each decoded by `model` within [`token_budget`] —
+/// through [`generate`] under `method`, or [`generate_grammar`] when an
+/// `oracle` is given — and staged by [`stage_judge`] at seed `0xBEEF`.
+pub(crate) fn judged_samples<'a>(
+    grid: SampleGrid<'a>,
+    model: &'a MlpLm,
+    method: TrainMethod,
+    oracle: Option<&'a GrammarOracle>,
+    cost: &'a GpuCostModel,
+    problem: &'a Problem,
+) -> impl Iterator<Item = (usize, Generation, StageOutcome)> + 'a {
+    let tokenizer = &grid.pipe.tokenizer;
+    let temperatures = &grid.scale.temperatures;
+    let budget = token_budget(tokenizer, problem, method);
+    (0..grid.scale.n_samples).map(move |sample| {
+        let cfg = DecodeConfig {
+            max_tokens: budget,
+            sampling: Sampling::Temperature {
+                temperature: temperatures[sample % temperatures.len()],
+                top_k: 0,
+            },
+            seed: sample_seed(&problem.id, sample, grid.salt),
+            tree: grid.tree.map(<[usize]>::to_vec),
+            ..Default::default()
+        };
+        let generation = match oracle {
+            Some(oracle) => generate_grammar(model, tokenizer, oracle, problem, &cfg, cost),
+            None => generate(model, tokenizer, problem, method, &cfg, cost),
+        };
+        let stages = stage_judge(&generation.code, problem, 0xBEEF);
+        (sample, generation, stages)
+    })
+}
+
 /// One engine's row of `BENCH_quality.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QualityGateRow {
@@ -88,29 +163,6 @@ pub struct QualityGateRow {
     pub realized_acceptance: f64,
 }
 
-/// Per-engine accumulator summed over problems and samples.
-#[derive(Debug, Clone, Copy, Default)]
-struct Accum {
-    samples: usize,
-    parsed: usize,
-    elaborated: usize,
-    passed: usize,
-    speculated: usize,
-    accepted_spec: usize,
-}
-
-impl Accum {
-    fn merge(mut self, other: Accum) -> Accum {
-        self.samples += other.samples;
-        self.parsed += other.parsed;
-        self.elaborated += other.elaborated;
-        self.passed += other.passed;
-        self.speculated += other.speculated;
-        self.accepted_spec += other.accepted_spec;
-        self
-    }
-}
-
 /// The four engines the gate compares: `(row name, trained model's
 /// regime, grammar layer on)`. `Grammar-tree` runs the same
 /// Ours-trained model and tagged prompts as `Ours-tree`, so the two
@@ -132,6 +184,7 @@ pub fn run_quality_gate(
 ) -> Vec<QualityGateRow> {
     let cost = model_scale.cost_model();
     let oracle = GrammarOracle::from_tokenizer(&pipe.tokenizer);
+    let grid = SampleGrid::gate(pipe, scale);
     let limit = scale.problem_limit.unwrap_or(usize::MAX);
     let mut problems: Vec<Problem> = Vec::new();
     for bench in [rtllm_sim(), vgen_sim()] {
@@ -142,61 +195,42 @@ pub fn run_quality_gate(
         .iter()
         .map(|&(name, method, grammar)| {
             let model = pipe.model_for(model_scale, method, (1, 1));
-            let per_problem = parallel_map(
-                problems.iter().collect::<Vec<_>>(),
-                scale.threads,
-                |problem| {
-                    let budget = token_budget(&pipe.tokenizer, problem, method);
-                    let mut acc = Accum::default();
-                    for sample in 0..scale.n_samples {
-                        let temp = scale.temperatures[sample % scale.temperatures.len()];
-                        let cfg = DecodeConfig {
-                            max_tokens: budget,
-                            sampling: Sampling::Temperature {
-                                temperature: temp,
-                                top_k: 0,
-                            },
-                            seed: sample_seed(&problem.id, sample, 31),
-                            tree: Some(QUALITY_TREE.to_vec()),
-                            ..Default::default()
-                        };
-                        let g = if grammar {
-                            generate_grammar(&model, &pipe.tokenizer, &oracle, problem, &cfg, &cost)
-                        } else {
-                            generate(&model, &pipe.tokenizer, problem, method, &cfg, &cost)
-                        };
-                        let stages = stage_judge(&g.code, problem, 0xBEEF);
-                        acc.samples += 1;
-                        acc.parsed += stages.parsed as usize;
-                        acc.elaborated += stages.elaborated as usize;
-                        acc.passed += stages.passed as usize;
-                        acc.speculated +=
-                            g.output.trace.iter().map(|t| t.speculated).sum::<usize>();
-                        acc.accepted_spec += g.output.tokens.len().saturating_sub(g.output.steps);
-                    }
-                    acc
-                },
-            );
-            let t = per_problem.into_iter().fold(Accum::default(), Accum::merge);
-            let rate = |n: usize| {
-                if t.samples == 0 {
+            let oracle = grammar.then_some(&oracle);
+            // Per sample: its stages, the candidate tokens it speculated
+            // and the speculated tokens the verifier accepted.
+            let samples: Vec<(StageOutcome, usize, usize)> =
+                parallel_map(problems.iter().collect(), |problem| {
+                    judged_samples(grid, &model, method, oracle, &cost, problem)
+                        .map(|(_, g, stages)| {
+                            let speculated = g.output.trace.iter().map(|t| t.speculated).sum();
+                            let accepted = g.output.tokens.len().saturating_sub(g.output.steps);
+                            (stages, speculated, accepted)
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .concat();
+            let rate = |stage: fn(&StageOutcome) -> bool| {
+                let hits = samples.iter().filter(|(s, _, _)| stage(s)).count();
+                if samples.is_empty() {
                     0.0
                 } else {
-                    n as f64 / t.samples as f64
+                    hits as f64 / samples.len() as f64
                 }
             };
+            let speculated: usize = samples.iter().map(|s| s.1).sum();
+            let accepted: usize = samples.iter().map(|s| s.2).sum();
             QualityGateRow {
                 engine: name.to_string(),
-                samples: t.samples,
-                parse_rate: rate(t.parsed),
-                elaborate_rate: rate(t.elaborated),
-                sim_pass_rate: rate(t.passed),
-                speculated_tokens: t.speculated,
-                accepted_spec_tokens: t.accepted_spec,
-                realized_acceptance: if t.speculated == 0 {
+                samples: samples.len(),
+                parse_rate: rate(|s| s.parsed),
+                elaborate_rate: rate(|s| s.elaborated),
+                sim_pass_rate: rate(|s| s.passed),
+                speculated_tokens: speculated,
+                accepted_spec_tokens: accepted,
+                realized_acceptance: if speculated == 0 {
                     0.0
                 } else {
-                    t.accepted_spec as f64 / t.speculated as f64
+                    accepted as f64 / speculated as f64
                 },
             }
         })
@@ -349,6 +383,157 @@ mod tests {
         let p = &bench.problems[0];
         let out = stage_judge("assign y = (a &", p, 7);
         assert!(!out.elaborated && !out.passed);
+    }
+
+    /// The sample grid's contract: sample `s` of problem `p` is one direct
+    /// decode at `sample_seed(p.id, s, salt)` and `temperatures[s % len]`,
+    /// staged at judge seed `0xBEEF` — on Table I's grid (salt 11, the
+    /// chain) and the gate's (salt 31, `QUALITY_TREE`, with and without
+    /// the oracle) — and Table I's rows and the gate's rows are counts
+    /// over exactly those samples.
+    #[test]
+    fn every_judged_sample_is_one_direct_decode_and_judge() {
+        use crate::experiments::{score_benchmark, METHODS};
+        use crate::metrics::{PromptCounts, QualityRow};
+        use crate::pipeline::PipelineConfig;
+
+        let scale = Scale {
+            pipeline: PipelineConfig {
+                corpus_size: 48,
+                vocab: 380,
+                n_heads: 3,
+                epochs: 1,
+                ..Default::default()
+            },
+            n_samples: 3,
+            temperatures: vec![0.3, 0.9],
+            problem_limit: Some(1),
+            ..Scale::quick()
+        };
+        let pipe = Pipeline::build(scale.pipeline);
+        let grammar = GrammarOracle::from_tokenizer(&pipe.tokenizer);
+        let cost = ModelScale::Small.cost_model();
+        let benches = [rtllm_sim(), vgen_sim()];
+        // The spec, spelled out: one decode and one judge per sample.
+        let direct = |model: &MlpLm,
+                      method: TrainMethod,
+                      oracle: Option<&GrammarOracle>,
+                      p: &Problem,
+                      s: usize,
+                      salt: u64,
+                      tree: Option<Vec<usize>>| {
+            let cfg = DecodeConfig {
+                max_tokens: token_budget(&pipe.tokenizer, p, method),
+                sampling: Sampling::Temperature {
+                    temperature: scale.temperatures[s % 2],
+                    top_k: 0,
+                },
+                seed: sample_seed(&p.id, s, salt),
+                tree,
+                ..Default::default()
+            };
+            let g = match oracle {
+                Some(o) => generate_grammar(model, &pipe.tokenizer, o, p, &cfg, &cost),
+                None => generate(model, &pipe.tokenizer, p, method, &cfg, &cost),
+            };
+            let stages = stage_judge(&g.code, p, 0xBEEF);
+            (g, stages)
+        };
+        // Walks `grid` for one problem and checks every sample against
+        // the direct call at `salt` / `tree`; returns the stages and
+        // token counts the gate sums.
+        let check = |grid: SampleGrid,
+                     model: &MlpLm,
+                     method: TrainMethod,
+                     oracle: Option<&GrammarOracle>,
+                     p: &Problem,
+                     salt: u64,
+                     tree: Option<Vec<usize>>| {
+            let walked: Vec<_> = judged_samples(grid, model, method, oracle, &cost, p).collect();
+            assert_eq!(walked.len(), scale.n_samples, "{}", p.id);
+            walked
+                .into_iter()
+                .enumerate()
+                .map(|(s, (sample, g, stages))| {
+                    let (want, want_stages) =
+                        direct(model, method, oracle, p, s, salt, tree.clone());
+                    let at = format!("{} {} sample {s}", method.name(), p.id);
+                    assert_eq!(sample, s, "{at}");
+                    assert_eq!(g.code, want.code, "{at}");
+                    assert_eq!(g.output, want.output, "{at}");
+                    assert_eq!(stages, want_stages, "{at}");
+                    let speculated: usize = g.output.trace.iter().map(|t| t.speculated).sum();
+                    let accepted = g.output.tokens.len().saturating_sub(g.output.steps);
+                    (stages, speculated, accepted)
+                })
+                .collect::<Vec<_>>()
+        };
+
+        // Table I: every method on the chain at salt 11, and its rows are
+        // pass@k over those samples' elaborate / pass counts.
+        let grid = SampleGrid::table1(&pipe, &scale);
+        for method in METHODS {
+            let model = pipe.model_for(ModelScale::Small, method, (1, 1));
+            for bench in &benches {
+                let samples = check(grid, &model, method, None, &bench.problems[0], 11, None);
+                let counts = [PromptCounts {
+                    n: scale.n_samples,
+                    syntax_passes: samples.iter().filter(|s| s.0.elaborated).count(),
+                    functional_passes: samples.iter().filter(|s| s.0.passed).count(),
+                }];
+                assert_eq!(
+                    score_benchmark(&pipe, &model, ModelScale::Small, method, bench, &scale),
+                    (
+                        QualityRow::from_counts(&counts, |c| c.functional_passes),
+                        QualityRow::from_counts(&counts, |c| c.syntax_passes),
+                    ),
+                    "{} on {}",
+                    method.name(),
+                    bench.name
+                );
+            }
+        }
+
+        // The gate: every engine at QUALITY_TREE and salt 31, and its row
+        // counts exactly those samples.
+        let rows = run_quality_gate(&scale, &pipe, ModelScale::Small);
+        assert_eq!(rows.len(), GATE_ENGINES.len());
+        let (grid, tree) = (SampleGrid::gate(&pipe, &scale), QUALITY_TREE.to_vec());
+        for (row, &(name, method, with_oracle)) in rows.iter().zip(&GATE_ENGINES) {
+            let model = pipe.model_for(ModelScale::Small, method, (1, 1));
+            let oracle = with_oracle.then_some(&grammar);
+            let samples: Vec<_> = benches
+                .iter()
+                .flat_map(|b| {
+                    check(
+                        grid,
+                        &model,
+                        method,
+                        oracle,
+                        &b.problems[0],
+                        31,
+                        Some(tree.clone()),
+                    )
+                })
+                .collect();
+            let n = samples.len();
+            let rate = |hits: usize| hits as f64 / n as f64;
+            assert_eq!(row.engine, name);
+            assert_eq!(row.samples, n, "{name}");
+            let count =
+                |stage: fn(&StageOutcome) -> bool| samples.iter().filter(|s| stage(&s.0)).count();
+            assert_eq!(row.parse_rate, rate(count(|s| s.parsed)), "{name}");
+            assert_eq!(row.elaborate_rate, rate(count(|s| s.elaborated)), "{name}");
+            assert_eq!(row.sim_pass_rate, rate(count(|s| s.passed)), "{name}");
+            let speculated: usize = samples.iter().map(|s| s.1).sum();
+            assert_eq!(row.speculated_tokens, speculated, "{name}");
+            let accepted: usize = samples.iter().map(|s| s.2).sum();
+            assert_eq!(row.accepted_spec_tokens, accepted, "{name}");
+        }
+        assert!(
+            rows[1..].iter().all(|r| r.speculated_tokens > 0),
+            "every tree engine speculated, so a salt or tree slip shows in its counts"
+        );
     }
 
     /// A hand-built gate that passes: NTP speculates nothing, and the

@@ -1,4 +1,5 @@
-//! Simulated GPU inference latency (DESIGN.md substitution #2).
+//! Simulated GPU inference latency, standing in for the paper's GPU
+//! wall clock.
 //!
 //! The paper measures tokens/second on A800 GPUs, where the cost of one
 //! decoding step is dominated by a single forward pass of the base model;

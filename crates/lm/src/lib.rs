@@ -1,7 +1,8 @@
 //! Language-model substrate for VeriSpec.
 //!
-//! The paper fine-tunes CodeLlama-7b and CodeT5p-220m on GPUs; this crate
-//! provides the laptop-scale substitute (see DESIGN.md §2): tiny neural
+//! The paper fine-tunes CodeLlama-7b and CodeT5p-220m on GPUs; neither
+//! is available offline, so this crate provides the laptop-scale
+//! substitute: tiny neural
 //! language models that are actually *trained* in Rust, so the paper's
 //! quality and speed effects emerge from learning rather than being
 //! hard-coded.

@@ -1,7 +1,8 @@
 //! A tiny trainable neural language model with Medusa decoding heads.
 //!
-//! Architecture (the laptop-scale stand-in for CodeLlama/CodeT5p, see
-//! DESIGN.md §2): a Bengio-style MLP over a fixed context window —
+//! Architecture (the laptop-scale stand-in for CodeLlama/CodeT5p, which
+//! cannot be fine-tuned offline): a Bengio-style MLP over a fixed
+//! context window —
 //! token embeddings are concatenated and passed through one SiLU trunk —
 //! with a base LM head plus `n` *Medusa heads* attached to the last
 //! hidden state, exactly the paper's §III-B architecture. Head `i`

@@ -4,8 +4,8 @@
 //!
 //! The simulator is two-state (0/1): registers initialize to zero and
 //! `x`/`z` literal digits participate only as wildcards in `casez`/`casex`
-//! matching. DESIGN.md documents this as part of the iverilog
-//! substitution — pass/fail functional comparison against a golden model
+//! matching. This is enough for the simulator's job as the iverilog
+//! substitute: pass/fail functional comparison against a golden model
 //! does not require four-state simulation.
 
 use serde::{Deserialize, Serialize};
