@@ -9,6 +9,30 @@
 //! * atomic special tokens: `[PAD]`, `[BOS]`, `[EOS]`, `[FRAG]`, and the
 //!   label-only `[IGNORE]` sentinel used by syntax-enriched labels.
 //!
+//! # Training
+//!
+//! [`BpeTrainer::train`] splits each text around its special spellings
+//! (one left-to-right pass: at each `[`, the longest spelling that starts
+//! there), pre-tokenizes the rest into words and counts the distinct
+//! words. Every merge then takes the adjacent pair with the highest count
+//! over all words (ties to the smaller pair) and rewrites each word left
+//! to right, exactly as a full recount before every merge would. The
+//! counts are kept incrementally instead: an index from each pair to the
+//! words that hold it names the words a merge touches, and only those are
+//! recounted (their old pairs subtracted, their new pairs added); a
+//! max-heap with lazily dropped stale entries yields the next pair. A
+//! merge so costs `O(L_m · log H)` for `L_m` the total length of the
+//! words holding its pair and `H` the heap's size, where a recount costs
+//! `O(W)` for `W` the length of all distinct words: over `M` merges,
+//! `O(W + Σ L_m · log H)` against `O(M · W)`. The recount survives as the
+//! test oracle the incremental counts are pinned to, merge for merge; so
+//! does the splitter that searched the rest of a text for every spelling
+//! after each special.
+//!
+//! Encoding applies the merges lowest rank first within each word; a
+//! merge is looked up in a table sorted by right token within each left
+//! token, so no pair is hashed.
+//!
 //! # Examples
 //!
 //! ```
@@ -25,7 +49,8 @@
 #![deny(missing_docs)]
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Token identifier. The id space is: specials, then the 256 byte tokens,
 /// then learned merges.
@@ -62,22 +87,93 @@ pub const MERGE_BASE: TokenId = BYTE_BASE + 256;
 /// A trained byte-level BPE tokenizer.
 ///
 /// Construct via [`BpeTrainer::train`] or [`BpeTokenizer::byte_level`]
-/// (no merges). Serializable with serde for on-disk caching.
+/// (no merges). Serializable with serde for on-disk caching; a
+/// deserialized tokenizer is rebuilt from its merges, so it encodes as
+/// the one that was written.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "StoredTokenizer")]
 pub struct BpeTokenizer {
     /// Merge rules in application order: merging `pair.0, pair.1` yields
     /// id `MERGE_BASE + index`.
     merges: Vec<(TokenId, TokenId)>,
     /// Bytes of every token id (specials map to their spelling bytes).
     vocab_bytes: Vec<Vec<u8>>,
-    /// Fast merge lookup.
+    /// Merge lookup, derived from `merges`.
     #[serde(skip)]
-    merge_map: HashMap<(TokenId, TokenId), TokenId>,
+    merge_table: MergeTable,
+}
+
+/// The serialized fields of a [`BpeTokenizer`], checked before the
+/// tokenizer is rebuilt from them.
+#[derive(Deserialize)]
+struct StoredTokenizer {
+    merges: Vec<(TokenId, TokenId)>,
+    vocab_bytes: Vec<Vec<u8>>,
+}
+
+impl TryFrom<StoredTokenizer> for BpeTokenizer {
+    type Error = String;
+
+    fn try_from(stored: StoredTokenizer) -> Result<Self, String> {
+        for (i, &(a, b)) in stored.merges.iter().enumerate() {
+            let next = MERGE_BASE + i as TokenId;
+            if a >= next || b >= next {
+                return Err(format!("merge {i} ({a}, {b}) names an id not yet defined"));
+            }
+        }
+        let tok = BpeTokenizer::from_merges(stored.merges);
+        if tok.vocab_bytes != stored.vocab_bytes {
+            return Err("vocabulary bytes do not match the merges".into());
+        }
+        Ok(tok)
+    }
 }
 
 impl PartialEq for BpeTokenizer {
     fn eq(&self, other: &Self) -> bool {
         self.merges == other.merges && self.vocab_bytes == other.vocab_bytes
+    }
+}
+
+/// Merge lookup for [`BpeTokenizer::encode`]: for each left token, its
+/// merges' `(right, merged id)` sorted by right token — a slice of a
+/// few entries searched without hashing the pair.
+#[derive(Debug, Clone, Default)]
+struct MergeTable {
+    /// `rights[starts[a]..starts[a + 1]]` holds left token `a`'s merges.
+    starts: Vec<u32>,
+    rights: Vec<(TokenId, TokenId)>,
+}
+
+impl MergeTable {
+    fn new(merges: &[(TokenId, TokenId)]) -> Self {
+        let n_ids = MERGE_BASE as usize + merges.len();
+        let mut starts = vec![0u32; n_ids + 1];
+        for &(a, _) in merges {
+            starts[a as usize + 1] += 1;
+        }
+        for i in 0..n_ids {
+            starts[i + 1] += starts[i];
+        }
+        let mut fill = starts.clone();
+        let mut rights = vec![(0, 0); merges.len()];
+        for (i, &(a, b)) in merges.iter().enumerate() {
+            rights[fill[a as usize] as usize] = (b, MERGE_BASE + i as TokenId);
+            fill[a as usize] += 1;
+        }
+        for w in starts.windows(2) {
+            rights[w[0] as usize..w[1] as usize].sort_unstable();
+        }
+        Self { starts, rights }
+    }
+
+    /// The id `a, b` merges into, if they merge.
+    fn get(&self, a: TokenId, b: TokenId) -> Option<TokenId> {
+        let a = a as usize;
+        let row = &self.rights[self.starts[a] as usize..self.starts[a + 1] as usize];
+        row.binary_search_by_key(&b, |&(right, _)| right)
+            .ok()
+            .map(|k| row[k].1)
     }
 }
 
@@ -96,29 +192,16 @@ impl BpeTokenizer {
         for b in 0..=255u8 {
             vocab_bytes.push(vec![b]);
         }
-        let mut merge_map = HashMap::with_capacity(merges.len());
-        for (i, &(a, b)) in merges.iter().enumerate() {
-            let id = MERGE_BASE + i as TokenId;
+        for &(a, b) in &merges {
             let mut bytes = vocab_bytes[a as usize].clone();
             bytes.extend_from_slice(&vocab_bytes[b as usize]);
             vocab_bytes.push(bytes);
-            merge_map.insert((a, b), id);
         }
         Self {
+            merge_table: MergeTable::new(&merges),
             merges,
             vocab_bytes,
-            merge_map,
         }
-    }
-
-    /// Rebuilds the transient merge map after deserialization.
-    pub fn rebuild_cache(&mut self) {
-        self.merge_map = self
-            .merges
-            .iter()
-            .enumerate()
-            .map(|(i, &pair)| (pair, MERGE_BASE + i as TokenId))
-            .collect();
     }
 
     /// Total vocabulary size (specials + bytes + merges).
@@ -164,25 +247,27 @@ impl BpeTokenizer {
         out
     }
 
-    /// Encodes text that contains no special-token spellings.
+    /// Encodes text that contains no special-token spellings, each word
+    /// merged in place at the end of `out`.
     fn encode_plain(&self, text: &str, out: &mut Vec<TokenId>) {
         for word in pre_tokenize(text) {
-            let mut ids: Vec<TokenId> = word.bytes().map(|b| BYTE_BASE + b as TokenId).collect();
+            let start = out.len();
+            out.extend(word.bytes().map(|b| BYTE_BASE + b as TokenId));
             // Greedy lowest-rank merge loop (standard BPE application).
             loop {
+                let ids = &out[start..];
                 let mut best: Option<(usize, TokenId)> = None;
                 for i in 0..ids.len().saturating_sub(1) {
-                    if let Some(&id) = self.merge_map.get(&(ids[i], ids[i + 1])) {
+                    if let Some(id) = self.merge_table.get(ids[i], ids[i + 1]) {
                         if best.is_none_or(|(_, b)| id < b) {
                             best = Some((i, id));
                         }
                     }
                 }
                 let Some((i, id)) = best else { break };
-                ids[i] = id;
-                ids.remove(i + 1);
+                out[start + i] = id;
+                out.remove(start + i + 1);
             }
-            out.extend_from_slice(&ids);
         }
     }
 
@@ -209,44 +294,48 @@ impl BpeTokenizer {
 }
 
 /// A piece of input: plain text or a special token occurrence.
+#[derive(Debug, PartialEq)]
 enum Piece<'a> {
     Text(&'a str),
     Special(TokenId),
 }
 
-/// Splits `text` around special-token spellings.
+/// Splits `text` around special-token spellings in one left-to-right
+/// pass: at each `[`, the longest spelling that starts there is a
+/// special, and a `[` that starts none stays text.
 fn split_specials(text: &str) -> Vec<Piece<'_>> {
+    let bytes = text.as_bytes();
     let mut pieces = Vec::new();
-    let mut rest = text;
-    'outer: while !rest.is_empty() {
-        // Find the earliest special occurrence.
-        let mut earliest: Option<(usize, usize, TokenId)> = None; // (pos, len, id)
-        for (id, spelling) in special::TEXTS.iter().enumerate() {
-            if let Some(pos) = rest.find(spelling) {
-                let better = match earliest {
-                    None => true,
-                    Some((p, l, _)) => pos < p || (pos == p && spelling.len() > l),
-                };
-                if better {
-                    earliest = Some((pos, spelling.len(), id as TokenId));
-                }
-            }
-        }
-        match earliest {
-            None => {
-                pieces.push(Piece::Text(rest));
-                break 'outer;
-            }
-            Some((pos, len, id)) => {
-                if pos > 0 {
-                    pieces.push(Piece::Text(&rest[..pos]));
+    let mut text_start = 0;
+    let mut at = 0;
+    while let Some(off) = bytes[at..].iter().position(|&b| b == b'[') {
+        at += off;
+        match special_at(&bytes[at..]) {
+            Some((id, len)) => {
+                if at > text_start {
+                    pieces.push(Piece::Text(&text[text_start..at]));
                 }
                 pieces.push(Piece::Special(id));
-                rest = &rest[pos + len..];
+                at += len;
+                text_start = at;
             }
+            None => at += 1,
         }
     }
+    if text_start < text.len() {
+        pieces.push(Piece::Text(&text[text_start..]));
+    }
     pieces
+}
+
+/// The id and length of the longest special spelling `bytes` starts with.
+fn special_at(bytes: &[u8]) -> Option<(TokenId, usize)> {
+    special::TEXTS
+        .iter()
+        .enumerate()
+        .filter(|(_, spelling)| bytes.starts_with(spelling.as_bytes()))
+        .max_by_key(|(_, spelling)| spelling.len())
+        .map(|(id, spelling)| (id as TokenId, spelling.len()))
 }
 
 /// GPT-2-style pre-tokenization: words are a run of non-whitespace with an
@@ -289,6 +378,12 @@ fn pre_tokenize(text: &str) -> Vec<&str> {
     words
 }
 
+/// An adjacent token pair, the unit BPE counts and merges.
+type Pair = (TokenId, TokenId);
+
+/// A distinct corpus word: its current token ids and how often it occurs.
+type Word = (Vec<TokenId>, u64);
+
 /// Trains a [`BpeTokenizer`] by greedy most-frequent pair merging.
 ///
 /// # Examples
@@ -322,70 +417,133 @@ impl BpeTrainer {
 
     /// Learns merges from the corpus and returns the tokenizer.
     pub fn train<'a>(&self, corpus: impl Iterator<Item = &'a str>) -> BpeTokenizer {
-        // Unique words with counts; BPE state per unique word.
-        let mut word_counts: HashMap<&str, u64> = HashMap::new();
-        for doc in corpus {
-            for piece in split_specials(doc) {
-                if let Piece::Text(t) = piece {
-                    for w in pre_tokenize(t) {
-                        *word_counts.entry(w).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-        let mut words: Vec<(Vec<TokenId>, u64)> = word_counts
-            .into_iter()
-            .map(|(w, c)| (w.bytes().map(|b| BYTE_BASE + b as TokenId).collect(), c))
-            .collect();
-        // Deterministic order regardless of hash seed.
-        words.sort_unstable();
-        self.learn_merges(words)
+        self.learn_merges(count_words(corpus))
     }
 
     /// The merge loop over the counted words. Not generic, so it is
     /// compiled here, once, and runs the same code whichever crate
     /// calls [`BpeTrainer::train`] with whichever iterator.
-    fn learn_merges(&self, mut words: Vec<(Vec<TokenId>, u64)>) -> BpeTokenizer {
-        let mut merges: Vec<(TokenId, TokenId)> = Vec::new();
+    ///
+    /// Each merge is the pair of highest count over all words, ties to
+    /// the smaller pair, applied to every word left to right; only the
+    /// words holding the pair are recounted (see the crate doc).
+    fn learn_merges(&self, mut words: Vec<Word>) -> BpeTokenizer {
         let n_merges = self.target_vocab - MERGE_BASE as usize;
-
-        for _ in 0..n_merges {
-            // Count all adjacent pairs.
-            let mut pair_counts: HashMap<(TokenId, TokenId), u64> = HashMap::new();
-            for (ids, c) in &words {
-                for win in ids.windows(2) {
-                    *pair_counts.entry((win[0], win[1])).or_insert(0) += c;
-                }
-            }
-            // Most frequent pair; ties break toward the smaller pair for
-            // determinism.
-            let Some((&pair, &count)) = pair_counts
-                .iter()
-                .max_by(|(pa, ca), (pb, cb)| ca.cmp(cb).then_with(|| pb.cmp(pa)))
-            else {
+        let mut merges: Vec<Pair> = Vec::new();
+        let mut counts: HashMap<Pair, u64> = HashMap::new();
+        // Every word holding a pair is listed under it; a listed word may
+        // since have lost the pair, or be listed twice.
+        let mut holders: HashMap<Pair, Vec<u32>> = HashMap::new();
+        for (w, (ids, count)) in words.iter().enumerate() {
+            add_pairs(ids, *count, w as u32, &mut counts, &mut holders);
+        }
+        // Max-heap of (count, smaller pair first); an entry whose count is
+        // no longer its pair's is stale and skipped when it surfaces.
+        let mut heap: BinaryHeap<(u64, Reverse<Pair>)> =
+            counts.iter().map(|(&p, &c)| (c, Reverse(p))).collect();
+        let mut touched: Vec<Pair> = Vec::new();
+        while merges.len() < n_merges {
+            let Some((count, Reverse(pair))) = heap.pop() else {
                 break;
             };
+            if counts.get(&pair) != Some(&count) {
+                continue;
+            }
             if (count as usize) < self.min_pair_count {
                 break;
             }
             let new_id = MERGE_BASE + merges.len() as TokenId;
             merges.push(pair);
-            // Apply the merge to every word.
-            for (ids, _) in &mut words {
-                let mut i = 0;
-                while i + 1 < ids.len() {
-                    if ids[i] == pair.0 && ids[i + 1] == pair.1 {
-                        ids[i] = new_id;
-                        ids.remove(i + 1);
-                    } else {
-                        i += 1;
+            let mut holding = holders.remove(&pair).unwrap_or_default();
+            holding.sort_unstable();
+            holding.dedup();
+            for w in holding {
+                let (ids, count) = &mut words[w as usize];
+                if !ids.windows(2).any(|p| (p[0], p[1]) == pair) {
+                    continue;
+                }
+                for p in ids.windows(2) {
+                    let old = (p[0], p[1]);
+                    let c = counts.get_mut(&old).expect("a held pair is counted");
+                    *c -= *count;
+                    if *c == 0 {
+                        counts.remove(&old);
                     }
+                    touched.push(old);
+                }
+                merge_pair(ids, pair, new_id);
+                add_pairs(ids, *count, w, &mut counts, &mut holders);
+                touched.extend(ids.windows(2).map(|p| (p[0], p[1])));
+            }
+            touched.sort_unstable();
+            touched.dedup();
+            for p in touched.drain(..) {
+                if let Some(&c) = counts.get(&p) {
+                    heap.push((c, Reverse(p)));
                 }
             }
         }
         BpeTokenizer::from_merges(merges)
     }
 }
+
+/// The distinct words of a corpus with their counts, each as byte tokens,
+/// sorted: merges do not depend on the order, but training then takes
+/// the same steps whatever the hash seed.
+fn count_words<'a>(corpus: impl Iterator<Item = &'a str>) -> Vec<Word> {
+    let mut word_counts: HashMap<&str, u64> = HashMap::new();
+    for doc in corpus {
+        for piece in split_specials(doc) {
+            if let Piece::Text(t) = piece {
+                for w in pre_tokenize(t) {
+                    *word_counts.entry(w).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+    let mut words: Vec<Word> = word_counts
+        .into_iter()
+        .map(|(w, c)| (w.bytes().map(|b| BYTE_BASE + b as TokenId).collect(), c))
+        .collect();
+    words.sort_unstable();
+    words
+}
+
+/// Adds word `w`'s adjacent pairs, `count` times each, to the pair
+/// counts, and lists `w` under each pair.
+fn add_pairs(
+    ids: &[TokenId],
+    count: u64,
+    w: u32,
+    counts: &mut HashMap<Pair, u64>,
+    holders: &mut HashMap<Pair, Vec<u32>>,
+) {
+    for p in ids.windows(2) {
+        let pair = (p[0], p[1]);
+        *counts.entry(pair).or_insert(0) += count;
+        let list = holders.entry(pair).or_default();
+        if list.last() != Some(&w) {
+            list.push(w);
+        }
+    }
+}
+
+/// Rewrites every occurrence of `pair` in `ids` to `new_id`, left to
+/// right (`a a a` under `(a, a)` becomes `new a`).
+fn merge_pair(ids: &mut Vec<TokenId>, pair: Pair, new_id: TokenId) {
+    let mut i = 0;
+    while i + 1 < ids.len() {
+        if (ids[i], ids[i + 1]) == pair {
+            ids[i] = new_id;
+            ids.remove(i + 1);
+        } else {
+            i += 1;
+        }
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests;
 
 #[cfg(test)]
 mod tests {
@@ -489,11 +647,25 @@ mod tests {
     fn serde_round_trip_preserves_behavior() {
         let tok = small_tok();
         let json = serde_json::to_string(&tok).expect("serialize");
-        let mut back: BpeTokenizer = serde_json::from_str(&json).expect("deserialize");
-        back.rebuild_cache();
+        let back: BpeTokenizer = serde_json::from_str(&json).expect("deserialize");
         let s = "always @(posedge clk) q <= q + 1;";
         assert_eq!(back.encode(s), tok.encode(s));
         assert_eq!(back, tok);
+    }
+
+    #[test]
+    fn malformed_stored_tokenizers_are_errors() {
+        let tok = small_tok();
+        let json = serde_json::to_string(&tok).expect("serialize");
+        let future = MERGE_BASE + tok.merge_count() as TokenId;
+        let (a, b) = tok.merges[0];
+        let ahead = json.replacen(&format!("[{a},{b}]"), &format!("[{future},{b}]"), 1);
+        assert_ne!(ahead, json);
+        assert!(serde_json::from_str::<BpeTokenizer>(&ahead).is_err());
+        let mut stored = tok.clone();
+        stored.vocab_bytes[MERGE_BASE as usize].push(b'!');
+        let mismatched = serde_json::to_string(&stored).expect("serialize");
+        assert!(serde_json::from_str::<BpeTokenizer>(&mismatched).is_err());
     }
 
     #[test]
