@@ -23,10 +23,8 @@ use crate::accept::TypicalAcceptance;
 use crate::policy::SpecShape;
 use crate::step::{Engine, Stepper};
 use serde::{Deserialize, Serialize};
-use verispec_grammar::{dead_tail_prune, GrammarOracle, PruneRecord, ViabilityState};
-use verispec_lm::{
-    ArenaRows, DecodeClock, GpuCostModel, LanguageModel, Ranking, Sampling, TokenId,
-};
+use verispec_grammar::{GrammarOracle, PruneRecord, ViabilityState};
+use verispec_lm::{DecodeClock, GpuCostModel, LanguageModel, Ranking, Sampling, TokenId};
 use verispec_tokenizer::special;
 
 /// Configuration for a decode run.
@@ -169,29 +167,30 @@ pub fn decode_speculative(
 
 /// Grammar-constrained speculative decoding ([`Engine::Grammar`] run
 /// serially): the paper's syntax-aligned engine ("Ours") with an
-/// incremental [`GrammarOracle`] pruning the candidate tree to
-/// lexically-viable continuations at **propose** time instead of
-/// discarding dead speculation only after verification.
+/// incremental [`GrammarOracle`] offering only lexically-viable
+/// continuations as candidates, instead of discarding dead speculation
+/// only after verification.
 ///
 /// Each step, relative to [`decode_speculative`]:
 /// 1. the base token, once drawn, is substituted with the highest-ranked
 ///    *viable* token from the base logits when the draw itself would
 ///    kill the byte stream (one RNG draw either way, so the sampled
 ///    token sequence stays seed-deterministic);
-/// 2. tree construction filters each head's top-k to viable
-///    continuations of each candidate path's own viability state,
-///    falling back to the unconstrained top-k when nothing in the
-///    scanned window is viable (a dead oracle state therefore degrades
-///    bit-identically to plain [`decode_speculative`] construction);
-/// 3. built paths are dead-tail pruned
-///    ([`verispec_grammar::dead_tail_prune`]): tails past the last
-///    `[FRAG]`/`[EOS]` can never survive the post-hoc syntax cut, so
-///    they are never sent to verification; freed candidate slots are
-///    re-spent widening the surviving branches within the step's
-///    original [`SpecShape::candidate_tokens`] budget.
+/// 2. the candidate tree has the step's [`SpecShape`] and grows a level
+///    at a time, as the unconstrained one does: head `d + 1` is
+///    evaluated only once acceptance reaches depth `d`, and then each
+///    reached depth-`d` node's children are the first tokens of the
+///    head's ranking viable from that node's own viability state
+///    (`viable_options`), or the unconstrained top-k when nothing in
+///    the scanned window is viable (so a dead oracle state degrades to
+///    plain [`decode_speculative`] candidates);
+/// 3. the step is charged its shape's
+///    [`SpecShape::candidate_tokens`], like every speculative step, and
+///    commits by the same rule: the first longest accepted path, cut at
+///    its last `[FRAG]` by the syntax-integrity check.
 ///
-/// Syntax alignment is forced on: the oracle's soundness argument is
-/// stated against the post-hoc fragment-integrity cut.
+/// Syntax alignment is forced on: the engine speculates towards the
+/// fragment boundaries that cut keeps.
 pub fn decode_grammar_speculative(
     model: &dyn LanguageModel,
     oracle: &GrammarOracle,
@@ -219,7 +218,7 @@ pub(crate) const MAX_CANDIDATE_PATHS: usize = 32;
 /// draft model, not built from head logits.
 #[cfg(test)]
 pub(crate) fn build_candidate_paths(
-    heads: ArenaRows<'_>,
+    heads: verispec_lm::ArenaRows<'_>,
     n_heads: usize,
     shape: &SpecShape,
 ) -> Vec<Vec<TokenId>> {
@@ -263,9 +262,6 @@ pub(crate) const GRAMMAR_SCAN_SLACK: usize = 8;
 /// base token is not lexically viable.
 pub(crate) const GRAMMAR_BASE_SCAN: usize = 32;
 
-/// Maximum widening retries after pruning frees candidate slots.
-pub(crate) const GRAMMAR_WIDEN_ROUNDS: usize = 3;
-
 /// The per-level candidate widths of a [`SpecShape`] that fits its
 /// model ([`SpecShape::clamp`]): one entry per explored level, a
 /// chain being the width-1 tree.
@@ -280,137 +276,47 @@ pub(crate) fn level_widths(shape: &SpecShape) -> impl Iterator<Item = usize> + C
     (0..depth).map(|level| widths.get(level).copied().unwrap_or(1).max(1))
 }
 
-/// Grows one candidate tree, filtering each level's ranked options to
-/// tokens lexically viable after the candidate path built so far.
-/// `ranked[level]` is that level's head ranking and `widths[level] +
-/// extra` its width `k`: each path takes the first `k` viable entries
-/// of the ranking's first `k + GRAMMAR_SCAN_SLACK` (vocabulary
-/// permitting), reading the ranking — and so ranking the head — only as
-/// far as that takes it. Each path carries its own [`ViabilityState`];
-/// when no token in the scanned window is viable, the path falls back
-/// to the unconstrained top-`k` — reproducing the unconstrained tree's
-/// ordering and 32-path cap exactly. Nothing is viable from a dead
-/// state ([`GrammarOracle::viable`]), so a dead path scans nothing and
-/// its head is ranked exactly `k` deep.
-///
-/// A path is one allocation, made when it branches off: the last
-/// option of a path takes the path itself.
-fn grammar_tree(
-    ranked: &mut [Ranking<'_>],
-    widths: &[usize],
-    extra: usize,
+/// Names the options of one grammar-tree node: the first `k` entries
+/// of `ranked` — its level's head ranking — that are lexically viable
+/// from the node's `state`, scanning the ranking's first
+/// `k + GRAMMAR_SCAN_SLACK` entries (vocabulary permitting); when none
+/// of them is viable, the unconstrained top `k` instead. Nothing is
+/// viable from a dead state ([`GrammarOracle::viable`]), so a dead node
+/// scans nothing and takes the top `k`. The ranking is read — and so
+/// ranked — only as deep as the scan goes, and one ranking serves every
+/// node of a level. Writes the options to `out` and returns what the
+/// filter did: entries tested (`considered`), rejected (`pruned`) and
+/// named as viable (`surviving`; none on a fallback).
+pub(crate) fn viable_options(
+    ranked: &mut Ranking<'_>,
+    k: usize,
     oracle: &GrammarOracle,
     state: ViabilityState,
-) -> Vec<Vec<TokenId>> {
-    let depth = widths.len();
-    let mut paths: Vec<(Vec<TokenId>, ViabilityState)> = vec![(Vec::with_capacity(depth), state)];
-    let mut next = Vec::new();
-    let mut viable: Vec<TokenId> = Vec::new();
-    for (ranked, &width) in ranked.iter_mut().zip(widths) {
-        let k = width + extra;
-        'grow: for (mut p, st) in paths.drain(..) {
-            viable.clear();
-            if !st.is_dead() {
-                for i in 0..k + GRAMMAR_SCAN_SLACK {
-                    let Some(t) = ranked.get(i) else { break };
-                    if oracle.viable(st, t) {
-                        viable.push(t);
-                        if viable.len() == k {
-                            break;
-                        }
-                    }
-                }
-            }
-            let chosen: &[TokenId] = if viable.is_empty() {
-                ranked.head(k)
-            } else {
-                &viable
-            };
-            for (i, &opt) in chosen.iter().enumerate() {
-                let mut q = if i + 1 == chosen.len() {
-                    std::mem::take(&mut p)
-                } else {
-                    let mut q = Vec::with_capacity(depth);
-                    q.extend_from_slice(&p);
-                    q
-                };
-                q.push(opt);
-                next.push((q, oracle.advance(st, opt)));
-                if next.len() >= MAX_CANDIDATE_PATHS {
-                    break 'grow;
+    out: &mut Vec<TokenId>,
+) -> PruneRecord {
+    out.clear();
+    let mut considered = 0;
+    if !state.is_dead() {
+        for i in 0..k + GRAMMAR_SCAN_SLACK {
+            let Some(t) = ranked.get(i) else { break };
+            considered += 1;
+            if oracle.viable(state, t) {
+                out.push(t);
+                if out.len() == k {
+                    break;
                 }
             }
         }
-        std::mem::swap(&mut paths, &mut next);
     }
-    paths.into_iter().map(|(p, _)| p).collect()
-}
-
-/// Builds the candidate paths for one step of the grammar-constrained
-/// engine: viability-filtered tree construction ([`grammar_tree`]),
-/// dead-tail pruning, then up to [`GRAMMAR_WIDEN_ROUNDS`] widening
-/// retries that re-spend freed candidate slots on wider levels — the
-/// widest rebuild still fitting the shape's original
-/// [`SpecShape::candidate_tokens`] budget wins, so a policy's budget
-/// accounting (`shrink_to`, per-tick budgets) stays an upper bound on
-/// what is actually verified.
-///
-/// Row `i` of `heads` is head `i + 1`'s, one per level of `shape` —
-/// which must fit the model ([`SpecShape::clamp`]). Every level's
-/// tokens are named before anything is pruned or widened, which is why
-/// this engine cannot grow its tree a level at a time the way the
-/// unconstrained ones do: it needs every head's *row*. A head's
-/// *ranking* it only reads ([`Ranking`]): each level's is ranked as
-/// deep as the tree's scans walk it — one past the level's width when
-/// the head's top tokens are viable, which is nearly always — and every
-/// widening round reads on in the same ranking.
-pub(crate) fn build_grammar_candidate_paths(
-    heads: ArenaRows<'_>,
-    shape: &SpecShape,
-    oracle: &GrammarOracle,
-    state: ViabilityState,
-    eos: TokenId,
-) -> (Vec<Vec<TokenId>>, PruneRecord) {
-    let widths: Vec<usize> = level_widths(shape).collect();
-    let mut ranked: Vec<Ranking<'_>> = widths
-        .iter()
-        .enumerate()
-        .map(|(level, &k)| Ranking::new(heads.row(level), k))
-        .collect();
-    widest_tree_within(
-        shape.candidate_tokens(),
-        &mut ranked,
-        &widths,
-        oracle,
-        state,
-        eos,
-    )
-}
-
-/// [`build_grammar_candidate_paths`] on rankings the caller holds: the
-/// pruned tree, and its widest widening that still fits `budget`.
-fn widest_tree_within(
-    budget: usize,
-    ranked: &mut [Ranking<'_>],
-    widths: &[usize],
-    oracle: &GrammarOracle,
-    state: ViabilityState,
-    eos: TokenId,
-) -> (Vec<Vec<TokenId>>, PruneRecord) {
-    let mut paths = grammar_tree(ranked, widths, 0, oracle, state);
-    let mut record = dead_tail_prune(&mut paths, special::FRAG, eos);
-    for extra in 1..=GRAMMAR_WIDEN_ROUNDS {
-        if record.surviving >= budget {
-            break;
-        }
-        let mut wide_paths = grammar_tree(ranked, widths, extra, oracle, state);
-        let wide_record = dead_tail_prune(&mut wide_paths, special::FRAG, eos);
-        if wide_record.surviving > record.surviving && wide_record.surviving <= budget {
-            paths = wide_paths;
-            record = wide_record;
-        }
+    let surviving = out.len();
+    if surviving == 0 {
+        out.extend_from_slice(ranked.head(k));
     }
-    (paths, record)
+    PruneRecord {
+        considered,
+        pruned: considered - surviving,
+        surviving,
+    }
 }
 
 /// Substitutes a non-viable drawn base token with the highest-ranked

@@ -1,100 +1,195 @@
-//! The grammar engine's tree builder against the definition it
+//! The grammar engine's lazily named tree against the definition it
 //! replaced.
 //!
-//! [`build_grammar_candidate_paths`] reads each head's ranking through
-//! a [`Ranking`], which ranks only as deep as the tree's scans walk it.
-//! What it builds must not be able to tell: this file keeps the *eager*
-//! builder — every head ranked `k + GRAMMAR_WIDEN_ROUNDS +
-//! GRAMMAR_SCAN_SLACK` deep before a single token is looked at, every
-//! round slicing those lists, a path cloned per option — as the test
-//! oracle, pins the lazy builder to it (same paths, same order, same
-//! [`PruneRecord`]), and pins what the laziness buys so it cannot
-//! quietly turn eager again.
+//! A grammar step grows its candidate tree a level at a time, as the
+//! unconstrained engines do: head `d + 1` is evaluated only once
+//! acceptance reaches depth `d`, ranked once for the level
+//! ([`Ranking`]), and each reached node's children are named through
+//! that node's own viability state ([`viable_options`]). What it
+//! commits must not be able to tell: this file keeps the *eager* tree —
+//! every head ranked whole before a token is looked at, every node of
+//! every level named, the path cut applied to the shape's slots
+//! ([`grammar_tree`]) — and the unpruned engine's verification of it
+//! (every path walked to its first rejection on the base model's own
+//! rows) as the oracles, pins the engine to them, and pins what the
+//! laziness buys so it cannot quietly turn eager again.
 
 use super::*;
 use proptest::prelude::*;
-use verispec_lm::LogitsArena;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use verispec_grammar::syntax_keep_len;
+use verispec_lm::matrix::softmax;
 
-/// [`grammar_tree`] by definition: `ranked[level]` is that level's
-/// whole ranking, at least `widths[level] + GRAMMAR_SCAN_SLACK` deep
-/// (vocabulary permitting), and only that prefix is scanned.
-fn eager_grammar_tree(
+/// The grammar engine's candidate tree by definition, built eagerly:
+/// `ranked[level]` is that level's whole head ranking; a node's options
+/// are the first `widths[level]` entries of the ranking's first
+/// `widths[level] + GRAMMAR_SCAN_SLACK` that are viable from the node's
+/// own state, else — none is, or the state is dead — the ranking's top
+/// `widths[level]`; and the paths are cut at [`MAX_CANDIDATE_PATHS`]
+/// the way the shape's trie is: a node offered fewer options than its
+/// width keeps its empty slots, which no later path takes over.
+fn grammar_tree(
     ranked: &[Vec<TokenId>],
     widths: &[usize],
     oracle: &GrammarOracle,
     state: ViabilityState,
 ) -> Vec<Vec<TokenId>> {
-    let mut paths: Vec<(Vec<TokenId>, ViabilityState)> = vec![(Vec::new(), state)];
+    // Every slot of the shape's tree at one level, in path order:
+    // `None` under a node that was offered too few options.
+    let mut slots: Vec<Option<(Vec<TokenId>, ViabilityState)>> = vec![Some((Vec::new(), state))];
     for (ranked, &k) in ranked.iter().zip(widths) {
-        let ranked = &ranked[..(k + GRAMMAR_SCAN_SLACK).min(ranked.len())];
-        let mut next = Vec::with_capacity(paths.len() * k);
-        'grow: for (p, st) in &paths {
-            let viable: Vec<TokenId> = ranked
-                .iter()
-                .copied()
-                .filter(|&t| oracle.viable(*st, t))
-                .take(k)
-                .collect();
-            let chosen: &[TokenId] = if viable.is_empty() {
-                &ranked[..k.min(ranked.len())]
-            } else {
-                &viable
+        let window = &ranked[..(k + GRAMMAR_SCAN_SLACK).min(ranked.len())];
+        let mut next = Vec::new();
+        'grow: for slot in &slots {
+            let options: Vec<TokenId> = match slot {
+                None => Vec::new(),
+                Some((_, st)) => {
+                    let viable: Vec<TokenId> = window
+                        .iter()
+                        .copied()
+                        .filter(|&t| oracle.viable(*st, t))
+                        .take(k)
+                        .collect();
+                    if viable.is_empty() {
+                        ranked[..k.min(ranked.len())].to_vec()
+                    } else {
+                        viable
+                    }
+                }
             };
-            for &opt in chosen {
-                let mut q = p.clone();
-                q.push(opt);
-                next.push((q, oracle.advance(*st, opt)));
+            for i in 0..k {
+                next.push(match (slot, options.get(i)) {
+                    (Some((p, st)), Some(&t)) => {
+                        let mut q = p.clone();
+                        q.push(t);
+                        Some((q, oracle.advance(*st, t)))
+                    }
+                    _ => None,
+                });
                 if next.len() >= MAX_CANDIDATE_PATHS {
                     break 'grow;
                 }
             }
         }
-        paths = next;
+        slots = next;
     }
-    paths.into_iter().map(|(p, _)| p).collect()
+    slots.into_iter().flatten().map(|(p, _)| p).collect()
 }
 
-/// [`build_grammar_candidate_paths`] by definition: each head ranked
-/// once, up front, as deep as the widest retry scans.
-fn eager_grammar_candidate_paths(
-    heads: ArenaRows<'_>,
-    shape: &SpecShape,
-    oracle: &GrammarOracle,
-    state: ViabilityState,
+/// The children of the node after `path` in the trie of `paths`, in
+/// first-seen order.
+fn children_in(paths: &[Vec<TokenId>], path: &[TokenId]) -> Vec<TokenId> {
+    let mut children = Vec::new();
+    for p in paths {
+        if p.len() > path.len() && p.starts_with(path) && !children.contains(&p[path.len()]) {
+            children.push(p[path.len()]);
+        }
+    }
+    children
+}
+
+/// What the unpruned engine commits from `paths` after `base`: every
+/// path walked to its first edge that is not the arg-max of the base
+/// model's distribution at the context so far (an accepted `eos` ends
+/// it), the first strictly longest accepted prefix kept — the walk over
+/// paths ending once it ends in `eos` — and the span cut by the syntax
+/// check and the budget.
+fn unpruned_span(
+    model: &dyn LanguageModel,
+    context: &[TokenId],
+    base: TokenId,
+    paths: &[Vec<TokenId>],
     eos: TokenId,
-) -> (Vec<Vec<TokenId>>, PruneRecord) {
-    let widths: Vec<usize> = level_widths(shape).collect();
-    let budget = shape.candidate_tokens();
-    let ranked: Vec<Vec<TokenId>> = widths
-        .iter()
-        .enumerate()
-        .map(|(level, &k)| {
-            let deepest = k + GRAMMAR_WIDEN_ROUNDS + GRAMMAR_SCAN_SLACK;
-            verispec_lm::top_k_indices(heads.row(level), deepest)
-        })
-        .collect();
-    let mut paths = eager_grammar_tree(&ranked, &widths, oracle, state);
-    let mut record = dead_tail_prune(&mut paths, special::FRAG, eos);
-    for extra in 1..=GRAMMAR_WIDEN_ROUNDS {
-        if record.surviving >= budget {
+    remaining: usize,
+) -> Vec<TokenId> {
+    let mut best: &[TokenId] = &[];
+    for path in paths {
+        let mut ctx = context.to_vec();
+        ctx.push(base);
+        let mut accepted = 0;
+        for &tok in path {
+            if tok != argmax_of_distribution(&model.logits(&ctx)) {
+                break;
+            }
+            accepted += 1;
+            ctx.push(tok);
+            if tok == eos {
+                break;
+            }
+        }
+        if accepted > best.len() {
+            best = &path[..accepted];
+        }
+        if best.last() == Some(&eos) {
             break;
         }
-        let wider: Vec<usize> = widths.iter().map(|w| w + extra).collect();
-        let mut wide_paths = eager_grammar_tree(&ranked, &wider, oracle, state);
-        let wide_record = dead_tail_prune(&mut wide_paths, special::FRAG, eos);
-        if wide_record.surviving > record.surviving && wide_record.surviving <= budget {
-            paths = wide_paths;
-            record = wide_record;
-        }
     }
-    (paths, record)
+    let mut span = vec![base];
+    span.extend_from_slice(best);
+    span.truncate(syntax_keep_len(&span, special::FRAG, eos));
+    span.truncate(remaining);
+    span
 }
 
-/// The state a byte prefix leaves the lexer in.
-fn state_after(prefix: &str) -> ViabilityState {
-    let mut state = ViabilityState::new();
-    state.feed_str(prefix);
-    state
+fn argmax_of_distribution(logits: &[f32]) -> TokenId {
+    verispec_lm::argmax(&softmax(logits))
+}
+
+fn hash_of(parts: impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    parts.hash(&mut h);
+    h.finish()
+}
+
+/// A model whose head rows are fixed and whose base row at every context
+/// is drawn from a hash of it: most of the time it favours one of the
+/// next head's best tokens — so acceptance goes some levels deep — and
+/// otherwise any token. Where acceptance goes is random, but a function
+/// of the path.
+struct Drawn {
+    vocab: usize,
+    prompt_len: usize,
+    heads: Vec<Vec<f32>>,
+    salt: u64,
+}
+
+impl LanguageModel for Drawn {
+    fn vocab_size(&self) -> usize {
+        self.vocab
+    }
+
+    fn n_extra_heads(&self) -> usize {
+        self.heads.len()
+    }
+
+    fn logits(&self, prefix: &[TokenId]) -> Vec<f32> {
+        let h = hash_of((self.salt, prefix));
+        // Depth below the step's base token, for a first step.
+        let head = prefix.len().checked_sub(self.prompt_len + 1);
+        let favoured = match head.and_then(|d| self.heads.get(d)) {
+            Some(row) if !h.is_multiple_of(3) => {
+                let top = verispec_lm::top_k_indices(row, 4);
+                top[(h / 3) as usize % top.len()]
+            }
+            _ => ((h / 3) % self.vocab as u64) as TokenId,
+        };
+        (0..self.vocab)
+            .map(|t| {
+                if t as TokenId == favoured {
+                    1000.0
+                } else {
+                    (hash_of((h, t)) % 100) as f32
+                }
+            })
+            .collect()
+    }
+
+    fn multi_logits(&self, prefix: &[TokenId]) -> Vec<Vec<f32>> {
+        std::iter::once(self.logits(prefix))
+            .chain(self.heads.iter().cloned())
+            .collect()
+    }
 }
 
 /// What a vocabulary entry may spell: bytes viable everywhere, bytes
@@ -104,81 +199,54 @@ const SPELLINGS: [&[u8]; 14] = [
     b"a", b" ", b"z9", b"1", b"s", b"b", b"(", b")", b"]", b"}", b"'", b"\"", b"\x01", b"",
 ];
 
-/// The lexer states the trees are grown from: live ones that accept
-/// nearly everything, nearly-dead ones that accept a few bytes only
-/// (a based literal awaiting its base letter, then its digits), ones
-/// that accept anything (a string, a comment), and the dead one.
-const PREFIXES: [&str; 8] = ["", "(", "([{", "4'", "4'b", "\"", "// ", ")"];
-
-/// The step shapes under test at `depth` levels.
-fn shape_of(kind: usize, depth: usize) -> SpecShape {
-    let widths: &[usize] = match kind {
-        0 => &[2, 2],
-        1 => &[2, 2, 1],
-        2 => &[3, 2],
-        3 => &[1],
-        _ => return SpecShape::Chain { depth },
-    };
-    SpecShape::Tree {
-        widths: widths.to_vec(),
-        depth,
-    }
-}
-
-fn heads_of(rows: &[Vec<f32>]) -> LogitsArena {
-    let mut arena = LogitsArena::new();
-    for row in rows {
-        arena.push_row(row);
-    }
-    arena
-}
-
-/// Both builders on one input, compared whole.
-fn assert_lazy_equals_eager(
-    rows: &[Vec<f32>],
-    shape: &SpecShape,
-    oracle: &GrammarOracle,
-    state: ViabilityState,
-    eos: TokenId,
-) {
-    let arena = heads_of(rows);
-    let heads = arena.rows_from(0);
-    let want = eager_grammar_candidate_paths(heads, shape, oracle, state, eos);
-    let got = build_grammar_candidate_paths(heads, shape, oracle, state, eos);
-    assert_eq!(got, want, "shape {shape:?} state {state:?} eos {eos}");
+/// The step shapes under test: the benchmark's, ragged ones, a chain,
+/// and two whose path cut lands inside a level (`[4, 4, 4]` and
+/// `[5, 7]`).
+fn shape_of(kind: usize) -> Option<Vec<usize>> {
+    Some(match kind {
+        0 => vec![2, 2],
+        1 => vec![2, 2, 1],
+        2 => vec![3, 2],
+        3 => vec![4, 4, 4],
+        4 => vec![5, 7],
+        _ => return None,
+    })
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(768))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random heads, vocabularies, spellings, shapes and lexer states.
-    /// Rows come peaked (distinct logits), coarse (a few distinct
-    /// values: exact ties across the `k`-th entry and the window's
-    /// edge) and flat (rank is index order); vocabularies run from
-    /// shorter than any scan window to well past the deepest. `lift`
-    /// moves `[FRAG]` and `eos` in every head: lifted, whole paths
-    /// survive the dead-tail prune and the budget stops the widening
-    /// early; sunk below every window, nothing survives and all three
-    /// widening rounds fire.
+    /// Random heads, vocabularies, spellings, prompts (so lexer states),
+    /// shapes and acceptance outcomes, every step of a generation: on
+    /// the nodes acceptance reached, the trie the engine named lazily is
+    /// the trie of the eager [`grammar_tree`]; the span it commits is
+    /// the one the unpruned engine commits from that tree; the step is
+    /// charged its shape; and the filter's record adds up. Rows come
+    /// peaked (distinct logits), coarse (a few distinct values: exact
+    /// ties across the `k`-th entry and the window's edge) and flat
+    /// (rank is index order); vocabularies run from shorter than any
+    /// scan window to well past it. `lift` moves `[FRAG]` and `eos` to
+    /// the top of every head or below every window.
     #[test]
-    fn lazy_ranking_builds_the_eager_tree(
-        vocab in 3usize..=64,
-        depth in 1usize..=6,
-        shape_kind in 0usize..5,
-        prefix in 0usize..PREFIXES.len(),
+    fn lazy_levels_name_the_eager_grammar_tree(
+        vocab in 3usize..=48,
+        n_heads in 1usize..=5,
+        shape_kind in 0usize..6,
         row_kind in 0usize..3,
         lift in 0usize..3,
         eos_pick in any::<u32>(),
-        values in prop::collection::vec(0u32..1000, 6 * 64),
-        spellings in prop::collection::vec(0usize..SPELLINGS.len(), 64),
+        salt in any::<u64>(),
+        values in prop::collection::vec(0u32..1000, 5 * 48),
+        spellings in prop::collection::vec(0usize..SPELLINGS.len(), 48),
+        prompt in prop::collection::vec(0u32..48, 1..6),
     ) {
         let eos = if eos_pick % 4 == 0 { eos_pick % vocab as u32 } else { special::EOS };
         let lift = [0.0f32, 2000.0, -2000.0][lift];
-        let rows: Vec<Vec<f32>> = (0..depth)
+        let heads: Vec<Vec<f32>> = (0..n_heads)
             .map(|level| {
                 (0..vocab)
                     .map(|t| {
-                        let v = values[level * 64 + t];
+                        let v = values[level * 48 + t];
                         let logit = match row_kind {
                             0 => v as f32 + t as f32 * 1e-3,
                             1 => (v % 4) as f32,
@@ -200,130 +268,161 @@ proptest! {
             })
             .collect();
         let oracle = GrammarOracle::new(table);
-        let shape = shape_of(shape_kind, depth);
-        assert_lazy_equals_eager(&rows, &shape, &oracle, state_after(PREFIXES[prefix]), eos);
+        let prompt: Vec<TokenId> = prompt.iter().map(|&t| t % vocab as TokenId).collect();
+        let model = Drawn { vocab, prompt_len: prompt.len(), heads, salt };
+        let cfg = DecodeConfig {
+            max_tokens: 16,
+            eos,
+            tree: shape_of(shape_kind),
+            ..Default::default()
+        };
+        let ranked: Vec<Vec<TokenId>> = model
+            .heads
+            .iter()
+            .map(|row| verispec_lm::top_k_indices(row, vocab))
+            .collect();
+        let cost = GpuCostModel::codellama_like();
+        let mut st = Stepper::new(&model, Engine::Grammar(cfg, &oracle), model.session(), &prompt);
+        let mut state = oracle.advance_recovering(ViabilityState::new(), &prompt);
+        let mut context = prompt.clone();
+        // Acceptance is steered deep on the first step only; later
+        // steps are checked against the oracles on whatever they drew.
+        loop {
+            let more = st.step(&cost);
+            if st.output().trace.len() == context.len() - prompt.len() {
+                break;
+            }
+            let shape = st.last_shape().expect("a grammar step has a shape").clone();
+            let step = st.output().trace.last().expect("stepped").clone();
+            prop_assert_eq!(step.speculated, shape.candidate_tokens(), "charged its shape");
+            let record = st.last_prune().expect("grammar steppers record what they filter");
+            prop_assert_eq!(record.considered, record.pruned + record.surviving);
+            let base = step.committed[0];
+            if step.speculated > 0 && base != eos {
+                let widths: Vec<usize> = level_widths(&shape).collect();
+                let root = oracle.advance(state, base);
+                let paths = grammar_tree(&ranked, &widths, &oracle, root);
+                for (path, named) in st.reached_trie() {
+                    prop_assert_eq!(
+                        &named,
+                        &children_in(&paths, &path),
+                        "children of {:?} under {:?}",
+                        path,
+                        shape
+                    );
+                }
+                let remaining = 16 - (st.output().tokens.len() - step.committed.len());
+                let want = unpruned_span(&model, &context, base, &paths, eos, remaining);
+                prop_assert_eq!(&step.committed, &want, "span of {:?}", shape);
+            }
+            state = oracle.advance_recovering(state, &step.committed);
+            context.extend_from_slice(&step.committed);
+            if !more {
+                break;
+            }
+        }
     }
 
-    /// The window's edge, placed: every head ranks its tokens in one
-    /// known order, everything spells bytes that are not viable, and
-    /// the one token that is — `[FRAG]`, byte-free — sits at rank `at`.
-    /// At `k + GRAMMAR_SCAN_SLACK - 1` it is the window's last entry
-    /// and must be found (the path is `[FRAG]`s and survives the
-    /// prune); one further it is outside, nothing in the window is
-    /// viable, and the level must fall back to its unconstrained
-    /// top-`k` (which the prune drops) — until a widening round moves
-    /// the window over it. `decoys` viable tokens at the very top make
-    /// the same entry the `k`-th viable one instead of the only one.
+    /// The window's edge, placed: a head ranks its tokens in one known
+    /// order, everything spells bytes that are not viable, and the one
+    /// token that is — `[FRAG]`, byte-free — sits at rank `at`. At
+    /// `k + GRAMMAR_SCAN_SLACK - 1` it is the window's last entry and
+    /// must be named; one further it is outside, nothing in the window
+    /// is viable, and the node must fall back to the unconstrained
+    /// top-`k`. `decoys` viable tokens at the very top make the same
+    /// entry the `k`-th viable one instead of the only one.
     #[test]
     fn the_scan_window_ends_where_the_definition_ends_it(
-        shape_kind in 0usize..5,
-        depth in 1usize..=3,
+        k in 1usize..=4,
         offset in 0usize..=4,
         decoys in 0usize..=3,
     ) {
         let vocab = 40usize;
-        let shape = shape_of(shape_kind, depth);
-        let k = level_widths(&shape).next().expect("depth >= 1");
         let decoys = decoys.min(k - 1);
         let at = k + GRAMMAR_SCAN_SLACK - 2 + offset;
-        // Rank `r` of every head is token `(r + first) % vocab`, which
-        // puts `[FRAG]` at rank `at`.
+        // Rank `r` is token `(r + first) % vocab`, which puts `[FRAG]`
+        // at rank `at`.
         let first = vocab + special::FRAG as usize - at;
-        let token_at = |r: usize| (r + first) % vocab;
+        let token_at = |r: usize| ((r + first) % vocab) as TokenId;
         let mut row = vec![0.0f32; vocab];
         for r in 0..vocab {
-            row[token_at(r)] = (vocab - r) as f32;
+            row[token_at(r) as usize] = (vocab - r) as f32;
         }
         // Inside a based literal's digits `1` is viable and `z9` is not.
         let mut table = vec![b"z9".to_vec(); vocab];
         for r in 0..decoys {
-            table[token_at(r)] = b"1".to_vec();
+            table[token_at(r) as usize] = b"1".to_vec();
         }
         table[special::FRAG as usize] = Vec::new();
         let oracle = GrammarOracle::new(table);
-        let rows = vec![row; depth];
-        assert_lazy_equals_eager(&rows, &shape, &oracle, state_after("4'b"), special::EOS);
+        let state = state_after("4'b");
+        let mut out = Vec::new();
+        let record = viable_options(&mut Ranking::new(&row, k), k, &oracle, state, &mut out);
+        let ranked: Vec<TokenId> = (0..vocab).map(token_at).collect();
+        let want = grammar_tree(&[ranked], &[k], &oracle, state);
+        prop_assert_eq!(&out, &want.iter().map(|p| p[0]).collect::<Vec<_>>());
+        // The scan tests the whole window unless `[FRAG]` is in it and
+        // is the `k`-th viable entry, where it stops.
+        let named = decoys + usize::from(at < k + GRAMMAR_SCAN_SLACK);
+        let tested = if named == k { at + 1 } else { k + GRAMMAR_SCAN_SLACK };
+        prop_assert_eq!(
+            record,
+            PruneRecord { considered: tested, pruned: tested - named, surviving: named }
+        );
     }
 }
 
-/// Heads of `vocab` logits whose rank `r` is token `order[level][r]`.
-fn rows_ranked(vocab: usize, order: &[Vec<usize>]) -> Vec<Vec<f32>> {
-    order
-        .iter()
-        .map(|tokens| {
-            let mut row = vec![0.0f32; vocab];
-            for (r, &t) in tokens.iter().enumerate() {
-                row[t] = (vocab - r) as f32;
-            }
-            row
-        })
-        .collect()
+/// The state a byte prefix leaves the lexer in.
+fn state_after(prefix: &str) -> ViabilityState {
+    let mut state = ViabilityState::new();
+    state.feed_str(prefix);
+    state
 }
 
-/// A `[2, 2]` tree four levels deep whose last level's best token is
-/// `[FRAG]`: all four paths survive the prune whole, the budget is
-/// met, and no widening round runs.
-fn full_budget_case() -> (Vec<Vec<f32>>, SpecShape, GrammarOracle) {
+/// A head of 24 logits ranked 6, 7, 8, …: every token spells `a`, so
+/// every token is viable from a live state.
+fn all_viable_head() -> (Vec<f32>, GrammarOracle) {
     let vocab = 24usize;
-    let frag = special::FRAG as usize;
-    let order: Vec<Vec<usize>> = vec![
-        (6..vocab).collect(),
-        (10..vocab).collect(),
-        (8..vocab).collect(),
-        std::iter::once(frag).chain(6..vocab).collect(),
-    ];
-    let mut table = vec![b"a".to_vec(); vocab];
-    table[frag] = Vec::new();
-    let shape = SpecShape::Tree {
-        widths: vec![2, 2],
-        depth: 4,
-    };
-    (rows_ranked(vocab, &order), shape, GrammarOracle::new(table))
-}
-
-/// The depth each level's ranking was left at by one build.
-fn ranked_depths(
-    rows: &[Vec<f32>],
-    shape: &SpecShape,
-    oracle: &GrammarOracle,
-    state: ViabilityState,
-) -> Vec<usize> {
-    let widths: Vec<usize> = level_widths(shape).collect();
-    let mut ranked: Vec<Ranking<'_>> = rows
-        .iter()
-        .zip(&widths)
-        .map(|(row, &k)| Ranking::new(row, k))
-        .collect();
-    let (paths, record) = widest_tree_within(
-        shape.candidate_tokens(),
-        &mut ranked,
-        &widths,
-        oracle,
-        state,
-        special::EOS,
-    );
-    assert_eq!(paths.len(), 4, "{paths:?}");
-    assert_eq!(record.surviving, shape.candidate_tokens());
-    assert_eq!(record.pruned, 0);
-    ranked.iter().map(Ranking::depth).collect()
+    let mut row = vec![0.0f32; vocab];
+    for (r, t) in (6..vocab).enumerate() {
+        row[t] = (vocab - r) as f32;
+    }
+    (row, GrammarOracle::new(vec![b"a".to_vec(); vocab]))
 }
 
 #[test]
 fn viable_heads_are_ranked_one_past_their_width_and_no_deeper() {
-    let (rows, shape, oracle) = full_budget_case();
-    let depths = ranked_depths(&rows, &shape, &oracle, ViabilityState::new());
-    assert_eq!(depths, vec![3, 3, 2, 2], "k + 1 at widths [2, 2, 1, 1]");
-    assert_lazy_equals_eager(&rows, &shape, &oracle, ViabilityState::new(), special::EOS);
+    // Naming a whole level — four nodes here — from one ranking of its
+    // head reads it one entry past the width, however many nodes ask.
+    let (row, oracle) = all_viable_head();
+    for k in [1, 2, 3] {
+        let mut ranked = Ranking::new(&row, k);
+        let mut out = Vec::new();
+        for _ in 0..4 {
+            let record = viable_options(&mut ranked, k, &oracle, ViabilityState::new(), &mut out);
+            assert_eq!(out, (6..6 + k as TokenId).collect::<Vec<_>>());
+            assert_eq!(
+                (record.considered, record.pruned, record.surviving),
+                (k, 0, k)
+            );
+        }
+        assert_eq!(ranked.depth(), k + 1, "k + 1 at width {k}");
+    }
 }
 
 #[test]
 fn a_dead_state_ranks_exactly_the_fallback_and_scans_nothing() {
-    let (rows, shape, oracle) = full_budget_case();
+    let (row, oracle) = all_viable_head();
     let dead = state_after(")");
     assert!(dead.is_dead());
-    let depths = ranked_depths(&rows, &shape, &oracle, dead);
-    assert_eq!(depths, vec![2, 2, 1, 1], "the k entries the fallback takes");
-    assert_lazy_equals_eager(&rows, &shape, &oracle, dead, special::EOS);
+    for k in [1, 2, 3] {
+        let mut ranked = Ranking::new(&row, k);
+        let mut out = Vec::new();
+        let record = viable_options(&mut ranked, k, &oracle, dead, &mut out);
+        assert_eq!(out, (6..6 + k as TokenId).collect::<Vec<_>>());
+        assert_eq!(record, PruneRecord::default(), "nothing tested");
+        assert_eq!(ranked.depth(), k, "the k entries the fallback takes");
+    }
 }
 
 #[test]
@@ -354,7 +453,10 @@ fn the_base_substitute_is_the_first_informative_viable_token_in_rank_order() {
             // A vocabulary shorter than the scan ends it early.
             let vocab = if short { 7 } else { vocab };
             let order: Vec<usize> = (0..vocab).rev().collect();
-            let rows = rows_ranked(vocab, std::slice::from_ref(&order));
+            let mut row = vec![0.0f32; vocab];
+            for (r, &t) in order.iter().enumerate() {
+                row[t] = (vocab - r) as f32;
+            }
             let mut table = vec![b"z9".to_vec(); vocab];
             // Byte-free entries are viable and must be passed over.
             table[order[0]] = Vec::new();
@@ -365,8 +467,8 @@ fn the_base_substitute_is_the_first_informative_viable_token_in_rank_order() {
             for tok in [order[0], order[1], order[vocab - 1]] {
                 let tok = tok as TokenId;
                 assert_eq!(
-                    constrain_base_token(tok, &rows[0], &oracle, state, special::EOS),
-                    reference(tok, &rows[0], &oracle, state, special::EOS),
+                    constrain_base_token(tok, &row, &oracle, state, special::EOS),
+                    reference(tok, &row, &oracle, state, special::EOS),
                     "at {at} vocab {vocab} tok {tok}"
                 );
             }

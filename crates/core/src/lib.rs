@@ -10,8 +10,8 @@
 //!   criterion for speculated tokens;
 //! * **Decoding engines** ([`decode`]) — NTP, MEDUSA, the paper's
 //!   syntax-aligned variant with the fragment-integrity check, and the
-//!   grammar-constrained engine that prunes speculation to
-//!   lexically-viable continuations at propose time;
+//!   grammar-constrained engine that offers only lexically-viable
+//!   continuations as candidates;
 //! * **Classical draft-model speculation** ([`draft`]) — the
 //!   Leviathan-style baseline with an n-gram draft;
 //! * **Training orchestration** ([`train`](mod@train)) — MEDUSA-2's Eq.-2 loss with
@@ -33,8 +33,8 @@
 //! ```text
 //!            ┌─────────────────────────────────────────────┐
 //!            │ grammar-constrained ("Grammar-tree")         │
-//!            │   viability-filtered tree + dead-tail prune  │
-//!            │   (verispec-grammar oracle, propose time)    │
+//!            │   each reached node's children filtered by   │
+//!            │   its own lexer state (verispec-grammar)     │
 //!            ├─────────────────────────────────────────────┤
 //!            │ syntax-aligned ("Ours")                      │
 //!            │   post-hoc fragment-integrity cut (§III-B)   │
@@ -47,9 +47,10 @@
 //! ```
 //!
 //! Each layer reuses the one below: the grammar engine is the
-//! syntax-aligned engine with candidate construction swapped for the
-//! oracle-filtered builder, so every [`policy::SpecPolicy`], the fused
-//! verify path, and park/unpark compose with it unchanged.
+//! syntax-aligned engine with each node's candidates named by the
+//! oracle's filter instead of the head's plain top-k, so every
+//! [`policy::SpecPolicy`], the fused verify path, and park/unpark
+//! compose with it unchanged.
 //!
 //! # Examples
 //!

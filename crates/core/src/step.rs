@@ -31,18 +31,14 @@
 //!    full path's leaf (never forwarded), after
 //!    [`Stepper::park`]/[`Stepper::unpark`], and always on a session
 //!    whose scored rows cannot serve head rows
-//!    ([`verispec_lm::DecodeSession::keeps_frontier_rows`]). For the MEDUSA
-//!    engines the trie is a function of the step's *shape* alone —
-//!    level `d + 1` offers head `d + 1`'s top-k at this position under
-//!    every depth-`d` node — so it is built without tokens
+//!    ([`verispec_lm::DecodeSession::keeps_frontier_rows`]). For every
+//!    MEDUSA engine, the grammar engine included, the trie is a
+//!    function of the step's *shape* alone — every depth-`d` node has
+//!    level `d`'s width of children, named from head `d + 1` at this
+//!    position — so it is built without tokens
 //!    ([`verispec_lm::NodeMap::build_shape`], reused while the shape
-//!    repeats) and **no head is evaluated yet**. The grammar engine
-//!    names every level's tokens before it prunes and widens, so it
-//!    asks for all its heads' *rows* here, from the same kept
-//!    activation — unless the step ends at its base token — and ranks
-//!    each row only as deep as its tree's scans read it
-//!    ([`verispec_lm::Ranking`]). Returns which [`Phase`] the step
-//!    needs next.
+//!    repeats) and **no head is evaluated yet**. Returns which
+//!    [`Phase`] the step needs next.
 //! 2. **verify** ([`Stepper::verify_level`]) — one call per **level**
 //!    of the candidate tree: consume the level just scored (run
 //!    acceptance on those nodes' child edges), then plan the children
@@ -57,7 +53,13 @@
 //!    its top-k naming the tokens on level `d + 1`'s edges — only once
 //!    a depth-`d` node is, so a step costs what its accepted prefix
 //!    costs, not what its proposed tree would: `1 + levels reached`
-//!    head rows instead of `1 + depth`. The stepper
+//!    head rows instead of `1 + depth`. The unconstrained engines give
+//!    every node of a level the head's top-k; the grammar engine names
+//!    each reached node's children through that node's own
+//!    [`ViabilityState`] — the first `k` tokens of the head's ranking
+//!    viable from it, else the top `k` — ranking the head once per
+//!    level and only as deep as those scans read it
+//!    ([`verispec_lm::Ranking`]). The stepper
 //!    either scores each level on its own session (what the serial
 //!    engines do) or plans it into a shared [`verispec_lm::VerifyPlan`]
 //!    that a server executes for its whole batch in one
@@ -79,16 +81,15 @@
 //!    path's leaf or at the token budget carries nothing, nor does a
 //!    step that verified nothing. The carry is a cache of what a
 //!    forward would compute, bit for bit — outputs, traces and the
-//!    clock cannot tell (`carried_base_equals_forwarded_base`). The
-//!    clock is charged for the tree that was *proposed*
-//!    ([`crate::policy::SpecShape::candidate_tokens`] of the step's
-//!    shape; the grammar engine's pruned tree): it prices the paper's
-//!    one-pass GPU step, whatever this CPU chose to forward or
-//!    evaluate. The two differ on a step whose base token is `eos`:
-//!    an unconstrained engine is still charged its shape (known before
-//!    the token is drawn), the grammar engine builds no tree there and
-//!    is charged 0 candidates (pinned by
-//!    `a_grammar_step_ending_at_eos_is_charged_what_it_built_nothing`).
+//!    clock cannot tell (`carried_base_equals_forwarded_base`). Every
+//!    speculative step is charged one way: the tree that was
+//!    *proposed*, [`crate::policy::SpecShape::candidate_tokens`] of the
+//!    step's shape, which is known before the base token is drawn — so
+//!    a step whose base token is `eos` is charged it too (pinned for
+//!    every engine by
+//!    `every_speculative_engine_is_charged_its_shape_at_an_eos_base`).
+//!    It prices the paper's one-pass GPU step, whatever this CPU chose
+//!    to forward, evaluate or name.
 //!
 //! Logits never change hands as owned vectors: every phase reads
 //! borrowed rows of a [`verispec_lm::LogitsArena`]
@@ -131,8 +132,8 @@
 
 use crate::accept::TypicalAcceptance;
 use crate::decode::{
-    build_grammar_candidate_paths, constrain_base_token, level_widths, DecodeConfig, DecodeOutput,
-    StepTrace, MAX_CANDIDATE_PATHS,
+    constrain_base_token, level_widths, viable_options, DecodeConfig, DecodeOutput, StepTrace,
+    MAX_CANDIDATE_PATHS,
 };
 use crate::draft::{tempered, DraftConfig, DraftStats};
 use crate::policy::{AcceptHistory, ShapeQuery, SpecPolicy, SpecShape, STATIC_POLICY};
@@ -140,7 +141,7 @@ use verispec_grammar::{syntax_keep_len, GrammarOracle, PruneRecord, ViabilitySta
 use verispec_lm::matrix::{softmax, softmax_in_place, tempered_support_into};
 use verispec_lm::{
     argmax, top_k_into, ArenaRows, DecodeClock, DecodeSession, GpuCostModel, LanguageModel,
-    LogitsArena, NodeMap, Sampler, Sampling, TokenId, VerifyPlan,
+    LogitsArena, NodeMap, Ranking, Sampler, Sampling, TokenId, VerifyPlan,
 };
 use verispec_tokenizer::special;
 
@@ -169,8 +170,8 @@ pub enum Engine<'m> {
     Medusa(DecodeConfig),
     /// Grammar-constrained speculation: the syntax-aligned engine —
     /// `syntax_aligned` is forced on — whose candidate trees the oracle
-    /// filters to lexically-viable continuations and dead-tail prunes
-    /// before verification (see
+    /// fills with lexically-viable continuations, node by node, as
+    /// acceptance reaches them (see
     /// [`crate::decode::decode_grammar_speculative`]).
     Grammar(DecodeConfig, &'m GrammarOracle),
     /// Classical draft-then-verify: the draft model proposes a γ-token
@@ -243,14 +244,13 @@ enum Pending {
     Spec {
         step_start: usize,
         base_tok: TokenId,
-        /// Candidate tokens the step *proposed*: what the simulated
-        /// clock, the step trace and the acceptance history are charged.
+        /// Candidate tokens the step *proposed* — its shape's: what the
+        /// simulated clock, the step trace and the acceptance history
+        /// are charged.
         candidate_tokens: usize,
         verify_issued: bool,
-        /// The levels still to be named, for a trie built from the
-        /// step's shape; `None` when it was built from known paths
-        /// (the grammar engine).
-        lazy: Option<LazyLevels>,
+        /// The levels still to be named.
+        lazy: LazyLevels,
         /// Where the trie's rows start in the stepper's own arena, once
         /// it has scored a level itself; `None` while nothing is scored
         /// and when a server's passes score the step (the rows are then
@@ -271,11 +271,11 @@ enum Pending {
     },
 }
 
-/// A candidate tree growing a level at a time: level `d + 1` offers head
-/// `d + 1`'s top-k at the step's base position under every depth-`d`
-/// node, so the head is evaluated — from what the base forward kept —
-/// only once a depth-`d` node is forwarded, and the level's tokens are
-/// named just before their edges are tested.
+/// A candidate tree growing a level at a time: the children of a
+/// depth-`d` node are named from head `d + 1` at the step's base
+/// position, so the head is evaluated — from what the base forward
+/// kept — only once a depth-`d` node is forwarded, and the level's
+/// tokens are named just before their edges are tested.
 struct LazyLevels {
     kept: Kept,
     /// Depth of the level in flight — planned, its rows not yet
@@ -319,6 +319,10 @@ enum NodeAccept {
 /// What a pending speculative step notes per trie node.
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeMark {
+    /// Whether the edge into the node was given a token: every child of
+    /// a reached node, except a grammar node's children past the
+    /// options its viability filter found, which are never tested.
+    named: bool,
     /// Whether the edge into the node was accepted.
     accepted: bool,
     /// Under sampling, once the node is scored: where the support of
@@ -345,6 +349,36 @@ const GREEDY_MARGIN: f32 = 1e-3;
 fn leads_all_but(logits: &[f32], best: usize, lead: f32) -> bool {
     let above = |l: f32| u32::from(!(l <= lead));
     logits.iter().map(|&l| above(l)).sum::<u32>() == above(logits[best])
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How deep each level a grammar step named on this thread left its
+    /// head's ranking, in naming order.
+    pub(crate) static LEVEL_RANKINGS: std::cell::RefCell<Vec<usize>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Names `node`'s children with `options`, in sibling order, until
+/// either runs out — a child's ordinal among its siblings is the option
+/// it stands for — marking each one named and handing it to `each`
+/// with its token. A node offered fewer options than it has children
+/// leaves the rest unnamed.
+fn name_children(
+    nodes: &mut NodeMap,
+    marks: &mut [NodeMark],
+    node: usize,
+    options: &[TokenId],
+    mut each: impl FnMut(usize, TokenId),
+) {
+    let mut child = nodes.first_child(node);
+    for &tok in options {
+        let Some(c) = child else { break };
+        nodes.set_token(c, tok);
+        marks[c].named = true;
+        each(c, tok);
+        child = nodes.next_sibling(c);
+    }
 }
 
 impl NodeAccept {
@@ -449,6 +483,9 @@ impl NodeAccept {
 struct GrammarCtx<'m> {
     oracle: &'m GrammarOracle,
     state: ViabilityState,
+    /// The pending step's state after each named trie node — its path
+    /// from the base token on — which names that node's children.
+    at_node: Vec<ViabilityState>,
 }
 
 /// One generation advanced step-by-step, started by [`Stepper::new`]
@@ -484,7 +521,7 @@ pub struct Stepper<'m> {
     /// widths are not reallocated every step. `None` before the first
     /// pin or propose, and always `None` for NTP steppers.
     last_shape: Option<SpecShape>,
-    /// The prune accounting of the most recent grammar propose —
+    /// What the viability filter did in the most recent grammar step —
     /// `None` before the first propose and for non-grammar steppers.
     last_prune: Option<PruneRecord>,
     /// The pending step's candidate trie: which row each scored node
@@ -509,10 +546,11 @@ pub struct Stepper<'m> {
     /// token is drawn from.
     carry_support: Vec<(TokenId, f32)>,
     carry_sum: f32,
-    /// The head rows this stepper evaluated itself: one level's at a
-    /// time, or all of a grammar step's.
+    /// The head row this stepper evaluated itself: one level's at a
+    /// time.
     head_rows: LogitsArena,
-    /// The level in flight's candidate tokens: its head's top-k.
+    /// The candidate tokens of the node being named: its head's top-k
+    /// (shared by a level's nodes), or a grammar node's own options.
     options: Vec<TokenId>,
     /// A MEDUSA step under sampling: the support of the tempered
     /// softmax of every node it scored, back to back
@@ -574,7 +612,11 @@ impl<'m> Stepper<'m> {
                         ..cfg
                     },
                     n_heads,
-                    grammar: Some(GrammarCtx { oracle, state }),
+                    grammar: Some(GrammarCtx {
+                        oracle,
+                        state,
+                        at_node: Vec::new(),
+                    }),
                 }
             }
             Engine::Draft(cfg, draft) => {
@@ -675,11 +717,12 @@ impl<'m> Stepper<'m> {
         self.last_shape.as_ref()
     }
 
-    /// The grammar-prune accounting of the most recent
-    /// [`Stepper::propose`] — candidate tokens considered, pruned as
-    /// dead tails, and surviving to verification. `None` before the
-    /// first propose and for non-grammar steppers; serving engines
-    /// attach it to per-step trace events.
+    /// What the viability filter did in the most recent step, summed
+    /// over the nodes whose children it named: ranked tokens it tested
+    /// (`considered`), rejected (`pruned`) and named as viable
+    /// (`surviving`). `None` before the first propose and for
+    /// non-grammar steppers; serving engines attach it to per-step
+    /// trace events.
     pub fn last_prune(&self) -> Option<PruneRecord> {
         self.last_prune
     }
@@ -844,65 +887,39 @@ impl<'m> Stepper<'m> {
                     ),
                     _ => self.sampler.sample(rows.row(0), sampling),
                 };
-                let (candidate_tokens, lazy) = match grammar {
-                    Some(g) => {
-                        base_tok =
-                            constrain_base_token(base_tok, rows.row(0), g.oracle, g.state, eos);
-                        // The grammar builder names every level's
-                        // tokens before it prunes and widens, so this
-                        // engine asks for all its heads' rows at once —
-                        // and for none when the step ends at its base
-                        // token.
-                        let (paths, record) = if base_tok != eos && levels > 0 {
-                            self.head_rows.clear();
-                            let first =
-                                session.head_rows_into(rows, 1..levels + 1, &mut self.head_rows);
-                            build_grammar_candidate_paths(
-                                self.head_rows.rows_from(first),
-                                shape,
-                                g.oracle,
-                                g.oracle.advance(g.state, base_tok),
-                                eos,
-                            )
-                        } else {
-                            Default::default()
-                        };
-                        self.last_prune = Some(record);
-                        // Token compares only: nothing is embedded until
-                        // acceptance reaches it. No bonus row — a full
-                        // path's own node is never read.
-                        self.nodes.build(paths.iter().map(Vec::as_slice), false);
-                        (paths.iter().map(Vec::len).sum(), None)
-                    }
-                    None => {
-                        let root = LazyLevels {
-                            kept,
-                            depth: 0,
-                            ticket: 0,
-                        };
-                        (shape.candidate_tokens(), Some(root))
-                    }
-                };
+                if let Some(g) = grammar.as_ref() {
+                    base_tok = constrain_base_token(base_tok, rows.row(0), g.oracle, g.state, eos);
+                    self.last_prune = Some(PruneRecord::default());
+                }
+                let candidate_tokens = shape.candidate_tokens();
                 let verify_issued = base_tok != eos && candidate_tokens > 0;
                 if verify_issued {
                     session.append(&[base_tok]);
-                    if lazy.is_some() {
-                        // The trie of the shape, no token named yet —
-                        // and the same trie as long as the shape
-                        // repeats.
-                        self.nodes
-                            .build_shape(level_widths(shape), MAX_CANDIDATE_PATHS);
-                    }
+                    // The trie of the shape, no token named yet — and
+                    // the same trie as long as the shape repeats. No
+                    // bonus row: a full path's own node is never read.
+                    self.nodes
+                        .build_shape(level_widths(shape), MAX_CANDIDATE_PATHS);
                     self.nodes.request(0);
                     self.marks.clear();
                     self.marks.resize(self.nodes.n_nodes(), NodeMark::default());
+                    if let Some(g) = grammar {
+                        g.at_node.clear();
+                        g.at_node
+                            .resize(self.nodes.n_nodes(), ViabilityState::new());
+                        g.at_node[0] = g.oracle.advance(g.state, base_tok);
+                    }
                 }
                 self.pending = Some(Pending::Spec {
                     step_start,
                     base_tok,
                     candidate_tokens,
                     verify_issued,
-                    lazy,
+                    lazy: LazyLevels {
+                        kept,
+                        depth: 0,
+                        ticket: 0,
+                    },
                     local_rows: None,
                 });
                 if verify_issued {
@@ -1011,10 +1028,7 @@ impl<'m> Stepper<'m> {
             if session.plan_frontier(&mut self.nodes, plan) {
                 // The level's head row rides the pass that forwards
                 // the level.
-                if let Some(Pending::Spec {
-                    lazy: Some(lazy), ..
-                }) = &mut self.pending
-                {
+                if let Some(Pending::Spec { lazy, .. }) = &mut self.pending {
                     if let Kept::Fused(row) = lazy.kept {
                         lazy.ticket = plan.request_head(row, lazy.depth + 1);
                     }
@@ -1037,16 +1051,17 @@ impl<'m> Stepper<'m> {
         false
     }
 
-    /// Names the candidate tokens of the level below the one in flight
-    /// — depth `d` in flight, head `d + 1`'s top-k at the step's base
-    /// position — into `self.options`: the one moment a step evaluates
-    /// a Medusa head, from the activation its base forward kept in
-    /// `local` or — forwarded by a server — through `plan`.
+    /// Names the children of every node of the level in flight — depth
+    /// `d`, from head `d + 1` at the step's base position: the one
+    /// moment a step evaluates a Medusa head, from the activation its
+    /// base forward kept in `local` or — forwarded by a server —
+    /// through `plan`. The unconstrained engines give every node the
+    /// head's top-k; the grammar engine gives each node the options
+    /// its own viability state lets through ([`viable_options`]), from
+    /// one ranking of the head per level, and counts what the filter
+    /// did into `last_prune`.
     fn name_next_level(&mut self, local: &LogitsArena, plan: Option<&VerifyPlan>) {
-        let Some(Pending::Spec {
-            lazy: Some(lazy), ..
-        }) = &self.pending
-        else {
+        let Some(Pending::Spec { lazy, .. }) = &self.pending else {
             return;
         };
         let head = lazy.depth + 1;
@@ -1069,18 +1084,50 @@ impl<'m> Stepper<'m> {
                 .head_rows()
                 .row(lazy.ticket),
         };
-        match self.last_shape {
-            Some(SpecShape::Chain { .. }) => {
-                self.options.clear();
-                self.options.push(argmax(row));
+        let EngineBody::Spec { grammar, .. } = &mut self.engine else {
+            unreachable!("pending/engine mismatch");
+        };
+        let (nodes, marks, options) = (&mut self.nodes, &mut self.marks, &mut self.options);
+        let width = nodes.width(head - 1);
+        match grammar {
+            None => {
+                match self.last_shape {
+                    Some(SpecShape::Chain { .. }) => {
+                        options.clear();
+                        options.push(argmax(row));
+                    }
+                    _ => top_k_into(row, width, options),
+                }
+                for k in 0..nodes.level().len() {
+                    name_children(nodes, marks, nodes.level()[k], options, |_, _| {});
+                }
             }
-            _ => top_k_into(row, self.nodes.width(head - 1), &mut self.options),
+            Some(g) => {
+                let record = self
+                    .last_prune
+                    .as_mut()
+                    .expect("a grammar propose opens it");
+                let mut ranked = Ranking::new(row, width);
+                for k in 0..nodes.level().len() {
+                    let node = nodes.level()[k];
+                    let state = g.at_node[node];
+                    let scan = viable_options(&mut ranked, width, g.oracle, state, options);
+                    record.considered += scan.considered;
+                    record.pruned += scan.pruned;
+                    record.surviving += scan.surviving;
+                    name_children(nodes, marks, node, options, |child, tok| {
+                        g.at_node[child] = g.oracle.advance(state, tok);
+                    });
+                }
+                #[cfg(test)]
+                LEVEL_RANKINGS.with(|depths| depths.borrow_mut().push(ranked.depth()));
+            }
         }
     }
 
-    /// Runs the pending engine's edge test over the level just scored:
-    /// every node of it reads its row once, decides its child edges
-    /// back to back, and requests the children acceptance goes on to.
+    /// Consumes the level just scored: names its nodes' children
+    /// ([`Stepper::name_next_level`]), then tests their edges
+    /// ([`Stepper::test_level`]).
     fn consume_level(
         &mut self,
         scored: ArenaRows<'_>,
@@ -1088,6 +1135,14 @@ impl<'m> Stepper<'m> {
         plan: Option<&VerifyPlan>,
     ) {
         self.name_next_level(local, plan);
+        self.test_level(scored);
+    }
+
+    /// Runs the pending engine's edge test over the level just scored:
+    /// every node of it reads its row once, decides its named child
+    /// edges back to back, and requests the children acceptance goes on
+    /// to.
+    fn test_level(&mut self, scored: ArenaRows<'_>) {
         let (nodes, dists, sampler) = (&mut self.nodes, &mut self.dists, &mut self.sampler);
         let supports = &mut self.supports;
         let pending = self.pending.as_mut().expect("a step is pending");
@@ -1098,22 +1153,16 @@ impl<'m> Stepper<'m> {
                 (Pending::Ntp { tok }, EngineBody::Ntp { cfg }) => {
                     *tok = Some(sampler.sample(logits, cfg.sampling));
                 }
-                (Pending::Spec { lazy, .. }, EngineBody::Spec { cfg, .. }) => {
+                (Pending::Spec { .. }, EngineBody::Spec { cfg, .. }) => {
                     let from = supports.len();
                     let mut verdict = NodeAccept::of(logits, cfg.sampling, dists, supports);
                     if let NodeAccept::Typical { sum, .. } = verdict {
                         let mark = &mut self.marks[node];
                         (mark.support, mark.sum) = ((from, supports.len()), sum);
                     }
-                    let mut child = nodes.first_child(node);
-                    // A lazily grown level: the child's ordinal among
-                    // its siblings is the option it stands for.
-                    let mut options = lazy.is_some().then_some(self.options.iter());
+                    // The named children lead the sibling list.
+                    let mut child = nodes.first_child(node).filter(|&c| self.marks[c].named);
                     while let Some(c) = child {
-                        if let Some(options) = &mut options {
-                            let tok = *options.next().expect("no more children than options");
-                            nodes.set_token(c, tok);
-                        }
                         let tok = nodes.token(c);
                         if verdict.accepts(logits, tok, &cfg.acceptance, &supports[from..]) {
                             self.marks[c].accepted = true;
@@ -1123,7 +1172,7 @@ impl<'m> Stepper<'m> {
                                 nodes.request(c);
                             }
                         }
-                        child = nodes.next_sibling(c);
+                        child = nodes.next_sibling(c).filter(|&c| self.marks[c].named);
                     }
                 }
                 (
@@ -1179,10 +1228,7 @@ impl<'m> Stepper<'m> {
             }
         }
         nodes.clear_level();
-        if let Pending::Spec {
-            lazy: Some(lazy), ..
-        } = pending
-        {
+        if let Pending::Spec { lazy, .. } = pending {
             lazy.depth += 1;
         }
     }
@@ -1516,6 +1562,36 @@ impl<'m> Stepper<'m> {
             session.append(&self.prompt);
             session.append(&self.out.tokens);
         }
+    }
+}
+
+#[cfg(test)]
+impl Stepper<'_> {
+    /// The last verified step's trie as far as acceptance reached it:
+    /// for every node it scored, the tokens from the base token to it
+    /// and the tokens named on its child edges, in sibling order;
+    /// sorted by path.
+    pub(crate) fn reached_trie(&self) -> Vec<(Vec<TokenId>, Vec<TokenId>)> {
+        let mut reached = Vec::new();
+        let mut stack = vec![(0usize, Vec::new())];
+        while let Some((node, path)) = stack.pop() {
+            if self.nodes.scored_row(node).is_none() {
+                continue;
+            }
+            let mut named = Vec::new();
+            let mut child = self.nodes.first_child(node);
+            while let Some(c) = child.filter(|&c| self.marks[c].named) {
+                let tok = self.nodes.token(c);
+                named.push(tok);
+                let mut to_child = path.clone();
+                to_child.push(tok);
+                stack.push((c, to_child));
+                child = self.nodes.next_sibling(c);
+            }
+            reached.push((path, named));
+        }
+        reached.sort();
+        reached
     }
 }
 

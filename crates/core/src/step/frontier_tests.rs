@@ -154,7 +154,11 @@ impl Stepper<'_> {
             base_tok,
             candidate_tokens,
             verify_issued,
-            lazy: None,
+            lazy: LazyLevels {
+                kept: Kept::Local(base),
+                depth: 0,
+                ticket: 0,
+            },
             local_rows: None,
         });
         if verify_issued {
@@ -180,8 +184,7 @@ impl Stepper<'_> {
                 let root_only: &[TokenId] = &[];
                 self.nodes.build(std::iter::once(root_only), true);
             }
-            (Pending::Spec { lazy, .. }, EngineBody::Spec { cfg, .. }) => {
-                assert!(lazy.is_none(), "the oracle verifies a tree it knows whole");
+            (Pending::Spec { .. }, EngineBody::Spec { cfg, .. }) => {
                 let paths = built_paths(&self.nodes);
                 let refs: Vec<&[TokenId]> = paths.iter().map(Vec::as_slice).collect();
                 let scored = session.verify_batch(&refs, false);
@@ -281,7 +284,6 @@ impl Stepper<'_> {
             base_tok,
             candidate_tokens,
             verify_issued,
-            lazy,
             ..
         }) = self.pending.as_mut()
         else {
@@ -327,12 +329,31 @@ impl Stepper<'_> {
             tree[0].push(tok);
         }
         *candidate_tokens = tree.iter().map(Vec::len).sum();
-        *lazy = None;
         self.nodes.build(tree.iter().map(Vec::as_slice), false);
         self.nodes.request(0);
         self.marks.clear();
-        self.marks.resize(self.nodes.n_nodes(), NodeMark::default());
+        let named = NodeMark {
+            named: true,
+            ..NodeMark::default()
+        };
+        self.marks.resize(self.nodes.n_nodes(), named);
         true
+    }
+
+    /// [`Stepper::verify_level`] on its own session, for a trie whose
+    /// tokens are all known — an injected one: every level scored and
+    /// its edges tested, but nothing named, which would overwrite them.
+    fn verify_known_tree(&mut self) {
+        let mut local = std::mem::take(&mut self.scratch);
+        while self.nodes.has_frontier() {
+            let session = self.target.as_mut().expect("not parked");
+            let base = session.score_frontier(&mut self.nodes, &mut local);
+            if let Some(Pending::Spec { local_rows, .. }) = &mut self.pending {
+                *local_rows = Some(base);
+            }
+            self.test_level(local.rows_from(base));
+        }
+        self.scratch = local;
     }
 }
 
@@ -380,7 +401,7 @@ fn run_injected(
         if st.inject_paths(&mut rng) {
             match side {
                 Side::Oracle => st.verify_whole_tree(),
-                Side::Engine(_) => assert!(!st.verify_level(None, None), "no plan was offered"),
+                Side::Engine(_) => st.verify_known_tree(),
             }
         }
         st.commit(&cost, None);
@@ -1004,7 +1025,7 @@ fn scripted_step_rows(
 
 /// [`scripted_step_rows`] with everything the step wrote down: its
 /// output (trace, clock), the acceptance history and the grammar
-/// builder's prune record, then the forwards and rows.
+/// engine's filter record, then the forwards and rows.
 fn scripted_step_ledger(
     script: &[(&[TokenId], TokenId)],
     heads: &[[TokenId; 2]],
@@ -1063,18 +1084,38 @@ fn scripted_step(
     (trace, forwards)
 }
 
+/// An oracle over the scripted vocabulary that lets every token through
+/// a live state: ids below 6 spell nothing, the rest `a`.
+fn letters_oracle() -> GrammarOracle {
+    let bytes = (0..Scripted::VOCAB)
+        .map(|id| if id < 6 { Vec::new() } else { b"a".to_vec() })
+        .collect();
+    GrammarOracle::new(bytes)
+}
+
 #[test]
 fn head_rows_per_step_track_the_levels_reached() {
     // Greedy acceptance takes at most one edge out of a node, so every
     // level forwards one node: a step asks for its base row plus one
-    // head row per level forwarded — the head whose top-k that level's
-    // child edges are — where it used to ask for every explored head.
+    // head row per level forwarded — the head whose options that
+    // level's child edges are — where it used to ask for every explored
+    // head. The grammar engine grows its tree the same way: with every
+    // token viable it reaches the same levels, asks for the same rows
+    // and is charged the same shape (its syntax cut then keeps only the
+    // base token of these `[FRAG]`-free spans).
     let deep = [[8, 9], [10, 11], [12, 4]];
+    let oracle = letters_oracle();
     let rows = |script: &[(&[TokenId], TokenId)]| {
         let (trace, forwards, rows) = scripted_step_rows(script, &deep, 2, None);
         assert_eq!(
             trace.speculated, 24,
             "the clock is charged the proposed tree"
+        );
+        let (grammar, g_forwards, g_rows) = scripted_step_rows(script, &deep, 2, Some(&oracle));
+        assert_eq!(
+            (grammar.speculated, grammar.accepted, g_forwards, g_rows),
+            (24, trace.accepted, forwards, rows),
+            "the grammar engine on {script:?}"
         );
         (trace.committed, forwards, rows)
     };
@@ -1102,46 +1143,57 @@ fn a_step_that_ends_at_its_base_token_asks_for_one_row() {
     let (trace, forwards, rows) = scripted_step_rows(&[(&[5], 8)], &[], 2, None);
     assert_eq!((trace.committed, forwards, rows), (vec![5], 0, 1));
     assert_eq!(trace.speculated, 0);
-    // The grammar engine ranks all its levels before it builds — every
-    // explored head with the base row, whatever acceptance reaches —
-    // but only for a step that goes on: ending at its base token it
-    // builds no tree, so it proposes (and is charged) nothing.
-    let bytes = (0..Scripted::VOCAB)
-        .map(|id| if id < 6 { Vec::new() } else { b"a".to_vec() })
-        .collect();
-    let oracle = GrammarOracle::new(bytes);
-    let frag = special::FRAG;
-    let framed = [[frag, 9], [frag, 11]];
+    // The grammar engine likewise: a step that goes on asks for one
+    // head row per level it reaches — here the root's, head 1, and no
+    // edge accepted — and a step that ends at its base token for the
+    // base row alone. Both are charged the shape.
+    let oracle = letters_oracle();
+    let framed = [[special::FRAG, 9], [special::FRAG, 11]];
     let (trace, forwards, rows) = scripted_step_rows(&[(&[5], 13)], &framed, 2, Some(&oracle));
-    assert_eq!((trace.committed, forwards, rows), (vec![5], 1, 3));
-    assert!(trace.speculated > 0);
+    assert_eq!((trace.committed, forwards, rows), (vec![5], 1, 2));
+    assert_eq!(trace.speculated, 8);
     let (trace, forwards, rows) = scripted_step_rows(&[(&[], 5)], &framed, 5, Some(&oracle));
     assert_eq!((trace.committed, forwards, rows), (vec![5], 0, 1));
-    assert_eq!(trace.speculated, 0);
+    assert_eq!(trace.speculated, 8);
 }
 
 #[test]
-fn a_grammar_step_ending_at_eos_is_charged_what_it_built_nothing() {
-    // The two ledgers differ on a step whose base token is `eos`, and
-    // this pins both. The unconstrained engines charge the step's
-    // *shape* — known before the base token is drawn — so the step
-    // counts `shape.candidate_tokens()` proposed, none accepted. The
-    // grammar engine charges the tree it *built* (pruned, widened), and
-    // ending at its base token it builds none: 0 candidates on the
-    // clock, in the trace and in the acceptance history, and an empty
-    // prune record.
+fn a_grammar_level_ranks_its_head_once_and_one_past_its_width() {
+    // Every token viable: each level acceptance reaches names its
+    // node's children from one ranking of its head, read one entry
+    // past the width and no deeper.
+    use super::LEVEL_RANKINGS;
+    let oracle = letters_oracle();
+    let deep = [[8, 9], [10, 11], [12, 4]];
+    let script: [(&[TokenId], TokenId); 3] = [(&[5], 9), (&[5, 9], 10), (&[5, 9, 10], 13)];
+    LEVEL_RANKINGS.with(|depths| depths.borrow_mut().clear());
+    let (trace, forwards, rows) = scripted_step_rows(&script, &deep, 2, Some(&oracle));
+    assert_eq!((trace.accepted, forwards, rows), (3, 3, 4));
+    let depths = LEVEL_RANKINGS.with(|depths| depths.take());
+    assert_eq!(
+        depths,
+        vec![3, 3, 3],
+        "k + 1 at width 2, one ranking a level"
+    );
+}
+
+#[test]
+fn every_speculative_engine_is_charged_its_shape_at_an_eos_base() {
+    // A step whose base token is `eos` verifies nothing, and every
+    // speculative engine — the grammar engine included — is charged its
+    // shape all the same, as it was known before the token was drawn:
+    // `shape.candidate_tokens()` proposed and none accepted, on the
+    // clock, in the trace and in the acceptance history. The grammar
+    // engine names no node, so its filter record is empty.
     let cost = GpuCostModel::codellama_like();
-    let bytes = (0..Scripted::VOCAB)
-        .map(|id| if id < 6 { Vec::new() } else { b"a".to_vec() })
-        .collect();
-    let oracle = GrammarOracle::new(bytes);
+    let oracle = letters_oracle();
     let framed = [[special::FRAG, 9], [special::FRAG, 11]];
-    for (grammar, charged) in [(None, 8), (Some(&oracle), 0)] {
+    for grammar in [None, Some(&oracle)] {
         let (out, history, prune, forwards, rows) =
             scripted_step_ledger(&[(&[], 5)], &framed, 5, grammar);
         assert_eq!((forwards, rows), (0, 1));
         let trace = StepTrace {
-            speculated: charged,
+            speculated: 8,
             accepted: 1,
             truncated: 0,
             committed: vec![5],
@@ -1152,9 +1204,9 @@ fn a_grammar_step_ending_at_eos_is_charged_what_it_built_nothing() {
             (vec![5], vec![trace], 1)
         );
         let mut clock = DecodeClock::new();
-        clock.record_step(&cost, charged, 1);
+        clock.record_step(&cost, 8, 1);
         assert_eq!(out.clock, clock);
-        assert_eq!((history.steps(), history.speculated()), (1, charged));
+        assert_eq!((history.steps(), history.speculated()), (1, 8));
         assert_eq!(prune, grammar.map(|_| PruneRecord::default()));
     }
 }
@@ -1387,7 +1439,11 @@ fn best_path_is_the_first_strictly_longest() {
             base_tok: 5,
             candidate_tokens: paths.iter().map(|p| p.len()).sum(),
             verify_issued: true,
-            lazy: None,
+            lazy: LazyLevels {
+                kept: Kept::Local(0),
+                depth: 0,
+                ticket: 0,
+            },
             local_rows: None,
         });
         st.commit(&cost, None);

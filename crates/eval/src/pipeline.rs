@@ -360,11 +360,11 @@ pub fn generate(
 /// Like [`generate`], but decoding through the grammar-constrained
 /// speculation engine: tagged prompts against the Ours-trained model
 /// (the only regime whose outputs carry the `[FRAG]` markers the
-/// dead-tail pruner keys on), with `oracle` viability-filtering and
-/// pruning every candidate tree at propose time. Same prompt
+/// syntax cut keys on), with `oracle` viability-filtering every
+/// candidate the tree offers. Same prompt
 /// construction and cleaned-code post-processing as [`generate`] under
 /// [`verispec_core::TrainMethod::Ours`], so quality comparisons against
-/// the unconstrained tree isolate the propose-time grammar layer.
+/// the unconstrained tree isolate the grammar layer.
 pub fn generate_grammar(
     model: &MlpLm,
     tokenizer: &BpeTokenizer,

@@ -4,7 +4,7 @@
 //! against the problem's golden model — at **equal candidate budget**,
 //! alongside the realized acceptance rate the engine achieved while
 //! generating them. This is where "speed and quality, all in one"
-//! becomes measurable for the grammar layer: propose-time pruning must
+//! becomes measurable for the grammar layer: the viability filter must
 //! raise the acceptance rate *without* costing semantic quality.
 //!
 //! Engine stack exercised per sample (eval layer on top):
@@ -13,12 +13,12 @@
 //!   quality gate          parse / elaborate / sim-pass rates + acceptance
 //!     └ verispec-sim      run_combinational / run_sequential vs. golden
 //!       └ decode engines  NTP | Medusa-tree | Ours-tree | Grammar-tree
-//!         └ verispec-grammar  propose-time viability filter + dead-tail prune
+//!         └ verispec-grammar  per-node viability filter of the candidates
 //! ```
 //!
 //! All three speculative engines run the same [`QUALITY_TREE`] widths,
 //! so the grammar row differs from the unconstrained `Ours-tree` row
-//! only by the propose-time grammar layer — the comparison
+//! only by the grammar layer — the comparison
 //! [`quality_gate_violations`] pins (`Grammar-tree` acceptance strictly
 //! above `Ours-tree`, parse/elaborate rates no worse).
 //!
@@ -152,8 +152,7 @@ pub struct QualityGateRow {
     /// Fraction that also match the golden model on every vector.
     pub sim_pass_rate: f64,
     /// Candidate tokens the engine speculated (paid for) across all
-    /// samples — for the grammar engine this is the *post-prune*
-    /// count, the tokens actually sent to verification.
+    /// samples: every step's shape, whatever acceptance reached.
     pub speculated_tokens: usize,
     /// Speculated tokens the verifier accepted (committed beyond the
     /// per-step base token).
@@ -166,7 +165,7 @@ pub struct QualityGateRow {
 /// The four engines the gate compares: `(row name, trained model's
 /// regime, grammar layer on)`. `Grammar-tree` runs the same
 /// Ours-trained model and tagged prompts as `Ours-tree`, so the two
-/// rows differ only by propose-time pruning.
+/// rows differ only by the viability filter.
 const GATE_ENGINES: [(&str, TrainMethod, bool); 4] = [
     ("NTP", TrainMethod::Ntp, false),
     ("Medusa-tree", TrainMethod::Medusa, false),
@@ -248,8 +247,8 @@ pub fn run_quality_gate(
 ///   later stage cannot pass what an earlier one rejected);
 /// * `ntp-speculates` — the NTP row never speculates;
 /// * `grammar-acceptance` / `grammar-quality` — the headline
-///   comparison: `Grammar-tree` is `Ours-tree` plus the propose-time
-///   grammar layer (same trained model, same prompts, same candidate
+///   comparison: `Grammar-tree` is `Ours-tree` plus the grammar layer
+///   (same trained model, same prompts, same candidate
 ///   budget), so its realized acceptance must be strictly above the
 ///   unconstrained tree's, at parse and elaborate rates no worse.
 pub fn quality_gate_violations(rows: &[QualityGateRow]) -> Vec<String> {

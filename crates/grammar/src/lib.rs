@@ -1,5 +1,6 @@
 //! Grammar-side support for speculative decoding: incremental Verilog
-//! lexical viability plus candidate-tree pruning.
+//! lexical viability, to filter candidate tokens, plus the
+//! syntax-integrity rule a committed span is cut by.
 //!
 //! # Viability-state design
 //!
@@ -36,24 +37,34 @@
 //! contribute nothing, mirroring `strip_specials`) so engines can ask
 //! "is token `t` lexically viable after this state?" in O(token bytes).
 //!
-//! # Tree pruning
+//! # Candidate filtering
 //!
-//! [`dead_tail_prune`] is the *conservative* propose-time filter the
-//! grammar engine applies to its candidate tree, and
-//! [`syntax_keep_len`] is the post-hoc syntax-integrity rule the
-//! baseline engines apply at commit time (keep through the last
-//! `[FRAG]`, or everything when EOS landed). The two are linked by the
-//! soundness argument the proptests in this crate pin:
+//! The grammar engine asks the oracle one question, when acceptance
+//! reaches a node of its candidate tree: which of the next head's
+//! best-ranked tokens are viable from the node's own state? Those
+//! become the node's children — the unconstrained top-k when none in
+//! the scanned window is — and [`PruneRecord`] counts, per step, the
+//! ranked tokens the filter tested, rejected and named.
 //!
-//! A candidate token at path position `p` can only survive the
-//! post-hoc check if some `[FRAG]` exists at a position `>= p` in the
-//! accepted span, or EOS was committed. Therefore truncating every
-//! path *strictly after its last `[FRAG]`/EOS* (and dropping paths
-//! with neither) can never remove a token the post-hoc check would
-//! have committed — for **any** acceptance outcome. Deduplication and
-//! strict-prefix elimination are additionally safe because acceptance
-//! is deterministic per (prefix, position): a surviving extension
-//! exercises every prefix it covers.
+//! The filter changes which candidates are *offered*, never how one is
+//! *accepted* or what is *committed*: every edge is tested against the
+//! base model's own distribution, and the committed span — the first
+//! longest accepted path — is cut by [`syntax_keep_len`] (keep through
+//! the last `[FRAG]`, or everything when EOS landed), exactly as the
+//! unconstrained syntax-aligned engine cuts its own. The oracle changes
+//! what is committed in one place only: a drawn base token that would
+//! kill the byte stream is replaced by the best-ranked viable one. A
+//! permissive oracle, or a dead state, offers the unconstrained
+//! candidates.
+//!
+//! Nothing is cut from a tree once it is named. A token past a path's
+//! last `[FRAG]`/EOS can never survive [`syntax_keep_len`], but it can
+//! make its path the longest accepted one, and so decide which span
+//! the cut is applied to: dropping such tails before verification
+//! commits what the engine without the drop commits only when no
+//! winner changes. The engine *is* that unpruned engine, so the
+//! question does not arise; its verification is priced by its shape,
+//! named or not.
 
 #![deny(missing_docs)]
 
@@ -397,15 +408,17 @@ impl GrammarOracle {
     }
 }
 
-/// What a propose-time prune did to a candidate tree, in candidate
-/// tokens (path-length sums).
+/// What the viability filter did while a grammar step named its
+/// candidate tree, summed over the nodes whose children it named, in
+/// ranked head tokens: `considered == pruned + surviving`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneRecord {
-    /// Candidate tokens in the tree before pruning.
+    /// Ranked tokens the filter tested for viability.
     pub considered: usize,
-    /// Candidate tokens removed (`considered - surviving`).
+    /// Tested tokens it rejected as non-viable.
     pub pruned: usize,
-    /// Candidate tokens remaining after pruning.
+    /// Tested tokens it found viable and named as candidates (a node
+    /// that falls back to the unconstrained top-k counts none).
     pub surviving: usize,
 }
 
@@ -414,8 +427,7 @@ pub struct PruneRecord {
 /// through the last `[FRAG]` (or just the base token when none).
 ///
 /// This is the exact rule the syntax-aligned engines apply at commit
-/// time; [`dead_tail_prune`] is provably conservative with respect to
-/// it (see the crate docs).
+/// time (see the crate docs).
 pub fn syntax_keep_len(committed: &[TokenId], frag: TokenId, eos: TokenId) -> usize {
     if committed.contains(&eos) {
         committed.len()
@@ -426,55 +438,6 @@ pub fn syntax_keep_len(committed: &[TokenId], frag: TokenId, eos: TokenId) -> us
             .map(|p| p + 1)
             .unwrap_or(1)
             .min(committed.len())
-    }
-}
-
-/// Prunes a candidate tree to the paths that can still contribute
-/// committed tokens under the post-hoc syntax check.
-///
-/// Three reductions, each conservative (never removes a token the
-/// post-hoc check could commit — the crate-level proptests pin this):
-///
-/// 1. **Dead-tail cut** — each path is truncated strictly after its
-///    last `frag`/`eos`; a path containing neither is dropped whole
-///    (no token of it can ever survive [`syntax_keep_len`]).
-/// 2. **Dedup** — identical truncated paths keep only their first
-///    occurrence (verification scores a (prefix, position) pair
-///    identically however many paths spell it).
-/// 3. **Strict-prefix drop** — a path that is a strict prefix of
-///    another surviving path is dropped; the extension exercises every
-///    acceptance decision the prefix would have.
-///
-/// Path order is otherwise preserved. Returns the token-count
-/// accounting for telemetry and budget bookkeeping.
-pub fn dead_tail_prune(paths: &mut Vec<Vec<TokenId>>, frag: TokenId, eos: TokenId) -> PruneRecord {
-    let considered: usize = paths.iter().map(Vec::len).sum();
-    for p in paths.iter_mut() {
-        match p.iter().rposition(|&t| t == frag || t == eos) {
-            Some(i) => p.truncate(i + 1),
-            None => p.clear(),
-        }
-    }
-    paths.retain(|p| !p.is_empty());
-    // Dedup, keeping first occurrences (n <= 32, so O(n^2) is fine).
-    let mut uniq: Vec<Vec<TokenId>> = Vec::with_capacity(paths.len());
-    for p in paths.drain(..) {
-        if !uniq.contains(&p) {
-            uniq.push(p);
-        }
-    }
-    // Drop strict prefixes of other (unique) paths: the maximal
-    // extension of any prefix chain always survives this filter.
-    *paths = uniq
-        .iter()
-        .filter(|p| !uniq.iter().any(|q| q.len() > p.len() && q.starts_with(p)))
-        .cloned()
-        .collect();
-    let surviving: usize = paths.iter().map(Vec::len).sum();
-    PruneRecord {
-        considered,
-        pruned: considered - surviving,
-        surviving,
     }
 }
 
@@ -615,22 +578,5 @@ mod tests {
         assert_eq!(syntax_keep_len(&[9, 8, e], f, e), 3);
         assert_eq!(syntax_keep_len(&[9, e, 8], f, e), 3);
         assert_eq!(syntax_keep_len(&[], f, e), 0);
-    }
-
-    #[test]
-    fn prune_cuts_dead_tails_dedups_and_drops_prefixes() {
-        let (f, e) = (special::FRAG, special::EOS);
-        let mut paths = vec![
-            vec![10, f, 11, 12], // tail after FRAG cut
-            vec![10, f],         // strict prefix of nothing after cut — dup of ^
-            vec![13, 14],        // no FRAG/EOS: dropped whole
-            vec![10, f, 11, f],  // extension: survives, also covers [10, f]
-            vec![15, e, 16],     // EOS keeps through EOS
-        ];
-        let rec = dead_tail_prune(&mut paths, f, e);
-        assert_eq!(paths, vec![vec![10, f, 11, f], vec![15, e]]);
-        assert_eq!(rec.considered, 4 + 2 + 2 + 4 + 3);
-        assert_eq!(rec.surviving, 4 + 2);
-        assert_eq!(rec.pruned, rec.considered - rec.surviving);
     }
 }

@@ -218,11 +218,11 @@ impl PromptFamily {
     /// off at seeded **mid-expression** points (inside an identifier or
     /// number, splitting the lexeme itself) or **mid-statement** points
     /// (between the words of an unfinished statement), then byte-level
-    /// BPE encoded. These are the prompts where propose-time lexer
-    /// viability does the most work: the continuation must first finish
+    /// BPE encoded. These are the prompts where lexer viability does
+    /// the most work: the continuation must first finish
     /// the severed lexeme or statement before the usual token mass
-    /// becomes syntactically possible, so unconstrained candidate trees
-    /// are dense with dead tails for the grammar engine to prune.
+    /// becomes syntactically possible, so unconstrained candidates are
+    /// dense with tokens the grammar engine's viability filter rejects.
     ///
     /// The whole family is a pure function of `seed`. Token ids come
     /// from [`BpeTokenizer::byte_level`], so the serving model must have

@@ -261,9 +261,9 @@ fn corpus() -> Vec<TraceCase> {
         },
         // Verilog sources severed mid-expression / mid-statement,
         // served through the grammar-constrained engine next to its
-        // unconstrained siblings: propose-time viability filtering and
-        // dead-tail pruning churn on every step — and the prune
-        // accounting, like every output, must replay bit-identically.
+        // unconstrained siblings: the viability filter rejects
+        // candidates on every step — and its accounting, like every
+        // output, must replay bit-identically.
         TraceCase {
             name: "grammar_stress",
             cfg: ServeConfig::concurrency(2),
@@ -623,7 +623,7 @@ fn corpus_traces_exercise_their_failure_modes() {
                 );
                 assert!(
                     report.stats.grammar_pruned > 0,
-                    "grammar trace stopped pruning dead tails ({} considered, 0 pruned)",
+                    "grammar trace stopped rejecting non-viable candidates ({} considered, 0 pruned)",
                     report.stats.grammar_considered
                 );
                 assert_eq!(

@@ -245,18 +245,18 @@ pub struct ServeStats {
     /// `2^i <= d < 2^(i+1)` (the last bucket absorbs deeper hits).
     #[serde(default)]
     pub prefix_depth_hist: [u64; 8],
-    /// Candidate tokens grammar-constrained steps built before
-    /// dead-tail pruning (0 unless [`EngineChoice::GrammarTree`]
-    /// requests ran with an oracle attached).
+    /// Ranked head tokens grammar-constrained steps tested for lexical
+    /// viability while naming their candidate trees (0 unless
+    /// [`EngineChoice::GrammarTree`] requests ran with an oracle
+    /// attached).
     #[serde(default)]
     pub grammar_considered: usize,
-    /// Candidate tokens cut at propose time as dead tails — speculation
-    /// that was never verified because it could not survive the
-    /// post-hoc syntax check.
+    /// Tested tokens the viability filter rejected — candidates never
+    /// offered because no continuation of them lexes.
     #[serde(default)]
     pub grammar_pruned: usize,
-    /// Candidate tokens grammar-constrained steps actually sent to
-    /// verification (`considered - pruned`).
+    /// Tested tokens found viable and named as candidates
+    /// (`considered - pruned`).
     #[serde(default)]
     pub grammar_surviving: usize,
     /// Worker crashes injected by a fault plan
@@ -521,10 +521,9 @@ pub struct ServeEngine<'m> {
 /// * the doublings of each request's growing vectors (its tokens, step
 ///   traces, step ticks and acceptance history, its session's tokens)
 ///   — amortised, and per request rather than per tick;
-/// * a grammar step's candidate-tree builder, which keeps its own
-///   allocations: it ranks and widens per path, and making it
-///   allocation-free would buy little against what a grammar step
-///   costs;
+/// * a grammar step's head rankings, one per level it names, which
+///   making allocation-free would buy little against what a grammar
+///   step costs;
 /// * the events a traced tick builds for its sink.
 ///
 /// `crates/serve/tests/tick_allocations.rs` counts them.
@@ -643,8 +642,7 @@ impl<'m> ServeEngine<'m> {
     /// requests constrain their speculation with (typically
     /// [`verispec_grammar::GrammarOracle::from_tokenizer`], shared by
     /// every request). Without one, grammar requests run as plain
-    /// syntax-aligned speculation — same commits, no propose-time
-    /// pruning.
+    /// syntax-aligned speculation, with no viability filter.
     pub fn with_grammar(mut self, oracle: &'m GrammarOracle) -> Self {
         self.grammar = Some(oracle);
         self
@@ -1387,9 +1385,10 @@ impl<'m> ServeEngine<'m> {
             // commit.
             a.first_commit_secs
                 .get_or_insert_with(|| self.started.elapsed().as_secs_f64());
-            // Grammar prune accounting is cheap (three counters) and
-            // has a stats equivalent, so it is emitted unconditionally
-            // — like every stats-backed event — not gated on tracing.
+            // What a grammar step's viability filter did (tested,
+            // rejected, named) is cheap — three counters — and has a
+            // stats equivalent, so it is emitted unconditionally — like
+            // every stats-backed event — not gated on tracing.
             if let Some(rec) = self.active[i].stepper.last_prune() {
                 let id = self.active[i].id;
                 self.emit(

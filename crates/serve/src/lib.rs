@@ -66,8 +66,8 @@
 //!                              │  (pin shape / defer)       │ SpecShape per req
 //!                              │ fused propose (base rows,  │
 //!                              │  activations kept) ────────┼─► MlpLm::infer
-//!                              │  └ GrammarOracle filters + │   (grammar layer:
-//!                              │    dead-tail prunes trees  │    verispec-grammar)
+//!                              │  └ GrammarOracle: base     │   (grammar layer:
+//!                              │    token kept viable       │    verispec-grammar)
 //!                              │ fused verify, per level:   │
 //!                              │ ┌► plan frontier (roots,   │   (each one call of
 //!                              │ │   then accepted edges'   │    the packed kernel
@@ -102,12 +102,12 @@
 //!   draft-verify / grammar-tree), decode budgets, arrival tick, and an
 //!   optional SLO deadline tick. Grammar-tree requests run against the
 //!   engine's shared [`verispec_grammar::GrammarOracle`]
-//!   ([`ServeEngine::with_grammar`]): candidate trees are
-//!   viability-filtered and dead-tail pruned at propose time, each
-//!   step's prune accounting is emitted as a
-//!   [`verispec_trace::EventKind::GrammarPrune`] event, and freed
-//!   candidate slots re-widen surviving branches within the budget the
-//!   per-tick capacity pass charged.
+//!   ([`ServeEngine::with_grammar`]): each reached node of a candidate
+//!   tree is given the viable continuations of its own lexer state as
+//!   children, level by level as acceptance reaches it, each step's
+//!   filter accounting (tokens tested, rejected, named) is emitted as a
+//!   [`verispec_trace::EventKind::GrammarPrune`] event, and the step is
+//!   charged the shape the per-tick capacity pass priced.
 //! * **[`Scheduler`]** — selects each tick's batch under a fairness
 //!   policy ([`TickOrder`], including earliest-deadline-first for
 //!   SLO-carrying requests), with an aging guard that bounds every

@@ -27,9 +27,9 @@ pub enum EngineChoice {
         /// Draft block length γ.
         gamma: usize,
     },
-    /// Grammar-constrained syntax-aligned speculation: candidate trees
-    /// are viability-filtered and dead-tail pruned at propose time by
-    /// the engine's [`verispec_grammar::GrammarOracle`] (configured via
+    /// Grammar-constrained syntax-aligned speculation: each candidate
+    /// tree node's children are viability-filtered through its own
+    /// lexer state by the engine's [`verispec_grammar::GrammarOracle`] (configured via
     /// [`crate::ServeEngine::with_grammar`]; without one the request runs as
     /// plain [`EngineChoice::SyntaxAligned`]).
     GrammarTree {

@@ -38,8 +38,7 @@ fn any_mlp() -> impl Strategy<Value = MlpLm> {
 
 /// Engine mix for threaded parity: the full dispatch spectrum plus the
 /// grammar-constrained engines (chain and tree), which exercise the
-/// propose-time pruning path and its `GrammarPrune` events across
-/// threads.
+/// viability filter and its `GrammarPrune` events across threads.
 fn any_engine() -> impl Strategy<Value = EngineChoice> {
     prop_oneof![
         Just(EngineChoice::Ntp),

@@ -87,16 +87,17 @@ pub enum EventKind {
         /// Tokens actually appended to the output.
         committed: usize,
     },
-    /// Propose-time grammar pruning of one step's candidate tree (only
-    /// emitted by grammar-constrained engines).
+    /// What the viability filter did while one grammar step named its
+    /// candidate tree, over the nodes acceptance reached (only emitted
+    /// by grammar-constrained engines): `considered == pruned +
+    /// surviving`.
     GrammarPrune {
-        /// Candidate tokens in the tree as built (viability-filtered).
+        /// Ranked head tokens the filter tested for lexical viability.
         considered: usize,
-        /// Candidate tokens cut as dead tails (past the last fragment
-        /// boundary — they could never survive the post-hoc syntax
-        /// check, so they are never verified).
+        /// Tested tokens rejected as non-viable — never offered as
+        /// candidates.
         pruned: usize,
-        /// Candidate tokens actually sent to verification.
+        /// Tested tokens found viable and named as candidates.
         surviving: usize,
     },
     /// The LRU prefix-cache leaf was evicted under the session cap.
