@@ -211,11 +211,6 @@ pub(crate) const MAX_CANDIDATE_PATHS: usize = 32;
 /// from the shape alone ([`verispec_lm::NodeMap::build_shape`]) and
 /// names a level's tokens only when acceptance reaches it, which must
 /// commit what verifying these paths would.
-///
-/// # Panics
-///
-/// Panics on [`SpecShape::Draft`]: draft blocks are proposed by the
-/// draft model, not built from head logits.
 #[cfg(test)]
 pub(crate) fn build_candidate_paths(
     heads: verispec_lm::ArenaRows<'_>,
@@ -248,9 +243,6 @@ pub(crate) fn build_candidate_paths(
             }
             paths
         }
-        SpecShape::Draft { .. } => {
-            unreachable!("draft blocks are proposed by the draft model, not built from head logits")
-        }
     }
 }
 
@@ -269,9 +261,6 @@ pub(crate) fn level_widths(shape: &SpecShape) -> impl Iterator<Item = usize> + C
     let (widths, depth): (&[usize], usize) = match shape {
         SpecShape::Chain { depth } => (&[], *depth),
         SpecShape::Tree { widths, depth } => (widths, *depth),
-        SpecShape::Draft { .. } => {
-            unreachable!("draft blocks are proposed by the draft model, not built from head logits")
-        }
     };
     (0..depth).map(|level| widths.get(level).copied().unwrap_or(1).max(1))
 }

@@ -11,9 +11,8 @@
 //! * **Decoding engines** ([`decode`]) — NTP, MEDUSA, the paper's
 //!   syntax-aligned variant with the fragment-integrity check, and the
 //!   grammar-constrained engine that offers only lexically-viable
-//!   continuations as candidates;
-//! * **Classical draft-model speculation** ([`draft`]) — the
-//!   Leviathan-style baseline with an n-gram draft;
+//!   continuations as candidates — the paper's three methods (NTP,
+//!   MEDUSA, "Ours") plus the grammar layer on top of "Ours";
 //! * **Training orchestration** ([`train`](mod@train)) — MEDUSA-2's Eq.-2 loss with
 //!   λ sine ramp, γ decay, and 4× head learning rate, parameterized over
 //!   the three regimes compared in the paper;
@@ -71,7 +70,6 @@
 
 pub mod accept;
 pub mod decode;
-pub mod draft;
 pub mod labels;
 pub mod policy;
 pub mod step;
@@ -82,7 +80,6 @@ pub use decode::{
     decode_grammar_speculative, decode_ntp, decode_speculative, DecodeConfig, DecodeMethod,
     DecodeOutput, StepTrace,
 };
-pub use draft::{decode_draft_speculative, DraftConfig, DraftStats};
 pub use labels::LabelGrid;
 pub use policy::{
     AcceptHistory, AdaptivePolicy, BudgetedPolicy, ShapeQuery, SpecPolicy, SpecShape, StaticPolicy,

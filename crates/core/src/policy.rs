@@ -17,7 +17,7 @@
 //! # The stack
 //!
 //! ```text
-//!   DecodeConfig.tree / DraftConfig.gamma        (the configured shape)
+//!   DecodeConfig.tree                            (the configured shape)
 //!        │ base_shape()
 //!        ▼
 //!   SpecPolicy::shape(ShapeQuery{base, history, cap})
@@ -29,7 +29,7 @@
 //!        │                  (speculated, accepted) per step
 //!        ▼
 //!   SpecShape ──► Stepper::propose builds exactly this many
-//!                 candidate paths / this draft block
+//!                 candidate paths
 //! ```
 //!
 //! * [`StaticPolicy`] — always the configured shape. This is today's
@@ -89,21 +89,14 @@ pub enum SpecShape {
         /// Number of head levels explored.
         depth: usize,
     },
-    /// Draft-model block of `gamma` proposed tokens.
-    Draft {
-        /// Draft block length (≥ 1).
-        gamma: usize,
-    },
 }
 
 impl SpecShape {
     /// Head levels this shape explores: a step reads the logits of
-    /// heads `0..=depth` and no others. 0 for a draft block, which is
-    /// proposed by the draft model.
+    /// heads `0..=depth` and no others.
     pub fn depth(&self) -> usize {
         match self {
             SpecShape::Chain { depth } | SpecShape::Tree { depth, .. } => *depth,
-            SpecShape::Draft { .. } => 0,
         }
     }
 
@@ -137,7 +130,6 @@ impl SpecShape {
                     n_paths * *depth
                 }
             }
-            SpecShape::Draft { gamma } => *gamma,
         }
     }
 
@@ -164,8 +156,7 @@ impl SpecShape {
     /// Cuts the shape, in place, to what a model with `n_heads` Medusa
     /// heads over `vocab` tokens can run: depth to the heads that exist,
     /// widths to the tokens a head can rank. Nothing else is touched
-    /// (absent and zero widths keep meaning 1), and a draft block is
-    /// left as is.
+    /// (absent and zero widths keep meaning 1).
     pub fn clamp(&mut self, n_heads: usize, vocab: usize) {
         match self {
             SpecShape::Chain { depth } => *depth = (*depth).min(n_heads),
@@ -173,7 +164,6 @@ impl SpecShape {
                 *depth = (*depth).min(n_heads);
                 widths.iter_mut().for_each(|w| *w = (*w).min(vocab));
             }
-            SpecShape::Draft { .. } => {}
         }
     }
 
@@ -207,15 +197,6 @@ impl SpecShape {
                         *w -= 1;
                     } else {
                         *depth = 0;
-                    }
-                }
-                SpecShape::Draft { gamma } => {
-                    if *gamma > 1 {
-                        *gamma -= 1;
-                    } else {
-                        // A draft block cannot shrink below one token;
-                        // cost 2 is its floor.
-                        return shape;
                     }
                 }
             }
@@ -298,7 +279,7 @@ impl AcceptHistory {
 /// step.
 #[derive(Debug, Clone, Copy)]
 pub struct ShapeQuery<'a> {
-    /// The request's configured shape (from its decode/draft config).
+    /// The request's configured shape (from its decode config).
     pub base: &'a SpecShape,
     /// The request's own acceptance history.
     pub history: &'a AcceptHistory,
@@ -355,10 +336,10 @@ impl SpecPolicy for StaticPolicy {
 /// length plus one level, never more than configured.
 ///
 /// The decision is `depth = clamp(⌊mean accepted over the last
-/// `window` speculating steps⌋ + 1, 1, configured depth)` (for draft
-/// blocks, the same formula on γ): a request whose speculation keeps
-/// cashing out keeps its full tree, one whose candidates keep being
-/// rejected stops paying for depth it never realizes. Until the first
+/// `window` speculating steps⌋ + 1, 1, configured depth)`: a request
+/// whose speculation keeps cashing out keeps its full tree, one whose
+/// candidates keep being rejected stops paying for depth it never
+/// realizes. Until the first
 /// `window` has any speculating step, the configured shape runs
 /// (optimistic warm-up).
 ///
@@ -401,9 +382,6 @@ impl SpecPolicy for AdaptivePolicy {
             SpecShape::Tree { widths, depth } => SpecShape::Tree {
                 widths: widths.clone(),
                 depth: self.adapted_depth(*depth, query.history),
-            },
-            SpecShape::Draft { gamma } => SpecShape::Draft {
-                gamma: self.adapted_depth(*gamma, query.history),
             },
         })
     }
@@ -520,10 +498,6 @@ mod tests {
             taken.clamp(n_heads, vocab);
             assert_eq!(&taken, shape);
         }
-        assert_eq!(SpecShape::Draft { gamma: 4 }.candidate_tokens(), 4);
-        let mut draft = SpecShape::Draft { gamma: 40 };
-        draft.clamp(2, 3);
-        assert_eq!(draft, SpecShape::Draft { gamma: 40 });
     }
 
     #[test]
@@ -587,14 +561,6 @@ mod tests {
                 depth: 4
             }
         );
-        // Draft gamma adapts by the same rule.
-        let h = hist(&[(4, 1), (4, 1)]);
-        let shape = p.shape(&ShapeQuery {
-            base: &SpecShape::Draft { gamma: 5 },
-            history: &h,
-            cap: None,
-        });
-        assert_eq!(*shape, SpecShape::Draft { gamma: 2 });
     }
 
     #[test]
@@ -638,10 +604,6 @@ mod tests {
             // Cap 1 always fits (zero candidates).
             assert_eq!(shape.shrink_to(1).step_cost(), 1);
         }
-        // Draft blocks floor at gamma 1 (cost 2).
-        let d = SpecShape::Draft { gamma: 6 };
-        assert_eq!(d.shrink_to(3), SpecShape::Draft { gamma: 2 });
-        assert_eq!(d.shrink_to(1), SpecShape::Draft { gamma: 1 });
     }
 
     #[test]
@@ -693,11 +655,7 @@ mod tests {
             assert_eq!(slot.as_ref(), Some(&source));
             assert_eq!(widths_at(&slot), at, "refilled in place");
         }
-        for source in [
-            SpecShape::Chain { depth: 3 },
-            SpecShape::Draft { gamma: 2 },
-            tree(&[1], 1),
-        ] {
+        for source in [SpecShape::Chain { depth: 3 }, tree(&[1], 1)] {
             source.copy_into(&mut slot);
             assert_eq!(slot.as_ref(), Some(&source));
         }

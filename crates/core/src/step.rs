@@ -1,14 +1,13 @@
 //! Step-granular decoding: the scheduler-facing decomposition of the
-//! engines in [`crate::decode`] and [`crate::draft`].
+//! engines in [`crate::decode`].
 //!
-//! A [`Stepper`] owns one generation's sessions, sampler, and output,
+//! A [`Stepper`] owns one generation's session, sampler, and output,
 //! and advances it **one decoding step at a time**. It is started one
 //! way, whatever the engine: [`Stepper::new`] takes the model, the
 //! [`Engine`] to run as a value — NTP, MEDUSA (chain, tree or "Ours"),
-//! grammar-constrained with its oracle, or draft-verify with its draft
-//! model — and the session the generation continues, fresh or an
-//! already-ingested prompt prefix. The engine's own state (the draft
-//! model and its session, the oracle and its viability state) lives in
+//! or grammar-constrained with its oracle — and the session the
+//! generation continues, fresh or an already-ingested prompt prefix.
+//! The engine's own state (the oracle and its viability state) lives in
 //! the stepper's engine body, and the configured speculation shape is
 //! derived once, by [`Engine::base_shape`]. Each step runs three
 //! phases:
@@ -16,7 +15,7 @@
 //! 1. **propose** ([`Stepper::propose`]) — open the step at the
 //!    current position's base row (the trunk activation every Medusa
 //!    head is attached to kept beside it), draw the base token, and lay
-//!    out the step's candidate trie or draft block. A MEDUSA step
+//!    out the step's candidate trie. A MEDUSA step
 //!    rarely *forwards* that position: the node its predecessor's
 //!    committed span ended at is this position, the predecessor's
 //!    verification forwarded it, and commit **carried** its row,
@@ -65,9 +64,7 @@
 //!    that a server executes for its whole batch in one
 //!    [`verispec_lm::verify_many`] pass per level, the level's head row
 //!    riding the same pass. NTP is the root-only
-//!    tree (the "edge test" draws the token); draft-verify is the
-//!    one-path tree whose edge test is the rejection rule, its RNG
-//!    draws in position order because levels are positions.
+//!    tree (the "edge test" draws the token).
 //! 3. **commit** ([`Stepper::commit`]) — pick the committed span from
 //!    the accepted edges, apply the syntax-integrity truncation,
 //!    advance the simulated clock, and extend the session with it (no
@@ -103,8 +100,8 @@
 //!
 //! The serial convenience [`Stepper::step`] chains the three phases
 //! (looping the middle one to the last level), and the public engines
-//! (`decode_ntp`, `decode_speculative`, `decode_grammar_speculative`,
-//! `decode_draft_speculative`) are each [`Stepper::new`] on a fresh
+//! (`decode_ntp`, `decode_speculative`, `decode_grammar_speculative`)
+//! are each [`Stepper::new`] on a fresh
 //! session plus one shared loop over it — so the serial path and a
 //! scheduler-driven path, which admits a request through the same
 //! constructor, execute **the same code** and produce bit-identical
@@ -114,16 +111,16 @@
 //! Between steps a stepper is always at its *committed* context —
 //! verification never leaves a speculative append behind — which is
 //! what makes [`Stepper::park`]/[`Stepper::unpark`] (rollback-aware
-//! preemption) safe: parking drops the sessions (and the carried base,
-//! a cache that belongs to them), and unparking rebuilds them by
-//! replaying `prompt + generated tokens` into fresh sessions, an exact
+//! preemption) safe: parking drops the session (and the carried base,
+//! a cache that belongs to it), and unparking rebuilds it by
+//! replaying `prompt + generated tokens` into a fresh session, an exact
 //! reconstruction because sessions are pure functions of their token
 //! context.
 //!
 //! **How much speculation each step buys** is decided by a
 //! [`crate::policy::SpecPolicy`]: every propose asks the policy for
-//! the step's [`crate::policy::SpecShape`] (tree widths/depth or draft
-//! γ) given the generation's own [`crate::policy::AcceptHistory`],
+//! the step's [`crate::policy::SpecShape`] (tree widths and depth)
+//! given the generation's own [`crate::policy::AcceptHistory`],
 //! which the stepper records at every commit and preserves across
 //! park/unpark. The default static policy reproduces the configured
 //! shape bit-identically; a serving engine may instead *pin* the shape
@@ -135,10 +132,9 @@ use crate::decode::{
     constrain_base_token, level_widths, viable_options, DecodeConfig, DecodeOutput, StepTrace,
     MAX_CANDIDATE_PATHS,
 };
-use crate::draft::{tempered, DraftConfig, DraftStats};
 use crate::policy::{AcceptHistory, ShapeQuery, SpecPolicy, SpecShape, STATIC_POLICY};
 use verispec_grammar::{syntax_keep_len, GrammarOracle, PruneRecord, ViabilityState};
-use verispec_lm::matrix::{softmax, softmax_in_place, tempered_support_into};
+use verispec_lm::matrix::{softmax_in_place, tempered_support_into};
 use verispec_lm::{
     argmax, top_k_into, ArenaRows, DecodeClock, DecodeSession, GpuCostModel, LanguageModel,
     LogitsArena, NodeMap, Ranking, Sampler, Sampling, TokenId, VerifyPlan,
@@ -174,18 +170,14 @@ pub enum Engine<'m> {
     /// acceptance reaches them (see
     /// [`crate::decode::decode_grammar_speculative`]).
     Grammar(DecodeConfig, &'m GrammarOracle),
-    /// Classical draft-then-verify: the draft model proposes a γ-token
-    /// block, the target verifies all γ + 1 positions with the
-    /// rejection rule.
-    Draft(DraftConfig, &'m dyn LanguageModel),
 }
 
 impl Engine<'_> {
     /// The configured speculation shape of a generation of this engine
     /// on a model with `n_heads` Medusa heads — what a
     /// [`SpecPolicy`] adapts from: the config's candidate tree (or the
-    /// top-1 chain) over every head, or the draft block of `gamma`;
-    /// `None` for NTP, which speculates nothing. The one derivation:
+    /// top-1 chain) over every head; `None` for NTP, which speculates
+    /// nothing. The one derivation:
     /// [`Stepper::base_shape`] reports it, and a server prices a
     /// request it has not admitted yet with it.
     pub fn base_shape(&self, n_heads: usize) -> Option<SpecShape> {
@@ -198,7 +190,6 @@ impl Engine<'_> {
                     depth: n_heads,
                 },
             }),
-            Engine::Draft(cfg, _) => Some(SpecShape::Draft { gamma: cfg.gamma }),
         }
     }
 }
@@ -215,15 +206,6 @@ enum EngineBody<'m> {
         n_heads: usize,
         grammar: Option<GrammarCtx<'m>>,
     },
-    /// Classical draft-model speculation: the draft model, and its
-    /// session at the committed context (reopened empty while the
-    /// stepper is parked).
-    Draft {
-        cfg: DraftConfig,
-        stats: DraftStats,
-        model: &'m dyn LanguageModel,
-        session: Box<dyn DecodeSession + 'm>,
-    },
 }
 
 impl EngineBody<'_> {
@@ -231,7 +213,6 @@ impl EngineBody<'_> {
     fn max_tokens(&self) -> usize {
         match self {
             EngineBody::Ntp { cfg } | EngineBody::Spec { cfg, .. } => cfg.max_tokens,
-            EngineBody::Draft { cfg, .. } => cfg.max_tokens,
         }
     }
 }
@@ -256,18 +237,6 @@ enum Pending {
         /// and when a server's passes score the step (the rows are then
         /// handed to [`Stepper::commit`]).
         local_rows: Option<usize>,
-    },
-    /// Draft-verify: the draft block proposed, with per-position draft
-    /// probabilities, and what the rejection rule has made of it so
-    /// far.
-    Draft {
-        step_start: usize,
-        /// The draft's distribution at each proposed position (the
-        /// proposals themselves are the candidate trie's one path).
-        qs: Vec<Vec<f32>>,
-        /// Accepted proposals, then the resampled or bonus token.
-        committed: Vec<TokenId>,
-        accepted: usize,
     },
 }
 
@@ -557,9 +526,8 @@ pub struct Stepper<'m> {
     /// ([`NodeMark::support`]) — tens of entries a node when sampling
     /// is cold, the whole row when it is hot.
     supports: Vec<(TokenId, f32)>,
-    /// One dense distribution at a time: the position in flight of a
-    /// draft-verify step, whose residual rule reads whole rows, and a
-    /// greedy near-tie's softmax.
+    /// A greedy near-tie's softmax, the one dense distribution a step
+    /// normalises.
     dists: Vec<f32>,
     /// Per trie node of the pending speculative step.
     marks: Vec<NodeMark>,
@@ -571,12 +539,7 @@ impl<'m> Stepper<'m> {
     /// generation continues: an already-ingested prompt prefix (a
     /// prefix-cache fork), or nothing for a fresh `model.session()`;
     /// `rest` is appended to it, and the two together are the prompt. A
-    /// draft engine opens its draft model's session on the whole
-    /// prompt, and a grammar engine seeds its viability state from it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a [`Engine::Draft`] config's `gamma` is 0.
+    /// grammar engine seeds its viability state from the whole prompt.
     pub fn new(
         model: &'m dyn LanguageModel,
         engine: Engine<'m>,
@@ -590,7 +553,6 @@ impl<'m> Stepper<'m> {
         let base = engine.base_shape(n_heads);
         let seed = match &engine {
             Engine::Ntp(cfg) | Engine::Medusa(cfg) | Engine::Grammar(cfg, _) => cfg.seed,
-            Engine::Draft(cfg, _) => cfg.seed,
         };
         let engine = match engine {
             Engine::Ntp(cfg) => EngineBody::Ntp { cfg },
@@ -617,17 +579,6 @@ impl<'m> Stepper<'m> {
                         state,
                         at_node: Vec::new(),
                     }),
-                }
-            }
-            Engine::Draft(cfg, draft) => {
-                assert!(cfg.gamma >= 1, "gamma must be at least 1");
-                let mut session = draft.session();
-                session.append(&prompt);
-                EngineBody::Draft {
-                    cfg,
-                    stats: DraftStats::default(),
-                    model: draft,
-                    session,
                 }
             }
         };
@@ -666,8 +617,8 @@ impl<'m> Stepper<'m> {
 
     /// Replaces the speculation policy (default:
     /// [`crate::policy::StaticPolicy`], the configured shape). The
-    /// policy decides each step's candidate-tree widths/depth or draft
-    /// block length from this generation's own acceptance history.
+    /// policy decides each step's candidate-tree widths and depth from
+    /// this generation's own acceptance history.
     pub fn with_policy(mut self, policy: &'m dyn SpecPolicy) -> Self {
         self.policy = policy;
         self
@@ -685,14 +636,6 @@ impl<'m> Stepper<'m> {
     /// Number of tokens generated so far (scheduler fairness input).
     pub fn generated(&self) -> usize {
         self.out.tokens.len()
-    }
-
-    /// Acceptance statistics, for draft-verify steppers.
-    pub fn draft_stats(&self) -> Option<DraftStats> {
-        match &self.engine {
-            EngineBody::Draft { stats, .. } => Some(*stats),
-            _ => None,
-        }
     }
 
     /// This generation's per-step acceptance history (speculated vs.
@@ -928,48 +871,6 @@ impl<'m> Stepper<'m> {
                     Phase::Commit
                 }
             }
-            EngineBody::Draft {
-                cfg,
-                stats,
-                session: draft,
-                ..
-            } => {
-                // This step's draft block length: the policy's decision
-                // (static default = the configured γ).
-                let gamma = match self.last_shape {
-                    Some(SpecShape::Draft { gamma }) => gamma.max(1),
-                    _ => cfg.gamma,
-                };
-                self.last_shape = Some(SpecShape::Draft { gamma });
-                let step_start = draft.len();
-                // The draft proposes a block of gamma tokens with its
-                // own probs, extending its session as it goes.
-                let mut toks: Vec<TokenId> = Vec::with_capacity(gamma);
-                let mut qs: Vec<Vec<f32>> = Vec::with_capacity(gamma);
-                for _ in 0..gamma {
-                    let mut q = softmax(&draft.logits());
-                    tempered(&mut q, cfg.temperature);
-                    let tok = self.sampler.sample_from_probs(&q);
-                    toks.push(tok);
-                    qs.push(q);
-                    draft.append(&[tok]);
-                    if tok == cfg.eos {
-                        break;
-                    }
-                }
-                stats.proposed += toks.len();
-                // One path, bonus position included: node `k` is the
-                // position after `k` proposals.
-                self.nodes.build(std::iter::once(toks.as_slice()), true);
-                self.nodes.request(0);
-                self.pending = Some(Pending::Draft {
-                    step_start,
-                    committed: Vec::with_capacity(qs.len() + 1),
-                    qs,
-                    accepted: 0,
-                });
-                Phase::Verify
-            }
         }
     }
 
@@ -1175,55 +1076,6 @@ impl<'m> Stepper<'m> {
                         child = nodes.next_sibling(c).filter(|&c| self.marks[c].named);
                     }
                 }
-                (
-                    Pending::Draft {
-                        qs,
-                        committed,
-                        accepted,
-                        ..
-                    },
-                    EngineBody::Draft { cfg, .. },
-                ) => {
-                    // The target distribution at this position.
-                    let probs = &mut *dists;
-                    probs.clear();
-                    probs.extend_from_slice(logits);
-                    softmax_in_place(probs);
-                    tempered(probs, cfg.temperature);
-                    let Some(child) = nodes.first_child(node) else {
-                        // Past the whole block: everything was
-                        // accepted, this is the bonus position.
-                        committed.push(sampler.sample_from_probs(probs));
-                        continue;
-                    };
-                    // One path: node `k` is position `k`.
-                    let (tok, q) = (nodes.token(child), &qs[node]);
-                    // Exact rejection rule.
-                    let (pt, qt) = (probs[tok as usize], q[tok as usize].max(f32::MIN_POSITIVE));
-                    // Uniform draw on a fine grid (the Sampler API is index-based).
-                    let u: f32 = {
-                        let grid = 1_000_000usize;
-                        sampler.gen_range(grid) as f32 / grid as f32
-                    };
-                    if u < (pt / qt).min(1.0) {
-                        committed.push(tok);
-                        *accepted += 1;
-                        if tok != cfg.eos {
-                            nodes.request(child);
-                        }
-                    } else {
-                        // Resample from max(0, p - q), renormalized
-                        // (from p itself when nothing is left).
-                        let residual = |(&a, &b): (&f32, &f32)| (a - b).max(0.0);
-                        let sum: f32 = probs.iter().zip(q).map(residual).sum();
-                        if sum > 0.0 {
-                            for (p, qv) in probs.iter_mut().zip(q) {
-                                *p = (*p - qv).max(0.0) / sum;
-                            }
-                        }
-                        committed.push(sampler.sample_from_probs(probs));
-                    }
-                }
                 _ => unreachable!("pending/engine mismatch"),
             }
         }
@@ -1281,12 +1133,6 @@ impl<'m> Stepper<'m> {
                 );
                 self.scratch = local;
             }
-            Pending::Draft {
-                step_start,
-                qs,
-                committed,
-                accepted,
-            } => self.commit_draft(step_start, qs.len(), committed, accepted, cost),
         }
     }
 
@@ -1456,54 +1302,6 @@ impl<'m> Stepper<'m> {
         }
     }
 
-    /// `committed` is what the rejection rule produced: the `accepted`
-    /// leading proposals, then the resampled token of the first
-    /// rejection or — everything accepted and no `eos` — the bonus
-    /// token.
-    fn commit_draft(
-        &mut self,
-        step_start: usize,
-        proposed: usize,
-        mut committed: Vec<TokenId>,
-        accepted: usize,
-        cost: &GpuCostModel,
-    ) {
-        let EngineBody::Draft {
-            cfg,
-            stats,
-            session: draft,
-            ..
-        } = &mut self.engine
-        else {
-            unreachable!("pending/engine mismatch");
-        };
-        stats.accepted += accepted;
-        self.history.record(proposed, accepted);
-
-        let remaining = cfg.max_tokens - self.out.tokens.len();
-        committed.truncate(remaining);
-
-        self.out.clock.record_step(cost, proposed, committed.len());
-        self.out.steps += 1;
-        let hit_eos = committed.contains(&cfg.eos);
-        // Roll the draft session back to the committed prefix, and
-        // extend both.
-        draft.truncate(step_start);
-        draft.append(&committed);
-        self.target_mut().append(&committed);
-        self.out.tokens.extend_from_slice(&committed);
-        self.out.trace.push(StepTrace {
-            speculated: proposed,
-            accepted: committed.len(),
-            truncated: 0,
-            committed,
-            fragment_complete: false,
-        });
-        if hit_eos {
-            self.done = true;
-        }
-    }
-
     /// Runs one full step serially (propose → verify level by level →
     /// commit). Returns `false` once the generation is done.
     pub fn step(&mut self, cost: &GpuCostModel) -> bool {
@@ -1519,15 +1317,15 @@ impl<'m> Stepper<'m> {
         !self.done
     }
 
-    /// Whether the stepper's sessions are currently released.
+    /// Whether the stepper's session is currently released.
     pub fn is_parked(&self) -> bool {
         self.target.is_none()
     }
 
-    /// Releases the sessions (rollback-aware preemption): legal only
-    /// between steps, when the sessions hold exactly the committed
-    /// context. The sampler, output, and engine state are retained (a
-    /// draft engine's session is reopened empty); the carried base goes
+    /// Releases the session (rollback-aware preemption): legal only
+    /// between steps, when the session holds exactly the committed
+    /// context. The sampler, output, and engine state are retained; the
+    /// carried base goes
     /// with the session it was scored on (the next step forwards its
     /// position again, to the same bits).
     ///
@@ -1540,15 +1338,12 @@ impl<'m> Stepper<'m> {
             "cannot park mid-step: commit or abandon the pending step first"
         );
         self.target = None;
-        if let EngineBody::Draft { model, session, .. } = &mut self.engine {
-            *session = model.session();
-        }
         self.carry.clear();
     }
 
-    /// Rebuilds the sessions of a parked stepper by replaying the
-    /// committed context (`prompt + generated tokens`) into fresh
-    /// sessions — an exact reconstruction, since sessions are pure
+    /// Rebuilds the session of a parked stepper by replaying the
+    /// committed context (`prompt + generated tokens`) into a fresh
+    /// session — an exact reconstruction, since sessions are pure
     /// functions of their token context.
     pub fn unpark(&mut self) {
         if self.target.is_some() {
@@ -1558,10 +1353,6 @@ impl<'m> Stepper<'m> {
         target.append(&self.prompt);
         target.append(&self.out.tokens);
         self.target = Some(target);
-        if let EngineBody::Draft { session, .. } = &mut self.engine {
-            session.append(&self.prompt);
-            session.append(&self.out.tokens);
-        }
     }
 }
 
@@ -1602,7 +1393,6 @@ mod frontier_tests;
 mod tests {
     use super::*;
     use crate::decode::{decode_grammar_speculative, decode_ntp, decode_speculative};
-    use crate::draft::decode_draft_speculative;
     use proptest::prelude::*;
     use verispec_lm::{MlpLm, MlpLmConfig, NgramLm};
 
@@ -1986,11 +1776,11 @@ mod tests {
     fn fused_verify_plan_path_matches_verify_local() {
         // One shared plan, one kernel pass per level, four engines in
         // the batch — NTP (root only), a sampled tree, a grammar tree
-        // and a draft block over the same target — each reading its
-        // own rows and leaving the loop at its own depth. Every member
-        // must equal its serial engine, which verifies locally.
+        // and a greedy "Ours" chain over the same target — each
+        // reading its own rows and leaving the loop at its own depth.
+        // Every member must equal its serial engine, which verifies
+        // locally.
         let model = tiny_model();
-        let ng = cyclic_ngram();
         let cost = GpuCostModel::codellama_like();
         let bytes = (0..14)
             .map(|id| if id < 5 { Vec::new() } else { b"a".to_vec() })
@@ -2014,23 +1804,22 @@ mod tests {
             seed: 8,
             ..Default::default()
         };
-        let draft_cfg = DraftConfig {
-            gamma: 3,
+        let chain_cfg = DecodeConfig {
             max_tokens: 16,
-            seed: 4,
+            syntax_aligned: true,
             ..Default::default()
         };
         let serial = [
             decode_ntp(&model, &[2, 4], &ntp_cfg, &cost),
             decode_speculative(&model, &[2, 4], &tree_cfg, &cost),
             decode_grammar_speculative(&model, &oracle, &[6, 7], &grammar_cfg, &cost),
-            decode_draft_speculative(&model, &ng, &[6, 7], &draft_cfg, &cost).0,
+            decode_speculative(&model, &[6, 7], &chain_cfg, &cost),
         ];
         let mut steppers = [
             (Engine::Ntp(ntp_cfg), [2, 4]),
             (Engine::Medusa(tree_cfg), [2, 4]),
             (Engine::Grammar(grammar_cfg, &oracle), [6, 7]),
-            (Engine::Draft(draft_cfg, &ng), [6, 7]),
+            (Engine::Medusa(chain_cfg), [6, 7]),
         ]
         .map(|(engine, prompt)| Stepper::new(&model, engine, model.session(), &prompt));
         let rounds = drive_fused(&model, &mut steppers, &cost);
@@ -2054,7 +1843,6 @@ mod tests {
     #[test]
     fn park_unpark_round_trip_is_lossless() {
         let model = tiny_model();
-        let ng = cyclic_ngram();
         let cost = GpuCostModel::codet5p_like();
         let cfg = DecodeConfig {
             max_tokens: 20,
@@ -2075,26 +1863,6 @@ mod tests {
             }
         }
         assert_eq!(st.output().tokens, serial.tokens, "park/unpark drifted");
-
-        // Draft stepper parks both sessions.
-        let dcfg = DraftConfig {
-            gamma: 3,
-            max_tokens: 15,
-            seed: 4,
-            ..Default::default()
-        };
-        let (dserial, dstats) = decode_draft_speculative(&ng, &ng, &[6, 7], &dcfg, &cost);
-        let mut st = Stepper::new(&ng, Engine::Draft(dcfg, &ng), ng.session(), &[6, 7]);
-        let mut i = 0;
-        while st.step(&cost) {
-            i += 1;
-            if i == 2 {
-                st.park();
-                st.unpark();
-            }
-        }
-        assert_eq!(st.output().tokens, dserial.tokens);
-        assert_eq!(st.draft_stats(), Some(dstats));
     }
 
     #[test]
@@ -2102,10 +1870,8 @@ mod tests {
         // Every engine started on a forked, already-ingested prefix with
         // the rest of the prompt appended continues exactly as its
         // serial engine on the whole prompt — the grammar engine's
-        // viability state seeded from the full prompt, the draft
-        // model's session opened on it.
+        // viability state seeded from the full prompt.
         let model = tiny_model();
-        let ng = cyclic_ngram();
         let cost = GpuCostModel::codellama_like();
         let bytes = (0..14)
             .map(|id| if id < 5 { Vec::new() } else { b"a".to_vec() })
@@ -2123,23 +1889,15 @@ mod tests {
             syntax_aligned: true,
             ..cfg.clone()
         };
-        let dcfg = DraftConfig {
-            gamma: 3,
-            max_tokens: 12,
-            seed: 2,
-            ..Default::default()
-        };
         let serial = [
             decode_ntp(&model, &prompt, &cfg, &cost),
             decode_speculative(&model, &prompt, &ours, &cost),
             decode_grammar_speculative(&model, &oracle, &prompt, &cfg, &cost),
-            decode_draft_speculative(&model, &ng, &prompt, &dcfg, &cost).0,
         ];
         let engines = [
             Engine::Ntp(cfg.clone()),
             Engine::Medusa(ours),
             Engine::Grammar(cfg, &oracle),
-            Engine::Draft(dcfg, &ng),
         ];
         for (engine, want) in engines.into_iter().zip(&serial) {
             // Ingest the first three tokens once, fork, append the rest.

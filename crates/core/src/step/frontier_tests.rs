@@ -24,11 +24,10 @@
 use super::tests::{cyclic_ngram, drive_fused, tiny_model};
 use super::*;
 use crate::decode::build_candidate_paths;
-use crate::draft::DraftConfig;
 use crate::policy::AdaptivePolicy;
 use proptest::prelude::*;
 use std::cell::Cell;
-use verispec_lm::matrix::tempered_softmax_into;
+use verispec_lm::matrix::{softmax, tempered_softmax_into};
 use verispec_lm::{MlpLm, MlpLmConfig, Stateless};
 
 /// Acceptance by definition: one full distribution per edge, then exact
@@ -172,9 +171,8 @@ impl Stepper<'_> {
     /// before the level loop — the whole tree scored in one
     /// `verify_batch`, each path walked to its first rejection, the
     /// first strictly longest accepted prefix kept, the walk over paths
-    /// stopped once that prefix ends in `eos`; the draft block judged
-    /// from all `γ + 1` pre-scored distributions. Leaves the step ready
-    /// to commit.
+    /// stopped once that prefix ends in `eos`. Leaves the step ready to
+    /// commit.
     fn verify_whole_tree(&mut self) {
         let session = self.target.as_mut().expect("not parked").as_mut();
         match (self.pending.as_mut().expect("pending"), &self.engine) {
@@ -214,58 +212,6 @@ impl Stepper<'_> {
                 for j in 1..=best.1 {
                     self.marks[self.nodes.node(best.0, j)].accepted = true;
                 }
-            }
-            (
-                Pending::Draft {
-                    qs,
-                    committed,
-                    accepted,
-                    ..
-                },
-                EngineBody::Draft { cfg, .. },
-            ) => {
-                let toks: Vec<TokenId> = (1..=self.nodes.path_len(0))
-                    .map(|j| self.nodes.token(self.nodes.node(0, j)))
-                    .collect();
-                let scored = session.verify_batch(&[toks.as_slice()], true);
-                let target_probs: Vec<Vec<f32>> = scored[0]
-                    .iter()
-                    .map(|row| {
-                        let mut p = softmax(row);
-                        tempered(&mut p, cfg.temperature);
-                        p
-                    })
-                    .collect();
-                let mut rejected = false;
-                for (pos, (tok, q)) in toks.iter().zip(qs.iter()).enumerate() {
-                    let p = &target_probs[pos];
-                    let (pt, qt) = (p[*tok as usize], q[*tok as usize].max(f32::MIN_POSITIVE));
-                    let u = self.sampler.gen_range(1_000_000) as f32 / 1_000_000f32;
-                    if u < (pt / qt).min(1.0) {
-                        committed.push(*tok);
-                        *accepted += 1;
-                        if *tok == cfg.eos {
-                            break;
-                        }
-                    } else {
-                        let mut residual: Vec<f32> =
-                            p.iter().zip(q).map(|(&a, &b)| (a - b).max(0.0)).collect();
-                        let sum: f32 = residual.iter().sum();
-                        if sum > 0.0 {
-                            residual.iter_mut().for_each(|v| *v /= sum);
-                        } else {
-                            residual = p.clone();
-                        }
-                        committed.push(self.sampler.sample_from_probs(&residual));
-                        rejected = true;
-                        break;
-                    }
-                }
-                if !rejected && committed.last() != Some(&cfg.eos) {
-                    let p = &target_probs[committed.len()];
-                    committed.push(self.sampler.sample_from_probs(p));
-                }
-                self.nodes.build(std::iter::once(toks.as_slice()), true);
             }
             _ => unreachable!("pending/engine mismatch"),
         }
@@ -408,38 +354,17 @@ fn run_injected(
     }
 }
 
-/// One draft-verify generation (bonus position included), likewise.
-fn run_draft(
-    target: &dyn LanguageModel,
-    draft: &dyn LanguageModel,
-    cfg: DraftConfig,
-    oracle: bool,
-) -> (DecodeOutput, Option<DraftStats>) {
-    let cost = GpuCostModel::codellama_like();
-    let mut st = Stepper::new(target, Engine::Draft(cfg, draft), target.session(), &[6, 7]);
-    while st.propose(None) != Phase::Done {
-        if oracle {
-            st.verify_whole_tree();
-        } else {
-            assert!(!st.verify_level(None, None), "no plan was offered");
-        }
-        st.commit(&cost, None);
-    }
-    let stats = st.draft_stats();
-    (st.into_output(), stats)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Tokens, steps, trace and clock of the level loop equal the
     /// whole-tree oracle's: random trees (shared prefixes, ragged
     /// lengths, duplicates, forced `eos`), every sampling of
-    /// [`SAMPLINGS`], without the bonus row (speculative) and with it
-    /// (draft), on the kernel-backed session and both trait-default
-    /// ones. The level loop opens its steps at carried rows (spans cut
-    /// by the syntax check, by `eos` and by the budget included) and is
-    /// parked at random steps; the oracle forwards every base.
+    /// [`SAMPLINGS`], on the kernel-backed session and both
+    /// trait-default ones. The level loop opens its steps at carried
+    /// rows (spans cut by the syntax check, by `eos` and by the budget
+    /// included) and is parked at random steps; the oracle forwards
+    /// every base.
     #[test]
     fn frontier_equals_full_tree(
         tree_seed in any::<u64>(),
@@ -448,7 +373,6 @@ proptest! {
         sampling_ix in 0usize..SAMPLINGS.len(),
         eos in 2u32..10,
         max_tokens in 3usize..20,
-        gamma in 1usize..5,
     ) {
         let mlp = tiny_model();
         let shim = Stateless(&mlp);
@@ -472,23 +396,6 @@ proptest! {
             prop_assert_eq!(level.steps, whole.steps, "{} steps", name);
             prop_assert_eq!(&level.trace, &whole.trace, "{} trace", name);
             prop_assert_eq!(&level.clock, &whole.clock, "{} clock", name);
-
-            let dcfg = DraftConfig {
-                gamma,
-                max_tokens,
-                temperature: match sampling {
-                    Sampling::Greedy => 1.0,
-                    Sampling::Temperature { temperature, .. } => temperature,
-                },
-                eos,
-                seed,
-            };
-            let (level, level_stats) = run_draft(target, &ng, dcfg, false);
-            let (whole, whole_stats) = run_draft(target, &ng, dcfg, true);
-            prop_assert_eq!(&level.tokens, &whole.tokens, "{} draft tokens", name);
-            prop_assert_eq!(level.steps, whole.steps, "{} draft steps", name);
-            prop_assert_eq!(&level.trace, &whole.trace, "{} draft trace", name);
-            prop_assert_eq!(level_stats, whole_stats, "{} draft stats", name);
         }
     }
 }

@@ -8,9 +8,8 @@
 //! This is the invariant the whole session layer rests on: sessions are
 //! a performance mechanism, never a semantic one. The engines covered
 //! are NTP, the MEDUSA top-1 chain, MEDUSA tree verification, the
-//! syntax-aligned variant ("Ours"), the grammar-constrained engine and
-//! classical draft-model speculation — under greedy decoding,
-//! temperature sampling and a `top_k` cut.
+//! syntax-aligned variant ("Ours") and the grammar-constrained engine —
+//! under greedy decoding, temperature sampling and a `top_k` cut.
 //!
 //! It is also where a **carried** base row meets a **forwarded** one:
 //! a MEDUSA step on the cached session opens at the row its
@@ -19,14 +18,9 @@
 //! every base position, as every engine used to.
 
 use proptest::prelude::*;
-use verispec_core::{
-    decode_draft_speculative, decode_grammar_speculative, decode_ntp, decode_speculative,
-    DecodeConfig, DraftConfig,
-};
+use verispec_core::{decode_grammar_speculative, decode_ntp, decode_speculative, DecodeConfig};
 use verispec_grammar::GrammarOracle;
-use verispec_lm::{
-    GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, Stateless, TokenId,
-};
+use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, Sampling, Stateless, TokenId};
 
 /// A random untrained MLP LM: logits are a deterministic function of
 /// the init seed, so every case explores a different "model" without
@@ -125,37 +119,6 @@ proptest! {
             prop_assert_eq!(&a.trace, &b.trace, "grammar traces diverged");
             prop_assert_eq!(&a.clock, &b.clock, "grammar clocks diverged");
         }
-    }
-
-    /// Draft-model speculation: both the target and the draft session
-    /// paths must match the stateless shim, including acceptance stats.
-    #[test]
-    fn draft_decode_matches_stateless_shim(
-        target_seq in prop::collection::vec(5u32..14, 10..60),
-        draft_order in 1usize..4,
-        gamma in 1usize..6,
-        max_tokens in 1usize..40,
-        seed in any::<u64>(),
-    ) {
-        let mut target = NgramLm::new(3, 16);
-        target.train_sequence(&target_seq);
-        let mut draft = NgramLm::new(draft_order, 16);
-        draft.train_sequence(&target_seq);
-        let cfg = DraftConfig { gamma, max_tokens, seed, ..Default::default() };
-        let cost = GpuCostModel::codet5p_like();
-        let prompt: Vec<TokenId> = target_seq[..2.min(target_seq.len())].to_vec();
-
-        let (out_a, stats_a) =
-            decode_draft_speculative(&target, &draft, &prompt, &cfg, &cost);
-        let (out_b, stats_b) = decode_draft_speculative(
-            &Stateless(&target),
-            &Stateless(&draft),
-            &prompt,
-            &cfg,
-            &cost,
-        );
-        prop_assert_eq!(out_a.tokens, out_b.tokens, "draft decode diverged");
-        prop_assert_eq!(stats_a, stats_b, "acceptance stats diverged");
     }
 
     /// The raw session contract: after any interleaving of appends and

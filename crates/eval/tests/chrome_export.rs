@@ -8,7 +8,7 @@
 
 use serde::Value;
 use verispec_core::DecodeConfig;
-use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, NgramLm, TokenId};
+use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, TokenId};
 use verispec_load::{run_fleet_open_loop, ArrivalProcess, PromptFamily, RequestMix, Workload};
 use verispec_serve::{Backend, EngineChoice, FleetRuntime, RoutePolicy, ServeConfig};
 use verispec_trace::chrome_trace;
@@ -39,9 +39,6 @@ fn four_worker_paced_run_exports_schema_valid_chrome_trace() {
         n_heads: 3,
         seed: 0xC0FFEE,
     });
-    let mut draft = NgramLm::new(2, 16);
-    let seq: Vec<TokenId> = (0..240).map(|i| 4 + (i % 7) as TokenId).collect();
-    draft.train_sequence(&seq);
     let cost = GpuCostModel::codellama_like();
     let shared: Vec<TokenId> = vec![5, 6];
 
@@ -57,7 +54,6 @@ fn four_worker_paced_run_exports_schema_valid_chrome_trace() {
                     },
                     2.0,
                 ),
-                (EngineChoice::DraftVerify { gamma: 3 }, 1.0),
             ],
             families: vec![(
                 PromptFamily {
@@ -86,7 +82,6 @@ fn four_worker_paced_run_exports_schema_valid_chrome_trace() {
         RoutePolicy::JoinShortestQueue,
         Backend::Lockstep,
     )
-    .with_draft(&draft)
     .warm_prefix(&shared);
     let run = run_fleet_open_loop(fleet, workload.requests(), &cost);
     assert!(!run.events.is_empty(), "paced run produced no events");

@@ -9,8 +9,8 @@
 //!
 //! * [`mlp`] — an MLP language model with MEDUSA-style decoding heads and
 //!   hand-written backprop (the "base model + heads" of paper §III-B).
-//! * [`ngram`] — an interpolated n-gram model used as the classical
-//!   speculative-decoding draft model and in tests.
+//! * [`ngram`] — an interpolated n-gram model: a heads-free,
+//!   trait-default-session stand-in LM for tests across crates.
 //! * [`session`] — stateful [`DecodeSession`]s (the KV-cache analogue):
 //!   incremental append/rollback contexts with cached window
 //!   embeddings, level-by-level candidate-tree verification and

@@ -1,11 +1,12 @@
 //! Interpolated back-off n-gram language model.
 //!
-//! Serves two roles in VeriSpec:
-//!
-//! * the **draft model** for classical (Leviathan-style) speculative
-//!   decoding, where a cheap proposer generates tokens that the MLP LM
-//!   verifies (paper §II-C background, reproduced as an ablation), and
-//! * a fast deterministic stand-in LM for unit tests.
+//! No decoding pipeline uses it: it is a fast, deterministic stand-in
+//! LM for tests. It has no Medusa heads and no native session, so it
+//! exercises the trait-default [`crate::LanguageModel::session`] path
+//! and the engines' zero-head corner. `verispec-core`'s unit tests and
+//! the `verispec-serve` / `verispec-load` integration tests use it
+//! across crate boundaries, which is why it stays public: moving it to
+//! a test-support module would take a cargo feature to export it.
 //!
 //! Probabilities interpolate maximum-likelihood estimates of all orders
 //! with Jelinek-Mercer smoothing:

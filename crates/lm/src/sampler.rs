@@ -112,11 +112,6 @@ impl Sampler {
         support[at as usize].0
     }
 
-    /// Samples an index from an explicit probability vector.
-    pub fn sample_from_probs(&mut self, probs: &[f32]) -> TokenId {
-        draw(&mut self.rng, probs)
-    }
-
     /// Uniformly random integer in `[0, n)` (corpus shuffling helper).
     pub fn gen_range(&mut self, n: usize) -> usize {
         self.rng.gen_range(0..n)
@@ -525,14 +520,5 @@ mod tests {
         assert_eq!(Ranking::new(&row, 2).get(usize::MAX), None);
         let mut r = Ranking::new(&[], 3);
         assert_eq!((r.get(0), r.head(3).len(), r.depth()), (None, 0, 0));
-    }
-
-    #[test]
-    fn sample_from_probs_respects_zero_mass() {
-        let mut s = Sampler::new(1);
-        for _ in 0..50 {
-            let t = s.sample_from_probs(&[0.0, 1.0, 0.0]);
-            assert_eq!(t, 1);
-        }
     }
 }

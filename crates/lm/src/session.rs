@@ -30,8 +30,8 @@
 //! scores *that* level with the same kernel, and so on until nothing
 //! is left to ask for. The work a step costs therefore tracks the depth
 //! acceptance reaches (a few nodes), not the size of the proposed tree
-//! (a few dozen). Next-token prediction is the root-only case and
-//! draft-verify the one-path case. The accepted span is a pure function
+//! (a few dozen). Next-token prediction is the root-only case. The
+//! accepted span is a pure function
 //! of the same logits bits either way, so nothing an engine commits
 //! can tell the difference.
 //!
@@ -638,8 +638,8 @@ pub trait DecodeSession {
     /// `paths[i][..j]` to the current context. With `include_bonus`
     /// set, `j` runs over `0..=paths[i].len()` — the K speculated
     /// positions *plus* the bonus position after a fully accepted path
-    /// (the draft-verify formulation needs the extra row to sample its
-    /// bonus token); without it, `j` runs over `0..paths[i].len()`,
+    /// (next-token prediction's one row is the bonus position of the
+    /// empty path); without it, `j` runs over `0..paths[i].len()`,
     /// which is all MEDUSA acceptance reads — pure-leaf forwards are
     /// skipped entirely. Shared path prefixes are evaluated once. The
     /// session context is unchanged when the call returns.
@@ -877,7 +877,9 @@ impl<M: LanguageModel + ?Sized> DecodeSession for StatelessSession<'_, M> {
 /// Wrapper that forces the stateless default session on a model that
 /// has a native one — the reference side of cached-vs-stateless
 /// comparisons (`tests/proptest_session.rs`, the frontier oracles in
-/// `verispec-core`).
+/// `verispec-core`). No library code uses it; it stays public because
+/// those tests live in other crates, and exporting it from a
+/// test-support module would take a cargo feature.
 pub struct Stateless<M>(pub M);
 
 impl<M: LanguageModel> LanguageModel for Stateless<M> {

@@ -98,11 +98,12 @@ const MIN_TEMPERATURE: f32 = 1e-4;
 
 // Hand-written so traces recorded before `faults` existed still parse,
 // and so an entry no engine can run — one pointing outside the prompt
-// table, sampling at a temperature the samplers refuse, drafting blocks
-// of no tokens — is a parse error rather than a panic at replay, inside
-// a worker's tick. So is a request id two entries share: the latency
-// report joins completions to requests by id, so the second would be
-// reported under the first's engine and deadline.
+// table, sampling at a temperature the samplers refuse — is a parse
+// error rather than a panic at replay, inside a worker's tick. So is a
+// request id two entries share: the latency report joins completions
+// to requests by id, so the second would be reported under the first's
+// engine and deadline. An engine `EngineChoice` has no variant for is
+// refused by the derive, with an unknown-variant error.
 impl serde::Deserialize for ArrivalTrace {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let trace = ArrivalTrace {
@@ -141,10 +142,6 @@ impl serde::Deserialize for ArrivalTrace {
                         e.id
                     ))
                 }
-                (_, EngineChoice::DraftVerify { gamma: 0 }) => Some(format!(
-                    "trace entry {}: engine.gamma 0 drafts no token (at least 1)",
-                    e.id
-                )),
                 _ => None,
             }
         });
@@ -246,11 +243,11 @@ impl ArrivalTrace {
     /// Parses a trace back from JSON. Malformed input — truncated
     /// JSON, a missing field — and an entry no engine can run — a
     /// `prompt_id` outside the prompt table, a sampling temperature that
-    /// is not finite or is below `1e-4` (zero, negative, NaN, subnormal),
-    /// a `DraftVerify` `gamma` of 0 — is an `Err` naming the entry,
-    /// never a panic here or in the tick that would have served it. Two
-    /// entries with one request id are an `Err` naming the id and both
-    /// entry positions.
+    /// is not finite or is below `1e-4` (zero, negative, NaN, subnormal)
+    /// — is an `Err` naming the entry, never a panic here or in the tick
+    /// that would have served it. Two entries with one request id are an
+    /// `Err` naming the id and both entry positions, and an engine
+    /// [`EngineChoice`] has no variant for is an unknown-variant `Err`.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
     }
@@ -418,20 +415,31 @@ mod tests {
                 "{t}: {err}"
             );
         }
-        // A draft block of no tokens dies at admission.
-        let err = parse(&edited(&|e| {
-            e.engine = EngineChoice::DraftVerify { gamma: 0 }
-        }))
-        .expect_err("refused");
-        assert!(
-            err.contains(&format!("entry {id}:")) && err.contains("engine.gamma"),
-            "{err}"
-        );
-        // The floor itself, greedy and a one-token block are servable.
+        // The floor itself and greedy are servable.
         assert_eq!(parse(&sentinel.replace("0.15625", "1e-4")), Ok(()));
         assert_eq!(parse(&edited(&|e| e.sampling = Sampling::Greedy)), Ok(()));
-        let block = |e: &mut TraceEntry| e.engine = EngineChoice::DraftVerify { gamma: 1 };
-        assert_eq!(parse(&edited(&block)), Ok(()));
+    }
+
+    #[test]
+    fn an_engine_no_build_has_is_a_parse_error() {
+        // A trace naming draft-verify, which no engine runs, is refused
+        // where it enters — an unknown variant — and not at replay.
+        let committed = include_str!("../tests/traces/eviction_churn.json");
+        let mut trace = ArrivalTrace::from_json(committed).expect("the committed trace parses");
+        trace.entries[1].engine = EngineChoice::MedusaTree(vec![424_242]);
+        let json = serde_json::to_string(&trace).expect("serializes");
+        let sentinel = r#""engine":{"MedusaTree":[424242]}"#;
+        assert_eq!(json.matches(sentinel).count(), 1, "{json}");
+        // The removed variant's name, as older traces spelled it.
+        let removed = concat!("Draft", "Verify");
+        let draft = json.replace(
+            sentinel,
+            &format!(r#""engine":{{"{removed}":{{"gamma":3}}}}"#),
+        );
+        let err = ArrivalTrace::from_json(&draft).expect_err("an unknown engine");
+        assert!(err.to_string().contains(removed), "{err}");
+        // The sentinel itself is an engine the build has.
+        assert!(ArrivalTrace::from_json(&json).is_ok());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! cargo test -p verispec-load --test event_log -- --ignored regenerate
 //! ```
 
-use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, NgramLm, TokenId};
+use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, TokenId};
 use verispec_load::ArrivalTrace;
 use verispec_serve::ServeConfig;
 use verispec_trace::{log_from_json, log_to_json, EventKind, EventLog, TraceEvent};
@@ -31,14 +31,6 @@ fn model() -> MlpLm {
         n_heads: 3,
         seed: 0xC0FFEE,
     })
-}
-
-/// The pinned corpus draft model.
-fn draft() -> NgramLm {
-    let mut lm = NgramLm::new(2, 16);
-    let seq: Vec<TokenId> = (0..240).map(|i| 4 + (i % 7) as TokenId).collect();
-    lm.train_sequence(&seq);
-    lm
 }
 
 /// The `eviction_churn` case's pinned engine configuration.
@@ -64,12 +56,9 @@ fn replay_churn_events() -> Vec<TraceEvent> {
         .expect("tests/traces/eviction_churn.json is committed");
     let trace = ArrivalTrace::from_json(&body).expect("trace parses");
     let m = model();
-    let d = draft();
     let cost = GpuCostModel::codellama_like();
     let log = EventLog::new();
-    let mut engine = verispec_serve::ServeEngine::new(&m, churn_cfg())
-        .with_draft(&d)
-        .with_sink(&log);
+    let mut engine = verispec_serve::ServeEngine::new(&m, churn_cfg()).with_sink(&log);
     assert!(engine.warm_prefix(&SHARED_PREFIX));
     for req in trace.replay() {
         engine.submit(req);

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use verispec_core::DecodeConfig;
 use verispec_grammar::GrammarOracle;
-use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, TokenId};
+use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, TokenId};
 use verispec_load::{ArrivalProcess, PromptFamily, RequestMix, Workload};
 use verispec_serve::{
     Backend, Drive, EngineChoice, FleetRuntime, Request, RoutePolicy, ServeConfig, ServeEngine,
@@ -72,7 +72,6 @@ fn full_mix(deadline_slack: Option<f64>) -> RequestMix {
                 },
                 1.0,
             ),
-            (EngineChoice::DraftVerify { gamma: 3 }, 1.0),
             (
                 EngineChoice::GrammarTree {
                     tree: Some(vec![2, 2]),
@@ -108,7 +107,6 @@ fn full_mix(deadline_slack: Option<f64>) -> RequestMix {
 /// given (the no-op default otherwise).
 fn batch_run(
     model: &MlpLm,
-    draft: &NgramLm,
     stem: &[TokenId],
     cfg: &ServeConfig,
     requests: &[Request],
@@ -120,9 +118,7 @@ fn batch_run(
         prefix_cache: true,
         ..cfg.clone()
     };
-    let mut engine = ServeEngine::new(model, cfg)
-        .with_draft(draft)
-        .with_grammar(oracle);
+    let mut engine = ServeEngine::new(model, cfg).with_grammar(oracle);
     engine.warm_prefix(stem);
     if let Some(log) = log {
         engine = engine.with_sink(log);
@@ -139,7 +135,6 @@ fn batch_run(
 /// the run's events minus the coordinator's routing decisions.
 fn streaming_run(
     model: &MlpLm,
-    draft: &NgramLm,
     stem: &[TokenId],
     cfg: &ServeConfig,
     requests: &[Request],
@@ -155,7 +150,6 @@ fn streaming_run(
     }
     drop(tx);
     let run = FleetRuntime::new(model, cfg, 1, RoutePolicy::RoundRobin, Backend::Lockstep)
-        .with_draft(draft)
         .with_grammar(byte_oracle())
         .warm_prefix(stem)
         .with_tracing()
@@ -176,7 +170,6 @@ proptest! {
     #[test]
     fn event_stream_is_deterministic_across_runs_and_drives(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..12, 12..60),
         process in any_process(),
         count in 1usize..8,
         seed in any::<u64>(),
@@ -187,8 +180,6 @@ proptest! {
         tick_capacity in prop_oneof![Just(None), (2usize..24).prop_map(Some)],
         deadline_slack in prop_oneof![Just(None), (1.0f64..6.0).prop_map(Some)],
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let cost = GpuCostModel::codellama_like();
         let workload = Workload { process, mix: full_mix(deadline_slack), count, seed };
         let requests = workload.requests();
@@ -206,9 +197,9 @@ proptest! {
         };
 
         let log_a = EventLog::new();
-        batch_run(&model, &draft, &shared, &cfg, &requests, &cost, Some(&log_a));
+        batch_run(&model, &shared, &cfg, &requests, &cost, Some(&log_a));
         let log_b = EventLog::new();
-        batch_run(&model, &draft, &shared, &cfg, &requests, &cost, Some(&log_b));
+        batch_run(&model, &shared, &cfg, &requests, &cost, Some(&log_b));
         let json_a = log_to_json(&log_a.into_events());
         prop_assert_eq!(
             &json_a,
@@ -216,7 +207,7 @@ proptest! {
             "event stream not deterministic across identical batch replays"
         );
 
-        let streamed = streaming_run(&model, &draft, &shared, &cfg, &requests, &cost);
+        let streamed = streaming_run(&model, &shared, &cfg, &requests, &cost);
         prop_assert_eq!(
             &json_a,
             &log_to_json(&streamed),
@@ -231,7 +222,6 @@ proptest! {
     #[test]
     fn collecting_sink_is_invisible_and_registry_matches_stats(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..12, 12..60),
         process in any_process(),
         count in 1usize..8,
         seed in any::<u64>(),
@@ -241,8 +231,6 @@ proptest! {
         tick_capacity in prop_oneof![Just(None), (2usize..24).prop_map(Some)],
         deadline_slack in prop_oneof![Just(None), (1.0f64..6.0).prop_map(Some)],
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let cost = GpuCostModel::codellama_like();
         let workload = Workload { process, mix: full_mix(deadline_slack), count, seed };
         let requests = workload.requests();
@@ -256,9 +244,9 @@ proptest! {
             ..ServeConfig::concurrency(max_active)
         };
 
-        let silent = batch_run(&model, &draft, &shared, &cfg, &requests, &cost, None);
+        let silent = batch_run(&model, &shared, &cfg, &requests, &cost, None);
         let log = EventLog::new();
-        let traced = batch_run(&model, &draft, &shared, &cfg, &requests, &cost, Some(&log));
+        let traced = batch_run(&model, &shared, &cfg, &requests, &cost, Some(&log));
         let events: Vec<TraceEvent> = log.into_events();
 
         // Bit-identical run: tokens, schedules, shedding, counters.

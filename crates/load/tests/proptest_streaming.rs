@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use verispec_core::DecodeConfig;
-use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, TokenId};
+use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, TokenId};
 use verispec_load::{ArrivalProcess, PromptFamily, RequestMix, Workload};
 use verispec_serve::{
     Backend, Drive, EngineChoice, FleetRuntime, Request, RoutePolicy, ServeConfig, ServeEngine,
@@ -73,7 +73,6 @@ fn full_mix() -> RequestMix {
                 },
                 1.0,
             ),
-            (EngineChoice::DraftVerify { gamma: 3 }, 1.0),
         ],
         families: vec![
             (
@@ -101,17 +100,12 @@ fn full_mix() -> RequestMix {
 /// Builds an engine riding the radix-tree prefix cache, pre-warmed
 /// with the shared stem — applied identically to the batch and
 /// streaming sides so the parity assertions compare like with like.
-fn engine_for<'m>(
-    model: &'m MlpLm,
-    draft: &'m NgramLm,
-    stem: &[TokenId],
-    cfg: &ServeConfig,
-) -> ServeEngine<'m> {
+fn engine_for<'m>(model: &'m MlpLm, stem: &[TokenId], cfg: &ServeConfig) -> ServeEngine<'m> {
     let cfg = ServeConfig {
         prefix_cache: true,
         ..cfg.clone()
     };
-    let mut engine = ServeEngine::new(model, cfg).with_draft(draft);
+    let mut engine = ServeEngine::new(model, cfg);
     engine.warm_prefix(stem);
     engine
 }
@@ -120,7 +114,6 @@ fn engine_for<'m>(
 /// [`engine_for`]'s engine.
 fn fleet_for<'m>(
     model: &'m MlpLm,
-    draft: &'m NgramLm,
     stem: &[TokenId],
     cfg: &ServeConfig,
     workers: usize,
@@ -131,21 +124,13 @@ fn fleet_for<'m>(
         prefix_cache: true,
         ..cfg.clone()
     };
-    FleetRuntime::new(model, cfg, workers, route, backend)
-        .with_draft(draft)
-        .warm_prefix(stem)
+    FleetRuntime::new(model, cfg, workers, route, backend).warm_prefix(stem)
 }
 
 /// The one-worker lockstep fleet — the single engine, as a fleet.
-fn single_for<'m>(
-    model: &'m MlpLm,
-    draft: &'m NgramLm,
-    stem: &[TokenId],
-    cfg: &ServeConfig,
-) -> FleetRuntime<'m> {
+fn single_for<'m>(model: &'m MlpLm, stem: &[TokenId], cfg: &ServeConfig) -> FleetRuntime<'m> {
     fleet_for(
         model,
-        draft,
         stem,
         cfg,
         1,
@@ -156,13 +141,12 @@ fn single_for<'m>(
 
 fn batch_run(
     model: &MlpLm,
-    draft: &NgramLm,
     stem: &[TokenId],
     cfg: &ServeConfig,
     requests: &[Request],
     cost: &GpuCostModel,
 ) -> ServeReport {
-    let mut engine = engine_for(model, draft, stem, cfg);
+    let mut engine = engine_for(model, stem, cfg);
     for req in requests {
         engine.submit(req.clone());
     }
@@ -176,7 +160,6 @@ proptest! {
     #[test]
     fn streaming_equals_batch_schedule_and_outputs(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..12, 12..60),
         process in any_process(),
         count in 1usize..8,
         seed in any::<u64>(),
@@ -188,8 +171,6 @@ proptest! {
         tick_capacity in prop_oneof![Just(None), (2usize..24).prop_map(Some)],
         deadline_slack in prop_oneof![Just(None), (1.0f64..6.0).prop_map(Some)],
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let cost = GpuCostModel::codellama_like();
         let mut mix = full_mix();
         mix.deadline_slack = deadline_slack;
@@ -207,14 +188,14 @@ proptest! {
             tick_capacity,
             ..Default::default()
         };
-        let batch = batch_run(&model, &draft, &shared, &cfg, &requests, &cost);
+        let batch = batch_run(&model, &shared, &cfg, &requests, &cost);
 
         let (tx, rx) = std::sync::mpsc::channel();
         for req in &requests {
             tx.send(req.clone()).expect("receiver alive");
         }
         drop(tx);
-        let streamed = single_for(&model, &draft, &shared, &cfg)
+        let streamed = single_for(&model, &shared, &cfg)
             .run(Drive::Streaming(rx), &cost)
             .report;
 
@@ -245,15 +226,12 @@ proptest! {
     #[test]
     fn racing_sender_preserves_outputs(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..12, 12..60),
         process in any_process(),
         count in 1usize..7,
         seed in any::<u64>(),
         max_active in 1usize..4,
         session_cap in prop_oneof![Just(None), (1usize..4).prop_map(Some)],
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let cost = GpuCostModel::codellama_like();
         let workload = Workload { process, mix: full_mix(), count, seed };
         let requests = workload.requests();
@@ -264,7 +242,7 @@ proptest! {
             session_cap,
             ..ServeConfig::concurrency(max_active)
         };
-        let batch = batch_run(&model, &draft, &shared, &cfg, &requests, &cost);
+        let batch = batch_run(&model, &shared, &cfg, &requests, &cost);
 
         let (tx, rx) = std::sync::mpsc::channel();
         let to_send = requests.clone();
@@ -276,7 +254,7 @@ proptest! {
                     }
                 }
             });
-            single_for(&model, &draft, &shared, &cfg)
+            single_for(&model, &shared, &cfg)
                 .run(Drive::Streaming(rx), &cost)
                 .report
         });
@@ -301,7 +279,6 @@ proptest! {
     #[test]
     fn racing_multi_sender_multi_worker_preserves_outputs(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..12, 12..60),
         process in any_process(),
         count in 1usize..7,
         seed in any::<u64>(),
@@ -315,8 +292,6 @@ proptest! {
         n_senders in 2usize..4,
         max_active in 1usize..4,
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let cost = GpuCostModel::codellama_like();
         let workload = Workload { process, mix: full_mix(), count, seed };
         let requests = workload.requests();
@@ -324,7 +299,7 @@ proptest! {
         let shared: Vec<TokenId> = vec![5, 6];
 
         let cfg = ServeConfig::concurrency(max_active);
-        let batch = batch_run(&model, &draft, &shared, &cfg, &requests, &cost);
+        let batch = batch_run(&model, &shared, &cfg, &requests, &cost);
 
         for backend in [Backend::Lockstep, Backend::Threaded] {
             let (tx, rx) = std::sync::mpsc::channel();
@@ -355,7 +330,7 @@ proptest! {
                 // The fleet rides the radix-tree prefix cache warmed with
                 // the same shared stem as the batch engine — outputs must
                 // agree regardless of routing.
-                fleet_for(&model, &draft, &shared, &cfg, workers, route.clone(), backend)
+                fleet_for(&model, &shared, &cfg, workers, route.clone(), backend)
                     .run(Drive::Streaming(rx), &cost)
                     .report
             });

@@ -30,7 +30,7 @@
 use serde::{Deserialize, Serialize};
 use verispec_core::DecodeConfig;
 use verispec_grammar::GrammarOracle;
-use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, NgramLm, TokenId};
+use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, TokenId};
 use verispec_load::{ArrivalProcess, ArrivalTrace, PromptFamily, RequestMix, Workload};
 use verispec_serve::{
     Backend, Drive, EngineChoice, FaultPlan, FleetRuntime, RoutePolicy, ServeConfig, ServeEngine,
@@ -63,14 +63,6 @@ fn byte_model() -> MlpLm {
         n_heads: 3,
         seed: 0x6EA2_C0DE,
     })
-}
-
-/// The pinned draft model for `DraftVerify` entries.
-fn draft() -> NgramLm {
-    let mut lm = NgramLm::new(2, 16);
-    let seq: Vec<TokenId> = (0..240).map(|i| 4 + (i % 7) as TokenId).collect();
-    lm.train_sequence(&seq);
-    lm
 }
 
 /// The shared prompt prefix of the corpus mixes (warmed into the prefix
@@ -113,7 +105,7 @@ fn corpus_mix(deadline_slack: Option<f64>) -> RequestMix {
                 },
                 2.0,
             ),
-            (EngineChoice::DraftVerify { gamma: 3 }, 1.0),
+            (EngineChoice::SyntaxAligned { tree: None }, 1.0),
         ],
         families: vec![
             (
@@ -437,7 +429,6 @@ fn traces_dir() -> std::path::PathBuf {
 /// production-failure cases.
 fn replay(case: &TraceCase, trace: &ArrivalTrace) -> ServeReport {
     let m = if case.grammar { byte_model() } else { model() };
-    let d = draft();
     let oracle = GrammarOracle::from_tokenizer(&BpeTokenizer::byte_level());
     let cost = GpuCostModel::codellama_like();
     if let Some((workers, route)) = &case.fleet {
@@ -448,7 +439,6 @@ fn replay(case: &TraceCase, trace: &ArrivalTrace) -> ServeReport {
             route.clone(),
             Backend::Lockstep,
         )
-        .with_draft(&d)
         .with_fault_plan(trace.faults.clone());
         let run = rt.run(Drive::Paced(trace.replay()), &cost);
         return ServeReport {
@@ -457,7 +447,7 @@ fn replay(case: &TraceCase, trace: &ArrivalTrace) -> ServeReport {
             stats: run.report.stats,
         };
     }
-    let mut engine = ServeEngine::new(&m, case.cfg.clone()).with_draft(&d);
+    let mut engine = ServeEngine::new(&m, case.cfg.clone());
     if case.grammar {
         engine = engine.with_grammar(&oracle);
     }

@@ -473,7 +473,6 @@ pub struct ServeEngine<'m> {
     /// The target model: sessions open on it, and each tick's fused
     /// propose and verify passes run its kernel.
     model: &'m MlpLm,
-    draft: Option<&'m dyn LanguageModel>,
     /// Token-byte oracle [`EngineChoice::GrammarTree`] requests
     /// constrain speculation with; `None` degrades them to plain
     /// syntax-aligned speculation.
@@ -566,7 +565,6 @@ impl<'m> ServeEngine<'m> {
         let cache = cfg.prefix_cache.then(PrefixCache::new);
         ServeEngine {
             model,
-            draft: None,
             grammar: None,
             cache,
             cfg,
@@ -631,13 +629,6 @@ impl<'m> ServeEngine<'m> {
         self
     }
 
-    /// Attaches the draft model [`EngineChoice::DraftVerify`] requests
-    /// verify against.
-    pub fn with_draft(mut self, draft: &'m dyn LanguageModel) -> Self {
-        self.draft = Some(draft);
-        self
-    }
-
     /// Attaches the grammar oracle [`EngineChoice::GrammarTree`]
     /// requests constrain their speculation with (typically
     /// [`verispec_grammar::GrammarOracle::from_tokenizer`], shared by
@@ -692,13 +683,9 @@ impl<'m> ServeEngine<'m> {
     /// # Panics
     ///
     /// Never here — but a request no engine can run is accepted, and
-    /// the [`ServeEngine::tick`] that admits or first steps it panics:
-    /// a [`verispec_lm::Sampling::Temperature`] that is not positive (or
-    /// so small that the scaled logits overflow), an
-    /// [`EngineChoice::DraftVerify`] with `gamma` 0 or on an engine
-    /// without [`ServeEngine::with_draft`] (while queued, the latter
-    /// also panics [`ServeEngine::outstanding_cost`], which prices a
-    /// request as the engine it will run). A request read from a file
+    /// the [`ServeEngine::tick`] that first steps it panics: a
+    /// [`verispec_lm::Sampling::Temperature`] that is not positive (or
+    /// so small that the scaled logits overflow). A request read from a file
     /// is checked where it enters (`verispec_load::ArrivalTrace::from_json`
     /// refuses such entries); one built as a struct literal is the
     /// caller's to get right.
@@ -839,25 +826,10 @@ impl<'m> ServeEngine<'m> {
     /// [`EngineChoice`] and what this engine was configured with: a
     /// [`EngineChoice::GrammarTree`] request on an engine without an
     /// oracle runs as plain syntax-aligned speculation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an [`EngineChoice::DraftVerify`] request when the
-    /// engine has no draft model ([`ServeEngine::with_draft`]).
     fn engine_for(&self, req: &Request) -> Engine<'m> {
         let cfg = || req.engine.decode_config(&req.cfg);
         match (&req.engine, self.grammar) {
             (EngineChoice::Ntp, _) => Engine::Ntp(cfg()),
-            (EngineChoice::DraftVerify { .. }, _) => {
-                let draft = self
-                    .draft
-                    .expect("DraftVerify requests need ServeEngine::with_draft");
-                let dcfg = req
-                    .engine
-                    .draft_config(&req.cfg)
-                    .expect("draft engine resolves a draft config");
-                Engine::Draft(dcfg, draft)
-            }
             (EngineChoice::GrammarTree { .. }, Some(oracle)) => Engine::Grammar(cfg(), oracle),
             _ => Engine::Medusa(cfg()),
         }
@@ -1030,7 +1002,6 @@ impl<'m> ServeEngine<'m> {
     }
 
     fn finish(&mut self, a: Active<'m>) {
-        let draft_stats = a.stepper.draft_stats();
         let (proposed_tokens, accepted_tokens) = {
             let h = a.stepper.history();
             (h.speculated(), h.accepted())
@@ -1064,7 +1035,6 @@ impl<'m> ServeEngine<'m> {
         self.completions.push(Completion {
             id: a.id,
             output,
-            draft_stats,
             submitted: a.submitted,
             admitted: a.admitted,
             finished: self.tick,
@@ -1370,8 +1340,8 @@ impl<'m> ServeEngine<'m> {
         );
 
         // Commit: span selection, rollback, clock — all request-local.
-        // Every non-Done phase commits at least one token (NTP/draft
-        // always commit; speculative commits at least its base token),
+        // Every non-Done phase commits at least one token (NTP always
+        // commits; speculative commits at least its base token),
         // so the commit tick doubles as the inter-token telemetry
         // timestamp.
         for (&i, phase) in stepped.iter().zip(&phases) {

@@ -14,7 +14,7 @@
 //! ```text
 //!   FleetRuntime (runtime) ── the one fleet spec and the one drive:
 //!   model + ServeConfig + workers + RoutePolicy + Backend, optional
-//!   draft / grammar / policy / warm stems / tracing / FaultPlan;
+//!   grammar / policy / warm stems / tracing / FaultPlan;
 //!   run(Drive::{Batch,Paced,Streaming}, cost) builds the backend,
 //!   drives it, drains it and merges per-worker reports — the only way
 //!   to serve requests through a fleet
@@ -99,7 +99,8 @@
 //!
 //! * **[`Request`]** — prompt, per-request engine choice
 //!   ([`EngineChoice`]: NTP / MEDUSA chain / tree / syntax-aligned /
-//!   draft-verify / grammar-tree), decode budgets, arrival tick, and an
+//!   grammar-tree — the paper's three methods plus the grammar layer
+//!   on "Ours"), decode budgets, arrival tick, and an
 //!   optional SLO deadline tick. Grammar-tree requests run against the
 //!   engine's shared [`verispec_grammar::GrammarOracle`]
 //!   ([`ServeEngine::with_grammar`]): each reached node of a candidate
@@ -240,7 +241,7 @@
 //! Serving is a **performance mechanism, never a semantic one**: every
 //! request's token stream is bit-identical to running the serial
 //! single-session engine (`decode_ntp` / `decode_speculative` /
-//! `decode_draft_speculative`) on it alone — for greedy decoding and
+//! `decode_grammar_speculative`) on it alone — for greedy decoding and
 //! seeded sampling alike, under any scheduler order, batch size,
 //! preemption pattern or prefix-cache state. Three layers guarantee it:
 //! the steppers are the *same code* the serial engines run; the fused
@@ -312,12 +313,8 @@ pub use scheduler::{ActiveView, Scheduler, TickOrder};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verispec_core::{
-        decode_draft_speculative, decode_ntp, decode_speculative, DecodeConfig, Engine, Stepper,
-    };
-    use verispec_lm::{
-        GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, TokenId,
-    };
+    use verispec_core::{decode_ntp, decode_speculative, DecodeConfig, Engine, Stepper};
+    use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, Sampling, TokenId};
 
     fn model() -> MlpLm {
         MlpLm::new(MlpLmConfig {
@@ -330,25 +327,14 @@ mod tests {
         })
     }
 
-    fn draft() -> NgramLm {
-        let mut lm = NgramLm::new(3, 14);
-        let seq: Vec<TokenId> = (0..200).map(|i| 6 + (i % 3) as TokenId).collect();
-        lm.train_sequence(&seq);
-        lm
-    }
-
     /// Serves `requests` to completion on one hand-driven engine.
     fn run_engine(
         model: &MlpLm,
-        draft: Option<&dyn LanguageModel>,
         requests: Vec<Request>,
         cfg: &ServeConfig,
         cost: &GpuCostModel,
     ) -> ServeReport {
         let mut engine = ServeEngine::new(model, cfg.clone());
-        if let Some(d) = draft {
-            engine = engine.with_draft(d);
-        }
         for req in requests {
             engine.submit(req);
         }
@@ -358,7 +344,6 @@ mod tests {
     /// Serves a pre-filled, closed channel through a one-worker fleet.
     fn stream_through_fleet(
         model: &MlpLm,
-        draft: Option<&(dyn LanguageModel + Sync)>,
         requests: Vec<Request>,
         cfg: &ServeConfig,
         cost: &GpuCostModel,
@@ -368,17 +353,15 @@ mod tests {
             tx.send(r).expect("receiver alive");
         }
         drop(tx);
-        let mut fleet = FleetRuntime::new(
+        FleetRuntime::new(
             model,
             cfg.clone(),
             1,
             RoutePolicy::RoundRobin,
             Backend::Lockstep,
-        );
-        if let Some(d) = draft {
-            fleet = fleet.with_draft(d);
-        }
-        fleet.run(Drive::Streaming(rx), cost).report
+        )
+        .run(Drive::Streaming(rx), cost)
+        .report
     }
 
     fn mixed_requests(max_tokens: usize) -> Vec<Request> {
@@ -390,7 +373,6 @@ mod tests {
             EngineChoice::SyntaxAligned {
                 tree: Some(vec![2]),
             },
-            EngineChoice::DraftVerify { gamma: 3 },
             // Without an oracle attached this degrades to plain
             // syntax-aligned speculation — the parity tests cover it.
             EngineChoice::GrammarTree {
@@ -416,16 +398,10 @@ mod tests {
             .collect()
     }
 
-    fn serial_output(m: &MlpLm, d: &NgramLm, req: &Request, cost: &GpuCostModel) -> Vec<TokenId> {
+    fn serial_output(m: &MlpLm, req: &Request, cost: &GpuCostModel) -> Vec<TokenId> {
         match &req.engine {
             EngineChoice::Ntp => {
                 decode_ntp(m, &req.prompt, &req.engine.decode_config(&req.cfg), cost).tokens
-            }
-            EngineChoice::DraftVerify { .. } => {
-                let dcfg = req.engine.draft_config(&req.cfg).expect("draft cfg");
-                decode_draft_speculative(m, d, &req.prompt, &dcfg, cost)
-                    .0
-                    .tokens
             }
             _ => {
                 decode_speculative(m, &req.prompt, &req.engine.decode_config(&req.cfg), cost).tokens
@@ -436,17 +412,15 @@ mod tests {
     #[test]
     fn served_outputs_match_serial_engines_exactly() {
         let m = model();
-        let d = draft();
         let cost = GpuCostModel::codellama_like();
         let requests = mixed_requests(14);
         let expected: Vec<Vec<TokenId>> = requests
             .iter()
-            .map(|r| serial_output(&m, &d, r, &cost))
+            .map(|r| serial_output(&m, r, &cost))
             .collect();
         for concurrency in [1usize, 3, 6] {
             let report = run_engine(
                 &m,
-                Some(&d),
                 requests.clone(),
                 &ServeConfig::concurrency(concurrency),
                 &cost,
@@ -538,7 +512,7 @@ mod tests {
             preempt_wait: Some(2),
             ..Default::default()
         };
-        let report = run_engine(&m, None, requests, &cfg, &cost);
+        let report = run_engine(&m, requests, &cfg, &cost);
         assert!(report.stats.preemptions > 0, "preemption must trigger");
         for (c, want) in report.completions.iter().zip(&expected) {
             assert_eq!(&c.output.tokens, want, "request {} diverged", c.id);
@@ -550,16 +524,9 @@ mod tests {
     #[test]
     fn threaded_worker_pool_matches_single_engine() {
         let m = model();
-        let d = draft();
         let cost = GpuCostModel::codellama_like();
         let requests = mixed_requests(12);
-        let single = run_engine(
-            &m,
-            Some(&d),
-            requests.clone(),
-            &ServeConfig::concurrency(6),
-            &cost,
-        );
+        let single = run_engine(&m, requests.clone(), &ServeConfig::concurrency(6), &cost);
         let pooled = FleetRuntime::new(
             &m,
             ServeConfig::concurrency(3),
@@ -567,7 +534,6 @@ mod tests {
             RoutePolicy::RoundRobin,
             Backend::Threaded,
         )
-        .with_draft(&d)
         .run(Drive::Batch(requests), &cost)
         .report;
         assert_eq!(single.completions.len(), pooled.completions.len());
@@ -580,7 +546,6 @@ mod tests {
     #[test]
     fn streaming_admission_matches_batch_run_tick_for_tick() {
         let m = model();
-        let d = draft();
         let cost = GpuCostModel::codellama_like();
         // Staggered arrivals, including a sparse gap the idle
         // fast-forward must bridge identically on both paths.
@@ -594,8 +559,8 @@ mod tests {
             preempt_wait: Some(2),
             ..Default::default()
         };
-        let batch = run_engine(&m, Some(&d), requests.clone(), &cfg, &cost);
-        let streamed = stream_through_fleet(&m, Some(&d), requests, &cfg, &cost);
+        let batch = run_engine(&m, requests.clone(), &cfg, &cost);
+        let streamed = stream_through_fleet(&m, requests, &cfg, &cost);
         assert_eq!(batch.completions.len(), streamed.completions.len());
         for (a, b) in batch.completions.iter().zip(&streamed.completions) {
             assert_eq!(a.id, b.id);
@@ -710,13 +675,7 @@ mod tests {
                 decode_speculative(&m, &r.prompt, &r.engine.decode_config(&r.cfg), &cost).tokens
             })
             .collect();
-        let free = run_engine(
-            &m,
-            None,
-            requests.clone(),
-            &ServeConfig::concurrency(6),
-            &cost,
-        );
+        let free = run_engine(&m, requests.clone(), &ServeConfig::concurrency(6), &cost);
         let capped_cfg = ServeConfig {
             // Tree [2,2] over 3 heads costs 1 + 3·4 = 13 per step; a
             // budget of 16 fits one full tree per tick, so the rest of
@@ -724,7 +683,7 @@ mod tests {
             tick_capacity: Some(16),
             ..ServeConfig::concurrency(6)
         };
-        let capped = run_engine(&m, None, requests, &capped_cfg, &cost);
+        let capped = run_engine(&m, requests, &capped_cfg, &cost);
         assert!(
             capped.stats.deferred_steps > 0,
             "the budget must actually bind"
@@ -775,7 +734,7 @@ mod tests {
                 tick_capacity: Some(capacity),
                 ..ServeConfig::concurrency(6)
             };
-            run_engine(&m, None, requests.clone(), &cfg, &cost)
+            run_engine(&m, requests.clone(), &cfg, &cost)
         };
         let policy = BudgetedPolicy { per_tick: capacity };
         let run_budgeted = {
@@ -877,7 +836,7 @@ mod tests {
             shed_depth: Some(2),
             ..Default::default()
         };
-        let batch = run_engine(&m, None, requests.clone(), &cfg, &cost);
+        let batch = run_engine(&m, requests.clone(), &cfg, &cost);
         assert!(batch.stats.shed_requests > 0, "overflow must shed");
         assert_eq!(
             batch.completions.len() + batch.shed.len(),
@@ -889,7 +848,7 @@ mod tests {
         let min_shed = batch.shed.iter().map(|s| s.id).min().expect("nonempty");
         assert!(batch.completions.iter().all(|c| c.id < min_shed));
         // Streaming sheds the same requests at the same ticks.
-        let streamed = stream_through_fleet(&m, None, requests, &cfg, &cost);
+        let streamed = stream_through_fleet(&m, requests, &cfg, &cost);
         assert_eq!(batch.shed, streamed.shed);
         for (a, b) in batch.completions.iter().zip(&streamed.completions) {
             assert_eq!(a.output.tokens, b.output.tokens);
@@ -930,7 +889,7 @@ mod tests {
                 order,
                 ..Default::default()
             };
-            let report = run_engine(&m, None, mk_requests(), &cfg, &cost);
+            let report = run_engine(&m, mk_requests(), &cfg, &cost);
             report
                 .completions
                 .iter()
@@ -973,7 +932,7 @@ mod tests {
             class_weights: vec![3, 1],
             ..Default::default()
         };
-        let report = run_engine(&m, None, requests, &cfg, &cost);
+        let report = run_engine(&m, requests, &cfg, &cost);
         assert_eq!(report.completions.len(), 2);
         let of = |id: u64| {
             report
@@ -998,15 +957,16 @@ mod tests {
 
     #[test]
     fn one_fused_batch_of_every_engine_equals_each_serial_engine() {
-        // NTP, a lazily grown tree, a chain, a grammar tree (eager: all
-        // its heads at once, from the activation the fused propose
-        // kept) and a draft block share every tick: one propose pass of
-        // base rows, then one pass per level carrying the nodes and the
-        // head rows that level's survivors asked for. Each member must
-        // equal its own serial engine — tokens, steps and trace.
+        // NTP, a lazily grown tree, an "Ours" chain, a grammar tree
+        // (lazy too: each level's head evaluated from the activation
+        // the fused propose kept, once acceptance reaches the level)
+        // and a Medusa chain share every tick: one propose pass of base
+        // rows, then one pass per level carrying the nodes and the head
+        // rows that level's survivors asked for. Each member must equal
+        // its own serial engine — tokens, steps and trace.
         use verispec_core::{decode_grammar_speculative, DecodeOutput};
         use verispec_grammar::GrammarOracle;
-        let (m, d) = (model(), draft());
+        let m = model();
         let cost = GpuCostModel::codellama_like();
         let bytes = (0..14usize)
             .map(|id| if id < 5 { Vec::new() } else { b"a".to_vec() })
@@ -1019,7 +979,7 @@ mod tests {
             EngineChoice::GrammarTree {
                 tree: Some(vec![2, 2]),
             },
-            EngineChoice::DraftVerify { gamma: 3 },
+            EngineChoice::MedusaChain,
         ];
         for temperature in [None, Some(0.8f32), Some(2.5)] {
             let requests: Vec<Request> = engines
@@ -1041,10 +1001,6 @@ mod tests {
                     let cfg = r.engine.decode_config(&r.cfg);
                     match &r.engine {
                         EngineChoice::Ntp => decode_ntp(&m, &r.prompt, &cfg, &cost),
-                        EngineChoice::DraftVerify { .. } => {
-                            let dcfg = r.engine.draft_config(&r.cfg).expect("draft cfg");
-                            decode_draft_speculative(&m, &d, &r.prompt, &dcfg, &cost).0
-                        }
                         EngineChoice::GrammarTree { .. } => {
                             decode_grammar_speculative(&m, &oracle, &r.prompt, &cfg, &cost)
                         }
@@ -1052,9 +1008,8 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut engine = ServeEngine::new(&m, ServeConfig::concurrency(engines.len()))
-                .with_draft(&d)
-                .with_grammar(&oracle);
+            let mut engine =
+                ServeEngine::new(&m, ServeConfig::concurrency(engines.len())).with_grammar(&oracle);
             for r in requests {
                 engine.submit(r);
             }
@@ -1092,7 +1047,7 @@ mod tests {
         // the request warming — admitted, not yet stepped — through the
         // tick that admits it.
         use verispec_grammar::GrammarOracle;
-        let (m, d) = (model(), draft());
+        let m = model();
         let cost = GpuCostModel::codellama_like();
         let bytes = (0..14usize)
             .map(|id| if id < 5 { Vec::new() } else { b"a".to_vec() })
@@ -1105,7 +1060,6 @@ mod tests {
             EngineChoice::MedusaTree(vec![2, 2]),
             EngineChoice::SyntaxAligned { tree: None },
             EngineChoice::SyntaxAligned { tree: tree.clone() },
-            EngineChoice::DraftVerify { gamma: 3 },
             EngineChoice::GrammarTree { tree },
         ];
         let cfg = ServeConfig {
@@ -1118,7 +1072,7 @@ mod tests {
         };
         for with_oracle in [true, false] {
             for choice in &engines {
-                let mut engine = ServeEngine::new(&m, cfg.clone()).with_draft(&d);
+                let mut engine = ServeEngine::new(&m, cfg.clone());
                 if with_oracle {
                     engine = engine.with_grammar(&oracle);
                 }
@@ -1230,7 +1184,7 @@ mod tests {
         let steps: usize = want.iter().map(|o| o.steps).sum();
         assert_eq!(forwarded_bases, steps, "the reference forwards every base");
 
-        let report = run_engine(&m, None, requests, &ServeConfig::concurrency(16), &cost);
+        let report = run_engine(&m, requests, &ServeConfig::concurrency(16), &cost);
         for (c, want) in report.completions.iter().zip(&want) {
             assert_eq!(c.output.tokens, want.tokens, "request {} tokens", c.id);
             assert_eq!(c.output.steps, want.steps, "request {} steps", c.id);
@@ -1365,7 +1319,7 @@ mod tests {
             ..Default::default()
         };
         let bound = Scheduler::new(cfg.order, cfg.max_active, cfg.max_batch).starvation_bound();
-        let report = run_engine(&m, None, requests, &cfg, &cost);
+        let report = run_engine(&m, requests, &cfg, &cost);
         for c in &report.completions {
             assert!(
                 c.max_service_gap <= bound + cfg.max_active as u64,

@@ -2,8 +2,8 @@
 //! what it gets back.
 
 use serde::{Deserialize, Serialize};
-use verispec_core::{DecodeConfig, DecodeOutput, DraftConfig, DraftStats};
-use verispec_lm::{Sampling, TokenId};
+use verispec_core::{DecodeConfig, DecodeOutput};
+use verispec_lm::TokenId;
 
 /// Which decoding engine a request runs under. All choices drive the
 /// same target model; the choice controls speculation shape and the
@@ -20,12 +20,6 @@ pub enum EngineChoice {
     SyntaxAligned {
         /// Optional candidate-tree widths (`None` = top-1 chain).
         tree: Option<Vec<usize>>,
-    },
-    /// Classical draft-then-verify speculation with a separate draft
-    /// model (the engine must be configured with one).
-    DraftVerify {
-        /// Draft block length γ.
-        gamma: usize,
     },
     /// Grammar-constrained syntax-aligned speculation: each candidate
     /// tree node's children are viability-filtered through its own
@@ -47,7 +41,6 @@ impl EngineChoice {
             EngineChoice::MedusaTree(_) => "Medusa-tree",
             EngineChoice::SyntaxAligned { tree: None } => "Ours-chain",
             EngineChoice::SyntaxAligned { tree: Some(_) } => "Ours-tree",
-            EngineChoice::DraftVerify { .. } => "Draft-verify",
             EngineChoice::GrammarTree { .. } => "Grammar-tree",
         }
     }
@@ -75,27 +68,7 @@ impl EngineChoice {
                     ..base.clone()
                 }
             }
-            EngineChoice::DraftVerify { .. } => base.clone(),
         }
-    }
-
-    /// The [`DraftConfig`] equivalent of a request's base config, for
-    /// [`EngineChoice::DraftVerify`] requests (greedy maps to
-    /// temperature 1.0 — classical draft-verify always samples).
-    pub fn draft_config(&self, base: &DecodeConfig) -> Option<DraftConfig> {
-        let EngineChoice::DraftVerify { gamma } = self else {
-            return None;
-        };
-        Some(DraftConfig {
-            gamma: *gamma,
-            max_tokens: base.max_tokens,
-            temperature: match base.sampling {
-                Sampling::Temperature { temperature, .. } => temperature,
-                Sampling::Greedy => 1.0,
-            },
-            eos: base.eos,
-            seed: base.seed,
-        })
     }
 }
 
@@ -165,8 +138,6 @@ pub struct Completion {
     /// The generation result — bit-identical to the serial
     /// single-session engine's output for the same request.
     pub output: DecodeOutput,
-    /// Acceptance stats for draft-verify requests.
-    pub draft_stats: Option<DraftStats>,
     /// Tick at which the request was submitted (arrival tick).
     pub submitted: u64,
     /// Tick at which it was first admitted to the active set.
@@ -233,7 +204,6 @@ impl Completion {
     pub fn same_schedule(&self, other: &Completion) -> bool {
         self.id == other.id
             && self.output == other.output
-            && self.draft_stats == other.draft_stats
             && self.submitted == other.submitted
             && self.admitted == other.admitted
             && self.finished == other.finished

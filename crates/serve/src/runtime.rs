@@ -5,7 +5,7 @@
 //!
 //! A [`FleetRuntime`] value *is* the fleet spec — model, per-worker
 //! [`ServeConfig`], worker count, [`RoutePolicy`], [`Backend`], and the
-//! optional draft / grammar / policy / warm stems / tracing /
+//! optional grammar / policy / warm stems / tracing /
 //! [`FaultPlan`] — and [`FleetRuntime::run`] is the only function in
 //! this crate that serves requests through a fleet. It applies the
 //! spec to engines in exactly one place (`FleetRuntime::engine`, which
@@ -117,7 +117,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use verispec_core::SpecPolicy;
 use verispec_grammar::GrammarOracle;
-use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, TokenId};
+use verispec_lm::{GpuCostModel, MlpLm, TokenId};
 use verispec_trace::{EventKind, EventLog, TraceEvent, TraceSink};
 
 /// One deterministic, trace-specified fault.
@@ -344,7 +344,6 @@ pub struct FleetRuntime<'m> {
     workers: usize,
     route: RoutePolicy,
     backend: Backend,
-    draft: Option<&'m (dyn LanguageModel + Sync)>,
     grammar: Option<&'m GrammarOracle>,
     policy: Option<&'m dyn SpecPolicy>,
     warm: Vec<Vec<TokenId>>,
@@ -369,20 +368,12 @@ impl<'m> FleetRuntime<'m> {
             workers: workers.max(1),
             route,
             backend,
-            draft: None,
             grammar: None,
             policy: None,
             warm: Vec::new(),
             traced: false,
             plan: FaultPlan::none(),
         }
-    }
-
-    /// Attaches the draft model to every worker (`Sync` because the
-    /// threaded backend shares it across worker threads).
-    pub fn with_draft(mut self, draft: &'m (dyn LanguageModel + Sync)) -> Self {
-        self.draft = Some(draft);
-        self
     }
 
     /// Attaches the grammar oracle to every worker.
@@ -444,9 +435,6 @@ impl<'m> FleetRuntime<'m> {
     ) -> ServeEngine<'e> {
         let mut engine = ServeEngine::new(self.model, self.cfg.clone()).with_sink(sink);
         engine.worker = worker as u32;
-        if let Some(draft) = self.draft {
-            engine = engine.with_draft(draft as &dyn LanguageModel);
-        }
         if let Some(oracle) = self.grammar {
             engine = engine.with_grammar(oracle);
         }

@@ -59,8 +59,8 @@
 //!
 //! # Determinism argument
 //!
-//! Workers share nothing but read-only state (model, draft, grammar
-//! oracle, policy — all `Sync`), so a worker's tick sequence is a pure
+//! Workers share nothing but read-only state (model, grammar oracle,
+//! policy — all `Sync`), so a worker's tick sequence is a pure
 //! function of the command sequence it receives. The coordinator sends
 //! each worker exactly the per-worker subsequence of submit/tick calls
 //! the lockstep backend would make: it runs under the same drive and

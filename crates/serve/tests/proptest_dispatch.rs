@@ -9,10 +9,8 @@
 //! deadlines, every tick stamp — reproduces exactly.
 
 use proptest::prelude::*;
-use verispec_core::{
-    decode_draft_speculative, decode_ntp, decode_speculative, DecodeConfig, DecodeOutput,
-};
-use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, TokenId};
+use verispec_core::{decode_ntp, decode_speculative, DecodeConfig, DecodeOutput};
+use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, Sampling, TokenId};
 use verispec_serve::{
     Backend, DispatchReport, Drive, EngineChoice, FleetRuntime, Request, RoutePolicy, ServeConfig,
     ServeEngine, TickOrder,
@@ -42,7 +40,6 @@ fn any_engine() -> impl Strategy<Value = EngineChoice> {
         (1usize..3).prop_map(|k| EngineChoice::SyntaxAligned {
             tree: Some(vec![k, k])
         }),
-        (1usize..4).prop_map(|gamma| EngineChoice::DraftVerify { gamma }),
     ]
 }
 
@@ -116,12 +113,7 @@ fn build_requests(raw: &[RawRequest]) -> Vec<Request> {
         .collect()
 }
 
-fn serial_reference(
-    model: &MlpLm,
-    draft: &NgramLm,
-    req: &Request,
-    cost: &GpuCostModel,
-) -> DecodeOutput {
+fn serial_reference(model: &MlpLm, req: &Request, cost: &GpuCostModel) -> DecodeOutput {
     match &req.engine {
         EngineChoice::Ntp => decode_ntp(
             model,
@@ -129,10 +121,6 @@ fn serial_reference(
             &req.engine.decode_config(&req.cfg),
             cost,
         ),
-        EngineChoice::DraftVerify { .. } => {
-            let dcfg = req.engine.draft_config(&req.cfg).expect("draft config");
-            decode_draft_speculative(model, draft, &req.prompt, &dcfg, cost).0
-        }
         _ => decode_speculative(
             model,
             &req.prompt,
@@ -142,10 +130,9 @@ fn serial_reference(
     }
 }
 
-/// Serves `drive` through a lockstep fleet with the draft attached.
+/// Serves `drive` through a lockstep fleet.
 fn dispatch(
     model: &MlpLm,
-    draft: &NgramLm,
     cfg: &ServeConfig,
     workers: usize,
     route: &RoutePolicy,
@@ -159,7 +146,6 @@ fn dispatch(
         route.clone(),
         Backend::Lockstep,
     )
-    .with_draft(draft)
     .run(drive, cost)
     .report
 }
@@ -173,7 +159,6 @@ proptest! {
     #[test]
     fn dispatched_outputs_equal_serial_under_any_routing(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..10, 12..60),
         raw in any_requests(),
         workers in 1usize..5,
         route in any_route(),
@@ -183,8 +168,6 @@ proptest! {
         tick_capacity in prop_oneof![Just(None), (2usize..20).prop_map(Some)],
         shed_depth in prop_oneof![Just(None), (1usize..4).prop_map(Some)],
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let cost = GpuCostModel::codellama_like();
         let requests = build_requests(&raw);
         let cfg = ServeConfig {
@@ -196,7 +179,7 @@ proptest! {
             ..Default::default()
         };
         let batch = Drive::Batch(requests.clone());
-        let report = dispatch(&model, &draft, &cfg, workers, &route, batch, &cost);
+        let report = dispatch(&model, &cfg, workers, &route, batch, &cost);
 
         // Nothing lost: every id is either completed or shed, exactly once.
         let mut ids: Vec<u64> = report.completions.iter().map(|c| c.id).collect();
@@ -216,7 +199,7 @@ proptest! {
 
         for c in &report.completions {
             let req = requests.iter().find(|r| r.id == c.id).expect("known id");
-            let want = serial_reference(&model, &draft, req, &cost);
+            let want = serial_reference(&model, req, &cost);
             prop_assert_eq!(
                 &c.output.tokens, &want.tokens,
                 "request {} diverged from serial decode under {} routing on {} workers",
@@ -227,14 +210,14 @@ proptest! {
         // The paced drive (routing at arrival time against live queue
         // state — what the bench measures) obeys the same invariant.
         let paced = Drive::Paced(requests.clone());
-        let paced = dispatch(&model, &draft, &cfg, workers, &route, paced, &cost);
+        let paced = dispatch(&model, &cfg, workers, &route, paced, &cost);
         let mut paced_ids: Vec<u64> = paced.completions.iter().map(|c| c.id).collect();
         paced_ids.extend(paced.shed.iter().map(|s| s.id));
         paced_ids.sort_unstable();
         prop_assert_eq!(&paced_ids, &want_ids, "paced: served + shed must cover every request");
         for c in &paced.completions {
             let req = requests.iter().find(|r| r.id == c.id).expect("known id");
-            let want = serial_reference(&model, &draft, req, &cost);
+            let want = serial_reference(&model, req, &cost);
             prop_assert_eq!(
                 &c.output.tokens, &want.tokens,
                 "request {} diverged from serial decode under paced {} routing on {} workers",
@@ -252,7 +235,7 @@ proptest! {
         if workers == 1 {
             let mut sorted = requests.clone();
             sorted.sort_by_key(|r| r.arrival);
-            let report = dispatch(&model, &draft, &cfg, 1, &route, Drive::Batch(sorted), &cost);
+            let report = dispatch(&model, &cfg, 1, &route, Drive::Batch(sorted), &cost);
             prop_assert_eq!(&paced.shed, &report.shed);
             prop_assert_eq!(paced.stats.ticks, report.stats.ticks);
             prop_assert_eq!(paced.completions.len(), report.completions.len());
@@ -286,7 +269,6 @@ proptest! {
     #[test]
     fn one_worker_fleet_equals_hand_driven_engine_on_every_drive_and_backend(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..10, 12..60),
         raw in any_requests(),
         route in any_route(),
         order in any_order(),
@@ -296,8 +278,6 @@ proptest! {
         tick_capacity in prop_oneof![Just(None), (2usize..20).prop_map(Some)],
         prefix_cache in any::<bool>(),
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let cost = GpuCostModel::codellama_like();
         // Arrival order (stable): the order the paced drive serves in,
         // so every drive and the reference see one queue order.
@@ -314,7 +294,7 @@ proptest! {
             ..Default::default()
         };
 
-        let mut engine = ServeEngine::new(&model, cfg.clone()).with_draft(&draft);
+        let mut engine = ServeEngine::new(&model, cfg.clone());
         for req in &requests {
             engine.submit(req.clone());
         }
@@ -336,7 +316,6 @@ proptest! {
                     }
                 };
                 let fleet = FleetRuntime::new(&model, cfg.clone(), 1, route.clone(), backend)
-                    .with_draft(&draft)
                     .run(drive, &cost)
                     .report;
                 let cell = format!("{drive_name} on {backend:?}");
@@ -348,7 +327,7 @@ proptest! {
                     );
                     for c in &fleet.completions {
                         let req = requests.iter().find(|r| r.id == c.id).expect("known id");
-                        let want = serial_reference(&model, &draft, req, &cost);
+                        let want = serial_reference(&model, req, &cost);
                         prop_assert_eq!(&c.output.tokens, &want.tokens, "{}", &cell);
                     }
                     continue;
@@ -381,14 +360,11 @@ proptest! {
     #[test]
     fn pinned_assignment_reproduces_shedding_and_deadlines(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..10, 12..60),
         raw in any_requests(),
         workers in 1usize..4,
         route in any_route(),
         shed_depth in prop_oneof![Just(None), (1usize..3).prop_map(Some)],
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let cost = GpuCostModel::codellama_like();
         let requests = build_requests(&raw);
         let cfg = ServeConfig {
@@ -398,9 +374,9 @@ proptest! {
             ..Default::default()
         };
         let batch = Drive::Batch(requests.clone());
-        let first = dispatch(&model, &draft, &cfg, workers, &route, batch, &cost);
+        let first = dispatch(&model, &cfg, workers, &route, batch, &cost);
         let pinned = RoutePolicy::Pinned(first.assignments.clone());
-        let replay = dispatch(&model, &draft, &cfg, workers, &pinned, Drive::Batch(requests), &cost);
+        let replay = dispatch(&model, &cfg, workers, &pinned, Drive::Batch(requests), &cost);
 
         prop_assert_eq!(&first.assignments, &replay.assignments);
         prop_assert_eq!(&first.shed, &replay.shed, "shedding must replay exactly");

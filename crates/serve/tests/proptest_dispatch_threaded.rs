@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use verispec_core::DecodeConfig;
 use verispec_grammar::GrammarOracle;
-use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, TokenId};
+use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, Sampling, TokenId};
 use verispec_serve::{
     Backend, Drive, EngineChoice, FleetRun, FleetRuntime, Request, RoutePolicy, ServeConfig,
     TickOrder,
@@ -49,7 +49,6 @@ fn any_engine() -> impl Strategy<Value = EngineChoice> {
         (1usize..3).prop_map(|k| EngineChoice::GrammarTree {
             tree: Some(vec![k, k])
         }),
-        (1usize..4).prop_map(|gamma| EngineChoice::DraftVerify { gamma }),
     ]
 }
 
@@ -216,7 +215,6 @@ const WARM_STEM: &[TokenId] = &[4, 5, 6];
 /// The traced fleet spec under test, on `backend`.
 fn fleet<'m>(
     model: &'m MlpLm,
-    draft: &'m NgramLm,
     oracle: &'m GrammarOracle,
     cfg: &ServeConfig,
     workers: usize,
@@ -225,7 +223,6 @@ fn fleet<'m>(
 ) -> FleetRuntime<'m> {
     let fleet = FleetRuntime::new(model, cfg.clone(), workers, route.clone(), backend)
         .with_tracing()
-        .with_draft(draft)
         .with_grammar(oracle);
     if cfg.prefix_cache {
         fleet.warm_prefix(WARM_STEM)
@@ -255,21 +252,18 @@ proptest! {
     #[test]
     fn threaded_paced_is_bit_identical_to_lockstep(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..10, 12..60),
         raw in any_requests(),
         workers in any_workers(),
         route in any_route(),
         order in any_order(),
         churn in any_churn(),
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let oracle = oracle_for(model.vocab_size());
         let cost = GpuCostModel::codellama_like();
         let requests = build_requests(&raw);
         let cfg = serve_config(&churn, order);
         let (lockstep, threaded) = run_both(
-            |backend| fleet(&model, &draft, &oracle, &cfg, workers, &route, backend),
+            |backend| fleet(&model, &oracle, &cfg, workers, &route, backend),
             || Drive::Paced(requests.clone()),
             &cost,
         );
@@ -292,21 +286,18 @@ proptest! {
     #[test]
     fn threaded_batch_is_bit_identical_to_lockstep(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..10, 12..60),
         raw in any_requests(),
         workers in any_workers(),
         route in any_route(),
         order in any_order(),
         churn in any_churn(),
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let oracle = oracle_for(model.vocab_size());
         let cost = GpuCostModel::codellama_like();
         let requests = build_requests(&raw);
         let cfg = serve_config(&churn, order);
         let (lockstep, threaded) = run_both(
-            |backend| fleet(&model, &draft, &oracle, &cfg, workers, &route, backend),
+            |backend| fleet(&model, &oracle, &cfg, workers, &route, backend),
             || Drive::Batch(requests.clone()),
             &cost,
         );

@@ -26,7 +26,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use verispec_core::DecodeConfig;
 use verispec_grammar::GrammarOracle;
-use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, TokenId};
+use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, Sampling, TokenId};
 use verispec_serve::{
     Backend, Drive, EngineChoice, FaultPlan, FleetRuntime, Request, RoutePolicy, Scheduler,
     ServeConfig, TickOrder,
@@ -55,7 +55,6 @@ fn any_engine() -> impl Strategy<Value = EngineChoice> {
         (1usize..3, 1usize..3).prop_map(|(a, b)| EngineChoice::MedusaTree(vec![a, b])),
         Just(EngineChoice::SyntaxAligned { tree: None }),
         Just(EngineChoice::GrammarTree { tree: None }),
-        (1usize..4).prop_map(|gamma| EngineChoice::DraftVerify { gamma }),
     ]
 }
 
@@ -186,16 +185,13 @@ fn serve_config(max_active: usize, max_batch: usize, order: TickOrder) -> ServeC
 
 fn runtime<'m>(
     model: &'m MlpLm,
-    draft: &'m NgramLm,
     oracle: &'m GrammarOracle,
     cfg: ServeConfig,
     workers: usize,
     route: RoutePolicy,
     backend: Backend,
 ) -> FleetRuntime<'m> {
-    FleetRuntime::new(model, cfg, workers, route.clone(), backend)
-        .with_draft(draft)
-        .with_grammar(oracle)
+    FleetRuntime::new(model, cfg, workers, route.clone(), backend).with_grammar(oracle)
 }
 
 proptest! {
@@ -210,7 +206,6 @@ proptest! {
     #[test]
     fn faulted_completions_are_token_identical_to_fault_free(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..10, 12..60),
         raw in any_requests(),
         workers in any_workers(),
         raw_plan in any_plan(),
@@ -219,8 +214,6 @@ proptest! {
         max_active in 1usize..4,
         max_batch in 1usize..3,
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let oracle = oracle_for(model.vocab_size());
         let cost = GpuCostModel::codellama_like();
         let requests = build_requests(&raw);
@@ -228,7 +221,7 @@ proptest! {
         let cfg = serve_config(max_active, max_batch, order);
 
         for backend in [Backend::Lockstep, Backend::Threaded] {
-            let baseline = runtime(&model, &draft, &oracle, cfg.clone(), workers, route.clone(), backend)
+            let baseline = runtime(&model, &oracle, cfg.clone(), workers, route.clone(), backend)
                 .run(Drive::Paced(requests.clone()), &cost);
             prop_assert_eq!(
                 baseline.report.completions.len(),
@@ -242,7 +235,7 @@ proptest! {
                 .map(|c| (c.id, c))
                 .collect();
 
-            let faulted = runtime(&model, &draft, &oracle, cfg.clone(), workers, route.clone(), backend)
+            let faulted = runtime(&model, &oracle, cfg.clone(), workers, route.clone(), backend)
                 .with_fault_plan(plan.clone())
                 .run(Drive::Paced(requests.clone()), &cost);
             prop_assert_eq!(
@@ -270,7 +263,6 @@ proptest! {
     #[test]
     fn threaded_faulted_is_bit_identical_to_lockstep(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..10, 12..60),
         raw in any_requests(),
         workers in any_workers(),
         raw_plan in any_plan(),
@@ -279,8 +271,6 @@ proptest! {
         max_active in 1usize..4,
         max_batch in 1usize..3,
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let oracle = oracle_for(model.vocab_size());
         let cost = GpuCostModel::codellama_like();
         let requests = build_requests(&raw);
@@ -288,14 +278,14 @@ proptest! {
         let cfg = serve_config(max_active, max_batch, order);
 
         let lockstep = runtime(
-            &model, &draft, &oracle, cfg.clone(), workers, route.clone(), Backend::Lockstep,
+            &model, &oracle, cfg.clone(), workers, route.clone(), Backend::Lockstep,
         )
         .with_tracing()
         .with_fault_plan(plan.clone())
         .run(Drive::Paced(requests.clone()), &cost);
 
         let threaded = runtime(
-            &model, &draft, &oracle, cfg, workers, route.clone(), Backend::Threaded,
+            &model, &oracle, cfg, workers, route.clone(), Backend::Threaded,
         )
         .with_tracing()
         .with_fault_plan(plan.clone())
@@ -321,7 +311,6 @@ proptest! {
     #[test]
     fn weighted_fair_shares_never_starve_a_class(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..10, 12..60),
         raw in any_requests(),
         workers in any_workers(),
         route in any_route(),
@@ -330,8 +319,6 @@ proptest! {
         max_batch in 1usize..3,
         backend in prop_oneof![Just(Backend::Lockstep), Just(Backend::Threaded)],
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let oracle = oracle_for(model.vocab_size());
         let cost = GpuCostModel::codellama_like();
         let requests = build_requests(&raw);
@@ -344,7 +331,7 @@ proptest! {
         // The order below is overridden by the plan's shares.
         let cfg = serve_config(max_active, max_batch, TickOrder::RoundRobin);
 
-        let run = runtime(&model, &draft, &oracle, cfg, workers, route.clone(), backend)
+        let run = runtime(&model, &oracle, cfg, workers, route.clone(), backend)
             .with_fault_plan(plan)
             .run(Drive::Paced(requests.clone()), &cost);
 

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use verispec_core::{
     AcceptHistory, AdaptivePolicy, DecodeConfig, Engine, ShapeQuery, SpecPolicy, SpecShape, Stepper,
 };
-use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, TokenId};
+use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, Sampling, TokenId};
 use verispec_serve::{EngineChoice, Request, ServeConfig, ServeEngine, TickOrder};
 
 fn any_mlp() -> impl Strategy<Value = MlpLm> {
@@ -40,7 +40,6 @@ fn any_base() -> impl Strategy<Value = SpecShape> {
         (1usize..6).prop_map(|depth| SpecShape::Chain { depth }),
         (prop::collection::vec(1usize..4, 0..4), 1usize..6)
             .prop_map(|(widths, depth)| SpecShape::Tree { widths, depth }),
-        (1usize..6).prop_map(|gamma| SpecShape::Draft { gamma }),
     ]
 }
 
@@ -51,21 +50,16 @@ fn any_engine() -> impl Strategy<Value = EngineChoice> {
         Just(EngineChoice::SyntaxAligned { tree: None }),
         prop::collection::vec(1usize..3, 1..3)
             .prop_map(|w| EngineChoice::SyntaxAligned { tree: Some(w) }),
-        (1usize..4).prop_map(|gamma| EngineChoice::DraftVerify { gamma }),
     ]
 }
 
 fn serial_with_policy(
     model: &MlpLm,
-    draft: &NgramLm,
     req: &Request,
     cost: &GpuCostModel,
     policy: &dyn SpecPolicy,
 ) -> Vec<TokenId> {
-    let engine = match req.engine.draft_config(&req.cfg) {
-        Some(dcfg) => Engine::Draft(dcfg, draft),
-        None => Engine::Medusa(req.engine.decode_config(&req.cfg)),
-    };
+    let engine = Engine::Medusa(req.engine.decode_config(&req.cfg));
     let mut stepper = Stepper::new(model, engine, model.session(), &req.prompt).with_policy(policy);
     while stepper.step(cost) {}
     stepper.into_output().tokens
@@ -123,7 +117,6 @@ proptest! {
     #[test]
     fn served_equals_serial_under_adaptation(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..12, 12..60),
         raw in prop::collection::vec(
             (
                 any_engine(),
@@ -149,8 +142,6 @@ proptest! {
         preempt in prop_oneof![Just(None), (1u64..4).prop_map(Some)],
         session_cap in prop_oneof![Just(None), (1usize..5).prop_map(Some)],
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let cost = GpuCostModel::codellama_like();
         let policy = AdaptivePolicy { window };
         let shared: Vec<TokenId> = vec![5, 6];
@@ -172,7 +163,7 @@ proptest! {
 
         let expected: Vec<Vec<TokenId>> = requests
             .iter()
-            .map(|r| serial_with_policy(&model, &draft, r, &cost, &policy))
+            .map(|r| serial_with_policy(&model, r, &cost, &policy))
             .collect();
 
         let cfg = ServeConfig {
@@ -184,9 +175,7 @@ proptest! {
             prefix_cache: true,
             ..Default::default()
         };
-        let mut engine = ServeEngine::new(&model, cfg)
-            .with_draft(&draft)
-            .with_policy(&policy);
+        let mut engine = ServeEngine::new(&model, cfg).with_policy(&policy);
         prop_assert!(engine.warm_prefix(&shared));
         for req in &requests {
             engine.submit(req.clone());

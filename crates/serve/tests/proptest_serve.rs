@@ -4,16 +4,13 @@
 //! session-eviction caps), and prefix-cached admissions, every served
 //! request's output is
 //! **token-for-token identical** to running the serial single-session
-//! engine (`decode_ntp` / `decode_speculative` /
-//! `decode_draft_speculative`) on it alone — and no request starves
+//! engine (`decode_ntp` / `decode_speculative`) on it alone — and no request starves
 //! (every request completes, with its service gap within the
 //! scheduler's aging bound).
 
 use proptest::prelude::*;
-use verispec_core::{
-    decode_draft_speculative, decode_ntp, decode_speculative, DecodeConfig, DecodeOutput,
-};
-use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, NgramLm, Sampling, TokenId};
+use verispec_core::{decode_ntp, decode_speculative, DecodeConfig, DecodeOutput};
+use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, Sampling, TokenId};
 use verispec_serve::{EngineChoice, Request, Scheduler, ServeConfig, ServeEngine, TickOrder};
 
 fn any_mlp() -> impl Strategy<Value = MlpLm> {
@@ -40,7 +37,6 @@ fn any_engine() -> impl Strategy<Value = EngineChoice> {
         (1usize..3).prop_map(|k| EngineChoice::SyntaxAligned {
             tree: Some(vec![k, k])
         }),
-        (1usize..4).prop_map(|gamma| EngineChoice::DraftVerify { gamma }),
     ]
 }
 
@@ -79,12 +75,7 @@ fn any_requests() -> impl Strategy<Value = Vec<RawRequest>> {
     )
 }
 
-fn serial_reference(
-    model: &MlpLm,
-    draft: &NgramLm,
-    req: &Request,
-    cost: &GpuCostModel,
-) -> DecodeOutput {
+fn serial_reference(model: &MlpLm, req: &Request, cost: &GpuCostModel) -> DecodeOutput {
     match &req.engine {
         EngineChoice::Ntp => decode_ntp(
             model,
@@ -92,10 +83,6 @@ fn serial_reference(
             &req.engine.decode_config(&req.cfg),
             cost,
         ),
-        EngineChoice::DraftVerify { .. } => {
-            let dcfg = req.engine.draft_config(&req.cfg).expect("draft config");
-            decode_draft_speculative(model, draft, &req.prompt, &dcfg, cost).0
-        }
         _ => decode_speculative(
             model,
             &req.prompt,
@@ -112,7 +99,6 @@ proptest! {
     #[test]
     fn served_outputs_equal_serial_and_nobody_starves(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..10, 12..60),
         raw in any_requests(),
         max_active in 1usize..5,
         max_batch in 1usize..4,
@@ -121,8 +107,6 @@ proptest! {
         session_cap in prop_oneof![Just(None), (1usize..6).prop_map(Some)],
         prefix_cache in any::<bool>(),
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let cost = GpuCostModel::codellama_like();
 
         // Requests share a common two-token prompt prefix, warmed into
@@ -148,7 +132,7 @@ proptest! {
             prefix_cache,
             ..Default::default()
         };
-        let mut engine = ServeEngine::new(&model, serve_cfg).with_draft(&draft);
+        let mut engine = ServeEngine::new(&model, serve_cfg);
         prop_assert_eq!(engine.warm_prefix(&shared), prefix_cache);
         for req in &requests {
             engine.submit(req.clone());
@@ -159,7 +143,7 @@ proptest! {
         prop_assert_eq!(report.completions.len(), requests.len());
         let bound = Scheduler::new(order, max_active, max_batch).starvation_bound();
         for (c, req) in report.completions.iter().zip(&requests) {
-            let want = serial_reference(&model, &draft, req, &cost);
+            let want = serial_reference(&model, req, &cost);
             prop_assert_eq!(c.id, req.id);
             prop_assert_eq!(
                 &c.output.tokens, &want.tokens,
@@ -184,7 +168,6 @@ proptest! {
     #[test]
     fn cached_admission_is_bit_identical_to_uncached(
         model in any_mlp(),
-        draft_seq in prop::collection::vec(4u32..10, 12..60),
         raw in any_requests(),
         max_active in 1usize..5,
         max_batch in 1usize..4,
@@ -192,8 +175,6 @@ proptest! {
         session_cap in prop_oneof![Just(None), (1usize..6).prop_map(Some)],
         ingest_rate in prop_oneof![Just(None), (1usize..4).prop_map(Some)],
     ) {
-        let mut draft = NgramLm::new(2, model.vocab_size());
-        draft.train_sequence(&draft_seq);
         let cost = GpuCostModel::codellama_like();
 
         // Two forced stems: the `share` bit picks which one each
@@ -220,7 +201,7 @@ proptest! {
             ingest_rate,
             ..Default::default()
         };
-        let mut engine = ServeEngine::new(&model, serve_cfg).with_draft(&draft);
+        let mut engine = ServeEngine::new(&model, serve_cfg);
         for req in &requests {
             engine.submit(req.clone());
         }
@@ -242,7 +223,7 @@ proptest! {
             );
         }
         for (c, req) in report.completions.iter().zip(&requests) {
-            let want = serial_reference(&model, &draft, req, &cost);
+            let want = serial_reference(&model, req, &cost);
             prop_assert_eq!(c.id, req.id);
             prop_assert_eq!(
                 &c.output.tokens, &want.tokens,
