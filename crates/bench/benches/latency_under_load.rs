@@ -47,7 +47,7 @@
 //! p50/p90/p99 queueing delay, TTFT, per-token inter-commit gaps, and
 //! end-to-end latency in scheduler ticks, alongside session-eviction
 //! high-water stats — every cell an exact function of the code, so a
-//! rerun writes the same bytes. Every streamed run is asserted
+//! rerun writes the same bytes. Every paced run is asserted
 //! token-for-token and tick-for-tick identical to batch submission
 //! before its numbers are recorded, and every workload's realized
 //! arrivals are asserted to round-trip bit-identically through the

@@ -48,8 +48,8 @@
 //! Each layer reuses the one below: the grammar engine is the
 //! syntax-aligned engine with each node's candidates named by the
 //! oracle's filter instead of the head's plain top-k, so every
-//! [`policy::SpecPolicy`], the fused verify path, and park/unpark
-//! compose with it unchanged.
+//! [`policy::SpecPolicy`] and the fused verify path compose with it
+//! unchanged.
 //!
 //! # Examples
 //!

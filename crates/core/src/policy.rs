@@ -49,8 +49,8 @@
 //!
 //! Policies must be deterministic and free of interior mutability:
 //! a decision may depend only on its [`ShapeQuery`] inputs. That is
-//! what makes replayed traces, preemption (`park`/`unpark` keeps the
-//! history), and the served-equals-serial property hold.
+//! what makes replayed traces and the served-equals-serial property
+//! hold.
 //!
 //! Routing is the sibling per-request decision this layer deliberately
 //! does *not* own: *where* a request runs is `verispec-serve`'s
@@ -212,8 +212,7 @@ const HISTORY_WINDOW: usize = 32;
 ///
 /// Recorded by the [`crate::step::Stepper`] at every commit:
 /// `speculated` candidate tokens offered, `accepted` of them cashed
-/// (excluding the base token, which is always committed). The history
-/// survives preemption (`park`/`unpark` does not touch it), so
+/// (excluding the base token, which is always committed), so
 /// adaptation is a pure function of the request's own trajectory.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AcceptHistory {
@@ -295,8 +294,8 @@ pub struct ShapeQuery<'a> {
 ///
 /// Implementations must be deterministic pure functions of the
 /// [`ShapeQuery`] — no interior mutability, no global state — so that
-/// decisions replay identically across serial runs, served runs,
-/// preemption, and recorded traces.
+/// decisions replay identically across serial runs, served runs and
+/// recorded traces.
 pub trait SpecPolicy: Sync {
     /// Policy name for telemetry and bench tables.
     fn name(&self) -> &'static str;

@@ -27,8 +27,7 @@
 //!    ([`verispec_lm::DecodeSession::base_row_into`], or a server's
 //!    fused pass after [`Stepper::embed_plan`]) only when nothing was
 //!    carried: a generation's first step, after a span that ended at a
-//!    full path's leaf (never forwarded), after
-//!    [`Stepper::park`]/[`Stepper::unpark`], and always on a session
+//!    full path's leaf (never forwarded), and always on a session
 //!    whose scored rows cannot serve head rows
 //!    ([`verispec_lm::DecodeSession::keeps_frontier_rows`]). For every
 //!    MEDUSA engine, the grammar engine included, the trie is a
@@ -109,23 +108,17 @@
 //! regardless of batch composition).
 //!
 //! Between steps a stepper is always at its *committed* context —
-//! verification never leaves a speculative append behind — which is
-//! what makes [`Stepper::park`]/[`Stepper::unpark`] (rollback-aware
-//! preemption) safe: parking drops the session (and the carried base,
-//! a cache that belongs to it), and unparking rebuilds it by
-//! replaying `prompt + generated tokens` into a fresh session, an exact
-//! reconstruction because sessions are pure functions of their token
-//! context.
+//! verification never leaves a speculative append behind.
 //!
 //! **How much speculation each step buys** is decided by a
 //! [`crate::policy::SpecPolicy`]: every propose asks the policy for
 //! the step's [`crate::policy::SpecShape`] (tree widths and depth)
 //! given the generation's own [`crate::policy::AcceptHistory`],
-//! which the stepper records at every commit and preserves across
-//! park/unpark. The default static policy reproduces the configured
-//! shape bit-identically; a serving engine may instead *pin* the shape
-//! it budgeted for ([`Stepper::pin_shape`]) so per-tick capacity
-//! accounting and the built candidate paths agree exactly.
+//! which the stepper records at every commit. The default static
+//! policy reproduces the configured shape bit-identically; a serving
+//! engine may instead *pin* the shape it budgeted for
+//! ([`Stepper::pin_shape`]) so per-tick capacity accounting and the
+//! built candidate paths agree exactly.
 
 use crate::accept::TypicalAcceptance;
 use crate::decode::{
@@ -446,9 +439,7 @@ impl NodeAccept {
 
 /// The grammar-constrained engine's per-generation oracle context: the
 /// shared token-byte oracle plus this generation's incremental
-/// viability state over `prompt + committed tokens`. The state is a
-/// pure function of the committed byte stream, so it survives
-/// park/unpark unchanged (sessions are rebuilt; the state is kept).
+/// viability state over `prompt + committed tokens`.
 struct GrammarCtx<'m> {
     oracle: &'m GrammarOracle,
     state: ViabilityState,
@@ -461,9 +452,7 @@ struct GrammarCtx<'m> {
 /// with the [`Engine`] it runs; see the module docs.
 pub struct Stepper<'m> {
     target_model: &'m dyn LanguageModel,
-    /// `None` only while parked.
-    target: Option<Box<dyn DecodeSession + 'm>>,
-    prompt: Vec<TokenId>,
+    target: Box<dyn DecodeSession + 'm>,
     sampler: Sampler,
     engine: EngineBody<'m>,
     out: DecodeOutput,
@@ -546,8 +535,6 @@ impl<'m> Stepper<'m> {
         mut session: Box<dyn DecodeSession + 'm>,
         rest: &[TokenId],
     ) -> Self {
-        let mut prompt = session.tokens().to_vec();
-        prompt.extend_from_slice(rest);
         session.append(rest);
         let n_heads = model.n_extra_heads();
         let base = engine.base_shape(n_heads);
@@ -567,7 +554,7 @@ impl<'m> Stepper<'m> {
                 // survives; recovery re-arms the machine at each
                 // non-Verilog boundary instead of disabling the grammar
                 // layer for the whole request.
-                let state = oracle.advance_recovering(ViabilityState::new(), &prompt);
+                let state = oracle.advance_recovering(ViabilityState::new(), session.tokens());
                 EngineBody::Spec {
                     cfg: DecodeConfig {
                         syntax_aligned: true,
@@ -584,8 +571,7 @@ impl<'m> Stepper<'m> {
         };
         Stepper {
             target_model: model,
-            target: Some(session),
-            prompt,
+            target: session,
             sampler: Sampler::new(seed),
             engine,
             out: DecodeOutput {
@@ -640,7 +626,7 @@ impl<'m> Stepper<'m> {
 
     /// This generation's per-step acceptance history (speculated vs.
     /// accepted candidate tokens) — the pure input speculation policies
-    /// decide from. Survives preemption: `park`/`unpark` never touch it.
+    /// decide from.
     pub fn history(&self) -> &AcceptHistory {
         &self.history
     }
@@ -731,14 +717,7 @@ impl<'m> Stepper<'m> {
         if self.done || self.out.tokens.len() >= cfg.max_tokens || self.carry.rows() > 0 {
             return false;
         }
-        self.target.as_mut().is_some_and(|s| s.embed_plan(xs))
-    }
-
-    fn target_mut(&mut self) -> &mut dyn DecodeSession {
-        self.target
-            .as_mut()
-            .expect("stepper is parked; unpark before stepping")
-            .as_mut()
+        self.target.embed_plan(xs)
     }
 
     /// Phase 1: advance to the next step's verification point.
@@ -755,7 +734,7 @@ impl<'m> Stepper<'m> {
     /// # Panics
     ///
     /// Panics if a step is already pending (propose/commit must
-    /// alternate) or the stepper is parked.
+    /// alternate).
     pub fn propose(&mut self, base: Option<ArenaRows<'_>>) -> Phase {
         assert!(self.pending.is_none(), "propose called with a step pending");
         if self.done {
@@ -787,10 +766,7 @@ impl<'m> Stepper<'m> {
                 let (sampling, eos) = (cfg.sampling, cfg.eos);
                 let shape = self.last_shape.as_ref().expect("next_shape fills the slot");
                 let levels = shape.depth();
-                let session = self
-                    .target
-                    .as_mut()
-                    .expect("stepper is parked; unpark before stepping");
+                let session = self.target.as_mut();
                 let step_start = session.len();
                 // The base row only: a head is evaluated when
                 // acceptance reaches its level, from the activation
@@ -922,11 +898,7 @@ impl<'m> Stepper<'m> {
             return false;
         }
         if let Some(plan) = plan {
-            let session = self
-                .target
-                .as_mut()
-                .expect("stepper is parked; unpark before stepping");
-            if session.plan_frontier(&mut self.nodes, plan) {
+            if self.target.plan_frontier(&mut self.nodes, plan) {
                 // The level's head row rides the pass that forwards
                 // the level.
                 if let Some(Pending::Spec { lazy, .. }) = &mut self.pending {
@@ -939,11 +911,7 @@ impl<'m> Stepper<'m> {
         }
         debug_assert!(scored.is_none(), "a fused verification cannot turn local");
         while self.nodes.has_frontier() {
-            let session = self
-                .target
-                .as_mut()
-                .expect("stepper is parked; unpark before stepping");
-            let base = session.score_frontier(&mut self.nodes, local);
+            let base = self.target.score_frontier(&mut self.nodes, local);
             if let Some(Pending::Spec { local_rows, .. }) = &mut self.pending {
                 *local_rows = Some(base);
             }
@@ -968,12 +936,8 @@ impl<'m> Stepper<'m> {
         let head = lazy.depth + 1;
         let row = match lazy.kept {
             Kept::Local(kept) => {
-                let session = self
-                    .target
-                    .as_mut()
-                    .expect("stepper is parked; unpark before stepping");
                 self.head_rows.clear();
-                let at = session.head_rows_into(
+                let at = self.target.head_rows_into(
                     local.rows_from(kept),
                     head..head + 1,
                     &mut self.head_rows,
@@ -1143,7 +1107,7 @@ impl<'m> Stepper<'m> {
         let eos = cfg.eos;
         self.out.clock.record_step(cost, 0, 1);
         self.out.steps += 1;
-        self.target_mut().append(&[tok]);
+        self.target.append(&[tok]);
         self.out.tokens.push(tok);
         self.out.trace.push(StepTrace {
             speculated: 0,
@@ -1241,8 +1205,7 @@ impl<'m> Stepper<'m> {
         let hit_eos = committed.contains(&eos);
         // Advance the grammar viability state over the committed span
         // (death-recovering, matching the prompt seeding) — the state
-        // stays a pure function of `prompt + out.tokens`, the invariant
-        // park/unpark relies on.
+        // stays a pure function of `prompt + out.tokens`.
         if let EngineBody::Spec {
             grammar: Some(g), ..
         } = &mut self.engine
@@ -1252,10 +1215,7 @@ impl<'m> Stepper<'m> {
         // A verified step's session already holds the base token, and
         // verification left its context alone: extending it — no
         // rollback — keeps the cached window.
-        let session = self
-            .target
-            .as_mut()
-            .expect("stepper is parked; unpark before stepping");
+        let session = self.target.as_mut();
         debug_assert_eq!(session.len(), step_start + usize::from(verify_issued));
         session.append(&committed[usize::from(verify_issued)..]);
         self.out.tokens.extend_from_slice(&committed);
@@ -1315,44 +1275,6 @@ impl<'m> Stepper<'m> {
         }
         self.commit(cost, None);
         !self.done
-    }
-
-    /// Whether the stepper's session is currently released.
-    pub fn is_parked(&self) -> bool {
-        self.target.is_none()
-    }
-
-    /// Releases the session (rollback-aware preemption): legal only
-    /// between steps, when the session holds exactly the committed
-    /// context. The sampler, output, and engine state are retained; the
-    /// carried base goes
-    /// with the session it was scored on (the next step forwards its
-    /// position again, to the same bits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a step is pending (propose without commit).
-    pub fn park(&mut self) {
-        assert!(
-            self.pending.is_none(),
-            "cannot park mid-step: commit or abandon the pending step first"
-        );
-        self.target = None;
-        self.carry.clear();
-    }
-
-    /// Rebuilds the session of a parked stepper by replaying the
-    /// committed context (`prompt + generated tokens`) into a fresh
-    /// session — an exact reconstruction, since sessions are pure
-    /// functions of their token context.
-    pub fn unpark(&mut self) {
-        if self.target.is_some() {
-            return;
-        }
-        let mut target = self.target_model.session();
-        target.append(&self.prompt);
-        target.append(&self.out.tokens);
-        self.target = Some(target);
     }
 }
 
@@ -1838,31 +1760,6 @@ mod tests {
             let deep: Vec<usize> = levels[1..].iter().copied().filter(|&l| l > 0).collect();
             deep.iter().any(|&l| l != deep[0])
         }));
-    }
-
-    #[test]
-    fn park_unpark_round_trip_is_lossless() {
-        let model = tiny_model();
-        let cost = GpuCostModel::codet5p_like();
-        let cfg = DecodeConfig {
-            max_tokens: 20,
-            sampling: Sampling::temperature(0.6),
-            seed: 9,
-            tree: Some(vec![2]),
-            ..Default::default()
-        };
-        let serial = decode_speculative(&model, &[3, 1], &cfg, &cost);
-        let mut st = Stepper::new(&model, Engine::Medusa(cfg), model.session(), &[3, 1]);
-        let mut steps = 0;
-        while st.step(&cost) {
-            steps += 1;
-            if steps % 2 == 1 {
-                st.park();
-                assert!(st.is_parked());
-                st.unpark();
-            }
-        }
-        assert_eq!(st.output().tokens, serial.tokens, "park/unpark drifted");
     }
 
     #[test]

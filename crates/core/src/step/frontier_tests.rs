@@ -82,12 +82,11 @@ impl Lcg {
         ((self.0 >> 33) as usize) % n
     }
 
-    /// Preempts `st` between two steps, one time in three: the sessions
-    /// are rebuilt by replay and whatever the last step carried is gone.
-    fn maybe_park(&mut self, st: &mut Stepper<'_>) {
+    /// Drops whatever the last step of `st` carried, one time in three,
+    /// so that the next step forwards its base position again.
+    fn maybe_drop_carry(&mut self, st: &mut Stepper<'_>) {
         if self.below(3) == 0 {
-            st.park();
-            st.unpark();
+            st.carry.clear();
         }
     }
 }
@@ -131,7 +130,7 @@ impl Stepper<'_> {
                 })
                 .into_owned()
         };
-        let session = self.target.as_mut().expect("not parked");
+        let session = self.target.as_mut();
         let step_start = session.len();
         self.scratch.clear();
         let levels = shape.depth().min(n_heads);
@@ -174,7 +173,7 @@ impl Stepper<'_> {
     /// stopped once that prefix ends in `eos`. Leaves the step ready to
     /// commit.
     fn verify_whole_tree(&mut self) {
-        let session = self.target.as_mut().expect("not parked").as_mut();
+        let session = self.target.as_mut();
         match (self.pending.as_mut().expect("pending"), &self.engine) {
             (Pending::Ntp { tok }, EngineBody::Ntp { cfg }) => {
                 let rows = session.verify_batch(&[&[]], true);
@@ -241,7 +240,7 @@ impl Stepper<'_> {
         if *base_tok == cfg.eos {
             return false;
         }
-        let session = self.target.as_mut().expect("not parked");
+        let session = self.target.as_mut();
         if !*verify_issued {
             session.append(&[*base_tok]);
             *verify_issued = true;
@@ -292,7 +291,7 @@ impl Stepper<'_> {
     fn verify_known_tree(&mut self) {
         let mut local = std::mem::take(&mut self.scratch);
         while self.nodes.has_frontier() {
-            let session = self.target.as_mut().expect("not parked");
+            let session = self.target.as_mut();
             let base = session.score_frontier(&mut self.nodes, &mut local);
             if let Some(Pending::Spec { local_rows, .. }) = &mut self.pending {
                 *local_rows = Some(base);
@@ -309,21 +308,22 @@ enum Side {
     /// tree verified at once, every base position forwarded.
     Oracle,
     /// The engine: trees grown and verified a level at a time, base
-    /// rows carried from step to step — and the stepper parked at the
+    /// rows carried from step to step — and the carry dropped at the
     /// steps this stream draws, if there is one.
     Engine(Option<Lcg>),
 }
 
 impl Side {
-    /// The engine, parked at the steps a stream seeded `seed` draws.
-    fn parked(seed: u64) -> Self {
+    /// The engine, its carry dropped at the steps a stream seeded `seed`
+    /// draws.
+    fn dropping(seed: u64) -> Self {
         Side::Engine(Some(Lcg(seed)))
     }
 
     /// What an engine-side generation does between two steps.
     fn between_steps(&mut self, st: &mut Stepper<'_>) {
-        if let Side::Engine(Some(parks)) = self {
-            parks.maybe_park(st);
+        if let Side::Engine(Some(drops)) = self {
+            drops.maybe_drop_carry(st);
         }
     }
 }
@@ -363,13 +363,13 @@ proptest! {
     /// [`SAMPLINGS`], on the kernel-backed session and both
     /// trait-default ones. The level loop opens its steps at carried
     /// rows (spans cut by the syntax check, by `eos` and by the budget
-    /// included) and is parked at random steps; the oracle forwards
-    /// every base.
+    /// included) and drops its carry at random steps; the oracle
+    /// forwards every base.
     #[test]
     fn frontier_equals_full_tree(
         tree_seed in any::<u64>(),
         seed in any::<u64>(),
-        park_seed in any::<u64>(),
+        drop_seed in any::<u64>(),
         sampling_ix in 0usize..SAMPLINGS.len(),
         eos in 2u32..10,
         max_tokens in 3usize..20,
@@ -390,7 +390,7 @@ proptest! {
                 tree: Some(vec![2, 2]),
                 ..Default::default()
             };
-            let level = run_injected(target, &cfg, tree_seed, Side::parked(park_seed));
+            let level = run_injected(target, &cfg, tree_seed, Side::dropping(drop_seed));
             let whole = run_injected(target, &cfg, tree_seed, Side::Oracle);
             prop_assert_eq!(&level.tokens, &whole.tokens, "{} tokens", name);
             prop_assert_eq!(level.steps, whole.steps, "{} steps", name);
@@ -478,13 +478,13 @@ proptest! {
     /// wider than the vocabulary), forced `eos`, every sampling of
     /// [`SAMPLINGS`], on the kernel-backed session and both
     /// trait-default ones. The lazy side also opens its steps at
-    /// carried rows and is parked at random steps; the eager side
+    /// carried rows and drops its carry at random steps; the eager side
     /// forwards every base.
     #[test]
     fn lazy_levels_equal_eager_tree(
         shape_seed in any::<u64>(),
         seed in any::<u64>(),
-        park_seed in any::<u64>(),
+        drop_seed in any::<u64>(),
         sampling_ix in 0usize..SAMPLINGS.len(),
         source_ix in 0usize..4,
         widths in proptest::collection::vec(1usize..6, 0..5),
@@ -513,7 +513,7 @@ proptest! {
                 tree: (!chain).then(|| widths.clone()),
                 ..Default::default()
             };
-            let lazy = run_shaped(target, &cfg, source, shape_seed, Side::parked(park_seed));
+            let lazy = run_shaped(target, &cfg, source, shape_seed, Side::dropping(drop_seed));
             let eager = run_shaped(target, &cfg, source, shape_seed, Side::Oracle);
             prop_assert_eq!(&lazy.tokens, &eager.tokens, "{} tokens", name);
             prop_assert_eq!(lazy.steps, eager.steps, "{} steps", name);
@@ -564,7 +564,7 @@ impl Stepper<'_> {
             panic!("only MEDUSA-style steps carry");
         };
         let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-        let session = self.target.as_mut().expect("not parked");
+        let session = self.target.as_mut();
         let mut fresh = LogitsArena::new();
         let at = session.base_row_into(*n_heads, &mut fresh);
         assert_eq!(bits(self.carry.row(0)), bits(fresh.row(at)), "logits");
@@ -646,7 +646,8 @@ proptest! {
     /// inside the span or the token budget cut it — equals the one that
     /// forwards every base position: tokens, steps, trace and clock,
     /// for chain, tree, Ours and the grammar engine under every
-    /// sampling of [`SAMPLINGS`], serially (parked at random steps too)
+    /// sampling of [`SAMPLINGS`], serially (the carry dropped at random
+    /// steps too)
     /// and driven the way a serving tick drives a batch. Every carried
     /// row is compared with the forward it replaces on the spot. A
     /// session that cannot serve heads from a scored row never carries.
@@ -654,7 +655,7 @@ proptest! {
     fn carried_base_equals_forwarded_base(
         model_seed in 0u64..16,
         seed in any::<u64>(),
-        park_seed in any::<u64>(),
+        drop_seed in any::<u64>(),
         sampling_ix in 0usize..SAMPLINGS.len(),
         widths in proptest::collection::vec(1usize..5, 1..4),
         eos in 2u32..10,
@@ -681,8 +682,8 @@ proptest! {
             prop_assert_eq!(none, 0);
             let (carried, _) = run_carry(stepper(&mlp), Side::Engine(None));
             prop_assert!(same(&carried, &want), "{:?} carried", engine);
-            let (parked, _) = run_carry(stepper(&mlp), Side::parked(park_seed));
-            prop_assert!(same(&parked, &want), "{:?} parked", engine);
+            let (dropped, _) = run_carry(stepper(&mlp), Side::dropping(drop_seed));
+            prop_assert!(same(&dropped, &want), "{:?} dropped", engine);
             let (stateless, none) = run_carry(stepper(&shim), Side::Engine(None));
             prop_assert_eq!(none, 0, "the shim's scored rows keep no heads");
             prop_assert!(same(&stateless, &want), "{:?} stateless", engine);
@@ -1139,7 +1140,7 @@ fn a_generation_forwards_a_base_position_only_when_nothing_was_carried() {
         // Step 4 has to forward. Its span ends at the root again …
         (&[5, 12, 8, 4, 9, 10], 6),
         (&[5, 12, 8, 4, 9, 10, 6], 7),
-        // … and step 5, after a preemption, forwards once more; its
+        // … and step 5, its carry dropped, forwards once more; its
         // span ends in `eos`.
         (&[5, 12, 8, 4, 9, 10, 6, 7], 8),
     ];
@@ -1172,9 +1173,7 @@ fn a_generation_forwards_a_base_position_only_when_nothing_was_carried() {
     assert_eq!(step(&mut st), (vec![12, 8], 1, true, true));
     assert_eq!(step(&mut st), (vec![4, 9, 10], 1, false, true));
     assert_eq!(step(&mut st), (vec![6], 2, true, true));
-    st.park();
-    assert_eq!(st.carry.rows(), 0, "a parked stepper holds no rows");
-    st.unpark();
+    st.carry.clear();
     // The span ends in an accepted `eos`: nothing is read past it, the
     // generation is over, and no row is kept for a step that never is.
     assert_eq!(step(&mut st), (vec![7, 8, 11], 3, false, false));
@@ -1340,7 +1339,7 @@ fn best_path_is_the_first_strictly_longest() {
             let node = st.nodes.node(i, j);
             st.marks[node].accepted = true;
         }
-        st.target_mut().append(&[5]);
+        st.target.append(&[5]);
         st.pending = Some(Pending::Spec {
             step_start: 2,
             base_tok: 5,

@@ -27,7 +27,7 @@ fn usage() -> ! {
 
 /// One request's lane: a `LANE_WIDTH`-cell strip of the run's tick
 /// range with each cell showing the phase occupying it (`.` queued,
-/// `#` decode, `~` warmup, `=` parked, space = not alive).
+/// `#` decode, `~` warmup, space = not alive).
 fn lane(t: &RequestTimeline, horizon: u64) -> String {
     let scale = |tick: u64| ((tick as f64 / horizon.max(1) as f64) * LANE_WIDTH as f64) as usize;
     let mut cells = vec![' '; LANE_WIDTH + 1];
@@ -36,7 +36,6 @@ fn lane(t: &RequestTimeline, horizon: u64) -> String {
             Phase::Queued => '.',
             Phase::Warmup => '~',
             Phase::Decode => '#',
-            Phase::Parked => '=',
         };
         let len = cells.len();
         let (a, b) = (
@@ -89,7 +88,7 @@ fn main() {
 
     let lines = timelines(&events);
     let horizon = lines.values().map(RequestTimeline::end).max().unwrap_or(0);
-    println!("== request timelines (ticks 0..{horizon}; . queued  ~ warmup  # decode  = parked)");
+    println!("== request timelines (ticks 0..{horizon}; . queued  ~ warmup  # decode)");
     for t in lines.values() {
         let outcome = match (t.shed, t.finished) {
             (Some(s), _) => format!("shed @{s}"),
@@ -97,14 +96,13 @@ fn main() {
             (None, None) => "open".to_string(),
         };
         println!(
-            "  req {:>4} w{} [{:<width$}] {:>9}  q={} d={} p={} steps={} defers={}",
+            "  req {:>4} w{} [{:<width$}] {:>9}  q={} d={} steps={} defers={}",
             t.request,
             t.worker,
             lane(t, horizon),
             outcome,
             t.ticks_in(Phase::Queued),
             t.ticks_in(Phase::Decode),
-            t.ticks_in(Phase::Parked),
             t.steps,
             t.deferrals,
             width = LANE_WIDTH,

@@ -2,14 +2,15 @@
 //! the way "Speculative Decoding: Performance or Illusion?" demands —
 //! per-request latency percentiles under an **open-loop arrival
 //! process at equal offered load**, speculative vs. NTP, served
-//! through `verispec-serve`'s streaming admission path.
+//! through `verispec-serve`'s paced drive (`Drive::Paced`: each request
+//! routed when its arrival tick falls due).
 //!
 //! Each cell serves the *same* workload (same arrival ticks, prompts,
 //! budgets, sampling, seeds — only the engine differs) and reports
 //! exact p50/p90/p99 queueing delay, TTFT, per-token inter-commit
 //! gaps, and end-to-end latency in scheduler ticks — exact functions
 //! of the code, so the artifact regenerates byte for byte (wall time is
-//! the benchmark's business, `benchmark/`). Every streamed run is
+//! the benchmark's business, `benchmark/`). Every paced run is
 //! asserted bit-identical to batch submission before its numbers are
 //! recorded, so `BENCH_load.json` is produced under proven output
 //! parity — serving and measurement never change semantics — and
@@ -208,7 +209,7 @@ const SINGLE: &str = "single";
 /// plus the **policy A/B** — Ours-tree served under static vs.
 /// adaptive vs. budgeted speculation at the same per-tick verify
 /// capacity, with SLO deadlines, earliest-deadline-first scheduling,
-/// and load-shedding admission control — all under streaming admission
+/// and load-shedding admission control — all under paced admission
 /// through the prefix cache warmed with the shared preamble, and a
 /// session cap of twice the pool —
 /// plus the **dispatch sweep**: one Ours-tree workload at
@@ -225,7 +226,7 @@ const SINGLE: &str = "single";
 ///
 /// # Panics
 ///
-/// Panics if any streamed output diverges from batch submission of the
+/// Panics if any paced output diverges from batch submission of the
 /// identical workload (the bit-identity guarantee the bench relies on)
 /// or a recorded trace fails to replay exactly.
 pub fn run_load_bench(
@@ -271,7 +272,7 @@ pub fn run_load_bench(
                 requests.clone(),
                 &cost,
             );
-            assert_streaming_matches_batch(
+            assert_paced_matches_batch(
                 &model,
                 &enc.preamble_ids,
                 &requests,
@@ -317,7 +318,7 @@ pub fn run_load_bench(
                 requests.clone(),
                 &cost,
             );
-            assert_streaming_matches_batch(
+            assert_paced_matches_batch(
                 &model,
                 &enc.preamble_ids,
                 &requests,
@@ -372,7 +373,7 @@ pub fn run_load_bench(
         requests.clone(),
         &cost,
     );
-    assert_streaming_matches_batch(
+    assert_paced_matches_batch(
         &model,
         &enc.preamble_ids,
         &requests,
@@ -896,11 +897,11 @@ fn assert_trace_replays_exactly(workload: &Workload) {
     );
 }
 
-/// Asserts the streamed run's outputs equal batch submission of the
+/// Asserts the paced run's outputs equal batch submission of the
 /// same workload, token for token and tick for tick (including which
 /// requests load shedding rejected).
 #[allow(clippy::too_many_arguments)] // private assertion glue
-fn assert_streaming_matches_batch(
+fn assert_paced_matches_batch(
     model: &verispec_lm::MlpLm,
     preamble: &[u32],
     requests: &[Request],
@@ -929,21 +930,21 @@ fn assert_streaming_matches_batch(
     assert_eq!(
         batch.completions.len(),
         run.report.completions.len(),
-        "{method}: streamed run lost requests"
+        "{method}: paced run lost requests"
     );
     assert_eq!(
         batch.shed, run.report.shed,
-        "{method}: streamed shedding diverged from batch"
+        "{method}: paced shedding diverged from batch"
     );
     for (a, b) in batch.completions.iter().zip(&run.report.completions) {
         assert_eq!(
             a.output.tokens, b.output.tokens,
-            "{method}: streamed output diverged from batch (request {})",
+            "{method}: paced output diverged from batch (request {})",
             a.id
         );
         assert_eq!(
             a.step_ticks, b.step_ticks,
-            "{method}: streamed schedule diverged from batch (request {})",
+            "{method}: paced schedule diverged from batch (request {})",
             a.id
         );
     }
@@ -954,7 +955,7 @@ fn assert_streaming_matches_batch(
 pub fn render_load_bench(rows: &[LoadBenchRow]) -> String {
     let mut out = String::new();
     out.push_str(
-        "Latency under load — serve-aware Table II (streaming admission, equal offered load)\n",
+        "Latency under load — serve-aware Table II (paced admission, equal offered load)\n",
     );
     out.push_str(
         "process  rate    method       policy    cap  wrk route        reqs shed  tokens  ticks  \
@@ -1018,7 +1019,7 @@ mod tests {
             ..Scale::quick()
         };
         let pipe = Pipeline::build(scale.pipeline);
-        // run_load_bench asserts streamed == batch (and trace replay)
+        // run_load_bench asserts paced == batch (and trace replay)
         // internally, so a clean return is itself the parity proof.
         let rows = run_load_bench(&scale, &pipe, ModelScale::Small, &[0.4, 1.5]);
         assert_eq!(
@@ -1155,7 +1156,6 @@ mod tests {
                 ..Default::default()
             },
             peak_resident_sessions: 4,
-            preemptions: 0,
             slo_attainment: None,
             deadlines: 0,
             deadlines_met: 0,

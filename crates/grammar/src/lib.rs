@@ -380,8 +380,7 @@ impl GrammarOracle {
     /// lexer fold dies at the first non-Verilog byte, permanently
     /// disabling the grammar layer for the request. Recovery re-arms it
     /// at every such boundary while remaining a pure function of the
-    /// token stream (so parked/resumed sessions rebuild the exact same
-    /// state). Nesting depths accumulated before a reset are dropped
+    /// token stream. Nesting depths accumulated before a reset are dropped
     /// with it; that only ever *loosens* the filter, never rejects a
     /// continuation a fresh lexer would accept.
     pub fn advance_recovering(

@@ -51,9 +51,9 @@
 //! ends at is the next step's base position, verification has its row
 //! and activation (and, under sampling, the support of its tempered
 //! softmax), and the engines carry them across commit. A base position
-//! is still forwarded on a generation's first step, after a span that
-//! ends at a full path's leaf (the one accepted node nothing forwards)
-//! and after a preemption.
+//! is still forwarded on a generation's first step and after a span
+//! that ends at a full path's leaf (the one accepted node nothing
+//! forwards).
 //!
 //! What the table cannot show is the work around the matrices. Under
 //! sampling every token read off a row needs the row's tempered softmax

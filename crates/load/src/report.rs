@@ -65,8 +65,8 @@ pub fn run_fleet_open_loop(
 }
 
 /// One row of the serve-aware Table II in `BENCH_load.json`: a
-/// (process, offered load, method) cell measured under streaming
-/// admission at equal offered load across methods.
+/// (process, offered load, method) cell measured under paced admission
+/// ([`run_fleet_open_loop`]) at equal offered load across methods.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LoadBenchRow {
     /// Arrival-process name.
@@ -93,7 +93,7 @@ pub struct LoadBenchRow {
     /// entries always sum to `requests + shed_requests`. Single-engine
     /// rows have the one entry.
     pub worker_requests: Vec<usize>,
-    /// Whether the run's parity assertion (streamed == batch for
+    /// Whether the run's parity assertion (paced == batch for
     /// single-engine rows; every completion == serial decode for
     /// dispatched rows) passed before the row was recorded. Rows are
     /// only constructed after the assertion, so this is always `true`
@@ -117,8 +117,6 @@ pub struct LoadBenchRow {
     pub quantiles: LatencyQuantiles,
     /// High-water resident sessions.
     pub peak_resident_sessions: usize,
-    /// Preemptions performed.
-    pub preemptions: usize,
     /// SLO attainment: fraction of deadline-carrying requests finishing
     /// by their deadline (`None` for best-effort workloads).
     pub slo_attainment: Option<f64>,
@@ -244,7 +242,6 @@ impl LoadBenchRow {
             tokens_per_step: tokens as f64 / steps.max(1) as f64,
             quantiles: run.latency.overall.quantiles,
             peak_resident_sessions: stats.peak_resident_sessions,
-            preemptions: stats.preemptions,
             slo_attainment: slo.attainment(),
             deadlines: slo.deadlines,
             deadlines_met: slo.met,

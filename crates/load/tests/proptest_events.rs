@@ -175,7 +175,6 @@ proptest! {
         seed in any::<u64>(),
         max_active in 1usize..5,
         max_batch in 1usize..4,
-        preempt in prop_oneof![Just(None), (1u64..4).prop_map(Some)],
         session_cap in prop_oneof![Just(None), (1usize..5).prop_map(Some)],
         tick_capacity in prop_oneof![Just(None), (2usize..24).prop_map(Some)],
         deadline_slack in prop_oneof![Just(None), (1.0f64..6.0).prop_map(Some)],
@@ -190,7 +189,6 @@ proptest! {
             max_active,
             max_batch,
             order: TickOrder::RoundRobin,
-            preempt_wait: preempt,
             session_cap,
             tick_capacity,
             ..Default::default()
@@ -269,7 +267,6 @@ proptest! {
         let s = &traced.stats;
         prop_assert_eq!(reg.counter("requests.finished") as usize, traced.completions.len());
         prop_assert_eq!(reg.counter("requests.shed") as usize, s.shed_requests);
-        prop_assert_eq!(reg.counter("requests.preempted") as usize, s.preemptions);
         prop_assert_eq!(reg.counter("prefix.hits") as usize, s.prefix_hits);
         prop_assert_eq!(reg.counter("prefix.misses") as usize, s.prefix_misses);
         prop_assert_eq!(reg.counter("prefix.tokens_saved") as usize, s.prefix_tokens_saved);

@@ -166,7 +166,6 @@ proptest! {
         max_active in 1usize..5,
         max_batch in 1usize..4,
         order in any_order(),
-        preempt in prop_oneof![Just(None), (1u64..4).prop_map(Some)],
         session_cap in prop_oneof![Just(None), (1usize..5).prop_map(Some)],
         tick_capacity in prop_oneof![Just(None), (2usize..24).prop_map(Some)],
         deadline_slack in prop_oneof![Just(None), (1.0f64..6.0).prop_map(Some)],
@@ -183,7 +182,6 @@ proptest! {
             max_active,
             max_batch,
             order,
-            preempt_wait: preempt,
             session_cap,
             tick_capacity,
             ..Default::default()
@@ -214,11 +212,9 @@ proptest! {
             prop_assert_eq!(a.finished, b.finished);
             prop_assert_eq!(&a.step_ticks, &b.step_ticks, "request {} commit ticks", a.id);
             prop_assert_eq!(a.max_service_gap, b.max_service_gap);
-            prop_assert_eq!(a.preemptions, b.preemptions);
         }
         prop_assert_eq!(batch.stats.ticks, streamed.stats.ticks);
         prop_assert_eq!(batch.stats.prefix_evictions, streamed.stats.prefix_evictions);
-        prop_assert_eq!(batch.stats.preemptions, streamed.stats.preemptions);
     }
 
     /// A live sender racing the engine: admission timing may drift, but

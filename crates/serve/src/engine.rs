@@ -5,18 +5,13 @@
 //! Each tick:
 //!
 //! 1. **admission** — queued requests whose arrival tick has passed
-//!    fill free session slots (up to `max_active`); if none is free
-//!    and a request has waited past `preempt_wait`, the most-advanced
-//!    active request is *preempted*: its stepper is parked (sessions
-//!    released — legal between steps because speculation has been
-//!    rolled back, so the stepper holds exactly its committed context)
-//!    and re-queued, and the starved request takes its slot. An
-//!    admitted request gets its [`Stepper`] the one way every
-//!    generation starts, [`Stepper::new`]: the
-//!    [`verispec_core::Engine`] its [`EngineChoice`] resolves to here,
-//!    on the session its prompt was ingested into (a prefix-cache fork,
-//!    or a fresh one). A queued request is priced by the same engine
-//!    value ([`ServeEngine::outstanding_cost`]).
+//!    fill free session slots (up to `max_active`). An admitted
+//!    request gets its [`Stepper`] the one way every generation
+//!    starts, [`Stepper::new`]: the [`verispec_core::Engine`] its
+//!    [`EngineChoice`] resolves to here, on the session its prompt was
+//!    ingested into (a prefix-cache fork, or a fresh one). A queued
+//!    request is priced by the same engine value
+//!    ([`ServeEngine::outstanding_cost`]).
 //! 2. **selection** — the [`Scheduler`] picks up to `max_batch` active
 //!    requests (round-robin / seeded / EDF / weighted-fair order, with an
 //!    aging guard bounding every request's service gap — see
@@ -77,9 +72,6 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Selection order within a tick.
     pub order: TickOrder,
-    /// Queue-wait ticks after which an arrived request may preempt the
-    /// most-advanced active request; `None` disables preemption.
-    pub preempt_wait: Option<u64>,
     /// Memory budget: maximum resident sessions (active steppers plus
     /// prefix-cache snapshots). While over it, the engine evicts the
     /// cache's least-recently-used leaves — exact-replay eviction, so a
@@ -145,7 +137,6 @@ impl Default for ServeConfig {
             max_active: 8,
             max_batch: 8,
             order: TickOrder::RoundRobin,
-            preempt_wait: None,
             session_cap: None,
             tick_capacity: None,
             shed_depth: None,
@@ -176,8 +167,8 @@ pub struct ServeStats {
     /// Base positions forwarded by fused cross-request propose passes:
     /// one per MEDUSA-style step that opened without a carried base —
     /// a request's first step, a step after a span that ended at a
-    /// full path's leaf, a step after a preemption. Every other step
-    /// opens at the row its predecessor's verification left.
+    /// full path's leaf. Every other step opens at the row its
+    /// predecessor's verification left.
     pub fused_propose_positions: usize,
     /// Inputs forwarded by fused [`verify_many`] calls: the
     /// candidate-tree nodes acceptance reached (each member's root and
@@ -188,7 +179,8 @@ pub struct ServeStats {
     /// Fused [`verify_many`] calls: one per *level* per tick — a tick
     /// whose deepest member accepts two edges in a row makes three.
     pub fused_verify_calls: usize,
-    /// Preemptions performed.
+    /// Always 0: the engine never preempts. Kept because the benchmark
+    /// reports it.
     pub preemptions: usize,
     /// Largest active-set size observed.
     pub peak_active: usize,
@@ -308,7 +300,6 @@ impl ServeStats {
                     self.prefix_misses += 1;
                 }
             }
-            EventKind::Preempted => self.preemptions += 1,
             EventKind::Deferred => self.deferred_steps += 1,
             EventKind::PrefixEvicted => self.prefix_evictions += 1,
             EventKind::Shed { .. } => self.shed_requests += 1,
@@ -360,7 +351,6 @@ impl ServeStats {
         self.fused_propose_positions += other.fused_propose_positions;
         self.fused_verify_nodes += other.fused_verify_nodes;
         self.fused_verify_calls += other.fused_verify_calls;
-        self.preemptions += other.preemptions;
         self.served_tokens += other.served_tokens;
         self.proposed_tokens += other.proposed_tokens;
         self.accepted_tokens += other.accepted_tokens;
@@ -441,7 +431,6 @@ struct Active<'m> {
     admitted: u64,
     last_step: u64,
     max_gap: u64,
-    preemptions: u32,
     /// Engine-relative wall seconds at which the request became visible.
     seen_secs: f64,
     /// Tick of every decoding step taken so far.
@@ -455,17 +444,11 @@ struct Active<'m> {
     warm_until: u64,
 }
 
-/// One queued (not yet active) request.
-enum QueueEntry<'m> {
-    /// Awaiting first admission.
-    Fresh {
-        req: Request,
-        /// Engine-relative wall seconds at submission/receipt.
-        seen_secs: f64,
-    },
-    /// Preempted mid-generation; resumes by unparking (boxed: a parked
-    /// request carries its whole stepper state).
-    Parked(Box<Active<'m>>),
+/// One queued (not yet admitted) request.
+struct QueueEntry {
+    req: Request,
+    /// Engine-relative wall seconds at submission/receipt.
+    seen_secs: f64,
 }
 
 /// The serving engine; see the module docs for the tick anatomy.
@@ -485,7 +468,7 @@ pub struct ServeEngine<'m> {
     /// pass) consults; [`verispec_core::StaticPolicy`] by default.
     policy: &'m dyn SpecPolicy,
     scheduler: Scheduler,
-    queue: Vec<QueueEntry<'m>>,
+    queue: Vec<QueueEntry>,
     active: Vec<Active<'m>>,
     completions: Vec<Completion>,
     shed: Vec<ShedRequest>,
@@ -585,7 +568,7 @@ impl<'m> ServeEngine<'m> {
 
     /// Attaches a structured-event sink: every lifecycle transition —
     /// admission, cache walks, per-step shapes and acceptance,
-    /// preemption, eviction, shedding, deadlines — is delivered as a
+    /// eviction, shedding, deadlines — is delivered as a
     /// tick-stamped [`verispec_trace::TraceEvent`]. Tracing is
     /// write-only and tick-space only, so attaching a sink never
     /// perturbs outputs, stats, or the tick schedule.
@@ -701,7 +684,7 @@ impl<'m> ServeEngine<'m> {
                 },
             );
         }
-        self.queue.push(QueueEntry::Fresh { req, seen_secs });
+        self.queue.push(QueueEntry { req, seen_secs });
     }
 
     /// Requests not yet completed (queued + active).
@@ -727,11 +710,10 @@ impl<'m> ServeEngine<'m> {
     }
 
     /// Ready-depth load probe: every request this engine still owes
-    /// work to — active steppers plus queued entries (fresh arrivals
-    /// and parked preemptees alike; future arrivals count too, they are
-    /// committed work). The join-shortest-queue routing policy
-    /// ([`crate::dispatch::RoutePolicy::JoinShortestQueue`]) balances
-    /// on this.
+    /// work to — active steppers plus queued arrivals (future arrivals
+    /// count too, they are committed work). The join-shortest-queue
+    /// routing policy ([`crate::dispatch::RoutePolicy::JoinShortestQueue`])
+    /// balances on this.
     pub fn ready_depth(&self) -> usize {
         self.in_flight()
     }
@@ -740,10 +722,10 @@ impl<'m> ServeEngine<'m> {
     /// verify positions this engine still has to pay, denominated in
     /// [`SpecShape::step_cost`] units — for each in-flight request, its
     /// remaining token budget times the per-step cost of the shape the
-    /// speculation policy would buy it right now (active and parked
-    /// requests are priced with their own acceptance history, queued
-    /// fresh ones with an empty one and the base shape their stepper
-    /// will report, [`Engine::base_shape`]; an NTP step costs 1). "Upper
+    /// speculation policy would buy it right now (active requests are
+    /// priced with their own acceptance history, queued ones with an
+    /// empty one and the base shape their stepper will report,
+    /// [`Engine::base_shape`]; an NTP step costs 1). "Upper
     /// bound" because accepted speculation commits several tokens per
     /// step. The join-least-loaded routing policy
     /// ([`crate::dispatch::RoutePolicy::LeastLoaded`]) balances on
@@ -762,34 +744,27 @@ impl<'m> ServeEngine<'m> {
             });
             remaining * per_step
         };
-        let active_cost = |a: &Active<'m>| {
-            priced(
-                a.stepper.base_shape(),
-                a.stepper.history(),
-                a.req.cfg.max_tokens.saturating_sub(a.stepper.generated()),
-            )
-        };
         let (fresh_history, n_heads) = (AcceptHistory::default(), self.model.n_extra_heads());
         let mut cost = 0usize;
         for a in &self.active {
-            cost += active_cost(a);
+            cost += priced(
+                a.stepper.base_shape(),
+                a.stepper.history(),
+                a.req.cfg.max_tokens.saturating_sub(a.stepper.generated()),
+            );
         }
-        for entry in &self.queue {
-            cost += match entry {
-                QueueEntry::Fresh { req, .. } => priced(
-                    self.engine_for(req).base_shape(n_heads).as_ref(),
-                    &fresh_history,
-                    req.cfg.max_tokens,
-                ),
-                QueueEntry::Parked(a) => active_cost(a),
-            };
+        for QueueEntry { req, .. } in &self.queue {
+            cost += priced(
+                self.engine_for(req).base_shape(n_heads).as_ref(),
+                &fresh_history,
+                req.cfg.max_tokens,
+            );
         }
         cost
     }
 
     /// Resident sessions right now: active steppers and prefix-cache
-    /// snapshots (queued requests hold none, and parked steppers drop
-    /// theirs).
+    /// snapshots (queued requests hold none).
     fn resident_sessions(&self) -> usize {
         self.active.len() + self.cache.as_ref().map_or(0, PrefixCache::resident)
     }
@@ -900,105 +875,45 @@ impl<'m> ServeEngine<'m> {
         })
     }
 
-    fn admit(&mut self, entry: QueueEntry<'m>) {
-        match entry {
-            QueueEntry::Fresh { req, seen_secs } => {
-                let (session, ingested) = self.cache_admit(&req);
-                let warm_until = self.tick + self.warmup_ticks(req.prompt.len() - ingested);
-                if self.traced() {
-                    self.emit(
-                        Some(req.id),
-                        EventKind::Admitted {
-                            queued_ticks: self.tick.saturating_sub(req.arrival),
-                            warm_until,
-                        },
-                    );
-                }
-                let stepper = self.make_stepper(&req, session);
-                self.active.push(Active {
-                    id: req.id,
-                    submitted: req.arrival,
-                    deadline: req.deadline,
-                    req,
-                    stepper,
-                    admitted: self.tick,
-                    last_step: self.tick,
-                    max_gap: 0,
-                    preemptions: 0,
-                    seen_secs,
-                    step_ticks: Vec::new(),
-                    first_commit_secs: None,
+    fn admit(&mut self, QueueEntry { req, seen_secs }: QueueEntry) {
+        let (session, ingested) = self.cache_admit(&req);
+        let warm_until = self.tick + self.warmup_ticks(req.prompt.len() - ingested);
+        if self.traced() {
+            self.emit(
+                Some(req.id),
+                EventKind::Admitted {
+                    queued_ticks: self.tick.saturating_sub(req.arrival),
                     warm_until,
-                });
-                self.note_resident();
-                self.enforce_session_cap();
-            }
-            QueueEntry::Parked(mut a) => {
-                a.stepper.unpark();
-                a.last_step = self.tick;
-                if self.traced() {
-                    self.emit(Some(a.id), EventKind::Resumed);
-                }
-                self.active.push(*a);
-            }
+                },
+            );
         }
-    }
-
-    fn entry_ready(&self, entry: &QueueEntry<'m>) -> bool {
-        match entry {
-            QueueEntry::Fresh { req, .. } => req.arrival <= self.tick,
-            QueueEntry::Parked(_) => true,
-        }
+        let stepper = self.make_stepper(&req, session);
+        self.active.push(Active {
+            id: req.id,
+            submitted: req.arrival,
+            deadline: req.deadline,
+            req,
+            stepper,
+            admitted: self.tick,
+            last_step: self.tick,
+            max_gap: 0,
+            seen_secs,
+            step_ticks: Vec::new(),
+            first_commit_secs: None,
+            warm_until,
+        });
+        self.note_resident();
+        self.enforce_session_cap();
     }
 
     fn admit_ready(&mut self) {
         while self.active.len() < self.cfg.max_active {
-            let Some(pos) = (0..self.queue.len()).find(|&i| self.entry_ready(&self.queue[i]))
-            else {
+            let Some(pos) = self.queue.iter().position(|e| e.req.arrival <= self.tick) else {
                 break;
             };
             let entry = self.queue.remove(pos);
             self.admit(entry);
         }
-    }
-
-    /// Rollback-aware preemption: when an arrived request has waited
-    /// past `preempt_wait` with the pool full, the most-advanced active
-    /// request (never one already preempted — bounds ping-pong) is
-    /// parked to the queue and the starved request takes its slot.
-    fn maybe_preempt(&mut self) {
-        let Some(wait) = self.cfg.preempt_wait else {
-            return;
-        };
-        if self.active.len() < self.cfg.max_active {
-            return;
-        }
-        let starved = (0..self.queue.len()).find(|&i| match &self.queue[i] {
-            QueueEntry::Fresh { req, .. } => {
-                req.arrival <= self.tick && self.tick - req.arrival >= wait
-            }
-            QueueEntry::Parked(_) => false,
-        });
-        let Some(pos) = starved else {
-            return;
-        };
-        let victim = self
-            .active
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.preemptions == 0 && a.warm_until <= self.tick)
-            .max_by_key(|(_, a)| (a.stepper.generated(), a.id))
-            .map(|(i, _)| i);
-        let Some(v) = victim else {
-            return;
-        };
-        let mut parked = self.active.swap_remove(v);
-        parked.stepper.park();
-        parked.preemptions += 1;
-        self.emit(Some(parked.id), EventKind::Preempted);
-        self.queue.push(QueueEntry::Parked(Box::new(parked)));
-        let entry = self.queue.remove(pos);
-        self.admit(entry);
     }
 
     fn finish(&mut self, a: Active<'m>) {
@@ -1039,7 +954,6 @@ impl<'m> ServeEngine<'m> {
             admitted: a.admitted,
             finished: self.tick,
             max_service_gap: a.max_gap,
-            preemptions: a.preemptions,
             step_ticks: a.step_ticks,
             seen_secs: a.seen_secs,
             first_token_secs: a.first_commit_secs,
@@ -1051,13 +965,11 @@ impl<'m> ServeEngine<'m> {
     }
 
     /// Load-shedding admission control ([`ServeConfig::shed_depth`]):
-    /// after admission, if more *ready* fresh requests are still
-    /// waiting than the configured depth, the newest arrivals are
-    /// rejected outright (LIFO drop — the freshest request has waited
-    /// least and loses least). Parked (preempted) requests are never
-    /// shed: their work is already partially paid for. The decision is
-    /// a pure function of the tick schedule, so batch and streaming
-    /// runs shed the same requests.
+    /// after admission, if more *ready* requests are still waiting
+    /// than the configured depth, the newest arrivals are rejected
+    /// outright (LIFO drop — the freshest request has waited least and
+    /// loses least). The decision is a pure function of the tick
+    /// schedule, so batch and streaming runs shed the same requests.
     fn shed_ready_overflow(&mut self) {
         let Some(depth) = self.cfg.shed_depth else {
             return;
@@ -1066,12 +978,8 @@ impl<'m> ServeEngine<'m> {
             .queue
             .iter()
             .enumerate()
-            .filter_map(|(idx, e)| match e {
-                QueueEntry::Fresh { req, .. } if req.arrival <= self.tick => {
-                    Some((req.arrival, req.id, idx))
-                }
-                _ => None,
-            })
+            .filter(|(_, e)| e.req.arrival <= self.tick)
+            .map(|(idx, e)| (e.req.arrival, e.req.id, idx))
             .collect();
         if ready.len() <= depth {
             return;
@@ -1083,9 +991,7 @@ impl<'m> ServeEngine<'m> {
         let mut overflow: Vec<usize> = ready[depth..].iter().map(|&(_, _, idx)| idx).collect();
         overflow.sort_unstable_by(|a, b| b.cmp(a));
         for idx in overflow {
-            let QueueEntry::Fresh { req, .. } = self.queue.remove(idx) else {
-                unreachable!("only fresh entries are shed");
-            };
+            let req = self.queue.remove(idx).req;
             self.emit(
                 Some(req.id),
                 EventKind::Shed {
@@ -1178,8 +1084,7 @@ impl<'m> ServeEngine<'m> {
     /// Idle fast-forward: with nothing active and nothing admissible
     /// before some future arrival tick, jump the clock there instead of
     /// burning empty ticks one by one (open-loop workloads can be
-    /// sparse). Parked entries are always admissible, so the jump only
-    /// happens when every queue entry is a future fresh arrival.
+    /// sparse).
     fn fast_forward_idle(&mut self) {
         if !self.active.is_empty() || self.queue.is_empty() {
             return;
@@ -1187,10 +1092,7 @@ impl<'m> ServeEngine<'m> {
         let next = self
             .queue
             .iter()
-            .map(|e| match e {
-                QueueEntry::Fresh { req, .. } => req.arrival,
-                QueueEntry::Parked(_) => 0,
-            })
+            .map(|e| e.req.arrival)
             .min()
             .expect("queue is non-empty");
         if next > self.tick + 1 {
@@ -1218,7 +1120,6 @@ impl<'m> ServeEngine<'m> {
         self.tick += 1;
         self.stats.ticks += 1;
         self.admit_ready();
-        self.maybe_preempt();
         self.shed_ready_overflow();
         self.stats.peak_active = self.stats.peak_active.max(self.active.len());
 
@@ -1431,7 +1332,7 @@ impl<'m> ServeEngine<'m> {
 
     /// Kills this engine: consumes it mid-run, returning the report of
     /// everything it *finished* before dying plus the stranded work —
-    /// every in-flight (active or parked) and queued request, paired
+    /// every active and queued request, paired
     /// with the number of tokens it had already generated (the decode
     /// work the crash threw away). The caller re-routes the stranded
     /// requests to surviving workers, where exact replay — resubmitting
@@ -1439,8 +1340,8 @@ impl<'m> ServeEngine<'m> {
     /// regenerates their token streams identically, so fleet outputs
     /// are invariant under crashes.
     ///
-    /// Stranded requests are returned sorted by id: active requests,
-    /// parked preemptees, and queued arrivals collapse into one
+    /// Stranded requests are returned sorted by id: active requests and
+    /// queued arrivals collapse into one
     /// deterministic migration order regardless of this engine's
     /// internal pool state at the moment of death.
     pub(crate) fn crash(mut self) -> (ServeReport, Vec<(Request, usize)>) {
@@ -1449,15 +1350,7 @@ impl<'m> ServeEngine<'m> {
             let generated = a.stepper.generated();
             stranded.push((a.req, generated));
         }
-        for entry in std::mem::take(&mut self.queue) {
-            match entry {
-                QueueEntry::Fresh { req, .. } => stranded.push((req, 0)),
-                QueueEntry::Parked(a) => {
-                    let generated = a.stepper.generated();
-                    stranded.push((a.req, generated));
-                }
-            }
-        }
+        stranded.extend(self.queue.drain(..).map(|e| (e.req, 0)));
         stranded.sort_by_key(|(req, _)| req.id);
         (self.into_report(), stranded)
     }

@@ -45,7 +45,7 @@
 //!   submit(Request) ───────────► ServeEngine (× N workers)       model
 //!   (by the fleet's drive, or   queue ─► admission ─► active pool
 //!    by hand: the bare engine  (requests, (arrival,    one Stepper
-//!    is the reference the       shed       preempt,    per request
+//!    is the reference the       shed       warmup,     per request
 //!    fleet is compared to)      overflow)  LRU evict   (policy +
 //!                                           = replay)    history)
 //!                                               │
@@ -90,7 +90,7 @@
 //!   (submit / route+probes /     ├ NoopSink (default): zero-cost,
 //!    cache walk / admit /        │  the bit-identity parity paths
 //!    step+shape / defer /        │  run the exact untraced code
-//!    preempt / evict / shed /    └ EventLog: tick-stamped TraceEvents
+//!    evict / shed /              └ EventLog: tick-stamped TraceEvents
 //!    finish / deadline / batch /    → MetricsRegistry, Chrome trace
 //!    budget / idle-skip)            export, flame report, golden CI
 //!                                   event logs (ServeStats itself is
@@ -114,11 +114,7 @@
 //!   SLO-carrying requests), with an aging guard that bounds every
 //!   request's service gap by its forcing threshold plus a few
 //!   rotations (no starvation under *any* order, including streaming
-//!   admission — arrivals join the same queue the guard covers), and
-//!   rollback-aware preemption: between steps a stepper holds exactly
-//!   its committed context (speculation already rolled back), so a
-//!   victim's sessions can be dropped and later rebuilt by replaying
-//!   `prompt + generated` — an exact reconstruction.
+//!   admission — arrivals join the same queue the guard covers).
 //! * **The speculation-policy layer** (`verispec-core::policy`) — each
 //!   tick, *how much speculation to buy per request* is a
 //!   [`verispec_core::SpecPolicy`] decision, not a frozen config:
@@ -224,7 +220,7 @@
 //! * **Structured tracing** (`verispec-trace`) — every lifecycle
 //!   transition (submission, routing decision with its probe values,
 //!   cache walk, admission, per-step propose/verify/commit with the
-//!   policy-decided shape, deferral, preemption, eviction, shed,
+//!   policy-decided shape, deferral, eviction, shed,
 //!   finish, deadline outcome, per-tick batch composition and budget
 //!   consumption) is emitted as a tick-stamped
 //!   [`verispec_trace::TraceEvent`] into the engine's
@@ -242,8 +238,8 @@
 //! request's token stream is bit-identical to running the serial
 //! single-session engine (`decode_ntp` / `decode_speculative` /
 //! `decode_grammar_speculative`) on it alone — for greedy decoding and
-//! seeded sampling alike, under any scheduler order, batch size,
-//! preemption pattern or prefix-cache state. Three layers guarantee it:
+//! seeded sampling alike, under any scheduler order, batch size or
+//! prefix-cache state. Three layers guarantee it:
 //! the steppers are the *same code* the serial engines run; the fused
 //! kernels are bit-identical per input regardless of batch
 //! composition; and each request owns its sampler and sessions, so
@@ -252,9 +248,9 @@
 //! orders, and session caps, along with the no-starvation bound;
 //! `tests/proptest_policy.rs` extends it to adaptive speculation
 //! (decisions are pure functions of each request's own history, so
-//! served == the serial policy-driven engine under preemption and
-//! eviction too); `verispec-load`'s streaming proptest additionally
-//! pins [`Drive::Streaming`] == batch submission under random arrival
+//! served == the serial policy-driven engine under eviction too);
+//! `verispec-load`'s streaming proptest additionally pins
+//! [`Drive::Streaming`] == batch submission under random arrival
 //! processes, capacities, deadlines, and eviction pressure.
 //! The one deliberate exception is
 //! [`verispec_core::BudgetedPolicy`]: its shrink-to-fit shapes depend
@@ -469,59 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn preemption_parks_and_resumes_without_changing_outputs() {
-        let m = model();
-        let cost = GpuCostModel::codellama_like();
-        // Two long early requests fill the pool; a later arrival must
-        // preempt one of them. NTP with an unreachable EOS id commits
-        // exactly one token per tick, so the long runs provably outlast
-        // the preemption deadline.
-        let mk = |id: u64, arrival: u64, max_tokens: usize, engine: EngineChoice| Request {
-            arrival,
-            ..Request::new(
-                id,
-                vec![1 + id as TokenId, 2],
-                engine,
-                DecodeConfig {
-                    max_tokens,
-                    seed: id,
-                    eos: 999,
-                    ..Default::default()
-                },
-            )
-        };
-        let requests = vec![
-            mk(0, 0, 30, EngineChoice::Ntp),
-            mk(1, 0, 30, EngineChoice::Ntp),
-            mk(2, 3, 6, EngineChoice::MedusaChain),
-        ];
-        let expected: Vec<Vec<TokenId>> = requests
-            .iter()
-            .map(|r| match &r.engine {
-                EngineChoice::Ntp => {
-                    decode_ntp(&m, &r.prompt, &r.engine.decode_config(&r.cfg), &cost).tokens
-                }
-                _ => {
-                    decode_speculative(&m, &r.prompt, &r.engine.decode_config(&r.cfg), &cost).tokens
-                }
-            })
-            .collect();
-        let cfg = ServeConfig {
-            max_active: 2,
-            max_batch: 2,
-            preempt_wait: Some(2),
-            ..Default::default()
-        };
-        let report = run_engine(&m, requests, &cfg, &cost);
-        assert!(report.stats.preemptions > 0, "preemption must trigger");
-        for (c, want) in report.completions.iter().zip(&expected) {
-            assert_eq!(&c.output.tokens, want, "request {} diverged", c.id);
-        }
-        // The preempted request records its round trip.
-        assert!(report.completions.iter().any(|c| c.preemptions > 0));
-    }
-
-    #[test]
     fn threaded_worker_pool_matches_single_engine() {
         let m = model();
         let cost = GpuCostModel::codellama_like();
@@ -556,7 +499,6 @@ mod tests {
         let cfg = ServeConfig {
             max_active: 3,
             max_batch: 2,
-            preempt_wait: Some(2),
             ..Default::default()
         };
         let batch = run_engine(&m, requests.clone(), &cfg, &cost);
@@ -1100,8 +1042,8 @@ mod tests {
         // opens its next step at that row and stays out of the tick's
         // fused propose pass — while what is verified, and everything
         // that is committed, is what a hand-driven batch that forwards
-        // every base position (each stepper parked between its steps,
-        // so nothing is ever carried) verifies and commits.
+        // every base position (each step committed without the tick's
+        // rows, so nothing is ever carried) verifies and commits.
         use verispec_core::{DecodeOutput, Phase};
         use verispec_lm::{verify_many, LogitsArena, VerifyPlan};
         let m = model();
@@ -1149,11 +1091,7 @@ mod tests {
             arena.clear();
             xs.clear();
             let live: Vec<usize> = (0..steppers.len())
-                .filter(|&i| {
-                    steppers[i].park();
-                    steppers[i].unpark();
-                    steppers[i].embed_plan(&mut xs)
-                })
+                .filter(|&i| steppers[i].embed_plan(&mut xs))
                 .collect();
             if live.is_empty() {
                 break;
@@ -1168,16 +1106,14 @@ mod tests {
                     verifying.push(i);
                 }
             }
-            let mut scored = None;
             while plan.pending() > 0 {
                 verified_nodes += plan.pending();
                 let base = verify_many(&m, &mut plan, &mut arena);
                 let rows = arena.rows_from(base);
-                scored = Some(rows);
                 verifying.retain(|&i| steppers[i].verify_level(Some(rows), Some(&mut plan)));
             }
             for &i in &live {
-                steppers[i].commit(&cost, scored);
+                steppers[i].commit(&cost, None);
             }
         }
         let want: Vec<DecodeOutput> = steppers.into_iter().map(Stepper::into_output).collect();

@@ -147,8 +147,6 @@ pub struct Completion {
     /// Largest gap in ticks between consecutive scheduled steps while
     /// active — the starvation metric the scheduler's aging bounds.
     pub max_service_gap: u64,
-    /// Times the request was preempted (parked and later resumed).
-    pub preemptions: u32,
     /// Tick of every decoding step, aligned with `output.trace` (each
     /// step commits at least one token, so `step_ticks[0]` is the
     /// time-to-first-token tick and consecutive differences are the
@@ -208,7 +206,6 @@ impl Completion {
             && self.admitted == other.admitted
             && self.finished == other.finished
             && self.max_service_gap == other.max_service_gap
-            && self.preemptions == other.preemptions
             && self.step_ticks == other.step_ticks
             && self.deadline == other.deadline
             && self.proposed_tokens == other.proposed_tokens

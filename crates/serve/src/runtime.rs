@@ -40,8 +40,7 @@
 //! stays public as the reference a fleet is compared against: a
 //! one-worker fleet is tick-identical to a hand-driven engine fed in
 //! arrival order under every drive and backend — whole [`ServeStats`]
-//! included — with one designed exception, preemption under
-//! [`Drive::Paced`] (`tests/proptest_dispatch.rs`, the drive matrix).
+//! included (`tests/proptest_dispatch.rs`, the drive matrix).
 //!
 //! # Deterministic fault injection
 //!
@@ -66,7 +65,7 @@
 //! ([`verispec_trace::EventKind::Migrated`]).
 //!
 //! **Backpressure.** When a crash (or an arrival) finds *no* worker
-//! alive, the request is parked in a fleet-level deferred queue and a
+//! alive, the request is held in a fleet-level deferred queue and a
 //! [`verispec_trace::EventKind::Backpressure`] event is emitted; the
 //! queue flushes through the router at the next restart. If the plan
 //! ends with the whole fleet dead, deferred requests are shed
@@ -173,6 +172,7 @@ pub struct ClassShare {
     pub class: u32,
     /// Its scheduling weight (a class with weight `w` gets `w` batch
     /// slots for every 1 a weight-1 class gets, when both have work).
+    /// A plan file must give at least 1.
     pub weight: u32,
 }
 
@@ -183,7 +183,8 @@ impl ClassShare {
     pub const MAX_CLASS: u32 = 1023;
 }
 
-// `Deserialize` is written by hand to bound `class` where it enters.
+// `Deserialize` is written by hand to bound `class` where it enters,
+// and to refuse a zero `weight`, which the scheduler would serve as 1.
 impl serde::Deserialize for ClassShare {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let class: u32 = serde::Deserialize::from_value(v.field("class")?)?;
@@ -194,6 +195,11 @@ impl serde::Deserialize for ClassShare {
             )));
         }
         let weight = serde::Deserialize::from_value(v.field("weight")?)?;
+        if weight == 0 {
+            return Err(serde::Error::new(format!(
+                "class {class} has weight 0; a share's weight is at least 1"
+            )));
+        }
         Ok(ClassShare { class, weight })
     }
 }
@@ -311,11 +317,7 @@ pub enum Drive {
     Batch(Vec<Request>),
     /// Open-loop: requests are routed exactly when their arrival ticks
     /// fall due on the fleet clock (load-aware policies see real queue
-    /// state). The only mode that accepts fault events. A worker only
-    /// ever holds the arrivals already due, so a request preempted
-    /// ([`ServeConfig::preempt_wait`]) re-queues ahead of later
-    /// arrivals, where an up-front feed would queue it behind them: a
-    /// different, equally deterministic schedule.
+    /// state). The only mode that accepts fault events.
     Paced(Vec<Request>),
     /// Live-channel: requests are routed as they are received;
     /// blocking-waits when idle with the stream open.
@@ -943,5 +945,9 @@ mod tests {
             ClassShare::MAX_CLASS as usize + 1
         );
         assert_eq!(plan.class_weights().last(), Some(&2));
+        // A zero weight is refused, not served as weight 1.
+        let zero = r#"{"classes":[{"class":3,"weight":0}]}"#;
+        let err = serde_json::from_str::<FaultPlan>(zero).expect_err("zero weight");
+        assert!(err.to_string().contains("weight 0"), "{err}");
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests pinning the threaded backend to its lockstep oracle:
 //! for random request mixes (including grammar-constrained engines),
 //! worker counts (1/2/4), routing policies (probe-less and probing),
-//! the batch and paced drives, and preemption/eviction churn,
+//! the batch and paced drives, and eviction/shedding churn,
 //! [`Backend::Threaded`]'s report is **tick-for-tick, token-for-token
 //! identical** to [`Backend::Lockstep`]'s, and the merged event streams
 //! are event-for-event identical, in canonical fleet order
@@ -151,13 +151,12 @@ fn oracle_for(vocab: usize) -> GrammarOracle {
     GrammarOracle::new(bytes)
 }
 
-/// The churn knobs the acceptance bar names: tight pools, preemption,
+/// The churn knobs the acceptance bar names: tight pools,
 /// session-cap eviction, verify budgets, and shedding.
 #[derive(Debug, Clone)]
 struct Churn {
     max_active: usize,
     max_batch: usize,
-    preempt_wait: Option<u64>,
     session_cap: Option<usize>,
     tick_capacity: Option<usize>,
     shed_depth: Option<usize>,
@@ -169,7 +168,6 @@ fn any_churn() -> impl Strategy<Value = Churn> {
         (
             1usize..4,
             1usize..3,
-            prop_oneof![Just(None), (1u64..6).prop_map(Some)],
             prop_oneof![Just(None), (2usize..5).prop_map(Some)],
         ),
         (
@@ -179,17 +177,15 @@ fn any_churn() -> impl Strategy<Value = Churn> {
         ),
     )
         .prop_map(
-            |(
-                (max_active, max_batch, preempt_wait, session_cap),
-                (tick_capacity, shed_depth, prefix_cache),
-            )| Churn {
-                max_active,
-                max_batch,
-                preempt_wait,
-                session_cap,
-                tick_capacity,
-                shed_depth,
-                prefix_cache,
+            |((max_active, max_batch, session_cap), (tick_capacity, shed_depth, prefix_cache))| {
+                Churn {
+                    max_active,
+                    max_batch,
+                    session_cap,
+                    tick_capacity,
+                    shed_depth,
+                    prefix_cache,
+                }
             },
         )
 }
@@ -199,7 +195,6 @@ fn serve_config(churn: &Churn, order: TickOrder) -> ServeConfig {
         max_active: churn.max_active,
         max_batch: churn.max_batch,
         order,
-        preempt_wait: churn.preempt_wait,
         session_cap: churn.session_cap,
         tick_capacity: churn.tick_capacity,
         shed_depth: churn.shed_depth,

@@ -9,7 +9,7 @@
 //! 2. **Served == serial under adaptation** — because of (1), serving
 //!    a mix of requests under an adaptive policy produces
 //!    token-for-token the outputs of the serial policy-driven engine,
-//!    across random engines, seeds, sampling, tick orders, preemption,
+//!    across random engines, seeds, sampling, tick orders,
 //!    prefix-cache eviction pressure, and batch sizes. Adaptation never
 //!    leaks batch composition into a request's stream.
 
@@ -112,8 +112,8 @@ proptest! {
     }
 
     /// Serving under adaptation == the serial policy-driven engine,
-    /// token for token, under preemption, prefix-cache eviction, and
-    /// arbitrary tick orders.
+    /// token for token, under prefix-cache eviction and arbitrary tick
+    /// orders.
     #[test]
     fn served_equals_serial_under_adaptation(
         model in any_mlp(),
@@ -139,7 +139,6 @@ proptest! {
             Just(TickOrder::Edf),
             any::<u64>().prop_map(TickOrder::Seeded),
         ],
-        preempt in prop_oneof![Just(None), (1u64..4).prop_map(Some)],
         session_cap in prop_oneof![Just(None), (1usize..5).prop_map(Some)],
     ) {
         let cost = GpuCostModel::codellama_like();
@@ -170,7 +169,6 @@ proptest! {
             max_active,
             max_batch,
             order,
-            preempt_wait: preempt,
             session_cap,
             prefix_cache: true,
             ..Default::default()

@@ -1,6 +1,6 @@
 //! Property tests pinning the serving invariant: for random request
 //! mixes (engines, prompts, budgets, seeds, sampling), random scheduler
-//! configurations (tick order, batch size, pool size, preemption,
+//! configurations (tick order, batch size, pool size,
 //! session-eviction caps), and prefix-cached admissions, every served
 //! request's output is
 //! **token-for-token identical** to running the serial single-session
@@ -103,7 +103,6 @@ proptest! {
         max_active in 1usize..5,
         max_batch in 1usize..4,
         order in any_order(),
-        preempt in prop_oneof![Just(None), (1u64..4).prop_map(Some)],
         session_cap in prop_oneof![Just(None), (1usize..6).prop_map(Some)],
         prefix_cache in any::<bool>(),
     ) {
@@ -127,7 +126,6 @@ proptest! {
             max_active,
             max_batch,
             order,
-            preempt_wait: preempt,
             session_cap,
             prefix_cache,
             ..Default::default()

@@ -82,7 +82,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
             );
         }
         // Decode intervals before their nested warmup sub-span.
-        for phase in [Phase::Queued, Phase::Decode, Phase::Parked, Phase::Warmup] {
+        for phase in [Phase::Queued, Phase::Decode, Phase::Warmup] {
             for s in tl.phases.iter().filter(|s| s.phase == phase) {
                 push_entry(
                     &mut out,

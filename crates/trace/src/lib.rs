@@ -53,7 +53,6 @@
 //! | `Submitted` | request enters the admission queue | arrival, prompt length, deadline |
 //! | `CacheLookup` | admission-time prefix-cache walk | hit, depth, tokens saved |
 //! | `Admitted` | request leaves the queue | queued ticks, warm-until tick |
-//! | `Resumed` / `Preempted` | park/unpark transitions | — |
 //! | `Deferred` | verify budget pushes a step | — |
 //! | `Step` | one committed decode step | policy [`SpecShape`](verispec_core::SpecShape), proposed/accepted/committed |
 //! | `PrefixEvicted` | session-cap eviction of an LRU prefix-cache leaf | — |
@@ -88,8 +87,8 @@
 //! <https://ui.perfetto.dev> (or `chrome://tracing` in Chromium) and
 //! drag `run.trace.json` in. You'll see one **process per worker**
 //! (`worker 0` … `worker 3`), one **track per request**, and on each
-//! track the nested spans `request` ▸ `queued` / `decode` ▸ `warmup` /
-//! `parked`, with `step` instants carrying the policy-decided shape
+//! track the nested spans `request` ▸ `queued` / `decode` ▸ `warmup`,
+//! with `step` instants carrying the policy-decided shape
 //! and acceptance in their args, `routed` instants carrying the probe
 //! values that justified the placement, and per-worker `batch` /
 //! `budget` counter tracks. Timestamps are virtual-clock ticks

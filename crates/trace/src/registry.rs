@@ -149,14 +149,6 @@ impl MetricsRegistry {
                 self.gauge_add("requests.active", 1);
                 self.record_hist("queue.ticks", *queued_ticks);
             }
-            EventKind::Resumed => {
-                self.count("requests.resumed", 1);
-                self.gauge_add("requests.active", 1);
-            }
-            EventKind::Preempted => {
-                self.count("requests.preempted", 1);
-                self.gauge_add("requests.active", -1);
-            }
             EventKind::Deferred => self.count("steps.deferred", 1),
             EventKind::Step {
                 proposed,

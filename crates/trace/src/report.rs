@@ -45,7 +45,6 @@ pub fn attribute_phases(events: &[TraceEvent]) -> Vec<PhaseCost> {
         let warm = tl.ticks_in(Phase::Warmup);
         add("request;decode", tl.ticks_in(Phase::Decode) - warm);
         add("request;decode;warmup", warm);
-        add("request;parked", tl.ticks_in(Phase::Parked));
         add("request;decode;deferred", tl.deferrals as u64);
     }
     // Engine idle time is fleet-scoped, not per-request.

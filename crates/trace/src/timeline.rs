@@ -1,7 +1,7 @@
 //! Per-request phase timelines reconstructed from an event log.
 //!
 //! The raw stream records transitions; this module folds them back
-//! into intervals — queued, warmup, decode, parked — that the Chrome
+//! into intervals — queued, warmup, decode — that the Chrome
 //! exporter renders as spans and the attribution report sums into
 //! per-phase costs.
 
@@ -19,8 +19,6 @@ pub enum Phase {
     Warmup,
     /// Active in the batch, stepping.
     Decode,
-    /// Preempted: sessions released, waiting to resume.
-    Parked,
 }
 
 impl Phase {
@@ -30,7 +28,6 @@ impl Phase {
             Phase::Queued => "queued",
             Phase::Warmup => "warmup",
             Phase::Decode => "decode",
-            Phase::Parked => "parked",
         }
     }
 }
@@ -104,7 +101,6 @@ struct Builder {
     first_admit: Option<u64>,
     warm_until: Option<u64>,
     open_decode: Option<u64>,
-    open_park: Option<u64>,
     queued_from: Option<u64>,
     phases: Vec<PhaseSpan>,
     steps: usize,
@@ -125,9 +121,6 @@ impl Builder {
         }
         if let Some(d) = self.open_decode.take() {
             self.push(Phase::Decode, d, self.finished.unwrap_or(horizon));
-        }
-        if let Some(p) = self.open_park.take() {
-            self.push(Phase::Parked, p, horizon);
         }
         // Carve the warmup sub-span out of the first decode interval.
         if let (Some(admit), Some(warm)) = (self.first_admit, self.warm_until) {
@@ -179,18 +172,6 @@ pub fn timelines(events: &[TraceEvent]) -> BTreeMap<u64, RequestTimeline> {
                 }
                 b.open_decode = Some(ev.tick);
             }
-            EventKind::Resumed => {
-                if let Some(p) = b.open_park.take() {
-                    b.push(Phase::Parked, p, ev.tick);
-                }
-                b.open_decode = Some(ev.tick);
-            }
-            EventKind::Preempted => {
-                if let Some(d) = b.open_decode.take() {
-                    b.push(Phase::Decode, d, ev.tick);
-                }
-                b.open_park = Some(ev.tick);
-            }
             EventKind::Step { .. } => b.steps += 1,
             EventKind::Deferred => b.deferrals += 1,
             EventKind::Shed { .. } => b.shed = Some(ev.tick),
@@ -214,7 +195,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn preemption_round_trip_yields_four_phases() {
+    fn a_lifecycle_yields_three_phases() {
         let ev = |tick, kind| TraceEvent::new(tick, 0, Some(9), kind);
         let events = vec![
             ev(
@@ -232,8 +213,6 @@ mod tests {
                     warm_until: 3,
                 },
             ),
-            ev(5, EventKind::Preempted),
-            ev(8, EventKind::Resumed),
             ev(
                 11,
                 EventKind::Finished {
@@ -248,8 +227,7 @@ mod tests {
         let tl = &map[&9];
         assert_eq!(tl.ticks_in(Phase::Queued), 2);
         assert_eq!(tl.ticks_in(Phase::Warmup), 1);
-        assert_eq!(tl.ticks_in(Phase::Decode), 3 + 3);
-        assert_eq!(tl.ticks_in(Phase::Parked), 3);
+        assert_eq!(tl.ticks_in(Phase::Decode), 9);
         assert_eq!(tl.end(), 11);
         // Warmup nests inside the first decode interval.
         let warm = tl
