@@ -3,7 +3,7 @@
 //! {RTLLM-sim, VGen-sim}.
 
 use verispec_bench::HarnessArgs;
-use verispec_eval::{fig6_from_cells, render_table1, run_table1, Pipeline};
+use verispec_eval::{render_fig6, render_table1, run_table1, Pipeline};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -19,12 +19,6 @@ fn main() {
 
     // Fig. 6 falls out of the same cells; print it here so a single full
     // run covers both artifacts.
-    println!("\nFig. 6 series (Small model, pass@5 vs data fraction):");
-    for p in fig6_from_cells(&cells) {
-        println!(
-            "  {:<8} {:<10} {}/{}  func {:>6.2}%  syntax {:>6.2}%",
-            p.method, p.benchmark, p.fraction.0, p.fraction.1, p.function_pass5, p.syntax_pass5
-        );
-    }
+    print!("\n{}", render_fig6(&cells));
     args.write_json(&cells);
 }

@@ -1,18 +1,16 @@
 //! Shared helpers for the VeriSpec benchmark harness binaries and the
 //! artifact benches.
 //!
-//! Each binary regenerates one paper artifact or answers one question
-//! about it:
+//! Each binary regenerates one paper artifact:
 //!
 //! | binary | artifact |
 //! |--------|----------|
 //! | `table1_quality` | Table I — quality grid, and the Fig. 6 series (pass@5 vs data size) from the same cells |
-//! | `table2_speed`   | Table II — tokens/s and speedup |
-//! | `fig1_tradeoff`  | Fig. 1 — speed vs quality scatter |
 //! | `fig5_steps`     | Fig. 5 — decode traces |
-//! | `probe_gen`      | developer probe: raw generations and verdicts per method (`--full` only) |
 //!
-//! All but `probe_gen` parse [`HarnessArgs`]: `--scale quick|full`
+//! Speed (Table II) is measured by the benchmark under `benchmark/`.
+//!
+//! Both parse [`HarnessArgs`]: `--scale quick|full`
 //! (default `full`), `--samples N` and `--problems N` (overriding the
 //! scale's samples per prompt and per-benchmark problem cap, whichever
 //! side of `--scale` they stand), and `--json <path>` to write a JSON
@@ -59,6 +57,9 @@ pub fn write_gated_artifact<T: serde::Serialize>(name: &str, rows: &T, violation
     write_json_file(&root.join(name), rows);
 }
 
+/// The flags every harness binary accepts.
+const USAGE: &str = "usage: <bin> [--scale quick|full] [--samples N] [--problems N] [--json PATH]";
+
 /// Parses the common `--scale` / `--json` / `--samples` / `--problems`
 /// CLI arguments.
 pub struct HarnessArgs {
@@ -73,7 +74,8 @@ impl HarnessArgs {
     ///
     /// # Panics
     ///
-    /// Panics with a usage message on unknown arguments.
+    /// Panics with a usage message on unknown arguments and on a flag
+    /// whose value is missing or is the next flag.
     pub fn parse() -> HarnessArgs {
         Self::parse_from(std::env::args().skip(1))
     }
@@ -88,36 +90,20 @@ impl HarnessArgs {
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--scale" => {
-                    let v = args.next().unwrap_or_default();
-                    scale = match v.as_str() {
+                    scale = match value_of(&a, &mut args).as_str() {
                         "quick" => Scale::quick(),
                         "full" => Scale::full(),
-                        other => panic!("unknown scale `{other}` (use quick|full)"),
+                        other => panic!("unknown scale `{other}` (use quick|full)\n{USAGE}"),
                     };
                 }
-                "--json" => json = args.next(),
-                "--samples" => {
-                    samples = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--samples N"),
-                    );
-                }
-                "--problems" => {
-                    problems = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--problems N"),
-                    );
-                }
+                "--json" => json = Some(value_of(&a, &mut args)),
+                "--samples" => samples = Some(count_of(&a, &mut args)),
+                "--problems" => problems = Some(count_of(&a, &mut args)),
                 "--help" | "-h" => {
-                    println!(
-                        "usage: <bin> [--scale quick|full] [--samples N] [--problems N] \
-                         [--json PATH]"
-                    );
+                    println!("{USAGE}");
                     std::process::exit(0);
                 }
-                other => panic!("unknown argument `{other}`"),
+                other => panic!("unknown argument `{other}`\n{USAGE}"),
             }
         }
         scale.n_samples = samples.unwrap_or(scale.n_samples);
@@ -133,12 +119,33 @@ impl HarnessArgs {
     }
 }
 
+/// The value after `flag`. A missing value, or the next flag in its
+/// place, is a usage error, so `--json` without a path cannot exit 0
+/// without its artifact.
+fn value_of(flag: &str, args: &mut impl Iterator<Item = String>) -> String {
+    match args.next() {
+        Some(v) if !v.starts_with("--") => v,
+        _ => panic!("`{flag}` needs a value\n{USAGE}"),
+    }
+}
+
+/// The count after `flag`.
+fn count_of(flag: &str, args: &mut impl Iterator<Item = String>) -> usize {
+    let v = value_of(flag, args);
+    v.parse()
+        .unwrap_or_else(|_| panic!("`{flag}` takes a count, not `{v}`\n{USAGE}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> HarnessArgs {
+        HarnessArgs::parse_from(args.iter().map(|a| a.to_string()))
+    }
+
     fn scale_of(args: &[&str]) -> Scale {
-        HarnessArgs::parse_from(args.iter().map(|a| a.to_string())).scale
+        parse(args).scale
     }
 
     /// `--samples 2 --scale quick` once ran the quick scale's 4 samples:
@@ -151,5 +158,18 @@ mod tests {
         assert_eq!(before, after);
         assert_eq!((after.n_samples, after.problem_limit), (2, Some(3)));
         assert_eq!(after.pipeline, Scale::quick().pipeline);
+    }
+
+    /// `--json` with no path once parsed as "no artifact" and exited 0.
+    #[test]
+    #[should_panic(expected = "`--json` needs a value")]
+    fn a_json_flag_without_a_path_is_a_usage_error() {
+        parse(&["--json"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "`--json` needs a value")]
+    fn a_json_flag_followed_by_a_flag_is_a_usage_error() {
+        parse(&["--json", "--scale", "quick"]);
     }
 }

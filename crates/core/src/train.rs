@@ -75,9 +75,6 @@ pub struct TrainConfig {
     pub batch_positions: usize,
     /// Shuffling seed.
     pub seed: u64,
-    /// MEDUSA-1 mode: freeze the backbone (embeddings, trunk, base head)
-    /// and train only the Medusa heads — lossless acceleration.
-    pub freeze_base: bool,
 }
 
 impl TrainConfig {
@@ -93,15 +90,6 @@ impl TrainConfig {
             gamma: 0.8,
             batch_positions: 64,
             seed: 0,
-            freeze_base: false,
-        }
-    }
-
-    /// MEDUSA-1 defaults: frozen backbone, heads-only training.
-    pub fn medusa1_defaults() -> Self {
-        Self {
-            freeze_base: true,
-            ..Self::paper_defaults(TrainMethod::Medusa)
         }
     }
 }
@@ -223,13 +211,13 @@ pub fn train_in_place(
                 epoch_positions += 1;
 
                 if grads.positions >= tc.batch_positions {
-                    apply_step(model, &mut opt, &grads, tc);
+                    model.adam_step(&mut opt, &grads, tc.lr, tc.head_lr_mult);
                     grads.reset();
                 }
             }
         }
         if grads.positions > 0 {
-            apply_step(model, &mut opt, &grads, tc);
+            model.adam_step(&mut opt, &grads, tc.lr, tc.head_lr_mult);
             grads.reset();
         }
         let n = epoch_positions.max(1) as f64;
@@ -238,20 +226,6 @@ pub fn train_in_place(
         report.positions.push(epoch_positions);
     }
     report
-}
-
-/// One optimizer step honoring the freeze flag.
-fn apply_step(
-    model: &mut MlpLm,
-    opt: &mut verispec_lm::mlp::AdamOpt,
-    grads: &verispec_lm::mlp::MlpGrads,
-    tc: &TrainConfig,
-) {
-    if tc.freeze_base {
-        model.adam_step_rates(opt, grads, 0.0, tc.lr * tc.head_lr_mult);
-    } else {
-        model.adam_step(opt, grads, tc.lr, tc.head_lr_mult);
-    }
 }
 
 #[cfg(test)]
@@ -372,27 +346,6 @@ mod tests {
         };
         let (_, report) = train(tiny_cfg(4), &seqs, &tc);
         assert!(report.head_losses[0] < report.base_losses[0]);
-    }
-
-    #[test]
-    fn medusa1_freezes_the_backbone() {
-        let seqs = toy_sequences(false, 3);
-        let cfg = tiny_cfg(3);
-        let fresh = verispec_lm::MlpLm::new(cfg);
-        let baseline_logits = fresh.logits(&[10, 20]);
-
-        let tc = TrainConfig {
-            epochs: 2,
-            ..TrainConfig::medusa1_defaults()
-        };
-        let (trained, report) = train(cfg, &seqs, &tc);
-        // Base head logits unchanged (backbone frozen).
-        assert_eq!(trained.logits(&[10, 20]), baseline_logits);
-        // Heads did train.
-        assert!(report.head_losses.iter().any(|&l| l > 0.0));
-        let before = fresh.multi_logits(&[10, 20]);
-        let after = trained.multi_logits(&[10, 20]);
-        assert_ne!(before[1], after[1], "head 1 must move under Medusa-1");
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Experiment runners that regenerate every table and figure of the
-//! paper's evaluation (§IV): Table I (quality), Table II (speed),
-//! Fig. 1 (speed/quality trade-off), Fig. 5 (decode traces), and
-//! Fig. 6 (quality vs. training-data size, read off Table I's cells).
+//! Experiment runners for the paper's quality artifacts (§IV): Table I
+//! (quality), Fig. 5 (decode traces) and Fig. 6 (quality vs.
+//! training-data size, read off Table I's cells). Speed (Table II,
+//! Eqs. 3–4) is measured in one place, the benchmark under
+//! `benchmark/`, on the simulated clock of `GpuCostModel` and on wall
+//! time.
 //!
 //! Table I's pass@k is a fold over the quality walk the gate folds too
 //! (`quality::judged_samples`): syntax counts the samples that
 //! elaborate, function the samples that pass simulation.
 
-use crate::benchmarks::{rtllm_sim, speed_prompts, vgen_sim, Benchmark};
-use crate::metrics::{mean_speed, speedup, PromptCounts, QualityRow};
+use crate::benchmarks::{rtllm_sim, vgen_sim, Benchmark};
+use crate::metrics::{PromptCounts, QualityRow};
 use crate::pipeline::{generate, token_budget, ModelScale, Pipeline, PipelineConfig};
 use crate::quality::{judged_samples, SampleGrid};
 use serde::{Deserialize, Serialize};
@@ -16,7 +18,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 use verispec_core::{DecodeConfig, TrainMethod};
-use verispec_lm::{MlpLm, Sampling};
+use verispec_lm::MlpLm;
 
 /// The three training/decoding regimes compared throughout.
 pub const METHODS: [TrainMethod; 3] = [TrainMethod::Ours, TrainMethod::Medusa, TrainMethod::Ntp];
@@ -32,7 +34,10 @@ pub struct Scale {
     pub temperatures: Vec<f32>,
     /// Training-data fractions (paper: 1/4, 1/2, 3/4, full).
     pub data_fractions: Vec<(usize, usize)>,
-    /// Number of prompts in the speed evaluation (paper: 575).
+    /// Prompts drawn into the load bench's families, and requests per
+    /// workload, in [`run_load_bench`] (at least 2).
+    ///
+    /// [`run_load_bench`]: crate::run_load_bench
     pub speed_prompt_count: usize,
     /// Optional cap on problems per benchmark (quick runs).
     pub problem_limit: Option<usize>,
@@ -201,135 +206,6 @@ pub fn run_table1(scale: &Scale, pipe: &Pipeline) -> Vec<QualityCell> {
 }
 
 // ---------------------------------------------------------------------
-// Table II — speed
-// ---------------------------------------------------------------------
-
-/// One row of Table II.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SpeedRow {
-    /// Model scale.
-    pub model: ModelScale,
-    /// Method name.
-    pub method: &'static str,
-    /// Simulated tokens/second (Eq. 3).
-    pub speed: f64,
-    /// Speedup vs. the NTP baseline (Eq. 4).
-    pub speedup: f64,
-    /// Mean tokens committed per decoding step.
-    pub tokens_per_step: f64,
-}
-
-/// Regenerates Table II: generation speed for both models × 3 methods,
-/// greedy plus temperature-0.8 sampling per prompt (paper §IV-A3).
-pub fn run_table2(scale: &Scale, pipe: &Pipeline) -> Vec<SpeedRow> {
-    let prompts = speed_prompts(scale.speed_prompt_count, 0x5EED);
-    let mut rows = Vec::new();
-    for model_scale in [ModelScale::Large, ModelScale::Small] {
-        let cost = model_scale.cost_model();
-        let mut speeds: Vec<(TrainMethod, f64, f64)> = Vec::new();
-        for method in METHODS {
-            let model = pipe.model_for(model_scale, method, (1, 1));
-            let runs: Vec<(usize, f64, f64)> =
-                parallel_map(prompts.iter().collect::<Vec<_>>(), |problem| {
-                    let budget = token_budget(&pipe.tokenizer, problem, method);
-                    let mut tokens = 0usize;
-                    let mut secs = 0.0f64;
-                    let mut steps = 0usize;
-                    for (i, sampling) in [
-                        Sampling::Greedy,
-                        Sampling::Temperature {
-                            temperature: 0.8,
-                            top_k: 0,
-                        },
-                    ]
-                    .into_iter()
-                    .enumerate()
-                    {
-                        let cfg = DecodeConfig {
-                            max_tokens: budget,
-                            sampling,
-                            seed: sample_seed(&problem.id, i, 23),
-                            ..Default::default()
-                        };
-                        let g = generate(&model, &pipe.tokenizer, problem, method, &cfg, &cost);
-                        tokens += g.output.clock.tokens;
-                        secs += g.output.clock.seconds;
-                        steps += g.output.steps;
-                    }
-                    (tokens, secs, steps as f64)
-                });
-            let speed_runs: Vec<(usize, f64)> = runs.iter().map(|&(t, s, _)| (t, s)).collect();
-            let total_tokens: usize = runs.iter().map(|r| r.0).sum();
-            let total_steps: f64 = runs.iter().map(|r| r.2).sum();
-            let tps = if total_steps > 0.0 {
-                total_tokens as f64 / total_steps
-            } else {
-                0.0
-            };
-            speeds.push((method, mean_speed(&speed_runs), tps));
-        }
-        let ntp_speed = speeds
-            .iter()
-            .find(|(m, _, _)| *m == TrainMethod::Ntp)
-            .map(|(_, s, _)| *s)
-            .unwrap_or(1.0);
-        for (method, speed, tps) in speeds {
-            rows.push(SpeedRow {
-                model: model_scale,
-                method: method.name(),
-                speed,
-                speedup: speedup(speed, ntp_speed),
-                tokens_per_step: tps,
-            });
-        }
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------
-// Fig. 1 — speed/quality scatter
-// ---------------------------------------------------------------------
-
-/// One point of Fig. 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TradeoffPoint {
-    /// Method name.
-    pub method: &'static str,
-    /// Simulated tokens/second.
-    pub speed: f64,
-    /// Functional Pass Rate (%) on RTLLM-sim.
-    pub pass_rate: f64,
-    /// Syntactic Pass Rate (%) on RTLLM-sim: the informative axis here,
-    /// since the laptop-scale models pass almost no functional check.
-    pub syntax_pass_rate: f64,
-}
-
-/// Regenerates Fig. 1 for the Large (CodeLlama-like) model at full data.
-pub fn run_fig1(scale: &Scale, pipe: &Pipeline) -> Vec<TradeoffPoint> {
-    let speed_rows = run_table2(scale, pipe);
-    let bench = rtllm_sim();
-    METHODS
-        .iter()
-        .map(|&method| {
-            let model = pipe.model_for(ModelScale::Large, method, (1, 1));
-            let (function, syntax) =
-                score_benchmark(pipe, &model, ModelScale::Large, method, &bench, scale);
-            let speed = speed_rows
-                .iter()
-                .find(|r| r.model == ModelScale::Large && r.method == method.name())
-                .map(|r| r.speed)
-                .unwrap_or(0.0);
-            TradeoffPoint {
-                method: method.name(),
-                speed,
-                pass_rate: function.pass_rate,
-                syntax_pass_rate: syntax.pass_rate,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
 // Fig. 5 — decode trace comparison
 // ---------------------------------------------------------------------
 
@@ -396,41 +272,6 @@ pub fn run_fig5(pipe: &Pipeline, model_scale: ModelScale) -> Vec<TraceSummary> {
 }
 
 // ---------------------------------------------------------------------
-// Fig. 6 — pass@5 vs data size
-// ---------------------------------------------------------------------
-
-/// One series point of Fig. 6.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DataSizePoint {
-    /// Method name.
-    pub method: &'static str,
-    /// Benchmark name.
-    pub benchmark: &'static str,
-    /// Data fraction.
-    pub fraction: (usize, usize),
-    /// Functional pass@5 (%).
-    pub function_pass5: f64,
-    /// Syntax pass@5 (%).
-    pub syntax_pass5: f64,
-}
-
-/// Extracts the Fig.-6 series (Small model, pass@5 vs data size) from
-/// Table-I cells.
-pub fn fig6_from_cells(cells: &[QualityCell]) -> Vec<DataSizePoint> {
-    cells
-        .iter()
-        .filter(|c| c.model == ModelScale::Small)
-        .map(|c| DataSizePoint {
-            method: c.method,
-            benchmark: c.benchmark,
-            fraction: c.fraction,
-            function_pass5: c.function.pass_at_5,
-            syntax_pass5: c.syntax.pass_at_5,
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
 // Rendering helpers (used by the bench harness binaries)
 // ---------------------------------------------------------------------
 
@@ -461,7 +302,7 @@ pub fn render_table1(cells: &[QualityCell]) -> String {
                         ("pass@10", 2),
                         ("PassRate", 3),
                     ] {
-                        let mut vals = [f64::NAN; 3];
+                        let mut vals = [None; 3];
                         for (mi, mname) in ["Ours", "Medusa", "NTP"].iter().enumerate() {
                             if let Some(c) = cells.iter().find(|c| {
                                 c.model == model
@@ -474,21 +315,21 @@ pub fn render_table1(cells: &[QualityCell]) -> String {
                                     0 => row.pass_at_1,
                                     1 => row.pass_at_5,
                                     2 => row.pass_at_10,
-                                    _ => row.pass_rate,
+                                    _ => Some(row.pass_rate),
                                 };
                             }
                         }
                         out.push_str(&format!(
-                            "{:<10} {:>2}/{:<2}  {:<10} | {:<6} {:<8} {:>7.2} {:>8.2} {:>8.2}\n",
+                            "{:<10} {:>2}/{:<2}  {:<10} | {:<6} {:<8} {:>7} {:>8} {:>8}\n",
                             model.name(),
                             fraction.0,
                             fraction.1,
                             benchmark,
                             section,
                             metric,
-                            vals[0],
-                            vals[1],
-                            vals[2],
+                            percent_or_na(vals[0], ""),
+                            percent_or_na(vals[1], ""),
+                            percent_or_na(vals[2], ""),
                         ));
                     }
                 }
@@ -498,22 +339,28 @@ pub fn render_table1(cells: &[QualityCell]) -> String {
     out
 }
 
-/// Renders Table II in the paper's layout.
-pub fn render_table2(rows: &[SpeedRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Table II — generation speed\n");
-    out.push_str("model      method   tokens/s   speedup   tokens/step\n");
-    for r in rows {
+/// Renders Fig. 6 — the Small model's pass@5 against training-data
+/// size — read off Table I's cells, one point a line.
+pub fn render_fig6(cells: &[QualityCell]) -> String {
+    let mut out = String::from("Fig. 6 series (Small model, pass@5 vs data fraction):\n");
+    for c in cells.iter().filter(|c| c.model == ModelScale::Small) {
         out.push_str(&format!(
-            "{:<10} {:<8} {:>8.2}  {:>7.2}x  {:>11.2}\n",
-            r.model.name(),
-            r.method,
-            r.speed,
-            r.speedup,
-            r.tokens_per_step
+            "  {:<8} {:<10} {}/{}  func {:>7}  syntax {:>7}\n",
+            c.method,
+            c.benchmark,
+            c.fraction.0,
+            c.fraction.1,
+            percent_or_na(c.function.pass_at_5, "%"),
+            percent_or_na(c.syntax.pass_at_5, "%"),
         ));
     }
     out
+}
+
+/// A percentage to two decimals followed by `unit`, or `n/a` where the
+/// metric is undefined (pass@k under k samples per prompt).
+fn percent_or_na(value: Option<f64>, unit: &str) -> String {
+    value.map_or_else(|| "n/a".to_string(), |v| format!("{v:.2}{unit}"))
 }
 
 #[cfg(test)]
@@ -538,21 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn table2_has_all_rows_and_ntp_speedup_is_one() {
-        let scale = micro_scale();
-        let pipe = Pipeline::build(scale.pipeline);
-        let rows = run_table2(&scale, &pipe);
-        assert_eq!(rows.len(), 6);
-        for r in rows.iter().filter(|r| r.method == "NTP") {
-            assert!((r.speedup - 1.0).abs() < 1e-9, "NTP speedup {}", r.speedup);
-            assert!(r.tokens_per_step <= 1.0 + 1e-9);
-        }
-        let rendered = render_table2(&rows);
-        assert!(rendered.contains("CodeLlama"));
-        assert!(rendered.contains("CodeT5p"));
-    }
-
-    #[test]
     fn table1_produces_full_grid() {
         let scale = micro_scale();
         let pipe = Pipeline::build(scale.pipeline);
@@ -561,8 +393,14 @@ mod tests {
         assert_eq!(cells.len(), 12);
         let rendered = render_table1(&cells);
         assert!(rendered.contains("pass@10"));
-        let fig6 = fig6_from_cells(&cells);
-        assert_eq!(fig6.len(), 6);
+        // Two samples per prompt: pass@5 and pass@10 are undefined.
+        let fig6 = render_fig6(&cells);
+        assert_eq!(fig6.lines().count(), 1 + 6);
+        assert!(fig6.lines().skip(1).all(|l| l.ends_with("syntax     n/a")));
+        assert!(rendered
+            .lines()
+            .filter(|l| l.contains("pass@5") || l.contains("pass@10"))
+            .all(|l| l.ends_with("n/a      n/a      n/a")));
     }
 
     #[test]

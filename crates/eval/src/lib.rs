@@ -1,9 +1,10 @@
 //! Evaluation harness for VeriSpec: metrics, benchmark suites, the
-//! generated-code judge, and experiment runners that regenerate every
-//! table and figure of the paper.
+//! generated-code judge, and experiment runners that regenerate the
+//! paper's quality tables and figures.
 //!
-//! * [`metrics`] — pass@k (Eq. 5), Pass Rate (Eq. 6), speed/speedup
-//!   (Eqs. 3–4);
+//! * [`metrics`] — pass@k (Eq. 5) and Pass Rate (Eq. 6); speed and
+//!   speedup (Eqs. 3–4) live only in [`GpuCostModel`]'s simulated clock
+//!   and the benchmark under `benchmark/`;
 //! * [`benchmarks`] — RTLLM-sim (29 problems) and VGen-sim (17
 //!   problems), sized to the paper's Pass-Rate quanta;
 //! * [`judge`](mod@judge) — the iverilog-substitute scoring protocol
@@ -18,12 +19,14 @@
 //!   gated by [`quality_gate_violations`] before it is written). Its
 //!   walk problems × samples → decode → [`stage_judge`] is the only one:
 //!   Table I's pass@k folds it too;
-//! * [`experiments`] — Table I (with Fig. 6 read off its cells),
-//!   Table II, Fig. 1 and Fig. 5 runners with quick/full scales;
+//! * [`experiments`] — Table I (with Fig. 6 read off its cells) and
+//!   Fig. 5 runners with quick/full scales;
 //! * [`load`] — the serve-aware Table II: latency percentiles under an
 //!   open-loop arrival process at equal offered load (streaming
 //!   admission, `BENCH_load.json`, gated by [`load_gate_violations`]
 //!   before it is written).
+//!
+//! [`GpuCostModel`]: verispec_lm::GpuCostModel
 //!
 //! # Examples
 //!
@@ -50,8 +53,7 @@ pub mod quality;
 
 pub use benchmarks::{rtllm_sim, speed_prompts, vgen_sim, Benchmark, Problem, PromptStyle};
 pub use experiments::{
-    fig6_from_cells, render_table1, render_table2, run_fig1, run_fig5, run_table1, run_table2,
-    QualityCell, Scale, SpeedRow, TraceSummary, TradeoffPoint,
+    render_fig6, render_table1, run_fig5, run_table1, QualityCell, Scale, TraceSummary,
 };
 pub use judge::{judge, Verdict};
 pub use load::{

@@ -1,10 +1,15 @@
-//! Evaluation metrics: the unbiased pass@k estimator (paper Eq. 5), the
-//! Pass Rate (Eq. 6), and generation speed/speedup (Eqs. 3–4).
+//! Quality metrics: the unbiased pass@k estimator (paper Eq. 5) and the
+//! Pass Rate (Eq. 6). Speed and speedup (Eqs. 3–4) are read off
+//! [`GpuCostModel`](verispec_lm::GpuCostModel)'s simulated clock and
+//! measured by the benchmark under `benchmark/`.
 
 use serde::{Deserialize, Serialize};
 
 /// Unbiased pass@k for one prompt: `1 − C(n−c, k) / C(n, k)` where `n`
 /// samples were drawn and `c` passed (VerilogEval's estimator, Eq. 5).
+///
+/// Eq. 5 is defined for `k ≤ n` only; for `k > n` this returns pass@n.
+/// [`mean_pass_at_k`] refuses that case instead.
 ///
 /// # Panics
 ///
@@ -32,12 +37,17 @@ pub fn pass_at_k(n: usize, c: usize, k: usize) -> f64 {
     1.0 - prob_all_fail
 }
 
-/// Mean pass@k over prompts, given per-prompt `(n, c)` counts.
-pub fn mean_pass_at_k(counts: &[(usize, usize)], k: usize) -> f64 {
-    if counts.is_empty() {
-        return 0.0;
+/// Mean pass@k over prompts, given per-prompt `(n, c)` counts; `None`
+/// when any prompt has fewer than `k` samples, where Eq. 5 is undefined.
+pub fn mean_pass_at_k(counts: &[(usize, usize)], k: usize) -> Option<f64> {
+    if counts.iter().any(|&(n, _)| n < k) {
+        return None;
     }
-    counts.iter().map(|&(n, c)| pass_at_k(n, c, k)).sum::<f64>() / counts.len() as f64
+    if counts.is_empty() {
+        return Some(0.0);
+    }
+    let sum: f64 = counts.iter().map(|&(n, c)| pass_at_k(n, c, k)).sum();
+    Some(sum / counts.len() as f64)
 }
 
 /// Pass Rate (Eq. 6): fraction of prompts with at least one passing
@@ -47,28 +57,6 @@ pub fn pass_rate(counts: &[(usize, usize)]) -> f64 {
         return 0.0;
     }
     counts.iter().filter(|&&(_, c)| c > 0).count() as f64 / counts.len() as f64
-}
-
-/// Speed over a set of decode runs (Eq. 3): the mean of per-run
-/// `tokens / seconds`.
-pub fn mean_speed(runs: &[(usize, f64)]) -> f64 {
-    if runs.is_empty() {
-        return 0.0;
-    }
-    runs.iter()
-        .filter(|&&(_, secs)| secs > 0.0)
-        .map(|&(tokens, secs)| tokens as f64 / secs)
-        .sum::<f64>()
-        / runs.len() as f64
-}
-
-/// Speedup of a method relative to the NTP baseline (Eq. 4).
-pub fn speedup(method_speed: f64, ntp_speed: f64) -> f64 {
-    if ntp_speed <= 0.0 {
-        0.0
-    } else {
-        method_speed / ntp_speed
-    }
 }
 
 /// Quality counts for one prompt under one configuration.
@@ -85,12 +73,12 @@ pub struct PromptCounts {
 /// Aggregated quality metrics over a benchmark.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct QualityRow {
-    /// pass@1 (%).
-    pub pass_at_1: f64,
-    /// pass@5 (%).
-    pub pass_at_5: f64,
-    /// pass@10 (%).
-    pub pass_at_10: f64,
+    /// pass@1 (%); `None` when a prompt has no sample.
+    pub pass_at_1: Option<f64>,
+    /// pass@5 (%); `None` when a prompt has fewer than 5 samples.
+    pub pass_at_5: Option<f64>,
+    /// pass@10 (%); `None` when a prompt has fewer than 10 samples.
+    pub pass_at_10: Option<f64>,
     /// Pass Rate (%).
     pub pass_rate: f64,
 }
@@ -103,10 +91,11 @@ impl QualityRow {
         extract: impl Fn(&PromptCounts) -> usize,
     ) -> QualityRow {
         let pairs: Vec<(usize, usize)> = counts.iter().map(|c| (c.n, extract(c))).collect();
+        let percent = |k| mean_pass_at_k(&pairs, k).map(|p| 100.0 * p);
         QualityRow {
-            pass_at_1: 100.0 * mean_pass_at_k(&pairs, 1),
-            pass_at_5: 100.0 * mean_pass_at_k(&pairs, 5),
-            pass_at_10: 100.0 * mean_pass_at_k(&pairs, 10),
+            pass_at_1: percent(1),
+            pass_at_5: percent(5),
+            pass_at_10: percent(10),
             pass_rate: 100.0 * pass_rate(&pairs),
         }
     }
@@ -186,14 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn speed_and_speedup() {
-        let runs = [(100usize, 1.0f64), (200, 1.0)];
-        assert!((mean_speed(&runs) - 150.0).abs() < 1e-9);
-        assert!((speedup(420.13, 83.13) - 5.054).abs() < 0.01);
-        assert_eq!(speedup(10.0, 0.0), 0.0);
-    }
-
-    #[test]
     fn quality_row_percentages() {
         let counts = vec![
             PromptCounts {
@@ -208,9 +189,36 @@ mod tests {
             },
         ];
         let func = QualityRow::from_counts(&counts, |c| c.functional_passes);
-        assert!((func.pass_at_1 - 25.0).abs() < 1e-9);
+        assert!((func.pass_at_1.unwrap() - 25.0).abs() < 1e-9);
         assert!((func.pass_rate - 50.0).abs() < 1e-9);
         let syn = QualityRow::from_counts(&counts, |c| c.syntax_passes);
-        assert!((syn.pass_at_1 - 50.0).abs() < 1e-9);
+        assert!((syn.pass_at_1.unwrap() - 50.0).abs() < 1e-9);
+        assert_eq!((syn.pass_at_5, syn.pass_at_10), (Some(50.0), Some(50.0)));
+    }
+
+    /// With two samples a prompt once read pass@5 = pass@10 = pass@2:
+    /// Eq. 5 is undefined for k > n, so those cells are `None`.
+    #[test]
+    fn pass_at_k_past_the_sample_count_is_none() {
+        let counts = [
+            PromptCounts {
+                n: 2,
+                syntax_passes: 1,
+                functional_passes: 0,
+            },
+            PromptCounts {
+                n: 20,
+                syntax_passes: 20,
+                functional_passes: 0,
+            },
+        ];
+        let syn = QualityRow::from_counts(&counts, |c| c.syntax_passes);
+        assert_eq!(syn.pass_at_1, Some(100.0 * (0.5 + 1.0) / 2.0));
+        assert_eq!((syn.pass_at_5, syn.pass_at_10), (None, None));
+        assert_eq!(syn.pass_rate, 100.0);
+        let func = QualityRow::from_counts(&counts, |c| c.functional_passes);
+        assert_eq!((func.pass_at_1, func.pass_at_5), (Some(0.0), None));
+        assert_eq!(mean_pass_at_k(&[(2, 1)], 2), Some(1.0));
+        assert_eq!(mean_pass_at_k(&[(2, 1), (20, 3)], 5), None);
     }
 }

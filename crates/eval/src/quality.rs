@@ -82,7 +82,7 @@ pub(crate) struct SampleGrid<'a> {
 }
 
 impl<'a> SampleGrid<'a> {
-    /// Table I's grid, which Fig. 1 reads too: the chain, salt 11.
+    /// Table I's grid: the chain, salt 11.
     pub(crate) fn table1(pipe: &'a Pipeline, scale: &'a Scale) -> Self {
         SampleGrid {
             pipe,

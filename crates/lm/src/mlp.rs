@@ -525,51 +525,32 @@ impl MlpLm {
     /// `lr` is the base learning rate; head parameters (Medusa heads only,
     /// not the base head) use `lr × head_lr_mult`, the paper's 4× rule.
     pub fn adam_step(&mut self, opt: &mut AdamOpt, grads: &MlpGrads, lr: f32, head_lr_mult: f32) {
-        self.adam_step_rates(opt, grads, lr, lr * head_lr_mult);
-    }
-
-    /// Adam update with independent base and head learning rates.
-    ///
-    /// `base_lr = 0` freezes the backbone (embeddings, trunk, base head)
-    /// while the Medusa heads train — MEDUSA-1's frozen-LLM regime, which
-    /// guarantees lossless acceleration (paper §II-C).
-    pub fn adam_step_rates(
-        &mut self,
-        opt: &mut AdamOpt,
-        grads: &MlpGrads,
-        base_lr: f32,
-        head_lr: f32,
-    ) {
         // One invalidation per optimizer step: the next inference
         // repacks from the updated weights.
         self.packed = OnceLock::new();
         let scale = 1.0 / grads.positions.max(1) as f32;
         opt.t += 1;
         let t = opt.t;
-        if base_lr != 0.0 {
-            adam_update(
-                self.emb.as_mut_slice(),
-                grads.emb.as_slice(),
-                &mut opt.emb,
-                base_lr,
-                scale,
-                t,
-            );
-            adam_update(
-                self.w1.as_mut_slice(),
-                grads.w1.as_slice(),
-                &mut opt.w1,
-                base_lr,
-                scale,
-                t,
-            );
-            adam_update(&mut self.b1, &grads.b1, &mut opt.b1, base_lr, scale, t);
-        }
+        adam_update(
+            self.emb.as_mut_slice(),
+            grads.emb.as_slice(),
+            &mut opt.emb,
+            lr,
+            scale,
+            t,
+        );
+        adam_update(
+            self.w1.as_mut_slice(),
+            grads.w1.as_slice(),
+            &mut opt.w1,
+            lr,
+            scale,
+            t,
+        );
+        adam_update(&mut self.b1, &grads.b1, &mut opt.b1, lr, scale, t);
+        let head_lr = lr * head_lr_mult;
         for ((head, ghead), ohead) in self.heads.iter_mut().zip(&grads.heads).zip(&mut opt.heads) {
-            let lr = if head.p.is_some() { head_lr } else { base_lr };
-            if lr == 0.0 {
-                continue;
-            }
+            let lr = if head.p.is_some() { head_lr } else { lr };
             if let (Some(p), Some(gp), Some(op)) = (&mut head.p, &ghead.p, &mut ohead.p) {
                 adam_update(p.as_mut_slice(), gp.as_slice(), op, lr, scale, t);
             }

@@ -1,27 +1,13 @@
-//! Syntax checking and corpus-filter helpers (paper §III-A).
+//! Corpus-filter helpers (paper §III-A).
 //!
 //! The dataset pipeline retains only files that pass the parser's syntax
-//! check and drops files without a complete `module`/`endmodule` structure
-//! or consisting mostly of comments.
+//! check ([`parse`](crate::parse): code that parses is *cleaned code*)
+//! and drops files without a complete `module`/`endmodule` structure or
+//! consisting mostly of comments.
 
 use crate::lexer::lex_full;
-use crate::parser::parse;
 use crate::token::Keyword;
-use crate::{Result, SourceFile, TokenKind};
-
-/// Parses `src`, returning the AST on success.
-///
-/// This is the VeriSpec equivalent of the paper's "Stagira parser syntax
-/// check": code that parses is *cleaned code*; code that does not is
-/// dropped from the corpus (and counted as a syntax failure during
-/// evaluation).
-///
-/// # Errors
-///
-/// Returns the first lexical or syntactic error.
-pub fn syntax_check(src: &str) -> Result<SourceFile> {
-    parse(src)
-}
+use crate::TokenKind;
 
 /// Quick structural filter: balanced `module`/`endmodule` pairs, at least
 /// one of them, and no text after the final `endmodule` other than
@@ -84,7 +70,7 @@ mod tests {
 
     #[test]
     fn accepts_wellformed_module() {
-        assert!(syntax_check("module m(input a, output y); assign y = a; endmodule").is_ok());
+        assert!(crate::parse("module m(input a, output y); assign y = a; endmodule").is_ok());
         assert!(structure_ok(
             "module m(input a, output y); assign y = a; endmodule"
         ));
@@ -92,7 +78,7 @@ mod tests {
 
     #[test]
     fn rejects_truncated_module() {
-        assert!(syntax_check("module m(input a, output y); assign y = a;").is_err());
+        assert!(crate::parse("module m(input a, output y); assign y = a;").is_err());
         assert!(!structure_ok("module m(input a, output y); assign y = a;"));
     }
 

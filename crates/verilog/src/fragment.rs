@@ -148,22 +148,6 @@ pub fn fragments(tagged: &str) -> Vec<&str> {
         .collect()
 }
 
-/// Number of fragment markers in `tagged`.
-pub fn marker_count(tagged: &str) -> usize {
-    tagged.matches(FRAG_MARKER).count()
-}
-
-/// Whether a *tagged* text prefix ends on a fragment boundary: at a
-/// marker, optionally followed by non-significant filler (whitespace or
-/// punctuation that belongs to the next fragment has not started if the
-/// tail after the last marker is blank).
-pub fn ends_on_boundary(tagged_prefix: &str) -> bool {
-    match tagged_prefix.rfind(FRAG_MARKER) {
-        None => tagged_prefix.trim().is_empty(),
-        Some(idx) => tagged_prefix[idx + FRAG_MARKER.len()..].trim().is_empty(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,17 +250,7 @@ endmodule";
         let frags = fragments(&tagged);
         assert!(frags.contains(&"module"));
         assert!(frags.contains(&"assign"));
-        assert!(marker_count(&tagged) >= 2 * 6);
-    }
-
-    #[test]
-    fn boundary_detection() {
-        assert!(ends_on_boundary("[FRAG]module[FRAG]"));
-        assert!(ends_on_boundary("[FRAG]module[FRAG] "));
-        assert!(!ends_on_boundary("[FRAG]module[FRAG] [FRAG]da"));
-        assert!(!ends_on_boundary("[FRAG]mod"));
-        assert!(ends_on_boundary("   "));
-        assert!(ends_on_boundary(""));
+        assert!(tagged.matches(FRAG_MARKER).count() >= 2 * 6);
     }
 
     #[test]

@@ -41,7 +41,6 @@
 pub mod ast;
 pub mod check;
 pub mod fragment;
-pub mod interface;
 pub mod lexer;
 pub mod parser;
 pub mod printer;
@@ -50,7 +49,7 @@ pub mod span;
 pub mod token;
 
 pub use ast::{Module, SourceFile};
-pub use check::{structure_ok, syntax_check};
+pub use check::structure_ok;
 pub use lexer::lex;
 pub use parser::parse;
 pub use printer::print_source_file;

@@ -71,5 +71,8 @@ fn main() {
         );
     }
 
-    println!("done — see `cargo run -p verispec-bench --bin table2_speed` for the full tables");
+    println!(
+        "done — `cargo run -p verispec-bench --bin table1_quality` regenerates Table I; \
+         benchmark/README.md measures speed"
+    );
 }
