@@ -18,7 +18,7 @@ use verispec_core::{
 };
 use verispec_data::{alpaca_format, Corpus, CorpusConfig};
 use verispec_grammar::GrammarOracle;
-use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, TokenId};
+use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, TokenId};
 use verispec_tokenizer::{special, BpeTokenizer, BpeTrainer};
 use verispec_verilog::fragment::defragmentize;
 
@@ -338,10 +338,11 @@ pub struct Generation {
     pub output: DecodeOutput,
 }
 
-/// Generates a completion for `problem` with the given trained model,
-/// decoding through its native cached [`verispec_lm::DecodeSession`].
+/// Generates a completion for `problem` with the given model, decoding
+/// through its own [`verispec_lm::DecodeSession`] (a trained [`MlpLm`]'s
+/// is the cached one).
 pub fn generate(
-    model: &MlpLm,
+    model: &dyn LanguageModel,
     tokenizer: &BpeTokenizer,
     problem: &Problem,
     method: TrainMethod,
@@ -366,7 +367,7 @@ pub fn generate(
 /// [`verispec_core::TrainMethod::Ours`], so quality comparisons against
 /// the unconstrained tree isolate the grammar layer.
 pub fn generate_grammar(
-    model: &MlpLm,
+    model: &dyn LanguageModel,
     tokenizer: &BpeTokenizer,
     oracle: &GrammarOracle,
     problem: &Problem,

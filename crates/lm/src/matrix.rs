@@ -38,8 +38,9 @@
 //! [`tempered_support_into`] asks the dense row's own fold whenever its
 //! maximum is a zero.
 
+use crate::codec;
 use crate::mlp::TokenId;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// Output rows per [`PackedMatrix`] block — the accumulator lanes of
 /// the inference kernel's inner loop. Thirty-two `f32` lanes are eight
@@ -49,11 +50,38 @@ use serde::{Deserialize, Serialize};
 pub const PACK_ROWS: usize = 32;
 
 /// A row-major dense matrix of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Persisted as `{"rows": R, "cols": C, "data": "<hex>"}`, where `data`
+/// is one string of every entry's [`f32::to_bits`] in row-major order,
+/// eight lowercase hex digits per entry. Reading one back is an error,
+/// never a panic, unless `data` holds exactly `R × C` finite entries.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl Serialize for Matrix {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            (Value::Str("rows".into()), self.rows.to_value()),
+            (Value::Str("cols".into()), self.cols.to_value()),
+            (Value::Str("data".into()), codec::encode(&self.data)),
+        ])
+    }
+}
+
+impl Deserialize for Matrix {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let rows = usize::from_value(v.field("rows")?)?;
+        let cols = usize::from_value(v.field("cols")?)?;
+        let len = rows
+            .checked_mul(cols)
+            .ok_or_else(|| Error::new(format!("{rows} × {cols} entries overflow")))?;
+        let data = codec::decode(v.field("data")?, len)?;
+        Ok(Self { rows, cols, data })
+    }
 }
 
 impl Matrix {

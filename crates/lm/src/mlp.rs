@@ -34,6 +34,8 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
+mod persist;
+
 /// Token id type shared with the tokenizer crate.
 pub type TokenId = u32;
 
@@ -73,7 +75,7 @@ impl MlpLmConfig {
 
 /// One output head: the base LM head (`p == None`) or a Medusa head with
 /// its residual block.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Head {
     /// Residual block weight (`d_hidden × d_hidden`), absent for base.
     p: Option<Matrix>,
@@ -84,7 +86,11 @@ struct Head {
 }
 
 /// The MLP language model with Medusa heads.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Serializes as its config and its weight tensors, each tensor one
+/// string of its values' bits (the crate's "Persisted form"); reading
+/// one back checks every tensor against the config.
+#[derive(Debug, Clone)]
 pub struct MlpLm {
     cfg: MlpLmConfig,
     /// Token embeddings (`vocab × d_emb`).
@@ -98,7 +104,6 @@ pub struct MlpLm {
     /// The weights repacked for [`MlpLm::infer`]: derived state, built
     /// at first inference, never serialized, dropped by every optimizer
     /// step.
-    #[serde(skip)]
     packed: OnceLock<PackedWeights>,
 }
 
