@@ -1,7 +1,8 @@
 //! Latency-under-load bench: the serve-aware Table II. An open-loop
 //! Poisson workload (seeded arrivals, mixed short/long prompts, greedy
-//! and sampled) is served through `verispec-serve`'s **streaming
-//! admission** path at three offered-load levels — light, near the NTP
+//! and sampled) is served through `verispec-serve`'s **paced** drive
+//! (`Drive::Paced`: each request routed when its arrival tick falls
+//! due) at three offered-load levels — light, near the NTP
 //! service capacity, and overload — once per method (syntax-aligned
 //! tree speculation, MEDUSA tree, NTP) with identical arrivals,
 //! prompts, budgets, and seeds: equal offered load, only the engine

@@ -389,7 +389,8 @@ mod grammar_parity_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verispec_lm::{MlpLm, MlpLmConfig, NgramLm};
+    use crate::step::tests::Cycle;
+    use verispec_lm::{MlpLm, MlpLmConfig};
 
     /// Trains a tiny MLP on a fixed cycle so decoding is predictable.
     fn cyclic_model(vocab: usize, period: usize) -> (MlpLm, Vec<TokenId>) {
@@ -470,17 +471,13 @@ mod tests {
 
     #[test]
     fn ntp_stops_at_eos() {
-        // An n-gram model trained so that token 9 follows 8, then EOS.
-        let mut ng = NgramLm::new(2, 12);
-        let seq = vec![8u32, 9, special::EOS];
-        for _ in 0..10 {
-            ng.train_sequence(&seq);
-        }
+        // A model under which token 9 follows 8, then EOS.
+        let cycle = Cycle(&[8, 9, special::EOS]);
         let cfg = DecodeConfig {
             max_tokens: 50,
             ..Default::default()
         };
-        let out = decode_ntp(&ng, &[8], &cfg, &GpuCostModel::codet5p_like());
+        let out = decode_ntp(&cycle, &[8], &cfg, &GpuCostModel::codet5p_like());
         assert_eq!(out.tokens.last(), Some(&special::EOS));
         assert!(out.tokens.len() <= 3);
     }

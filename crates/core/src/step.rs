@@ -1312,11 +1312,11 @@ impl Stepper<'_> {
 mod frontier_tests;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::decode::{decode_grammar_speculative, decode_ntp, decode_speculative};
     use proptest::prelude::*;
-    use verispec_lm::{MlpLm, MlpLmConfig, NgramLm};
+    use verispec_lm::{MlpLm, MlpLmConfig};
 
     pub(super) fn tiny_model() -> MlpLm {
         MlpLm::new(MlpLmConfig {
@@ -1329,11 +1329,55 @@ mod tests {
         })
     }
 
-    pub(super) fn cyclic_ngram() -> NgramLm {
-        let mut lm = NgramLm::new(3, 14);
-        let seq: Vec<TokenId> = (0..200).map(|i| 6 + (i % 3) as TokenId).collect();
-        lm.train_sequence(&seq);
-        lm
+    /// A heads-free model on the trait-default session over a 14-token
+    /// vocabulary: after a token of the cycle the next one leads its row
+    /// by 4, after any other token the cycle's first one does, and the
+    /// rest of the row varies with the last token so a warm sampler has
+    /// choices.
+    pub(crate) struct Cycle(pub &'static [TokenId]);
+
+    impl LanguageModel for Cycle {
+        fn vocab_size(&self) -> usize {
+            14
+        }
+
+        fn logits(&self, prefix: &[TokenId]) -> Vec<f32> {
+            let last = prefix.last().copied().unwrap_or(0);
+            let at = self.0.iter().position(|&t| t == last).map_or(0, |i| i + 1);
+            let next = self.0[at % self.0.len()];
+            (0..14)
+                .map(|v| {
+                    if v == next {
+                        4.0
+                    } else {
+                        ((v + last) % 5) as f32 * 0.25
+                    }
+                })
+                .collect()
+        }
+    }
+
+    /// An [`MlpLm`] behind its stateless forward only, so its sessions
+    /// are the trait default's fresh recompute per query: the reference
+    /// side of cached-vs-stateless comparisons.
+    pub(super) struct Recompute<'a>(pub &'a MlpLm);
+
+    impl LanguageModel for Recompute<'_> {
+        fn vocab_size(&self) -> usize {
+            self.0.vocab_size()
+        }
+
+        fn n_extra_heads(&self) -> usize {
+            self.0.n_extra_heads()
+        }
+
+        fn logits(&self, prefix: &[TokenId]) -> Vec<f32> {
+            self.0.logits(prefix)
+        }
+
+        fn multi_logits(&self, prefix: &[TokenId]) -> Vec<Vec<f32>> {
+            self.0.multi_logits(prefix)
+        }
     }
 
     /// Every edge out of a node scored from `logits`, judged back to

@@ -21,14 +21,14 @@
 //! carried-vs-forwarded one as well; `carried_base_equals_forwarded_base`
 //! pins the carry on its own, row bits included.
 
-use super::tests::{cyclic_ngram, drive_fused, tiny_model};
+use super::tests::{drive_fused, tiny_model, Cycle, Recompute};
 use super::*;
 use crate::decode::build_candidate_paths;
 use crate::policy::AdaptivePolicy;
 use proptest::prelude::*;
 use std::cell::Cell;
 use verispec_lm::matrix::{softmax, tempered_softmax_into};
-use verispec_lm::{MlpLm, MlpLmConfig, Stateless};
+use verispec_lm::{MlpLm, MlpLmConfig};
 
 /// Acceptance by definition: one full distribution per edge, then exact
 /// match (greedy) or Eq. 1 (sampling) on it.
@@ -375,10 +375,10 @@ proptest! {
         max_tokens in 3usize..20,
     ) {
         let mlp = tiny_model();
-        let shim = Stateless(&mlp);
-        let ng = cyclic_ngram();
+        let shim = Recompute(&mlp);
+        let cycle = Cycle(&[6, 7, 8]);
         let targets: [(&str, &dyn LanguageModel); 3] =
-            [("mlp", &mlp), ("stateless", &shim), ("ngram", &ng)];
+            [("mlp", &mlp), ("stateless", &shim), ("cycle", &cycle)];
         let sampling = SAMPLINGS[sampling_ix];
         for (name, target) in targets {
             let cfg = DecodeConfig {
@@ -493,10 +493,10 @@ proptest! {
         max_tokens in 3usize..24,
     ) {
         let mlp = tiny_model();
-        let shim = Stateless(&mlp);
-        let ng = cyclic_ngram();
+        let shim = Recompute(&mlp);
+        let cycle = Cycle(&[6, 7, 8]);
         let targets: [(&str, &dyn LanguageModel); 3] =
-            [("mlp", &mlp), ("stateless", &shim), ("ngram", &ng)];
+            [("mlp", &mlp), ("stateless", &shim), ("cycle", &cycle)];
         let source = [
             ShapeSource::Static,
             ShapeSource::Adaptive,
@@ -662,7 +662,7 @@ proptest! {
         max_tokens in 3usize..28,
     ) {
         let mlp = MlpLm::new(MlpLmConfig { seed: model_seed, ..*tiny_model().config() });
-        let shim = Stateless(&mlp);
+        let shim = Recompute(&mlp);
         let oracle = small_grammar_oracle();
         let cfg = DecodeConfig {
             max_tokens,

@@ -1,8 +1,8 @@
 //! Property tests pinning the session/stateless equivalence contract:
 //! every decoding engine must produce **token-for-token identical**
 //! output whether the model is driven through its native cached
-//! [`verispec_lm::DecodeSession`] or through the stateless
-//! [`verispec_lm::Stateless`] shim (fresh recompute per query), across
+//! [`verispec_lm::DecodeSession`] or through the trait-default stateless
+//! session (fresh recompute per query, forced by [`Recompute`]), across
 //! random models, prompts, seeds, and configurations.
 //!
 //! This is the invariant the whole session layer rests on: sessions are
@@ -20,7 +20,29 @@
 use proptest::prelude::*;
 use verispec_core::{decode_grammar_speculative, decode_ntp, decode_speculative, DecodeConfig};
 use verispec_grammar::GrammarOracle;
-use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, Sampling, Stateless, TokenId};
+use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, Sampling, TokenId};
+
+/// An [`MlpLm`] behind its stateless forward only, so its sessions are
+/// the trait default's fresh recompute per query.
+struct Recompute<'a>(&'a MlpLm);
+
+impl LanguageModel for Recompute<'_> {
+    fn vocab_size(&self) -> usize {
+        self.0.vocab_size()
+    }
+
+    fn n_extra_heads(&self) -> usize {
+        self.0.n_extra_heads()
+    }
+
+    fn logits(&self, prefix: &[TokenId]) -> Vec<f32> {
+        self.0.logits(prefix)
+    }
+
+    fn multi_logits(&self, prefix: &[TokenId]) -> Vec<Vec<f32>> {
+        self.0.multi_logits(prefix)
+    }
+}
 
 /// A random untrained MLP LM: logits are a deterministic function of
 /// the init seed, so every case explores a different "model" without
@@ -69,7 +91,7 @@ proptest! {
         eos in 2u32..10,
     ) {
         let cost = GpuCostModel::codellama_like();
-        let shim = Stateless(&model);
+        let shim = Recompute(&model);
         let configs = [
             // NTP-adjacent chain (no tree), Medusa baseline.
             DecodeConfig { max_tokens, sampling, seed, eos, ..Default::default() },

@@ -22,9 +22,10 @@
 //! * [`experiments`] — Table I (with Fig. 6 read off its cells) and
 //!   Fig. 5 runners with quick/full scales;
 //! * [`load`] — the serve-aware Table II: latency percentiles under an
-//!   open-loop arrival process at equal offered load (streaming
-//!   admission, `BENCH_load.json`, gated by [`load_gate_violations`]
-//!   before it is written).
+//!   open-loop arrival process at equal offered load (served through
+//!   the paced drive, `verispec_serve::Drive::Paced`;
+//!   `BENCH_load.json`, gated by [`load_gate_violations`] before it is
+//!   written).
 //!
 //! [`GpuCostModel`]: verispec_lm::GpuCostModel
 //!

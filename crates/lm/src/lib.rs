@@ -9,8 +9,6 @@
 //!
 //! * [`mlp`] — an MLP language model with MEDUSA-style decoding heads and
 //!   hand-written backprop (the "base model + heads" of paper §III-B).
-//! * [`ngram`] — an interpolated n-gram model: a heads-free,
-//!   trait-default-session stand-in LM for tests across crates.
 //! * [`session`] — stateful [`DecodeSession`]s (the KV-cache analogue):
 //!   incremental append/rollback contexts with cached window
 //!   embeddings, level-by-level candidate-tree verification and
@@ -96,27 +94,21 @@ mod codec;
 pub mod cost;
 pub mod matrix;
 pub mod mlp;
-pub mod ngram;
 pub mod sampler;
 pub mod session;
 
 pub use arena::{ArenaRows, LogitsArena};
 pub use cost::{DecodeClock, GpuCostModel};
 pub use mlp::{HeadTarget, MlpLm, MlpLmConfig, PositionLoss, TokenId, PAD_ID};
-pub use ngram::NgramLm;
 pub use sampler::{argmax, top_k_indices, top_k_into, Ranking, Sampler, Sampling};
-pub use session::{
-    verify_many, DecodeSession, MlpSession, NgramSession, NodeMap, SnapshotSession, Stateless,
-    VerifyPlan,
-};
+pub use session::{verify_many, DecodeSession, MlpSession, NodeMap, SnapshotSession, VerifyPlan};
 
 /// A language model that exposes base-head logits over a prefix, and
 /// optionally extra Medusa heads predicting further-ahead tokens.
 ///
-/// Implemented by [`MlpLm`] (trainable, with heads) and [`NgramLm`]
-/// (count-based, base head only). The speculative decoding engines in
-/// `verispec-core` are generic over this trait and drive it through
-/// [`LanguageModel::session`].
+/// Implemented by [`MlpLm`] (trainable, with heads). The speculative
+/// decoding engines in `verispec-core` are generic over this trait and
+/// drive it through [`LanguageModel::session`].
 ///
 /// An implementation provides the stateless [`LanguageModel::logits`];
 /// the default session recomputes from it per query, and a model with
@@ -132,10 +124,9 @@ pub trait LanguageModel {
 
     /// Opens an empty [`DecodeSession`] over this model.
     ///
-    /// The default is a stateless shim (full recompute per query —
-    /// the session [`Stateless`] forces); models with cacheable state
-    /// override this with an incremental session ([`MlpSession`],
-    /// [`NgramSession`]).
+    /// The default is a stateless shim (full recompute per query);
+    /// models with cacheable state override this with an incremental
+    /// session ([`MlpSession`]).
     fn session(&self) -> Box<dyn DecodeSession + '_> {
         Box::new(session::StatelessSession::new(self))
     }
@@ -215,47 +206,65 @@ impl LanguageModel for MlpLm {
     }
 }
 
-impl LanguageModel for NgramLm {
-    fn vocab_size(&self) -> usize {
-        NgramLm::vocab_size(self)
-    }
-
-    fn session(&self) -> Box<dyn DecodeSession + '_> {
-        Box::new(NgramSession::new(self))
-    }
-
-    fn logits(&self, prefix: &[TokenId]) -> Vec<f32> {
-        NgramLm::logits(self, prefix)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn trait_objects_work_for_both_models() {
-        let mlp = MlpLm::new(MlpLmConfig::tiny(8));
-        let mut ng = NgramLm::new(2, 8);
-        ng.train_sequence(&[1, 2, 3, 1, 2, 3]);
-        let models: Vec<&dyn LanguageModel> = vec![&mlp, &ng];
-        for m in models {
-            assert_eq!(m.logits(&[1, 2]).len(), 8);
-            assert!(!m.multi_logits(&[1]).is_empty());
+    /// A heads-free model on the trait-default session: the token after
+    /// the last one in the cycle `5 → 6 → 7 → 8` leads its row, and any
+    /// other context starts the cycle.
+    pub(crate) struct Cycle;
+
+    impl LanguageModel for Cycle {
+        fn vocab_size(&self) -> usize {
+            12
         }
-        assert_eq!(mlp.n_extra_heads(), 3);
-        assert_eq!(ng.n_extra_heads(), 0);
+
+        fn logits(&self, prefix: &[TokenId]) -> Vec<f32> {
+            let next = match prefix.last() {
+                Some(&t @ 5..=7) => t + 1,
+                _ => 5,
+            };
+            (0..12).map(|v| if v == next { 3.0 } else { 0.0 }).collect()
+        }
+    }
+
+    /// An [`MlpLm`] behind its stateless forward only, so its sessions
+    /// are the trait default's fresh recompute per query: the reference
+    /// side of cached-vs-stateless comparisons.
+    pub(crate) struct Recompute<'a>(pub &'a MlpLm);
+
+    impl LanguageModel for Recompute<'_> {
+        fn vocab_size(&self) -> usize {
+            self.0.vocab_size()
+        }
+
+        fn n_extra_heads(&self) -> usize {
+            self.0.n_extra_heads()
+        }
+
+        fn logits(&self, prefix: &[TokenId]) -> Vec<f32> {
+            self.0.logits(prefix)
+        }
+
+        fn multi_logits(&self, prefix: &[TokenId]) -> Vec<Vec<f32>> {
+            self.0.multi_logits(prefix)
+        }
     }
 
     #[test]
-    fn ngram_logits_softmax_to_distribution() {
-        let mut ng = NgramLm::new(2, 6);
-        ng.train_sequence(&[1, 2, 1, 2, 1, 2]);
-        let logits = LanguageModel::logits(&ng, &[1]);
-        let probs = matrix::softmax(&logits);
-        let direct = ng.distribution(&[1]);
-        for (a, b) in probs.iter().zip(&direct) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+    fn trait_objects_work_for_both_models() {
+        // One with a native session and heads, one on the trait default.
+        let mlp = MlpLm::new(MlpLmConfig::tiny(12));
+        let models: Vec<&dyn LanguageModel> = vec![&mlp, &Cycle];
+        for m in models {
+            assert_eq!(m.logits(&[1, 2]).len(), 12);
+            assert_eq!(m.multi_logits(&[1]).len(), 1 + m.n_extra_heads());
+            let mut s = m.session();
+            s.append(&[1, 2]);
+            assert_eq!(s.logits(), m.logits(&[1, 2]));
         }
+        assert_eq!(mlp.n_extra_heads(), 3);
+        assert_eq!(Cycle.n_extra_heads(), 0);
     }
 }

@@ -73,7 +73,7 @@
 //! row per input, each a kept position, and Medusa-head rows from kept
 //! positions.
 //!
-//! Three implementations live here:
+//! Two implementations live here:
 //!
 //! * [`MlpSession`] — caches the embedding concat of the current window
 //!   and forwards every query — one position, one level of a candidate
@@ -85,19 +85,17 @@
 //!   through the same kernel in one fused pass per level
 //!   ([`MlpLm::infer`], [`verify_many`]). All outputs are
 //!   bit-identical to the stateless path.
-//! * [`NgramSession`] — keeps the context and caches the count-lookup
-//!   distribution of the current position; its frontier is scored by
-//!   the trait default (`truncate`/`append`/`logits` per node), so it
-//!   too pays only for what acceptance reaches.
 //! * `StatelessSession` (crate-private) — a fresh-compute session over
 //!   any [`LanguageModel`]'s `logits` / `multi_logits`, used as the
-//!   default `LanguageModel::session()` (and, via [`Stateless`], as the
-//!   reference the parity property tests compare cached sessions
-//!   against).
+//!   default `LanguageModel::session()`. Its frontier is scored by the
+//!   trait default (`truncate`/`append`/`logits` per node), so it too
+//!   pays only for what acceptance reaches. The test models run on it,
+//!   and the parity tests wrap an [`MlpLm`] in a model that exposes
+//!   only the stateless forward to get the recompute-per-query
+//!   reference cached sessions are compared against.
 
 use crate::arena::{ArenaRows, LogitsArena};
 use crate::mlp::{MlpLm, TokenId};
-use crate::ngram::NgramLm;
 use crate::LanguageModel;
 
 /// The flat input buffer of one decoding step's — or one serving
@@ -815,7 +813,7 @@ pub trait SnapshotSession<'m>: DecodeSession {
 }
 
 // ---------------------------------------------------------------------
-// Stateless shim
+// Trait-default session: recompute per query
 // ---------------------------------------------------------------------
 
 /// A session over any [`LanguageModel`] that recomputes from the full
@@ -824,8 +822,7 @@ pub trait SnapshotSession<'m>: DecodeSession {
 /// This is the default [`LanguageModel::session`] implementation, so a
 /// model type that provides only the stateless `logits` drives the
 /// session-driven engines. It is deliberately cache-free: the parity
-/// property tests use it (via [`Stateless`]) as the "fresh forward per
-/// query" reference.
+/// property tests use it as the "fresh forward per query" reference.
 pub(crate) struct StatelessSession<'a, M: LanguageModel + ?Sized> {
     model: &'a M,
     tokens: Vec<TokenId>,
@@ -872,34 +869,6 @@ impl<M: LanguageModel + ?Sized> DecodeSession for StatelessSession<'_, M> {
             tokens: self.tokens.clone(),
         }))
     }
-}
-
-/// Wrapper that forces the stateless default session on a model that
-/// has a native one — the reference side of cached-vs-stateless
-/// comparisons (`tests/proptest_session.rs`, the frontier oracles in
-/// `verispec-core`). No library code uses it; it stays public because
-/// those tests live in other crates, and exporting it from a
-/// test-support module would take a cargo feature.
-pub struct Stateless<M>(pub M);
-
-impl<M: LanguageModel> LanguageModel for Stateless<M> {
-    fn vocab_size(&self) -> usize {
-        self.0.vocab_size()
-    }
-
-    fn n_extra_heads(&self) -> usize {
-        self.0.n_extra_heads()
-    }
-
-    fn logits(&self, prefix: &[TokenId]) -> Vec<f32> {
-        self.0.logits(prefix)
-    }
-
-    fn multi_logits(&self, prefix: &[TokenId]) -> Vec<Vec<f32>> {
-        self.0.multi_logits(prefix)
-    }
-    // `session()` intentionally not overridden: the default
-    // StatelessSession shim is the point of this wrapper.
 }
 
 // ---------------------------------------------------------------------
@@ -1081,90 +1050,14 @@ impl<'m> SnapshotSession<'m> for MlpSession<'m> {
     }
 }
 
-// ---------------------------------------------------------------------
-// N-gram session
-// ---------------------------------------------------------------------
-
-/// Cached session over an [`NgramLm`].
-///
-/// The n-gram model only inspects the last `order − 1` tokens, so the
-/// session state is the token ring plus the memoized count-lookup
-/// distribution of the current position (invalidated on append/rollback).
-#[derive(Clone)]
-pub struct NgramSession<'a> {
-    model: &'a NgramLm,
-    tokens: Vec<TokenId>,
-    logits_cache: Option<Vec<f32>>,
-}
-
-impl<'a> NgramSession<'a> {
-    /// Opens an empty session over `model`.
-    pub fn new(model: &'a NgramLm) -> Self {
-        NgramSession {
-            model,
-            tokens: Vec::new(),
-            logits_cache: None,
-        }
-    }
-}
-
-impl DecodeSession for NgramSession<'_> {
-    fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    fn tokens(&self) -> &[TokenId] {
-        &self.tokens
-    }
-
-    fn append(&mut self, tokens: &[TokenId]) {
-        if tokens.is_empty() {
-            return;
-        }
-        self.tokens.extend_from_slice(tokens);
-        self.logits_cache = None;
-    }
-
-    fn truncate(&mut self, len: usize) {
-        if len >= self.tokens.len() {
-            return;
-        }
-        self.tokens.truncate(len);
-        self.logits_cache = None;
-    }
-
-    fn logits(&mut self) -> Vec<f32> {
-        if let Some(cached) = &self.logits_cache {
-            return cached.clone();
-        }
-        let logits = self.model.logits(&self.tokens);
-        self.logits_cache = Some(logits.clone());
-        logits
-    }
-
-    fn multi_logits(&mut self) -> Vec<Vec<f32>> {
-        vec![self.logits()]
-    }
-
-    fn fork(&self) -> Option<Box<dyn DecodeSession + '_>> {
-        Some(Box::new(self.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mlp::MlpLmConfig;
+    use crate::tests::{Cycle, Recompute};
 
     fn tiny_mlp() -> MlpLm {
         MlpLm::new(MlpLmConfig::tiny(12))
-    }
-
-    fn trained_ngram() -> NgramLm {
-        let mut ng = NgramLm::new(3, 12);
-        let seq: Vec<TokenId> = (0..90).map(|i| 5 + (i % 4) as TokenId).collect();
-        ng.train_sequence(&seq);
-        ng
     }
 
     #[test]
@@ -1254,7 +1147,7 @@ mod tests {
             native.append(&[1, 2]);
             let a = native.verify_batch(&path_refs, include_bonus);
 
-            let shim = Stateless(&model);
+            let shim = Recompute(&model);
             let mut stateless = shim.session();
             stateless.append(&[1, 2]);
             let b = stateless.verify_batch(&path_refs, include_bonus);
@@ -1409,9 +1302,8 @@ mod tests {
         }
         // The copying defaults keep their head rows behind a base row,
         // which a frontier row does not have.
-        let (shim, ng) = (Stateless(&model), trained_ngram());
-        assert!(!shim.session().keeps_frontier_rows());
-        assert!(!ng.session().keeps_frontier_rows());
+        assert!(!Recompute(&model).session().keeps_frontier_rows());
+        assert!(!Cycle.session().keeps_frontier_rows());
         let mut nodes = NodeMap::new();
         nodes.build(paths.iter().copied(), false);
         assert_eq!(nodes.scored_row(0), None, "nothing asked for yet");
@@ -1496,12 +1388,11 @@ mod tests {
         // edge. Both must describe the same rows — for the kernel-backed
         // session and for the copying trait defaults alike.
         let model = tiny_mlp();
-        let shim = Stateless(&model);
-        let ng = trained_ngram();
+        let shim = Recompute(&model);
         let paths: Vec<Vec<TokenId>> = vec![vec![5, 6], vec![5, 7], vec![8]];
         let refs: Vec<&[TokenId]> = paths.iter().map(Vec::as_slice).collect();
         let sessions: Vec<Box<dyn DecodeSession + '_>> =
-            vec![model.session(), shim.session(), ng.session()];
+            vec![model.session(), shim.session(), Cycle.session()];
         for mut s in sessions {
             s.append(&[5, 6, 7]);
             let mut arena = LogitsArena::new();
@@ -1578,14 +1469,8 @@ mod tests {
         // The parent is untouched.
         assert_eq!(prefix.tokens(), &[1, 2, 3]);
 
-        // Ngram and stateless sessions fork too.
-        let ng = trained_ngram();
-        let mut s = ng.session();
-        s.append(&[5, 6]);
-        let mut f = s.fork().expect("ngram fork");
-        f.append(&[7]);
-        assert_eq!(f.logits(), LanguageModel::logits(&ng, &[5, 6, 7]));
-        let shim = Stateless(&model);
+        // The trait-default session forks too.
+        let shim = Recompute(&model);
         let mut ss = shim.session();
         ss.append(&[2, 4]);
         let mut sf = ss.fork().expect("stateless fork");
@@ -1620,31 +1505,6 @@ mod tests {
         // The `&M` forwarder passes through; plain-logits models fall
         // back to `None`.
         assert!((&model as &dyn LanguageModel).snapshot_session().is_some());
-        assert!(Stateless(&model).snapshot_session().is_none());
-    }
-
-    #[test]
-    fn ngram_session_matches_stateless() {
-        let ng = trained_ngram();
-        let mut s = ng.session();
-        let prefix = [5u32, 6, 7, 8, 5, 6];
-        for i in 0..prefix.len() {
-            s.append(&prefix[i..=i]);
-            assert_eq!(s.logits(), LanguageModel::logits(&ng, &prefix[..=i]));
-        }
-        s.truncate(2);
-        assert_eq!(s.logits(), LanguageModel::logits(&ng, &prefix[..2]));
-    }
-
-    #[test]
-    fn stateless_wrapper_forwards_model_behavior() {
-        let model = tiny_mlp();
-        let shim = Stateless(&model);
-        assert_eq!(shim.vocab_size(), model.vocab_size());
-        assert_eq!(shim.n_extra_heads(), model.n_extra_heads());
-        assert_eq!(shim.logits(&[1, 2]), model.logits(&[1, 2]));
-        let mut s = shim.session();
-        s.append(&[1, 2]);
-        assert_eq!(s.logits(), model.logits(&[1, 2]));
+        assert!(Recompute(&model).snapshot_session().is_none());
     }
 }

@@ -1,12 +1,9 @@
 //! Property tests for the LM substrate: softmax/log-softmax identities,
-//! n-gram probability laws, sampler distribution sanity, and MLP
-//! serialization fidelity.
+//! sampler distribution sanity, and MLP serialization fidelity.
 
 use proptest::prelude::*;
 use verispec_lm::matrix::{entropy, log_softmax, softmax};
-use verispec_lm::{
-    top_k_indices, top_k_into, MlpLm, MlpLmConfig, NgramLm, Ranking, Sampler, Sampling,
-};
+use verispec_lm::{top_k_indices, top_k_into, MlpLm, MlpLmConfig, Ranking, Sampler, Sampling};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -49,20 +46,6 @@ proptest! {
         let h = entropy(&p);
         prop_assert!(h >= -1e-6);
         prop_assert!(h <= (p.len() as f32).ln() + 1e-4);
-    }
-
-    #[test]
-    fn ngram_distributions_sum_to_one(
-        seq in prop::collection::vec(0u32..12, 2..120),
-        order in 1usize..4,
-        prefix in prop::collection::vec(0u32..12, 0..5),
-    ) {
-        let mut lm = NgramLm::new(order, 12);
-        lm.train_sequence(&seq);
-        let d = lm.distribution(&prefix);
-        let sum: f32 = d.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-3, "sum {sum}");
-        prop_assert!(d.iter().all(|&p| p > 0.0), "smoothing keeps support full");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! `verispec-load`: open-loop load generation, streaming-admission
-//! driving, and latency-percentile telemetry — the measurement layer of
-//! the serving stack.
+//! `verispec-load`: open-loop load generation, paced-admission driving
+//! ([`verispec_serve::Drive::Paced`]), and latency-percentile telemetry
+//! — the measurement layer of the serving stack.
 //!
 //! # Why open-loop
 //!
@@ -141,13 +141,13 @@
 //!
 //! # The invariant, extended
 //!
-//! Streaming admission inherits the serving invariant: per-request
-//! outputs are bit-identical to batch submission *and* to the serial
+//! Paced admission inherits the serving invariant: per-request outputs
+//! are bit-identical to batch submission *and* to the serial
 //! single-session engines, under any arrival process, session cap, or
-//! eviction pressure — and when every arrival is sent before its tick
-//! falls due, the entire tick schedule (admissions, commit ticks,
-//! latencies) matches the batch run too. `tests/proptest_streaming.rs`
-//! pins both properties.
+//! eviction pressure — and, because each request is routed before the
+//! tick that admits it, the entire tick schedule (admissions, commit
+//! ticks, latencies) matches the batch run too.
+//! `tests/proptest_streaming.rs` pins both properties.
 //!
 //! # Example
 //!

@@ -3,8 +3,8 @@
 //! 1. **Determinism** — for random open-loop workloads and scheduler
 //!    configurations, the serialized event stream is byte-identical
 //!    across repeated replays of the same workload, and a one-worker
-//!    fleet's (up-front-fed) streaming drive emits, beside its routing
-//!    events, the very stream the hand-driven batch engine does.
+//!    fleet's batch drive emits, beside its routing events, the very
+//!    stream the hand-driven batch engine does.
 //! 2. **Zero observer effect** — attaching a collecting sink changes
 //!    nothing: every completion's tokens, tick schedule, and the
 //!    aggregate [`ServeStats`] equal the default no-op-sink run's,
@@ -129,11 +129,11 @@ fn batch_run(
     engine.run(cost)
 }
 
-/// Streaming-drives the requests through a one-worker fleet with every
-/// arrival sent up front (so the schedule is deterministic), warmed
+/// Batch-drives the requests through a one-worker fleet, warmed
 /// identically to [`batch_run`]; returns the worker's event stream —
-/// the run's events minus the coordinator's routing decisions.
-fn streaming_run(
+/// the run's events minus the coordinator's routing decisions, which
+/// the batch drive makes up front.
+fn fleet_run(
     model: &MlpLm,
     stem: &[TokenId],
     cfg: &ServeConfig,
@@ -144,16 +144,11 @@ fn streaming_run(
         prefix_cache: true,
         ..cfg.clone()
     };
-    let (tx, rx) = std::sync::mpsc::channel();
-    for req in requests {
-        tx.send(req.clone()).expect("receiver alive");
-    }
-    drop(tx);
     let run = FleetRuntime::new(model, cfg, 1, RoutePolicy::RoundRobin, Backend::Lockstep)
         .with_grammar(byte_oracle())
         .warm_prefix(stem)
         .with_tracing()
-        .run(Drive::Streaming(rx), cost);
+        .run(Drive::Batch(requests.to_vec()), cost);
     let routed = requests.len();
     assert!(run.events[..routed]
         .iter()
@@ -165,8 +160,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Same workload, same config: byte-identical serialized event
-    /// logs across repeated batch replays and across the batch vs
-    /// up-front-fed streaming drives.
+    /// logs across repeated batch replays and across the hand-driven
+    /// engine vs the one-worker fleet's batch drive.
     #[test]
     fn event_stream_is_deterministic_across_runs_and_drives(
         model in any_mlp(),
@@ -205,11 +200,11 @@ proptest! {
             "event stream not deterministic across identical batch replays"
         );
 
-        let streamed = streaming_run(&model, &shared, &cfg, &requests, &cost);
+        let fleet = fleet_run(&model, &shared, &cfg, &requests, &cost);
         prop_assert_eq!(
             &json_a,
-            &log_to_json(&streamed),
-            "event stream diverged between batch and streaming drives"
+            &log_to_json(&fleet),
+            "event stream diverged between the engine and the one-worker fleet"
         );
     }
 

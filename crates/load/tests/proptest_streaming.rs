@@ -2,11 +2,11 @@
 //! random open-loop workloads (arrival process, rates, request mixes
 //! over every engine), random scheduler configurations, random session
 //! caps (eviction pressure), and prefix-forked admissions, serving the
-//! workload through the arrival channel ([`Drive::Streaming`])
-//! produces **token-for-token** the same per-request outputs as batch
-//! submission to a hand-driven engine — and, when every arrival is sent
-//! before its tick falls due, the same tick schedule (admissions,
-//! commit ticks, completion ticks) as well.
+//! workload as it streams in — each request routed when its arrival
+//! tick falls due ([`Drive::Paced`]) — produces **token-for-token** the
+//! same per-request outputs as batch submission to a hand-driven engine,
+//! and the same tick schedule (admissions, commit ticks, completion
+//! ticks) as well.
 
 use proptest::prelude::*;
 use verispec_core::DecodeConfig;
@@ -99,7 +99,7 @@ fn full_mix() -> RequestMix {
 
 /// Builds an engine riding the radix-tree prefix cache, pre-warmed
 /// with the shared stem — applied identically to the batch and
-/// streaming sides so the parity assertions compare like with like.
+/// paced sides so the parity assertions compare like with like.
 fn engine_for<'m>(model: &'m MlpLm, stem: &[TokenId], cfg: &ServeConfig) -> ServeEngine<'m> {
     let cfg = ServeConfig {
         prefix_cache: true,
@@ -110,33 +110,15 @@ fn engine_for<'m>(model: &'m MlpLm, stem: &[TokenId], cfg: &ServeConfig) -> Serv
     engine
 }
 
-/// A fleet riding the prefix cache warmed with the same stem as
+/// The one-worker lockstep fleet — the single engine, as a fleet —
+/// riding the prefix cache warmed with the same stem as
 /// [`engine_for`]'s engine.
-fn fleet_for<'m>(
-    model: &'m MlpLm,
-    stem: &[TokenId],
-    cfg: &ServeConfig,
-    workers: usize,
-    route: RoutePolicy,
-    backend: Backend,
-) -> FleetRuntime<'m> {
+fn single_for<'m>(model: &'m MlpLm, stem: &[TokenId], cfg: &ServeConfig) -> FleetRuntime<'m> {
     let cfg = ServeConfig {
         prefix_cache: true,
         ..cfg.clone()
     };
-    FleetRuntime::new(model, cfg, workers, route, backend).warm_prefix(stem)
-}
-
-/// The one-worker lockstep fleet — the single engine, as a fleet.
-fn single_for<'m>(model: &'m MlpLm, stem: &[TokenId], cfg: &ServeConfig) -> FleetRuntime<'m> {
-    fleet_for(
-        model,
-        stem,
-        cfg,
-        1,
-        RoutePolicy::RoundRobin,
-        Backend::Lockstep,
-    )
+    FleetRuntime::new(model, cfg, 1, RoutePolicy::RoundRobin, Backend::Lockstep).warm_prefix(stem)
 }
 
 fn batch_run(
@@ -156,7 +138,7 @@ fn batch_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(30))]
 
-    /// Upfront-fed streaming == batch, tick for tick.
+    /// Paced arrivals == batch submission, tick for tick.
     #[test]
     fn streaming_equals_batch_schedule_and_outputs(
         model in any_mlp(),
@@ -188,22 +170,17 @@ proptest! {
         };
         let batch = batch_run(&model, &shared, &cfg, &requests, &cost);
 
-        let (tx, rx) = std::sync::mpsc::channel();
-        for req in &requests {
-            tx.send(req.clone()).expect("receiver alive");
-        }
-        drop(tx);
-        let streamed = single_for(&model, &shared, &cfg)
-            .run(Drive::Streaming(rx), &cost)
+        let paced = single_for(&model, &shared, &cfg)
+            .run(Drive::Paced(requests.clone()), &cost)
             .report;
 
         prop_assert_eq!(batch.completions.len(), requests.len());
-        prop_assert_eq!(streamed.completions.len(), requests.len());
-        for (a, b) in batch.completions.iter().zip(&streamed.completions) {
+        prop_assert_eq!(paced.completions.len(), requests.len());
+        for (a, b) in batch.completions.iter().zip(&paced.completions) {
             prop_assert_eq!(a.id, b.id);
             prop_assert_eq!(
                 &a.output.tokens, &b.output.tokens,
-                "request {} tokens diverged between batch and streaming", a.id
+                "request {} tokens diverged between batch and paced", a.id
             );
             prop_assert_eq!(a.output.steps, b.output.steps);
             prop_assert_eq!(&a.output.trace, &b.output.trace);
@@ -213,139 +190,7 @@ proptest! {
             prop_assert_eq!(&a.step_ticks, &b.step_ticks, "request {} commit ticks", a.id);
             prop_assert_eq!(a.max_service_gap, b.max_service_gap);
         }
-        prop_assert_eq!(batch.stats.ticks, streamed.stats.ticks);
-        prop_assert_eq!(batch.stats.prefix_evictions, streamed.stats.prefix_evictions);
-    }
-
-    /// A live sender racing the engine: admission timing may drift, but
-    /// per-request outputs never do.
-    #[test]
-    fn racing_sender_preserves_outputs(
-        model in any_mlp(),
-        process in any_process(),
-        count in 1usize..7,
-        seed in any::<u64>(),
-        max_active in 1usize..4,
-        session_cap in prop_oneof![Just(None), (1usize..4).prop_map(Some)],
-    ) {
-        let cost = GpuCostModel::codellama_like();
-        let workload = Workload { process, mix: full_mix(), count, seed };
-        let requests = workload.requests();
-
-        let shared: Vec<TokenId> = vec![5, 6];
-
-        let cfg = ServeConfig {
-            session_cap,
-            ..ServeConfig::concurrency(max_active)
-        };
-        let batch = batch_run(&model, &shared, &cfg, &requests, &cost);
-
-        let (tx, rx) = std::sync::mpsc::channel();
-        let to_send = requests.clone();
-        let streamed = std::thread::scope(|s| {
-            s.spawn(move || {
-                for req in to_send {
-                    if tx.send(req).is_err() {
-                        break;
-                    }
-                }
-            });
-            single_for(&model, &shared, &cfg)
-                .run(Drive::Streaming(rx), &cost)
-                .report
-        });
-
-        prop_assert_eq!(streamed.completions.len(), requests.len());
-        for (a, b) in batch.completions.iter().zip(&streamed.completions) {
-            prop_assert_eq!(a.id, b.id);
-            prop_assert_eq!(
-                &a.output.tokens, &b.output.tokens,
-                "request {} tokens diverged under a racing sender", a.id
-            );
-            prop_assert_eq!(&a.output.trace, &b.output.trace);
-        }
-    }
-
-    /// Several live senders racing each other into a multi-worker
-    /// fleet, on both backends: send interleaving — and therefore
-    /// routing — is nondeterministic, but every request's output still
-    /// equals the batch single-engine run's (itself pinned
-    /// token-identical to the serial engines), under any worker count
-    /// and routing policy.
-    #[test]
-    fn racing_multi_sender_multi_worker_preserves_outputs(
-        model in any_mlp(),
-        process in any_process(),
-        count in 1usize..7,
-        seed in any::<u64>(),
-        workers in 1usize..4,
-        route in prop_oneof![
-            Just(RoutePolicy::RoundRobin),
-            Just(RoutePolicy::JoinShortestQueue),
-            Just(RoutePolicy::LeastLoaded),
-            Just(RoutePolicy::PrefixAffine),
-        ],
-        n_senders in 2usize..4,
-        max_active in 1usize..4,
-    ) {
-        let cost = GpuCostModel::codellama_like();
-        let workload = Workload { process, mix: full_mix(), count, seed };
-        let requests = workload.requests();
-
-        let shared: Vec<TokenId> = vec![5, 6];
-
-        let cfg = ServeConfig::concurrency(max_active);
-        let batch = batch_run(&model, &shared, &cfg, &requests, &cost);
-
-        for backend in [Backend::Lockstep, Backend::Threaded] {
-            let (tx, rx) = std::sync::mpsc::channel();
-            // Stripe the requests across racing sender threads; the mpsc
-            // channel interleaves them nondeterministically.
-            let stripes: Vec<Vec<Request>> = (0..n_senders)
-                .map(|s| {
-                    requests
-                        .iter()
-                        .skip(s)
-                        .step_by(n_senders)
-                        .cloned()
-                        .collect()
-                })
-                .collect();
-            let dispatched = std::thread::scope(|scope| {
-                for stripe in stripes {
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        for req in stripe {
-                            if tx.send(req).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(tx);
-                // The fleet rides the radix-tree prefix cache warmed with
-                // the same shared stem as the batch engine — outputs must
-                // agree regardless of routing.
-                fleet_for(&model, &shared, &cfg, workers, route.clone(), backend)
-                    .run(Drive::Streaming(rx), &cost)
-                    .report
-            });
-
-            prop_assert_eq!(dispatched.completions.len(), requests.len());
-            prop_assert_eq!(dispatched.assignments.len(), requests.len());
-            prop_assert!(dispatched
-                .assignments
-                .iter()
-                .all(|&(_, w)| w < workers));
-            for (a, b) in batch.completions.iter().zip(&dispatched.completions) {
-                prop_assert_eq!(a.id, b.id);
-                prop_assert_eq!(
-                    &a.output.tokens, &b.output.tokens,
-                    "request {} tokens diverged under racing senders x {} workers ({}, {:?})",
-                    a.id, workers, route.name(), backend
-                );
-                prop_assert_eq!(&a.output.trace, &b.output.trace);
-            }
-        }
+        prop_assert_eq!(batch.stats.ticks, paced.stats.ticks);
+        prop_assert_eq!(batch.stats.prefix_evictions, paced.stats.prefix_evictions);
     }
 }

@@ -10,12 +10,11 @@
 //! ```text
 //!   FleetRuntime::run ──► drive ──route──► worker 0: ServeEngine
 //!   (Drive::Batch /        │   ▲           worker 1: ServeEngine
-//!    Paced / Streaming)    │   │ probes    …        (own session
+//!    Paced)                │   │ probes    …        (own session
 //!                          │   │                     pool, queue,
 //!     RoutePolicy ─────────┘   ├ ready_depth()       prefix cache,
 //!     rr / jsq /               ├ outstanding_cost()  clock, tick
 //!     least-loaded /           └ prefix_match_depth() loop)
-//!     pinned /
 //!     prefix-affine         lockstep backend: each round, every worker
 //!                           with work runs one tick (idle workers
 //!                           fast-forward their own clocks)
@@ -47,22 +46,18 @@
 //! single-engine machinery: each worker serves its shard exactly as a
 //! standalone [`ServeEngine`] would serve it alone (same admission
 //! ticks, same shedding, same deadlines, same tokens), because workers
-//! share nothing but the read-only model. [`RoutePolicy::Pinned`]
-//! replays a recorded assignment, so a run can be reproduced
-//! bit-for-bit even when the original routing reacted to live load.
-//! With every arrival sent before it falls due (the batch pattern),
-//! probe values themselves are deterministic, so rr / jsq /
-//! least-loaded runs are reproducible end to end.
+//! share nothing but the read-only model. Both drives route at
+//! deterministic points of the fleet clock, so probe values themselves
+//! are deterministic and every policy's run is reproducible end to end.
 //!
 //! # The invariant, again
 //!
 //! Dispatch is a performance mechanism, never a semantic one: every
 //! request's token stream is bit-identical to the serial single-session
-//! engine's under **any** worker count, routing policy, and send
-//! timing, and a one-worker fleet is tick-identical to a hand-driven
+//! engine's under **any** worker count, routing policy, and drive,
+//! and a one-worker fleet is tick-identical to a hand-driven
 //! [`ServeEngine`] fed in arrival order (the fleet adds zero scheduling
-//! noise). `tests/proptest_dispatch.rs` pins both, plus
-//! shedding/deadline determinism under pinned assignments.
+//! noise). `tests/proptest_dispatch.rs` pins both.
 //!
 //! # The two backends
 //!
@@ -98,11 +93,6 @@ pub enum RoutePolicy {
     /// each request is (budget × speculation shape), not just how many
     /// there are.
     LeastLoaded,
-    /// Replays a fixed `request id → worker` assignment (e.g. a prior
-    /// run's [`DispatchReport::assignments`]) — the determinism lever:
-    /// with the assignment pinned, shedding, deadlines, and every tick
-    /// stamp reproduce exactly.
-    Pinned(Vec<(u64, usize)>),
     /// Cache-aware routing: probe every worker's prefix cache for the
     /// deepest cached prefix of the request's prompt
     /// ([`ServeEngine::prefix_match_depth`]) and route to the worker
@@ -124,7 +114,6 @@ impl RoutePolicy {
             RoutePolicy::RoundRobin => "rr",
             RoutePolicy::JoinShortestQueue => "jsq",
             RoutePolicy::LeastLoaded => "least-loaded",
-            RoutePolicy::Pinned(_) => "pinned",
             RoutePolicy::PrefixAffine => "prefix-affine",
         }
     }
@@ -233,28 +222,6 @@ impl Router {
                 let vals: Vec<u64> = probes.iter().map(|p| p.outstanding_cost).collect();
                 (argmin_alive(vals.iter().copied(), alive), vals)
             }
-            RoutePolicy::Pinned(assignment) => {
-                let w = assignment
-                    .iter()
-                    .find(|&&(id, _)| id == req.id)
-                    .map(|&(_, w)| w)
-                    .unwrap_or_else(|| panic!("pinned route has no worker for request {}", req.id));
-                assert!(
-                    w < n,
-                    "pinned route sends request {} to worker {w} of {n}",
-                    req.id
-                );
-                // A pinned target that is dead (its recorded worker
-                // crashed) falls back to the lowest live index, so
-                // replays of fault-free assignments against a faulted
-                // fleet still route deterministically.
-                let w = if alive[w] {
-                    w
-                } else {
-                    alive.iter().position(|&a| a).expect("checked above")
-                };
-                (w, Vec::new())
-            }
             RoutePolicy::PrefixAffine => {
                 // Argmax match depth among live workers; tie-break min
                 // outstanding cost, then lowest index (first strict
@@ -298,7 +265,6 @@ pub struct DispatchReport {
     /// Each worker's own counters, by worker index.
     pub per_worker: Vec<ServeStats>,
     /// The realized routing: `(request id, worker index)` sorted by id.
-    /// Feed it back through [`RoutePolicy::Pinned`] to replay the run.
     pub assignments: Vec<(u64, usize)>,
 }
 
@@ -671,18 +637,5 @@ mod tests {
         // the least-loaded worker instead of piling on worker 0.
         d.route_submit(stem_req(2, vec![9, 9, 9]));
         assert_eq!(d.assignments[2], (2, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "pinned route has no worker")]
-    fn pinned_route_rejects_unknown_requests() {
-        let m = model();
-        let spec = spec(
-            &m,
-            ServeConfig::concurrency(1),
-            2,
-            RoutePolicy::Pinned(vec![(7, 1)]),
-        );
-        fleet(&spec).route_submit(ntp_request(0, 2));
     }
 }

@@ -97,7 +97,7 @@ pub struct ServeConfig {
     /// waiting after admission, the newest arrivals are shed —
     /// rejected outright, reported in [`ServeReport::shed`] — instead
     /// of queueing without bound. Deterministic per tick schedule, so
-    /// batch and streaming runs shed identically. `None` disables
+    /// batch and paced runs shed identically. `None` disables
     /// shedding.
     pub shed_depth: Option<usize>,
     /// Enables the radix-tree prefix cache ([`crate::PrefixCache`]):
@@ -969,7 +969,7 @@ impl<'m> ServeEngine<'m> {
     /// than the configured depth, the newest arrivals are rejected
     /// outright (LIFO drop — the freshest request has waited least and
     /// loses least). The decision is a pure function of the tick
-    /// schedule, so batch and streaming runs shed the same requests.
+    /// schedule, so batch and paced runs shed the same requests.
     fn shed_ready_overflow(&mut self) {
         let Some(depth) = self.cfg.shed_depth else {
             return;

@@ -15,16 +15,16 @@
 //!   FleetRuntime (runtime) ── the one fleet spec and the one drive:
 //!   model + ServeConfig + workers + RoutePolicy + Backend, optional
 //!   grammar / policy / warm stems / tracing / FaultPlan;
-//!   run(Drive::{Batch,Paced,Streaming}, cost) builds the backend,
+//!   run(Drive::{Batch,Paced}, cost) builds the backend,
 //!   drives it, drains it and merges per-worker reports — the only way
 //!   to serve requests through a fleet
 //!                        │
 //!   Drive::Batch   ─► Fleet<B>: Router ── RoutePolicy (rr / jsq by
 //!   Drive::Paced      (one generic        ready_depth / least-loaded by
-//!   Drive::Streaming   drive + merge)     outstanding_cost / prefix-
-//!   (mpsc arrivals)      │                affine by prefix_match_depth
-//!                        │                probes / pinned replay; dead
-//!                        │                workers masked while crashed)
+//!                      drive + merge)     outstanding_cost / prefix-
+//!                        │                affine by prefix_match_depth
+//!                        │                probes; dead workers masked
+//!                        │                while crashed)
 //!                        │ one shard per worker — two backends behind
 //!                        │ the FleetBackend trait, static dispatch:
 //!                        │  · Backend::Lockstep (the deterministic
@@ -113,7 +113,7 @@
 //!   policy ([`TickOrder`], including earliest-deadline-first for
 //!   SLO-carrying requests), with an aging guard that bounds every
 //!   request's service gap by its forcing threshold plus a few
-//!   rotations (no starvation under *any* order, including streaming
+//!   rotations (no starvation under *any* order, including paced
 //!   admission — arrivals join the same queue the guard covers).
 //! * **The speculation-policy layer** (`verispec-core::policy`) — each
 //!   tick, *how much speculation to buy per request* is a
@@ -130,7 +130,7 @@
 //!   budgeted = shrink-to-fit packing. Load-shedding admission
 //!   control ([`ServeConfig::shed_depth`]) rejects ready-queue
 //!   overflow newest-first, deterministically on both the batch and
-//!   streaming paths.
+//!   paced paths.
 //! * **[`ServeEngine`]** — the tick loop. The batch's propose phase
 //!   (each member's base row, its trunk activation kept for the tick)
 //!   is fused across requests into one
@@ -148,8 +148,7 @@
 //!   issuing one small batch each, and a tick forwards what its
 //!   members' accepted prefixes cost, not what their trees would.
 //!   Requests may be submitted between any two ticks
-//!   ([`Drive::Paced`] / [`Drive::Streaming`] do, so open-loop
-//!   arrivals join mid-flight); a
+//!   ([`Drive::Paced`] does, so open-loop arrivals join mid-flight); a
 //!   memory budget ([`ServeConfig::session_cap`]) LRU-evicts cached
 //!   prefix snapshots through the exact-replay path so thousands of
 //!   distinct prompts cannot grow the session pool unboundedly; and
@@ -175,8 +174,7 @@
 //!   ([`Backend::Lockstep`] / [`Backend::Threaded`]) at construction,
 //!   the drive as a value ([`Drive::Batch`] — everything routed up
 //!   front; [`Drive::Paced`] — each request routed when its arrival
-//!   tick falls due; [`Drive::Streaming`] — routed as received from an
-//!   `mpsc` channel), and optionally install a [`FaultPlan`] —
+//!   tick falls due), and optionally install a [`FaultPlan`] —
 //!   deterministic, trace-specified [`FaultEvent::CrashWorker`] /
 //!   [`FaultEvent::RestartWorker`] events plus per-tenant
 //!   [`ClassShare`] weighted-fairness shares. On a crash every
@@ -196,8 +194,8 @@
 //!   speculation policy's price of each worker's in-flight work —
 //!   cache-aware prefix-affine, which probes every worker's prefix
 //!   cache with [`ServeEngine::prefix_match_depth`] and routes to the
-//!   deepest match so repeat stems land where their snapshots live, or
-//!   a pinned replay of a recorded assignment). Each worker owns its
+//!   deepest match so repeat stems land where their snapshots live).
+//!   Each worker owns its
 //!   session pool and tick loop and serves its shard exactly as a
 //!   standalone engine, so dispatch adds routing without touching
 //!   serving semantics; [`DispatchReport`] carries merged plus
@@ -250,7 +248,7 @@
 //! (decisions are pure functions of each request's own history, so
 //! served == the serial policy-driven engine under eviction too);
 //! `verispec-load`'s streaming proptest additionally pins
-//! [`Drive::Streaming`] == batch submission under random arrival
+//! [`Drive::Paced`] == batch submission under random arrival
 //! processes, capacities, deadlines, and eviction pressure.
 //! The one deliberate exception is
 //! [`verispec_core::BudgetedPolicy`]: its shrink-to-fit shapes depend
@@ -337,18 +335,14 @@ mod tests {
         engine.run(cost)
     }
 
-    /// Serves a pre-filled, closed channel through a one-worker fleet.
-    fn stream_through_fleet(
+    /// Serves `requests` through a one-worker fleet, each routed when
+    /// its arrival tick falls due.
+    fn pace_through_fleet(
         model: &MlpLm,
         requests: Vec<Request>,
         cfg: &ServeConfig,
         cost: &GpuCostModel,
     ) -> DispatchReport {
-        let (tx, rx) = std::sync::mpsc::channel();
-        for r in requests {
-            tx.send(r).expect("receiver alive");
-        }
-        drop(tx);
         FleetRuntime::new(
             model,
             cfg.clone(),
@@ -356,7 +350,7 @@ mod tests {
             RoutePolicy::RoundRobin,
             Backend::Lockstep,
         )
-        .run(Drive::Streaming(rx), cost)
+        .run(Drive::Paced(requests), cost)
         .report
     }
 
@@ -502,9 +496,9 @@ mod tests {
             ..Default::default()
         };
         let batch = run_engine(&m, requests.clone(), &cfg, &cost);
-        let streamed = stream_through_fleet(&m, requests, &cfg, &cost);
-        assert_eq!(batch.completions.len(), streamed.completions.len());
-        for (a, b) in batch.completions.iter().zip(&streamed.completions) {
+        let paced = pace_through_fleet(&m, requests, &cfg, &cost);
+        assert_eq!(batch.completions.len(), paced.completions.len());
+        for (a, b) in batch.completions.iter().zip(&paced.completions) {
             assert_eq!(a.id, b.id);
             assert_eq!(a.output.tokens, b.output.tokens);
             assert_eq!(a.output.trace, b.output.trace);
@@ -513,9 +507,9 @@ mod tests {
             assert_eq!(a.finished, b.finished);
             assert_eq!(a.step_ticks, b.step_ticks, "request {} commit ticks", a.id);
         }
-        assert_eq!(batch.stats.ticks, streamed.stats.ticks);
+        assert_eq!(batch.stats.ticks, paced.stats.ticks);
         assert!(
-            streamed.stats.idle_ticks_skipped > 0,
+            paced.stats.idle_ticks_skipped > 0,
             "the sparse tail must exercise the idle fast-forward"
         );
     }
@@ -789,10 +783,10 @@ mod tests {
         // arrivals share tick 0, so id breaks the tie).
         let min_shed = batch.shed.iter().map(|s| s.id).min().expect("nonempty");
         assert!(batch.completions.iter().all(|c| c.id < min_shed));
-        // Streaming sheds the same requests at the same ticks.
-        let streamed = stream_through_fleet(&m, requests, &cfg, &cost);
-        assert_eq!(batch.shed, streamed.shed);
-        for (a, b) in batch.completions.iter().zip(&streamed.completions) {
+        // The paced fleet sheds the same requests at the same ticks.
+        let paced = pace_through_fleet(&m, requests, &cfg, &cost);
+        assert_eq!(batch.shed, paced.shed);
+        for (a, b) in batch.completions.iter().zip(&paced.completions) {
             assert_eq!(a.output.tokens, b.output.tokens);
             assert_eq!(a.step_ticks, b.step_ticks);
         }

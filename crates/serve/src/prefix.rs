@@ -31,7 +31,7 @@
 //!   Interior stems are naturally protected until their subtree
 //!   evicts away. Recency stamps come from a monotonic counter, never
 //!   wall clock, so eviction order — and therefore every golden and
-//!   streaming-vs-batch comparison — is deterministic.
+//!   paced-vs-batch comparison — is deterministic.
 //!
 //! Residency ([`PrefixCache::resident`]) is charged against
 //! [`crate::ServeConfig::session_cap`] alongside live sessions by the

@@ -31,7 +31,6 @@
 //!          drive:  Batch      route everything up front
 //!                  Paced      each round: fire due faults → route
 //!                             due arrivals → tick
-//!                  Streaming  drain the channel → tick; block when idle
 //!          finish: drain every worker, fold per-worker reports and
 //!                  event streams through one merge → FleetRun
 //! ```
@@ -319,9 +318,6 @@ pub enum Drive {
     /// fall due on the fleet clock (load-aware policies see real queue
     /// state). The only mode that accepts fault events.
     Paced(Vec<Request>),
-    /// Live-channel: requests are routed as they are received;
-    /// blocking-waits when idle with the stream open.
-    Streaming(std::sync::mpsc::Receiver<Request>),
 }
 
 /// The result of a [`FleetRuntime`] run: the fleet-merged report plus
@@ -576,7 +572,6 @@ impl<B: FleetBackend> Fleet<B> {
                 }
             }
             Drive::Paced(requests) => self.drive_paced(requests, cost),
-            Drive::Streaming(arrivals) => self.drive_streaming(arrivals, cost),
         }
         self.finish(cost)
     }
@@ -795,43 +790,6 @@ impl<B: FleetBackend> Fleet<B> {
                         break;
                     }
                 }
-            }
-        }
-    }
-
-    /// The streaming drive: route newly arrived requests, tick, block
-    /// for the next arrival when idle with the stream open. Per-request
-    /// outputs are independent of send timing, and when every request
-    /// is sent before its arrival tick is processed the whole tick
-    /// schedule matches [`Drive::Batch`] over the same order.
-    fn drive_streaming(
-        &mut self,
-        arrivals: std::sync::mpsc::Receiver<Request>,
-        cost: &GpuCostModel,
-    ) {
-        use std::sync::mpsc::TryRecvError;
-        let mut open = true;
-        loop {
-            while open {
-                match arrivals.try_recv() {
-                    Ok(req) => {
-                        self.route_submit(req);
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => open = false,
-                }
-            }
-            if self.backend.has_work() {
-                self.backend.tick_round(cost);
-            } else if open {
-                match arrivals.recv() {
-                    Ok(req) => {
-                        self.route_submit(req);
-                    }
-                    Err(_) => open = false,
-                }
-            } else {
-                break;
             }
         }
     }

@@ -9,7 +9,7 @@
 //! property tests use — has a hard worst-case service gap of the
 //! threshold plus a few rotations (see [`Scheduler::starvation_bound`]).
 //! The bound is per-request and admission-agnostic: requests admitted
-//! mid-flight by streaming arrivals are covered from their admission
+//! mid-flight by paced arrivals are covered from their admission
 //! tick exactly like closed-loop submissions. Outputs are unaffected by
 //! selection order (each request's sampler and sessions are private),
 //! so scheduling is purely a throughput/fairness lever.

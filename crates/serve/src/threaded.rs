@@ -42,15 +42,13 @@
 //!    FIFO ordering guarantees the reply reflects every earlier
 //!    `Submit`, and workers are quiescent between tick rounds, so the
 //!    snapshot equals the lockstep drive's direct engine reads.
-//!    Probe-less policies (rr / pinned) skip the round-trip entirely.
+//!    The probe-less policy (rr) skips the round-trip entirely.
 //! 2. **The round boundary.** The paced drive routes arrivals by the
 //!    fleet's most-advanced clock, so while arrivals are still
 //!    pending, each round sends `Tick` to every busy worker and waits
 //!    for all `Ticked` replies — one barrier per round, with the ticks
 //!    themselves running concurrently. Idle workers are skipped: an
-//!    empty engine's tick is a proven no-op. The streaming drive pays
-//!    the same barrier every round: a live channel never reaches the
-//!    "nothing can change" state until it closes.
+//!    empty engine's tick is a proven no-op.
 //!
 //! Once the last arrival is routed (and for the whole batch drive,
 //! where everything is routed up front), nothing the coordinator could
@@ -76,8 +74,7 @@
 //! order ([`verispec_trace::canonicalize_fleet_events`]) normalizes
 //! away. `tests/proptest_dispatch_threaded.rs` pins all of this across
 //! worker counts, route policies, the batch and paced drives, and
-//! eviction churn; `tests/proptest_dispatch.rs` adds the streaming
-//! drive.
+//! eviction churn.
 
 use crate::dispatch::RouteProbes;
 use crate::engine::ServeReport;

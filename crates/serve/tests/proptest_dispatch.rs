@@ -4,9 +4,7 @@
 //! serial single-session engine run on it alone; a one-worker fleet is
 //! **tick-identical** to a hand-driven [`ServeEngine`] under every
 //! drive on both backends (the drive matrix — the equivalence that
-//! lets one engine be served as the one-worker fleet); and given a
-//! fixed (pinned) route assignment the whole report — shedding,
-//! deadlines, every tick stamp — reproduces exactly.
+//! lets one engine be served as the one-worker fleet).
 
 use proptest::prelude::*;
 use verispec_core::{decode_ntp, decode_speculative, DecodeConfig, DecodeOutput};
@@ -228,7 +226,7 @@ proptest! {
         // With one worker, routing is forced, so pacing may not change
         // the schedule either: paced == upfront-fed, tick for tick
         // (arrival-time submission lands each request before the tick
-        // that admits it — the sends-before-due streaming property).
+        // that admits it).
         // The paced drive serves the arrival-sorted sequence, so the
         // upfront reference must be fed in the same order (queue order
         // breaks ties among simultaneously-ready requests).
@@ -293,20 +291,10 @@ proptest! {
         let single = engine.run(&cost);
 
         for backend in [Backend::Lockstep, Backend::Threaded] {
-            for drive_name in ["batch", "paced", "streaming"] {
-                let drive = match drive_name {
-                    "batch" => Drive::Batch(requests.clone()),
-                    "paced" => Drive::Paced(requests.clone()),
-                    _ => {
-                        // Pre-filled and closed, so the schedule is
-                        // deterministic.
-                        let (tx, rx) = std::sync::mpsc::channel();
-                        for req in &requests {
-                            tx.send(req.clone()).expect("receiver alive");
-                        }
-                        Drive::Streaming(rx)
-                    }
-                };
+            for (drive_name, drive) in [
+                ("batch", Drive::Batch(requests.clone())),
+                ("paced", Drive::Paced(requests.clone())),
+            ] {
                 let fleet = FleetRuntime::new(&model, cfg.clone(), 1, route.clone(), backend)
                     .run(drive, &cost)
                     .report;
@@ -332,46 +320,5 @@ proptest! {
                 prop_assert_eq!(&single.stats, &fleet.stats, "{}", &cell);
             }
         }
-    }
-
-    /// Pinning a realized route assignment replays the run exactly:
-    /// shedding, deadline outcomes, and every schedule stamp are pure
-    /// functions of the assignment.
-    #[test]
-    fn pinned_assignment_reproduces_shedding_and_deadlines(
-        model in any_mlp(),
-        raw in any_requests(),
-        workers in 1usize..4,
-        route in any_route(),
-        shed_depth in prop_oneof![Just(None), (1usize..3).prop_map(Some)],
-    ) {
-        let cost = GpuCostModel::codellama_like();
-        let requests = build_requests(&raw);
-        let cfg = ServeConfig {
-            max_active: 2,
-            max_batch: 2,
-            shed_depth,
-            ..Default::default()
-        };
-        let batch = Drive::Batch(requests.clone());
-        let first = dispatch(&model, &cfg, workers, &route, batch, &cost);
-        let pinned = RoutePolicy::Pinned(first.assignments.clone());
-        let replay = dispatch(&model, &cfg, workers, &pinned, Drive::Batch(requests), &cost);
-
-        prop_assert_eq!(&first.assignments, &replay.assignments);
-        prop_assert_eq!(&first.shed, &replay.shed, "shedding must replay exactly");
-        prop_assert_eq!(first.completions.len(), replay.completions.len());
-        for (a, b) in first.completions.iter().zip(&replay.completions) {
-            prop_assert_eq!(a.id, b.id);
-            prop_assert_eq!(&a.output.tokens, &b.output.tokens);
-            prop_assert_eq!(&a.step_ticks, &b.step_ticks);
-            prop_assert_eq!(a.finished, b.finished);
-            prop_assert_eq!(
-                a.met_deadline(), b.met_deadline(),
-                "request {} deadline outcome must replay", a.id
-            );
-        }
-        prop_assert_eq!(&first.stats, &replay.stats);
-        prop_assert_eq!(&first.per_worker, &replay.per_worker);
     }
 }

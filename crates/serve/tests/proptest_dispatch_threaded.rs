@@ -5,8 +5,7 @@
 //! [`Backend::Threaded`]'s report is **tick-for-tick, token-for-token
 //! identical** to [`Backend::Lockstep`]'s, and the merged event streams
 //! are event-for-event identical, in canonical fleet order
-//! ([`canonicalize_fleet_events`]). The streaming drive is held to the
-//! same bar by the drive matrix in `proptest_dispatch.rs`.
+//! ([`canonicalize_fleet_events`]).
 //!
 //! The backend's one thread per worker is all the parallelism a run
 //! has: the inference kernel stays on its caller's thread.

@@ -5,7 +5,7 @@
 //! virtual-clock ticks only (never wall-clock durations), so the same
 //! [`ArrivalTrace`](../../verispec_load/trace/struct.ArrivalTrace.html)
 //! replay produces a byte-identical event log on every run, on every
-//! machine, under every drive (batch, streaming, paced dispatch). That
+//! machine, under every drive (batch, paced dispatch). That
 //! purity is what lets CI commit golden event logs and diff them.
 
 use serde::{Deserialize, Serialize};

@@ -27,7 +27,7 @@
 //! ## Determinism contract
 //!
 //! Events are stamped **in tick space only** — the virtual clock that
-//! every engine drive (batch, streaming, paced dispatch) advances
+//! every engine drive (batch, paced dispatch) advances
 //! deterministically. No wall-clock value ever enters an event, so an
 //! [`ArrivalTrace`](../verispec_load/trace/struct.ArrivalTrace.html)
 //! replay produces a **byte-identical** serialized log

@@ -14,7 +14,7 @@
 //! |--------|-------|------|
 //! | [`verilog`] | `verispec-verilog` | lexer, parser, AST, `[FRAG]` fragmenter |
 //! | [`tokenizer`] | `verispec-tokenizer` | byte-level BPE with special tokens |
-//! | [`lm`] | `verispec-lm` | MLP LM with Medusa heads, n-gram LM, GPU cost model |
+//! | [`lm`] | `verispec-lm` | MLP LM with Medusa heads, GPU cost model |
 //! | [`core`] | `verispec-core` | syntax-enriched labels, acceptance, decoding engines |
 //! | [`data`] | `verispec-data` | synthetic corpus with golden models |
 //! | [`serve`] | `verispec-serve` | continuous-batching multi-request serving engine |
