@@ -8,9 +8,11 @@ use crate::iface::GeneratedModule;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use verispec_verilog::fragment::fragmentize;
+use verispec_verilog::check;
+use verispec_verilog::fragment::fragmentize_tokens;
+use verispec_verilog::lexer::lex_full;
+use verispec_verilog::parser::parse_tokens;
 use verispec_verilog::significant::SignificantTokens;
-use verispec_verilog::{check, parse};
 
 /// One cleaned corpus entry.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -94,9 +96,14 @@ impl Corpus {
         Self::refine(raw, cfg)
     }
 
-    /// Refines pre-generated modules (exposed for tests and for mixing in
-    /// externally supplied raw code).
-    pub fn refine(raw: Vec<GeneratedModule>, cfg: &CorpusConfig) -> Corpus {
+    /// Refines generated modules: the filters, the dedup and the
+    /// `[FRAG]` tagging of Fig. 2.
+    ///
+    /// Each source is lexed once: the structure filter, the comment
+    /// ratio, the syntax check and the `[FRAG]` tagging all read that one
+    /// token stream. A source that does not lex fails the structure
+    /// filter.
+    fn refine(raw: Vec<GeneratedModule>, cfg: &CorpusConfig) -> Corpus {
         let mut stats = CorpusStats {
             generated: raw.len(),
             ..Default::default()
@@ -105,26 +112,26 @@ impl Corpus {
 
         for gm in raw {
             // Structure filter: complete module/endmodule pairs.
-            if !check::structure_ok(&gm.source) {
-                stats.dropped_structure += 1;
-                continue;
-            }
+            let lexed = match lex_full(&gm.source) {
+                Ok(lexed) if check::structure_ok_tokens(&lexed.tokens) => lexed,
+                _ => {
+                    stats.dropped_structure += 1;
+                    continue;
+                }
+            };
             // Comment filter.
-            if check::comment_ratio(&gm.source) > cfg.max_comment_ratio {
+            if lexed.comment_ratio() > cfg.max_comment_ratio {
                 stats.dropped_comments += 1;
                 continue;
             }
             // Syntax check (Stagira substitute) + AST for significant
             // tokens.
-            let Ok(file) = parse(&gm.source) else {
+            let Ok(file) = parse_tokens(&lexed.tokens) else {
                 stats.dropped_syntax += 1;
                 continue;
             };
             let sig = SignificantTokens::from_source_file(&file);
-            let Ok(tagged) = fragmentize(&gm.source, &sig) else {
-                stats.dropped_syntax += 1;
-                continue;
-            };
+            let tagged = fragmentize_tokens(&gm.source, &lexed.tokens, &sig);
             cleaned.push((gm, tagged));
         }
 
@@ -133,28 +140,39 @@ impl Corpus {
         let kept = dedup_indices(&docs, cfg.dedup_threshold);
         stats.dropped_duplicates = cleaned.len() - kept.len();
 
-        let mut items = Vec::with_capacity(kept.len());
-        for idx in kept {
-            let (gm, tagged) = &cleaned[idx];
-            items.push(CorpusItem {
-                name: gm.name.clone(),
-                family: gm.family.to_string(),
+        let mut kept = kept.into_iter().peekable();
+        let items: Vec<CorpusItem> = cleaned
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| kept.next_if_eq(i).is_some())
+            .map(|(_, (gm, tagged))| CorpusItem {
                 // End every instruction with the standardized naming
                 // sentence (see `crate::naming`).
                 description: crate::naming::with_naming_tail(&gm.description, &gm.name),
-                source: gm.source.clone(),
-                tagged_source: tagged.clone(),
-            });
-        }
+                name: gm.name,
+                family: gm.family.to_string(),
+                source: gm.source,
+                tagged_source: tagged,
+            })
+            .collect();
         stats.retained = items.len();
         Corpus { items, stats }
     }
 
     /// The paper's data-size sweep: a prefix fraction of the corpus
-    /// (1/4, 1/2, 3/4, 1 of the items, deterministically).
-    pub fn subset(&self, numerator: usize, denominator: usize) -> Vec<&CorpusItem> {
-        let n = self.items.len() * numerator / denominator;
-        self.items.iter().take(n).collect()
+    /// (1/4, 1/2, 3/4, 1 of the items, deterministically): the first
+    /// `len · numerator / denominator` items, rounded down.
+    ///
+    /// # Panics
+    ///
+    /// If `denominator` is 0 or `numerator` exceeds it: the fraction
+    /// must lie in `[0, 1]`.
+    pub fn subset(&self, numerator: usize, denominator: usize) -> &[CorpusItem] {
+        assert!(
+            denominator != 0 && numerator <= denominator,
+            "data-size fraction {numerator}/{denominator} is not in [0, 1]"
+        );
+        &self.items[..self.items.len() * numerator / denominator]
     }
 }
 
@@ -234,6 +252,16 @@ mod tests {
     }
 
     #[test]
+    fn unlexable_sources_fail_the_structure_filter() {
+        let raw = vec![fake(
+            "module m(input a, output y); /* unterminated endmodule",
+        )];
+        let corpus = Corpus::refine(raw, &CorpusConfig::default());
+        assert_eq!(corpus.stats.dropped_structure, 1, "{:?}", corpus.stats);
+        assert_eq!(corpus.stats.retained, 0);
+    }
+
+    #[test]
     fn refine_dedups_identical_modules() {
         let src = "module dup(input a, output y); assign y = a; endmodule";
         let raw = vec![fake(src), fake(src), fake(src)];
@@ -252,9 +280,29 @@ mod tests {
         let full = corpus.subset(1, 1);
         assert_eq!(full.len(), corpus.items.len());
         assert_eq!(half.len(), corpus.items.len() / 2);
-        for (a, b) in half.iter().zip(&full) {
+        for (a, b) in half.iter().zip(full) {
             assert_eq!(a.name, b.name);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "data-size fraction 1/0 is not in [0, 1]")]
+    fn a_subset_of_denominator_zero_panics_naming_the_fraction() {
+        let corpus = Corpus::build(&CorpusConfig {
+            size: 8,
+            ..Default::default()
+        });
+        corpus.subset(1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "data-size fraction 3/2 is not in [0, 1]")]
+    fn a_subset_past_the_whole_corpus_panics_naming_the_fraction() {
+        let corpus = Corpus::build(&CorpusConfig {
+            size: 8,
+            ..Default::default()
+        });
+        corpus.subset(3, 2);
     }
 
     #[test]
@@ -262,6 +310,57 @@ mod tests {
         let full = alpaca_format("Do a thing.", "module m; endmodule");
         let prompt = alpaca_prompt("Do a thing.");
         assert!(full.starts_with(&prompt));
+    }
+
+    /// FNV-1a over every item's name, family, description, source and
+    /// tagged source, each field prefixed by its length.
+    fn items_digest(corpus: &Corpus) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for item in &corpus.items {
+            for field in [
+                item.name.as_str(),
+                &item.family,
+                &item.description,
+                &item.source,
+                &item.tagged_source,
+            ] {
+                for b in (field.len() as u64)
+                    .to_le_bytes()
+                    .iter()
+                    .chain(field.as_bytes())
+                {
+                    h ^= u64::from(*b);
+                    h = h.wrapping_mul(0x1000_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Every item and every count of the benchmark's (192) and the
+    /// quality gate's (640) corpus, pinned byte for byte to the builder
+    /// that lexed each module four times and mixed every MinHash seed
+    /// per shingle.
+    #[test]
+    fn build_matches_the_golden_at_192_and_640() {
+        let golden = [
+            (192, 0xbe98_6464_fe1d_ec30u64, 9, 183),
+            (640, 0xd066_f61a_fa8b_a9b5, 112, 528),
+        ];
+        for (size, digest, dropped_duplicates, retained) in golden {
+            let corpus = Corpus::build(&CorpusConfig {
+                size,
+                ..Default::default()
+            });
+            let stats = CorpusStats {
+                generated: size,
+                dropped_duplicates,
+                retained,
+                ..Default::default()
+            };
+            assert_eq!(corpus.stats, stats, "corpus size {size}");
+            assert_eq!(items_digest(&corpus), digest, "corpus size {size}");
+        }
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! The MinHash signature similarity estimates the Jaccard similarity of
 //! the shingle sets; pairs above the threshold are deduplicated keeping
 //! the first occurrence.
+//!
+//! Hash function `k` of a shingle hash `h` is `mix(h ^ mix(k))`; the 64
+//! seeds `mix(k)` are a table computed at compile time, so a shingle
+//! costs one `mix` per signature slot.
 
 use std::collections::HashSet;
 
@@ -22,12 +26,23 @@ pub struct MinHash {
 }
 
 /// 64-bit mix (splitmix64 finalizer).
-fn mix(mut x: u64) -> u64 {
+const fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
+
+/// The `k`-th hash function's seed, `mix(k)`, computed at compile time.
+const SEEDS: [u64; SIGNATURE_SIZE] = {
+    let mut seeds = [0; SIGNATURE_SIZE];
+    let mut k = 0;
+    while k < SIGNATURE_SIZE {
+        seeds[k] = mix(k as u64);
+        k += 1;
+    }
+    seeds
+};
 
 /// Cheap whitespace/punctuation tokenization for shingling.
 fn shingle_tokens(text: &str) -> Vec<&str> {
@@ -55,8 +70,8 @@ impl MinHash {
                 }
                 h ^= 0xff;
             }
-            for (k, s) in sig.iter_mut().enumerate() {
-                let hk = mix(h ^ mix(k as u64));
+            for (s, seed) in sig.iter_mut().zip(SEEDS) {
+                let hk = mix(h ^ seed);
                 if hk < *s {
                     *s = hk;
                 }

@@ -12,8 +12,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use verispec_data::families::all_families;
 use verispec_data::{alpaca_prompt, GeneratedModule};
-use verispec_verilog::fragment::fragmentize;
-use verispec_verilog::significant::SignificantTokens;
+use verispec_verilog::fragment::fragmentize_source;
 
 /// How a benchmark phrases its prompts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -108,10 +107,8 @@ fn build_problems(prefix: &str, style: PromptStyle, count: usize, seed: u64) -> 
         module.description = verispec_data::with_naming_tail(&module.description, &module.name);
         let (plain_header, tagged_header) = if style == PromptStyle::Vgen {
             let plain = header_of(&module.source);
-            let tagged = verispec_verilog::parse(&module.source)
+            let tagged = fragmentize_source(&module.source)
                 .ok()
-                .map(|file| SignificantTokens::from_source_file(&file))
-                .and_then(|sig| fragmentize(&module.source, &sig).ok())
                 .and_then(|t| tagged_header_of(&t));
             (plain, tagged)
         } else {

@@ -1,12 +1,21 @@
-//! End-to-end experiment pipeline: corpus → BPE tokenizer → encoded
-//! datasets → trained models → generation.
+//! End-to-end experiment pipeline: corpus → BPE tokenizer → trained
+//! models → generation.
+//!
+//! [`Pipeline::build`] builds the refined corpus and trains the
+//! tokenizer, nothing more. A method's training sequences are encoded
+//! when they are asked for ([`Pipeline::sequences_for`]), for the items
+//! the data-size fraction keeps, so a caller that loads its models never
+//! encodes the corpus.
 //!
 //! The two model scales stand in for the paper's CodeLlama-7b ("Large")
 //! and CodeT5p-220m ("Small"): neither model, nor the GPUs to fine-tune
 //! them, is available offline, so both are laptop-scale MLPs differing in
 //! width and context window. Trained models are
-//! cached on disk keyed by a configuration hash so that benches and
-//! repeated harness runs do not retrain.
+//! cached on disk so that benches and repeated harness runs do not
+//! retrain, keyed by the configuration and by a digest of the very
+//! sequences the model trains on: a change to corpus generation, Alpaca
+//! formatting or tokenizer training that keeps the configuration still
+//! retrains.
 
 use crate::benchmarks::Problem;
 use serde::{Deserialize, Serialize};
@@ -16,11 +25,11 @@ use std::path::PathBuf;
 use verispec_core::{
     decode_grammar_speculative, DecodeConfig, DecodeMethod, DecodeOutput, TrainConfig, TrainMethod,
 };
-use verispec_data::{alpaca_format, Corpus, CorpusConfig};
+use verispec_data::{alpaca_format, Corpus, CorpusConfig, CorpusItem};
 use verispec_grammar::GrammarOracle;
 use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, TokenId};
 use verispec_tokenizer::{special, BpeTokenizer, BpeTrainer};
-use verispec_verilog::fragment::defragmentize;
+use verispec_verilog::fragment::{defragmentize, fragmentize_source};
 
 /// Which paper model a configuration stands in for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -101,7 +110,9 @@ impl Default for PipelineConfig {
     }
 }
 
-/// The shared experiment substrate: corpus, tokenizer, encoded datasets.
+/// The shared experiment substrate: the refined corpus and the BPE
+/// tokenizer trained on it. Training sequences are not kept: each call
+/// of [`Pipeline::sequences_for`] encodes the items it returns.
 pub struct Pipeline {
     /// Configuration used to build everything.
     pub config: PipelineConfig,
@@ -109,72 +120,62 @@ pub struct Pipeline {
     pub corpus: Corpus,
     /// Shared BPE tokenizer (trained on plain + tagged text).
     pub tokenizer: BpeTokenizer,
-    /// Alpaca-formatted plain sequences (for NTP / Medusa).
-    pub plain_sequences: Vec<Vec<TokenId>>,
-    /// Alpaca-formatted `[FRAG]`-tagged sequences (for Ours).
-    pub tagged_sequences: Vec<Vec<TokenId>>,
 }
 
 impl Pipeline {
-    /// Builds corpus, tokenizer, and encoded datasets.
+    /// Builds the corpus and trains the tokenizer on every item's
+    /// Alpaca-formatted plain and `[FRAG]`-tagged text.
     pub fn build(config: PipelineConfig) -> Pipeline {
         let corpus = Corpus::build(&CorpusConfig {
             size: config.corpus_size,
             seed: config.corpus_seed,
             ..Default::default()
         });
-        let plain_texts: Vec<String> = corpus
-            .items
-            .iter()
-            .map(|it| alpaca_format(&it.description, &it.source))
-            .collect();
-        let tagged_texts: Vec<String> = corpus
-            .items
-            .iter()
-            .map(|it| alpaca_format(&it.description, &it.tagged_source))
-            .collect();
-
-        let tokenizer = BpeTrainer::new(config.vocab).train(
-            plain_texts
+        let format = |code: fn(&CorpusItem) -> &str| -> Vec<String> {
+            corpus
+                .items
                 .iter()
-                .map(String::as_str)
-                .chain(tagged_texts.iter().map(String::as_str)),
-        );
-
-        let encode_all = |texts: &[String]| -> Vec<Vec<TokenId>> {
-            texts
-                .iter()
-                .map(|t| {
-                    let mut ids = tokenizer.encode(t);
-                    ids.push(special::EOS);
-                    ids
-                })
+                .map(|it| alpaca_format(&it.description, code(it)))
                 .collect()
         };
-        let plain_sequences = encode_all(&plain_texts);
-        let tagged_sequences = encode_all(&tagged_texts);
+        let plain_texts = format(|it| &it.source);
+        let tagged_texts = format(|it| &it.tagged_source);
+        let tokenizer = BpeTrainer::new(config.vocab)
+            .train(plain_texts.iter().chain(&tagged_texts).map(String::as_str));
         Pipeline {
             config,
             corpus,
             tokenizer,
-            plain_sequences,
-            tagged_sequences,
         }
     }
 
     /// The training sequences a method consumes, cut to the paper's
-    /// data-size fraction (`numerator/denominator` of the corpus).
+    /// data-size fraction (`numerator/denominator` of the corpus, see
+    /// [`Corpus::subset`]): each kept item's Alpaca-formatted text —
+    /// `[FRAG]`-tagged for Ours, plain for NTP and Medusa — encoded, then
+    /// `[EOS]`.
+    ///
+    /// # Panics
+    ///
+    /// If the fraction is not in `[0, 1]` (see [`Corpus::subset`]).
     pub fn sequences_for(
         &self,
         method: TrainMethod,
         fraction: (usize, usize),
     ) -> Vec<Vec<TokenId>> {
-        let all = match method {
-            TrainMethod::Ours => &self.tagged_sequences,
-            _ => &self.plain_sequences,
-        };
-        let n = all.len() * fraction.0 / fraction.1;
-        all.iter().take(n).cloned().collect()
+        self.corpus
+            .subset(fraction.0, fraction.1)
+            .iter()
+            .map(|it| {
+                let code = match method {
+                    TrainMethod::Ours => &it.tagged_source,
+                    _ => &it.source,
+                };
+                let mut ids = self.tokenizer.encode(&alpaca_format(&it.description, code));
+                ids.push(special::EOS);
+                ids
+            })
+            .collect()
     }
 
     /// Trains (or loads from cache) a model for the given cell.
@@ -190,11 +191,11 @@ impl Pipeline {
             self.config.n_heads
         };
         let lm_cfg = self.lm_config(scale, method);
-        let key = cache_key(&self.config, scale, method, fraction, n_heads);
+        let sequences = self.sequences_for(method, fraction);
+        let key = cache_key(&self.config, scale, method, fraction, n_heads, &sequences);
         if let Some(model) = load_cached(&key, &lm_cfg) {
             return model;
         }
-        let sequences = self.sequences_for(method, fraction);
         let tc = TrainConfig {
             epochs: self.config.epochs,
             seed: self.config.seed,
@@ -216,16 +217,21 @@ impl Pipeline {
     }
 }
 
-/// Bump when tokenizer/training/decoding algorithms change in ways that
-/// invalidate previously cached models.
+/// Bump when training or the model change in ways that invalidate
+/// previously cached models. A change to the corpus, the Alpaca format or
+/// the tokenizer needs no bump: it changes the training sequences, which
+/// the key digests.
 const CACHE_VERSION: u32 = 2;
 
+/// The cache file name of a model cell: a hash of everything that
+/// decides the trained weights, the training sequences included.
 fn cache_key(
     cfg: &PipelineConfig,
     scale: ModelScale,
     method: TrainMethod,
     fraction: (usize, usize),
     n_heads: usize,
+    sequences: &[Vec<TokenId>],
 ) -> String {
     let mut h = DefaultHasher::new();
     CACHE_VERSION.hash(&mut h);
@@ -234,6 +240,7 @@ fn cache_key(
     method.name().hash(&mut h);
     fraction.hash(&mut h);
     n_heads.hash(&mut h);
+    sequences.hash(&mut h);
     format!("model_{:016x}", h.finish())
 }
 
@@ -406,13 +413,7 @@ pub fn token_budget(tokenizer: &BpeTokenizer, problem: &Problem, method: TrainMe
 }
 
 fn problem_reference_tagged(problem: &Problem) -> String {
-    use verispec_verilog::significant::SignificantTokens;
-    let Ok(file) = verispec_verilog::parse(&problem.module.source) else {
-        return problem.module.source.clone();
-    };
-    let sig = SignificantTokens::from_source_file(&file);
-    verispec_verilog::fragment::fragmentize(&problem.module.source, &sig)
-        .unwrap_or_else(|_| problem.module.source.clone())
+    fragmentize_source(&problem.module.source).unwrap_or_else(|_| problem.module.source.clone())
 }
 
 #[cfg(test)]
@@ -434,15 +435,83 @@ mod tests {
     fn pipeline_builds_and_encodes() {
         let p = tiny_pipeline();
         assert!(p.corpus.stats.retained > 20);
-        assert_eq!(p.plain_sequences.len(), p.corpus.items.len());
-        assert_eq!(p.tagged_sequences.len(), p.corpus.items.len());
+        let plain = p.sequences_for(TrainMethod::Medusa, (1, 1));
+        let tagged = p.sequences_for(TrainMethod::Ours, (1, 1));
+        assert_eq!(plain.len(), p.corpus.items.len());
+        assert_eq!(tagged.len(), p.corpus.items.len());
         // Tagged sequences contain FRAG ids; plain do not.
-        assert!(p.tagged_sequences[0].contains(&special::FRAG));
-        assert!(!p.plain_sequences[0].contains(&special::FRAG));
+        assert!(tagged[0].contains(&special::FRAG));
+        assert!(!plain[0].contains(&special::FRAG));
         // All end with EOS.
-        assert_eq!(
-            *p.plain_sequences[0].last().expect("nonempty"),
-            special::EOS
+        assert_eq!(*plain[0].last().expect("nonempty"), special::EOS);
+    }
+
+    /// The sequences the pipeline encoded up front before it encoded on
+    /// demand: every item's Alpaca text (tagged for Ours), encoded, then
+    /// `[EOS]`, cut to the first `len · n / d`.
+    fn eager_sequences(
+        p: &Pipeline,
+        method: TrainMethod,
+        (n, d): (usize, usize),
+    ) -> Vec<Vec<TokenId>> {
+        let all: Vec<Vec<TokenId>> = p
+            .corpus
+            .items
+            .iter()
+            .map(|it| {
+                let code = if method == TrainMethod::Ours {
+                    &it.tagged_source
+                } else {
+                    &it.source
+                };
+                let mut ids = p.tokenizer.encode(&alpaca_format(&it.description, code));
+                ids.push(special::EOS);
+                ids
+            })
+            .collect();
+        let cut = all.len() * n / d;
+        all.into_iter().take(cut).collect()
+    }
+
+    #[test]
+    fn sequences_on_demand_equal_the_eagerly_encoded_corpus() {
+        let p = tiny_pipeline();
+        for method in [TrainMethod::Ntp, TrainMethod::Medusa, TrainMethod::Ours] {
+            for fraction in [(1, 4), (1, 2), (3, 4), (1, 1)] {
+                let eager = eager_sequences(&p, method, fraction);
+                assert!(!eager.is_empty());
+                assert_eq!(
+                    p.sequences_for(method, fraction),
+                    eager,
+                    "{} at {fraction:?}",
+                    method.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_cache_key_moves_with_the_training_data() {
+        let a = tiny_pipeline();
+        let mut b = tiny_pipeline();
+        assert_eq!(a.config, b.config);
+        let key = |p: &Pipeline| {
+            let sequences = p.sequences_for(TrainMethod::Medusa, (1, 1));
+            cache_key(
+                &p.config,
+                ModelScale::Small,
+                TrainMethod::Medusa,
+                (1, 1),
+                4,
+                &sequences,
+            )
+        };
+        assert_eq!(key(&a), key(&b));
+        b.corpus.items[0].source.push_str("\n// edited");
+        assert_ne!(
+            key(&a),
+            key(&b),
+            "an edited corpus item must change the key"
         );
     }
 

@@ -29,6 +29,19 @@
 //! does the splitter that searched the rest of a text for every spelling
 //! after each special.
 //!
+//! The pair counts, the pair-to-word index and the word counts are hash
+//! maps under an in-crate multiply-rotate hasher rather than SipHash.
+//! Their keys are token pairs and words of the training corpus, which
+//! the pipeline generates itself; text written to collide under the
+//! hasher could slow training down but never change a merge.
+//! No merge can depend on the hasher, because nothing reads a map in
+//! its iteration order: the distinct words are sorted before they are
+//! numbered, the heap orders its entries by `(count, Reverse(pair))` —
+//! a total order over distinct pairs, so whichever order they are
+//! pushed in, they pop in the same one — and the words listed under a
+//! pair, and the pairs a merge touched, are sorted and deduplicated
+//! before they are walked.
+//!
 //! Encoding applies the merges lowest rank first within each word; a
 //! merge is looked up in a table sorted by right token within each left
 //! token, so no pair is hashed.
@@ -51,6 +64,7 @@
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Token identifier. The id space is: specials, then the 256 byte tokens,
 /// then learned merges.
@@ -73,7 +87,7 @@ pub mod special {
     pub const IGNORE: TokenId = 4;
 
     /// Number of special tokens preceding the byte vocabulary.
-    pub const COUNT: usize = 5;
+    pub(crate) const COUNT: usize = 5;
 
     /// Spellings, indexed by id.
     pub const TEXTS: [&str; COUNT] = ["[PAD]", "[BOS]", "[EOS]", "[FRAG]", "[IGNORE]"];
@@ -381,6 +395,51 @@ fn pre_tokenize(text: &str) -> Vec<&str> {
 /// An adjacent token pair, the unit BPE counts and merges.
 type Pair = (TokenId, TokenId);
 
+/// The trainer's maps: keyed by pairs and words, hashed by [`MulRotate`].
+type TrainMap<K, V> = HashMap<K, V, BuildHasherDefault<MulRotate>>;
+
+/// A multiply-rotate hasher (the FxHash step): each written word is
+/// xored into the rotated state, which is then multiplied by an odd
+/// constant. Fast on the trainer's small integer and short byte-string
+/// keys; no merge depends on it (see the crate doc, § Training).
+#[derive(Default)]
+struct MulRotate(u64);
+
+impl MulRotate {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for MulRotate {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let mut word = [0; 8];
+            word.copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A distinct corpus word: its current token ids and how often it occurs.
 type Word = (Vec<TokenId>, u64);
 
@@ -430,10 +489,10 @@ impl BpeTrainer {
     fn learn_merges(&self, mut words: Vec<Word>) -> BpeTokenizer {
         let n_merges = self.target_vocab - MERGE_BASE as usize;
         let mut merges: Vec<Pair> = Vec::new();
-        let mut counts: HashMap<Pair, u64> = HashMap::new();
+        let mut counts: TrainMap<Pair, u64> = TrainMap::default();
         // Every word holding a pair is listed under it; a listed word may
         // since have lost the pair, or be listed twice.
-        let mut holders: HashMap<Pair, Vec<u32>> = HashMap::new();
+        let mut holders: TrainMap<Pair, Vec<u32>> = TrainMap::default();
         for (w, (ids, count)) in words.iter().enumerate() {
             add_pairs(ids, *count, w as u32, &mut counts, &mut holders);
         }
@@ -491,7 +550,7 @@ impl BpeTrainer {
 /// sorted: merges do not depend on the order, but training then takes
 /// the same steps whatever the hash seed.
 fn count_words<'a>(corpus: impl Iterator<Item = &'a str>) -> Vec<Word> {
-    let mut word_counts: HashMap<&str, u64> = HashMap::new();
+    let mut word_counts: TrainMap<&str, u64> = TrainMap::default();
     for doc in corpus {
         for piece in split_specials(doc) {
             if let Piece::Text(t) = piece {
@@ -515,8 +574,8 @@ fn add_pairs(
     ids: &[TokenId],
     count: u64,
     w: u32,
-    counts: &mut HashMap<Pair, u64>,
-    holders: &mut HashMap<Pair, Vec<u32>>,
+    counts: &mut TrainMap<Pair, u64>,
+    holders: &mut TrainMap<Pair, Vec<u32>>,
 ) {
     for p in ids.windows(2) {
         let pair = (p[0], p[1]);

@@ -3,10 +3,14 @@
 //! The dataset pipeline retains only files that pass the parser's syntax
 //! check ([`parse`](crate::parse): code that parses is *cleaned code*)
 //! and drops files without a complete `module`/`endmodule` structure or
-//! consisting mostly of comments.
+//! consisting mostly of comments
+//! ([`LexOutput::comment_ratio`](crate::lexer::LexOutput::comment_ratio)).
+//! The pipeline lexes each file once and hands the one token stream to
+//! [`structure_ok_tokens`], [`parse_tokens`](crate::parser::parse_tokens)
+//! and [`fragmentize_tokens`](crate::fragment::fragmentize_tokens).
 
 use crate::lexer::lex_full;
-use crate::token::Keyword;
+use crate::token::{Keyword, Token};
 use crate::TokenKind;
 
 /// Quick structural filter: balanced `module`/`endmodule` pairs, at least
@@ -17,11 +21,15 @@ use crate::TokenKind;
 /// rejected cheaply, mirroring the paper's "filter out files lacking
 /// complete `module` and `endmodule` structures".
 pub fn structure_ok(src: &str) -> bool {
-    let Ok(out) = lex_full(src) else { return false };
+    lex_full(src).is_ok_and(|out| structure_ok_tokens(&out.tokens))
+}
+
+/// [`structure_ok`] over a token stream that has been lexed already.
+pub fn structure_ok_tokens(tokens: &[Token]) -> bool {
     let mut depth = 0i32;
     let mut pairs = 0usize;
     let mut after_last = false;
-    for t in &out.tokens {
+    for t in tokens {
         match &t.kind {
             TokenKind::Keyword(Keyword::Module) => {
                 if depth > 0 {
@@ -50,18 +58,6 @@ pub fn structure_ok(src: &str) -> bool {
         }
     }
     depth == 0 && pairs > 0
-}
-
-/// Fraction of the input occupied by comments, in `[0, 1]`.
-///
-/// Files above a threshold (the pipeline uses 0.8) are dropped as
-/// "primarily consisting of comments". Returns 1.0 for unlexable input so
-/// such files are filtered as well.
-pub fn comment_ratio(src: &str) -> f64 {
-    match lex_full(src) {
-        Ok(out) => out.comment_ratio(),
-        Err(_) => 1.0,
-    }
 }
 
 #[cfg(test)]
@@ -104,15 +100,11 @@ mod tests {
 
     #[test]
     fn comment_ratio_bounds() {
+        let comment_ratio = |src| lex_full(src).expect("lexes").comment_ratio();
         assert_eq!(comment_ratio(""), 0.0);
         assert!(comment_ratio("// all comment") > 0.9);
         let r = comment_ratio("module m(); endmodule // note");
         assert!(r > 0.0 && r < 0.5);
-    }
-
-    #[test]
-    fn unlexable_input_counts_as_all_comment() {
-        assert_eq!(comment_ratio("module /* unterminated"), 1.0);
     }
 
     #[test]

@@ -6,15 +6,16 @@
 //! check truncates committed tokens at the last fragment boundary, which
 //! is what keeps every decoding step syntactically complete (Fig. 5).
 
-use crate::lexer::lex_full;
+use crate::lexer::lex;
+use crate::parser::parse_tokens;
 use crate::significant::SignificantTokens;
-use crate::token::TokenKind;
+use crate::token::{Token, TokenKind};
 use crate::Result;
 
 /// The fragment-boundary marker inserted between significant tokens.
-pub const FRAG_MARKER: &str = "[FRAG]";
+const FRAG_MARKER: &str = "[FRAG]";
 
-/// Wraps every significant token of `src` in [`FRAG_MARKER`]s.
+/// Wraps every significant token of `src` in `[FRAG]` markers.
 ///
 /// Whitespace and comments between tokens are preserved verbatim, so
 /// [`defragmentize`] restores the original text exactly.
@@ -41,7 +42,29 @@ pub const FRAG_MARKER: &str = "[FRAG]";
 /// # Ok::<(), verispec_verilog::Error>(())
 /// ```
 pub fn fragmentize(src: &str, sig: &SignificantTokens) -> Result<String> {
-    let out = lex_full(src)?;
+    Ok(fragmentize_tokens(src, &lex(src)?, sig))
+}
+
+/// Parses `src` and wraps its significant tokens: [`fragmentize`] with
+/// the [`SignificantTokens`] of `src`'s own syntax tree, lexing `src`
+/// once for both.
+///
+/// # Errors
+///
+/// Returns an error if `src` fails to lex or to parse.
+pub fn fragmentize_source(src: &str) -> Result<String> {
+    let tokens = lex(src)?;
+    let sig = SignificantTokens::from_source_file(&parse_tokens(&tokens)?);
+    Ok(fragmentize_tokens(src, &tokens, &sig))
+}
+
+/// [`fragmentize`] over `src`'s token stream as [`lex`] returns it, for
+/// a caller that has lexed (and parsed) the source already.
+///
+/// # Panics
+///
+/// If a token's span does not lie within `src`.
+pub fn fragmentize_tokens(src: &str, tokens: &[Token], sig: &SignificantTokens) -> String {
     let mut result = String::with_capacity(src.len() * 2);
     let mut prev_end = 0usize;
 
@@ -62,7 +85,7 @@ pub fn fragmentize(src: &str, sig: &SignificantTokens) -> Result<String> {
     }
     let mut header = Header::Idle;
 
-    for tok in &out.tokens {
+    for tok in tokens {
         if tok.kind == TokenKind::Eof {
             break;
         }
@@ -131,10 +154,10 @@ pub fn fragmentize(src: &str, sig: &SignificantTokens) -> Result<String> {
         }
     }
     result.push_str(&src[prev_end..]);
-    Ok(result)
+    result
 }
 
-/// Removes every [`FRAG_MARKER`] from `tagged`, restoring plain Verilog.
+/// Removes every `[FRAG]` marker from `tagged`, restoring plain Verilog.
 pub fn defragmentize(tagged: &str) -> String {
     tagged.replace(FRAG_MARKER, "")
 }
@@ -166,6 +189,18 @@ endmodule";
     fn tag(src: &str) -> String {
         let sig = SignificantTokens::from_source_file(&parse(src).expect("parse"));
         fragmentize(src, &sig).expect("fragmentize")
+    }
+
+    #[test]
+    fn fragmentize_source_equals_parse_then_fragmentize() {
+        for src in [
+            FIG3_SRC,
+            "module m #(parameter W = 4)(input [W-1:0] a, output y); assign y = a[0]; endmodule",
+        ] {
+            assert_eq!(fragmentize_source(src).expect("tags"), tag(src));
+        }
+        assert!(fragmentize_source("module m(input a output y); endmodule").is_err());
+        assert!(fragmentize_source("module m; /* unterminated").is_err());
     }
 
     #[test]

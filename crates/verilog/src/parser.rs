@@ -26,10 +26,25 @@ use crate::{Error, Result};
 /// # Ok::<(), verispec_verilog::Error>(())
 /// ```
 pub fn parse(src: &str) -> Result<SourceFile> {
-    let tokens = lex(src)?;
-    let mut p = Parser::new(tokens);
-    let file = p.source_file()?;
-    Ok(file)
+    parse_tokens(&lex(src)?)
+}
+
+/// Parses a source file from its token stream, as [`lex`] (or
+/// [`lex_full`](crate::lexer::lex_full)) returns it: a caller that has
+/// lexed the source already parses it without lexing it again.
+///
+/// # Errors
+///
+/// Returns the first syntactic error, or an error if `tokens` does not
+/// end in its one `Eof` token.
+pub fn parse_tokens(tokens: &[Token]) -> Result<SourceFile> {
+    match tokens.last() {
+        Some(t) if t.kind == TokenKind::Eof => Parser::new(tokens).source_file(),
+        last => Err(Error::new(
+            last.map_or(Span::point(0), |t| t.span),
+            "token stream does not end in `Eof`",
+        )),
+    }
 }
 
 /// Parses a single expression, for tests and constant folding helpers.
@@ -39,19 +54,19 @@ pub fn parse(src: &str) -> Result<SourceFile> {
 /// Returns an error if the text is not exactly one expression.
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let tokens = lex(src)?;
-    let mut p = Parser::new(tokens);
+    let mut p = Parser::new(&tokens);
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'t> {
+    tokens: &'t [Token],
     pos: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
+impl<'t> Parser<'t> {
+    fn new(tokens: &'t [Token]) -> Self {
         Self { tokens, pos: 0 }
     }
 
@@ -909,6 +924,16 @@ mod tests {
         let f = parse(src).unwrap_or_else(|e| panic!("parse failed: {e}\nsource: {src}"));
         assert_eq!(f.modules.len(), 1);
         f.modules.into_iter().next().expect("one module")
+    }
+
+    #[test]
+    fn a_token_stream_without_its_eof_is_an_error() {
+        let src = "module m(input a, output y); assign y = a; endmodule";
+        let tokens = lex(src).expect("lexes");
+        assert_eq!(parse_tokens(&tokens), parse(src));
+        let err = parse_tokens(&tokens[..tokens.len() - 1]).expect_err("no Eof");
+        assert!(err.message.contains("does not end in `Eof`"), "{err}");
+        assert!(parse_tokens(&[]).is_err());
     }
 
     #[test]

@@ -20,7 +20,9 @@ fn pipe() -> Pipeline {
 #[test]
 fn tagged_sequences_are_longer_but_same_code() {
     let p = pipe();
-    for (plain, tagged) in p.plain_sequences.iter().zip(&p.tagged_sequences).take(10) {
+    let plain = p.sequences_for(TrainMethod::Medusa, (1, 1));
+    let tagged = p.sequences_for(TrainMethod::Ours, (1, 1));
+    for (plain, tagged) in plain.iter().zip(&tagged).take(10) {
         assert!(tagged.len() > plain.len(), "FRAG markers must add tokens");
         let frag_count = tagged.iter().filter(|&&t| t == special::FRAG).count();
         assert!(
@@ -41,7 +43,7 @@ fn ours_head_supervision_is_sparser_and_easier() {
     let mut ratio_first = 0.0f64;
     let mut ratio_last = 0.0f64;
     let mut count = 0usize;
-    for seq in p.tagged_sequences.iter().take(20) {
+    for seq in p.sequences_for(TrainMethod::Ours, (1, 1)).iter().take(20) {
         let g = LabelGrid::syntax_enriched_parallel(seq, n_heads);
         ratio_first += g.ignore_fraction(1);
         ratio_last += g.ignore_fraction(n_heads);
@@ -79,7 +81,7 @@ fn ours_heads_predict_better_within_fragments_than_medusa_heads() {
 
     let mut ours_nll = 0.0f64;
     let mut ours_n = 0usize;
-    for seq in p.tagged_sequences.iter().take(8) {
+    for seq in p.sequences_for(TrainMethod::Ours, (1, 1)).iter().take(8) {
         let grid = LabelGrid::syntax_enriched_parallel(seq, ours.n_heads());
         for pos in 0..seq.len().saturating_sub(3) {
             let target = grid.label(1, pos);
@@ -94,7 +96,7 @@ fn ours_heads_predict_better_within_fragments_than_medusa_heads() {
     }
     let mut med_nll = 0.0f64;
     let mut med_n = 0usize;
-    for seq in p.plain_sequences.iter().take(8) {
+    for seq in p.sequences_for(TrainMethod::Medusa, (1, 1)).iter().take(8) {
         for pos in 0..seq.len().saturating_sub(3) {
             let target = seq[pos + 2];
             let logits = &medusa.multi_logits(&seq[..=pos])[1];
