@@ -345,7 +345,7 @@ impl MlpLm {
             .zip(acts.chunks_exact_mut(d_hidden))
             .zip(rows.chunks_exact_mut(vocab));
         for ((x, hidden), row) in inputs {
-            packed.w1.matvec_into(x, hidden);
+            packed.w1.matvec_into(x, None, hidden);
             for (h, b) in hidden.iter_mut().zip(&self.b1) {
                 *h = silu(*h + b);
             }
@@ -370,19 +370,17 @@ impl MlpLm {
         row: &mut [f32],
     ) {
         let (p, u) = &packed.heads[head];
+        let c = Some(&self.heads[head].c[..]);
         match p {
             // Base head: z == h, project the hidden state directly.
-            None => u.matvec_into(hidden, row),
+            None => u.matvec_into(hidden, c, row),
             Some(p) => {
-                p.matvec_into(hidden, z);
+                p.matvec_into(hidden, None, z);
                 for (zv, &hv) in z.iter_mut().zip(hidden) {
                     *zv = hv + silu(*zv);
                 }
-                u.matvec_into(z, row);
+                u.matvec_into(z, c, row);
             }
-        }
-        for (l, c) in row.iter_mut().zip(&self.heads[head].c) {
-            *l += c;
         }
     }
 

@@ -105,6 +105,50 @@ proptest! {
     }
 
     #[test]
+    fn top_k_chunk_skips_equal_the_full_sort(
+        seed in any::<u64>(),
+        kind in 0usize..9,
+        short in 1usize..41,
+        wide in any::<bool>(),
+    ) {
+        // `top_k_into` skips a whole chunk on one compare per entry
+        // (all `l <= bar`) and walks only the chunks that can rank; the
+        // result must be the head of the full sort for every `k` from 0
+        // to 4, on rows built where a skip could drop or reorder an
+        // entry: one-hot rows, ties at the ends and astride a chunk,
+        // signed zeros, rows of `-∞`.
+        let width = if wide { 480 } else { short };
+        let logits = shaped_row(kind, width, seed);
+        let oracle = full_sort(&logits);
+        let mut buf = vec![7; 3];
+        for k in 0..=4usize {
+            top_k_into(&logits, k, &mut buf);
+            prop_assert_eq!(&buf[..], &oracle[..k.min(width)], "kind {} width {} k {}", kind, width, k);
+        }
+        // A ranking's first read is three deep; a read at rank 3 re-ranks
+        // six deep and must extend it, not reorder it.
+        let mut ranking = Ranking::new(&logits, 2);
+        let first = ranking.head(3).to_vec();
+        prop_assert_eq!(ranking.get(3), oracle.get(3).copied());
+        prop_assert_eq!(ranking.depth(), 6.min(width));
+        prop_assert_eq!(&ranking.head(6)[..first.len()], &first[..]);
+        prop_assert_eq!(ranking.head(6), &oracle[..6.min(width)]);
+        // A NaN at the start, mid-row or last has no rank, whether its
+        // chunk is the first (walked while the ranking fills) or one the
+        // skip test must not skip.
+        for at in [0, width / 2, width - 1] {
+            let mut bad = logits.clone();
+            bad[at] = f32::NAN;
+            for k in 1..=4usize {
+                let err = std::panic::catch_unwind(|| top_k_into(&bad, k, &mut Vec::new()))
+                    .expect_err("NaN has no rank");
+                let msg = err.downcast_ref::<&'static str>().copied().unwrap_or("");
+                prop_assert!(msg.contains("finite logits"), "NaN at {}, k {}: {}", at, k, msg);
+            }
+        }
+    }
+
+    #[test]
     fn sampler_top_k_keeps_exactly_the_selected_support(
         seed in any::<u64>(),
         logits in prop::collection::vec((-3i32..4).prop_map(|v| v as f32 * 0.5), 2..24),
@@ -130,6 +174,79 @@ proptest! {
         prop_assert_eq!(model.logits(&[1, 2, 3]), back.logits(&[1, 2, 3]));
         prop_assert_eq!(model.multi_logits(&[4]), back.multi_logits(&[4]));
     }
+}
+
+/// `0..width` sorted under the total order *logit descending, index
+/// ascending* (`+0.0` and `-0.0` equal, `-∞` a value like any other).
+fn full_sort(logits: &[f32]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..logits.len() as u32).collect();
+    order.sort_by(|&a, &b| {
+        logits[b as usize]
+            .partial_cmp(&logits[a as usize])
+            .expect("finite")
+            .then(a.cmp(&b))
+    });
+    order
+}
+
+/// A row of `width` entries on a coarse grid (ties everywhere), shaped
+/// by `kind` to put ties, zeros and `-∞` where skipping a chunk could
+/// drop or reorder an entry.
+fn shaped_row(kind: usize, width: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed | 1;
+    let mut below = |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    let mut row: Vec<f32> = (0..width).map(|_| below(9) as f32 * 0.5 - 3.0).collect();
+    let last = width - 1;
+    let top = 2.0;
+    match kind {
+        // One-hot: one 1.0 among zeros.
+        1 => {
+            row.fill(0.0);
+            row[below(width)] = 1.0;
+        }
+        // The best tied at the first and the last index.
+        2 => {
+            row[0] = top;
+            row[last] = top;
+        }
+        // Ties astride a sixteen-entry chunk boundary, best and runner-up.
+        3 => {
+            for (i, v) in [(15, top), (16, top), (31, top - 1.0), (32, top - 1.0)] {
+                row[i.min(last)] = v;
+            }
+        }
+        // `+0.0` tied with `-0.0` for the best, either order, among
+        // more of both.
+        4 => {
+            for v in &mut row {
+                *v = -v.abs() - 0.5;
+            }
+            for _ in 0..3 {
+                row[below(width)] = if below(2) == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        // All `-∞`, and one finite entry among `-∞`.
+        5 => row.fill(f32::NEG_INFINITY),
+        6 => {
+            row.fill(f32::NEG_INFINITY);
+            row[below(width)] = -1e30;
+        }
+        // `-∞` sprinkled over the grid.
+        7 => {
+            for _ in 0..1 + width / 4 {
+                row[below(width)] = f32::NEG_INFINITY;
+            }
+        }
+        // Every entry equal.
+        8 => row.fill([0.0, -0.0, 1.5][below(3)]),
+        _ => {}
+    }
+    row
 }
 
 /// Empirical sampling frequencies track softmax probabilities.

@@ -309,6 +309,29 @@ mod tests {
     }
 
     #[test]
+    fn one_budget_covers_every_activation_of_a_simulation() {
+        // A legal loop that one activation runs in full, re-run on every
+        // settle sweep of every input change: the simulation's one
+        // budget runs out within a few changes, where a budget per
+        // activation would have spent it afresh on each.
+        let d = design_of(
+            "module spin(input [7:0] a, output reg [15:0] y);
+               integer i;
+               always @(*) begin
+                 y = 0;
+                 for (i = 0; i < 4000; i = i + 1) y = y + a;
+               end
+             endmodule",
+        );
+        let mut sim = Sim::new(&d).expect("one activation fits the budget");
+        assert_eq!(sim.get("y").expect("y"), 0);
+        let err = (1..64u64)
+            .find_map(|v| sim.set("a", v).err())
+            .expect("the simulation's total runs out");
+        assert!(err.to_string().contains("budget"), "{err}");
+    }
+
+    #[test]
     fn non_ansi_ports_simulate() {
         let d = design_of(
             "module f(a, b, y);
