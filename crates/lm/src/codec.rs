@@ -156,7 +156,7 @@ mod tests {
     fn the_decimal_form_is_not_read() {
         // An array of numbers — the form a model file had before it held
         // bits — is refused, so an older file is a miss, not a model.
-        let decimals = Value::Floats(vec![0.5, -1.25]);
+        let decimals = Value::Seq(vec![Value::Float(0.5), Value::Float(-1.25)]);
         let err = decode(&decimals, 2).unwrap_err();
         assert!(err.to_string().contains("found sequence"), "{err}");
         assert!(decode(&Value::Null, 0).is_err());

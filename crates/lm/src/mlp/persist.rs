@@ -71,21 +71,20 @@ impl Deserialize for MlpLm {
             .seq_items(n_rows)
             .map_err(|e| named("heads", e))?;
         let mut heads = Vec::with_capacity(n_rows);
-        for k in 0..n_rows {
-            let head = stored.get(k);
+        for (k, head) in stored.iter().enumerate() {
             let name = |t: &str| format!("heads[{k}].{t}");
-            let p = match (k, field(&head, "p", &name("p"))?) {
+            let p = match (k, field(head, "p", &name("p"))?) {
                 (0, Value::Null) => None,
                 (0, _) => return Err(named(&name("p"), "the base head has no residual block")),
                 (_, Value::Null) => {
                     return Err(named(&name("p"), "a Medusa head needs its residual block"))
                 }
-                (_, _) => Some(matrix(&head, "p", &name("p"), (d_hidden, d_hidden))?),
+                (_, _) => Some(matrix(head, "p", &name("p"), (d_hidden, d_hidden))?),
             };
             heads.push(Head {
                 p,
-                u: matrix(&head, "u", &name("u"), (vocab, d_hidden))?,
-                c: vector(&head, "c", &name("c"), vocab)?,
+                u: matrix(head, "u", &name("u"), (vocab, d_hidden))?,
+                c: vector(head, "c", &name("c"), vocab)?,
             });
         }
         Ok(MlpLm {

@@ -484,6 +484,24 @@ mod tests {
     }
 
     #[test]
+    fn a_draw_past_the_cumulative_sum_falls_back_to_the_last_nonzero_entry() {
+        // A seed whose first uniform is at least 0.5, the total mass of
+        // the rows below, so the cumulative scan never stops.
+        let seed = (0..64u64)
+            .find(|&s| SmallRng::seed_from_u64(s).gen::<f32>() >= 0.5)
+            .expect("a seed among 64 draws at least 0.5");
+        let rng = || SmallRng::seed_from_u64(seed);
+        assert_eq!(draw(&mut rng(), [0.25f32, 0.25, 0.0].into_iter()), 1);
+        assert_eq!(draw(&mut rng(), [0.0f32; 3].into_iter()), 0);
+        // The untruncated support draw falls back the same way and names
+        // the token at that position.
+        let support = [(3, 1.0f32), (7, 1.0), (9, 0.0)];
+        assert_eq!(Sampler::new(seed).draw_support(&support, 4.0, 10, 0), 7);
+        let zeros = [(5, 0.0f32), (6, 0.0)];
+        assert_eq!(Sampler::new(seed).draw_support(&zeros, 1.0, 10, 0), 5);
+    }
+
+    #[test]
     fn top_k_indices_ordered() {
         assert_eq!(top_k_indices(&[0.1, 5.0, 3.0, 4.0], 3), vec![1, 3, 2]);
         assert_eq!(top_k_indices(&[1.0], 5), vec![0]);

@@ -133,40 +133,31 @@ pub struct LoadBenchRow {
     pub deferred_steps: u64,
     /// Prefix-cache admissions that forked a cached stem (0 when the
     /// cache is off).
-    #[serde(default)]
     pub prefix_hits: usize,
     /// Prefix-cache admissions that ingested from scratch.
-    #[serde(default)]
     pub prefix_misses: usize,
     /// Cache hit rate (`hits / (hits + misses)`; `None` when the cache
     /// never saw an admission — i.e. it was off).
-    #[serde(default)]
     pub prefix_hit_rate: Option<f64>,
     /// Prompt tokens whose ingestion the cache skipped (sum of matched
     /// prefix depths over all hits).
-    #[serde(default)]
     pub prefix_tokens_saved: usize,
     /// Cached stems dropped by cap-charged LRU eviction.
-    #[serde(default)]
     pub prefix_evictions: usize,
     /// High-water resident trie nodes holding a session (fleet maximum
     /// for dispatched rows).
-    #[serde(default)]
     pub peak_resident_nodes: usize,
     /// Candidate tokens proposed, summed from the event stream's
     /// per-request `Finished` events (must agree with the counter-based
     /// acceptance telemetry).
-    #[serde(default)]
     pub event_proposed_tokens: usize,
     /// Candidate tokens accepted, summed from the same `Finished`
     /// events.
-    #[serde(default)]
     pub event_accepted_tokens: usize,
     /// Requests whose `Finished` event violated the per-request
     /// `accepted <= proposed` invariant. Always 0 in an honestly
     /// produced artifact; the sweep's gates refuse to write one
     /// otherwise.
-    #[serde(default)]
     pub event_accept_violations: usize,
     /// Whether the same cell served on
     /// [`verispec_serve::Backend::Threaded`] reproduced the lockstep
@@ -175,26 +166,21 @@ pub struct LoadBenchRow {
     /// recorded after the assertion, so an honest artifact always says
     /// `Some(true)`. `None` for cells the threaded sweep does not cover
     /// (single-engine and trace-replay rows).
-    #[serde(default)]
     pub threaded_parity: Option<bool>,
     /// Worker crashes the run's [`verispec_serve::FaultPlan`] fired (0
     /// for fault-free cells).
-    #[serde(default)]
     pub worker_crashes: usize,
     /// Requests migrated off crashed workers (re-routed through the
     /// live fleet and rebuilt by exact replay).
-    #[serde(default)]
     pub migrations: usize,
     /// Tokens re-decoded while rebuilding migrated sessions — the
     /// recovery work the fault plan cost the fleet.
-    #[serde(default)]
     pub replay_tokens: usize,
     /// Exact p99 TTFT (ticks) over the fault-affected completions —
     /// those that were migrated or deferred under backpressure — i.e.
     /// the recovery-window tail. `None` when no completion was
     /// fault-affected (fault-free cells, or plans that touched no
     /// in-flight work).
-    #[serde(default)]
     pub recovery_ttft_p99: Option<f64>,
 }
 

@@ -325,7 +325,6 @@ pub struct LatencyReport {
     /// Prefix-cache counters for the run (`None` when the cache was
     /// off); attached by the open-loop drivers via
     /// [`LatencyReport::attach_prefix_stats`].
-    #[serde(default)]
     pub prefix: Option<PrefixCacheSummary>,
 }
 

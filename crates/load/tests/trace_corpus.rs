@@ -363,31 +363,20 @@ struct GoldenSummary {
     ticks: u64,
     deadlines_met: usize,
     /// Prefix-cache counters (all zero for cache-off cases).
-    #[serde(default)]
     prefix_hits: usize,
-    #[serde(default)]
     prefix_misses: usize,
-    #[serde(default)]
     prefix_evictions: usize,
     /// Grammar-prune counters (all zero without an attached oracle).
-    #[serde(default)]
     grammar_considered: usize,
-    #[serde(default)]
     grammar_pruned: usize,
-    #[serde(default)]
     grammar_surviving: usize,
     /// Fault-recovery counters (all zero for single-engine and
     /// fault-free cases) — the golden recovery summary of the
     /// production-failure traces.
-    #[serde(default)]
     worker_crashes: usize,
-    #[serde(default)]
     worker_restarts: usize,
-    #[serde(default)]
     migrations: usize,
-    #[serde(default)]
     replayed_tokens: usize,
-    #[serde(default)]
     backpressure_deferrals: usize,
 }
 

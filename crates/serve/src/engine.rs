@@ -109,7 +109,6 @@ pub struct ServeConfig {
     /// alongside live sessions, and eviction is exact-replay (LRU
     /// leaves are dropped; a later miss rebuilds from the full prompt,
     /// outputs bit-identical).
-    #[serde(default)]
     pub prefix_cache: bool,
     /// Prompt-ingestion cost model: tokens ingested per tick at
     /// admission. A freshly admitted request *warms up* for
@@ -119,7 +118,6 @@ pub struct ServeConfig {
     /// savings. `None` (the default)
     /// keeps ingestion free, the pre-cache behavior. Token streams are
     /// unaffected either way — warmup only shifts scheduling.
-    #[serde(default)]
     pub ingest_rate: Option<usize>,
     /// Per-class weighted-fairness shares consumed by
     /// [`TickOrder::WeightedFair`]: entry `i` is the scheduling weight
@@ -127,7 +125,6 @@ pub struct ServeConfig {
     /// vector (and zero entries) default to weight 1. Ignored by every
     /// other tick order. Weights steer only *when* requests step —
     /// outputs are class-invariant.
-    #[serde(default)]
     pub class_weights: Vec<u32>,
 }
 
@@ -214,65 +211,51 @@ pub struct ServeStats {
     pub deferred_steps: u64,
     /// Fresh admissions whose prompt hit the prefix cache (a cached
     /// stem was forked instead of re-ingesting it).
-    #[serde(default)]
     pub prefix_hits: usize,
     /// Fresh admissions that missed the prefix cache (full-prompt
     /// ingestion; the prompt was inserted for later requests). Only
     /// counted while the cache is enabled.
-    #[serde(default)]
     pub prefix_misses: usize,
     /// Prompt tokens whose ingestion prefix-cache hits skipped (the sum
     /// of hit depths — the O(prompt) → O(suffix) savings).
-    #[serde(default)]
     pub prefix_tokens_saved: usize,
     /// Cache snapshots dropped by the session cap's LRU-leaf eviction
     /// ([`ServeConfig::session_cap`]); later misses rebuild exactly.
-    #[serde(default)]
     pub prefix_evictions: usize,
     /// High-water mark of snapshot-holding trie nodes.
-    #[serde(default)]
     pub peak_resident_nodes: usize,
     /// Histogram of prefix-cache hit depths, log₂-bucketed: bucket `i`
     /// counts hits whose matched depth `d` satisfies
     /// `2^i <= d < 2^(i+1)` (the last bucket absorbs deeper hits).
-    #[serde(default)]
     pub prefix_depth_hist: [u64; 8],
     /// Ranked head tokens grammar-constrained steps tested for lexical
     /// viability while naming their candidate trees (0 unless
     /// [`EngineChoice::GrammarTree`] requests ran with an oracle
     /// attached).
-    #[serde(default)]
     pub grammar_considered: usize,
     /// Tested tokens the viability filter rejected — candidates never
     /// offered because no continuation of them lexes.
-    #[serde(default)]
     pub grammar_pruned: usize,
     /// Tested tokens found viable and named as candidates
     /// (`considered - pruned`).
-    #[serde(default)]
     pub grammar_surviving: usize,
     /// Worker crashes injected by a fault plan
     /// ([`crate::runtime::FaultPlan`]); counted on the fleet
     /// coordinator's stream, not inside any worker.
-    #[serde(default)]
     pub crashes: usize,
     /// Worker restarts injected by a fault plan.
-    #[serde(default)]
     pub restarts: usize,
     /// Requests migrated off crashed workers — re-routed through the
     /// live router and rebuilt elsewhere by exact replay (the crash
     /// recovery path; outputs stay token-identical).
-    #[serde(default)]
     pub migrations: usize,
     /// Tokens migrated requests had already generated when their worker
     /// crashed — the decode work the fault threw away and exact replay
     /// regenerates elsewhere.
-    #[serde(default)]
     pub replayed_tokens: usize,
     /// Arrivals and migrants deferred at the fleet level because no
     /// worker was alive to route to (backpressure; they re-route on the
     /// next restart).
-    #[serde(default)]
     pub backpressure_deferrals: usize,
 }
 

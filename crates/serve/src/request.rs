@@ -98,7 +98,6 @@ pub struct Request {
     /// ([`crate::ServeConfig::class_weights`] /
     /// [`crate::TickOrder::WeightedFair`]). Purely a scheduling tag —
     /// outputs are class-invariant.
-    #[serde(default)]
     pub class: u32,
 }
 
