@@ -36,6 +36,9 @@ pub struct Problem {
     pub plain_header: Option<String>,
     /// `[FRAG]`-tagged header for syntax-aligned models.
     pub tagged_header: Option<String>,
+    /// The reference source `[FRAG]`-tagged, as a syntax-aligned model
+    /// is trained to write it (the plain source, should it not parse).
+    pub reference_tagged: String,
 }
 
 impl Problem {
@@ -105,21 +108,21 @@ fn build_problems(prefix: &str, style: PromptStyle, count: usize, seed: u64) -> 
         // Benchmark prompts follow the same convention as the training
         // corpus: the naming sentence closes the instruction.
         module.description = verispec_data::with_naming_tail(&module.description, &module.name);
+        let tagged = fragmentize_source(&module.source);
         let (plain_header, tagged_header) = if style == PromptStyle::Vgen {
             let plain = header_of(&module.source);
-            let tagged = fragmentize_source(&module.source)
-                .ok()
-                .and_then(|t| tagged_header_of(&t));
-            (plain, tagged)
+            (plain, tagged.as_deref().ok().and_then(tagged_header_of))
         } else {
             (None, None)
         };
+        let reference_tagged = tagged.unwrap_or_else(|_| module.source.clone());
         problems.push(Problem {
             id: format!("{prefix}_{i:02}_{fname}"),
             style,
             module,
             plain_header,
             tagged_header,
+            reference_tagged,
         });
     }
     problems
@@ -189,6 +192,16 @@ mod tests {
                 p.module.source.starts_with(h),
                 "header must prefix the source"
             );
+        }
+    }
+
+    #[test]
+    fn every_problem_keeps_its_reference_fragmentized() {
+        for bench in [rtllm_sim(), vgen_sim()] {
+            for p in bench.problems {
+                let tagged = fragmentize_source(&p.module.source).expect("every reference tags");
+                assert_eq!(p.reference_tagged, tagged, "{}", p.id);
+            }
         }
     }
 

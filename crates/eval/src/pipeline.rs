@@ -29,7 +29,7 @@ use verispec_data::{alpaca_format, Corpus, CorpusConfig, CorpusItem};
 use verispec_grammar::GrammarOracle;
 use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, TokenId};
 use verispec_tokenizer::{special, BpeTokenizer, BpeTrainer};
-use verispec_verilog::fragment::{defragmentize, fragmentize_source};
+use verispec_verilog::fragment::defragmentize;
 
 /// Which paper model a configuration stands in for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -403,23 +403,18 @@ fn clean(tokenizer: &BpeTokenizer, output: DecodeOutput) -> Generation {
 /// proportionally larger raw-token budget.
 pub fn token_budget(tokenizer: &BpeTokenizer, problem: &Problem, method: TrainMethod) -> usize {
     let reference = match method {
-        TrainMethod::Ours => {
-            // Tagged reference length.
-            tokenizer.encode(&problem_reference_tagged(problem)).len()
-        }
-        _ => tokenizer.encode(&problem.module.source).len(),
+        TrainMethod::Ours => &problem.reference_tagged,
+        _ => &problem.module.source,
     };
-    (reference * 2 + 32).min(768)
-}
-
-fn problem_reference_tagged(problem: &Problem) -> String {
-    fragmentize_source(&problem.module.source).unwrap_or_else(|_| problem.module.source.clone())
+    (tokenizer.encode(reference).len() * 2 + 32).min(768)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::benchmarks::rtllm_sim;
+    use crate::benchmarks::{rtllm_sim, vgen_sim, PromptStyle};
+    use std::sync::OnceLock;
+    use verispec_verilog::fragment::fragmentize_source;
 
     fn tiny_pipeline() -> Pipeline {
         Pipeline::build(PipelineConfig {
@@ -585,5 +580,118 @@ mod tests {
         let ours = token_budget(&p.tokenizer, prob, TrainMethod::Ours);
         let ntp = token_budget(&p.tokenizer, prob, TrainMethod::Ntp);
         assert!(ours > ntp, "tagged budget {ours} must exceed plain {ntp}");
+    }
+
+    /// The corpus and tokenizer of the benchmark's pipeline (192 items,
+    /// vocabulary 480) and of the quality gate's (640, 640).
+    fn pipelines_at_both_scales() -> &'static [Pipeline; 2] {
+        static PIPELINES: OnceLock<[Pipeline; 2]> = OnceLock::new();
+        PIPELINES.get_or_init(|| {
+            [(192, 480), (640, 640)].map(|(corpus_size, vocab)| {
+                Pipeline::build(PipelineConfig {
+                    corpus_size,
+                    vocab,
+                    ..Default::default()
+                })
+            })
+        })
+    }
+
+    /// All 46 problems of both suites.
+    fn all_problems() -> Vec<Problem> {
+        let mut problems = rtllm_sim().problems;
+        problems.extend(vgen_sim().problems);
+        problems
+    }
+
+    /// `tok` read back from its JSON: the same merges, and no word table.
+    fn without_word_table(tok: &BpeTokenizer) -> BpeTokenizer {
+        let json = serde_json::to_string(tok).expect("serialize");
+        serde_json::from_str(&json).expect("deserialize")
+    }
+
+    /// [`token_budget`] as it was defined before problems kept their
+    /// tagged reference: the source fragmentized on every call.
+    fn budget_by_definition(tok: &BpeTokenizer, problem: &Problem, method: TrainMethod) -> usize {
+        let source = &problem.module.source;
+        let reference = match method {
+            TrainMethod::Ours => fragmentize_source(source).unwrap_or_else(|_| source.clone()),
+            _ => source.clone(),
+        };
+        (tok.encode(&reference).len() * 2 + 32).min(768)
+    }
+
+    #[test]
+    fn the_word_table_encodes_every_problem_as_the_merges_do() {
+        for p in pipelines_at_both_scales() {
+            let merged = without_word_table(&p.tokenizer);
+            assert_eq!(merged, p.tokenizer);
+            for problem in &all_problems() {
+                let description = &problem.module.description;
+                let source = &problem.module.source;
+                let tagged = &problem.reference_tagged;
+                let reversed: String = source.chars().rev().collect();
+                for text in [
+                    problem.prompt_plain(),
+                    problem.prompt_tagged(),
+                    alpaca_format(description, source),
+                    alpaca_format(description, tagged),
+                    reversed,
+                ] {
+                    assert_eq!(p.tokenizer.encode(&text), merged.encode(&text), "{text:?}");
+                }
+                for method in [TrainMethod::Ntp, TrainMethod::Medusa, TrainMethod::Ours] {
+                    assert_eq!(
+                        token_budget(&p.tokenizer, problem, method),
+                        budget_by_definition(&merged, problem, method),
+                        "{} {}",
+                        problem.id,
+                        method.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The instrument of ROADMAP item 1(a), pinned at today's reading: a
+    /// prompt's ids are a prefix of the ids of the training text it
+    /// starts — `alpaca_format(description, reference)`, the reference
+    /// tagged for a tagged prompt — on the 29 RTLLM problems only. A VGen
+    /// prompt ends its header with `"\n"`, where training tokenizes the
+    /// body's indent (`"\n   "`), so all 17 VGen prompts fail in both
+    /// forms at both scales. Item 1(a) must flip this test to 46 of 46;
+    /// until then it shows the defect and must not be loosened to hide
+    /// it.
+    #[test]
+    fn prompts_end_on_a_training_token_boundary_on_29_of_46_problems() {
+        let problems = all_problems();
+        let vgen: Vec<&str> = problems
+            .iter()
+            .filter(|p| p.style == PromptStyle::Vgen)
+            .map(|p| p.id.as_str())
+            .collect();
+        assert_eq!(vgen.len(), 17);
+        for p in pipelines_at_both_scales() {
+            let tok = &p.tokenizer;
+            for tagged in [false, true] {
+                let failing: Vec<&str> = problems
+                    .iter()
+                    .filter(|problem| {
+                        let description = &problem.module.description;
+                        let (prompt, full) = if tagged {
+                            let full = alpaca_format(description, &problem.reference_tagged);
+                            (problem.prompt_tagged(), full)
+                        } else {
+                            let full = alpaca_format(description, &problem.module.source);
+                            (problem.prompt_plain(), full)
+                        };
+                        !tok.encode(&full).starts_with(&tok.encode(&prompt))
+                    })
+                    .map(|problem| problem.id.as_str())
+                    .collect();
+                assert_eq!(problems.len() - failing.len(), 29, "tagged: {tagged}");
+                assert_eq!(failing, vgen, "tagged: {tagged}");
+            }
+        }
     }
 }

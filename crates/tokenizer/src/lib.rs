@@ -36,15 +36,42 @@
 //! hasher could slow training down but never change a merge.
 //! No merge can depend on the hasher, because nothing reads a map in
 //! its iteration order: the distinct words are sorted before they are
-//! numbered, the heap orders its entries by `(count, Reverse(pair))` —
-//! a total order over distinct pairs, so whichever order they are
-//! pushed in, they pop in the same one — and the words listed under a
-//! pair, and the pairs a merge touched, are sorted and deduplicated
-//! before they are walked.
+//! numbered, and the heap orders its entries by `(count, Reverse(pair))`
+//! — a total order over distinct pairs, so whichever order they are
+//! pushed in, they pop in the same one.
 //!
-//! Encoding applies the merges lowest rank first within each word; a
-//! merge is looked up in a table sorted by right token within each left
-//! token, so no pair is hashed.
+//! Nor can a merge depend on the order in which it walks the words it
+//! rewrites, so nothing is sorted to fix that order. A word listed twice
+//! under the pair is skipped at its second listing: the rewrite at the
+//! first left no occurrence of the pair in it. A pair whose count moved
+//! is marked in its count entry when first listed for the heap, so each
+//! goes to the heap once per merge, with the count it ends the merge
+//! with. That count is a sum over the rewritten words, the same in any
+//! order, and the heap's order is total, so which pair comes next cannot
+//! depend on the walk either. The recount oracle pins this merge for
+//! merge.
+//!
+//! # Encoding
+//!
+//! Encoding splits the text as training does, then encodes each word on
+//! its own. A word the tokenizer was trained on is looked up: when
+//! training ends, the trainer holds every distinct word's final ids, and
+//! keeps them in a flat word table — one arena of text, one of ids and
+//! an open-addressed index, at most half full — so a training word
+//! costs a hash and a compare or two. Any other word goes through the
+//! merges, lowest rank first; a merge is looked up in a table sorted by
+//! right token within each left token, so no pair is hashed. The merges
+//! are the definition: rewriting a word one merge at a time, in rank
+//! order, gives the ids the lowest-rank-first loop gives, so a word
+//! encodes the same either way. A tokenizer read back from JSON, or
+//! built with [`BpeTokenizer::from_merges`], has no word table and
+//! merges every word; it encodes every text to the same ids, and
+//! `PartialEq` compares merges only, so it equals the trained one.
+//!
+//! The table's index hashes with the trainer's hasher and is probed
+//! with any text. It is built from the training words alone, though, so
+//! a probe walks at most the longest run of full slots training left:
+//! no text a caller passes can lengthen one.
 //!
 //! # Examples
 //!
@@ -115,6 +142,9 @@ pub struct BpeTokenizer {
     /// Merge lookup, derived from `merges`.
     #[serde(skip)]
     merge_table: MergeTable,
+    /// The training words' ids, kept by the trainer; empty otherwise.
+    #[serde(skip)]
+    words: WordTable,
 }
 
 /// The serialized fields of a [`BpeTokenizer`], checked before the
@@ -143,6 +173,8 @@ impl TryFrom<StoredTokenizer> for BpeTokenizer {
     }
 }
 
+/// Equal merges make equal tokenizers: the word table only caches what
+/// the merges encode, so it is not compared.
 impl PartialEq for BpeTokenizer {
     fn eq(&self, other: &Self) -> bool {
         self.merges == other.merges && self.vocab_bytes == other.vocab_bytes
@@ -191,6 +223,95 @@ impl MergeTable {
     }
 }
 
+/// The final ids of every distinct training word, looked up by the
+/// word's bytes. Flat: one text arena, one id arena, each word's bounds
+/// in both, and an open-addressed index of word numbers hashed by
+/// [`MulRotate`].
+#[derive(Debug, Clone, Default)]
+struct WordTable {
+    /// Every word's bytes, one word after another.
+    text: Vec<u8>,
+    /// Every word's ids, one word after another.
+    ids: Vec<TokenId>,
+    /// Word `k` is `text[bounds[k].0..bounds[k + 1].0]` and
+    /// `ids[bounds[k].1..bounds[k + 1].1]`.
+    bounds: Vec<(u32, u32)>,
+    /// Word numbers, or [`WordTable::EMPTY`]; a power-of-two length at
+    /// least twice the number of words, probed linearly from a word's
+    /// hash.
+    slots: Vec<u32>,
+}
+
+impl WordTable {
+    /// The mark of a slot that holds no word.
+    const EMPTY: u32 = u32::MAX;
+
+    /// The table of `words`, given by their ids; a word's text is its
+    /// ids' bytes in `vocab_bytes`. The words must be distinct. Every
+    /// buffer is allocated once, at its final size.
+    fn new(words: &[Word], vocab_bytes: &[Vec<u8>]) -> Self {
+        let ids = || words.iter().flat_map(|(ids, _)| ids);
+        let mut table = WordTable {
+            text: Vec::with_capacity(ids().map(|&id| vocab_bytes[id as usize].len()).sum()),
+            ids: Vec::with_capacity(ids().count()),
+            bounds: Vec::with_capacity(words.len() + 1),
+            slots: vec![Self::EMPTY; (2 * words.len()).next_power_of_two().max(2)],
+        };
+        table.bounds.push((0, 0));
+        for (k, (ids, _)) in words.iter().enumerate() {
+            for &id in ids {
+                table.text.extend_from_slice(&vocab_bytes[id as usize]);
+            }
+            table.ids.extend_from_slice(ids);
+            table
+                .bounds
+                .push((table.text.len() as u32, table.ids.len() as u32));
+            let mut s = table.slot_of(table.word(k).0);
+            while table.slots[s] != Self::EMPTY {
+                s = (s + 1) & (table.slots.len() - 1);
+            }
+            table.slots[s] = k as u32;
+        }
+        table
+    }
+
+    /// Word `k`'s bytes and ids.
+    fn word(&self, k: usize) -> (&[u8], &[TokenId]) {
+        let ((text_start, ids_start), (text_end, ids_end)) = (self.bounds[k], self.bounds[k + 1]);
+        (
+            &self.text[text_start as usize..text_end as usize],
+            &self.ids[ids_start as usize..ids_end as usize],
+        )
+    }
+
+    /// The first slot to probe for `text`: the top bits of its hash,
+    /// which the hasher's last multiply mixes best.
+    fn slot_of(&self, text: &[u8]) -> usize {
+        let mut h = MulRotate::default();
+        h.write(text);
+        (h.finish() >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The ids of training word `text`, if it is one.
+    fn get(&self, text: &[u8]) -> Option<&[TokenId]> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut s = self.slot_of(text);
+        loop {
+            let k = self.slots[s];
+            if k == Self::EMPTY {
+                return None;
+            }
+            let (word, ids) = self.word(k as usize);
+            if word == text {
+                return Some(ids);
+            }
+            s = (s + 1) & (self.slots.len() - 1);
+        }
+    }
+}
+
 impl BpeTokenizer {
     /// A tokenizer with no learned merges: specials + raw bytes only.
     pub fn byte_level() -> Self {
@@ -215,6 +336,7 @@ impl BpeTokenizer {
             merge_table: MergeTable::new(&merges),
             merges,
             vocab_bytes,
+            words: WordTable::default(),
         }
     }
 
@@ -261,10 +383,15 @@ impl BpeTokenizer {
         out
     }
 
-    /// Encodes text that contains no special-token spellings, each word
-    /// merged in place at the end of `out`.
+    /// Encodes text that contains no special-token spellings: a training
+    /// word by its entry in the word table, any other word merged in
+    /// place at the end of `out`.
     fn encode_plain(&self, text: &str, out: &mut Vec<TokenId>) {
         for word in pre_tokenize(text) {
+            if let Some(ids) = self.words.get(word.as_bytes()) {
+                out.extend_from_slice(ids);
+                continue;
+            }
             let start = out.len();
             out.extend(word.bytes().map(|b| BYTE_BASE + b as TokenId));
             // Greedy lowest-rank merge loop (standard BPE application).
@@ -479,33 +606,51 @@ impl BpeTrainer {
         self.learn_merges(count_words(corpus))
     }
 
-    /// The merge loop over the counted words. Not generic, so it is
-    /// compiled here, once, and runs the same code whichever crate
-    /// calls [`BpeTrainer::train`] with whichever iterator.
-    ///
-    /// Each merge is the pair of highest count over all words, ties to
-    /// the smaller pair, applied to every word left to right; only the
-    /// words holding the pair are recounted (see the crate doc).
+    /// The tokenizer of the counted words: their merges, and each word's
+    /// final ids in its word table. Not generic, so it is compiled here,
+    /// once, and runs the same code whichever crate calls
+    /// [`BpeTrainer::train`] with whichever iterator.
     fn learn_merges(&self, mut words: Vec<Word>) -> BpeTokenizer {
+        let merges = self.merge_words(&mut words);
+        // The counts, index and heap are freed by now, so the table that
+        // outlives them can take their place.
+        let mut tok = BpeTokenizer::from_merges(merges);
+        tok.words = WordTable::new(&words, &tok.vocab_bytes);
+        tok
+    }
+
+    /// Learns the merges, rewriting each word to its final ids. Each
+    /// merge is the pair of highest count over all words, ties to the
+    /// smaller pair, applied to every word left to right; only the words
+    /// holding the pair are recounted (see the crate doc).
+    fn merge_words(&self, words: &mut [Word]) -> Vec<Pair> {
         let n_merges = self.target_vocab - MERGE_BASE as usize;
         let mut merges: Vec<Pair> = Vec::new();
-        let mut counts: TrainMap<Pair, u64> = TrainMap::default();
+        let mut counts: TrainMap<Pair, Tally> = TrainMap::default();
         // Every word holding a pair is listed under it; a listed word may
         // since have lost the pair, or be listed twice.
         let mut holders: TrainMap<Pair, Vec<u32>> = TrainMap::default();
-        for (w, (ids, count)) in words.iter().enumerate() {
-            add_pairs(ids, *count, w as u32, &mut counts, &mut holders);
-        }
+        // Pairs whose count moved since the heap last heard of them.
+        let mut touched: Vec<Pair> = Vec::new();
         // Max-heap of (count, smaller pair first); an entry whose count is
         // no longer its pair's is stale and skipped when it surfaces.
-        let mut heap: BinaryHeap<(u64, Reverse<Pair>)> =
-            counts.iter().map(|(&p, &c)| (c, Reverse(p))).collect();
-        let mut touched: Vec<Pair> = Vec::new();
+        let mut heap: BinaryHeap<(u64, Reverse<Pair>)> = BinaryHeap::new();
+        for (w, (ids, count)) in words.iter().enumerate() {
+            add_pairs(
+                ids,
+                *count,
+                w as u32,
+                &mut counts,
+                &mut holders,
+                &mut touched,
+            );
+        }
+        push_touched(&mut touched, &mut counts, &mut heap);
         while merges.len() < n_merges {
             let Some((count, Reverse(pair))) = heap.pop() else {
                 break;
             };
-            if counts.get(&pair) != Some(&count) {
+            if counts.get(&pair).map(|t| t.count) != Some(count) {
                 continue;
             }
             if (count as usize) < self.min_pair_count {
@@ -513,36 +658,31 @@ impl BpeTrainer {
             }
             let new_id = MERGE_BASE + merges.len() as TokenId;
             merges.push(pair);
-            let mut holding = holders.remove(&pair).unwrap_or_default();
-            holding.sort_unstable();
-            holding.dedup();
-            for w in holding {
+            for w in holders.remove(&pair).unwrap_or_default() {
                 let (ids, count) = &mut words[w as usize];
+                // A word that lost the pair since it was listed, or that
+                // is listed twice and was rewritten at its first listing,
+                // holds no occurrence of it: a rewrite leaves none.
                 if !ids.windows(2).any(|p| (p[0], p[1]) == pair) {
                     continue;
                 }
                 for p in ids.windows(2) {
                     let old = (p[0], p[1]);
-                    let c = counts.get_mut(&old).expect("a held pair is counted");
-                    *c -= *count;
-                    if *c == 0 {
+                    let tally = counts.get_mut(&old).expect("a held pair is counted");
+                    tally.count -= *count;
+                    if tally.count == 0 {
                         counts.remove(&old);
+                    } else if !tally.touched {
+                        tally.touched = true;
+                        touched.push(old);
                     }
-                    touched.push(old);
                 }
                 merge_pair(ids, pair, new_id);
-                add_pairs(ids, *count, w, &mut counts, &mut holders);
-                touched.extend(ids.windows(2).map(|p| (p[0], p[1])));
+                add_pairs(ids, *count, w, &mut counts, &mut holders, &mut touched);
             }
-            touched.sort_unstable();
-            touched.dedup();
-            for p in touched.drain(..) {
-                if let Some(&c) = counts.get(&p) {
-                    heap.push((c, Reverse(p)));
-                }
-            }
+            push_touched(&mut touched, &mut counts, &mut heap);
         }
-        BpeTokenizer::from_merges(merges)
+        merges
     }
 }
 
@@ -568,21 +708,55 @@ fn count_words<'a>(corpus: impl Iterator<Item = &'a str>) -> Vec<Word> {
     words
 }
 
+/// A pair's count over all words, and whether it is listed in the
+/// trainer's `touched` since the heap last heard of it: a merge lists a
+/// pair once however many of the words it rewrites hold the pair.
+struct Tally {
+    count: u64,
+    touched: bool,
+}
+
 /// Adds word `w`'s adjacent pairs, `count` times each, to the pair
-/// counts, and lists `w` under each pair.
+/// counts, lists `w` under each pair, and lists each pair in `touched`
+/// unless it is there already.
 fn add_pairs(
     ids: &[TokenId],
     count: u64,
     w: u32,
-    counts: &mut TrainMap<Pair, u64>,
+    counts: &mut TrainMap<Pair, Tally>,
     holders: &mut TrainMap<Pair, Vec<u32>>,
+    touched: &mut Vec<Pair>,
 ) {
     for p in ids.windows(2) {
         let pair = (p[0], p[1]);
-        *counts.entry(pair).or_insert(0) += count;
+        let tally = counts.entry(pair).or_insert(Tally {
+            count: 0,
+            touched: false,
+        });
+        tally.count += count;
+        if !tally.touched {
+            tally.touched = true;
+            touched.push(pair);
+        }
         let list = holders.entry(pair).or_default();
         if list.last() != Some(&w) {
             list.push(w);
+        }
+    }
+}
+
+/// Pushes each still-counted pair of `touched` onto the heap with its
+/// count, once, and empties `touched`. A pair counted out and back in
+/// during one merge is listed twice; its first listing clears its mark.
+fn push_touched(
+    touched: &mut Vec<Pair>,
+    counts: &mut TrainMap<Pair, Tally>,
+    heap: &mut BinaryHeap<(u64, Reverse<Pair>)>,
+) {
+    for p in touched.drain(..) {
+        if let Some(tally) = counts.get_mut(&p).filter(|t| t.touched) {
+            tally.touched = false;
+            heap.push((tally.count, Reverse(p)));
         }
     }
 }

@@ -1,12 +1,15 @@
-//! The trainer and the special-token splitter against the definitions
-//! they replaced.
+//! The trainer, the word table and the special-token splitter against
+//! the definitions they replaced.
 //!
-//! [`BpeTrainer::learn_merges`] keeps its pair counts incrementally, and
+//! [`BpeTrainer::learn_merges`] keeps its pair counts incrementally, a
+//! trained tokenizer encodes its training words by lookup, and
 //! [`split_specials`] finds specials in one pass. This file keeps the
 //! plain definitions as test oracles — [`recount_merges`] recounts every
-//! pair of every word before each merge, [`split_specials_by_find`]
-//! searches the rest of the text for every spelling after each special —
-//! and pins the fast forms to them: merge for merge, piece for piece.
+//! pair of every word before each merge, a tokenizer rebuilt with
+//! [`BpeTokenizer::from_merges`] has no word table and merges every word,
+//! [`split_specials_by_find`] searches the rest of the text for every
+//! spelling after each special — and pins the fast forms to them: merge
+//! for merge, id for id, piece for piece.
 
 use super::*;
 use proptest::prelude::*;
@@ -83,15 +86,42 @@ fn split_specials_by_find(text: &str) -> Vec<Piece<'_>> {
     pieces
 }
 
-/// Trains both ways on `texts` and asserts the same merges; returns how
-/// many were learned.
+/// Trains both ways on `texts` and asserts the same merges, and that the
+/// trained tokenizer encodes as its merges do (see
+/// [`assert_table_encodes_as_merges`]); returns how many were learned.
 fn assert_merges_equal_recount(trainer: &BpeTrainer, texts: &[String]) -> usize {
     let words = count_words(texts.iter().map(String::as_str));
     let fast = trainer.learn_merges(words.clone());
     let slow = recount_merges(trainer, words);
     assert_eq!(fast.merges, slow, "{trainer:?} on {texts:?}");
     assert_eq!(fast, BpeTokenizer::from_merges(slow));
+    assert_table_encodes_as_merges(&fast, texts);
     fast.merge_count()
+}
+
+/// Asserts that `trained` holds a word table and encodes every text of
+/// `texts` — its training texts — to the ids its merges alone give
+/// them, and so it does text with words outside the table: each text
+/// reversed, and all of them run together with no separator.
+fn assert_table_encodes_as_merges(trained: &BpeTokenizer, texts: &[String]) {
+    let merged = BpeTokenizer::from_merges(trained.merges.clone());
+    assert!(merged.words.slots.is_empty());
+    let trained_words = trained.words.bounds.len() - 1;
+    assert_eq!(
+        trained_words,
+        count_words(texts.iter().map(String::as_str)).len()
+    );
+    for k in 0..trained_words {
+        let (text, ids) = trained.words.word(k);
+        assert_eq!(trained.words.get(text), Some(ids), "word {k}");
+    }
+    let unseen = texts
+        .iter()
+        .map(|t| t.chars().rev().collect::<String>())
+        .chain([texts.concat()]);
+    for text in texts.iter().cloned().chain(unseen) {
+        assert_eq!(trained.encode(&text), merged.encode(&text), "{text:?}");
+    }
 }
 
 /// One corpus word or separator: single-byte runs (`"aaaa"`, whose pairs
@@ -159,25 +189,39 @@ fn incremental_merges_equal_recount_merges_on_pipeline_corpora() {
     // benchmark's, trained on plain and tagged text as `Pipeline::build`
     // does.
     for (size, vocab) in [(48, 380), (192, 480)] {
-        let corpus = Corpus::build(&CorpusConfig {
-            size,
-            seed: 0xC0FFEE,
-            ..Default::default()
-        });
-        let texts: Vec<String> = corpus
-            .items
-            .iter()
-            .map(|it| alpaca_format(&it.description, &it.source))
-            .chain(
-                corpus
-                    .items
-                    .iter()
-                    .map(|it| alpaca_format(&it.description, &it.tagged_source)),
-            )
-            .collect();
+        let texts = pipeline_texts(size);
         let learned = assert_merges_equal_recount(&BpeTrainer::new(vocab), &texts);
         assert_eq!(learned, vocab - MERGE_BASE as usize, "{size}/{vocab}");
     }
+}
+
+/// The training texts of a pipeline whose corpus has `size` items: every
+/// item's Alpaca text, plain and tagged, as `Pipeline::build` trains on.
+fn pipeline_texts(size: usize) -> Vec<String> {
+    let corpus = Corpus::build(&CorpusConfig {
+        size,
+        seed: 0xC0FFEE,
+        ..Default::default()
+    });
+    let plain = corpus
+        .items
+        .iter()
+        .map(|it| alpaca_format(&it.description, &it.source));
+    let tagged = corpus
+        .items
+        .iter()
+        .map(|it| alpaca_format(&it.description, &it.tagged_source));
+    plain.chain(tagged).collect()
+}
+
+#[test]
+fn word_table_encodes_as_the_merges_on_the_gate_corpus() {
+    // The quality gate's pipeline, too large for the recount; the test
+    // pipeline's and the benchmark's are checked beside the recount.
+    let texts = pipeline_texts(640);
+    let trained = BpeTrainer::new(640).train(texts.iter().map(String::as_str));
+    assert_eq!(trained.merge_count(), 640 - MERGE_BASE as usize);
+    assert_table_encodes_as_merges(&trained, &texts);
 }
 
 #[test]
