@@ -77,7 +77,10 @@ pub struct StepTrace {
     pub truncated: usize,
     /// Tokens actually committed this step.
     pub committed: Vec<TokenId>,
-    /// Whether the committed span ends on a `[FRAG]` boundary.
+    /// Whether the committed span ends on a `[FRAG]` boundary — or in
+    /// `eos`, which completes the fragment it cuts. One rule for every
+    /// engine: an NTP step is the speculative step with the empty tree,
+    /// so its one token is complete when it is `[FRAG]` or `eos`.
     pub fragment_complete: bool,
 }
 
@@ -480,6 +483,25 @@ mod tests {
         let out = decode_ntp(&cycle, &[8], &cfg, &GpuCostModel::codet5p_like());
         assert_eq!(out.tokens.last(), Some(&special::EOS));
         assert!(out.tokens.len() <= 3);
+    }
+
+    #[test]
+    fn an_ntp_step_that_commits_eos_is_fragment_complete() {
+        // One commit rule: a span ending in `eos` completes its
+        // fragment, whichever engine committed it. A heads-free model's
+        // speculative engine runs the empty tree every step, and is NTP
+        // to the last trace bit.
+        let cycle = Cycle(&[8, 9, special::EOS]);
+        let cfg = DecodeConfig {
+            max_tokens: 50,
+            ..Default::default()
+        };
+        let cost = GpuCostModel::codet5p_like();
+        let out = decode_ntp(&cycle, &[8], &cfg, &cost);
+        assert_eq!(out.tokens, [9, special::EOS]);
+        let complete: Vec<bool> = out.trace.iter().map(|st| st.fragment_complete).collect();
+        assert_eq!(complete, [false, true]);
+        assert_eq!(decode_speculative(&cycle, &[8], &cfg, &cost), out);
     }
 
     #[test]

@@ -7,15 +7,18 @@
 //! [`Engine`] to run as a value — NTP, MEDUSA (chain, tree or "Ours"),
 //! or grammar-constrained with its oracle — and the session the
 //! generation continues, fresh or an already-ingested prompt prefix.
-//! The engine's own state (the oracle and its viability state) lives in
-//! the stepper's engine body, and the configured speculation shape is
-//! derived once, by [`Engine::base_shape`]. Each step runs three
-//! phases:
+//! The grammar engine's own state (the oracle and its viability state)
+//! lives in the stepper, and the configured speculation shape is
+//! derived once, by [`Engine::base_shape`]. Every engine runs the same
+//! step — NTP is the speculative step with the **empty candidate
+//! tree**: its base token is the step's one token, and it has nothing
+//! to verify. Each step runs three phases:
 //!
 //! 1. **propose** ([`Stepper::propose`]) — open the step at the
 //!    current position's base row (the trunk activation every Medusa
 //!    head is attached to kept beside it), draw the base token, and lay
-//!    out the step's candidate trie. A MEDUSA step
+//!    out the step's candidate trie — none for the empty tree, whose
+//!    step goes straight to commit. A MEDUSA step
 //!    rarely *forwards* that position: the node its predecessor's
 //!    committed span ended at is this position, the predecessor's
 //!    verification forwarded it, and commit **carried** its row,
@@ -62,8 +65,7 @@
 //!    engines do) or plans it into a shared [`verispec_lm::VerifyPlan`]
 //!    that a server executes for its whole batch in one
 //!    [`verispec_lm::verify_many`] pass per level, the level's head row
-//!    riding the same pass. NTP is the root-only
-//!    tree (the "edge test" draws the token).
+//!    riding the same pass.
 //! 3. **commit** ([`Stepper::commit`]) — pick the committed span from
 //!    the accepted edges, apply the syntax-integrity truncation,
 //!    advance the simulated clock, and extend the session with it (no
@@ -152,7 +154,8 @@ pub enum Phase {
 /// target model: the one argument of [`Stepper::new`] that tells the
 /// engines apart.
 pub enum Engine<'m> {
-    /// Conventional next-token prediction.
+    /// Conventional next-token prediction: the speculative step with the
+    /// empty candidate tree, one drawn token per step.
     Ntp(DecodeConfig),
     /// MEDUSA-style self-speculation: top-1 chain or candidate tree, and
     /// syntax-aligned ("Ours") or not, per the config.
@@ -187,50 +190,23 @@ impl Engine<'_> {
     }
 }
 
-/// Engine-specific configuration and state.
-enum EngineBody<'m> {
-    /// Conventional next-token prediction.
-    Ntp { cfg: DecodeConfig },
-    /// MEDUSA-style self-speculation (chain, tree, or syntax-aligned,
-    /// per the [`DecodeConfig`]); with a grammar context, the
-    /// grammar-constrained engine.
-    Spec {
-        cfg: DecodeConfig,
-        n_heads: usize,
-        grammar: Option<GrammarCtx<'m>>,
-    },
-}
-
-impl EngineBody<'_> {
-    /// The generation's token budget.
-    fn max_tokens(&self) -> usize {
-        match self {
-            EngineBody::Ntp { cfg } | EngineBody::Spec { cfg, .. } => cfg.max_tokens,
-        }
-    }
-}
-
-/// The in-flight state of one step between propose and commit.
-enum Pending {
-    /// NTP: the token, once the root's row has been consumed.
-    Ntp { tok: Option<TokenId> },
-    /// Speculative: base token drawn, candidate trie built.
-    Spec {
-        step_start: usize,
-        base_tok: TokenId,
-        /// Candidate tokens the step *proposed* — its shape's: what the
-        /// simulated clock, the step trace and the acceptance history
-        /// are charged.
-        candidate_tokens: usize,
-        verify_issued: bool,
-        /// The levels still to be named.
-        lazy: LazyLevels,
-        /// Where the trie's rows start in the stepper's own arena, once
-        /// it has scored a level itself; `None` while nothing is scored
-        /// and when a server's passes score the step (the rows are then
-        /// handed to [`Stepper::commit`]).
-        local_rows: Option<usize>,
-    },
+/// The in-flight state of one step between propose and commit: base
+/// token drawn, candidate trie built.
+struct Pending {
+    step_start: usize,
+    base_tok: TokenId,
+    /// Candidate tokens the step *proposed* — its shape's (0 for the
+    /// empty tree): what the simulated clock, the step trace and the
+    /// acceptance history are charged.
+    candidate_tokens: usize,
+    verify_issued: bool,
+    /// The levels still to be named.
+    lazy: LazyLevels,
+    /// Where the trie's rows start in the stepper's own arena, once it
+    /// has scored a level itself; `None` while nothing is scored and
+    /// when a server's passes score the step (the rows are then handed
+    /// to [`Stepper::commit`]).
+    local_rows: Option<usize>,
 }
 
 /// A candidate tree growing a level at a time: the children of a
@@ -454,7 +430,11 @@ pub struct Stepper<'m> {
     target_model: &'m dyn LanguageModel,
     target: Box<dyn DecodeSession + 'm>,
     sampler: Sampler,
-    engine: EngineBody<'m>,
+    /// The engine's configuration (`syntax_aligned` forced on for the
+    /// grammar engine).
+    cfg: DecodeConfig,
+    /// The grammar engine's oracle context; `None` for the others.
+    grammar: Option<GrammarCtx<'m>>,
     out: DecodeOutput,
     pending: Option<Pending>,
     done: bool,
@@ -536,18 +516,9 @@ impl<'m> Stepper<'m> {
         rest: &[TokenId],
     ) -> Self {
         session.append(rest);
-        let n_heads = model.n_extra_heads();
-        let base = engine.base_shape(n_heads);
-        let seed = match &engine {
-            Engine::Ntp(cfg) | Engine::Medusa(cfg) | Engine::Grammar(cfg, _) => cfg.seed,
-        };
-        let engine = match engine {
-            Engine::Ntp(cfg) => EngineBody::Ntp { cfg },
-            Engine::Medusa(cfg) => EngineBody::Spec {
-                cfg,
-                n_heads,
-                grammar: None,
-            },
+        let base = engine.base_shape(model.n_extra_heads());
+        let (cfg, grammar) = match engine {
+            Engine::Ntp(cfg) | Engine::Medusa(cfg) => (cfg, None),
             Engine::Grammar(cfg, oracle) => {
                 // Death-recovering fold: prompts routinely wrap the
                 // Verilog tail in instruction prose that no lexer
@@ -555,25 +526,24 @@ impl<'m> Stepper<'m> {
                 // non-Verilog boundary instead of disabling the grammar
                 // layer for the whole request.
                 let state = oracle.advance_recovering(ViabilityState::new(), session.tokens());
-                EngineBody::Spec {
-                    cfg: DecodeConfig {
-                        syntax_aligned: true,
-                        ..cfg
-                    },
-                    n_heads,
-                    grammar: Some(GrammarCtx {
-                        oracle,
-                        state,
-                        at_node: Vec::new(),
-                    }),
-                }
+                let cfg = DecodeConfig {
+                    syntax_aligned: true,
+                    ..cfg
+                };
+                let grammar = GrammarCtx {
+                    oracle,
+                    state,
+                    at_node: Vec::new(),
+                };
+                (cfg, Some(grammar))
             }
         };
         Stepper {
             target_model: model,
             target: session,
-            sampler: Sampler::new(seed),
-            engine,
+            sampler: Sampler::new(cfg.seed),
+            cfg,
+            grammar,
             out: DecodeOutput {
                 tokens: Vec::new(),
                 steps: 0,
@@ -684,10 +654,9 @@ impl<'m> Stepper<'m> {
             });
             shape.copy_into(&mut self.last_shape);
         }
+        let model = self.target_model;
         let shape = self.last_shape.as_mut().expect("filled above");
-        if let EngineBody::Spec { n_heads, .. } = &self.engine {
-            shape.clamp(*n_heads, self.target_model.vocab_size());
-        }
+        shape.clamp(model.n_extra_heads(), model.vocab_size());
     }
 
     /// Consumes the stepper, returning the final output.
@@ -702,19 +671,16 @@ impl<'m> Stepper<'m> {
     /// the trunk activation kept beside it — from one
     /// [`verispec_lm::MlpLm::infer`] pass across requests.
     ///
-    /// `false`, appending nothing, for engines that read no head
-    /// logits, for sessions that are not fusable — and while the
-    /// stepper holds a carried base, which is that row already: a
-    /// tick's fused propose pass forwards only the members that need
-    /// it.
+    /// `false`, appending nothing, for sessions that are not fusable —
+    /// and while the stepper holds a carried base, which is that row
+    /// already: a tick's fused propose pass forwards only the members
+    /// that need it. An NTP step carries nothing, so each of its steps
+    /// is forwarded here.
     pub fn embed_plan(&mut self, xs: &mut Vec<f32>) -> bool {
-        let EngineBody::Spec { cfg, .. } = &self.engine else {
-            return false;
-        };
         // Budget-exhausted steppers are excluded up front, so a fused
         // propose pass never computes logits that the next `propose`
         // would immediately discard as `Phase::Done`.
-        if self.done || self.out.tokens.len() >= cfg.max_tokens || self.carry.rows() > 0 {
+        if self.done || self.out.tokens.len() >= self.cfg.max_tokens || self.carry.rows() > 0 {
             return false;
         }
         self.target.embed_plan(xs)
@@ -728,8 +694,7 @@ impl<'m> Stepper<'m> {
     /// activation kept beside it — in the arena the step's
     /// verification will go on to use; `None` opens the step at the
     /// carried base when the last commit left one, and forwards the
-    /// position locally otherwise. Engines that do not consume head
-    /// logits ignore it.
+    /// position locally otherwise.
     ///
     /// # Panics
     ///
@@ -742,111 +707,99 @@ impl<'m> Stepper<'m> {
         }
         self.scratch.clear();
         self.supports.clear();
-        if self.out.tokens.len() >= self.engine.max_tokens() {
+        if self.out.tokens.len() >= self.cfg.max_tokens {
             self.done = true;
             return Phase::Done;
         }
         // This step's speculation shape: pinned by the serving engine's
         // budget pass, or this stepper's own policy (the static default
-        // reproduces the configured shape exactly). NTP has none.
-        if self.base.is_some() {
+        // reproduces the configured shape exactly). NTP has none — the
+        // empty tree, no level, no candidate token.
+        let shape = if self.base.is_some() {
             self.next_shape();
-        }
-        match &mut self.engine {
-            EngineBody::Ntp { .. } => {
-                // The single row is the current position's base logits:
-                // a root-only tree, scored by the same call as any other.
-                let root_only: &[TokenId] = &[];
-                self.nodes.build(std::iter::once(root_only), true);
-                self.nodes.request(0);
-                self.pending = Some(Pending::Ntp { tok: None });
-                Phase::Verify
-            }
-            EngineBody::Spec { cfg, grammar, .. } => {
-                let (sampling, eos) = (cfg.sampling, cfg.eos);
-                let shape = self.last_shape.as_ref().expect("next_shape fills the slot");
-                let levels = shape.depth();
-                let session = self.target.as_mut();
-                let step_start = session.len();
-                // The base row only: a head is evaluated when
-                // acceptance reaches its level, from the activation
-                // kept beside the row. The last step's verification has
-                // usually forwarded this position already — the node
-                // its committed span ended at — and the row it left
-                // becomes this arena's row 0; only a step with nothing
-                // carried forwards.
-                let carried = base.is_none() && self.carry.rows() > 0;
-                let (rows, kept) = match base {
-                    Some(rows) => (rows, Kept::Fused(rows.base())),
-                    None => {
-                        let row = if carried {
-                            std::mem::swap(&mut self.scratch, &mut self.carry);
-                            0
-                        } else {
-                            session.base_row_into(levels, &mut self.scratch)
-                        };
-                        (self.scratch.rows_from(row), Kept::Local(row))
-                    }
-                };
-                self.carry.clear();
-                // One RNG draw either way: from the carried row's
-                // support when acceptance has normalised it already
-                // (greedy reads the carried *logits*, whose arg-max may
-                // differ from the distribution's inside
-                // `GREEDY_MARGIN`). The grammar engine substitutes a
-                // non-viable draw deterministically from the ranked
-                // base logits, so its sampled stream stays seed-aligned
-                // with the unconstrained engine's.
-                let mut base_tok = match sampling {
-                    Sampling::Temperature { top_k, .. } if carried => self.sampler.draw_support(
-                        &self.carry_support,
-                        self.carry_sum,
-                        rows.row(0).len(),
-                        top_k,
-                    ),
-                    _ => self.sampler.sample(rows.row(0), sampling),
-                };
-                if let Some(g) = grammar.as_ref() {
-                    base_tok = constrain_base_token(base_tok, rows.row(0), g.oracle, g.state, eos);
-                    self.last_prune = Some(PruneRecord::default());
-                }
-                let candidate_tokens = shape.candidate_tokens();
-                let verify_issued = base_tok != eos && candidate_tokens > 0;
-                if verify_issued {
-                    session.append(&[base_tok]);
-                    // The trie of the shape, no token named yet — and
-                    // the same trie as long as the shape repeats. No
-                    // bonus row: a full path's own node is never read.
-                    self.nodes
-                        .build_shape(level_widths(shape), MAX_CANDIDATE_PATHS);
-                    self.nodes.request(0);
-                    self.marks.clear();
-                    self.marks.resize(self.nodes.n_nodes(), NodeMark::default());
-                    if let Some(g) = grammar {
-                        g.at_node.clear();
-                        g.at_node
-                            .resize(self.nodes.n_nodes(), ViabilityState::new());
-                        g.at_node[0] = g.oracle.advance(g.state, base_tok);
-                    }
-                }
-                self.pending = Some(Pending::Spec {
-                    step_start,
-                    base_tok,
-                    candidate_tokens,
-                    verify_issued,
-                    lazy: LazyLevels {
-                        kept,
-                        depth: 0,
-                        ticket: 0,
-                    },
-                    local_rows: None,
-                });
-                if verify_issued {
-                    Phase::Verify
+            self.last_shape.as_ref()
+        } else {
+            None
+        };
+        let (levels, candidate_tokens) =
+            shape.map_or((0, 0), |shape| (shape.depth(), shape.candidate_tokens()));
+        let (sampling, eos) = (self.cfg.sampling, self.cfg.eos);
+        let session = self.target.as_mut();
+        let step_start = session.len();
+        // The base row only: a head is evaluated when acceptance
+        // reaches its level, from the activation kept beside the row.
+        // The last step's verification has usually forwarded this
+        // position already — the node its committed span ended at —
+        // and the row it left becomes this arena's row 0; only a step
+        // with nothing carried forwards.
+        let carried = base.is_none() && self.carry.rows() > 0;
+        let (rows, kept) = match base {
+            Some(rows) => (rows, Kept::Fused(rows.base())),
+            None => {
+                let row = if carried {
+                    std::mem::swap(&mut self.scratch, &mut self.carry);
+                    0
                 } else {
-                    Phase::Commit
-                }
+                    session.base_row_into(levels, &mut self.scratch)
+                };
+                (self.scratch.rows_from(row), Kept::Local(row))
             }
+        };
+        self.carry.clear();
+        // One RNG draw either way: from the carried row's support when
+        // acceptance has normalised it already (greedy reads the
+        // carried *logits*, whose arg-max may differ from the
+        // distribution's inside `GREEDY_MARGIN`). The grammar engine
+        // substitutes a non-viable draw deterministically from the
+        // ranked base logits, so its sampled stream stays seed-aligned
+        // with the unconstrained engine's.
+        let mut base_tok = match sampling {
+            Sampling::Temperature { top_k, .. } if carried => self.sampler.draw_support(
+                &self.carry_support,
+                self.carry_sum,
+                rows.row(0).len(),
+                top_k,
+            ),
+            _ => self.sampler.sample(rows.row(0), sampling),
+        };
+        if let Some(g) = self.grammar.as_ref() {
+            base_tok = constrain_base_token(base_tok, rows.row(0), g.oracle, g.state, eos);
+            self.last_prune = Some(PruneRecord::default());
+        }
+        let verify_issued = base_tok != eos && candidate_tokens > 0;
+        if let Some(shape) = shape.filter(|_| verify_issued) {
+            session.append(&[base_tok]);
+            // The trie of the shape, no token named yet — and the same
+            // trie as long as the shape repeats. No bonus row: a full
+            // path's own node is never read.
+            self.nodes
+                .build_shape(level_widths(shape), MAX_CANDIDATE_PATHS);
+            self.nodes.request(0);
+            self.marks.clear();
+            self.marks.resize(self.nodes.n_nodes(), NodeMark::default());
+            if let Some(g) = &mut self.grammar {
+                g.at_node.clear();
+                g.at_node
+                    .resize(self.nodes.n_nodes(), ViabilityState::new());
+                g.at_node[0] = g.oracle.advance(g.state, base_tok);
+            }
+        }
+        self.pending = Some(Pending {
+            step_start,
+            base_tok,
+            candidate_tokens,
+            verify_issued,
+            lazy: LazyLevels {
+                kept,
+                depth: 0,
+                ticket: 0,
+            },
+            local_rows: None,
+        });
+        if verify_issued {
+            Phase::Verify
+        } else {
+            Phase::Commit
         }
     }
 
@@ -901,10 +854,9 @@ impl<'m> Stepper<'m> {
             if self.target.plan_frontier(&mut self.nodes, plan) {
                 // The level's head row rides the pass that forwards
                 // the level.
-                if let Some(Pending::Spec { lazy, .. }) = &mut self.pending {
-                    if let Kept::Fused(row) = lazy.kept {
-                        lazy.ticket = plan.request_head(row, lazy.depth + 1);
-                    }
+                let lazy = &mut self.pending.as_mut().expect("a step is pending").lazy;
+                if let Kept::Fused(row) = lazy.kept {
+                    lazy.ticket = plan.request_head(row, lazy.depth + 1);
                 }
                 return true;
             }
@@ -912,9 +864,7 @@ impl<'m> Stepper<'m> {
         debug_assert!(scored.is_none(), "a fused verification cannot turn local");
         while self.nodes.has_frontier() {
             let base = self.target.score_frontier(&mut self.nodes, local);
-            if let Some(Pending::Spec { local_rows, .. }) = &mut self.pending {
-                *local_rows = Some(base);
-            }
+            self.pending.as_mut().expect("a step is pending").local_rows = Some(base);
             self.consume_level(local.rows_from(base), local, None);
         }
         false
@@ -930,9 +880,7 @@ impl<'m> Stepper<'m> {
     /// one ranking of the head per level, and counts what the filter
     /// did into `last_prune`.
     fn name_next_level(&mut self, local: &LogitsArena, plan: Option<&VerifyPlan>) {
-        let Some(Pending::Spec { lazy, .. }) = &self.pending else {
-            return;
-        };
+        let lazy = &self.pending.as_ref().expect("a step is pending").lazy;
         let head = lazy.depth + 1;
         let row = match lazy.kept {
             Kept::Local(kept) => {
@@ -949,12 +897,9 @@ impl<'m> Stepper<'m> {
                 .head_rows()
                 .row(lazy.ticket),
         };
-        let EngineBody::Spec { grammar, .. } = &mut self.engine else {
-            unreachable!("pending/engine mismatch");
-        };
         let (nodes, marks, options) = (&mut self.nodes, &mut self.marks, &mut self.options);
         let width = nodes.width(head - 1);
-        match grammar {
+        match &mut self.grammar {
             None => {
                 match self.last_shape {
                     Some(SpecShape::Chain { .. }) => {
@@ -1003,50 +948,38 @@ impl<'m> Stepper<'m> {
         self.test_level(scored);
     }
 
-    /// Runs the pending engine's edge test over the level just scored:
-    /// every node of it reads its row once, decides its named child
-    /// edges back to back, and requests the children acceptance goes on
-    /// to.
+    /// Runs acceptance over the level just scored: every node of it
+    /// reads its row once, decides its named child edges back to back,
+    /// and requests the children acceptance goes on to.
     fn test_level(&mut self, scored: ArenaRows<'_>) {
-        let (nodes, dists, sampler) = (&mut self.nodes, &mut self.dists, &mut self.sampler);
-        let supports = &mut self.supports;
-        let pending = self.pending.as_mut().expect("a step is pending");
+        let (nodes, dists, supports) = (&mut self.nodes, &mut self.dists, &mut self.supports);
+        let cfg = &self.cfg;
         for k in 0..nodes.level().len() {
             let node = nodes.level()[k];
             let logits = scored.row(nodes.row(node));
-            match (&mut *pending, &self.engine) {
-                (Pending::Ntp { tok }, EngineBody::Ntp { cfg }) => {
-                    *tok = Some(sampler.sample(logits, cfg.sampling));
-                }
-                (Pending::Spec { .. }, EngineBody::Spec { cfg, .. }) => {
-                    let from = supports.len();
-                    let mut verdict = NodeAccept::of(logits, cfg.sampling, dists, supports);
-                    if let NodeAccept::Typical { sum, .. } = verdict {
-                        let mark = &mut self.marks[node];
-                        (mark.support, mark.sum) = ((from, supports.len()), sum);
-                    }
-                    // The named children lead the sibling list.
-                    let mut child = nodes.first_child(node).filter(|&c| self.marks[c].named);
-                    while let Some(c) = child {
-                        let tok = nodes.token(c);
-                        if verdict.accepts(logits, tok, &cfg.acceptance, &supports[from..]) {
-                            self.marks[c].accepted = true;
-                            // Nothing is read past an accepted `eos`,
-                            // nor at a full path's own node.
-                            if tok != cfg.eos && nodes.wants_row(c) {
-                                nodes.request(c);
-                            }
-                        }
-                        child = nodes.next_sibling(c).filter(|&c| self.marks[c].named);
+            let from = supports.len();
+            let mut verdict = NodeAccept::of(logits, cfg.sampling, dists, supports);
+            if let NodeAccept::Typical { sum, .. } = verdict {
+                let mark = &mut self.marks[node];
+                (mark.support, mark.sum) = ((from, supports.len()), sum);
+            }
+            // The named children lead the sibling list.
+            let mut child = nodes.first_child(node).filter(|&c| self.marks[c].named);
+            while let Some(c) = child {
+                let tok = nodes.token(c);
+                if verdict.accepts(logits, tok, &cfg.acceptance, &supports[from..]) {
+                    self.marks[c].accepted = true;
+                    // Nothing is read past an accepted `eos`, nor at a
+                    // full path's own node.
+                    if tok != cfg.eos && nodes.wants_row(c) {
+                        nodes.request(c);
                     }
                 }
-                _ => unreachable!("pending/engine mismatch"),
+                child = nodes.next_sibling(c).filter(|&c| self.marks[c].named);
             }
         }
         nodes.clear_level();
-        if let Pending::Spec { lazy, .. } = pending {
-            lazy.depth += 1;
-        }
+        self.pending.as_mut().expect("a step is pending").lazy.depth += 1;
     }
 
     /// Phase 3: commits the pending step from what its verification
@@ -1068,73 +1001,25 @@ impl<'m> Stepper<'m> {
     /// Panics if no step is pending, or its verification has not run
     /// to the end ([`Stepper::verify_level`] returned `false`).
     pub fn commit(&mut self, cost: &GpuCostModel, scored: Option<ArenaRows<'_>>) {
-        let pending = self.pending.take().expect("a step is pending");
+        let Pending {
+            step_start,
+            base_tok,
+            candidate_tokens,
+            verify_issued,
+            local_rows,
+            ..
+        } = self.pending.take().expect("a step is pending");
         assert!(
             !self.nodes.has_frontier() && self.nodes.level().is_empty(),
             "commit called with the verification unfinished"
         );
-        match pending {
-            Pending::Ntp { tok } => self.commit_ntp(tok.expect("NTP steps verify"), cost),
-            Pending::Spec {
-                step_start,
-                base_tok,
-                candidate_tokens,
-                verify_issued,
-                local_rows,
-                ..
-            } => {
-                // The stepper's own arena leaves `self` for the call,
-                // so that a row can be copied out of it.
-                let local = std::mem::take(&mut self.scratch);
-                let rows = local_rows.map(|base| local.rows_from(base)).or(scored);
-                self.commit_spec(
-                    step_start,
-                    base_tok,
-                    candidate_tokens,
-                    verify_issued,
-                    rows,
-                    cost,
-                );
-                self.scratch = local;
-            }
-        }
-    }
-
-    fn commit_ntp(&mut self, tok: TokenId, cost: &GpuCostModel) {
-        let EngineBody::Ntp { cfg } = &self.engine else {
-            unreachable!("pending/engine mismatch");
-        };
-        let eos = cfg.eos;
-        self.out.clock.record_step(cost, 0, 1);
-        self.out.steps += 1;
-        self.target.append(&[tok]);
-        self.out.tokens.push(tok);
-        self.out.trace.push(StepTrace {
-            speculated: 0,
-            accepted: 1,
-            truncated: 0,
-            committed: vec![tok],
-            fragment_complete: tok == special::FRAG,
-        });
-        if tok == eos {
-            self.done = true;
-        }
-    }
-
-    /// `rows` is the view the step's trie was scored into — its own
-    /// arena's or a server's — when there is one to copy from.
-    fn commit_spec(
-        &mut self,
-        step_start: usize,
-        base_tok: TokenId,
-        candidate_tokens: usize,
-        verify_issued: bool,
-        rows: Option<ArenaRows<'_>>,
-        cost: &GpuCostModel,
-    ) {
-        let EngineBody::Spec { cfg, .. } = &self.engine else {
-            unreachable!("pending/engine mismatch");
-        };
+        // The stepper's own arena leaves `self` for the call, so that a
+        // row can be copied out of it: `rows` is the view the step's
+        // trie was scored into — that arena's or a server's — when there
+        // is one to copy from.
+        let local = std::mem::take(&mut self.scratch);
+        let rows = local_rows.map(|base| local.rows_from(base)).or(scored);
+        let cfg = &self.cfg;
         let (eos, syntax_aligned, max_tokens) = (cfg.eos, cfg.syntax_aligned, cfg.max_tokens);
         let sampled = matches!(cfg.sampling, Sampling::Temperature { .. });
 
@@ -1206,10 +1091,7 @@ impl<'m> Stepper<'m> {
         // Advance the grammar viability state over the committed span
         // (death-recovering, matching the prompt seeding) — the state
         // stays a pure function of `prompt + out.tokens`.
-        if let EngineBody::Spec {
-            grammar: Some(g), ..
-        } = &mut self.engine
-        {
+        if let Some(g) = &mut self.grammar {
             g.state = g.oracle.advance_recovering(g.state, &committed);
         }
         // A verified step's session already holds the base token, and
@@ -1260,6 +1142,7 @@ impl<'m> Stepper<'m> {
         if hit_eos {
             self.done = true;
         }
+        self.scratch = local;
     }
 
     /// Runs one full step serially (propose → verify level by level →
@@ -1741,8 +1624,8 @@ pub(crate) mod tests {
     #[test]
     fn fused_verify_plan_path_matches_verify_local() {
         // One shared plan, one kernel pass per level, four engines in
-        // the batch — NTP (root only), a sampled tree, a grammar tree
-        // and a greedy "Ours" chain over the same target — each
+        // the batch — NTP (the empty tree), a sampled tree, a grammar
+        // tree and a greedy "Ours" chain over the same target — each
         // reading its own rows and leaving the loop at its own depth.
         // Every member must equal its serial engine, which verifies
         // locally.
@@ -1794,9 +1677,10 @@ pub(crate) mod tests {
             assert_eq!(st.output().steps, want.steps);
             assert_eq!(st.output().trace, want.trace);
         }
-        // NTP always leaves after the root; the others went deeper, and
-        // in some round to different depths from one another.
-        assert!(rounds.iter().all(|levels| levels[0] <= 1));
+        // NTP never verifies — its one forward is the propose pass's —
+        // while the others went deeper, and in some round to different
+        // depths from one another.
+        assert!(rounds.iter().all(|levels| levels[0] == 0));
         assert!(rounds
             .iter()
             .any(|levels| levels[1..].iter().any(|&l| l > 1)));

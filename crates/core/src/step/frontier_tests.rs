@@ -111,14 +111,12 @@ impl Stepper<'_> {
     /// candidate tokens counted off the built paths.
     fn propose_eager(&mut self) -> Phase {
         assert!(self.pending.is_none(), "propose called with a step pending");
-        let EngineBody::Spec { cfg, n_heads, .. } = &self.engine else {
-            panic!("the eager oracle proposes speculative steps");
-        };
-        if self.done || self.out.tokens.len() >= cfg.max_tokens {
+        if self.done || self.out.tokens.len() >= self.cfg.max_tokens {
             self.done = true;
             return Phase::Done;
         }
-        let (sampling, eos, n_heads) = (cfg.sampling, cfg.eos, *n_heads);
+        let (sampling, eos) = (self.cfg.sampling, self.cfg.eos);
+        let n_heads = self.target_model.n_extra_heads();
         let shape = if std::mem::take(&mut self.pinned) {
             self.last_shape.clone().expect("a pin fills the slot")
         } else {
@@ -147,7 +145,7 @@ impl Stepper<'_> {
             self.marks.clear();
             self.marks.resize(self.nodes.n_nodes(), NodeMark::default());
         }
-        self.pending = Some(Pending::Spec {
+        self.pending = Some(Pending {
             step_start,
             base_tok,
             candidate_tokens,
@@ -173,46 +171,36 @@ impl Stepper<'_> {
     /// stopped once that prefix ends in `eos`. Leaves the step ready to
     /// commit.
     fn verify_whole_tree(&mut self) {
-        let session = self.target.as_mut();
-        match (self.pending.as_mut().expect("pending"), &self.engine) {
-            (Pending::Ntp { tok }, EngineBody::Ntp { cfg }) => {
-                let rows = session.verify_batch(&[&[]], true);
-                *tok = Some(self.sampler.sample(&rows[0][0], cfg.sampling));
-                let root_only: &[TokenId] = &[];
-                self.nodes.build(std::iter::once(root_only), true);
-            }
-            (Pending::Spec { .. }, EngineBody::Spec { cfg, .. }) => {
-                let paths = built_paths(&self.nodes);
-                let refs: Vec<&[TokenId]> = paths.iter().map(Vec::as_slice).collect();
-                let scored = session.verify_batch(&refs, false);
-                let mut best: (usize, usize) = (0, 0);
-                for (i, path) in paths.iter().enumerate() {
-                    let mut accepted = 0usize;
-                    for (pos, &tok) in path.iter().enumerate() {
-                        if !reference_accepts(&scored[i][pos], tok, cfg.sampling, &cfg.acceptance) {
-                            break;
-                        }
-                        accepted += 1;
-                        if tok == cfg.eos {
-                            break;
-                        }
-                    }
-                    if accepted > best.1 {
-                        best = (i, accepted);
-                    }
-                    if best.1 > 0 && paths[best.0][best.1 - 1] == cfg.eos {
-                        break;
-                    }
+        assert!(self.pending.is_some(), "a step is pending");
+        let (session, cfg) = (self.target.as_mut(), &self.cfg);
+        let paths = built_paths(&self.nodes);
+        let refs: Vec<&[TokenId]> = paths.iter().map(Vec::as_slice).collect();
+        let scored = session.verify_batch(&refs, false);
+        let mut best: (usize, usize) = (0, 0);
+        for (i, path) in paths.iter().enumerate() {
+            let mut accepted = 0usize;
+            for (pos, &tok) in path.iter().enumerate() {
+                if !reference_accepts(&scored[i][pos], tok, cfg.sampling, &cfg.acceptance) {
+                    break;
                 }
-                // Hand the span over as commit expects it: its edges
-                // accepted, no other, nothing left to ask for.
-                self.nodes.build(refs.iter().copied(), false);
-                self.marks.fill(NodeMark::default());
-                for j in 1..=best.1 {
-                    self.marks[self.nodes.node(best.0, j)].accepted = true;
+                accepted += 1;
+                if tok == cfg.eos {
+                    break;
                 }
             }
-            _ => unreachable!("pending/engine mismatch"),
+            if accepted > best.1 {
+                best = (i, accepted);
+            }
+            if best.1 > 0 && paths[best.0][best.1 - 1] == cfg.eos {
+                break;
+            }
+        }
+        // Hand the span over as commit expects it: its edges accepted,
+        // no other, nothing left to ask for.
+        self.nodes.build(refs.iter().copied(), false);
+        self.marks.fill(NodeMark::default());
+        for j in 1..=best.1 {
+            self.marks[self.nodes.node(best.0, j)].accepted = true;
         }
     }
 
@@ -225,18 +213,16 @@ impl Stepper<'_> {
     /// Returns whether the step verifies (always, unless the base token
     /// was `eos`).
     fn inject_paths(&mut self, rng: &mut Lcg) -> bool {
-        let Some(Pending::Spec {
+        let Some(Pending {
             base_tok,
             candidate_tokens,
             verify_issued,
             ..
         }) = self.pending.as_mut()
         else {
-            panic!("only speculative steps take injected paths");
+            panic!("a step is pending");
         };
-        let EngineBody::Spec { cfg, .. } = &self.engine else {
-            unreachable!("pending/engine mismatch");
-        };
+        let cfg = &self.cfg;
         if *base_tok == cfg.eos {
             return false;
         }
@@ -293,9 +279,7 @@ impl Stepper<'_> {
         while self.nodes.has_frontier() {
             let session = self.target.as_mut();
             let base = session.score_frontier(&mut self.nodes, &mut local);
-            if let Some(Pending::Spec { local_rows, .. }) = &mut self.pending {
-                *local_rows = Some(base);
-            }
+            self.pending.as_mut().expect("a step is pending").local_rows = Some(base);
             self.test_level(local.rows_from(base));
         }
         self.scratch = local;
@@ -523,7 +507,7 @@ proptest! {
     }
 }
 
-/// The MEDUSA-style engines: everything that runs [`EngineBody::Spec`].
+/// The MEDUSA-style engines: everything with a candidate tree.
 #[derive(Debug, Clone, Copy)]
 enum Medusa {
     Chain,
@@ -560,19 +544,17 @@ impl Stepper<'_> {
     /// under sampling — the tempered distribution its support stands
     /// for, bit for bit.
     fn assert_carry_is_the_forward(&mut self) {
-        let EngineBody::Spec { cfg, n_heads, .. } = &self.engine else {
-            panic!("only MEDUSA-style steps carry");
-        };
+        let (cfg, n_heads) = (&self.cfg, self.target_model.n_extra_heads());
         let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         let session = self.target.as_mut();
         let mut fresh = LogitsArena::new();
-        let at = session.base_row_into(*n_heads, &mut fresh);
+        let at = session.base_row_into(n_heads, &mut fresh);
         assert_eq!(bits(self.carry.row(0)), bits(fresh.row(at)), "logits");
         let (mut carried, mut forwarded) = (LogitsArena::new(), LogitsArena::new());
-        let heads = 1..*n_heads + 1;
+        let heads = 1..n_heads + 1;
         let a = session.head_rows_into(self.carry.rows_from(0), heads.clone(), &mut carried);
         let b = session.head_rows_into(fresh.rows_from(at), heads, &mut forwarded);
-        for head in 0..*n_heads {
+        for head in 0..n_heads {
             assert_eq!(
                 bits(carried.row(a + head)),
                 bits(forwarded.row(b + head)),
@@ -1340,7 +1322,7 @@ fn best_path_is_the_first_strictly_longest() {
             st.marks[node].accepted = true;
         }
         st.target.append(&[5]);
-        st.pending = Some(Pending::Spec {
+        st.pending = Some(Pending {
             step_start: 2,
             base_tok: 5,
             candidate_tokens: paths.iter().map(|p| p.len()).sum(),

@@ -3,6 +3,8 @@
 //! random "models" without training anything.
 //!
 //! Invariants:
+//! * NTP is one forward and one draw per step: `decode_ntp` equals the
+//!   loop that defines it, trace and clock included;
 //! * greedy speculative decoding (Medusa and Ours) is lossless: it
 //!   reproduces the greedy NTP token stream exactly, for *any* model;
 //! * speculative decoding never takes more steps than NTP;
@@ -12,8 +14,8 @@
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use verispec_core::{decode_ntp, decode_speculative, DecodeConfig};
-use verispec_lm::{GpuCostModel, LanguageModel, Sampling, TokenId};
+use verispec_core::{decode_ntp, decode_speculative, DecodeConfig, DecodeOutput, StepTrace};
+use verispec_lm::{DecodeClock, GpuCostModel, LanguageModel, Sampler, Sampling, TokenId};
 use verispec_tokenizer::special;
 
 /// A deterministic pseudo-random LM: logits are a pure function of the
@@ -87,8 +89,87 @@ fn any_model() -> impl Strategy<Value = HashLm> {
     )
 }
 
+/// Next-token prediction by definition: per step, the session's logits
+/// at the current position, one draw, one token charged as a step that
+/// speculated nothing; stop after `eos` or at the budget. A step's span
+/// is complete when it ends in `[FRAG]` or `eos`.
+fn ntp_by_definition(
+    model: &dyn LanguageModel,
+    prompt: &[TokenId],
+    cfg: &DecodeConfig,
+    cost: &GpuCostModel,
+) -> DecodeOutput {
+    let mut session = model.session();
+    session.append(prompt);
+    let mut sampler = Sampler::new(cfg.seed);
+    let mut out = DecodeOutput {
+        tokens: Vec::new(),
+        steps: 0,
+        clock: DecodeClock::new(),
+        trace: Vec::new(),
+    };
+    while out.tokens.len() < cfg.max_tokens {
+        let tok = sampler.sample(&session.logits(), cfg.sampling);
+        out.clock.record_step(cost, 0, 1);
+        out.steps += 1;
+        session.append(&[tok]);
+        out.tokens.push(tok);
+        out.trace.push(StepTrace {
+            speculated: 0,
+            accepted: 1,
+            truncated: 0,
+            committed: vec![tok],
+            fragment_complete: tok == special::FRAG || tok == cfg.eos,
+        });
+        if tok == cfg.eos {
+            break;
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// NTP is the empty candidate tree run by the speculative step, and
+    /// must still be exactly the loop that defines it — tokens, steps,
+    /// simulated clock and every step-trace field — greedy, sampled and
+    /// top-k, with or without the syntax check (which a one-token span
+    /// always passes), its `eos` reached or its budget spent.
+    #[test]
+    fn ntp_is_one_forward_and_one_draw_per_step(
+        model in any_model(),
+        prompt in prop::collection::vec(5u32..20, 1..6),
+        max_tokens in 1usize..40,
+        sampling_ix in 0usize..4,
+        temperature in 0.2f32..2.0,
+        eos in 0u32..8,
+        seed in any::<u64>(),
+        syntax_aligned in any::<bool>(),
+    ) {
+        let cost = GpuCostModel::codellama_like();
+        let sampling = match sampling_ix {
+            0 => Sampling::Greedy,
+            1 => Sampling::Temperature { temperature, top_k: 0 },
+            2 => Sampling::Temperature { temperature, top_k: 3 },
+            // Cold: nearly the arg-max, and still a draw.
+            _ => Sampling::Temperature { temperature: 0.05, top_k: 0 },
+        };
+        let cfg = DecodeConfig {
+            max_tokens,
+            sampling,
+            eos,
+            seed,
+            syntax_aligned,
+            ..Default::default()
+        };
+        let out = decode_ntp(&model, &prompt, &cfg, &cost);
+        let want = ntp_by_definition(&model, &prompt, &cfg, &cost);
+        prop_assert_eq!(&out.tokens, &want.tokens);
+        prop_assert_eq!(out.steps, want.steps);
+        prop_assert_eq!(&out.clock, &want.clock);
+        prop_assert_eq!(&out.trace, &want.trace);
+    }
 
     #[test]
     fn greedy_speculation_is_lossless(

@@ -30,10 +30,11 @@
 //! scores *that* level with the same kernel, and so on until nothing
 //! is left to ask for. The work a step costs therefore tracks the depth
 //! acceptance reaches (a few nodes), not the size of the proposed tree
-//! (a few dozen). Next-token prediction is the root-only case. The
-//! accepted span is a pure function
+//! (a few dozen). The accepted span is a pure function
 //! of the same logits bits either way, so nothing an engine commits
-//! can tell the difference.
+//! can tell the difference. Next-token prediction is the empty tree:
+//! its step forwards the base position
+//! ([`DecodeSession::base_row_into`]) and has no level to verify.
 //!
 //! # Heads are evaluated on demand
 //!
@@ -55,7 +56,7 @@
 //! base call and serve the rows from it.
 //!
 //! [`DecodeSession::verify_batch`] scores the *whole* tree in one call
-//! ([`NodeMap::request_all`]) through the same per-level code; it is
+//! (every node requested at once) through the same per-level code; it is
 //! the definition the level loop is tested against and the benchmark's
 //! kernel probe, not something a decode step calls.
 //!
@@ -206,7 +207,7 @@ impl VerifyPlan {
 /// level at a time: score the root, test its child edges, request the
 /// children whose edge was accepted, score those, and so on — so a
 /// step's work tracks the depth acceptance reaches, not the size of the
-/// tree that was proposed. [`NodeMap::request_all`] asks for every node
+/// tree that was proposed. `NodeMap::request_all` asks for every node
 /// at once: the full-tree form behind [`DecodeSession::verify_batch`].
 ///
 /// A Medusa tree whose level `d + 1` offers one head's top-k under
@@ -470,7 +471,7 @@ impl NodeMap {
 
     /// Asks for every node anything reads, parents first: the whole
     /// tree in one level.
-    pub fn request_all(&mut self) {
+    pub(crate) fn request_all(&mut self) {
         for node in 0..self.trie.len() {
             if self.wants_row(node) {
                 self.request(node);

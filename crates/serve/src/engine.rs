@@ -16,14 +16,16 @@
 //!    requests (round-robin / seeded / EDF / weighted-fair order, with an
 //!    aging guard bounding every request's service gap — see
 //!    [`Scheduler::starvation_bound`]).
-//! 3. **fused propose** — the MEDUSA-style members of the batch append
-//!    their current-position embeddings to one flat buffer and get
-//!    their base row — one row each, the trunk activation kept beside
-//!    it for the rest of the tick — from **one**
-//!    [`verispec_lm::MlpLm::infer`] pass. No Medusa head is
-//!    evaluated yet.
-//! 4. **fused verify, level by level** — every member requests its
-//!    candidate tree's root and plans it into one shared
+//! 3. **fused propose** — the members of the batch whose current
+//!    position is not forwarded yet (every NTP step; a MEDUSA-style
+//!    step that carried no row over) append their current-position
+//!    embeddings to one flat buffer and get their base row — one row
+//!    each, the trunk activation kept beside it for the rest of the
+//!    tick — from **one** [`verispec_lm::MlpLm::infer`] pass. No
+//!    Medusa head is evaluated yet. An NTP step is that row and one
+//!    draw: the empty candidate tree, with nothing to verify.
+//! 4. **fused verify, level by level** — every member with a
+//!    candidate tree requests its root and plans it into one shared
 //!    [`verispec_lm::VerifyPlan`]; **one** [`verispec_lm::verify_many`]
 //!    pass scores that level for the whole batch; each member runs
 //!    acceptance on the rows it got and plans only the children whose
@@ -162,14 +164,15 @@ pub struct ServeStats {
     /// Scheduler ticks executed.
     pub ticks: u64,
     /// Base positions forwarded by fused cross-request propose passes:
-    /// one per MEDUSA-style step that opened without a carried base —
-    /// a request's first step, a step after a span that ended at a
-    /// full path's leaf. Every other step opens at the row its
-    /// predecessor's verification left.
+    /// one per NTP step, and one per MEDUSA-style step that opened
+    /// without a carried base — a request's first step, a step after a
+    /// span that ended at a full path's leaf. Every other step opens at
+    /// the row its predecessor's verification left.
     pub fused_propose_positions: usize,
     /// Inputs forwarded by fused [`verify_many`] calls: the
-    /// candidate-tree nodes acceptance reached (each member's root and
-    /// the children of its accepted edges), not the nodes proposed.
+    /// candidate-tree nodes acceptance reached (each speculating
+    /// member's root and the children of its accepted edges), not the
+    /// nodes proposed. An NTP step has no tree and adds none.
     /// Head rows evaluated from kept activations ride the same calls
     /// but forward nothing, and are not counted.
     pub fused_verify_nodes: usize,
@@ -1024,7 +1027,7 @@ impl<'m> ServeEngine<'m> {
         let capacity = capacity.max(1);
         let mut remaining = capacity;
         for (pos, &i) in selected.iter().enumerate() {
-            // NTP steppers have no shape to decide and cost one verify
+            // NTP steppers have no shape to decide and cost one
             // position; speculative ones get the policy's decision for
             // the remaining budget.
             let stepper = &self.active[i].stepper;
@@ -1158,11 +1161,11 @@ impl<'m> ServeEngine<'m> {
         }
 
         // Fused propose: one kernel pass forwards the current position
-        // of every MEDUSA-style member of the batch that asks for it —
-        // its base row, the trunk activation kept beside it. A member
-        // whose last step's verification already forwarded the
-        // position (the node its committed span ended at) carried that
-        // row over and asks for nothing. A head is evaluated from the
+        // of every member of the batch that asks for it — its base
+        // row, the trunk activation kept beside it; every NTP step
+        // does. A member whose last step's verification already
+        // forwarded the position (the node its committed span ended
+        // at) carried that row over and asks for nothing. A head is evaluated from the
         // kept activation when acceptance reaches its level.
         arena.clear();
         plan.clear();
@@ -1189,8 +1192,8 @@ impl<'m> ServeEngine<'m> {
         }));
 
         // Fused verify, level by level, behind the base rows (their
-        // activations stay for the tick). Level 0 is every member's
-        // root; each pass scores the nodes all members planned since
+        // activations stay for the tick). Level 0 is the root of every
+        // member with a candidate tree; each pass scores the nodes all members planned since
         // the last one — and the head rows asked for with them — and
         // each member then plans only the children its acceptance went
         // on to.

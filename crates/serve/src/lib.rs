@@ -975,6 +975,53 @@ mod tests {
     }
 
     #[test]
+    fn served_ntp_rides_the_propose_pass() {
+        // NTP is the empty candidate tree: a step's one forward is its
+        // row of the tick's fused propose pass, and it has nothing to
+        // verify. An NTP-only batch, greedy and sampled, some members
+        // stopping at `eos`, must equal serial `decode_ntp` with no
+        // verify pass at all.
+        let m = model();
+        let cost = GpuCostModel::codellama_like();
+        let requests: Vec<Request> = (0..6u64)
+            .map(|i| {
+                let cfg = DecodeConfig {
+                    max_tokens: 5 + 3 * i as usize,
+                    sampling: if i % 2 == 0 {
+                        Sampling::Greedy
+                    } else {
+                        Sampling::temperature(0.8)
+                    },
+                    seed: 5 * i + 2,
+                    eos: (i % 3) as TokenId + 7,
+                    ..Default::default()
+                };
+                Request::new(i, vec![3 + i as TokenId, 7], EngineChoice::Ntp, cfg)
+            })
+            .collect();
+        let report = run_engine(&m, requests.clone(), &ServeConfig::concurrency(4), &cost);
+        assert_eq!(report.completions.len(), requests.len());
+        let mut steps = 0usize;
+        for c in &report.completions {
+            let r = &requests[c.id as usize];
+            let want = decode_ntp(&m, &r.prompt, &r.engine.decode_config(&r.cfg), &cost);
+            assert_eq!(c.output, want, "request {}", c.id);
+            steps += want.steps;
+        }
+        assert!(
+            report
+                .completions
+                .iter()
+                .any(|c| c.output.tokens.len() < requests[c.id as usize].cfg.max_tokens),
+            "some member stops at `eos`"
+        );
+        let stats = report.stats;
+        assert_eq!(stats.fused_verify_calls, 0, "{stats:?}");
+        assert_eq!(stats.fused_verify_nodes, 0, "{stats:?}");
+        assert_eq!(stats.fused_propose_positions, steps, "{stats:?}");
+    }
+
+    #[test]
     fn a_queued_request_is_priced_as_it_will_run() {
         // `outstanding_cost` prices a queued request from the engine it
         // resolves to and an admitted one from its stepper; both read
