@@ -12,7 +12,6 @@ use verispec_verilog::check;
 use verispec_verilog::fragment::fragmentize_tokens;
 use verispec_verilog::lexer::lex_full;
 use verispec_verilog::parser::parse_tokens;
-use verispec_verilog::significant::SignificantTokens;
 
 /// One cleaned corpus entry.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -124,14 +123,12 @@ impl Corpus {
                 stats.dropped_comments += 1;
                 continue;
             }
-            // Syntax check (Stagira substitute) + AST for significant
-            // tokens.
-            let Ok(file) = parse_tokens(&lexed.tokens) else {
+            // Syntax check (Stagira substitute).
+            if parse_tokens(&lexed.tokens).is_err() {
                 stats.dropped_syntax += 1;
                 continue;
-            };
-            let sig = SignificantTokens::from_source_file(&file);
-            let tagged = fragmentize_tokens(&gm.source, &lexed.tokens, &sig);
+            }
+            let tagged = fragmentize_tokens(&gm.source, &lexed.tokens);
             cleaned.push((gm, tagged));
         }
 
@@ -339,17 +336,22 @@ mod tests {
 
     /// Every item and every count of the benchmark's (192) and the
     /// quality gate's (640) corpus, pinned byte for byte to the builder
-    /// that lexed each module four times and mixed every MinHash seed
-    /// per shingle.
+    /// that lexed each module four times, mixed every MinHash seed per
+    /// shingle and tagged from a set of identifiers harvested from the
+    /// syntax tree; and one larger corpus at another seed (3000 at seed
+    /// 1), pinned to that tagging as well.
     #[test]
     fn build_matches_the_golden_at_192_and_640() {
+        let seed = CorpusConfig::default().seed;
         let golden = [
-            (192, 0xbe98_6464_fe1d_ec30u64, 9, 183),
-            (640, 0xd066_f61a_fa8b_a9b5, 112, 528),
+            (192, seed, 0xbe98_6464_fe1d_ec30u64, 9, 183),
+            (640, seed, 0xd066_f61a_fa8b_a9b5, 112, 528),
+            (3000, 1, 0x36a4_f04f_9155_d445, 1215, 1785),
         ];
-        for (size, digest, dropped_duplicates, retained) in golden {
+        for (size, seed, digest, dropped_duplicates, retained) in golden {
             let corpus = Corpus::build(&CorpusConfig {
                 size,
+                seed,
                 ..Default::default()
             });
             let stats = CorpusStats {
@@ -358,8 +360,12 @@ mod tests {
                 retained,
                 ..Default::default()
             };
-            assert_eq!(corpus.stats, stats, "corpus size {size}");
-            assert_eq!(items_digest(&corpus), digest, "corpus size {size}");
+            assert_eq!(corpus.stats, stats, "corpus size {size} seed {seed}");
+            assert_eq!(
+                items_digest(&corpus),
+                digest,
+                "corpus size {size} seed {seed}"
+            );
         }
     }
 

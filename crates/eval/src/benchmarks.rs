@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use verispec_data::families::all_families;
 use verispec_data::{alpaca_prompt, GeneratedModule};
-use verispec_verilog::fragment::fragmentize_source;
+use verispec_verilog::fragment::fragmentize;
 
 /// How a benchmark phrases its prompts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -37,7 +37,7 @@ pub struct Problem {
     /// `[FRAG]`-tagged header for syntax-aligned models.
     pub tagged_header: Option<String>,
     /// The reference source `[FRAG]`-tagged, as a syntax-aligned model
-    /// is trained to write it (the plain source, should it not parse).
+    /// is trained to write it (the plain source, should it not lex).
     pub reference_tagged: String,
 }
 
@@ -88,16 +88,6 @@ fn header_of(source: &str) -> Option<String> {
     Some(source[..nl].to_string())
 }
 
-/// Extracts the tagged header: everything up to and including the first
-/// `[FRAG];[FRAG]` plus trailing newline.
-fn tagged_header_of(tagged: &str) -> Option<String> {
-    let marker = "[FRAG];[FRAG]";
-    let pos = tagged.find(marker)? + marker.len();
-    let rest = &tagged[pos..];
-    let nl = rest.find('\n').map(|i| pos + i + 1).unwrap_or(pos);
-    Some(tagged[..nl].to_string())
-}
-
 fn build_problems(prefix: &str, style: PromptStyle, count: usize, seed: u64) -> Vec<Problem> {
     let families = all_families();
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -108,14 +98,15 @@ fn build_problems(prefix: &str, style: PromptStyle, count: usize, seed: u64) -> 
         // Benchmark prompts follow the same convention as the training
         // corpus: the naming sentence closes the instruction.
         module.description = verispec_data::with_naming_tail(&module.description, &module.name);
-        let tagged = fragmentize_source(&module.source);
         let (plain_header, tagged_header) = if style == PromptStyle::Vgen {
             let plain = header_of(&module.source);
-            (plain, tagged.as_deref().ok().and_then(tagged_header_of))
+            let tagged = plain.as_deref().and_then(|h| fragmentize(h).ok());
+            (plain, tagged)
         } else {
             (None, None)
         };
-        let reference_tagged = tagged.unwrap_or_else(|_| module.source.clone());
+        let reference_tagged =
+            fragmentize(&module.source).unwrap_or_else(|_| module.source.clone());
         problems.push(Problem {
             id: format!("{prefix}_{i:02}_{fname}"),
             style,
@@ -162,6 +153,7 @@ pub fn speed_prompts(count: usize, seed: u64) -> Vec<Problem> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use verispec_verilog::fragment::defragmentize;
 
     #[test]
     fn suite_sizes_match_paper_quanta() {
@@ -199,9 +191,31 @@ mod tests {
     fn every_problem_keeps_its_reference_fragmentized() {
         for bench in [rtllm_sim(), vgen_sim()] {
             for p in bench.problems {
-                let tagged = fragmentize_source(&p.module.source).expect("every reference tags");
+                let tagged = fragmentize(&p.module.source).expect("every reference tags");
                 assert_eq!(p.reference_tagged, tagged, "{}", p.id);
             }
+        }
+    }
+
+    /// A VGen problem's tagged header is its plain header tagged on its
+    /// own: a prefix of the tagged reference that defragmentizes to the
+    /// plain header, and the same cut as the reference's text up to its
+    /// first `[FRAG];[FRAG]` and that line's end.
+    #[test]
+    fn every_vgen_header_tags_as_the_head_of_its_reference() {
+        let problems = vgen_sim().problems;
+        assert_eq!(problems.len(), 17);
+        for p in problems {
+            let plain = p.plain_header.as_deref().expect("plain header");
+            let tagged = p.tagged_header.as_deref().expect("tagged header");
+            assert!(p.reference_tagged.starts_with(tagged), "{}", p.id);
+            assert_eq!(defragmentize(tagged), plain, "{}", p.id);
+            let marker = "[FRAG];[FRAG]";
+            let semi = p.reference_tagged.find(marker).expect("header `;`") + marker.len();
+            let cut = p.reference_tagged[semi..]
+                .find('\n')
+                .map_or(semi, |i| semi + i + 1);
+            assert_eq!(tagged, &p.reference_tagged[..cut], "{}", p.id);
         }
     }
 

@@ -414,7 +414,7 @@ mod tests {
     use super::*;
     use crate::benchmarks::{rtllm_sim, vgen_sim, PromptStyle};
     use std::sync::OnceLock;
-    use verispec_verilog::fragment::fragmentize_source;
+    use verispec_verilog::fragment::fragmentize;
 
     fn tiny_pipeline() -> Pipeline {
         Pipeline::build(PipelineConfig {
@@ -615,7 +615,7 @@ mod tests {
     fn budget_by_definition(tok: &BpeTokenizer, problem: &Problem, method: TrainMethod) -> usize {
         let source = &problem.module.source;
         let reference = match method {
-            TrainMethod::Ours => fragmentize_source(source).unwrap_or_else(|_| source.clone()),
+            TrainMethod::Ours => fragmentize(source).unwrap_or_else(|_| source.clone()),
             _ => source.clone(),
         };
         (tok.encode(&reference).len() * 2 + 32).min(768)

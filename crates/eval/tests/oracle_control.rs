@@ -18,7 +18,6 @@ use verispec_grammar::GrammarOracle;
 use verispec_lm::{LanguageModel, TokenId};
 use verispec_tokenizer::{special, BpeTokenizer};
 use verispec_verilog::fragment::fragmentize;
-use verispec_verilog::significant::SignificantTokens;
 
 /// Medusa heads the oracle answers for, as many as the gate's models
 /// have.
@@ -90,9 +89,7 @@ fn reference_text(p: &Problem, method: TrainMethod) -> String {
     let source = &p.module.source;
     let (text, header) = match method {
         TrainMethod::Ours => {
-            let file = verispec_verilog::parse(source).expect("a reference parses");
-            let sig = SignificantTokens::from_source_file(&file);
-            let tagged = fragmentize(source, &sig).expect("a reference fragmentizes");
+            let tagged = fragmentize(source).expect("a reference fragmentizes");
             (tagged, p.tagged_header.as_deref())
         }
         _ => (source.clone(), p.plain_header.as_deref()),

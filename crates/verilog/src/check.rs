@@ -7,7 +7,9 @@
 //! ([`LexOutput::comment_ratio`](crate::lexer::LexOutput::comment_ratio)).
 //! The pipeline lexes each file once and hands the one token stream to
 //! [`structure_ok_tokens`], [`parse_tokens`](crate::parser::parse_tokens)
-//! and [`fragmentize_tokens`](crate::fragment::fragmentize_tokens).
+//! (the syntax check) and
+//! [`fragmentize_tokens`](crate::fragment::fragmentize_tokens), whose
+//! tagging reads the tokens alone.
 
 use crate::lexer::lex_full;
 use crate::token::{Keyword, Token};

@@ -5,11 +5,20 @@
 //! an atomic unit during decoding. The speculative decoder's integrity
 //! check truncates committed tokens at the last fragment boundary, which
 //! is what keeps every decoding step syntactically complete (Fig. 5).
+//!
+//! # Which tokens are wrapped
+//!
+//! Every significant token ([`crate::significant`]): identifiers,
+//! literals, reserved words, `=` and `<=`. So are the module header's
+//! port-list parentheses and its closing `;`
+//! (`[FRAG]module[FRAG] [FRAG]mux2to1[FRAG] [FRAG]([FRAG]`). Every other
+//! token stays bare. Tagging thus reads the token stream alone: it needs
+//! no parse, and a module's header tags the same on its own as at the
+//! head of the module.
 
 use crate::lexer::lex;
-use crate::parser::parse_tokens;
-use crate::significant::SignificantTokens;
-use crate::token::{Token, TokenKind};
+use crate::significant::is_significant;
+use crate::token::{Keyword, Token, TokenKind};
 use crate::Result;
 
 /// The fragment-boundary marker inserted between significant tokens.
@@ -18,13 +27,8 @@ const FRAG_MARKER: &str = "[FRAG]";
 /// Wraps every significant token of `src` in `[FRAG]` markers.
 ///
 /// Whitespace and comments between tokens are preserved verbatim, so
-/// [`defragmentize`] restores the original text exactly.
-///
-/// In addition to the token classes reported by
-/// [`SignificantTokens::is_significant_text`], the module header's port
-/// list delimiters `(`, `)` and the header's closing `;` are wrapped,
-/// matching the paper's Fig.-3 example
-/// (`[FRAG]module[FRAG] [FRAG]mux2to1[FRAG] [FRAG]([FRAG]`).
+/// [`defragmentize`] restores the original text exactly. `src` need not
+/// parse.
 ///
 /// # Errors
 ///
@@ -33,38 +37,24 @@ const FRAG_MARKER: &str = "[FRAG]";
 /// # Examples
 ///
 /// ```
-/// use verispec_verilog::{parse, fragment, significant::SignificantTokens};
+/// use verispec_verilog::fragment;
 /// let src = "module inv(input a, output y);\n  assign y = ~a;\nendmodule";
-/// let sig = SignificantTokens::from_source_file(&parse(src)?);
-/// let tagged = fragment::fragmentize(src, &sig)?;
-/// assert!(tagged.starts_with("[FRAG]module[FRAG]"));
+/// let tagged = fragment::fragmentize(src)?;
+/// assert!(tagged.starts_with("[FRAG]module[FRAG] [FRAG]inv[FRAG][FRAG]([FRAG]"));
 /// assert_eq!(fragment::defragmentize(&tagged), src);
 /// # Ok::<(), verispec_verilog::Error>(())
 /// ```
-pub fn fragmentize(src: &str, sig: &SignificantTokens) -> Result<String> {
-    Ok(fragmentize_tokens(src, &lex(src)?, sig))
-}
-
-/// Parses `src` and wraps its significant tokens: [`fragmentize`] with
-/// the [`SignificantTokens`] of `src`'s own syntax tree, lexing `src`
-/// once for both.
-///
-/// # Errors
-///
-/// Returns an error if `src` fails to lex or to parse.
-pub fn fragmentize_source(src: &str) -> Result<String> {
-    let tokens = lex(src)?;
-    let sig = SignificantTokens::from_source_file(&parse_tokens(&tokens)?);
-    Ok(fragmentize_tokens(src, &tokens, &sig))
+pub fn fragmentize(src: &str) -> Result<String> {
+    Ok(fragmentize_tokens(src, &lex(src)?))
 }
 
 /// [`fragmentize`] over `src`'s token stream as [`lex`] returns it, for
-/// a caller that has lexed (and parsed) the source already.
+/// a caller that has lexed the source already.
 ///
 /// # Panics
 ///
 /// If a token's span does not lie within `src`.
-pub fn fragmentize_tokens(src: &str, tokens: &[Token], sig: &SignificantTokens) -> String {
+pub fn fragmentize_tokens(src: &str, tokens: &[Token]) -> String {
     let mut result = String::with_capacity(src.len() * 2);
     let mut prev_end = 0usize;
 
@@ -141,11 +131,10 @@ pub fn fragmentize_tokens(src: &str, tokens: &[Token], sig: &SignificantTokens) 
             }
             _ => false,
         };
-        if tok.kind == TokenKind::Keyword(crate::token::Keyword::Module) {
+        if tok.kind == TokenKind::Keyword(Keyword::Module) {
             header = Header::SawModule;
         }
-
-        if structural || sig.is_significant_text(text) {
+        if structural || is_significant(&tok.kind) {
             result.push_str(FRAG_MARKER);
             result.push_str(text);
             result.push_str(FRAG_MARKER);
@@ -160,15 +149,6 @@ pub fn fragmentize_tokens(src: &str, tokens: &[Token], sig: &SignificantTokens) 
 /// Removes every `[FRAG]` marker from `tagged`, restoring plain Verilog.
 pub fn defragmentize(tagged: &str) -> String {
     tagged.replace(FRAG_MARKER, "")
-}
-
-/// Splits tagged text into fragments (the pieces between markers),
-/// dropping empty pieces that arise from adjacent markers.
-pub fn fragments(tagged: &str) -> Vec<&str> {
-    tagged
-        .split(FRAG_MARKER)
-        .filter(|s| !s.is_empty())
-        .collect()
 }
 
 #[cfg(test)]
@@ -187,20 +167,22 @@ mod tests {
 endmodule";
 
     fn tag(src: &str) -> String {
-        let sig = SignificantTokens::from_source_file(&parse(src).expect("parse"));
-        fragmentize(src, &sig).expect("fragmentize")
+        fragmentize(src).expect("fragmentize")
     }
 
+    /// Tagging reads tokens only: a lex error is an error, but a source
+    /// that lexes tags whether or not it parses.
     #[test]
-    fn fragmentize_source_equals_parse_then_fragmentize() {
-        for src in [
-            FIG3_SRC,
-            "module m #(parameter W = 4)(input [W-1:0] a, output y); assign y = a[0]; endmodule",
-        ] {
-            assert_eq!(fragmentize_source(src).expect("tags"), tag(src));
-        }
-        assert!(fragmentize_source("module m(input a output y); endmodule").is_err());
-        assert!(fragmentize_source("module m; /* unterminated").is_err());
+    fn fragmentize_fails_only_on_a_lex_error() {
+        assert!(fragmentize("module m; /* unterminated").is_err());
+        let src = "module m(input a output y); endmodule";
+        assert!(parse(src).is_err());
+        let tagged = tag(src);
+        assert!(
+            tagged.contains("[FRAG]a[FRAG] [FRAG]output[FRAG]"),
+            "{tagged}"
+        );
+        assert_eq!(defragmentize(&tagged), src);
     }
 
     #[test]
@@ -230,6 +212,61 @@ endmodule";
         // The paper's example leaves commas and `@(` unwrapped.
         assert!(!tagged.contains("[FRAG],[FRAG]"));
         assert!(!tagged.contains("[FRAG]@[FRAG]"));
+        // The blocking assignment wraps like the non-blocking one.
+        let tagged = tag("module m(output y); assign y = 1'b0; endmodule");
+        assert!(tagged.contains("[FRAG]=[FRAG]"), "{tagged}");
+    }
+
+    /// The paper's extra-keyword list: each is a reserved word, so each
+    /// wraps.
+    #[test]
+    fn the_papers_extra_keywords_all_wrap() {
+        for kw in [
+            "module",
+            "endmodule",
+            "input",
+            "output",
+            "inout",
+            "wire",
+            "reg",
+            "integer",
+            "parameter",
+            "localparam",
+            "assign",
+            "always",
+            "initial",
+            "begin",
+            "end",
+            "if",
+            "else",
+            "case",
+            "casez",
+            "casex",
+            "endcase",
+            "default",
+            "for",
+            "while",
+            "posedge",
+            "negedge",
+            "signed",
+        ] {
+            assert_eq!(tag(kw), format!("[FRAG]{kw}[FRAG]"));
+        }
+    }
+
+    /// An escaped identifier is an identifier token, so it wraps, spelled
+    /// with its backslash.
+    #[test]
+    fn escaped_identifiers_wrap_like_every_identifier() {
+        let src = "module m(input \\bus[0] , output y); assign y = \\bus[0] ; endmodule";
+        parse(src).expect("parses");
+        let tagged = tag(src);
+        assert_eq!(
+            tagged.matches("[FRAG]\\bus[0][FRAG]").count(),
+            2,
+            "{tagged}"
+        );
+        assert_eq!(defragmentize(&tagged), src);
     }
 
     #[test]
@@ -277,15 +314,6 @@ endmodule";
             tagged.contains(")[FRAG]([FRAG]"),
             "port lparen must wrap: {tagged}"
         );
-    }
-
-    #[test]
-    fn fragments_split_and_count() {
-        let tagged = tag("module m(input a, output y); assign y = a; endmodule");
-        let frags = fragments(&tagged);
-        assert!(frags.contains(&"module"));
-        assert!(frags.contains(&"assign"));
-        assert!(tagged.matches(FRAG_MARKER).count() >= 2 * 6);
     }
 
     #[test]

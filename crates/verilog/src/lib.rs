@@ -17,21 +17,20 @@
 //!   concatenation, replication, bit/part selects, based literals).
 //!
 //! On top of the front-end it implements the paper's Fig.-3 pipeline:
-//! extracting **syntactically significant tokens** from the AST
-//! ([`significant`]) and segmenting source text into fragments delimited by
-//! the `[FRAG]` marker ([`fragment`]).
+//! segmenting source text into fragments delimited by the `[FRAG]` marker
+//! around every **syntactically significant token** ([`fragment`]), a
+//! class the lexer's token kinds decide ([`significant`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use verispec_verilog::{parse, fragment::fragmentize, significant::SignificantTokens};
+//! use verispec_verilog::{parse, fragment::fragmentize};
 //!
 //! let src = "module inv(input a, output y); assign y = ~a; endmodule";
 //! let file = parse(src)?;
 //! assert_eq!(file.modules[0].name, "inv");
 //!
-//! let sig = SignificantTokens::from_source_file(&file);
-//! let tagged = fragmentize(src, &sig)?;
+//! let tagged = fragmentize(src)?;
 //! assert!(tagged.contains("[FRAG]module[FRAG]"));
 //! # Ok::<(), verispec_verilog::Error>(())
 //! ```

@@ -1,11 +1,11 @@
 //! Property tests: `parse(print(ast)) == ast` on randomly generated ASTs,
-//! and fragmentize/defragmentize inverse on the printed text.
+//! fragmentize/defragmentize inverse on the printed text, and a printed
+//! header tagging the same on its own as at the head of its module.
 
 use proptest::prelude::*;
 use verispec_verilog::ast::*;
 use verispec_verilog::fragment::{defragmentize, fragmentize};
 use verispec_verilog::printer::print_source_file;
-use verispec_verilog::significant::SignificantTokens;
 use verispec_verilog::{lex, parse};
 
 /// Identifiers drawn from a fixed pool so expressions reference declared
@@ -221,9 +221,24 @@ proptest! {
     fn fragment_round_trip(m in module_strategy()) {
         let file = SourceFile { modules: vec![m] };
         let printed = print_source_file(&file);
-        let sig = SignificantTokens::from_source_file(&file);
-        let tagged = fragmentize(&printed, &sig).expect("fragmentize");
+        let tagged = fragmentize(&printed).expect("fragmentize");
         prop_assert_eq!(defragmentize(&tagged), printed);
+    }
+
+    #[test]
+    fn a_header_tags_as_the_head_of_its_module(m in module_strategy()) {
+        let printed = print_source_file(&SourceFile { modules: vec![m.clone()] });
+        let bare = SourceFile { modules: vec![Module { items: Vec::new(), ..m }] };
+        let printed_bare = print_source_file(&bare);
+        let header = printed_bare.strip_suffix("endmodule\n").expect("printed module ends");
+        let tagged_header = fragmentize(header).expect("fragmentize header");
+        let tagged = fragmentize(&printed).expect("fragmentize");
+        prop_assert!(
+            tagged.starts_with(&tagged_header),
+            "header:\n{}\nmodule:\n{}",
+            tagged_header,
+            tagged
+        );
     }
 
     #[test]

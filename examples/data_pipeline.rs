@@ -11,10 +11,11 @@
 //! cargo run --release --example data_pipeline
 //! ```
 
+use std::collections::BTreeSet;
 use verispec::core::LabelGrid;
 use verispec::data::{Corpus, CorpusConfig};
 use verispec::tokenizer::{special, BpeTrainer};
-use verispec::verilog::significant::SignificantTokens;
+use verispec::verilog::{lex, TokenKind};
 
 fn main() {
     println!("== VeriSpec data pipeline ==\n");
@@ -44,10 +45,15 @@ fn main() {
         item.name, item.family, item.source
     );
 
-    let file = verispec::verilog::parse(&item.source).expect("corpus items parse");
-    let sig = SignificantTokens::from_source_file(&file);
-    let idents: Vec<&str> = sig.iter().collect();
-    println!("AST-derived significant identifiers: {idents:?}\n");
+    let tokens = lex(&item.source).expect("corpus items lex");
+    let idents: BTreeSet<&str> = tokens
+        .iter()
+        .filter_map(|t| match &t.kind {
+            TokenKind::Ident(name) => Some(name.as_str()),
+            _ => None,
+        })
+        .collect();
+    println!("significant identifiers: {idents:?}\n");
     println!("[FRAG]-tagged source:\n{}\n", item.tagged_source);
 
     // 3. Syntax-enriched labels (Fig. 4): tokenize and build the grid.

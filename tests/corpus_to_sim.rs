@@ -6,7 +6,6 @@ use verispec::data::{Corpus, CorpusConfig};
 use verispec::sim::elaborate;
 use verispec::verilog::fragment::{defragmentize, fragmentize};
 use verispec::verilog::printer::print_source_file;
-use verispec::verilog::significant::SignificantTokens;
 
 #[test]
 fn corpus_items_survive_the_full_front_end() {
@@ -30,8 +29,7 @@ fn corpus_items_survive_the_full_front_end() {
             item.family
         );
         // Fragment round trip.
-        let sig = SignificantTokens::from_source_file(&file);
-        let tagged = fragmentize(&item.source, &sig).expect("fragmentize");
+        let tagged = fragmentize(&item.source).expect("fragmentize");
         assert_eq!(defragmentize(&tagged), item.source, "[{}]", item.family);
         assert_eq!(
             tagged, item.tagged_source,
