@@ -20,7 +20,6 @@
 //! simulated clock does not care how few nodes this CPU forwards.
 
 use crate::accept::TypicalAcceptance;
-use crate::policy::SpecShape;
 use crate::step::{Engine, Stepper};
 use serde::{Deserialize, Serialize};
 use verispec_grammar::{GrammarOracle, PruneRecord, ViabilityState};
@@ -149,8 +148,8 @@ pub fn decode_ntp(
 ///    activation every head is attached to;
 /// 2. the base token is drawn (greedy or sampled) and always committed;
 /// 3. each head proposes its next token(s), forming the candidate tree —
-///    whose shape is known from the step's [`SpecShape`] alone, so head
-///    `d + 1` is evaluated (from the kept activation) only once
+///    whose shape is known from the step's [`crate::SpecShape`] alone,
+///    so head `d + 1` is evaluated (from the kept activation) only once
 ///    acceptance has reached depth `d`;
 /// 4. the tree is verified level by level, left to right — exact-match
 ///    under greedy decoding (lossless), Eq.-1 typical acceptance under
@@ -179,8 +178,8 @@ pub fn decode_speculative(
 ///    *viable* token from the base logits when the draw itself would
 ///    kill the byte stream (one RNG draw either way, so the sampled
 ///    token sequence stays seed-deterministic);
-/// 2. the candidate tree has the step's [`SpecShape`] and grows a level
-///    at a time, as the unconstrained one does: head `d + 1` is
+/// 2. the candidate tree has the step's [`crate::SpecShape`] and grows a
+///    level at a time, as the unconstrained one does: head `d + 1` is
 ///    evaluated only once acceptance reaches depth `d`, and then each
 ///    reached depth-`d` node's children are the first tokens of the
 ///    head's ranking viable from that node's own viability state
@@ -188,9 +187,9 @@ pub fn decode_speculative(
 ///    the scanned window is viable (so a dead oracle state degrades to
 ///    plain [`decode_speculative`] candidates);
 /// 3. the step is charged its shape's
-///    [`SpecShape::candidate_tokens`], like every speculative step, and
-///    commits by the same rule: the first longest accepted path, cut at
-///    its last `[FRAG]` by the syntax-integrity check.
+///    [`crate::SpecShape::candidate_tokens`], like every speculative
+///    step, and commits by the same rule: the first longest accepted
+///    path, cut at its last `[FRAG]` by the syntax-integrity check.
 ///
 /// Syntax alignment is forced on: the engine speculates towards the
 /// fragment boundaries that cut keeps.
@@ -218,35 +217,27 @@ pub(crate) const MAX_CANDIDATE_PATHS: usize = 32;
 pub(crate) fn build_candidate_paths(
     heads: verispec_lm::ArenaRows<'_>,
     n_heads: usize,
-    shape: &SpecShape,
+    shape: &crate::policy::SpecShape,
 ) -> Vec<Vec<TokenId>> {
-    match shape {
-        SpecShape::Chain { depth } => vec![(0..(*depth).min(n_heads))
-            .map(|level| verispec_lm::argmax(heads.row(level)))
-            .collect()],
-        SpecShape::Tree { widths, depth } => {
-            let depth = (*depth).min(n_heads);
-            let mut paths: Vec<Vec<TokenId>> = vec![Vec::new()];
-            let mut options = Vec::new();
-            for level in 0..depth {
-                let k = widths.get(level).copied().unwrap_or(1).max(1);
-                verispec_lm::top_k_into(heads.row(level), k, &mut options);
-                let mut next = Vec::with_capacity(paths.len() * options.len());
-                'grow: for p in &paths {
-                    for &opt in &options {
-                        let mut q = p.clone();
-                        q.push(opt);
-                        next.push(q);
-                        if next.len() >= MAX_CANDIDATE_PATHS {
-                            break 'grow;
-                        }
-                    }
+    let mut paths: Vec<Vec<TokenId>> = vec![Vec::new()];
+    let mut options = Vec::new();
+    for level in 0..shape.depth.min(n_heads) {
+        let k = shape.widths.get(level).copied().unwrap_or(1).max(1);
+        verispec_lm::top_k_into(heads.row(level), k, &mut options);
+        let mut next = Vec::with_capacity(paths.len() * options.len());
+        'grow: for p in &paths {
+            for &opt in &options {
+                let mut q = p.clone();
+                q.push(opt);
+                next.push(q);
+                if next.len() >= MAX_CANDIDATE_PATHS {
+                    break 'grow;
                 }
-                paths = next;
             }
-            paths
         }
+        paths = next;
     }
+    paths
 }
 
 /// How far past the requested width each head's ranking is scanned for
@@ -256,17 +247,6 @@ pub(crate) const GRAMMAR_SCAN_SLACK: usize = 8;
 /// How many ranked base-logit candidates are scanned when the drawn
 /// base token is not lexically viable.
 pub(crate) const GRAMMAR_BASE_SCAN: usize = 32;
-
-/// The per-level candidate widths of a [`SpecShape`] that fits its
-/// model ([`SpecShape::clamp`]): one entry per explored level, a
-/// chain being the width-1 tree.
-pub(crate) fn level_widths(shape: &SpecShape) -> impl Iterator<Item = usize> + Clone + '_ {
-    let (widths, depth): (&[usize], usize) = match shape {
-        SpecShape::Chain { depth } => (&[], *depth),
-        SpecShape::Tree { widths, depth } => (widths, *depth),
-    };
-    (0..depth).map(|level| widths.get(level).copied().unwrap_or(1).max(1))
-}
 
 /// Names the options of one grammar-tree node: the first `k` entries
 /// of `ranked` — its level's head ranking — that are lexically viable
@@ -631,16 +611,16 @@ mod tests {
         arena.push_row(&[9.0, 1.0, 0.0, 0.0]); // head 1: top-2 = [0, 1]
         arena.push_row(&[0.0, 0.0, 3.0, 2.0]); // head 2: top-1 = [2]
         let logits = arena.rows_from(0);
-        let tree = SpecShape::Tree {
-            widths: vec![2, 1],
-            depth: 2,
+        let shape = |widths: &[usize], depth| crate::policy::SpecShape {
+            widths: widths.to_vec(),
+            depth,
         };
-        let paths = super::build_candidate_paths(logits, 2, &tree);
+        let paths = super::build_candidate_paths(logits, 2, &shape(&[2, 1], 2));
         assert_eq!(paths, vec![vec![0, 2], vec![1, 2]]);
-        let chain = super::build_candidate_paths(logits, 2, &SpecShape::Chain { depth: 2 });
+        let chain = super::build_candidate_paths(logits, 2, &shape(&[], 2));
         assert_eq!(chain, vec![vec![0, 2]]);
         // A shallower shape explores fewer head levels.
-        let short = super::build_candidate_paths(logits, 2, &SpecShape::Chain { depth: 1 });
+        let short = super::build_candidate_paths(logits, 2, &shape(&[], 1));
         assert_eq!(short, vec![vec![0]]);
     }
 

@@ -292,14 +292,14 @@ proptest! {
             if st.output().trace.len() == context.len() - prompt.len() {
                 break;
             }
-            let shape = st.last_shape().expect("a grammar step has a shape").clone();
+            let shape = st.last_shape().clone();
             let step = st.output().trace.last().expect("stepped").clone();
             prop_assert_eq!(step.speculated, shape.candidate_tokens(), "charged its shape");
             let record = st.last_prune().expect("grammar steppers record what they filter");
             prop_assert_eq!(record.considered, record.pruned + record.surviving);
             let base = step.committed[0];
             if step.speculated > 0 && base != eos {
-                let widths: Vec<usize> = level_widths(&shape).collect();
+                let widths: Vec<usize> = shape.level_widths().collect();
                 let root = oracle.advance(state, base);
                 let paths = grammar_tree(&ranked, &widths, &oracle, root);
                 for (path, named) in st.reached_trie() {

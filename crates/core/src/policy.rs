@@ -17,20 +17,26 @@
 //! # The stack
 //!
 //! ```text
-//!   DecodeConfig.tree                            (the configured shape)
-//!        │ base_shape()
+//!   DecodeConfig.tree                            (the configured shape;
+//!        │ Engine::base_shape()                    SpecShape::EMPTY for NTP)
 //!        ▼
 //!   SpecPolicy::shape(ShapeQuery{base, history, cap})
 //!        │                │             │
 //!        │                │             └ per-request slice of the
-//!        │                │               engine's per-tick candidate
-//!        │                │               budget (serving only)
+//!        │                │               engine's per-tick verify
+//!        │                │               capacity (serving only)
 //!        │                └ AcceptHistory: the request's own past
 //!        │                  (speculated, accepted) per step
 //!        ▼
 //!   SpecShape ──► Stepper::propose builds exactly this many
-//!                 candidate paths
+//!                 candidate paths (none for the empty shape)
 //! ```
+//!
+//! One shape covers every engine: the top-1 chain is the tree with no
+//! width entries, and next-token prediction is [`SpecShape::EMPTY`],
+//! the tree with no levels. The empty shape is every bundled policy's
+//! fixed point, and a policy that shrinks a shape to nothing runs the
+//! same code NTP does.
 //!
 //! * [`StaticPolicy`] — always the configured shape. This is today's
 //!   behavior, bit-identically: every existing engine and test runs
@@ -41,10 +47,11 @@
 //!   and deterministic, the serial and served paths make identical
 //!   decisions and stay token-identical — adaptation never depends on
 //!   batch composition.
-//! * [`BudgetedPolicy`] — the serving policy: the engine divides a
-//!   per-tick global candidate budget across the batch and each
-//!   request's shape is shrunk to its slice ([`SpecShape::shrink_to`]),
-//!   so more requests fit into one tick instead of a few wide trees
+//! * [`BudgetedPolicy`] — the serving policy: the engine divides its
+//!   per-tick verify capacity (`verispec_serve::ServeConfig::tick_capacity`,
+//!   the one capacity knob) across the batch and each request's shape
+//!   is shrunk to its slice ([`SpecShape::shrink_to`]), so more
+//!   requests fit into one tick instead of a few wide trees
 //!   monopolizing the verify pass.
 //!
 //! Policies must be deterministic and free of interior mutability:
@@ -65,40 +72,34 @@ use crate::decode::MAX_CANDIDATE_PATHS;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
-/// The speculation bought for one step of one request.
+/// The speculation bought for one step of one request: the paper's
+/// candidate tree, level `i` drawn from head `i`'s top-`widths[i-1]`
+/// over the first `depth` heads.
 ///
 /// Shapes are interpreted against the model's `n_heads` extra MEDUSA
-/// heads: `depth` levels are explored (level `i` proposes from head
-/// `i`), and a tree's missing width entries default to 1 — exactly the
+/// heads, and a missing (or zero) width entry means 1 — exactly the
 /// semantics [`crate::decode::DecodeConfig::tree`] always had, so the
-/// static mapping is the identity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SpecShape {
-    /// Top-1 chain over the first `depth` heads (`depth == n_heads`
-    /// reproduces `tree: None`).
-    Chain {
-        /// Number of heads proposing one token each.
-        depth: usize,
-    },
-    /// Candidate tree over the first `depth` heads: level `i` draws
-    /// from head `i`'s top-`widths[i-1]` (missing entries = width 1;
-    /// `depth == n_heads` reproduces `tree: Some(widths)`).
-    Tree {
-        /// Per-level top-k widths.
-        widths: Vec<usize>,
-        /// Number of head levels explored.
-        depth: usize,
-    },
+/// static mapping is the identity. One form covers every engine: the
+/// top-1 chain is the tree with no width entries (every level width 1,
+/// `tree: None`), and next-token prediction is [`SpecShape::EMPTY`],
+/// the tree with no levels (also the `Default`).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SpecShape {
+    /// Per-level top-k widths.
+    pub widths: Vec<usize>,
+    /// Head levels explored: a step reads the logits of heads
+    /// `0..=depth` and no others.
+    pub depth: usize,
 }
 
 impl SpecShape {
-    /// Head levels this shape explores: a step reads the logits of
-    /// heads `0..=depth` and no others.
-    pub fn depth(&self) -> usize {
-        match self {
-            SpecShape::Chain { depth } | SpecShape::Tree { depth, .. } => *depth,
-        }
-    }
+    /// The shape with no levels: next-token prediction, and what
+    /// [`SpecShape::shrink_to`] ends at. Every bundled policy answers
+    /// it with itself.
+    pub const EMPTY: SpecShape = SpecShape {
+        widths: Vec::new(),
+        depth: 0,
+    };
 
     /// Candidate tokens this shape proposes per step, mirroring
     /// [`crate::decode`]'s path construction (including the
@@ -114,43 +115,25 @@ impl SpecShape {
     /// this count, because the simulated clock, the step trace and the
     /// acceptance history are charged from it.
     pub fn candidate_tokens(&self) -> usize {
-        match self {
-            SpecShape::Chain { depth } => *depth,
-            SpecShape::Tree { widths, depth } => {
-                let mut n_paths = 1usize;
-                for level in 0..*depth {
-                    let k = widths.get(level).copied().unwrap_or(1).max(1);
-                    n_paths = (n_paths * k).min(MAX_CANDIDATE_PATHS);
-                }
-                // Zero levels leave the single empty path, which
-                // proposes nothing.
-                if *depth == 0 {
-                    0
-                } else {
-                    n_paths * *depth
-                }
-            }
-        }
+        let n_paths = self
+            .level_widths()
+            .fold(1, |n, k| (n * k).min(MAX_CANDIDATE_PATHS));
+        n_paths * self.depth
     }
 
-    /// Copies the shape into `slot`: a tree refilled from a tree keeps
-    /// its widths allocation, so a slot refilled every step allocates
-    /// nothing once warm (the derived `clone_from` of an enum would
-    /// drop the old `widths` and allocate anew).
-    pub fn copy_into(&self, slot: &mut Option<SpecShape>) {
-        match (slot, self) {
-            (
-                Some(SpecShape::Tree { widths, depth }),
-                SpecShape::Tree {
-                    widths: from,
-                    depth: d,
-                },
-            ) => {
-                widths.clone_from(from);
-                *depth = *d;
-            }
-            (slot, shape) => *slot = Some(shape.clone()),
-        }
+    /// The per-level candidate widths of a shape that fits its model
+    /// ([`SpecShape::clamp`]): one entry per explored level, a missing
+    /// or zero width being 1.
+    pub(crate) fn level_widths(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        (0..self.depth).map(|level| self.widths.get(level).copied().unwrap_or(1).max(1))
+    }
+
+    /// Copies the shape into `slot`, refilling its widths in place, so
+    /// a slot refilled every step allocates nothing once warm (a
+    /// derived `clone` would allocate anew).
+    pub fn copy_into(&self, slot: &mut SpecShape) {
+        slot.widths.clone_from(&self.widths);
+        slot.depth = self.depth;
     }
 
     /// Cuts the shape, in place, to what a model with `n_heads` Medusa
@@ -158,13 +141,8 @@ impl SpecShape {
     /// widths to the tokens a head can rank. Nothing else is touched
     /// (absent and zero widths keep meaning 1).
     pub fn clamp(&mut self, n_heads: usize, vocab: usize) {
-        match self {
-            SpecShape::Chain { depth } => *depth = (*depth).min(n_heads),
-            SpecShape::Tree { widths, depth } => {
-                *depth = (*depth).min(n_heads);
-                widths.iter_mut().for_each(|w| *w = (*w).min(vocab));
-            }
-        }
+        self.depth = self.depth.min(n_heads);
+        self.widths.iter_mut().for_each(|w| *w = (*w).min(vocab));
     }
 
     /// Verify positions one step of this shape costs the engine: the
@@ -177,30 +155,22 @@ impl SpecShape {
 
     /// The largest shape no costlier than `max_cost`, shrunk
     /// deterministically: depth is reduced first (down to one level),
-    /// then tree widths (deepest level first), then to zero levels —
-    /// so a shape can always fit any budget ≥ 1.
+    /// then widths (deepest level first), then to zero levels — so a
+    /// shape can always fit any budget ≥ 1.
     pub fn shrink_to(&self, max_cost: usize) -> SpecShape {
         let mut shape = self.clone();
-        loop {
-            if shape.step_cost() <= max_cost.max(1) {
-                return shape;
-            }
-            match &mut shape {
-                SpecShape::Chain { depth } => *depth -= 1,
-                SpecShape::Tree { widths, depth } => {
-                    // Only widths of still-explored levels can change
-                    // the cost.
-                    let explored = (*depth).min(widths.len());
-                    if *depth > 1 {
-                        *depth -= 1;
-                    } else if let Some(w) = widths[..explored].iter_mut().rev().find(|w| **w > 1) {
-                        *w -= 1;
-                    } else {
-                        *depth = 0;
-                    }
-                }
+        while shape.step_cost() > max_cost.max(1) {
+            // Only widths of still-explored levels can change the cost.
+            let explored = shape.depth.min(shape.widths.len());
+            if shape.depth > 1 {
+                shape.depth -= 1;
+            } else if let Some(w) = shape.widths[..explored].iter_mut().rev().find(|w| **w > 1) {
+                *w -= 1;
+            } else {
+                shape.depth = 0;
             }
         }
+        shape
     }
 }
 
@@ -261,7 +231,7 @@ impl AcceptHistory {
     /// Mean accepted speculated tokens per *speculating* step over the
     /// last `window` steps (steps that offered no candidates are
     /// skipped); `None` while nothing in the window speculated.
-    pub fn recent_mean_accepted(&self, window: usize) -> Option<f64> {
+    fn recent_mean_accepted(&self, window: usize) -> Option<f64> {
         let tail = self.recent.iter().rev().take(window);
         let (mut steps, mut accepted) = (0u32, 0u64);
         for &(spec, acc) in tail {
@@ -304,13 +274,6 @@ pub trait SpecPolicy: Sync {
     /// `query.base` when the policy keeps the configured shape, so that
     /// the common decision costs no allocation.
     fn shape<'a>(&self, query: &ShapeQuery<'a>) -> Cow<'a, SpecShape>;
-
-    /// A per-tick global candidate budget (in [`SpecShape::step_cost`]
-    /// units) the serving engine should divide across each tick's
-    /// batch; `None` leaves the engine's configured capacity in charge.
-    fn tick_budget(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// Today's behavior: always the configured shape, regardless of
@@ -334,13 +297,13 @@ impl SpecPolicy for StaticPolicy {
 /// Dynamic speculation length: offer the recently *realized* run
 /// length plus one level, never more than configured.
 ///
-/// The decision is `depth = clamp(⌊mean accepted over the last
-/// `window` speculating steps⌋ + 1, 1, configured depth)`: a request
+/// The decision is `depth = min(⌊mean accepted over the last
+/// `window` speculating steps⌋ + 1, configured depth)`: a request
 /// whose speculation keeps cashing out keeps its full tree, one whose
 /// candidates keep being rejected stops paying for depth it never
 /// realizes. Until the first
 /// `window` has any speculating step, the configured shape runs
-/// (optimistic warm-up).
+/// (optimistic warm-up). The empty shape stays empty.
 ///
 /// The decision reads only the request's own [`AcceptHistory`] — not
 /// the cap, not the batch — so serial and served runs stay
@@ -363,7 +326,7 @@ impl AdaptivePolicy {
     fn adapted_depth(&self, configured: usize, history: &AcceptHistory) -> usize {
         match history.recent_mean_accepted(self.window) {
             None => configured,
-            Some(mean) => (mean.floor() as usize + 1).clamp(1, configured.max(1)),
+            Some(mean) => (mean.floor() as usize + 1).min(configured),
         }
     }
 }
@@ -374,21 +337,17 @@ impl SpecPolicy for AdaptivePolicy {
     }
 
     fn shape<'a>(&self, query: &ShapeQuery<'a>) -> Cow<'a, SpecShape> {
-        Cow::Owned(match query.base {
-            SpecShape::Chain { depth } => SpecShape::Chain {
-                depth: self.adapted_depth(*depth, query.history),
-            },
-            SpecShape::Tree { widths, depth } => SpecShape::Tree {
-                widths: widths.clone(),
-                depth: self.adapted_depth(*depth, query.history),
-            },
+        Cow::Owned(SpecShape {
+            widths: query.base.widths.clone(),
+            depth: self.adapted_depth(query.base.depth, query.history),
         })
     }
 }
 
-/// The serving policy: a per-tick global candidate budget, divided
-/// across the batch by the engine, with each request's shape shrunk
-/// into its slice.
+/// The serving policy: each request's shape shrunk into its slice of
+/// the engine's per-tick verify capacity
+/// (`verispec_serve::ServeConfig::tick_capacity`), which the engine
+/// divides across the batch.
 ///
 /// Where [`StaticPolicy`] under a capacity-gated engine *defers*
 /// requests whose full shape does not fit the remaining budget (a few
@@ -398,12 +357,9 @@ impl SpecPolicy for AdaptivePolicy {
 /// shape depends on batch composition, served outputs under sampling
 /// may differ from the serial single-stream run — this is explicitly a
 /// *serving* policy, traded for tail latency under overload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetedPolicy {
-    /// Total verify positions ([`SpecShape::step_cost`] units) the
-    /// engine may spend per tick.
-    pub per_tick: usize,
-}
+/// Without a capacity there is no slice, and the configured shape runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BudgetedPolicy;
 
 impl SpecPolicy for BudgetedPolicy {
     fn name(&self) -> &'static str {
@@ -418,16 +374,19 @@ impl SpecPolicy for BudgetedPolicy {
             _ => Cow::Borrowed(query.base),
         }
     }
-
-    fn tick_budget(&self) -> Option<usize> {
-        Some(self.per_tick.max(1))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decode::build_candidate_paths;
+
+    fn tree(widths: &[usize], depth: usize) -> SpecShape {
+        SpecShape {
+            widths: widths.to_vec(),
+            depth,
+        }
+    }
 
     fn hist(entries: &[(usize, usize)]) -> AcceptHistory {
         let mut h = AcceptHistory::default();
@@ -450,20 +409,16 @@ mod tests {
             let row: Vec<f32> = (0..vocab).map(|j| ((i * 13 + j * 7) % 11) as f32).collect();
             logits.push_row(&row);
         }
-        let tree = |widths: &[usize], depth| SpecShape::Tree {
-            widths: widths.to_vec(),
-            depth,
-        };
         let shapes = [
-            SpecShape::Chain { depth: 6 },
-            SpecShape::Chain { depth: 2 },
-            SpecShape::Chain { depth: 0 },
+            tree(&[], 6),
+            tree(&[], 2),
             tree(&[2, 2, 1], 6),
             tree(&[3, 2], 3),
             tree(&[4, 4, 4], 3), // hits MAX_CANDIDATE_PATHS
-            tree(&[], 0),
+            SpecShape::EMPTY,
+            tree(&[1, 1], 0),
             // Deeper than the model has heads.
-            SpecShape::Chain { depth: 9 },
+            tree(&[], 9),
             tree(&[2, 2], 11),
             // The 32-path cut lands inside a parent's options (5 · 7),
             // with levels below it and as the last level.
@@ -485,7 +440,7 @@ mod tests {
                 built,
                 "cost mirror diverged for {shape:?}"
             );
-            assert!(taken.depth() <= n_heads);
+            assert!(taken.depth <= n_heads);
             let mut again = taken.clone();
             again.clamp(n_heads, vocab);
             assert_eq!(again, taken);
@@ -501,10 +456,7 @@ mod tests {
 
     #[test]
     fn static_policy_is_the_identity() {
-        let base = SpecShape::Tree {
-            widths: vec![2, 2, 1],
-            depth: 5,
-        };
+        let base = tree(&[2, 2, 1], 5);
         let h = hist(&[(10, 0), (10, 0)]);
         let shape = StaticPolicy.shape(&ShapeQuery {
             base: &base,
@@ -517,10 +469,7 @@ mod tests {
 
     #[test]
     fn adaptive_tracks_realized_run_length() {
-        let base = SpecShape::Tree {
-            widths: vec![2, 2],
-            depth: 4,
-        };
+        let base = tree(&[2, 2], 4);
         let p = AdaptivePolicy::default();
         // Warm-up: no speculation yet → configured shape.
         let h = AcceptHistory::default();
@@ -539,13 +488,7 @@ mod tests {
             history: &h,
             cap: None,
         });
-        assert_eq!(
-            *shape,
-            SpecShape::Tree {
-                widths: vec![2, 2],
-                depth: 1
-            }
-        );
+        assert_eq!(*shape, tree(&[2, 2], 1));
         // High realization → full configured depth, never more.
         let h = hist(&[(8, 4), (8, 4), (8, 4)]);
         let shape = p.shape(&ShapeQuery {
@@ -553,13 +496,7 @@ mod tests {
             history: &h,
             cap: None,
         });
-        assert_eq!(
-            *shape,
-            SpecShape::Tree {
-                widths: vec![2, 2],
-                depth: 4
-            }
-        );
+        assert_eq!(*shape, tree(&[2, 2], 4));
     }
 
     #[test]
@@ -571,27 +508,18 @@ mod tests {
         }
         // The last 4 steps cashed nothing; the old streak must not leak.
         assert_eq!(h.recent_mean_accepted(4), Some(0.0));
+        let base = tree(&[], 6);
         let shape = p.shape(&ShapeQuery {
-            base: &SpecShape::Chain { depth: 6 },
+            base: &base,
             history: &h,
             cap: None,
         });
-        assert_eq!(*shape, SpecShape::Chain { depth: 1 });
+        assert_eq!(*shape, tree(&[], 1));
     }
 
     #[test]
     fn shrink_to_fits_any_budget_monotonically() {
-        let shapes = [
-            SpecShape::Tree {
-                widths: vec![3, 2, 2],
-                depth: 6,
-            },
-            SpecShape::Chain { depth: 5 },
-            SpecShape::Tree {
-                widths: vec![4, 4],
-                depth: 2,
-            },
-        ];
+        let shapes = [tree(&[3, 2, 2], 6), tree(&[], 5), tree(&[4, 4], 2)];
         for shape in &shapes {
             let mut last = usize::MAX;
             for cap in (1..=shape.step_cost() + 2).rev() {
@@ -600,19 +528,16 @@ mod tests {
                 assert!(shrunk.step_cost() <= last, "shrinking must be monotone");
                 last = shrunk.step_cost();
             }
-            // Cap 1 always fits (zero candidates).
+            // Cap 1 always fits: the empty shape, zero candidates.
             assert_eq!(shape.shrink_to(1).step_cost(), 1);
+            assert_eq!(shape.shrink_to(1).depth, 0);
         }
     }
 
     #[test]
-    fn budgeted_shrinks_into_its_cap_and_exposes_the_budget() {
-        let p = BudgetedPolicy { per_tick: 24 };
-        assert_eq!(p.tick_budget(), Some(24));
-        let base = SpecShape::Tree {
-            widths: vec![2, 2, 1],
-            depth: 6,
-        };
+    fn budgeted_shrinks_into_its_cap() {
+        let p = BudgetedPolicy;
+        let base = tree(&[2, 2, 1], 6);
         let h = AcceptHistory::default();
         let full = p.shape(&ShapeQuery {
             base: &base,
@@ -638,26 +563,61 @@ mod tests {
 
     #[test]
     fn refilling_a_tree_keeps_its_allocation() {
-        let widths_at = |slot: &Option<SpecShape>| match slot {
-            Some(SpecShape::Tree { widths, .. }) => widths.as_ptr(),
-            _ => std::ptr::null(),
-        };
-        let tree = |widths: &[usize], depth| SpecShape::Tree {
-            widths: widths.to_vec(),
-            depth,
-        };
-        let mut slot = None;
+        let mut slot = SpecShape::EMPTY;
         tree(&[3, 2, 2], 6).copy_into(&mut slot);
-        let at = widths_at(&slot);
-        for source in [tree(&[2, 1], 2), tree(&[4, 4, 1], 3)] {
+        let at = slot.widths.as_ptr();
+        for source in [
+            tree(&[2, 1], 2),
+            tree(&[4, 4, 1], 3),
+            tree(&[], 3),
+            SpecShape::EMPTY,
+            tree(&[1], 1),
+        ] {
             source.copy_into(&mut slot);
-            assert_eq!(slot.as_ref(), Some(&source));
-            assert_eq!(widths_at(&slot), at, "refilled in place");
+            assert_eq!(slot, source);
+            assert_eq!(slot.widths.as_ptr(), at, "refilled in place");
         }
-        for source in [SpecShape::Chain { depth: 3 }, tree(&[1], 1)] {
-            source.copy_into(&mut slot);
-            assert_eq!(slot.as_ref(), Some(&source));
+    }
+
+    #[test]
+    fn the_empty_shape_is_every_policys_fixed_point() {
+        // NTP is the empty shape, and "stop now" must stay a value every
+        // policy can return: asked about it, each answers it, whatever
+        // the history and the cap.
+        let histories = [
+            AcceptHistory::default(),
+            hist(&[(0, 0); 40]),
+            hist(&[(8, 0), (8, 0)]),
+            hist(&[(8, 4), (8, 4), (8, 8)]),
+            hist(&[(6, 6); 40]),
+        ];
+        let caps = [None, Some(0), Some(1), Some(2), Some(3)];
+        let mut policies: Vec<Box<dyn SpecPolicy>> =
+            vec![Box::new(StaticPolicy), Box::new(BudgetedPolicy)];
+        for window in [0, 1, 4, 8, 32, 100] {
+            policies.push(Box::new(AdaptivePolicy { window }));
         }
+        let empty = SpecShape::EMPTY;
+        for policy in &policies {
+            for history in &histories {
+                for cap in caps {
+                    let shape = policy.shape(&ShapeQuery {
+                        base: &empty,
+                        history,
+                        cap,
+                    });
+                    assert_eq!(
+                        *shape,
+                        SpecShape::EMPTY,
+                        "{} moved the empty shape (cap {cap:?}, {history:?})",
+                        policy.name()
+                    );
+                }
+            }
+        }
+        assert_eq!(SpecShape::EMPTY.candidate_tokens(), 0);
+        assert_eq!(SpecShape::EMPTY.step_cost(), 1);
+        assert_eq!(SpecShape::EMPTY.shrink_to(1), SpecShape::EMPTY);
     }
 
     #[test]
@@ -672,7 +632,7 @@ mod tests {
         // Identical histories → identical decisions (purity witness).
         let a = hist(&[(8, 3), (8, 1)]);
         let b = hist(&[(8, 3), (8, 1)]);
-        let base = SpecShape::Chain { depth: 5 };
+        let base = tree(&[], 5);
         for policy in [&AdaptivePolicy::default() as &dyn SpecPolicy, &StaticPolicy] {
             assert_eq!(
                 policy.shape(&ShapeQuery {

@@ -11,8 +11,11 @@
 //! lives in the stepper, and the configured speculation shape is
 //! derived once, by [`Engine::base_shape`]. Every engine runs the same
 //! step — NTP is the speculative step with the **empty candidate
-//! tree**: its base token is the step's one token, and it has nothing
-//! to verify. Each step runs three phases:
+//! tree**, [`crate::policy::SpecShape::EMPTY`]: its base token is the
+//! step's one token, and it has nothing to verify. Its shape is asked
+//! of the policy, pinned and traced like any other, and the top-1
+//! chain is the tree without widths, so no step tells the engines
+//! apart by shape kind. Each step runs three phases:
 //!
 //! 1. **propose** ([`Stepper::propose`]) — open the step at the
 //!    current position's base row (the trunk activation every Medusa
@@ -124,7 +127,7 @@
 
 use crate::accept::TypicalAcceptance;
 use crate::decode::{
-    constrain_base_token, level_widths, viable_options, DecodeConfig, DecodeOutput, StepTrace,
+    constrain_base_token, viable_options, DecodeConfig, DecodeOutput, StepTrace,
     MAX_CANDIDATE_PATHS,
 };
 use crate::policy::{AcceptHistory, ShapeQuery, SpecPolicy, SpecShape, STATIC_POLICY};
@@ -171,21 +174,18 @@ pub enum Engine<'m> {
 impl Engine<'_> {
     /// The configured speculation shape of a generation of this engine
     /// on a model with `n_heads` Medusa heads — what a
-    /// [`SpecPolicy`] adapts from: the config's candidate tree (or the
-    /// top-1 chain) over every head; `None` for NTP, which speculates
-    /// nothing. The one derivation:
-    /// [`Stepper::base_shape`] reports it, and a server prices a
-    /// request it has not admitted yet with it.
-    pub fn base_shape(&self, n_heads: usize) -> Option<SpecShape> {
+    /// [`SpecPolicy`] adapts from: the config's candidate tree over
+    /// every head (no widths, the top-1 chain, for `tree: None`);
+    /// [`SpecShape::EMPTY`] for NTP, which speculates nothing. The one
+    /// derivation: [`Stepper::base_shape`] reports it, and a server
+    /// prices a request it has not admitted yet with it.
+    pub fn base_shape(&self, n_heads: usize) -> SpecShape {
         match self {
-            Engine::Ntp(_) => None,
-            Engine::Medusa(cfg) | Engine::Grammar(cfg, _) => Some(match &cfg.tree {
-                None => SpecShape::Chain { depth: n_heads },
-                Some(widths) => SpecShape::Tree {
-                    widths: widths.clone(),
-                    depth: n_heads,
-                },
-            }),
+            Engine::Ntp(_) => SpecShape::EMPTY,
+            Engine::Medusa(cfg) | Engine::Grammar(cfg, _) => SpecShape {
+                widths: cfg.tree.clone().unwrap_or_default(),
+                depth: n_heads,
+            },
         }
     }
 }
@@ -446,19 +446,19 @@ pub struct Stepper<'m> {
     /// `last_shape` (so the engine's per-tick budget accounting and the
     /// built paths agree).
     pinned: bool,
-    /// The configured shape, computed once at construction (`None` for
-    /// NTP) — propose never rebuilds it on the hot path.
-    base: Option<SpecShape>,
+    /// The configured shape, computed once at construction (the empty
+    /// shape for NTP) — propose never rebuilds it on the hot path.
+    base: SpecShape,
     /// The generation's own per-step acceptance history — the pure
     /// input adaptive policies decide from.
     history: AcceptHistory,
     /// The shape the most recent propose actually ran (policy-decided
     /// or pinned) — the per-step observability hook serving engines
     /// read when emitting trace events — or, once pinned, the one the
-    /// next propose will run. A slot refilled in place, so a tree's
-    /// widths are not reallocated every step. `None` before the first
-    /// pin or propose, and always `None` for NTP steppers.
-    last_shape: Option<SpecShape>,
+    /// next propose will run. A slot refilled in place, so a shape's
+    /// widths are not reallocated every step. The empty shape before
+    /// the first pin or propose.
+    last_shape: SpecShape,
     /// What the viability filter did in the most recent grammar step —
     /// `None` before the first propose and for non-grammar steppers.
     last_prune: Option<PruneRecord>,
@@ -556,7 +556,7 @@ impl<'m> Stepper<'m> {
             pinned: false,
             base,
             history: AcceptHistory::default(),
-            last_shape: None,
+            last_shape: SpecShape::EMPTY,
             last_prune: None,
             nodes: NodeMap::new(),
             scratch: LogitsArena::new(),
@@ -602,18 +602,18 @@ impl<'m> Stepper<'m> {
     }
 
     /// The request's *configured* speculation shape — what the policy
-    /// adapts from. `None` for NTP steppers (nothing to speculate).
-    pub fn base_shape(&self) -> Option<&SpecShape> {
-        self.base.as_ref()
+    /// adapts from ([`SpecShape::EMPTY`] for NTP steppers).
+    pub fn base_shape(&self) -> &SpecShape {
+        &self.base
     }
 
     /// The shape the most recent [`Stepper::propose`] actually ran
     /// (pinned or policy-decided), for observability: serving engines
     /// attach it to per-step trace events. Between
-    /// [`Stepper::pin_shape`] and the propose it is the pinned shape.
-    /// `None` before the first pin or propose and for NTP steppers.
-    pub fn last_shape(&self) -> Option<&SpecShape> {
-        self.last_shape.as_ref()
+    /// [`Stepper::pin_shape`] and the propose it is the pinned shape;
+    /// the empty shape before the first pin or propose.
+    pub fn last_shape(&self) -> &SpecShape {
+        &self.last_shape
     }
 
     /// What the viability filter did in the most recent step, summed
@@ -645,18 +645,15 @@ impl<'m> Stepper<'m> {
     fn next_shape(&mut self) {
         if !std::mem::take(&mut self.pinned) {
             let shape = self.policy.shape(&ShapeQuery {
-                base: self
-                    .base
-                    .as_ref()
-                    .expect("only speculative engines take shapes"),
+                base: &self.base,
                 history: &self.history,
                 cap: None,
             });
             shape.copy_into(&mut self.last_shape);
         }
         let model = self.target_model;
-        let shape = self.last_shape.as_mut().expect("filled above");
-        shape.clamp(model.n_extra_heads(), model.vocab_size());
+        self.last_shape
+            .clamp(model.n_extra_heads(), model.vocab_size());
     }
 
     /// Consumes the stepper, returning the final output.
@@ -713,16 +710,11 @@ impl<'m> Stepper<'m> {
         }
         // This step's speculation shape: pinned by the serving engine's
         // budget pass, or this stepper's own policy (the static default
-        // reproduces the configured shape exactly). NTP has none — the
-        // empty tree, no level, no candidate token.
-        let shape = if self.base.is_some() {
-            self.next_shape();
-            self.last_shape.as_ref()
-        } else {
-            None
-        };
-        let (levels, candidate_tokens) =
-            shape.map_or((0, 0), |shape| (shape.depth(), shape.candidate_tokens()));
+        // reproduces the configured shape exactly). NTP's is the empty
+        // shape — no level, no candidate token.
+        self.next_shape();
+        let shape = &self.last_shape;
+        let (levels, candidate_tokens) = (shape.depth, shape.candidate_tokens());
         let (sampling, eos) = (self.cfg.sampling, self.cfg.eos);
         let session = self.target.as_mut();
         let step_start = session.len();
@@ -767,13 +759,13 @@ impl<'m> Stepper<'m> {
             self.last_prune = Some(PruneRecord::default());
         }
         let verify_issued = base_tok != eos && candidate_tokens > 0;
-        if let Some(shape) = shape.filter(|_| verify_issued) {
+        if verify_issued {
             session.append(&[base_tok]);
             // The trie of the shape, no token named yet — and the same
             // trie as long as the shape repeats. No bonus row: a full
             // path's own node is never read.
             self.nodes
-                .build_shape(level_widths(shape), MAX_CANDIDATE_PATHS);
+                .build_shape(shape.level_widths(), MAX_CANDIDATE_PATHS);
             self.nodes.request(0);
             self.marks.clear();
             self.marks.resize(self.nodes.n_nodes(), NodeMark::default());
@@ -901,13 +893,7 @@ impl<'m> Stepper<'m> {
         let width = nodes.width(head - 1);
         match &mut self.grammar {
             None => {
-                match self.last_shape {
-                    Some(SpecShape::Chain { .. }) => {
-                        options.clear();
-                        options.push(argmax(row));
-                    }
-                    _ => top_k_into(row, width, options),
-                }
+                top_k_into(row, width, options);
                 for k in 0..nodes.level().len() {
                     name_children(nodes, marks, nodes.level()[k], options, |_, _| {});
                 }

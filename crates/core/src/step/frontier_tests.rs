@@ -118,11 +118,11 @@ impl Stepper<'_> {
         let (sampling, eos) = (self.cfg.sampling, self.cfg.eos);
         let n_heads = self.target_model.n_extra_heads();
         let shape = if std::mem::take(&mut self.pinned) {
-            self.last_shape.clone().expect("a pin fills the slot")
+            self.last_shape.clone()
         } else {
             self.policy
                 .shape(&ShapeQuery {
-                    base: self.base.as_ref().expect("speculative"),
+                    base: &self.base,
                     history: &self.history,
                     cap: None,
                 })
@@ -131,7 +131,7 @@ impl Stepper<'_> {
         let session = self.target.as_mut();
         let step_start = session.len();
         self.scratch.clear();
-        let levels = shape.depth().min(n_heads);
+        let levels = shape.depth.min(n_heads);
         let base = session.base_row_into(levels, &mut self.scratch);
         let base_tok = self.sampler.sample(self.scratch.row(base), sampling);
         let mut heads = LogitsArena::new();
@@ -420,18 +420,17 @@ fn run_shaped(
         match source {
             ShapeSource::Static | ShapeSource::Adaptive => {}
             ShapeSource::Shrunk => {
-                let base = st.base_shape().expect("speculative");
+                let base = st.base_shape();
                 let shrunk = base.shrink_to(1 + rng.below(base.step_cost() + 2));
                 st.pin_shape(&shrunk);
             }
-            ShapeSource::Wild => st.pin_shape(&match rng.below(3) {
-                0 => SpecShape::Chain {
-                    depth: rng.below(6),
+            ShapeSource::Wild => st.pin_shape(&SpecShape {
+                // A third of them chains: no widths, every level width 1.
+                widths: match rng.below(3) {
+                    0 => Vec::new(),
+                    _ => (0..rng.below(5)).map(|_| rng.below(20)).collect(),
                 },
-                _ => SpecShape::Tree {
-                    widths: (0..rng.below(5)).map(|_| rng.below(20)).collect(),
-                    depth: rng.below(6),
-                },
+                depth: rng.below(6),
             }),
         }
         let phase = match side {

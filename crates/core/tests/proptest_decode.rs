@@ -5,6 +5,9 @@
 //! Invariants:
 //! * NTP is one forward and one draw per step: `decode_ntp` equals the
 //!   loop that defines it, trace and clock included;
+//! * a chain is the width-1 tree: `tree: None`, `Some(vec![])` and
+//!   `Some(vec![1; n_heads])` decode identically, trace and clock
+//!   included;
 //! * greedy speculative decoding (Medusa and Ours) is lossless: it
 //!   reproduces the greedy NTP token stream exactly, for *any* model;
 //! * speculative decoding never takes more steps than NTP;
@@ -169,6 +172,45 @@ proptest! {
         prop_assert_eq!(out.steps, want.steps);
         prop_assert_eq!(&out.clock, &want.clock);
         prop_assert_eq!(&out.trace, &want.trace);
+    }
+
+    /// A chain is the width-1 tree: the top-1 chain (`tree: None`), a
+    /// tree without width entries and a tree of width 1 at every head
+    /// are one shape and must decode identically — tokens, steps,
+    /// simulated clock and every step-trace field — for Medusa and Ours,
+    /// greedy and sampled, on models with no heads at all too.
+    #[test]
+    fn a_chain_is_the_width_one_tree(
+        model in any_model(),
+        prompt in prop::collection::vec(5u32..20, 1..6),
+        max_tokens in 1usize..40,
+        sampled in any::<bool>(),
+        temperature in 0.2f32..2.0,
+        seed in any::<u64>(),
+        syntax_aligned in any::<bool>(),
+    ) {
+        let cost = GpuCostModel::codellama_like();
+        let sampling = if sampled {
+            Sampling::Temperature { temperature, top_k: 0 }
+        } else {
+            Sampling::Greedy
+        };
+        let cfg = DecodeConfig {
+            max_tokens,
+            sampling,
+            seed,
+            syntax_aligned,
+            ..Default::default()
+        };
+        let chain = decode_speculative(&model, &prompt, &cfg, &cost);
+        for widths in [Vec::new(), vec![1; model.n_heads]] {
+            let tree_cfg = DecodeConfig { tree: Some(widths.clone()), ..cfg.clone() };
+            let tree = decode_speculative(&model, &prompt, &tree_cfg, &cost);
+            prop_assert_eq!(&tree.tokens, &chain.tokens, "widths {:?}", &widths);
+            prop_assert_eq!(tree.steps, chain.steps);
+            prop_assert_eq!(&tree.clock, &chain.clock);
+            prop_assert_eq!(&tree.trace, &chain.trace);
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use experiments::{
 };
 pub use judge::{judge, Verdict};
 pub use load::{
-    dispatch_routes, load_families, load_gate_violations, load_methods, mean_budget, policy_menu,
+    dispatch_routes, load_families, load_gate_violations, load_methods, mean_budget,
     rates_for_utilizations, render_load_bench, run_load_bench, DISPATCH_LOAD_FACTOR,
     DISPATCH_WORKER_COUNTS,
 };

@@ -50,30 +50,21 @@ pub fn load_methods() -> Vec<(&'static str, EngineChoice)> {
 /// `max_batch` (the NTP tokens-per-tick capacity): speculation must
 /// pay for its candidate tokens out of this budget, which is what
 /// makes "how much speculation to buy" a real per-tick decision.
-pub const POLICY_CAPACITY_FACTOR: usize = 3;
+const POLICY_CAPACITY_FACTOR: usize = 3;
 
 /// SLO deadline slack of the policy A/B: each request must finish
 /// within this multiple of its ideal NTP service time (`budget` ticks).
-pub const POLICY_SLO_SLACK: f64 = 4.0;
+const POLICY_SLO_SLACK: f64 = 4.0;
 
-/// The policy A/B menu: (policy name, `ServeConfig::tick_capacity` to
-/// set, policy). All three run at the *same* effective per-tick verify
-/// capacity — static and adaptive via the engine knob, budgeted via
-/// its own [`verispec_core::SpecPolicy::tick_budget`] — so the A/B
-/// isolates the allocation policy, not the capacity.
-pub fn policy_menu(capacity: usize) -> Vec<(&'static str, Option<usize>, Box<dyn SpecPolicy>)> {
+/// The policy A/B menu: (policy name, policy). The A/B runs all three
+/// at the *same* per-tick verify capacity
+/// (`ServeConfig::tick_capacity`), so it isolates the allocation
+/// policy, not the capacity.
+fn policy_menu() -> Vec<(&'static str, Box<dyn SpecPolicy>)> {
     vec![
-        ("static", Some(capacity), Box::new(StaticPolicy)),
-        (
-            "adaptive",
-            Some(capacity),
-            Box::new(AdaptivePolicy::default()),
-        ),
-        (
-            "budgeted",
-            None,
-            Box::new(BudgetedPolicy { per_tick: capacity }),
-        ),
+        ("static", Box::new(StaticPolicy)),
+        ("adaptive", Box::new(AdaptivePolicy::default())),
+        ("budgeted", Box::new(BudgetedPolicy)),
     ]
 }
 
@@ -306,10 +297,10 @@ pub fn run_load_bench(
         let (ours_name, ours_engine) = load_methods().remove(0);
         let requests = slo_workload.requests_with_engine(Some(&ours_engine));
         let capacity = POLICY_CAPACITY_FACTOR * cfg.max_batch;
-        for (policy_name, tick_capacity, policy) in policy_menu(capacity) {
+        for (policy_name, policy) in policy_menu() {
             let pcfg = ServeConfig {
                 order: TickOrder::Edf,
-                tick_capacity,
+                tick_capacity: Some(capacity),
                 shed_depth: Some(4 * concurrency),
                 ..cfg.clone()
             };

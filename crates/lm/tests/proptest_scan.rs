@@ -11,13 +11,17 @@
 //! NaN at the start, in the middle and everywhere, `±∞`, and rows of one
 //! repeated value.
 //!
+//! A top-1 chain is the width-1 candidate tree, so the rank-1 entry of
+//! [`top_k_indices`] must be [`argmax`] on every row a ranking accepts
+//! (non-empty, NaN-free) — ties, signed zeros and `±∞` included.
+//!
 //! The third scan of the decode path, the greedy clear-lead test, lives
 //! in `verispec-core` and is pinned to its `.all()` loop there
 //! (`step::tests::the_lead_count_is_the_all_loop`).
 
 use proptest::prelude::*;
-use verispec_lm::argmax;
 use verispec_lm::matrix::{tempered_softmax_into, tempered_support_into};
+use verispec_lm::{argmax, top_k_indices};
 
 /// The vocabulary the benchmark's models have.
 const VOCAB: usize = 480;
@@ -148,6 +152,13 @@ proptest! {
             argmax_loop(&logits),
             "kind {} width {}: {:?}", kind, width, logits
         );
+        if !logits.is_empty() && !logits.iter().any(|l| l.is_nan()) {
+            prop_assert_eq!(
+                top_k_indices(&logits, 1),
+                vec![argmax(&logits)],
+                "width 1 is not the chain: kind {} width {}: {:?}", kind, width, logits
+            );
+        }
 
         // Where a support exists (no NaN, nothing at `+∞`, something
         // above `-∞`), its maximum is the fold's bit: at `T = 1` the

@@ -82,17 +82,17 @@ pub struct ServeConfig {
     /// set); `None` disables the cap.
     pub session_cap: Option<usize>,
     /// Per-tick verify capacity in [`verispec_core::SpecShape::step_cost`]
-    /// units (base/bonus row + candidate tokens; an NTP step costs 1).
+    /// units (base/bonus row + candidate tokens; an NTP step costs 1) —
+    /// the one capacity knob, whatever the speculation policy.
     /// When set, each tick's batch is gated by this budget instead of
     /// only `max_batch`: the engine walks the scheduler's order, asks
     /// the speculation policy for each request's shape with the
     /// remaining budget as its cap, and defers requests whose shape
     /// does not fit (the first request in order always steps, so the
-    /// aging guard's no-starvation bound survives). `None` (the
-    /// default) keeps the pre-policy behavior: candidates are not
-    /// charged against tick time. A policy with its own
-    /// [`verispec_core::SpecPolicy::tick_budget`] supplies the capacity
-    /// when this is `None`.
+    /// aging guard's no-starvation bound survives);
+    /// [`verispec_core::BudgetedPolicy`] shrinks a shape into its cap
+    /// instead. `None` (the default) keeps the pre-policy behavior:
+    /// candidates are not charged against tick time.
     pub tick_capacity: Option<usize>,
     /// Load-shedding admission control: when more than this many
     /// *ready* fresh requests (arrival tick due, not yet admitted) are
@@ -508,7 +508,7 @@ struct TickBuffers {
     stepped: Vec<usize>,
     /// The shape the capacity pass prices a member at, copied on into
     /// its stepper's slot when it steps.
-    priced: Option<SpecShape>,
+    priced: SpecShape,
     /// Each member's base row from the fused propose, if it had one.
     base_at: Vec<Option<usize>>,
     /// What each member's propose asked for.
@@ -590,8 +590,7 @@ impl<'m> ServeEngine<'m> {
     /// [`verispec_core::StaticPolicy`], the configured shapes —
     /// bit-identical to the pre-policy engine). Every admitted
     /// request's stepper runs under it, and with a per-tick verify
-    /// capacity ([`ServeConfig::tick_capacity`] or the policy's own
-    /// [`verispec_core::SpecPolicy::tick_budget`]) the tick loop
+    /// capacity ([`ServeConfig::tick_capacity`]) the tick loop
     /// consults it to divide the budget across each tick's batch.
     pub fn with_policy(mut self, policy: &'m dyn SpecPolicy) -> Self {
         self.policy = policy;
@@ -711,24 +710,20 @@ impl<'m> ServeEngine<'m> {
     /// speculation policy would buy it right now (active requests are
     /// priced with their own acceptance history, queued ones with an
     /// empty one and the base shape their stepper will report,
-    /// [`Engine::base_shape`]; an NTP step costs 1). "Upper
-    /// bound" because accepted speculation commits several tokens per
+    /// [`Engine::base_shape`]; an NTP step, the empty shape, costs 1).
+    /// "Upper bound" because accepted speculation commits several tokens per
     /// step. The join-least-loaded routing policy
     /// ([`crate::dispatch::RoutePolicy::LeastLoaded`]) balances on
     /// this, so a worker hoarding wide-tree long-budget requests looks
     /// heavier than one holding the same *count* of NTP shorties.
     pub fn outstanding_cost(&self) -> usize {
-        let priced = |base: Option<&SpecShape>, history: &AcceptHistory, remaining: usize| {
-            let per_step = base.map_or(1, |base| {
-                self.policy
-                    .shape(&ShapeQuery {
-                        base,
-                        history,
-                        cap: None,
-                    })
-                    .step_cost()
+        let priced = |base: &SpecShape, history: &AcceptHistory, remaining: usize| {
+            let shape = self.policy.shape(&ShapeQuery {
+                base,
+                history,
+                cap: None,
             });
-            remaining * per_step
+            remaining * shape.step_cost()
         };
         let (fresh_history, n_heads) = (AcceptHistory::default(), self.model.n_extra_heads());
         let mut cost = 0usize;
@@ -741,7 +736,7 @@ impl<'m> ServeEngine<'m> {
         }
         for QueueEntry { req, .. } in &self.queue {
             cost += priced(
-                self.engine_for(req).base_shape(n_heads).as_ref(),
+                &self.engine_for(req).base_shape(n_heads),
                 &fresh_history,
                 req.cfg.max_tokens,
             );
@@ -997,17 +992,18 @@ impl<'m> ServeEngine<'m> {
     /// Divides the tick's verify capacity across the scheduler's
     /// selection — the speculation-policy hook of the tick loop.
     ///
-    /// Without a capacity ([`ServeConfig::tick_capacity`] and the
-    /// policy's [`SpecPolicy::tick_budget`] both `None`) every selected
-    /// request steps and each stepper consults the policy itself at
-    /// propose time — the pre-policy behavior under [`STATIC_POLICY`].
+    /// Without a capacity ([`ServeConfig::tick_capacity`] `None`) every
+    /// selected request steps and each stepper consults the policy
+    /// itself at propose time — the pre-policy behavior under
+    /// [`STATIC_POLICY`].
     ///
     /// With a capacity, the engine walks the selection order asking the
     /// policy for each request's shape with the *remaining* budget as
     /// its cap, pins the answer on the stepper (so budget accounting
     /// and the built candidate paths agree exactly), and defers
-    /// requests whose shape does not fit. The head of the order always
-    /// steps even on overrun — forced aging picks sort first, so the
+    /// requests whose shape does not fit. Every member is priced and
+    /// pinned the same way: an NTP member's empty shape costs 1. The
+    /// head of the order always steps even on overrun — forced aging picks sort first, so the
     /// scheduler's no-starvation bound survives budget pressure.
     ///
     /// Fills `stepped` from `selected`; a shape is priced in `priced`,
@@ -1016,10 +1012,10 @@ impl<'m> ServeEngine<'m> {
         &mut self,
         selected: &[usize],
         stepped: &mut Vec<usize>,
-        priced: &mut Option<SpecShape>,
+        priced: &mut SpecShape,
     ) {
         stepped.clear();
-        let Some(capacity) = self.cfg.tick_capacity.or(self.policy.tick_budget()) else {
+        let Some(capacity) = self.cfg.tick_capacity else {
             stepped.extend_from_slice(selected);
             return;
         };
@@ -1027,31 +1023,21 @@ impl<'m> ServeEngine<'m> {
         let capacity = capacity.max(1);
         let mut remaining = capacity;
         for (pos, &i) in selected.iter().enumerate() {
-            // NTP steppers have no shape to decide and cost one
-            // position; speculative ones get the policy's decision for
-            // the remaining budget.
             let stepper = &self.active[i].stepper;
-            let (cost, speculative) = match stepper.base_shape() {
-                None => (1, false),
-                Some(base) => {
-                    let shape = policy.shape(&ShapeQuery {
-                        base,
-                        history: stepper.history(),
-                        cap: Some(remaining),
-                    });
-                    shape.copy_into(priced);
-                    (shape.step_cost(), true)
-                }
-            };
+            policy
+                .shape(&ShapeQuery {
+                    base: stepper.base_shape(),
+                    history: stepper.history(),
+                    cap: Some(remaining),
+                })
+                .copy_into(priced);
+            let cost = priced.step_cost();
             if pos > 0 && cost > remaining {
                 let id = self.active[i].id;
                 self.emit(Some(id), EventKind::Deferred);
                 continue;
             }
-            if speculative {
-                let shape = priced.as_ref().expect("priced above");
-                self.active[i].stepper.pin_shape(shape);
-            }
+            self.active[i].stepper.pin_shape(priced);
             remaining = remaining.saturating_sub(cost);
             stepped.push(i);
         }
@@ -1260,7 +1246,7 @@ impl<'m> ServeEngine<'m> {
             if self.traced() {
                 let a = &self.active[i];
                 let id = a.id;
-                let shape = a.stepper.last_shape().cloned();
+                let shape = a.stepper.last_shape().clone();
                 let tr = a
                     .stepper
                     .output()

@@ -119,10 +119,11 @@
 //!   tick, *how much speculation to buy per request* is a
 //!   [`verispec_core::SpecPolicy`] decision, not a frozen config:
 //!   under a per-tick verify capacity
-//!   ([`ServeConfig::tick_capacity`] or the policy's own
-//!   `tick_budget`) the engine walks the scheduler's order, queries
-//!   the policy with each request's own acceptance history and the
-//!   remaining budget, pins the decided shape on the stepper, and
+//!   ([`ServeConfig::tick_capacity`], the one capacity knob) the
+//!   engine walks the scheduler's order, queries the policy with each
+//!   request's own acceptance history and the remaining budget — NTP
+//!   requests included, whose shape is the empty one and costs a
+//!   single position — pins the decided shape on the stepper, and
 //!   defers requests that do not fit (head-of-order always steps, so
 //!   the no-starvation bound survives). Static = configured shapes,
 //!   bit-identical to the pre-policy engine; adaptive = pure function
@@ -251,10 +252,13 @@
 //! [`Drive::Paced`] == batch submission under random arrival
 //! processes, capacities, deadlines, and eviction pressure.
 //! The one deliberate exception is
-//! [`verispec_core::BudgetedPolicy`]: its shrink-to-fit shapes depend
+//! [`verispec_core::BudgetedPolicy`] under a
+//! [`ServeConfig::tick_capacity`]: its shrink-to-fit shapes depend
 //! on batch composition, so *sampled* outputs may differ from the
 //! serial run — it trades that for packing the tick under overload
-//! (greedy requests stay lossless under any shape).
+//! (greedy requests stay lossless under any shape). Without a
+//! capacity it has no slice to shrink into and runs the configured
+//! shapes.
 //!
 //! # Example
 //!
@@ -672,9 +676,12 @@ mod tests {
             };
             run_engine(&m, requests.clone(), &cfg, &cost)
         };
-        let policy = BudgetedPolicy { per_tick: capacity };
         let run_budgeted = {
-            let mut engine = ServeEngine::new(&m, ServeConfig::concurrency(6)).with_policy(&policy);
+            let cfg = ServeConfig {
+                tick_capacity: Some(capacity),
+                ..ServeConfig::concurrency(6)
+            };
+            let mut engine = ServeEngine::new(&m, cfg).with_policy(&BudgetedPolicy);
             for r in requests.clone() {
                 engine.submit(r);
             }

@@ -1,24 +1,36 @@
 //! Property tests for the speculation-policy layer.
 //!
-//! Two claims are pinned here:
+//! Three claims are pinned here:
 //!
 //! 1. **Purity** — an [`AdaptivePolicy`] decision is a pure function of
 //!    the request's *own* acceptance history within the policy window:
 //!    equal windows (however the histories got there) give equal
-//!    decisions, for random histories and bases.
+//!    decisions, for random histories and bases, the empty shape (NTP)
+//!    included.
 //! 2. **Served == serial under adaptation** — because of (1), serving
 //!    a mix of requests under an adaptive policy produces
 //!    token-for-token the outputs of the serial policy-driven engine,
-//!    across random engines, seeds, sampling, tick orders,
-//!    prefix-cache eviction pressure, and batch sizes. Adaptation never
-//!    leaks batch composition into a request's stream.
+//!    across random engines (NTP among them), seeds, sampling, tick
+//!    orders, prefix-cache eviction pressure, and batch sizes.
+//!    Adaptation never leaks batch composition into a request's stream.
+//! 3. **Served == serial under budgeting, where it can hold** — without
+//!    a per-tick capacity [`BudgetedPolicy`] has no slice to shrink into
+//!    and every request runs as it would serially; under one, a
+//!    speculative request's shape follows the batch, but an NTP
+//!    request's empty shape is the policy's fixed point, so its stream
+//!    stays the serial one whatever the capacity.
 
 use proptest::prelude::*;
 use verispec_core::{
-    AcceptHistory, AdaptivePolicy, DecodeConfig, Engine, ShapeQuery, SpecPolicy, SpecShape, Stepper,
+    AcceptHistory, AdaptivePolicy, BudgetedPolicy, DecodeConfig, Engine, ShapeQuery, SpecPolicy,
+    SpecShape, Stepper,
 };
 use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, Sampling, TokenId};
-use verispec_serve::{EngineChoice, Request, ServeConfig, ServeEngine, TickOrder};
+use verispec_serve::{EngineChoice, Request, ServeConfig, ServeEngine, ServeReport, TickOrder};
+
+/// The stem every request's prompt opens with, warmed into the prefix
+/// cache before the run.
+const SHARED: [TokenId; 2] = [5, 6];
 
 fn any_mlp() -> impl Strategy<Value = MlpLm> {
     (14usize..28, 2usize..8, 2usize..5, 1usize..5, any::<u64>()).prop_map(
@@ -37,14 +49,19 @@ fn any_mlp() -> impl Strategy<Value = MlpLm> {
 
 fn any_base() -> impl Strategy<Value = SpecShape> {
     prop_oneof![
-        (1usize..6).prop_map(|depth| SpecShape::Chain { depth }),
+        Just(SpecShape::EMPTY),
+        (1usize..6).prop_map(|depth| SpecShape {
+            widths: Vec::new(),
+            depth
+        }),
         (prop::collection::vec(1usize..4, 0..4), 1usize..6)
-            .prop_map(|(widths, depth)| SpecShape::Tree { widths, depth }),
+            .prop_map(|(widths, depth)| SpecShape { widths, depth }),
     ]
 }
 
 fn any_engine() -> impl Strategy<Value = EngineChoice> {
     prop_oneof![
+        Just(EngineChoice::Ntp),
         Just(EngineChoice::MedusaChain),
         prop::collection::vec(1usize..3, 1..3).prop_map(EngineChoice::MedusaTree),
         Just(EngineChoice::SyntaxAligned { tree: None }),
@@ -53,16 +70,98 @@ fn any_engine() -> impl Strategy<Value = EngineChoice> {
     ]
 }
 
+/// Up to seven requests on the shared stem, arriving over the first
+/// ticks with a deadline each.
+fn any_requests() -> impl Strategy<Value = Vec<Request>> {
+    prop::collection::vec(
+        (
+            any_engine(),
+            prop::collection::vec(1u32..10, 0..3),
+            4usize..16,
+            prop_oneof![
+                Just(Sampling::Greedy),
+                (0.4f32..1.1).prop_map(Sampling::temperature),
+            ],
+            any::<u64>(),
+            0u64..6,
+        ),
+        1..8,
+    )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .enumerate()
+            .map(
+                |(i, (engine, suffix, max_tokens, sampling, seed, arrival))| {
+                    let mut prompt = SHARED.to_vec();
+                    prompt.extend_from_slice(&suffix);
+                    let cfg = DecodeConfig {
+                        max_tokens,
+                        sampling,
+                        seed,
+                        ..Default::default()
+                    };
+                    Request {
+                        arrival,
+                        deadline: Some(arrival + 30),
+                        ..Request::new(i as u64, prompt, engine, cfg)
+                    }
+                },
+            )
+            .collect()
+    })
+}
+
 fn serial_with_policy(
     model: &MlpLm,
     req: &Request,
     cost: &GpuCostModel,
     policy: &dyn SpecPolicy,
 ) -> Vec<TokenId> {
-    let engine = Engine::Medusa(req.engine.decode_config(&req.cfg));
+    let cfg = req.engine.decode_config(&req.cfg);
+    let engine = match req.engine {
+        EngineChoice::Ntp => Engine::Ntp(cfg),
+        _ => Engine::Medusa(cfg),
+    };
     let mut stepper = Stepper::new(model, engine, model.session(), &req.prompt).with_policy(policy);
     while stepper.step(cost) {}
     stepper.into_output().tokens
+}
+
+/// Serves `requests` to completion under `policy` on the prefix cache,
+/// its stem warmed.
+fn serve(
+    model: &MlpLm,
+    requests: &[Request],
+    cfg: ServeConfig,
+    cost: &GpuCostModel,
+    policy: &dyn SpecPolicy,
+) -> ServeReport {
+    let mut engine = ServeEngine::new(
+        model,
+        ServeConfig {
+            prefix_cache: true,
+            ..cfg
+        },
+    )
+    .with_policy(policy);
+    assert!(engine.warm_prefix(&SHARED));
+    for req in requests {
+        engine.submit(req.clone());
+    }
+    let report = engine.run(cost);
+    assert_eq!(report.completions.len(), requests.len());
+    for c in &report.completions {
+        assert!(c.accepted_tokens <= c.proposed_tokens);
+    }
+    report
+}
+
+fn any_order() -> impl Strategy<Value = TickOrder> {
+    prop_oneof![
+        Just(TickOrder::RoundRobin),
+        Just(TickOrder::Edf),
+        any::<u64>().prop_map(TickOrder::Seeded),
+    ]
 }
 
 proptest! {
@@ -117,76 +216,59 @@ proptest! {
     #[test]
     fn served_equals_serial_under_adaptation(
         model in any_mlp(),
-        raw in prop::collection::vec(
-            (
-                any_engine(),
-                prop::collection::vec(1u32..10, 0..3),
-                4usize..16,
-                prop_oneof![
-                    Just(Sampling::Greedy),
-                    (0.4f32..1.1).prop_map(Sampling::temperature),
-                ],
-                any::<u64>(),
-                0u64..6,
-            ),
-            1..8,
-        ),
+        requests in any_requests(),
         window in 1usize..12,
         max_active in 1usize..5,
         max_batch in 1usize..4,
-        order in prop_oneof![
-            Just(TickOrder::RoundRobin),
-            Just(TickOrder::Edf),
-            any::<u64>().prop_map(TickOrder::Seeded),
-        ],
+        order in any_order(),
         session_cap in prop_oneof![Just(None), (1usize..5).prop_map(Some)],
     ) {
         let cost = GpuCostModel::codellama_like();
         let policy = AdaptivePolicy { window };
-        let shared: Vec<TokenId> = vec![5, 6];
+        let cfg = ServeConfig { max_active, max_batch, order, session_cap, ..Default::default() };
+        let report = serve(&model, &requests, cfg, &cost, &policy);
+        for (c, req) in report.completions.iter().zip(&requests) {
+            let want = serial_with_policy(&model, req, &cost, &policy);
+            prop_assert_eq!(
+                &c.output.tokens, &want,
+                "request {} diverged under adaptive serving", c.id
+            );
+        }
+    }
 
-        let requests: Vec<Request> = raw
-            .into_iter()
-            .enumerate()
-            .map(|(i, (engine, suffix, max_tokens, sampling, seed, arrival))| {
-                let mut prompt = shared.clone();
-                prompt.extend_from_slice(&suffix);
-                let cfg = DecodeConfig { max_tokens, sampling, seed, ..Default::default() };
-                Request {
-                    arrival,
-                    deadline: Some(arrival + 30),
-                    ..Request::new(i as u64, prompt, engine, cfg)
-                }
-            })
-            .collect();
-
-        let expected: Vec<Vec<TokenId>> = requests
-            .iter()
-            .map(|r| serial_with_policy(&model, r, &cost, &policy))
-            .collect();
-
+    /// Serving under the budgeted policy == the serial engine under it:
+    /// every request without a per-tick capacity, and every NTP request
+    /// under any capacity — the empty shape is the policy's fixed
+    /// point, so budget pressure only defers an NTP step.
+    #[test]
+    fn served_equals_serial_under_budgeting(
+        model in any_mlp(),
+        requests in any_requests(),
+        max_active in 1usize..5,
+        max_batch in 1usize..4,
+        order in any_order(),
+        session_cap in prop_oneof![Just(None), (1usize..5).prop_map(Some)],
+        tick_capacity in prop_oneof![Just(None), (1usize..20).prop_map(Some)],
+    ) {
+        let cost = GpuCostModel::codellama_like();
         let cfg = ServeConfig {
             max_active,
             max_batch,
             order,
             session_cap,
-            prefix_cache: true,
+            tick_capacity,
             ..Default::default()
         };
-        let mut engine = ServeEngine::new(&model, cfg).with_policy(&policy);
-        prop_assert!(engine.warm_prefix(&shared));
-        for req in &requests {
-            engine.submit(req.clone());
-        }
-        let report = engine.run(&cost);
-
-        prop_assert_eq!(report.completions.len(), requests.len());
-        for (c, want) in report.completions.iter().zip(&expected) {
+        let report = serve(&model, &requests, cfg, &cost, &BudgetedPolicy);
+        for (c, req) in report.completions.iter().zip(&requests) {
+            if tick_capacity.is_some() && req.engine != EngineChoice::Ntp {
+                continue;
+            }
+            let want = serial_with_policy(&model, req, &cost, &BudgetedPolicy);
             prop_assert_eq!(
-                &c.output.tokens, want,
-                "request {} diverged under adaptive serving", c.id
+                &c.output.tokens, &want,
+                "request {} ({}) diverged under budgeted serving", c.id, req.engine.name()
             );
-            prop_assert!(c.accepted_tokens <= c.proposed_tokens);
         }
     }
 }

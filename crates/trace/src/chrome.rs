@@ -105,10 +105,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                 committed,
                 ..
             } => {
-                let shape = shape
-                    .as_ref()
-                    .map(|s| format!("{s:?}"))
-                    .unwrap_or_else(|| "ntp".to_string());
                 push_entry(
                     &mut out,
                     &mut first,
@@ -118,7 +114,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                         tid,
                         ev.tick,
                         &format!(
-                            "{{\"shape\":\"{shape}\",\"proposed\":{proposed},\"accepted\":{accepted},\"committed\":{committed}}}"
+                            "{{\"shape\":\"{shape:?}\",\"proposed\":{proposed},\"accepted\":{accepted},\"committed\":{committed}}}"
                         ),
                     ),
                 );
@@ -282,7 +278,7 @@ mod tests {
             ev(
                 3,
                 EventKind::Step {
-                    shape: None,
+                    shape: verispec_core::SpecShape::EMPTY,
                     proposed: 0,
                     accepted: 1,
                     truncated: 0,

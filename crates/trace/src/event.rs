@@ -68,9 +68,9 @@ pub enum EventKind {
     Deferred,
     /// One committed decode step (propose → verify → commit).
     Step {
-        /// The policy-decided speculation shape this step ran, if the
-        /// engine speculates (`None` for plain next-token decode).
-        shape: Option<SpecShape>,
+        /// The policy-decided speculation shape this step ran
+        /// ([`SpecShape::EMPTY`] for next-token decode).
+        shape: SpecShape,
         /// Candidate tokens proposed (speculated) this step.
         proposed: usize,
         /// Tokens accepted into the output this step (includes the
@@ -299,10 +299,10 @@ mod tests {
                 1,
                 Some(7),
                 EventKind::Step {
-                    shape: Some(SpecShape::Tree {
+                    shape: SpecShape {
                         widths: vec![2, 1],
                         depth: 2,
-                    }),
+                    },
                     proposed: 3,
                     accepted: 2,
                     truncated: 0,
