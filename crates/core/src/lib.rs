@@ -48,8 +48,8 @@
 //! Each layer reuses the one below: the grammar engine is the
 //! syntax-aligned engine with each node's candidates named by the
 //! oracle's filter instead of the head's plain top-k, so every
-//! [`policy::SpecPolicy`] and the fused verify path compose with it
-//! unchanged.
+//! [`policy::SpecPolicy`] variant and the fused verify path compose
+//! with it unchanged.
 //!
 //! # Examples
 //!
@@ -81,9 +81,6 @@ pub use decode::{
     DecodeOutput, StepTrace,
 };
 pub use labels::LabelGrid;
-pub use policy::{
-    AcceptHistory, AdaptivePolicy, BudgetedPolicy, ShapeQuery, SpecPolicy, SpecShape, StaticPolicy,
-    STATIC_POLICY,
-};
+pub use policy::{AcceptHistory, ShapeQuery, SpecPolicy, SpecShape};
 pub use step::{Engine, Phase, Stepper};
 pub use train::{train, train_in_place, TrainConfig, TrainMethod, TrainReport};

@@ -20,44 +20,50 @@
 //!   DecodeConfig.tree                            (the configured shape;
 //!        │ Engine::base_shape()                    SpecShape::EMPTY for NTP)
 //!        ▼
-//!   SpecPolicy::shape(ShapeQuery{base, history, cap})
+//!   ServeConfig.policy: SpecPolicy ─ asked by the serving tick only
+//!        │ .shape(ShapeQuery{base, history, cap}, &mut slot)
 //!        │                │             │
-//!        │                │             └ per-request slice of the
-//!        │                │               engine's per-tick verify
-//!        │                │               capacity (serving only)
-//!        │                └ AcceptHistory: the request's own past
-//!        │                  (speculated, accepted) per step
+//!        │                │             └ the remaining per-tick
+//!        │                │               verify capacity, under a
+//!        │                │               ServeConfig::tick_capacity
+//!        │                └ AcceptHistory: the request's own last
+//!        │                  8 (speculated, accepted) steps
 //!        ▼
-//!   SpecShape ──► Stepper::propose builds exactly this many
-//!                 candidate paths (none for the empty shape)
+//!   Stepper::pin_shape ──► Stepper::propose builds exactly this many
+//!                          candidate paths (none for the empty shape)
 //! ```
+//!
+//! The policy is a value, [`SpecPolicy`], and one place asks it: the
+//! serving engine's capacity pass prices every member of a tick's
+//! batch through it and pins the answer on the member's stepper. A
+//! stepper decides nothing: it starts pinned to its configured shape
+//! and runs the shape last pinned, so a serial `decode_*` engine runs
+//! its configured shape every step, and a serial run under another
+//! policy pins `policy.shape(…)` before each step itself.
 //!
 //! One shape covers every engine: the top-1 chain is the tree with no
 //! width entries, and next-token prediction is [`SpecShape::EMPTY`],
-//! the tree with no levels. The empty shape is every bundled policy's
-//! fixed point, and a policy that shrinks a shape to nothing runs the
-//! same code NTP does.
+//! the tree with no levels. The empty shape is every policy's fixed
+//! point, and a policy that shrinks a shape to nothing runs the same
+//! code NTP does.
 //!
-//! * [`StaticPolicy`] — always the configured shape. This is today's
-//!   behavior, bit-identically: every existing engine and test runs
-//!   under it by default.
-//! * [`AdaptivePolicy`] — the shape is a **pure function of the
+//! * [`SpecPolicy::Static`] (the default) — always the configured
+//!   shape.
+//! * [`SpecPolicy::Adaptive`] — the shape is a **pure function of the
 //!   request's own acceptance history** ("offer the recently realized
 //!   run length plus one level"). Because the history is request-local
 //!   and deterministic, the serial and served paths make identical
 //!   decisions and stay token-identical — adaptation never depends on
 //!   batch composition.
-//! * [`BudgetedPolicy`] — the serving policy: the engine divides its
-//!   per-tick verify capacity (`verispec_serve::ServeConfig::tick_capacity`,
+//! * [`SpecPolicy::Budgeted`] — the serving policy: the engine divides
+//!   its per-tick verify capacity (`verispec_serve::ServeConfig::tick_capacity`,
 //!   the one capacity knob) across the batch and each request's shape
 //!   is shrunk to its slice ([`SpecShape::shrink_to`]), so more
 //!   requests fit into one tick instead of a few wide trees
 //!   monopolizing the verify pass.
 //!
-//! Policies must be deterministic and free of interior mutability:
-//! a decision may depend only on its [`ShapeQuery`] inputs. That is
-//! what makes replayed traces and the served-equals-serial property
-//! hold.
+//! A decision depends only on its [`ShapeQuery`] inputs. That is what
+//! makes replayed traces and the served-equals-serial property hold.
 //!
 //! Routing is the sibling per-request decision this layer deliberately
 //! does *not* own: *where* a request runs is `verispec-serve`'s
@@ -70,7 +76,6 @@
 
 use crate::decode::MAX_CANDIDATE_PATHS;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 
 /// The speculation bought for one step of one request: the paper's
 /// candidate tree, level `i` drawn from head `i`'s top-`widths[i-1]`
@@ -94,7 +99,7 @@ pub struct SpecShape {
 
 impl SpecShape {
     /// The shape with no levels: next-token prediction, and what
-    /// [`SpecShape::shrink_to`] ends at. Every bundled policy answers
+    /// [`SpecShape::shrink_to`] ends at. Every [`SpecPolicy`] answers
     /// it with itself.
     pub const EMPTY: SpecShape = SpecShape {
         widths: Vec::new(),
@@ -110,7 +115,7 @@ impl SpecShape {
     /// ([`SpecShape::clamp`]): no deeper than the head count, no
     /// level wider than the vocabulary — true of every shape derived
     /// from a stepper's base shape on any real vocabulary (the base is
-    /// built at `n_heads`, and the bundled policies only ever shrink
+    /// built at `n_heads`, and a [`SpecPolicy`] only ever shrinks
     /// it). The stepper clamps every shape it takes before it reads
     /// this count, because the simulated clock, the step trace and the
     /// acceptance history are charged from it.
@@ -153,29 +158,29 @@ impl SpecShape {
         1 + self.candidate_tokens()
     }
 
-    /// The largest shape no costlier than `max_cost`, shrunk
-    /// deterministically: depth is reduced first (down to one level),
-    /// then widths (deepest level first), then to zero levels — so a
-    /// shape can always fit any budget ≥ 1.
-    pub fn shrink_to(&self, max_cost: usize) -> SpecShape {
-        let mut shape = self.clone();
-        while shape.step_cost() > max_cost.max(1) {
+    /// Shrinks the shape, in place, to the largest one no costlier than
+    /// `max_cost`, deterministically: depth is reduced first (down to
+    /// one level), then widths (deepest level first), then to zero
+    /// levels — so a shape can always fit any budget ≥ 1. A shape that
+    /// already fits is left as it is.
+    pub fn shrink_to(&mut self, max_cost: usize) {
+        while self.step_cost() > max_cost.max(1) {
             // Only widths of still-explored levels can change the cost.
-            let explored = shape.depth.min(shape.widths.len());
-            if shape.depth > 1 {
-                shape.depth -= 1;
-            } else if let Some(w) = shape.widths[..explored].iter_mut().rev().find(|w| **w > 1) {
+            let explored = self.depth.min(self.widths.len());
+            if self.depth > 1 {
+                self.depth -= 1;
+            } else if let Some(w) = self.widths[..explored].iter_mut().rev().find(|w| **w > 1) {
                 *w -= 1;
             } else {
-                shape.depth = 0;
+                self.depth = 0;
             }
         }
-        shape
     }
 }
 
-/// How many recent steps [`AcceptHistory`] retains.
-const HISTORY_WINDOW: usize = 32;
+/// How many recent steps [`AcceptHistory`] retains: the window
+/// [`SpecPolicy::Adaptive`] averages its realized run length over.
+const HISTORY_WINDOW: usize = 8;
 
 /// One request's per-step acceptance history — the only state an
 /// adaptive policy may read.
@@ -190,21 +195,19 @@ pub struct AcceptHistory {
     speculated: usize,
     accepted: usize,
     /// Ring of the last [`HISTORY_WINDOW`] steps' `(speculated,
-    /// accepted)` pairs, oldest first.
-    recent: std::collections::VecDeque<(u32, u32)>,
+    /// accepted)` pairs: step `n` (from 0) in slot `n %
+    /// HISTORY_WINDOW`, the first `steps` slots filled.
+    recent: [(u32, u32); HISTORY_WINDOW],
 }
 
 impl AcceptHistory {
     /// Records one committed step.
     pub fn record(&mut self, speculated: usize, accepted: usize) {
         debug_assert!(accepted <= speculated);
+        self.recent[self.steps % HISTORY_WINDOW] = (speculated as u32, accepted as u32);
         self.steps += 1;
         self.speculated += speculated;
         self.accepted += accepted;
-        if self.recent.len() == HISTORY_WINDOW {
-            self.recent.pop_front();
-        }
-        self.recent.push_back((speculated as u32, accepted as u32));
     }
 
     /// Steps recorded over the generation's lifetime.
@@ -229,12 +232,12 @@ impl AcceptHistory {
     }
 
     /// Mean accepted speculated tokens per *speculating* step over the
-    /// last `window` steps (steps that offered no candidates are
-    /// skipped); `None` while nothing in the window speculated.
-    fn recent_mean_accepted(&self, window: usize) -> Option<f64> {
-        let tail = self.recent.iter().rev().take(window);
+    /// last [`HISTORY_WINDOW`] steps (steps that offered no candidates
+    /// are skipped); `None` while nothing in the window speculated.
+    fn recent_mean_accepted(&self) -> Option<f64> {
+        let window = &self.recent[..self.steps.min(HISTORY_WINDOW)];
         let (mut steps, mut accepted) = (0u32, 0u64);
-        for &(spec, acc) in tail {
+        for &(spec, acc) in window {
             if spec > 0 {
                 steps += 1;
                 accepted += u64::from(acc);
@@ -252,126 +255,94 @@ pub struct ShapeQuery<'a> {
     pub base: &'a SpecShape,
     /// The request's own acceptance history.
     pub history: &'a AcceptHistory,
-    /// This request's slice of the engine's per-tick candidate budget,
-    /// in [`SpecShape::step_cost`] units (`None` when serving without
-    /// a budget, and always `None` on the serial path). Policies that
-    /// must stay serial/served-identical ignore it; [`BudgetedPolicy`]
-    /// shrinks into it.
+    /// What is left of the tick's verify capacity for this request, in
+    /// [`SpecShape::step_cost`] units: `Some` only when the serving
+    /// tick prices its batch under a
+    /// `verispec_serve::ServeConfig::tick_capacity`, `None` otherwise
+    /// (and on a serial run). Only [`SpecPolicy::Budgeted`] reads it;
+    /// the policies that must stay serial/served-identical ignore it.
     pub cap: Option<usize>,
 }
 
-/// A per-request, per-step speculation-shape decision procedure.
+/// The per-request, per-step speculation-shape decision: which shape a
+/// request's next step runs, given its configured shape, its own
+/// history and the capacity left in the tick. Set on the serving engine
+/// as `verispec_serve::ServeConfig::policy`; see the module docs.
 ///
-/// Implementations must be deterministic pure functions of the
-/// [`ShapeQuery`] — no interior mutability, no global state — so that
-/// decisions replay identically across serial runs, served runs and
-/// recorded traces.
-pub trait SpecPolicy: Sync {
+/// Every decision is a deterministic pure function of the
+/// [`ShapeQuery`], so decisions replay identically across serial runs,
+/// served runs and recorded traces, and every variant answers the empty
+/// shape with itself.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SpecPolicy {
+    /// Always the configured shape, regardless of history or capacity.
+    #[default]
+    Static,
+    /// Dynamic speculation length: offer the recently *realized* run
+    /// length plus one level, never more than configured.
+    ///
+    /// The depth is `min(⌊mean accepted per speculating step among the
+    /// last 8 steps⌋ + 1, configured depth)`: a request whose speculation
+    /// keeps cashing out keeps its full tree, one whose candidates keep
+    /// being rejected stops paying for depth it never realizes. Until
+    /// one of its last 8 steps speculated, the configured shape runs
+    /// (optimistic warm-up). The empty shape stays empty.
+    ///
+    /// The decision reads only the request's own [`AcceptHistory`] —
+    /// not the cap, not the batch — so serial and served runs stay
+    /// token-identical under adaptation (`proptest_policy.rs` pins it).
+    Adaptive,
+    /// The serving policy: each request's shape shrunk
+    /// ([`SpecShape::shrink_to`]) into what is left of the tick's
+    /// verify capacity (`verispec_serve::ServeConfig::tick_capacity`).
+    ///
+    /// Where [`SpecPolicy::Static`] under a capacity *defers* requests
+    /// whose full shape does not fit the remaining budget (a few wide
+    /// trees monopolize the tick), `Budgeted` shrinks the shape to
+    /// whatever budget is left, so the tick packs as many requests as
+    /// the budget allows. Because the realized shape depends on batch
+    /// composition, served outputs under sampling may differ from the
+    /// serial single-stream run — this is explicitly a *serving*
+    /// policy, traded for tail latency under overload. Without a
+    /// capacity there is no slice, and the configured shape runs.
+    Budgeted,
+}
+
+impl SpecPolicy {
+    /// Every policy, in the order bench tables list them.
+    pub const ALL: [SpecPolicy; 3] = [
+        SpecPolicy::Static,
+        SpecPolicy::Adaptive,
+        SpecPolicy::Budgeted,
+    ];
+
     /// Policy name for telemetry and bench tables.
-    fn name(&self) -> &'static str;
-
-    /// The shape the request's next step should run: borrowed from
-    /// `query.base` when the policy keeps the configured shape, so that
-    /// the common decision costs no allocation.
-    fn shape<'a>(&self, query: &ShapeQuery<'a>) -> Cow<'a, SpecShape>;
-}
-
-/// Today's behavior: always the configured shape, regardless of
-/// history or budget. Bit-identical to the pre-policy engines.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StaticPolicy;
-
-/// The shared static-policy instance every stepper starts under.
-pub static STATIC_POLICY: StaticPolicy = StaticPolicy;
-
-impl SpecPolicy for StaticPolicy {
-    fn name(&self) -> &'static str {
-        "static"
-    }
-
-    fn shape<'a>(&self, query: &ShapeQuery<'a>) -> Cow<'a, SpecShape> {
-        Cow::Borrowed(query.base)
-    }
-}
-
-/// Dynamic speculation length: offer the recently *realized* run
-/// length plus one level, never more than configured.
-///
-/// The decision is `depth = min(⌊mean accepted over the last
-/// `window` speculating steps⌋ + 1, configured depth)`: a request
-/// whose speculation keeps cashing out keeps its full tree, one whose
-/// candidates keep being rejected stops paying for depth it never
-/// realizes. Until the first
-/// `window` has any speculating step, the configured shape runs
-/// (optimistic warm-up). The empty shape stays empty.
-///
-/// The decision reads only the request's own [`AcceptHistory`] — not
-/// the cap, not the batch — so serial and served runs stay
-/// token-identical under adaptation (`proptest_policy.rs` pins it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptivePolicy {
-    /// Recent steps the realized-run estimate averages over. The
-    /// history retains at most 32 steps, so values beyond that behave
-    /// as 32.
-    pub window: usize,
-}
-
-impl Default for AdaptivePolicy {
-    fn default() -> Self {
-        AdaptivePolicy { window: 8 }
-    }
-}
-
-impl AdaptivePolicy {
-    fn adapted_depth(&self, configured: usize, history: &AcceptHistory) -> usize {
-        match history.recent_mean_accepted(self.window) {
-            None => configured,
-            Some(mean) => (mean.floor() as usize + 1).min(configured),
+    pub fn name(&self) -> &'static str {
+        match self {
+            SpecPolicy::Static => "static",
+            SpecPolicy::Adaptive => "adaptive",
+            SpecPolicy::Budgeted => "budgeted",
         }
     }
-}
 
-impl SpecPolicy for AdaptivePolicy {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn shape<'a>(&self, query: &ShapeQuery<'a>) -> Cow<'a, SpecShape> {
-        Cow::Owned(SpecShape {
-            widths: query.base.widths.clone(),
-            depth: self.adapted_depth(query.base.depth, query.history),
-        })
-    }
-}
-
-/// The serving policy: each request's shape shrunk into its slice of
-/// the engine's per-tick verify capacity
-/// (`verispec_serve::ServeConfig::tick_capacity`), which the engine
-/// divides across the batch.
-///
-/// Where [`StaticPolicy`] under a capacity-gated engine *defers*
-/// requests whose full shape does not fit the remaining budget (a few
-/// wide trees monopolize the tick), `BudgetedPolicy` shrinks the shape
-/// to whatever budget is left ([`SpecShape::shrink_to`]), so the tick
-/// packs as many requests as the budget allows. Because the realized
-/// shape depends on batch composition, served outputs under sampling
-/// may differ from the serial single-stream run — this is explicitly a
-/// *serving* policy, traded for tail latency under overload.
-/// Without a capacity there is no slice, and the configured shape runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BudgetedPolicy;
-
-impl SpecPolicy for BudgetedPolicy {
-    fn name(&self) -> &'static str {
-        "budgeted"
-    }
-
-    fn shape<'a>(&self, query: &ShapeQuery<'a>) -> Cow<'a, SpecShape> {
-        match query.cap {
-            Some(cap) if query.base.step_cost() > cap.max(1) => {
-                Cow::Owned(query.base.shrink_to(cap))
+    /// Fills `out` with the shape the request's next step should run.
+    /// `out` is the caller's slot, refilled in place
+    /// ([`SpecShape::copy_into`]), so a decision allocates nothing once
+    /// the slot has held a shape as wide.
+    pub fn shape(&self, query: &ShapeQuery<'_>, out: &mut SpecShape) {
+        query.base.copy_into(out);
+        match self {
+            SpecPolicy::Static => {}
+            SpecPolicy::Adaptive => {
+                if let Some(mean) = query.history.recent_mean_accepted() {
+                    out.depth = out.depth.min(mean.floor() as usize + 1);
+                }
             }
-            _ => Cow::Borrowed(query.base),
+            SpecPolicy::Budgeted => {
+                if let Some(cap) = query.cap {
+                    out.shrink_to(cap);
+                }
+            }
         }
     }
 }
@@ -454,67 +425,58 @@ mod tests {
         }
     }
 
+    /// `policy`'s answer for `base` under `history` and `cap`.
+    fn decide(
+        policy: SpecPolicy,
+        base: &SpecShape,
+        history: &AcceptHistory,
+        cap: Option<usize>,
+    ) -> SpecShape {
+        let mut out = SpecShape::EMPTY;
+        policy.shape(&ShapeQuery { base, history, cap }, &mut out);
+        out
+    }
+
     #[test]
     fn static_policy_is_the_identity() {
         let base = tree(&[2, 2, 1], 5);
         let h = hist(&[(10, 0), (10, 0)]);
-        let shape = StaticPolicy.shape(&ShapeQuery {
-            base: &base,
-            history: &h,
-            cap: Some(1),
-        });
-        assert!(matches!(shape, Cow::Borrowed(_)), "static lends the base");
-        assert_eq!(*shape, base, "static must ignore history and cap");
+        let shape = decide(SpecPolicy::Static, &base, &h, Some(1));
+        assert_eq!(shape, base, "static must ignore history and cap");
+        assert_eq!(SpecPolicy::default(), SpecPolicy::Static);
     }
 
     #[test]
     fn adaptive_tracks_realized_run_length() {
         let base = tree(&[2, 2], 4);
-        let p = AdaptivePolicy::default();
+        let p = SpecPolicy::Adaptive;
         // Warm-up: no speculation yet → configured shape.
         let h = AcceptHistory::default();
-        assert_eq!(
-            *p.shape(&ShapeQuery {
-                base: &base,
-                history: &h,
-                cap: None
-            }),
-            base
-        );
+        assert_eq!(decide(p, &base, &h, None), base);
         // Everything rejected → one level.
         let h = hist(&[(8, 0), (8, 0), (8, 0)]);
-        let shape = p.shape(&ShapeQuery {
-            base: &base,
-            history: &h,
-            cap: None,
-        });
-        assert_eq!(*shape, tree(&[2, 2], 1));
+        assert_eq!(decide(p, &base, &h, None), tree(&[2, 2], 1));
         // High realization → full configured depth, never more.
         let h = hist(&[(8, 4), (8, 4), (8, 4)]);
-        let shape = p.shape(&ShapeQuery {
-            base: &base,
-            history: &h,
-            cap: None,
-        });
-        assert_eq!(*shape, tree(&[2, 2], 4));
+        assert_eq!(decide(p, &base, &h, None), tree(&[2, 2], 4));
     }
 
     #[test]
     fn adaptive_ignores_old_history_beyond_window() {
-        let p = AdaptivePolicy { window: 4 };
         let mut h = hist(&[(8, 8); 20]);
-        for _ in 0..4 {
+        for _ in 0..HISTORY_WINDOW {
             h.record(8, 0);
         }
-        // The last 4 steps cashed nothing; the old streak must not leak.
-        assert_eq!(h.recent_mean_accepted(4), Some(0.0));
+        // The last 8 steps cashed nothing; the old streak must not leak.
+        assert_eq!(h.recent_mean_accepted(), Some(0.0));
         let base = tree(&[], 6);
-        let shape = p.shape(&ShapeQuery {
-            base: &base,
-            history: &h,
-            cap: None,
-        });
-        assert_eq!(*shape, tree(&[], 1));
+        assert_eq!(decide(SpecPolicy::Adaptive, &base, &h, None), tree(&[], 1));
+        // One step fewer and the streak's last step is still in view.
+        let mut h = hist(&[(8, 8); 20]);
+        for _ in 1..HISTORY_WINDOW {
+            h.record(8, 0);
+        }
+        assert_eq!(h.recent_mean_accepted(), Some(1.0));
     }
 
     #[test]
@@ -523,42 +485,38 @@ mod tests {
         for shape in &shapes {
             let mut last = usize::MAX;
             for cap in (1..=shape.step_cost() + 2).rev() {
-                let shrunk = shape.shrink_to(cap);
+                let mut shrunk = shape.clone();
+                shrunk.shrink_to(cap);
                 assert!(shrunk.step_cost() <= cap, "{shape:?} at cap {cap}");
                 assert!(shrunk.step_cost() <= last, "shrinking must be monotone");
                 last = shrunk.step_cost();
+                // A shape that fits is left as it is.
+                let mut again = shrunk.clone();
+                again.shrink_to(cap);
+                assert_eq!(again, shrunk);
             }
             // Cap 1 always fits: the empty shape, zero candidates.
-            assert_eq!(shape.shrink_to(1).step_cost(), 1);
-            assert_eq!(shape.shrink_to(1).depth, 0);
+            let mut shrunk = shape.clone();
+            shrunk.shrink_to(1);
+            assert_eq!(shrunk.step_cost(), 1);
+            assert_eq!(shrunk.depth, 0);
         }
     }
 
     #[test]
     fn budgeted_shrinks_into_its_cap() {
-        let p = BudgetedPolicy;
+        let p = SpecPolicy::Budgeted;
         let base = tree(&[2, 2, 1], 6);
         let h = AcceptHistory::default();
-        let full = p.shape(&ShapeQuery {
-            base: &base,
-            history: &h,
-            cap: None,
-        });
-        assert!(matches!(full, Cow::Borrowed(_)), "no cap → the base, lent");
-        assert_eq!(*full, base);
-        let fits = p.shape(&ShapeQuery {
-            base: &base,
-            history: &h,
-            cap: Some(base.step_cost()),
-        });
-        assert!(matches!(fits, Cow::Borrowed(_)), "a base that fits is lent");
-        let fitted = p.shape(&ShapeQuery {
-            base: &base,
-            history: &h,
-            cap: Some(7),
-        });
+        assert_eq!(decide(p, &base, &h, None), base, "no cap → the base");
+        assert_eq!(
+            decide(p, &base, &h, Some(base.step_cost())),
+            base,
+            "a base that fits runs as configured"
+        );
+        let fitted = decide(p, &base, &h, Some(7));
         assert!(fitted.step_cost() <= 7);
-        assert_ne!(*fitted, base);
+        assert_ne!(fitted, base);
     }
 
     #[test]
@@ -577,6 +535,26 @@ mod tests {
             assert_eq!(slot, source);
             assert_eq!(slot.widths.as_ptr(), at, "refilled in place");
         }
+        // Every policy answers into the caller's slot the same way.
+        let h = hist(&[(8, 0), (8, 1)]);
+        for policy in SpecPolicy::ALL {
+            for cap in [None, Some(1), Some(7)] {
+                policy.shape(
+                    &ShapeQuery {
+                        base: &tree(&[2, 2, 1], 3),
+                        history: &h,
+                        cap,
+                    },
+                    &mut slot,
+                );
+                assert_eq!(
+                    slot.widths.as_ptr(),
+                    at,
+                    "{} refilled in place",
+                    policy.name()
+                );
+            }
+        }
     }
 
     #[test]
@@ -592,22 +570,21 @@ mod tests {
             hist(&[(6, 6); 40]),
         ];
         let caps = [None, Some(0), Some(1), Some(2), Some(3)];
-        let mut policies: Vec<Box<dyn SpecPolicy>> =
-            vec![Box::new(StaticPolicy), Box::new(BudgetedPolicy)];
-        for window in [0, 1, 4, 8, 32, 100] {
-            policies.push(Box::new(AdaptivePolicy { window }));
-        }
-        let empty = SpecShape::EMPTY;
-        for policy in &policies {
+        for policy in SpecPolicy::ALL {
             for history in &histories {
                 for cap in caps {
-                    let shape = policy.shape(&ShapeQuery {
-                        base: &empty,
-                        history,
-                        cap,
-                    });
+                    // A slot that held a shape before, as a caller's does.
+                    let mut slot = tree(&[2, 2], 3);
+                    policy.shape(
+                        &ShapeQuery {
+                            base: &SpecShape::EMPTY,
+                            history,
+                            cap,
+                        },
+                        &mut slot,
+                    );
                     assert_eq!(
-                        *shape,
+                        slot,
                         SpecShape::EMPTY,
                         "{} moved the empty shape (cap {cap:?}, {history:?})",
                         policy.name()
@@ -617,7 +594,9 @@ mod tests {
         }
         assert_eq!(SpecShape::EMPTY.candidate_tokens(), 0);
         assert_eq!(SpecShape::EMPTY.step_cost(), 1);
-        assert_eq!(SpecShape::EMPTY.shrink_to(1), SpecShape::EMPTY);
+        let mut shrunk = SpecShape::EMPTY;
+        shrunk.shrink_to(1);
+        assert_eq!(shrunk, SpecShape::EMPTY);
     }
 
     #[test]
@@ -627,25 +606,21 @@ mod tests {
         assert_eq!((h.speculated(), h.accepted()), (10, 5));
         assert_eq!(h.acceptance_rate(), Some(0.5));
         // Non-speculating steps are skipped by the window mean.
-        assert_eq!(h.recent_mean_accepted(3), Some(2.5));
+        assert_eq!(h.recent_mean_accepted(), Some(2.5));
         assert_eq!(AcceptHistory::default().acceptance_rate(), None);
         // Identical histories → identical decisions (purity witness).
         let a = hist(&[(8, 3), (8, 1)]);
         let b = hist(&[(8, 3), (8, 1)]);
         let base = tree(&[], 5);
-        for policy in [&AdaptivePolicy::default() as &dyn SpecPolicy, &StaticPolicy] {
+        for policy in SpecPolicy::ALL {
             assert_eq!(
-                policy.shape(&ShapeQuery {
-                    base: &base,
-                    history: &a,
-                    cap: None
-                }),
-                policy.shape(&ShapeQuery {
-                    base: &base,
-                    history: &b,
-                    cap: None
-                }),
+                decide(policy, &base, &a, None),
+                decide(policy, &base, &b, None)
             );
         }
+        assert_eq!(
+            SpecPolicy::ALL.map(|p| p.name()),
+            ["static", "adaptive", "budgeted"]
+        );
     }
 }

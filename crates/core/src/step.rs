@@ -12,10 +12,10 @@
 //! derived once, by [`Engine::base_shape`]. Every engine runs the same
 //! step — NTP is the speculative step with the **empty candidate
 //! tree**, [`crate::policy::SpecShape::EMPTY`]: its base token is the
-//! step's one token, and it has nothing to verify. Its shape is asked
-//! of the policy, pinned and traced like any other, and the top-1
-//! chain is the tree without widths, so no step tells the engines
-//! apart by shape kind. Each step runs three phases:
+//! step's one token, and it has nothing to verify. Its shape is pinned
+//! and traced like any other, and the top-1 chain is the tree without
+//! widths, so no step tells the engines apart by shape kind. Each step
+//! runs three phases:
 //!
 //! 1. **propose** ([`Stepper::propose`]) — open the step at the
 //!    current position's base row (the trunk activation every Medusa
@@ -115,22 +115,26 @@
 //! Between steps a stepper is always at its *committed* context —
 //! verification never leaves a speculative append behind.
 //!
-//! **How much speculation each step buys** is decided by a
-//! [`crate::policy::SpecPolicy`]: every propose asks the policy for
-//! the step's [`crate::policy::SpecShape`] (tree widths and depth)
-//! given the generation's own [`crate::policy::AcceptHistory`],
-//! which the stepper records at every commit. The default static
-//! policy reproduces the configured shape bit-identically; a serving
-//! engine may instead *pin* the shape it budgeted for
-//! ([`Stepper::pin_shape`]) so per-tick capacity accounting and the
-//! built candidate paths agree exactly.
+//! **How much speculation each step buys** is not the stepper's
+//! decision. A stepper runs the [`crate::policy::SpecShape`] (tree
+//! widths and depth) last pinned on it ([`Stepper::pin_shape`]),
+//! clamped to what the model can run, and starts pinned to its
+//! configured shape, [`Engine::base_shape`] — so the serial engines run
+//! the configured shape every step. The one decider is the serving
+//! tick: it asks its [`crate::policy::SpecPolicy`] for each member's
+//! shape, given the member's configured shape and the
+//! [`crate::policy::AcceptHistory`] the stepper records at every
+//! commit ([`Stepper::history`]), and pins the answer, so per-tick
+//! capacity accounting and the built candidate paths agree exactly. A
+//! serial run under a policy pins the policy's answer before each step
+//! the same way.
 
 use crate::accept::TypicalAcceptance;
 use crate::decode::{
     constrain_base_token, viable_options, DecodeConfig, DecodeOutput, StepTrace,
     MAX_CANDIDATE_PATHS,
 };
-use crate::policy::{AcceptHistory, ShapeQuery, SpecPolicy, SpecShape, STATIC_POLICY};
+use crate::policy::{AcceptHistory, SpecShape};
 use verispec_grammar::{syntax_keep_len, GrammarOracle, PruneRecord, ViabilityState};
 use verispec_lm::matrix::{softmax_in_place, tempered_support_into};
 use verispec_lm::{
@@ -174,11 +178,11 @@ pub enum Engine<'m> {
 impl Engine<'_> {
     /// The configured speculation shape of a generation of this engine
     /// on a model with `n_heads` Medusa heads — what a
-    /// [`SpecPolicy`] adapts from: the config's candidate tree over
-    /// every head (no widths, the top-1 chain, for `tree: None`);
-    /// [`SpecShape::EMPTY`] for NTP, which speculates nothing. The one
-    /// derivation: [`Stepper::base_shape`] reports it, and a server
-    /// prices a request it has not admitted yet with it.
+    /// [`crate::policy::SpecPolicy`] adapts from: the config's
+    /// candidate tree over every head (no widths, the top-1 chain, for
+    /// `tree: None`); [`SpecShape::EMPTY`] for NTP, which speculates
+    /// nothing. The one derivation: [`Stepper::base_shape`] reports it,
+    /// and a server prices a request it has not admitted yet with it.
     pub fn base_shape(&self, n_heads: usize) -> SpecShape {
         match self {
             Engine::Ntp(_) => SpecShape::EMPTY,
@@ -438,26 +442,16 @@ pub struct Stepper<'m> {
     out: DecodeOutput,
     pending: Option<Pending>,
     done: bool,
-    /// Per-step speculation-shape decision procedure; the default
-    /// [`crate::policy::StaticPolicy`] reproduces the configured shape
-    /// bit-identically.
-    policy: &'m dyn SpecPolicy,
-    /// Whether a serving engine pinned the next propose's shape into
-    /// `last_shape` (so the engine's per-tick budget accounting and the
-    /// built paths agree).
-    pinned: bool,
     /// The configured shape, computed once at construction (the empty
-    /// shape for NTP) — propose never rebuilds it on the hot path.
+    /// shape for NTP): what a policy is asked about.
     base: SpecShape,
     /// The generation's own per-step acceptance history — the pure
     /// input adaptive policies decide from.
     history: AcceptHistory,
-    /// The shape the most recent propose actually ran (policy-decided
-    /// or pinned) — the per-step observability hook serving engines
-    /// read when emitting trace events — or, once pinned, the one the
-    /// next propose will run. A slot refilled in place, so a shape's
-    /// widths are not reallocated every step. The empty shape before
-    /// the first pin or propose.
+    /// The shape the next propose runs and the last one ran: the base
+    /// shape until the first pin, then the shape last pinned, clamped
+    /// by each propose. A slot refilled in place, so a shape's widths
+    /// are not reallocated every step.
     last_shape: SpecShape,
     /// What the viability filter did in the most recent grammar step —
     /// `None` before the first propose and for non-grammar steppers.
@@ -552,11 +546,9 @@ impl<'m> Stepper<'m> {
             },
             pending: None,
             done: false,
-            policy: &STATIC_POLICY,
-            pinned: false,
+            last_shape: base.clone(),
             base,
             history: AcceptHistory::default(),
-            last_shape: SpecShape::EMPTY,
             last_prune: None,
             nodes: NodeMap::new(),
             scratch: LogitsArena::new(),
@@ -571,14 +563,6 @@ impl<'m> Stepper<'m> {
         }
     }
 
-    /// Replaces the speculation policy (default:
-    /// [`crate::policy::StaticPolicy`], the configured shape). The
-    /// policy decides each step's candidate-tree widths and depth from
-    /// this generation's own acceptance history.
-    pub fn with_policy(mut self, policy: &'m dyn SpecPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
     /// Whether the generation has finished.
     pub fn done(&self) -> bool {
         self.done
@@ -601,17 +585,17 @@ impl<'m> Stepper<'m> {
         &self.history
     }
 
-    /// The request's *configured* speculation shape — what the policy
-    /// adapts from ([`SpecShape::EMPTY`] for NTP steppers).
+    /// The request's *configured* speculation shape — what a policy is
+    /// asked about ([`SpecShape::EMPTY`] for NTP steppers).
     pub fn base_shape(&self) -> &SpecShape {
         &self.base
     }
 
-    /// The shape the most recent [`Stepper::propose`] actually ran
-    /// (pinned or policy-decided), for observability: serving engines
-    /// attach it to per-step trace events. Between
-    /// [`Stepper::pin_shape`] and the propose it is the pinned shape;
-    /// the empty shape before the first pin or propose.
+    /// The shape the most recent [`Stepper::propose`] ran, as clamped to
+    /// the model, for observability: serving engines attach it to
+    /// per-step trace events. Between [`Stepper::pin_shape`] and the
+    /// next propose it is the pinned shape, and before the first pin it
+    /// is the base shape ([`Stepper::base_shape`]).
     pub fn last_shape(&self) -> &SpecShape {
         &self.last_shape
     }
@@ -626,34 +610,14 @@ impl<'m> Stepper<'m> {
         self.last_prune
     }
 
-    /// Pins the shape of the **next** [`Stepper::propose`] (a serving
-    /// engine pins the shape it budgeted for, so cost accounting and
-    /// the built candidate paths agree). Without a pinned shape,
-    /// propose asks this stepper's own policy — the serial path. The
-    /// shape is copied into the stepper's slot, which keeps its
-    /// allocation from step to step.
+    /// Pins the shape every [`Stepper::propose`] runs from now on,
+    /// until the next pin (a serving engine pins the shape it priced
+    /// each member at, so cost accounting and the built candidate paths
+    /// agree). Unpinned, a stepper runs its base shape. The shape is
+    /// copied into the stepper's slot, which keeps its allocation from
+    /// step to step.
     pub fn pin_shape(&mut self, shape: &SpecShape) {
         shape.copy_into(&mut self.last_shape);
-        self.pinned = true;
-    }
-
-    /// Fills `last_shape` with the shape the next step will run: the
-    /// pinned one if a serving engine set it, otherwise this stepper's
-    /// policy decision over the current history — clamped to what the
-    /// model can run ([`SpecShape::clamp`]), since everything the step
-    /// is charged is read off the shape.
-    fn next_shape(&mut self) {
-        if !std::mem::take(&mut self.pinned) {
-            let shape = self.policy.shape(&ShapeQuery {
-                base: &self.base,
-                history: &self.history,
-                cap: None,
-            });
-            shape.copy_into(&mut self.last_shape);
-        }
-        let model = self.target_model;
-        self.last_shape
-            .clamp(model.n_extra_heads(), model.vocab_size());
     }
 
     /// Consumes the stepper, returning the final output.
@@ -708,11 +672,14 @@ impl<'m> Stepper<'m> {
             self.done = true;
             return Phase::Done;
         }
-        // This step's speculation shape: pinned by the serving engine's
-        // budget pass, or this stepper's own policy (the static default
-        // reproduces the configured shape exactly). NTP's is the empty
-        // shape — no level, no candidate token.
-        self.next_shape();
+        // This step's speculation shape: the one last pinned (the base
+        // shape until a pin), clamped to what the model can run
+        // ([`SpecShape::clamp`]), since everything the step is charged
+        // is read off it. NTP's is the empty shape — no level, no
+        // candidate token.
+        let model = self.target_model;
+        self.last_shape
+            .clamp(model.n_extra_heads(), model.vocab_size());
         let shape = &self.last_shape;
         let (levels, candidate_tokens) = (shape.depth, shape.candidate_tokens());
         let (sampling, eos) = (self.cfg.sampling, self.cfg.eos);
@@ -1674,6 +1641,59 @@ pub(crate) mod tests {
             let deep: Vec<usize> = levels[1..].iter().copied().filter(|&l| l > 0).collect();
             deep.iter().any(|&l| l != deep[0])
         }));
+    }
+
+    #[test]
+    fn an_unpinned_stepper_runs_its_clamped_base_and_a_pin_lasts_until_the_next() {
+        // The stepper decides no shape: it runs its base shape, clamped
+        // to the model, until a pin, then the pinned shape (clamped)
+        // every step until the next pin.
+        let model = tiny_model();
+        let (n_heads, vocab) = (model.n_extra_heads(), model.vocab_size());
+        let cost = GpuCostModel::codellama_like();
+        let cfg = DecodeConfig {
+            max_tokens: 200,
+            sampling: Sampling::temperature(0.8),
+            eos: TokenId::MAX,
+            seed: 3,
+            // Wider than the vocabulary at the first level.
+            tree: Some(vec![vocab + 6, 2]),
+            ..Default::default()
+        };
+        let engine = Engine::Medusa(cfg.clone());
+        let mut st = Stepper::new(&model, engine, model.session(), &[1, 2, 3]);
+        let base = Engine::Medusa(cfg).base_shape(n_heads);
+        assert_eq!(st.base_shape(), &base);
+        let clamped = |shape: &SpecShape| {
+            let mut shape = shape.clone();
+            shape.clamp(n_heads, vocab);
+            shape
+        };
+        let deep = SpecShape {
+            widths: vec![2],
+            depth: n_heads + 4,
+        };
+        let runs = [
+            (None, clamped(&base)),
+            (Some(deep.clone()), clamped(&deep)),
+            (Some(SpecShape::EMPTY), SpecShape::EMPTY),
+            (Some(base.clone()), clamped(&base)),
+        ];
+        assert_ne!(clamped(&base), base, "the base must need its clamp");
+        assert_ne!(clamped(&deep), deep, "the pin must need its clamp");
+        for (pin, runs_as) in runs {
+            if let Some(shape) = pin {
+                st.pin_shape(&shape);
+                assert_eq!(st.last_shape(), &shape, "a pin is the next shape");
+            }
+            for _ in 0..4 {
+                assert!(st.step(&cost));
+                assert_eq!(st.last_shape(), &runs_as);
+                let speculated = st.output().trace.last().expect("a step").speculated;
+                assert_eq!(speculated, runs_as.candidate_tokens());
+            }
+        }
+        assert_eq!(st.base_shape(), &base, "the base is never rewritten");
     }
 
     #[test]

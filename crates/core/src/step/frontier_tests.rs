@@ -24,7 +24,7 @@
 use super::tests::{drive_fused, tiny_model, Cycle, Recompute};
 use super::*;
 use crate::decode::build_candidate_paths;
-use crate::policy::AdaptivePolicy;
+use crate::policy::{ShapeQuery, SpecPolicy};
 use proptest::prelude::*;
 use std::cell::Cell;
 use verispec_lm::matrix::{softmax, tempered_softmax_into};
@@ -105,7 +105,7 @@ fn built_paths(nodes: &NodeMap) -> Vec<Vec<TokenId>> {
 
 impl Stepper<'_> {
     /// The oracle's propose: what every non-grammar step did before
-    /// trees grew lazily — the shape as the policy or the pin gave it,
+    /// trees grew lazily — the shape as the pin gave it, unclamped,
     /// every explored head's row computed with the base row, the whole
     /// tree built from them by a builder that clamps on its own, the
     /// candidate tokens counted off the built paths.
@@ -117,17 +117,7 @@ impl Stepper<'_> {
         }
         let (sampling, eos) = (self.cfg.sampling, self.cfg.eos);
         let n_heads = self.target_model.n_extra_heads();
-        let shape = if std::mem::take(&mut self.pinned) {
-            self.last_shape.clone()
-        } else {
-            self.policy
-                .shape(&ShapeQuery {
-                    base: &self.base,
-                    history: &self.history,
-                    cap: None,
-                })
-                .into_owned()
-        };
+        let shape = self.last_shape.clone();
         let session = self.target.as_mut();
         let step_start = session.len();
         self.scratch.clear();
@@ -389,7 +379,8 @@ proptest! {
 enum ShapeSource {
     /// The configured shape, every step.
     Static,
-    /// [`AdaptivePolicy`] over the generation's own history.
+    /// Pinned each step: [`SpecPolicy::Adaptive`] over the generation's
+    /// own history.
     Adaptive,
     /// Pinned each step: the configured shape shrunk to a drawn budget.
     Shrunk,
@@ -408,21 +399,27 @@ fn run_shaped(
     mut side: Side,
 ) -> DecodeOutput {
     let cost = GpuCostModel::codellama_like();
-    let adaptive = AdaptivePolicy { window: 3 };
     let engine = Engine::Medusa(cfg.clone());
     let mut st = Stepper::new(model, engine, model.session(), &[6, 7, 8]);
-    if matches!(source, ShapeSource::Adaptive) {
-        st = st.with_policy(&adaptive);
-    }
     let mut rng = Lcg(shape_seed);
+    let mut shape = SpecShape::EMPTY;
     loop {
         side.between_steps(&mut st);
         match source {
-            ShapeSource::Static | ShapeSource::Adaptive => {}
+            ShapeSource::Static => {}
+            ShapeSource::Adaptive => {
+                let query = ShapeQuery {
+                    base: st.base_shape(),
+                    history: st.history(),
+                    cap: None,
+                };
+                SpecPolicy::Adaptive.shape(&query, &mut shape);
+                st.pin_shape(&shape);
+            }
             ShapeSource::Shrunk => {
-                let base = st.base_shape();
-                let shrunk = base.shrink_to(1 + rng.below(base.step_cost() + 2));
-                st.pin_shape(&shrunk);
+                st.base_shape().copy_into(&mut shape);
+                shape.shrink_to(1 + rng.below(shape.step_cost() + 2));
+                st.pin_shape(&shape);
             }
             ShapeSource::Wild => st.pin_shape(&SpecShape {
                 // A third of them chains: no widths, every level width 1.

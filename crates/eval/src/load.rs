@@ -20,7 +20,7 @@
 use crate::benchmarks::speed_prompts;
 use crate::pipeline::{token_budget, ModelScale, Pipeline, SharedPrefixEncoder};
 use crate::Scale;
-use verispec_core::{AdaptivePolicy, BudgetedPolicy, SpecPolicy, StaticPolicy, TrainMethod};
+use verispec_core::{SpecPolicy, TrainMethod};
 use verispec_lm::MlpLm;
 use verispec_load::{
     run_fleet_open_loop, ArrivalProcess, ArrivalTrace, LoadBenchRow, LoadRunReport, PromptFamily,
@@ -55,18 +55,6 @@ const POLICY_CAPACITY_FACTOR: usize = 3;
 /// SLO deadline slack of the policy A/B: each request must finish
 /// within this multiple of its ideal NTP service time (`budget` ticks).
 const POLICY_SLO_SLACK: f64 = 4.0;
-
-/// The policy A/B menu: (policy name, policy). The A/B runs all three
-/// at the *same* per-tick verify capacity
-/// (`ServeConfig::tick_capacity`), so it isolates the allocation
-/// policy, not the capacity.
-fn policy_menu() -> Vec<(&'static str, Box<dyn SpecPolicy>)> {
-    vec![
-        ("static", Box::new(StaticPolicy)),
-        ("adaptive", Box::new(AdaptivePolicy::default())),
-        ("budgeted", Box::new(BudgetedPolicy)),
-    ]
-}
 
 /// Worker counts of the dispatch sweep: the single fused engine, and
 /// small fleets.
@@ -271,7 +259,6 @@ pub fn run_load_bench(
                 &cost,
                 &run,
                 name,
-                None,
             );
             rows.push(LoadBenchRow::new(
                 workload.process.name(),
@@ -296,16 +283,20 @@ pub fn run_load_bench(
         };
         let (ours_name, ours_engine) = load_methods().remove(0);
         let requests = slo_workload.requests_with_engine(Some(&ours_engine));
+        // Every policy runs at the *same* per-tick verify capacity
+        // (`ServeConfig::tick_capacity`), so the A/B isolates the
+        // allocation policy, not the capacity.
         let capacity = POLICY_CAPACITY_FACTOR * cfg.max_batch;
-        for (policy_name, policy) in policy_menu() {
+        for policy in SpecPolicy::ALL {
             let pcfg = ServeConfig {
                 order: TickOrder::Edf,
+                policy,
                 tick_capacity: Some(capacity),
                 shed_depth: Some(4 * concurrency),
                 ..cfg.clone()
             };
             let run = run_fleet_open_loop(
-                single(&model, &pcfg, Some(&enc.preamble_ids)).with_policy(policy.as_ref()),
+                single(&model, &pcfg, Some(&enc.preamble_ids)),
                 requests.clone(),
                 &cost,
             );
@@ -316,12 +307,11 @@ pub fn run_load_bench(
                 &pcfg,
                 &cost,
                 &run,
-                policy_name,
-                Some(policy.as_ref()),
+                policy.name(),
             );
             let mut row =
                 LoadBenchRow::new(slo_workload.process.name(), rate, ours_name, SINGLE, &run);
-            row.policy = policy_name.to_string();
+            row.policy = policy.name().to_string();
             row.tick_capacity = Some(capacity);
             rows.push(row);
         }
@@ -372,7 +362,6 @@ pub fn run_load_bench(
         &cost,
         &reference,
         "dispatch-reference",
-        None,
     );
     rows.push(LoadBenchRow::new(
         &process, rate, ours_name, SINGLE, &reference,
@@ -755,7 +744,7 @@ pub fn load_gate_violations(rows: &[LoadBenchRow]) -> Vec<String> {
 /// The routing menu of the Zipf cache sweep: load-blind round-robin,
 /// cost-aware least-loaded, and the cache-aware prefix-affine policy
 /// (which degrades to least-loaded when every cache probe reads 0).
-pub fn zipf_routes() -> Vec<(&'static str, RoutePolicy)> {
+fn zipf_routes() -> Vec<(&'static str, RoutePolicy)> {
     vec![
         ("rr", RoutePolicy::RoundRobin),
         ("least-loaded", RoutePolicy::LeastLoaded),
@@ -891,7 +880,6 @@ fn assert_trace_replays_exactly(workload: &Workload) {
 /// Asserts the paced run's outputs equal batch submission of the
 /// same workload, token for token and tick for tick (including which
 /// requests load shedding rejected).
-#[allow(clippy::too_many_arguments)] // private assertion glue
 fn assert_paced_matches_batch(
     model: &verispec_lm::MlpLm,
     preamble: &[u32],
@@ -900,7 +888,6 @@ fn assert_paced_matches_batch(
     cost: &verispec_lm::GpuCostModel,
     run: &LoadRunReport,
     method: &str,
-    policy: Option<&dyn SpecPolicy>,
 ) {
     // Mirror the served fleet's prefix handling exactly (radix-tree
     // cache pre-warmed with the shared stem) so the batch reference
@@ -911,9 +898,6 @@ fn assert_paced_matches_batch(
     };
     let mut engine = ServeEngine::new(model, cfg);
     engine.warm_prefix(preamble);
-    if let Some(p) = policy {
-        engine = engine.with_policy(p);
-    }
     for req in requests {
         engine.submit(req.clone());
     }

@@ -4,14 +4,16 @@
 //! (`ph`) with the fields that phase requires, all four workers appear
 //! as processes, and on every request track the complete spans nest
 //! properly (any two overlapping spans are parent/child, never
-//! partially overlapping).
+//! partially overlapping). Every `step` instant carries its event's
+//! shape in the event log's JSON form.
 
-use serde::Value;
-use verispec_core::DecodeConfig;
+use serde::{Deserialize, Value};
+use verispec_core::{DecodeConfig, SpecShape};
 use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, TokenId};
 use verispec_load::{run_fleet_open_loop, ArrivalProcess, PromptFamily, RequestMix, Workload};
 use verispec_serve::{Backend, EngineChoice, FleetRuntime, RoutePolicy, ServeConfig};
 use verispec_trace::chrome_trace;
+use verispec_trace::EventKind;
 
 fn as_u64(v: &Value) -> Option<u64> {
     match *v {
@@ -184,4 +186,33 @@ fn four_worker_paced_run_exports_schema_valid_chrome_trace() {
         run.report.completions.len(),
         "every served request must have a span track"
     );
+
+    // Step instants follow the log's order, and each one's `shape`
+    // reads back as its event's shape.
+    let exported: Vec<SpecShape> = items
+        .iter()
+        .filter(|item| field(item, "name").and_then(Value::as_str) == Some("step"))
+        .map(|item| {
+            let shape = field(item, "args")
+                .and_then(|args| field(args, "shape"))
+                .expect("step instant carries a shape");
+            SpecShape::from_value(shape).expect("a step's shape is the event log's JSON form")
+        })
+        .collect();
+    let logged: Vec<&SpecShape> = run
+        .events
+        .iter()
+        .filter_map(|ev| match &ev.kind {
+            EventKind::Step { shape, .. } => Some(shape),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        logged.iter().any(|s| s.depth == 0) && logged.iter().any(|s| !s.widths.is_empty()),
+        "the run steps NTP and tree requests"
+    );
+    assert_eq!(exported.len(), logged.len(), "one step instant per step");
+    for (i, (got, want)) in exported.iter().zip(&logged).enumerate() {
+        assert_eq!(got, *want, "step {i}'s exported shape");
+    }
 }

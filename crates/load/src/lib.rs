@@ -47,8 +47,9 @@
 //!                                      suffix only, insert-on-miss,
 //!                                      cap-charged LRU eviction)
 //!                                    → scheduler (EDF…) → shed overflow
-//!                                    → SpecPolicy divides the
-//!                                      per-tick verify capacity
+//!                                    → cfg.policy shapes every step,
+//!                                      dividing any per-tick verify
+//!                                      capacity
 //!                                    → fused propose/verify →
 //!                                    commit (step_ticks)
 //!                                                  │

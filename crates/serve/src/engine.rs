@@ -55,9 +55,7 @@ use crate::prefix::PrefixCache;
 use crate::request::{Completion, EngineChoice, Request};
 use crate::scheduler::{ActiveView, Scheduler, TickOrder};
 use serde::{Deserialize, Serialize};
-use verispec_core::{
-    AcceptHistory, Engine, Phase, ShapeQuery, SpecPolicy, SpecShape, Stepper, STATIC_POLICY,
-};
+use verispec_core::{AcceptHistory, Engine, Phase, ShapeQuery, SpecPolicy, SpecShape, Stepper};
 use verispec_grammar::GrammarOracle;
 use verispec_lm::{
     verify_many, DecodeSession, GpuCostModel, LanguageModel, LogitsArena, MlpLm, MlpSession,
@@ -74,6 +72,13 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Selection order within a tick.
     pub order: TickOrder,
+    /// How much speculation each selected request buys per step: the
+    /// tick's capacity pass asks this policy for every member's shape
+    /// (with what is left of [`ServeConfig::tick_capacity`] as its cap,
+    /// when one is set) and pins the answer on the member's stepper —
+    /// the one place a step's shape is chosen. The default,
+    /// [`SpecPolicy::Static`], runs every request's configured shape.
+    pub policy: SpecPolicy,
     /// Memory budget: maximum resident sessions (active steppers plus
     /// prefix-cache snapshots). While over it, the engine evicts the
     /// cache's least-recently-used leaves — exact-replay eviction, so a
@@ -86,13 +91,13 @@ pub struct ServeConfig {
     /// the one capacity knob, whatever the speculation policy.
     /// When set, each tick's batch is gated by this budget instead of
     /// only `max_batch`: the engine walks the scheduler's order, asks
-    /// the speculation policy for each request's shape with the
+    /// [`ServeConfig::policy`] for each request's shape with the
     /// remaining budget as its cap, and defers requests whose shape
     /// does not fit (the first request in order always steps, so the
     /// aging guard's no-starvation bound survives);
-    /// [`verispec_core::BudgetedPolicy`] shrinks a shape into its cap
-    /// instead. `None` (the default) keeps the pre-policy behavior:
-    /// candidates are not charged against tick time.
+    /// [`SpecPolicy::Budgeted`] shrinks a shape into its cap instead.
+    /// `None` (the default) charges no candidate against tick time:
+    /// every selected request steps.
     pub tick_capacity: Option<usize>,
     /// Load-shedding admission control: when more than this many
     /// *ready* fresh requests (arrival tick due, not yet admitted) are
@@ -136,6 +141,7 @@ impl Default for ServeConfig {
             max_active: 8,
             max_batch: 8,
             order: TickOrder::RoundRobin,
+            policy: SpecPolicy::Static,
             session_cap: None,
             tick_capacity: None,
             shed_depth: None,
@@ -450,9 +456,6 @@ pub struct ServeEngine<'m> {
     /// ([`ServeConfig::prefix_cache`]).
     cache: Option<PrefixCache<'m>>,
     cfg: ServeConfig,
-    /// The speculation policy every stepper (and the per-tick budget
-    /// pass) consults; [`verispec_core::StaticPolicy`] by default.
-    policy: &'m dyn SpecPolicy,
     scheduler: Scheduler,
     queue: Vec<QueueEntry>,
     active: Vec<Active<'m>>,
@@ -537,7 +540,6 @@ impl<'m> ServeEngine<'m> {
             grammar: None,
             cache,
             cfg,
-            policy: &STATIC_POLICY,
             scheduler,
             queue: Vec::new(),
             active: Vec::new(),
@@ -584,17 +586,6 @@ impl<'m> ServeEngine<'m> {
         if self.sink.enabled() {
             self.sink.record(ev);
         }
-    }
-
-    /// Replaces the speculation policy (default:
-    /// [`verispec_core::StaticPolicy`], the configured shapes —
-    /// bit-identical to the pre-policy engine). Every admitted
-    /// request's stepper runs under it, and with a per-tick verify
-    /// capacity ([`ServeConfig::tick_capacity`]) the tick loop
-    /// consults it to divide the budget across each tick's batch.
-    pub fn with_policy(mut self, policy: &'m dyn SpecPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Attaches the grammar oracle [`EngineChoice::GrammarTree`]
@@ -706,24 +697,26 @@ impl<'m> ServeEngine<'m> {
     /// Outstanding candidate-token cost probe: an upper bound on the
     /// verify positions this engine still has to pay, denominated in
     /// [`SpecShape::step_cost`] units — for each in-flight request, its
-    /// remaining token budget times the per-step cost of the shape the
-    /// speculation policy would buy it right now (active requests are
-    /// priced with their own acceptance history, queued ones with an
-    /// empty one and the base shape their stepper will report,
-    /// [`Engine::base_shape`]; an NTP step, the empty shape, costs 1).
-    /// "Upper bound" because accepted speculation commits several tokens per
-    /// step. The join-least-loaded routing policy
+    /// remaining token budget times the per-step cost of the shape
+    /// [`ServeConfig::policy`] would buy it right now, uncapped (active
+    /// requests are priced with their own acceptance history, queued
+    /// ones with an empty one and the base shape their stepper will
+    /// report, [`Engine::base_shape`]; an NTP step, the empty shape,
+    /// costs 1). "Upper bound" because accepted speculation commits
+    /// several tokens per step. The join-least-loaded routing policy
     /// ([`crate::dispatch::RoutePolicy::LeastLoaded`]) balances on
     /// this, so a worker hoarding wide-tree long-budget requests looks
     /// heavier than one holding the same *count* of NTP shorties.
     pub fn outstanding_cost(&self) -> usize {
-        let priced = |base: &SpecShape, history: &AcceptHistory, remaining: usize| {
-            let shape = self.policy.shape(&ShapeQuery {
+        let mut slot = SpecShape::EMPTY;
+        let mut priced = |base: &SpecShape, history: &AcceptHistory, remaining: usize| {
+            let query = ShapeQuery {
                 base,
                 history,
                 cap: None,
-            });
-            remaining * shape.step_cost()
+            };
+            self.cfg.policy.shape(&query, &mut slot);
+            remaining * slot.step_cost()
         };
         let (fresh_history, n_heads) = (AcceptHistory::default(), self.model.n_extra_heads());
         let mut cost = 0usize;
@@ -792,8 +785,7 @@ impl<'m> ServeEngine<'m> {
     }
 
     /// Starts `req`'s generation on `session` — its prompt's cached
-    /// prefix, or a fresh session when the cache held none — under this
-    /// engine's speculation policy.
+    /// prefix, or a fresh session when the cache held none.
     fn make_stepper(
         &self,
         req: &Request,
@@ -802,7 +794,7 @@ impl<'m> ServeEngine<'m> {
         let session = session.unwrap_or_else(|| self.model.session());
         debug_assert!(req.prompt.starts_with(session.tokens()));
         let rest = &req.prompt[session.tokens().len()..];
-        Stepper::new(self.model, self.engine_for(req), session, rest).with_policy(self.policy)
+        Stepper::new(self.model, self.engine_for(req), session, rest)
     }
 
     /// Admission through the prefix cache: walk to the deepest cached
@@ -989,25 +981,26 @@ impl<'m> ServeEngine<'m> {
         }
     }
 
-    /// Divides the tick's verify capacity across the scheduler's
-    /// selection — the speculation-policy hook of the tick loop.
+    /// Chooses the shape of every step the tick takes — the one place
+    /// [`ServeConfig::policy`] is asked — and divides the tick's verify
+    /// capacity across the scheduler's selection.
     ///
-    /// Without a capacity ([`ServeConfig::tick_capacity`] `None`) every
-    /// selected request steps and each stepper consults the policy
-    /// itself at propose time — the pre-policy behavior under
-    /// [`STATIC_POLICY`].
+    /// The engine walks the selection order, asks the policy for each
+    /// request's shape from the request's configured shape and its own
+    /// acceptance history, and pins the answer on the stepper, so cost
+    /// accounting and the built candidate paths agree exactly. Every
+    /// member is priced and pinned the same way: an NTP member's empty
+    /// shape costs 1.
     ///
-    /// With a capacity, the engine walks the selection order asking the
-    /// policy for each request's shape with the *remaining* budget as
-    /// its cap, pins the answer on the stepper (so budget accounting
-    /// and the built candidate paths agree exactly), and defers
-    /// requests whose shape does not fit. Every member is priced and
-    /// pinned the same way: an NTP member's empty shape costs 1. The
-    /// head of the order always steps even on overrun — forced aging picks sort first, so the
+    /// Without a capacity ([`ServeConfig::tick_capacity`] `None`) the
+    /// policy is asked with no cap and every selected request steps.
+    /// With one, its cap is the *remaining* budget, and requests whose
+    /// shape does not fit are deferred. The head of the order always
+    /// steps even on overrun — forced aging picks sort first, so the
     /// scheduler's no-starvation bound survives budget pressure.
     ///
-    /// Fills `stepped` from `selected`; a shape is priced in `priced`,
-    /// since the policy's answer may borrow the stepper it is pinned on.
+    /// Fills `stepped` from `selected`; a shape is priced in `priced`
+    /// while the query borrows the stepper it is then pinned on.
     fn divide_tick_capacity(
         &mut self,
         selected: &[usize],
@@ -1015,33 +1008,27 @@ impl<'m> ServeEngine<'m> {
         priced: &mut SpecShape,
     ) {
         stepped.clear();
-        let Some(capacity) = self.cfg.tick_capacity else {
-            stepped.extend_from_slice(selected);
-            return;
-        };
-        let policy = self.policy;
-        let capacity = capacity.max(1);
+        let capacity = self.cfg.tick_capacity.map(|c| c.max(1));
         let mut remaining = capacity;
         for (pos, &i) in selected.iter().enumerate() {
             let stepper = &self.active[i].stepper;
-            policy
-                .shape(&ShapeQuery {
-                    base: stepper.base_shape(),
-                    history: stepper.history(),
-                    cap: Some(remaining),
-                })
-                .copy_into(priced);
+            let query = ShapeQuery {
+                base: stepper.base_shape(),
+                history: stepper.history(),
+                cap: remaining,
+            };
+            self.cfg.policy.shape(&query, priced);
             let cost = priced.step_cost();
-            if pos > 0 && cost > remaining {
+            if remaining.is_some_and(|left| pos > 0 && cost > left) {
                 let id = self.active[i].id;
                 self.emit(Some(id), EventKind::Deferred);
                 continue;
             }
             self.active[i].stepper.pin_shape(priced);
-            remaining = remaining.saturating_sub(cost);
+            remaining = remaining.map(|left| left.saturating_sub(cost));
             stepped.push(i);
         }
-        if self.traced() {
+        if let (Some(capacity), Some(remaining), true) = (capacity, remaining, self.traced()) {
             self.emit(
                 None,
                 EventKind::TickBudget {

@@ -13,8 +13,9 @@
 //!
 //! ```text
 //!   FleetRuntime (runtime) ── the one fleet spec and the one drive:
-//!   model + ServeConfig + workers + RoutePolicy + Backend, optional
-//!   grammar / policy / warm stems / tracing / FaultPlan;
+//!   model + ServeConfig (speculation policy included) + workers +
+//!   RoutePolicy + Backend, optional grammar / warm stems / tracing /
+//!   FaultPlan;
 //!   run(Drive::{Batch,Paced}, cost) builds the backend,
 //!   drives it, drains it and merges per-worker reports — the only way
 //!   to serve requests through a fleet
@@ -46,8 +47,8 @@
 //!   (by the fleet's drive, or   queue ─► admission ─► active pool
 //!    by hand: the bare engine  (requests, (arrival,    one Stepper
 //!    is the reference the       shed       warmup,     per request
-//!    fleet is compared to)      overflow)  LRU evict   (policy +
-//!                                           = replay)    history)
+//!    fleet is compared to)      overflow)  LRU evict   (pinned shape
+//!                                           = replay)    + history)
 //!                                               │
 //!                                PrefixCache ◄──┘ lookup/insert per
 //!                                (radix trie of   admission: fork the
@@ -61,9 +62,9 @@
 //!                       tick:  │ Scheduler.select ≤ batch   │
 //!                              │  (RR/seeded/EDF/weighted   │
 //!                              │   + aging guard)           │
-//!                              │ SpecPolicy divides the     │ ShapeQuery{base,
-//!                              │  per-tick verify capacity ─┼─ history, cap} →
-//!                              │  (pin shape / defer)       │ SpecShape per req
+//!                              │ cfg.policy shapes every    │ ShapeQuery{base,
+//!                              │  member; under a capacity ─┼─ history, cap} →
+//!                              │  divides it (pin / defer)  │ SpecShape per req
 //!                              │ fused propose (base rows,  │
 //!                              │  activations kept) ────────┼─► MlpLm::infer
 //!                              │  └ GrammarOracle: base     │   (grammar layer:
@@ -117,18 +118,20 @@
 //!   admission — arrivals join the same queue the guard covers).
 //! * **The speculation-policy layer** (`verispec-core::policy`) — each
 //!   tick, *how much speculation to buy per request* is a
-//!   [`verispec_core::SpecPolicy`] decision, not a frozen config:
-//!   under a per-tick verify capacity
-//!   ([`ServeConfig::tick_capacity`], the one capacity knob) the
-//!   engine walks the scheduler's order, queries the policy with each
-//!   request's own acceptance history and the remaining budget — NTP
-//!   requests included, whose shape is the empty one and costs a
-//!   single position — pins the decided shape on the stepper, and
-//!   defers requests that do not fit (head-of-order always steps, so
-//!   the no-starvation bound survives). Static = configured shapes,
-//!   bit-identical to the pre-policy engine; adaptive = pure function
-//!   of the request's history (served == serial, proptest-pinned);
-//!   budgeted = shrink-to-fit packing. Load-shedding admission
+//!   [`verispec_core::SpecPolicy`] decision, not a frozen config. The
+//!   policy is a value, [`ServeConfig::policy`], and the tick's
+//!   capacity pass is the one place it is asked: the engine walks the
+//!   scheduler's order, queries the policy with each request's
+//!   configured shape and own acceptance history — NTP requests
+//!   included, whose shape is the empty one and costs a single
+//!   position — and pins the decided shape on the stepper. Under a
+//!   per-tick verify capacity ([`ServeConfig::tick_capacity`], the one
+//!   capacity knob) the query also carries the remaining budget, and
+//!   requests that do not fit are deferred (head-of-order always
+//!   steps, so the no-starvation bound survives). Static = configured
+//!   shapes (the default); adaptive = pure function of the request's
+//!   history (served == serial, proptest-pinned); budgeted =
+//!   shrink-to-fit packing. Load-shedding admission
 //!   control ([`ServeConfig::shed_depth`]) rejects ready-queue
 //!   overflow newest-first, deterministically on both the batch and
 //!   paced paths.
@@ -252,7 +255,7 @@
 //! [`Drive::Paced`] == batch submission under random arrival
 //! processes, capacities, deadlines, and eviction pressure.
 //! The one deliberate exception is
-//! [`verispec_core::BudgetedPolicy`] under a
+//! [`verispec_core::SpecPolicy::Budgeted`] under a
 //! [`ServeConfig::tick_capacity`]: its shrink-to-fit shapes depend
 //! on batch composition, so *sampled* outputs may differ from the
 //! serial run — it trades that for packing the tick under overload
@@ -639,7 +642,7 @@ mod tests {
 
     #[test]
     fn budgeted_policy_packs_the_tick_and_greedy_stays_lossless() {
-        use verispec_core::BudgetedPolicy;
+        use verispec_core::SpecPolicy;
         // Same verify capacity, two allocation policies: static defers
         // whole requests, budgeted shrinks shapes to pack the tick.
         // Greedy speculation is lossless under any shape, so outputs
@@ -679,13 +682,10 @@ mod tests {
         let run_budgeted = {
             let cfg = ServeConfig {
                 tick_capacity: Some(capacity),
+                policy: SpecPolicy::Budgeted,
                 ..ServeConfig::concurrency(6)
             };
-            let mut engine = ServeEngine::new(&m, cfg).with_policy(&BudgetedPolicy);
-            for r in requests.clone() {
-                engine.submit(r);
-            }
-            engine.run(&cost)
+            run_engine(&m, requests.clone(), &cfg, &cost)
         };
         assert!(
             run_budgeted.stats.deferred_steps < run_static.stats.deferred_steps,
@@ -704,13 +704,14 @@ mod tests {
 
     #[test]
     fn adaptive_policy_served_equals_serial() {
-        use verispec_core::AdaptivePolicy;
+        use verispec_core::{ShapeQuery, SpecPolicy, SpecShape};
         // Adaptation is a pure function of the request's own history,
-        // so the served run and the serial policy-driven engine make
-        // identical per-step decisions — sampled requests included.
+        // so the served run and a serial run that pins the policy's
+        // answer before each step make identical per-step decisions —
+        // sampled requests included.
         let m = model();
         let cost = GpuCostModel::codellama_like();
-        let policy = AdaptivePolicy::default();
+        let policy = SpecPolicy::Adaptive;
         let requests: Vec<Request> = (0..5u64)
             .map(|i| {
                 Request::new(
@@ -732,16 +733,28 @@ mod tests {
             .iter()
             .map(|r| {
                 let engine = Engine::Medusa(r.engine.decode_config(&r.cfg));
-                let mut st = Stepper::new(&m, engine, m.session(), &r.prompt).with_policy(&policy);
-                while st.step(&cost) {}
+                let mut st = Stepper::new(&m, engine, m.session(), &r.prompt);
+                let mut shape = SpecShape::EMPTY;
+                loop {
+                    let query = ShapeQuery {
+                        base: st.base_shape(),
+                        history: st.history(),
+                        cap: None,
+                    };
+                    policy.shape(&query, &mut shape);
+                    st.pin_shape(&shape);
+                    if !st.step(&cost) {
+                        break;
+                    }
+                }
                 st.into_output().tokens
             })
             .collect();
-        let mut engine = ServeEngine::new(&m, ServeConfig::concurrency(3)).with_policy(&policy);
-        for r in requests {
-            engine.submit(r);
-        }
-        let report = engine.run(&cost);
+        let cfg = ServeConfig {
+            policy,
+            ..ServeConfig::concurrency(3)
+        };
+        let report = run_engine(&m, requests, &cfg, &cost);
         for (c, want) in report.completions.iter().zip(&expected) {
             assert_eq!(&c.output.tokens, want, "request {} diverged", c.id);
         }

@@ -4,9 +4,9 @@
 //! # One way to serve a fleet to completion
 //!
 //! A [`FleetRuntime`] value *is* the fleet spec — model, per-worker
-//! [`ServeConfig`], worker count, [`RoutePolicy`], [`Backend`], and the
-//! optional grammar / policy / warm stems / tracing /
-//! [`FaultPlan`] — and [`FleetRuntime::run`] is the only function in
+//! [`ServeConfig`] (its speculation policy included), worker count,
+//! [`RoutePolicy`], [`Backend`], and the optional grammar / warm stems /
+//! tracing / [`FaultPlan`] — and [`FleetRuntime::run`] is the only function in
 //! this crate that serves requests through a fleet. It applies the
 //! spec to engines in exactly one place (`FleetRuntime::engine`, which
 //! also builds crash replacements), picks the backend, and hands it to
@@ -113,7 +113,6 @@ use crate::request::Request;
 use crate::scheduler::TickOrder;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use verispec_core::SpecPolicy;
 use verispec_grammar::GrammarOracle;
 use verispec_lm::{GpuCostModel, MlpLm, TokenId};
 use verispec_trace::{EventKind, EventLog, TraceEvent, TraceSink};
@@ -273,7 +272,7 @@ impl FaultPlan {
     /// The events sorted by tick (stable: same-tick events keep plan
     /// order, so a crash-then-restart pair at one tick is well
     /// defined).
-    pub fn sorted_events(&self) -> Vec<FaultEvent> {
+    pub(crate) fn sorted_events(&self) -> Vec<FaultEvent> {
         let mut events = self.events.clone();
         events.sort_by_key(FaultEvent::tick);
         events
@@ -343,7 +342,6 @@ pub struct FleetRuntime<'m> {
     route: RoutePolicy,
     backend: Backend,
     grammar: Option<&'m GrammarOracle>,
-    policy: Option<&'m dyn SpecPolicy>,
     warm: Vec<Vec<TokenId>>,
     traced: bool,
     plan: FaultPlan,
@@ -367,7 +365,6 @@ impl<'m> FleetRuntime<'m> {
             route,
             backend,
             grammar: None,
-            policy: None,
             warm: Vec::new(),
             traced: false,
             plan: FaultPlan::none(),
@@ -377,12 +374,6 @@ impl<'m> FleetRuntime<'m> {
     /// Attaches the grammar oracle to every worker.
     pub fn with_grammar(mut self, oracle: &'m GrammarOracle) -> Self {
         self.grammar = Some(oracle);
-        self
-    }
-
-    /// Replaces every worker's speculation policy.
-    pub fn with_policy(mut self, policy: &'m dyn SpecPolicy) -> Self {
-        self.policy = Some(policy);
         self
     }
 
@@ -435,9 +426,6 @@ impl<'m> FleetRuntime<'m> {
         engine.worker = worker as u32;
         if let Some(oracle) = self.grammar {
             engine = engine.with_grammar(oracle);
-        }
-        if let Some(policy) = self.policy {
-            engine = engine.with_policy(policy);
         }
         if warm {
             for stem in &self.warm {

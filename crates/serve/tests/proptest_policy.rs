@@ -2,28 +2,27 @@
 //!
 //! Three claims are pinned here:
 //!
-//! 1. **Purity** — an [`AdaptivePolicy`] decision is a pure function of
-//!    the request's *own* acceptance history within the policy window:
-//!    equal windows (however the histories got there) give equal
-//!    decisions, for random histories and bases, the empty shape (NTP)
-//!    included.
+//! 1. **Purity** — a [`SpecPolicy::Adaptive`] decision is a pure
+//!    function of the request's *own* last 8 steps: equal windows
+//!    (however the histories got there) give equal decisions, for
+//!    random histories and bases, the empty shape (NTP) included.
 //! 2. **Served == serial under adaptation** — because of (1), serving
-//!    a mix of requests under an adaptive policy produces
-//!    token-for-token the outputs of the serial policy-driven engine,
-//!    across random engines (NTP among them), seeds, sampling, tick
-//!    orders, prefix-cache eviction pressure, and batch sizes.
-//!    Adaptation never leaks batch composition into a request's stream.
+//!    a mix of requests under the adaptive policy produces
+//!    token-for-token the outputs of a serial stepper that pins the
+//!    policy's answer before each step, across random engines (NTP
+//!    among them), seeds, sampling, tick orders, prefix-cache eviction
+//!    pressure, and batch sizes. Adaptation never leaks batch
+//!    composition into a request's stream.
 //! 3. **Served == serial under budgeting, where it can hold** — without
-//!    a per-tick capacity [`BudgetedPolicy`] has no slice to shrink into
-//!    and every request runs as it would serially; under one, a
-//!    speculative request's shape follows the batch, but an NTP
+//!    a per-tick capacity [`SpecPolicy::Budgeted`] has no slice to
+//!    shrink into and every request runs as it would serially; under
+//!    one, a speculative request's shape follows the batch, but an NTP
 //!    request's empty shape is the policy's fixed point, so its stream
 //!    stays the serial one whatever the capacity.
 
 use proptest::prelude::*;
 use verispec_core::{
-    AcceptHistory, AdaptivePolicy, BudgetedPolicy, DecodeConfig, Engine, ShapeQuery, SpecPolicy,
-    SpecShape, Stepper,
+    AcceptHistory, DecodeConfig, Engine, ShapeQuery, SpecPolicy, SpecShape, Stepper,
 };
 use verispec_lm::{GpuCostModel, LanguageModel, MlpLm, MlpLmConfig, Sampling, TokenId};
 use verispec_serve::{EngineChoice, Request, ServeConfig, ServeEngine, ServeReport, TickOrder};
@@ -111,30 +110,44 @@ fn any_requests() -> impl Strategy<Value = Vec<Request>> {
     })
 }
 
+/// `req` run alone, serially: before each step the stepper is pinned
+/// `policy`'s answer (uncapped) for its configured shape and its own
+/// history, as the serving tick pins it.
 fn serial_with_policy(
     model: &MlpLm,
     req: &Request,
     cost: &GpuCostModel,
-    policy: &dyn SpecPolicy,
+    policy: SpecPolicy,
 ) -> Vec<TokenId> {
     let cfg = req.engine.decode_config(&req.cfg);
     let engine = match req.engine {
         EngineChoice::Ntp => Engine::Ntp(cfg),
         _ => Engine::Medusa(cfg),
     };
-    let mut stepper = Stepper::new(model, engine, model.session(), &req.prompt).with_policy(policy);
-    while stepper.step(cost) {}
+    let mut stepper = Stepper::new(model, engine, model.session(), &req.prompt);
+    let mut shape = SpecShape::EMPTY;
+    loop {
+        let query = ShapeQuery {
+            base: stepper.base_shape(),
+            history: stepper.history(),
+            cap: None,
+        };
+        policy.shape(&query, &mut shape);
+        stepper.pin_shape(&shape);
+        if !stepper.step(cost) {
+            break;
+        }
+    }
     stepper.into_output().tokens
 }
 
-/// Serves `requests` to completion under `policy` on the prefix cache,
-/// its stem warmed.
+/// Serves `requests` to completion under `cfg` (its policy included)
+/// on the prefix cache, its stem warmed.
 fn serve(
     model: &MlpLm,
     requests: &[Request],
     cfg: ServeConfig,
     cost: &GpuCostModel,
-    policy: &dyn SpecPolicy,
 ) -> ServeReport {
     let mut engine = ServeEngine::new(
         model,
@@ -142,8 +155,7 @@ fn serve(
             prefix_cache: true,
             ..cfg
         },
-    )
-    .with_policy(policy);
+    );
     assert!(engine.warm_prefix(&SHARED));
     for req in requests {
         engine.submit(req.clone());
@@ -168,13 +180,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Equal recent windows → equal decisions, regardless of how the
-    /// histories were built: entries older than the policy window must
+    /// histories were built: entries older than the last 8 steps must
     /// not influence the decision, and rebuilding the same window from
     /// scratch reproduces it exactly.
     #[test]
     fn adaptive_decisions_are_pure_in_the_recent_window(
         base in any_base(),
-        window in 1usize..12,
         shared in prop::collection::vec(
             (0usize..12, 0usize..12).prop_map(|(s, a)| (s, a.min(s))), 1..12),
         old_a in prop::collection::vec(
@@ -182,13 +193,13 @@ proptest! {
         old_b in prop::collection::vec(
             (1usize..12, 0usize..12).prop_map(|(s, a)| (s, a.min(s))), 0..8),
     ) {
-        let policy = AdaptivePolicy { window };
-        // Only `window` trailing entries may matter, so prefixing
+        let policy = SpecPolicy::Adaptive;
+        // Only the 8 trailing entries may matter, so prefixing
         // arbitrary old entries beyond the window cannot change the
         // decision. (shared is padded to fill the whole window with
         // identical entries.)
         let mut tail = shared.clone();
-        while tail.len() < window.max(32) {
+        while tail.len() < 8 {
             tail.push(*shared.last().expect("nonempty"));
         }
         let build = |old: &[(usize, usize)]| -> AcceptHistory {
@@ -200,11 +211,15 @@ proptest! {
         };
         let ha = build(&old_a);
         let hb = build(&old_b);
-        let da = policy.shape(&ShapeQuery { base: &base, history: &ha, cap: None });
-        let db = policy.shape(&ShapeQuery { base: &base, history: &hb, cap: None });
+        let decide = |history: &AcceptHistory| {
+            let mut out = SpecShape::EMPTY;
+            policy.shape(&ShapeQuery { base: &base, history, cap: None }, &mut out);
+            out
+        };
+        let (da, db) = (decide(&ha), decide(&hb));
         prop_assert_eq!(&da, &db, "pre-window history leaked into the decision");
         // And the decision is deterministic on repeated queries.
-        let again = policy.shape(&ShapeQuery { base: &base, history: &ha, cap: None });
+        let again = decide(&ha);
         prop_assert_eq!(&da, &again);
         // Decisions only ever shrink the configured shape.
         prop_assert!(da.step_cost() <= base.step_cost().max(2));
@@ -217,18 +232,24 @@ proptest! {
     fn served_equals_serial_under_adaptation(
         model in any_mlp(),
         requests in any_requests(),
-        window in 1usize..12,
         max_active in 1usize..5,
         max_batch in 1usize..4,
         order in any_order(),
         session_cap in prop_oneof![Just(None), (1usize..5).prop_map(Some)],
     ) {
         let cost = GpuCostModel::codellama_like();
-        let policy = AdaptivePolicy { window };
-        let cfg = ServeConfig { max_active, max_batch, order, session_cap, ..Default::default() };
-        let report = serve(&model, &requests, cfg, &cost, &policy);
+        let policy = SpecPolicy::Adaptive;
+        let cfg = ServeConfig {
+            max_active,
+            max_batch,
+            order,
+            policy,
+            session_cap,
+            ..Default::default()
+        };
+        let report = serve(&model, &requests, cfg, &cost);
         for (c, req) in report.completions.iter().zip(&requests) {
-            let want = serial_with_policy(&model, req, &cost, &policy);
+            let want = serial_with_policy(&model, req, &cost, policy);
             prop_assert_eq!(
                 &c.output.tokens, &want,
                 "request {} diverged under adaptive serving", c.id
@@ -255,16 +276,17 @@ proptest! {
             max_active,
             max_batch,
             order,
+            policy: SpecPolicy::Budgeted,
             session_cap,
             tick_capacity,
             ..Default::default()
         };
-        let report = serve(&model, &requests, cfg, &cost, &BudgetedPolicy);
+        let report = serve(&model, &requests, cfg, &cost);
         for (c, req) in report.completions.iter().zip(&requests) {
             if tick_capacity.is_some() && req.engine != EngineChoice::Ntp {
                 continue;
             }
-            let want = serial_with_policy(&model, req, &cost, &BudgetedPolicy);
+            let want = serial_with_policy(&model, req, &cost, SpecPolicy::Budgeted);
             prop_assert_eq!(
                 &c.output.tokens, &want,
                 "request {} ({}) diverged under budgeted serving", c.id, req.engine.name()

@@ -8,8 +8,9 @@
 //! * one per committed step — the committed span, allocated at its
 //!   final length and moved into the request's `StepTrace`;
 //! * the doublings of each request's growing vectors: its tokens (the
-//!   output's and its session's) and, per step, its step traces, its
-//!   step ticks and its acceptance history's ring.
+//!   output's and its session's) and, per step, its step traces and its
+//!   step ticks. The acceptance history's ring is a fixed array, and
+//!   the policy answers into the tick's own shape slot.
 //!
 //! A vector whose length goes from `a ≥ 1` to `b` in amortised doubling
 //! reallocates at most `⌊log₂(b / a)⌋ + 1` times (none when `b == a`):
@@ -20,10 +21,11 @@
 //!
 //! The engine runs under the benchmark's `fleet_shared` configuration —
 //! prefix cache, EDF, a 24-position tick capacity that defers members,
-//! concurrency 8 — with NTP, Medusa-tree and Ours-tree `[2, 2, 1]`
-//! members, greedy and at temperature 0.05, whose budgets run past the
-//! counted window. Grammar members are out of scope: their
-//! candidate-tree builder keeps its own allocations.
+//! concurrency 8 — once under each speculation policy, with NTP,
+//! Medusa-tree and Ours-tree `[2, 2, 1]` members, greedy and at
+//! temperature 0.05, whose budgets run past the counted window under
+//! every policy. Grammar members are out of scope: their candidate-tree
+//! builder keeps its own allocations.
 //!
 //! The counting allocator below is this test binary's own; the library
 //! holds no `unsafe`.
@@ -31,7 +33,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use verispec_core::DecodeConfig;
+use verispec_core::{DecodeConfig, SpecPolicy};
 use verispec_lm::{GpuCostModel, MlpLm, MlpLmConfig, Sampling, TokenId};
 use verispec_serve::{EngineChoice, Request, ServeConfig, ServeEngine, TickOrder};
 
@@ -98,6 +100,12 @@ const COUNTED_TICKS: u64 = 100;
 
 #[test]
 fn a_warm_tick_allocates_only_its_step_traces() {
+    for policy in SpecPolicy::ALL {
+        warm_ticks_allocate_only_step_traces(policy);
+    }
+}
+
+fn warm_ticks_allocate_only_step_traces(policy: SpecPolicy) {
     let model = MlpLm::new(MlpLmConfig {
         vocab: 64,
         d_emb: 8,
@@ -112,6 +120,7 @@ fn a_warm_tick_allocates_only_its_step_traces() {
         ingest_rate: Some(8),
         session_cap: Some(32),
         order: TickOrder::Edf,
+        policy,
         tick_capacity: Some(24),
         shed_depth: Some(32),
         ..ServeConfig::concurrency(8)
@@ -137,7 +146,7 @@ fn a_warm_tick_allocates_only_its_step_traces() {
             prompt,
             engine_choice.clone(),
             DecodeConfig {
-                max_tokens: 600,
+                max_tokens: 3000,
                 sampling,
                 // No end-of-sequence: every request runs to its budget.
                 eos: TokenId::MAX,
@@ -167,7 +176,8 @@ fn a_warm_tick_allocates_only_its_step_traces() {
     for c in &report.completions {
         assert!(
             c.finished > to,
-            "request {} finished inside the window",
+            "{}: request {} finished inside the window",
+            policy.name(),
             c.id
         );
         let prompt = requests[c.id as usize].prompt.len();
@@ -182,16 +192,15 @@ fn a_warm_tick_allocates_only_its_step_traces() {
         let ((steps_from, tokens_from), (steps_to, tokens_to)) = (at(from), at(to));
         assert!(
             steps_from >= 1,
-            "request {} never stepped while warming",
+            "{}: request {} never stepped while warming",
+            policy.name(),
             c.id
         );
         steps += steps_to - steps_from;
-        // Output and session tokens; step traces, step ticks and the
-        // acceptance history's ring, which is never longer than the
-        // steps taken.
+        // Output and session tokens; step traces and step ticks.
         growth += growths(tokens_from, tokens_to)
             + growths(prompt + tokens_from, prompt + tokens_to)
-            + 3 * growths(steps_from, steps_to);
+            + 2 * growths(steps_from, steps_to);
     }
     assert!(
         steps >= COUNTED_TICKS as usize,
@@ -199,7 +208,8 @@ fn a_warm_tick_allocates_only_its_step_traces() {
     );
     assert!(
         counted <= steps + growth,
-        "{counted} allocations over {COUNTED_TICKS} ticks, for {steps} committed steps \
-         and at most {growth} vector doublings"
+        "{}: {counted} allocations over {COUNTED_TICKS} ticks, for {steps} committed steps \
+         and at most {growth} vector doublings",
+        policy.name()
     );
 }

@@ -105,6 +105,8 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                 committed,
                 ..
             } => {
+                // The shape in the event log's own JSON form.
+                let shape = serde_json::to_string(shape).expect("a shape serializes");
                 push_entry(
                     &mut out,
                     &mut first,
@@ -114,7 +116,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                         tid,
                         ev.tick,
                         &format!(
-                            "{{\"shape\":\"{shape:?}\",\"proposed\":{proposed},\"accepted\":{accepted},\"committed\":{committed}}}"
+                            "{{\"shape\":{shape},\"proposed\":{proposed},\"accepted\":{accepted},\"committed\":{committed}}}"
                         ),
                     ),
                 );
