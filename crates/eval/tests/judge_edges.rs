@@ -204,3 +204,29 @@ fn vgen_body_with_wrong_width_logic_fails_functionally() {
     let v = judge(&body, p, 5);
     assert!(matches!(v, Verdict::FunctionalFail(_)), "{}: {v:?}", p.id);
 }
+
+#[test]
+fn clocked_references_fail_on_the_other_edge() {
+    // The judge compares at the active edge: a testbench that compares
+    // only after a whole low→high→low pulse sees a design clocked on
+    // either edge updated once, so it cannot tell `posedge` from
+    // `negedge`.
+    let mut clocked = 0;
+    for bench in [rtllm_sim(), vgen_sim()] {
+        for p in &bench.problems {
+            let code = reference_completion(p);
+            if !code.contains("posedge") {
+                continue;
+            }
+            clocked += 1;
+            assert_eq!(judge(code, p, 0xBEEF), Verdict::Pass, "{}", p.id);
+            let negedge = code.replace("posedge", "negedge");
+            assert!(
+                matches!(judge(&negedge, p, 0xBEEF), Verdict::FunctionalFail(_)),
+                "{}: the reference clocked on negedge passed",
+                p.id
+            );
+        }
+    }
+    assert_eq!(clocked, 11, "clocked references in the suites");
+}

@@ -273,7 +273,7 @@ pub struct RequestMix {
     /// request's tenant class ([`verispec_serve::Request::class`]), so
     /// multi-tenant scenarios model each tenant as one family and
     /// weight service between them with
-    /// [`verispec_serve::FaultPlan::share`].
+    /// [`verispec_serve::ServeConfig::class_weights`].
     pub families: Vec<(PromptFamily, f64)>,
     /// Probability of greedy decoding (otherwise temperature sampling).
     pub greedy_fraction: f64,

@@ -55,8 +55,8 @@
 //!                                                  │
 //!                      the fleet spec carries the rest: an optional
 //!                      FaultPlan (trace-specified CrashWorker/
-//!                      RestartWorker ticks and per-tenant ClassShare
-//!                      weighted-fair shares; on crash, stranded
+//!                      RestartWorker ticks; tenant shares are the
+//!                      ServeConfig's class_weights; on crash, stranded
 //!                      requests re-route through the live Router and
 //!                      rebuild by exact replay — token-identical to
 //!                      the fault-free run; with the whole fleet dark,
@@ -76,9 +76,9 @@
 //!   (LatencyQuantiles),
 //!   SLO attainment + acceptance     LoadBenchRow (BENCH_load.json:
 //!   per engine + per worker         serve-aware Table II, spec vs NTP
-//!   (dispatcher-aware SLO),  ─────► at equal offered load + the policy
-//!   PrefixCacheSummary              A/B static/adaptive/budgeted + the
-//!   (hits/saved/depth hist)         dispatch sweep workers × route +
+//!   (dispatcher-aware SLO)   ─────► at equal offered load + the policy
+//!                                   A/B static/adaptive/budgeted + the
+//!                                   dispatch sweep workers × route +
 //!                                   the Zipf-stem cache sweep +
 //!                                   event-derived acceptance columns)
 //!
@@ -113,9 +113,10 @@
 //!   [`verispec_serve::Backend::Threaded`] thread-per-worker runtime —
 //!   proptest-pinned bit-identical in tick space, so the backend
 //!   changes nothing a report holds), prefix cache and warm stems,
-//!   speculation policy, and an optional [`verispec_serve::FaultPlan`]
-//!   (deterministic worker crash/restart schedules plus per-tenant
-//!   weighted-fair shares). The realized routing joins back into a
+//!   speculation policy and per-tenant weighted-fair shares (both in
+//!   its [`verispec_serve::ServeConfig`]), and an optional
+//!   [`verispec_serve::FaultPlan`] (deterministic worker crash/restart
+//!   schedules). The realized routing joins back into a
 //!   per-worker telemetry breakdown (each worker's [`SloSummary`]
 //!   counts the deadlines *it* dropped, so bad routing shows up where
 //!   it happened), and fault-injected cells grow recovery columns in
@@ -202,6 +203,6 @@ pub use generator::{ArrivalProcess, PromptFamily, RequestMix, Workload};
 pub use report::{run_fleet_open_loop, LoadBenchRow, LoadRunReport};
 pub use telemetry::{
     per_token_gaps, AcceptanceSummary, LatencyQuantiles, LatencyReport, LatencySummary,
-    PrefixCacheSummary, QuantileSummary, RequestLatency, SloSummary,
+    QuantileSummary, RequestLatency, SloSummary,
 };
 pub use trace::{ArrivalTrace, TraceEntry};

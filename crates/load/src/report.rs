@@ -55,8 +55,7 @@ pub fn run_fleet_open_loop(
     let run = fleet.with_tracing().run(Drive::Paced(requests), cost);
     let report = run.report;
     let latency =
-        LatencyReport::with_assignments(&originals, &report.completions, &report.assignments)
-            .attach_prefix_stats(&report.stats);
+        LatencyReport::with_assignments(&originals, &report.completions, &report.assignments);
     LoadRunReport {
         report,
         latency,

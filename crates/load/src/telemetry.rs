@@ -22,7 +22,7 @@
 //! candidate tokens, per engine), both overall and per engine.
 
 use serde::{Deserialize, Serialize};
-use verispec_serve::{Completion, Request, ServeStats};
+use verispec_serve::{Completion, Request};
 
 /// An exact quantile summary of one latency distribution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -262,48 +262,6 @@ impl LatencySummary {
     }
 }
 
-/// Prefix-cache telemetry for one serving run, mirrored from the
-/// engine's [`ServeStats`] counters into the latency report so the
-/// cache's contribution sits next to the latencies it buys.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PrefixCacheSummary {
-    /// Admissions that forked a cached stem.
-    pub hits: usize,
-    /// Admissions that ingested from scratch.
-    pub misses: usize,
-    /// Prompt tokens whose ingestion the cache skipped (sum of matched
-    /// depths over all hits).
-    pub tokens_saved: usize,
-    /// Cached stems dropped by cap-charged LRU eviction.
-    pub evictions: usize,
-    /// Deepest-match-depth histogram over hits: bucket `i` counts hits
-    /// with matched depth in `[2^i, 2^(i+1))` (bucket 7 is open-ended).
-    pub depth_hist: [u64; 8],
-    /// High-water resident trie nodes holding a session (fleet maximum
-    /// for dispatched runs).
-    pub peak_resident_nodes: usize,
-}
-
-impl PrefixCacheSummary {
-    /// Lifts the prefix counters out of a run's [`ServeStats`];
-    /// `None` when the cache never saw an admission (disabled).
-    pub fn from_stats(stats: &ServeStats) -> Option<Self> {
-        (stats.prefix_hits + stats.prefix_misses > 0).then_some(PrefixCacheSummary {
-            hits: stats.prefix_hits,
-            misses: stats.prefix_misses,
-            tokens_saved: stats.prefix_tokens_saved,
-            evictions: stats.prefix_evictions,
-            depth_hist: stats.prefix_depth_hist,
-            peak_resident_nodes: stats.peak_resident_nodes,
-        })
-    }
-
-    /// Cache hit rate over the run's admissions.
-    pub fn hit_rate(&self) -> f64 {
-        self.hits as f64 / (self.hits + self.misses).max(1) as f64
-    }
-}
-
 /// The full latency report of one serving run: per-request stamps, the
 /// overall summary, and per-engine (plus, for dispatched runs,
 /// per-worker) breakdowns.
@@ -322,10 +280,6 @@ pub struct LatencyReport {
     /// overloads one worker shows up in its attainment, not just the
     /// fleet's.
     pub per_worker: Vec<(usize, LatencySummary)>,
-    /// Prefix-cache counters for the run (`None` when the cache was
-    /// off); attached by the open-loop drivers via
-    /// [`LatencyReport::attach_prefix_stats`].
-    pub prefix: Option<PrefixCacheSummary>,
 }
 
 impl LatencyReport {
@@ -475,16 +429,7 @@ impl LatencyReport {
             overall,
             per_engine,
             per_worker,
-            prefix: None,
         }
-    }
-
-    /// Attaches the run's prefix-cache counters
-    /// ([`PrefixCacheSummary::from_stats`]); a no-op recording `None`
-    /// when the cache saw no admissions.
-    pub fn attach_prefix_stats(mut self, stats: &ServeStats) -> Self {
-        self.prefix = PrefixCacheSummary::from_stats(stats);
-        self
     }
 }
 

@@ -17,13 +17,13 @@
 //! run's outputs and tick schedule exactly (the serving engine is a
 //! deterministic function of its requests).
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use verispec_core::DecodeConfig;
 use verispec_lm::{Sampling, TokenId};
 use verispec_serve::{EngineChoice, FaultPlan, Request};
 
 /// One recorded arrival.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceEntry {
     /// Request id.
     pub id: u64,
@@ -41,35 +41,15 @@ pub struct TraceEntry {
     pub seed: u64,
     /// Optional SLO deadline tick.
     pub deadline: Option<u64>,
-    /// Tenant class ([`Request::class`]); 0 in traces recorded before
-    /// classes existed.
+    /// Tenant class ([`Request::class`]).
     pub class: u32,
 }
 
-// Hand-written so traces recorded before `class` existed still parse
-// (the vendored derive requires every field to be present).
-impl serde::Deserialize for TraceEntry {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(TraceEntry {
-            id: serde::Deserialize::from_value(v.field("id")?)?,
-            tick: serde::Deserialize::from_value(v.field("tick")?)?,
-            prompt_id: serde::Deserialize::from_value(v.field("prompt_id")?)?,
-            engine: serde::Deserialize::from_value(v.field("engine")?)?,
-            budget: serde::Deserialize::from_value(v.field("budget")?)?,
-            sampling: serde::Deserialize::from_value(v.field("sampling")?)?,
-            seed: serde::Deserialize::from_value(v.field("seed")?)?,
-            deadline: serde::Deserialize::from_value(v.field("deadline")?)?,
-            class: match v.field("class") {
-                Ok(f) => serde::Deserialize::from_value(f)?,
-                Err(_) => 0,
-            },
-        })
-    }
-}
-
 /// A recorded request sequence: the replayable form of one workload
-/// realization, optionally carrying the failure scenario
-/// ([`FaultPlan`]) the run is to replay under.
+/// realization, carrying the failure scenario ([`FaultPlan`]) the run
+/// is to replay under. Every field is required; tenant shares are not
+/// part of a trace but of the [`verispec_serve::ServeConfig`] it
+/// replays under.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ArrivalTrace {
     /// The workload seed the trace was drawn from (provenance only —
@@ -82,10 +62,8 @@ pub struct ArrivalTrace {
     pub prompts: Vec<Vec<TokenId>>,
     /// One entry per request, in submission order.
     pub entries: Vec<TraceEntry>,
-    /// The failure scenario (worker crash/restart schedule and/or
-    /// tenant shares) the trace replays under; the empty plan for
-    /// fault-free traces, including every trace recorded before fault
-    /// injection existed.
+    /// The worker crash/restart schedule the trace replays under; the
+    /// empty plan for fault-free traces.
     pub faults: FaultPlan,
 }
 
@@ -96,14 +74,13 @@ pub struct ArrivalTrace {
 /// makes — a logit would have to pass `10³⁴` to do that.
 const MIN_TEMPERATURE: f32 = 1e-4;
 
-// Hand-written so traces recorded before `faults` existed still parse,
-// and so an entry no engine can run — one pointing outside the prompt
-// table, sampling at a temperature the samplers refuse — is a parse
-// error rather than a panic at replay, inside a worker's tick. So is a
-// request id two entries share: the latency report joins completions
-// to requests by id, so the second would be reported under the first's
-// engine and deadline. An engine `EngineChoice` has no variant for is
-// refused by the derive, with an unknown-variant error.
+// Hand-written so an entry no engine can run — one pointing outside
+// the prompt table, sampling at a temperature the samplers refuse — is
+// a parse error rather than a panic at replay, inside a worker's tick.
+// So is a request id two entries share: the latency report joins
+// completions to requests by id, so the second would be reported under
+// the first's engine and deadline. An engine `EngineChoice` has no
+// variant for is refused by the derive, with an unknown-variant error.
 impl serde::Deserialize for ArrivalTrace {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let trace = ArrivalTrace {
@@ -111,10 +88,7 @@ impl serde::Deserialize for ArrivalTrace {
             base: serde::Deserialize::from_value(v.field("base")?)?,
             prompts: serde::Deserialize::from_value(v.field("prompts")?)?,
             entries: serde::Deserialize::from_value(v.field("entries")?)?,
-            faults: match v.field("faults") {
-                Ok(f) => serde::Deserialize::from_value(f)?,
-                Err(_) => FaultPlan::none(),
-            },
+            faults: serde::Deserialize::from_value(v.field("faults")?)?,
         };
         let mut first_at = std::collections::HashMap::with_capacity(trace.entries.len());
         let refused = trace.entries.iter().enumerate().find_map(|(pos, e)| {
@@ -317,46 +291,17 @@ mod tests {
     }
 
     #[test]
-    fn traces_from_before_faults_and_classes_still_parse() {
-        let w = workload(Some(3.0));
-        let requests = w.requests();
-        let trace = ArrivalTrace::record(&requests, w.seed, &w.mix.base)
-            .with_faults(FaultPlan::none().crash(10, 0).restart(20, 0));
-        let json = trace.to_json().expect("serializes");
-        // Re-shape into the pre-fault era: drop `faults` from the
-        // trace and `class` from every entry, as a trace committed
-        // before this release would look.
-        let mut v: serde::Value = serde_json::from_str(&json).expect("value parses");
-        let serde::Value::Map(fields) = &mut v else {
-            panic!("trace serializes as a map")
-        };
-        fields.retain(|(k, _)| !matches!(k, serde::Value::Str(s) if s == "faults"));
-        for (k, val) in fields.iter_mut() {
-            if matches!(k, serde::Value::Str(s) if s == "entries") {
-                let serde::Value::Seq(items) = val else {
-                    panic!("entries serialize as a sequence")
-                };
-                for item in items {
-                    let serde::Value::Map(entry) = item else {
-                        panic!("entry serializes as a map")
-                    };
-                    entry.retain(|(k, _)| !matches!(k, serde::Value::Str(s) if s == "class"));
-                }
-            }
+    fn a_trace_without_faults_or_a_class_is_refused() {
+        let committed = include_str!("../tests/traces/eviction_churn.json");
+        let trace = ArrivalTrace::from_json(committed).expect("the committed trace parses");
+        let json = serde_json::to_string(&trace).expect("serializes");
+        let no_faults = json.replace(r#","faults":{"events":[]}"#, "");
+        let no_class = json.replacen(r#","class":0"#, "", 1);
+        for (older, field) in [(no_faults, "faults"), (no_class, "class")] {
+            assert_ne!(older, json, "{field} was cut");
+            let err = ArrivalTrace::from_json(&older).expect_err("a field is missing");
+            assert!(err.to_string().contains(field), "{field}: {err}");
         }
-        let old_json = serde_json::to_string(&v).expect("re-serializes");
-        let back = ArrivalTrace::from_json(&old_json).expect("pre-fault-era trace parses");
-        assert_eq!(
-            back.faults,
-            FaultPlan::none(),
-            "missing faults default empty"
-        );
-        assert!(
-            back.entries.iter().all(|e| e.class == 0),
-            "missing classes default to tenant 0"
-        );
-        assert_eq!(back.entries.len(), requests.len());
-        assert_eq!(back.prompts, trace.prompts);
     }
 
     #[test]

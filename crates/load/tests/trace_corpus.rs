@@ -5,7 +5,9 @@
 //! production-failure fleet scenarios (a worker crash with recovery, a
 //! whole-fleet crash storm riding backpressure, and a noisy-neighbor
 //! multi-tenant mix under skewed weighted shares) — each replayed
-//! against a pinned engine configuration and asserted
+//! against a pinned engine configuration (the case's [`ServeConfig`],
+//! which alone carries tick order and tenant shares; a trace's
+//! [`FaultPlan`] carries crash/restart events only) and asserted
 //! **bit-identical** to its committed golden summary
 //! (`tests/traces/goldens.json`: completions, shed count, total
 //! committed tokens, tick schedule length, deadlines met, prefix-cache
@@ -83,8 +85,9 @@ struct TraceCase {
     grammar: bool,
     /// Replay through a [`FleetRuntime`] fleet of this many workers
     /// under this routing policy instead of a single engine (the
-    /// production-failure cases). The replayed fault plan comes from
-    /// the *committed trace*, not from here.
+    /// production-failure cases). Every worker gets `cfg` unchanged;
+    /// the replayed fault plan comes from the *committed trace*, not
+    /// from here.
     fleet: Option<(usize, RoutePolicy)>,
     /// The failure scenario stamped into the trace at regeneration
     /// ([`ArrivalTrace::with_faults`]); replay reads it back from the
@@ -330,17 +333,23 @@ fn corpus() -> Vec<TraceCase> {
             },
         },
         // Two tenant classes under skewed weighted-fairness shares
-        // (the family index is the tenant class): the favored tenant
-        // gets 4x the service share, yet the starved-looking tenant
-        // still completes every request — weighted fairness, not
-        // starvation.
+        // (the family index is the tenant class), set in this case's
+        // own config: with one batch slot per tick the tenants contend,
+        // the favored tenant gets 4x the service share, yet the
+        // starved-looking tenant still completes every request —
+        // weighted fairness, not starvation.
         TraceCase {
             name: "noisy_neighbor",
-            cfg: ServeConfig::concurrency(2),
+            cfg: ServeConfig {
+                order: TickOrder::WeightedFair,
+                class_weights: vec![4, 1],
+                max_batch: 1,
+                ..ServeConfig::concurrency(2)
+            },
             warm_shared: false,
             grammar: false,
             fleet: Some((2, RoutePolicy::LeastLoaded)),
-            faults: FaultPlan::none().share(0, 4).share(1, 1),
+            faults: FaultPlan::none(),
             workload: Workload {
                 process: ArrivalProcess::Poisson { rate: 1.5 },
                 mix: corpus_mix(None),
@@ -659,9 +668,26 @@ fn corpus_traces_exercise_their_failure_modes() {
                     classes.len() >= 2,
                     "neighbor trace lost its tenant mix ({classes:?})"
                 );
-                assert!(
-                    !trace.faults.classes.is_empty(),
-                    "neighbor trace lost its weighted shares"
+                // The shares reach the schedule: with one batch slot
+                // per tick the tenants contend, so serving the same
+                // trace round-robin steps requests at other ticks.
+                let schedule = |r: &ServeReport| -> Vec<(u64, Vec<u64>)> {
+                    r.completions
+                        .iter()
+                        .map(|c| (c.id, c.step_ticks.clone()))
+                        .collect()
+                };
+                let round_robin = TraceCase {
+                    cfg: ServeConfig {
+                        order: TickOrder::RoundRobin,
+                        ..case.cfg.clone()
+                    },
+                    ..case
+                };
+                assert_ne!(
+                    schedule(&replay(&round_robin, &trace)),
+                    schedule(&report),
+                    "neighbor trace's shares no longer change its schedule"
                 );
                 // Weighted fairness, not starvation: every tenant's
                 // requests — including the 1x-share neighbor's — all

@@ -180,8 +180,9 @@
 //!   front; [`Drive::Paced`] — each request routed when its arrival
 //!   tick falls due), and optionally install a [`FaultPlan`] —
 //!   deterministic, trace-specified [`FaultEvent::CrashWorker`] /
-//!   [`FaultEvent::RestartWorker`] events plus per-tenant
-//!   [`ClassShare`] weighted-fairness shares. On a crash every
+//!   [`FaultEvent::RestartWorker`] events. Every worker gets the
+//!   fleet's [`ServeConfig`] unchanged, so weighted-fair shares
+//!   ([`ServeConfig::class_weights`]) are asked for there. On a crash every
 //!   in-flight and queued request migrates to surviving workers by
 //!   exact replay (outputs stay token-identical to the fault-free
 //!   run); with the whole fleet dead, arrivals defer under
@@ -308,7 +309,7 @@ pub use dispatch::{DispatchReport, RoutePolicy};
 pub use engine::{ServeConfig, ServeEngine, ServeReport, ServeStats, ShedRequest};
 pub use prefix::PrefixCache;
 pub use request::{Completion, EngineChoice, Request};
-pub use runtime::{Backend, ClassShare, Drive, FaultEvent, FaultPlan, FleetRun, FleetRuntime};
+pub use runtime::{Backend, Drive, FaultEvent, FaultPlan, FleetRun, FleetRuntime};
 pub use scheduler::{ActiveView, Scheduler, TickOrder};
 
 #[cfg(test)]

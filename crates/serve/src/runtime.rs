@@ -44,10 +44,9 @@
 //! # Deterministic fault injection
 //!
 //! A [`FaultPlan`] is a *trace-specified* schedule of
-//! [`FaultEvent::CrashWorker`] / [`FaultEvent::RestartWorker`] events
-//! plus optional per-tenant [`ClassShare`] weights. Nothing is random
-//! at run time: the same plan over the same workload produces the same
-//! run, tick for tick, on either backend.
+//! [`FaultEvent::CrashWorker`] / [`FaultEvent::RestartWorker`] events.
+//! Nothing is random at run time: the same plan over the same workload
+//! produces the same run, tick for tick, on either backend.
 //!
 //! **Crash.** A crash at tick `t` takes effect before the fleet
 //! executes tick `t`: the worker's engine is consumed, everything it
@@ -78,13 +77,14 @@
 //!
 //! # Multi-tenant weighted fairness
 //!
-//! [`FaultPlan::classes`] assigns weighted-fairness shares to request
-//! classes ([`crate::Request::class`]); a non-empty assignment switches
-//! every worker to [`crate::TickOrder::WeightedFair`] with the derived
-//! [`crate::ServeConfig::class_weights`]. Weights compose with the
-//! scheduler's aging guard, so the per-request no-starvation bound
-//! survives per class. Like routing and faults, shares steer only
-//! *when* requests step — outputs are class-invariant.
+//! Weighted-fair scheduling is asked for in the [`ServeConfig`] alone:
+//! [`crate::TickOrder::WeightedFair`] in [`ServeConfig::order`] with
+//! per-class shares in [`ServeConfig::class_weights`], indexed by
+//! [`crate::Request::class`]. A fleet hands its `ServeConfig` to every
+//! worker unchanged, and a [`FaultPlan`] carries faults only. Weights
+//! compose with the scheduler's aging guard, so the per-request
+//! no-starvation bound survives per class. Like routing and faults,
+//! shares steer only *when* requests step — outputs are class-invariant.
 //!
 //! # FaultPlan JSON schema
 //!
@@ -96,21 +96,16 @@
 //!   "events": [
 //!     { "CrashWorker":   { "tick": 40, "worker": 1 } },
 //!     { "RestartWorker": { "tick": 90, "worker": 1 } }
-//!   ],
-//!   "classes": [
-//!     { "class": 0, "weight": 3 },
-//!     { "class": 1, "weight": 1 }
 //!   ]
 //! }
 //! ```
 //!
-//! Both fields default to empty, and an empty plan is exactly the
-//! fault-free runtime.
+//! `events` is required; `{ "events": [] }` is the empty plan, exactly
+//! the fault-free runtime.
 
 use crate::dispatch::{DispatchReport, Dispatcher, RoutePolicy, RouteProbes, Router};
 use crate::engine::{ServeConfig, ServeEngine, ServeReport, ServeStats, ShedRequest};
 use crate::request::Request;
-use crate::scheduler::TickOrder;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use verispec_grammar::GrammarOracle;
@@ -162,93 +157,19 @@ impl FaultEvent {
     }
 }
 
-/// One tenant class's weighted-fairness share (see
-/// [`FaultPlan::classes`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct ClassShare {
-    /// The request class ([`Request::class`]) the share applies to.
-    pub class: u32,
-    /// Its scheduling weight (a class with weight `w` gets `w` batch
-    /// slots for every 1 a weight-1 class gets, when both have work).
-    /// A plan file must give at least 1.
-    pub weight: u32,
-}
-
-impl ClassShare {
-    /// The largest class a share read from a plan file may name.
-    /// [`FaultPlan::class_weights`] is dense up to the largest class
-    /// listed, so the number is a length read from input.
-    pub const MAX_CLASS: u32 = 1023;
-}
-
-// `Deserialize` is written by hand to bound `class` where it enters,
-// and to refuse a zero `weight`, which the scheduler would serve as 1.
-impl serde::Deserialize for ClassShare {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let class: u32 = serde::Deserialize::from_value(v.field("class")?)?;
-        if class > Self::MAX_CLASS {
-            return Err(serde::Error::new(format!(
-                "class {class} is past the largest shareable class {}",
-                Self::MAX_CLASS
-            )));
-        }
-        let weight = serde::Deserialize::from_value(v.field("weight")?)?;
-        if weight == 0 {
-            return Err(serde::Error::new(format!(
-                "class {class} has weight 0; a share's weight is at least 1"
-            )));
-        }
-        Ok(ClassShare { class, weight })
-    }
-}
-
-/// A deterministic fault schedule plus optional multi-tenant shares —
-/// the whole failure scenario of a run, specified up front so replays
-/// are exact. See the [module docs](crate::runtime) for semantics and
-/// the JSON schema.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+/// A deterministic fault schedule — the whole failure scenario of a
+/// run, specified up front so replays are exact. See the
+/// [module docs](crate::runtime) for semantics and the JSON schema.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Crash/restart events; fired in tick order (ties in plan order).
     pub events: Vec<FaultEvent>,
-    /// Per-tenant weighted-fairness shares; non-empty switches workers
-    /// to [`TickOrder::WeightedFair`] with the derived
-    /// [`ServeConfig::class_weights`].
-    pub classes: Vec<ClassShare>,
-}
-
-// `Deserialize` is written by hand: `{}` and trace files written
-// before faults existed must parse as the empty plan, so both fields
-// tolerate being absent (the derived impl requires every field).
-impl serde::Deserialize for FaultPlan {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn optional_vec<T: serde::Deserialize>(
-            v: &serde::Value,
-            name: &str,
-        ) -> Result<Vec<T>, serde::Error> {
-            match v.field(name) {
-                Ok(f) => serde::Deserialize::from_value(f),
-                Err(e) => match v {
-                    serde::Value::Map(_) => Ok(Vec::new()),
-                    _ => Err(e),
-                },
-            }
-        }
-        Ok(FaultPlan {
-            events: optional_vec(v, "events")?,
-            classes: optional_vec(v, "classes")?,
-        })
-    }
 }
 
 impl FaultPlan {
-    /// The empty plan (no faults, no shares) — the fault-free runtime.
+    /// The empty plan — the fault-free runtime.
     pub fn none() -> Self {
         Self::default()
-    }
-
-    /// Whether the plan changes anything at all.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.classes.is_empty()
     }
 
     /// Appends a [`FaultEvent::CrashWorker`] (builder-style).
@@ -263,12 +184,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets one class's share (builder-style).
-    pub fn share(mut self, class: u32, weight: u32) -> Self {
-        self.classes.push(ClassShare { class, weight });
-        self
-    }
-
     /// The events sorted by tick (stable: same-tick events keep plan
     /// order, so a crash-then-restart pair at one tick is well
     /// defined).
@@ -276,23 +191,6 @@ impl FaultPlan {
         let mut events = self.events.clone();
         events.sort_by_key(FaultEvent::tick);
         events
-    }
-
-    /// Expands [`FaultPlan::classes`] into the dense per-class weight
-    /// vector [`ServeConfig::class_weights`] expects (unlisted classes
-    /// get weight 1).
-    pub fn class_weights(&self) -> Vec<u32> {
-        let len = self
-            .classes
-            .iter()
-            .map(|s| s.class as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut weights = vec![1u32; len];
-        for s in &self.classes {
-            weights[s.class as usize] = s.weight;
-        }
-        weights
     }
 }
 
@@ -392,10 +290,9 @@ impl<'m> FleetRuntime<'m> {
         self
     }
 
-    /// Installs the failure scenario (and/or tenant shares) for the
-    /// run. Fault *events* require [`Drive::Paced`] — the only drive
-    /// with a fleet clock the trace-specified ticks are meaningful on;
-    /// class shares apply to every drive.
+    /// Installs the failure scenario for the run. Fault events require
+    /// [`Drive::Paced`] — the only drive with a fleet clock the
+    /// trace-specified ticks are meaningful on.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.plan = plan;
         self
@@ -441,16 +338,12 @@ impl<'m> FleetRuntime<'m> {
     ///
     /// Panics if the fault plan carries events and `drive` is not
     /// [`Drive::Paced`].
-    pub fn run(mut self, drive: Drive, cost: &GpuCostModel) -> FleetRun {
+    pub fn run(self, drive: Drive, cost: &GpuCostModel) -> FleetRun {
         assert!(
             self.plan.events.is_empty() || matches!(drive, Drive::Paced(_)),
             "fault events require Drive::Paced (trace-specified fault ticks \
              are only meaningful on the paced fleet clock)"
         );
-        if !self.plan.classes.is_empty() {
-            self.cfg.class_weights = self.plan.class_weights();
-            self.cfg.order = TickOrder::WeightedFair;
-        }
         let spec = &self;
         match spec.backend {
             Backend::Lockstep => {
@@ -840,11 +733,7 @@ mod tests {
 
     #[test]
     fn fault_plan_round_trips_and_sorts() {
-        let plan = FaultPlan::none()
-            .restart(90, 1)
-            .crash(40, 1)
-            .share(0, 3)
-            .share(1, 1);
+        let plan = FaultPlan::none().restart(90, 1).crash(40, 1);
         let json = serde_json::to_string(&plan).expect("serializes");
         let back: FaultPlan = serde_json::from_str(&json).expect("parses");
         assert_eq!(back, plan);
@@ -863,37 +752,5 @@ mod tests {
                 worker: 1
             }
         );
-        assert_eq!(plan.class_weights(), vec![3, 1]);
-        assert!(FaultPlan::none().is_empty());
-        assert!(FaultPlan::none().class_weights().is_empty());
-    }
-
-    #[test]
-    fn empty_json_object_is_the_empty_plan() {
-        let plan: FaultPlan = serde_json::from_str("{}").expect("defaults");
-        assert!(plan.is_empty());
-        let plan: FaultPlan = serde_json::from_str(r#"{"events":[]}"#).expect("absent classes");
-        assert!(plan.is_empty());
-    }
-
-    #[test]
-    fn a_class_past_the_cap_is_refused_at_parse() {
-        // `class_weights` is dense up to the largest class: this
-        // document would size a 16 GiB vector while a fleet is built.
-        let hostile = r#"{"classes":[{"class":4294967295,"weight":1}]}"#;
-        let err = serde_json::from_str::<FaultPlan>(hostile).expect_err("out of range");
-        assert!(err.to_string().contains("4294967295"), "{err}");
-        let edge = |class: u32| format!(r#"{{"classes":[{{"class":{class},"weight":2}}]}}"#);
-        assert!(serde_json::from_str::<FaultPlan>(&edge(ClassShare::MAX_CLASS + 1)).is_err());
-        let plan: FaultPlan = serde_json::from_str(&edge(ClassShare::MAX_CLASS)).expect("in range");
-        assert_eq!(
-            plan.class_weights().len(),
-            ClassShare::MAX_CLASS as usize + 1
-        );
-        assert_eq!(plan.class_weights().last(), Some(&2));
-        // A zero weight is refused, not served as weight 1.
-        let zero = r#"{"classes":[{"class":3,"weight":0}]}"#;
-        let err = serde_json::from_str::<FaultPlan>(zero).expect_err("zero weight");
-        assert!(err.to_string().contains("weight 0"), "{err}");
     }
 }

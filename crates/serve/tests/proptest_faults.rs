@@ -16,9 +16,9 @@
 //!    event streams for the same fault plan, so the whole fault layer
 //!    (migration order, backpressure, restart flushes, fleet shedding)
 //!    is pinned across both execution models.
-//! 3. **Weighted shares never starve a class** — with multi-tenant
-//!    [`FaultPlan::classes`] shares (which switch workers to
-//!    [`TickOrder::WeightedFair`]), every request of every class
+//! 3. **Weighted shares never starve a class** — with a fleet's
+//!    [`ServeConfig`] set to [`TickOrder::WeightedFair`] and per-class
+//!    [`ServeConfig::class_weights`], every request of every class
 //!    completes within the scheduler's aging bound, even when one
 //!    class's weight dwarfs the others'.
 
@@ -322,17 +322,14 @@ proptest! {
         let oracle = oracle_for(model.vocab_size());
         let cost = GpuCostModel::codellama_like();
         let requests = build_requests(&raw);
-        // Shares only: the plan installs WeightedFair + class weights
-        // through the facade without any crash events.
-        let mut plan = FaultPlan::none();
-        for (class, w) in weights.iter().enumerate() {
-            plan = plan.share(class as u32, *w);
-        }
-        // The order below is overridden by the plan's shares.
-        let cfg = serve_config(max_active, max_batch, TickOrder::RoundRobin);
+        // Shares only, and no fault plan: the fleet hands this config
+        // to every worker unchanged.
+        let cfg = ServeConfig {
+            class_weights: weights.clone(),
+            ..serve_config(max_active, max_batch, TickOrder::WeightedFair)
+        };
 
         let run = runtime(&model, &oracle, cfg, workers, route.clone(), backend)
-            .with_fault_plan(plan)
             .run(Drive::Paced(requests.clone()), &cost);
 
         prop_assert_eq!(

@@ -5,10 +5,12 @@
 //!
 //! * [`run_combinational`] — per stimulus vector: apply inputs, settle,
 //!   compare every listed output with the golden closure's expectation.
-//! * [`run_sequential`] — reset phase (golden models start in their
-//!   reset state), then per cycle: apply inputs, settle, pulse the
-//!   clock, settle, compare outputs. Golden closures therefore model
-//!   post-edge behaviour.
+//! * [`run_sequential`] — reset phase (whole clock pulses; golden
+//!   models start in their reset state), then per cycle: apply inputs,
+//!   settle, raise the clock, settle, compare outputs, lower the clock.
+//!   The compare sits at the active (rising) edge, before the falling
+//!   one, so a design clocked on the wrong edge has not updated when it
+//!   is read. Golden closures therefore model post-edge behaviour.
 
 use crate::elab::{Design, SimResult};
 use crate::interp::Sim;
@@ -98,8 +100,8 @@ pub fn run_combinational(
 /// Runs a sequential test; see the module docs for the cycle protocol.
 ///
 /// The golden closure is called once per post-reset cycle with that
-/// cycle's inputs and must return the expected outputs *after* the clock
-/// edge.
+/// cycle's inputs and must return the expected outputs *after* the
+/// rising clock edge.
 ///
 /// # Errors
 ///
@@ -132,11 +134,12 @@ pub fn run_sequential(
         for (name, value) in vec {
             sim.set(name, *value)?;
         }
-        sim.clock_pulse(&spec.clock)?;
+        sim.set(&spec.clock, 1)?;
         result.cycles_run = cycle + 1;
         if !compare(&mut sim, cycle, &golden(vec), &mut result)? {
             break;
         }
+        sim.set(&spec.clock, 0)?;
     }
     Ok(result)
 }
