@@ -31,7 +31,8 @@ use verispec_tokenizer::special;
 pub struct DecodeConfig {
     /// Maximum number of generated tokens (excluding the prompt).
     pub max_tokens: usize,
-    /// Sampling strategy for the base head (and head proposals).
+    /// Sampling strategy for the base head's token. Heads always propose
+    /// their deterministic top-k, under sampling too.
     pub sampling: Sampling,
     /// Typical-acceptance parameters (Eq. 1) used under sampling.
     pub acceptance: TypicalAcceptance,

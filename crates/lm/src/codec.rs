@@ -2,19 +2,24 @@
 //!
 //! Every `f32` tensor of an [`crate::MlpLm`] — the embedding, the trunk
 //! weight and bias, and each head's residual block, projection and
-//! bias — is stored as **one string of the values' [`f32::to_bits`]**,
-//! eight lowercase hex digits per value, in storage order (row-major for
-//! a [`crate::matrix::Matrix`]). Bits are exact by construction: a
-//! decimal form would pay a decimal → binary conversion per value on
-//! every load, and its round trip through `f64` and back to `f32` rounds
-//! twice. A JSON string is also one slice for the parser to find, where
-//! an array of numbers is one token per value.
+//! bias — is stored as **one string of the values' [`f32::to_bits`] in
+//! Z85** (ZeroMQ RFC 32), five characters per value, in storage order
+//! (row-major for a [`crate::matrix::Matrix`]). Bits are exact by
+//! construction: a decimal form would pay a decimal → binary conversion
+//! per value on every load, and its round trip through `f64` and back to
+//! `f32` rounds twice. A JSON string is also one slice for the parser to
+//! find, where an array of numbers is one token per value.
 //!
-//! A value's eight digits are read as one big-endian `u64`, first digit
-//! in the top byte, and checked and converted there as eight byte lanes
-//! of one integer register (SWAR, "SIMD within a register"): a few adds,
-//! masks and shifts per value, not a table load per digit. A value that
-//! holds a bad digit is quoted whole in its error.
+//! A value's bits, read as one big-endian `u32`, are five base-85
+//! digits, most significant first, each written as one character of an
+//! 85-symbol alphabet that holds no `"`, `\`, space or control
+//! character, so JSON writes it unescaped. Five characters for four
+//! bytes is 37.5 % less text than eight hex digits, and a model file's
+//! text is what its load holds twice: once as the file and once as the
+//! parsed strings. A value is read back through one 256-entry table from
+//! byte to digit and a Horner sum; a byte outside the alphabet, or five
+//! digits above `u32::MAX`, is an error that quotes the value's five
+//! bytes.
 //!
 //! A stored value is always finite: the writer never meets a non-finite
 //! weight in a trained model, and the reader refuses one, so a file
@@ -22,89 +27,125 @@
 
 use serde::{Error, Value};
 
-/// Hex digits per stored value: one per nibble of the 32 bits.
-const DIGITS: usize = 8;
+/// Characters per stored value: `85⁴ < 2³² ≤ 85⁵`.
+const DIGITS: usize = 5;
 
-/// The lowercase hex digits, indexed by nibble.
-const HEX: &[u8; 16] = b"0123456789abcdef";
+/// The Z85 alphabet, indexed by digit.
+const ALPHABET: &[u8; 85] =
+    b"0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ.-:+=^!/*?&<>()[]{}@%$#";
 
-/// `1` in every byte lane of a `u64`.
-const ONES: u64 = 0x0101_0101_0101_0101;
+/// A byte outside the alphabet, in [`DIGIT`].
+const BAD: u8 = u8::MAX;
 
-/// The top bit of every byte lane.
-const TOPS: u64 = 0x80 * ONES;
-
-/// The bits of the value whose eight digits are `digits`' bytes, first
-/// digit in the top byte; `None` when a byte is not a lowercase hex
-/// digit.
-fn bits_of(digits: u64) -> Option<u32> {
-    // Once every byte is below 0x80, adding 0x80 - c to each lane
-    // carries into no other lane, and sets a lane's top bit exactly when
-    // its byte is at least c.
-    let at_least = |c: u8| digits.wrapping_add((0x80 - u64::from(c)) * ONES);
-    let decimal = at_least(b'0') & !at_least(b'9' + 1);
-    let letter = at_least(b'a') & !at_least(b'f' + 1);
-    if digits & TOPS != 0 || (decimal | letter) & TOPS != TOPS {
-        return None;
+/// The digit each byte stands for; [`BAD`] for a byte outside the
+/// alphabet.
+const DIGIT: [u8; 256] = {
+    let mut table = [BAD; 256];
+    let mut d = 0;
+    while d < ALPHABET.len() {
+        table[ALPHABET[d] as usize] = d as u8;
+        d += 1;
     }
-    // A digit's nibble is its low four bits, plus 9 for a letter: the
-    // letters are the digits with bit 6 set.
-    let nibbles = (digits & (0x0f * ONES)) + (digits >> 6 & ONES) * 9;
-    // Two nibbles to a byte, two bytes to a half, two halves to the bits.
-    let bytes = (nibbles >> 4 | nibbles) & 0x00ff_00ff_00ff_00ff;
-    let halves = (bytes >> 8 | bytes) & 0x0000_ffff_0000_ffff;
-    Some((halves >> 16 | halves) as u32)
+    table
+};
+
+/// The bits whose five digits are `chars`, most significant first; an
+/// error saying why when a byte is outside the alphabet or the digits
+/// exceed `u32::MAX`.
+fn bits_of(chars: &[u8; DIGITS]) -> Result<u32, &'static str> {
+    let n = chars
+        .iter()
+        .try_fold(0u64, |n, &c| {
+            let d = DIGIT[usize::from(c)];
+            (d != BAD).then(|| n * 85 + u64::from(d))
+        })
+        .ok_or("is not 5 Z85 characters")?;
+    u32::try_from(n).map_err(|_| "is above u32::MAX")
 }
 
 /// `values` in their persisted form.
 pub(crate) fn encode(values: &[f32]) -> Value {
-    let mut hex = Vec::with_capacity(DIGITS * values.len());
+    let mut text = Vec::with_capacity(DIGITS * values.len());
     for v in values {
-        let bits = v.to_bits();
-        hex.extend(
-            (0..DIGITS)
-                .rev()
-                .map(|i| HEX[(bits >> (4 * i)) as usize & 0xf]),
-        );
+        let mut n = v.to_bits();
+        let mut chars = [0u8; DIGITS];
+        for c in chars.iter_mut().rev() {
+            *c = ALPHABET[(n % 85) as usize];
+            n /= 85;
+        }
+        text.extend_from_slice(&chars);
     }
-    Value::Str(String::from_utf8(hex).expect("hex digits are ASCII"))
+    Value::Str(String::from_utf8(text).expect("the alphabet is ASCII"))
 }
 
 /// The `len` values stored in `v` by [`encode`]. An error — never a
-/// panic — when `v` is not a string, holds other than `8 × len` bytes,
-/// holds a byte that is not a lowercase hex digit, or decodes to a
-/// non-finite value.
+/// panic — when `v` is not a string, holds other than `5 × len` bytes,
+/// holds a byte outside the alphabet or five digits above `u32::MAX`,
+/// or decodes to a non-finite value.
 pub(crate) fn decode(v: &Value, len: usize) -> Result<Vec<f32>, Error> {
-    let hex = v.as_str().ok_or_else(|| {
+    let text = v.as_str().ok_or_else(|| {
         Error::new(format!(
-            "expected a string of hex-coded f32 bits, found {}",
+            "expected a string of Z85-coded f32 bits, found {}",
             v.kind()
         ))
     })?;
-    if len.checked_mul(DIGITS) != Some(hex.len()) {
+    if len.checked_mul(DIGITS) != Some(text.len()) {
         return Err(Error::new(format!(
-            "{} hex digits, expected {DIGITS} for each of {len} values",
-            hex.len()
+            "{} Z85 characters, expected {DIGITS} for each of {len} values",
+            text.len()
         )));
     }
     let mut out = Vec::with_capacity(len);
-    for (i, digits) in hex.as_bytes().chunks_exact(DIGITS).enumerate() {
-        let word = u64::from_be_bytes(digits.try_into().expect("eight digits"));
-        let Some(bits) = bits_of(word) else {
-            return Err(Error::new(format!(
-                "value {i} is not {DIGITS} lowercase hex digits: {:?}",
-                String::from_utf8_lossy(digits)
-            )));
+    for (i, chars) in text.as_bytes().chunks_exact(DIGITS).enumerate() {
+        let chars: &[u8; DIGITS] = chars.try_into().expect("five characters");
+        let refuse = |why: String| {
+            Error::new(format!(
+                "value {i} {why}: {:?}",
+                String::from_utf8_lossy(chars)
+            ))
         };
+        let bits = bits_of(chars).map_err(|why| refuse(why.into()))?;
         let x = f32::from_bits(bits);
         if !x.is_finite() {
-            return Err(Error::new(format!(
-                "value {i} is non-finite (bits {bits:08x})"
-            )));
+            return Err(refuse(format!("is non-finite (bits {bits:08x})")));
         }
         out.push(x);
     }
     Ok(out)
+}
+
+/// Finite values of every class, in a fixed order: both zeros,
+/// subnormals of both signs, the smallest normals, the extremes, then
+/// `random` finite bit patterns.
+#[cfg(test)]
+pub(crate) fn every_class(random: usize) -> Vec<f32> {
+    let mut values: Vec<f32> = [
+        0x0000_0000u32,
+        0x8000_0000,
+        0x0000_0001,
+        0x8000_0001,
+        0x007f_ffff,
+        0x807f_ffff,
+        0x0080_0000,
+        0x8080_0000,
+        0x7f7f_ffff,
+        0xff7f_ffff,
+        0x3f80_0000,
+    ]
+    .into_iter()
+    .map(f32::from_bits)
+    .collect();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    while values.len() < 11 + random {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
+        let x = f32::from_bits((state >> 32) as u32);
+        if x.is_finite() {
+            values.push(x);
+        }
+    }
+    values
 }
 
 #[cfg(test)]
@@ -115,55 +156,26 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The oracle for [`bits_of`]: a digit at a time, through a table
-    /// from byte to nibble.
-    fn bits_by_table(digits: [u8; DIGITS]) -> Option<u32> {
-        digits.iter().try_fold(0u32, |bits, &b| {
-            let nibble = HEX.iter().position(|&h| h == b)?;
-            Some(bits << 4 | nibble as u32)
-        })
+    fn z85(text: &str) -> Value {
+        Value::Str(text.into())
+    }
+
+    /// The oracle for [`bits_of`]: each byte's digit is its position in
+    /// the alphabet, and the sum is taken in `u128`.
+    fn bits_by_search(chars: &[u8; DIGITS]) -> Option<u32> {
+        let n = chars.iter().try_fold(0u128, |n, &c| {
+            let d = ALPHABET.iter().position(|&a| a == c)?;
+            Some(n * 85 + d as u128)
+        })?;
+        u32::try_from(n).ok()
     }
 
     #[test]
-    fn eight_digits_at_once_equal_a_digit_at_a_time() {
-        let swar = |digits: [u8; DIGITS]| bits_of(u64::from_be_bytes(digits));
-        // Every byte value at every digit position, among digits that
-        // are all good, and among digits of the extreme classes.
-        for base in [*b"3f800000", *b"00000000", *b"ffffffff", *b"a09f6b15"] {
-            for at in 0..DIGITS {
-                for b in 0..=255u8 {
-                    let mut digits = base;
-                    digits[at] = b;
-                    assert_eq!(swar(digits), bits_by_table(digits), "{digits:?}");
-                }
-            }
-        }
-        // Random words: any bits, and bytes drawn near the digit ranges'
-        // edges (a lane just past `9` or `f`, or with its top bit set).
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1);
-            state >> 16
-        };
-        let edges = b"0189:@`afgAF/\x7f\x80\xb0\xe6\xff";
-        for _ in 0..20_000 {
-            let bits = next() as u32;
-            let digits: [u8; DIGITS] = format!("{bits:08x}").into_bytes().try_into().unwrap();
-            assert_eq!(swar(digits), Some(bits));
-            let mut mixed = digits;
-            for d in &mut mixed {
-                if next() % 4 == 0 {
-                    *d = edges[next() as usize % edges.len()];
-                }
-            }
-            assert_eq!(swar(mixed), bits_by_table(mixed), "{mixed:?}");
-        }
-    }
-
-    #[test]
-    fn values_are_stored_as_their_bits_in_lowercase_hex() {
+    fn values_are_stored_as_their_bits_in_z85() {
+        // RFC 32's test vector: the eight bytes 86 4F D2 6F B5 59 F7 5B
+        // are "HelloWorld".
+        let xs = [0x864f_d26f, 0xb559_f75b].map(f32::from_bits);
+        assert_eq!(encode(&xs).as_str(), Some("HelloWorld"));
         let xs = [
             1.0f32,
             -0.0,
@@ -172,13 +184,57 @@ mod tests {
             f32::from_bits(1),
         ];
         let stored = encode(&xs);
-        assert_eq!(
-            stored.as_str(),
-            Some("3f8000008000000000800000ff7fffff00000001")
-        );
+        assert_eq!(stored.as_str(), Some("ky-.lFb/MH0dU4H%9$7G00001"));
         assert_eq!(bits(&decode(&stored, xs.len()).unwrap()), bits(&xs));
+        // The extremes of the 32 bits.
+        assert_eq!(encode(&[f32::from_bits(0)]).as_str(), Some("00000"));
+        assert_eq!(encode(&[f32::from_bits(u32::MAX)]).as_str(), Some("%nSc0"));
         assert_eq!(encode(&[]), Value::Str(String::new()));
         assert!(decode(&encode(&[]), 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn every_value_class_round_trips_bit_for_bit() {
+        let xs = every_class(20_000);
+        let stored = encode(&xs);
+        assert_eq!(stored.as_str().map(str::len), Some(DIGITS * xs.len()));
+        assert_eq!(bits(&decode(&stored, xs.len()).unwrap()), bits(&xs));
+    }
+
+    #[test]
+    fn the_digit_table_reads_as_the_alphabet() {
+        // Every byte value at every position, on the least group, the
+        // greatest (`u32::MAX`), RFC 32's first word and the largest
+        // digits (above the ceiling).
+        for base in [*b"00000", *b"%nSc0", *b"Hello", *b"#####"] {
+            for at in 0..DIGITS {
+                for b in 0..=255u8 {
+                    let mut chars = base;
+                    chars[at] = b;
+                    assert_eq!(bits_of(&chars).ok(), bits_by_search(&chars), "{chars:?}");
+                }
+            }
+        }
+        // Every digit pair at the top two positions, where the ceiling is.
+        for &hi in ALPHABET {
+            for &next in ALPHABET {
+                let chars = [hi, next, b'#', b'#', b'#'];
+                assert_eq!(bits_of(&chars).ok(), bits_by_search(&chars), "{chars:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_alphabet_character_is_written_unescaped() {
+        let alphabet = std::str::from_utf8(ALPHABET).unwrap();
+        let json = serde_json::to_string(&z85(alphabet)).unwrap();
+        assert_eq!(json, format!("\"{alphabet}\""));
+        let mut seen = [false; 256];
+        for &c in ALPHABET {
+            assert!(c.is_ascii_graphic() && c != b'"' && c != b'\\', "{c}");
+            assert!(!seen[usize::from(c)], "{} twice", c as char);
+            seen[usize::from(c)] = true;
+        }
     }
 
     #[test]
@@ -186,39 +242,64 @@ mod tests {
         let stored = encode(&[0.5, 1.5]);
         for len in [0, 1, 3, usize::MAX] {
             let err = decode(&stored, len).unwrap_err().to_string();
-            assert!(err.contains("16 hex digits"), "{err}");
+            assert!(err.contains("10 Z85 characters"), "{err}");
         }
-        // Half a value short, and half a value over.
-        for hex in ["3f000000", "3f0000003f80", "3f0000003fc000003f80"] {
-            assert!(decode(&Value::Str(hex.into()), 2).is_err(), "{hex}");
+        // A value short, a character short and a character over; the
+        // hex form of the same two values.
+        for text in ["ky-.l", "ky-.lky-.", "ky-.lky-.l0", "3f0000003fc00000"] {
+            assert!(decode(&z85(text), 2).is_err(), "{text}");
         }
     }
 
     #[test]
-    fn a_byte_that_is_not_a_lowercase_hex_digit_is_an_error() {
-        for hex in ["3f80000g", "3F800000", "3f80000 ", "-3f80000", "3f8000é"] {
-            let err = decode(&Value::Str(hex.into()), 1);
-            // "é" is two bytes: the length is right, a digit is not.
-            assert!(err.is_err(), "{hex}");
+    fn a_byte_outside_the_alphabet_is_an_error() {
+        // The ten printable ASCII characters Z85 leaves out, a control
+        // character, DEL and a two-byte character, at each position of
+        // the second value.
+        for bad in [
+            " ", "\"", "'", ",", ";", "\\", "_", "`", "|", "~", "\u{1}", "\u{7f}", "é",
+        ] {
+            for at in 0..=DIGITS - bad.len() {
+                let mut value = String::from("ky-.l");
+                value.replace_range(at..at + bad.len(), bad);
+                let err = decode(&z85(&format!("00000{value}")), 2).unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    format!("value 1 is not 5 Z85 characters: {value:?}")
+                );
+            }
         }
-        let err = decode(&Value::Str("3f800000zz000000".into()), 2).unwrap_err();
+        // A character cut by a value's end is quoted lossily.
+        let err = decode(&z85("0000éy-.l"), 2).unwrap_err();
         assert_eq!(
             err.to_string(),
-            r#"value 1 is not 8 lowercase hex digits: "zz000000""#
+            "value 0 is not 5 Z85 characters: \"0000\u{fffd}\""
         );
-        let err = decode(&Value::Str("3f800000".repeat(2) + "3f8000é"), 3).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            r#"value 2 is not 8 lowercase hex digits: "3f8000é""#
-        );
+    }
+
+    #[test]
+    fn five_digits_above_u32_max_are_an_error() {
+        assert_eq!(bits_of(b"%nSc0"), Ok(u32::MAX));
+        for text in ["%nSc1", "%nSd0", "%nTc0", "%oSc0", "#####"] {
+            let err = decode(&z85(text), 1).unwrap_err().to_string();
+            assert_eq!(err, format!("value 0 is above u32::MAX: {text:?}"));
+        }
     }
 
     #[test]
     fn a_non_finite_value_is_an_error() {
         for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -f32::NAN] {
-            let hex = format!("{:08x}", x.to_bits());
-            let err = decode(&Value::Str(hex.clone()), 1).unwrap_err();
-            assert!(err.to_string().contains("non-finite"), "{hex}: {err}");
+            let stored = encode(&[1.0, x]);
+            let text = stored.as_str().unwrap();
+            let err = decode(&stored, 2).unwrap_err().to_string();
+            assert_eq!(
+                err,
+                format!(
+                    "value 1 is non-finite (bits {:08x}): {:?}",
+                    x.to_bits(),
+                    &text[DIGITS..]
+                )
+            );
         }
     }
 

@@ -78,8 +78,8 @@
 //! `real_speedup` now compares a speculative step that normalises
 //! sparsely with a reference that does not. Giving `Sampler::sample`
 //! the same support would raise `tok_s` on every workload and lower
-//! that ratio; it is a change to the reference leg and is kept for an
-//! issue of its own (ROADMAP item 2).
+//! that ratio; it is a change to the reference leg and is kept for a
+//! change of its own (ROADMAP item 4(d)).
 //!
 //! Nor can it show Eq. 1's entropy, one `ln` per support entry of a
 //! node whose candidate fell between the `p > ε` and `p ≤ 0` exits —

@@ -64,10 +64,11 @@ const PACK_ROWS: usize = 32;
 
 /// A row-major dense matrix of `f32`.
 ///
-/// Persisted as `{"rows": R, "cols": C, "data": "<hex>"}`, where `data`
+/// Persisted as `{"rows": R, "cols": C, "data": "<Z85>"}`, where `data`
 /// is one string of every entry's [`f32::to_bits`] in row-major order,
-/// eight lowercase hex digits per entry. Reading one back is an error,
-/// never a panic, unless `data` holds exactly `R × C` finite entries.
+/// five Z85 characters per entry (ZeroMQ RFC 32). Reading one back is an
+/// error, never a panic, unless `data` holds exactly `R × C` finite
+/// entries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,

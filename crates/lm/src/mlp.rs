@@ -88,8 +88,9 @@ struct Head {
 /// The MLP language model with Medusa heads.
 ///
 /// Serializes as its config and its weight tensors, each tensor one
-/// string of its values' bits (the crate's "Persisted form"); reading
-/// one back checks every tensor against the config.
+/// string of its values' bits, five Z85 characters a value (the crate's
+/// "Persisted form"); reading one back checks every tensor against the
+/// config.
 #[derive(Debug, Clone)]
 pub struct MlpLm {
     cfg: MlpLmConfig,

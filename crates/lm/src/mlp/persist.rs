@@ -213,6 +213,22 @@ mod tests {
         }
     }
 
+    #[test]
+    fn every_value_class_round_trips_through_a_whole_model() {
+        // The classes and 20,000 random finite bit patterns, a model's
+        // worth at a time, through the JSON text and back.
+        let values = codec::every_class(20_000);
+        let mut model = tiny();
+        for chunk in values.chunks(tensors(&model).iter().map(|t| t.len()).sum()) {
+            for (w, &x) in tensors_mut(&mut model).into_iter().flatten().zip(chunk) {
+                *w = x;
+            }
+            let json = serde_json::to_string(&model).expect("serializes");
+            let back: MlpLm = serde_json::from_str(&json).expect("deserializes");
+            assert_eq!(bits(&back), bits(&model));
+        }
+    }
+
     /// Field `path` (keys of maps and indices of sequences, joined by
     /// `.`) of a value tree.
     fn at<'v>(mut v: &'v mut Value, path: &str) -> &'v mut Value {
@@ -246,11 +262,11 @@ mod tests {
         assert!(err.contains(why), "{err}");
     }
 
-    /// Replaces the hex payload at `path` by `f` of it.
+    /// Replaces the Z85 payload at `path` by `f` of it.
     fn edit_payload(v: &mut Value, path: &str, f: impl FnOnce(&str) -> String) {
         let slot = at(v, path);
-        let hex = slot.as_str().expect("a payload").to_string();
-        *slot = Value::Str(f(&hex));
+        let z85 = slot.as_str().expect("a payload").to_string();
+        *slot = Value::Str(f(&z85));
     }
 
     /// Sets the matrix at `path` to `rows × cols` with as many values,
@@ -263,11 +279,11 @@ mod tests {
     fn an_embedding_one_value_short_is_an_error() {
         // The file the old reader accepted and the first inference then
         // panicked on.
-        let err = refusal(|v| edit_payload(v, "emb.data", |h| h[..h.len() - 8].into()));
+        let err = refusal(|v| edit_payload(v, "emb.data", |z| z[..z.len() - 5].into()));
         assert_names(
             &err,
             "emb",
-            "760 hex digits, expected 8 for each of 96 values",
+            "475 Z85 characters, expected 5 for each of 96 values",
         );
     }
 
@@ -290,7 +306,7 @@ mod tests {
         assert_names(
             &err,
             "b1",
-            "120 hex digits, expected 8 for each of 16 values",
+            "75 Z85 characters, expected 5 for each of 16 values",
         );
     }
 
@@ -343,34 +359,84 @@ mod tests {
         assert_names(
             &err,
             "heads[0].c",
-            "104 hex digits, expected 8 for each of 12 values",
+            "65 Z85 characters, expected 5 for each of 12 values",
         );
     }
 
     #[test]
     fn a_payload_that_is_not_whole_values_is_an_error() {
-        let err = refusal(|v| edit_payload(v, "w1.data", |h| format!("{h}3f8")));
+        let err = refusal(|v| edit_payload(v, "w1.data", |z| format!("{z}3f8")));
         assert_names(
             &err,
             "w1",
-            "4099 hex digits, expected 8 for each of 512 values",
+            "2563 Z85 characters, expected 5 for each of 512 values",
         );
     }
 
+    /// The payload at `path` with value `i` replaced by `value`.
+    fn with_value<'a>(path: &'a str, i: usize, value: &'a str) -> impl FnOnce(&mut Value) + 'a {
+        move |v| {
+            edit_payload(v, path, |z| {
+                format!("{}{value}{}", &z[..5 * i], &z[5 * i + 5..])
+            })
+        }
+    }
+
     #[test]
-    fn a_payload_with_a_non_hex_digit_is_an_error() {
-        let err =
-            refusal(|v| edit_payload(v, "heads.2.u.data", |h| format!("{}g{}", &h[..9], &h[10..])));
-        assert_names(&err, "heads[2].u", "value 1 is not 8 lowercase hex digits");
+    fn a_payload_with_a_byte_outside_the_alphabet_is_an_error() {
+        // A printable character Z85 leaves out, a control character and
+        // a two-byte character, at each position of value 1.
+        for bad in [" ", "\"", "~", "\u{1}", "é"] {
+            for at in 0..=5 - bad.len() {
+                let mut value = String::from("ky-.l");
+                value.replace_range(at..at + bad.len(), bad);
+                let err = refusal(with_value("heads.2.u.data", 1, &value));
+                assert_eq!(
+                    err,
+                    format!("tensor `heads[2].u`: value 1 is not 5 Z85 characters: {value:?}")
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_payload_above_u32_max_is_an_error() {
+        // `%nSc0` is u32::MAX; one more does not fit 32 bits.
+        let err = refusal(with_value("b1", 2, "%nSc1"));
+        assert_eq!(err, r#"tensor `b1`: value 2 is above u32::MAX: "%nSc1""#);
     }
 
     #[test]
     fn a_payload_with_a_non_finite_value_is_an_error() {
-        let err =
-            refusal(|v| edit_payload(v, "b1", |h| format!("{}7fc00000{}", &h[..16], &h[24..])));
-        assert_names(&err, "b1", "value 2 is non-finite (bits 7fc00000)");
-        let err = refusal(|v| edit_payload(v, "heads.1.c", |h| format!("ff800000{}", &h[8..])));
+        let nan = codec::encode(&[f32::NAN]);
+        let err = refusal(with_value("b1", 2, nan.as_str().unwrap()));
+        assert_eq!(
+            err,
+            r#"tensor `b1`: value 2 is non-finite (bits 7fc00000): "F4#3:""#
+        );
+        let minus_inf = codec::encode(&[f32::NEG_INFINITY]);
+        let err = refusal(with_value("heads.1.c", 0, minus_inf.as_str().unwrap()));
         assert_names(&err, "heads[1].c", "value 0 is non-finite (bits ff800000)");
+    }
+
+    #[test]
+    fn a_hex_model_file_is_refused_on_its_length() {
+        // The form model files had before Z85: eight hex digits a value.
+        // A cache holding one reads it as a miss and retrains.
+        let err = refusal(|v| {
+            let hex: String = tiny()
+                .emb
+                .as_slice()
+                .iter()
+                .map(|x| format!("{:08x}", x.to_bits()))
+                .collect();
+            *at(v, "emb.data") = Value::Str(hex);
+        });
+        assert_names(
+            &err,
+            "emb",
+            "768 Z85 characters, expected 5 for each of 96 values",
+        );
     }
 
     #[test]
