@@ -66,8 +66,11 @@ impl Default for DecodeConfig {
     }
 }
 
-/// Per-step record for decode traces (Fig. 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Per-step record for decode traces (Fig. 5): plain counts, so a
+/// step's record is a fixed-size value and keeping it allocates
+/// nothing. The step's tokens are its span of [`DecodeOutput::tokens`]
+/// ([`DecodeOutput::spans`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StepTrace {
     /// Tokens speculated by the heads this step (0 for NTP).
     pub speculated: usize,
@@ -75,8 +78,9 @@ pub struct StepTrace {
     pub accepted: usize,
     /// Tokens discarded by the syntax-integrity check.
     pub truncated: usize,
-    /// Tokens actually committed this step.
-    pub committed: Vec<TokenId>,
+    /// Tokens actually committed this step: the length of the step's
+    /// span of [`DecodeOutput::tokens`].
+    pub committed: usize,
     /// Whether the committed span ends on a `[FRAG]` boundary — or in
     /// `eos`, which completes the fragment it cuts. One rule for every
     /// engine: an NTP step is the speculative step with the empty tree,
@@ -111,6 +115,23 @@ impl DecodeOutput {
             .position(|&t| t == special::EOS)
             .unwrap_or(self.tokens.len());
         self.tokens[..end].to_vec()
+    }
+
+    /// Each step's committed span, in step order: the slices of
+    /// [`DecodeOutput::tokens`] that the step traces' `committed` counts
+    /// cut it into, so together they are `tokens`.
+    ///
+    /// # Panics
+    ///
+    /// While iterating, if the counts run past `tokens` (an output a
+    /// decoder built always accounts for every token exactly).
+    pub fn spans(&self) -> impl Iterator<Item = &[TokenId]> + '_ {
+        let mut rest = self.tokens.as_slice();
+        self.trace.iter().map(move |st| {
+            let (span, tail) = rest.split_at(st.committed);
+            rest = tail;
+            span
+        })
     }
 }
 
@@ -522,7 +543,7 @@ mod tests {
         let out = decode_speculative(&model, &seq[..3], &cfg, &cost);
         // Every multi-token step must end on a fragment boundary.
         for st in &out.trace {
-            if st.committed.len() > 1 {
+            if st.committed > 1 {
                 assert!(
                     st.fragment_complete,
                     "multi-token step not fragment-complete: {st:?}"
@@ -535,6 +556,14 @@ mod tests {
     }
 
     #[test]
+    fn a_step_trace_is_a_few_plain_counts() {
+        // A step's record holds no tokens of its own (its span is a
+        // range of the output's tokens), so keeping one is a fixed-size
+        // copy: four counts and a flag.
+        assert!(std::mem::size_of::<StepTrace>() <= 40);
+    }
+
+    #[test]
     fn trace_accounts_for_all_tokens() {
         let (model, seq) = cyclic_model(12, 4);
         let cfg = DecodeConfig {
@@ -542,11 +571,11 @@ mod tests {
             ..Default::default()
         };
         let out = decode_speculative(&model, &seq[..4], &cfg, &GpuCostModel::codellama_like());
-        let committed_total: usize = out.trace.iter().map(|t| t.committed.len()).sum();
+        let committed_total: usize = out.trace.iter().map(|t| t.committed).sum();
         assert_eq!(committed_total, out.tokens.len());
         for st in &out.trace {
-            assert!(st.accepted >= st.committed.len());
-            assert!(st.accepted - st.truncated >= st.committed.len());
+            assert!(st.accepted >= st.committed);
+            assert!(st.accepted - st.truncated >= st.committed);
         }
     }
 
@@ -599,7 +628,7 @@ mod tests {
         // The first step starts from the same position as the chain's, so
         // the per-step guarantee holds there: at least as many tokens
         // committed, at least as many candidates paid for.
-        assert!(tree.trace[0].committed.len() >= chain.trace[0].committed.len());
+        assert!(tree.trace[0].committed >= chain.trace[0].committed);
         assert!(
             tree.trace[0].speculated >= chain.trace[0].speculated,
             "tree must evaluate at least as many candidate tokens"

@@ -293,11 +293,12 @@ proptest! {
                 break;
             }
             let shape = st.last_shape().clone();
-            let step = st.output().trace.last().expect("stepped").clone();
+            let step = *st.output().trace.last().expect("stepped");
+            let span = st.output().spans().last().expect("stepped").to_vec();
             prop_assert_eq!(step.speculated, shape.candidate_tokens(), "charged its shape");
             let record = st.last_prune().expect("grammar steppers record what they filter");
             prop_assert_eq!(record.considered, record.pruned + record.surviving);
-            let base = step.committed[0];
+            let base = span[0];
             if step.speculated > 0 && base != eos {
                 let widths: Vec<usize> = shape.level_widths().collect();
                 let root = oracle.advance(state, base);
@@ -311,12 +312,12 @@ proptest! {
                         shape
                     );
                 }
-                let remaining = 16 - (st.output().tokens.len() - step.committed.len());
+                let remaining = 16 - (st.output().tokens.len() - span.len());
                 let want = unpruned_span(&model, &context, base, &paths, eos, remaining);
-                prop_assert_eq!(&step.committed, &want, "span of {:?}", shape);
+                prop_assert_eq!(&span, &want, "span of {:?}", shape);
             }
-            state = oracle.advance_recovering(state, &step.committed);
-            context.extend_from_slice(&step.committed);
+            state = oracle.advance_recovering(state, &span);
+            context.extend_from_slice(&span);
             if !more {
                 break;
             }

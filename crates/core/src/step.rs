@@ -69,16 +69,19 @@
 //!    that a server executes for its whole batch in one
 //!    [`verispec_lm::verify_many`] pass per level, the level's head row
 //!    riding the same pass.
-//! 3. **commit** ([`Stepper::commit`]) — pick the committed span from
-//!    the accepted edges, apply the syntax-integrity truncation,
-//!    advance the simulated clock, and extend the session with it (no
-//!    rollback: a verified step's session holds the base token and
-//!    verification leaves the context alone). A MEDUSA step then finds
-//!    the node the span ends at *as committed* — after syntax and
-//!    budget truncation; the root for a base-token-only span — and, if
-//!    verification scored it, copies its row (and activation, and
-//!    support) into the stepper's one-row carry: the next step's
-//!    base, already computed. A span that ends in `eos`, at a full
+//! 3. **commit** ([`Stepper::commit`]) — write the committed span from
+//!    the accepted edges straight onto the end of the output's tokens,
+//!    cut it there in place (syntax-integrity truncation, then the
+//!    token budget), advance the simulated clock, and extend the
+//!    session with it (no rollback: a verified step's session holds the
+//!    base token and verification leaves the context alone). The step's
+//!    [`StepTrace`] records counts only, so a commit allocates nothing
+//!    beyond the amortised growth of the output's vectors. A MEDUSA
+//!    step then finds the node the span ends at *as committed* — after
+//!    syntax and budget truncation; the root for a base-token-only
+//!    span — and, if verification scored it, copies its row (and
+//!    activation, and support) into the stepper's one-row carry: the
+//!    next step's base, already computed. A span that ends in `eos`, at a full
 //!    path's leaf or at the token budget carries nothing, nor does a
 //!    step that verified nothing. The carry is a cache of what a
 //!    forward would compute, bit for bit — outputs, traces and the
@@ -1004,56 +1007,56 @@ impl<'m> Stepper<'m> {
                 }
             }
         }
-        // Allocated once, at its final length, then moved into the step
-        // trace that owns it.
-        let mut committed = Vec::with_capacity(1 + best_len);
-        committed.push(base_tok);
-        committed.extend((1..=best_len).map(|j| token(best, j)));
-        let accepted = committed.len();
+        // The span is built where it is kept — the end of the output's
+        // tokens: the base token, then the accepted path — and every cut
+        // below shortens it there, in place.
+        let start = self.out.tokens.len();
+        let tokens = &mut self.out.tokens;
+        tokens.push(base_tok);
+        tokens.extend((1..=best_len).map(|j| token(best, j)));
+        let accepted = 1 + best_len;
         // Acceptance history: candidates offered vs. cashed (the base
         // token is always committed, so it is excluded from both).
-        self.history.record(candidate_tokens, accepted - 1);
+        self.history.record(candidate_tokens, best_len);
 
         // Syntax-integrity check (§III-B): the committed span must end
         // on a complete fragment.
         let mut truncated = 0usize;
         if syntax_aligned {
-            let keep = syntax_keep_len(&committed, special::FRAG, eos);
-            truncated = committed.len() - keep;
-            committed.truncate(keep);
+            let keep = syntax_keep_len(&tokens[start..], special::FRAG, eos);
+            truncated = accepted - keep;
+            tokens.truncate(start + keep);
         }
-        let fragment_complete = committed
+        let fragment_complete = tokens
             .last()
             .is_some_and(|&t| t == special::FRAG || t == eos);
 
         // Token-budget truncation (not counted as syntax truncation).
-        let remaining = max_tokens - self.out.tokens.len();
-        if committed.len() > remaining {
-            committed.truncate(remaining);
-        }
+        tokens.truncate(max_tokens);
+        let committed = tokens.len() - start;
 
         // The simulated step is priced by the tree it proposed — one
         // bandwidth-bound pass over all of it — not by the nodes this
         // machine went on to forward.
         self.out
             .clock
-            .record_step(cost, candidate_tokens, committed.len());
+            .record_step(cost, candidate_tokens, committed);
         self.out.steps += 1;
 
-        let hit_eos = committed.contains(&eos);
+        let span = &self.out.tokens[start..];
+        let hit_eos = span.contains(&eos);
         // Advance the grammar viability state over the committed span
         // (death-recovering, matching the prompt seeding) — the state
         // stays a pure function of `prompt + out.tokens`.
         if let Some(g) = &mut self.grammar {
-            g.state = g.oracle.advance_recovering(g.state, &committed);
+            g.state = g.oracle.advance_recovering(g.state, span);
         }
         // A verified step's session already holds the base token, and
         // verification left its context alone: extending it — no
         // rollback — keeps the cached window.
         let session = self.target.as_mut();
         debug_assert_eq!(session.len(), step_start + usize::from(verify_issued));
-        session.append(&committed[usize::from(verify_issued)..]);
-        self.out.tokens.extend_from_slice(&committed);
+        session.append(&span[usize::from(verify_issued)..]);
 
         // The carry: the node the span ends at *as committed* (the root
         // after a base-token-only span) is the next step's base
@@ -1066,7 +1069,7 @@ impl<'m> Stepper<'m> {
             && self.out.tokens.len() < max_tokens
             && session.keeps_frontier_rows();
         if let Some(rows) = rows.filter(|_| carries) {
-            let node = match committed.len() {
+            let node = match committed {
                 1 => 0,
                 n => self.nodes.node(best, n - 1),
             };

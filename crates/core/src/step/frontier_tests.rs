@@ -898,15 +898,17 @@ impl DecodeSession for ScriptedSession<'_> {
 /// (unless the script says otherwise), the tree is heads × heads.
 /// Returns the step's trace, how many base-head forwards its
 /// verification cost, and how many rows — base and heads — it asked for
-/// at its base position.
+/// at its base position. The span is the step's committed tokens, read
+/// off the output ([`DecodeOutput::spans`]).
 fn scripted_step_rows(
     script: &[(&[TokenId], TokenId)],
     heads: &[[TokenId; 2]],
     eos: TokenId,
     grammar: Option<&GrammarOracle>,
-) -> (StepTrace, usize, usize) {
+) -> (Vec<TokenId>, StepTrace, usize, usize) {
     let (out, _, _, forwards, rows) = scripted_step_ledger(script, heads, eos, grammar);
-    (out.trace[0].clone(), forwards, rows)
+    let span = out.spans().next().expect("one step").to_vec();
+    (span, out.trace[0], forwards, rows)
 }
 
 /// [`scripted_step_rows`] with everything the step wrote down: its
@@ -965,9 +967,9 @@ fn scripted_step(
     script: &[(&[TokenId], TokenId)],
     heads: &[[TokenId; 2]],
     eos: TokenId,
-) -> (StepTrace, usize) {
-    let (trace, forwards, _) = scripted_step_rows(script, heads, eos, None);
-    (trace, forwards)
+) -> (Vec<TokenId>, StepTrace, usize) {
+    let (span, trace, forwards, _) = scripted_step_rows(script, heads, eos, None);
+    (span, trace, forwards)
 }
 
 /// An oracle over the scripted vocabulary that lets every token through
@@ -992,18 +994,18 @@ fn head_rows_per_step_track_the_levels_reached() {
     let deep = [[8, 9], [10, 11], [12, 4]];
     let oracle = letters_oracle();
     let rows = |script: &[(&[TokenId], TokenId)]| {
-        let (trace, forwards, rows) = scripted_step_rows(script, &deep, 2, None);
+        let (span, trace, forwards, rows) = scripted_step_rows(script, &deep, 2, None);
         assert_eq!(
             trace.speculated, 24,
             "the clock is charged the proposed tree"
         );
-        let (grammar, g_forwards, g_rows) = scripted_step_rows(script, &deep, 2, Some(&oracle));
+        let (_, grammar, g_forwards, g_rows) = scripted_step_rows(script, &deep, 2, Some(&oracle));
         assert_eq!(
             (grammar.speculated, grammar.accepted, g_forwards, g_rows),
             (24, trace.accepted, forwards, rows),
             "the grammar engine on {script:?}"
         );
-        (trace.committed, forwards, rows)
+        (span, forwards, rows)
     };
     // Nothing accepted: the root is forwarded, head 1 names its edges.
     assert_eq!(rows(&[(&[5], 13)]), (vec![5], 1, 2));
@@ -1022,12 +1024,12 @@ fn a_step_that_ends_at_its_base_token_asks_for_one_row() {
     // The base token is `eos`: the step commits it alone, and nothing
     // but the row it was drawn from is evaluated — no head, no tree.
     let heads = [[8, 9], [10, 11]];
-    let (trace, forwards, rows) = scripted_step_rows(&[(&[], 5)], &heads, 5, None);
-    assert_eq!((trace.committed, forwards, rows), (vec![5], 0, 1));
+    let (span, trace, forwards, rows) = scripted_step_rows(&[(&[], 5)], &heads, 5, None);
+    assert_eq!((span, forwards, rows), (vec![5], 0, 1));
     assert_eq!(trace.speculated, 8, "charged as proposed all the same");
     // A shape with no levels proposes nothing and reads nothing more.
-    let (trace, forwards, rows) = scripted_step_rows(&[(&[5], 8)], &[], 2, None);
-    assert_eq!((trace.committed, forwards, rows), (vec![5], 0, 1));
+    let (span, trace, forwards, rows) = scripted_step_rows(&[(&[5], 8)], &[], 2, None);
+    assert_eq!((span, forwards, rows), (vec![5], 0, 1));
     assert_eq!(trace.speculated, 0);
     // The grammar engine likewise: a step that goes on asks for one
     // head row per level it reaches — here the root's, head 1, and no
@@ -1035,11 +1037,12 @@ fn a_step_that_ends_at_its_base_token_asks_for_one_row() {
     // base row alone. Both are charged the shape.
     let oracle = letters_oracle();
     let framed = [[special::FRAG, 9], [special::FRAG, 11]];
-    let (trace, forwards, rows) = scripted_step_rows(&[(&[5], 13)], &framed, 2, Some(&oracle));
-    assert_eq!((trace.committed, forwards, rows), (vec![5], 1, 2));
+    let (span, trace, forwards, rows) =
+        scripted_step_rows(&[(&[5], 13)], &framed, 2, Some(&oracle));
+    assert_eq!((span, forwards, rows), (vec![5], 1, 2));
     assert_eq!(trace.speculated, 8);
-    let (trace, forwards, rows) = scripted_step_rows(&[(&[], 5)], &framed, 5, Some(&oracle));
-    assert_eq!((trace.committed, forwards, rows), (vec![5], 0, 1));
+    let (span, trace, forwards, rows) = scripted_step_rows(&[(&[], 5)], &framed, 5, Some(&oracle));
+    assert_eq!((span, forwards, rows), (vec![5], 0, 1));
     assert_eq!(trace.speculated, 8);
 }
 
@@ -1053,7 +1056,7 @@ fn a_grammar_level_ranks_its_head_once_and_one_past_its_width() {
     let deep = [[8, 9], [10, 11], [12, 4]];
     let script: [(&[TokenId], TokenId); 3] = [(&[5], 9), (&[5, 9], 10), (&[5, 9, 10], 13)];
     LEVEL_RANKINGS.with(|depths| depths.borrow_mut().clear());
-    let (trace, forwards, rows) = scripted_step_rows(&script, &deep, 2, Some(&oracle));
+    let (_, trace, forwards, rows) = scripted_step_rows(&script, &deep, 2, Some(&oracle));
     assert_eq!((trace.accepted, forwards, rows), (3, 3, 4));
     let depths = LEVEL_RANKINGS.with(|depths| depths.take());
     assert_eq!(
@@ -1082,7 +1085,7 @@ fn every_speculative_engine_is_charged_its_shape_at_an_eos_base() {
             speculated: 8,
             accepted: 1,
             truncated: 0,
-            committed: vec![5],
+            committed: 1,
             fragment_complete: true,
         };
         assert_eq!(
@@ -1144,7 +1147,7 @@ fn a_generation_forwards_a_base_position_only_when_nothing_was_carried() {
     // (span, base positions forwarded so far, a carry left behind)
     let step = |st: &mut Stepper<'_>| {
         let more = st.step(&cost);
-        let span = st.output().trace.last().expect("stepped").committed.clone();
+        let span = st.output().spans().last().expect("stepped").to_vec();
         (span, model.base_forwards.get(), st.carry.rows() > 0, more)
     };
     assert_eq!(step(&mut st), (vec![5], 1, true, true));
@@ -1250,7 +1253,7 @@ fn a_verified_step_never_rolls_its_session_back() {
         assert_eq!(shortened.get(), 0, "{sampling:?}");
         verified += want.trace.iter().filter(|t| t.speculated > 0).count();
         cut += want.trace.iter().filter(|t| t.truncated > 0).count();
-        extended += want.trace.iter().filter(|t| t.committed.len() > 1).count();
+        extended += want.trace.iter().filter(|t| t.committed > 1).count();
     }
     // Steps of every kind were among them: verified, their span cut by
     // the syntax check, and committed past the base token.
@@ -1268,16 +1271,16 @@ fn forwards_per_step_track_the_accepted_depth() {
     // edge into a node something reads — whatever was proposed.
     let heads = [[8, 9], [10, 11]];
     // Nothing accepted: the root alone.
-    let (trace, forwards) = scripted_step(&[(&[5], 12)], &heads, 2);
-    assert_eq!((trace.committed, forwards), (vec![5], 1));
+    let (span, _, forwards) = scripted_step(&[(&[5], 12)], &heads, 2);
+    assert_eq!((span, forwards), (vec![5], 1));
     // 8 accepted, then neither of its children: two forwards; the
     // rejected sibling 9 costs nothing.
-    let (trace, forwards) = scripted_step(&[(&[5], 8), (&[5, 8], 12)], &heads, 2);
-    assert_eq!((trace.committed, forwards), (vec![5, 8], 2));
+    let (span, _, forwards) = scripted_step(&[(&[5], 8), (&[5, 8], 12)], &heads, 2);
+    assert_eq!((span, forwards), (vec![5, 8], 2));
     // 8 and then 11 accepted: still two — 11 is a leaf, its own row is
     // never read without the bonus position.
-    let (trace, forwards) = scripted_step(&[(&[5], 8), (&[5, 8], 11)], &heads, 2);
-    assert_eq!((trace.committed, forwards), (vec![5, 8, 11], 2));
+    let (span, trace, forwards) = scripted_step(&[(&[5], 8), (&[5, 8], 11)], &heads, 2);
+    assert_eq!((span, forwards), (vec![5, 8, 11], 2));
     assert_eq!(
         trace.speculated, 8,
         "the clock is charged the proposed tree"
@@ -1285,8 +1288,9 @@ fn forwards_per_step_track_the_accepted_depth() {
     // Three levels deep, one accepted edge per level: three forwards
     // for a 15-node tree.
     let deep = [[8, 9], [10, 11], [12, 4]];
-    let (trace, forwards) = scripted_step(&[(&[5], 9), (&[5, 9], 10), (&[5, 9, 10], 4)], &deep, 2);
-    assert_eq!((trace.committed, forwards), (vec![5, 9, 10, 4], 3));
+    let (span, _, forwards) =
+        scripted_step(&[(&[5], 9), (&[5, 9], 10), (&[5, 9, 10], 4)], &deep, 2);
+    assert_eq!((span, forwards), (vec![5, 9, 10, 4], 3));
 }
 
 #[test]
@@ -1295,8 +1299,8 @@ fn nothing_is_forwarded_past_an_accepted_eos_edge() {
     // yet acceptance stops there, so it is never forwarded — and the
     // winner ending in `eos` ends the walk over paths.
     let heads = [[8, 9], [10, 11]];
-    let (trace, forwards) = scripted_step(&[(&[5], 8), (&[5, 8], 10)], &heads, 8);
-    assert_eq!((trace.committed, forwards), (vec![5, 8], 1));
+    let (span, _, forwards) = scripted_step(&[(&[5], 8), (&[5, 8], 10)], &heads, 8);
+    assert_eq!((span, forwards), (vec![5, 8], 1));
 }
 
 #[test]
@@ -1331,7 +1335,8 @@ fn best_path_is_the_first_strictly_longest() {
             local_rows: None,
         });
         st.commit(&cost, None);
-        st.output().trace[0].committed.clone()
+        let span = st.output().spans().next().expect("one step").to_vec();
+        span
     };
     // Equal lengths: the first in path order wins, not the last.
     let paths: [&[TokenId]; 3] = [&[8, 10], &[9, 11], &[9, 12]];

@@ -121,7 +121,7 @@ fn ntp_by_definition(
             speculated: 0,
             accepted: 1,
             truncated: 0,
-            committed: vec![tok],
+            committed: 1,
             fragment_complete: tok == special::FRAG || tok == cfg.eos,
         });
         if tok == cfg.eos {
@@ -236,7 +236,7 @@ proptest! {
         // are not monotone (same caveat as the tree comparison below).
         if let (Some(m0), Some(o0)) = (medusa.trace.first(), ours.trace.first()) {
             prop_assert!(
-                o0.committed.len() <= m0.committed.len(),
+                o0.committed <= m0.committed,
                 "truncation cannot lengthen a step"
             );
         }
@@ -258,12 +258,12 @@ proptest! {
         let cost = GpuCostModel::codet5p_like();
         let cfg = DecodeConfig { max_tokens: 48, syntax_aligned: true, ..Default::default() };
         let out = decode_speculative(&model, &prompt, &cfg, &cost);
-        for (i, st) in out.trace.iter().enumerate() {
-            if st.committed.len() > 1 && i + 1 < out.trace.len() {
+        for (i, (st, span)) in out.trace.iter().zip(out.spans()).enumerate() {
+            if span.len() > 1 && i + 1 < out.trace.len() {
                 prop_assert!(
                     st.fragment_complete,
                     "step {i} committed {:?} without boundary",
-                    st.committed
+                    span
                 );
             }
         }
@@ -288,7 +288,7 @@ proptest! {
         let out = decode_speculative(&model, &prompt, &cfg, &cost);
         prop_assert!(out.tokens.len() <= max_tokens);
         prop_assert_eq!(out.steps, out.trace.len());
-        let committed: usize = out.trace.iter().map(|t| t.committed.len()).sum();
+        let committed: usize = out.trace.iter().map(|t| t.committed).sum();
         prop_assert_eq!(committed, out.tokens.len());
         prop_assert_eq!(out.clock.tokens, out.tokens.len());
         prop_assert!(out.clock.seconds > 0.0 || out.tokens.is_empty());

@@ -151,12 +151,12 @@ proptest! {
         let cfg = DecodeConfig { max_tokens: 48, tree: Some(vec![2, 2]), ..Default::default() };
         let oracle = permissive_oracle(model.vocab.max(20));
         let out = decode_grammar_speculative(&model, &oracle, &prompt, &cfg, &cost);
-        for (i, st) in out.trace.iter().enumerate() {
-            if st.committed.len() > 1 && i + 1 < out.trace.len() {
+        for (i, (st, span)) in out.trace.iter().zip(out.spans()).enumerate() {
+            if span.len() > 1 && i + 1 < out.trace.len() {
                 prop_assert!(
                     st.fragment_complete,
                     "step {i} committed {:?} without boundary",
-                    st.committed
+                    span
                 );
             }
         }

@@ -245,15 +245,14 @@ pub fn run_fig5(pipe: &Pipeline, model_scale: ModelScale) -> Vec<TraceSummary> {
             let g = generate(&model, &pipe.tokenizer, problem, method, &cfg, &cost);
             let step_texts: Vec<String> = g
                 .output
-                .trace
-                .iter()
-                .map(|st| pipe.tokenizer.decode(&st.committed))
+                .spans()
+                .map(|span| pipe.tokenizer.decode(span))
                 .collect();
             let multi: Vec<_> = g
                 .output
                 .trace
                 .iter()
-                .filter(|st| st.committed.len() > 1)
+                .filter(|st| st.committed > 1)
                 .collect();
             let frag_ok = multi.iter().filter(|st| st.fragment_complete).count();
             TraceSummary {

@@ -21,7 +21,8 @@ use crate::benchmarks::Problem;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use verispec_core::{
     decode_grammar_speculative, DecodeConfig, DecodeMethod, DecodeOutput, TrainConfig, TrainMethod,
 };
@@ -193,7 +194,8 @@ impl Pipeline {
         let lm_cfg = self.lm_config(scale, method);
         let sequences = self.sequences_for(method, fraction);
         let key = cache_key(&self.config, scale, method, fraction, n_heads, &sequences);
-        if let Some(model) = load_cached(&key, &lm_cfg) {
+        let path = cache_dir().join(format!("{key}.json"));
+        if let Some(model) = load_cached(&path, &lm_cfg) {
             return model;
         }
         let tc = TrainConfig {
@@ -202,7 +204,7 @@ impl Pipeline {
             ..TrainConfig::paper_defaults(method)
         };
         let (model, _report) = verispec_core::train(lm_cfg, &sequences, &tc);
-        store_cached(&key, &model);
+        store_cached(&path, &model);
         model
     }
 
@@ -254,21 +256,39 @@ fn cache_dir() -> PathBuf {
     base.join("verispec-cache")
 }
 
-fn load_cached(key: &str, expect_cfg: &MlpLmConfig) -> Option<MlpLm> {
-    let path = cache_dir().join(format!("{key}.json"));
-    let bytes = std::fs::read(&path).ok()?;
-    let model: MlpLm = serde_json::from_slice(&bytes).ok()?;
-    (model.config() == expect_cfg).then_some(model)
+/// The model cached at `path`, if there is a file and it reads back as
+/// a model of the expected shape. A file that does not — an older
+/// weight format, a model of another shape under the key — is removed,
+/// so no file that can never load stays in the cache.
+fn load_cached(path: &Path, expect_cfg: &MlpLmConfig) -> Option<MlpLm> {
+    let bytes = std::fs::read(path).ok()?;
+    let model = serde_json::from_slice::<MlpLm>(&bytes)
+        .ok()
+        .filter(|m| m.config() == expect_cfg);
+    if model.is_none() {
+        let _ = std::fs::remove_file(path);
+    }
+    model
 }
 
-fn store_cached(key: &str, model: &MlpLm) {
-    let dir = cache_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
+/// Caches `model` at `path`: written to a sibling temporary file, then
+/// renamed over `path`, so a reader — a test binary training the same
+/// cell concurrently — finds the whole file or none, never half of one.
+/// Failing to write only costs a later retrain.
+fn store_cached(path: &Path, model: &MlpLm) {
+    /// Tells apart the temporary files of one process's writers.
+    static WRITES: AtomicUsize = AtomicUsize::new(0);
+    let Some(dir) = path.parent() else { return };
+    let Ok(bytes) = serde_json::to_vec(model) else {
+        return;
+    };
+    if std::fs::create_dir_all(dir).is_err() {
         return;
     }
-    let path = dir.join(format!("{key}.json"));
-    if let Ok(bytes) = serde_json::to_vec(model) {
-        let _ = std::fs::write(path, bytes);
+    let writer = WRITES.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("{}-{writer}.tmp", std::process::id()));
+    if std::fs::write(&tmp, bytes).is_err() || std::fs::rename(&tmp, path).is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
 }
 
@@ -693,5 +713,64 @@ mod tests {
                 assert_eq!(failing, vgen, "tagged: {tagged}");
             }
         }
+    }
+
+    #[test]
+    fn the_model_cache_writes_whole_files_and_drops_unreadable_ones() {
+        let dir = std::env::temp_dir().join(format!("verispec-cache-test-{}", std::process::id()));
+        let path = dir.join("model_cell.json");
+        let cfg = MlpLmConfig {
+            vocab: 12,
+            d_emb: 4,
+            d_hidden: 8,
+            context: 3,
+            n_heads: 2,
+            seed: 5,
+        };
+        let model = MlpLm::new(cfg);
+        let bytes = serde_json::to_vec(&model).expect("serialises");
+        let names = || -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .expect("cache directory")
+                .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+
+        // Written whole, through a temporary file that is renamed away.
+        store_cached(&path, &model);
+        assert_eq!(names(), ["model_cell.json"]);
+        assert_eq!(std::fs::read(&path).expect("cached"), bytes);
+        let loaded = load_cached(&path, &cfg).expect("reads back");
+        assert_eq!(serde_json::to_vec(&loaded).expect("serialises"), bytes);
+        // Rewriting a cell replaces it, leaving nothing beside it.
+        store_cached(&path, &model);
+        assert_eq!(names(), ["model_cell.json"]);
+
+        // Another shape under the key: a miss, and the file goes.
+        let other = MlpLmConfig { n_heads: 3, ..cfg };
+        assert!(load_cached(&path, &other).is_none());
+        assert!(!path.exists(), "a model of another shape is removed");
+        // A missing file is a miss and nothing else.
+        assert!(load_cached(&path, &cfg).is_none());
+
+        // Files that do not read back as a model: half a write, and the
+        // embedding in the older eight-hex-digits-a-value form.
+        let text = String::from_utf8(bytes.clone()).expect("JSON is text");
+        let start = text.find("\"data\":\"").expect("a tensor payload") + 8;
+        let end = start + text[start..].find('"').expect("closing quote");
+        let hex = "0".repeat((end - start) / 5 * 8);
+        let hex_era = format!("{}{hex}{}", &text[..start], &text[end..]);
+        for unreadable in [&bytes[..bytes.len() / 2], hex_era.as_bytes()] {
+            std::fs::write(&path, unreadable).expect("writes");
+            assert!(load_cached(&path, &cfg).is_none());
+            assert!(!path.exists(), "an unreadable model file is removed");
+        }
+
+        // The cell is retrained and stored again after the miss.
+        store_cached(&path, &model);
+        assert!(load_cached(&path, &cfg).is_some());
+        std::fs::remove_dir_all(&dir).expect("cleans up");
     }
 }

@@ -178,7 +178,7 @@ pub fn per_token_gaps(c: &Completion) -> Vec<u64> {
     let mut gaps = Vec::with_capacity(c.output.tokens.len().saturating_sub(1));
     let mut last_tick: Option<u64> = None;
     for (step, tick) in c.step_ticks.iter().enumerate() {
-        let committed = c.output.trace.get(step).map_or(0, |t| t.committed.len());
+        let committed = c.output.trace.get(step).map_or(0, |t| t.committed);
         for j in 0..committed {
             match last_tick {
                 None => {}

@@ -485,13 +485,13 @@ pub struct ServeEngine<'m> {
 /// each), the fused-verify plan, the batch and the shape it is priced
 /// at, and the per-member bookkeeping, indexed by position in the
 /// tick's batch. With the stepper's shape slots and the scheduler's own
-/// working lists, that leaves a warm tick these allocations:
+/// working lists, and a commit that writes its span straight into the
+/// request's tokens and records counts only in its `StepTrace`, that
+/// leaves a warm tick these allocations:
 ///
-/// * one per committed step: the committed span, allocated at its final
-///   length and moved into the request's `StepTrace`;
 /// * the doublings of each request's growing vectors (its tokens, step
-///   traces, step ticks and acceptance history, its session's tokens)
-///   — amortised, and per request rather than per tick;
+///   traces and step ticks, its session's tokens) — amortised, and per
+///   request rather than per tick;
 /// * a grammar step's head rankings, one per level it names, which
 ///   making allocation-free would buy little against what a grammar
 ///   step costs;
@@ -1241,7 +1241,7 @@ impl<'m> ServeEngine<'m> {
                     .last()
                     .expect("commit pushes a step trace");
                 let (proposed, accepted, truncated, committed) =
-                    (tr.speculated, tr.accepted, tr.truncated, tr.committed.len());
+                    (tr.speculated, tr.accepted, tr.truncated, tr.committed);
                 self.emit(
                     Some(id),
                     EventKind::Step {

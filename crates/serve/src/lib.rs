@@ -996,6 +996,107 @@ mod tests {
     }
 
     #[test]
+    fn every_engines_spans_concatenate_to_its_tokens_served_and_serial() {
+        // A step's committed span is a range of the output's tokens:
+        // `spans()` cuts `tokens` by the step traces' counts into one
+        // non-empty span per step, and the spans put back together are
+        // `tokens` — for every engine, run serially and served in one
+        // fused batch, greedy and sampled, syntax cuts and budget cuts
+        // included.
+        use verispec_core::{decode_grammar_speculative, DecodeOutput};
+        use verispec_grammar::GrammarOracle;
+        let m = model();
+        let cost = GpuCostModel::codellama_like();
+        let bytes = (0..14usize)
+            .map(|id| if id < 5 { Vec::new() } else { b"a".to_vec() })
+            .collect();
+        let oracle = GrammarOracle::new(bytes);
+        let engines = [
+            EngineChoice::Ntp,
+            EngineChoice::MedusaChain,
+            EngineChoice::MedusaTree(vec![3, 2, 2]),
+            EngineChoice::SyntaxAligned { tree: None },
+            EngineChoice::SyntaxAligned {
+                tree: Some(vec![2, 2]),
+            },
+            EngineChoice::GrammarTree {
+                tree: Some(vec![2, 2]),
+            },
+        ];
+        let (mut multi, mut cut, mut budget) = (0, 0, 0);
+        let mut check = |out: &DecodeOutput, what: &str| {
+            let spans: Vec<&[TokenId]> = out.spans().collect();
+            assert_eq!(spans.len(), out.trace.len(), "{what}: a span per step");
+            assert_eq!(
+                spans.concat(),
+                out.tokens,
+                "{what}: the spans are the tokens"
+            );
+            for (span, st) in spans.iter().zip(&out.trace) {
+                assert!(!span.is_empty(), "{what}: every step commits");
+                assert_eq!(span.len(), st.committed, "{what}");
+            }
+            multi += spans.iter().filter(|s| s.len() > 1).count();
+            cut += out.trace.iter().filter(|st| st.truncated > 0).count();
+            budget += out
+                .trace
+                .iter()
+                .filter(|st| st.accepted - st.truncated > st.committed)
+                .count();
+        };
+        let runs = [None, Some(0.8f32), Some(2.5)]
+            .into_iter()
+            .flat_map(|t| [(t, 2), (t, 15)]);
+        for (temperature, budget) in runs {
+            let requests: Vec<Request> = engines
+                .iter()
+                .enumerate()
+                .map(|(i, engine)| {
+                    let cfg = DecodeConfig {
+                        max_tokens: budget + i,
+                        sampling: temperature.map_or(Sampling::Greedy, Sampling::temperature),
+                        seed: i as u64 * 13 + 1,
+                        ..Default::default()
+                    };
+                    Request::new(i as u64, vec![9 - i as TokenId, 7], engine.clone(), cfg)
+                })
+                .collect();
+            for r in &requests {
+                let cfg = r.engine.decode_config(&r.cfg);
+                let serial = match &r.engine {
+                    EngineChoice::Ntp => decode_ntp(&m, &r.prompt, &cfg, &cost),
+                    EngineChoice::GrammarTree { .. } => {
+                        decode_grammar_speculative(&m, &oracle, &r.prompt, &cfg, &cost)
+                    }
+                    _ => decode_speculative(&m, &r.prompt, &cfg, &cost),
+                };
+                check(
+                    &serial,
+                    &format!("serial {:?} at {temperature:?}, budget {budget}", r.engine),
+                );
+            }
+            let mut engine =
+                ServeEngine::new(&m, ServeConfig::concurrency(engines.len())).with_grammar(&oracle);
+            for r in requests {
+                engine.submit(r);
+            }
+            for c in engine.run(&cost).completions {
+                check(
+                    &c.output,
+                    &format!(
+                        "served request {} at {temperature:?}, budget {budget}",
+                        c.id
+                    ),
+                );
+            }
+        }
+        assert!(
+            multi > 0 && cut > 0 && budget > 0,
+            "{multi} multi-token spans, {cut} syntax cuts, {budget} budget cuts"
+        );
+    }
+
+    #[test]
     fn served_ntp_rides_the_propose_pass() {
         // NTP is the empty candidate tree: a step's one forward is its
         // row of the tick's fused propose pass, and it has nothing to

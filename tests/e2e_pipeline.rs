@@ -46,11 +46,7 @@ fn full_loop_produces_judgeable_output_for_all_methods() {
         assert!(g.output.steps > 0);
         assert_eq!(
             g.output.tokens.len(),
-            g.output
-                .trace
-                .iter()
-                .map(|t| t.committed.len())
-                .sum::<usize>(),
+            g.output.trace.iter().map(|t| t.committed).sum::<usize>(),
             "{}: trace must account for all tokens",
             method.name()
         );
