@@ -14,20 +14,29 @@
 //! [`BpeTrainer::train`] splits each text around its special spellings
 //! (one left-to-right pass: at each `[`, the longest spelling that starts
 //! there), pre-tokenizes the rest into words and counts the distinct
-//! words. Every merge then takes the adjacent pair with the highest count
-//! over all words (ties to the smaller pair) and rewrites each word left
-//! to right, exactly as a full recount before every merge would. The
-//! counts are kept incrementally instead: an index from each pair to the
-//! words that hold it names the words a merge touches, and only those are
-//! recounted (their old pairs subtracted, their new pairs added); a
-//! max-heap with lazily dropped stale entries yields the next pair. A
-//! merge so costs `O(L_m · log H)` for `L_m` the total length of the
-//! words holding its pair and `H` the heap's size, where a recount costs
-//! `O(W)` for `W` the length of all distinct words: over `M` merges,
-//! `O(W + Σ L_m · log H)` against `O(M · W)`. The recount survives as the
-//! test oracle the incremental counts are pinned to, merge for merge; so
-//! does the splitter that searched the rest of a text for every spelling
-//! after each special.
+//! words; the splitter and the pre-tokenizer are iterators, shared with
+//! encoding, so no list of pieces or words is collected per text. Every
+//! merge then takes the adjacent pair with the highest count over all
+//! words (ties to the smaller pair) and rewrites each word left to right,
+//! exactly as a full recount before every merge would. The counts are
+//! kept incrementally instead: an index from each pair to the words that
+//! hold it names the words a merge touches, and in those only the pairs
+//! beside each occurrence move — the pair itself goes, `(left, a)`
+//! becomes `(left, new)` and `(b, right)` becomes `(new, right)`, with
+//! the left neighbour read after the rewrite so that back-to-back
+//! occurrences (`a b a b` under `(a, b)`) chain through `(new, a)` to
+//! `(new, new)`. A max-heap with lazily dropped stale entries yields the
+//! next pair. A merge so costs `O(L_m + P_m · log H)` for `L_m` the total
+//! length of the distinct words holding its pair, `P_m` its occurrences
+//! in them and `H` the heap's size: the scan compares tokens, and only
+//! the at most five counts beside an occurrence are hashed. A recount
+//! costs `O(W)` for `W` the length of all distinct words: over `M`
+//! merges, `O(W + Σ (L_m + P_m · log H))` against `O(M · W)`. The
+//! recount survives as the test oracle the incremental counts are pinned
+//! to, merge for merge and, at overlapping and word-end occurrences,
+//! count for count; so do the splitter that searched the rest of a text
+//! for every spelling after each special, and the collecting forms of
+//! the splitter and the pre-tokenizer.
 //!
 //! The pair counts, the pair-to-word index and the word counts are hash
 //! maps under an in-crate multiply-rotate hasher rather than SipHash.
@@ -444,29 +453,52 @@ enum Piece<'a> {
 /// Splits `text` around special-token spellings in one left-to-right
 /// pass: at each `[`, the longest spelling that starts there is a
 /// special, and a `[` that starts none stays text.
-fn split_specials(text: &str) -> Vec<Piece<'_>> {
-    let bytes = text.as_bytes();
-    let mut pieces = Vec::new();
-    let mut text_start = 0;
-    let mut at = 0;
-    while let Some(off) = bytes[at..].iter().position(|&b| b == b'[') {
-        at += off;
-        match special_at(&bytes[at..]) {
-            Some((id, len)) => {
-                if at > text_start {
-                    pieces.push(Piece::Text(&text[text_start..at]));
-                }
-                pieces.push(Piece::Special(id));
-                at += len;
-                text_start = at;
-            }
-            None => at += 1,
+fn split_specials(text: &str) -> Pieces<'_> {
+    Pieces {
+        text,
+        text_start: 0,
+        at: 0,
+        special: None,
+    }
+}
+
+/// The pieces of a text, in order; see [`split_specials`].
+struct Pieces<'a> {
+    text: &'a str,
+    /// Start of the text piece not yet yielded.
+    text_start: usize,
+    /// Where the search for the next `[` resumes.
+    at: usize,
+    /// A special found after a text piece, yielded next.
+    special: Option<TokenId>,
+}
+
+impl<'a> Iterator for Pieces<'a> {
+    type Item = Piece<'a>;
+
+    fn next(&mut self) -> Option<Piece<'a>> {
+        if let Some(id) = self.special.take() {
+            return Some(Piece::Special(id));
         }
+        let bytes = self.text.as_bytes();
+        while let Some(off) = bytes[self.at..].iter().position(|&b| b == b'[') {
+            let at = self.at + off;
+            let Some((id, len)) = special_at(&bytes[at..]) else {
+                self.at = at + 1;
+                continue;
+            };
+            let text_start = std::mem::replace(&mut self.text_start, at + len);
+            self.at = at + len;
+            if at > text_start {
+                self.special = Some(id);
+                return Some(Piece::Text(&self.text[text_start..at]));
+            }
+            return Some(Piece::Special(id));
+        }
+        self.at = self.text.len();
+        let text_start = std::mem::replace(&mut self.text_start, self.text.len());
+        (text_start < self.text.len()).then(|| Piece::Text(&self.text[text_start..]))
     }
-    if text_start < text.len() {
-        pieces.push(Piece::Text(&text[text_start..]));
-    }
-    pieces
 }
 
 /// The id and length of the longest special spelling `bytes` starts with.
@@ -484,22 +516,37 @@ fn special_at(bytes: &[u8]) -> Option<(TokenId, usize)> {
 /// are words of their own (so indentation like `"\n    "` can merge into
 /// a single BPE token). Merges never cross word boundaries, which keeps
 /// training tractable.
-fn pre_tokenize(text: &str) -> Vec<&str> {
-    let bytes = text.as_bytes();
-    let mut words = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let start = i;
-        if bytes[i] == b' ' && i + 1 < bytes.len() && !bytes[i + 1].is_ascii_whitespace() {
-            // Single space glued to the following word.
-            i += 1;
+fn pre_tokenize(text: &str) -> Words<'_> {
+    Words { text, at: 0 }
+}
+
+/// The words of a text, in order; see [`pre_tokenize`].
+struct Words<'a> {
+    text: &'a str,
+    /// Start of the next word.
+    at: usize,
+}
+
+impl<'a> Iterator for Words<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let bytes = self.text.as_bytes();
+        let start = self.at;
+        let mut i = start;
+        if i == bytes.len() {
+            return None;
+        }
+        let word_from = |mut i: usize| {
             while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
                 i += 1;
             }
-            words.push(&text[start..i]);
-            continue;
-        }
-        if bytes[i].is_ascii_whitespace() {
+            i
+        };
+        if bytes[i] == b' ' && i + 1 < bytes.len() && !bytes[i + 1].is_ascii_whitespace() {
+            // Single space glued to the following word.
+            i = word_from(i + 1);
+        } else if bytes[i].is_ascii_whitespace() {
             // Whitespace run; if it ends in a space directly before a
             // word, leave that space to glue onto the word.
             while i < bytes.len() && bytes[i].is_ascii_whitespace() {
@@ -508,15 +555,12 @@ fn pre_tokenize(text: &str) -> Vec<&str> {
             if i < bytes.len() && bytes[i - 1] == b' ' && i - start >= 2 {
                 i -= 1;
             }
-            words.push(&text[start..i]);
-            continue;
+        } else {
+            i = word_from(i);
         }
-        while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        words.push(&text[start..i]);
+        self.at = i;
+        Some(&self.text[start..i])
     }
-    words
 }
 
 /// An adjacent token pair, the unit BPE counts and merges.
@@ -621,66 +665,26 @@ impl BpeTrainer {
 
     /// Learns the merges, rewriting each word to its final ids. Each
     /// merge is the pair of highest count over all words, ties to the
-    /// smaller pair, applied to every word left to right; only the words
-    /// holding the pair are recounted (see the crate doc).
+    /// smaller pair, applied to every word left to right; only the pairs
+    /// beside its occurrences in the words holding it are recounted (see
+    /// [`merge_word`] and the crate doc).
     fn merge_words(&self, words: &mut [Word]) -> Vec<Pair> {
         let n_merges = self.target_vocab - MERGE_BASE as usize;
         let mut merges: Vec<Pair> = Vec::new();
-        let mut counts: TrainMap<Pair, Tally> = TrainMap::default();
-        // Every word holding a pair is listed under it; a listed word may
-        // since have lost the pair, or be listed twice.
-        let mut holders: TrainMap<Pair, Vec<u32>> = TrainMap::default();
-        // Pairs whose count moved since the heap last heard of them.
-        let mut touched: Vec<Pair> = Vec::new();
-        // Max-heap of (count, smaller pair first); an entry whose count is
-        // no longer its pair's is stale and skipped when it surfaces.
-        let mut heap: BinaryHeap<(u64, Reverse<Pair>)> = BinaryHeap::new();
-        for (w, (ids, count)) in words.iter().enumerate() {
-            add_pairs(
-                ids,
-                *count,
-                w as u32,
-                &mut counts,
-                &mut holders,
-                &mut touched,
-            );
-        }
-        push_touched(&mut touched, &mut counts, &mut heap);
+        let mut index = PairIndex::of(words);
         while merges.len() < n_merges {
-            let Some((count, Reverse(pair))) = heap.pop() else {
+            let Some((count, pair)) = index.pop_best() else {
                 break;
             };
-            if counts.get(&pair).map(|t| t.count) != Some(count) {
-                continue;
-            }
             if (count as usize) < self.min_pair_count {
                 break;
             }
             let new_id = MERGE_BASE + merges.len() as TokenId;
             merges.push(pair);
-            for w in holders.remove(&pair).unwrap_or_default() {
+            for w in index.holders.remove(&pair).unwrap_or_default() {
                 let (ids, count) = &mut words[w as usize];
-                // A word that lost the pair since it was listed, or that
-                // is listed twice and was rewritten at its first listing,
-                // holds no occurrence of it: a rewrite leaves none.
-                if !ids.windows(2).any(|p| (p[0], p[1]) == pair) {
-                    continue;
-                }
-                for p in ids.windows(2) {
-                    let old = (p[0], p[1]);
-                    let tally = counts.get_mut(&old).expect("a held pair is counted");
-                    tally.count -= *count;
-                    if tally.count == 0 {
-                        counts.remove(&old);
-                    } else if !tally.touched {
-                        tally.touched = true;
-                        touched.push(old);
-                    }
-                }
-                merge_pair(ids, pair, new_id);
-                add_pairs(ids, *count, w, &mut counts, &mut holders, &mut touched);
+                merge_word(ids, pair, new_id, *count, w, &mut index);
             }
-            push_touched(&mut touched, &mut counts, &mut heap);
         }
         merges
     }
@@ -709,70 +713,135 @@ fn count_words<'a>(corpus: impl Iterator<Item = &'a str>) -> Vec<Word> {
 }
 
 /// A pair's count over all words, and whether it is listed in the
-/// trainer's `touched` since the heap last heard of it: a merge lists a
+/// index's `touched` since the heap last heard of it: a merge lists a
 /// pair once however many of the words it rewrites hold the pair.
 struct Tally {
     count: u64,
     touched: bool,
 }
 
-/// Adds word `w`'s adjacent pairs, `count` times each, to the pair
-/// counts, lists `w` under each pair, and lists each pair in `touched`
-/// unless it is there already.
-fn add_pairs(
-    ids: &[TokenId],
-    count: u64,
-    w: u32,
-    counts: &mut TrainMap<Pair, Tally>,
-    holders: &mut TrainMap<Pair, Vec<u32>>,
-    touched: &mut Vec<Pair>,
-) {
-    for p in ids.windows(2) {
-        let pair = (p[0], p[1]);
-        let tally = counts.entry(pair).or_insert(Tally {
+/// The trainer's pair counts, kept incrementally, and the heap that
+/// yields the next merge.
+#[derive(Default)]
+struct PairIndex {
+    counts: TrainMap<Pair, Tally>,
+    /// Every word holding a pair is listed under it; a listed word may
+    /// since have lost the pair, or be listed twice.
+    holders: TrainMap<Pair, Vec<u32>>,
+    /// Pairs whose count moved since the heap last heard of them.
+    touched: Vec<Pair>,
+    /// Max-heap of (count, smaller pair first); an entry whose count is
+    /// no longer its pair's is stale and skipped when it surfaces.
+    heap: BinaryHeap<(u64, Reverse<Pair>)>,
+}
+
+impl PairIndex {
+    /// The index of every adjacent pair of `words`.
+    fn of(words: &[Word]) -> Self {
+        let mut index = PairIndex::default();
+        for (w, (ids, count)) in words.iter().enumerate() {
+            for p in ids.windows(2) {
+                index.add((p[0], p[1]), *count, w as u32);
+            }
+        }
+        index
+    }
+
+    /// Counts `pair` `count` more times, in word `w`, which it lists
+    /// under the pair.
+    fn add(&mut self, pair: Pair, count: u64, w: u32) {
+        let tally = self.counts.entry(pair).or_insert(Tally {
             count: 0,
             touched: false,
         });
         tally.count += count;
         if !tally.touched {
             tally.touched = true;
-            touched.push(pair);
+            self.touched.push(pair);
         }
-        let list = holders.entry(pair).or_default();
+        let list = self.holders.entry(pair).or_default();
         if list.last() != Some(&w) {
             list.push(w);
         }
     }
+
+    /// Counts `pair` `count` fewer times; a pair counted out is dropped.
+    fn sub(&mut self, pair: Pair, count: u64) {
+        let tally = self.counts.get_mut(&pair).expect("a held pair is counted");
+        tally.count -= count;
+        if tally.count == 0 {
+            self.counts.remove(&pair);
+        } else if !tally.touched {
+            tally.touched = true;
+            self.touched.push(pair);
+        }
+    }
+
+    /// The pair of highest count, ties to the smaller pair, with its
+    /// count. First pushes each still-counted pair of `touched` onto the
+    /// heap with its count, once: a pair counted out and back in during
+    /// one merge is listed twice, and its first listing clears its mark.
+    fn pop_best(&mut self) -> Option<(u64, Pair)> {
+        for p in self.touched.drain(..) {
+            if let Some(tally) = self.counts.get_mut(&p).filter(|t| t.touched) {
+                tally.touched = false;
+                self.heap.push((tally.count, Reverse(p)));
+            }
+        }
+        while let Some((count, Reverse(pair))) = self.heap.pop() {
+            if self.counts.get(&pair).map(|t| t.count) == Some(count) {
+                return Some((count, pair));
+            }
+        }
+        None
+    }
 }
 
-/// Pushes each still-counted pair of `touched` onto the heap with its
-/// count, once, and empties `touched`. A pair counted out and back in
-/// during one merge is listed twice; its first listing clears its mark.
-fn push_touched(
-    touched: &mut Vec<Pair>,
-    counts: &mut TrainMap<Pair, Tally>,
-    heap: &mut BinaryHeap<(u64, Reverse<Pair>)>,
+/// Rewrites every occurrence of `pair = (a, b)` in word `w` (`ids`, which
+/// occurs `count` times) to `new_id`, left to right (`a a a` under
+/// `(a, a)` becomes `new a`), and moves the pair counts by `count` at
+/// each occurrence only: the pair itself goes, `(left, a)` becomes
+/// `(left, new_id)` and `(b, right)` becomes `(new_id, right)`. A left
+/// neighbour is read after the rewrite, so when the occurrence before
+/// ended there it is `new_id`, and `(new_id, a)` — the pair that
+/// occurrence's right side counted — becomes `(new_id, new_id)`. A word
+/// that lost the pair since it was listed, or that is listed twice and
+/// was rewritten at its first listing, holds no occurrence and is left
+/// as it is.
+fn merge_word(
+    ids: &mut Vec<TokenId>,
+    pair: Pair,
+    new_id: TokenId,
+    count: u64,
+    w: u32,
+    index: &mut PairIndex,
 ) {
-    for p in touched.drain(..) {
-        if let Some(tally) = counts.get_mut(&p).filter(|t| t.touched) {
-            tally.touched = false;
-            heap.push((tally.count, Reverse(p)));
-        }
-    }
-}
-
-/// Rewrites every occurrence of `pair` in `ids` to `new_id`, left to
-/// right (`a a a` under `(a, a)` becomes `new a`).
-fn merge_pair(ids: &mut Vec<TokenId>, pair: Pair, new_id: TokenId) {
-    let mut i = 0;
-    while i + 1 < ids.len() {
-        if (ids[i], ids[i + 1]) == pair {
-            ids[i] = new_id;
-            ids.remove(i + 1);
+    let (a, b) = pair;
+    let Some(first) = ids.windows(2).position(|p| (p[0], p[1]) == pair) else {
+        return;
+    };
+    let (mut read, mut write) = (first, first);
+    while read < ids.len() {
+        if read + 1 < ids.len() && (ids[read], ids[read + 1]) == pair {
+            index.sub(pair, count);
+            if write > 0 {
+                let left = ids[write - 1];
+                index.sub((left, a), count);
+                index.add((left, new_id), count, w);
+            }
+            if let Some(&right) = ids.get(read + 2) {
+                index.sub((b, right), count);
+                index.add((new_id, right), count, w);
+            }
+            ids[write] = new_id;
+            read += 2;
         } else {
-            i += 1;
+            ids[write] = ids[read];
+            read += 1;
         }
+        write += 1;
     }
+    ids.truncate(write);
 }
 
 #[cfg(test)]
@@ -901,13 +970,17 @@ mod tests {
         assert!(serde_json::from_str::<BpeTokenizer>(&mismatched).is_err());
     }
 
+    fn words_of(text: &str) -> Vec<&str> {
+        pre_tokenize(text).collect()
+    }
+
     #[test]
     fn pre_tokenize_attaches_single_leading_space() {
-        let words = pre_tokenize("assign y = a;");
+        let words = words_of("assign y = a;");
         assert_eq!(words, vec!["assign", " y", " =", " a;"]);
-        let words = pre_tokenize("a  b");
+        let words = words_of("a  b");
         assert_eq!(words, vec!["a", " ", " b"]);
-        let words = pre_tokenize("a\n\tb");
+        let words = words_of("a\n\tb");
         assert_eq!(words, vec!["a", "\n\t", "b"]);
     }
 
@@ -915,17 +988,17 @@ mod tests {
     fn pre_tokenize_keeps_indentation_runs_whole() {
         // Newline + 4-space indent: the run stays one word (minus the
         // space glued to the following token), so BPE can merge it.
-        let words = pre_tokenize("x;\n    input y");
+        let words = words_of("x;\n    input y");
         assert_eq!(words, vec!["x;", "\n   ", " input", " y"]);
         // Pure trailing whitespace keeps the full run.
-        assert_eq!(pre_tokenize("a\n    "), vec!["a", "\n    "]);
+        assert_eq!(words_of("a\n    "), vec!["a", "\n    "]);
     }
 
     #[test]
     fn pre_tokenize_handles_trailing_space() {
-        assert_eq!(pre_tokenize("a "), vec!["a", " "]);
-        assert_eq!(pre_tokenize(" "), vec![" "]);
-        assert_eq!(pre_tokenize(""), Vec::<&str>::new());
+        assert_eq!(words_of("a "), vec!["a", " "]);
+        assert_eq!(words_of(" "), vec![" "]);
+        assert_eq!(words_of(""), Vec::<&str>::new());
     }
 
     #[test]
