@@ -44,10 +44,11 @@
 //!    repeats) and **no head is evaluated yet**. Returns which
 //!    [`Phase`] the step needs next.
 //! 2. **verify** ([`Stepper::verify_level`]) — one call per **level**
-//!    of the candidate tree: consume the level just scored (run
-//!    acceptance on those nodes' child edges), then plan the children
-//!    whose edge was accepted. Under sampling a scored node's tempered
-//!    softmax is held as its **support**
+//!    of the candidate tree: consume the level just scored — **judge**
+//!    its nodes, name their children, run acceptance on those child
+//!    edges — then plan the children whose edge was accepted. Under
+//!    sampling a scored node's tempered softmax is held as its
+//!    **support**
 //!    ([`verispec_lm::matrix::tempered_support_into`]: the entries whose
 //!    `exp` is non-zero, tens of a cold row's hundreds, and the dense
 //!    row's normalisers bit for bit); an edge's probability, Eq. 1's
@@ -58,17 +59,30 @@
 //!    a depth-`d` node is, so a step costs what its accepted prefix
 //!    costs, not what its proposed tree would: `1 + levels reached`
 //!    head rows instead of `1 + depth`. The unconstrained engines give
-//!    every node of a level the head's top-k; the grammar engine names
-//!    each reached node's children through that node's own
-//!    [`ViabilityState`] — the first `k` tokens of the head's ranking
-//!    viable from it, else the top `k` — ranking the head once per
-//!    level and only as deep as those scans read it
-//!    ([`verispec_lm::Ranking`]). The stepper
-//!    either scores each level on its own session (what the serial
-//!    engines do) or plans it into a shared [`verispec_lm::VerifyPlan`]
-//!    that a server executes for its whole batch in one
-//!    [`verispec_lm::verify_many`] pass per level, the level's head row
-//!    riding the same pass.
+//!    every node of a level the head's top-k — and read the head only
+//!    as far as acceptance needs it: a level's verdicts come first
+//!    (each node's row read once), and from them a
+//!    small superset of the tokens the level could accept (the arg-max
+//!    under greedy decoding; under sampling the support entries Eq. 1
+//!    does not already refuse on their probability alone). The head
+//!    row is then computed a kernel block at a time, those tokens'
+//!    blocks first ([`verispec_lm::DecodeSession::head_row_until`]),
+//!    and once `k` computed entries outrank all of them the level can
+//!    accept nothing: it names no child and verification ends there —
+//!    about half the levels reached on the benchmark's fleet workloads,
+//!    which then compute about 60 % of their head-row blocks. A row not
+//!    cut short is whole and named as before. The grammar engine names each reached
+//!    node's children through that node's own [`ViabilityState`] — the
+//!    first `k` tokens of the head's ranking viable from it, else the
+//!    top `k` — ranking the whole head row once per level and only as
+//!    deep as those scans read it ([`verispec_lm::Ranking`]). There is
+//!    one head-row path: the step evaluates every head row itself,
+//!    from the activation kept in its own arena, where a base row a
+//!    server forwarded is copied first. The stepper either scores each
+//!    level on its own session (what the serial engines do) or plans it
+//!    into a shared [`verispec_lm::VerifyPlan`] that a server executes
+//!    for its whole batch in one [`verispec_lm::verify_many`] pass per
+//!    level.
 //! 3. **commit** ([`Stepper::commit`]) — write the committed span from
 //!    the accepted edges straight onto the end of the output's tokens,
 //!    cut it there in place (syntax-integrity truncation, then the
@@ -207,40 +221,19 @@ struct Pending {
     /// acceptance history are charged.
     candidate_tokens: usize,
     verify_issued: bool,
-    /// The levels still to be named.
-    lazy: LazyLevels,
+    /// The candidate tree grows a level at a time: the children of a
+    /// depth-`d` node are named from head `d + 1` at the step's base
+    /// position, evaluated from the activation kept at this row of the
+    /// stepper's own arena once a depth-`d` node is forwarded.
+    kept: usize,
+    /// Depth of the level in flight — planned, its rows not yet
+    /// consumed (0: the root).
+    depth: usize,
     /// Where the trie's rows start in the stepper's own arena, once it
     /// has scored a level itself; `None` while nothing is scored and
     /// when a server's passes score the step (the rows are then handed
     /// to [`Stepper::commit`]).
     local_rows: Option<usize>,
-}
-
-/// A candidate tree growing a level at a time: the children of a
-/// depth-`d` node are named from head `d + 1` at the step's base
-/// position, so the head is evaluated — from what the base forward
-/// kept — only once a depth-`d` node is forwarded, and the level's
-/// tokens are named just before their edges are tested.
-struct LazyLevels {
-    kept: Kept,
-    /// Depth of the level in flight — planned, its rows not yet
-    /// consumed (0: the root).
-    depth: usize,
-    /// Under [`Kept::Fused`]: which of the plan's head rows was asked
-    /// for with the level in flight.
-    ticket: usize,
-}
-
-/// Where a step's base position was forwarded, which is where its head
-/// rows come from.
-#[derive(Clone, Copy)]
-enum Kept {
-    /// By this stepper, at this row of its own arena: it evaluates its
-    /// own head rows.
-    Local(usize),
-    /// By a server's fused pass, at this row of the server's arena:
-    /// head rows ride the shared [`VerifyPlan`].
-    Fused(usize),
 }
 
 /// What acceptance needs from one scored node, computed when its row
@@ -403,8 +396,7 @@ impl NodeAccept {
                 sum,
                 threshold,
             } => {
-                let e = (logits[tok as usize] / *temperature - *max).exp();
-                let p = if *sum > 0.0 { e / *sum } else { e };
+                let p = probability((logits[tok as usize] / *temperature - *max).exp(), *sum);
                 if p > acceptance.epsilon {
                     return true;
                 }
@@ -417,6 +409,70 @@ impl NodeAccept {
                 p > *threshold.get_or_insert_with(|| acceptance.threshold_on_support(support, *sum))
             }
         }
+    }
+
+    /// Appends to `seeds` a superset of the tokens
+    /// [`NodeAccept::accepts`] can pass at this node, read off what
+    /// [`NodeAccept::of`] kept — `support` is what it appended — and
+    /// returns `true`; `false`, when no finite set is known: a token
+    /// outside the support has probability zero, which Eq. 1 refuses
+    /// only for non-negative `ε` and `δ`.
+    ///
+    /// Under greedy decoding the set is the arg-max. Under sampling it
+    /// is every support entry that `accepts` would not already refuse
+    /// on its probability alone — at zero, under the bound
+    /// ([`TypicalAcceptance::rejects_on_bound`]), or at or under a
+    /// threshold the node has already computed — so no entropy is
+    /// taken. The bound's rejections are a prefix of the entries by
+    /// `exp`, so they are found with one compare each against the
+    /// largest `exp` the bound is checked to reject, no division.
+    fn acceptable_into(
+        &self,
+        acceptance: &TypicalAcceptance,
+        support: &[(TokenId, f32)],
+        seeds: &mut Vec<TokenId>,
+    ) -> bool {
+        let (sum, threshold) = match *self {
+            NodeAccept::Greedy(best) => {
+                seeds.push(best);
+                return true;
+            }
+            NodeAccept::Typical { sum, threshold, .. } => (sum, threshold),
+        };
+        if !(acceptance.epsilon >= 0.0 && acceptance.delta >= 0.0) {
+            return false;
+        }
+        let n = support.len();
+        let bound = |p: f32| acceptance.rejects_on_bound(p, n);
+        let rejected = |p: f32| {
+            p <= acceptance.epsilon && (p <= 0.0 || bound(p) || threshold.is_some_and(|t| p <= t))
+        };
+        // `p` rises with `e` and the bound holds for every `p` under one
+        // it holds for, so every `e` at or under an `exp` whose
+        // probability it rejects is rejected too. The cut is the bound
+        // turned into an `exp`, checked (not trusted) a few ulps down;
+        // without one, every entry is divided.
+        let bar = acceptance.epsilon.min(acceptance.delta / (2.0 * n as f32)) * sum;
+        let cut = std::iter::successors(Some(bar), |c| Some(c.next_down()))
+            .take(4)
+            .find(|&c| bound(probability(c, sum)))
+            .unwrap_or(0.0);
+        for &(tok, e) in support {
+            if e > cut && !rejected(probability(e, sum)) {
+                seeds.push(tok);
+            }
+        }
+        true
+    }
+}
+
+/// A support entry's probability: its `exp` over the support's sum,
+/// the operation the dense softmax does.
+fn probability(e: f32, sum: f32) -> f32 {
+    if sum > 0.0 {
+        e / sum
+    } else {
+        e
     }
 }
 
@@ -481,9 +537,15 @@ pub struct Stepper<'m> {
     /// token is drawn from.
     carry_support: Vec<(TokenId, f32)>,
     carry_sum: f32,
-    /// The head row this stepper evaluated itself: one level's at a
-    /// time.
+    /// The head row of the level being named, as far as it was
+    /// evaluated: one level's at a time.
     head_rows: LogitsArena,
+    /// The verdict of every node of the level being consumed
+    /// ([`Stepper::judge_level`]), in level order.
+    verdicts: Vec<NodeAccept>,
+    /// A superset of the tokens the level being consumed could accept,
+    /// ascending: what its head row is read against.
+    seeds: Vec<TokenId>,
     /// The candidate tokens of the node being named: its head's top-k
     /// (shared by a level's nodes), or a grammar node's own options.
     options: Vec<TokenId>,
@@ -559,6 +621,8 @@ impl<'m> Stepper<'m> {
             carry_support: Vec::new(),
             carry_sum: 0.0,
             head_rows: LogitsArena::new(),
+            verdicts: Vec::new(),
+            seeds: Vec::new(),
             options: Vec::new(),
             supports: Vec::new(),
             dists: Vec::new(),
@@ -695,18 +759,15 @@ impl<'m> Stepper<'m> {
         // and the row it left becomes this arena's row 0; only a step
         // with nothing carried forwards.
         let carried = base.is_none() && self.carry.rows() > 0;
-        let (rows, kept) = match base {
-            Some(rows) => (rows, Kept::Fused(rows.base())),
-            None => {
-                let row = if carried {
-                    std::mem::swap(&mut self.scratch, &mut self.carry);
-                    0
-                } else {
-                    session.base_row_into(levels, &mut self.scratch)
-                };
-                (self.scratch.rows_from(row), Kept::Local(row))
+        let local = match base {
+            Some(_) => 0,
+            None if carried => {
+                std::mem::swap(&mut self.scratch, &mut self.carry);
+                0
             }
+            None => session.base_row_into(levels, &mut self.scratch),
         };
+        let rows = base.unwrap_or_else(|| self.scratch.rows_from(local));
         self.carry.clear();
         // One RNG draw either way: from the carried row's support when
         // acceptance has normalised it already (greedy reads the
@@ -729,6 +790,13 @@ impl<'m> Stepper<'m> {
             self.last_prune = Some(PruneRecord::default());
         }
         let verify_issued = base_tok != eos && candidate_tokens > 0;
+        // Head rows are evaluated from the stepper's own arena: a base
+        // row a server's fused pass forwarded is copied there, with the
+        // activation beside it, once there is a head to read.
+        let kept = match base {
+            Some(rows) if verify_issued => self.scratch.push_kept(rows),
+            _ => local,
+        };
         if verify_issued {
             session.append(&[base_tok]);
             // The trie of the shape, no token named yet — and the same
@@ -751,11 +819,8 @@ impl<'m> Stepper<'m> {
             base_tok,
             candidate_tokens,
             verify_issued,
-            lazy: LazyLevels {
-                kept,
-                depth: 0,
-                ticket: 0,
-            },
+            kept,
+            depth: 0,
             local_rows: None,
         });
         if verify_issued {
@@ -807,19 +872,13 @@ impl<'m> Stepper<'m> {
         plan: Option<&mut VerifyPlan>,
     ) -> bool {
         if let Some(rows) = scored {
-            self.consume_level(rows, local, plan.as_deref());
+            self.consume_level(rows, local);
         }
         if !self.nodes.has_frontier() {
             return false;
         }
         if let Some(plan) = plan {
             if self.target.plan_frontier(&mut self.nodes, plan) {
-                // The level's head row rides the pass that forwards
-                // the level.
-                let lazy = &mut self.pending.as_mut().expect("a step is pending").lazy;
-                if let Kept::Fused(row) = lazy.kept {
-                    lazy.ticket = plan.request_head(row, lazy.depth + 1);
-                }
                 return true;
             }
         }
@@ -827,53 +886,94 @@ impl<'m> Stepper<'m> {
         while self.nodes.has_frontier() {
             let base = self.target.score_frontier(&mut self.nodes, local);
             self.pending.as_mut().expect("a step is pending").local_rows = Some(base);
-            self.consume_level(local.rows_from(base), local, None);
+            self.consume_level(local.rows_from(base), local);
         }
         false
     }
 
+    /// Consumes the level just scored: judges its nodes
+    /// ([`Stepper::judge_level`]), names their children
+    /// ([`Stepper::name_next_level`]), then tests their edges
+    /// ([`Stepper::test_level`]).
+    fn consume_level(&mut self, scored: ArenaRows<'_>, local: &LogitsArena) {
+        let bounded = self.judge_level(scored);
+        self.name_next_level(local, bounded);
+        self.test_level(scored);
+    }
+
+    /// Judges every node of the level just scored: reads its row once
+    /// ([`NodeAccept::of`]) and keeps the verdict, in level order, for
+    /// [`Stepper::test_level`] — under sampling with the node's support
+    /// marked. For the unconstrained engines it also collects into
+    /// `seeds`, ascending, a superset of the tokens the level could
+    /// accept ([`NodeAccept::acceptable_into`]) and returns `true`;
+    /// `false` when the level could accept any token, and for the
+    /// grammar engine, whose naming reads its heads whole.
+    fn judge_level(&mut self, scored: ArenaRows<'_>) -> bool {
+        let (nodes, dists, supports) = (&self.nodes, &mut self.dists, &mut self.supports);
+        let (verdicts, seeds) = (&mut self.verdicts, &mut self.seeds);
+        let cfg = &self.cfg;
+        verdicts.clear();
+        seeds.clear();
+        let mut bounded = self.grammar.is_none();
+        for &node in nodes.level() {
+            let from = supports.len();
+            let verdict =
+                NodeAccept::of(scored.row(nodes.row(node)), cfg.sampling, dists, supports);
+            if let NodeAccept::Typical { sum, .. } = verdict {
+                let mark = &mut self.marks[node];
+                (mark.support, mark.sum) = ((from, supports.len()), sum);
+            }
+            bounded = bounded && verdict.acceptable_into(&cfg.acceptance, &supports[from..], seeds);
+            verdicts.push(verdict);
+        }
+        seeds.sort_unstable();
+        seeds.dedup();
+        bounded
+    }
+
     /// Names the children of every node of the level in flight — depth
     /// `d`, from head `d + 1` at the step's base position: the one
-    /// moment a step evaluates a Medusa head, from the activation its
-    /// base forward kept in `local` or — forwarded by a server —
-    /// through `plan`. The unconstrained engines give every node the
-    /// head's top-k; the grammar engine gives each node the options
-    /// its own viability state lets through ([`viable_options`]), from
-    /// one ranking of the head per level, and counts what the filter
-    /// did into `last_prune`.
-    fn name_next_level(&mut self, local: &LogitsArena, plan: Option<&VerifyPlan>) {
-        let lazy = &self.pending.as_ref().expect("a step is pending").lazy;
-        let head = lazy.depth + 1;
-        let row = match lazy.kept {
-            Kept::Local(kept) => {
-                self.head_rows.clear();
-                let at = self.target.head_rows_into(
-                    local.rows_from(kept),
-                    head..head + 1,
-                    &mut self.head_rows,
-                );
-                self.head_rows.row(at)
-            }
-            Kept::Fused(_) => plan
-                .expect("a fused propose is verified through the server's plan")
-                .head_rows()
-                .row(lazy.ticket),
-        };
+    /// moment a step evaluates a Medusa head, from the activation kept
+    /// in its own arena `local`. The unconstrained engines give every
+    /// node the head's top-k — and when the level's verdicts bound what
+    /// it could accept (`bounded`), they read the head only until it
+    /// shows whether one of those tokens ranks among the top-k
+    /// ([`DecodeSession::head_row_until`]): a row cut short proves
+    /// that no child edge could be accepted, and no child is named.
+    /// The grammar engine gives each node the options its own
+    /// viability state lets through ([`viable_options`]), from one
+    /// ranking of the whole head row per level, and counts what the
+    /// filter did into `last_prune`.
+    fn name_next_level(&mut self, local: &LogitsArena, bounded: bool) {
+        let pending = self.pending.as_ref().expect("a step is pending");
+        let (kept, head) = (local.rows_from(pending.kept), pending.depth + 1);
         let (nodes, marks, options) = (&mut self.nodes, &mut self.marks, &mut self.options);
         let width = nodes.width(head - 1);
+        let (session, rows) = (self.target.as_mut(), &mut self.head_rows);
+        rows.clear();
         match &mut self.grammar {
             None => {
-                top_k_into(row, width, options);
+                let at = if bounded {
+                    session.head_row_until(kept, head, &self.seeds, width, rows)
+                } else {
+                    Some(session.head_rows_into(kept, head..head + 1, rows))
+                };
+                let Some(at) = at else {
+                    return;
+                };
+                top_k_into(rows.row(at), width, options);
                 for k in 0..nodes.level().len() {
                     name_children(nodes, marks, nodes.level()[k], options, |_, _| {});
                 }
             }
             Some(g) => {
+                let at = session.head_rows_into(kept, head..head + 1, rows);
                 let record = self
                     .last_prune
                     .as_mut()
                     .expect("a grammar propose opens it");
-                let mut ranked = Ranking::new(row, width);
+                let mut ranked = Ranking::new(rows.row(at), width);
                 for k in 0..nodes.level().len() {
                     let node = nodes.level()[k];
                     let state = g.at_node[node];
@@ -891,39 +991,20 @@ impl<'m> Stepper<'m> {
         }
     }
 
-    /// Consumes the level just scored: names its nodes' children
-    /// ([`Stepper::name_next_level`]), then tests their edges
-    /// ([`Stepper::test_level`]).
-    fn consume_level(
-        &mut self,
-        scored: ArenaRows<'_>,
-        local: &LogitsArena,
-        plan: Option<&VerifyPlan>,
-    ) {
-        self.name_next_level(local, plan);
-        self.test_level(scored);
-    }
-
-    /// Runs acceptance over the level just scored: every node of it
-    /// reads its row once, decides its named child edges back to back,
-    /// and requests the children acceptance goes on to.
+    /// Runs acceptance over the level just judged: every node decides
+    /// its named child edges back to back on its verdict and its own
+    /// support, and requests the children acceptance goes on to.
     fn test_level(&mut self, scored: ArenaRows<'_>) {
-        let (nodes, dists, supports) = (&mut self.nodes, &mut self.dists, &mut self.supports);
-        let cfg = &self.cfg;
-        for k in 0..nodes.level().len() {
+        let (nodes, supports, cfg) = (&mut self.nodes, &self.supports, &self.cfg);
+        for (k, verdict) in self.verdicts.iter_mut().enumerate() {
             let node = nodes.level()[k];
             let logits = scored.row(nodes.row(node));
-            let from = supports.len();
-            let mut verdict = NodeAccept::of(logits, cfg.sampling, dists, supports);
-            if let NodeAccept::Typical { sum, .. } = verdict {
-                let mark = &mut self.marks[node];
-                (mark.support, mark.sum) = ((from, supports.len()), sum);
-            }
+            let (from, to) = self.marks[node].support;
             // The named children lead the sibling list.
             let mut child = nodes.first_child(node).filter(|&c| self.marks[c].named);
             while let Some(c) = child {
                 let tok = nodes.token(c);
-                if verdict.accepts(logits, tok, &cfg.acceptance, &supports[from..]) {
+                if verdict.accepts(logits, tok, &cfg.acceptance, &supports[from..to]) {
                     self.marks[c].accepted = true;
                     // Nothing is read past an accepted `eos`, nor at a
                     // full path's own node.
@@ -935,7 +1016,7 @@ impl<'m> Stepper<'m> {
             }
         }
         nodes.clear_level();
-        self.pending.as_mut().expect("a step is pending").lazy.depth += 1;
+        self.pending.as_mut().expect("a step is pending").depth += 1;
     }
 
     /// Phase 3: commits the pending step from what its verification
@@ -1245,12 +1326,13 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn node_acceptance_matches_the_full_row_definition() {
-        // The definition the per-node evaluation and its shortcuts
-        // must reproduce: one full distribution per edge, then exact
-        // match or Eq. 1 on it.
-        use verispec_lm::matrix::tempered_softmax_into;
+    /// A sampling and the logits rows it is judged on.
+    type SampledRows = (Sampling, Vec<Vec<f32>>);
+
+    /// The fixed sweep of [`node_acceptance_matches_the_full_row_definition`]:
+    /// per sampling, its rows — narrow and vocabulary-wide, tied, flat
+    /// and peaked — and the `(ε, δ)` pairs every row is judged under.
+    fn acceptance_sweep() -> (Vec<SampledRows>, [TypicalAcceptance; 6]) {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state = state
@@ -1349,13 +1431,26 @@ pub(crate) mod tests {
             (0.09, 1e-40),
         ]
         .map(|(epsilon, delta)| TypicalAcceptance { epsilon, delta });
+        let sweep = samplings
+            .into_iter()
+            .map(|sampling| match sampling {
+                Sampling::Greedy => (sampling, rows_at(1.0)),
+                Sampling::Temperature { temperature, .. } => (sampling, rows_at(temperature)),
+            })
+            .collect();
+        (sweep, acceptances)
+    }
+
+    #[test]
+    fn node_acceptance_matches_the_full_row_definition() {
+        // The definition the per-node evaluation and its shortcuts
+        // must reproduce: one full distribution per edge, then exact
+        // match or Eq. 1 on it.
+        use verispec_lm::matrix::tempered_softmax_into;
+        let (sweep, acceptances) = acceptance_sweep();
         let mut dense = Vec::new();
         let ulp = |x: f32, by: i32| f32::from_bits((x.to_bits() as i32 + by) as u32);
-        for sampling in samplings {
-            let rows = match sampling {
-                Sampling::Greedy => rows_at(1.0),
-                Sampling::Temperature { temperature, .. } => rows_at(temperature),
-            };
+        for (sampling, rows) in sweep {
             for logits in &rows {
                 let mut scored = None;
                 for acceptance in &acceptances {
@@ -1404,6 +1499,120 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// A node's superset of acceptable tokens against the definition,
+    /// collected when the node is judged and again once testing every
+    /// edge has cached its threshold: it holds every token the
+    /// definition accepts, ascending; under greedy it is the
+    /// distribution's arg-max alone, and under sampling the support
+    /// entries not refused on their probability alone — the bound's
+    /// `exp` cut included, entry by entry. Returns how many support entries
+    /// it kept and left out, `None` where no set is known.
+    fn assert_superset(
+        logits: &[f32],
+        sampling: Sampling,
+        acceptance: &TypicalAcceptance,
+    ) -> Option<(usize, usize)> {
+        use super::frontier_tests::reference_accepts as reference;
+        use verispec_lm::matrix::softmax;
+        let (mut dists, mut support, mut seeds) = (Vec::new(), Vec::new(), Vec::new());
+        let mut node = NodeAccept::of(logits, sampling, &mut dists, &mut support);
+        let what = format!("{sampling:?} {acceptance:?} {logits:?}");
+        let accepted: Vec<TokenId> = (0..logits.len() as TokenId)
+            .filter(|&tok| reference(logits, tok, sampling, acceptance))
+            .collect();
+        for judged in [false, true] {
+            if judged {
+                for tok in 0..logits.len() as TokenId {
+                    node.accepts(logits, tok, acceptance, &support);
+                }
+            }
+            seeds.clear();
+            if !node.acceptable_into(acceptance, &support, &mut seeds) {
+                // Only where a token of probability zero can pass.
+                assert!(
+                    acceptance.epsilon < 0.0 || acceptance.delta < 0.0,
+                    "{what}: no set"
+                );
+                return None;
+            }
+            assert!(seeds.windows(2).all(|w| w[0] < w[1]), "{what}: ascending");
+            for tok in &accepted {
+                assert!(seeds.contains(tok), "{what}: {tok} accepted, not a seed");
+            }
+            if sampling == Sampling::Greedy {
+                assert_eq!(seeds, [argmax(&softmax(logits))], "{what}");
+            }
+            // Under sampling the set is exactly the support entries its
+            // doc names: those not refused on their probability alone.
+            if let NodeAccept::Typical { sum, threshold, .. } = node {
+                let n = support.len();
+                for &(tok, e) in &support {
+                    let p = probability(e, sum);
+                    let refused = p <= acceptance.epsilon
+                        && (p <= 0.0
+                            || acceptance.rejects_on_bound(p, n)
+                            || threshold.is_some_and(|t| p <= t));
+                    assert_eq!(seeds.contains(&tok), !refused, "{what}: {tok} at {p}");
+                }
+            }
+        }
+        Some((seeds.len(), support.len().saturating_sub(seeds.len())))
+    }
+
+    #[test]
+    fn acceptable_superset_holds_every_token_eq1_accepts() {
+        // Over the sweep the acceptance definition is pinned on — and,
+        // as there, with `δ` one ulp either side of `2·n·p` for a row's
+        // runner-up and its median support entry, where the bound's
+        // `exp` cut lies — every token the definition accepts at a node
+        // is in the node's superset ([`assert_superset`]).
+        let (sweep, acceptances) = acceptance_sweep();
+        let ulp = |x: f32, by: i32| f32::from_bits((x.to_bits() as i32 + by) as u32);
+        let (mut kept, mut left) = (0usize, 0usize);
+        for (sampling, rows) in sweep {
+            for logits in &rows {
+                for acceptance in &acceptances {
+                    let counts = assert_superset(logits, sampling, acceptance);
+                    // Cold, at MEDUSA's defaults: the benchmark's case.
+                    let cold = matches!(sampling,
+                        Sampling::Temperature { temperature, .. } if temperature <= 0.05);
+                    if let Some((k, l)) = counts.filter(|_| cold && acceptance == &acceptances[0]) {
+                        (kept, left) = (kept + k, left + l);
+                    }
+                }
+                let Sampling::Temperature { temperature, .. } = sampling else {
+                    continue;
+                };
+                let mut support = Vec::new();
+                let (_, sum) = tempered_support_into(logits, temperature, &mut support);
+                let mut by_weight = support.clone();
+                by_weight.sort_by(|a, b| b.1.total_cmp(&a.1));
+                let picks = [
+                    by_weight[1.min(by_weight.len() - 1)],
+                    by_weight[by_weight.len() / 2],
+                ];
+                for (_, e) in picks {
+                    let edge = 2.0 * support.len() as f32 * (e / sum);
+                    if edge < f32::MIN_POSITIVE {
+                        continue;
+                    }
+                    for delta in [ulp(edge, -1), edge, ulp(edge, 1)] {
+                        let acceptance = TypicalAcceptance {
+                            epsilon: 1.0,
+                            delta,
+                        };
+                        assert_superset(logits, sampling, &acceptance);
+                    }
+                }
+            }
+        }
+        // It is not the support: cold, it leaves entries out.
+        assert!(
+            kept > 0 && left > 0,
+            "{left} support entries left out, {kept} kept"
+        );
     }
 
     #[test]

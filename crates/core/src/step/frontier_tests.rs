@@ -140,11 +140,8 @@ impl Stepper<'_> {
             base_tok,
             candidate_tokens,
             verify_issued,
-            lazy: LazyLevels {
-                kept: Kept::Local(base),
-                depth: 0,
-                ticket: 0,
-            },
+            kept: base,
+            depth: 0,
             local_rows: None,
         });
         if verify_issued {
@@ -262,14 +259,16 @@ impl Stepper<'_> {
     }
 
     /// [`Stepper::verify_level`] on its own session, for a trie whose
-    /// tokens are all known — an injected one: every level scored and
-    /// its edges tested, but nothing named, which would overwrite them.
+    /// tokens are all known — an injected one: every level scored,
+    /// judged and its edges tested, but nothing named, which would
+    /// overwrite them.
     fn verify_known_tree(&mut self) {
         let mut local = std::mem::take(&mut self.scratch);
         while self.nodes.has_frontier() {
             let session = self.target.as_mut();
             let base = session.score_frontier(&mut self.nodes, &mut local);
             self.pending.as_mut().expect("a step is pending").local_rows = Some(base);
+            self.judge_level(local.rows_from(base));
             self.test_level(local.rows_from(base));
         }
         self.scratch = local;
@@ -675,6 +674,93 @@ proptest! {
             prop_assert!(same(st.output(), want), "{:?} fused", engine);
         }
     }
+}
+
+#[test]
+fn head_rows_read_until_a_level_is_decided_change_no_output() {
+    // Chain, tree and Ours on the kernel session, whose head rows stop
+    // once they show that a level can accept nothing, against the same
+    // engines on the trait-default session, which computes every head
+    // row whole: tokens, steps, trace and clock, under greedy and three
+    // temperatures with and without a top-2 cut. The vocabulary spans
+    // four kernel blocks, and the model is trained until some levels
+    // accept and some do not. After every step both sides scored the
+    // same nodes, and each names the same children on both — or, on
+    // the kernel side, none, where the level accepted nothing; that
+    // must happen.
+    use crate::train::{train_in_place, TrainConfig, TrainMethod};
+    let mut model = MlpLm::new(MlpLmConfig {
+        vocab: 100,
+        d_emb: 6,
+        d_hidden: 12,
+        context: 4,
+        n_heads: 3,
+        seed: 9,
+    });
+    let statement = [5, 40, 77, 3, 18, 96, 61, 3, 33, 88, 3];
+    let seqs: Vec<Vec<TokenId>> = (0..6)
+        .map(|i| statement.iter().cycle().skip(i).take(66).copied().collect())
+        .collect();
+    let tc = TrainConfig {
+        epochs: 3,
+        lr: 2e-2,
+        ..TrainConfig::paper_defaults(TrainMethod::Ours)
+    };
+    train_in_place(&mut model, &seqs, &tc);
+    let shim = Recompute(&model);
+    let oracle = small_grammar_oracle();
+    let cost = GpuCostModel::codellama_like();
+    let mut samplings = vec![Sampling::Greedy];
+    for temperature in [0.01, 0.05, 0.8] {
+        for top_k in [0, 2] {
+            samplings.push(Sampling::Temperature { temperature, top_k });
+        }
+    }
+    let (mut unnamed, mut accepted) = (0usize, 0usize);
+    for sampling in samplings {
+        for engine in [Medusa::Chain, Medusa::Tree, Medusa::Ours] {
+            let cfg = DecodeConfig {
+                max_tokens: 48,
+                sampling,
+                eos: 2,
+                seed: 7,
+                tree: Some(vec![3, 2, 2]),
+                ..Default::default()
+            };
+            let mut cut = engine.stepper(&model, &oracle, &cfg);
+            let mut whole = engine.stepper(&shim, &oracle, &cfg);
+            let what = format!("{engine:?} {sampling:?}");
+            loop {
+                let more = cut.step(&cost);
+                assert_eq!(whole.step(&cost), more, "{what}");
+                let (a, b) = (cut.reached_trie(), whole.reached_trie());
+                assert_eq!(a.len(), b.len(), "{what}: scored nodes");
+                for ((path, named), (at, all)) in a.iter().zip(&b) {
+                    assert_eq!(path, at, "{what}: scored nodes");
+                    if named != all {
+                        assert!(
+                            named.is_empty(),
+                            "{what}: {path:?} named {named:?} of {all:?}"
+                        );
+                        unnamed += 1;
+                    }
+                }
+                if !more {
+                    break;
+                }
+            }
+            let (a, b) = (cut.output(), whole.output());
+            assert_eq!(a.tokens, b.tokens, "{what}");
+            assert_eq!(a.steps, b.steps, "{what}");
+            assert_eq!(a.trace, b.trace, "{what}");
+            assert_eq!(a.clock, b.clock, "{what}");
+            accepted += a.trace.iter().filter(|t| t.accepted > 1).count();
+        }
+    }
+    assert!(
+        unnamed > 0 && accepted > 0,
+        "{unnamed} unnamed, {accepted} accepted"
+    );
 }
 
 #[test]
@@ -1327,11 +1413,8 @@ fn best_path_is_the_first_strictly_longest() {
             base_tok: 5,
             candidate_tokens: paths.iter().map(|p| p.len()).sum(),
             verify_issued: true,
-            lazy: LazyLevels {
-                kept: Kept::Local(0),
-                depth: 0,
-                ticket: 0,
-            },
+            kept: 0,
+            depth: 0,
             local_rows: None,
         });
         st.commit(&cost, None);

@@ -68,6 +68,6 @@ pub use pipeline::{
     SharedPrefixEncoder,
 };
 pub use quality::{
-    quality_gate_violations, render_quality_gate, run_quality_gate, stage_judge, QualityGateRow,
-    StageOutcome, QUALITY_TREE,
+    quality_gate_violations, render_quality_gate, run_quality_gate, stage_judge, wilson_ci95,
+    QualityGateRow, StageOutcome, QUALITY_TREE,
 };

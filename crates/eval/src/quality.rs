@@ -160,6 +160,34 @@ pub struct QualityGateRow {
     /// `accepted_spec_tokens / speculated_tokens` (0 for NTP, which
     /// never speculates).
     pub realized_acceptance: f64,
+    /// Wilson 95 % interval `[lo, hi]` of `parse_rate`, from the same
+    /// counts ([`wilson_ci95`]).
+    pub parse_ci95: [f64; 2],
+    /// Wilson 95 % interval of `elaborate_rate`.
+    pub elaborate_ci95: [f64; 2],
+    /// Wilson 95 % interval of `sim_pass_rate`.
+    pub sim_pass_ci95: [f64; 2],
+}
+
+/// The Wilson score interval at 95 % (`z = 1.96`) of `hits` successes
+/// in `n` trials, `[lo, hi]`: unlike the normal interval around
+/// `hits / n`, it stays inside `[0, 1]` and is not empty at zero hits
+/// (`[0, 0.0507]` for 0 of 72), which is where this gate's sim-pass
+/// rates sit. `[0, 1]` when there are no trials.
+pub fn wilson_ci95(hits: usize, n: usize) -> [f64; 2] {
+    if n == 0 {
+        return [0.0, 1.0];
+    }
+    let (z, n) = (1.96f64, n as f64);
+    let p = hits as f64 / n;
+    let scale = 1.0 + z * z / n;
+    let center = (p + z * z / (2.0 * n)) / scale;
+    let half = z / scale * (p * (1.0 - p) / n + z * z / (4.0 * n * n)).sqrt();
+    // At no hits (all hits) the bound is 0 (1) exactly, whatever the
+    // rounding of `center ∓ half`.
+    let lo = if hits == 0 { 0.0 } else { center - half };
+    let hi = if hits as f64 == n { 1.0 } else { center + half };
+    [lo, hi]
 }
 
 /// The four engines the gate compares: `(row name, trained model's
@@ -208,14 +236,17 @@ pub fn run_quality_gate(
                         .collect::<Vec<_>>()
                 })
                 .concat();
+            let hits = |stage: fn(&StageOutcome) -> bool| {
+                samples.iter().filter(|(s, _, _)| stage(s)).count()
+            };
             let rate = |stage: fn(&StageOutcome) -> bool| {
-                let hits = samples.iter().filter(|(s, _, _)| stage(s)).count();
                 if samples.is_empty() {
                     0.0
                 } else {
-                    hits as f64 / samples.len() as f64
+                    hits(stage) as f64 / samples.len() as f64
                 }
             };
+            let ci95 = |stage: fn(&StageOutcome) -> bool| wilson_ci95(hits(stage), samples.len());
             let speculated: usize = samples.iter().map(|s| s.1).sum();
             let accepted: usize = samples.iter().map(|s| s.2).sum();
             QualityGateRow {
@@ -231,6 +262,9 @@ pub fn run_quality_gate(
                 } else {
                     accepted as f64 / speculated as f64
                 },
+                parse_ci95: ci95(|s| s.parsed),
+                elaborate_ci95: ci95(|s| s.elaborated),
+                sim_pass_ci95: ci95(|s| s.passed),
             }
         })
         .collect()
@@ -554,8 +588,31 @@ mod tests {
             speculated_tokens: speculated,
             accepted_spec_tokens: (speculated as f64 * acceptance) as usize,
             realized_acceptance: acceptance,
+            parse_ci95: wilson_ci95(4, 8),
+            elaborate_ci95: wilson_ci95(2, 8),
+            sim_pass_ci95: wilson_ci95(1, 8),
         })
         .collect()
+    }
+
+    #[test]
+    fn wilson_intervals_match_the_closed_form() {
+        // Two points worked by hand at n = 72, the gate's sample count:
+        // none passing (the sim-pass rates today) and half.
+        let round = |[lo, hi]: [f64; 2]| [(lo * 1e4).round() / 1e4, (hi * 1e4).round() / 1e4];
+        assert_eq!(round(wilson_ci95(0, 72)), [0.0, 0.0507]);
+        assert_eq!(round(wilson_ci95(36, 72)), [0.3875, 0.6125]);
+        // All passing mirrors none; no trials says nothing.
+        assert_eq!(round(wilson_ci95(72, 72)), [0.9493, 1.0]);
+        assert_eq!(wilson_ci95(0, 0), [0.0, 1.0]);
+        // Every interval holds its rate and stays in [0, 1].
+        for n in 1..=80 {
+            for hits in 0..=n {
+                let [lo, hi] = wilson_ci95(hits, n);
+                let p = hits as f64 / n as f64;
+                assert!(0.0 <= lo && lo <= p && p <= hi && hi <= 1.0, "{hits}/{n}");
+            }
+        }
     }
 
     /// The instrument's controls: a clean gate reports nothing, and

@@ -12,8 +12,11 @@
 //! per input, and each kernel row's block holds the activation of the
 //! input the row was written for. Every Medusa head is evaluated from
 //! such a kept block ([`crate::DecodeSession::head_rows_into`], or
-//! [`crate::VerifyPlan::request_head`] in a fused pass) — bit for bit
-//! the row the one-pass forward would have written.
+//! [`crate::DecodeSession::head_row_until`] as far as a decode step
+//! reads it) — bit for bit the row the one-pass forward would have
+//! written. A decode step evaluates its head rows from its own arena:
+//! a base row a server's fused pass forwarded is copied there with its
+//! block ([`LogitsArena::push_kept`]).
 
 /// A growable `rows × width` buffer of logits rows.
 #[derive(Debug, Clone, Default)]

@@ -60,7 +60,7 @@ use serde::{Deserialize, Error, Serialize, Value};
 /// independent 128-bit add chains at the x86-64 baseline, enough to
 /// cover the add latency; the width only regroups *independent*
 /// accumulators, so it cannot change any output bit.
-const PACK_ROWS: usize = 32;
+pub(crate) const PACK_ROWS: usize = 32;
 
 /// A row-major dense matrix of `f32`.
 ///
@@ -259,16 +259,15 @@ impl PackedMatrix {
     /// to the finished sum. Without a bias nothing is added, not even a
     /// zero: `-0.0 + 0.0` is `+0.0`.
     ///
-    /// The epilogue adds a block's biases to its accumulators and
-    /// stores a full block of `y` as one fixed-size array, straight
-    /// from the accumulator registers; only a trailing partial block
-    /// copies a variable-length prefix out of them (which is a libc
-    /// `memcpy`, once per call). So a biased row is written once, where
-    /// a second loop would pass over the whole row again. The outputs
-    /// lead the zip: `Zip` takes from its first iterator before it
-    /// learns the second is empty, so with the blocks first a matrix
-    /// whose only block is partial would lose that block to the zip and
-    /// never write it.
+    /// Each block goes through `block_into`, which adds
+    /// the block's biases to its accumulators and stores a full block
+    /// of `y` as one fixed-size array, straight from the accumulator
+    /// registers; only a trailing partial block copies a
+    /// variable-length prefix out of them (which is a libc `memcpy`,
+    /// once per call). So a biased row is written once, where a second
+    /// loop would pass over the whole row again. A matrix without
+    /// columns writes every output as the empty sum, `+0.0`, plus its
+    /// bias.
     ///
     /// # Panics
     ///
@@ -280,47 +279,73 @@ impl PackedMatrix {
         if let Some(c) = bias {
             assert_eq!(c.len(), self.rows, "matvec_into bias mismatch");
         }
-        if self.cols == 0 {
-            y.fill(0.0);
-            if let Some(c) = bias {
-                y.iter_mut().zip(c).for_each(|(v, c)| *v += c);
-            }
-            return;
+        let mut biases = bias.map(|c| c.chunks(PACK_ROWS));
+        for (out, b) in y.chunks_mut(PACK_ROWS).zip(0..) {
+            self.block_into(b, x, biases.as_mut().and_then(Iterator::next), out);
         }
-        // Inlined at both stores, so that a full block's accumulators
-        // go from registers to `y` without a round trip through memory.
-        #[inline(always)]
-        fn block_dot(block: &[f32], x: &[f32]) -> [f32; PACK_ROWS] {
-            let mut acc = [0.0f32; PACK_ROWS];
-            for (col, &xv) in block.chunks_exact(PACK_ROWS).zip(x) {
-                let col: &[f32; PACK_ROWS] = col.try_into().expect("fixed block width");
-                for (a, w) in acc.iter_mut().zip(col) {
-                    *a += w * xv;
-                }
-            }
-            acc
-        }
-        let mut biases = bias.map(|c| c.chunks_exact(PACK_ROWS));
-        let mut blocks = self.data.chunks_exact(self.cols * PACK_ROWS);
-        let mut outs = y.chunks_exact_mut(PACK_ROWS);
-        for (out, block) in outs.by_ref().zip(blocks.by_ref()) {
+    }
+
+    /// Block `b` of [`PackedMatrix::matvec_into`]: `out` is that block's
+    /// rows of `y` (`PACK_ROWS` of them, fewer in a partial last block)
+    /// and `bias` their biases, and they get the bits `matvec_into`
+    /// gives them — for a caller that reads a row a block at a time and
+    /// may stop before the end. A full block leaves as one fixed-size
+    /// store from its accumulators; a partial one copies a prefix.
+    /// `block_dot` is inlined once per store, so that a full block's
+    /// accumulators go from registers to `out` without a round trip
+    /// through memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is not a block of the matrix. `x` must be `cols`
+    /// long and `out` and `bias` the block's length: debug-asserted
+    /// only, since `matvec_into` checks its whole call once and a
+    /// check per block measurably slowed every forward.
+    #[inline(always)]
+    pub(crate) fn block_into(&self, b: usize, x: &[f32], bias: Option<&[f32]>, out: &mut [f32]) {
+        debug_assert_eq!(x.len(), self.cols, "block_into input mismatch");
+        debug_assert_eq!(
+            Some(out.len()),
+            self.rows
+                .min((b + 1) * PACK_ROWS)
+                .checked_sub(b * PACK_ROWS)
+        );
+        debug_assert!(
+            bias.is_none_or(|c| c.len() == out.len()),
+            "one bias per row"
+        );
+        let width = self.cols * PACK_ROWS;
+        let block = &self.data[b * width..(b + 1) * width];
+        if out.len() == PACK_ROWS {
             let out: &mut [f32; PACK_ROWS] = out.try_into().expect("full block");
             let mut acc = block_dot(block, x);
-            if let Some(c) = biases.as_mut().and_then(Iterator::next) {
+            if let Some(c) = bias {
                 let c: &[f32; PACK_ROWS] = c.try_into().expect("full block");
                 acc.iter_mut().zip(c).for_each(|(a, c)| *a += c);
             }
             *out = acc;
-        }
-        if let Some(block) = blocks.next() {
-            let tail = outs.into_remainder();
+        } else {
             let mut acc = block_dot(block, x);
-            if let Some(c) = biases.map(|c| c.remainder()) {
+            if let Some(c) = bias {
                 acc.iter_mut().zip(c).for_each(|(a, c)| *a += c);
             }
-            tail.copy_from_slice(&acc[..tail.len()]);
+            out.copy_from_slice(&acc[..out.len()]);
         }
     }
+}
+
+/// One block's sums `Σ_c w · x[c]`, each in one accumulator in column
+/// order; no columns is the empty sum, `+0.0`.
+#[inline(always)]
+fn block_dot(block: &[f32], x: &[f32]) -> [f32; PACK_ROWS] {
+    let mut acc = [0.0f32; PACK_ROWS];
+    for (col, &xv) in block.chunks_exact(PACK_ROWS).zip(x) {
+        let col: &[f32; PACK_ROWS] = col.try_into().expect("fixed block width");
+        for (a, w) in acc.iter_mut().zip(col) {
+            *a += w * xv;
+        }
+    }
+    acc
 }
 
 /// Entries a row scan takes side by side — `lane_max`'s independent
@@ -601,6 +626,63 @@ mod tests {
         assert_eq!(y.map(f32::to_bits), [0.0f32; 3].map(f32::to_bits));
         packed.matvec_into(&[], Some(&[-0.0, 0.0, 1.5]), &mut y);
         assert_eq!(y.map(f32::to_bits), [0.0f32, 0.0, 1.5].map(f32::to_bits));
+    }
+
+    #[test]
+    fn block_into_matches_matvec_into_bitwise() {
+        // One block at a time into an output pre-filled with NaN: the
+        // block's rows must be the scalar product's bits (`matvec`, then
+        // the bias) and every other row must stay NaN, so that a block that writes too few rows, too
+        // many or the wrong ones fails. 13 × 11 is one partial block;
+        // 487 × 32 is fifteen whole blocks and a partial one. Weights
+        // and bias as in `matvec_batch_matches_matvec_bitwise`: rows of
+        // `-0.0` weights, a bias of both zeros.
+        for (rows, cols) in [(13, 11), (487, 32)] {
+            let a = Matrix::from_fn(rows, cols, |r, c| match r % 5 {
+                0 => -0.0,
+                _ => ((r * 31 + c * 17) as f32).sin(),
+            });
+            let bias: Vec<f32> = (0..rows)
+                .map(|r| match r % 3 {
+                    0 => -0.0,
+                    1 if r % 2 == 0 => 0.0,
+                    _ => (r as f32 * 0.7).cos(),
+                })
+                .collect();
+            let packed = a.pack();
+            let blocks = rows.div_ceil(PACK_ROWS);
+            let bits = |y: &[f32]| y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            for k in 0..3 {
+                let x: Vec<f32> = (0..cols).map(|c| ((k * 13 + c) as f32).cos()).collect();
+                for bias in [None, Some(&bias[..])] {
+                    // The definition, as `assert_packed_matches_scalar`
+                    // states it: `matvec`, then `+= c`.
+                    let mut want = a.matvec(&x);
+                    if let Some(c) = bias {
+                        want.iter_mut().zip(c).for_each(|(w, c)| *w += c);
+                    }
+                    let block = |b: usize| b * PACK_ROWS..rows.min((b + 1) * PACK_ROWS);
+                    for b in 0..blocks {
+                        let mut y = vec![f32::NAN; rows];
+                        let c = bias.map(|c| &c[block(b)]);
+                        packed.block_into(b, &x, c, &mut y[block(b)]);
+                        for (r, (got, want)) in y.iter().zip(&want).enumerate() {
+                            if r / PACK_ROWS == b {
+                                assert_eq!(got.to_bits(), want.to_bits(), "{rows}x{cols} row {r}");
+                            } else {
+                                assert!(got.is_nan(), "{rows}x{cols} block {b} wrote row {r}");
+                            }
+                        }
+                    }
+                    // Every block, last first, is the whole product.
+                    let mut y = vec![f32::NAN; rows];
+                    for b in (0..blocks).rev() {
+                        packed.block_into(b, &x, bias.map(|c| &c[block(b)]), &mut y[block(b)]);
+                    }
+                    assert_eq!(bits(&y), bits(&want), "{rows}x{cols}");
+                }
+            }
+        }
     }
 
     #[test]

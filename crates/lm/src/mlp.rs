@@ -23,12 +23,15 @@
 //! [`LogitsArena`], with one row layout: [`MlpLm::infer`] writes one
 //! base-head row per input and keeps the input's trunk activation
 //! beside it, and every Medusa-head row is evaluated later from such a
-//! kept activation (`infer_heads`). The row-major scalar forward
+//! kept activation (`infer_heads`, or `head_row_until`, which computes
+//! a head row a block at a time and stops once the blocks it has
+//! computed show a decode step everything it needs). The row-major
+//! scalar forward
 //! ([`MlpLm::logits`] / [`MlpLm::multi_logits`]) stays as the training
 //! forward and the reference the kernel is pinned bit-identical to.
 
 use crate::arena::LogitsArena;
-use crate::matrix::{log_softmax, silu, silu_prime, softmax, Matrix, PackedMatrix};
+use crate::matrix::{log_softmax, silu, silu_prime, softmax, Matrix, PackedMatrix, PACK_ROWS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -325,7 +328,7 @@ impl MlpLm {
     /// row this call writes is a kept position: a Medusa head at that
     /// input is evaluated later from it without the trunk
     /// ([`crate::DecodeSession::head_rows_into`],
-    /// [`crate::verify_many`]'s head requests).
+    /// [`crate::DecodeSession::head_row_until`]).
     ///
     /// # Panics
     ///
@@ -358,10 +361,12 @@ impl MlpLm {
 
     /// Head `head`'s logits row from the trunk activation `hidden`
     /// (`z` is one hidden-width vector of working memory, unread by the
-    /// base head): the one place the inference kernel evaluates a head,
-    /// so the base head computed with its trunk and any head computed
-    /// later from the kept activation run the identical operations on
-    /// the identical bits.
+    /// base head): the one place the inference kernel evaluates a whole
+    /// head row, so the base head computed with its trunk and any head
+    /// computed later from the kept activation run the identical
+    /// operations on the identical bits — as does
+    /// [`MlpLm::head_row_until`], block for block, from the same
+    /// [`MlpLm::head_input`].
     fn head_row(
         &self,
         packed: &PackedWeights,
@@ -370,24 +375,35 @@ impl MlpLm {
         z: &mut [f32],
         row: &mut [f32],
     ) {
-        let (p, u) = &packed.heads[head];
+        let z = Self::head_input(packed, head, hidden, z);
         let c = Some(&self.heads[head].c[..]);
-        match p {
-            // Base head: z == h, project the hidden state directly.
-            None => u.matvec_into(hidden, c, row),
+        packed.heads[head].1.matvec_into(z, c, row);
+    }
+
+    /// What head `head`'s output projection reads at the trunk
+    /// activation `hidden`: `h + silu(P h)`, written into `z`, or `h`
+    /// itself for the base head, which has no residual block.
+    fn head_input<'z>(
+        packed: &PackedWeights,
+        head: usize,
+        hidden: &'z [f32],
+        z: &'z mut [f32],
+    ) -> &'z [f32] {
+        match &packed.heads[head].0 {
+            None => hidden,
             Some(p) => {
                 p.matvec_into(hidden, None, z);
                 for (zv, &hv) in z.iter_mut().zip(hidden) {
                     *zv = hv + silu(*zv);
                 }
-                u.matvec_into(z, c, row);
+                z
             }
         }
     }
 
-    /// The kernel's second entry, and the only one that writes a
-    /// Medusa head's row: evaluates chosen heads **from kept
-    /// activations**, skipping the trunk. Each request is the
+    /// The kernel's second entry, which writes whole Medusa-head rows:
+    /// evaluates chosen heads **from kept activations**, skipping the
+    /// trunk. Each request is the
     /// activation an earlier [`MlpLm::infer`] call of this model kept
     /// for some input and the head wanted at that input; one logits row
     /// per request is appended to `out`, in order. Returns the arena
@@ -416,6 +432,86 @@ impl MlpLm {
             self.head_row(packed, head, hidden, z, row);
         }
         base
+    }
+
+    /// Head `head`'s row from the kept activation `hidden`, computed a
+    /// block of `PACK_ROWS` entries at a time only until it shows that
+    /// none of `seeds` ranks among the row's top `width` under
+    /// [`crate::top_k_into`]'s order (logit descending, then index
+    /// ascending): the blocks holding a seed first, then the rest in
+    /// index order, stopping once `width` computed entries outrank the
+    /// best-ranked seed — which then outrank every seed. `seeds` must
+    /// be ascending without repeats.
+    ///
+    /// Appends one row to `out` either way. Returns its index when no
+    /// such proof came — every block computed, the row bit for bit the
+    /// one [`MlpLm::infer_heads`] writes — and `None` when the row was
+    /// cut short, or there is no seed to rank: the blocks never
+    /// computed hold unspecified floats.
+    ///
+    /// A NaN in a block that is never computed is never seen; a NaN
+    /// seed logit is outranked by nothing, so its row is computed
+    /// whole, and the caller's ranking ([`crate::top_k_into`]) panics
+    /// on it as on any whole row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hidden` is not `d_hidden` floats, the head does not
+    /// exist or a seed is not a token.
+    pub(crate) fn head_row_until(
+        &self,
+        hidden: &[f32],
+        head: usize,
+        seeds: &[TokenId],
+        width: usize,
+        out: &mut LogitsArena,
+    ) -> Option<usize> {
+        let packed = self.packed();
+        let (vocab, d_hidden) = (self.cfg.vocab, self.cfg.d_hidden);
+        assert_eq!(hidden.len(), d_hidden, "not a kept activation");
+        assert!(head < self.heads.len(), "the model has no head {head}");
+        debug_assert!(seeds.windows(2).all(|w| w[0] < w[1]), "seeds ascend");
+        let at = out.rows();
+        let (row, z) = out.grow_with_scratch(vocab, 1, d_hidden);
+        let &[first, ..] = seeds else {
+            return None;
+        };
+        let z = Self::head_input(packed, head, hidden, z);
+        let (u, c) = (&packed.heads[head].1, &self.heads[head].c);
+        // The blocks holding a seed, ascending: seeds ascend, so a
+        // block's seeds are adjacent.
+        let seeded = || {
+            let mut last = None;
+            seeds
+                .iter()
+                .map(|&s| s as usize / PACK_ROWS)
+                .filter(move |&b| last.replace(b) != Some(b))
+        };
+        let rows = |b: usize| b * PACK_ROWS..vocab.min((b + 1) * PACK_ROWS);
+        for b in seeded() {
+            u.block_into(b, z, Some(&c[rows(b)]), &mut row[rows(b)]);
+        }
+        // The best-ranked seed: the first of the greatest logit.
+        let better = |best: usize, s: usize| if row[s] > row[best] { s } else { best };
+        let best = seeds
+            .iter()
+            .map(|&s| s as usize)
+            .fold(first as usize, better);
+        let bar = row[best];
+        let outranks = |b: usize, block: &[f32]| outranking(block, b * PACK_ROWS, best, bar);
+        let mut proof: usize = seeded().map(|b| outranks(b, &row[rows(b)])).sum();
+        let mut done = seeded().peekable();
+        let blocks = row.chunks_mut(PACK_ROWS).zip(c.chunks(PACK_ROWS));
+        for (b, (out, c)) in blocks.enumerate() {
+            if proof >= width {
+                return None;
+            }
+            if done.next_if_eq(&b).is_none() {
+                u.block_into(b, z, Some(c), out);
+                proof += outranks(b, out);
+            }
+        }
+        (proof < width).then_some(at)
     }
 
     /// Average base-head negative log-likelihood (nats/token) of `tokens`.
@@ -607,6 +703,32 @@ impl MlpLm {
                 .collect(),
         }
     }
+}
+
+/// How many entries of `block`, the row's entries from index `lo` on,
+/// outrank entry `best`, of logit `bar`, under [`crate::top_k_into`]'s
+/// order: a greater logit, or an equal one at a lower index. A block
+/// other than `best`'s lies wholly before it (its ties outrank) or
+/// wholly after it (they do not), so it is counted with one compare per
+/// entry, `>=` or `>`, over a fixed-size block where the block is full;
+/// only `best`'s own block is split at it. A NaN outranks nothing.
+fn outranking(block: &[f32], lo: usize, best: usize, bar: f32) -> usize {
+    let count = |block: &[f32], ties: bool| -> u32 {
+        if ties {
+            block.iter().map(|&l| u32::from(l >= bar)).sum()
+        } else {
+            block.iter().map(|&l| u32::from(l > bar)).sum()
+        }
+    };
+    let n = if (lo..lo + block.len()).contains(&best) {
+        let (before, after) = block.split_at(best - lo);
+        count(before, true) + count(after, false)
+    } else if let Ok(full) = <&[f32; PACK_ROWS]>::try_from(block) {
+        count(full, lo < best)
+    } else {
+        count(block, lo < best)
+    };
+    n as usize
 }
 
 /// Gradient accumulation buffers mirroring [`MlpLm`]'s parameters.
@@ -993,6 +1115,141 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn head_row_until_is_whole_or_proves_no_seed_ranks() {
+        // Against the whole row (`infer_heads`) and its full ranking
+        // under `top_k_into`'s order: a row computed whole is that row,
+        // bit for bit, and a seed does rank among its top `width`; a row
+        // cut short has no seed among the full row's top `width`, and
+        // exactly the blocks the definition computes — the seeds', then
+        // the rest in index order until `width` of their entries
+        // outrank the best-ranked seed — each the full row's. Output
+        // rows are pre-filled with NaN, so a block never computed reads
+        // NaN.
+        let config = |vocab, d_hidden, seed| MlpLmConfig {
+            vocab,
+            d_emb: 5,
+            d_hidden,
+            context: 3,
+            n_heads: 2,
+            seed,
+        };
+        // Exact ties: every head row of this one repeats its first 24
+        // entries, so equal logits sit in one block and in different
+        // blocks, and rank by index.
+        let mut tied = MlpLm::new(config(487, 32, 5));
+        for head in &mut tied.heads[1..] {
+            for r in 24..487 {
+                let from = head.u.row(r % 24).to_vec();
+                head.u.row_mut(r).copy_from_slice(&from);
+            }
+        }
+        let models = [
+            MlpLm::new(config(487, 32, 11)),
+            MlpLm::new(config(487, 32, 29)),
+            MlpLm::new(config(13, 11, 3)),
+            tied,
+        ];
+        let (mut whole, mut cut, mut skipped) = (0usize, 0usize, 0usize);
+        for model in &models {
+            let vocab = model.cfg.vocab;
+            let (xs, _) = probe_inputs(model, 4);
+            let mut kept = LogitsArena::new();
+            model.infer(&xs, &mut kept);
+            for k in 0..4 {
+                let hidden = kept.activation(k);
+                for head in 1..=model.n_heads() {
+                    let mut full = LogitsArena::new();
+                    model.infer_heads([(hidden, head)], &mut full);
+                    let full = full.row(0);
+                    let ranked = crate::top_k_indices(full, vocab);
+                    let rank = |r: usize| ranked[r.min(vocab - 1)];
+                    let last = vocab as TokenId - 1;
+                    let seed_sets: [Vec<TokenId>; 11] = [
+                        vec![rank(0)],
+                        vec![rank(1)],
+                        vec![rank(2)],
+                        vec![rank(4)],
+                        vec![rank(9)],
+                        vec![rank(vocab - 1)],
+                        vec![last],
+                        vec![last - 2, last],
+                        vec![rank(3), rank(7), rank(60)],
+                        vec![rank(5), rank(6), last],
+                        vec![rank(2), rank(30), rank(200)],
+                    ];
+                    for mut seeds in seed_sets {
+                        seeds.sort_unstable();
+                        seeds.dedup();
+                        for width in 1..=4 {
+                            let mut out = LogitsArena::new();
+                            out.push_row(&vec![f32::NAN; vocab]);
+                            out.clear();
+                            let got = model.head_row_until(hidden, head, &seeds, width, &mut out);
+                            let top = &ranked[..width.min(vocab)];
+                            let seeded = top.iter().any(|t| seeds.contains(t));
+                            let what = format!("{vocab} head {head} {seeds:?} width {width}");
+                            // The blocks the definition computes: the
+                            // seeds', then the rest in index order until
+                            // `width` entries outrank the best seed.
+                            let outranks = |i: usize, s: TokenId| {
+                                let s = s as usize;
+                                full[i] > full[s] || (full[i] == full[s] && i < s)
+                            };
+                            let best = ranked.iter().find(|t| seeds.contains(t)).copied();
+                            let proving = |b: usize| {
+                                let rows = b * PACK_ROWS..vocab.min((b + 1) * PACK_ROWS);
+                                rows.filter(|&i| outranks(i, best.expect("a seed"))).count()
+                            };
+                            let n_blocks = vocab.div_ceil(PACK_ROWS);
+                            let mut wanted: Vec<bool> = (0..n_blocks)
+                                .map(|b| seeds.iter().any(|&s| s as usize / PACK_ROWS == b))
+                                .collect();
+                            let mut proof: usize =
+                                (0..n_blocks).filter(|&b| wanted[b]).map(proving).sum();
+                            for (b, wanted) in wanted.iter_mut().enumerate() {
+                                if proof < width && !*wanted {
+                                    *wanted = true;
+                                    proof += proving(b);
+                                }
+                            }
+                            if let Some(at) = got {
+                                assert_eq!((at, out.rows()), (0, 1));
+                                assert_rows_bit_equal(out.row(at), full, &what);
+                                assert!(seeded && proof < width, "{what}: whole, no seed ranks");
+                                whole += 1;
+                                continue;
+                            }
+                            assert_eq!(out.rows(), 1);
+                            assert!(!seeded && proof >= width, "{what}: cut, a seed ranks");
+                            let row = out.row(0);
+                            let blocks = row.chunks(PACK_ROWS).zip(full.chunks(PACK_ROWS));
+                            for ((got, want), wanted) in blocks.zip(wanted) {
+                                if wanted {
+                                    assert_rows_bit_equal(got, want, &what);
+                                } else {
+                                    assert!(got.iter().all(|v| v.is_nan()), "{what}: extra block");
+                                    skipped += 1;
+                                }
+                            }
+                            cut += 1;
+                        }
+                    }
+                    // No seed: nothing to rank, nothing computed.
+                    let mut out = LogitsArena::new();
+                    out.push_row(&vec![f32::NAN; vocab]);
+                    out.clear();
+                    assert_eq!(model.head_row_until(hidden, head, &[], 2, &mut out), None);
+                    assert!(out.row(0).iter().all(|v| v.is_nan()));
+                }
+            }
+        }
+        assert!(
+            whole > 0 && cut > 0 && skipped > 0,
+            "{whole} {cut} {skipped}"
+        );
     }
 
     #[test]

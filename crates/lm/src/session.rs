@@ -13,10 +13,10 @@
 //! * [`DecodeSession::logits`] / [`DecodeSession::multi_logits`] —
 //!   next-token logits served from cached state where the model allows;
 //! * [`DecodeSession::base_row_into`] /
-//!   [`DecodeSession::head_rows_into`] — a decoding step's two calls at
+//!   [`DecodeSession::head_row_until`] — a decoding step's two calls at
 //!   its base position: the base row first, a Medusa head's row only
-//!   when (and if) the step gets to read it, served from what the
-//!   first call kept;
+//!   when (and if) the step gets to read it — and only as far as its
+//!   acceptance needs it — served from what the first call kept;
 //! * [`DecodeSession::score_frontier`] — score one **level** of the
 //!   step's candidate tree: the nodes acceptance has reached so far.
 //!
@@ -47,13 +47,26 @@
 //! ([`DecodeSession::base_row_into`]: trunk and base head, the kernel
 //! keeping the trunk activation beside the row), builds its trie from
 //! the tree's *shape* ([`NodeMap::build_shape`] — no tokens yet), and
-//! asks for head `d + 1` ([`DecodeSession::head_rows_into`], or
-//! [`VerifyPlan::request_head`] under a server) when a depth-`d` node
-//! is forwarded, naming that level's tokens ([`NodeMap::set_token`])
-//! just before their edges are tested. A head's row from the kept
-//! activation is the row [`DecodeSession::multi_logits`] holds, bit for
-//! bit. Sessions without a kernel compute `multi_logits()` once at the
-//! base call and serve the rows from it.
+//! asks for head `d + 1` when a depth-`d` node is forwarded, naming
+//! that level's tokens ([`NodeMap::set_token`]) just before their edges
+//! are tested. A head's row from the kept activation is the row
+//! [`DecodeSession::multi_logits`] holds, bit for bit. Sessions without
+//! a kernel compute `multi_logits()` once at the base call and serve
+//! the rows from it.
+//!
+//! # A head is read only as far as acceptance needs it
+//!
+//! A level's child edges carry its head's top-`k`, and a level accepts
+//! nothing exactly when `k` head entries outrank every token its nodes
+//! could accept — which the step knows, as a small superset, before it
+//! names anything. [`DecodeSession::head_row_until`] takes those tokens
+//! and computes the head row a kernel block at a time, their blocks
+//! first, stopping once `k` computed entries outrank the best of them:
+//! the level then names no child and verification ends there. A row
+//! that is not cut short is computed whole and named as before, so no
+//! committed token can tell. The step always evaluates its head rows
+//! itself, from the activation kept in its own arena: a base row
+//! forwarded by a server's fused pass is copied there first.
 //!
 //! [`DecodeSession::verify_batch`] scores the *whole* tree in one call
 //! (every node requested at once) through the same per-level code; it is
@@ -62,7 +75,8 @@
 //!
 //! Every query has two shapes. The **flat** one is what the engines
 //! run on: [`DecodeSession::base_row_into`],
-//! [`DecodeSession::head_rows_into`] and
+//! [`DecodeSession::head_rows_into`],
+//! [`DecodeSession::head_row_until`] and
 //! [`DecodeSession::score_frontier`] append logits rows to a
 //! caller-owned [`LogitsArena`], and the [`NodeMap`] says which row each
 //! scored node reads — one row per *unique* candidate-tree node,
@@ -82,10 +96,9 @@
 //!   evaluating a Medusa head from the activation that call kept. A
 //!   serving engine instead collects many sessions' inputs
 //!   ([`DecodeSession::embed_plan`], [`DecodeSession::plan_frontier`])
-//!   and head requests ([`VerifyPlan::request_head`]) and runs them
-//!   through the same kernel in one fused pass per level
-//!   ([`MlpLm::infer`], [`verify_many`]). All outputs are
-//!   bit-identical to the stateless path.
+//!   and runs them through the same kernel in one fused pass per level
+//!   ([`MlpLm::infer`], [`verify_many`]); head rows never ride that
+//!   pass. All outputs are bit-identical to the stateless path.
 //! * `StatelessSession` (crate-private) — a fresh-compute session over
 //!   any [`LanguageModel`]'s `logits` / `multi_logits`, used as the
 //!   default `LanguageModel::session()`. Its frontier is scored by the
@@ -107,12 +120,10 @@ use crate::LanguageModel;
 /// parent's, which is why the whole buffer stays resident until the
 /// step ends. Cleared and refilled every step / tick.
 ///
-/// A level may also carry **head requests**
-/// ([`VerifyPlan::request_head`]): Medusa-head rows wanted at a position
-/// forwarded earlier, evaluated from the activation the kernel kept
-/// there by the same [`verify_many`] call that forwards the level — no
-/// trunk, so not a forward — into the plan's own rows
-/// ([`VerifyPlan::head_rows`]), which last until the next call.
+/// A plan holds forwards only: a step evaluates its Medusa-head rows
+/// itself, from the trunk activation kept at its base position
+/// ([`DecodeSession::head_row_until`]), and only as far as acceptance
+/// needs them.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyPlan {
     /// Floats per node (`context · d_emb` of the planning model).
@@ -122,12 +133,6 @@ pub struct VerifyPlan {
     run: usize,
     /// The arena row node 0 landed on.
     base: usize,
-    /// `(arena row of the kept position, head)` per head row asked for
-    /// since the last [`verify_many`].
-    head_requests: Vec<(usize, usize)>,
-    /// The head rows the last [`verify_many`] evaluated, in request
-    /// order.
-    head_rows: LogitsArena,
 }
 
 impl VerifyPlan {
@@ -140,8 +145,6 @@ impl VerifyPlan {
     pub fn clear(&mut self) {
         self.xs.clear();
         self.run = 0;
-        self.head_requests.clear();
-        self.head_rows.clear();
     }
 
     /// Number of nodes (= forwards) planned so far.
@@ -157,22 +160,6 @@ impl VerifyPlan {
     /// forwards.
     pub fn pending(&self) -> usize {
         self.n_nodes() - self.run
-    }
-
-    /// Asks the next [`verify_many`] for head `head`'s row at a position
-    /// forwarded earlier into the arena that call writes to: `kept` is
-    /// the arena index of that position's base row (the kernel kept its
-    /// trunk activation there). Returns the row's index in
-    /// [`VerifyPlan::head_rows`] once the call has run.
-    pub fn request_head(&mut self, kept: usize, head: usize) -> usize {
-        self.head_requests.push((kept, head));
-        self.head_requests.len() - 1
-    }
-
-    /// The head rows the last [`verify_many`] evaluated, in request
-    /// order.
-    pub fn head_rows(&self) -> ArenaRows<'_> {
-        self.head_rows.rows_from(0)
     }
 
     /// Appends a node whose input is `x`, returning its index.
@@ -561,13 +548,8 @@ impl NodeMap {
 /// step's levels must therefore land back to back in one arena. Each
 /// row is bit-identical to what the session's own `verify_batch` would
 /// have returned for that node — the kernel guarantees per-input
-/// bit-identity regardless of batch composition.
-///
-/// The head rows asked for since the last call
-/// ([`VerifyPlan::request_head`]) are evaluated in the same pass, from
-/// the activations `out` holds at their kept positions, into
-/// [`VerifyPlan::head_rows`] — each bit-identical to that position's
-/// `multi_logits()` row.
+/// bit-identity regardless of batch composition — and, like every
+/// kernel row, keeps its node's trunk activation beside it.
 ///
 /// This is the continuous-batching primitive: concurrent generations
 /// share one pass per level instead of issuing one small batch each.
@@ -575,8 +557,7 @@ impl NodeMap {
 /// # Panics
 ///
 /// Panics if rows were appended to `out` between two levels of one
-/// plan, or a head was requested at a row of `out` the kernel kept no
-/// activation for.
+/// plan.
 pub fn verify_many(model: &MlpLm, plan: &mut VerifyPlan, out: &mut LogitsArena) -> usize {
     if plan.run == 0 {
         plan.base = out.rows();
@@ -588,12 +569,6 @@ pub fn verify_many(model: &MlpLm, plan: &mut VerifyPlan, out: &mut LogitsArena) 
     );
     model.infer(&plan.xs[plan.run * plan.x_dim..], out);
     plan.run = plan.n_nodes();
-    plan.head_rows.clear();
-    let requests = plan.head_requests.drain(..);
-    model.infer_heads(
-        requests.map(|(kept, head)| (out.activation(kept), head)),
-        &mut plan.head_rows,
-    );
     plan.base
 }
 
@@ -702,6 +677,38 @@ pub trait DecodeSession {
             out.push_row(kept.row(head));
         }
         first
+    }
+
+    /// Head `head`'s row at the kept position (as
+    /// [`DecodeSession::head_rows_into`] reads it), computed only as far
+    /// as it takes to show that none of `seeds` — ascending, no repeats
+    /// — ranks among the row's top `width` under [`crate::top_k_into`]'s
+    /// order. Appends one row to `out` either way. Returns its index
+    /// when the row was computed whole — then it is
+    /// [`DecodeSession::head_rows_into`]'s row, bit for bit — and
+    /// `None` when it was cut short: `width` computed entries outrank
+    /// every seed (or there is no seed), so no seed is among the row's
+    /// top `width`, and the rest of the row is unspecified.
+    ///
+    /// A decode step asks it with every token a level could accept as
+    /// the seeds: a row cut short names no child, and most levels that
+    /// accept nothing are shown to within a few blocks of the row.
+    ///
+    /// The default computes whole rows; [`MlpSession`] computes the row
+    /// a kernel block (32 entries) at a time, the seeds' blocks first.
+    /// A NaN in a block that is never computed is never seen: the
+    /// panic [`crate::top_k_into`] raises on a NaN covers whole rows
+    /// only.
+    fn head_row_until(
+        &mut self,
+        kept: ArenaRows<'_>,
+        head: usize,
+        seeds: &[TokenId],
+        width: usize,
+        out: &mut LogitsArena,
+    ) -> Option<usize> {
+        let _ = (seeds, width);
+        Some(self.head_rows_into(kept, head..head + 1, out))
     }
 
     /// Whether a row this session's frontier was scored into — by
@@ -1000,6 +1007,18 @@ impl DecodeSession for MlpSession<'_> {
             .infer_heads(heads.map(|head| (hidden, head)), out)
     }
 
+    fn head_row_until(
+        &mut self,
+        kept: ArenaRows<'_>,
+        head: usize,
+        seeds: &[TokenId],
+        width: usize,
+        out: &mut LogitsArena,
+    ) -> Option<usize> {
+        self.model
+            .head_row_until(kept.activation(), head, seeds, width, out)
+    }
+
     fn keeps_frontier_rows(&self) -> bool {
         true
     }
@@ -1205,54 +1224,6 @@ mod tests {
         let mut empty = LogitsArena::new();
         assert_eq!(verify_many(&model, &mut VerifyPlan::new(), &mut empty), 0);
         assert_eq!(empty.rows(), 0);
-    }
-
-    #[test]
-    fn verify_many_serves_head_requests_from_kept_activations() {
-        // Two positions forwarded by one pass (base rows only); then a
-        // level of candidate nodes with head rows riding along, twice.
-        let model = tiny_mlp();
-        let contexts: [&[TokenId]; 2] = [&[1, 2, 3], &[7]];
-        let mut xs = Vec::new();
-        let mut want = Vec::new();
-        let mut sessions = Vec::new();
-        for ctx in contexts {
-            let mut s = MlpSession::new(&model);
-            s.append(ctx);
-            assert!(s.embed_plan(&mut xs));
-            want.push(s.multi_logits());
-            sessions.push(s);
-        }
-        let mut arena = LogitsArena::new();
-        let kept = model.infer(&xs, &mut arena);
-        let mut plan = VerifyPlan::new();
-        let mut maps = [NodeMap::new(), NodeMap::new()];
-        for (s, nodes) in sessions.iter_mut().zip(&mut maps) {
-            s.append(&[4]);
-            nodes.build_shape([2, 1].into_iter(), 32);
-            nodes.request(0);
-            assert!(s.plan_frontier(nodes, &mut plan));
-        }
-        assert_eq!(plan.request_head(kept + 1, 3), 0);
-        assert_eq!(plan.request_head(kept, 1), 1);
-        let base = verify_many(&model, &mut plan, &mut arena);
-        assert_eq!((base, arena.rows()), (2, 4), "head rows are not forwards");
-        assert_eq!(plan.head_rows().row(0), &want[1][3][..]);
-        assert_eq!(plan.head_rows().row(1), &want[0][1][..]);
-        // The next level: the first session's first child, one request.
-        let child = maps[0].first_child(0).expect("two children");
-        maps[0].set_token(child, 9);
-        maps[0].request(child);
-        maps[0].clear_level();
-        assert!(sessions[0].plan_frontier(&mut maps[0], &mut plan));
-        assert_eq!(plan.request_head(kept, 2), 0, "tickets restart per pass");
-        assert_eq!(verify_many(&model, &mut plan, &mut arena), base);
-        assert_eq!(arena.rows(), 5);
-        assert_eq!(plan.head_rows().row(0), &want[0][2][..]);
-        assert_eq!(
-            arena.row(base + maps[0].row(child)),
-            &model.logits(&[1, 2, 3, 4, 9])[..]
-        );
     }
 
     #[test]
